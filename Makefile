@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak bench ci figures clean live-race
+.PHONY: all build test race vet fmt check staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak bench bench-build ci figures clean live-race
 
 all: check
 
@@ -19,9 +19,11 @@ race:
 # harness's live-matches-sim differential bridge) MUST run under the race
 # detector. This target is explicit — and a required CI step — so the
 # -race coverage of internal/live cannot be silently skipped by package
-# caching or a filtered test run.
+# caching or a filtered test run. internal/mcastd rides along: the daemon
+# runs the same ReliableNI, EdgeSender, Pump and repair brain as the live
+# engine, so its -race coverage must be equally unskippable.
 live-race:
-	$(GO) test -race -count=1 ./internal/live/... ./internal/sched ./internal/check
+	$(GO) test -race -count=1 ./internal/live/... ./internal/mcastd ./internal/sched ./internal/check
 
 vet:
 	$(GO) vet ./...
@@ -146,7 +148,15 @@ bench:
 	@rm -f bench-raw.out
 	@echo "wrote BENCH_sim.json"
 
-ci: check staticcheck live-race mcastcheck chaos-soak net-soak daemon-soak sched-soak psim-soak
+# Bench build: bench/ is its own module (the root build and tests do not
+# see it) and compiles against exported surface only — live.RunReliable,
+# live.ReliableConfig, mcastd.RunReliable, mcastd.Config, the result
+# fields. Vetting and testing it here means a refactor cannot break the
+# benchmark unnoticed; its tests include a smoke run of every workload.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+ci: check staticcheck live-race bench-build mcastcheck chaos-soak net-soak daemon-soak sched-soak psim-soak
 
 figures:
 	$(GO) run ./cmd/figures -out figures

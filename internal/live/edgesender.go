@@ -147,13 +147,7 @@ func (e *EdgeSender) Run() {
 		if wake < 0 {
 			wake = 0
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wake)
+		rearm(timer, wake)
 
 		select {
 		case seq := <-e.in:
@@ -202,6 +196,18 @@ func (e *EdgeSender) Run() {
 			return
 		}
 	}
+}
+
+// rearm points a timer that may already have fired at a new delay,
+// leaving no stale tick in its channel.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // send injects one (re)transmission, stamped with the current epoch when

@@ -9,28 +9,28 @@ import (
 
 	"repro/internal/live/link"
 	"repro/internal/membership"
-	"repro/internal/message"
 	"repro/internal/reliable"
-	"repro/internal/tree"
+	"repro/internal/workload"
 )
 
-// This file is the live port of internal/reliable: the same protocol —
-// per-edge retransmission with capped backoff+jitter, duplicate
-// suppression, heartbeat-driven membership with epoch fencing, and
-// Fig.-11 subtree adoption — executed by real goroutines over (possibly
-// faulty) transports instead of the virtual-clock event engine.
+// This file is the in-process driver of the reliable protocol. The
+// protocol itself is shared with the multi-process daemon: EdgeSender
+// (per-edge retransmission), ReliableNI (the receive loop), Pump (the
+// wall-clock detector loop) and reliable.Brain (tree shape and Fig.-11
+// repair). What lives here is what only this engine has: scheduled crash
+// windows, in-process links and ACK routes, and the result.
 //
 // Concurrency layout (strict ownership, like the lossless engine):
 //   - one NI goroutine per host: drains the inbox, dedups, ACKs,
 //     forwards novel packets to its child edges, reassembles, heartbeats;
 //   - one sender goroutine per live tree edge: owns the edge's pending
 //     set and retransmission timers, sends serially in sequence order;
-//   - the supervisor (RunReliable's goroutine): owns the tree shape, the
-//     membership detector, adoption/repair, and termination.
-// The only cross-goroutine mutable cell is the global epoch register
-// (an atomic), written by the supervisor on view changes and read by
-// senders (stamping) and receivers (fencing). All other coordination is
-// by channel.
+//   - the supervisor (RunReliable's goroutine): drives the brain and the
+//     membership detector, and decides termination.
+// The only cross-goroutine mutable cells are atomics: the global epoch
+// register, written by the supervisor on view changes and read by
+// senders (stamping) and receivers (fencing), and each NI's ACK route.
+// All other coordination is by channel.
 
 // HostCrash schedules a crash-stop of one host's NI goroutine at a
 // wall-clock offset from run start: from At on the NI silently eats every
@@ -47,15 +47,6 @@ type HostCrash struct {
 
 // CrashStop reports whether the crash is permanent.
 func (c HostCrash) CrashStop() bool { return c.RecoverAt == 0 }
-
-// HeartbeatParams sets the live failure detector's wall-clock timing; the
-// detector itself is the pure state machine of internal/membership.
-type HeartbeatParams struct {
-	Every        time.Duration // heartbeat period per host
-	SuspectAfter time.Duration // silence before suspicion
-	ConfirmAfter time.Duration // further silence before crash confirmation
-	JitterFrac   float64       // per-member timeout widening
-}
 
 // ReliableConfig tunes one RunReliable execution.
 type ReliableConfig struct {
@@ -181,10 +172,9 @@ type ReliableResult struct {
 // rctl is a message to the supervisor.
 type rctl struct {
 	kind rctlKind
-	host int // beat/done: reporting host; exhausted: sending endpoint
+	host int // beat/done/rejoin: reporting host; exhausted: sending endpoint
 	to   int // exhausted: receiving endpoint
 	at   time.Duration
-	data []byte // done: reassembled payload
 }
 
 type rctlKind int
@@ -200,18 +190,22 @@ const (
 	ctlRejoin
 )
 
-// doneRec is one destination's latest completion report.
-type doneRec struct {
-	at   time.Duration
-	data []byte
+// ackRoute is one NI's way back to its parent: the edge incarnation to
+// acknowledge, stored by the supervisor when it installs an edge and
+// loaded by the NI on every frame. The brain retires a child's old parent
+// edge before installing the next, so one slot is enough; frames still
+// arriving from a retired edge go unacknowledged, which nobody awaits.
+type ackRoute struct {
+	parent atomic.Pointer[EdgeSender]
+	rng    *workload.RNG // chaos ACK-drop stream
 }
 
-// rrt is the shared state of one reliable run.
+// rrt is the shared state of one reliable run; it is the reliable.Runtime
+// the repair brain drives.
 type rrt struct {
 	cfg   ReliableConfig
 	s     Session
 	m     int // packets
-	k     int // fanout of the original plan, reused by Fig.-11 regrafts
 	root  int
 	start time.Time
 	abort chan struct{}
@@ -224,41 +218,26 @@ type rrt struct {
 	epoch atomic.Int64
 	wg    sync.WaitGroup
 
-	crashAt, recoverAt map[int]time.Duration
+	crashes map[int]HostCrash // by host; immutable after start
+	nis     map[int]*ReliableNI
+	acks    map[int]*ackRoute
 
 	// Supervisor-owned (no other goroutine touches these after start):
-	nis      map[int]*rni
-	edges    map[[2]int]*redge
-	allEdges []*redge
-	parent   map[int]int
-	children map[int][]int
-	done     map[int]doneRec
-	// deadPairs counts exhausted/killed directed transport incarnations;
-	// regrafts route around them (root fallback) instead of replaying a
-	// dead pair forever.
-	deadPairs map[[2]int]int
-	regrafts  map[int]int
-	abandoned map[int]bool
-	det       *membership.Detector
-	views     []membership.View
-	adoptions int
-	rootDown  bool
+	edges    map[[2]int]*EdgeSender // live incarnations, for Retire
+	allEdges []*EdgeSender
+	done     map[int]bool // destinations that reported completion
+	brain    *reliable.Brain
+	det      *membership.Detector
+	views    []membership.View
+	rootDown bool
 }
 
 // down reports whether host h is inside its scheduled crash window at
-// offset t. It is called from NI and sender goroutines; the schedule maps
-// are immutable after start.
+// offset t. It is called from NI and sender goroutines.
 func (rt *rrt) down(h int, t time.Duration) bool {
-	at, ok := rt.crashAt[h]
-	if !ok || t < at {
-		return false
-	}
-	rec, ok := rt.recoverAt[h]
-	return !ok || t < rec
+	c, ok := rt.crashes[h]
+	return ok && t >= c.At && (c.CrashStop() || t < c.RecoverAt)
 }
-
-// us converts a wall offset to the detector's float microseconds.
-func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // RunReliable executes one session under the reliable protocol and the
 // configured fault plane, blocking until every awaited destination has
@@ -283,49 +262,36 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	crashes := map[int]HostCrash{}
 	for _, c := range cfg.Crashes {
 		if !s.Tree.Contains(c.Host) {
 			return nil, fmt.Errorf("live: crash of host %d outside the tree", c.Host)
 		}
+		crashes[c.Host] = c
 	}
 
 	rt := &rrt{
-		cfg:       cfg,
-		s:         s,
-		m:         len(s.Packets),
-		k:         s.Tree.MaxDegree(),
-		root:      s.Tree.Root(),
-		abort:     make(chan struct{}),
-		chaos:     chaos,
-		crashAt:   map[int]time.Duration{},
-		recoverAt: map[int]time.Duration{},
-		nis:       map[int]*rni{},
-		edges:     map[[2]int]*redge{},
-		parent:    map[int]int{},
-		children:  map[int][]int{},
-		deadPairs: map[[2]int]int{},
-		regrafts:  map[int]int{},
-		abandoned: map[int]bool{},
-		done:      map[int]doneRec{},
+		cfg:     cfg,
+		s:       s,
+		m:       len(s.Packets),
+		root:    s.Tree.Root(),
+		abort:   make(chan struct{}),
+		chaos:   chaos,
+		crashes: crashes,
+		nis:     map[int]*ReliableNI{},
+		acks:    map[int]*ackRoute{},
+		edges:   map[[2]int]*EdgeSender{},
+		done:    map[int]bool{},
 	}
+	rt.brain = reliable.NewBrain(s.Tree, cfg.MaxRegrafts, rt)
+	// Sized so that NI reports (a beat per period, a completion, a rejoin)
+	// and edge exhaustions queue up behind a busy supervisor instead of
+	// blocking their goroutines.
 	rt.ctl = make(chan rctl, 8*s.Tree.Size()+64)
-	for _, c := range cfg.Crashes {
-		rt.crashAt[c.Host] = c.At
-		if c.RecoverAt > 0 {
-			rt.recoverAt[c.Host] = c.RecoverAt
-		}
-	}
 
-	armed := len(cfg.Crashes) > 0
-	if armed {
-		hb := cfg.Heartbeat
-		det, err := membership.New(membership.Config{
-			HeartbeatEvery: us(hb.Every),
-			SuspectAfter:   us(hb.SuspectAfter),
-			ConfirmAfter:   us(hb.ConfirmAfter),
-			JitterFrac:     hb.JitterFrac,
-			Seed:           cfg.Faults.Seed ^ 0xD1B5_4A32_D192_ED03,
-		}, s.Tree.Nodes(), 0)
+	// A non-empty crash schedule arms the membership plane.
+	if len(cfg.Crashes) > 0 {
+		det, err := cfg.Heartbeat.NewDetector(cfg.Faults.Seed, s.Tree.Nodes())
 		if err != nil {
 			return nil, err
 		}
@@ -341,17 +307,38 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 	chaos.Start(rt.start)
 	for _, n := range rt.nis {
 		rt.wg.Add(1)
-		go func(n *rni) { defer rt.wg.Done(); n.run() }(n)
+		go func(n *ReliableNI) { defer rt.wg.Done(); n.Run(rt.start) }(n)
 	}
 	for _, e := range rt.allEdges {
-		rt.wg.Add(1)
-		go func(e *redge) { defer rt.wg.Done(); e.run() }(e)
+		rt.spawn(e)
 	}
 	return rt.supervise()
 }
 
-// buildReliableFabric constructs NIs for every tree node and sender
-// goroutines for every tree edge. The root's NI starts holding all m
+func (rt *rrt) spawn(e *EdgeSender) {
+	rt.wg.Add(1)
+	go func() { defer rt.wg.Done(); e.Run() }()
+}
+
+// report queues one NI or edge report for the supervisor. Beats are lossy
+// by design (a missed beat is just silence); everything else waits for
+// room, unless the run is already tearing down.
+func (rt *rrt) report(c rctl) {
+	if c.kind == ctlBeat {
+		select {
+		case rt.ctl <- c:
+		default:
+		}
+		return
+	}
+	select {
+	case rt.ctl <- c:
+	case <-rt.abort:
+	}
+}
+
+// buildReliableFabric constructs NIs for every tree node and edge
+// senders for every tree edge. The root's NI starts holding all m
 // packets, so edge seeding is uniform: every NI replays its held packets
 // into a newly attached child edge, packet-major like FPFS injection.
 // With Live.Network set, every NI is attached to the network before any
@@ -359,35 +346,48 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 // way it wraps in-process links.
 func (rt *rrt) buildReliableFabric() error {
 	slots := rt.cfg.Live.BufferPackets
-	for _, v := range rt.s.Tree.Nodes() {
-		capacity := 4*rt.m + 16
-		if slots > 0 {
-			capacity = slots
-		}
-		n := &rni{
-			rt:      rt,
-			host:    v,
-			inbox:   link.NewInbox(v, capacity, slots),
-			ctl:     make(chan niCtl, 16),
-			parents: map[int]*redge{},
-			got:     make([]bool, rt.m),
-			ackRNG:  rt.chaos.AckRNG(v),
-		}
-		if v == rt.root {
-			for j := range n.got {
-				n.got[j] = true
+	capacity := 4*rt.m + 16
+	if slots > 0 {
+		capacity = slots
+	}
+	ncfg := ReliableNIConfig{
+		MsgID:   rt.s.MsgID,
+		Packets: rt.m,
+		Abort:   rt.abort,
+		Epoch:   func() int { return int(rt.epoch.Load()) },
+		Trace:   true,
+		Ack: func(host, from, seq, epoch int) {
+			r := rt.acks[host]
+			if e := r.parent.Load(); e != nil && e.From() == from && !rt.chaos.AckDrop(r.rng) {
+				e.Ack(EdgeAck{Seq: seq, Epoch: epoch})
 			}
-			n.completed = true
-		} else {
-			n.reasm = message.NewReassembler()
+		},
+		OnDone: func(host int, at time.Duration) {
+			rt.report(rctl{kind: ctlDone, host: host, at: at})
+		},
+	}
+	if rt.det != nil {
+		ncfg.Down = rt.down
+		ncfg.OnRejoin = func(host int, at time.Duration) {
+			rt.report(rctl{kind: ctlRejoin, host: host, at: at})
 		}
-		rt.nis[v] = n
-		rt.parent[v] = -1
+		ncfg.BeatEvery = rt.cfg.Heartbeat.Every
+		ncfg.OnBeat = func(host int, at time.Duration) {
+			if !rt.down(host, at) {
+				rt.report(rctl{kind: ctlBeat, host: host, at: at})
+			}
+		}
+	}
+	for _, v := range rt.s.Tree.Nodes() {
+		ncfg.Host, ncfg.Root = v, v == rt.root
+		ncfg.Inbox = link.NewInbox(v, capacity, slots)
+		rt.nis[v] = NewReliableNI(ncfg)
+		rt.acks[v] = &ackRoute{rng: rt.chaos.AckRNG(v)}
 	}
 	if nw := rt.cfg.Live.Network; nw != nil {
 		attached := make([]int, 0, len(rt.nis))
 		for v, n := range rt.nis {
-			if err := nw.Attach(v, n.inbox); err != nil {
+			if err := nw.Attach(v, n.cfg.Inbox); err != nil {
 				for _, a := range attached {
 					nw.Detach(a)
 				}
@@ -396,22 +396,26 @@ func (rt *rrt) buildReliableFabric() error {
 			attached = append(attached, v)
 		}
 	}
-	for _, e := range rt.s.Tree.Edges() {
-		rt.newEdge(e.Parent, e.Child, true)
-	}
 	// Initial children are wired statically (the NI goroutines have not
-	// started), sorted for a deterministic packet-major seeding order.
-	for _, n := range rt.nis {
-		sort.Slice(n.childEdges, func(i, j int) bool { return n.childEdges[i].to < n.childEdges[j].to })
+	// started), ascending per parent for a deterministic packet-major
+	// seeding order.
+	edges := rt.s.Tree.Edges()
+	sort.Slice(edges, func(i, j int) bool { return edges[i].Child < edges[j].Child })
+	for _, e := range edges {
+		rt.nis[e.Parent].Wire(rt.newEdge(e.Parent, e.Child))
 	}
 	return nil
 }
 
-// newEdge creates one directed edge incarnation: transport (chaos-
-// wrapped), sender goroutine state, and supervisor bookkeeping. static
-// edges are wired into the NI structs directly (pre-start); dynamic ones
-// are announced over NI control channels by the caller.
-func (rt *rrt) newEdge(a, b int, static bool) *redge {
+// newEdge creates one directed edge incarnation: the (chaos-wrapped)
+// transport, an EdgeSender bound to this runtime, and the child's ACK
+// route to it. Sends are suppressed while the owning host is down (still
+// burning retry budget, so a long crash exhausts the edge and triggers
+// repair even before the detector confirms), transmissions are stamped
+// with the runtime epoch, and both budget exhaustion and transport death
+// report ctlExhausted so the brain repairs or abandons the subtree
+// behind the edge.
+func (rt *rrt) newEdge(a, b int) *EdgeSender {
 	var base link.Transport
 	if nw := rt.cfg.Live.Network; nw != nil {
 		t, err := nw.Dial(a, b)
@@ -424,17 +428,24 @@ func (rt *rrt) newEdge(a, b int, static bool) *redge {
 		}
 		base = t
 	} else {
-		base = link.New(a, rt.nis[b].inbox, rt.cfg.Live.LinkLatency)
+		base = link.New(a, rt.nis[b].cfg.Inbox, rt.cfg.Live.LinkLatency)
 	}
-	e := newRedge(rt, a, b, rt.chaos.Wrap(base))
+	exhausted := func() { rt.report(rctl{kind: ctlExhausted, host: a, to: b}) }
+	e := NewEdgeSender(rt.chaos.Wrap(base), EdgeSenderConfig{
+		Packets:     rt.s.Packets,
+		RTO:         rt.cfg.RTO,
+		RTOMax:      rt.cfg.RTOMax,
+		RetryBudget: rt.cfg.RetryBudget,
+		JitterSeed:  rt.cfg.Faults.Seed ^ 0x9e6c_a61b_60ca_77d5 ^ uint64(a+1)<<20 ^ uint64(b+1),
+		Abort:       rt.abort,
+		Epoch:       func() int { return int(rt.epoch.Load()) },
+		Suppressed:  func() bool { return rt.down(a, time.Since(rt.start)) },
+		OnExhausted: exhausted,
+		OnDead:      func(error) { exhausted() },
+	})
 	rt.edges[[2]int{a, b}] = e
 	rt.allEdges = append(rt.allEdges, e)
-	rt.parent[b] = a
-	rt.children[a] = append(rt.children[a], b)
-	if static {
-		rt.nis[a].childEdges = append(rt.nis[a].childEdges, e)
-		rt.nis[b].parents[a] = e
-	}
+	rt.acks[b].parent.Store(e)
 	return e
 }
 
@@ -452,125 +463,94 @@ func (d deadTransport) Send([]byte, <-chan struct{}) error {
 	return fmt.Errorf("live: edge %d->%d never dialed: %w", d.from, d.to, d.err)
 }
 
+// Install, Retire, Alive, Member and Done make rrt the brain's
+// reliable.Runtime. Install routes the child's ACKs first (inside
+// newEdge) so it can acknowledge the very first replayed frame, then
+// attaches the edge to the parent NI, which replays its held packets.
+func (rt *rrt) Install(a, b int) {
+	e := rt.newEdge(a, b)
+	rt.spawn(e)
+	rt.nis[a].AddChild(e)
+}
+
+// Retire cancels the live incarnation; its sender exits at its next
+// select.
+func (rt *rrt) Retire(a, b int) {
+	key := [2]int{a, b}
+	rt.edges[key].Cancel()
+	delete(rt.edges, key)
+	rt.nis[a].DelChild(b)
+}
+
+// Alive consults the crash schedule itself: the in-process engine knows
+// when a host is down without waiting for the detector.
+func (rt *rrt) Alive(v int) bool { return !rt.down(v, time.Since(rt.start)) }
+
+func (rt *rrt) Member(v int) bool {
+	return rt.det == nil || rt.det.Phase(v) != membership.Crashed
+}
+
+func (rt *rrt) Done(v int) bool { return rt.done[v] }
+
 // supervise is the supervisor loop: collect heartbeats, completions and
-// edge exhaustions; advance the failure detector; adopt, repair, or
-// abandon; finish on an empty wait set, root crash, or watchdog expiry.
+// edge exhaustions; advance the failure detector; let the brain adopt,
+// repair or abandon; finish on an empty wait set, root crash, or
+// watchdog expiry.
 func (rt *rrt) supervise() (*ReliableResult, error) {
 	// Destinations awaited for termination: every destination except those
 	// scheduled to crash-stop (they can never complete; recovery-scheduled
 	// hosts are awaited — the protocol must replay them to completion).
-	wait := map[int]bool{}
+	var awaited []int
 	for _, v := range rt.s.Tree.Nodes() {
-		if v == rt.root {
-			continue
+		if c, crashes := rt.crashes[v]; v != rt.root && !(crashes && c.CrashStop()) {
+			awaited = append(awaited, v)
 		}
-		if _, crashed := rt.crashAt[v]; crashed {
-			if _, rec := rt.recoverAt[v]; !rec {
-				continue
+	}
+
+	// The supervisor is the root's protocol brain: if it is running, the
+	// root is alive (unless its crash is actually scheduled).
+	local := []int{rt.root}
+	pump := &Pump[rctl]{
+		Det:      rt.det,
+		Start:    rt.start,
+		Events:   rt.ctl,
+		OnEvents: rt.handleEvents,
+		Timeout:  rt.cfg.Live.Timeout,
+		Local: func(at time.Duration) []int {
+			if rt.down(rt.root, at) {
+				return nil
 			}
-		}
-		wait[v] = true
+			return local
+		},
 	}
-	done := rt.done
-
-	watchdog := time.NewTimer(rt.cfg.Live.Timeout)
-	defer watchdog.Stop()
-	detTimer := time.NewTimer(time.Hour)
-	defer detTimer.Stop()
-
-	// creditRoot marks the root alive right before any detector judgment.
-	// The supervisor is the root's protocol brain: if it is running this
-	// code the root is alive (unless its crash is actually scheduled).
-	// Witness skips the silence judgment Heartbeat would apply first — on a
-	// loaded box a scheduling burst must not confirm the root and fail the
-	// whole run spuriously.
-	creditRoot := func() {
-		now := time.Since(rt.start)
-		if !rt.down(rt.root, now) {
-			rt.handleEvents(rt.det.Witness(rt.root, us(now)))
-		}
-	}
-
-	handleCtl := func(c rctl) {
+	pump.Handle = func(c rctl) {
 		switch c.kind {
 		case ctlBeat:
-			if rt.det != nil {
-				creditRoot()
-				if c.host != rt.root { // the credit already counted, at a fresher instant
-					rt.handleEvents(rt.det.Heartbeat(c.host, us(c.at)))
-				}
+			pump.Witness()
+			if c.host != rt.root { // the witness already counted, at a fresher instant
+				pump.Beat(c.host, c.at)
 			}
 		case ctlDone:
-			prev, seen := done[c.host]
-			if !seen || c.at > prev.at {
-				done[c.host] = doneRec{at: c.at, data: c.data}
-			}
-			delete(wait, c.host)
+			rt.done[c.host] = true
 		case ctlExhausted:
-			rt.exhausted(c.host, c.to)
+			rt.brain.Exhausted(c.host, c.to)
 		case ctlRejoin:
 			// If the detector already confirmed the crash, its beat-driven
 			// Rejoined event re-admits the host with a fresh subtree; grafting
 			// here too would just double the churn.
-			if rt.det != nil && rt.det.Phase(c.host) != membership.Crashed {
-				rt.graft(rt.liveAncestor(c.host), []int{c.host})
+			if rt.det.Phase(c.host) != membership.Crashed {
+				rt.brain.Graft(rt.brain.LiveAncestor(c.host), []int{c.host})
 			}
 		}
 	}
-
-	timedOut := false
-	for len(wait) > 0 && !rt.rootDown {
-		// (Re)arm the detector timer at its next deadline.
-		wake := time.Hour
-		if rt.det != nil {
-			if dl, ok := rt.det.NextDeadline(); ok {
-				wake = time.Duration(dl*float64(time.Microsecond)) - time.Since(rt.start)
-				if wake < 0 {
-					wake = 0
-				}
+	timedOut := pump.Run(func() bool {
+		for _, v := range awaited {
+			if !rt.done[v] && !rt.brain.Abandoned(v) {
+				return rt.rootDown
 			}
 		}
-		if !detTimer.Stop() {
-			select {
-			case <-detTimer.C:
-			default:
-			}
-		}
-		detTimer.Reset(wake)
-
-		select {
-		case c := <-rt.ctl:
-			handleCtl(c)
-		case <-detTimer.C:
-			if rt.det != nil {
-				// Queued heartbeats must land before silence is judged: a
-				// scheduling burst (GC, single-CPU contention) can expire the
-				// timer with fresh beats still in the channel, and advancing
-				// first would confirm hosts that are provably alive.
-				for drained := false; !drained; {
-					select {
-					case c := <-rt.ctl:
-						handleCtl(c)
-					default:
-						drained = true
-					}
-				}
-				creditRoot()
-				rt.handleEvents(rt.det.Advance(us(time.Since(rt.start))))
-			}
-		case <-watchdog.C:
-			timedOut = true
-		}
-		if timedOut {
-			break
-		}
-		// Adoption may have abandoned awaited destinations.
-		for v := range wait {
-			if rt.abandoned[v] {
-				delete(wait, v)
-			}
-		}
-	}
+		return true
+	})
 	wall := time.Since(rt.start)
 	close(rt.abort)
 	rt.wg.Wait()
@@ -581,21 +561,6 @@ func (rt *rrt) supervise() (*ReliableResult, error) {
 			nw.Detach(v)
 		}
 	}
-	// Completions that raced the verdict still count.
-	for {
-		select {
-		case c := <-rt.ctl:
-			if c.kind == ctlDone {
-				if prev, seen := done[c.host]; !seen || c.at > prev.at {
-					done[c.host] = doneRec{at: c.at, data: c.data}
-				}
-				delete(wait, c.host)
-			}
-			continue
-		default:
-		}
-		break
-	}
 
 	if timedOut {
 		e := &WatchdogError{
@@ -603,68 +568,45 @@ func (rt *rrt) supervise() (*ReliableResult, error) {
 			Missing:  map[int][]int{},
 			Progress: map[int][]DestProgress{},
 		}
-		for _, v := range rt.s.Tree.Nodes() {
-			if v == rt.root {
-				continue
+		for _, v := range rt.s.Tree.Nodes() { // ascending
+			if n := rt.nis[v]; v != rt.root && n.Data == nil {
+				e.Missing[0] = append(e.Missing[0], v)
+				e.Progress[0] = append(e.Progress[0], DestProgress{Host: v, Received: n.Held(), Expected: rt.m})
 			}
-			if _, ok := done[v]; ok {
-				continue
-			}
-			e.Missing[0] = append(e.Missing[0], v)
-		}
-		sort.Ints(e.Missing[0])
-		for _, v := range e.Missing[0] {
-			held := 0
-			for _, g := range rt.nis[v].got {
-				if g {
-					held++
-				}
-			}
-			e.Progress[0] = append(e.Progress[0], DestProgress{Host: v, Received: held, Expected: rt.m})
 		}
 		return nil, e
 	}
 
-	// Assemble the result (all goroutines quiescent: reads are race-free).
+	// Assemble the result (all goroutines quiescent: reads are race-free,
+	// and a completion that raced the verdict still counts).
 	res := &ReliableResult{
-		Status:    reliable.Delivered,
 		Hosts:     map[int]*HostRecord{},
 		Wall:      wall,
 		Packets:   rt.m,
 		Faults:    rt.chaos.Stats(),
 		Views:     rt.views,
-		Adoptions: rt.adoptions,
+		Adoptions: rt.brain.Adoptions(),
 	}
 	if rt.det != nil {
 		res.Epoch = rt.det.Epoch()
-	}
-	sendsBy := map[int]int{}
-	for _, e := range rt.allEdges {
-		res.Sends += e.es.Sends()
-		res.Retransmits += e.es.Retransmits()
-		res.Fenced += e.es.Fenced()
-		sendsBy[e.from] += e.es.Sends()
 	}
 	dests := 0
 	for _, v := range rt.s.Tree.Nodes() {
 		n := rt.nis[v]
 		rec := &HostRecord{
 			Host:     v,
-			Arrivals: n.arrivals,
-			Sends:    sendsBy[v],
-			Recvs:    n.recvs,
+			Arrivals: n.Arrivals,
+			Recvs:    n.Recvs,
 		}
-		res.Duplicates += n.dups
-		res.Fenced += n.fenced
-		res.CrashDrops += n.crashDrops
-		res.Accepts = append(res.Accepts, n.accepts...)
+		res.Duplicates += n.Dups
+		res.Fenced += n.Fenced
+		res.CrashDrops += n.CrashDrops
+		res.Accepts = append(res.Accepts, n.Accepts...)
 		if v != rt.root {
 			dests++
-			if d, ok := done[v]; ok {
-				rec.Data = d.data
-				rec.DoneAt = d.at
-				if d.at > res.Latency {
-					res.Latency = d.at
+			if rec.Data, rec.DoneAt = n.Data, n.DoneAt; rec.Data != nil {
+				if rec.DoneAt > res.Latency {
+					res.Latency = rec.DoneAt
 				}
 			} else {
 				res.Orphaned = append(res.Orphaned, v)
@@ -672,46 +614,27 @@ func (rt *rrt) supervise() (*ReliableResult, error) {
 		}
 		res.Hosts[v] = rec
 	}
-	sort.Ints(res.Orphaned)
+	for _, e := range rt.allEdges {
+		res.Sends += e.Sends()
+		res.Retransmits += e.Retransmits()
+		res.Fenced += e.Fenced()
+		res.Hosts[e.From()].Sends += e.Sends()
+	}
 	// Stable: accepts arrive grouped per host in goroutine order, and ties
 	// on At must not reorder a host's own chronology (epoch monotonicity
 	// per host is an invariant the harness checks).
 	sort.SliceStable(res.Accepts, func(i, j int) bool { return res.Accepts[i].At < res.Accepts[j].At })
-	for h := range rt.crashAt {
+	for h := range rt.crashes {
 		if rt.down(h, wall) {
 			res.Crashed = append(res.Crashed, h)
 		}
 	}
 	sort.Ints(res.Crashed)
 
-	delivered := dests - len(res.Orphaned)
-	quorum := rt.cfg.Quorum
-	if quorum <= 0 || quorum > dests {
-		quorum = dests
-	}
-	switch {
-	case rt.rootDown:
-		res.Status = reliable.Failed
-		return res, &reliable.CrashError{
-			Crashed: res.Crashed, Undelivered: res.Orphaned,
-			Delivered: delivered, Quorum: quorum, Epoch: res.Epoch, RootCrashed: true,
-		}
-	case len(res.Orphaned) == 0:
-		res.Status = reliable.Delivered
-		return res, nil
-	case rt.det == nil:
-		res.Status = reliable.Failed
-		return res, &reliable.DeliveryError{Orphaned: res.Orphaned}
-	case delivered >= quorum:
-		res.Status = reliable.DeliveredPartial
-		return res, nil
-	default:
-		res.Status = reliable.Failed
-		return res, &reliable.CrashError{
-			Crashed: res.Crashed, Undelivered: res.Orphaned,
-			Delivered: delivered, Quorum: quorum, Epoch: res.Epoch,
-		}
-	}
+	var err error
+	res.Status, err = reliable.Verdict(dests, res.Orphaned, res.Crashed,
+		rt.cfg.Quorum, res.Epoch, rt.det != nil, rt.rootDown)
+	return res, err
 }
 
 // handleEvents folds a batch of detector events into the runtime: epoch
@@ -725,199 +648,13 @@ func (rt *rrt) handleEvents(evs []membership.Event) {
 				rt.rootDown = true
 				return
 			}
-			rt.adoptAfterConfirm(ev.Host)
+			rt.brain.Confirmed(ev.Host)
 		case membership.Rejoined:
 			rt.epoch.Store(int64(ev.Epoch))
-			// Re-admit under the root with a full replay: the rejoined host
-			// is amnesiac (or was falsely confirmed and needs a live parent
-			// again either way).
-			rt.graft(rt.root, []int{ev.Host})
+			rt.brain.Rejoined(ev.Host)
 		}
 	}
 	if len(rt.views) > 0 && rt.det.Epoch() > rt.views[len(rt.views)-1].Epoch {
 		rt.views = append(rt.views, rt.det.View())
-	}
-}
-
-// adoptAfterConfirm handles a confirmed crash: the dead host's edges are
-// cancelled and its incomplete live descendants re-grafted under its
-// nearest live ancestor via the Fig.-11 construction.
-func (rt *rrt) adoptAfterConfirm(h int) {
-	adopter := rt.liveAncestor(h)
-	orphans := rt.incompleteSubtree(h)
-	rt.killEdgesInto(h)
-	rt.killEdgesOutOf(h)
-	var keep []int
-	now := time.Since(rt.start)
-	for _, v := range orphans {
-		if v == h || rt.down(v, now) || rt.abandoned[v] {
-			continue // the dead host itself, and down descendants, rejoin later
-		}
-		keep = append(keep, v)
-	}
-	rt.graft(adopter, keep)
-}
-
-// liveAncestor walks up from h to the nearest ancestor still in the
-// current view (the root is always a member unless rootDown fired).
-func (rt *rrt) liveAncestor(h int) int {
-	members := map[int]bool{}
-	for _, m := range rt.det.View().Members {
-		members[m] = true
-	}
-	v := rt.parent[h]
-	for v >= 0 && v != rt.root && !members[v] {
-		v = rt.parent[v]
-	}
-	if v < 0 {
-		return rt.root
-	}
-	return v
-}
-
-// incompleteSubtree collects the nodes in the subtree currently rooted at
-// h, h included, preorder over the supervisor's tree shape.
-func (rt *rrt) incompleteSubtree(h int) []int {
-	var out []int
-	var walk func(u int)
-	walk = func(u int) {
-		out = append(out, u)
-		for _, c := range rt.children[u] {
-			walk(c)
-		}
-	}
-	walk(h)
-	return out
-}
-
-// killEdgesInto / killEdgesOutOf retire edge incarnations around a dead
-// or re-parented host. Cancelled senders exit at their next select; the
-// receiving NI keeps a stale ack route harmlessly (the channel is
-// buffered and unread).
-func (rt *rrt) killEdgesInto(h int) {
-	if p := rt.parent[h]; p >= 0 {
-		rt.killEdge(p, h)
-	}
-}
-
-func (rt *rrt) killEdgesOutOf(h int) {
-	for _, c := range append([]int(nil), rt.children[h]...) {
-		rt.killEdge(h, c)
-	}
-}
-
-// killEdge retires one live edge incarnation.
-func (rt *rrt) killEdge(a, b int) {
-	key := [2]int{a, b}
-	e, ok := rt.edges[key]
-	if !ok {
-		return
-	}
-	delete(rt.edges, key)
-	e.es.Cancel()
-	for i, c := range rt.children[a] {
-		if c == b {
-			rt.children[a] = append(rt.children[a][:i], rt.children[a][i+1:]...)
-			break
-		}
-	}
-	rt.parent[b] = -1
-	rt.niCtl(a, niCtl{kind: niDelChild, child: b})
-}
-
-// graft re-parents the orphans onto a fresh k-binomial subtree under
-// adopter — the paper's Fig.-11 contention-free construction over the
-// survivors (ascending order stands in for the routed chain order; the
-// live fabric has no switch geometry). Each new parent replays the
-// packets it already holds into the fresh edge; later arrivals forward
-// through the normal receive path. Edges that would reuse a dead
-// transport pair fall back to a direct root edge, and a destination
-// re-grafted too often is abandoned.
-func (rt *rrt) graft(adopter int, orphans []int) {
-	var keep []int
-	for _, v := range orphans {
-		if v == adopter || rt.abandoned[v] {
-			continue
-		}
-		rt.regrafts[v]++
-		if rt.regrafts[v] > rt.cfg.MaxRegrafts {
-			rt.abandon(v)
-			continue
-		}
-		rt.killEdgesInto(v)
-		keep = append(keep, v)
-	}
-	if len(keep) == 0 {
-		return
-	}
-	sort.Ints(keep)
-	sub := tree.KBinomial(append([]int{adopter}, keep...), rt.k)
-	for _, e := range sub.Edges() {
-		a, b := e.Parent, e.Child
-		if rt.deadPairs[[2]int{a, b}] > 0 {
-			if a == rt.root || rt.deadPairs[[2]int{rt.root, b}] > 0 {
-				rt.abandon(b)
-				continue
-			}
-			a = rt.root
-		}
-		if _, dup := rt.edges[[2]int{a, b}]; dup {
-			continue
-		}
-		edge := rt.newEdge(a, b, false)
-		rt.wg.Add(1)
-		go func(e *redge) { defer rt.wg.Done(); e.run() }(edge)
-		// Parent-route first so the child can ACK the very first replayed
-		// frame; then attach the child to the parent NI, which replays its
-		// held packets into the new edge.
-		rt.niCtl(b, niCtl{kind: niSetParent, from: a, edge: edge})
-		rt.niCtl(a, niCtl{kind: niAddChild, child: b, edge: edge})
-	}
-	rt.adoptions++
-}
-
-// abandon gives up on destination v permanently.
-func (rt *rrt) abandon(v int) {
-	if rt.abandoned[v] {
-		return
-	}
-	rt.abandoned[v] = true
-	rt.killEdgesInto(v)
-	rt.killEdgesOutOf(v)
-}
-
-// exhausted handles an edge whose retry budget ran out: the incarnation
-// is retired and its subtree repaired under the sending endpoint (or the
-// detector's adoption path, if the receiver is scheduled-down and the
-// membership plane will confirm it shortly).
-func (rt *rrt) exhausted(a, b int) {
-	rt.deadPairs[[2]int{a, b}]++
-	rt.killEdge(a, b)
-	now := time.Since(rt.start)
-	if rt.down(b, now) && rt.det != nil {
-		return // the failure detector owns crashed-host adoption
-	}
-	var orphans []int
-	for _, v := range rt.incompleteSubtree(b) {
-		if rt.down(v, now) || rt.abandoned[v] {
-			continue
-		}
-		if _, ok := rt.done[v]; ok && len(rt.children[v]) == 0 {
-			continue // completed leaf: nothing to repair
-		}
-		orphans = append(orphans, v)
-	}
-	adopter := a
-	if rt.det != nil && rt.down(a, now) {
-		adopter = rt.liveAncestor(a)
-	}
-	rt.graft(adopter, orphans)
-}
-
-// niCtl delivers a control message to one NI, abort-aware.
-func (rt *rrt) niCtl(host int, c niCtl) {
-	select {
-	case rt.nis[host].ctl <- c:
-	case <-rt.abort:
 	}
 }

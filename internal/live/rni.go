@@ -5,70 +5,148 @@ import (
 
 	"repro/internal/live/link"
 	"repro/internal/message"
-	"repro/internal/workload"
 )
 
-// niCtl is a supervisor message to a reliable NI: tree-shape updates
-// driven by adoption and repair.
+// ReliableNIConfig parameterizes one ReliableNI the way EdgeSenderConfig
+// parameterizes a sender: the hooks decouple the receive loop from any
+// particular runtime, so the in-process reliable engine and the
+// multi-process daemon run the same NI with different ACK routes and
+// reporters. Every hook is called from the NI goroutine and is handed
+// Host first, so one set of hooks serves every NI of a run.
+type ReliableNIConfig struct {
+	Host    int
+	Inbox   *link.Inbox
+	MsgID   uint32
+	Packets int // the message's packet count
+	// Root marks the multicast source: it starts holding every packet (so
+	// seeding its child edges IS the FPFS packet-major injection) and
+	// reassembles nothing.
+	Root bool
+
+	Abort <-chan struct{} // runtime teardown
+	// Epoch returns the global fence register: frames stamped below it are
+	// discarded unacknowledged, and ACKs carry it.
+	Epoch func() int
+	// Ack acknowledges frame seq to the sending host from at epoch.
+	Ack func(host, from, seq, epoch int)
+	// OnDone reports a complete reassembly (again after an amnesiac
+	// rejoin), at offset at from Run's start.
+	OnDone func(host int, at time.Duration)
+
+	// Down, when non-nil, reports whether the NI is inside a scheduled
+	// crash window at offset at: a down NI keeps draining its inbox
+	// (releasing buffer slots so blocked senders never wedge) but
+	// blackholes every frame — silent death. OnRejoin fires on the first
+	// frame served after such a window, once the NI has wiped its state.
+	Down     func(host int, at time.Duration) bool
+	OnRejoin func(host int, at time.Duration)
+	// OnBeat, when non-nil, is called every BeatEvery with the tick's
+	// offset: the NI's heartbeat. The daemon beats per process instead.
+	BeatEvery time.Duration
+	OnBeat    func(host int, at time.Duration)
+	// Trace records the Arrivals and (while the epoch is positive) the
+	// Accepts evidence the in-process engine reports per host.
+	Trace bool
+}
+
+// niCtl is a supervisor message to a ReliableNI: one child edge attached
+// (edge set) or detached (by receiving host).
 type niCtl struct {
-	kind  niCtlKind
-	child int    // add/del: the child host
-	from  int    // setParent: the new parent host
-	edge  *redge // add/setParent: the edge incarnation
+	edge  *EdgeSender
+	child int
 }
 
-type niCtlKind int
+// ReliableNI is one host's loss- and crash-tolerant network interface: a
+// single goroutine selecting over the inbox wire, tree-shape updates from
+// the supervisor, and its heartbeat tick. Per frame it decodes, verifies
+// the checksum, fences stale epochs, ACKs, suppresses duplicates,
+// forwards novel packets to every child edge the moment they arrive
+// (FPFS) and reassembles. AddChild and DelChild may be called from the
+// supervisor goroutine; everything else belongs to Run, and the exported
+// fields (its report) may be read only once Run has returned.
+type ReliableNI struct {
+	Arrivals   []Arrival     // novel acceptances in order (Trace)
+	Accepts    []EpochAccept // their epoch stamps (Trace, armed runs)
+	Recvs      int           // novel acceptances
+	Dups       int           // duplicate frames suppressed
+	Fenced     int           // stale-epoch frames discarded
+	CrashDrops int           // frames eaten while down
+	// Data and DoneAt are the latest complete reassembly (nil at the root
+	// and until complete). They survive an amnesiac rejoin: the message
+	// reached the host before the crash.
+	Data   []byte
+	DoneAt time.Duration
 
-const (
-	niAddChild niCtlKind = iota
-	niDelChild
-	niSetParent
-)
-
-// rni is one host's crash-tolerant NI: a single goroutine selecting over
-// the inbox wire, the supervisor's control channel, and its heartbeat
-// tick. All fields below the channel trio are goroutine-owned; the
-// supervisor reads them only after the WaitGroup drains.
-type rni struct {
-	rt    *rrt
-	host  int
-	inbox *link.Inbox
-	ctl   chan niCtl
-
-	childEdges []*redge       // current outgoing edges, ascending by .to
-	parents    map[int]*redge // inbound ack routes by sending host
-	got        []bool         // per-packet dedup bitmap
-	reasm      *message.Reassembler
-	ackRNG     *workload.RNG
-
-	arrivals   []Arrival
-	accepts    []EpochAccept
-	recvs      int // novel acceptances
-	dups       int // duplicate frames suppressed
-	fenced     int // stale-epoch frames discarded
-	crashDrops int // frames eaten while down
-	wasDown    bool
-	completed  bool
+	cfg       ReliableNIConfig
+	ctl       chan niCtl
+	start     time.Time
+	children  []*EdgeSender
+	got       []bool // per-packet dedup bitmap
+	reasm     *message.Reassembler
+	wasDown   bool
+	completed bool
 }
 
-// run is the NI loop. It starts by seeding its initial child edges with
-// every packet it already holds — only the root holds any at startup, so
-// this IS the FPFS packet-major injection — then serves frames, control
-// and heartbeats until the runtime aborts. A crashed NI keeps draining
-// its inbox (releasing buffer slots so blocked senders never wedge) but
-// blackholes every frame: silent death, exactly like the simulator's
-// crash plane.
-func (n *rni) run() {
-	n.replay(n.childEdges)
+// NewReliableNI builds the NI; the caller starts it with go n.Run(start).
+func NewReliableNI(cfg ReliableNIConfig) *ReliableNI {
+	// A graft touches a parent a handful of times (the regraft fanout);
+	// a full channel only makes the supervisor wait for the NI's next turn.
+	n := &ReliableNI{cfg: cfg, ctl: make(chan niCtl, 16), got: make([]bool, cfg.Packets)}
+	if cfg.Root {
+		for j := range n.got {
+			n.got[j] = true
+		}
+		n.completed = true
+	} else {
+		n.reasm = message.NewReassembler()
+	}
+	return n
+}
+
+// Wire attaches an initial child edge before Run starts. Callers wire
+// children in ascending receiver order for a deterministic seeding order.
+func (n *ReliableNI) Wire(e *EdgeSender) { n.children = append(n.children, e) }
+
+// AddChild attaches a mid-run child edge; the NI replays every packet it
+// holds into it. DelChild detaches the edge to the given host. Both give
+// up when the runtime aborts.
+func (n *ReliableNI) AddChild(e *EdgeSender) { n.send(niCtl{edge: e}) }
+func (n *ReliableNI) DelChild(to int)        { n.send(niCtl{child: to}) }
+
+func (n *ReliableNI) send(c niCtl) {
+	select {
+	case n.ctl <- c:
+	case <-n.cfg.Abort:
+	}
+}
+
+// Held counts the packets the NI holds, for watchdog diagnostics.
+func (n *ReliableNI) Held() int {
+	held := 0
+	for _, g := range n.got {
+		if g {
+			held++
+		}
+	}
+	return held
+}
+
+// Run is the NI loop. It seeds its wired child edges with every packet
+// it already holds, then serves frames, tree-shape updates and heartbeat
+// ticks until the runtime aborts or the inbox closes. Offsets handed to
+// the hooks count from start.
+func (n *ReliableNI) Run(start time.Time) {
+	n.start = start
+	n.replay(n.children)
 	var hbTick <-chan time.Time
-	if n.rt.det != nil {
-		t := time.NewTicker(n.rt.cfg.Heartbeat.Every)
+	if n.cfg.OnBeat != nil {
+		t := time.NewTicker(n.cfg.BeatEvery)
 		defer t.Stop()
 		hbTick = t.C
 	}
 	for {
 		select {
-		case f, ok := <-n.inbox.Wire():
+		case f, ok := <-n.cfg.Inbox.Wire():
 			if !ok {
 				return
 			}
@@ -77,14 +155,8 @@ func (n *rni) run() {
 		case c := <-n.ctl:
 			n.apply(c)
 		case <-hbTick:
-			now := time.Since(n.rt.start)
-			if !n.rt.down(n.host, now) {
-				select { // lossy by design: a missed beat is just silence
-				case n.rt.ctl <- rctl{kind: ctlBeat, host: n.host, at: now}:
-				default:
-				}
-			}
-		case <-n.rt.abort:
+			n.cfg.OnBeat(n.cfg.Host, time.Since(n.start))
+		case <-n.cfg.Abort:
 			return
 		}
 	}
@@ -93,105 +165,99 @@ func (n *rni) run() {
 // replay enqueues every packet this NI holds into the given edges,
 // packet-major (packet 0 to every edge, then packet 1, ...), mirroring
 // the simulator's graft replay and the root's FPFS seeding.
-func (n *rni) replay(edges []*redge) {
+func (n *ReliableNI) replay(edges []*EdgeSender) {
 	for seq, have := range n.got {
 		if !have {
 			continue
 		}
 		for _, e := range edges {
-			e.enqueue(seq)
+			e.Enqueue(seq)
 		}
 	}
 }
 
-// apply folds one supervisor control message into the NI's edge set.
-func (n *rni) apply(c niCtl) {
-	switch c.kind {
-	case niSetParent:
-		n.parents[c.from] = c.edge
-	case niAddChild:
-		n.childEdges = append(n.childEdges, c.edge)
-		n.replay([]*redge{c.edge})
-	case niDelChild:
-		for i, e := range n.childEdges {
-			if e.to == c.child {
-				n.childEdges = append(n.childEdges[:i], n.childEdges[i+1:]...)
-				break
-			}
+// apply folds one tree-shape update into the NI's edge set.
+func (n *ReliableNI) apply(c niCtl) {
+	if c.edge != nil {
+		n.children = append(n.children, c.edge)
+		n.replay([]*EdgeSender{c.edge})
+		return
+	}
+	for i, e := range n.children {
+		if e.To() == c.child {
+			n.children = append(n.children[:i], n.children[i+1:]...)
+			break
 		}
 	}
 }
 
 // serve handles one admitted frame: crash blackhole, amnesiac rejoin,
 // integrity and epoch checks, ACK, dedup, FPFS forward, reassembly.
-func (n *rni) serve(f link.Frame) {
-	defer n.inbox.Release()
-	now := time.Since(n.rt.start)
-	if n.rt.down(n.host, now) {
-		n.wasDown = true
-		n.crashDrops++
-		return
-	}
-	if n.wasDown {
-		// Amnesiac rejoin: the crash dropped all NI state — dedup bitmap
-		// and reassembly restart from nothing (the root keeps its packets:
-		// they live in host memory, not NI buffers). Tell the supervisor:
-		// packets ACKed before the crash are erased here but retired at the
-		// parent edge, so only a fresh-edge full replay can recover them —
-		// and a crash shorter than the suspicion window means the failure
-		// detector will never order that replay on its own.
-		n.wasDown = false
-		if n.reasm != nil {
-			n.got = make([]bool, n.rt.m)
-			n.reasm = message.NewReassembler()
-			n.completed = false
-			select {
-			case n.rt.ctl <- rctl{kind: ctlRejoin, host: n.host, at: now}:
-			case <-n.rt.abort:
-				return
+func (n *ReliableNI) serve(f link.Frame) {
+	defer n.cfg.Inbox.Release()
+	now := time.Since(n.start)
+	if n.cfg.Down != nil {
+		if n.cfg.Down(n.cfg.Host, now) {
+			n.wasDown = true
+			n.CrashDrops++
+			return
+		}
+		if n.wasDown {
+			// Amnesiac rejoin: the crash dropped all NI state — dedup
+			// bitmap and reassembly restart from nothing (the root keeps
+			// its packets: they live in host memory, not NI buffers). The
+			// supervisor must hear of it: packets ACKed before the crash
+			// are erased here but retired at the parent edge, so only a
+			// fresh-edge full replay can recover them — and a crash
+			// shorter than the suspicion window means the failure detector
+			// will never order that replay on its own.
+			n.wasDown = false
+			if n.reasm != nil {
+				n.got = make([]bool, n.cfg.Packets)
+				n.reasm = message.NewReassembler()
+				n.completed = false
+				n.cfg.OnRejoin(n.cfg.Host, now)
 			}
 		}
 	}
 	h, err := message.DecodeHeader(f.Payload)
-	if err != nil || h.MsgID != n.rt.s.MsgID || int(h.Seq) >= n.rt.m ||
+	if err != nil || h.MsgID != n.cfg.MsgID || int(h.Seq) >= n.cfg.Packets ||
 		len(f.Payload) != message.HeaderSize+int(h.Payload) {
 		return // undecodable or foreign: drop; retransmission recovers
 	}
 	if h.PacketChecksum(f.Payload[message.HeaderSize:]) != h.Checksum {
 		return // corrupted in transit: drop silently
 	}
-	g := int(n.rt.epoch.Load())
+	g := n.cfg.Epoch()
 	if int(h.Epoch) < g {
-		n.fenced++ // stale epoch: discard wholesale, no ACK
+		n.Fenced++ // stale epoch: discard wholesale, no ACK
 		return
 	}
 	seq := int(h.Seq)
 	// ACK every valid in-epoch frame, duplicates included — the lost half
 	// of a duplicate exchange may have been the ACK.
-	if pe, ok := n.parents[f.From]; ok && !n.rt.chaos.AckDrop(n.ackRNG) {
-		pe.ack(rack{seq: seq, epoch: g})
-	}
+	n.cfg.Ack(n.cfg.Host, f.From, seq, g)
 	if n.got[seq] {
-		n.dups++
+		n.Dups++
 		return
 	}
 	n.got[seq] = true
-	n.recvs++
-	n.arrivals = append(n.arrivals, Arrival{Packet: seq, From: f.From})
-	if g > 0 {
-		n.accepts = append(n.accepts, EpochAccept{Host: n.host, Packet: seq, Epoch: int(h.Epoch), At: now})
+	n.Recvs++
+	if n.cfg.Trace {
+		n.Arrivals = append(n.Arrivals, Arrival{Packet: seq, From: f.From})
+		if g > 0 {
+			n.Accepts = append(n.Accepts, EpochAccept{Host: n.cfg.Host, Packet: seq, Epoch: int(h.Epoch), At: now})
+		}
 	}
 	// FPFS: forward the novel packet to every child the moment it arrives.
-	for _, ce := range n.childEdges {
-		ce.enqueue(seq)
+	for _, ce := range n.children {
+		ce.Enqueue(seq)
 	}
-	if n.reasm != nil {
-		if done, err := n.reasm.Add(f.Payload); err == nil && done && !n.completed {
+	if n.reasm != nil && !n.completed {
+		if done, err := n.reasm.Add(f.Payload); err == nil && done {
 			n.completed = true
-			select {
-			case n.rt.ctl <- rctl{kind: ctlDone, host: n.host, at: time.Since(n.rt.start), data: n.reasm.Bytes()}:
-			case <-n.rt.abort:
-			}
+			n.Data, n.DoneAt = n.reasm.Bytes(), time.Since(n.start)
+			n.cfg.OnDone(n.cfg.Host, n.DoneAt)
 		}
 	}
 }

@@ -2,8 +2,11 @@ package mcastd
 
 import (
 	"encoding/binary"
+	"fmt"
+	"sort"
 	"time"
 
+	"repro/internal/reliable"
 	"repro/internal/workload"
 )
 
@@ -15,8 +18,9 @@ import (
 // payload bytes — the datagram's From header is lost — so every message
 // that needs a sender carries it explicitly.
 //
-// Wire shape: payload[0] is the kind; fields are big-endian uint16s at
-// 1+2i. ctlStop appends one trailing status byte after its field.
+// Wire shape: payload[0] is the kind; the kind's fields (ctlFrame's a, b,
+// c in that order) follow as big-endian uint16s at 1+2i. ctlStop appends
+// one trailing status byte after its field.
 const (
 	ctlDone      = 1  // [k, host]            dest -> root: message delivered
 	ctlStop      = 2  // [k, epoch][status]   root -> dest: run over (legacy bare [k] accepted)
@@ -30,6 +34,116 @@ const (
 	ctlExhausted = 10 // [k, parent, child, gen]       parent's process -> root: edge died
 )
 
+// ctlArity is the field count per kind; 0 marks an unknown kind.
+var ctlArity = [...]int{
+	ctlDone: 1, ctlStop: 1, ctlDoneAck: 1, ctlStopAck: 1, ctlBeat: 1,
+	ctlAck: 3, ctlGraft: 3, ctlKill: 3, ctlEpoch: 1, ctlExhausted: 3,
+}
+
+// ctlFieldMax is the largest value a ctl field (and the fabric's own
+// datagram header) can carry.
+const ctlFieldMax = 1<<16 - 1
+
+// RangeError reports a host id, packet count, epoch or generation that
+// does not fit the ctl plane's 16-bit fields. Truncating it would alias
+// it onto a valid value, so it is rejected instead.
+type RangeError struct {
+	What  string
+	Value int
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("mcastd: %s %d does not fit the ctl plane's 16-bit fields", e.What, e.Value)
+}
+
+// ctlFrame is one control datagram, decoded: a, b and c are the kind's
+// fields in wire order (unused ones zero), status rides ctlStop only.
+type ctlFrame struct {
+	kind    byte
+	a, b, c int
+	status  reliable.Status
+}
+
+// encode renders the frame, rejecting unknown kinds and out-of-range
+// fields.
+func (f ctlFrame) encode() ([]byte, error) {
+	if int(f.kind) >= len(ctlArity) || ctlArity[f.kind] == 0 {
+		return nil, fmt.Errorf("mcastd: unknown ctl kind %d", f.kind)
+	}
+	n := ctlArity[f.kind]
+	buf := make([]byte, 1+2*n, 2+2*n)
+	buf[0] = f.kind
+	fields := [3]int{f.a, f.b, f.c}
+	for i, v := range fields[:n] {
+		if v < 0 || v > ctlFieldMax {
+			return nil, &RangeError{What: "ctl field", Value: v}
+		}
+		binary.BigEndian.PutUint16(buf[1+2*i:], uint16(v))
+	}
+	if f.kind == ctlStop {
+		buf = append(buf, byte(f.status))
+	}
+	return buf, nil
+}
+
+// decodeCtl parses one control payload; unknown kinds and truncated
+// payloads report false, trailing bytes are ignored. STOP tolerates its
+// older shapes: a bare kind byte means epoch 0, a missing status byte
+// means Delivered.
+func decodeCtl(b []byte) (ctlFrame, bool) {
+	if len(b) < 1 || int(b[0]) >= len(ctlArity) || ctlArity[b[0]] == 0 {
+		return ctlFrame{}, false
+	}
+	f := ctlFrame{kind: b[0]}
+	n := ctlArity[f.kind]
+	if f.kind == ctlStop {
+		if len(b) >= 3 {
+			f.a = int(binary.BigEndian.Uint16(b[1:]))
+		}
+		if len(b) >= 4 {
+			f.status = reliable.Status(b[3])
+		}
+		return f, true
+	}
+	if len(b) < 1+2*n {
+		return ctlFrame{}, false
+	}
+	var fields [3]int
+	for i := range fields[:n] {
+		fields[i] = int(binary.BigEndian.Uint16(b[1+2*i:]))
+	}
+	f.a, f.b, f.c = fields[0], fields[1], fields[2]
+	return f, true
+}
+
+// sendCtl encodes and sends one control frame, best-effort like the ctl
+// plane itself: a frame that cannot be encoded is dropped with a log
+// line (the exchange's own retry or refresh then re-evaluates it).
+func (c *Config) sendCtl(from, to int, f ctlFrame) {
+	b, err := f.encode()
+	if err != nil {
+		c.logf("ctl %d->%d dropped: %v", from, to, err)
+		return
+	}
+	c.Net.SendCtl(from, to, b)
+}
+
+// listenCtl hands host id's decodable ctl datagrams to handle until the
+// process tears down.
+func listenCtl(cfg Config, id int, abort <-chan struct{}, handle func(ctlFrame)) {
+	ctl := cfg.Net.Ctl(id)
+	for {
+		select {
+		case <-abort:
+			return
+		case b := <-ctl:
+			if f, ok := decodeCtl(b); ok {
+				handle(f)
+			}
+		}
+	}
+}
+
 // Handshake cadence. DONE and STOP retries back off exponentially with
 // jitter so a partitioned or slow root never sees synchronized floods;
 // the STOP exchange is additionally bounded by Config.Drain so a dead
@@ -42,34 +156,15 @@ const (
 	defaultDrain  = time.Second
 )
 
-// ctlMsg encodes kind plus big-endian uint16 fields.
-func ctlMsg(kind byte, fields ...int) []byte {
-	b := make([]byte, 1+2*len(fields))
-	b[0] = kind
-	for i, f := range fields {
-		binary.BigEndian.PutUint16(b[1+2*i:], uint16(f))
-	}
-	return b
-}
-
-// ctlField decodes field i of a ctl payload, or -1 when the payload is
-// too short (truncated datagrams are dropped by the caller's checks).
-func ctlField(b []byte, i int) int {
-	if len(b) < 1+2*(i+1) {
-		return -1
-	}
-	return int(binary.BigEndian.Uint16(b[1+2*i:]))
-}
-
 // backoff is a capped exponential retry pacer with seeded jitter,
 // shared by every acknowledged ctl exchange.
 type backoff struct {
-	cur, base, max time.Duration
-	rng            *workload.RNG
+	cur, max time.Duration
+	rng      *workload.RNG
 }
 
 func newBackoff(base, max time.Duration, seed uint64) *backoff {
-	return &backoff{cur: base, base: base, max: max, rng: workload.NewRNG(seed)}
+	return &backoff{cur: base, max: max, rng: workload.NewRNG(seed)}
 }
 
 // next returns the current delay widened by up to 25% jitter, then
@@ -83,4 +178,68 @@ func (b *backoff) next() time.Duration {
 		}
 	}
 	return d
+}
+
+// reportDone retries destination h's DONE at the root with capped
+// exponential backoff + jitter until the root's DONE-ACK lands (acked),
+// the run stops (STOP implies the ACK), or the process tears down.
+func reportDone(cfg Config, h int, acked, stopped, abort <-chan struct{}) {
+	bo := newBackoff(doneRetryBase, doneRetryMax, 0xd00e^uint64(h+1)<<16)
+	for {
+		cfg.sendCtl(h, cfg.Tree.Root(), ctlFrame{kind: ctlDone, a: h})
+		timer := time.NewTimer(bo.next())
+		select {
+		case <-abort:
+		case <-stopped:
+		case <-acked:
+		case <-timer.C:
+			continue
+		}
+		timer.Stop()
+		return
+	}
+}
+
+// stopRemotes runs the acknowledged STOP exchange: retry STOP at every
+// unacknowledged remote host that member admits (nil: all of them) with
+// capped backoff until each STOP-ACK lands or the drain deadline passes.
+// The STOP payload carries the final epoch and status byte so remote
+// processes report the root's verdict. All-local runs have no one to
+// notify.
+func stopRemotes(cfg Config, member func(v int) bool, stopAckCh <-chan int, status reliable.Status, epoch int) {
+	root := cfg.Tree.Root()
+	pending := map[int]bool{}
+	for _, v := range cfg.Tree.Nodes() {
+		if v != root && !cfg.Net.Local(v) && (member == nil || member(v)) {
+			pending[v] = true
+		}
+	}
+	if len(pending) == 0 {
+		return
+	}
+	cfg.logf("stopping %d remote hosts (drain %v)", len(pending), cfg.Drain)
+	drain := time.NewTimer(cfg.Drain)
+	defer drain.Stop()
+	bo := newBackoff(stopRetryBase, stopRetryMax, 0x57a9^uint64(root+1)<<16)
+	resend := time.NewTimer(0)
+	defer resend.Stop()
+	for len(pending) > 0 {
+		select {
+		case <-resend.C:
+			for v := range pending {
+				cfg.sendCtl(root, v, ctlFrame{kind: ctlStop, a: epoch, status: status})
+			}
+			resend.Reset(bo.next())
+		case v := <-stopAckCh:
+			delete(pending, v)
+		case <-drain.C:
+			left := make([]int, 0, len(pending))
+			for v := range pending {
+				left = append(left, v)
+			}
+			sort.Ints(left)
+			cfg.logf("drain deadline: %d STOP-ACKs outstanding from %v", len(left), left)
+			return
+		}
+	}
 }

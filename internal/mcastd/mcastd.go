@@ -101,6 +101,76 @@ func (c *Config) logf(format string, args ...any) {
 	}
 }
 
+// prepare validates what both engines require of a Config and fills the
+// timing defaults. Host ids and the packet count must fit the ctl
+// plane's 16-bit fields (*RangeError): truncated, they would alias onto
+// other hosts and sequence numbers.
+func (c *Config) prepare() error {
+	if c.Tree == nil || c.Net == nil {
+		return fmt.Errorf("mcastd: config needs a tree and a network")
+	}
+	if len(c.Packets) == 0 {
+		return fmt.Errorf("mcastd: no packets to multicast")
+	}
+	if len(c.Packets) > ctlFieldMax+1 {
+		return &RangeError{What: "packet count", Value: len(c.Packets)}
+	}
+	for _, v := range c.Tree.Nodes() {
+		if v < 0 || v > ctlFieldMax {
+			return &RangeError{What: "tree host id", Value: v}
+		}
+	}
+	if len(c.Local) == 0 {
+		return fmt.Errorf("mcastd: no local hosts")
+	}
+	seen := map[int]bool{}
+	for _, v := range c.Local {
+		if !c.Tree.Contains(v) {
+			return fmt.Errorf("mcastd: local host %d is not in the tree", v)
+		}
+		if seen[v] {
+			return fmt.Errorf("mcastd: local host %d listed twice", v)
+		}
+		seen[v] = true
+	}
+	if c.Timeout <= 0 {
+		c.Timeout = 30 * time.Second
+	}
+	if c.Drain <= 0 {
+		c.Drain = defaultDrain
+	}
+	return nil
+}
+
+// attachAll attaches every local inbox to the fabric and returns the
+// matching detach; on failure whatever was attached is detached again.
+func attachAll(cfg Config, inboxes map[int]*link.Inbox) (detach func(), err error) {
+	attached := make([]int, 0, len(inboxes))
+	detach = func() {
+		for _, v := range attached {
+			cfg.Net.Detach(v)
+		}
+	}
+	for v, in := range inboxes {
+		if err := cfg.Net.Attach(v, in); err != nil {
+			detach()
+			return nil, fmt.Errorf("mcastd: attach host %d: %w", v, err)
+		}
+		attached = append(attached, v)
+	}
+	return detach, nil
+}
+
+// ackStop acknowledges the root's STOP for every local host, not just
+// the one that heard it: the root tracks STOP-ACKs per host, so one
+// delivered STOP settles the whole process even when copies aimed at
+// sibling hosts are lost.
+func (c *Config) ackStop() {
+	for _, v := range c.Local {
+		c.sendCtl(v, c.Tree.Root(), ctlFrame{kind: ctlStopAck, a: v})
+	}
+}
+
 // host is one local NI and its share of the session.
 type host struct {
 	id      int
@@ -119,33 +189,16 @@ func (h *host) markDoneAck() { h.ackOnce.Do(func() { close(h.doneAck) }) }
 // non-root: every local destination delivered and the root's STOP
 // arrived) or the watchdog fires.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Tree == nil || cfg.Net == nil {
-		return nil, fmt.Errorf("mcastd: config needs a tree and a network")
-	}
-	if len(cfg.Packets) == 0 {
-		return nil, fmt.Errorf("mcastd: no packets to multicast")
-	}
-	if len(cfg.Local) == 0 {
-		return nil, fmt.Errorf("mcastd: no local hosts")
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-	if cfg.Drain <= 0 {
-		cfg.Drain = defaultDrain
+	if err := cfg.prepare(); err != nil {
+		return nil, err
 	}
 	root := cfg.Tree.Root()
 	m := len(cfg.Packets)
 	start := time.Now()
 
 	hosts := map[int]*host{}
+	inboxes := map[int]*link.Inbox{}
 	for _, v := range cfg.Local {
-		if !cfg.Tree.Contains(v) {
-			return nil, fmt.Errorf("mcastd: local host %d is not in the tree", v)
-		}
-		if hosts[v] != nil {
-			return nil, fmt.Errorf("mcastd: local host %d listed twice", v)
-		}
 		capacity := m
 		if cfg.BufferPackets > 0 {
 			capacity = cfg.BufferPackets
@@ -159,24 +212,15 @@ func Run(cfg Config) (*Result, error) {
 		if v != root {
 			h.reasm = message.NewReassembler()
 		}
-		hosts[v] = h
+		hosts[v], inboxes[v] = h, h.inbox
 	}
 
 	// Attach everything before dialing anything: a dialed peer may start
 	// sending the moment the root injects, and credits only flow from
 	// attached endpoints.
-	attached := make([]int, 0, len(hosts))
-	detachAll := func() {
-		for _, v := range attached {
-			cfg.Net.Detach(v)
-		}
-	}
-	for v, h := range hosts {
-		if err := cfg.Net.Attach(v, h.inbox); err != nil {
-			detachAll()
-			return nil, fmt.Errorf("mcastd: attach host %d: %w", v, err)
-		}
-		attached = append(attached, v)
+	detachAll, err := attachAll(cfg, inboxes)
+	if err != nil {
+		return nil, err
 	}
 	for v, h := range hosts {
 		for _, c := range cfg.Tree.Children(v) {
@@ -193,7 +237,9 @@ func Run(cfg Config) (*Result, error) {
 	stopped := make(chan struct{}) // root's STOP observed (or sent)
 	var stopOnce sync.Once         // several local listeners may hear STOP
 	markStopped := func() { stopOnce.Do(func() { close(stopped) }) }
-	doneCh := make(chan int, len(hosts))
+	// Completions, local (blocking sends, one per local host) and remote
+	// (DONE reports, dropped when full: they are retried).
+	doneCh := make(chan int, cfg.Tree.Size())
 	failCh := make(chan error, len(hosts)+1)
 	stopAckCh := make(chan int, cfg.Tree.Size()+4)
 	var wg sync.WaitGroup
@@ -219,66 +265,32 @@ func Run(cfg Config) (*Result, error) {
 	// Control listeners: destinations watch for STOP (acknowledging each
 	// one, including repeats) and their own DONE-ACK; the root collects
 	// DONE reports (acknowledging each) and STOP-ACKs.
-	remoteDone := make(chan int, cfg.Tree.Size())
 	for _, h := range hosts {
 		wg.Add(1)
 		go func(h *host) {
 			defer wg.Done()
-			id := h.id
-			ctl := cfg.Net.Ctl(id)
-			for {
-				select {
-				case <-abort:
-					return
-				case b := <-ctl:
-					if len(b) < 1 {
-						continue
+			listenCtl(cfg, h.id, abort, func(f ctlFrame) {
+				switch {
+				case f.kind == ctlDone && h.id == root:
+					// Non-blocking: DONE is retried, so a full queue
+					// loses nothing and the listener can never stall.
+					select {
+					case doneCh <- f.a:
+					default:
 					}
-					switch b[0] {
-					case ctlDone:
-						if id != root {
-							continue
-						}
-						v := ctlField(b, 0)
-						if v < 0 {
-							continue
-						}
-						// Non-blocking: DONE is retried, so a full queue
-						// loses nothing and the listener can never stall.
-						select {
-						case remoteDone <- v:
-						default:
-						}
-						cfg.Net.SendCtl(root, v, ctlMsg(ctlDoneAck, v))
-					case ctlStopAck:
-						if id != root {
-							continue
-						}
-						if v := ctlField(b, 0); v >= 0 {
-							select {
-							case stopAckCh <- v:
-							default:
-							}
-						}
-					case ctlStop:
-						if id == root {
-							continue
-						}
-						markStopped()
-						// Acknowledge for every local host, not just the
-						// receiving one: the root tracks STOP-ACKs per host,
-						// so one delivered STOP settles the whole process
-						// even when copies aimed at sibling hosts are lost.
-						for _, v := range cfg.Local {
-							cfg.Net.SendCtl(v, root, ctlMsg(ctlStopAck, v))
-						}
-					case ctlDoneAck:
-						if id != root && ctlField(b, 0) == id {
-							h.markDoneAck()
-						}
+					cfg.sendCtl(root, f.a, ctlFrame{kind: ctlDoneAck, a: f.a})
+				case f.kind == ctlStopAck && h.id == root:
+					select {
+					case stopAckCh <- f.a:
+					default:
 					}
+				case f.kind == ctlStop && h.id != root:
+					markStopped()
+					cfg.ackStop()
+				case f.kind == ctlDoneAck && h.id != root && f.a == h.id:
+					h.markDoneAck()
 				}
-			}
+			})
 		}(h)
 	}
 
@@ -305,7 +317,7 @@ func Run(cfg Config) (*Result, error) {
 		}()
 	}
 
-	got, err := coordinate(cfg, hosts, root, stopped, markStopped, doneCh, remoteDone, stopAckCh, failCh)
+	got, err := coordinate(cfg, hosts, root, stopped, markStopped, doneCh, stopAckCh, failCh)
 
 	close(abort)
 	detachAll()
@@ -322,20 +334,17 @@ func Run(cfg Config) (*Result, error) {
 		res.Hosts[v] = h.rep
 	}
 	if _, ok := hosts[root]; ok {
-		// Actual progress, not the tree's node list: a watchdog or
-		// transport error still reports the destinations that made it.
-		for v := range got {
-			if v != root {
-				res.Completed = append(res.Completed, v)
-			}
-		}
-		sort.Ints(res.Completed)
+		// Actual progress: a watchdog or transport error still reports
+		// the destinations that made it.
 		for _, v := range cfg.Tree.Nodes() {
-			if v != root && !got[v] {
+			switch {
+			case v == root:
+			case got[v]:
+				res.Completed = append(res.Completed, v)
+			default:
 				res.Orphaned = append(res.Orphaned, v)
 			}
 		}
-		sort.Ints(res.Orphaned)
 	}
 	return res, err
 }
@@ -382,30 +391,15 @@ func serve(h *host, cfg Config, m int, start time.Time,
 			h.rep.Data = h.reasm.Bytes()
 			h.rep.DoneAt = time.Since(start)
 			cfg.logf("host %d delivered %d bytes at %v", h.id, len(h.rep.Data), h.rep.DoneAt)
-			doneCh <- h.id
-		}
-	}
-	// Acknowledged DONE: retry with capped exponential backoff + jitter
-	// until the root's DONE-ACK (or STOP, which implies it) lands.
-	if h.id != root {
-		bo := newBackoff(doneRetryBase, doneRetryMax, 0xd00e^uint64(h.id+1)<<16)
-		msg := ctlMsg(ctlDone, h.id)
-		for {
-			cfg.Net.SendCtl(h.id, root, msg)
-			timer := time.NewTimer(bo.next())
 			select {
+			case doneCh <- h.id:
 			case <-abort:
-				timer.Stop()
 				return nil
-			case <-stopped:
-				timer.Stop()
-				return nil
-			case <-h.doneAck:
-				timer.Stop()
-				return nil
-			case <-timer.C:
 			}
 		}
+	}
+	if h.id != root {
+		reportDone(cfg, h.id, h.doneAck, stopped, abort)
 	}
 	return nil
 }
@@ -416,8 +410,8 @@ func serve(h *host, cfg Config, m int, start time.Time,
 // root's STOP. It returns the set of destinations whose DONE this
 // process heard, even on error.
 func coordinate(cfg Config, hosts map[int]*host, root int,
-	stopped chan struct{}, markStopped func(), doneCh <-chan int, remoteDone <-chan int,
-	stopAckCh <-chan int, failCh <-chan error) (map[int]bool, error) {
+	stopped chan struct{}, markStopped func(), doneCh, stopAckCh <-chan int,
+	failCh <-chan error) (map[int]bool, error) {
 
 	deadline := time.NewTimer(cfg.Timeout)
 	defer deadline.Stop()
@@ -445,13 +439,11 @@ func coordinate(cfg Config, hosts map[int]*host, root int,
 	for len(got) < len(want) {
 		select {
 		case v := <-doneCh:
-			if want[v] {
-				got[v] = true
-			}
-		case v := <-remoteDone:
 			if want[v] && !got[v] {
 				got[v] = true
-				cfg.logf("root heard DONE from remote host %d", v)
+				if hosts[v] == nil {
+					cfg.logf("root heard DONE from remote host %d", v)
+				}
 			}
 		case err := <-failCh:
 			return got, err
@@ -462,17 +454,8 @@ func coordinate(cfg Config, hosts map[int]*host, root int,
 	if rootLocal {
 		// Every destination is accounted for: run the STOP handshake so
 		// remote reporters stand down, bounded by the drain deadline so a
-		// dead peer cannot stall us. All-local runs have no one to notify.
-		var remote []int
-		for _, v := range cfg.Tree.Nodes() {
-			if v != root && !cfg.Net.Local(v) {
-				remote = append(remote, v)
-			}
-		}
-		if len(remote) > 0 {
-			cfg.logf("root heard all %d destinations; stopping %d remote hosts (drain %v)", len(want), len(remote), cfg.Drain)
-			stopRemotes(cfg, root, remote, stopAckCh, reliable.Delivered, 0)
-		}
+		// dead peer cannot stall us.
+		stopRemotes(cfg, nil, stopAckCh, reliable.Delivered, 0)
 		markStopped()
 		return got, nil
 	}
@@ -486,42 +469,5 @@ func coordinate(cfg Config, hosts map[int]*host, root int,
 		return got, err
 	case <-deadline.C:
 		return got, fmt.Errorf("mcastd: delivered everywhere locally but no STOP after %v: %s", cfg.Timeout, progress())
-	}
-}
-
-// stopRemotes runs the acknowledged STOP exchange: retry STOP at every
-// unacknowledged remote host with capped backoff until each STOP-ACK
-// lands or the drain deadline passes. The STOP payload carries the
-// final epoch and status byte so remote processes report the root's
-// verdict.
-func stopRemotes(cfg Config, root int, remote []int, stopAckCh <-chan int, status reliable.Status, epoch int) {
-	pending := map[int]bool{}
-	for _, v := range remote {
-		pending[v] = true
-	}
-	msg := append(ctlMsg(ctlStop, epoch), byte(status))
-	drain := time.NewTimer(cfg.Drain)
-	defer drain.Stop()
-	bo := newBackoff(stopRetryBase, stopRetryMax, 0x57a9^uint64(root+1)<<16)
-	resend := time.NewTimer(0)
-	defer resend.Stop()
-	for len(pending) > 0 {
-		select {
-		case <-resend.C:
-			for v := range pending {
-				cfg.Net.SendCtl(root, v, msg)
-			}
-			resend.Reset(bo.next())
-		case v := <-stopAckCh:
-			delete(pending, v)
-		case <-drain.C:
-			left := make([]int, 0, len(pending))
-			for v := range pending {
-				left = append(left, v)
-			}
-			sort.Ints(left)
-			cfg.logf("drain deadline: %d STOP-ACKs outstanding from %v", len(left), left)
-			return
-		}
 	}
 }

@@ -2,6 +2,7 @@ package mcastd
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -192,19 +193,30 @@ func TestConfigRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nw.Close()
+	// rng marks what the 16-bit ctl fields cannot carry: a typed
+	// rejection, since a truncated host id or sequence number would alias
+	// a valid one.
 	for _, tc := range []struct {
 		name string
 		cfg  Config
+		rng  bool
 	}{
-		{"nil-tree", Config{Packets: pkts, Local: []int{0}, Net: nw}},
-		{"nil-net", Config{Tree: tr, Packets: pkts, Local: []int{0}}},
-		{"no-packets", Config{Tree: tr, Local: []int{0}, Net: nw}},
-		{"no-locals", Config{Tree: tr, Packets: pkts, Net: nw}},
-		{"foreign-local", Config{Tree: tr, Packets: pkts, Local: []int{9}, Net: nw}},
-		{"duplicate-local", Config{Tree: tr, Packets: pkts, Local: []int{0, 0}, Net: nw}},
+		{"nil-tree", Config{Packets: pkts, Local: []int{0}, Net: nw}, false},
+		{"nil-net", Config{Tree: tr, Packets: pkts, Local: []int{0}}, false},
+		{"no-packets", Config{Tree: tr, Local: []int{0}, Net: nw}, false},
+		{"no-locals", Config{Tree: tr, Packets: pkts, Net: nw}, false},
+		{"foreign-local", Config{Tree: tr, Packets: pkts, Local: []int{9}, Net: nw}, false},
+		{"duplicate-local", Config{Tree: tr, Packets: pkts, Local: []int{0, 0}, Net: nw}, false},
+		{"host-id-past-16-bits", Config{Tree: tree.Binomial([]int{0, 1 << 16}), Packets: pkts, Local: []int{0}, Net: nw}, true},
+		{"too-many-packets", Config{Tree: tr, Packets: make([][]byte, 1<<16+1), Local: []int{0}, Net: nw}, true},
 	} {
-		if _, err := Run(tc.cfg); err == nil {
+		_, err := Run(tc.cfg)
+		if err == nil {
 			t.Errorf("%s: Run accepted a bad config", tc.name)
+		}
+		var re *RangeError
+		if errors.As(err, &re) != tc.rng {
+			t.Errorf("%s: err = %v, *RangeError expected: %v", tc.name, err, tc.rng)
 		}
 	}
 }

@@ -4,17 +4,17 @@ package mcastd
 // internal/reliable proved the machinery on simulated time, live
 // RunReliable ported it onto goroutines and real timers, and here the
 // same protocol runs across OS processes over real UDP sockets. The
-// data plane reuses live.EdgeSender (per-edge retransmission with
-// capped backoff+jitter, duplicate suppression, epoch fencing) behind
-// the link.Transport seam; the ctl plane carries data ACKs, process
-// heartbeats, and the root's repair orders (GRAFT/KILL/EPOCH).
+// data plane is live's: EdgeSender (per-edge retransmission) and
+// ReliableNI (the receive loop) behind the link.Transport seam; the ctl
+// plane carries data ACKs, process heartbeats, and the root's repair
+// orders (GRAFT/KILL/EPOCH).
 //
-// The root process is the protocol brain, exactly like the live
-// supervisor: it runs the membership detector over every tree host
+// The root process drives the same reliable.Brain and live.Pump as the
+// live supervisor: the membership detector runs over every tree host
 // (remote hosts heartbeat over ctl; hosts sharing the root's process
 // are witnessed directly — if this code runs, they are alive), and on
-// a confirmed crash fences the epoch and re-grafts the dead host's
-// incomplete subtree onto survivors via the paper's Fig.-11
+// a confirmed crash the epoch is fenced and the dead host's incomplete
+// subtree re-grafted onto survivors via the paper's Fig.-11
 // construction. Repair orders to remote processes are idempotent and
 // periodically refreshed, so a lost ctl datagram delays repair by one
 // refresh tick instead of wedging it.
@@ -29,9 +29,7 @@ import (
 	"repro/internal/live"
 	"repro/internal/live/link"
 	"repro/internal/membership"
-	"repro/internal/message"
 	"repro/internal/reliable"
-	"repro/internal/tree"
 )
 
 // ReliableConfig tunes one RunReliable execution. Zero values take the
@@ -121,218 +119,75 @@ func (rcfg ReliableConfig) validate() error {
 	return nil
 }
 
-// dev is one event delivered to the process coordinator: parsed ctl
-// datagrams, local NI completions, and local edge deaths.
+// dev is one event delivered to the process coordinator: a control
+// frame addressed to local host `host`, or one of the two local
+// happenings below dressed as a frame.
 type dev struct {
-	kind devKind
-	host int           // receiving/acting host
-	a, b int           // edge endpoints (a parent, b child)
-	seq  int           // devAck
-	gen  int           // devExhausted*: edge incarnation generation
-	ep   int           // epoch riding the message
-	st   byte          // devStop: status byte
+	ctlFrame
+	host int           // the local host the frame was addressed to
 	at   time.Duration // receipt offset (beats, dones)
 }
 
-type devKind int
-
 const (
-	devLocalDone devKind = iota
-	devRemoteDone
-	devDoneAck
-	devStop
-	devStopAck
-	devBeat
-	devAck
-	devGraft
-	devKill
-	devEpoch
-	devExhLocal
-	devExhRemote
+	evLocalDone      = 32 + iota // a: host — a local NI completed the message
+	evLocalExhausted             // a, b: edge — a local edge incarnation died
 )
 
-// dedge is one local outgoing edge incarnation: an EdgeSender whose
-// transport was dialed (and chaos-wrapped) by this process.
-type dedge struct {
-	from, to int
-	es       *live.EdgeSender
-}
-
-// dniCtlMsg updates one NI's child-edge set (repair orders applied).
-type dniCtlMsg struct {
-	add   bool
-	child int
-	edge  *dedge
-}
-
-// dni is one local host's reliable NI loop: decode, verify, fence,
-// ACK over ctl, dedup, forward to child edges, reassemble. All fields
-// below the channels are goroutine-owned; the coordinator communicates
-// via ctl and reads the rest only after the WaitGroup drains.
-type dni struct {
-	rt    *drt
-	host  int
-	inbox *link.Inbox
-	ctl   chan dniCtlMsg
-
-	children  []*dedge
-	got       []bool
-	reasm     *message.Reassembler // nil at the root
-	rep       *HostReport
-	completed bool
-	data      []byte
-	doneAt    time.Duration
-	recvs     int
-	dups      int
-	fenced    int
-}
-
-func (n *dni) run() {
-	n.replay(n.children)
-	for {
-		select {
-		case f, ok := <-n.inbox.Wire():
-			if !ok {
-				return
-			}
-			f.Wait()
-			n.serve(f)
-		case c := <-n.ctl:
-			n.apply(c)
-		case <-n.rt.abort:
-			return
-		}
-	}
-}
-
-// replay enqueues every held packet into the given edges, packet-major,
-// mirroring the live engine's graft replay and the root's FPFS seeding.
-func (n *dni) replay(edges []*dedge) {
-	for seq, have := range n.got {
-		if !have {
-			continue
-		}
-		for _, e := range edges {
-			e.es.Enqueue(seq)
-		}
-	}
-}
-
-func (n *dni) apply(c dniCtlMsg) {
-	if c.add {
-		n.children = append(n.children, c.edge)
-		n.replay([]*dedge{c.edge})
-		return
-	}
-	for i, e := range n.children {
-		if e.to == c.child {
-			n.children = append(n.children[:i], n.children[i+1:]...)
-			break
-		}
-	}
-}
-
-// serve handles one admitted frame: integrity and epoch checks, ACK,
-// dedup, FPFS forward, reassembly.
-func (n *dni) serve(f link.Frame) {
-	defer n.inbox.Release()
-	h, err := message.DecodeHeader(f.Payload)
-	if err != nil || h.MsgID != n.rt.cfg.MsgID || int(h.Seq) >= n.rt.m ||
-		len(f.Payload) != message.HeaderSize+int(h.Payload) {
-		return // undecodable or foreign: drop; retransmission recovers
-	}
-	if h.PacketChecksum(f.Payload[message.HeaderSize:]) != h.Checksum {
-		return // corrupted in transit: drop silently
-	}
-	g := int(n.rt.epoch.Load())
-	if int(h.Epoch) < g {
-		n.fenced++ // stale epoch: discard wholesale, no ACK
-		return
-	}
-	seq := int(h.Seq)
-	// ACK every valid in-epoch frame, duplicates included — the lost
-	// half of a duplicate exchange may have been the ACK. The ACK rides
-	// ctl to the sending host; its process routes it to the edge.
-	n.rt.cfg.Net.SendCtl(n.host, f.From, ctlMsg(ctlAck, n.host, seq, g))
-	if n.got[seq] {
-		n.dups++
-		return
-	}
-	n.got[seq] = true
-	n.recvs++
-	for _, ce := range n.children {
-		ce.es.Enqueue(seq)
-	}
-	if n.reasm != nil && !n.completed {
-		if done, err := n.reasm.Add(f.Payload); err == nil && done {
-			n.completed = true
-			n.data = n.reasm.Bytes()
-			n.doneAt = time.Since(n.rt.start)
-			n.rt.event(dev{kind: devLocalDone, host: n.host, at: n.doneAt})
-		}
-	}
-}
-
-// drt is one process's share of a reliable run.
+// drt is one process's share of a reliable run. In the root's process it
+// is also the reliable.Runtime the repair brain drives: edges whose
+// parent is local are spawned and cancelled directly, the rest become
+// GRAFT/KILL orders to the parent's process.
 type drt struct {
-	cfg       Config
-	rcfg      ReliableConfig
-	m, k      int
-	root      int
-	rootLocal bool
-	start     time.Time
-	abort     chan struct{}
-	stopped   chan struct{}
-	stopOnce  sync.Once
-	epoch     atomic.Int64
-	chaos     *link.Chaos
-	evs       chan dev
-	wg        sync.WaitGroup
-	nis       map[int]*dni
+	cfg      Config
+	rcfg     ReliableConfig
+	m        int
+	root     int
+	nodes    []int // the tree's hosts, ascending
+	start    time.Time
+	abort    chan struct{}
+	epoch    atomic.Int64
+	chaos    *link.Chaos
+	evs      chan dev
+	stopAckC chan int
+	wg       sync.WaitGroup
+	nis      map[int]*live.ReliableNI
+	reps     map[int]*HostReport
 
 	// Coordinator-owned (single goroutine after start):
-	edges    map[[2]int]*dedge // local-parent edge incarnations
-	allEdges []*dedge
-	doneAckC map[int]chan struct{} // per local dest: root acknowledged DONE
-	acked    map[int]bool
+	edges    map[[2]int]*live.EdgeSender // local-parent edge incarnations
+	allEdges []*live.EdgeSender
+	doneAckC map[int]chan struct{} // per local dest still awaiting the root's DONE-ACK
 	stopStat reliable.Status
 
-	// Root-only global shape and repair state:
+	// Root-only membership and repair state:
 	det       *membership.Detector
-	shape     map[[2]int]bool
-	parentOf  map[int]int
-	childOf   map[int][]int
+	pump      *live.Pump[dev]
+	brain     *reliable.Brain
 	doneSet   map[int]bool
-	deadWait  map[int]bool // confirmed-dead, incomplete: not awaited unless rejoined
-	abandoned map[int]bool
-	deadPairs map[[2]int]int
-	regrafts  map[int]int
-	pendGraft map[[2]int]bool
+	pendGraft map[[2]int]bool // GRAFT orders re-sent each refresh
 	exhSeen   map[[2]int]int
-	adoptions int
+	orphaned  []int // the verdict's undelivered destinations and
+	crashed   []int // confirmed-crashed hosts, both ascending
 
 	// Non-root repair state:
 	pendExh map[[2]int]int // unacknowledged EXHAUSTED reports by gen
 	exhGen  map[[2]int]int
 }
 
-func (rt *drt) markStopped() { rt.stopOnce.Do(func() { close(rt.stopped) }) }
-
 // event delivers one event to the coordinator. Droppable kinds (ACKs,
 // beats: both re-sent by protocol) are lossy on overflow so listeners
 // can never stall; the rest block until the coordinator drains.
 func (rt *drt) event(e dev) {
-	switch e.kind {
-	case devAck, devBeat:
+	if e.kind == ctlAck || e.kind == ctlBeat {
 		select {
 		case rt.evs <- e:
 		default:
 		}
-	default:
-		select {
-		case rt.evs <- e:
-		case <-rt.abort:
-		}
+		return
+	}
+	select {
+	case rt.evs <- e:
+	case <-rt.abort:
 	}
 }
 
@@ -342,7 +197,7 @@ func (rt *drt) bumpEpoch(e int) {
 	}
 }
 
-func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+func (rt *drt) currentEpoch() int { return int(rt.epoch.Load()) }
 
 // RunReliable executes this process's share of a loss- and crash-
 // tolerant run: the plain engine's deployment shape with the live
@@ -354,27 +209,12 @@ func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond)
 // *reliable.CrashError. Destination-only processes learn the verdict
 // from the root's STOP.
 func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
-	if cfg.Tree == nil || cfg.Net == nil {
-		return nil, fmt.Errorf("mcastd: config needs a tree and a network")
-	}
-	if len(cfg.Packets) == 0 {
-		return nil, fmt.Errorf("mcastd: no packets to multicast")
-	}
-	if len(cfg.Packets) > 1<<16 {
-		return nil, fmt.Errorf("mcastd: %d packets exceed the ctl plane's sequence space", len(cfg.Packets))
-	}
-	if len(cfg.Local) == 0 {
-		return nil, fmt.Errorf("mcastd: no local hosts")
+	if err := cfg.prepare(); err != nil {
+		return nil, err
 	}
 	rcfg.fill()
 	if err := rcfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
-	}
-	if cfg.Drain <= 0 {
-		cfg.Drain = defaultDrain
 	}
 	chaos, err := link.NewChaos(rcfg.Faults)
 	if err != nil {
@@ -385,317 +225,203 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 		cfg:      cfg,
 		rcfg:     rcfg,
 		m:        len(cfg.Packets),
-		k:        cfg.Tree.MaxDegree(),
 		root:     cfg.Tree.Root(),
+		nodes:    cfg.Tree.Nodes(),
 		abort:    make(chan struct{}),
-		stopped:  make(chan struct{}),
 		chaos:    chaos,
-		nis:      map[int]*dni{},
-		edges:    map[[2]int]*dedge{},
+		nis:      map[int]*live.ReliableNI{},
+		reps:     map[int]*HostReport{},
+		edges:    map[[2]int]*live.EdgeSender{},
 		doneAckC: map[int]chan struct{}{},
-		acked:    map[int]bool{},
 		stopStat: reliable.Failed,
 		pendExh:  map[[2]int]int{},
 		exhGen:   map[[2]int]int{},
 	}
-	rt.evs = make(chan dev, 16*rt.m+8*cfg.Tree.Size()+64)
+	// Sized for the worst burst a listener can produce without the
+	// coordinator running: an ACK per (edge, packet) plus a few reports
+	// per host. ACKs and beats beyond it are dropped, never blocked on.
+	rt.evs = make(chan dev, 16*rt.m+8*len(rt.nodes)+64)
+	rt.stopAckC = make(chan int, len(rt.nodes)+4) // one STOP-ACK per host, plus repeats
 
+	capacity := 4*rt.m + 16
+	if cfg.BufferPackets > 0 {
+		capacity = cfg.BufferPackets
+	}
+	inboxes := map[int]*link.Inbox{}
+	ncfg := live.ReliableNIConfig{
+		MsgID:   cfg.MsgID,
+		Packets: rt.m,
+		Abort:   rt.abort,
+		Epoch:   rt.currentEpoch,
+		// The ACK rides ctl to the sending host; its process routes it to
+		// the edge.
+		Ack: func(host, from, seq, epoch int) {
+			rt.cfg.sendCtl(host, from, ctlFrame{kind: ctlAck, a: host, b: seq, c: epoch})
+		},
+		OnDone: func(host int, at time.Duration) {
+			rt.event(dev{ctlFrame: ctlFrame{kind: evLocalDone, a: host}, at: at})
+		},
+	}
 	for _, v := range cfg.Local {
-		if !cfg.Tree.Contains(v) {
-			return nil, fmt.Errorf("mcastd: local host %d is not in the tree", v)
-		}
-		if rt.nis[v] != nil {
-			return nil, fmt.Errorf("mcastd: local host %d listed twice", v)
-		}
-		capacity := 4*rt.m + 16
-		if cfg.BufferPackets > 0 {
-			capacity = cfg.BufferPackets
-		}
-		n := &dni{
-			rt:    rt,
-			host:  v,
-			inbox: link.NewInbox(v, capacity, cfg.BufferPackets),
-			ctl:   make(chan dniCtlMsg, 4*cfg.Tree.Size()+16),
-			got:   make([]bool, rt.m),
-			rep:   &HostReport{Host: v},
-		}
-		if v == rt.root {
-			for i := range n.got {
-				n.got[i] = true
-			}
-			n.completed = true
-		} else {
-			n.reasm = message.NewReassembler()
+		inboxes[v] = link.NewInbox(v, capacity, cfg.BufferPackets)
+		ncfg.Host, ncfg.Root, ncfg.Inbox = v, v == rt.root, inboxes[v]
+		rt.nis[v] = live.NewReliableNI(ncfg)
+		rt.reps[v] = &HostReport{Host: v}
+		if v != rt.root {
 			rt.doneAckC[v] = make(chan struct{})
 		}
-		rt.nis[v] = n
 	}
-	rt.rootLocal = rt.nis[rt.root] != nil
-
-	if rt.rootLocal {
-		hb := rcfg.Heartbeat
-		det, err := membership.New(membership.Config{
-			HeartbeatEvery: us(hb.Every),
-			SuspectAfter:   us(hb.SuspectAfter),
-			ConfirmAfter:   us(hb.ConfirmAfter),
-			JitterFrac:     hb.JitterFrac,
-			Seed:           rcfg.Faults.Seed ^ 0xD1B5_4A32_D192_ED03,
-		}, cfg.Tree.Nodes(), 0)
+	if rt.nis[rt.root] != nil {
+		det, err := rcfg.Heartbeat.NewDetector(rcfg.Faults.Seed, rt.nodes)
 		if err != nil {
 			return nil, err
 		}
 		rt.det = det
-		rt.epoch.Store(int64(det.Epoch()))
-		rt.shape = map[[2]int]bool{}
-		rt.parentOf = map[int]int{}
-		rt.childOf = map[int][]int{}
+		rt.brain = reliable.NewBrain(cfg.Tree, rcfg.MaxRegrafts, rt)
+		rt.brain.Logf = rt.cfg.logf
 		rt.doneSet = map[int]bool{}
-		rt.deadWait = map[int]bool{}
-		rt.abandoned = map[int]bool{}
-		rt.deadPairs = map[[2]int]int{}
-		rt.regrafts = map[int]int{}
 		rt.pendGraft = map[[2]int]bool{}
 		rt.exhSeen = map[[2]int]int{}
-		for _, v := range cfg.Tree.Nodes() {
-			rt.parentOf[v] = -1
-		}
-		for _, e := range cfg.Tree.Edges() {
-			rt.shape[[2]int{e.Parent, e.Child}] = true
-			rt.parentOf[e.Child] = e.Parent
-			rt.childOf[e.Parent] = append(rt.childOf[e.Parent], e.Child)
-		}
-	} else {
-		// Non-root processes fence at the initial epoch until the root
-		// announces advances over ctl.
-		rt.epoch.Store(1)
 	}
+	// Every process fences at the detector's initial epoch; only the
+	// root's announcements over ctl advance a non-root process.
+	rt.epoch.Store(1)
 
 	// Attach everything before dialing anything (credits only flow from
 	// attached endpoints), then dial this process's share of the tree's
-	// edges: every edge whose parent is local.
-	attached := make([]int, 0, len(rt.nis))
-	detachAll := func() {
-		for _, v := range attached {
-			cfg.Net.Detach(v)
-		}
+	// edges: every edge whose parent is local, ascending per parent for a
+	// deterministic packet-major seeding order.
+	detachAll, err := attachAll(cfg, inboxes)
+	if err != nil {
+		return nil, err
 	}
-	for v, n := range rt.nis {
-		if err := cfg.Net.Attach(v, n.inbox); err != nil {
-			detachAll()
-			return nil, fmt.Errorf("mcastd: attach host %d: %w", v, err)
-		}
-		attached = append(attached, v)
-	}
-	for _, e := range cfg.Tree.Edges() {
-		a, b := e.Parent, e.Child
-		if rt.nis[a] == nil {
+	edges := cfg.Tree.Edges()
+	sort.Slice(edges, func(i, j int) bool { return edges[i].Child < edges[j].Child })
+	for _, e := range edges {
+		if rt.nis[e.Parent] == nil {
 			continue
 		}
-		de, err := rt.newEdge(a, b)
+		es, err := rt.newEdge(e.Parent, e.Child)
 		if err != nil {
 			detachAll()
-			return nil, fmt.Errorf("mcastd: dial edge %d->%d: %w", a, b, err)
+			return nil, fmt.Errorf("mcastd: dial edge %d->%d: %w", e.Parent, e.Child, err)
 		}
-		rt.edges[[2]int{a, b}] = de
-		rt.nis[a].children = append(rt.nis[a].children, de)
-	}
-	for _, n := range rt.nis {
-		sort.Slice(n.children, func(i, j int) bool { return n.children[i].to < n.children[j].to })
+		rt.nis[e.Parent].Wire(es)
 	}
 
 	rt.start = time.Now()
 	chaos.Start(rt.start)
-	for _, n := range rt.nis {
-		rt.wg.Add(1)
-		go func(n *dni) { defer rt.wg.Done(); n.run() }(n)
-	}
-	for _, e := range rt.edges {
-		rt.wg.Add(1)
-		go func(e *dedge) { defer rt.wg.Done(); e.es.Run() }(e)
-	}
-	for v := range rt.nis {
-		rt.wg.Add(1)
+	for v, n := range rt.nis {
+		rt.wg.Add(2)
+		go func(n *live.ReliableNI) { defer rt.wg.Done(); n.Run(rt.start) }(n)
 		go func(id int) { defer rt.wg.Done(); rt.listen(id) }(v)
+	}
+	for _, e := range rt.allEdges {
+		rt.spawn(e)
 	}
 
 	var runErr error
-	if rt.rootLocal {
+	if rt.brain != nil {
 		runErr = rt.rootLoop()
 	} else {
 		runErr = rt.destLoop()
 	}
-	rt.markStopped()
 	close(rt.abort)
 	detachAll()
 	rt.wg.Wait()
-	for _, n := range rt.nis {
-		n.inbox.Close()
+	for _, in := range inboxes {
+		in.Close()
 	}
 	return rt.assemble(runErr), runErr
 }
 
-// newEdge dials (or, mid-run, fabricates a dead transport for) the edge
-// a->b and wires an EdgeSender over the chaos-wrapped transport. Budget
-// exhaustion and transport death both report to the coordinator, which
-// repairs around the edge.
-func (rt *drt) newEdge(a, b int) (*dedge, error) {
+// newEdge dials the edge a->b and wires an EdgeSender over the
+// chaos-wrapped transport. Budget exhaustion and transport death both
+// report to the coordinator, which repairs around the edge.
+func (rt *drt) newEdge(a, b int) (*live.EdgeSender, error) {
 	base, err := rt.cfg.Net.Dial(a, b)
 	if err != nil {
 		return nil, err
 	}
-	e := &dedge{from: a, to: b}
-	e.es = live.NewEdgeSender(rt.chaos.Wrap(base), live.EdgeSenderConfig{
+	died := func() { rt.event(dev{ctlFrame: ctlFrame{kind: evLocalExhausted, a: a, b: b}}) }
+	e := live.NewEdgeSender(rt.chaos.Wrap(base), live.EdgeSenderConfig{
 		Packets:     rt.cfg.Packets,
 		RTO:         rt.rcfg.RTO,
 		RTOMax:      rt.rcfg.RTOMax,
 		RetryBudget: rt.rcfg.RetryBudget,
 		JitterSeed:  rt.rcfg.Faults.Seed ^ 0x7a31_9c4d_11e8_5bf3 ^ uint64(a+1)<<20 ^ uint64(b+1),
 		Abort:       rt.abort,
-		Epoch:       func() int { return int(rt.epoch.Load()) },
-		OnExhausted: func() { rt.event(dev{kind: devExhLocal, a: a, b: b}) },
-		OnDead:      func(error) { rt.event(dev{kind: devExhLocal, a: a, b: b}) },
+		Epoch:       rt.currentEpoch,
+		OnExhausted: died,
+		OnDead:      func(error) { died() },
 	})
+	rt.edges[[2]int{a, b}] = e
 	rt.allEdges = append(rt.allEdges, e)
 	return e, nil
+}
+
+func (rt *drt) spawn(e *live.EdgeSender) {
+	rt.wg.Add(1)
+	go func() { defer rt.wg.Done(); e.Run() }()
 }
 
 // spawnEdge creates and starts a mid-run edge incarnation, announcing
 // it to the owning NI. Dial failures (closing network) surface as an
 // immediate exhaustion event instead of an edge.
-func (rt *drt) spawnEdge(a, b int) *dedge {
-	de, err := rt.newEdge(a, b)
+func (rt *drt) spawnEdge(a, b int) {
+	e, err := rt.newEdge(a, b)
 	if err != nil {
-		rt.event(dev{kind: devExhLocal, a: a, b: b})
-		return nil
-	}
-	rt.edges[[2]int{a, b}] = de
-	rt.wg.Add(1)
-	go func() { defer rt.wg.Done(); de.es.Run() }()
-	rt.dniCtl(a, dniCtlMsg{add: true, child: b, edge: de})
-	return de
-}
-
-// dropLocalEdge retires a local edge incarnation and detaches it from
-// the owning NI.
-func (rt *drt) dropLocalEdge(a, b int, cancel bool) {
-	key := [2]int{a, b}
-	e, ok := rt.edges[key]
-	if !ok {
+		rt.event(dev{ctlFrame: ctlFrame{kind: evLocalExhausted, a: a, b: b}})
 		return
 	}
-	delete(rt.edges, key)
-	if cancel {
-		e.es.Cancel()
-	}
-	rt.dniCtl(a, dniCtlMsg{add: false, child: b})
+	rt.spawn(e)
+	rt.nis[a].AddChild(e)
 }
 
-func (rt *drt) dniCtl(host int, c dniCtlMsg) {
-	select {
-	case rt.nis[host].ctl <- c:
-	case <-rt.abort:
+// dropLocalEdge retires a local edge incarnation (cancelling a sender
+// that already died is harmless) and detaches it from the owning NI.
+func (rt *drt) dropLocalEdge(a, b int) {
+	key := [2]int{a, b}
+	if e, ok := rt.edges[key]; ok {
+		delete(rt.edges, key)
+		e.Cancel()
+		rt.nis[a].DelChild(b)
 	}
 }
 
-// listen parses host id's ctl datagrams into coordinator events. The
-// fabric's ctl pump delivers payload bytes only (the datagram's From is
-// lost), so every message carries the relevant hosts explicitly.
+// ackEdge routes a data ACK that reached local host e.host to the edge
+// it acknowledges.
+func (rt *drt) ackEdge(e dev) {
+	if es, ok := rt.edges[[2]int{e.host, e.a}]; ok {
+		es.Ack(live.EdgeAck{Seq: e.b, Epoch: e.c})
+	}
+}
+
+// listen turns host id's ctl frames into coordinator events, dropping
+// those this host has no business with. The fabric's ctl pump delivers
+// payload bytes only (the datagram's From is lost), so every message
+// carries the relevant hosts explicitly.
 func (rt *drt) listen(id int) {
-	ctl := rt.cfg.Net.Ctl(id)
-	for {
-		select {
-		case <-rt.abort:
-			return
-		case b := <-ctl:
-			if len(b) < 1 {
-				continue
+	listenCtl(rt.cfg, id, rt.abort, func(f ctlFrame) {
+		switch f.kind {
+		case ctlBeat, ctlDone, ctlExhausted, ctlStopAck:
+			if id != rt.root {
+				return // reports to the root only
 			}
-			at := time.Since(rt.start)
-			switch b[0] {
-			case ctlAck:
-				if c, s, g := ctlField(b, 0), ctlField(b, 1), ctlField(b, 2); c >= 0 && s >= 0 && g >= 0 {
-					rt.event(dev{kind: devAck, host: id, a: id, b: c, seq: s, ep: g})
+			if f.kind == ctlStopAck {
+				select { // STOP is retried: a full queue loses nothing
+				case rt.stopAckC <- f.a:
+				default:
 				}
-			case ctlBeat:
-				if id == rt.root {
-					if v := ctlField(b, 0); v >= 0 {
-						rt.event(dev{kind: devBeat, b: v, at: at})
-					}
-				}
-			case ctlDone:
-				if id == rt.root {
-					if v := ctlField(b, 0); v >= 0 {
-						rt.event(dev{kind: devRemoteDone, b: v, at: at})
-					}
-				}
-			case ctlDoneAck:
-				if v := ctlField(b, 0); v == id {
-					rt.event(dev{kind: devDoneAck, host: id})
-				}
-			case ctlStop:
-				st := byte(reliable.Delivered)
-				if len(b) >= 4 {
-					st = b[3]
-				}
-				ep := ctlField(b, 0)
-				if ep < 0 {
-					ep = 0
-				}
-				rt.event(dev{kind: devStop, host: id, ep: ep, st: st})
-			case ctlStopAck:
-				if id == rt.root {
-					if v := ctlField(b, 0); v >= 0 {
-						rt.event(dev{kind: devStopAck, b: v})
-					}
-				}
-			case ctlEpoch:
-				if g := ctlField(b, 0); g >= 0 {
-					rt.event(dev{kind: devEpoch, ep: g})
-				}
-			case ctlGraft, ctlKill:
-				a, c, g := ctlField(b, 0), ctlField(b, 1), ctlField(b, 2)
-				if a != id || c < 0 {
-					continue
-				}
-				k := devGraft
-				if b[0] == ctlKill {
-					k = devKill
-				}
-				rt.event(dev{kind: k, a: a, b: c, ep: g})
-			case ctlExhausted:
-				if id == rt.root {
-					a, c, g := ctlField(b, 0), ctlField(b, 1), ctlField(b, 2)
-					if a >= 0 && c >= 0 {
-						rt.event(dev{kind: devExhRemote, a: a, b: c, gen: g})
-					}
-				}
+				return
+			}
+		case ctlDoneAck, ctlGraft, ctlKill:
+			if f.a != id {
+				return // addressed to another host
 			}
 		}
-	}
-}
-
-// reportDone retries one local destination's DONE at the root with
-// capped exponential backoff until acknowledged, stopped, or torn down.
-func (rt *drt) reportDone(h int) {
-	bo := newBackoff(doneRetryBase, doneRetryMax, 0xd00e^uint64(h+1)<<16)
-	msg := ctlMsg(ctlDone, h)
-	ackC := rt.doneAckC[h]
-	for {
-		rt.cfg.Net.SendCtl(h, rt.root, msg)
-		timer := time.NewTimer(bo.next())
-		select {
-		case <-rt.abort:
-			timer.Stop()
-			return
-		case <-rt.stopped:
-			timer.Stop()
-			return
-		case <-ackC:
-			timer.Stop()
-			return
-		case <-timer.C:
-		}
-	}
+		rt.event(dev{ctlFrame: f, host: id, at: time.Since(rt.start)})
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -712,64 +438,58 @@ func (rt *drt) destLoop() error {
 	defer hb.Stop()
 	refresh := time.NewTicker(rt.rcfg.Refresh)
 	defer refresh.Stop()
-	reporting := map[int]bool{}
 	for {
 		select {
 		case e := <-rt.evs:
+			key := [2]int{e.a, e.b}
 			switch e.kind {
-			case devLocalDone:
-				rt.cfg.logf("host %d delivered at %v", e.host, e.at)
-				if !reporting[e.host] {
-					reporting[e.host] = true
-					rt.wg.Add(1)
-					go func(h int) { defer rt.wg.Done(); rt.reportDone(h) }(e.host)
-				}
-			case devDoneAck:
-				if c, ok := rt.doneAckC[e.host]; ok && !rt.acked[e.host] {
-					rt.acked[e.host] = true
+			case evLocalDone:
+				rt.cfg.logf("host %d delivered at %v", e.a, e.at)
+				rt.wg.Add(1)
+				go func(h int, acked <-chan struct{}) {
+					defer rt.wg.Done()
+					reportDone(rt.cfg, h, acked, nil, rt.abort) // STOP ends the loop, and abort follows
+				}(e.a, rt.doneAckC[e.a])
+			case ctlDoneAck:
+				if c, ok := rt.doneAckC[e.host]; ok {
 					close(c)
+					delete(rt.doneAckC, e.host)
 				}
-			case devAck:
-				if de, ok := rt.edges[[2]int{e.a, e.b}]; ok {
-					de.es.Ack(live.EdgeAck{Seq: e.seq, Epoch: e.ep})
-				}
-			case devGraft:
-				rt.bumpEpoch(e.ep)
-				if _, dup := rt.edges[[2]int{e.a, e.b}]; dup || rt.nis[e.a] == nil {
+			case ctlAck:
+				rt.ackEdge(e)
+			case ctlGraft:
+				rt.bumpEpoch(e.c)
+				if _, dup := rt.edges[key]; dup {
 					continue
 				}
-				rt.cfg.logf("graft order: new edge %d->%d (epoch %d)", e.a, e.b, e.ep)
+				rt.cfg.logf("graft order: new edge %d->%d (epoch %d)", e.a, e.b, e.c)
 				rt.spawnEdge(e.a, e.b)
-			case devKill:
-				rt.bumpEpoch(e.ep)
-				delete(rt.pendExh, [2]int{e.a, e.b}) // KILL acknowledges EXHAUSTED
-				rt.dropLocalEdge(e.a, e.b, true)
-			case devEpoch:
-				rt.bumpEpoch(e.ep)
-			case devExhLocal:
-				key := [2]int{e.a, e.b}
-				rt.dropLocalEdge(e.a, e.b, false)
+			case ctlKill:
+				rt.bumpEpoch(e.c)
+				delete(rt.pendExh, key) // KILL acknowledges EXHAUSTED
+				rt.dropLocalEdge(e.a, e.b)
+			case ctlEpoch:
+				rt.bumpEpoch(e.a)
+			case evLocalExhausted:
+				rt.dropLocalEdge(e.a, e.b)
 				rt.exhGen[key]++
 				rt.pendExh[key] = rt.exhGen[key]
 				rt.cfg.logf("edge %d->%d exhausted (gen %d); reporting to root", e.a, e.b, rt.exhGen[key])
-				rt.cfg.Net.SendCtl(e.a, rt.root, ctlMsg(ctlExhausted, e.a, e.b, rt.exhGen[key]))
-			case devStop:
-				rt.bumpEpoch(e.ep)
-				rt.stopStat = reliable.Status(e.st)
-				rt.markStopped()
-				for _, v := range rt.cfg.Local {
-					rt.cfg.Net.SendCtl(v, rt.root, ctlMsg(ctlStopAck, v))
-				}
-				rt.cfg.logf("STOP received (status %v, epoch %d)", rt.stopStat, int(rt.epoch.Load()))
+				rt.cfg.sendCtl(e.a, rt.root, ctlFrame{kind: ctlExhausted, a: e.a, b: e.b, c: rt.exhGen[key]})
+			case ctlStop:
+				rt.bumpEpoch(e.a)
+				rt.stopStat = e.status
+				rt.cfg.ackStop()
+				rt.cfg.logf("STOP received (status %v, epoch %d)", rt.stopStat, rt.currentEpoch())
 				return nil
 			}
 		case <-hb.C:
 			for _, v := range rt.cfg.Local {
-				rt.cfg.Net.SendCtl(v, rt.root, ctlMsg(ctlBeat, v))
+				rt.cfg.sendCtl(v, rt.root, ctlFrame{kind: ctlBeat, a: v})
 			}
 		case <-refresh.C:
 			for key, gen := range rt.pendExh {
-				rt.cfg.Net.SendCtl(key[0], rt.root, ctlMsg(ctlExhausted, key[0], key[1], gen))
+				rt.cfg.sendCtl(key[0], rt.root, ctlFrame{kind: ctlExhausted, a: key[0], b: key[1], c: gen})
 			}
 		case <-watchdog.C:
 			return fmt.Errorf("mcastd: no STOP after %v: %s", rt.cfg.Timeout, rt.progress())
@@ -779,24 +499,11 @@ func (rt *drt) destLoop() error {
 
 // progress summarizes local delivery state for watchdog errors.
 func (rt *drt) progress() string {
-	type p struct{ host, got int }
-	var ps []p
-	for v, n := range rt.nis {
-		if v == rt.root {
-			continue
-		}
-		held := 0
-		for _, g := range n.got {
-			if g {
-				held++
-			}
-		}
-		ps = append(ps, p{v, held})
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].host < ps[j].host })
 	s := fmt.Sprintf("%d packets", rt.m)
-	for _, x := range ps {
-		s += fmt.Sprintf(" host%d:%d", x.host, x.got)
+	for _, v := range rt.nodes {
+		if n := rt.nis[v]; n != nil && v != rt.root {
+			s += fmt.Sprintf(" host%d:%d", v, n.Held())
+		}
 	}
 	return s + fmt.Sprintf(" (fabric %+v)", rt.cfg.Net.Stats())
 }
@@ -804,226 +511,112 @@ func (rt *drt) progress() string {
 // ---------------------------------------------------------------------------
 // Root process coordinator: membership, adoption, verdict.
 
-// creditLocal witnesses every host this process owns: if the
-// coordinator is running, they are alive, and Witness skips the
-// silence judgment a Heartbeat would apply first.
-func (rt *drt) creditLocal() {
-	now := us(time.Since(rt.start))
-	for v := range rt.nis {
-		rt.handleEvents(rt.det.Witness(v, now))
-	}
-}
-
 // rootLoop drives the root's process: collect completions, beats and
-// edge deaths; advance the failure detector; adopt, repair or abandon;
-// then settle the verdict and run the STOP handshake.
+// edge deaths; advance the failure detector (every host this process
+// owns is witnessed: if the coordinator is running, they are alive); let
+// the brain adopt, repair or abandon; then settle the verdict and run
+// the STOP handshake.
 func (rt *drt) rootLoop() error {
-	watchdog := time.NewTimer(rt.cfg.Timeout)
-	defer watchdog.Stop()
-	detTimer := time.NewTimer(time.Hour)
-	defer detTimer.Stop()
 	refresh := time.NewTicker(rt.rcfg.Refresh)
 	defer refresh.Stop()
-
-	dests := 0
-	for _, v := range rt.cfg.Tree.Nodes() {
-		if v != rt.root {
-			dests++
-		}
+	rt.pump = &live.Pump[dev]{
+		Det:      rt.det,
+		Start:    rt.start,
+		Events:   rt.evs,
+		Handle:   rt.handleRoot,
+		Local:    func(time.Duration) []int { return rt.cfg.Local },
+		OnEvents: rt.handleEvents,
+		Tick:     refresh.C,
+		OnTick:   rt.refreshTick,
+		Timeout:  rt.cfg.Timeout,
 	}
-	undelivered := func() int {
-		n := dests
-		for v := range rt.doneSet {
-			if v != rt.root {
-				n--
+	timedOut := rt.pump.Run(func() bool {
+		for _, v := range rt.nodes {
+			if rt.awaited(v) {
+				return false
 			}
 		}
-		for v := range rt.abandoned {
-			if !rt.doneSet[v] {
-				n--
-			}
-		}
-		for v := range rt.deadWait {
-			if !rt.doneSet[v] && !rt.abandoned[v] {
-				n--
-			}
-		}
-		return n
-	}
-
-	handle := func(e dev) {
-		switch e.kind {
-		case devLocalDone:
-			rt.cfg.logf("host %d delivered at %v", e.host, e.at)
-			rt.markDone(e.host)
-		case devRemoteDone:
-			if !rt.cfg.Tree.Contains(e.b) {
-				break // a corrupted or foreign datagram must not skew the verdict
-			}
-			if !rt.doneSet[e.b] {
-				rt.cfg.logf("root heard DONE from remote host %d", e.b)
-			}
-			rt.markDone(e.b)
-			rt.cfg.Net.SendCtl(rt.root, e.b, ctlMsg(ctlDoneAck, e.b))
-			rt.handleEvents(rt.det.Heartbeat(e.b, us(e.at)))
-		case devBeat:
-			if !rt.cfg.Tree.Contains(e.b) {
-				break
-			}
-			rt.handleEvents(rt.det.Heartbeat(e.b, us(e.at)))
-		case devAck:
-			if de, ok := rt.edges[[2]int{e.a, e.b}]; ok {
-				de.es.Ack(live.EdgeAck{Seq: e.seq, Epoch: e.ep})
-			}
-		case devExhLocal:
-			rt.cfg.logf("edge %d->%d exhausted; repairing", e.a, e.b)
-			rt.exhaustedEdge(e.a, e.b)
-		case devExhRemote:
-			key := [2]int{e.a, e.b}
-			if e.gen > rt.exhSeen[key] {
-				rt.exhSeen[key] = e.gen
-				rt.cfg.logf("remote edge %d->%d exhausted (gen %d); repairing", e.a, e.b, e.gen)
-				rt.exhaustedEdge(e.a, e.b)
-			}
-			// Always acknowledge, even for a replayed gen or an edge no
-			// longer in the shape: the reporter retries until KILLed.
-			rt.cfg.Net.SendCtl(rt.root, e.a, ctlMsg(ctlKill, e.a, e.b, int(rt.epoch.Load())))
-		}
-	}
-
-	timedOut := false
-	for undelivered() > 0 {
-		wake := time.Hour
-		if dl, ok := rt.det.NextDeadline(); ok {
-			wake = time.Duration(dl*float64(time.Microsecond)) - time.Since(rt.start)
-			if wake < 0 {
-				wake = 0
-			}
-		}
-		if !detTimer.Stop() {
-			select {
-			case <-detTimer.C:
-			default:
-			}
-		}
-		detTimer.Reset(wake)
-
-		select {
-		case e := <-rt.evs:
-			handle(e)
-		case <-detTimer.C:
-			// Queued beats must land before silence is judged: a
-			// scheduling burst can expire the timer with fresh beats
-			// still queued, and advancing first would confirm hosts that
-			// are provably alive.
-			for drained := false; !drained; {
-				select {
-				case e := <-rt.evs:
-					handle(e)
-				default:
-					drained = true
-				}
-			}
-			rt.creditLocal()
-			rt.handleEvents(rt.det.Advance(us(time.Since(rt.start))))
-		case <-refresh.C:
-			rt.refreshTick()
-		case <-watchdog.C:
-			timedOut = true
-		}
-		if timedOut {
-			break
-		}
-	}
+		return true
+	})
 
 	// Settle the verdict before STOP so remote processes report it.
-	orphaned, crashed := rt.verdictSets()
-	delivered := dests - len(orphaned)
-	quorum := rt.rcfg.Quorum
-	if quorum <= 0 || quorum > dests {
-		quorum = dests
-	}
-	var verdictErr error
-	switch {
-	case timedOut:
-		rt.stopStat = reliable.Failed
-		verdictErr = fmt.Errorf("mcastd: watchdog after %v: %d/%d delivered, orphaned %v (fabric %+v)",
-			rt.cfg.Timeout, delivered, dests, orphaned, rt.cfg.Net.Stats())
-	case len(orphaned) == 0:
-		rt.stopStat = reliable.Delivered
-	case delivered >= quorum:
-		rt.stopStat = reliable.DeliveredPartial
-	default:
-		rt.stopStat = reliable.Failed
-		verdictErr = &reliable.CrashError{
-			Crashed: crashed, Undelivered: orphaned,
-			Delivered: delivered, Quorum: quorum, Epoch: int(rt.epoch.Load()),
+	for _, v := range rt.nodes { // ascending
+		if v != rt.root && !rt.doneSet[v] {
+			rt.orphaned = append(rt.orphaned, v)
+		}
+		if !rt.Member(v) {
+			rt.crashed = append(rt.crashed, v)
 		}
 	}
-	rt.cfg.logf("verdict %v: %d/%d delivered, epoch %d", rt.stopStat, delivered, dests, int(rt.epoch.Load()))
+	orphaned, dests := rt.orphaned, len(rt.nodes)-1
+	var verdictErr error
+	rt.stopStat, verdictErr = reliable.Verdict(dests, orphaned, rt.crashed,
+		rt.rcfg.Quorum, rt.currentEpoch(), true, false)
+	if timedOut {
+		rt.stopStat = reliable.Failed
+		verdictErr = fmt.Errorf("mcastd: watchdog after %v: %d/%d delivered, orphaned %v (fabric %+v)",
+			rt.cfg.Timeout, dests-len(orphaned), dests, orphaned, rt.cfg.Net.Stats())
+	}
+	rt.cfg.logf("verdict %v: %d/%d delivered, epoch %d", rt.stopStat, dests-len(orphaned), dests, rt.currentEpoch())
 
 	// Acknowledged STOP to every remote host not confirmed dead,
 	// bounded by the drain deadline.
-	var remote []int
-	for _, v := range rt.cfg.Tree.Nodes() {
-		if v != rt.root && !rt.cfg.Net.Local(v) && rt.det.Phase(v) != membership.Crashed {
-			remote = append(remote, v)
-		}
-	}
-	if len(remote) > 0 {
-		pending := map[int]bool{}
-		for _, v := range remote {
-			pending[v] = true
-		}
-		msg := append(ctlMsg(ctlStop, int(rt.epoch.Load())), byte(rt.stopStat))
-		drain := time.NewTimer(rt.cfg.Drain)
-		defer drain.Stop()
-		bo := newBackoff(stopRetryBase, stopRetryMax, 0x57a9^uint64(rt.root+1)<<16)
-		resend := time.NewTimer(0)
-		defer resend.Stop()
-	stopLoop:
-		for len(pending) > 0 {
-			select {
-			case <-resend.C:
-				for v := range pending {
-					rt.cfg.Net.SendCtl(rt.root, v, msg)
-				}
-				resend.Reset(bo.next())
-			case e := <-rt.evs:
-				if e.kind == devStopAck {
-					delete(pending, e.b)
-				}
-			case <-drain.C:
-				rt.cfg.logf("drain deadline: %d STOP-ACKs outstanding", len(pending))
-				break stopLoop
-			}
-		}
-	}
-	rt.markStopped()
+	stopRemotes(rt.cfg, rt.Member, rt.stopAckC, rt.stopStat, rt.currentEpoch())
 	return verdictErr
 }
 
-// markDone records a destination's completion and retires its repair
-// state.
-func (rt *drt) markDone(v int) {
-	rt.doneSet[v] = true
-	delete(rt.deadWait, v)
+// awaited reports whether destination v still holds the run open: not
+// complete, not abandoned, and not confirmed dead (unless it rejoins).
+func (rt *drt) awaited(v int) bool {
+	return v != rt.root && !rt.doneSet[v] && rt.Member(v) && !rt.brain.Abandoned(v)
 }
 
-// verdictSets computes the orphaned destinations and confirmed-crashed
-// hosts for the final verdict.
-func (rt *drt) verdictSets() (orphaned, crashed []int) {
-	for _, v := range rt.cfg.Tree.Nodes() {
-		if v != rt.root && !rt.doneSet[v] {
-			orphaned = append(orphaned, v)
+// handleRoot folds one coordinator event into the root's state.
+func (rt *drt) handleRoot(e dev) {
+	switch e.kind {
+	case evLocalDone:
+		rt.cfg.logf("host %d delivered at %v", e.a, e.at)
+		rt.doneSet[e.a] = true
+	case ctlDone:
+		if !rt.cfg.Tree.Contains(e.a) {
+			break // a corrupted or foreign datagram must not skew the verdict
 		}
-		if rt.det.Phase(v) == membership.Crashed {
-			crashed = append(crashed, v)
+		if !rt.doneSet[e.a] {
+			rt.cfg.logf("root heard DONE from remote host %d", e.a)
+		}
+		rt.doneSet[e.a] = true
+		rt.cfg.sendCtl(rt.root, e.a, ctlFrame{kind: ctlDoneAck, a: e.a})
+		rt.pump.Beat(e.a, e.at)
+	case ctlBeat:
+		if rt.cfg.Tree.Contains(e.a) {
+			rt.pump.Beat(e.a, e.at)
+		}
+	case ctlAck:
+		rt.ackEdge(e)
+	case evLocalExhausted:
+		rt.cfg.logf("edge %d->%d exhausted; repairing", e.a, e.b)
+		rt.brain.Exhausted(e.a, e.b)
+	case ctlExhausted:
+		key := [2]int{e.a, e.b}
+		if e.c > rt.exhSeen[key] {
+			rt.exhSeen[key] = e.c
+			rt.cfg.logf("remote edge %d->%d exhausted (gen %d); repairing", e.a, e.b, e.c)
+			rt.brain.Exhausted(e.a, e.b)
+		}
+		// Always acknowledge, even for a replayed gen or an edge no
+		// longer in the shape: the reporter retries until KILLed.
+		rt.cfg.sendCtl(rt.root, e.a, ctlFrame{kind: ctlKill, a: e.a, b: e.b, c: rt.currentEpoch()})
+	}
+}
+
+// announceEpoch tells every remote host still believed alive the
+// current epoch.
+func (rt *drt) announceEpoch() {
+	for _, v := range rt.nodes {
+		if v != rt.root && !rt.cfg.Net.Local(v) && rt.Alive(v) {
+			rt.cfg.sendCtl(rt.root, v, ctlFrame{kind: ctlEpoch, a: rt.currentEpoch()})
 		}
 	}
-	sort.Ints(orphaned)
-	sort.Ints(crashed)
-	return orphaned, crashed
 }
 
 // refreshTick re-issues every idempotent repair order: pending GRAFTs,
@@ -1031,29 +624,21 @@ func (rt *drt) verdictSets() (orphaned, crashed []int) {
 // incomplete, no parent edge — e.g. a suspect that was excluded from an
 // adoption and then turned out to be alive).
 func (rt *drt) refreshTick() {
-	g := int(rt.epoch.Load())
 	for key := range rt.pendGraft {
-		rt.cfg.Net.SendCtl(rt.root, key[0], ctlMsg(ctlGraft, key[0], key[1], g))
+		rt.cfg.sendCtl(rt.root, key[0], ctlFrame{kind: ctlGraft, a: key[0], b: key[1], c: rt.currentEpoch()})
 	}
-	if g > 1 {
-		for _, v := range rt.cfg.Tree.Nodes() {
-			if v != rt.root && !rt.cfg.Net.Local(v) && rt.det.Phase(v) == membership.Alive {
-				rt.cfg.Net.SendCtl(rt.root, v, ctlMsg(ctlEpoch, g))
-			}
-		}
+	if rt.currentEpoch() > 1 {
+		rt.announceEpoch()
 	}
 	var lost []int
-	for _, v := range rt.cfg.Tree.Nodes() {
-		if v == rt.root || rt.doneSet[v] || rt.abandoned[v] || rt.deadWait[v] {
-			continue
-		}
-		if rt.parentOf[v] == -1 && rt.det.Phase(v) == membership.Alive {
+	for _, v := range rt.nodes {
+		if rt.awaited(v) && rt.brain.Parent(v) == -1 && rt.Alive(v) {
 			lost = append(lost, v)
 		}
 	}
 	if len(lost) > 0 {
 		rt.cfg.logf("sweep: re-grafting stranded hosts %v under the root", lost)
-		rt.graft(rt.root, lost)
+		rt.brain.Graft(rt.root, lost)
 	}
 }
 
@@ -1061,266 +646,95 @@ func (rt *drt) refreshTick() {
 // adoption on confirmation, re-admission on rejoin. Epoch advances are
 // broadcast to remote survivors immediately (and re-sent each refresh).
 func (rt *drt) handleEvents(evs []membership.Event) {
-	before := int(rt.epoch.Load())
+	before := rt.currentEpoch()
 	for _, ev := range evs {
+		rt.bumpEpoch(ev.Epoch)
+		h := ev.Host
 		switch ev.Kind {
 		case membership.Confirmed:
-			rt.bumpEpoch(ev.Epoch)
-			if ev.Host == rt.root {
+			if h == rt.root {
 				continue // the root is witnessed; it cannot be confirmed here
 			}
-			rt.cfg.logf("host %d confirmed dead (epoch %d)", ev.Host, ev.Epoch)
-			rt.confirmDead(ev.Host)
+			// Hosts of the same dead process are at least Suspect by now,
+			// so the brain leaves them out of the adoption; their own
+			// confirmations (or the stranded sweep, if they turn out to be
+			// alive) handle them.
+			rt.cfg.logf("host %d confirmed dead (epoch %d)", h, ev.Epoch)
+			rt.brain.Confirmed(h)
 		case membership.Rejoined:
-			rt.bumpEpoch(ev.Epoch)
-			rt.cfg.logf("host %d rejoined (epoch %d)", ev.Host, ev.Epoch)
-			rt.rejoin(ev.Host)
-		}
-	}
-	if g := int(rt.epoch.Load()); g > before {
-		for _, v := range rt.cfg.Tree.Nodes() {
-			if v != rt.root && !rt.cfg.Net.Local(v) && rt.det.Phase(v) == membership.Alive {
-				rt.cfg.Net.SendCtl(rt.root, v, ctlMsg(ctlEpoch, g))
+			rt.cfg.logf("host %d rejoined (epoch %d)", h, ev.Epoch)
+			if !rt.doneSet[h] {
+				rt.brain.Rejoined(h)
 			}
 		}
 	}
-}
-
-// confirmDead handles a confirmed host death: fence (the epoch already
-// advanced), retire its edges, and re-graft its incomplete subtree's
-// live survivors under its nearest live ancestor (Fig.-11). Hosts of
-// the same dead process are at least Suspect by now and are excluded;
-// their own confirmations (or the stranded sweep, if they turn out to
-// be alive) handle them.
-func (rt *drt) confirmDead(h int) {
-	adopter := rt.liveAncestor(h)
-	orphans := rt.incompleteSubtree(h)
-	rt.killEdgesIntoG(h)
-	rt.killEdgesOutOfG(h)
-	if !rt.doneSet[h] {
-		rt.deadWait[h] = true
-	}
-	var keep []int
-	for _, v := range orphans {
-		if v == h || rt.abandoned[v] || rt.det.Phase(v) != membership.Alive {
-			continue
-		}
-		keep = append(keep, v)
-	}
-	rt.graft(adopter, keep)
-}
-
-// rejoin re-admits a falsely-confirmed (or restarted) host under the
-// root with a full replay; duplicate suppression absorbs whatever it
-// already holds.
-func (rt *drt) rejoin(h int) {
-	delete(rt.deadWait, h)
-	if rt.doneSet[h] || rt.abandoned[h] {
-		return
-	}
-	rt.graft(rt.root, []int{h})
-}
-
-// liveAncestor walks up from h to the nearest ancestor still in the
-// current view (the root is always a member).
-func (rt *drt) liveAncestor(h int) int {
-	members := map[int]bool{}
-	for _, m := range rt.det.View().Members {
-		members[m] = true
-	}
-	v := rt.parentOf[h]
-	for v >= 0 && v != rt.root && !members[v] {
-		v = rt.parentOf[v]
-	}
-	if v < 0 {
-		return rt.root
-	}
-	return v
-}
-
-// incompleteSubtree collects the nodes in the subtree currently rooted
-// at h, h included, preorder over the root's global shape.
-func (rt *drt) incompleteSubtree(h int) []int {
-	var out []int
-	var walk func(u int)
-	walk = func(u int) {
-		out = append(out, u)
-		for _, c := range rt.childOf[u] {
-			walk(c)
-		}
-	}
-	walk(h)
-	return out
-}
-
-// exhaustedEdge handles a dead edge (budget spent or transport error):
-// retire the incarnation and repair the subtree behind it under the
-// sending endpoint (or its live ancestor).
-func (rt *drt) exhaustedEdge(a, b int) {
-	rt.deadPairs[[2]int{a, b}]++
-	rt.killEdgeG(a, b)
-	var orphans []int
-	for _, v := range rt.incompleteSubtree(b) {
-		if rt.abandoned[v] || rt.det.Phase(v) != membership.Alive {
-			continue
-		}
-		if rt.doneSet[v] && len(rt.childOf[v]) == 0 {
-			continue // completed leaf: nothing to repair
-		}
-		orphans = append(orphans, v)
-	}
-	adopter := a
-	if rt.det.Phase(a) != membership.Alive {
-		adopter = rt.liveAncestor(a)
-	}
-	rt.graft(adopter, orphans)
-}
-
-// killEdgesIntoG / killEdgesOutOfG / killEdgeG retire edges in the
-// root's global shape; local incarnations are cancelled directly,
-// remote ones receive a best-effort KILL (benign if lost: a stale edge
-// idles once its receiver is re-parented, suppressed by dedup).
-func (rt *drt) killEdgesIntoG(v int) {
-	if p := rt.parentOf[v]; p >= 0 {
-		rt.killEdgeG(p, v)
+	if rt.currentEpoch() > before {
+		rt.announceEpoch()
 	}
 }
 
-func (rt *drt) killEdgesOutOfG(v int) {
-	for _, c := range append([]int(nil), rt.childOf[v]...) {
-		rt.killEdgeG(v, c)
-	}
-}
-
-func (rt *drt) killEdgeG(a, b int) {
-	key := [2]int{a, b}
-	if !rt.shape[key] {
-		return
-	}
-	delete(rt.shape, key)
-	delete(rt.pendGraft, key)
-	for i, c := range rt.childOf[a] {
-		if c == b {
-			rt.childOf[a] = append(rt.childOf[a][:i], rt.childOf[a][i+1:]...)
-			break
-		}
-	}
-	rt.parentOf[b] = -1
-	if rt.nis[a] != nil {
-		rt.dropLocalEdge(a, b, true)
-	} else {
-		rt.cfg.Net.SendCtl(rt.root, a, ctlMsg(ctlKill, a, b, int(rt.epoch.Load())))
-	}
-}
-
-// abandon gives up on a destination: too many regrafts. Its edges are
-// retired and it is dropped from the wait set; the verdict reports it
-// orphaned.
-func (rt *drt) abandon(v int) {
-	if rt.abandoned[v] {
-		return
-	}
-	rt.cfg.logf("abandoning host %d after %d regrafts", v, rt.regrafts[v])
-	rt.abandoned[v] = true
-	rt.killEdgesIntoG(v)
-	rt.killEdgesOutOfG(v)
-}
-
-// graft re-parents the orphans onto a fresh k-binomial subtree under
-// adopter — the paper's Fig.-11 contention-free construction over the
-// survivors. Local new edges spawn EdgeSenders directly; remote ones
-// become GRAFT orders, tracked and re-sent each refresh until the
-// destination completes or the edge is superseded. Edges that would
-// reuse a dead transport pair fall back to a direct root edge, and a
-// destination re-grafted too often is abandoned.
-func (rt *drt) graft(adopter int, orphans []int) {
-	var keep []int
-	for _, v := range orphans {
-		if v == adopter || rt.abandoned[v] {
-			continue
-		}
-		rt.regrafts[v]++
-		if rt.regrafts[v] > rt.rcfg.MaxRegrafts {
-			rt.abandon(v)
-			continue
-		}
-		rt.killEdgesIntoG(v)
-		keep = append(keep, v)
-	}
-	if len(keep) == 0 {
-		return
-	}
-	sort.Ints(keep)
-	sub := tree.KBinomial(append([]int{adopter}, keep...), rt.k)
-	for _, e := range sub.Edges() {
-		a, b := e.Parent, e.Child
-		if rt.deadPairs[[2]int{a, b}] > 0 {
-			if a == rt.root || rt.deadPairs[[2]int{rt.root, b}] > 0 {
-				rt.abandon(b)
-				continue
-			}
-			a = rt.root
-		}
-		if rt.shape[[2]int{a, b}] {
-			continue
-		}
-		rt.installEdgeG(a, b)
-	}
-	rt.adoptions++
-}
-
-// installEdgeG adds edge a->b to the global shape: a local spawn when
-// this process owns a, a (refreshed) GRAFT order otherwise.
-func (rt *drt) installEdgeG(a, b int) {
-	key := [2]int{a, b}
-	rt.shape[key] = true
-	rt.parentOf[b] = a
-	rt.childOf[a] = append(rt.childOf[a], b)
+// Install, Retire, Alive, Member and Done make the root's drt the
+// brain's reliable.Runtime. A new edge is a local spawn when this
+// process owns its parent; otherwise a GRAFT order, tracked and re-sent
+// each refresh until the edge is superseded.
+func (rt *drt) Install(a, b int) {
 	if rt.nis[a] != nil {
 		rt.cfg.logf("graft: new local edge %d->%d", a, b)
 		rt.spawnEdge(a, b)
 		return
 	}
 	rt.cfg.logf("graft: ordering remote edge %d->%d", a, b)
-	rt.pendGraft[key] = true
-	rt.cfg.Net.SendCtl(rt.root, a, ctlMsg(ctlGraft, a, b, int(rt.epoch.Load())))
+	rt.pendGraft[[2]int{a, b}] = true
+	rt.cfg.sendCtl(rt.root, a, ctlFrame{kind: ctlGraft, a: a, b: b, c: rt.currentEpoch()})
 }
+
+// Retire cancels a local incarnation directly; a remote one receives a
+// best-effort KILL (benign if lost: a stale edge idles once its receiver
+// is re-parented, suppressed by dedup).
+func (rt *drt) Retire(a, b int) {
+	delete(rt.pendGraft, [2]int{a, b})
+	if rt.nis[a] != nil {
+		rt.dropLocalEdge(a, b)
+		return
+	}
+	rt.cfg.sendCtl(rt.root, a, ctlFrame{kind: ctlKill, a: a, b: b, c: rt.currentEpoch()})
+}
+
+// Alive trusts the detector alone: a Suspect host is left out of repairs.
+func (rt *drt) Alive(v int) bool  { return rt.det.Phase(v) == membership.Alive }
+func (rt *drt) Member(v int) bool { return rt.det.Phase(v) != membership.Crashed }
+func (rt *drt) Done(v int) bool   { return rt.doneSet[v] }
 
 // assemble builds the process's Result from quiescent state.
 func (rt *drt) assemble(runErr error) *Result {
 	res := &Result{
-		Hosts:  map[int]*HostReport{},
+		Hosts:  rt.reps,
 		Wall:   time.Since(rt.start),
 		Status: rt.stopStat,
-		Epoch:  int(rt.epoch.Load()),
+		Epoch:  rt.currentEpoch(),
 	}
-	if runErr != nil && !rt.rootLocal {
+	if runErr != nil && rt.brain == nil {
 		res.Status = reliable.Failed
 	}
 	for v, n := range rt.nis {
-		n.rep.Recvs = n.recvs
-		n.rep.Data = n.data
-		n.rep.DoneAt = n.doneAt
-		res.Hosts[v] = n.rep
-		res.Duplicates += n.dups
-		res.Fenced += n.fenced
+		rep := rt.reps[v]
+		rep.Recvs, rep.Data, rep.DoneAt = n.Recvs, n.Data, n.DoneAt
+		res.Duplicates += n.Dups
+		res.Fenced += n.Fenced
 	}
 	for _, e := range rt.allEdges {
-		res.Retransmits += e.es.Retransmits()
-		res.Fenced += e.es.Fenced()
-		if n := rt.nis[e.from]; n != nil {
-			n.rep.Sends += e.es.Sends()
-		}
+		res.Retransmits += e.Retransmits()
+		res.Fenced += e.Fenced()
+		rt.reps[e.From()].Sends += e.Sends()
 	}
-	if rt.rootLocal {
-		res.Adoptions = rt.adoptions
-		for v := range rt.doneSet {
-			if v != rt.root {
+	if rt.brain != nil {
+		res.Adoptions = rt.brain.Adoptions()
+		for _, v := range rt.nodes {
+			if v != rt.root && rt.doneSet[v] {
 				res.Completed = append(res.Completed, v)
 			}
 		}
-		sort.Ints(res.Completed)
-		res.Orphaned, res.Crashed = rt.verdictSets()
+		res.Orphaned, res.Crashed = rt.orphaned, rt.crashed
 	}
 	return res
 }

@@ -2,6 +2,7 @@ package mcastd
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -232,6 +233,20 @@ func TestReliableRejects(t *testing.T) {
 	} {
 		if _, err := RunReliable(cfg, tc.rcfg); err == nil {
 			t.Errorf("%s: RunReliable accepted a bad config", tc.name)
+		}
+	}
+	// Host ids and packet counts the 16-bit ctl fields cannot carry are
+	// rejected up front with a typed error, not truncated onto valid ones.
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"host-id-past-16-bits", Config{Tree: tree.Binomial([]int{0, 1 << 16}), Packets: pkts, MsgID: 1, Local: []int{0}, Net: nw}},
+		{"too-many-packets", Config{Tree: tr, Packets: make([][]byte, 1<<16+1), MsgID: 1, Local: []int{0}, Net: nw}},
+	} {
+		var re *RangeError
+		if _, err := RunReliable(tc.cfg, ReliableConfig{}); !errors.As(err, &re) {
+			t.Errorf("%s: err = %v, want *RangeError", tc.name, err)
 		}
 	}
 }

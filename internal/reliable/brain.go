@@ -1,0 +1,244 @@
+package reliable
+
+import (
+	"sort"
+
+	"repro/internal/tree"
+)
+
+// This file is the repair brain shared by the two wall-clock engines
+// (live.RunReliable and mcastd.RunReliable): the overlay's tree shape and
+// every decision that reshapes it — crash adoption, rejoin re-admission,
+// dead-edge repair, abandonment. It has no clock, goroutine or socket: it
+// is a pure function of the calls made on it and of what the Runtime
+// answers, so the same event script always yields the same Install/Retire
+// sequence, and it is tested without a wall clock.
+//
+// The virtual-time machine (repair.go, crash.go) deliberately keeps its
+// own repair: it routes around killed links on the switch graph
+// (Ord.Chain, hostReachable, applyKills), a model the socket-level
+// engines have no geometry for. It shares only Verdict.
+
+// Runtime is what the brain needs from the engine hosting it: a way to
+// bring tree edges up and down, and three facts about a host.
+type Runtime interface {
+	// Install brings up a fresh incarnation of edge a->b; the parent
+	// replays every packet it already holds into it.
+	Install(a, b int)
+	// Retire tears down the current incarnation of edge a->b.
+	Retire(a, b int)
+	// Alive reports whether v can take part in a repair right now.
+	Alive(v int) bool
+	// Member reports whether v is in the current membership view, i.e.
+	// has not been confirmed crashed.
+	Member(v int) bool
+	// Done reports whether v holds the complete message.
+	Done(v int) bool
+}
+
+// Brain owns the overlay's shape and repair bookkeeping. It is not safe
+// for concurrent use: the supervisor goroutine alone drives it.
+type Brain struct {
+	rt           Runtime
+	root, k      int
+	regraftLimit int
+	parent       map[int]int
+	children     map[int][]int
+	// deadPairs counts exhausted directed transport pairs; grafts route
+	// around them (root fallback) instead of replaying a dead pair forever.
+	deadPairs map[[2]int]int
+	regrafts  map[int]int
+	abandoned map[int]bool
+	adoptions int
+
+	// Logf, when non-nil, receives one line per abandonment.
+	Logf func(format string, args ...any)
+}
+
+// NewBrain starts from the planned tree; its edges are assumed up (the
+// engines wire them before any goroutine runs). The plan's fanout is
+// reused by every Fig.-11 regraft, and a destination grafted more than
+// maxRegrafts times is abandoned.
+func NewBrain(t *tree.Tree, maxRegrafts int, rt Runtime) *Brain {
+	b := &Brain{
+		rt:           rt,
+		root:         t.Root(),
+		k:            t.MaxDegree(),
+		regraftLimit: maxRegrafts,
+		parent:       map[int]int{},
+		children:     map[int][]int{},
+		deadPairs:    map[[2]int]int{},
+		regrafts:     map[int]int{},
+		abandoned:    map[int]bool{},
+	}
+	for _, v := range t.Nodes() {
+		b.parent[v] = -1
+	}
+	for _, e := range t.Edges() {
+		b.parent[e.Child] = e.Parent
+		b.children[e.Parent] = append(b.children[e.Parent], e.Child)
+	}
+	return b
+}
+
+// Parent returns v's current parent, -1 when v hangs off no edge.
+func (b *Brain) Parent(v int) int { return b.parent[v] }
+
+// Abandoned reports whether the brain gave up on v.
+func (b *Brain) Abandoned(v int) bool { return b.abandoned[v] }
+
+// Adoptions counts the grafts performed so far.
+func (b *Brain) Adoptions() int { return b.adoptions }
+
+// Confirmed handles a confirmed crash of h: its edges are retired and
+// the live members of its subtree re-grafted under its nearest live
+// ancestor. h itself and descendants that are not alive stay detached;
+// their own confirmation or rejoin resolves them.
+func (b *Brain) Confirmed(h int) {
+	adopter := b.LiveAncestor(h)
+	orphans := b.subtree(h)
+	b.retireInto(h)
+	b.retireOutOf(h)
+	var keep []int
+	for _, v := range orphans[1:] { // orphans[0] is h
+		if b.rt.Alive(v) {
+			keep = append(keep, v)
+		}
+	}
+	b.Graft(adopter, keep)
+}
+
+// Rejoined re-admits h under the root with a full replay: a rejoined host
+// is amnesiac, or was falsely confirmed and needs a live parent again
+// either way; duplicate suppression absorbs whatever it still holds.
+func (b *Brain) Rejoined(h int) { b.Graft(b.root, []int{h}) }
+
+// Exhausted handles edge a->c running out of retry budget (or its
+// transport dying): the pair is marked dead, the incarnation retired, and
+// the subtree behind it repaired under the sending endpoint, or under
+// a's nearest live ancestor when a is not alive itself.
+func (b *Brain) Exhausted(a, c int) {
+	b.deadPairs[[2]int{a, c}]++
+	b.retire(a, c)
+	var orphans []int
+	for _, v := range b.subtree(c) {
+		if !b.rt.Alive(v) {
+			continue
+		}
+		if b.rt.Done(v) && len(b.children[v]) == 0 {
+			continue // completed leaf: nothing to repair
+		}
+		orphans = append(orphans, v)
+	}
+	adopter := a
+	if !b.rt.Alive(a) {
+		adopter = b.LiveAncestor(a)
+	}
+	b.Graft(adopter, orphans)
+}
+
+// Graft re-parents the orphans onto a fresh k-binomial subtree under
+// adopter — the paper's Fig.-11 contention-free construction over the
+// survivors (ascending order stands in for the routed chain order: the
+// overlay has no switch geometry). Edges that would reuse a dead
+// transport pair, or hang off a parent abandoned on the way, fall back
+// to a direct root edge, and a destination re-grafted too often is
+// abandoned.
+func (b *Brain) Graft(adopter int, orphans []int) {
+	var keep []int
+	for _, v := range orphans {
+		if v == adopter || b.abandoned[v] {
+			continue
+		}
+		b.regrafts[v]++
+		if b.regrafts[v] > b.regraftLimit {
+			b.Abandon(v)
+			continue
+		}
+		b.retireInto(v)
+		keep = append(keep, v)
+	}
+	if len(keep) == 0 {
+		return
+	}
+	sort.Ints(keep)
+	sub := tree.KBinomial(append([]int{adopter}, keep...), b.k)
+	for _, e := range sub.Edges() {
+		a, c := e.Parent, e.Child
+		if b.deadPairs[[2]int{a, c}] > 0 || b.abandoned[a] { // a: abandoned earlier in this loop
+			if a == b.root || b.deadPairs[[2]int{b.root, c}] > 0 {
+				b.Abandon(c)
+				continue
+			}
+			a = b.root
+		}
+		b.parent[c] = a
+		b.children[a] = append(b.children[a], c)
+		b.rt.Install(a, c)
+	}
+	b.adoptions++
+}
+
+// Abandon gives up on destination v permanently: both its edge sets are
+// retired and no later graft touches it.
+func (b *Brain) Abandon(v int) {
+	if b.abandoned[v] {
+		return
+	}
+	if b.Logf != nil {
+		b.Logf("abandoning host %d after %d regrafts", v, b.regrafts[v])
+	}
+	b.abandoned[v] = true
+	b.retireInto(v)
+	b.retireOutOf(v)
+}
+
+// LiveAncestor walks up from h to the nearest ancestor still in the
+// membership view; a detached chain ends at the root.
+func (b *Brain) LiveAncestor(h int) int {
+	v := b.parent[h]
+	for v >= 0 && v != b.root && !b.rt.Member(v) {
+		v = b.parent[v]
+	}
+	if v < 0 {
+		return b.root
+	}
+	return v
+}
+
+// subtree collects the nodes currently rooted at h, h first, preorder.
+func (b *Brain) subtree(h int) []int {
+	out := []int{h}
+	for _, c := range b.children[h] {
+		out = append(out, b.subtree(c)...)
+	}
+	return out
+}
+
+func (b *Brain) retireInto(v int) {
+	if p := b.parent[v]; p >= 0 {
+		b.retire(p, v)
+	}
+}
+
+func (b *Brain) retireOutOf(v int) {
+	for _, c := range append([]int(nil), b.children[v]...) {
+		b.retire(v, c)
+	}
+}
+
+// retire drops edge a->c from the shape and has the runtime tear its
+// incarnation down; an edge not in the shape is left alone.
+func (b *Brain) retire(a, c int) {
+	if p, ok := b.parent[c]; !ok || p != a {
+		return
+	}
+	for i, x := range b.children[a] {
+		if x == c {
+			b.children[a] = append(b.children[a][:i], b.children[a][i+1:]...)
+			break
+		}
+	}
+	b.parent[c] = -1
+	b.rt.Retire(a, c)
+}

@@ -344,32 +344,47 @@ func (mc *machine) finish() (*Result, error) {
 			res.Latency = t
 		}
 	}
-	if len(res.Orphaned) == 0 {
-		res.Status = Delivered
-		return res, nil
+	var err error
+	res.Status, err = Verdict(len(mc.nodes)-1, res.Orphaned, res.Crashed,
+		mc.cfg.Quorum, res.Epoch, mc.det != nil, mc.rootCrashed)
+	var de *DeliveryError
+	if errors.As(err, &de) {
+		de.Partitioned = res.Partitioned
 	}
-	if mc.det == nil {
-		// Crash-free plan: the pre-crash contract, a *DeliveryError.
-		res.Status = Failed
-		return res, &DeliveryError{Orphaned: res.Orphaned, Partitioned: res.Partitioned}
+	return res, err
+}
+
+// Verdict settles a reliable multicast's outcome from what its engine
+// observed; the virtual-time machine, live.RunReliable and
+// mcastd.RunReliable all end here. dests counts the destinations,
+// orphaned lists those left without the full payload and crashed the
+// hosts down at the end; quorum <= 0 (or above dests) requires every
+// destination; armed says whether the membership plane ever ran.
+//
+// Every destination delivered is Delivered whatever else happened. An
+// unarmed run has no crash to blame: any orphan is a *DeliveryError, the
+// crash-free contract. An armed run that kept its root and reached the
+// quorum is DeliveredPartial; anything else is Failed with a *CrashError.
+func Verdict(dests int, orphaned, crashed []int, quorum, epoch int, armed, rootCrashed bool) (Status, error) {
+	if len(orphaned) == 0 {
+		return Delivered, nil
 	}
-	dests := len(mc.nodes) - 1
-	delivered := dests - len(res.Orphaned)
-	quorum := mc.cfg.Quorum
+	if !armed {
+		return Failed, &DeliveryError{Orphaned: orphaned}
+	}
+	delivered := dests - len(orphaned)
 	if quorum <= 0 || quorum > dests {
 		quorum = dests
 	}
-	if !mc.rootCrashed && delivered >= quorum {
-		res.Status = DeliveredPartial
-		return res, nil
+	if !rootCrashed && delivered >= quorum {
+		return DeliveredPartial, nil
 	}
-	res.Status = Failed
-	return res, &CrashError{
-		Crashed:     res.Crashed,
-		Undelivered: res.Orphaned,
+	return Failed, &CrashError{
+		Crashed:     crashed,
+		Undelivered: orphaned,
 		Delivered:   delivered,
 		Quorum:      quorum,
-		Epoch:       res.Epoch,
-		RootCrashed: mc.rootCrashed,
+		Epoch:       epoch,
+		RootCrashed: rootCrashed,
 	}
 }
