@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak bench bench-build ci figures clean live-race
+.PHONY: all build test race vet fmt check staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak bench bench-build ci figures clean live-race lines
 
 all: check
 
@@ -109,15 +109,19 @@ sched-soak:
 	$(GO) test -race -count=1 ./internal/sched
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 11 -workers 4 -only sched-matches-serial
 
-# Psim soak: the parallel-engine differential gate under the race
-# detector. Runs every internal/psim unit test (byte-identity vs the
-# serial simulator across disciplines, topologies and worker counts,
-# fault-plan replay, window-barrier edge cases), then a 120-case
-# psim-matches-sim sweep — each case compared bitwise against the serial
-# engine at psim worker counts 1 and 3, with the harness itself at 1 and
-# then 4 OS workers so worker-pool synchronization is raced too.
+# Psim soak: the windowed scheduler's differential gate under the race
+# detector. The scheduler lives in internal/sim (windowed.go) next to the
+# session model it shares with the serial loop; internal/psim is its
+# exported door and keeps its unit tests (byte-identity vs the serial loop
+# across disciplines, topologies and worker counts, fault-plan replay,
+# window-barrier edge cases). So both packages run here — internal/sim's
+# golden-fixture test holds sim.* and psim.* at 1 and 3 workers to the
+# recorded reference — then a 120-case psim-matches-sim sweep, each case
+# compared bitwise against the serial loop at psim worker counts 1 and 3,
+# with the harness itself at 1 and then 4 OS workers so worker-pool
+# synchronization is raced too.
 psim-soak:
-	$(GO) test -race -count=1 ./internal/psim
+	$(GO) test -race -count=1 ./internal/psim ./internal/sim
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 13 -workers 1 -only psim-matches-sim
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 13 -workers 4 -only psim-matches-sim
 
@@ -160,6 +164,13 @@ ci: check staticcheck live-race bench-build mcastcheck chaos-soak net-soak daemo
 
 figures:
 	$(GO) run ./cmd/figures -out figures
+
+# Lines: non-test Go lines (wc -l) per package directory, bench/ excluded
+# — the figure behind every "lines removed" claim in CHANGES.md.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 clean:
 	$(GO) clean ./...

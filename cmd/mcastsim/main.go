@@ -32,12 +32,13 @@
 // view installed while the session reconfigured, and -quorum Q accepts a
 // partial delivery of at least Q destinations instead of failing.
 //
-// -workers N runs the packet-model simulation on the sharded parallel
-// discrete-event engine (internal/psim): hosts are partitioned across N
-// workers that process conservative lookahead windows in parallel, and
-// the result is byte-identical to the serial simulator at any worker
-// count. -mesh ARITYxDIMS swaps the irregular testbed for a mesh, which
-// is how the 100k-host configurations are built:
+// -workers N runs the packet-model simulation under the windowed
+// scheduler (internal/psim) instead of the serial loop: the same session
+// model, with hosts partitioned across N workers that process
+// conservative lookahead windows in parallel, and a result that is
+// byte-identical to the serial one at any worker count. -mesh ARITYxDIMS
+// swaps the irregular testbed for a mesh, which is how the 100k-host
+// configurations are built:
 //
 //	mcastsim -mesh 317x2 -dests 100488 -packets 2 -tree k -k 4 -workers 4
 //
@@ -124,7 +125,7 @@ func main() {
 	liveTimeout := flag.Duration("live-timeout", 0, "watchdog timeout for -live runs (0 = the 30s default)")
 	model := flag.String("model", "packet", "network model: packet (fast reservation) or flit (cycle-accurate wormhole)")
 	mesh := flag.String("mesh", "", "use an ARITYxDIMS mesh instead of the irregular testbed (e.g. 317x2 = 100489 hosts)")
-	workers := flag.Int("workers", 0, "simulate on the sharded parallel event engine with N workers (0 = serial engine)")
+	workers := flag.Int("workers", 0, "simulate under the windowed parallel scheduler with N workers (0 = serial loop)")
 	reliableRun := flag.Bool("reliable", false, "use the ACK/NACK reliable-delivery protocol (implied by any fault flag)")
 	droprate := flag.Float64("droprate", 0, "per-transmission packet loss probability [0,1)")
 	faultSpec := flag.String("faults", "", "fault directives: kill:LINK@T,stall:HOST@FROM-UNTIL,corrupt:P,ackdrop:P,seed:N")
@@ -241,46 +242,58 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mcastsim: unknown model %q\n", *model)
 		os.Exit(1)
 	}
+	// One packet-model path: the serial loop and the windowed scheduler
+	// run the same session model, so only the engine call and the psim:
+	// line differ.
+	p := repro.DefaultParams()
+	one := []sim.Session{{Tree: plan.Tree, Packets: spec.Packets}}
+	traced := *timeline || *traceJSON != ""
+	var (
+		res    *sim.ConcurrentResult
+		events []sim.TraceEvent
+		ws     psim.WindowStats
+		engine string
+	)
 	if *workers > 0 {
-		fmt.Printf("system: %s (seed %d)\n", sys.Net.Summary(), *seed)
-		fmt.Printf("spec:   source h%d, %d destinations, %d packets, %s tree, %s NI (parallel engine)\n",
-			spec.Source, len(spec.Dests), spec.Packets, policy, disc)
-		fmt.Printf("plan:   k=%d, tree depth=%d, root degree=%d, model bound %d steps, measured %d steps\n",
-			plan.K, plan.Tree.Depth(), plan.Tree.RootDegree(), plan.ModelSteps, plan.Steps())
-		runPsim(sys, plan, disc, *workers, *verbose, *timeline, *traceJSON)
-		return
+		engine = " (parallel engine)"
+		res, events = psim.ConcurrentTraced(sys.Router, one, p, disc, traced,
+			psim.Config{Workers: *workers, Stats: &ws})
+	} else {
+		res, events = sim.ConcurrentTraced(sys.Router, one, p, disc, traced)
 	}
-	res := sys.Simulate(plan, repro.DefaultParams(), disc)
+	maxBuf := 0
+	for _, b := range res.MaxBuffered {
+		maxBuf = max(maxBuf, b)
+	}
 
 	fmt.Printf("system: %s (seed %d)\n", sys.Net.Summary(), *seed)
-	fmt.Printf("spec:   source h%d, %d destinations, %d packets, %s tree, %s NI\n",
-		spec.Source, len(spec.Dests), spec.Packets, policy, disc)
+	fmt.Printf("spec:   source h%d, %d destinations, %d packets, %s tree, %s NI%s\n",
+		spec.Source, len(spec.Dests), spec.Packets, policy, disc, engine)
 	fmt.Printf("plan:   k=%d, tree depth=%d, root degree=%d, model bound %d steps, measured %d steps\n",
 		plan.K, plan.Tree.Depth(), plan.Tree.RootDegree(), plan.ModelSteps, plan.Steps())
 	fmt.Printf("result: latency %.1f us, %d sends, channel wait %.1f us, peak NI buffer %d packets\n",
-		res.Latency, res.Sends, res.ChannelWait, res.MaxBufferedOverall())
+		res.Sessions[0].Latency, res.Sends, res.ChannelWait, maxBuf)
+	if *workers > 0 {
+		fmt.Printf("psim:   %d workers, %d windows of lookahead %.2f us, %d events (%.0f/window, min %.0f max %.0f), %d cross-partition deliveries\n",
+			ws.Workers, ws.Windows, ws.Lookahead, ws.Events,
+			ws.PerWindow.Mean(), ws.PerWindow.Min(), ws.PerWindow.Max(), ws.Mailed)
+	}
 
 	if *verbose {
 		fmt.Println("\nper-destination completion (us):")
 		for _, d := range plan.Chain[1:] {
-			fmt.Printf("  h%-3d %8.1f\n", d, res.HostDone[d])
+			fmt.Printf("  h%-3d %8.1f\n", d, res.Sessions[0].HostDone[d])
 		}
 		fmt.Println("\nchain order: " + joinInts(plan.Chain))
 	}
-
-	if *timeline || *traceJSON != "" {
-		_, events := sim.ConcurrentTraced(sys.Router,
-			[]sim.Session{{Tree: plan.Tree, Packets: spec.Packets}},
-			repro.DefaultParams(), disc, true)
-		if *timeline {
-			fmt.Println()
-			fmt.Print(trace.Timeline(events, trace.TimelineOptions{Width: 100, Session: -1}))
-			fmt.Println()
-			fmt.Print(trace.Collect(events).String())
-		}
-		if *traceJSON != "" {
-			writeChromeTrace(*traceJSON, events)
-		}
+	if *timeline {
+		fmt.Println()
+		fmt.Print(trace.Timeline(events, trace.TimelineOptions{Width: 100, Session: -1}))
+		fmt.Println()
+		fmt.Print(trace.Collect(events).String())
+	}
+	if *traceJSON != "" {
+		writeChromeTrace(*traceJSON, events)
 	}
 }
 
@@ -296,51 +309,6 @@ func parseMesh(spec string) (arity, dims int, err error) {
 		return 0, 0, fmt.Errorf("geometry %q: arity must be >= 2 and dims >= 1", spec)
 	}
 	return arity, dims, nil
-}
-
-// runPsim simulates the plan on the sharded parallel event engine
-// (internal/psim) and reports the result — byte-identical to the serial
-// simulator's by construction — plus the engine's window statistics.
-func runPsim(sys *repro.System, plan *repro.Plan, disc repro.Discipline, workers int, verbose, timeline bool, traceJSON string) {
-	p := repro.DefaultParams()
-	sessions := []repro.Session{{Tree: plan.Tree, Packets: plan.Spec.Packets}}
-	var ws psim.WindowStats
-	cfg := psim.Config{Workers: workers, Stats: &ws}
-	var res *repro.ConcurrentResult
-	var events []sim.TraceEvent
-	if timeline || traceJSON != "" {
-		res, events = psim.ConcurrentTraced(sys.Router, sessions, p, disc, true, cfg)
-	} else {
-		res = psim.Concurrent(sys.Router, sessions, p, disc, cfg)
-	}
-
-	maxBuf := 0
-	for _, b := range res.MaxBuffered {
-		if b > maxBuf {
-			maxBuf = b
-		}
-	}
-	fmt.Printf("result: latency %.1f us, %d sends, channel wait %.1f us, peak NI buffer %d packets\n",
-		res.Sessions[0].Latency, res.Sends, res.ChannelWait, maxBuf)
-	fmt.Printf("psim:   %d workers, %d windows of lookahead %.2f us, %d events (%.0f/window, min %.0f max %.0f), %d cross-partition deliveries\n",
-		ws.Workers, ws.Windows, ws.Lookahead, ws.Events,
-		ws.PerWindow.Mean(), ws.PerWindow.Min(), ws.PerWindow.Max(), ws.Mailed)
-
-	if verbose {
-		fmt.Println("\nper-destination completion (us):")
-		for _, d := range plan.Chain[1:] {
-			fmt.Printf("  h%-3d %8.1f\n", d, res.Sessions[0].HostDone[d])
-		}
-	}
-	if timeline {
-		fmt.Println()
-		fmt.Print(trace.Timeline(events, trace.TimelineOptions{Width: 100, Session: -1}))
-		fmt.Println()
-		fmt.Print(trace.Collect(events).String())
-	}
-	if traceJSON != "" {
-		writeChromeTrace(traceJSON, events)
-	}
 }
 
 // runSched is the sustained-load mode: n sessions with rotating seeded

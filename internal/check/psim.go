@@ -36,12 +36,16 @@ func (w *world) psimSessions() []sim.Session {
 	return sessions
 }
 
-// checkPsimMatchesSim is the parallel engine's differential gate: the
-// instance's workload runs through psim at every pool size and must be
-// byte-identical to the serial event engine — the same ConcurrentResult
-// (bitwise floats included: completion times, latencies, channel wait),
-// the same trace in the same order, and under faults the same RNG draw
-// sequence and therefore the same drops, stalls and dead sends.
+// checkPsimMatchesSim is the windowed scheduler's differential gate. Both
+// sides run one session model (internal/sim/model.go), so this compares
+// schedulers — the serial loop is the reference — not two models; the
+// model itself is held by sim's golden fixtures and the stepsim, theorem
+// and flit invariants. The instance's workload runs through psim at every
+// pool size and must be byte-identical to the serial loop — the same
+// ConcurrentResult (bitwise floats included: completion times, latencies,
+// channel wait), the same trace in the same order, and under faults the
+// same RNG draw sequence and therefore the same drops, stalls and dead
+// sends.
 // Conservative windows and partitioning may only change who computes
 // what, never what is computed.
 func checkPsimMatchesSim(w *world) error {

@@ -1,582 +1,51 @@
-// Package psim is a parallel discrete-event execution mode for the
-// packetized-multicast simulator: hosts are partitioned across a fixed
-// worker pool, each worker advances its partition's events through
-// conservative time windows, and all shared-state effects — channel
-// reservations, fault sampling, trace records, result counters — are
-// resolved serially at window barriers in the exact order the serial
-// engine would have produced them.
-//
-// The serial engine (package sim) stays the differential oracle: a psim
-// run is byte-identical to sim.Concurrent at ANY worker count — same
-// event order, same fault-RNG draw order, same traces, same stats. The
-// construction that makes this possible:
-//
-//   - Lookahead. Every consequence of an injection intended at time τ
-//     materializes at or after τ + t_ns + wire (the NI must spend t_ns
-//     before the packet can even enter a channel, and the wire holds it
-//     for wire time). So a window [T0, T0+δ) with δ = t_ns + wire can be
-//     processed without seeing any event another partition creates inside
-//     the same window: everything created by window events lands at or
-//     beyond the window's end and is exchanged at the barrier.
-//   - Order. The serial engine orders events by (time, seq) where seq is
-//     assigned in creation order. psim replays seq exactly: workers record
-//     the *intent* actions of their window in per-event creation order,
-//     the barrier merges all workers' action streams by creator order
-//     (creator event key, then action index) — which equals the serial
-//     processing order — and assigns seq from a global counter as it
-//     resolves each intent. Only host-local state (receive counts, NI
-//     queues, buffer occupancy) is touched in parallel; it depends only on
-//     the host's own event subsequence, which every schedule preserves.
-//   - Conventional forwards. The one event kind a window can create
-//     inside itself (host-level store-and-forward copies at τ + t_r +
-//     i·t_s, which can undercut δ) is created by a deliver and creates
-//     only intents. Such events carry their creator's key until the
-//     barrier assigns their seq; the key comparator orders them exactly
-//     where the serial engine would have popped them.
-//
-// Partitioning affects only which worker executes a host's events and how
-// much cross-partition mail the barrier routes — never the results.
+// Package psim is the exported door to the packet simulator's windowed
+// scheduler: the same session model as package sim (the NI disciplines,
+// path reservation, fault draws and result assembly are sim's, not copies
+// of them), driven by a pool of workers instead of sim's serial loop.
+// Hosts are partitioned across cfg.Workers workers, each worker processes
+// its partition's events through conservative lookahead windows, and every
+// shared-state effect is resolved at the window barrier in the order the
+// serial loop would have resolved it — so a psim run is byte-identical to
+// sim.Concurrent at ANY worker count: same event order, same fault-RNG
+// draw order, same traces, same stats. The construction lives in
+// internal/sim/windowed.go; this package keeps the names callers use.
 package psim
 
 import (
-	"fmt"
-	"math"
-	"sync"
-
 	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/stepsim"
-	"repro/internal/topology"
-	"repro/internal/tree"
 )
 
-// Config controls the parallel execution mode.
-type Config struct {
-	// Workers is the worker-pool size; values < 1 mean 1. Results are
-	// identical at every worker count.
-	Workers int
-	// Parts optionally assigns each host to a worker (len = NumHosts,
-	// values in [0, Workers)). Nil means topology.Partition: contiguous
-	// slabs on grids, hashing on irregular networks. Empty partitions are
-	// allowed.
-	Parts []int
-	// Window optionally shortens the conservative window (microseconds).
-	// The effective window is min(Window, lookahead) when Window > 0;
-	// tiny values degrade to one-timestamp windows. Results do not depend
-	// on the window length.
-	Window float64
-	// Routes optionally supplies precomputed routes keyed by {parent,
-	// child}; missing entries fall back to the router. Precomputing lets
-	// benchmarks price the event engine rather than route construction.
-	Routes map[[2]int]routing.Route
-	// Stats, when non-nil, receives window/synchronization counters.
-	Stats *WindowStats
-}
+// Config controls the parallel execution mode: Workers, Parts, Window,
+// Routes and Stats.
+type Config = sim.WindowConfig
 
 // WindowStats reports how a parallel run synchronized.
-type WindowStats struct {
-	Workers   int           // effective worker count
-	Lookahead float64       // effective window length (us)
-	Windows   int           // conservative windows executed
-	Events    int           // events processed across all workers
-	Mailed    int           // deliveries that crossed a partition boundary
-	PerWindow stats.Summary // events per window
-}
+type WindowStats = sim.WindowStats
 
 // Concurrent is the parallel counterpart of sim.Concurrent: identical
 // results, computed by cfg.Workers workers.
 func Concurrent(router routing.Router, sessions []sim.Session, p sim.Params, disc stepsim.Discipline, cfg Config) *sim.ConcurrentResult {
-	res, _ := run(router, sessions, p, disc, false, nil, cfg)
+	res, _ := sim.ConcurrentWindowed(router, sessions, p, disc, false, nil, cfg)
 	return res
 }
 
 // ConcurrentTraced is the parallel counterpart of sim.ConcurrentTraced;
-// the trace is byte-identical to the serial engine's.
+// the trace is byte-identical to the serial loop's.
 func ConcurrentTraced(router routing.Router, sessions []sim.Session, p sim.Params, disc stepsim.Discipline, traced bool, cfg Config) (*sim.ConcurrentResult, []sim.TraceEvent) {
-	return run(router, sessions, p, disc, traced, nil, cfg)
+	return sim.ConcurrentWindowed(router, sessions, p, disc, traced, nil, cfg)
 }
 
 // ConcurrentFaulty is the parallel counterpart of sim.ConcurrentFaulty.
 // Fault decisions are sampled at the barriers in serial event order, so
 // the fault-RNG draw sequence — and therefore every loss, stall and
-// dead-link outcome — matches the serial engine's exactly.
+// dead-link outcome — matches the serial loop's exactly.
 func ConcurrentFaulty(router routing.Router, sessions []sim.Session, p sim.Params, disc stepsim.Discipline, plan sim.FaultPlan, cfg Config) (*sim.ConcurrentResult, error) {
 	fs, err := plan.Arm()
 	if err != nil {
 		return nil, err
 	}
-	res, _ := run(router, sessions, p, disc, false, fs, cfg)
+	res, _ := sim.ConcurrentWindowed(router, sessions, p, disc, false, fs, cfg)
 	return res, nil
-}
-
-// sessTab is one session's state in dense SoA form. Slots index the
-// session's tree nodes; per-slot fields are written only by the worker
-// owning the slot's host, so the table is shared without locks.
-type sessTab struct {
-	tr    *tree.Tree
-	m     int
-	start float64
-	nodes []int32 // tree nodes in Tree.Nodes() order; slot = position
-	slot  []int32 // host -> slot+1 (0 = host not in session); len numHosts
-
-	recv      []int32   // slot -> packets received
-	parent    []int32   // slot -> parent host (-1 at root)
-	deg       []int32   // slot -> child count
-	childBase []int32   // slot -> first index into edges
-	copies    []int32   // slot*m + pkt -> forwarding copies still to send
-	niDone    []float64 // slot -> NI completion time (-1 = not complete)
-	hostDone  []float64 // slot -> host completion time
-
-	edges []edgeTo // flattened child edges, grouped by slot
-}
-
-// edgeTo is one tree edge with its precomputed route.
-type edgeTo struct {
-	child int32
-	route routing.Route
-}
-
-// qop is one pending injection in a host's NI queue.
-type qop struct {
-	sess   int32
-	edge   int32
-	packet int32
-}
-
-// hostQueue is an NI send queue consumed by head index.
-type hostQueue struct {
-	ops  []qop
-	head int
-}
-
-// engine is one parallel run plus its recyclable carcass.
-type engine struct {
-	p      sim.Params
-	disc   stepsim.Discipline
-	router routing.Router
-	wire   float64
-	ports  int
-	window float64
-	wEnd   float64
-	traced bool
-	faults *sim.FaultState
-	specs  []sim.Session
-
-	numHosts int
-	owner    []int32
-	tabs     []*sessTab
-	nTabs    int
-
-	// per-host NI state, indexed by host id; written only by the owner
-	// worker, reset lazily by epoch stamp.
-	inFlight  []int32
-	buffered  []int32
-	maxBuf    []int32
-	queues    []hostQueue
-	hostEpoch []uint64
-	epoch     uint64
-	involved  []int32
-
-	chanFree  []float64
-	routes    map[[2]int]routing.Route // private cache (keyed to router identity)
-	cfgRoutes map[[2]int]routing.Route
-	ctr       uint64 // replica of the serial engine's seq counter
-
-	workers []worker
-	heads   []int // barrier merge cursors
-
-	res     *sim.ConcurrentResult
-	trace   *[]sim.TraceEvent
-	wstats  *WindowStats
-	crossed int
-}
-
-var enginePool = sync.Pool{New: func() any {
-	return &engine{routes: make(map[[2]int]routing.Route)}
-}}
-
-func run(router routing.Router, sessions []sim.Session, p sim.Params, disc stepsim.Discipline, traced bool, faults *sim.FaultState, cfg Config) (*sim.ConcurrentResult, []sim.TraceEvent) {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	if len(sessions) == 0 {
-		panic("psim: no sessions")
-	}
-	e := enginePool.Get().(*engine)
-	defer func() {
-		e.specs, e.faults, e.res, e.trace, e.wstats = nil, nil, nil, nil, nil
-		enginePool.Put(e)
-	}()
-	e.setup(router, sessions, p, disc, traced, faults, cfg)
-	var events []sim.TraceEvent
-	if traced {
-		e.trace = &events
-	}
-	e.loop(cfg)
-	e.finish()
-	return e.res, events
-}
-
-// setup builds the run state: partition, session tables, initial events.
-func (e *engine) setup(router routing.Router, sessions []sim.Session, p sim.Params, disc stepsim.Discipline, traced bool, faults *sim.FaultState, cfg Config) {
-	net := router.Network()
-	e.p, e.disc, e.traced, e.faults = p, disc, traced, faults
-	e.specs = sessions
-	e.wire = p.WireTime()
-	e.ports = p.Ports()
-	e.numHosts = net.NumHosts()
-	e.ctr = uint64(len(sessions))
-	e.crossed = 0
-	e.wstats = cfg.Stats
-	e.cfgRoutes = cfg.Routes
-	if e.router != router {
-		e.router = router
-		clear(e.routes)
-	}
-
-	// Lookahead: min over everything an intent at τ can cause. The
-	// earliest is the sender-side completion at start+wire with start >=
-	// τ + t_ns (plus any stall), so δ = t_ns + wire. Params.Validate
-	// guarantees t_ns > 0 and wire > 0, hence δ > 0.
-	e.window = p.TNISend + e.wire
-	if cfg.Window > 0 && cfg.Window < e.window {
-		e.window = cfg.Window
-	}
-
-	nw := cfg.Workers
-	if nw < 1 {
-		nw = 1
-	}
-	if cap(e.workers) < nw {
-		e.workers = make([]worker, nw)
-	} else {
-		e.workers = e.workers[:nw]
-	}
-	for i := range e.workers {
-		w := &e.workers[i]
-		w.heap = w.heap[:0]
-		w.inbox = w.inbox[:0]
-		w.actions = w.actions[:0]
-	}
-	if cap(e.heads) < nw {
-		e.heads = make([]int, nw)
-	} else {
-		e.heads = e.heads[:nw]
-	}
-
-	if cfg.Parts != nil {
-		if len(cfg.Parts) != e.numHosts {
-			panic(fmt.Sprintf("psim: %d partition entries for %d hosts", len(cfg.Parts), e.numHosts))
-		}
-		if cap(e.owner) < e.numHosts {
-			e.owner = make([]int32, e.numHosts)
-		} else {
-			e.owner = e.owner[:e.numHosts]
-		}
-		for h, part := range cfg.Parts {
-			if part < 0 || part >= nw {
-				panic(fmt.Sprintf("psim: host %d assigned to worker %d of %d", h, part, nw))
-			}
-			e.owner[h] = int32(part)
-		}
-	} else {
-		parts := topology.Partition(net, nw)
-		if cap(e.owner) < e.numHosts {
-			e.owner = make([]int32, e.numHosts)
-		} else {
-			e.owner = e.owner[:e.numHosts]
-		}
-		for h, part := range parts {
-			e.owner[h] = int32(part)
-		}
-	}
-
-	if cap(e.chanFree) < net.NumChannels() {
-		e.chanFree = make([]float64, net.NumChannels())
-	} else {
-		e.chanFree = e.chanFree[:net.NumChannels()]
-		for i := range e.chanFree {
-			e.chanFree[i] = 0
-		}
-	}
-
-	grow := func(n int) {
-		if cap(e.inFlight) < n {
-			e.inFlight = make([]int32, n)
-			e.buffered = make([]int32, n)
-			e.maxBuf = make([]int32, n)
-			e.queues = make([]hostQueue, n)
-			e.hostEpoch = make([]uint64, n)
-		} else {
-			e.inFlight = e.inFlight[:n]
-			e.buffered = e.buffered[:n]
-			e.maxBuf = e.maxBuf[:n]
-			e.queues = e.queues[:n]
-			e.hostEpoch = e.hostEpoch[:n]
-		}
-	}
-	grow(e.numHosts)
-	e.epoch++
-	e.involved = e.involved[:0]
-
-	if cap(e.tabs) < len(sessions) {
-		tabs := make([]*sessTab, len(sessions))
-		copy(tabs, e.tabs[:e.nTabs])
-		e.tabs = tabs
-	} else {
-		e.tabs = e.tabs[:len(sessions)]
-	}
-	if e.nTabs > len(e.tabs) {
-		e.nTabs = len(e.tabs)
-	}
-
-	for si, sess := range sessions {
-		if sess.Packets < 1 {
-			panic(fmt.Sprintf("psim: session %d has %d packets", si, sess.Packets))
-		}
-		if sess.Start < 0 {
-			panic(fmt.Sprintf("psim: session %d starts at %f", si, sess.Start))
-		}
-		tab := e.tabs[si]
-		if tab == nil {
-			tab = &sessTab{}
-			e.tabs[si] = tab
-			if si >= e.nTabs {
-				e.nTabs = si + 1
-			}
-		}
-		e.fillTab(tab, sess)
-	}
-
-	// Initial events: one start per session, with the exact seq numbers
-	// 1..S the serial engine hands its start callbacks.
-	for si, sess := range sessions {
-		root := sess.Tree.Root()
-		e.mail(pevent{
-			at:   sess.Start + p.THostSend,
-			ord:  uint64(si + 1),
-			kind: evStart,
-			sess: int32(si),
-			host: int32(root),
-		})
-	}
-
-	e.res = &sim.ConcurrentResult{
-		Sessions:    make([]sim.SessionResult, len(sessions)),
-		MaxBuffered: map[int]int{},
-	}
-}
-
-// fillTab populates one session table, reusing the previous run's
-// storage. The slot index is cleared via the previous node list, so reset
-// cost scales with session size, not host count.
-func (e *engine) fillTab(tab *sessTab, sess sim.Session) {
-	for _, v := range tab.nodes {
-		if int(v) < len(tab.slot) {
-			tab.slot[v] = 0
-		}
-	}
-	if cap(tab.slot) < e.numHosts {
-		tab.slot = make([]int32, e.numHosts)
-	} else {
-		tab.slot = tab.slot[:e.numHosts]
-	}
-
-	nodes := sess.Tree.Nodes()
-	n := len(nodes)
-	m := sess.Packets
-	tab.tr, tab.m, tab.start = sess.Tree, m, sess.Start
-	tab.nodes = resizeI32(tab.nodes, n)
-	tab.recv = resizeI32(tab.recv, n)
-	tab.parent = resizeI32(tab.parent, n)
-	tab.deg = resizeI32(tab.deg, n)
-	tab.childBase = resizeI32(tab.childBase, n)
-	tab.copies = resizeI32(tab.copies, n*m)
-	tab.niDone = resizeF64(tab.niDone, n)
-	tab.hostDone = resizeF64(tab.hostDone, n)
-	tab.edges = tab.edges[:0]
-
-	for slot, v := range nodes {
-		tab.nodes[slot] = int32(v)
-		tab.slot[v] = int32(slot + 1)
-		tab.recv[slot] = 0
-		tab.niDone[slot] = -1
-		tab.hostDone[slot] = -1
-		if parent, ok := sess.Tree.Parent(v); ok {
-			tab.parent[slot] = int32(parent)
-		} else {
-			tab.parent[slot] = -1
-		}
-		children := sess.Tree.Children(v)
-		tab.deg[slot] = int32(len(children))
-		tab.childBase[slot] = int32(len(tab.edges))
-		for _, c := range children {
-			tab.edges = append(tab.edges, edgeTo{child: int32(c), route: e.route(v, c)})
-		}
-		e.touch(int32(v))
-	}
-}
-
-// route resolves parent->child, preferring the caller-provided table,
-// then the engine's router-keyed cache, then the router itself.
-func (e *engine) route(v, c int) routing.Route {
-	key := [2]int{v, c}
-	if e.cfgRoutes != nil {
-		if r, ok := e.cfgRoutes[key]; ok {
-			return r
-		}
-	}
-	if r, ok := e.routes[key]; ok {
-		return r
-	}
-	r := e.router.Route(v, c)
-	e.routes[key] = r
-	return r
-}
-
-// touch resets host h's NI state on first use this run.
-func (e *engine) touch(h int32) {
-	if e.hostEpoch[h] != e.epoch {
-		e.hostEpoch[h] = e.epoch
-		e.involved = append(e.involved, h)
-		e.inFlight[h], e.buffered[h], e.maxBuf[h] = 0, 0, 0
-		q := &e.queues[h]
-		q.ops, q.head = q.ops[:0], 0
-	}
-}
-
-// mail routes an event to its host's worker inbox.
-func (e *engine) mail(ev pevent) {
-	w := &e.workers[e.owner[ev.host]]
-	w.inbox = append(w.inbox, ev)
-}
-
-// loop drives conservative windows until no events remain.
-func (e *engine) loop(cfg Config) {
-	nw := len(e.workers)
-	var pool *workerPool
-	if nw > 1 {
-		pool = startPool(e)
-		defer pool.stop()
-	}
-	windows, totalEvents := 0, 0
-	var perWindow stats.Summary
-	for {
-		// Phase A (parallel): drain inboxes into heaps, report minima.
-		if pool != nil {
-			pool.broadcast(phaseDrain)
-		} else {
-			e.workers[0].drain()
-		}
-		t0 := math.Inf(1)
-		for i := range e.workers {
-			if e.workers[i].localMin < t0 {
-				t0 = e.workers[i].localMin
-			}
-		}
-		if math.IsInf(t0, 1) {
-			break
-		}
-		wEnd := t0 + e.window
-		if !(wEnd > t0) {
-			// Zero-lookahead degradation (tiny Window override, or t0 so
-			// large the window underflows the float grid): process exactly
-			// the events at t0.
-			wEnd = math.Nextafter(t0, math.Inf(1))
-		}
-		e.wEnd = wEnd
-		// Phase B (parallel): each worker runs its partition's window.
-		if pool != nil {
-			pool.broadcast(phaseWindow)
-		} else {
-			e.runWindow(&e.workers[0])
-		}
-		// Barrier (serial): merge action streams in serial order, resolve
-		// intents, distribute the created events.
-		e.barrier()
-		windows++
-		n := 0
-		for i := range e.workers {
-			n += e.workers[i].processed
-		}
-		totalEvents += n
-		perWindow.Add(float64(n))
-	}
-	if e.wstats != nil {
-		*e.wstats = WindowStats{
-			Workers:   nw,
-			Lookahead: e.window,
-			Windows:   windows,
-			Events:    totalEvents,
-			Mailed:    e.crossed,
-			PerWindow: perWindow,
-		}
-	}
-}
-
-// finish assembles the ConcurrentResult exactly as the serial engine does.
-func (e *engine) finish() {
-	for si, tab := range e.tabs[:len(e.specs)] {
-		sr := &e.res.Sessions[si]
-		sr.NIDone = make(map[int]float64, len(tab.nodes)-1)
-		sr.HostDone = make(map[int]float64, len(tab.nodes)-1)
-		for slot, v := range tab.nodes {
-			if tab.niDone[slot] >= 0 {
-				sr.NIDone[int(v)] = tab.niDone[slot]
-				sr.HostDone[int(v)] = tab.hostDone[slot]
-			}
-		}
-		for slot, v := range tab.nodes {
-			if got := int(tab.recv[slot]); got != tab.m {
-				if e.faults == nil {
-					panic(fmt.Sprintf("psim: session %d node %d received %d of %d packets",
-						si, v, got, tab.m))
-				}
-				if e.res.Incomplete == nil {
-					e.res.Incomplete = make([]map[int]int, len(e.specs))
-				}
-				if e.res.Incomplete[si] == nil {
-					e.res.Incomplete[si] = map[int]int{}
-				}
-				e.res.Incomplete[si][int(v)] = tab.m - got
-			}
-		}
-		last := 0.0
-		for _, t := range sr.HostDone {
-			last = math.Max(last, t)
-		}
-		if last > 0 {
-			sr.Latency = last - tab.start
-		}
-		e.res.Makespan = math.Max(e.res.Makespan, last)
-	}
-	if e.faults != nil {
-		e.res.Faults = e.faults.Stats
-	}
-	for _, v := range e.involved {
-		forwarder := false
-		for _, tab := range e.tabs[:len(e.specs)] {
-			if s := tab.slot[v]; s > 0 && tab.deg[s-1] > 0 {
-				forwarder = true
-			}
-		}
-		if forwarder {
-			e.res.MaxBuffered[int(v)] = int(e.maxBuf[v])
-		}
-	}
-}
-
-func resizeI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func resizeF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }

@@ -118,3 +118,27 @@ func abs(x int) int {
 	}
 	return x
 }
+
+// TestGridRouteAllocBudget pins the dimension-order routers at one
+// allocation per route — the hop count is known from the coordinates, so
+// Channels and Switches share one exactly-sized backing array. Growing
+// both by append from nil cost ~6.5 allocations per route on a 100x100
+// mesh, 65k for the 9,999 tree edges of a 10k-host multicast set-up. The
+// exact fill (len == cap) also proves the hop count is computed right.
+func TestGridRouteAllocBudget(t *testing.T) {
+	const arity, dims = 100, 2
+	mesh := NewMeshDimOrder(topology.Mesh(arity, dims), arity, dims)
+	cube := NewECube(topology.Cube(arity, dims), arity, dims)
+	for _, r := range []Router{mesh, cube} {
+		for _, pair := range [][2]int{{0, arity*arity - 1}, {arity*arity - 1, 0}, {42, 43}, {5017, 4982}} {
+			route := r.Route(pair[0], pair[1])
+			if len(route.Channels) != cap(route.Channels) || len(route.Switches) != cap(route.Switches) {
+				t.Errorf("%s %v: channels %d/%d, switches %d/%d: not sized exactly", r.Name(), pair,
+					len(route.Channels), cap(route.Channels), len(route.Switches), cap(route.Switches))
+			}
+			if allocs := testing.AllocsPerRun(10, func() { r.Route(pair[0], pair[1]) }); allocs > 1 {
+				t.Errorf("%s %v: %.0f allocs per route, budget 1", r.Name(), pair, allocs)
+			}
+		}
+	}
+}

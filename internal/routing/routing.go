@@ -330,10 +330,14 @@ func NewECube(net *topology.Network, arity, dims int) *ECube {
 // Route returns the dimension-ordered path between two distinct hosts.
 func (e *ECube) Route(src, dst int) Route {
 	checkPair(e.net, src, dst)
-	route := Route{Src: src, Dst: dst}
-	route.Channels = append(route.Channels, e.net.HostLink(src).Channel(topology.Host(src)))
 	cur := e.net.HostSwitch(src)
 	end := e.net.HostSwitch(dst)
+	hops := 0
+	for d, stride := 0, 1; d < e.dims; d, stride = d+1, stride*e.arity {
+		hops += ((end/stride)%e.arity - (cur/stride)%e.arity + e.arity) % e.arity
+	}
+	route := newGridRoute(src, dst, hops)
+	route.Channels = append(route.Channels, e.net.HostLink(src).Channel(topology.Host(src)))
 	route.Switches = append(route.Switches, cur)
 	stride := 1
 	for d := 0; d < e.dims; d++ {
@@ -389,10 +393,15 @@ func NewMeshDimOrder(net *topology.Network, arity, dims int) *MeshDimOrder {
 // Route returns the dimension-ordered mesh path between two distinct hosts.
 func (e *MeshDimOrder) Route(src, dst int) Route {
 	checkPair(e.net, src, dst)
-	route := Route{Src: src, Dst: dst}
-	route.Channels = append(route.Channels, e.net.HostLink(src).Channel(topology.Host(src)))
 	cur := e.net.HostSwitch(src)
 	end := e.net.HostSwitch(dst)
+	hops := 0
+	for d, stride := 0, 1; d < e.dims; d, stride = d+1, stride*e.arity {
+		delta := (end/stride)%e.arity - (cur/stride)%e.arity
+		hops += max(delta, -delta)
+	}
+	route := newGridRoute(src, dst, hops)
+	route.Channels = append(route.Channels, e.net.HostLink(src).Channel(topology.Host(src)))
 	route.Switches = append(route.Switches, cur)
 	stride := 1
 	for d := 0; d < e.dims; d++ {
@@ -422,6 +431,19 @@ func (e *MeshDimOrder) Network() *topology.Network { return e.net }
 
 // Name returns "mesh-dim-order".
 func (e *MeshDimOrder) Name() string { return "mesh-dim-order" }
+
+// newGridRoute returns an empty route sized for a path of the given
+// switch-to-switch hop count — hops+2 channels (injection and delivery
+// included) and hops+1 switches, carved from one backing array — so the
+// dimension-order routers, which know the hop count from the coordinates,
+// append without growing.
+func newGridRoute(src, dst, hops int) Route {
+	buf := make([]int, 2*hops+3)
+	return Route{Src: src, Dst: dst,
+		Channels: buf[: 0 : hops+2],
+		Switches: buf[hops+2 : hops+2 : 2*hops+3],
+	}
+}
 
 // pathHash mixes the route identity with the seed (splitmix64 finalizer).
 func pathHash(src, dst, cur int, seed uint64) uint64 {

@@ -22,6 +22,21 @@
 // store-and-forward. NI buffer residency is tracked per node so the
 // Section 3.3.2 buffer-requirement comparison can be measured rather than
 // merely derived.
+//
+// The package has one packet-level session model and two schedulers for
+// it. The model (model.go) is the dense per-session tables, the three NI
+// disciplines' queueing, and the resolution of every shared-state effect:
+// path reservation, fault draws, seq numbers, trace records, result
+// assembly. Concurrent, ConcurrentTraced, ConcurrentFaulty and Multicast
+// drive it with the serial loop (sessions.go): pop one event from one
+// heap, process it, resolve its effects at once. ConcurrentWindowed
+// (windowed.go; package psim is its exported door) drives the same model
+// with a worker pool over conservative lookahead windows and resolves the
+// merged effects at each window barrier, in the serial loop's order — so
+// the two are bit-identical at any worker count. Engine, the closure-
+// scheduling event loop below, is what packages reliable and collectives
+// build their own protocols on; the session model shares its path
+// reservation and nothing else.
 package sim
 
 import (
@@ -312,14 +327,20 @@ func (e *Engine) Run() float64 {
 // time. It returns T and the packet's full arrival time at the far NI
 // input (T + lastOffset + wire).
 func (e *Engine) ReservePath(route routing.Route, earliest, wire, router float64) (start, arrival float64) {
+	return reservePath(e.chanFree, route, earliest, wire, router)
+}
+
+// reservePath is ReservePath on an explicit channel-occupancy table; the
+// session model keeps its own.
+func reservePath(chanFree []float64, route routing.Route, earliest, wire, router float64) (start, arrival float64) {
 	T := earliest
 	for i, c := range route.Channels {
-		if need := e.chanFree[c] - float64(i)*router; need > T {
+		if need := chanFree[c] - float64(i)*router; need > T {
 			T = need
 		}
 	}
 	for i, c := range route.Channels {
-		e.chanFree[c] = T + float64(i)*router + wire
+		chanFree[c] = T + float64(i)*router + wire
 	}
 	last := float64(len(route.Channels)-1) * router
 	return T, T + last + wire

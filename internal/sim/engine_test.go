@@ -97,7 +97,7 @@ func TestMulticastAllocationRegression(t *testing.T) {
 	_, r, _ := testSystem(1)
 	tr := benchTree(2)
 	p := DefaultParams()
-	// Warm the engine and sendOp pools so steady-state behavior is measured.
+	// Warm the carcass pool so steady-state behavior is measured.
 	Multicast(r, tr, 8, p, stepsim.FPFS)
 	sends := float64(31 * 8)
 	allocs := testing.AllocsPerRun(20, func() {

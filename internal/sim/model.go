@@ -1,0 +1,792 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"sync"
+
+	"repro/internal/routing"
+	"repro/internal/stepsim"
+)
+
+// This file is the packet-level session model — the only implementation
+// of the paper's NI disciplines at packet granularity. It is split in two
+// halves that never touch each other's state:
+//
+//   - process{Start,Complete,Deliver,Fwd} run one event against host-local
+//     state (receive counts, NI queue, buffer occupancy) and record, in
+//     creation order, the shared-state effects the event wants as actions;
+//   - resolve performs one action against shared state — channel
+//     reservation, fault draws, seq numbers, trace records, counters — and
+//     mails the events it creates.
+//
+// A scheduler decides when events are processed and when their actions are
+// resolved. The serial one (runSerial, sessions.go) resolves after every
+// event; the windowed one (windowed.go) lets workers process a lookahead
+// window of events in parallel and resolves the merged action streams at
+// the barrier. Resolution order is the same in both — creator event order,
+// then creation index — so the two produce identical bits.
+
+// sessTab is one session's state in dense SoA form. Slots index the
+// session's tree nodes; per-slot fields are written only by the worker
+// owning the slot's host, so the table is shared without locks.
+type sessTab struct {
+	m     int
+	start float64
+	nodes []int32 // tree nodes in Tree.Nodes() order; slot = position
+	slot  []int32 // host -> slot+1 (0 = host not in session); len numHosts
+
+	recv      []int32   // slot -> packets received
+	parent    []int32   // slot -> parent host (-1 at root)
+	deg       []int32   // slot -> child count
+	childBase []int32   // slot -> first index into edges
+	copies    []int32   // slot*m + pkt -> forwarding copies still to send
+	niDone    []float64 // slot -> NI completion time (-1 = not complete)
+	hostDone  []float64 // slot -> host completion time
+
+	edges []edgeTo // flattened child edges, grouped by slot
+}
+
+// edgeTo is one tree edge with its precomputed route.
+type edgeTo struct {
+	child int32
+	route routing.Route
+}
+
+// qop is one pending injection in a host's NI queue.
+type qop struct {
+	sess   int32
+	edge   int32
+	packet int32
+}
+
+// hostQueue is an NI send queue consumed by head index, so its backing
+// array survives the whole run (and, via the pool, across runs).
+type hostQueue struct {
+	ops  []qop
+	head int
+}
+
+// Event kinds: the session start, a packet copy leaving the sending NI, a
+// packet fully received, and the Conventional discipline's host-level
+// store-and-forward copy.
+const (
+	evStart uint8 = iota
+	evComplete
+	evDeliver
+	evFwd
+)
+
+// ordUnassigned is the first seq of the unassigned range: an event created
+// inside the window being processed, whose real seq the barrier has not
+// burned yet, holds ordUnassigned + its index in its worker's fwd table.
+// The serial scheduler never creates one.
+const ordUnassigned = uint64(1) << 63
+
+// pevent is one scheduled event. ord is its seq — the FIFO tiebreaker
+// among same-time events, assigned in creation order. arg is the packet
+// index (complete, deliver) or the edge index (fwd).
+type pevent struct {
+	at   float64
+	ord  uint64
+	kind uint8
+	sess int32
+	host int32
+	arg  int32
+}
+
+// keyLess is the (at, seq) heap order. It holds for unassigned events too:
+// their seqs are burned at the barrier of the window that created them —
+// strictly after every seq an assigned event can hold, hence the high bit
+// — and in creation order, which on one worker (heaps are per worker) is
+// the order of their fwd-table indices: a worker processes the delivers
+// that create them in heap order.
+func keyLess(a, b *pevent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.ord < b.ord
+}
+
+// fwdKey is the creator key of an unassigned event: creator event time and
+// seq (always assigned: forwards are created only by delivers) and the
+// creation index within the creator. Actions emitted by an unassigned
+// event carry it so the barrier can place them among other workers'.
+type fwdKey struct {
+	cat float64
+	c0  uint64
+	c1  uint32
+}
+
+// Action kinds. Actions are the shared-state effects of processing one
+// event, recorded in creation order.
+const (
+	aIntent     uint8 = iota // host v wants to inject (sess, edge, packet) at time at
+	aDeliverRec              // trace-only: a packet was received
+	aDone                    // a destination completed its message at NI time at
+	aFwd                     // a Conventional forward event was created for time at
+)
+
+// action carries one deferred effect plus its creator event's full key,
+// so the windowed barrier can merge all workers' streams into processing
+// order.
+type action struct {
+	cAt    float64 // creator event time
+	cOrd   uint64  // creator event seq (>= ordUnassigned: not burned yet)
+	cat    float64 // unassigned creators: their creator's time...
+	cC0    uint64  // ...and seq
+	cC1    uint32  // ...and creation index
+	idx    uint32  // creation index within the creator event
+	kind   uint8
+	sess   int32
+	host   int32
+	peer   int32
+	packet int32
+	edge   int32
+	at     float64
+}
+
+// worker is one scheduler lane: an event heap, an inbox the windowed
+// barrier mails into, and the action stream of the events processed since
+// the last resolution. The serial scheduler uses exactly one.
+type worker struct {
+	heap      []pevent
+	inbox     []pevent
+	actions   []action
+	fwd       []fwdKey // creator keys of this window's unassigned events
+	localMin  float64
+	processed int
+
+	// creator key of the event currently being processed; emit copies it
+	// into each action.
+	cAt  float64
+	cOrd uint64
+	cat  float64
+	cC0  uint64
+	cC1  uint32
+	idx  uint32
+}
+
+func (w *worker) push(ev pevent) {
+	w.heap = append(w.heap, ev)
+	h := w.heap
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !keyLess(&h[i], &h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (w *worker) pop() pevent {
+	h := w.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	w.heap = h[:n]
+	h = h[:n]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		least := i
+		if l < n && keyLess(&h[l], &h[least]) {
+			least = l
+		}
+		if r < n && keyLess(&h[r], &h[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	return top
+}
+
+// emit records one action under the current creator key and returns its
+// creation index.
+func (w *worker) emit(a action) uint32 {
+	a.cAt, a.cOrd, a.cat, a.cC0, a.cC1 = w.cAt, w.cOrd, w.cat, w.cC0, w.cC1
+	a.idx = w.idx
+	w.idx++
+	w.actions = append(w.actions, a)
+	return a.idx
+}
+
+// model is one packet-level run plus its recyclable carcass: session
+// tables, per-host NI state, channel occupancy, route cache and scheduler
+// lanes are drawn from a sync.Pool, so a steady-state run allocates only
+// what escapes to the caller (the result and its maps). Host state is
+// invalidated by epoch stamp, so a 100k-host table resets in O(involved
+// hosts), not O(hosts).
+type model struct {
+	p      Params
+	disc   stepsim.Discipline
+	router routing.Router
+	wire   float64
+	ports  int32
+	faults *FaultState
+	specs  []Session
+
+	numHosts int
+	tabs     []*sessTab
+
+	// per-host NI state, indexed by host id; written only by the worker
+	// processing the host's events, reset lazily by epoch stamp.
+	inFlight  []int32 // copies being injected (bounded by Params.Ports)
+	buffered  []int32
+	maxBuf    []int32
+	queues    []hostQueue
+	hostEpoch []uint64
+	epoch     uint64
+	involved  []int32
+
+	chanFree []float64
+	// routes caches router.Route(parent, child) for every tree edge seen
+	// since the cache was last keyed to a different router. Routes depend
+	// only on the router and the endpoints, so the cache survives across
+	// runs until the router changes.
+	routes    map[[2]int]routing.Route
+	cfgRoutes map[[2]int]routing.Route // caller-supplied, consulted first
+	ctr       uint64                   // last seq handed out
+
+	res    *ConcurrentResult
+	traced bool
+	trace  []TraceEvent
+
+	// Scheduler state. wEnd is the end of the window being processed:
+	// events firing before it are processed before its actions are
+	// resolved. owner maps hosts to workers; it is empty under the serial
+	// scheduler, whose one worker owns everything.
+	workers []worker
+	wEnd    float64
+	owner   []int32
+	heads   []int // barrier merge cursors
+	crossed int
+}
+
+var modelPool = sync.Pool{New: func() any {
+	return &model{routes: make(map[[2]int]routing.Route)}
+}}
+
+// run executes sessions under the serial scheduler (cfg nil) or the
+// windowed one.
+func run(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, traced bool, faults *FaultState, cfg *WindowConfig) (*ConcurrentResult, []TraceEvent) {
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
+	if len(sessions) == 0 {
+		panic("sim: no sessions")
+	}
+	e := modelPool.Get().(*model)
+	defer func() {
+		e.specs, e.faults, e.res, e.trace, e.cfgRoutes = nil, nil, nil, nil, nil
+		modelPool.Put(e)
+	}()
+	e.p, e.disc, e.traced, e.faults = p, disc, traced, faults
+	e.wire, e.ports = p.WireTime(), int32(p.Ports())
+	if cfg == nil {
+		e.build(router, sessions, nil)
+		e.runSerial()
+	} else {
+		e.build(router, sessions, cfg.Routes)
+		e.runWindowed(cfg)
+	}
+	e.finish()
+	return e.res, e.trace
+}
+
+// build sizes the run state for the router's network and fills one table
+// per session.
+func (e *model) build(router routing.Router, sessions []Session, routes map[[2]int]routing.Route) {
+	net := router.Network()
+	e.specs = sessions
+	e.numHosts = net.NumHosts()
+	e.cfgRoutes = routes
+	if e.router != router {
+		// Route cache keyed to the router by identity: a new router (new
+		// topology or rebuilt tables) invalidates everything; reusing the
+		// same router — the harness and benchmark steady state — keeps
+		// every previously computed route.
+		e.router = router
+		clear(e.routes)
+	}
+
+	e.chanFree = resizeF64(e.chanFree, net.NumChannels())
+	clear(e.chanFree)
+	if n := e.numHosts; cap(e.inFlight) < n {
+		e.inFlight = make([]int32, n)
+		e.buffered = make([]int32, n)
+		e.maxBuf = make([]int32, n)
+		e.queues = make([]hostQueue, n)
+		e.hostEpoch = make([]uint64, n)
+	} else {
+		e.inFlight = e.inFlight[:n]
+		e.buffered = e.buffered[:n]
+		e.maxBuf = e.maxBuf[:n]
+		e.queues = e.queues[:n]
+		e.hostEpoch = e.hostEpoch[:n]
+	}
+	e.epoch++
+	e.involved = e.involved[:0]
+
+	// Tables are kept, with their storage, for the next run: growing
+	// re-exposes every table the backing array still holds.
+	if n := cap(e.tabs); n < len(sessions) {
+		e.tabs = append(e.tabs[:n], make([]*sessTab, len(sessions)-n)...)
+	}
+	e.tabs = e.tabs[:len(sessions)]
+	for si, sess := range sessions {
+		if sess.Packets < 1 {
+			panic(fmt.Sprintf("sim: session %d has %d packets", si, sess.Packets))
+		}
+		if sess.Start < 0 {
+			panic(fmt.Sprintf("sim: session %d starts at %f", si, sess.Start))
+		}
+		if e.tabs[si] == nil {
+			e.tabs[si] = &sessTab{}
+		}
+		e.fillTab(e.tabs[si], sess)
+	}
+
+	e.res = &ConcurrentResult{
+		Sessions:    make([]SessionResult, len(sessions)),
+		MaxBuffered: map[int]int{},
+	}
+}
+
+// fillTab populates one session table, reusing the previous run's
+// storage. The slot index is cleared via the previous node list, so reset
+// cost scales with session size, not host count.
+func (e *model) fillTab(tab *sessTab, sess Session) {
+	for _, v := range tab.nodes {
+		if int(v) < len(tab.slot) {
+			tab.slot[v] = 0
+		}
+	}
+	if cap(tab.slot) < e.numHosts {
+		tab.slot = make([]int32, e.numHosts)
+	} else {
+		tab.slot = tab.slot[:e.numHosts]
+	}
+
+	nodes := sess.Tree.Nodes()
+	n := len(nodes)
+	m := sess.Packets
+	tab.m, tab.start = m, sess.Start
+	tab.nodes = resizeI32(tab.nodes, n)
+	tab.recv = resizeI32(tab.recv, n)
+	tab.parent = resizeI32(tab.parent, n)
+	tab.deg = resizeI32(tab.deg, n)
+	tab.childBase = resizeI32(tab.childBase, n)
+	tab.copies = resizeI32(tab.copies, n*m)
+	tab.niDone = resizeF64(tab.niDone, n)
+	tab.hostDone = resizeF64(tab.hostDone, n)
+	tab.edges = tab.edges[:0]
+
+	for slot, v := range nodes {
+		tab.nodes[slot] = int32(v)
+		tab.slot[v] = int32(slot + 1)
+		tab.recv[slot] = 0
+		tab.niDone[slot] = -1
+		tab.hostDone[slot] = -1
+		if parent, ok := sess.Tree.Parent(v); ok {
+			tab.parent[slot] = int32(parent)
+		} else {
+			tab.parent[slot] = -1
+		}
+		children := sess.Tree.Children(v)
+		tab.deg[slot] = int32(len(children))
+		tab.childBase[slot] = int32(len(tab.edges))
+		for _, c := range children {
+			tab.edges = append(tab.edges, edgeTo{child: int32(c), route: e.route(v, c)})
+		}
+		e.touch(int32(v))
+	}
+}
+
+// route resolves parent->child, preferring the caller-provided table,
+// then the router-keyed cache, then the router itself.
+func (e *model) route(v, c int) routing.Route {
+	key := [2]int{v, c}
+	if r, ok := e.cfgRoutes[key]; ok {
+		return r
+	}
+	if r, ok := e.routes[key]; ok {
+		return r
+	}
+	r := e.router.Route(v, c)
+	e.routes[key] = r
+	return r
+}
+
+// touch resets host h's NI state on first use this run.
+func (e *model) touch(h int32) {
+	if e.hostEpoch[h] != e.epoch {
+		e.hostEpoch[h] = e.epoch
+		e.involved = append(e.involved, h)
+		e.inFlight[h], e.buffered[h], e.maxBuf[h] = 0, 0, 0
+		q := &e.queues[h]
+		q.ops, q.head = q.ops[:0], 0
+	}
+}
+
+// resetWorkers sizes the scheduler lanes and mails the initial events:
+// one start per session, holding seqs 1..S.
+func (e *model) resetWorkers(n int) {
+	if cap(e.workers) < n {
+		e.workers = make([]worker, n)
+	} else {
+		e.workers = e.workers[:n]
+	}
+	for i := range e.workers {
+		w := &e.workers[i]
+		w.heap = w.heap[:0]
+		w.inbox = w.inbox[:0]
+		w.actions = w.actions[:0]
+	}
+	e.ctr = uint64(len(e.specs))
+	for si, sess := range e.specs {
+		e.mail(pevent{
+			at:   sess.Start + e.p.THostSend,
+			ord:  uint64(si + 1),
+			kind: evStart,
+			sess: int32(si),
+			host: int32(sess.Tree.Root()),
+		})
+	}
+}
+
+// mail hands a created event to the scheduler: straight onto the one heap
+// when serial, into the owning worker's inbox (drained at the next window)
+// otherwise.
+func (e *model) mail(ev pevent) {
+	if len(e.owner) == 0 {
+		e.workers[0].push(ev)
+		return
+	}
+	w := &e.workers[e.owner[ev.host]]
+	w.inbox = append(w.inbox, ev)
+}
+
+// process runs one event against its host's local state, recording the
+// shared-state effects as actions on w.
+func (e *model) process(w *worker, ev *pevent) {
+	w.cAt, w.cOrd, w.idx = ev.at, ev.ord, 0
+	if ev.ord >= ordUnassigned {
+		k := w.fwd[ev.ord-ordUnassigned]
+		w.cat, w.cC0, w.cC1 = k.cat, k.c0, k.c1
+	}
+	switch ev.kind {
+	case evStart:
+		e.processStart(w, ev)
+	case evComplete:
+		e.processComplete(w, ev)
+	case evDeliver:
+		e.processDeliver(w, ev)
+	case evFwd:
+		e.processFwd(w, ev)
+	}
+}
+
+// processStart is the session-start callback: the source host has spent
+// t_s and its NI now holds all m packets.
+func (e *model) processStart(w *worker, ev *pevent) {
+	tab := e.tabs[ev.sess]
+	slot := int(tab.slot[ev.host]) - 1
+	m := tab.m
+	tab.recv[slot] = int32(m)
+	deg := int(tab.deg[slot])
+	if deg == 0 {
+		return
+	}
+	v := ev.host
+	e.buffered[v] += int32(m)
+	if e.buffered[v] > e.maxBuf[v] {
+		e.maxBuf[v] = e.buffered[v]
+	}
+	base := slot * m
+	for j := 0; j < m; j++ {
+		tab.copies[base+j] = int32(deg)
+	}
+	e.enqueueAll(tab, ev.sess, v, slot)
+	e.pump(w, v, ev.at)
+}
+
+// processComplete fires when a packet copy has left the sending NI: the
+// copy slot frees, the buffered packet is dropped once its last copy is
+// out, and the NI pump restarts.
+func (e *model) processComplete(w *worker, ev *pevent) {
+	tab := e.tabs[ev.sess]
+	slot := int(tab.slot[ev.host]) - 1
+	e.inFlight[ev.host]--
+	ci := slot*tab.m + int(ev.arg)
+	tab.copies[ci]--
+	if tab.copies[ci] == 0 {
+		e.buffered[ev.host]--
+	}
+	e.pump(w, ev.host, ev.at)
+}
+
+// processDeliver fires when a packet has fully arrived at the receiving
+// NI: receive count, trace record, buffer accounting, completion, then
+// forwarding per the discipline.
+func (e *model) processDeliver(w *worker, ev *pevent) {
+	tab := e.tabs[ev.sess]
+	slot := int(tab.slot[ev.host]) - 1
+	dst := ev.host
+	tab.recv[slot]++
+	deg := int(tab.deg[slot])
+	if e.traced {
+		w.emit(action{kind: aDeliverRec, sess: ev.sess, host: dst,
+			peer: tab.parent[slot], packet: ev.arg, at: ev.at})
+	}
+	if deg > 0 {
+		tab.copies[slot*tab.m+int(ev.arg)] = int32(deg)
+		e.buffered[dst]++
+		if e.buffered[dst] > e.maxBuf[dst] {
+			e.maxBuf[dst] = e.buffered[dst]
+		}
+	}
+	if int(tab.recv[slot]) == tab.m {
+		w.emit(action{kind: aDone, sess: ev.sess, host: dst, at: ev.at})
+	}
+	if deg == 0 {
+		return
+	}
+	switch e.disc {
+	case stepsim.FPFS, stepsim.FCFS:
+		e.enqueueOne(tab, ev.sess, dst, slot, ev.arg)
+		e.pump(w, dst, ev.at)
+	case stepsim.Conventional:
+		if int(tab.recv[slot]) == tab.m {
+			base := ev.at + e.p.THostRecv
+			cb := tab.childBase[slot]
+			for i := 0; i < deg; i++ {
+				at := base + float64(i+1)*e.p.THostSend
+				idx := w.emit(action{kind: aFwd, sess: ev.sess, host: dst,
+					edge: cb + int32(i), at: at})
+				if at < e.wEnd {
+					// The forward fires inside this same window: run it
+					// here under an unassigned seq; the barrier burns the
+					// real one when it reaches the aFwd action.
+					w.push(pevent{at: at, ord: ordUnassigned + uint64(len(w.fwd)),
+						kind: evFwd, sess: ev.sess, host: dst, arg: cb + int32(i)})
+					w.fwd = append(w.fwd, fwdKey{cat: ev.at, c0: ev.ord, c1: idx})
+				}
+			}
+		}
+	}
+}
+
+// processFwd is the Conventional store-and-forward copy: the host software
+// hands all m packets for one child to its NI.
+func (e *model) processFwd(w *worker, ev *pevent) {
+	tab := e.tabs[ev.sess]
+	q := &e.queues[ev.host]
+	for j := 0; j < tab.m; j++ {
+		q.ops = append(q.ops, qop{sess: ev.sess, edge: ev.arg, packet: int32(j)})
+	}
+	e.pump(w, ev.host, ev.at)
+}
+
+// enqueueAll queues every packet of a session at its source, per the
+// discipline (the source always holds the complete message).
+func (e *model) enqueueAll(tab *sessTab, si, v int32, slot int) {
+	q := &e.queues[v]
+	m := tab.m
+	base := tab.childBase[slot]
+	deg := int(tab.deg[slot])
+	switch e.disc {
+	case stepsim.FPFS, stepsim.Conventional:
+		for j := 0; j < m; j++ {
+			for ei := 0; ei < deg; ei++ {
+				q.ops = append(q.ops, qop{sess: si, edge: base + int32(ei), packet: int32(j)})
+			}
+		}
+	case stepsim.FCFS:
+		for j := 0; j < m; j++ {
+			q.ops = append(q.ops, qop{sess: si, edge: base, packet: int32(j)})
+		}
+		for ei := 1; ei < deg; ei++ {
+			for j := 0; j < m; j++ {
+				q.ops = append(q.ops, qop{sess: si, edge: base + int32(ei), packet: int32(j)})
+			}
+		}
+	default:
+		panic(fmt.Sprintf("sim: unknown discipline %v", e.disc))
+	}
+}
+
+// enqueueOne queues one just-received packet at a forwarder (smart
+// disciplines only; Conventional forwards via fwd events instead).
+func (e *model) enqueueOne(tab *sessTab, si, v int32, slot int, pkt int32) {
+	q := &e.queues[v]
+	base := tab.childBase[slot]
+	deg := int(tab.deg[slot])
+	switch e.disc {
+	case stepsim.FPFS:
+		for ei := 0; ei < deg; ei++ {
+			q.ops = append(q.ops, qop{sess: si, edge: base + int32(ei), packet: pkt})
+		}
+	case stepsim.FCFS:
+		q.ops = append(q.ops, qop{sess: si, edge: base, packet: pkt})
+		if int(tab.recv[slot]) == tab.m {
+			for ei := 1; ei < deg; ei++ {
+				for j := 0; j < tab.m; j++ {
+					q.ops = append(q.ops, qop{sess: si, edge: base + int32(ei), packet: int32(j)})
+				}
+			}
+		}
+	}
+}
+
+// pump starts queued injections while the NI has free ports. Starting one
+// is an intent action: the channel reservation, fault sampling and event
+// creation are shared-state effects, left to resolve.
+func (e *model) pump(w *worker, v int32, now float64) {
+	q := &e.queues[v]
+	for e.inFlight[v] < e.ports && q.head < len(q.ops) {
+		o := q.ops[q.head]
+		q.head++
+		e.inFlight[v]++
+		w.emit(action{kind: aIntent, sess: o.sess, host: v,
+			edge: o.edge, packet: o.packet, at: now})
+	}
+	if q.head == len(q.ops) {
+		q.ops, q.head = q.ops[:0], 0
+	}
+}
+
+// resolve performs one action against shared state. Everything whose
+// order across hosts matters lives here: the float additions that make up
+// ChannelWait, the short-circuit fault sampling (one RNG draw sequence),
+// and seq assignment — complete before deliver, so that at router delay
+// zero a packet has left its sender before it arrives.
+func (e *model) resolve(act *action) {
+	switch act.kind {
+	case aIntent:
+		tab := e.tabs[act.sess]
+		ed := &tab.edges[act.edge]
+		v := int(act.host)
+		earliest := act.at + e.faults.StallDelay(v, act.at) + e.p.TNISend
+		start, arrive := reservePath(e.chanFree, ed.route, earliest, e.wire, e.p.RouterDelay)
+		e.res.ChannelWait += start - earliest
+		e.res.Sends++
+		if e.traced {
+			e.trace = append(e.trace, TraceEvent{
+				Kind: "inject", Time: start, Host: v, Peer: int(ed.child),
+				Session: int(act.sess), Packet: int(act.packet), Wait: start - earliest,
+			})
+		}
+		// Fault plane: a transmission across a killed link, a sampled drop,
+		// or a sampled corruption (discarded by the receiving NI's checksum)
+		// never delivers. The sender still paid t_ns and the channel holds —
+		// loss is detected only by the absence of the packet, as on real
+		// fabrics.
+		delivers := !(e.faults.RouteDead(ed.route, start) || e.faults.SampleDrop() || e.faults.SampleCorrupt())
+		e.ctr++
+		e.mail(pevent{at: start + e.wire, ord: e.ctr, kind: evComplete,
+			sess: act.sess, host: act.host, arg: act.packet})
+		if delivers {
+			e.ctr++
+			e.mail(pevent{at: arrive + e.p.TNIRecv, ord: e.ctr, kind: evDeliver,
+				sess: act.sess, host: ed.child, arg: act.packet})
+			if len(e.owner) > 0 && e.owner[act.host] != e.owner[ed.child] {
+				e.crossed++
+			}
+		}
+	case aDeliverRec:
+		e.trace = append(e.trace, TraceEvent{
+			Kind: "deliver", Time: act.at, Host: int(act.host), Peer: int(act.peer),
+			Session: int(act.sess), Packet: int(act.packet),
+		})
+	case aDone:
+		tab := e.tabs[act.sess]
+		slot := int(tab.slot[act.host]) - 1
+		tab.niDone[slot] = act.at
+		tab.hostDone[slot] = act.at + e.p.THostRecv
+		if e.traced {
+			e.trace = append(e.trace, TraceEvent{
+				Kind: "done", Time: act.at + e.p.THostRecv, Host: int(act.host),
+				Peer: -1, Session: int(act.sess), Packet: -1,
+			})
+		}
+	case aFwd:
+		// Burn the forward event's seq at its creation point. If it fires
+		// beyond the window it becomes an ordinary assigned event; if it
+		// fired inside the window, the worker already processed it under
+		// an unassigned seq, which this one is ordered exactly like.
+		e.ctr++
+		if act.at >= e.wEnd {
+			e.mail(pevent{at: act.at, ord: e.ctr, kind: evFwd,
+				sess: act.sess, host: act.host, arg: act.edge})
+		}
+	}
+}
+
+// finish assembles the ConcurrentResult from the session tables.
+func (e *model) finish() {
+	for si, tab := range e.tabs[:len(e.specs)] {
+		sr := &e.res.Sessions[si]
+		sr.NIDone = make(map[int]float64, len(tab.nodes)-1)
+		sr.HostDone = make(map[int]float64, len(tab.nodes)-1)
+		last := 0.0
+		for slot, v := range tab.nodes {
+			if tab.niDone[slot] >= 0 {
+				sr.NIDone[int(v)] = tab.niDone[slot]
+				sr.HostDone[int(v)] = tab.hostDone[slot]
+				last = math.Max(last, tab.hostDone[slot])
+			}
+			if got := int(tab.recv[slot]); got != tab.m {
+				if e.faults == nil {
+					panic(fmt.Sprintf("sim: session %d node %d received %d of %d packets",
+						si, v, got, tab.m))
+				}
+				if e.res.Incomplete == nil {
+					e.res.Incomplete = make([]map[int]int, len(e.specs))
+				}
+				if e.res.Incomplete[si] == nil {
+					e.res.Incomplete[si] = map[int]int{}
+				}
+				e.res.Incomplete[si][int(v)] = tab.m - got
+			}
+		}
+		if last > 0 {
+			sr.Latency = last - tab.start
+		}
+		e.res.Makespan = math.Max(e.res.Makespan, last)
+	}
+	if e.faults != nil {
+		e.res.Faults = e.faults.Stats
+	}
+	for _, v := range e.involved {
+		forwarder := false
+		for _, tab := range e.tabs[:len(e.specs)] {
+			if s := tab.slot[v]; s > 0 && tab.deg[s-1] > 0 {
+				forwarder = true
+			}
+		}
+		if forwarder {
+			e.res.MaxBuffered[int(v)] = int(e.maxBuf[v])
+		}
+	}
+}
+
+func resizeI32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+func resizeF64(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}

@@ -60,11 +60,3 @@ func Multicast(router routing.Router, tr *tree.Tree, m int, p Params, disc steps
 		Sends:       conc.Sends,
 	}
 }
-
-func allPackets(m int) []int {
-	out := make([]int, m)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}

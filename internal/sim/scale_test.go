@@ -12,11 +12,11 @@ import (
 // TestMulticastAllocs10kHosts pins pool recycling at scale: a 10k-host
 // multicast run on a warmed carcass allocates only what escapes to the
 // caller — the result and its per-host maps — not per-event or per-host
-// state. Before the carcass pool and the power-of-two heap growth, every
-// run at this size re-allocated the host table, one sessNode (plus two
-// slices) per tree node, and re-grew the event heap: ~40k allocations per
-// run. The budget is far below the 20k scheduled events, so any per-event
-// or per-host regression trips it immediately.
+// state. Without the carcass pool and the retained heap, every run at this
+// size re-allocates the host table and the session tables and re-grows the
+// event heap: ~40k allocations per run. The budget is far below the 20k
+// scheduled events, so any per-event or per-host regression trips it
+// immediately.
 func TestMulticastAllocs10kHosts(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector shadow memory inflates allocation counts ~10x")

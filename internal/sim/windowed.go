@@ -1,0 +1,320 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/routing"
+	"repro/internal/stats"
+	"repro/internal/stepsim"
+	"repro/internal/topology"
+)
+
+// This file is the windowed scheduler behind package psim: hosts are
+// partitioned across a fixed worker pool, each worker processes its
+// partition's events through conservative time windows, and the actions
+// they record are resolved serially at window barriers in the exact order
+// the serial scheduler resolves them. What makes that possible:
+//
+//   - Lookahead. Every consequence of an injection intended at time τ
+//     materializes at or after τ + t_ns + wire (the NI must spend t_ns
+//     before the packet can even enter a channel, and the wire holds it
+//     for wire time). So a window [T0, T0+δ) with δ = t_ns + wire can be
+//     processed without seeing any event another partition creates inside
+//     the same window: everything created by window events lands at or
+//     beyond the window's end and is exchanged at the barrier.
+//   - Order. Events are ordered by (time, seq) with seq assigned in
+//     creation order. The barrier merges all workers' action streams by
+//     creator order (creator event key, then action index) — which is
+//     processing order — and assigns seq from the one counter as it
+//     resolves each intent. Only host-local state is touched in parallel;
+//     it depends only on the host's own event subsequence, which every
+//     schedule preserves.
+//   - Conventional forwards. The one event kind a window can create
+//     inside itself (host-level store-and-forward copies at τ + t_r +
+//     i·t_s, which can undercut δ) is created by a deliver and creates
+//     only intents. Such events hold an unassigned seq until the barrier
+//     burns their real one; keyLess orders them exactly where the serial
+//     scheduler would have popped them, and their creator key (fwdKey)
+//     places their intents among the other workers'.
+//
+// Partitioning affects only which worker executes a host's events and how
+// much cross-partition mail the barrier routes — never the results.
+
+// WindowConfig controls the windowed scheduler; psim.Config is this type.
+type WindowConfig struct {
+	// Workers is the worker-pool size; values < 1 mean 1. Results are
+	// identical at every worker count.
+	Workers int
+	// Parts optionally assigns each host to a worker (len = NumHosts,
+	// values in [0, Workers)). Nil means topology.Partition: contiguous
+	// slabs on grids, hashing on irregular networks. Empty partitions are
+	// allowed.
+	Parts []int
+	// Window optionally shortens the conservative window (microseconds).
+	// The effective window is min(Window, lookahead) when Window > 0;
+	// tiny values degrade to one-timestamp windows. Results do not depend
+	// on the window length.
+	Window float64
+	// Routes optionally supplies precomputed routes keyed by {parent,
+	// child}; missing entries fall back to the router. Precomputing lets
+	// benchmarks price the event engine rather than route construction.
+	Routes map[[2]int]routing.Route
+	// Stats, when non-nil, receives window/synchronization counters.
+	Stats *WindowStats
+}
+
+// WindowStats reports how a windowed run synchronized.
+type WindowStats struct {
+	Workers   int           // effective worker count
+	Lookahead float64       // effective window length (us)
+	Windows   int           // conservative windows executed
+	Events    int           // events processed across all workers
+	Mailed    int           // deliveries that crossed a partition boundary
+	PerWindow stats.Summary // events per window
+}
+
+// ConcurrentWindowed is ConcurrentTraced under the windowed scheduler, with
+// an optional armed fault state. Package psim is its public face.
+func ConcurrentWindowed(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, traced bool, faults *FaultState, cfg WindowConfig) (*ConcurrentResult, []TraceEvent) {
+	return run(router, sessions, p, disc, traced, faults, &cfg)
+}
+
+// actionLess orders actions by (creator event order, creation index) —
+// the order the serial scheduler resolves them in.
+func actionLess(a, b *action) bool {
+	if a.cAt != b.cAt {
+		return a.cAt < b.cAt
+	}
+	aAssigned, bAssigned := a.cOrd < ordUnassigned, b.cOrd < ordUnassigned
+	if aAssigned && bAssigned {
+		if a.cOrd != b.cOrd {
+			return a.cOrd < b.cOrd
+		}
+		return a.idx < b.idx
+	}
+	if aAssigned != bAssigned {
+		return aAssigned
+	}
+	if a.cat != b.cat {
+		return a.cat < b.cat
+	}
+	if a.cC0 != b.cC0 {
+		return a.cC0 < b.cC0
+	}
+	if a.cC1 != b.cC1 {
+		return a.cC1 < b.cC1
+	}
+	return a.idx < b.idx
+}
+
+// partition fills owner from parts, or topology.Partition when nil.
+func (e *model) partition(parts []int, nw int) {
+	if parts == nil {
+		parts = topology.Partition(e.router.Network(), nw)
+	} else if len(parts) != e.numHosts {
+		panic(fmt.Sprintf("sim: %d partition entries for %d hosts", len(parts), e.numHosts))
+	}
+	e.owner = resizeI32(e.owner, e.numHosts)
+	for h, part := range parts {
+		if part < 0 || part >= nw {
+			panic(fmt.Sprintf("sim: host %d assigned to worker %d of %d", h, part, nw))
+		}
+		e.owner[h] = int32(part)
+	}
+}
+
+// runWindowed drives conservative windows until no events remain.
+func (e *model) runWindowed(cfg *WindowConfig) {
+	nw := max(cfg.Workers, 1)
+	e.partition(cfg.Parts, nw)
+	e.crossed = 0
+	e.resetWorkers(nw)
+	if cap(e.heads) < nw {
+		e.heads = make([]int, nw)
+	} else {
+		e.heads = e.heads[:nw]
+	}
+
+	// Lookahead: min over everything an intent at τ can cause. The
+	// earliest is the sender-side completion at start+wire with start >=
+	// τ + t_ns (plus any stall), so δ = t_ns + wire. Params.Validate
+	// guarantees t_ns > 0 and wire > 0, hence δ > 0.
+	window := e.p.TNISend + e.wire
+	if cfg.Window > 0 && cfg.Window < window {
+		window = cfg.Window
+	}
+
+	var pool *workerPool
+	if nw > 1 {
+		pool = startPool(e)
+		defer pool.stop()
+	}
+	windows, totalEvents := 0, 0
+	var perWindow stats.Summary
+	for {
+		// Phase A (parallel): drain inboxes into heaps, report minima.
+		if pool != nil {
+			pool.broadcast(phaseDrain)
+		} else {
+			e.workers[0].drain()
+		}
+		t0 := math.Inf(1)
+		for i := range e.workers {
+			if e.workers[i].localMin < t0 {
+				t0 = e.workers[i].localMin
+			}
+		}
+		if math.IsInf(t0, 1) {
+			break
+		}
+		wEnd := t0 + window
+		if !(wEnd > t0) {
+			// Zero-lookahead degradation (tiny Window override, or t0 so
+			// large the window underflows the float grid): process exactly
+			// the events at t0.
+			wEnd = math.Nextafter(t0, math.Inf(1))
+		}
+		e.wEnd = wEnd
+		// Phase B (parallel): each worker runs its partition's window.
+		if pool != nil {
+			pool.broadcast(phaseWindow)
+		} else {
+			e.runWindow(&e.workers[0])
+		}
+		// Barrier (serial): merge action streams in processing order,
+		// resolve them, distribute the created events.
+		e.barrier()
+		windows++
+		n := 0
+		for i := range e.workers {
+			n += e.workers[i].processed
+		}
+		totalEvents += n
+		perWindow.Add(float64(n))
+	}
+	if cfg.Stats != nil {
+		*cfg.Stats = WindowStats{
+			Workers:   nw,
+			Lookahead: window,
+			Windows:   windows,
+			Events:    totalEvents,
+			Mailed:    e.crossed,
+			PerWindow: perWindow,
+		}
+	}
+}
+
+// drain is phase A: absorb mailed events, report the partition's minimum.
+func (w *worker) drain() {
+	for _, ev := range w.inbox {
+		w.push(ev)
+	}
+	w.inbox = w.inbox[:0]
+	if len(w.heap) > 0 {
+		w.localMin = w.heap[0].at
+	} else {
+		w.localMin = math.Inf(1)
+	}
+}
+
+// runWindow is phase B: process every event of this partition that fires
+// before wEnd. Forward events created inside the window re-enter the heap
+// and are caught by the loop's re-check of the top.
+func (e *model) runWindow(w *worker) {
+	w.fwd = w.fwd[:0]
+	n := 0
+	for len(w.heap) > 0 && w.heap[0].at < e.wEnd {
+		ev := w.pop()
+		e.process(w, &ev)
+		n++
+	}
+	w.processed = n
+}
+
+// barrier ends a window: it merges the workers' action streams into
+// processing order, resolves each, and so mails the created events to
+// their owners' inboxes for the next window.
+//
+// Each worker's stream is already sorted (events were processed in heap
+// order; actions within an event in creation order), so a W-way min scan
+// over the stream heads yields the global order.
+func (e *model) barrier() {
+	ws := e.workers
+	heads := e.heads
+	for i := range heads {
+		heads[i] = 0
+	}
+	for {
+		best := -1
+		for i := range ws {
+			if heads[i] >= len(ws[i].actions) {
+				continue
+			}
+			if best < 0 || actionLess(&ws[i].actions[heads[i]], &ws[best].actions[heads[best]]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		act := &ws[best].actions[heads[best]]
+		heads[best]++
+		e.resolve(act)
+	}
+	for i := range ws {
+		ws[i].actions = ws[i].actions[:0]
+	}
+}
+
+// Worker-pool phases.
+const (
+	phaseDrain uint8 = iota + 1
+	phaseWindow
+)
+
+// workerPool runs phases A and B on persistent goroutines, one per
+// worker. Command send / completion receive pairs give the barrier's
+// writes (mailed inboxes, wEnd) a happens-before edge into the workers
+// and the workers' writes (heaps, actions) one back into the barrier.
+type workerPool struct {
+	cmds []chan uint8
+	done chan struct{}
+}
+
+func startPool(e *model) *workerPool {
+	p := &workerPool{
+		cmds: make([]chan uint8, len(e.workers)),
+		done: make(chan struct{}, len(e.workers)),
+	}
+	for i := range e.workers {
+		cmd := make(chan uint8, 1)
+		p.cmds[i] = cmd
+		go func(w *worker, cmd chan uint8) {
+			for c := range cmd {
+				if c == phaseDrain {
+					w.drain()
+				} else {
+					e.runWindow(w)
+				}
+				p.done <- struct{}{}
+			}
+		}(&e.workers[i], cmd)
+	}
+	return p
+}
+
+func (p *workerPool) broadcast(phase uint8) {
+	for _, c := range p.cmds {
+		c <- phase
+	}
+	for range p.cmds {
+		<-p.done
+	}
+}
+
+func (p *workerPool) stop() {
+	for _, c := range p.cmds {
+		close(c)
+	}
+}

@@ -12,7 +12,9 @@ package tree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/ktree"
 )
@@ -24,6 +26,11 @@ type Tree struct {
 	children map[int][]int
 	parent   map[int]int
 	size     int
+	// nodes memoizes the ascending node list behind Nodes; AddChild clears
+	// it. Atomic because a built tree is read from many goroutines (live
+	// NIs, scheduler shards): two first callers may both sort, and either
+	// result is the same list.
+	nodes atomic.Pointer[[]int]
 }
 
 // New returns a tree containing only the root.
@@ -74,16 +81,24 @@ func (t *Tree) AddChild(p, c int) {
 	t.children[p] = append(t.children[p], c)
 	t.parent[c] = p
 	t.size++
+	t.nodes.Store(nil)
 }
 
-// Nodes returns all node IDs in the tree in ascending order.
+// Nodes returns all node IDs in the tree in ascending order. The slice is
+// the caller's: it is a copy of a list sorted once per tree shape, not
+// once per call.
 func (t *Tree) Nodes() []int {
-	out := make([]int, 0, t.size)
-	for v := range t.parent {
-		out = append(out, v)
+	p := t.nodes.Load()
+	if p == nil {
+		sorted := make([]int, 0, t.size)
+		for v := range t.parent {
+			sorted = append(sorted, v)
+		}
+		sort.Ints(sorted)
+		p = &sorted
+		t.nodes.Store(p)
 	}
-	sort.Ints(out)
-	return out
+	return slices.Clone(*p)
 }
 
 // RootDegree returns the number of children of the root — the pipeline

@@ -3,6 +3,7 @@ package tree
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -416,4 +417,38 @@ func TestOptimalCongestedMinimizesObjective(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNodesMemoIsInvisible pins the two ways the memoized node list could
+// leak: a node added after a Nodes call must show up in the next one, and
+// a caller scribbling on a returned slice must not change later results.
+func TestNodesMemoIsInvisible(t *testing.T) {
+	tr := New(5)
+	tr.AddChild(5, 9)
+	if got := tr.Nodes(); !reflect.DeepEqual(got, []int{5, 9}) {
+		t.Fatalf("Nodes = %v, want [5 9]", got)
+	}
+	tr.AddChild(9, 2)
+	got := tr.Nodes()
+	if !reflect.DeepEqual(got, []int{2, 5, 9}) {
+		t.Fatalf("Nodes after AddChild = %v, want [2 5 9]", got)
+	}
+	got[0], got[2] = 99, -1
+	if again := tr.Nodes(); !reflect.DeepEqual(again, []int{2, 5, 9}) {
+		t.Fatalf("Nodes after caller mutation = %v, want [2 5 9]", again)
+	}
+	// First calls racing on a cold memo (as live's per-NI goroutines do)
+	// must be clean under -race.
+	cold := Linear([]int{3, 1, 2})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := cold.Nodes(); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+				t.Errorf("concurrent Nodes = %v, want [1 2 3]", got)
+			}
+		}()
+	}
+	wg.Wait()
 }
