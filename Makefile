@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak bench bench-build ci figures clean live-race lines
+.PHONY: all build test race vet fmt check staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak bench bench-build examples ci figures clean live-race lines
 
 all: check
 
@@ -160,7 +160,13 @@ bench:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: check staticcheck live-race bench-build mcastcheck chaos-soak net-soak daemon-soak sched-soak psim-soak
+# Examples: the eight demo binaries under examples/ have no tests; each is
+# deterministic and runs in well under a second, so running them all —
+# a panic or a failed delivery in one fails the target — is their smoke test.
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
+ci: check staticcheck live-race bench-build examples mcastcheck chaos-soak net-soak daemon-soak sched-soak psim-soak
 
 figures:
 	$(GO) run ./cmd/figures -out figures

@@ -15,9 +15,16 @@
 // Example:
 //
 //	$ mcastsim -dests 47 -packets 8 -tree optimal
-//	system: 64 hosts, 16 switches, 101 links (seed 1)
-//	plan:   k=2 tree depth=9 root degree=2, model bound 21 steps
-//	result: latency 131.9 us, 376 sends, channel wait 3.2 us
+//	system: 64 hosts, 16 switches, 95 links (seed 1)
+//	spec:   source h11, 47 destinations, 8 packets, optimal-k-binomial tree, FPFS NI
+//	plan:   k=2, tree depth=7, root degree=2, model bound 21 steps, measured 21 steps
+//	result: latency 114.6 us, 376 sends, channel wait 0.4 us, peak NI buffer 8 packets
+//
+// The flags resolve to one of six modes (packet, flit, sim-reliable, live,
+// live-reliable, sched) and a flag moved off its default outside the modes
+// it declares in flagModes is a usage error, never silently ignored. Exit
+// status: 0 on success, 1 when the run failed (delivery fell short,
+// watchdog, quorum missed), 2 on a usage error — as mcastcheck and mcastd.
 //
 // With -reliable (or any fault flag) the run uses the ACK/NACK
 // retransmission protocol of internal/reliable: packets carry real
@@ -86,9 +93,13 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,7 +109,6 @@ import (
 	"repro/internal/flitsim"
 	"repro/internal/live"
 	"repro/internal/live/link"
-	"repro/internal/membership"
 	"repro/internal/message"
 	"repro/internal/psim"
 	"repro/internal/sched"
@@ -107,235 +117,371 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
-	seed := flag.Uint64("seed", 1, "topology seed")
-	dests := flag.Int("dests", 15, "number of destinations (1..63)")
-	packets := flag.Int("packets", 8, "message length in packets")
-	treeKind := flag.String("tree", "optimal", "tree policy: optimal, binomial, linear, or k (with -k)")
-	k := flag.Int("k", 2, "fanout bound for -tree k")
-	ni := flag.String("ni", "fpfs", "NI discipline: fpfs, fcfs, conventional")
-	wseed := flag.Uint64("wseed", 7, "workload (destination set) seed")
-	verbose := flag.Bool("verbose", false, "print per-destination completion times")
-	timeline := flag.Bool("timeline", false, "print an ASCII per-host activity timeline")
-	traceJSON := flag.String("trace-json", "", "write the event trace to FILE in Chrome trace-event format")
-	liveRun := flag.Bool("live", false, "execute the multicast on the live goroutine runtime instead of simulating")
-	sessions := flag.Int("sessions", 0, "sustained-load mode: run N concurrent sessions through the session scheduler on one shared live fabric")
-	window := flag.Int("window", 64, "with -sessions: admission window (max sessions in flight)")
-	netRun := flag.Bool("net", false, "with -live: dial every tree edge over a loopback UDP socket instead of channel links")
-	liveTimeout := flag.Duration("live-timeout", 0, "watchdog timeout for -live runs (0 = the 30s default)")
-	model := flag.String("model", "packet", "network model: packet (fast reservation) or flit (cycle-accurate wormhole)")
-	mesh := flag.String("mesh", "", "use an ARITYxDIMS mesh instead of the irregular testbed (e.g. 317x2 = 100489 hosts)")
-	workers := flag.Int("workers", 0, "simulate under the windowed parallel scheduler with N workers (0 = serial loop)")
-	reliableRun := flag.Bool("reliable", false, "use the ACK/NACK reliable-delivery protocol (implied by any fault flag)")
-	droprate := flag.Float64("droprate", 0, "per-transmission packet loss probability [0,1)")
-	faultSpec := flag.String("faults", "", "fault directives: kill:LINK@T,stall:HOST@FROM-UNTIL,corrupt:P,ackdrop:P,seed:N")
-	retries := flag.Int("retries", 8, "retransmissions per (tree edge, packet) before orphaning")
-	var crashes crashFlags
-	flag.Var(&crashes, "crash", "crash a host: HOST@T (crash-stop) or HOST@T@RT (recover at RT); repeatable")
-	quorum := flag.Int("quorum", 0, "destinations required for partial delivery under crashes (0 = all)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var sys *repro.System
-	if *mesh != "" {
-		arity, dims, err := parseMesh(*mesh)
+// run is the whole command: it returns the process exit code instead of
+// exiting, so the tests drive it in-process.
+func run(args []string, out, errw io.Writer) int {
+	var o options
+	fs := newFlags(&o, errw)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	j, err := newJob(&o, fs, out)
+	if err == nil {
+		if j.fabric != nil {
+			defer j.fabric.Close()
+		}
+		j.printf("system: %s (seed %d)\n", j.sys.Net.Summary(), o.seed)
+		err = engines[j.mode](j)
+	}
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintf(errw, "mcastsim: %v\n", err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
+}
+
+// usageError marks a failure as the caller's (exit 2), not the run's (1).
+type usageError struct{ error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// The six modes, and the sets of them the flag table is written in.
+const (
+	packet, flit, simReliable        = "packet", "flit", "sim-reliable"
+	liveMode, liveReliable, schedule = "live", "live-reliable", "sched"
+
+	reliables = simReliable + " " + liveReliable
+	lives     = liveMode + " " + liveReliable
+	single    = packet + " " + flit + " " + reliables + " " + liveMode // one planned multicast
+	anyMode   = single + " " + schedule
+)
+
+var engines = map[string]func(*job) error{
+	packet: (*job).runPacket, flit: (*job).runFlit, simReliable: (*job).runSimReliable,
+	liveMode: (*job).runLive, liveReliable: (*job).runLiveReliable, schedule: (*job).runSched,
+}
+
+// flagModes is the mode table: the modes in which each flag has an
+// effect. A flag registered in newFlags but missing here applies nowhere,
+// so a new flag that forgets to declare its modes fails on first use.
+var flagModes = map[string]string{
+	"seed": anyMode, "mesh": anyMode, "dests": anyMode, "packets": anyMode, "wseed": anyMode,
+	"tree": single, "k": single,
+	"ni": packet + " " + flit, "model": packet + " " + flit,
+	"workers": packet, "timeline": packet, "trace-json": packet + " " + liveMode,
+	"verbose": packet + " " + reliables + " " + liveMode + " " + schedule,
+	"live":    lives + " " + schedule, "net": lives, "live-timeout": lives,
+	"sessions": schedule, "window": schedule,
+	"reliable": reliables, "droprate": reliables, "faults": reliables,
+	"retries": reliables, "crash": reliables, "quorum": reliables,
+}
+
+type options struct {
+	seed, wseed                                 uint64
+	dests, packets, k, workers                  int
+	sessions, window, retries, quorum           int
+	tree, ni, model, mesh, traceJSON, faultSpec string
+	verbose, timeline, live, net, reliable      bool
+	liveTimeout                                 time.Duration
+	droprate                                    float64
+	crashes                                     crashFlags
+}
+
+func newFlags(o *options, errw io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("mcastsim", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	fs.Uint64Var(&o.seed, "seed", 1, "topology seed")
+	fs.IntVar(&o.dests, "dests", 15, "number of destinations (1..63)")
+	fs.IntVar(&o.packets, "packets", 8, "message length in packets")
+	fs.StringVar(&o.tree, "tree", "optimal", "tree policy: optimal, binomial, linear, or k (with -k)")
+	fs.IntVar(&o.k, "k", 2, "fanout bound for -tree k")
+	fs.StringVar(&o.ni, "ni", "fpfs", "NI discipline: fpfs, fcfs, conventional")
+	fs.Uint64Var(&o.wseed, "wseed", 7, "workload (destination set) seed")
+	fs.BoolVar(&o.verbose, "verbose", false, "print per-destination completion times")
+	fs.BoolVar(&o.timeline, "timeline", false, "print an ASCII per-host activity timeline")
+	fs.StringVar(&o.traceJSON, "trace-json", "", "write the event trace to FILE in Chrome trace-event format")
+	fs.BoolVar(&o.live, "live", false, "execute the multicast on the live goroutine runtime instead of simulating")
+	fs.IntVar(&o.sessions, "sessions", 0, "sustained-load mode: run N concurrent sessions through the session scheduler on one shared live fabric")
+	fs.IntVar(&o.window, "window", 64, "with -sessions: admission window (max sessions in flight)")
+	fs.BoolVar(&o.net, "net", false, "with -live: dial every tree edge over a loopback UDP socket instead of channel links")
+	fs.DurationVar(&o.liveTimeout, "live-timeout", 0, "watchdog timeout for -live runs (0 = the 30s default)")
+	fs.StringVar(&o.model, "model", "packet", "network model: packet (fast reservation) or flit (cycle-accurate wormhole)")
+	fs.StringVar(&o.mesh, "mesh", "", "use an ARITYxDIMS mesh instead of the irregular testbed (e.g. 317x2 = 100489 hosts)")
+	fs.IntVar(&o.workers, "workers", 0, "simulate under the windowed parallel scheduler with N workers (0 = serial loop)")
+	fs.BoolVar(&o.reliable, "reliable", false, "use the ACK/NACK reliable-delivery protocol (implied by any fault flag)")
+	fs.Float64Var(&o.droprate, "droprate", 0, "per-transmission packet loss probability [0,1)")
+	fs.StringVar(&o.faultSpec, "faults", "", "fault directives: kill:LINK@T,stall:HOST@FROM-UNTIL,corrupt:P,ackdrop:P,seed:N")
+	fs.IntVar(&o.retries, "retries", 8, "retransmissions per (tree edge, packet) before orphaning")
+	fs.Var(&o.crashes, "crash", "crash a host: HOST@T (crash-stop) or HOST@T@RT (recover at RT); repeatable")
+	fs.IntVar(&o.quorum, "quorum", 0, "destinations required for partial delivery under crashes (0 = all)")
+	return fs
+}
+
+// resolveMode is the one place the flags pick an engine; the reliable
+// predicate is the same for the simulated and the live plane.
+func (o *options) resolveMode() (string, error) {
+	reliable := o.reliable || o.droprate > 0 || o.faultSpec != "" || len(o.crashes) > 0
+	switch {
+	case o.sessions > 0:
+		return schedule, nil
+	case o.live && reliable:
+		return liveReliable, nil
+	case o.live:
+		return liveMode, nil
+	case reliable:
+		return simReliable, nil
+	case o.model == flit || o.model == packet:
+		return o.model, nil
+	}
+	return "", usagef("unknown model %q", o.model)
+}
+
+// checkFlags rejects every flag moved off its default that has no effect
+// in the resolved mode. (A flag set to its default is indistinguishable
+// from an unset one in every engine, so -droprate 0 and -live=false stay
+// valid.)
+func checkFlags(fs *flag.FlagSet, mode, tree string) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil || f.Value.String() == f.DefValue:
+		case !slices.Contains(strings.Fields(flagModes[f.Name]), mode):
+			err = usagef("-%s does not apply to %s mode (it applies to: %s)", f.Name, mode, flagModes[f.Name])
+		case f.Name == "k" && tree != "k":
+			err = usagef("-k does not apply to %s mode without -tree k", mode)
+		}
+	})
+	return err
+}
+
+// job is everything a mode's engine needs, built once by newJob.
+type job struct {
+	*options
+	out    io.Writer
+	mode   string
+	sys    *repro.System
+	params repro.Params
+	disc   repro.Discipline
+	// The single-multicast modes (all but sched) plan one spec.
+	spec repro.Spec
+	plan *repro.Plan
+	// payload and pkts are the message on the wire, built only for the
+	// modes that move real bytes (sim-reliable and the live ones).
+	payload []byte
+	pkts    [][]byte
+	// network is the live fabric: nil for channel links, the loopback
+	// sockets (fabric, the same value) under -net.
+	network    link.Network
+	fabric     *link.UDPNetwork
+	fabricName string
+}
+
+var (
+	policies = map[string]repro.TreePolicy{"optimal": repro.OptimalTree, "binomial": repro.BinomialTree,
+		"linear": repro.LinearTree, "k": repro.FixedKTree}
+	disciplines = map[string]repro.Discipline{"fpfs": repro.FPFS, "fcfs": repro.FCFS,
+		"conventional": repro.Conventional}
+)
+
+func newJob(o *options, fs *flag.FlagSet, out io.Writer) (*job, error) {
+	j := &job{options: o, out: out, params: repro.DefaultParams(), fabricName: "channel links"}
+	var err error
+	if j.mode, err = o.resolveMode(); err != nil {
+		return nil, err
+	}
+	if err := checkFlags(fs, j.mode, o.tree); err != nil {
+		return nil, err
+	}
+	policy, ok := policies[o.tree]
+	if !ok {
+		return nil, usagef("unknown tree policy %q", o.tree)
+	}
+	if j.disc, ok = disciplines[o.ni]; !ok {
+		return nil, usagef("unknown NI discipline %q", o.ni)
+	}
+	j.sys = repro.NewIrregularSystem(repro.DefaultIrregularConfig(), o.seed)
+	if o.mesh != "" {
+		var arity, dims int
+		if err := fields("-mesh", o.mesh, "ARITYxDIMS", &arity, &dims); err != nil {
+			return nil, usageError{err}
+		}
+		if arity < 2 || dims < 1 {
+			return nil, usagef("-mesh %q: arity must be >= 2 and dims >= 1", o.mesh)
+		}
+		j.sys = repro.NewMeshSystem(arity, dims)
+	}
+	if o.dests < 1 || o.dests >= j.sys.Net.NumHosts() {
+		return nil, usagef("dests must be in 1..%d", j.sys.Net.NumHosts()-1)
+	}
+	if j.mode == schedule {
+		return j, nil
+	}
+
+	set := workload.DestSet(workload.NewRNG(o.wseed), j.sys.Net.NumHosts(), o.dests)
+	j.spec = repro.Spec{Source: set[0], Dests: set[1:], Packets: o.packets, Policy: policy, K: o.k}
+	if err := j.sys.Validate(j.spec); err != nil {
+		return nil, usageError{err}
+	}
+	j.plan = j.sys.Plan(j.spec)
+	if j.mode == packet || j.mode == flit {
+		return j, nil
+	}
+	j.payload, j.pkts, err = newMessage(payloadRNG(o.wseed), 1, j.spec.Source, o.packets, j.params)
+	if err != nil {
+		return nil, usageError{err}
+	}
+	if o.net {
+		j.fabric, err = link.NewLoopbackUDP(j.plan.Tree.Nodes(), link.UDPConfig{Session: o.wseed + 1})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcastsim: -mesh: %v\n", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("loopback fabric: %w", err)
 		}
-		sys = repro.NewMeshSystem(arity, dims)
-	} else {
-		sys = repro.NewIrregularSystem(repro.DefaultIrregularConfig(), *seed)
+		j.network, j.fabricName = j.fabric, "loopback UDP sockets"
 	}
+	return j, nil
+}
 
-	if *workers > 0 && (*liveRun || *sessions > 0 || *reliableRun || *droprate > 0 || *faultSpec != "" || len(crashes) > 0 || *model == "flit") {
-		fmt.Fprintln(os.Stderr, "mcastsim: -workers applies to the packet-model simulation path only (not -live, -sessions, -model flit, or fault/reliable runs)")
-		os.Exit(1)
+// payloadRNG is the payload byte stream of a workload seed, decorrelated
+// from the destination-set stream drawn from the same seed.
+func payloadRNG(wseed uint64) *workload.RNG { return workload.NewRNG(wseed ^ 0x9e3779b97f4a7c15) }
+
+// newMessage draws a payload that fills exactly the given number of
+// packets from rng and fragments it into wire-format packets.
+func newMessage(rng *workload.RNG, msgID uint32, source, packets int, p repro.Params) (payload []byte, pkts [][]byte, err error) {
+	payload = make([]byte, packets*(p.PacketBytes-message.HeaderSize))
+	for i := range payload {
+		payload[i] = byte(rng.Uint64())
 	}
+	pkts, err = message.Packetize(msgID, source, payload, p.PacketBytes)
+	return payload, pkts, err
+}
 
-	var policy repro.TreePolicy
-	switch *treeKind {
-	case "optimal":
-		policy = repro.OptimalTree
-	case "binomial":
-		policy = repro.BinomialTree
-	case "linear":
-		policy = repro.LinearTree
-	case "k":
-		policy = repro.FixedKTree
-	default:
-		fmt.Fprintf(os.Stderr, "mcastsim: unknown tree policy %q\n", *treeKind)
-		os.Exit(1)
+func (j *job) printf(format string, a ...any) { fmt.Fprintf(j.out, format, a...) }
+
+// printSpec prints the spec: line; engine names the NI and fabric.
+func (j *job) printSpec(engine string) {
+	size := ""
+	if j.payload != nil {
+		size = fmt.Sprintf(" (%d payload bytes)", len(j.payload))
 	}
+	j.printf("spec:   source h%d, %d destinations, %d packets%s, %s tree, %s\n",
+		j.spec.Source, len(j.spec.Dests), j.spec.Packets, size, j.spec.Policy, engine)
+}
 
-	var disc repro.Discipline
-	switch *ni {
-	case "fpfs":
-		disc = repro.FPFS
-	case "fcfs":
-		disc = repro.FCFS
-	case "conventional":
-		disc = repro.Conventional
-	default:
-		fmt.Fprintf(os.Stderr, "mcastsim: unknown NI discipline %q\n", *ni)
-		os.Exit(1)
-	}
+// printPlan prints the plan: line; steps is the packet mode's suffix.
+func (j *job) printPlan(steps string) {
+	j.printf("plan:   k=%d, tree depth=%d, root degree=%d%s\n",
+		j.plan.K, j.plan.Tree.Depth(), j.plan.Tree.RootDegree(), steps)
+}
 
-	if *dests < 1 || *dests >= sys.Net.NumHosts() {
-		fmt.Fprintf(os.Stderr, "mcastsim: dests must be in 1..%d\n", sys.Net.NumHosts()-1)
-		os.Exit(1)
-	}
-
-	if *sessions > 0 {
-		fmt.Printf("system: %s (seed %d)\n", sys.Net.Summary(), *seed)
-		runSched(sys, *sessions, *dests, *packets, *window, *wseed, *verbose)
-		return
-	}
-
-	set := workload.DestSet(workload.NewRNG(*wseed), sys.Net.NumHosts(), *dests)
-	spec := repro.Spec{Source: set[0], Dests: set[1:], Packets: *packets, Policy: policy, K: *k}
-	if err := sys.Validate(spec); err != nil {
-		fmt.Fprintf(os.Stderr, "mcastsim: %v\n", err)
-		os.Exit(1)
-	}
-	plan := sys.Plan(spec)
-
-	if *liveRun {
-		if *ni != "fpfs" || *model != "packet" {
-			fmt.Fprintln(os.Stderr, "mcastsim: -live supports -ni fpfs -model packet only")
-			os.Exit(1)
+// printCompletions is the -verbose per-destination table in chain order;
+// cell formats one destination's completion, "" when it has none.
+func (j *job) printCompletions(unit string, cell func(dest int) string) {
+	j.printf("\nper-destination completion (%s):\n", unit)
+	for _, d := range j.plan.Chain[1:] {
+		s := cell(d)
+		if s == "" {
+			s = "  (undelivered)"
 		}
-		fmt.Printf("system: %s (seed %d)\n", sys.Net.Summary(), *seed)
-		if *reliableRun || *droprate > 0 || *faultSpec != "" || len(crashes) > 0 || *quorum > 0 {
-			runLiveReliable(sys, plan, *droprate, *faultSpec, crashes, *quorum, *retries, *liveTimeout, *wseed, *verbose, *netRun)
-			return
-		}
-		runLive(sys, plan, *liveTimeout, *wseed, *verbose, *traceJSON, *netRun)
-		return
+		j.printf("  h%-3d %s\n", d, s)
 	}
-	if *netRun {
-		fmt.Fprintln(os.Stderr, "mcastsim: -net requires -live")
-		os.Exit(1)
-	}
+}
 
-	if *reliableRun || *droprate > 0 || *faultSpec != "" || len(crashes) > 0 {
-		if *ni != "fpfs" || *model != "packet" {
-			fmt.Fprintln(os.Stderr, "mcastsim: reliable delivery supports -ni fpfs -model packet only")
-			os.Exit(1)
-		}
-		fmt.Printf("system: %s (seed %d)\n", sys.Net.Summary(), *seed)
-		runReliable(sys, plan, *droprate, *faultSpec, crashes, *quorum, *retries, *wseed, *verbose)
-		return
+// wallCell formats a live host record's completion instant.
+func wallCell(rec *live.HostRecord) string {
+	if rec == nil || rec.Data == nil {
+		return ""
 	}
+	return fmt.Sprintf("%10v", rec.DoneAt.Round(time.Microsecond))
+}
 
-	if *model == "flit" {
-		fres := flitsim.MulticastDisc(sys.Router, plan.Tree, spec.Packets, flitsim.DefaultParams(), disc)
-		fmt.Printf("system: %s (seed %d)\n", sys.Net.Summary(), *seed)
-		fmt.Printf("spec:   source h%d, %d destinations, %d packets, %s tree, %s NI (flit-level)\n",
-			spec.Source, len(spec.Dests), spec.Packets, policy, disc)
-		fmt.Printf("plan:   k=%d, tree depth=%d, root degree=%d\n",
-			plan.K, plan.Tree.Depth(), plan.Tree.RootDegree())
-		fmt.Printf("result: latency %.1f us (%d cycles), %d injections, peak path hold %d cycles\n",
-			fres.Latency, fres.Cycles, fres.Injections, fres.PeakChannelHold)
-		return
+// exactAt counts the destinations whose record holds payload byte for byte.
+func exactAt(hosts map[int]*live.HostRecord, dests []int, payload []byte) int {
+	n := 0
+	for _, d := range dests {
+		if rec := hosts[d]; rec != nil && bytes.Equal(rec.Data, payload) {
+			n++
+		}
 	}
-	if *model != "packet" {
-		fmt.Fprintf(os.Stderr, "mcastsim: unknown model %q\n", *model)
-		os.Exit(1)
-	}
-	// One packet-model path: the serial loop and the windowed scheduler
-	// run the same session model, so only the engine call and the psim:
-	// line differ.
-	p := repro.DefaultParams()
-	one := []sim.Session{{Tree: plan.Tree, Packets: spec.Packets}}
-	traced := *timeline || *traceJSON != ""
+	return n
+}
+
+// runPacket is the packet-model path: the serial loop and the windowed
+// scheduler run the same session model, so only the engine call and the
+// psim: line differ.
+func (j *job) runPacket() error {
+	one := []sim.Session{{Tree: j.plan.Tree, Packets: j.spec.Packets}}
+	traced := j.timeline || j.traceJSON != ""
 	var (
 		res    *sim.ConcurrentResult
 		events []sim.TraceEvent
 		ws     psim.WindowStats
-		engine string
 	)
-	if *workers > 0 {
-		engine = " (parallel engine)"
-		res, events = psim.ConcurrentTraced(sys.Router, one, p, disc, traced,
-			psim.Config{Workers: *workers, Stats: &ws})
+	engine := j.disc.String() + " NI"
+	if j.workers > 0 {
+		engine += " (parallel engine)"
+		res, events = psim.ConcurrentTraced(j.sys.Router, one, j.params, j.disc, traced,
+			psim.Config{Workers: j.workers, Stats: &ws})
 	} else {
-		res, events = sim.ConcurrentTraced(sys.Router, one, p, disc, traced)
+		res, events = sim.ConcurrentTraced(j.sys.Router, one, j.params, j.disc, traced)
 	}
 	maxBuf := 0
 	for _, b := range res.MaxBuffered {
 		maxBuf = max(maxBuf, b)
 	}
 
-	fmt.Printf("system: %s (seed %d)\n", sys.Net.Summary(), *seed)
-	fmt.Printf("spec:   source h%d, %d destinations, %d packets, %s tree, %s NI%s\n",
-		spec.Source, len(spec.Dests), spec.Packets, policy, disc, engine)
-	fmt.Printf("plan:   k=%d, tree depth=%d, root degree=%d, model bound %d steps, measured %d steps\n",
-		plan.K, plan.Tree.Depth(), plan.Tree.RootDegree(), plan.ModelSteps, plan.Steps())
-	fmt.Printf("result: latency %.1f us, %d sends, channel wait %.1f us, peak NI buffer %d packets\n",
+	j.printSpec(engine)
+	j.printPlan(fmt.Sprintf(", model bound %d steps, measured %d steps", j.plan.ModelSteps, j.plan.Steps()))
+	j.printf("result: latency %.1f us, %d sends, channel wait %.1f us, peak NI buffer %d packets\n",
 		res.Sessions[0].Latency, res.Sends, res.ChannelWait, maxBuf)
-	if *workers > 0 {
-		fmt.Printf("psim:   %d workers, %d windows of lookahead %.2f us, %d events (%.0f/window, min %.0f max %.0f), %d cross-partition deliveries\n",
+	if j.workers > 0 {
+		j.printf("psim:   %d workers, %d windows of lookahead %.2f us, %d events (%.0f/window, min %.0f max %.0f), %d cross-partition deliveries\n",
 			ws.Workers, ws.Windows, ws.Lookahead, ws.Events,
 			ws.PerWindow.Mean(), ws.PerWindow.Min(), ws.PerWindow.Max(), ws.Mailed)
 	}
-
-	if *verbose {
-		fmt.Println("\nper-destination completion (us):")
-		for _, d := range plan.Chain[1:] {
-			fmt.Printf("  h%-3d %8.1f\n", d, res.Sessions[0].HostDone[d])
-		}
-		fmt.Println("\nchain order: " + joinInts(plan.Chain))
+	if j.verbose {
+		j.printCompletions("us", func(d int) string { return fmt.Sprintf("%8.1f", res.Sessions[0].HostDone[d]) })
+		j.printf("\nchain order: %s\n", strings.Trim(fmt.Sprint(j.plan.Chain), "[]"))
 	}
-	if *timeline {
-		fmt.Println()
-		fmt.Print(trace.Timeline(events, trace.TimelineOptions{Width: 100, Session: -1}))
-		fmt.Println()
-		fmt.Print(trace.Collect(events).String())
+	if j.timeline {
+		j.printf("\n%s\n%s", trace.Timeline(events, trace.TimelineOptions{Width: 100, Session: -1}),
+			trace.Collect(events))
 	}
-	if *traceJSON != "" {
-		writeChromeTrace(*traceJSON, events)
-	}
+	return j.writeTrace(events)
 }
 
-// parseMesh parses an "ARITYxDIMS" mesh geometry like "317x2".
-func parseMesh(spec string) (arity, dims int, err error) {
-	a, d, ok := strings.Cut(spec, "x")
-	if !ok {
-		return 0, 0, fmt.Errorf("geometry %q is not ARITYxDIMS", spec)
-	}
-	arity, err1 := strconv.Atoi(a)
-	dims, err2 := strconv.Atoi(d)
-	if err1 != nil || err2 != nil || arity < 2 || dims < 1 {
-		return 0, 0, fmt.Errorf("geometry %q: arity must be >= 2 and dims >= 1", spec)
-	}
-	return arity, dims, nil
+func (j *job) runFlit() error {
+	res := flitsim.MulticastDisc(j.sys.Router, j.plan.Tree, j.spec.Packets, flitsim.DefaultParams(), j.disc)
+	j.printSpec(j.disc.String() + " NI (flit-level)")
+	j.printPlan("")
+	j.printf("result: latency %.1f us (%d cycles), %d injections, peak path hold %d cycles\n",
+		res.Latency, res.Cycles, res.Injections, res.PeakChannelHold)
+	return nil
 }
 
-// runSched is the sustained-load mode: n sessions with rotating seeded
-// destination sets are pushed through one sched.Scheduler over a shared
-// live fabric spanning every host. Each session's tree is planned
+// runSched is the sustained-load mode: -sessions sessions with rotating
+// seeded destination sets are pushed through one sched.Scheduler over a
+// shared live fabric spanning every host. Each session's tree is planned
 // against the scheduler's in-flight edge census (the simultaneous-
 // multicast objective), admission is bounded by the window, and the
 // report gives sustained throughput plus the p50/p99 end-to-end
 // completion latency.
-func runSched(sys *repro.System, n, dests, packets, window int, wseed uint64, verbose bool) {
-	if dests < 1 || dests >= sys.Net.NumHosts() {
-		fmt.Fprintf(os.Stderr, "mcastsim: dests must be in 1..%d\n", sys.Net.NumHosts()-1)
-		os.Exit(1)
-	}
-	p := repro.DefaultParams()
-	hosts := make([]int, sys.Net.NumHosts())
+func (j *job) runSched() error {
+	n := j.sessions
+	hosts := make([]int, j.sys.Net.NumHosts())
 	for i := range hosts {
 		hosts[i] = i
 	}
-	s, err := sched.New(hosts, sched.Config{Window: window, QueueDepth: n})
+	s, err := sched.New(hosts, sched.Config{Window: j.window, QueueDepth: n})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcastsim: scheduler: %v\n", err)
-		os.Exit(1)
+		return usagef("scheduler: %v", err)
 	}
 	defer s.Close()
 
-	rng := workload.NewRNG(wseed ^ 0x9e3779b97f4a7c15)
+	rng := payloadRNG(j.wseed)
 	type submitted struct {
 		h       *sched.Handle
 		payload []byte
@@ -344,26 +490,19 @@ func runSched(sys *repro.System, n, dests, packets, window int, wseed uint64, ve
 	subs := make([]submitted, 0, n)
 	begin := time.Now()
 	for i := 0; i < n; i++ {
-		set := workload.DestSet(rng, sys.Net.NumHosts(), dests)
-		payload := make([]byte, packets*(p.PacketBytes-message.HeaderSize))
-		for j := range payload {
-			payload[j] = byte(rng.Uint64())
-		}
+		set := workload.DestSet(rng, len(hosts), j.dests)
 		msgID := uint32(i + 1)
-		tr, _, err := s.PlanBcast(sys, set[0], set[1:], packets)
+		payload, pkts, err := newMessage(rng, msgID, set[0], j.packets, j.params)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcastsim: session %d plan: %v\n", i, err)
-			os.Exit(1)
+			return usagef("session %d: %v", i, err)
 		}
-		pkts, err := message.Packetize(msgID, set[0], payload, p.PacketBytes)
+		tr, _, err := s.PlanBcast(j.sys, set[0], set[1:], j.packets)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcastsim: session %d: %v\n", i, err)
-			os.Exit(1)
+			return usagef("session %d plan: %v", i, err)
 		}
 		h, err := s.Submit(live.Session{Tree: tr, Packets: pkts, MsgID: msgID})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcastsim: session %d submit: %v\n", i, err)
-			os.Exit(1)
+			return fmt.Errorf("session %d submit: %w", i, err)
 		}
 		subs = append(subs, submitted{h: h, payload: payload, dests: set[1:]})
 	}
@@ -373,18 +512,9 @@ func runSched(sys *repro.System, n, dests, packets, window int, wseed uint64, ve
 	for i, su := range subs {
 		res, err := su.h.Wait()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcastsim: session %d failed: %v\n", i, err)
-			os.Exit(1)
+			return fmt.Errorf("session %d failed: %w", i, err)
 		}
-		ok := true
-		for _, d := range su.dests {
-			rec := res.Hosts[d]
-			if rec == nil || string(rec.Data) != string(su.payload) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if exactAt(res.Hosts, su.dests, su.payload) == len(su.dests) {
 			exact++
 		}
 		e2e = append(e2e, res.FinishAt-res.SubmitAt)
@@ -393,566 +523,333 @@ func runSched(sys *repro.System, n, dests, packets, window int, wseed uint64, ve
 	sort.Slice(e2e, func(a, b int) bool { return e2e[a] < e2e[b] })
 	st := s.Stats()
 
-	fmt.Printf("sched:  %d sessions (%d dests, %d packets each), window %d, %d-host shared fabric\n",
-		n, dests, packets, window, len(hosts))
-	fmt.Printf("result: wall %v, %.0f sessions/sec, completion p50 %v p99 %v\n",
+	j.printf("sched:  %d sessions (%d dests, %d packets each), window %d, %d-host shared fabric\n",
+		n, j.dests, j.packets, j.window, len(hosts))
+	j.printf("result: wall %v, %.0f sessions/sec, completion p50 %v p99 %v\n",
 		wall.Round(time.Millisecond), float64(n)/wall.Seconds(),
-		e2e[len(e2e)/2].Round(time.Microsecond), e2e[len(e2e)*99/100].Round(time.Microsecond))
-	fmt.Printf("        %d of %d sessions delivered byte-exactly at every destination; max in flight %d, %d frames dropped\n",
+		e2e[n/2].Round(time.Microsecond), e2e[n*99/100].Round(time.Microsecond))
+	j.printf("        %d of %d sessions delivered byte-exactly at every destination; max in flight %d, %d frames dropped\n",
 		exact, n, st.MaxInflight, st.DroppedFrames)
 	if exact != n {
-		fmt.Fprintln(os.Stderr, "mcastsim: scheduled delivery fell short")
-		os.Exit(1)
+		return errors.New("scheduled delivery fell short")
 	}
-	if verbose {
-		fmt.Println("\ncompletion latency distribution:")
+	if j.verbose {
+		j.printf("\ncompletion latency distribution:\n")
 		for _, q := range []struct {
 			name string
 			idx  int
-		}{{"min", 0}, {"p10", len(e2e) / 10}, {"p50", len(e2e) / 2}, {"p90", len(e2e) * 9 / 10}, {"p99", len(e2e) * 99 / 100}, {"max", len(e2e) - 1}} {
-			fmt.Printf("  %-4s %10v\n", q.name, e2e[q.idx].Round(time.Microsecond))
+		}{{"min", 0}, {"p10", n / 10}, {"p50", n / 2}, {"p90", n * 9 / 10}, {"p99", n * 99 / 100}, {"max", n - 1}} {
+			j.printf("  %-4s %10v\n", q.name, e2e[q.idx].Round(time.Microsecond))
 		}
 	}
+	return nil
 }
 
 // runLive executes the plan on the live goroutine runtime (internal/live)
-// with a deterministic payload of exactly the spec's packet count, and
-// reports the measured wall clock next to the simulator's prediction.
-func runLive(sys *repro.System, plan *repro.Plan, timeout time.Duration, wseed uint64, verbose bool, traceJSON string, overUDP bool) {
-	p := repro.DefaultParams()
-	payload := make([]byte, plan.Spec.Packets*(p.PacketBytes-message.HeaderSize))
-	prng := workload.NewRNG(wseed ^ 0x9e3779b97f4a7c15)
-	for i := range payload {
-		payload[i] = byte(prng.Uint64())
-	}
-	pkts, err := message.Packetize(1, plan.Spec.Source, payload, p.PacketBytes)
+// and reports the measured wall clock next to the simulator's prediction.
+func (j *job) runLive() error {
+	res, err := live.Run([]live.Session{{Tree: j.plan.Tree, Packets: j.pkts, MsgID: 1}}, live.Config{
+		BufferPackets: j.params.NIBufferPackets, Record: j.traceJSON != "", Timeout: j.liveTimeout, Network: j.network})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcastsim: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("live run: %w", err)
 	}
-	cfg := live.Config{BufferPackets: p.NIBufferPackets, Record: traceJSON != "", Timeout: timeout}
-	var nw *link.UDPNetwork
-	if overUDP {
-		nw, err = link.NewLoopbackUDP(plan.Tree.Nodes(), link.UDPConfig{Session: wseed + 1})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcastsim: loopback fabric: %v\n", err)
-			os.Exit(1)
-		}
-		defer nw.Close()
-		cfg.Network = nw
-	}
-	res, err := live.Run([]live.Session{{Tree: plan.Tree, Packets: pkts, MsgID: 1}}, cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcastsim: live run: %v\n", err)
-		os.Exit(1)
-	}
-	pred := sys.Simulate(plan, p, repro.FPFS)
-
+	pred := j.sys.Simulate(j.plan, j.params, repro.FPFS)
 	sr := res.Sessions[0]
-	exact := 0
-	for _, v := range plan.Tree.Nodes() {
-		if v == plan.Tree.Root() {
+	exact := exactAt(sr.Hosts, j.spec.Dests, j.payload)
+
+	j.printSpec("live FPFS over " + j.fabricName)
+	j.printPlan("")
+	if j.fabric != nil {
+		j.printf("fabric: %+v\n", j.fabric.Stats())
+	}
+	j.printf("result: wall latency %v, %d sends; simulator predicts %.1f us for this plan\n",
+		sr.Latency.Round(time.Microsecond), res.Sends, pred.Latency)
+	j.printf("        %d of %d destinations reassembled the message byte-exactly\n", exact, len(j.spec.Dests))
+	if exact != len(j.spec.Dests) {
+		return errors.New("live delivery fell short")
+	}
+	if j.verbose {
+		j.printCompletions("wall clock", func(d int) string { return wallCell(sr.Hosts[d]) })
+	}
+	return j.writeTrace(res.Events)
+}
+
+// runLiveReliable executes the plan on the chaos-hardened reliable live
+// engine — a fault-decorated transport under real retransmission timers,
+// heartbeats, and epoch-fenced reconfiguration — and prints the protocol
+// and chaos counters. Fault and crash times are milliseconds here.
+func (j *job) runLiveReliable() error {
+	cfg := live.DefaultReliableConfig()
+	cfg.Faults = link.Faults{Seed: 1, DropRate: j.droprate}
+	if err := liveFaults(j.faultSpec, &cfg.Faults); err != nil {
+		return usagef("-faults: %v", err)
+	}
+	cfg.RetryBudget, cfg.Quorum = j.retries, j.quorum
+	cfg.Live.Timeout, cfg.Live.Network = j.liveTimeout, j.network
+	for _, c := range j.crashes {
+		cfg.Crashes = append(cfg.Crashes, live.HostCrash{Host: c.Host, At: ms(c.At), RecoverAt: ms(c.RecoverAt)})
+	}
+	res, err := live.RunReliable(live.Session{Tree: j.plan.Tree, Packets: j.pkts, MsgID: 1}, cfg)
+	if res == nil {
+		// Validation failure (bad rates, bad crash plan): no run happened.
+		return usageError{err}
+	}
+
+	f := cfg.Faults
+	j.printSpec("reliable live FPFS over " + j.fabricName)
+	j.printf("faults: drop=%g corrupt=%g reorder=%g ackdrop=%g jitter=%v kills=%d stalls=%d crashes=%d seed=%d\n",
+		f.DropRate, f.CorruptRate, f.ReorderRate, f.AckDropRate, f.MaxJitter,
+		len(f.Kills), len(f.Stalls), len(cfg.Crashes), f.Seed)
+	j.printf("result: wall latency %v, %d sends (%d retransmits), %d duplicates suppressed, %d stale fenced\n",
+		res.Latency.Round(time.Microsecond), res.Sends, res.Retransmits, res.Duplicates, res.Fenced)
+	j.printf("        injected: %d dropped, %d corrupted, %d reordered, %d acks lost, %d dead-link sends\n",
+		res.Faults.Dropped, res.Faults.Corrupted, res.Faults.Reordered, res.Faults.AcksDropped, res.Faults.DeadSends)
+	if j.fabric != nil {
+		// The socket fabric's own counters, distinct from the injected
+		// chaos: resyncs or bad datagrams here mean the wire itself (not
+		// the decorator) mangled traffic the protocol had to absorb.
+		j.printf("        fabric: %+v\n", j.fabric.Stats())
+	}
+	if len(cfg.Crashes) > 0 {
+		j.printf("        crashes: %d crash-dropped frames, %d adoptions, final epoch %d\n",
+			res.CrashDrops, res.Adoptions, res.Epoch)
+		j.printViews(res.Views)
+	} else if res.Adoptions > 0 {
+		j.printf("        %d mid-flight re-graft(s) repaired starved subtrees\n", res.Adoptions)
+	}
+	if j.verbose {
+		j.printCompletions("wall clock", func(d int) string { return wallCell(res.Hosts[d]) })
+	}
+	return j.printStatus(err, res.Status, res.Epoch, res.Orphaned)
+}
+
+// runSimReliable executes the plan under the simulated reliable-delivery
+// protocol and prints the protocol and fault counters.
+func (j *job) runSimReliable() error {
+	fp := repro.FaultPlan{Seed: 1, DropRate: j.droprate, Crashes: j.crashes}
+	if err := simFaults(j.faultSpec, &fp, len(j.sys.Net.Links())); err != nil {
+		return usagef("-faults: %v", err)
+	}
+	cfg := repro.DefaultReliableConfig()
+	cfg.RetryBudget, cfg.Quorum = j.retries, j.quorum
+	res, err := repro.DeliverReliable(j.sys, j.plan, j.payload, cfg, fp)
+	if res == nil {
+		// Validation failure (bad rates, bad retry budget): no run happened.
+		return usageError{err}
+	}
+
+	j.printSpec("reliable FPFS")
+	j.printf("faults: drop=%g corrupt=%g ackdrop=%g kills=%d stalls=%d crashes=%d seed=%d\n",
+		fp.DropRate, fp.CorruptRate, fp.AckDropRate, len(fp.Kills), len(fp.Stalls), len(fp.Crashes), fp.Seed)
+	j.printf("result: latency %.1f us, %d sends (%d retransmits), %d acks, %d nacks, %d duplicates suppressed\n",
+		res.Latency, res.Sends, res.Retransmits, res.Acks, res.Nacks, res.Duplicates)
+	j.printf("        injected: %d dropped, %d corrupted, %d acks lost, %d dead-link sends, %.1f us stall wait\n",
+		res.Faults.Dropped, res.Faults.Corrupted, res.Faults.AcksLost, res.Faults.DeadSends, res.Faults.StallWait)
+	if res.Repairs > 0 {
+		j.printf("        %d mid-flight tree repair(s) re-parented starved subtrees\n", res.Repairs)
+	}
+	if len(fp.Crashes) > 0 {
+		j.printf("        crashes: %d applied, %d recoveries, %d crash-dropped packets, %d stale packets fenced, %d adoptions\n",
+			res.Faults.Crashes, res.Faults.Recoveries, res.Faults.CrashDrops, res.Fenced, res.Adoptions)
+		j.printViews(res.Views)
+	}
+	if j.verbose {
+		j.printCompletions("us", func(d int) string {
+			if t, ok := res.HostDone[d]; ok {
+				return fmt.Sprintf("%8.1f", t)
+			}
+			return ""
+		})
+	}
+	return j.printStatus(err, res.Status, res.Epoch, res.Orphaned)
+}
+
+// printStatus ends a reliable report: the protocol's typed failure is the
+// run's error; otherwise the verdict line says who holds the message.
+func (j *job) printStatus(err error, status repro.DeliveryStatus, epoch int, orphaned []int) error {
+	n := len(j.spec.Dests)
+	switch {
+	case err != nil:
+	case status == repro.DeliveredPartial:
+		j.printf("        status %s (epoch %d): %d of %d destinations received the %d-byte message byte-exactly; undelivered: %s\n",
+			status, epoch, n-len(orphaned), n, len(j.payload), strings.Join(hostNames("", orphaned, nil), " "))
+	default:
+		j.printf("        status %s: all %d destinations received the %d-byte message byte-exactly\n",
+			status, n, len(j.payload))
+	}
+	return err
+}
+
+// hostNames names the hosts of list that are not in except ("h3", "h7"),
+// each prefixed by sign.
+func hostNames(sign string, list, except []int) []string {
+	var names []string
+	for _, h := range list {
+		if !slices.Contains(except, h) {
+			names = append(names, fmt.Sprintf("%sh%d", sign, h))
+		}
+	}
+	return names
+}
+
+// printViews renders a membership plane's epoch history as per-view member
+// diffs (both planes stamp views in microseconds).
+func (j *job) printViews(views []repro.GroupView) {
+	for i, v := range views {
+		if i == 0 {
+			j.printf("        view epoch %d: initial, %d members\n", v.Epoch, len(v.Members))
 			continue
 		}
-		if rec := sr.Hosts[v]; rec != nil && string(rec.Data) == string(payload) {
-			exact++
+		prev := views[i-1].Members
+		diff := append(hostNames("-", prev, v.Members), hostNames("+", v.Members, prev)...)
+		j.printf("        view epoch %d @ %.1f us: %s (%d members)\n",
+			v.Epoch, v.At, strings.Join(diff, " "), len(v.Members))
+	}
+}
+
+// writeTrace renders events as Chrome trace-event JSON at -trace-json.
+func (j *job) writeTrace(events []sim.TraceEvent) error {
+	if j.traceJSON == "" {
+		return nil
+	}
+	raw, err := trace.ChromeJSON(events)
+	if err == nil {
+		err = os.WriteFile(j.traceJSON, raw, 0o644)
+	}
+	if err != nil {
+		return fmt.Errorf("-trace-json: %w", err)
+	}
+	j.printf("trace:  %d events written to %s (open in about://tracing or ui.perfetto.dev)\n",
+		len(events), j.traceJSON)
+	return nil
+}
+
+// fields parses value against shape — upper-case field names joined by
+// single-byte separators, like "HOST@FROM-UNTIL" — storing the i-th field
+// in dst[i]: *int, *uint64, *float64, or *time.Duration for a time in
+// (fractional) milliseconds. It is the one number parser and the one
+// source of error text for -faults, -crash and -mesh.
+func fields(kind, value, shape string, dst ...any) error {
+	rest, names := value, shape
+	for i, d := range dst {
+		text, name := rest, names
+		if i < len(dst)-1 {
+			at := strings.IndexAny(names, "@-x")
+			var ok bool
+			if text, rest, ok = strings.Cut(rest, names[at:at+1]); !ok {
+				return fmt.Errorf("%s %q is not %s", kind, value, shape)
+			}
+			name, names = names[:at], names[at+1:]
+		}
+		var err error
+		switch p := d.(type) {
+		case *int:
+			*p, err = strconv.Atoi(text)
+		case *uint64:
+			*p, err = strconv.ParseUint(text, 10, 64)
+		case *float64:
+			*p, err = strconv.ParseFloat(text, 64)
+		case *time.Duration:
+			var v float64
+			v, err = strconv.ParseFloat(text, 64)
+			*p = ms(v)
+		}
+		if err != nil {
+			return fmt.Errorf("%s %s %q: %v", kind, name, text, errors.Unwrap(err))
 		}
 	}
-	fabric := "channel links"
-	if overUDP {
-		fabric = "loopback UDP sockets"
-	}
-	fmt.Printf("spec:   source h%d, %d destinations, %d packets (%d payload bytes), %s tree, live FPFS over %s\n",
-		plan.Spec.Source, len(plan.Spec.Dests), len(pkts), len(payload), plan.Spec.Policy, fabric)
-	fmt.Printf("plan:   k=%d, tree depth=%d, root degree=%d\n",
-		plan.K, plan.Tree.Depth(), plan.Tree.RootDegree())
-	if nw != nil {
-		fmt.Printf("fabric: %+v\n", nw.Stats())
-	}
-	fmt.Printf("result: wall latency %v, %d sends; simulator predicts %.1f us for this plan\n",
-		sr.Latency.Round(time.Microsecond), res.Sends, pred.Latency)
-	fmt.Printf("        %d of %d destinations reassembled the message byte-exactly\n",
-		exact, len(plan.Spec.Dests))
-	if exact != len(plan.Spec.Dests) {
-		fmt.Fprintln(os.Stderr, "mcastsim: live delivery fell short")
-		os.Exit(1)
-	}
-	if verbose {
-		fmt.Println("\nper-destination completion (wall clock):")
-		for _, d := range plan.Chain[1:] {
-			fmt.Printf("  h%-3d %10v\n", d, sr.Hosts[d].DoneAt.Round(time.Microsecond))
-		}
-	}
-	if traceJSON != "" {
-		writeChromeTrace(traceJSON, res.Events)
-	}
+	return nil
 }
 
 // ms converts a millisecond-valued float (the live plane's CLI time unit)
 // to a wall-clock duration.
 func ms(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
 
-// parseLiveFaults turns the -faults directive list into a live chaos
-// plane. Times are milliseconds: the live fabric runs on the wall clock,
-// where the simulator's microsecond scale is below timer resolution.
-func parseLiveFaults(spec string, droprate float64) (link.Faults, error) {
-	f := link.Faults{Seed: 1, DropRate: droprate}
-	if spec == "" {
-		return f, nil
-	}
-	for _, dir := range strings.Split(spec, ",") {
-		kind, arg, ok := strings.Cut(strings.TrimSpace(dir), ":")
-		if !ok {
-			return f, fmt.Errorf("directive %q is not kind:value", dir)
-		}
-		switch kind {
-		case "kill":
-			pair, at, ok := strings.Cut(arg, "@")
-			if !ok {
-				return f, fmt.Errorf("live kill %q is not FROM-TO@Tms", arg)
-			}
-			from, to, ok := strings.Cut(pair, "-")
-			if !ok {
-				return f, fmt.Errorf("live kill pair %q is not FROM-TO", pair)
-			}
-			src, err1 := strconv.Atoi(from)
-			dst, err2 := strconv.Atoi(to)
-			t, err3 := strconv.ParseFloat(at, 64)
-			if err1 != nil || err2 != nil || err3 != nil {
-				return f, fmt.Errorf("live kill %q: bad fields", arg)
-			}
-			f.Kills = append(f.Kills, link.LinkKill{From: src, To: dst, At: ms(t)})
-		case "stall":
-			host, window, ok := strings.Cut(arg, "@")
-			if !ok {
-				return f, fmt.Errorf("stall %q is not HOST@FROM-UNTILms", arg)
-			}
-			h, err := strconv.Atoi(host)
-			if err != nil {
-				return f, fmt.Errorf("stall host %q: %v", host, err)
-			}
-			from, until, ok := strings.Cut(window, "-")
-			if !ok {
-				return f, fmt.Errorf("stall window %q is not FROM-UNTIL", window)
-			}
-			fr, err1 := strconv.ParseFloat(from, 64)
-			un, err2 := strconv.ParseFloat(until, 64)
-			if err1 != nil || err2 != nil {
-				return f, fmt.Errorf("stall window %q: bad bounds", window)
-			}
-			f.Stalls = append(f.Stalls, link.StallWindow{Host: h, From: ms(fr), Until: ms(un)})
-		case "corrupt":
-			p, err := strconv.ParseFloat(arg, 64)
-			if err != nil {
-				return f, fmt.Errorf("corrupt rate %q: %v", arg, err)
-			}
-			f.CorruptRate = p
-		case "reorder":
-			p, err := strconv.ParseFloat(arg, 64)
-			if err != nil {
-				return f, fmt.Errorf("reorder rate %q: %v", arg, err)
-			}
-			f.ReorderRate = p
-		case "ackdrop":
-			p, err := strconv.ParseFloat(arg, 64)
-			if err != nil {
-				return f, fmt.Errorf("ackdrop rate %q: %v", arg, err)
-			}
-			f.AckDropRate = p
-		case "jitter":
-			d, err := strconv.ParseFloat(arg, 64)
-			if err != nil {
-				return f, fmt.Errorf("jitter %q: %v", arg, err)
-			}
-			f.MaxJitter = ms(d)
-		case "seed":
-			s, err := strconv.ParseUint(arg, 10, 64)
-			if err != nil {
-				return f, fmt.Errorf("seed %q: %v", arg, err)
-			}
-			f.Seed = s
-		default:
-			return f, fmt.Errorf("unknown live fault directive %q", kind)
-		}
-	}
-	return f, nil
-}
-
-// runLiveReliable executes the plan on the chaos-hardened reliable live
-// engine — a fault-decorated transport under real retransmission timers,
-// heartbeats, and epoch-fenced reconfiguration — and prints the protocol
-// and chaos counters. Crash times (-crash HOST@T[@RT]) are milliseconds.
-func runLiveReliable(sys *repro.System, plan *repro.Plan, droprate float64, faultSpec string, crashes []repro.HostCrash, quorum, retries int, timeout time.Duration, wseed uint64, verbose bool, overUDP bool) {
-	faults, err := parseLiveFaults(faultSpec, droprate)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcastsim: -faults: %v\n", err)
-		os.Exit(1)
-	}
-	cfg := live.DefaultReliableConfig()
-	cfg.Faults = faults
-	cfg.RetryBudget = retries
-	cfg.Quorum = quorum
-	cfg.Live.Timeout = timeout
-	var nw *link.UDPNetwork
-	if overUDP {
-		nw, err = link.NewLoopbackUDP(plan.Tree.Nodes(), link.UDPConfig{Session: wseed + 1})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mcastsim: loopback fabric: %v\n", err)
-			os.Exit(1)
-		}
-		defer nw.Close()
-		cfg.Live.Network = nw
-	}
-	for _, c := range crashes {
-		hc := live.HostCrash{Host: c.Host, At: ms(c.At)}
-		if c.RecoverAt > 0 {
-			hc.RecoverAt = ms(c.RecoverAt)
-		}
-		cfg.Crashes = append(cfg.Crashes, hc)
-	}
-
-	p := repro.DefaultParams()
-	payload := make([]byte, plan.Spec.Packets*(p.PacketBytes-message.HeaderSize))
-	prng := workload.NewRNG(wseed ^ 0x9e3779b97f4a7c15)
-	for i := range payload {
-		payload[i] = byte(prng.Uint64())
-	}
-	pkts, err := message.Packetize(1, plan.Spec.Source, payload, p.PacketBytes)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcastsim: %v\n", err)
-		os.Exit(1)
-	}
-	res, err := live.RunReliable(live.Session{Tree: plan.Tree, Packets: pkts, MsgID: 1}, cfg)
-	if res == nil {
-		// Validation failure (bad rates, bad crash plan): no run happened.
-		fmt.Fprintf(os.Stderr, "mcastsim: %v\n", err)
-		os.Exit(1)
-	}
-
-	fabric := "channel links"
-	if overUDP {
-		fabric = "loopback UDP sockets"
-	}
-	fmt.Printf("spec:   source h%d, %d destinations, %d packets (%d payload bytes), %s tree, reliable live FPFS over %s\n",
-		plan.Spec.Source, len(plan.Spec.Dests), res.Packets, len(payload), plan.Spec.Policy, fabric)
-	fmt.Printf("faults: drop=%g corrupt=%g reorder=%g ackdrop=%g jitter=%v kills=%d stalls=%d crashes=%d seed=%d\n",
-		faults.DropRate, faults.CorruptRate, faults.ReorderRate, faults.AckDropRate, faults.MaxJitter,
-		len(faults.Kills), len(faults.Stalls), len(cfg.Crashes), faults.Seed)
-	fmt.Printf("result: wall latency %v, %d sends (%d retransmits), %d duplicates suppressed, %d stale fenced\n",
-		res.Latency.Round(time.Microsecond), res.Sends, res.Retransmits, res.Duplicates, res.Fenced)
-	fmt.Printf("        injected: %d dropped, %d corrupted, %d reordered, %d acks lost, %d dead-link sends\n",
-		res.Faults.Dropped, res.Faults.Corrupted, res.Faults.Reordered, res.Faults.AcksDropped, res.Faults.DeadSends)
-	if overUDP {
-		// The socket fabric's own counters, distinct from the injected
-		// chaos: resyncs or bad datagrams here mean the wire itself (not
-		// the decorator) mangled traffic the protocol had to absorb.
-		fmt.Printf("        fabric: %+v\n", nw.Stats())
-	}
-	if len(cfg.Crashes) > 0 {
-		fmt.Printf("        crashes: %d crash-dropped frames, %d adoptions, final epoch %d\n",
-			res.CrashDrops, res.Adoptions, res.Epoch)
-		printLiveViews(res.Views)
-	} else if res.Adoptions > 0 {
-		fmt.Printf("        %d mid-flight re-graft(s) repaired starved subtrees\n", res.Adoptions)
-	}
-	if verbose {
-		fmt.Println("\nper-destination completion (wall clock):")
-		for _, d := range plan.Chain[1:] {
-			if rec := res.Hosts[d]; rec != nil && rec.Data != nil {
-				fmt.Printf("  h%-3d %10v\n", d, rec.DoneAt.Round(time.Microsecond))
-			} else {
-				fmt.Printf("  h%-3d   (undelivered)\n", d)
-			}
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcastsim: %v\n", err)
-		os.Exit(1)
-	}
-	switch res.Status {
-	case repro.DeliveredPartial:
-		fmt.Printf("        status %s (epoch %d): %d of %d destinations received the %d-byte message byte-exactly; undelivered: %s\n",
-			res.Status, res.Epoch, len(plan.Spec.Dests)-len(res.Orphaned), len(plan.Spec.Dests), len(payload), joinHosts(res.Orphaned))
-	default:
-		fmt.Printf("        status %s: all %d destinations received the %d-byte message byte-exactly\n",
-			res.Status, len(plan.Spec.Dests), len(payload))
-	}
-}
-
-// printLiveViews renders the live membership plane's epoch history as
-// per-view member diffs (wall-clock microsecond timestamps).
-func printLiveViews(views []membership.View) {
-	for i, v := range views {
-		if i == 0 {
-			fmt.Printf("        view epoch %d: initial, %d members\n", v.Epoch, len(v.Members))
-			continue
-		}
-		prev := map[int]bool{}
-		for _, h := range views[i-1].Members {
-			prev[h] = true
-		}
-		cur := map[int]bool{}
-		for _, h := range v.Members {
-			cur[h] = true
-		}
-		var diff []string
-		for _, h := range views[i-1].Members {
-			if !cur[h] {
-				diff = append(diff, fmt.Sprintf("-h%d", h))
-			}
-		}
-		for _, h := range v.Members {
-			if !prev[h] {
-				diff = append(diff, fmt.Sprintf("+h%d", h))
-			}
-		}
-		fmt.Printf("        view epoch %d @ %.1f us: %s (%d members)\n",
-			v.Epoch, v.At, strings.Join(diff, " "), len(v.Members))
-	}
-}
-
-// writeChromeTrace renders events as Chrome trace-event JSON at path.
-func writeChromeTrace(path string, events []sim.TraceEvent) {
-	raw, err := trace.ChromeJSON(events)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcastsim: -trace-json: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "mcastsim: -trace-json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("trace:  %d events written to %s (open in about://tracing or ui.perfetto.dev)\n",
-		len(events), path)
-}
-
 // crashFlags collects repeatable -crash directives.
 type crashFlags []repro.HostCrash
 
-func (c *crashFlags) String() string {
-	parts := make([]string, len(*c))
-	for i, hc := range *c {
-		if hc.RecoverAt > 0 {
-			parts[i] = fmt.Sprintf("%d@%g@%g", hc.Host, hc.At, hc.RecoverAt)
-		} else {
-			parts[i] = fmt.Sprintf("%d@%g", hc.Host, hc.At)
-		}
-	}
-	return strings.Join(parts, ",")
-}
+func (c *crashFlags) String() string { return fmt.Sprint(*c) }
 
 func (c *crashFlags) Set(arg string) error {
-	fields := strings.Split(arg, "@")
-	if len(fields) != 2 && len(fields) != 3 {
-		return fmt.Errorf("crash %q is not HOST@T or HOST@T@RT", arg)
+	var hc repro.HostCrash
+	shape, dst := "HOST@T", []any{&hc.Host, &hc.At}
+	if strings.Count(arg, "@") == 2 {
+		shape, dst = "HOST@T@RT", append(dst, &hc.RecoverAt)
 	}
-	host, err := strconv.Atoi(fields[0])
-	if err != nil {
-		return fmt.Errorf("crash host %q: %v", fields[0], err)
+	err := fields("crash", arg, shape, dst...)
+	*c = append(*c, hc)
+	return err
+}
+
+// form is how one -faults directive kind is parsed on a plane: the shape
+// of its value, where fields stores it, and (kill, stall) the append that
+// keeps it.
+type form struct {
+	shape string
+	dst   []any
+	add   func()
+}
+
+// scanFaults is the one -faults scanner: it splits the list into
+// kind:value directives and parses each value by the form the plane's
+// applier (simFaults, liveFaults) declares for its kind.
+func scanFaults(spec, plane string, forms map[string]form) error {
+	if spec == "" {
+		return nil
 	}
-	at, err := strconv.ParseFloat(fields[1], 64)
-	if err != nil {
-		return fmt.Errorf("crash time %q: %v", fields[1], err)
-	}
-	hc := repro.HostCrash{Host: host, At: at}
-	if len(fields) == 3 {
-		hc.RecoverAt, err = strconv.ParseFloat(fields[2], 64)
-		if err != nil {
-			return fmt.Errorf("crash recovery time %q: %v", fields[2], err)
+	for _, dir := range strings.Split(spec, ",") {
+		kind, val, ok := strings.Cut(strings.TrimSpace(dir), ":")
+		f, known := forms[kind]
+		switch {
+		case !ok:
+			return fmt.Errorf("directive %q is not kind:value", dir)
+		case !known:
+			return fmt.Errorf("unknown %sfault directive %q", plane, kind)
+		}
+		if err := fields(kind, val, f.shape, f.dst...); err != nil {
+			return err
+		}
+		if f.add != nil {
+			f.add()
 		}
 	}
-	*c = append(*c, hc)
 	return nil
 }
 
-// parseFaults turns the -faults directive list into a FaultPlan.
-func parseFaults(spec string, droprate float64) (repro.FaultPlan, error) {
-	fp := repro.FaultPlan{Seed: 1, DropRate: droprate}
-	if spec == "" {
-		return fp, nil
-	}
-	for _, dir := range strings.Split(spec, ",") {
-		kind, arg, ok := strings.Cut(strings.TrimSpace(dir), ":")
-		if !ok {
-			return fp, fmt.Errorf("directive %q is not kind:value", dir)
-		}
-		switch kind {
-		case "kill":
-			link, at, ok := strings.Cut(arg, "@")
-			if !ok {
-				return fp, fmt.Errorf("kill %q is not LINK@T", arg)
-			}
-			id, err := strconv.Atoi(link)
-			if err != nil {
-				return fp, fmt.Errorf("kill link %q: %v", link, err)
-			}
-			t, err := strconv.ParseFloat(at, 64)
-			if err != nil {
-				return fp, fmt.Errorf("kill time %q: %v", at, err)
-			}
-			fp.Kills = append(fp.Kills, repro.LinkKill{Link: id, At: t})
-		case "stall":
-			host, window, ok := strings.Cut(arg, "@")
-			if !ok {
-				return fp, fmt.Errorf("stall %q is not HOST@FROM-UNTIL", arg)
-			}
-			h, err := strconv.Atoi(host)
-			if err != nil {
-				return fp, fmt.Errorf("stall host %q: %v", host, err)
-			}
-			from, until, ok := strings.Cut(window, "-")
-			if !ok {
-				return fp, fmt.Errorf("stall window %q is not FROM-UNTIL", window)
-			}
-			f, err1 := strconv.ParseFloat(from, 64)
-			u, err2 := strconv.ParseFloat(until, 64)
-			if err1 != nil || err2 != nil {
-				return fp, fmt.Errorf("stall window %q: bad bounds", window)
-			}
-			fp.Stalls = append(fp.Stalls, repro.HostStall{Host: h, Stall: repro.Stall{From: f, Until: u}})
-		case "corrupt":
-			p, err := strconv.ParseFloat(arg, 64)
-			if err != nil {
-				return fp, fmt.Errorf("corrupt rate %q: %v", arg, err)
-			}
-			fp.CorruptRate = p
-		case "ackdrop":
-			p, err := strconv.ParseFloat(arg, 64)
-			if err != nil {
-				return fp, fmt.Errorf("ackdrop rate %q: %v", arg, err)
-			}
-			fp.AckDropRate = p
-		case "seed":
-			s, err := strconv.ParseUint(arg, 10, 64)
-			if err != nil {
-				return fp, fmt.Errorf("seed %q: %v", arg, err)
-			}
-			fp.Seed = s
-		default:
-			return fp, fmt.Errorf("unknown fault directive %q", kind)
-		}
-	}
-	return fp, nil
-}
-
-// runReliable executes the plan under the reliable-delivery protocol and
-// prints the protocol and fault counters.
-func runReliable(sys *repro.System, plan *repro.Plan, droprate float64, faultSpec string, crashes []repro.HostCrash, quorum, retries int, wseed uint64, verbose bool) {
-	fp, err := parseFaults(faultSpec, droprate)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcastsim: -faults: %v\n", err)
-		os.Exit(1)
-	}
-	fp.Crashes = crashes
+// simFaults applies -faults to the simulated plane: times are
+// microseconds and kill names one of the network's links (0..links-1).
+func simFaults(spec string, fp *repro.FaultPlan, links int) error {
+	var k repro.LinkKill
+	var s repro.HostStall
+	err := scanFaults(spec, "", map[string]form{
+		"kill":    {"LINK@T", []any{&k.Link, &k.At}, func() { fp.Kills = append(fp.Kills, k) }},
+		"stall":   {"HOST@FROM-UNTIL", []any{&s.Host, &s.Stall.From, &s.Stall.Until}, func() { fp.Stalls = append(fp.Stalls, s) }},
+		"corrupt": {"P", []any{&fp.CorruptRate}, nil},
+		"ackdrop": {"P", []any{&fp.AckDropRate}, nil},
+		"seed":    {"N", []any{&fp.Seed}, nil},
+	})
 	for _, k := range fp.Kills {
-		if k.Link < 0 || k.Link >= len(sys.Net.Links()) {
-			fmt.Fprintf(os.Stderr, "mcastsim: -faults: kill link %d out of range (network has links 0..%d)\n",
-				k.Link, len(sys.Net.Links())-1)
-			os.Exit(1)
+		if err == nil && (k.Link < 0 || k.Link >= links) {
+			err = fmt.Errorf("kill link %d out of range (network has links 0..%d)", k.Link, links-1)
 		}
 	}
-	cfg := repro.DefaultReliableConfig()
-	cfg.RetryBudget = retries
-	cfg.Quorum = quorum
-	payload := make([]byte, plan.Spec.Packets*(cfg.Params.PacketBytes-message.HeaderSize))
-	prng := workload.NewRNG(wseed ^ 0x9e3779b97f4a7c15)
-	for i := range payload {
-		payload[i] = byte(prng.Uint64())
-	}
-	res, err := repro.DeliverReliable(sys, plan, payload, cfg, fp)
-	if res == nil {
-		// Validation failure (bad rates, bad retry budget): no run happened.
-		fmt.Fprintf(os.Stderr, "mcastsim: %v\n", err)
-		os.Exit(1)
-	}
-
-	fmt.Printf("spec:   source h%d, %d destinations, %d packets (%d payload bytes), %s tree, reliable FPFS\n",
-		plan.Spec.Source, len(plan.Spec.Dests), res.Packets, len(payload), plan.Spec.Policy)
-	fmt.Printf("faults: drop=%g corrupt=%g ackdrop=%g kills=%d stalls=%d crashes=%d seed=%d\n",
-		fp.DropRate, fp.CorruptRate, fp.AckDropRate, len(fp.Kills), len(fp.Stalls), len(fp.Crashes), fp.Seed)
-	fmt.Printf("result: latency %.1f us, %d sends (%d retransmits), %d acks, %d nacks, %d duplicates suppressed\n",
-		res.Latency, res.Sends, res.Retransmits, res.Acks, res.Nacks, res.Duplicates)
-	fmt.Printf("        injected: %d dropped, %d corrupted, %d acks lost, %d dead-link sends, %.1f us stall wait\n",
-		res.Faults.Dropped, res.Faults.Corrupted, res.Faults.AcksLost, res.Faults.DeadSends, res.Faults.StallWait)
-	if res.Repairs > 0 {
-		fmt.Printf("        %d mid-flight tree repair(s) re-parented starved subtrees\n", res.Repairs)
-	}
-	if len(fp.Crashes) > 0 {
-		fmt.Printf("        crashes: %d applied, %d recoveries, %d crash-dropped packets, %d stale packets fenced, %d adoptions\n",
-			res.Faults.Crashes, res.Faults.Recoveries, res.Faults.CrashDrops, res.Fenced, res.Adoptions)
-		printViews(res.Views)
-	}
-	if verbose {
-		fmt.Println("\nper-destination completion (us):")
-		for _, d := range plan.Chain[1:] {
-			if t, ok := res.HostDone[d]; ok {
-				fmt.Printf("  h%-3d %8.1f\n", d, t)
-			} else {
-				fmt.Printf("  h%-3d   (undelivered)\n", d)
-			}
-		}
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mcastsim: %v\n", err)
-		os.Exit(1)
-	}
-	switch res.Status {
-	case repro.DeliveredPartial:
-		fmt.Printf("        status %s (epoch %d): %d of %d destinations received the %d-byte message byte-exactly; undelivered: %s\n",
-			res.Status, res.Epoch, len(res.Delivered), len(plan.Spec.Dests), len(payload), joinHosts(res.Orphaned))
-	default:
-		fmt.Printf("        status %s: all %d destinations received the %d-byte message byte-exactly\n",
-			res.Status, len(res.Delivered), len(payload))
-	}
+	return err
 }
 
-// printViews renders the membership plane's epoch history as per-view
-// member diffs.
-func printViews(views []repro.GroupView) {
-	for i, v := range views {
-		if i == 0 {
-			fmt.Printf("        view epoch %d: initial, %d members\n", v.Epoch, len(v.Members))
-			continue
-		}
-		prev := map[int]bool{}
-		for _, h := range views[i-1].Members {
-			prev[h] = true
-		}
-		cur := map[int]bool{}
-		for _, h := range v.Members {
-			cur[h] = true
-		}
-		var diff []string
-		for _, h := range views[i-1].Members {
-			if !cur[h] {
-				diff = append(diff, fmt.Sprintf("-h%d", h))
-			}
-		}
-		for _, h := range v.Members {
-			if !prev[h] {
-				diff = append(diff, fmt.Sprintf("+h%d", h))
-			}
-		}
-		fmt.Printf("        view epoch %d @ %.1f us: %s (%d members)\n",
-			v.Epoch, v.At, strings.Join(diff, " "), len(v.Members))
-	}
-}
-
-func joinHosts(hs []int) string {
-	parts := make([]string, len(hs))
-	for i, h := range hs {
-		parts[i] = fmt.Sprintf("h%d", h)
-	}
-	return strings.Join(parts, " ")
-}
-
-func joinInts(xs []int) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += " "
-		}
-		out += strconv.Itoa(x)
-	}
-	return out
+// liveFaults applies -faults to the live chaos plane: times are
+// milliseconds (the simulator's microsecond scale is below timer
+// resolution on the wall clock), kill names a directed host pair, and
+// reorder and jitter exist.
+func liveFaults(spec string, lf *link.Faults) error {
+	var k link.LinkKill
+	var s link.StallWindow
+	return scanFaults(spec, "live ", map[string]form{
+		"kill":    {"FROM-TO@T", []any{&k.From, &k.To, &k.At}, func() { lf.Kills = append(lf.Kills, k) }},
+		"stall":   {"HOST@FROM-UNTIL", []any{&s.Host, &s.From, &s.Until}, func() { lf.Stalls = append(lf.Stalls, s) }},
+		"corrupt": {"P", []any{&lf.CorruptRate}, nil},
+		"reorder": {"P", []any{&lf.ReorderRate}, nil},
+		"ackdrop": {"P", []any{&lf.AckDropRate}, nil},
+		"jitter":  {"D", []any{&lf.MaxJitter}, nil},
+		"seed":    {"N", []any{&lf.Seed}, nil},
+	})
 }

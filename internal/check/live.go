@@ -74,35 +74,22 @@ func checkLiveMatchesSim(w *world) error {
 	if res.Sends != (w.n-1)*m {
 		return fmt.Errorf("live injected %d copies, want (n-1)*m = %d", res.Sends, (w.n-1)*m)
 	}
-	wantSends := map[int]int{}
-	for _, s := range sched.Sends {
-		wantSends[s.From]++
-	}
-	hosts := make([]int, 0, len(lr.Hosts))
-	for v := range lr.Hosts {
-		hosts = append(hosts, v)
-	}
-	sort.Ints(hosts)
+	// The step schedule as reference records: per-host send counts, and at
+	// each destination the delivery order — arrivals from a serial parent
+	// occupy distinct steps, so the order is total — all on the planned
+	// parent edge.
 	root := w.plan.Tree.Root()
-	for _, v := range hosts {
-		rec := lr.Hosts[v]
-		if rec.Sends != wantSends[v] {
-			return fmt.Errorf("host %d injected %d copies, step schedule says %d", v, rec.Sends, wantSends[v])
-		}
+	want := map[int]*live.HostRecord{}
+	for _, v := range w.plan.Tree.Nodes() {
+		want[v] = &live.HostRecord{Host: v}
+	}
+	for _, s := range sched.Sends {
+		want[s.From].Sends++
+	}
+	for v, ref := range want {
 		if v == root {
-			if rec.Recvs != 0 || len(rec.Arrivals) != 0 {
-				return fmt.Errorf("root %d recorded %d receipts", root, rec.Recvs)
-			}
 			continue
 		}
-		if rec.Recvs != m {
-			return fmt.Errorf("host %d admitted %d packets, want m=%d", v, rec.Recvs, m)
-		}
-
-		// Delivery order: the live admission sequence must equal the step
-		// schedule's arrival order at this host (arrivals from a serial
-		// parent occupy distinct steps, so the order is total), and every
-		// arrival must ride the planned parent edge.
 		order := make([]int, m)
 		for j := range order {
 			order[j] = j
@@ -110,23 +97,13 @@ func checkLiveMatchesSim(w *world) error {
 		arr := sched.Arrival[v]
 		sort.SliceStable(order, func(a, b int) bool { return arr[order[a]] < arr[order[b]] })
 		parent, _ := w.plan.Tree.Parent(v)
-		for i, a := range rec.Arrivals {
-			if a.Packet != order[i] {
-				return fmt.Errorf("host %d arrival %d is packet %d, step schedule orders packet %d (full order %v)",
-					v, i, a.Packet, order[i], order)
-			}
-			if a.From != parent {
-				return fmt.Errorf("host %d received packet %d from %d, planned parent is %d", v, a.Packet, a.From, parent)
-			}
+		ref.Recvs = m
+		for _, pkt := range order {
+			ref.Arrivals = append(ref.Arrivals, live.Arrival{Packet: pkt, From: parent})
 		}
-
-		// Payload plane: byte-exact reassembly and a completion ACK.
-		if !bytes.Equal(rec.Data, payload) {
-			return fmt.Errorf("host %d reassembled %d bytes, want the %d-byte payload", v, len(rec.Data), len(payload))
-		}
-		if rec.DoneAt <= 0 {
-			return fmt.Errorf("host %d has no completion ACK timestamp", v)
-		}
+	}
+	if err := sameHosts(lr.Hosts, want, root, payload, "live", "step schedule"); err != nil {
+		return err
 	}
 	// Per-session clock sanity: Latency is the session's own span
 	// (FinishAt - StartAt), which the run-wide wall must contain. Wall
@@ -137,6 +114,55 @@ func checkLiveMatchesSim(w *world) error {
 	}
 	if res.Wall < lr.FinishAt {
 		return fmt.Errorf("live wall clock inconsistent: session finish %v, wall %v", lr.FinishAt, res.Wall)
+	}
+	return nil
+}
+
+// sameHosts is the structural comparison every live rung makes against the
+// rung below it: got must match want host for host — send and receive
+// counts, the arrival count, then arrival by arrival the packet and the
+// tree edge it rode — and every host but the root must hold payload byte
+// for byte and carry a completion timestamp. The callers name the two
+// sides so a violation reads in their words. Hosts are visited in
+// ascending order, so the violation reported is deterministic.
+func sameHosts(got, want map[int]*live.HostRecord, root int, payload []byte, gotName, wantName string) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%s covers %d hosts, %s %d", gotName, len(got), wantName, len(want))
+	}
+	hosts := make([]int, 0, len(want))
+	for v := range want {
+		hosts = append(hosts, v)
+	}
+	sort.Ints(hosts)
+	for _, v := range hosts {
+		rec, ref := got[v], want[v]
+		if rec == nil {
+			return fmt.Errorf("host %d has no %s record", v, gotName)
+		}
+		if rec.Sends != ref.Sends || rec.Recvs != ref.Recvs {
+			return fmt.Errorf("host %d sends/recvs %d/%d %s, %s %d/%d",
+				v, rec.Sends, rec.Recvs, gotName, wantName, ref.Sends, ref.Recvs)
+		}
+		if len(rec.Arrivals) != len(ref.Arrivals) {
+			return fmt.Errorf("host %d admitted %d packets %s, %s %d",
+				v, len(rec.Arrivals), gotName, wantName, len(ref.Arrivals))
+		}
+		for i, a := range rec.Arrivals {
+			if a != ref.Arrivals[i] {
+				return fmt.Errorf("host %d arrival %d is packet %d from %d %s, %s packet %d from %d",
+					v, i, a.Packet, a.From, gotName, wantName, ref.Arrivals[i].Packet, ref.Arrivals[i].From)
+			}
+		}
+		if v == root {
+			continue
+		}
+		if !bytes.Equal(rec.Data, payload) {
+			return fmt.Errorf("host %d reassembled %d bytes %s, want the %d-byte payload",
+				v, len(rec.Data), gotName, len(payload))
+		}
+		if rec.DoneAt <= 0 {
+			return fmt.Errorf("host %d has no completion ACK timestamp %s", v, gotName)
+		}
 	}
 	return nil
 }

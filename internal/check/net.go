@@ -1,7 +1,6 @@
 package check
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -85,40 +84,9 @@ func checkNetMatchesLive(w *world) error {
 		return fmt.Errorf("UDP run injected %d copies, in-process %d, model (n-1)*m = %d",
 			netRes.Sends, plain.Sends, (w.n-1)*m)
 	}
-	pr, nr := plain.Sessions[0], netRes.Sessions[0]
-	root := w.plan.Tree.Root()
-	for _, v := range w.plan.Tree.Nodes() {
-		ref, rec := pr.Hosts[v], nr.Hosts[v]
-		if ref == nil || rec == nil {
-			return fmt.Errorf("host %d missing from a result (in-process %v, UDP %v)", v, ref != nil, rec != nil)
-		}
-		if rec.Sends != ref.Sends || rec.Recvs != ref.Recvs {
-			return fmt.Errorf("host %d sends/recvs %d/%d over UDP, in-process %d/%d",
-				v, rec.Sends, rec.Recvs, ref.Sends, ref.Recvs)
-		}
-		if len(rec.Arrivals) != len(ref.Arrivals) {
-			return fmt.Errorf("host %d admitted %d frames over UDP, in-process %d",
-				v, len(rec.Arrivals), len(ref.Arrivals))
-		}
-		for i, a := range rec.Arrivals {
-			if a != ref.Arrivals[i] {
-				return fmt.Errorf("host %d arrival %d is packet %d from %d over UDP, in-process packet %d from %d",
-					v, i, a.Packet, a.From, ref.Arrivals[i].Packet, ref.Arrivals[i].From)
-			}
-		}
-		if v == root {
-			continue
-		}
-		if !bytes.Equal(rec.Data, payload) {
-			return fmt.Errorf("host %d reassembled %d bytes over UDP, want the %d-byte payload",
-				v, len(rec.Data), len(payload))
-		}
-		if !bytes.Equal(rec.Data, ref.Data) {
-			return fmt.Errorf("host %d UDP payload differs from the in-process run's", v)
-		}
-		if rec.DoneAt <= 0 {
-			return fmt.Errorf("host %d has no completion ACK timestamp", v)
-		}
+	nr := netRes.Sessions[0]
+	if err := sameHosts(nr.Hosts, plain.Sessions[0].Hosts, w.plan.Tree.Root(), payload, "over UDP", "in-process"); err != nil {
+		return err
 	}
 	if nr.Latency <= 0 || netRes.Wall < nr.Latency {
 		return fmt.Errorf("UDP wall clock inconsistent: session latency %v, wall %v", nr.Latency, netRes.Wall)

@@ -1,7 +1,6 @@
 package check
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/live"
@@ -87,37 +86,8 @@ func checkSchedMatchesSerial(w *world) error {
 		if err != nil {
 			return fmt.Errorf("session %d: scheduled run failed: %v", i, err)
 		}
-		serial := arms[i].serial
-		if len(res.Hosts) != len(serial.Hosts) {
-			return fmt.Errorf("session %d: scheduled run covers %d hosts, serial %d", i, len(res.Hosts), len(serial.Hosts))
-		}
-		for v, want := range serial.Hosts {
-			got := res.Hosts[v]
-			if got == nil {
-				return fmt.Errorf("session %d: scheduled run has no record for host %d", i, v)
-			}
-			if got.Sends != want.Sends {
-				return fmt.Errorf("session %d host %d: scheduled run injected %d copies, serial %d", i, v, got.Sends, want.Sends)
-			}
-			if got.Recvs != want.Recvs {
-				return fmt.Errorf("session %d host %d: scheduled run admitted %d packets, serial %d", i, v, got.Recvs, want.Recvs)
-			}
-			if v == root {
-				continue
-			}
-			if !bytes.Equal(got.Data, arms[i].payload) {
-				return fmt.Errorf("session %d host %d: scheduled run delivered %d bytes, want the %d-byte payload byte-exactly",
-					i, v, len(got.Data), len(arms[i].payload))
-			}
-			if len(got.Arrivals) != len(want.Arrivals) {
-				return fmt.Errorf("session %d host %d: %d arrivals, serial %d", i, v, len(got.Arrivals), len(want.Arrivals))
-			}
-			for j, a := range got.Arrivals {
-				if a != want.Arrivals[j] {
-					return fmt.Errorf("session %d host %d arrival %d: scheduled run admitted packet %d from %d, serial packet %d from %d",
-						i, v, j, a.Packet, a.From, want.Arrivals[j].Packet, want.Arrivals[j].From)
-				}
-			}
+		if err := sameHosts(res.Hosts, arms[i].serial.Hosts, root, arms[i].payload, "scheduled", "serial"); err != nil {
+			return fmt.Errorf("session %d: %v", i, err)
 		}
 		if res.Latency <= 0 || res.Latency != res.FinishAt-res.StartAt || res.FinishAt < res.StartAt || res.StartAt < res.SubmitAt {
 			return fmt.Errorf("session %d: inconsistent timestamps submit=%v start=%v finish=%v latency=%v",

@@ -105,48 +105,121 @@ type BcastResult struct {
 // resulting packet count, the event simulator prices it, and each
 // destination's copy is reassembled from the wire packets and verified.
 func (g *Group) Bcast(root int, data []byte, p sim.Params) (*BcastResult, error) {
-	if root < 0 || root >= len(g.hosts) {
-		return nil, fmt.Errorf("comm: root rank %d out of range", root)
-	}
-	id := g.nextMsgID()
-	pkts, err := message.Packetize(id, g.hosts[root], data, p.PacketBytes)
+	b, err := g.prepare(root, data, p, false)
 	if err != nil {
 		return nil, err
 	}
+	plan := g.sys.Plan(b.spec)
+	res := g.sys.Simulate(plan, p, stepsim.FPFS)
+
+	// Nothing moved real bytes here, so each rank's copy is reassembled
+	// from the wire packets the root would have sent.
+	var rerr error
+	out := &BcastResult{Latency: res.Latency, Packets: len(b.pkts), K: plan.K}
+	out.Data, _, err = g.collect(b, data, true, func(host int) ([]byte, bool) {
+		got, err := reassemble(b.pkts)
+		if err != nil {
+			rerr = fmt.Errorf("comm: rank %d reassembly: %w", g.rank[host], err)
+		}
+		return got, err == nil
+	})
+	if rerr != nil {
+		err = rerr // collect only saw a rank with nothing; say why
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// reassemble runs pkts through a fresh reassembler, as a destination's NI
+// would.
+func reassemble(pkts [][]byte) ([]byte, error) {
+	r := message.NewReassembler()
+	for _, pkt := range pkts {
+		if _, err := r.Add(pkt); err != nil {
+			return nil, err
+		}
+	}
+	return r.Bytes(), nil
+}
+
+// others lists every host of the group but the root rank's, in rank order.
+func (g *Group) others(root int) []int {
 	dests := make([]int, 0, len(g.hosts)-1)
 	for i, h := range g.hosts {
 		if i != root {
 			dests = append(dests, h)
 		}
 	}
-	spec := core.Spec{Source: g.hosts[root], Dests: dests, Packets: len(pkts), Policy: core.OptimalTree}
-	plan := g.sys.Plan(spec)
-	res := g.sys.Simulate(plan, p, stepsim.FPFS)
+	return dests
+}
 
-	out := &BcastResult{
-		Data:    make([][]byte, len(g.hosts)),
-		Latency: res.Latency,
-		Packets: len(pkts),
-		K:       plan.K,
+// bcast is a broadcast made ready to run: the front half all six Bcast
+// variants share.
+type bcast struct {
+	root int // rank
+	id   uint32
+	pkts [][]byte
+	spec core.Spec // OptimalTree over the other ranks, for len(pkts) packets
+}
+
+// prepare checks the root rank (and p, for the engines that would
+// otherwise fail late on it), allocates the message ID, fragments data
+// into p.PacketBytes wire packets and states the tree to plan.
+func (g *Group) prepare(root int, data []byte, p sim.Params, validate bool) (*bcast, error) {
+	if root < 0 || root >= len(g.hosts) {
+		return nil, fmt.Errorf("comm: root rank %d out of range", root)
 	}
-	out.Data[root] = data
-	for i := range g.hosts {
-		if i == root {
+	if validate {
+		if err := p.Validate(); err != nil {
+			return nil, fmt.Errorf("comm: params: %w", err)
+		}
+	}
+	b := &bcast{root: root, id: g.nextMsgID()}
+	var err error
+	if b.pkts, err = message.Packetize(b.id, g.hosts[root], data, p.PacketBytes); err != nil {
+		return nil, err
+	}
+	b.spec = core.Spec{Source: g.hosts[root], Dests: g.others(root), Packets: len(b.pkts), Policy: core.OptimalTree}
+	return b, nil
+}
+
+// collect is the back half: fetch returns what a destination host holds
+// after the run, and every copy must equal data byte for byte. The root's
+// slot aliases data. A rank holding nothing is an error when all must
+// deliver, and otherwise listed in undelivered (ascending).
+func (g *Group) collect(b *bcast, data []byte, all bool, fetch func(host int) ([]byte, bool)) (out [][]byte, undelivered []int, err error) {
+	out = make([][]byte, len(g.hosts))
+	out[b.root] = data
+	for i, h := range g.hosts {
+		if i == b.root {
 			continue
 		}
-		r := message.NewReassembler()
-		for _, pkt := range pkts {
-			if _, err := r.Add(pkt); err != nil {
-				return nil, fmt.Errorf("comm: rank %d reassembly: %w", i, err)
-			}
+		got, ok := fetch(h)
+		switch {
+		case !ok && all:
+			return nil, nil, fmt.Errorf("comm: rank %d delivered nothing", i)
+		case !ok:
+			undelivered = append(undelivered, i)
+		case !bytes.Equal(got, data):
+			return nil, nil, fmt.Errorf("comm: rank %d payload corrupted", i)
+		default:
+			out[i] = got
 		}
-		got := r.Bytes()
-		if !bytes.Equal(got, data) {
-			return nil, fmt.Errorf("comm: rank %d payload corrupted", i)
-		}
-		out.Data[i] = got
 	}
-	return out, nil
+	return out, undelivered, nil
+}
+
+// fetchLive adapts a live runtime's per-host records to collect.
+func fetchLive(hosts map[int]*live.HostRecord) func(int) ([]byte, bool) {
+	return func(host int) ([]byte, bool) {
+		rec := hosts[host]
+		if rec == nil || rec.Data == nil {
+			return nil, false
+		}
+		return rec.Data, true
+	}
 }
 
 // BcastLiveResult is the outcome of a live broadcast: real reassembled
@@ -183,60 +256,7 @@ type BcastLiveResult struct {
 // an echo of the input. Groups are safe for concurrent BcastLive calls;
 // each call runs on its own fabric.
 func (g *Group) BcastLive(root int, data []byte, p sim.Params) (*BcastLiveResult, error) {
-	if root < 0 || root >= len(g.hosts) {
-		return nil, fmt.Errorf("comm: root rank %d out of range", root)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("comm: params: %w", err)
-	}
-	id := g.nextMsgID()
-	pkts, err := message.Packetize(id, g.hosts[root], data, p.PacketBytes)
-	if err != nil {
-		return nil, err
-	}
-	dests := make([]int, 0, len(g.hosts)-1)
-	for i, h := range g.hosts {
-		if i != root {
-			dests = append(dests, h)
-		}
-	}
-	spec := core.Spec{Source: g.hosts[root], Dests: dests, Packets: len(pkts), Policy: core.OptimalTree}
-	plan := g.sys.Plan(spec)
-
-	res, err := live.Run(
-		[]live.Session{{Tree: plan.Tree, Packets: pkts, MsgID: id}},
-		live.Config{BufferPackets: p.NIBufferPackets},
-	)
-	if err != nil {
-		return nil, fmt.Errorf("comm: live broadcast: %w", err)
-	}
-	pred := g.sys.Simulate(plan, p, stepsim.FPFS)
-
-	sr := res.Sessions[0]
-	out := &BcastLiveResult{
-		Data:             make([][]byte, len(g.hosts)),
-		WallLatency:      sr.Latency,
-		PredictedLatency: pred.Latency,
-		Packets:          len(pkts),
-		K:                plan.K,
-		Sends:            res.Sends,
-		Live:             &sr,
-	}
-	out.Data[root] = data
-	for i, h := range g.hosts {
-		if i == root {
-			continue
-		}
-		rec := sr.Hosts[h]
-		if rec == nil || rec.Data == nil {
-			return nil, fmt.Errorf("comm: rank %d delivered nothing", i)
-		}
-		if !bytes.Equal(rec.Data, data) {
-			return nil, fmt.Errorf("comm: rank %d payload corrupted", i)
-		}
-		out.Data[i] = rec.Data
-	}
-	return out, nil
+	return g.bcastLive(root, data, p, false)
 }
 
 // BcastLiveUDP is BcastLive with the fabric on real sockets: the same
@@ -246,63 +266,39 @@ func (g *Group) BcastLive(root int, data []byte, p sim.Params) (*BcastLiveResult
 // down before returning. Intended for integration testing and the
 // mcastsim -net mode; multi-machine deployments use internal/mcastd.
 func (g *Group) BcastLiveUDP(root int, data []byte, p sim.Params) (*BcastLiveResult, error) {
-	if root < 0 || root >= len(g.hosts) {
-		return nil, fmt.Errorf("comm: root rank %d out of range", root)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("comm: params: %w", err)
-	}
-	id := g.nextMsgID()
-	pkts, err := message.Packetize(id, g.hosts[root], data, p.PacketBytes)
+	return g.bcastLive(root, data, p, true)
+}
+
+func (g *Group) bcastLive(root int, data []byte, p sim.Params, udp bool) (*BcastLiveResult, error) {
+	b, err := g.prepare(root, data, p, true)
 	if err != nil {
 		return nil, err
 	}
-	dests := make([]int, 0, len(g.hosts)-1)
-	for i, h := range g.hosts {
-		if i != root {
-			dests = append(dests, h)
+	plan := g.sys.Plan(b.spec)
+	cfg, what := live.Config{BufferPackets: p.NIBufferPackets}, "live broadcast"
+	if udp {
+		nw, err := link.NewLoopbackUDP(plan.Tree.Nodes(), link.UDPConfig{Session: uint64(b.id)})
+		if err != nil {
+			return nil, fmt.Errorf("comm: loopback fabric: %w", err)
 		}
+		defer nw.Close()
+		cfg.Network, what = nw, "live UDP broadcast"
 	}
-	spec := core.Spec{Source: g.hosts[root], Dests: dests, Packets: len(pkts), Policy: core.OptimalTree}
-	plan := g.sys.Plan(spec)
-
-	nw, err := link.NewLoopbackUDP(plan.Tree.Nodes(), link.UDPConfig{Session: uint64(id)})
+	res, err := live.Run([]live.Session{{Tree: plan.Tree, Packets: b.pkts, MsgID: b.id}}, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("comm: loopback fabric: %w", err)
+		return nil, fmt.Errorf("comm: %s: %w", what, err)
 	}
-	defer nw.Close()
-	res, err := live.Run(
-		[]live.Session{{Tree: plan.Tree, Packets: pkts, MsgID: id}},
-		live.Config{BufferPackets: p.NIBufferPackets, Network: nw},
-	)
-	if err != nil {
-		return nil, fmt.Errorf("comm: live UDP broadcast: %w", err)
-	}
-	pred := g.sys.Simulate(plan, p, stepsim.FPFS)
-
 	sr := res.Sessions[0]
 	out := &BcastLiveResult{
-		Data:             make([][]byte, len(g.hosts)),
 		WallLatency:      sr.Latency,
-		PredictedLatency: pred.Latency,
-		Packets:          len(pkts),
+		PredictedLatency: g.sys.Simulate(plan, p, stepsim.FPFS).Latency,
+		Packets:          len(b.pkts),
 		K:                plan.K,
 		Sends:            res.Sends,
 		Live:             &sr,
 	}
-	out.Data[root] = data
-	for i, h := range g.hosts {
-		if i == root {
-			continue
-		}
-		rec := sr.Hosts[h]
-		if rec == nil || rec.Data == nil {
-			return nil, fmt.Errorf("comm: rank %d delivered nothing", i)
-		}
-		if !bytes.Equal(rec.Data, data) {
-			return nil, fmt.Errorf("comm: rank %d payload corrupted", i)
-		}
-		out.Data[i] = rec.Data
+	if out.Data, _, err = g.collect(b, data, true, fetchLive(sr.Hosts)); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -342,29 +338,16 @@ type BcastLiveReliableResult struct {
 // failure and the result is still returned alongside it when the run
 // produced one.
 func (g *Group) BcastLiveReliable(root int, data []byte, p sim.Params, cfg live.ReliableConfig) (*BcastLiveReliableResult, error) {
-	if root < 0 || root >= len(g.hosts) {
-		return nil, fmt.Errorf("comm: root rank %d out of range", root)
-	}
-	id := g.nextMsgID()
-	pkts, err := message.Packetize(id, g.hosts[root], data, p.PacketBytes)
+	b, err := g.prepare(root, data, p, false)
 	if err != nil {
 		return nil, err
 	}
-	dests := make([]int, 0, len(g.hosts)-1)
-	for i, h := range g.hosts {
-		if i != root {
-			dests = append(dests, h)
-		}
-	}
-	spec := core.Spec{Source: g.hosts[root], Dests: dests, Packets: len(pkts), Policy: core.OptimalTree}
-	plan := g.sys.Plan(spec)
-
-	res, err := live.RunReliable(live.Session{Tree: plan.Tree, Packets: pkts, MsgID: id}, cfg)
+	plan := g.sys.Plan(b.spec)
+	res, runErr := live.RunReliable(live.Session{Tree: plan.Tree, Packets: b.pkts, MsgID: b.id}, cfg)
 	if res == nil {
-		return nil, fmt.Errorf("comm: live reliable broadcast: %w", err)
+		return nil, fmt.Errorf("comm: live reliable broadcast: %w", runErr)
 	}
 	out := &BcastLiveReliableResult{
-		Data:        make([][]byte, len(g.hosts)),
 		Status:      res.Status,
 		WallLatency: res.Latency,
 		Packets:     res.Packets,
@@ -373,22 +356,10 @@ func (g *Group) BcastLiveReliable(root int, data []byte, p sim.Params, cfg live.
 		Views:       res.Views,
 		Protocol:    res,
 	}
-	out.Data[root] = data
-	for i, h := range g.hosts {
-		if i == root {
-			continue
-		}
-		rec := res.Hosts[h]
-		if rec == nil || rec.Data == nil {
-			out.Undelivered = append(out.Undelivered, i)
-			continue
-		}
-		if !bytes.Equal(rec.Data, data) {
-			return nil, fmt.Errorf("comm: rank %d payload corrupted", i)
-		}
-		out.Data[i] = rec.Data
+	if out.Data, out.Undelivered, err = g.collect(b, data, false, fetchLive(res.Hosts)); err != nil {
+		return nil, err
 	}
-	return out, err
+	return out, runErr
 }
 
 // BcastReliableResult is the outcome of a fault-tolerant broadcast. Unlike
@@ -424,28 +395,17 @@ type BcastReliableResult struct {
 // fell short of the config's quorum; on a quorum-satisfying partial
 // delivery the error is nil and Status/Undelivered carry the shortfall.
 func (g *Group) BcastReliable(root int, data []byte, cfg reliable.Config, fp sim.FaultPlan) (*BcastReliableResult, error) {
-	if root < 0 || root >= len(g.hosts) {
-		return nil, fmt.Errorf("comm: root rank %d out of range", root)
-	}
-	cfg.MsgID = g.nextMsgID()
-	dests := make([]int, 0, len(g.hosts)-1)
-	for i, h := range g.hosts {
-		if i != root {
-			dests = append(dests, h)
-		}
-	}
-	pkts, err := message.Packetize(cfg.MsgID, g.hosts[root], data, cfg.Params.PacketBytes)
+	b, err := g.prepare(root, data, cfg.Params, false)
 	if err != nil {
 		return nil, err
 	}
-	spec := core.Spec{Source: g.hosts[root], Dests: dests, Packets: len(pkts), Policy: core.OptimalTree}
-	plan := g.sys.Plan(spec)
-	res, err := reliable.Deliver(g.sys, plan, data, cfg, fp)
+	cfg.MsgID = b.id
+	plan := g.sys.Plan(b.spec)
+	res, runErr := reliable.Deliver(g.sys, plan, data, cfg, fp)
 	if res == nil {
-		return nil, err
+		return nil, runErr
 	}
 	out := &BcastReliableResult{
-		Data:     make([][]byte, len(g.hosts)),
 		Status:   res.Status,
 		Latency:  res.Latency,
 		Packets:  res.Packets,
@@ -454,22 +414,14 @@ func (g *Group) BcastReliable(root int, data []byte, cfg reliable.Config, fp sim
 		Views:    res.Views,
 		Protocol: res,
 	}
-	out.Data[root] = data
-	for i, h := range g.hosts {
-		if i == root {
-			continue
-		}
-		got, ok := res.Delivered[h]
-		if !ok {
-			out.Undelivered = append(out.Undelivered, i)
-			continue
-		}
-		if !bytes.Equal(got, data) {
-			return nil, fmt.Errorf("comm: rank %d payload corrupted", i)
-		}
-		out.Data[i] = got
+	out.Data, out.Undelivered, err = g.collect(b, data, false, func(host int) ([]byte, bool) {
+		got, ok := res.Delivered[host]
+		return got, ok
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, err
+	return out, runErr
 }
 
 // ScatterResult is the outcome of a scatter.
@@ -492,12 +444,6 @@ func (g *Group) Scatter(root int, chunks [][]byte, p sim.Params) (*ScatterResult
 	// Timing: the per-destination message lengths differ; the simulator's
 	// session abstraction carries one packet count per session, so each
 	// destination gets its own session along its tree path.
-	dests := make([]int, 0, len(g.hosts)-1)
-	for i, h := range g.hosts {
-		if i != root {
-			dests = append(dests, h)
-		}
-	}
 	maxPkts := 1
 	out := &ScatterResult{Data: make([][]byte, len(g.hosts))}
 	out.Data[root] = chunks[root]
@@ -509,16 +455,11 @@ func (g *Group) Scatter(root int, chunks [][]byte, p sim.Params) (*ScatterResult
 		if err != nil {
 			return nil, err
 		}
-		if len(pkts) > maxPkts {
-			maxPkts = len(pkts)
+		maxPkts = max(maxPkts, len(pkts))
+		got, err := reassemble(pkts)
+		if err != nil {
+			return nil, fmt.Errorf("comm: rank %d reassembly: %w", i, err)
 		}
-		r := message.NewReassembler()
-		for _, pkt := range pkts {
-			if _, err := r.Add(pkt); err != nil {
-				return nil, fmt.Errorf("comm: rank %d reassembly: %w", i, err)
-			}
-		}
-		got := r.Bytes()
 		if !bytes.Equal(got, chunk) {
 			return nil, fmt.Errorf("comm: rank %d chunk corrupted", i)
 		}
@@ -526,7 +467,7 @@ func (g *Group) Scatter(root int, chunks [][]byte, p sim.Params) (*ScatterResult
 	}
 	// Price the operation with the uniform worst-case chunk size (the
 	// collectives engine streams whole messages per destination).
-	spec := core.Spec{Source: g.hosts[root], Dests: dests, Packets: maxPkts, Policy: core.OptimalTree}
+	spec := core.Spec{Source: g.hosts[root], Dests: g.others(root), Packets: maxPkts, Policy: core.OptimalTree}
 	out.Latency = collectives.Scatter(g.sys, spec, p).Latency
 	return out, nil
 }
@@ -567,28 +508,15 @@ type BcastScheduledResult struct {
 // of multiplying goroutine fabrics. The scheduler must span every host in
 // the group.
 func (g *Group) BcastScheduled(s *sched.Scheduler, root int, data []byte, p sim.Params) (*BcastScheduledResult, error) {
-	if root < 0 || root >= len(g.hosts) {
-		return nil, fmt.Errorf("comm: root rank %d out of range", root)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("comm: params: %w", err)
-	}
-	id := g.nextMsgID()
-	pkts, err := message.Packetize(id, g.hosts[root], data, p.PacketBytes)
+	b, err := g.prepare(root, data, p, true)
 	if err != nil {
 		return nil, err
 	}
-	dests := make([]int, 0, len(g.hosts)-1)
-	for i, h := range g.hosts {
-		if i != root {
-			dests = append(dests, h)
-		}
-	}
-	tr, k, err := s.PlanBcast(g.sys, g.hosts[root], dests, len(pkts))
+	tr, k, err := s.PlanBcast(g.sys, b.spec.Source, b.spec.Dests, len(b.pkts))
 	if err != nil {
 		return nil, fmt.Errorf("comm: scheduled plan: %w", err)
 	}
-	h, err := s.Submit(live.Session{Tree: tr, Packets: pkts, MsgID: id})
+	h, err := s.Submit(live.Session{Tree: tr, Packets: b.pkts, MsgID: b.id})
 	if err != nil {
 		return nil, fmt.Errorf("comm: scheduled broadcast: %w", err)
 	}
@@ -597,26 +525,14 @@ func (g *Group) BcastScheduled(s *sched.Scheduler, root int, data []byte, p sim.
 		return nil, fmt.Errorf("comm: scheduled broadcast: %w", err)
 	}
 	out := &BcastScheduledResult{
-		Data:        make([][]byte, len(g.hosts)),
 		QueueWait:   res.QueueWait,
 		WallLatency: res.Latency,
-		Packets:     len(pkts),
+		Packets:     len(b.pkts),
 		K:           k,
 		Sched:       res,
 	}
-	out.Data[root] = data
-	for i, hv := range g.hosts {
-		if i == root {
-			continue
-		}
-		rec := res.Hosts[hv]
-		if rec == nil || rec.Data == nil {
-			return nil, fmt.Errorf("comm: rank %d delivered nothing", i)
-		}
-		if !bytes.Equal(rec.Data, data) {
-			return nil, fmt.Errorf("comm: rank %d payload corrupted", i)
-		}
-		out.Data[i] = rec.Data
+	if out.Data, _, err = g.collect(b, data, true, fetchLive(res.Hosts)); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
