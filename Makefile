@@ -138,7 +138,7 @@ psim-soak:
 # on the test runs, so a benchmark failure fails the target instead of
 # being swallowed by the pipe's exit status.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkReliable|BenchmarkEventSimMulticast|BenchmarkLive' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkReliable|BenchmarkEventSimMulticast|BenchmarkLive|BenchmarkNewMeshSystem4096|BenchmarkPlanOptimal100k' \
 		-benchmem -benchtime 200x ./internal/sim ./internal/live . > bench-raw.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckCases' \
 		-benchmem -benchtime 25x -timeout 20m ./internal/check >> bench-raw.out

@@ -180,6 +180,31 @@ func BenchmarkSystemGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkNewMeshSystem4096 measures building a 64x64 mesh System
+// (topology, dimension-order router, base ordering) — the construction
+// cost every mcastsim run on a large fabric pays before it plans.
+func BenchmarkNewMeshSystem4096(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		repro.NewMeshSystem(64, 2)
+	}
+}
+
+// BenchmarkPlanOptimal100k measures one Plan at the scale experiment's
+// largest size: the Theorem 3 search, the chain cut and the tree build
+// for a broadcast to all 100,488 other hosts of a prebuilt 317x317 mesh.
+func BenchmarkPlanOptimal100k(b *testing.B) {
+	sys := repro.NewMeshSystem(317, 2)
+	dests := make([]int, sys.Net.NumHosts()-1)
+	for i := range dests {
+		dests[i] = i + 1
+	}
+	spec := repro.Spec{Source: 0, Dests: dests, Packets: 2, Policy: repro.OptimalTree}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Plan(spec)
+	}
+}
+
 // --- ablation and extension benchmarks ---
 
 // BenchmarkAblOrdering regenerates the base-ordering ablation (identity vs

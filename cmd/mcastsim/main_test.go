@@ -29,9 +29,10 @@ func mcastsim(args ...string) (stdout, stderr string, code int) {
 // TestGolden pins what a user sees in the deterministic modes. The files
 // under testdata/golden were recorded from the binary built at the parent
 // commit (f14e54a, before run() existed): `mcastsim ARGS > NAME.txt`, the
-// trace row with `-trace-json TRACE.json`. They are the reference the
-// rewrite was held to — run -update only when a later change alters the
-// output on purpose, and review the diff.
+// trace row with `-trace-json TRACE.json`; mesh-4096 the same way at
+// dbf7708. They are the reference the rewrite was held to — run -update
+// only when a later change alters the output on purpose, and review the
+// diff.
 func TestGolden(t *testing.T) {
 	for name, args := range map[string]string{
 		"default":               "",
@@ -40,6 +41,7 @@ func TestGolden(t *testing.T) {
 		"fixedk-conventional":   "-tree k -k 3 -ni conventional",
 		"flit":                  "-model flit",
 		"mesh-workers":          "-mesh 8x2 -dests 40 -workers 3",
+		"mesh-4096":             "-mesh 64x2 -dests 4000 -packets 2",
 		"timeline":              "-timeline",
 		"trace-json":            "-trace-json TRACE.json",
 		"reliable-droprate":     "-reliable -droprate 0.02",

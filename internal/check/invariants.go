@@ -369,20 +369,6 @@ func checkCubeContentionFree(w *world) error {
 
 // -------------------------------------------------------------- flitsim --
 
-// flitMatchedParams converts the flit constants into the equivalent
-// packet-level constants (same conversion the flitcheck experiment uses).
-func flitMatchedParams(fp flitsim.Params) sim.Params {
-	return sim.Params{
-		THostSend:   float64(fp.HostSendCycles) * fp.CycleUS,
-		THostRecv:   float64(fp.HostRecvCycles) * fp.CycleUS,
-		TNISend:     float64(fp.NISendCycles) * fp.CycleUS,
-		TNIRecv:     float64(fp.NIRecvCycles) * fp.CycleUS,
-		PacketBytes: 64,
-		LinkBytesUS: 64 / (float64(fp.FlitsPerPacket) * fp.CycleUS),
-		RouterDelay: fp.CycleUS,
-	}
-}
-
 // flitAgreeBand bounds the flit-level vs packet-level latency ratio. The
 // packet model reserves whole paths atomically, so it can be slightly
 // pessimistic or optimistic against true wormhole flow control, but on
@@ -402,7 +388,7 @@ func checkFlitAgree(w *world) error {
 	if len(fr.HostDone) != w.n-1 {
 		return fmt.Errorf("flitsim completed %d destinations, want %d", len(fr.HostDone), w.n-1)
 	}
-	pk := sim.Multicast(w.sys.Router, w.plan.Tree, w.m, flitMatchedParams(fp), stepsim.FPFS)
+	pk := sim.Multicast(w.sys.Router, w.plan.Tree, w.m, fp.PacketParams(), stepsim.FPFS)
 	if ratio := fr.Latency / pk.Latency; ratio < flitAgreeLo || ratio > flitAgreeHi {
 		return fmt.Errorf("flit latency %f vs packet-level %f: ratio %f outside [%g, %g]",
 			fr.Latency, pk.Latency, ratio, flitAgreeLo, flitAgreeHi)

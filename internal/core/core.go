@@ -66,24 +66,6 @@ type System struct {
 	// cube geometry, when the system is a k-ary n-cube (enables the
 	// translation-invariant CubeChain; zero for irregular systems).
 	arity, dims int
-
-	ktab *ktree.Table
-}
-
-// ktabCap bounds the eagerly precomputed optimal-k table. Table.K falls
-// back to a direct OptimalK computation beyond the precomputed range with
-// identical results, so the cap changes no planned tree — it only stops
-// System construction from spending O(hosts·64) dynamic programs when a
-// 100k-host network is built (a 6-figure multicast set pays one direct
-// OptimalK per Plan instead, microseconds).
-const ktabCap = 4096
-
-func planTable(numHosts int) *ktree.Table {
-	n := numHosts
-	if n > ktabCap {
-		n = ktabCap
-	}
-	return ktree.NewTable(n, 64)
 }
 
 // NewIrregularSystem generates the paper's irregular testbed for a seed:
@@ -96,7 +78,6 @@ func NewIrregularSystem(cfg topology.IrregularConfig, seed uint64) *System {
 		Net:    net,
 		Router: router,
 		Ord:    ordering.CCO(router),
-		ktab:   planTable(net.NumHosts()),
 	}
 }
 
@@ -110,7 +91,6 @@ func NewCubeSystem(arity, dims int) *System {
 		Ord:    ordering.Dimension(net, arity, dims),
 		arity:  arity,
 		dims:   dims,
-		ktab:   planTable(net.NumHosts()),
 	}
 }
 
@@ -123,7 +103,6 @@ func NewMeshSystem(arity, dims int) *System {
 		Net:    net,
 		Router: routing.NewMeshDimOrder(net, arity, dims),
 		Ord:    ordering.Dimension(net, arity, dims),
-		ktab:   planTable(net.NumHosts()),
 	}
 }
 
@@ -157,7 +136,6 @@ func (s *System) WithoutLinkChecked(linkID int) (*System, error) {
 		Net:    net,
 		Router: router,
 		Ord:    ordering.CCO(router),
-		ktab:   s.ktab,
 	}, nil
 }
 
@@ -218,7 +196,7 @@ func (s *System) Plan(spec Spec) *Plan {
 	var k int
 	switch spec.Policy {
 	case OptimalTree:
-		k = s.ktab.K(n, spec.Packets)
+		k = s.OptimalK(n, spec.Packets)
 	case BinomialTree:
 		k = ktree.CeilLog2(n)
 	case LinearTree:
@@ -273,12 +251,15 @@ func (s *System) Latency(spec Spec, params sim.Params) float64 {
 	return s.Simulate(s.Plan(spec), params, stepsim.FPFS).Latency
 }
 
-// OptimalK exposes the precomputed Theorem 3 table for this system's size.
-func (s *System) OptimalK(n, m int) int { return s.ktab.K(n, m) }
+// OptimalK returns Theorem 3's k for n nodes (source included) and m packets.
+func (s *System) OptimalK(n, m int) int {
+	k, _ := ktree.OptimalK(n, m)
+	return k
+}
 
 // WithOrdering returns a copy of the system that cuts multicast chains
-// from a different base ordering (for ordering ablations). The topology,
-// router and optimal-k table are shared.
+// from a different base ordering (for ordering ablations). The topology
+// and router are shared.
 func (s *System) WithOrdering(o *ordering.Ordering) *System {
 	c := *s
 	c.Ord = o

@@ -155,6 +155,31 @@ func TestOptimalKDelegation(t *testing.T) {
 	}
 }
 
+// TestPlanOptimalIsTheorem3PerPlan holds every OptimalTree plan to the
+// direct Theorem 3 search, densely for small sets and at the (n, m)
+// edges of the optimal-k table Plan once consulted (4096 x 64).
+func TestPlanOptimalIsTheorem3PerPlan(t *testing.T) {
+	s := NewMeshSystem(65, 2) // 4225 hosts
+	sizes := []int{4095, 4096, 4097}
+	for n := 2; n <= 130; n++ {
+		sizes = append(sizes, n)
+	}
+	dests := make([]int, 4096)
+	for i := range dests {
+		dests[i] = i + 1
+	}
+	for _, n := range sizes {
+		for _, m := range []int{1, 2, 8, 64, 65} {
+			p := s.Plan(Spec{Source: 0, Dests: dests[:n-1], Packets: m, Policy: OptimalTree})
+			wantK, wantSteps := ktree.OptimalK(n, m)
+			if p.K != wantK || p.ModelSteps != wantSteps || wantSteps != ktree.Steps(n, m, wantK) {
+				t.Errorf("n=%d m=%d: plan (k=%d, %d steps), ktree.OptimalK (k=%d, %d steps)",
+					n, m, p.K, p.ModelSteps, wantK, wantSteps)
+			}
+		}
+	}
+}
+
 func TestMeanHopsPositive(t *testing.T) {
 	s := irregularSys(8)
 	h := s.MeanHops()

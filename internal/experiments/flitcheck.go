@@ -19,27 +19,13 @@ func init() {
 	})
 }
 
-// matchedPacketParams converts flit-level constants to the equivalent
-// packet-level sim.Params.
-func matchedPacketParams(fp flitsim.Params) sim.Params {
-	return sim.Params{
-		THostSend:   float64(fp.HostSendCycles) * fp.CycleUS,
-		THostRecv:   float64(fp.HostRecvCycles) * fp.CycleUS,
-		TNISend:     float64(fp.NISendCycles) * fp.CycleUS,
-		TNIRecv:     float64(fp.NIRecvCycles) * fp.CycleUS,
-		PacketBytes: 64,
-		LinkBytesUS: 64 / (float64(fp.FlitsPerPacket) * fp.CycleUS),
-		RouterDelay: fp.CycleUS,
-	}
-}
-
 // runFlitCheck cross-validates the two network models on the paper's
 // workloads and re-checks the headline binomial-vs-k-binomial comparison
 // at flit granularity.
 func runFlitCheck(cfg Config) *Result {
 	s := systems(cfg)[0]
 	fp := flitsim.DefaultParams()
-	pp := matchedPacketParams(fp)
+	pp := fp.PacketParams()
 
 	agree := stats.NewTable("Flit-level vs packet-level latency (us), matched constants, optimal trees",
 		"dests", "m", "flit", "packet", "flit/packet")

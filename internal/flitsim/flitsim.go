@@ -30,6 +30,7 @@ import (
 	"sort"
 
 	"repro/internal/routing"
+	"repro/internal/sim"
 	"repro/internal/stepsim"
 	"repro/internal/tree"
 )
@@ -59,6 +60,21 @@ func DefaultParams() Params {
 		HostSendCycles: 500,
 		HostRecvCycles: 500,
 		BufferFlits:    4,
+	}
+}
+
+// PacketParams converts the flit-level constants to the equivalent
+// packet-level sim.Params (64-byte packets), so the two network models
+// can be compared on matched technology.
+func (p Params) PacketParams() sim.Params {
+	return sim.Params{
+		THostSend:   float64(p.HostSendCycles) * p.CycleUS,
+		THostRecv:   float64(p.HostRecvCycles) * p.CycleUS,
+		TNISend:     float64(p.NISendCycles) * p.CycleUS,
+		TNIRecv:     float64(p.NIRecvCycles) * p.CycleUS,
+		PacketBytes: 64,
+		LinkBytesUS: 64 / (float64(p.FlitsPerPacket) * p.CycleUS),
+		RouterDelay: p.CycleUS,
 	}
 }
 

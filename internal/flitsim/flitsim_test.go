@@ -95,16 +95,7 @@ func TestAgreesWithPacketLevelSim(t *testing.T) {
 	// workloads (they differ in wire pipelining details and blocking).
 	_, r, o := testSystem(5)
 	fp := DefaultParams()
-	// Matched packet-level parameters: 25 ns cycle.
-	pp := sim.Params{
-		THostSend:   float64(fp.HostSendCycles) * fp.CycleUS,
-		THostRecv:   float64(fp.HostRecvCycles) * fp.CycleUS,
-		TNISend:     float64(fp.NISendCycles) * fp.CycleUS,
-		TNIRecv:     float64(fp.NIRecvCycles) * fp.CycleUS,
-		PacketBytes: 64,
-		LinkBytesUS: 64 / (float64(fp.FlitsPerPacket) * fp.CycleUS), // wire = flits*cycle
-		RouterDelay: fp.CycleUS,                                     // 1 cycle per hop
-	}
+	pp := fp.PacketParams() // matched constants: wire = flits*cycle, 1 cycle per hop
 	rng := workload.NewRNG(11)
 	var worst float64
 	for trial := 0; trial < 5; trial++ {
@@ -318,15 +309,7 @@ func TestFCFSFlitAgreesWithPacketSim(t *testing.T) {
 	// like the FPFS agreement test.
 	_, r, o := testSystem(14)
 	fp := DefaultParams()
-	pp := sim.Params{
-		THostSend:   float64(fp.HostSendCycles) * fp.CycleUS,
-		THostRecv:   float64(fp.HostRecvCycles) * fp.CycleUS,
-		TNISend:     float64(fp.NISendCycles) * fp.CycleUS,
-		TNIRecv:     float64(fp.NIRecvCycles) * fp.CycleUS,
-		PacketBytes: 64,
-		LinkBytesUS: 64 / (float64(fp.FlitsPerPacket) * fp.CycleUS),
-		RouterDelay: fp.CycleUS,
-	}
+	pp := fp.PacketParams()
 	set := workload.DestSet(workload.NewRNG(29), 64, 15)
 	chain := o.Chain(set[0], set[1:])
 	tr := tree.KBinomial(chain, 3)

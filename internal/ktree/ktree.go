@@ -17,13 +17,9 @@ package ktree
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
-
-// MaxNodes bounds the multicast set sizes for which coverage values are
-// precomputed on demand. It is far above anything the paper evaluates
-// (n <= 64) but keeps table memory trivially small.
-const MaxNodes = 1 << 20
 
 // Coverage returns N(s, k): the number of nodes (including the source)
 // covered in s steps by a k-binomial tree (Lemma 1 of the paper):
@@ -31,8 +27,7 @@ const MaxNodes = 1 << 20
 //	N(s, k) = 2^s                          if s <= k
 //	N(s, k) = 1 + sum_{i=1..k} N(s-i, k)   if s >  k
 //
-// Values are saturated at MaxNodes to avoid overflow; the saturation point
-// is far beyond any practical multicast set size.
+// Values saturate at math.MaxInt, a size no in-memory chain can reach.
 //
 // Coverage panics if s < 0 or k < 1.
 func Coverage(s, k int) int {
@@ -43,30 +38,9 @@ func Coverage(s, k int) int {
 		panic(fmt.Sprintf("ktree: invalid fanout bound k=%d", k))
 	}
 	if s <= k {
-		if s >= 20 {
-			return MaxNodes
-		}
-		return 1 << s
+		return pow2(s)
 	}
-	// Rolling window holding N(step-k .. step-1, k); before the first
-	// iteration (step = k+1) that is N(1..k, k) = 2^1 .. 2^k.
-	window := make([]int, k)
-	for i := 0; i < k; i++ {
-		window[i] = 1 << (i + 1)
-	}
-	n := 0
-	for step := k + 1; step <= s; step++ {
-		n = 1
-		for _, v := range window {
-			n += v
-			if n >= MaxNodes {
-				n = MaxNodes
-				break
-			}
-		}
-		copy(window, window[1:])
-		window[k-1] = n
-	}
+	_, n := climb(k, s, math.MaxInt)
 	return n
 }
 
@@ -82,32 +56,48 @@ func Steps1(n, k int) int {
 	if k < 1 {
 		panic(fmt.Sprintf("ktree: invalid fanout bound k=%d", k))
 	}
-	if n == 1 {
-		return 0
-	}
 	// Within the binomial prefix (s <= k), N doubles every step.
-	if n <= (1 << uint(min(k, 30))) {
+	if n <= pow2(k) {
 		return CeilLog2(n)
 	}
+	s, _ := climb(k, math.MaxInt, n)
+	return s
+}
+
+// climb advances the Lemma-1 recurrence past the binomial prefix: from
+// the window N(1..k, k) = 2^1..2^k it computes N(step, k) for step = k+1,
+// k+2, ... and returns the first step, with its coverage, at which
+// step == s or N(step, k) >= n. Coverage grows strictly until it
+// saturates at math.MaxInt, so climb returns for every n.
+func climb(k, s, n int) (step, cover int) {
+	// window holds N(step-k .. step-1, k).
 	window := make([]int, k)
-	for i := 0; i < k; i++ {
-		window[i] = 1 << min(i+1, 30)
+	for i := range window {
+		window[i] = pow2(i + 1)
 	}
-	for step := k + 1; ; step++ {
-		v := 1
-		for _, w := range window {
-			v += w
-			if v >= MaxNodes {
-				v = MaxNodes
+	for step = k + 1; ; step++ {
+		cover = 1
+		for _, v := range window {
+			if v > math.MaxInt-cover {
+				cover = math.MaxInt
 				break
 			}
+			cover += v
 		}
-		if v >= n {
-			return step
+		if step == s || cover >= n {
+			return step, cover
 		}
 		copy(window, window[1:])
-		window[k-1] = v
+		window[k-1] = cover
 	}
+}
+
+// pow2 returns 2^s saturated at math.MaxInt.
+func pow2(s int) int {
+	if s >= bits.UintSize-1 {
+		return math.MaxInt
+	}
+	return 1 << s
 }
 
 // Steps returns the total number of steps for an m-packet multicast to n
@@ -145,20 +135,7 @@ func CeilLog2(n int) int {
 //
 // n is the multicast set size including the source; n >= 2 and m >= 1.
 func OptimalK(n, m int) (k, steps int) {
-	if n < 2 {
-		panic(fmt.Sprintf("ktree: OptimalK needs n >= 2, got %d", n))
-	}
-	if m < 1 {
-		panic(fmt.Sprintf("ktree: OptimalK needs m >= 1, got %d", m))
-	}
-	kMax := CeilLog2(n)
-	bestK, bestSteps := kMax, Steps(n, m, kMax)
-	for k := kMax - 1; k >= 1; k-- {
-		if s := Steps(n, m, k); s < bestSteps {
-			bestK, bestSteps = k, s
-		}
-	}
-	return bestK, bestSteps
+	return argminK(n, m, func(k int) int { return Steps(n, m, k) })
 }
 
 // OptimalKPenalized generalizes OptimalK to the simultaneous-multicast
@@ -170,70 +147,34 @@ func OptimalK(n, m int) (k, steps int) {
 // a zero penalty function reduces exactly to OptimalK, including its
 // larger-k tie-break.
 func OptimalKPenalized(n, m int, penalty func(k int) int) (k, cost int) {
-	if n < 2 {
-		panic(fmt.Sprintf("ktree: OptimalKPenalized needs n >= 2, got %d", n))
-	}
-	if m < 1 {
-		panic(fmt.Sprintf("ktree: OptimalKPenalized needs m >= 1, got %d", m))
-	}
-	charge := func(k int) int {
+	return argminK(n, m, func(k int) int {
 		p := penalty(k)
 		if p < 0 {
 			panic(fmt.Sprintf("ktree: negative congestion penalty %d at k=%d", p, k))
 		}
 		return Steps(n, m, k) + p
-	}
-	kMax := CeilLog2(n)
-	bestK, bestCost := kMax, charge(kMax)
-	for k := kMax - 1; k >= 1; k-- {
-		if c := charge(k); c < bestCost {
-			bestK, bestCost = k, c
-		}
-	}
-	return bestK, bestCost
+	})
 }
 
-// Table holds precomputed optimal k values for all multicast set sizes up to
-// NMax and packet counts up to MMax, mirroring the paper's Section 4.3.1
-// observation that the table is cheap (< O(n*m) small integers) and can be
-// computed once per system.
-type Table struct {
-	nMax, mMax int
-	k          []uint8 // k fits in uint8: k <= ceil(log2 n) <= 20 for n <= 2^20
-}
-
-// NewTable precomputes optimal k for every (n, m) with 2 <= n <= nMax and
-// 1 <= m <= mMax.
-func NewTable(nMax, mMax int) *Table {
-	if nMax < 2 || mMax < 1 {
-		panic(fmt.Sprintf("ktree: invalid table bounds n<=%d m<=%d", nMax, mMax))
-	}
-	t := &Table{nMax: nMax, mMax: mMax, k: make([]uint8, (nMax-1)*mMax)}
-	for n := 2; n <= nMax; n++ {
-		for m := 1; m <= mMax; m++ {
-			k, _ := OptimalK(n, m)
-			t.k[(n-2)*mMax+(m-1)] = uint8(k)
-		}
-	}
-	return t
-}
-
-// K returns the precomputed optimal k for the given multicast set size n and
-// packet count m. Arguments outside the precomputed range fall back to a
-// direct OptimalK computation.
-func (t *Table) K(n, m int) int {
+// argminK is the Theorem 3 search: it scans k = ceil(log2 n) down to 1
+// and returns the k of least cost(k) with that cost. The strict
+// comparison keeps the larger k on ties.
+func argminK(n, m int, cost func(k int) int) (k, best int) {
 	if n < 2 {
-		panic(fmt.Sprintf("ktree: Table.K needs n >= 2, got %d", n))
+		panic(fmt.Sprintf("ktree: optimal-k search needs n >= 2, got %d", n))
 	}
-	if n > t.nMax || m < 1 || m > t.mMax {
-		k, _ := OptimalK(n, m)
-		return k
+	if m < 1 {
+		panic(fmt.Sprintf("ktree: optimal-k search needs m >= 1, got %d", m))
 	}
-	return int(t.k[(n-2)*t.mMax+(m-1)])
+	k = CeilLog2(n)
+	best = cost(k)
+	for c := k - 1; c >= 1; c-- {
+		if v := cost(c); v < best {
+			k, best = c, v
+		}
+	}
+	return k, best
 }
-
-// Bounds reports the precomputed (nMax, mMax) range of the table.
-func (t *Table) Bounds() (nMax, mMax int) { return t.nMax, t.mMax }
 
 // CrossoverM returns the smallest packet count m at which the linear chain
 // (k = 1) becomes an optimal tree for multicast set size n. The paper notes
@@ -247,11 +188,4 @@ func CrossoverM(n int) int {
 			return m
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,7 @@
 package ktree
 
 import (
-	"math/rand"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -12,18 +12,11 @@ func coverageNaive(s, k int) int {
 		return 0
 	}
 	if s <= k {
-		v := 1 << uint(s)
-		if v > MaxNodes {
-			return MaxNodes
-		}
-		return v
+		return 1 << uint(s)
 	}
 	n := 1
 	for i := 1; i <= k; i++ {
 		n += coverageNaive(s-i, k)
-		if n >= MaxNodes {
-			return MaxNodes
-		}
 	}
 	return n
 }
@@ -91,7 +84,7 @@ func TestCoverageMonotonicInS(t *testing.T) {
 	if err := quick.Check(func(s uint8, k uint8) bool {
 		ss := int(s % 24)
 		kk := int(k%8) + 1
-		return Coverage(ss+1, kk) > Coverage(ss, kk) || Coverage(ss, kk) == MaxNodes
+		return Coverage(ss+1, kk) > Coverage(ss, kk)
 	}, nil); err != nil {
 		t.Error(err)
 	}
@@ -119,6 +112,39 @@ func TestSteps1Inverse(t *testing.T) {
 				t.Fatalf("Steps1(%d,%d)=%d not minimal: N(%d,%d)=%d >= n", n, k, t1, t1-1, k, Coverage(t1-1, k))
 			}
 		}
+	}
+}
+
+// TestSteps1AcrossOldSaturationBound walks n across 2^20, where the
+// recurrence used to saturate and Steps1 never returned: it must
+// terminate, be monotone in n, and stay the inverse of Coverage.
+func TestSteps1AcrossOldSaturationBound(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 20, 21} {
+		prev := 0
+		for _, n := range []int{1<<20 - 1, 1 << 20, 1<<20 + 1, 1 << 21} {
+			t1 := Steps1(n, k)
+			if t1 < prev {
+				t.Errorf("Steps1(%d,%d) = %d fell below %d at the previous n", n, k, t1, prev)
+			}
+			prev = t1
+			if Coverage(t1, k) < n || Coverage(t1-1, k) >= n {
+				t.Errorf("Steps1(%d,%d) = %d is not min{s : N(s,k) >= n}: N(s-1)=%d N(s)=%d",
+					n, k, t1, Coverage(t1-1, k), Coverage(t1, k))
+			}
+		}
+	}
+}
+
+// TestCoverageSaturates pins the saturation value, reached without
+// overflow whether through the binomial prefix or the recurrence.
+func TestCoverageSaturates(t *testing.T) {
+	for _, c := range []struct{ s, k int }{{63, 63}, {64, 70}, {200, 2}, {100, 64}} {
+		if got := Coverage(c.s, c.k); got != math.MaxInt {
+			t.Errorf("Coverage(%d,%d) = %d, want math.MaxInt", c.s, c.k, got)
+		}
+	}
+	if got := Steps1(math.MaxInt, 2); Coverage(got, 2) != math.MaxInt || Coverage(got-1, 2) == math.MaxInt {
+		t.Errorf("Steps1(MaxInt,2) = %d is not the first saturated step", got)
 	}
 }
 
@@ -220,6 +246,21 @@ func TestOptimalKPaperValues(t *testing.T) {
 	}
 }
 
+func TestOptimalKMinBufferTieExample(t *testing.T) {
+	// n = 48, m = 1: k = 3 already achieves the binomial step count 6.
+	// OptimalK keeps the figure-faithful k = 6; the buffer-friendly pick
+	// its doc leaves to callers is the first k, scanning Steps upward,
+	// that reaches the same count.
+	kHi, steps := OptimalK(48, 1)
+	kLo := 1
+	for Steps(48, 1, kLo) != steps {
+		kLo++
+	}
+	if kLo != 3 || kHi != 6 {
+		t.Errorf("tie-break mismatch: smallest tied k %d (want 3), OptimalK %d (want 6)", kLo, kHi)
+	}
+}
+
 func TestCrossoverMOrdering(t *testing.T) {
 	// Paper: optimal k for n=16 reaches 1 before n=32 does.
 	c16, c32, c64 := CrossoverM(16), CrossoverM(32), CrossoverM(64)
@@ -237,30 +278,6 @@ func TestCrossoverMOrdering(t *testing.T) {
 	}
 }
 
-func TestTableMatchesDirect(t *testing.T) {
-	tab := NewTable(80, 40)
-	r := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		n := 2 + r.Intn(79)
-		m := 1 + r.Intn(39)
-		want, _ := OptimalK(n, m)
-		if got := tab.K(n, m); got != want {
-			t.Errorf("Table.K(%d,%d) = %d, want %d", n, m, got, want)
-		}
-	}
-	if nMax, mMax := tab.Bounds(); nMax != 80 || mMax != 40 {
-		t.Errorf("Bounds() = (%d,%d), want (80,40)", nMax, mMax)
-	}
-}
-
-func TestTableFallbackOutOfRange(t *testing.T) {
-	tab := NewTable(8, 4)
-	want, _ := OptimalK(100, 10)
-	if got := tab.K(100, 10); got != want {
-		t.Errorf("out-of-range Table.K(100,10) = %d, want %d", got, want)
-	}
-}
-
 func TestPanics(t *testing.T) {
 	cases := []func(){
 		func() { Coverage(-1, 2) },
@@ -272,7 +289,6 @@ func TestPanics(t *testing.T) {
 		func() { OptimalK(4, 0) },
 		func() { CeilLog2(0) },
 		func() { CrossoverM(1) },
-		func() { NewTable(1, 1) },
 	}
 	for i, f := range cases {
 		func() {
@@ -284,13 +300,6 @@ func TestPanics(t *testing.T) {
 			f()
 		}()
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func TestOptimalKPenalizedZeroReducesToOptimalK(t *testing.T) {

@@ -190,15 +190,6 @@ func (p FaultPlan) Arm() (*FaultState, error) {
 	return f, nil
 }
 
-// MustArm is Arm for plans known valid; it panics on error.
-func (p FaultPlan) MustArm() *FaultState {
-	f, err := p.Arm()
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // SampleDrop draws one data-loss decision.
 func (f *FaultState) SampleDrop() bool {
 	if f == nil || f.drop == 0 {

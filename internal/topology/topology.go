@@ -111,9 +111,6 @@ func (n *Network) NumHosts() int { return n.numHosts }
 // NumSwitches returns the switch count.
 func (n *Network) NumSwitches() int { return n.numSwitches }
 
-// SwitchPorts returns the per-switch port budget (0 if unconstrained).
-func (n *Network) SwitchPorts() int { return n.switchPorts }
-
 // Grid reports the arity^dims geometry when the network was built by Cube
 // or Mesh (one host per switch, host id == switch id), and ok=false for
 // irregular networks. Partitioners use it to cut contiguous coordinate

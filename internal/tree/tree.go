@@ -270,19 +270,6 @@ func buildSegment(t *Tree, chain []int, k int) {
 	}
 }
 
-// Optimal builds the optimal k-binomial tree for an m-packet multicast over
-// the chain: it selects k via ktree.OptimalK and constructs the tree. It
-// returns the tree and the selected k. For a single-node chain it returns
-// the trivial tree and k = 1.
-func Optimal(chain []int, m int) (*Tree, int) {
-	checkChain(chain)
-	if len(chain) == 1 {
-		return New(chain[0]), 1
-	}
-	k, _ := ktree.OptimalK(len(chain), m)
-	return KBinomial(chain, k), k
-}
-
 // OptimalCongested builds the k-binomial tree for an m-packet multicast
 // over the chain under the simultaneous-multicast objective: among the
 // candidate fanout bounds it minimizes
@@ -296,7 +283,8 @@ func Optimal(chain []int, m int) (*Tree, int) {
 // new one, so the planner is steered toward trees that spread across
 // idle links and away from piling deeper onto already-shared ones. With
 // zero load everywhere (an idle fabric) the objective, the tie-break,
-// and therefore the constructed tree reduce exactly to Optimal's.
+// and therefore the constructed tree reduce exactly to KBinomial at
+// ktree.OptimalK's k.
 //
 // It returns the tree and the selected k. penalty must be positive and
 // load non-nil; for a single-node chain it returns the trivial tree and

@@ -181,23 +181,25 @@ func TestSegmentSpansDetectsViolation(t *testing.T) {
 	}
 }
 
+// TestOptimalSelectsK: on an idle fabric the planner selects the paper's k.
 func TestOptimalSelectsK(t *testing.T) {
+	idle := func(int, int) int { return 0 }
 	for _, c := range []struct{ n, m, wantK int }{
 		{16, 1, 4}, // binomial for single packet
 		{16, 4, 2}, // paper Fig. 12(b)
 		{64, 8, 2},
 	} {
 		chain := chainN(c.n)
-		tr, k := Optimal(chain, c.m)
+		tr, k := OptimalCongested(chain, c.m, 1, idle)
 		if k != c.wantK {
-			t.Errorf("Optimal(n=%d,m=%d) k=%d, want %d", c.n, c.m, k, c.wantK)
+			t.Errorf("OptimalCongested(n=%d,m=%d) idle k=%d, want %d", c.n, c.m, k, c.wantK)
 		}
 		if err := tr.Validate(chain); err != nil {
-			t.Errorf("Optimal(n=%d,m=%d): %v", c.n, c.m, err)
+			t.Errorf("OptimalCongested(n=%d,m=%d): %v", c.n, c.m, err)
 		}
 	}
-	if tr, k := Optimal([]int{9}, 5); k != 1 || tr.Size() != 1 {
-		t.Error("Optimal on singleton chain malformed")
+	if tr, k := OptimalCongested([]int{9}, 5, 1, idle); k != 1 || tr.Size() != 1 {
+		t.Error("OptimalCongested on singleton chain malformed")
 	}
 }
 
@@ -359,10 +361,14 @@ func TestOptimalCongestedIdleReducesToOptimal(t *testing.T) {
 	idle := func(int, int) int { return 0 }
 	for n := 1; n <= 40; n++ {
 		for m := 1; m <= 6; m++ {
-			t0, k0 := Optimal(chainN(n), m)
+			k0 := 1 // the singleton chain's trivial tree
+			if n > 1 {
+				k0, _ = ktree.OptimalK(n, m)
+			}
+			t0 := KBinomial(chainN(n), k0)
 			t1, k1 := OptimalCongested(chainN(n), m, 1, idle)
 			if k1 != k0 {
-				t.Fatalf("n=%d m=%d: idle congested k=%d, Optimal k=%d", n, m, k1, k0)
+				t.Fatalf("n=%d m=%d: idle congested k=%d, ktree.OptimalK k=%d", n, m, k1, k0)
 			}
 			e0, e1 := t0.Edges(), t1.Edges()
 			if len(e0) != len(e1) {
@@ -384,7 +390,8 @@ func TestOptimalCongestedMinimizesObjective(t *testing.T) {
 	// k, matching ktree.OptimalK).
 	for _, n := range []int{5, 8, 13, 24, 40} {
 		for _, m := range []int{1, 2, 4, 8} {
-			hot, _ := Optimal(chainN(n), m)
+			k0, _ := ktree.OptimalK(n, m)
+			hot := KBinomial(chainN(n), k0)
 			loaded := map[Edge]int{}
 			for _, e := range hot.Edges() {
 				loaded[e] = 1
