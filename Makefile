@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak bench bench-build examples ci figures clean live-race lines
+.PHONY: all build test race vet fmt check surface staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak bench bench-build examples ci figures clean live-race lines
 
 all: check
 
@@ -24,6 +24,13 @@ race:
 # engine, so its -race coverage must be equally unskippable.
 live-race:
 	$(GO) test -race -count=1 ./internal/live/... ./internal/mcastd ./internal/sched ./internal/check
+
+# Surface guard: type-checks both modules and fails naming any exported
+# identifier under internal/ that no non-test code references and that is
+# not on surface_test.go's allowlist. Explicit and uncached so `make ci`
+# cannot skip it.
+surface:
+	$(GO) test -count=1 -run TestExportedSurfaceIsReached .
 
 vet:
 	$(GO) vet ./...
@@ -125,32 +132,27 @@ psim-soak:
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 13 -workers 1 -only psim-matches-sim
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 13 -workers 4 -only psim-matches-sim
 
-# Bench: the tracked performance baseline. Runs the engine event-loop,
-# harness-throughput and reliable-delivery suites with -benchmem and
-# records the parsed results as BENCH_sim.json (see DESIGN.md §10 for how
-# to read it). -benchtime is fixed in iterations so run-to-run JSON diffs
-# reflect perf drift, not iteration-count noise. The harness-throughput
-# pair runs separately at a smaller fixed count: one op is a full 64-case
-# catalogue sweep (~2s since the chaos invariants joined it), so 200x
-# would blow the per-package test timeout. The daemon deployment pair
-# (reliable mcastd, lossless vs 1% drop over loopback UDP) runs at 100x:
-# each op is a full 17-host socket-fabric run. Separate commands, no pipe
-# on the test runs, so a benchmark failure fails the target instead of
-# being swallowed by the pipe's exit status.
+# Bench: the Go micro-benchmarks, raw `go test -bench` output on stdout —
+# the engine event-loop, harness-throughput, reliable-delivery, daemon,
+# scheduler and psim suites with -benchmem. Nothing is recorded: the
+# recorded trajectory is bench/ + BENCHMARK.json (`bash bench/run.sh`, see
+# bench/README.md). -benchtime is fixed in iterations so two runs compare
+# like for like. The harness-throughput pair runs at a smaller fixed count:
+# one op is a full 64-case catalogue sweep (~2s since the chaos invariants
+# joined it), so 200x would blow the per-package test timeout. The daemon
+# deployment pair (reliable mcastd, lossless vs 1% drop over loopback UDP)
+# runs at 100x: each op is a full 17-host socket-fabric run.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkReliable|BenchmarkEventSimMulticast|BenchmarkLive|BenchmarkNewMeshSystem4096|BenchmarkPlanOptimal100k' \
-		-benchmem -benchtime 200x ./internal/sim ./internal/live . > bench-raw.out
+		-benchmem -benchtime 200x ./internal/sim ./internal/live .
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckCases' \
-		-benchmem -benchtime 25x -timeout 20m ./internal/check >> bench-raw.out
+		-benchmem -benchtime 25x -timeout 20m ./internal/check
 	$(GO) test -run '^$$' -bench 'BenchmarkDaemonReliable' \
-		-benchmem -benchtime 100x ./internal/mcastd >> bench-raw.out
+		-benchmem -benchtime 100x ./internal/mcastd
 	$(GO) test -run '^$$' -bench 'BenchmarkSched' \
-		-benchmem -benchtime 3x -timeout 20m ./internal/sched >> bench-raw.out
+		-benchmem -benchtime 3x -timeout 20m ./internal/sched
 	$(GO) test -run '^$$' -bench 'BenchmarkPsim' \
-		-benchmem -benchtime 3x -timeout 20m ./internal/psim >> bench-raw.out
-	$(GO) run ./cmd/benchjson -echo < bench-raw.out > BENCH_sim.json
-	@rm -f bench-raw.out
-	@echo "wrote BENCH_sim.json"
+		-benchmem -benchtime 3x -timeout 20m ./internal/psim
 
 # Bench build: bench/ is its own module (the root build and tests do not
 # see it) and compiles against exported surface only — live.RunReliable,
@@ -166,7 +168,7 @@ bench-build:
 examples:
 	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
-ci: check staticcheck live-race bench-build examples mcastcheck chaos-soak net-soak daemon-soak sched-soak psim-soak
+ci: check surface staticcheck live-race bench-build examples mcastcheck chaos-soak net-soak daemon-soak sched-soak psim-soak
 
 figures:
 	$(GO) run ./cmd/figures -out figures

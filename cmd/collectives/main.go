@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro"
@@ -22,6 +23,20 @@ import (
 	"repro/internal/core"
 	"repro/internal/workload"
 )
+
+// checkFlags range-checks the numeric flags against a testbed of the
+// given host count, before anything is built.
+func checkFlags(hosts, dests, packets int, combine float64) error {
+	switch {
+	case dests < 1 || dests > hosts-1:
+		return fmt.Errorf("-dests %d: must be in [1, %d] (the testbed has %d hosts, one is the source)", dests, hosts-1, hosts)
+	case packets < 1:
+		return fmt.Errorf("-packets %d: must be >= 1", packets)
+	case !(combine >= 0) || math.IsInf(combine, 1):
+		return fmt.Errorf("-combine %v: must be a finite time >= 0", combine)
+	}
+	return nil
+}
 
 func main() {
 	op := flag.String("op", "broadcast", "operation: broadcast, multicast, scatter, gather, reduce, barrier")
@@ -32,8 +47,13 @@ func main() {
 	wseed := flag.Uint64("wseed", 7, "workload seed")
 	combine := flag.Float64("combine", 0, "per-packet combining cost for reduce (us)")
 	flag.Parse()
+	cfg := repro.DefaultIrregularConfig()
+	if err := checkFlags(cfg.Hosts, *dests, *packets, *combine); err != nil {
+		fmt.Fprintln(os.Stderr, "collectives:", err)
+		os.Exit(2)
+	}
 
-	sys := repro.NewIrregularSystem(repro.DefaultIrregularConfig(), *seed)
+	sys := repro.NewIrregularSystem(cfg, *seed)
 	params := repro.DefaultParams()
 
 	var policy core.TreePolicy

@@ -11,9 +11,23 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"repro/internal/ktree"
 )
+
+// checkFlags range-checks the single-query flags, both 0 when unset: a
+// multicast set has a source and at least one destination, a message at
+// least one packet.
+func checkFlags(n, m int) error {
+	if n < 0 || n == 1 {
+		return fmt.Errorf("-n %d: a multicast set has n >= 2 members (0 prints the table)", n)
+	}
+	if m < 0 {
+		return fmt.Errorf("-m %d: a message has m >= 1 packets (0 prints the table)", m)
+	}
+	return nil
+}
 
 func main() {
 	nMax := flag.Int("nmax", 70, "largest multicast set size for the table")
@@ -21,6 +35,10 @@ func main() {
 	n := flag.Int("n", 0, "single query: multicast set size (with -m)")
 	m := flag.Int("m", 0, "single query: packet count (with -n)")
 	flag.Parse()
+	if err := checkFlags(*n, *m); err != nil {
+		fmt.Fprintln(os.Stderr, "optk:", err)
+		os.Exit(2)
+	}
 
 	if *n > 0 && *m > 0 {
 		k, steps := ktree.OptimalK(*n, *m)

@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -30,6 +31,49 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+// hosts is the size of the testbed every point runs on; one host of a set
+// is the source.
+var hosts = repro.DefaultIrregularConfig().Hosts
+
+// axes gives each sweep axis its default values and the legal range of a
+// value: in (0, max], and for the count axes a whole number — a value is
+// cast to int to run and printed as given, so 0 ports or 2.5 packets would
+// label a row with something other than what was simulated.
+var axes = map[string]struct {
+	defaults string
+	max      float64
+	whole    bool
+	legal    string
+}{
+	"m":     {"1,2,4,8,16,32", math.MaxInt32, true, "whole numbers >= 1"},
+	"dests": {"3,7,15,31,47,63", float64(hosts - 1), true, fmt.Sprintf("whole numbers in [1, %d]", hosts-1)},
+	"k":     {"1,2,3,4,5,6", math.MaxInt32, true, "whole numbers >= 1"},
+	"tns":   {"1,2,3,6,12", math.MaxFloat64, false, "finite times > 0"},
+	"ports": {"1,2,4,8", math.MaxInt32, true, "whole numbers >= 1"},
+}
+
+// checkFlags range-checks the axis values and the numeric flags before any
+// topology is built.
+func checkFlags(axis string, values []float64, dests, packets, trials, topos int) error {
+	a := axes[axis]
+	for _, v := range values {
+		if !(v > 0 && v <= a.max) || a.whole && v != math.Trunc(v) {
+			return fmt.Errorf("-values %v: axis %s takes %s", v, axis, a.legal)
+		}
+	}
+	switch {
+	case dests < 1 || dests > hosts-1:
+		return fmt.Errorf("-dests %d: must be in [1, %d]", dests, hosts-1)
+	case packets < 1:
+		return fmt.Errorf("-packets %d: must be >= 1", packets)
+	case trials < 1:
+		return fmt.Errorf("-trials %d: must be >= 1", trials)
+	case topos < 1:
+		return fmt.Errorf("-topos %d: must be >= 1", topos)
+	}
+	return nil
+}
 
 func main() {
 	axis := flag.String("axis", "m", "sweep axis: m, dests, k, tns, ports")
@@ -42,20 +86,13 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel grid workers (1 = serial)")
 	flag.Parse()
 
-	defaults := map[string]string{
-		"m":     "1,2,4,8,16,32",
-		"dests": "3,7,15,31,47,63",
-		"k":     "1,2,3,4,5,6",
-		"tns":   "1,2,3,6,12",
-		"ports": "1,2,4,8",
-	}
-	if _, ok := defaults[*axis]; !ok {
+	if _, ok := axes[*axis]; !ok {
 		fmt.Fprintf(os.Stderr, "sweep: unknown axis %q\n", *axis)
 		os.Exit(1)
 	}
 	vstr := *valuesFlag
 	if vstr == "" {
-		vstr = defaults[*axis]
+		vstr = axes[*axis].defaults
 	}
 	var values []float64
 	for _, s := range strings.Split(vstr, ",") {
@@ -65,6 +102,10 @@ func main() {
 			os.Exit(1)
 		}
 		values = append(values, v)
+	}
+	if err := checkFlags(*axis, values, *dests, *packets, *trials, *topos); err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
+		os.Exit(2)
 	}
 
 	var policy repro.TreePolicy
@@ -114,7 +155,7 @@ func main() {
 			params.NIPorts = int(v)
 		}
 		sys := systems[t]
-		set := workload.DestSet(rng, 64, dc)
+		set := workload.DestSet(rng, hosts, dc)
 		spec := repro.Spec{Source: set[0], Dests: set[1:], Packets: m, Policy: pol, K: k}
 		res := sys.Simulate(sys.Plan(spec), params, repro.FPFS)
 		cells[j] = cell{latency: res.Latency, wait: res.ChannelWait}

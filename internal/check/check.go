@@ -123,9 +123,6 @@ func (in Instance) Hosts() int {
 	return n
 }
 
-// N returns the multicast set size (source included).
-func (in Instance) N() int { return len(in.Dests) + 1 }
-
 // Validate reports the first structural problem that would make the
 // instance unbuildable. Generated instances are valid by construction;
 // this guards the shrinker's mutations.

@@ -93,8 +93,8 @@ func TestRunParallelDefaultWorkers(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckCases measures serial harness throughput; the cases/sec
-// metric is the figure recorded in BENCH_sim.json.
+// BenchmarkCheckCases measures serial harness throughput (the cases/sec
+// metric).
 func BenchmarkCheckCases(b *testing.B) {
 	benchCheck(b, 1)
 }

@@ -41,9 +41,6 @@ type Result struct {
 	ChannelWait float64
 	// K is the fanout bound of the underlying tree.
 	K int
-	// Faults counts the faults injected during the run (zero value for the
-	// lossless entry points).
-	Faults sim.FaultStats
 }
 
 // Broadcast runs an m-packet broadcast from source to every other host of
@@ -123,17 +120,6 @@ type ReduceParams struct {
 // the root as soon as all children's packet-j contributions have arrived
 // and been combined. The result lands at the source (tree root).
 func Reduce(sys *core.System, spec core.Spec, rp ReduceParams) *Result {
-	res, missing := reduceRun(sys, spec, rp, nil)
-	if len(missing) > 0 {
-		panic("collectives: reduce did not complete (tree malformed?)")
-	}
-	return res
-}
-
-// reduceRun is the reduction engine shared by Reduce and ReduceFaulty: a
-// nil fault state runs lossless. It returns the per-host count of packets
-// whose contributions never fully combined (empty on a complete run).
-func reduceRun(sys *core.System, spec core.Spec, rp ReduceParams, fs *sim.FaultState) (*Result, map[int]int) {
 	if err := rp.Sim.Validate(); err != nil {
 		panic(err)
 	}
@@ -192,17 +178,9 @@ func reduceRun(sys *core.System, spec core.Spec, rp ReduceParams, fs *sim.FaultS
 			parent := parentOf[v]
 			route := sys.Router.Route(v, parent)
 			earliest := math.Max(eng.Now(), st.niFreeAt) + rp.Sim.TNISend
-			earliest += fs.StallDelay(v, earliest)
 			start, arrival := eng.ReservePath(route, earliest, wire, rp.Sim.RouterDelay)
 			st.niFreeAt = start + wire
 			sends++
-			// A contribution lost in transit (dead link, drop) or rejected
-			// by the receiver's checksum (corruption) never arrives; this
-			// engine does not retransmit, so the parent's combine for that
-			// packet starves.
-			if fs.RouteDead(route, start) || fs.SampleDrop() || fs.SampleCorrupt() {
-				continue
-			}
 			jj, pp := j, parent
 			eng.At(arrival+rp.Sim.TNIRecv+rp.TCombine, func() { arrive(pp, jj) })
 		}
@@ -218,31 +196,14 @@ func reduceRun(sys *core.System, spec core.Spec, rp ReduceParams, fs *sim.FaultS
 		})
 	}
 	eng.Run()
-	missing := map[int]int{}
-	for _, v := range tr.Nodes() {
-		short := 0
-		for j := 0; j < m; j++ {
-			if states[v].need[j] > 0 {
-				short++
-			}
-		}
-		if short > 0 {
-			missing[v] = short
-		}
+	if states[tr.Root()].readyUpTo < m {
+		panic("collectives: reduce did not complete (tree malformed?)")
 	}
-	latency := finish
-	if finish == 0 {
-		latency = eng.Now() // starved run: report when the pipeline drained
-	}
-	res := &Result{
-		Latency: latency,
+	return &Result{
+		Latency: finish,
 		Sends:   sends,
 		K:       plan.K,
 	}
-	if fs != nil {
-		res.Faults = fs.Stats
-	}
-	return res, missing
 }
 
 // Barrier synchronizes all participants: a 1-packet reduce to the source

@@ -27,7 +27,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stepsim"
-	"repro/internal/workload"
 )
 
 // Group is a fixed set of communicating hosts addressed by rank.
@@ -470,15 +469,6 @@ func (g *Group) Scatter(root int, chunks [][]byte, p sim.Params) (*ScatterResult
 	spec := core.Spec{Source: g.hosts[root], Dests: g.others(root), Packets: maxPkts, Policy: core.OptimalTree}
 	out.Latency = collectives.Scatter(g.sys, spec, p).Latency
 	return out, nil
-}
-
-// RandomGroup draws a random group of size n over the system's hosts.
-func RandomGroup(sys *core.System, n int, rng *workload.RNG) (*Group, error) {
-	if n < 2 || n > sys.Net.NumHosts() {
-		return nil, fmt.Errorf("comm: group size %d out of range", n)
-	}
-	perm := rng.Perm(sys.Net.NumHosts())
-	return New(sys, perm[:n])
 }
 
 // BcastScheduledResult is the outcome of one scheduler-backed broadcast.

@@ -15,7 +15,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
 func testSys() *core.System {
@@ -131,20 +130,6 @@ func TestScatterValidation(t *testing.T) {
 	}
 	if _, err := g.Scatter(9, make([][]byte, 3), sim.DefaultParams()); err == nil {
 		t.Error("bad root accepted")
-	}
-}
-
-func TestRandomGroup(t *testing.T) {
-	sys := testSys()
-	g, err := RandomGroup(sys, 16, workload.NewRNG(3))
-	if err != nil || g.Size() != 16 {
-		t.Fatalf("RandomGroup: %v", err)
-	}
-	if _, err := RandomGroup(sys, 1, workload.NewRNG(3)); err == nil {
-		t.Error("size-1 group accepted")
-	}
-	if _, err := RandomGroup(sys, 65, workload.NewRNG(3)); err == nil {
-		t.Error("oversized group accepted")
 	}
 }
 

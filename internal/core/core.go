@@ -294,27 +294,3 @@ func (s *System) PlanMeasured(spec Spec, params sim.Params) (*Plan, float64) {
 	}
 	return best, bestLat
 }
-
-// MeanHops returns the average route hop count over a sample of host
-// pairs, used to derive a representative t_step for the analytic models.
-func (s *System) MeanHops() float64 {
-	total, count := 0, 0
-	hosts := s.Net.NumHosts()
-	stride := 1
-	if hosts > 32 {
-		stride = hosts / 32
-	}
-	for a := 0; a < hosts; a += stride {
-		for b := 0; b < hosts; b += stride {
-			if a == b {
-				continue
-			}
-			total += s.Router.Route(a, b).Hops()
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return float64(total) / float64(count)
-}

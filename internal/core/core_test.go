@@ -180,14 +180,6 @@ func TestPlanOptimalIsTheorem3PerPlan(t *testing.T) {
 	}
 }
 
-func TestMeanHopsPositive(t *testing.T) {
-	s := irregularSys(8)
-	h := s.MeanHops()
-	if h <= 0 || h > 6 {
-		t.Errorf("mean hops = %f, implausible for 16 switches", h)
-	}
-}
-
 func TestTreePolicyString(t *testing.T) {
 	for p, want := range map[TreePolicy]string{
 		OptimalTree:    "optimal-k-binomial",

@@ -81,7 +81,7 @@ func BenchmarkLiveConcurrent4Sessions(b *testing.B) {
 // wrapped: MaxJitter keeps the FaultyTransport in the loop, so the
 // baseline prices the decorator, not just the bare links); p > 0 adds
 // real loss and the retransmission machinery it triggers. The pair's
-// delta in BENCH_sim.json is the measured cost of fault recovery.
+// delta is the measured cost of fault recovery.
 func benchLiveReliable(b *testing.B, dests, packets int, droprate float64) {
 	s := benchSession(b, dests, packets)
 	cfg := DefaultReliableConfig()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/collectives"
 	"repro/internal/reliable"
 )
 
@@ -31,15 +30,6 @@ func TestTypedErrorsWrapAndUnwrap(t *testing.T) {
 				var we *WatchdogError
 				return errors.As(err, &we) && len(we.Missing[0]) == 1 &&
 					we.Progress[0][0].Host == 3
-			},
-		},
-		{
-			name:     "loss",
-			err:      &collectives.LossError{Op: "scatter", Missing: map[int]int{2: 4}},
-			sentinel: collectives.ErrLoss,
-			as: func(err error) bool {
-				var le *collectives.LossError
-				return errors.As(err, &le) && le.Op == "scatter" && le.Missing[2] == 4
 			},
 		},
 		{

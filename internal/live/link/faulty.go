@@ -145,14 +145,6 @@ func (c *Chaos) Start(t time.Time) {
 	}
 }
 
-// Faults returns the armed configuration (zero value on nil).
-func (c *Chaos) Faults() Faults {
-	if c == nil {
-		return Faults{}
-	}
-	return c.f
-}
-
 // Stats snapshots the running fault counters.
 func (c *Chaos) Stats() ChaosStats {
 	if c == nil {

@@ -148,9 +148,6 @@ func NewInbox(host, capacity, slots int) *Inbox {
 	return in
 }
 
-// Host returns the owning host ID.
-func (in *Inbox) Host() int { return in.host }
-
 // Recv blocks for the next frame, honoring each frame's latency stamp.
 // ok is false when the inbox has been closed and drained, or abort fired.
 func (in *Inbox) Recv(abort <-chan struct{}) (f Frame, ok bool) {

@@ -58,14 +58,6 @@ func (o *Ordering) Name() string { return o.name }
 // Hosts returns the full base chain. The slice is owned by the Ordering.
 func (o *Ordering) Hosts() []int { return o.hosts }
 
-// Position returns the chain position of a host.
-func (o *Ordering) Position(h int) int {
-	if h < 0 || h >= len(o.pos) {
-		panic(fmt.Sprintf("ordering: host %d out of range [0,%d)", h, len(o.pos)))
-	}
-	return o.pos[h]
-}
-
 // Chain cuts the multicast chain for a source and destination set: the
 // participants sorted by base-chain position and cyclically rotated so the
 // source comes first. Rotation preserves the cyclic adjacency structure of

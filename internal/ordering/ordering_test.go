@@ -20,9 +20,9 @@ func TestIdentityOrdering(t *testing.T) {
 	if o.Name() != "identity" {
 		t.Error("name mismatch")
 	}
-	for i := 0; i < 8; i++ {
-		if o.Position(i) != i {
-			t.Errorf("Position(%d) = %d", i, o.Position(i))
+	for i, h := range o.Hosts() {
+		if h != i {
+			t.Errorf("Hosts()[%d] = %d", i, h)
 		}
 	}
 }
@@ -140,7 +140,6 @@ func TestChainPanics(t *testing.T) {
 		func() { o.Chain(0, []int{0}) },  // duplicate source
 		func() { o.Chain(0, []int{9}) },  // out of range
 		func() { o.Chain(-1, []int{1}) }, // bad source
-		func() { o.Position(8) },
 	} {
 		func() {
 			defer func() {

@@ -1,7 +1,10 @@
 package psim
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/netiface"
@@ -270,6 +273,32 @@ func TestConfigPanics(t *testing.T) {
 	}
 	expectPanic("short parts", Config{Workers: 2, Parts: []int{0, 1}})
 	expectPanic("part out of range", Config{Workers: 2, Parts: []int{0, 1, 2, 0}})
+}
+
+// TestNonFiniteStartPanics: a NaN or infinite Session.Start passes a plain
+// "< 0" guard and used to return garbage for every session (makespan 0,
+// NaN channel wait); both schedulers must refuse it, naming the session.
+func TestNonFiniteStartPanics(t *testing.T) {
+	router := meshRouter(4, 2)
+	p := testParams()
+	for _, start := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		sessions := overlappingSessions(16)[:2]
+		sessions[1].Start = start
+		for name, run := range map[string]func(){
+			"sim":  func() { sim.Concurrent(router, sessions, p, stepsim.FPFS) },
+			"psim": func() { Concurrent(router, sessions, p, stepsim.FPFS, Config{Workers: 2}) },
+		} {
+			func() {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.Contains(msg, "session 1 starts at") {
+						t.Errorf("%s.Concurrent, Start=%v: recovered %q, want a panic naming session 1", name, start, msg)
+					}
+				}()
+				run()
+			}()
+		}
+	}
 }
 
 // TestReuse runs different workloads back-to-back through the pooled

@@ -149,7 +149,6 @@ func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, fa
 			Delivered: map[int][]byte{},
 		},
 	}
-	mc.eng.SetFaults(faults)
 	for i := 0; i < links; i++ {
 		mc.origToCur[i], mc.curToOrig[i] = i, i
 	}

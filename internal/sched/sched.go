@@ -212,9 +212,6 @@ type Handle struct {
 	err  error
 }
 
-// MsgID returns the session key.
-func (h *Handle) MsgID() uint32 { return h.sess.MsgID }
-
 // Done is closed when the session completes or fails.
 func (h *Handle) Done() <-chan struct{} { return h.done }
 
@@ -378,9 +375,6 @@ func (s *Scheduler) Stats() Stats {
 	st.DroppedFrames = s.dropped.Load()
 	return st
 }
-
-// Hosts returns the fabric's host count.
-func (s *Scheduler) Hosts() int { return len(s.nis) }
 
 // Submit validates the session and enqueues it for admission. It never
 // blocks: a full queue is the typed rejection ErrQueueFull, a reused

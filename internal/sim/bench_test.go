@@ -8,16 +8,14 @@ import (
 
 // BenchmarkEngineEventLoop measures raw event-loop throughput: schedule
 // and drain a self-rescheduling chain plus a fan of one-shot events, the
-// access pattern of the multicast engines. The events/sec metric and
-// allocs/op land in BENCH_sim.json; allocs/op is the pooling regression
-// canary (the container/heap loop boxed every event).
+// access pattern of the protocol engines built on Engine. allocs/op is the
+// boxing regression canary (the container/heap loop boxed every event).
 func BenchmarkEngineEventLoop(b *testing.B) {
 	const chain, fan = 256, 256
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine(0)
-		e.Grow(chain + fan)
 		ticks, shots := 0, 0
 		var tick func()
 		tick = func() {
@@ -36,13 +34,12 @@ func BenchmarkEngineEventLoop(b *testing.B) {
 		if ticks+shots != chain+fan {
 			b.Fatalf("ran %d events, want %d", ticks+shots, chain+fan)
 		}
-		e.Recycle()
 	}
 	b.ReportMetric(float64(chain+fan)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkEngineMulticastFPFS measures one full 32-node 8-packet
-// event-driven multicast on the pooled engine — the per-case unit of
+// event-driven multicast on the pooled session model — the per-case unit of
 // work the check harness and the sweeps repeat thousands of times.
 func BenchmarkEngineMulticastFPFS(b *testing.B) {
 	_, r, _ := testSystem(1)

@@ -42,7 +42,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/routing"
 )
@@ -198,7 +197,7 @@ func (h *eventHeap) pop() event {
 	top := old[0]
 	n := len(old) - 1
 	old[0] = old[n]
-	old[n] = event{} // drop the closure reference for the recycler
+	old[n] = event{} // drop the closure reference
 	*h = old[:n]
 	i := 0
 	for {
@@ -225,82 +224,15 @@ type Engine struct {
 	seq      int64
 	events   eventHeap
 	chanFree []float64 // directed channel -> earliest free time
-	faults   *FaultState
 }
-
-// enginePool recycles engine storage (event-heap backing arrays and
-// channel-occupancy slices) across runs: the harness and the experiment
-// sweeps build one engine per simulated multicast, and without the pool
-// those two arrays dominate the per-run allocation profile.
-var enginePool = sync.Pool{New: func() any { return new(Engine) }}
 
 // NewEngine creates an engine for a network with the given channel count.
-// Engines are drawn from a pool; callers that run many short simulations
-// should Recycle the engine once its results have been read out.
 func NewEngine(numChannels int) *Engine {
-	e := enginePool.Get().(*Engine)
-	e.now, e.seq, e.faults = 0, 0, nil
-	e.events = e.events[:0]
-	if cap(e.chanFree) < numChannels {
-		// Round the allocation up so a pooled engine cycling through
-		// networks of slightly different sizes converges instead of
-		// re-allocating on every growth by one channel.
-		e.chanFree = make([]float64, numChannels, ceilPow2(numChannels))
-	} else {
-		e.chanFree = e.chanFree[:numChannels]
-		for i := range e.chanFree {
-			e.chanFree[i] = 0
-		}
-	}
-	return e
-}
-
-// ceilPow2 returns the smallest power of two >= n (min 1).
-func ceilPow2(n int) int {
-	c := 1
-	for c < n {
-		c <<= 1
-	}
-	return c
-}
-
-// Recycle returns the engine's storage to the pool. The engine must not
-// be used afterwards; forgetting to call it is safe (the engine is then
-// simply garbage).
-func (e *Engine) Recycle() {
-	for i := range e.events {
-		e.events[i] = event{}
-	}
-	e.events = e.events[:0]
-	e.faults = nil
-	enginePool.Put(e)
-}
-
-// Grow pre-sizes the event heap for n additional events, so a run whose
-// event count is known up front (2 per packet transmission) pays at most
-// one heap growth. The capacity is rounded up to a power of two: a pooled
-// engine alternating between runs of different sizes used to re-grow on
-// every run whose exact need exceeded the last one's — at 100k hosts that
-// was a multi-megabyte allocation per simulation. With rounding, the
-// backing array monotonically converges to the workload's high-water mark.
-func (e *Engine) Grow(n int) {
-	if need := len(e.events) + n; need > cap(e.events) {
-		grown := make(eventHeap, len(e.events), ceilPow2(need))
-		copy(grown, e.events)
-		e.events = grown
-	}
+	return &Engine{chanFree: make([]float64, numChannels)}
 }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() float64 { return e.now }
-
-// SetFaults arms a fault state on the engine; nil disarms. The protocol
-// layers consult Faults() on every injection and receipt.
-func (e *Engine) SetFaults(f *FaultState) { e.faults = f }
-
-// Faults returns the armed fault state (nil when lossless). All FaultState
-// sampling methods are nil-safe, so callers need not check.
-func (e *Engine) Faults() *FaultState { return e.faults }
 
 // At schedules fn at absolute time t (>= now).
 func (e *Engine) At(t float64, fn func()) {

@@ -109,9 +109,9 @@ func TestMulticastAllocationRegression(t *testing.T) {
 	}
 }
 
-// TestEnginePoolDeterminism: recycled engine/op storage must not leak
-// state between runs — repeating a simulation on warm pools reproduces
-// cold-pool results exactly.
+// TestEnginePoolDeterminism: the model's recycled carcass (modelPool) must
+// not leak state between runs — repeating a simulation on a warm pool
+// reproduces cold-pool results exactly.
 func TestEnginePoolDeterminism(t *testing.T) {
 	_, r, _ := testSystem(7)
 	tr := benchTree(3)
@@ -146,26 +146,6 @@ func TestEnginePoolDeterminism(t *testing.T) {
 		if f2.Sends != f1.Sends || f2.Faults.Dropped != f1.Faults.Dropped || f2.Makespan != f1.Makespan {
 			t.Fatalf("lossy replay %d diverged: sends=%d dropped=%d makespan=%f, first %d/%d/%f",
 				i, f2.Sends, f2.Faults.Dropped, f2.Makespan, f1.Sends, f1.Faults.Dropped, f1.Makespan)
-		}
-	}
-}
-
-// TestRecycledEngineIsClean: a pooled engine must come back with zeroed
-// clock, sequence and channel state regardless of what the previous run
-// left behind.
-func TestRecycledEngineIsClean(t *testing.T) {
-	e := NewEngine(4)
-	e.At(5, func() {})
-	e.Run()
-	e.chanFree[2] = 99
-	e.Recycle()
-	e2 := NewEngine(4)
-	if e2.Now() != 0 {
-		t.Fatalf("recycled engine starts at t=%f, want 0", e2.Now())
-	}
-	for i, v := range e2.chanFree {
-		if v != 0 {
-			t.Fatalf("recycled engine channel %d free at %f, want 0", i, v)
 		}
 	}
 }

@@ -38,9 +38,6 @@ type HostCrash struct {
 	RecoverAt float64 // 0 = never; otherwise must be > At
 }
 
-// CrashStop reports whether the crash is permanent.
-func (c HostCrash) CrashStop() bool { return c.RecoverAt == 0 }
-
 // FaultPlan describes the dynamic faults of one simulated run. The plan is
 // fully deterministic: probabilistic faults are sampled from a private
 // splitmix64 stream seeded by Seed, in event order, so a (plan, workload)
@@ -94,13 +91,6 @@ func (p FaultPlan) Validate() error {
 	return nil
 }
 
-// Zero reports whether the plan injects no faults at all, so callers can
-// take the lossless fast path.
-func (p FaultPlan) Zero() bool {
-	return p.DropRate == 0 && p.CorruptRate == 0 && p.AckDropRate == 0 &&
-		len(p.Stalls) == 0 && len(p.Kills) == 0 && len(p.Crashes) == 0
-}
-
 // FaultStats counts the faults one run actually injected.
 type FaultStats struct {
 	Dropped    int     // data packets lost in transit
@@ -111,11 +101,6 @@ type FaultStats struct {
 	Crashes    int     // host-crash events applied during the run
 	Recoveries int     // host-recovery events applied during the run
 	StallWait  float64 // total injection delay caused by NI stalls (us)
-}
-
-// Total returns the number of discrete fault events (StallWait excluded).
-func (s FaultStats) Total() int {
-	return s.Dropped + s.Corrupted + s.AcksLost + s.DeadSends + s.CrashDrops + s.Crashes
 }
 
 // FaultState is one run's armed fault plan: a private RNG, normalized

@@ -344,7 +344,10 @@ func (e *model) build(router routing.Router, sessions []Session, routes map[[2]i
 		if sess.Packets < 1 {
 			panic(fmt.Sprintf("sim: session %d has %d packets", si, sess.Packets))
 		}
-		if sess.Start < 0 {
+		// Stated positively because NaN compares false against every
+		// threshold (see Params.Validate): a non-finite start would
+		// otherwise poison every session's times.
+		if !(sess.Start >= 0 && sess.Start <= math.MaxFloat64) {
 			panic(fmt.Sprintf("sim: session %d starts at %f", si, sess.Start))
 		}
 		if e.tabs[si] == nil {

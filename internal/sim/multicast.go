@@ -31,17 +31,6 @@ type Result struct {
 	Sends int
 }
 
-// MaxBufferedOverall returns the largest per-node buffer peak, in packets.
-func (r *Result) MaxBufferedOverall() int {
-	max := 0
-	for _, v := range r.MaxBuffered {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
 // Multicast simulates one m-packet multicast over tr, routed by router,
 // under the given NI discipline. The tree's nodes are host IDs of router's
 // network. It is the single-session form of Concurrent.

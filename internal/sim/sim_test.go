@@ -346,9 +346,27 @@ func TestMulticastPanics(t *testing.T) {
 	}
 }
 
+// TestMaxBufferedOverall: MaxBuffered has one entry per forwarding node
+// (source and intermediates, no leaves), and under FCFS — every forwarder
+// holds the whole message — the largest entry is exactly m.
 func TestMaxBufferedOverall(t *testing.T) {
-	r := &Result{MaxBuffered: map[int]int{1: 3, 2: 7, 5: 2}}
-	if r.MaxBufferedOverall() != 7 {
-		t.Errorf("MaxBufferedOverall = %d, want 7", r.MaxBufferedOverall())
+	_, r, _ := testSystem(2)
+	tr := benchTree(2)
+	const m = 7
+	res := Multicast(r, tr, m, DefaultParams(), stepsim.FCFS)
+	overall := 0
+	for v, b := range res.MaxBuffered {
+		if len(tr.Children(v)) == 0 {
+			t.Errorf("leaf %d has a MaxBuffered entry (%d)", v, b)
+		}
+		overall = max(overall, b)
+	}
+	if overall != m {
+		t.Errorf("largest MaxBuffered entry = %d, want %d", overall, m)
+	}
+	for _, v := range tr.Nodes() {
+		if _, ok := res.MaxBuffered[v]; !ok && len(tr.Children(v)) > 0 {
+			t.Errorf("forwarder %d has no MaxBuffered entry", v)
+		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical and tabular toolkit the
-// experiment harness uses: streaming summaries, labeled series, and
+// experiment harness uses: streaming summaries, quantile samples, and
 // fixed-width text tables shaped like the paper's figures' data.
 package stats
 
@@ -51,66 +51,6 @@ func (s Summary) Min() float64 { return s.min }
 
 // Max returns the largest observation (0 for an empty summary).
 func (s Summary) Max() float64 { return s.max }
-
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval of the mean.
-func (s Summary) CI95() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return 1.96 * s.Std() / math.Sqrt(float64(s.n))
-}
-
-// Point is one (x, summary) pair of a series.
-type Point struct {
-	X       float64
-	Summary Summary
-}
-
-// Series is a labeled sequence of summarized measurements over an x-axis,
-// e.g. "latency vs number of packets, 47 destinations".
-type Series struct {
-	Label  string
-	points map[float64]*Summary
-}
-
-// NewSeries creates an empty series.
-func NewSeries(label string) *Series {
-	return &Series{Label: label, points: map[float64]*Summary{}}
-}
-
-// Add folds an observation at position x.
-func (s *Series) Add(x, y float64) {
-	sum, ok := s.points[x]
-	if !ok {
-		sum = &Summary{}
-		s.points[x] = sum
-	}
-	sum.Add(y)
-}
-
-// Points returns the series points sorted by x.
-func (s *Series) Points() []Point {
-	xs := make([]float64, 0, len(s.points))
-	for x := range s.points {
-		xs = append(xs, x)
-	}
-	sort.Float64s(xs)
-	out := make([]Point, len(xs))
-	for i, x := range xs {
-		out[i] = Point{X: x, Summary: *s.points[x]}
-	}
-	return out
-}
-
-// At returns the summary at x and whether any observation exists there.
-func (s *Series) At(x float64) (Summary, bool) {
-	sum, ok := s.points[x]
-	if !ok {
-		return Summary{}, false
-	}
-	return *sum, true
-}
 
 // Table is a fixed-width text table with a caption, matching how the
 // experiment harness prints figure data.
@@ -223,9 +163,6 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// N returns the observation count.
-func (s *Sample) N() int { return len(s.xs) }
-
 // Mean returns the sample mean (0 when empty).
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -263,9 +200,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	frac := pos - float64(lo)
 	return s.xs[lo]*(1-frac) + s.xs[lo+1]*frac
 }
-
-// Median returns the 0.5 quantile.
-func (s *Sample) Median() float64 { return s.Quantile(0.5) }
 
 // P95 returns the 0.95 quantile.
 func (s *Sample) P95() float64 { return s.Quantile(0.95) }

@@ -47,10 +47,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Split returns a new independent generator derived from this one's stream,
-// so that parallel experiment arms can draw without interleaving effects.
-func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
-
 // Perm returns a pseudo-random permutation of [0, n) via Fisher-Yates.
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -96,20 +92,6 @@ func DestSet(r *RNG, numHosts, destCount int) []int {
 	return set
 }
 
-// ClusteredDestSet draws a multicast set whose destinations cluster in
-// consecutive index blocks of clusterSize hosts. On cube and mesh systems
-// (one host per switch, index = coordinate) consecutive blocks are
-// physically adjacent, so this is the locality-heavy counterpart of
-// DestSet's uniform spread. For irregular networks, whose hosts attach
-// round-robin, use ClusteredDestSetBy with groupOf = HostSwitch instead.
-// Element 0 is the source, drawn uniformly.
-func ClusteredDestSet(r *RNG, numHosts, destCount, clusterSize int) []int {
-	if clusterSize < 1 || clusterSize > numHosts {
-		panic(fmt.Sprintf("workload: clusterSize %d out of range", clusterSize))
-	}
-	return ClusteredDestSetBy(r, numHosts, destCount, func(h int) int { return h / clusterSize })
-}
-
 // ClusteredDestSetBy draws a multicast set whose destinations occupy as
 // few host groups as possible, where groupOf assigns each host to a group
 // (e.g. its switch). Groups are visited in random order and drained
@@ -145,18 +127,6 @@ func ClusteredDestSetBy(r *RNG, numHosts, destCount int, groupOf func(int) int) 
 		}
 	}
 	return set
-}
-
-// PacketsFor returns the number of fixed-size packets a message of the
-// given byte length occupies: ceil(bytes / packetBytes), minimum 1.
-func PacketsFor(bytes, packetBytes int) int {
-	if bytes < 0 || packetBytes < 1 {
-		panic(fmt.Sprintf("workload: PacketsFor(%d, %d)", bytes, packetBytes))
-	}
-	if bytes == 0 {
-		return 1
-	}
-	return (bytes + packetBytes - 1) / packetBytes
 }
 
 // Sweep describes one experiment axis: for every point, Trials destination

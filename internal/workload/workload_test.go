@@ -103,15 +103,6 @@ func TestShufflePreservesElements(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := NewRNG(1)
-	a := r.Split()
-	b := r.Split()
-	if a.Uint64() == b.Uint64() {
-		t.Error("split generators emitted identical first draw")
-	}
-}
-
 func TestDestSetProperties(t *testing.T) {
 	r := NewRNG(21)
 	for trial := 0; trial < 100; trial++ {
@@ -206,7 +197,7 @@ func TestQuickIntnInRange(t *testing.T) {
 func TestClusteredDestSetProperties(t *testing.T) {
 	r := NewRNG(55)
 	for trial := 0; trial < 50; trial++ {
-		set := ClusteredDestSet(r, 64, 15, 16)
+		set := ClusteredDestSetBy(r, 64, 15, func(h int) int { return h / 16 })
 		if len(set) != 16 {
 			t.Fatalf("length %d, want 16", len(set))
 		}
@@ -221,12 +212,12 @@ func TestClusteredDestSetProperties(t *testing.T) {
 }
 
 func TestClusteredDestSetIsClustered(t *testing.T) {
-	// Destinations from ClusteredDestSet must occupy no more groups than
-	// strictly necessary (plus one for the partially-filled group).
+	// Destinations clustered by index block must occupy no more groups
+	// than strictly necessary (plus one for the partially-filled group).
 	r := NewRNG(66)
 	const clusterSize = 16
 	for trial := 0; trial < 30; trial++ {
-		set := ClusteredDestSet(r, 64, 15, clusterSize)
+		set := ClusteredDestSetBy(r, 64, 15, func(h int) int { return h / clusterSize })
 		groups := map[int]bool{}
 		for _, h := range set[1:] {
 			groups[h/clusterSize] = true
@@ -257,10 +248,8 @@ func TestClusteredDestSetIsClustered(t *testing.T) {
 func TestClusteredDestSetPanics(t *testing.T) {
 	r := NewRNG(1)
 	for i, f := range []func(){
-		func() { ClusteredDestSet(r, 8, 0, 2) },
-		func() { ClusteredDestSet(r, 8, 8, 2) },
-		func() { ClusteredDestSet(r, 8, 3, 0) },
-		func() { ClusteredDestSet(r, 8, 3, 9) },
+		func() { ClusteredDestSetBy(r, 8, 0, func(h int) int { return h / 2 }) },
+		func() { ClusteredDestSetBy(r, 8, 8, func(h int) int { return h / 2 }) },
 	} {
 		func() {
 			defer func() {
@@ -271,28 +260,6 @@ func TestClusteredDestSetPanics(t *testing.T) {
 			f()
 		}()
 	}
-}
-
-func TestPacketsFor(t *testing.T) {
-	cases := []struct{ bytes, pkt, want int }{
-		{0, 64, 1},
-		{1, 64, 1},
-		{64, 64, 1},
-		{65, 64, 2},
-		{512, 64, 8},
-		{513, 64, 9},
-	}
-	for _, c := range cases {
-		if got := PacketsFor(c.bytes, c.pkt); got != c.want {
-			t.Errorf("PacketsFor(%d,%d) = %d, want %d", c.bytes, c.pkt, got, c.want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	PacketsFor(-1, 64)
 }
 
 func TestClusteredDestSetByGroups(t *testing.T) {
