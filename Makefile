@@ -123,7 +123,10 @@ sched-soak:
 # across disciplines, topologies and worker counts, fault-plan replay,
 # window-barrier edge cases). So both packages run here — internal/sim's
 # golden-fixture test holds sim.* and psim.* at 1 and 3 workers to the
-# recorded reference — then a 120-case psim-matches-sim sweep, each case
+# recorded reference, and its seeded randomized differential
+# (TestWindowedMatchesSerialRandomized: 1,000 workloads incl. host
+# overheads below the lookahead and absorbed clocks, 1-4 workers vs the
+# serial loop) — then a 120-case psim-matches-sim sweep, each case
 # compared bitwise against the serial loop at psim worker counts 1 and 3,
 # with the harness itself at 1 and then 4 OS workers so worker-pool
 # synchronization is raced too.

@@ -30,9 +30,11 @@ func mcastsim(args ...string) (stdout, stderr string, code int) {
 // under testdata/golden were recorded from the binary built at the parent
 // commit (f14e54a, before run() existed): `mcastsim ARGS > NAME.txt`, the
 // trace row with `-trace-json TRACE.json`; mesh-4096 the same way at
-// dbf7708. They are the reference the rewrite was held to — run -update
-// only when a later change alters the output on purpose, and review the
-// diff.
+// dbf7708 and conventional-workers at 764ff9d (its psim: line pins the
+// window count across the change that ends Conventional windows at the
+// first forward). They are the reference the rewrite was held to — run
+// -update only when a later change alters the output on purpose, and
+// review the diff.
 func TestGolden(t *testing.T) {
 	for name, args := range map[string]string{
 		"default":               "",
@@ -41,6 +43,7 @@ func TestGolden(t *testing.T) {
 		"fixedk-conventional":   "-tree k -k 3 -ni conventional",
 		"flit":                  "-model flit",
 		"mesh-workers":          "-mesh 8x2 -dests 40 -workers 3",
+		"conventional-workers":  "-tree k -k 3 -ni conventional -workers 3",
 		"mesh-4096":             "-mesh 64x2 -dests 4000 -packets 2",
 		"timeline":              "-timeline",
 		"trace-json":            "-trace-json TRACE.json",

@@ -52,19 +52,28 @@ func checkPsimMatchesSim(w *world) error {
 	sessions := w.psimSessions()
 
 	// Lossless traced arm, calibration constants; odd fault seeds run a
-	// 2-port NI so the multi-injection pump is covered.
+	// 2-port NI so the multi-injection pump is covered. It runs twice: as
+	// is, and with every start raised by 1e18, where the clock absorbs
+	// every delay, windows degrade to one timestamp and only seq is left
+	// to order events.
 	p := calibrationParams()
 	p.NIPorts = 1 + int(w.inst.FaultSeed%2)
-	wantRes, wantTrace := sim.ConcurrentTraced(w.sys.Router, sessions, p, w.inst.Disc, true)
-	for _, workers := range psimWorkerCounts {
-		gotRes, gotTrace := psim.ConcurrentTraced(w.sys.Router, sessions, p, w.inst.Disc, true,
-			psim.Config{Workers: workers})
-		if !reflect.DeepEqual(gotRes, wantRes) {
-			return fmt.Errorf("workers=%d: lossless result diverged from serial\n  psim: %+v\n  sim:  %+v",
-				workers, gotRes, wantRes)
+	for _, offset := range []float64{0, 1e18} {
+		shifted := append([]sim.Session(nil), sessions...)
+		for i := range shifted {
+			shifted[i].Start += offset
 		}
-		if err := diffTrace(gotTrace, wantTrace); err != nil {
-			return fmt.Errorf("workers=%d: lossless %v", workers, err)
+		wantRes, wantTrace := sim.ConcurrentTraced(w.sys.Router, shifted, p, w.inst.Disc, true)
+		for _, workers := range psimWorkerCounts {
+			gotRes, gotTrace := psim.ConcurrentTraced(w.sys.Router, shifted, p, w.inst.Disc, true,
+				psim.Config{Workers: workers})
+			if !reflect.DeepEqual(gotRes, wantRes) {
+				return fmt.Errorf("workers=%d start+%g: lossless result diverged from serial\n  psim: %+v\n  sim:  %+v",
+					workers, offset, gotRes, wantRes)
+			}
+			if err := diffTrace(gotTrace, wantTrace); err != nil {
+				return fmt.Errorf("workers=%d start+%g: lossless %v", workers, offset, err)
+			}
 		}
 	}
 

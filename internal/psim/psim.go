@@ -3,9 +3,10 @@
 // path reservation, fault draws and result assembly are sim's, not copies
 // of them), driven by a pool of workers instead of sim's serial loop.
 // Hosts are partitioned across cfg.Workers workers, each worker processes
-// its partition's events through conservative lookahead windows, and every
-// shared-state effect is resolved at the window barrier in the order the
-// serial loop would have resolved it — so a psim run is byte-identical to
+// its partition's events through conservative lookahead windows — no
+// window ever creates an event inside itself — and every shared-state
+// effect is resolved at the window barrier in the order the serial loop
+// would have resolved it, so a psim run is byte-identical to
 // sim.Concurrent at ANY worker count: same event order, same fault-RNG
 // draw order, same traces, same stats. The construction lives in
 // internal/sim/windowed.go; this package keeps the names callers use.
@@ -17,8 +18,8 @@ import (
 	"repro/internal/stepsim"
 )
 
-// Config controls the parallel execution mode: Workers, Parts, Window,
-// Routes and Stats.
+// Config controls the parallel execution mode: Workers, Parts, Routes and
+// Stats.
 type Config = sim.WindowConfig
 
 // WindowStats reports how a parallel run synchronized.

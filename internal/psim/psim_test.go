@@ -136,9 +136,11 @@ func TestMatchesSerialFaulty(t *testing.T) {
 }
 
 // TestWindowEdges covers the barrier's boundary cases, table-driven:
-// windows degraded to a single timestamp, partitions with no hosts,
-// zero-overhead Conventional forwards landing at their creator's exact
-// timestamp, and link kills timed exactly on a window boundary.
+// windows degraded to a single timestamp (a clock at 1e300 absorbs every
+// delay, so all events of a session share one timestamp and only seq
+// orders them; zero host overheads put Conventional forwards at their
+// creator's exact timestamp), partitions with no hosts, and link kills
+// timed exactly on a window boundary.
 func TestWindowEdges(t *testing.T) {
 	base := testParams()
 	zeroOverhead := base
@@ -150,16 +152,15 @@ func TestWindowEdges(t *testing.T) {
 	const boundary = 13.0
 	eps := 1e-9
 	cases := []struct {
-		name string
-		p    sim.Params
-		disc stepsim.Discipline
-		cfg  Config
-		plan *sim.FaultPlan
+		name  string
+		p     sim.Params
+		disc  stepsim.Discipline
+		cfg   Config
+		plan  *sim.FaultPlan
+		start float64 // added to every session's Start
 	}{
-		{name: "zero-lookahead-window-override", p: base, disc: stepsim.FPFS,
-			cfg: Config{Window: 1e-12}},
-		{name: "zero-lookahead-conventional", p: base, disc: stepsim.Conventional,
-			cfg: Config{Window: 1e-12}},
+		{name: "zero-lookahead-window-override", p: base, disc: stepsim.FPFS, start: 1e300},
+		{name: "zero-lookahead-conventional", p: base, disc: stepsim.Conventional, start: 1e300},
 		{name: "empty-partitions", p: base, disc: stepsim.FCFS,
 			cfg: Config{Workers: 3, Parts: allToWorkerZero(16, t)}},
 		{name: "same-timestamp-forwards", p: zeroOverhead, disc: stepsim.Conventional,
@@ -175,6 +176,9 @@ func TestWindowEdges(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			router := meshRouter(4, 2)
 			sessions := overlappingSessions(16)
+			for i := range sessions {
+				sessions[i].Start += tc.start
+			}
 			if tc.plan == nil {
 				expectMatch(t, router, sessions, tc.p, tc.disc, tc.cfg)
 				return
@@ -252,10 +256,35 @@ func TestPrecomputedRoutes(t *testing.T) {
 		}
 	}
 	want := sim.Concurrent(router, sessions, p, stepsim.FPFS)
-	got := Concurrent(router, sessions, p, stepsim.FPFS, Config{Workers: 2, Routes: routes})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("precomputed routes diverged\n got %+v\nwant %+v", got, want)
+	for _, workers := range []int{1, 2} {
+		got := Concurrent(router, sessions, p, stepsim.FPFS, Config{Workers: workers, Routes: routes})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: precomputed routes diverged\n got %+v\nwant %+v", workers, got, want)
+		}
 	}
+
+	// An entry that holds some other pair's route used to be simulated
+	// silently, reserving the wrong channels.
+	edge := [2]int{0, sessions[0].Tree.Children(0)[0]}
+	routes[edge] = router.Route(edge[1], 0)
+	for _, workers := range []int{1, 2} {
+		expectPanicNaming(t, fmt.Sprintf("workers=%d", workers), fmt.Sprintf("edge %d->%d", edge[0], edge[1]), func() {
+			Concurrent(router, sessions, p, stepsim.FPFS, Config{Workers: workers, Routes: routes})
+		})
+	}
+}
+
+// expectPanicNaming runs f and requires a panic, recovered on this
+// goroutine, whose message contains want.
+func expectPanicNaming(t *testing.T, name, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Errorf("%s: recovered %q, want a panic naming %q", name, msg, want)
+		}
+	}()
+	f()
 }
 
 // TestConfigPanics pins the partition-validation errors.
@@ -275,6 +304,26 @@ func TestConfigPanics(t *testing.T) {
 	expectPanic("part out of range", Config{Workers: 2, Parts: []int{0, 1, 2, 0}})
 }
 
+// TestUnknownDisciplinePanics: the first switch on the discipline runs on
+// a pool goroutine when Workers > 1, where a panic used to take the whole
+// process down; every door must refuse on the caller's goroutine instead.
+func TestUnknownDisciplinePanics(t *testing.T) {
+	router := meshRouter(4, 2)
+	sessions := overlappingSessions(16)
+	p := testParams()
+	const bogus = stepsim.Discipline(7)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"sim.Concurrent", func() { sim.Concurrent(router, sessions, p, bogus) }},
+		{"psim.Concurrent W=1", func() { Concurrent(router, sessions, p, bogus, Config{Workers: 1}) }},
+		{"psim.Concurrent W=2", func() { Concurrent(router, sessions, p, bogus, Config{Workers: 2}) }},
+	} {
+		expectPanicNaming(t, tc.name, "unknown discipline "+bogus.String(), tc.run)
+	}
+}
+
 // TestNonFiniteStartPanics: a NaN or infinite Session.Start passes a plain
 // "< 0" guard and used to return garbage for every session (makespan 0,
 // NaN channel wait); both schedulers must refuse it, naming the session.
@@ -288,15 +337,7 @@ func TestNonFiniteStartPanics(t *testing.T) {
 			"sim":  func() { sim.Concurrent(router, sessions, p, stepsim.FPFS) },
 			"psim": func() { Concurrent(router, sessions, p, stepsim.FPFS, Config{Workers: 2}) },
 		} {
-			func() {
-				defer func() {
-					msg := fmt.Sprint(recover())
-					if !strings.Contains(msg, "session 1 starts at") {
-						t.Errorf("%s.Concurrent, Start=%v: recovered %q, want a panic naming session 1", name, start, msg)
-					}
-				}()
-				run()
-			}()
+			expectPanicNaming(t, fmt.Sprintf("%s.Concurrent, Start=%v", name, start), "session 1 starts at", run)
 		}
 	}
 }

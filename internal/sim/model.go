@@ -77,15 +77,10 @@ const (
 	evFwd
 )
 
-// ordUnassigned is the first seq of the unassigned range: an event created
-// inside the window being processed, whose real seq the barrier has not
-// burned yet, holds ordUnassigned + its index in its worker's fwd table.
-// The serial scheduler never creates one.
-const ordUnassigned = uint64(1) << 63
-
 // pevent is one scheduled event. ord is its seq — the FIFO tiebreaker
-// among same-time events, assigned in creation order. arg is the packet
-// index (complete, deliver) or the edge index (fwd).
+// among same-time events, assigned in creation order; every event holds its
+// real seq when it enters a heap. arg is the packet index (complete,
+// deliver) or the edge index (fwd).
 type pevent struct {
 	at   float64
 	ord  uint64
@@ -95,27 +90,12 @@ type pevent struct {
 	arg  int32
 }
 
-// keyLess is the (at, seq) heap order. It holds for unassigned events too:
-// their seqs are burned at the barrier of the window that created them —
-// strictly after every seq an assigned event can hold, hence the high bit
-// — and in creation order, which on one worker (heaps are per worker) is
-// the order of their fwd-table indices: a worker processes the delivers
-// that create them in heap order.
+// keyLess is the (at, seq) heap order.
 func keyLess(a, b *pevent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.ord < b.ord
-}
-
-// fwdKey is the creator key of an unassigned event: creator event time and
-// seq (always assigned: forwards are created only by delivers) and the
-// creation index within the creator. Actions emitted by an unassigned
-// event carry it so the barrier can place them among other workers'.
-type fwdKey struct {
-	cat float64
-	c0  uint64
-	c1  uint32
 }
 
 // Action kinds. Actions are the shared-state effects of processing one
@@ -127,15 +107,11 @@ const (
 	aFwd                     // a Conventional forward event was created for time at
 )
 
-// action carries one deferred effect plus its creator event's full key,
-// so the windowed barrier can merge all workers' streams into processing
-// order.
+// action carries one deferred effect plus its creator event's key, so the
+// windowed barrier can merge all workers' streams into processing order.
 type action struct {
 	cAt    float64 // creator event time
-	cOrd   uint64  // creator event seq (>= ordUnassigned: not burned yet)
-	cat    float64 // unassigned creators: their creator's time...
-	cC0    uint64  // ...and seq
-	cC1    uint32  // ...and creation index
+	cOrd   uint64  // creator event seq
 	idx    uint32  // creation index within the creator event
 	kind   uint8
 	sess   int32
@@ -153,7 +129,6 @@ type worker struct {
 	heap      []pevent
 	inbox     []pevent
 	actions   []action
-	fwd       []fwdKey // creator keys of this window's unassigned events
 	localMin  float64
 	processed int
 
@@ -161,9 +136,6 @@ type worker struct {
 	// into each action.
 	cAt  float64
 	cOrd uint64
-	cat  float64
-	cC0  uint64
-	cC1  uint32
 	idx  uint32
 }
 
@@ -207,14 +179,11 @@ func (w *worker) pop() pevent {
 	return top
 }
 
-// emit records one action under the current creator key and returns its
-// creation index.
-func (w *worker) emit(a action) uint32 {
-	a.cAt, a.cOrd, a.cat, a.cC0, a.cC1 = w.cAt, w.cOrd, w.cat, w.cC0, w.cC1
-	a.idx = w.idx
+// emit records one action under the current creator key.
+func (w *worker) emit(a action) {
+	a.cAt, a.cOrd, a.idx = w.cAt, w.cOrd, w.idx
 	w.idx++
 	w.actions = append(w.actions, a)
-	return a.idx
 }
 
 // model is one packet-level run plus its recyclable carcass: session
@@ -258,10 +227,10 @@ type model struct {
 	traced bool
 	trace  []TraceEvent
 
-	// Scheduler state. wEnd is the end of the window being processed:
-	// events firing before it are processed before its actions are
-	// resolved. owner maps hosts to workers; it is empty under the serial
-	// scheduler, whose one worker owns everything.
+	// Scheduler state. wEnd is the end of the window being processed
+	// (windowed scheduler only): events firing before it are processed
+	// before its actions are resolved. owner maps hosts to workers; it is
+	// empty under the serial scheduler, whose one worker owns everything.
 	workers []worker
 	wEnd    float64
 	owner   []int32
@@ -278,6 +247,12 @@ var modelPool = sync.Pool{New: func() any {
 func run(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, traced bool, faults *FaultState, cfg *WindowConfig) (*ConcurrentResult, []TraceEvent) {
 	if err := p.Validate(); err != nil {
 		panic(err)
+	}
+	// Refused here, on the caller's goroutine: the first code to switch on
+	// the discipline runs on a pool goroutine under the windowed scheduler,
+	// where a panic is beyond any recover.
+	if disc != stepsim.FPFS && disc != stepsim.FCFS && disc != stepsim.Conventional {
+		panic(fmt.Sprintf("sim: unknown discipline %v", disc))
 	}
 	if len(sessions) == 0 {
 		panic("sim: no sessions")
@@ -417,6 +392,9 @@ func (e *model) fillTab(tab *sessTab, sess Session) {
 func (e *model) route(v, c int) routing.Route {
 	key := [2]int{v, c}
 	if r, ok := e.cfgRoutes[key]; ok {
+		if r.Src != v || r.Dst != c {
+			panic(fmt.Sprintf("sim: Routes entry for edge %d->%d holds the route %d->%d", v, c, r.Src, r.Dst))
+		}
 		return r
 	}
 	if r, ok := e.routes[key]; ok {
@@ -480,10 +458,6 @@ func (e *model) mail(ev pevent) {
 // shared-state effects as actions on w.
 func (e *model) process(w *worker, ev *pevent) {
 	w.cAt, w.cOrd, w.idx = ev.at, ev.ord, 0
-	if ev.ord >= ordUnassigned {
-		k := w.fwd[ev.ord-ordUnassigned]
-		w.cat, w.cC0, w.cC1 = k.cat, k.c0, k.c1
-	}
 	switch ev.kind {
 	case evStart:
 		e.processStart(w, ev)
@@ -567,20 +541,13 @@ func (e *model) processDeliver(w *worker, ev *pevent) {
 		e.pump(w, dst, ev.at)
 	case stepsim.Conventional:
 		if int(tab.recv[slot]) == tab.m {
+			// runWindowed ends Conventional windows at the first of these
+			// times, computed in this evaluation order.
 			base := ev.at + e.p.THostRecv
 			cb := tab.childBase[slot]
 			for i := 0; i < deg; i++ {
-				at := base + float64(i+1)*e.p.THostSend
-				idx := w.emit(action{kind: aFwd, sess: ev.sess, host: dst,
-					edge: cb + int32(i), at: at})
-				if at < e.wEnd {
-					// The forward fires inside this same window: run it
-					// here under an unassigned seq; the barrier burns the
-					// real one when it reaches the aFwd action.
-					w.push(pevent{at: at, ord: ordUnassigned + uint64(len(w.fwd)),
-						kind: evFwd, sess: ev.sess, host: dst, arg: cb + int32(i)})
-					w.fwd = append(w.fwd, fwdKey{cat: ev.at, c0: ev.ord, c1: idx})
-				}
+				w.emit(action{kind: aFwd, sess: ev.sess, host: dst,
+					edge: cb + int32(i), at: base + float64(i+1)*e.p.THostSend})
 			}
 		}
 	}
@@ -620,8 +587,6 @@ func (e *model) enqueueAll(tab *sessTab, si, v int32, slot int) {
 				q.ops = append(q.ops, qop{sess: si, edge: base + int32(ei), packet: int32(j)})
 			}
 		}
-	default:
-		panic(fmt.Sprintf("sim: unknown discipline %v", e.disc))
 	}
 }
 
@@ -720,15 +685,9 @@ func (e *model) resolve(act *action) {
 			})
 		}
 	case aFwd:
-		// Burn the forward event's seq at its creation point. If it fires
-		// beyond the window it becomes an ordinary assigned event; if it
-		// fired inside the window, the worker already processed it under
-		// an unassigned seq, which this one is ordered exactly like.
 		e.ctr++
-		if act.at >= e.wEnd {
-			e.mail(pevent{at: act.at, ord: e.ctr, kind: evFwd,
-				sess: act.sess, host: act.host, arg: act.edge})
-		}
+		e.mail(pevent{at: act.at, ord: e.ctr, kind: evFwd,
+			sess: act.sess, host: act.host, arg: act.edge})
 	}
 }
 

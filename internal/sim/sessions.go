@@ -101,13 +101,9 @@ func ConcurrentTraced(router routing.Router, sessions []Session, p Params, disc 
 
 // runSerial is the reference scheduler: one heap ordered by (time, seq),
 // and a window of exactly one event — pop it, process it, resolve its
-// actions at once in creation order. With wEnd at -Inf nothing ever fires
-// "inside the window", so every created event is mailed with its seq
-// already assigned and the unassigned-key machinery of the windowed
-// scheduler is never entered.
+// actions at once in creation order.
 func (e *model) runSerial() {
 	e.owner = e.owner[:0]
-	e.wEnd = math.Inf(-1)
 	e.resetWorkers(1)
 	w := &e.workers[0]
 	for len(w.heap) > 0 {

@@ -30,13 +30,15 @@ import (
 //     resolves each intent. Only host-local state is touched in parallel;
 //     it depends only on the host's own event subsequence, which every
 //     schedule preserves.
-//   - Conventional forwards. The one event kind a window can create
-//     inside itself (host-level store-and-forward copies at τ + t_r +
-//     i·t_s, which can undercut δ) is created by a deliver and creates
-//     only intents. Such events hold an unassigned seq until the barrier
-//     burns their real one; keyLess orders them exactly where the serial
-//     scheduler would have popped them, and their creator key (fwdKey)
-//     places their intents among the other workers'.
+//   - Conventional forwards. The one event kind that can undercut δ
+//     (host-level store-and-forward copies at τ + t_r + i·t_s) ends the
+//     window instead: under Conventional a window stops at the first
+//     time a deliver in it could forward. So no window creates an event
+//     inside itself and every event enters a heap under its real seq.
+//     The one exception is harmless: a window the float grid (or zero
+//     host overheads) degrades to the single timestamp T0 may create
+//     events at T0, but they hold later seqs than every event in it, so
+//     the next window — at T0 again — runs them in serial order.
 //
 // Partitioning affects only which worker executes a host's events and how
 // much cross-partition mail the barrier routes — never the results.
@@ -51,11 +53,6 @@ type WindowConfig struct {
 	// slabs on grids, hashing on irregular networks. Empty partitions are
 	// allowed.
 	Parts []int
-	// Window optionally shortens the conservative window (microseconds).
-	// The effective window is min(Window, lookahead) when Window > 0;
-	// tiny values degrade to one-timestamp windows. Results do not depend
-	// on the window length.
-	Window float64
 	// Routes optionally supplies precomputed routes keyed by {parent,
 	// child}; missing entries fall back to the router. Precomputing lets
 	// benchmarks price the event engine rather than route construction.
@@ -67,7 +64,7 @@ type WindowConfig struct {
 // WindowStats reports how a windowed run synchronized.
 type WindowStats struct {
 	Workers   int           // effective worker count
-	Lookahead float64       // effective window length (us)
+	Lookahead float64       // δ = t_ns + wire (us); Conventional windows may end earlier
 	Windows   int           // conservative windows executed
 	Events    int           // events processed across all workers
 	Mailed    int           // deliveries that crossed a partition boundary
@@ -86,24 +83,8 @@ func actionLess(a, b *action) bool {
 	if a.cAt != b.cAt {
 		return a.cAt < b.cAt
 	}
-	aAssigned, bAssigned := a.cOrd < ordUnassigned, b.cOrd < ordUnassigned
-	if aAssigned && bAssigned {
-		if a.cOrd != b.cOrd {
-			return a.cOrd < b.cOrd
-		}
-		return a.idx < b.idx
-	}
-	if aAssigned != bAssigned {
-		return aAssigned
-	}
-	if a.cat != b.cat {
-		return a.cat < b.cat
-	}
-	if a.cC0 != b.cC0 {
-		return a.cC0 < b.cC0
-	}
-	if a.cC1 != b.cC1 {
-		return a.cC1 < b.cC1
+	if a.cOrd != b.cOrd {
+		return a.cOrd < b.cOrd
 	}
 	return a.idx < b.idx
 }
@@ -141,9 +122,6 @@ func (e *model) runWindowed(cfg *WindowConfig) {
 	// τ + t_ns (plus any stall), so δ = t_ns + wire. Params.Validate
 	// guarantees t_ns > 0 and wire > 0, hence δ > 0.
 	window := e.p.TNISend + e.wire
-	if cfg.Window > 0 && cfg.Window < window {
-		window = cfg.Window
-	}
 
 	var pool *workerPool
 	if nw > 1 {
@@ -169,10 +147,17 @@ func (e *model) runWindowed(cfg *WindowConfig) {
 			break
 		}
 		wEnd := t0 + window
+		if e.disc == stepsim.Conventional {
+			// A deliver at τ >= t0 forwards no earlier than this, written
+			// in processDeliver's evaluation order so that monotone
+			// rounding alone keeps every forward at or beyond wEnd.
+			wEnd = min(wEnd, t0+e.p.THostRecv+e.p.THostSend)
+		}
 		if !(wEnd > t0) {
-			// Zero-lookahead degradation (tiny Window override, or t0 so
+			// One-timestamp degradation (zero host overheads, or t0 so
 			// large the window underflows the float grid): process exactly
-			// the events at t0.
+			// the events at t0. What they create at t0 holds a later seq
+			// than any of them, so the next window runs it in serial order.
 			wEnd = math.Nextafter(t0, math.Inf(1))
 		}
 		e.wEnd = wEnd
@@ -219,10 +204,8 @@ func (w *worker) drain() {
 }
 
 // runWindow is phase B: process every event of this partition that fires
-// before wEnd. Forward events created inside the window re-enter the heap
-// and are caught by the loop's re-check of the top.
+// before wEnd.
 func (e *model) runWindow(w *worker) {
-	w.fwd = w.fwd[:0]
 	n := 0
 	for len(w.heap) > 0 && w.heap[0].at < e.wEnd {
 		ev := w.pop()
