@@ -118,7 +118,6 @@ type worm struct {
 	flitsIn  int // flits that have left the NI inject stage
 	arrived  int // flits consumed at the destination
 	headIdx  int // route index of the furthest channel acquired (-1 none)
-	tailIdx  int // route index of the furthest channel released (-1 none)
 	acquired int // cycle the head acquired the first channel
 }
 
@@ -216,7 +215,6 @@ func (s *state) enqueueWorm(v, c, pktIdx int) {
 		pktIdx:  pktIdx,
 		dest:    c,
 		headIdx: -1,
-		tailIdx: -1,
 	}
 	s.nis[v].queue = append(s.nis[v].queue, w)
 	s.active++
@@ -438,7 +436,6 @@ func (s *state) place(c int, f flit) {
 	s.bufs[c] = append(s.bufs[c], f)
 	if f.isTail {
 		s.owner[c] = nil
-		f.w.tailIdx = f.nextHop - 1
 	}
 }
 

@@ -1,6 +1,8 @@
 package link
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -322,4 +324,47 @@ func TestSendAbortWhileBlocked(t *testing.T) {
 			t.Fatalf("Send returned %v", err)
 		}
 	}
+}
+
+// countingNet is a Network that refuses to attach one host and records
+// who is attached.
+type countingNet struct {
+	refuse   int
+	attached map[int]bool
+}
+
+func (n *countingNet) Attach(host int, in *Inbox) error {
+	if host == n.refuse {
+		return errors.New("no socket")
+	}
+	n.attached[host] = true
+	return nil
+}
+func (n *countingNet) Detach(host int)                      { delete(n.attached, host) }
+func (n *countingNet) Dial(from, to int) (Transport, error) { return nil, errors.New("not dialed") }
+
+func TestAttachAll(t *testing.T) {
+	inboxes := map[int]*Inbox{}
+	for v := 0; v < 5; v++ {
+		inboxes[v] = NewInbox(v, 1, 0)
+	}
+	nw := &countingNet{refuse: -1, attached: map[int]bool{}}
+	detach, err := AttachAll(nw, inboxes)
+	if err != nil || len(nw.attached) != 5 {
+		t.Fatalf("AttachAll = %v with %d hosts attached, want all 5", err, len(nw.attached))
+	}
+	if detach(); len(nw.attached) != 0 {
+		t.Fatalf("detach left %v attached", nw.attached)
+	}
+	// One refusal rolls back whichever hosts were attached before it.
+	nw.refuse = 3
+	if _, err := AttachAll(nw, inboxes); err == nil || !strings.Contains(err.Error(), "host 3") || len(nw.attached) != 0 {
+		t.Fatalf("AttachAll with host 3 refused = %v, %v still attached; want an error naming it and nobody attached", err, nw.attached)
+	}
+	// No network is the in-process fabric: nothing to do, nothing to undo.
+	detach, err = AttachAll(nil, nil)
+	if err != nil {
+		t.Fatalf("AttachAll(nil) = %v", err)
+	}
+	detach()
 }

@@ -32,6 +32,32 @@ type Network interface {
 	Detach(host int)
 }
 
+// AttachAll attaches every inbox to nw under its host ID and returns the
+// matching detach. Engines call it once, before dialing anything: a dialed
+// peer may start sending the moment the root injects, and flow-control
+// credits only flow from attached endpoints. On an attach error whatever
+// was attached is detached again. A nil network is the in-process fabric:
+// there is nothing to attach and detach does nothing.
+func AttachAll(nw Network, inboxes map[int]*Inbox) (detach func(), err error) {
+	if nw == nil {
+		return func() {}, nil
+	}
+	attached := make([]int, 0, len(inboxes))
+	detach = func() {
+		for _, v := range attached {
+			nw.Detach(v)
+		}
+	}
+	for v, in := range inboxes {
+		if err := nw.Attach(v, in); err != nil {
+			detach()
+			return nil, fmt.Errorf("link: attach host %d: %w", v, err)
+		}
+		attached = append(attached, v)
+	}
+	return detach, nil
+}
+
 // UDPConfig tunes a UDPNetwork.
 type UDPConfig struct {
 	// Session is the run nonce stamped into every datagram; endpoints
@@ -372,7 +398,6 @@ type udpEndpoint struct {
 
 	mu       sync.Mutex
 	attached bool
-	inbox    *Inbox
 	stop     chan struct{} // closed by detach; aborts pump, deliverers, dialed senders
 	pumpDone chan struct{}
 	delivers sync.WaitGroup
@@ -386,7 +411,6 @@ func (ep *udpEndpoint) attach(in *Inbox) error {
 		return fmt.Errorf("link: host %d already attached", ep.host)
 	}
 	ep.attached = true
-	ep.inbox = in
 	ep.stop = make(chan struct{})
 	ep.pumpDone = make(chan struct{})
 	go ep.pump(in, ep.stop, ep.pumpDone)

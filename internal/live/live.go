@@ -254,22 +254,15 @@ func (e *DuplicateSessionError) Error() string {
 // Unwrap makes errors.Is(err, ErrDuplicateSession) match through wrapping.
 func (e *DuplicateSessionError) Unwrap() error { return ErrDuplicateSession }
 
-// ack is one destination's completion report.
-type ack struct {
-	sess int
-	host int
-	at   time.Duration
-	data []byte
-}
-
 // runtime is the shared state of one Run.
 type runtime struct {
 	cfg      Config
 	sessions []Session
 	start    time.Time
 	abort    chan struct{}
-	acks     chan ack
-	fail     chan error // first NI-level failure (capacity 1)
+	acks     chan struct{} // one per completed destination; its record holds the rest
+	fail     chan error    // first NI-level failure (capacity 1)
+	detach   func()        // undoes buildFabric's attach to Config.Network
 }
 
 // since returns the wall-clock offset from run start in microseconds,
@@ -308,7 +301,7 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 		cfg:      cfg,
 		sessions: sessions,
 		abort:    make(chan struct{}),
-		acks:     make(chan ack, totalDests),
+		acks:     make(chan struct{}, totalDests),
 		fail:     make(chan error, 1),
 	}
 	nis, err := buildFabric(rt)
@@ -319,19 +312,14 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 	rt.start = time.Now()
 	wg := startAll(rt, nis)
 
-	// Collect completion ACKs under the watchdog.
+	// Count completion ACKs under the watchdog.
 	timer := time.NewTimer(cfg.Timeout)
 	defer timer.Stop()
-	got := make([]map[int]ack, len(sessions))
-	for i := range got {
-		got[i] = map[int]ack{}
-	}
 	var runErr error
 	timedOut := false
 	for n := 0; n < totalDests; n++ {
 		select {
-		case a := <-rt.acks:
-			got[a.sess][a.host] = a
+		case <-rt.acks:
 			continue
 		case err := <-rt.fail:
 			runErr = err
@@ -347,21 +335,9 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 		wg.Wait()
 		// Network deliverers may still be parked on a full inbox gate;
 		// detaching unblocks and retires them (the NIs are already gone).
-		detachAll(rt, nis)
+		rt.detach()
 		if runErr == nil {
-			// Count ACKs that raced the timeout, then snapshot progress —
-			// after Wait the NI state is quiescent, so the per-destination
-			// counters in the error are exact.
-			for {
-				select {
-				case a := <-rt.acks:
-					got[a.sess][a.host] = a
-					continue
-				default:
-				}
-				break
-			}
-			runErr = watchdogError(rt, nis, got)
+			runErr = watchdogError(rt, nis)
 		}
 		return nil, runErr
 	}
@@ -369,7 +345,7 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 	// copy was admitted; all NIs are idle. Detach first — a network's
 	// receive pumps must stop before the inboxes they feed close — then
 	// closing the inboxes is the clean shutdown signal.
-	detachAll(rt, nis)
+	rt.detach()
 	for _, ni := range nis {
 		ni.inbox.Close()
 	}
@@ -379,33 +355,28 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 		return nil, err
 	default:
 	}
-	return assemble(rt, nis, got, wall), nil
+	return assemble(rt, nis, wall), nil
 }
 
 // watchdogError snapshots the incomplete destinations at timeout, with
 // per-destination packet progress. Callers must only invoke it after the
-// NI WaitGroup has drained.
-func watchdogError(rt *runtime, nis map[int]*ni, got []map[int]ack) *WatchdogError {
+// NI WaitGroup has drained: the NI state is then quiescent, so a
+// destination whose ACK raced the timeout counts as complete and the
+// counters in the error are exact.
+func watchdogError(rt *runtime, nis map[int]*ni) *WatchdogError {
 	e := &WatchdogError{
 		Timeout:  rt.cfg.Timeout,
 		Missing:  map[int][]int{},
 		Progress: map[int][]DestProgress{},
 	}
 	for si, s := range rt.sessions {
-		for _, v := range s.Tree.Nodes() {
-			if v == s.Tree.Root() {
+		for _, v := range s.Tree.Nodes() { // ascending
+			ns := nis[v].sessions[s.MsgID]
+			if v == s.Tree.Root() || ns.reasm.Complete() {
 				continue
 			}
-			if _, ok := got[si][v]; !ok {
-				e.Missing[si] = append(e.Missing[si], v)
-			}
-		}
-		sort.Ints(e.Missing[si])
-		for _, v := range e.Missing[si] {
-			held := 0
-			if ns := nis[v].sessions[s.MsgID]; ns.reasm != nil {
-				held, _ = ns.reasm.Progress()
-			}
+			held, _ := ns.reasm.Progress()
+			e.Missing[si] = append(e.Missing[si], v)
 			e.Progress[si] = append(e.Progress[si], DestProgress{
 				Host: v, Received: held, Expected: len(s.Packets),
 			})
@@ -414,8 +385,9 @@ func watchdogError(rt *runtime, nis map[int]*ni, got []map[int]ack) *WatchdogErr
 	return e
 }
 
-// assemble folds the per-goroutine records into the public result.
-func assemble(rt *runtime, nis map[int]*ni, got []map[int]ack, wall time.Duration) *Result {
+// assemble folds the per-goroutine records into the public result. The
+// host records are handed out by reference, not copied.
+func assemble(rt *runtime, nis map[int]*ni, wall time.Duration) *Result {
 	res := &Result{
 		Sessions: make([]SessionResult, len(rt.sessions)),
 		Wall:     wall,
@@ -424,26 +396,11 @@ func assemble(rt *runtime, nis map[int]*ni, got []map[int]ack, wall time.Duratio
 		sr := SessionResult{MsgID: s.MsgID, Hosts: map[int]*HostRecord{}}
 		sr.StartAt = nis[s.Tree.Root()].sessions[s.MsgID].startAt
 		for _, v := range s.Tree.Nodes() {
-			ni := nis[v]
-			ns := ni.sessions[s.MsgID]
-			rec := &HostRecord{
-				Host:     v,
-				Arrivals: ns.arrivals,
-				Sends:    ns.sends,
-				Recvs:    ns.recvs,
-			}
-			if a, ok := got[si][v]; ok {
-				rec.Data = a.data
-				rec.DoneAt = a.at
-				if a.at > sr.FinishAt {
-					sr.FinishAt = a.at
-				}
-			}
-			sr.Hosts[v] = rec
-			res.Sends += ns.sends
-			if rt.cfg.Record {
-				res.Events = append(res.Events, ns.events...)
-			}
+			ns := nis[v].sessions[s.MsgID]
+			sr.Hosts[v] = &ns.HostRecord
+			sr.FinishAt = max(sr.FinishAt, ns.DoneAt)
+			res.Sends += ns.Sends
+			res.Events = append(res.Events, ns.events...)
 		}
 		sr.Latency = sr.FinishAt - sr.StartAt
 		res.Sessions[si] = sr
@@ -458,9 +415,9 @@ func assemble(rt *runtime, nis map[int]*ni, got []map[int]ack, wall time.Duratio
 
 // buildFabric constructs the per-host NIs and the per-edge transports of
 // every session's tree: in-process links by default, or edges dialed
-// from Config.Network when one is set (every host is attached first —
-// dialed senders need the attach-side credit path). On a dial or attach
-// error every attached host is detached before returning.
+// from Config.Network when one is set (link.AttachAll first). With
+// Config.Record every edge is wrapped in the recording decorator. On a
+// dial or attach error every attached host is detached before returning.
 func buildFabric(rt *runtime) (map[int]*ni, error) {
 	// Expected inbound frames per host, across sessions: the unbounded
 	// inbox capacity that guarantees senders never block on the wire.
@@ -473,74 +430,54 @@ func buildFabric(rt *runtime) (map[int]*ni, error) {
 		}
 	}
 	nis := map[int]*ni{}
-	hostNI := func(v int) *ni {
-		n, ok := nis[v]
-		if !ok {
+	var inboxes map[int]*link.Inbox // what AttachAll attaches; nil, and free, on the in-process fabric
+	if rt.cfg.Network != nil {
+		inboxes = map[int]*link.Inbox{}
+	}
+	for _, s := range rt.sessions {
+		for _, v := range s.Tree.Nodes() {
+			if nis[v] != nil {
+				continue
+			}
 			capacity := expect[v]
 			if rt.cfg.BufferPackets > 0 {
 				capacity = rt.cfg.BufferPackets
 			}
-			n = &ni{
+			nis[v] = &ni{
 				rt:       rt,
 				host:     v,
 				inbox:    link.NewInbox(v, capacity, rt.cfg.BufferPackets),
 				sessions: map[uint32]*niSession{},
 			}
-			nis[v] = n
-		}
-		return n
-	}
-	for _, s := range rt.sessions {
-		for _, v := range s.Tree.Nodes() {
-			hostNI(v)
-		}
-	}
-	if rt.cfg.Network != nil {
-		attached := make([]int, 0, len(nis))
-		for v, n := range nis {
-			if err := rt.cfg.Network.Attach(v, n.inbox); err != nil {
-				for _, a := range attached {
-					rt.cfg.Network.Detach(a)
-				}
-				return nil, fmt.Errorf("live: attach host %d: %w", v, err)
+			if inboxes != nil {
+				inboxes[v] = nis[v].inbox
 			}
-			attached = append(attached, v)
 		}
+	}
+	var err error
+	if rt.detach, err = link.AttachAll(rt.cfg.Network, inboxes); err != nil {
+		return nil, fmt.Errorf("live: %w", err)
 	}
 	for si, s := range rt.sessions {
 		for _, v := range s.Tree.Nodes() {
-			n := nis[v]
-			ns := &niSession{index: si, m: len(s.Packets)}
-			if v != s.Tree.Root() {
-				ns.reasm = message.NewReassembler()
-			}
+			ns := &niSession{index: si}
+			var links []link.Transport
 			for _, c := range s.Tree.Children(v) {
 				var tr link.Transport
-				if rt.cfg.Network != nil {
-					t, err := rt.cfg.Network.Dial(v, c)
-					if err != nil {
-						detachAll(rt, nis)
-						return nil, fmt.Errorf("live: dial edge %d->%d: %w", v, c, err)
-					}
-					tr = t
-				} else {
+				if rt.cfg.Network == nil {
 					tr = link.New(v, nis[c].inbox, rt.cfg.LinkLatency)
+				} else if tr, err = rt.cfg.Network.Dial(v, c); err != nil {
+					rt.detach()
+					return nil, fmt.Errorf("live: dial edge %d->%d: %w", v, c, err)
 				}
-				ns.links = append(ns.links, tr)
+				if rt.cfg.Record {
+					tr = recorded{Transport: tr, rt: rt, ns: ns}
+				}
+				links = append(links, tr)
 			}
-			n.sessions[s.MsgID] = ns
+			ns.HostSession = NewHostSession(v, links)
+			nis[v].sessions[s.MsgID] = ns
 		}
 	}
 	return nis, nil
-}
-
-// detachAll detaches every fabric host from the configured network; a
-// no-op without one.
-func detachAll(rt *runtime, nis map[int]*ni) {
-	if rt.cfg.Network == nil {
-		return
-	}
-	for v := range nis {
-		rt.cfg.Network.Detach(v)
-	}
 }

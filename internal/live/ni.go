@@ -11,21 +11,16 @@ import (
 	"repro/internal/sim"
 )
 
-// niSession is one host's protocol state for one session. Ownership is
-// strict so the runtime stays race-free by construction: the state of a
-// session at its root is written only by that session's injector
-// goroutine; everywhere else only by the host's NI goroutine. The
-// runtime reads it after the WaitGroup drains.
+// niSession is one host's state for one session of a run: the shared FPFS
+// step plus what only live.Run keeps. Like the HostSession it embeds, it is
+// written only by the session's injector goroutine at the root and only by
+// the host's NI goroutine everywhere else; the runtime reads it after the
+// WaitGroup drains.
 type niSession struct {
-	index    int                  // session index in the run
-	m        int                  // packets in the message
-	links    []link.Transport     // child transports in tree send order
-	reasm    *message.Reassembler // nil at the root
-	arrivals []Arrival
-	sends    int
-	recvs    int
-	startAt  time.Duration    // at the root: first-injection instant
-	events   []sim.TraceEvent // only when Config.Record
+	HostSession
+	index   int              // session index in the run
+	startAt time.Duration    // at the root: first-injection instant
+	events  []sim.TraceEvent // only when Config.Record
 }
 
 // ni is one host's network interface: a single goroutine draining one
@@ -35,6 +30,38 @@ type ni struct {
 	host     int
 	inbox    *link.Inbox
 	sessions map[uint32]*niSession
+}
+
+// trace appends one wall-clock event to ns's log when Config.Record is
+// set. The caller must be the goroutine that owns ns.
+func (rt *runtime) trace(ns *niSession, kind string, peer, packet int) {
+	if rt.cfg.Record {
+		ns.events = append(ns.events, sim.TraceEvent{
+			Kind: kind, Time: rt.since(), Host: ns.Host,
+			Peer: peer, Session: ns.index, Packet: packet,
+		})
+	}
+}
+
+// recorded is Config.Record's transport decorator, wrapped around every
+// tree edge at fabric build: each copy that went out is an "inject" event
+// in the sending host's log (after Send returns, so on an unbounded link
+// the receiver may stamp its "deliver" first). Forwarding itself — shared
+// with engines that record nothing — stays free of tracing.
+type recorded struct {
+	link.Transport
+	rt *runtime
+	ns *niSession // the sending host's state; its owner is the only sender
+}
+
+func (r recorded) Send(pkt []byte, abort <-chan struct{}) error {
+	err := r.Transport.Send(pkt, abort)
+	if err == nil {
+		// Session.Validate has vetted every header the run can carry.
+		h, _ := message.DecodeHeader(pkt)
+		r.rt.trace(r.ns, "inject", r.To(), int(h.Seq))
+	}
+	return err
 }
 
 // startAll launches one goroutine per NI plus one injector per session
@@ -49,13 +76,12 @@ func startAll(rt *runtime, nis map[int]*ni) *sync.WaitGroup {
 		}(n)
 	}
 	for _, s := range rt.sessions {
-		root := nis[s.Tree.Root()]
-		ns := root.sessions[s.MsgID]
+		ns := nis[s.Tree.Root()].sessions[s.MsgID]
 		wg.Add(1)
-		go func(s Session, root *ni, ns *niSession) {
+		go func(s Session, ns *niSession) {
 			defer wg.Done()
-			inject(rt, s, root, ns)
-		}(s, root, ns)
+			inject(rt, s, ns)
+		}(s, ns)
 	}
 	return &wg
 }
@@ -63,41 +89,24 @@ func startAll(rt *runtime, nis map[int]*ni) *sync.WaitGroup {
 // inject is the source pump of one session: the host DMA feeding the
 // root NI. FPFS at the source is packet-major — packet 0 to every child,
 // then packet 1, ... — one copy at a time (the NI is a serial server).
-func inject(rt *runtime, s Session, root *ni, ns *niSession) {
+func inject(rt *runtime, s Session, ns *niSession) {
 	// Stamp the session's own start before the first send: per-session
 	// latency must not charge a session for the time earlier sessions'
 	// injectors held the scheduler.
 	ns.startAt = time.Since(rt.start)
-	for j, pkt := range s.Packets {
-		for _, l := range ns.links {
-			if err := l.Send(pkt, rt.abort); err != nil {
-				if !errors.Is(err, link.ErrAborted) {
-					// A real transport failure (socket error), not a
-					// teardown: surface it instead of hanging into the
-					// watchdog.
-					select {
-					case rt.fail <- fmt.Errorf("live: inject %d->%d: %w", root.host, l.To(), err):
-					default:
-					}
-				}
-				return // aborted; the collector owns the verdict
-			}
-			ns.sends++
-			if rt.cfg.Record {
-				ns.events = append(ns.events, sim.TraceEvent{
-					Kind: "inject", Time: rt.since(), Host: root.host,
-					Peer: l.To(), Session: ns.index, Packet: j,
-				})
-			}
+	for _, pkt := range s.Packets {
+		if err := ns.Forward(pkt, rt.abort); err != nil {
+			rt.failed(err)
+			return
 		}
 	}
 }
 
 // run is the NI forwarding loop: admit the next frame (the sender has
-// already reserved our buffer slot), forward a copy to every child of
-// its session — FPFS: each packet goes out the moment it arrives —
-// deliver locally, then release the slot. The loop exits when the
-// runtime closes the inbox (all sessions complete) or aborts.
+// already reserved our buffer slot), serve it — forward a copy to every
+// child of its session the moment it arrives, deliver locally — then
+// release the slot. The loop exits when the runtime closes the inbox (all
+// sessions complete) or aborts.
 func (n *ni) run() {
 	for {
 		f, ok := n.inbox.Recv(n.rt.abort)
@@ -105,17 +114,22 @@ func (n *ni) run() {
 			return
 		}
 		if err := n.serve(f); err != nil {
-			n.fail(err)
+			n.rt.failed(err)
 			return
 		}
 	}
 }
 
-// fail reports the first NI-level failure to the collector; later ones
-// are dropped (the first abort tears everything down).
-func (n *ni) fail(err error) {
+// failed reports the first NI-level failure to the collector — a real
+// transport or protocol error, surfaced instead of hanging into the
+// watchdog. Later ones are dropped (the first tears everything down), and
+// so is an abort: that is the teardown, and the collector owns the verdict.
+func (rt *runtime) failed(err error) {
+	if errors.Is(err, link.ErrAborted) {
+		return
+	}
 	select {
-	case n.rt.fail <- err:
+	case rt.fail <- err:
 	default:
 	}
 }
@@ -130,49 +144,16 @@ func (n *ni) serve(f link.Frame) error {
 	if !ok {
 		return fmt.Errorf("live: host %d: frame for unknown session %d from %d", n.host, h.MsgID, f.From)
 	}
-	j := int(h.Seq)
-	ns.recvs++
-	ns.arrivals = append(ns.arrivals, Arrival{Packet: j, From: f.From})
-	if n.rt.cfg.Record {
-		ns.events = append(ns.events, sim.TraceEvent{
-			Kind: "deliver", Time: n.rt.since(), Host: n.host,
-			Peer: f.From, Session: ns.index, Packet: j,
-		})
-	}
-
-	// Forward first (FPFS: the copy engine runs ahead of host delivery),
-	// then reassemble locally, then free the buffer slot — the slot is
-	// held for the packet's full service residency, like the simulator's.
-	for _, l := range ns.links {
-		if err := l.Send(f.Payload, n.rt.abort); err != nil {
-			if !errors.Is(err, link.ErrAborted) {
-				return fmt.Errorf("live: host %d: forward to %d: %w", n.host, l.To(), err)
-			}
-			return nil // aborted mid-forward; collector owns the verdict
-		}
-		ns.sends++
-		if n.rt.cfg.Record {
-			ns.events = append(ns.events, sim.TraceEvent{
-				Kind: "inject", Time: n.rt.since(), Host: n.host,
-				Peer: l.To(), Session: ns.index, Packet: j,
-			})
-		}
-	}
-	done, err := ns.reasm.Add(f.Payload)
+	n.rt.trace(ns, "deliver", f.From, int(h.Seq))
+	done, err := ns.Serve(f.Payload, f.From, int(h.Seq), n.rt.abort, n.rt.start)
 	if err != nil {
-		return fmt.Errorf("live: host %d: packet %d of session %d: %v", n.host, j, h.MsgID, err)
+		return err
 	}
 	if done {
-		at := time.Since(n.rt.start)
-		if n.rt.cfg.Record {
-			ns.events = append(ns.events, sim.TraceEvent{
-				Kind: "done", Time: n.rt.since(), Host: n.host,
-				Peer: -1, Session: ns.index, Packet: -1,
-			})
-		}
+		n.rt.trace(ns, "done", -1, -1)
 		// The ack channel is sized for every destination; this never
 		// blocks.
-		n.rt.acks <- ack{sess: ns.index, host: n.host, at: at, data: ns.reasm.Bytes()}
+		n.rt.acks <- struct{}{}
 	}
 	n.inbox.Release()
 	return nil

@@ -215,8 +215,9 @@ type rrt struct {
 	// unarmed, otherwise the latest installed view's epoch. Senders stamp
 	// it into outgoing frames; receivers discard frames below it. Only the
 	// supervisor stores; the value never decreases.
-	epoch atomic.Int64
-	wg    sync.WaitGroup
+	epoch  atomic.Int64
+	wg     sync.WaitGroup
+	detach func() // undoes buildReliableFabric's attach to Live.Network
 
 	crashes map[int]HostCrash // by host; immutable after start
 	nis     map[int]*ReliableNI
@@ -342,8 +343,8 @@ func (rt *rrt) report(c rctl) {
 // packets, so edge seeding is uniform: every NI replays its held packets
 // into a newly attached child edge, packet-major like FPFS injection.
 // With Live.Network set, every NI is attached to the network before any
-// edge is dialed; chaos decoration wraps the dialed transports the same
-// way it wraps in-process links.
+// edge is dialed (link.AttachAll); chaos decoration wraps the dialed
+// transports the same way it wraps in-process links.
 func (rt *rrt) buildReliableFabric() error {
 	slots := rt.cfg.Live.BufferPackets
 	capacity := 4*rt.m + 16
@@ -378,23 +379,22 @@ func (rt *rrt) buildReliableFabric() error {
 			}
 		}
 	}
+	var inboxes map[int]*link.Inbox // what AttachAll attaches; nil, and free, on the in-process fabric
+	if rt.cfg.Live.Network != nil {
+		inboxes = map[int]*link.Inbox{}
+	}
 	for _, v := range rt.s.Tree.Nodes() {
 		ncfg.Host, ncfg.Root = v, v == rt.root
 		ncfg.Inbox = link.NewInbox(v, capacity, slots)
 		rt.nis[v] = NewReliableNI(ncfg)
 		rt.acks[v] = &ackRoute{rng: rt.chaos.AckRNG(v)}
-	}
-	if nw := rt.cfg.Live.Network; nw != nil {
-		attached := make([]int, 0, len(rt.nis))
-		for v, n := range rt.nis {
-			if err := nw.Attach(v, n.cfg.Inbox); err != nil {
-				for _, a := range attached {
-					nw.Detach(a)
-				}
-				return fmt.Errorf("live: attach host %d: %w", v, err)
-			}
-			attached = append(attached, v)
+		if inboxes != nil {
+			inboxes[v] = ncfg.Inbox
 		}
+	}
+	var err error
+	if rt.detach, err = link.AttachAll(rt.cfg.Live.Network, inboxes); err != nil {
+		return fmt.Errorf("live: %w", err)
 	}
 	// Initial children are wired statically (the NI goroutines have not
 	// started), ascending per parent for a deterministic packet-major
@@ -554,13 +554,9 @@ func (rt *rrt) supervise() (*ReliableResult, error) {
 	wall := time.Since(rt.start)
 	close(rt.abort)
 	rt.wg.Wait()
-	if nw := rt.cfg.Live.Network; nw != nil {
-		// The NIs and edge senders are gone; detaching stops the receive
-		// pumps and unparks any deliverer still blocked on an inbox gate.
-		for v := range rt.nis {
-			nw.Detach(v)
-		}
-	}
+	// The NIs and edge senders are gone; detaching stops the receive pumps
+	// and unparks any deliverer still blocked on an inbox gate.
+	rt.detach()
 
 	if timedOut {
 		e := &WatchdogError{

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/live"
 	"repro/internal/live/link"
 	"repro/internal/message"
 	"repro/internal/reliable"
@@ -55,18 +56,11 @@ type Config struct {
 	Log io.Writer
 }
 
-// HostReport is one local host's outcome.
-type HostReport struct {
-	Host   int
-	Sends  int
-	Recvs  int
-	Data   []byte        // reassembled message; nil at the root
-	DoneAt time.Duration // since process start; 0 at the root
-}
-
 // Result is a process's view of the run.
 type Result struct {
-	Hosts map[int]*HostReport
+	// Hosts holds a record per local host, the shape live.Run reports
+	// (DoneAt is measured from process start).
+	Hosts map[int]*live.HostRecord
 	Wall  time.Duration
 	// Completed is filled only in the root's process: every destination
 	// (local and remote) whose DONE the root heard, sorted. It reflects
@@ -142,25 +136,6 @@ func (c *Config) prepare() error {
 	return nil
 }
 
-// attachAll attaches every local inbox to the fabric and returns the
-// matching detach; on failure whatever was attached is detached again.
-func attachAll(cfg Config, inboxes map[int]*link.Inbox) (detach func(), err error) {
-	attached := make([]int, 0, len(inboxes))
-	detach = func() {
-		for _, v := range attached {
-			cfg.Net.Detach(v)
-		}
-	}
-	for v, in := range inboxes {
-		if err := cfg.Net.Attach(v, in); err != nil {
-			detach()
-			return nil, fmt.Errorf("mcastd: attach host %d: %w", v, err)
-		}
-		attached = append(attached, v)
-	}
-	return detach, nil
-}
-
 // ackStop acknowledges the root's STOP for every local host, not just
 // the one that heard it: the root tracks STOP-ACKs per host, so one
 // delivered STOP settles the whole process even when copies aimed at
@@ -171,13 +146,11 @@ func (c *Config) ackStop() {
 	}
 }
 
-// host is one local NI and its share of the session.
+// host is one local NI and its share of the session: the FPFS step every
+// plain engine shares, plus the daemon's half of the DONE handshake.
 type host struct {
-	id      int
+	live.HostSession
 	inbox   *link.Inbox
-	links   []link.Transport
-	reasm   *message.Reassembler
-	rep     *HostReport
 	doneAck chan struct{} // root acknowledged this host's DONE
 	ackOnce sync.Once
 }
@@ -196,41 +169,31 @@ func Run(cfg Config) (*Result, error) {
 	m := len(cfg.Packets)
 	start := time.Now()
 
-	hosts := map[int]*host{}
 	inboxes := map[int]*link.Inbox{}
 	for _, v := range cfg.Local {
 		capacity := m
 		if cfg.BufferPackets > 0 {
 			capacity = cfg.BufferPackets
 		}
-		h := &host{
-			id:      v,
-			inbox:   link.NewInbox(v, capacity, cfg.BufferPackets),
-			rep:     &HostReport{Host: v},
-			doneAck: make(chan struct{}),
-		}
-		if v != root {
-			h.reasm = message.NewReassembler()
-		}
-		hosts[v], inboxes[v] = h, h.inbox
+		inboxes[v] = link.NewInbox(v, capacity, cfg.BufferPackets)
 	}
-
-	// Attach everything before dialing anything: a dialed peer may start
-	// sending the moment the root injects, and credits only flow from
-	// attached endpoints.
-	detachAll, err := attachAll(cfg, inboxes)
+	// Attach everything before dialing anything (link.AttachAll).
+	detachAll, err := link.AttachAll(cfg.Net, inboxes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mcastd: %w", err)
 	}
-	for v, h := range hosts {
+	hosts := map[int]*host{}
+	for _, v := range cfg.Local {
+		var links []link.Transport
 		for _, c := range cfg.Tree.Children(v) {
 			t, err := cfg.Net.Dial(v, c)
 			if err != nil {
 				detachAll()
 				return nil, fmt.Errorf("mcastd: dial edge %d->%d: %w", v, c, err)
 			}
-			h.links = append(h.links, t)
+			links = append(links, t)
 		}
+		hosts[v] = &host{HostSession: live.NewHostSession(v, links), inbox: inboxes[v], doneAck: make(chan struct{})}
 	}
 
 	abort := make(chan struct{})   // watchdog / fatal error
@@ -241,23 +204,31 @@ func Run(cfg Config) (*Result, error) {
 	// (DONE reports, dropped when full: they are retried).
 	doneCh := make(chan int, cfg.Tree.Size())
 	failCh := make(chan error, len(hosts)+1)
+	// fail reports a forwarding or protocol error to the coordinator. An
+	// abort is not one: the run is already being torn down.
+	fail := func(err error) {
+		if errors.Is(err, link.ErrAborted) {
+			return
+		}
+		select {
+		case failCh <- err:
+		default:
+		}
+	}
 	stopAckCh := make(chan int, cfg.Tree.Size()+4)
 	var wg sync.WaitGroup
 
 	// Forwarding loops: each non-root local host is a serial NI server —
 	// admit, forward to children (FPFS), reassemble, release.
 	for _, h := range hosts {
-		if h.id == root {
+		if h.Host == root {
 			continue
 		}
 		wg.Add(1)
 		go func(h *host) {
 			defer wg.Done()
 			if err := serve(h, cfg, m, start, abort, stopped, doneCh); err != nil {
-				select {
-				case failCh <- err:
-				default:
-				}
+				fail(err)
 			}
 		}(h)
 	}
@@ -269,9 +240,9 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(h *host) {
 			defer wg.Done()
-			listenCtl(cfg, h.id, abort, func(f ctlFrame) {
+			listenCtl(cfg, h.Host, abort, func(f ctlFrame) {
 				switch {
-				case f.kind == ctlDone && h.id == root:
+				case f.kind == ctlDone && h.Host == root:
 					// Non-blocking: DONE is retried, so a full queue
 					// loses nothing and the listener can never stall.
 					select {
@@ -279,15 +250,15 @@ func Run(cfg Config) (*Result, error) {
 					default:
 					}
 					cfg.sendCtl(root, f.a, ctlFrame{kind: ctlDoneAck, a: f.a})
-				case f.kind == ctlStopAck && h.id == root:
+				case f.kind == ctlStopAck && h.Host == root:
 					select {
 					case stopAckCh <- f.a:
 					default:
 					}
-				case f.kind == ctlStop && h.id != root:
+				case f.kind == ctlStop && h.Host != root:
 					markStopped()
 					cfg.ackStop()
-				case f.kind == ctlDoneAck && h.id != root && f.a == h.id:
+				case f.kind == ctlDoneAck && h.Host != root && f.a == h.Host:
 					h.markDoneAck()
 				}
 			})
@@ -300,17 +271,9 @@ func Run(cfg Config) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for _, pkt := range cfg.Packets {
-				for _, l := range h.links {
-					if err := l.Send(pkt, abort); err != nil {
-						if !errors.Is(err, link.ErrAborted) {
-							select {
-							case failCh <- fmt.Errorf("mcastd: inject %d->%d: %w", root, l.To(), err):
-							default:
-							}
-						}
-						return
-					}
-					h.rep.Sends++
+				if err := h.Forward(pkt, abort); err != nil {
+					fail(fmt.Errorf("mcastd: %w", err))
+					return
 				}
 			}
 			cfg.logf("root %d injected %d packets", root, m)
@@ -326,12 +289,12 @@ func Run(cfg Config) (*Result, error) {
 		h.inbox.Close()
 	}
 
-	res := &Result{Hosts: map[int]*HostReport{}, Wall: time.Since(start), Status: reliable.Failed}
+	res := &Result{Hosts: map[int]*live.HostRecord{}, Wall: time.Since(start), Status: reliable.Failed}
 	if err == nil {
 		res.Status = reliable.Delivered
 	}
 	for v, h := range hosts {
-		res.Hosts[v] = h.rep
+		res.Hosts[v] = &h.HostRecord
 	}
 	if _, ok := hosts[root]; ok {
 		// Actual progress: a watchdog or transport error still reports
@@ -350,57 +313,40 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // serve is the P³FA loop of one local destination NI: every admitted
-// packet is forwarded to the children before local reassembly, and the
-// buffer slot is held for the packet's full service residency. After
-// the message completes it retries DONE at the root with exponential
-// backoff until acknowledged (or the run stops).
+// packet is forwarded to the children before local reassembly
+// (HostSession.Serve), and the buffer slot is held for the packet's full
+// service residency. After the message completes it retries DONE at the
+// root with exponential backoff until acknowledged (or the run stops).
 func serve(h *host, cfg Config, m int, start time.Time,
 	abort, stopped <-chan struct{}, doneCh chan<- int) error {
 
-	root := cfg.Tree.Root()
-	for h.rep.Recvs < m {
+	for h.Recvs < m {
 		f, ok := h.inbox.Recv(abort)
 		if !ok {
 			return nil // aborted
 		}
 		hd, err := message.DecodeHeader(f.Payload)
 		if err != nil {
-			return fmt.Errorf("mcastd: host %d: undecodable packet from %d: %v", h.id, f.From, err)
+			return fmt.Errorf("mcastd: host %d: undecodable packet from %d: %v", h.Host, f.From, err)
 		}
 		if hd.MsgID != cfg.MsgID {
-			return fmt.Errorf("mcastd: host %d: packet for unknown message %d", h.id, hd.MsgID)
+			return fmt.Errorf("mcastd: host %d: packet for unknown message %d", h.Host, hd.MsgID)
 		}
-		h.rep.Recvs++
-		for _, l := range h.links {
-			if err := l.Send(f.Payload, abort); err != nil {
-				if errors.Is(err, link.ErrAborted) {
-					return nil // aborted mid-forward
-				}
-				// A genuine transport failure: name the dead edge instead
-				// of dying silently and letting the watchdog guess.
-				return fmt.Errorf("mcastd: host %d: forward edge %d->%d: %w", h.id, h.id, l.To(), err)
-			}
-			h.rep.Sends++
-		}
-		done, err := h.reasm.Add(f.Payload)
+		done, err := h.Serve(f.Payload, f.From, int(hd.Seq), abort, start)
 		if err != nil {
-			return fmt.Errorf("mcastd: host %d: packet %d: %v", h.id, hd.Seq, err)
+			return fmt.Errorf("mcastd: %w", err)
 		}
 		h.inbox.Release()
 		if done {
-			h.rep.Data = h.reasm.Bytes()
-			h.rep.DoneAt = time.Since(start)
-			cfg.logf("host %d delivered %d bytes at %v", h.id, len(h.rep.Data), h.rep.DoneAt)
+			cfg.logf("host %d delivered %d bytes at %v", h.Host, len(h.Data), h.DoneAt)
 			select {
-			case doneCh <- h.id:
+			case doneCh <- h.Host:
 			case <-abort:
 				return nil
 			}
 		}
 	}
-	if h.id != root {
-		reportDone(cfg, h.id, h.doneAck, stopped, abort)
-	}
+	reportDone(cfg, h.Host, h.doneAck, stopped, abort)
 	return nil
 }
 

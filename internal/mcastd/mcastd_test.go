@@ -65,6 +65,17 @@ func TestAllLocal(t *testing.T) {
 		if rep.DoneAt <= 0 {
 			t.Fatalf("host %d missing completion timestamp", v)
 		}
+		// The record is live.Run's, arrival sequence included: every
+		// packet, in order, over the edge from the tree parent.
+		parent, _ := tr.Parent(v)
+		if len(rep.Arrivals) != len(pkts) {
+			t.Fatalf("host %d recorded %d arrivals, want %d", v, len(rep.Arrivals), len(pkts))
+		}
+		for j, a := range rep.Arrivals {
+			if a.Packet != j || a.From != parent {
+				t.Fatalf("host %d arrival %d = %+v, want packet %d from %d", v, j, a, j, parent)
+			}
+		}
 	}
 	if root := res.Hosts[0]; root.Sends != len(pkts)*len(tr.Children(0)) {
 		t.Fatalf("root sent %d copies, want %d", root.Sends, len(pkts)*len(tr.Children(0)))

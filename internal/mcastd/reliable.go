@@ -151,7 +151,7 @@ type drt struct {
 	stopAckC chan int
 	wg       sync.WaitGroup
 	nis      map[int]*live.ReliableNI
-	reps     map[int]*HostReport
+	reps     map[int]*live.HostRecord
 
 	// Coordinator-owned (single goroutine after start):
 	edges    map[[2]int]*live.EdgeSender // local-parent edge incarnations
@@ -230,7 +230,7 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 		abort:    make(chan struct{}),
 		chaos:    chaos,
 		nis:      map[int]*live.ReliableNI{},
-		reps:     map[int]*HostReport{},
+		reps:     map[int]*live.HostRecord{},
 		edges:    map[[2]int]*live.EdgeSender{},
 		doneAckC: map[int]chan struct{}{},
 		stopStat: reliable.Failed,
@@ -266,7 +266,7 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 		inboxes[v] = link.NewInbox(v, capacity, cfg.BufferPackets)
 		ncfg.Host, ncfg.Root, ncfg.Inbox = v, v == rt.root, inboxes[v]
 		rt.nis[v] = live.NewReliableNI(ncfg)
-		rt.reps[v] = &HostReport{Host: v}
+		rt.reps[v] = &live.HostRecord{Host: v}
 		if v != rt.root {
 			rt.doneAckC[v] = make(chan struct{})
 		}
@@ -287,13 +287,13 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	// root's announcements over ctl advance a non-root process.
 	rt.epoch.Store(1)
 
-	// Attach everything before dialing anything (credits only flow from
-	// attached endpoints), then dial this process's share of the tree's
-	// edges: every edge whose parent is local, ascending per parent for a
-	// deterministic packet-major seeding order.
-	detachAll, err := attachAll(cfg, inboxes)
+	// Attach everything before dialing anything (link.AttachAll), then
+	// dial this process's share of the tree's edges: every edge whose
+	// parent is local, ascending per parent for a deterministic
+	// packet-major seeding order.
+	detachAll, err := link.AttachAll(cfg.Net, inboxes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mcastd: %w", err)
 	}
 	edges := cfg.Tree.Edges()
 	sort.Slice(edges, func(i, j int) bool { return edges[i].Child < edges[j].Child })

@@ -127,15 +127,12 @@ func CCO(r *routing.UpDown) *Ordering {
 // positive-direction wrap-around links leave a small residue of conflicts,
 // which the experiments report via Conflicts.
 func Dimension(net *topology.Network, arity, dims int) *Ordering {
-	n := 1
-	for i := 0; i < dims; i++ {
-		n *= arity
-	}
-	if net.NumSwitches() != n {
-		panic(fmt.Sprintf("ordering: network has %d switches, want %d^%d", net.NumSwitches(), arity, dims))
+	if a, d, ok := net.Grid(); !ok || a != arity || d != dims {
+		panic(fmt.Sprintf("ordering: dimension order on %d^%d switches needs that very grid, got %s",
+			arity, dims, net.Summary()))
 	}
 	hosts := make([]int, 0, net.NumHosts())
-	for s := 0; s < n; s++ {
+	for s := 0; s < net.NumSwitches(); s++ {
 		hosts = append(hosts, net.SwitchHosts(s)...)
 	}
 	return New("dimension", hosts)

@@ -273,13 +273,21 @@ func TestDimensionChainLowContentionOnTorus(t *testing.T) {
 }
 
 func TestDimensionPanicsOnWrongGeometry(t *testing.T) {
-	net := topology.Cube(2, 3)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for wrong cube size")
-		}
-	}()
-	Dimension(net, 4, 3)
+	irr, _ := irregular(1) // 16 switches: the count of a 4-ary 2-cube, not its wiring
+	for name, f := range map[string]func(){
+		"wrong cube size":      func() { Dimension(topology.Cube(2, 3), 4, 3) },
+		"16 switches, not 4^2": func() { Dimension(topology.Cube(2, 4), 4, 2) },
+		"irregular network":    func() { Dimension(irr, 4, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestCCOBeatsIdentityOnAverage(t *testing.T) {

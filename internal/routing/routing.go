@@ -4,7 +4,7 @@
 //     BFS spanning tree of the switch graph orients every link; a legal
 //     path takes zero or more "up" channels followed by zero or more
 //     "down" channels, which provably breaks all channel-dependency cycles;
-//   - e-cube (dimension-ordered) routing for k-ary n-cubes.
+//   - dimension-ordered routing for k-ary n-cubes (e-cube) and meshes.
 //
 // A Route is the directed channel sequence a packet occupies, including the
 // injection channel (host → switch) and the delivery channel
@@ -37,7 +37,7 @@ type Router interface {
 	Route(src, dst int) Route
 	// Network returns the topology the router was built for.
 	Network() *topology.Network
-	// Name identifies the algorithm ("up*/down*", "e-cube").
+	// Name identifies the algorithm ("up*/down*", "e-cube", "mesh-dim-order").
 	Name() string
 }
 
@@ -304,133 +304,92 @@ func (r *UpDown) treeParent(sw int) int {
 	panic(fmt.Sprintf("routing: switch %d has no parent", sw))
 }
 
-// ECube is a dimension-ordered router for k-ary n-cubes built by
-// topology.Cube. Packets correct the lowest-differing dimension first,
-// always traveling in the positive direction (with wrap-around), the
-// classical deterministic e-cube scheme.
-type ECube struct {
-	net   *topology.Network
-	arity int
-	dims  int
+// DimOrder is the dimension-ordered router for the arity^dims grids built
+// by topology.Cube and topology.Mesh. Packets correct the lowest-differing
+// dimension first. On a cube they always travel in the positive direction,
+// with wrap-around — the classical deterministic e-cube scheme; on a mesh,
+// which has no wrap-around, toward the destination coordinate in either
+// direction — XY routing generalized to n dimensions, deadlock-free by the
+// standard dimension-order argument.
+type DimOrder struct {
+	net         *topology.Network
+	arity, dims int
+	wrap        bool // a cube, as the network itself records (Torus)
 }
 
-// NewECube wraps a cube network with the given geometry. It panics if the
-// switch count does not equal arity^dims.
-func NewECube(net *topology.Network, arity, dims int) *ECube {
-	n := 1
-	for i := 0; i < dims; i++ {
-		n *= arity
+// NewECube returns the e-cube router of a network built by
+// topology.Cube(arity, dims), and panics on any other.
+func NewECube(net *topology.Network, arity, dims int) *DimOrder {
+	return newDimOrder(net, arity, dims, true)
+}
+
+// NewMeshDimOrder returns the dimension-order router of a network built by
+// topology.Mesh(arity, dims), and panics on any other.
+func NewMeshDimOrder(net *topology.Network, arity, dims int) *DimOrder {
+	return newDimOrder(net, arity, dims, false)
+}
+
+// newDimOrder checks the geometry the network itself records, not just its
+// switch count: an irregular network with arity^dims switches would pass a
+// count check and die on its first missing grid link mid-simulation.
+func newDimOrder(net *topology.Network, arity, dims int, wrap bool) *DimOrder {
+	e := &DimOrder{net: net, arity: arity, dims: dims, wrap: wrap}
+	if a, d, ok := net.Grid(); !ok || a != arity || d != dims || net.Torus() != wrap {
+		panic(fmt.Sprintf("routing: %s needs the %d^%d grid, got %s", e.Name(), arity, dims, net.Summary()))
 	}
-	if net.NumSwitches() != n {
-		panic(fmt.Sprintf("routing: network has %d switches, want %d^%d", net.NumSwitches(), arity, dims))
-	}
-	return &ECube{net: net, arity: arity, dims: dims}
+	return e
 }
 
 // Route returns the dimension-ordered path between two distinct hosts.
-func (e *ECube) Route(src, dst int) Route {
-	checkPair(e.net, src, dst)
-	cur := e.net.HostSwitch(src)
-	end := e.net.HostSwitch(dst)
-	hops := 0
-	for d, stride := 0, 1; d < e.dims; d, stride = d+1, stride*e.arity {
-		hops += ((end/stride)%e.arity - (cur/stride)%e.arity + e.arity) % e.arity
-	}
-	route := newGridRoute(src, dst, hops)
-	route.Channels = append(route.Channels, e.net.HostLink(src).Channel(topology.Host(src)))
-	route.Switches = append(route.Switches, cur)
-	stride := 1
-	for d := 0; d < e.dims; d++ {
-		for (cur/stride)%e.arity != (end/stride)%e.arity {
-			digit := (cur / stride) % e.arity
-			next := cur + stride
-			if digit == e.arity-1 {
-				next = cur - (e.arity-1)*stride
-			}
-			link, ok := e.net.SwitchLinkBetween(cur, next)
-			if !ok {
-				panic(fmt.Sprintf("routing: missing cube link %d→%d", cur, next))
-			}
-			route.Channels = append(route.Channels, link.Channel(topology.Switch(cur)))
-			cur = next
-			route.Switches = append(route.Switches, cur)
-		}
-		stride *= e.arity
-	}
-	route.Channels = append(route.Channels, e.net.HostLink(dst).Channel(topology.Switch(end)))
-	return route
-}
-
-// Network returns the routed topology.
-func (e *ECube) Network() *topology.Network { return e.net }
-
-// Name returns "e-cube".
-func (e *ECube) Name() string { return "e-cube" }
-
-// MeshDimOrder is a dimension-ordered router for arity^dims meshes built
-// by topology.Mesh. Packets correct the lowest-differing dimension first,
-// traveling toward the destination coordinate (either direction; meshes
-// have no wrap-around). This is XY routing generalized to n dimensions,
-// deadlock-free by the standard dimension-order argument.
-type MeshDimOrder struct {
-	net   *topology.Network
-	arity int
-	dims  int
-}
-
-// NewMeshDimOrder wraps a mesh network with the given geometry.
-func NewMeshDimOrder(net *topology.Network, arity, dims int) *MeshDimOrder {
-	n := 1
-	for i := 0; i < dims; i++ {
-		n *= arity
-	}
-	if net.NumSwitches() != n {
-		panic(fmt.Sprintf("routing: network has %d switches, want %d^%d", net.NumSwitches(), arity, dims))
-	}
-	return &MeshDimOrder{net: net, arity: arity, dims: dims}
-}
-
-// Route returns the dimension-ordered mesh path between two distinct hosts.
-func (e *MeshDimOrder) Route(src, dst int) Route {
+func (e *DimOrder) Route(src, dst int) Route {
 	checkPair(e.net, src, dst)
 	cur := e.net.HostSwitch(src)
 	end := e.net.HostSwitch(dst)
 	hops := 0
 	for d, stride := 0, 1; d < e.dims; d, stride = d+1, stride*e.arity {
 		delta := (end/stride)%e.arity - (cur/stride)%e.arity
-		hops += max(delta, -delta)
+		if e.wrap {
+			hops += (delta + e.arity) % e.arity
+		} else {
+			hops += max(delta, -delta)
+		}
 	}
 	route := newGridRoute(src, dst, hops)
 	route.Channels = append(route.Channels, e.net.HostLink(src).Channel(topology.Host(src)))
 	route.Switches = append(route.Switches, cur)
-	stride := 1
-	for d := 0; d < e.dims; d++ {
+	for d, stride := 0, 1; d < e.dims; d, stride = d+1, stride*e.arity {
 		for (cur/stride)%e.arity != (end/stride)%e.arity {
-			var next int
-			if (cur/stride)%e.arity < (end/stride)%e.arity {
-				next = cur + stride
-			} else {
+			digit := (cur / stride) % e.arity
+			next := cur + stride
+			switch {
+			case e.wrap && digit == e.arity-1:
+				next = cur - (e.arity-1)*stride
+			case !e.wrap && digit > (end/stride)%e.arity:
 				next = cur - stride
 			}
 			link, ok := e.net.SwitchLinkBetween(cur, next)
 			if !ok {
-				panic(fmt.Sprintf("routing: missing mesh link %d-%d", cur, next))
+				panic(fmt.Sprintf("routing: missing grid link %d→%d", cur, next))
 			}
 			route.Channels = append(route.Channels, link.Channel(topology.Switch(cur)))
 			cur = next
 			route.Switches = append(route.Switches, cur)
 		}
-		stride *= e.arity
 	}
 	route.Channels = append(route.Channels, e.net.HostLink(dst).Channel(topology.Switch(end)))
 	return route
 }
 
 // Network returns the routed topology.
-func (e *MeshDimOrder) Network() *topology.Network { return e.net }
+func (e *DimOrder) Network() *topology.Network { return e.net }
 
-// Name returns "mesh-dim-order".
-func (e *MeshDimOrder) Name() string { return "mesh-dim-order" }
+// Name returns "e-cube" on a cube and "mesh-dim-order" on a mesh.
+func (e *DimOrder) Name() string {
+	if e.wrap {
+		return "e-cube"
+	}
+	return "mesh-dim-order"
+}
 
 // newGridRoute returns an empty route sized for a path of the given
 // switch-to-switch hop count — hops+2 channels (injection and delivery

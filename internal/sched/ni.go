@@ -1,11 +1,8 @@
 package sched
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 
-	"repro/internal/live"
 	"repro/internal/live/link"
 	"repro/internal/message"
 )
@@ -15,7 +12,6 @@ import (
 // by deficit round robin. It outlives every session; the registration
 // map is the only state shared with the admitter/collector.
 type ni struct {
-	host  int
 	inbox *link.Inbox
 
 	mu       sync.Mutex
@@ -141,45 +137,23 @@ func (n *ni) stage(s *Scheduler, f link.Frame, ring *[]*hostState) {
 	}
 }
 
-// serve handles one staged frame end to end: record the arrival,
-// forward to every child (FPFS), reassemble, ACK on completion, release
-// the buffer slot. Returns false only on scheduler teardown.
+// serve handles one staged frame end to end — the shared FPFS step
+// (record the arrival, forward to every child, reassemble), then ACK on
+// completion and release the buffer slot. Returns false only on
+// scheduler teardown.
 func (n *ni) serve(s *Scheduler, hs *hostState, st staged) bool {
-	h := hs.h
-	hs.recvs++
-	hs.arrivals = append(hs.arrivals, live.Arrival{Packet: st.seq, From: st.from})
-	for _, l := range hs.links {
-		// Count before sending: the final value is then committed before
-		// the session's last channel operation, so the collector's
-		// post-ACK read is ordered. A failed send rolls it back (the
-		// session is dead either way; the count is never read).
-		hs.sends++
-		if err := l.Send(st.payload, h.abort); err != nil {
-			hs.sends--
-			if !errors.Is(err, link.ErrAborted) {
-				s.failSession(h, fmt.Errorf("sched: host %d: forward to %d: %w", n.host, l.To(), err))
-			}
-			n.inbox.Release()
-			return true
-		}
-	}
-	done, err := hs.reasm.Add(st.payload)
+	defer n.inbox.Release()
+	done, err := hs.Serve(st.payload, st.from, st.seq, hs.h.abort, s.start)
 	if err != nil {
-		s.failSession(h, fmt.Errorf("sched: host %d: packet %d of session %d: %v", n.host, st.seq, h.sess.MsgID, err))
-		n.inbox.Release()
+		s.failSession(hs.h, err)
 		return true
 	}
 	if done {
-		at := s.since()
-		hs.data = hs.reasm.Bytes()
-		hs.doneAt = at
 		select {
-		case s.acks <- ack{msgID: h.sess.MsgID, host: n.host, at: at}:
+		case s.acks <- ack{msgID: hs.h.sess.MsgID, host: hs.Host, at: hs.DoneAt}:
 		case <-s.abort:
-			n.inbox.Release()
 			return false
 		}
 	}
-	n.inbox.Release()
 	return true
 }

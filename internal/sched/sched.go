@@ -44,7 +44,6 @@ import (
 
 	"repro/internal/live"
 	"repro/internal/live/link"
-	"repro/internal/message"
 	"repro/internal/tree"
 )
 
@@ -228,22 +227,16 @@ func (h *Handle) cancel() {
 	})
 }
 
-// hostState is one host's protocol state for one session — the
-// scheduler's counterpart of live's niSession. Ownership is strict: at
-// the root it is written only by the owning shard; everywhere else only
-// by the host's NI goroutine. The collector reads it only after every
-// destination has acknowledged, which happens-after the final write
-// through the ack channel chain.
+// hostState is one host's protocol state for one session: the FPFS step
+// every plain engine shares (live.HostSession, whose embedded HostRecord
+// is the host's result) plus this scheduler's fair-queue position. The
+// HostSession's ownership rule holds — at the root only the owning shard
+// writes it, everywhere else only the host's NI goroutine — and the
+// collector reads it only after every destination has acknowledged, which
+// happens-after the final write through the ack channel chain.
 type hostState struct {
-	h     *Handle
-	host  int
-	links []link.Transport
-	reasm *message.Reassembler // nil at the root
-
-	arrivals     []live.Arrival
-	sends, recvs int
-	data         []byte
-	doneAt       time.Duration
+	live.HostSession
+	h *Handle
 
 	// Deficit-round-robin state, owned by the host's NI goroutine.
 	pending []staged
@@ -343,7 +336,6 @@ func New(hosts []int, cfg Config) (*Scheduler, error) {
 			capacity = unboundedWire
 		}
 		s.nis[v] = &ni{
-			host:     v,
 			inbox:    link.NewInbox(v, capacity, cfg.BufferPackets),
 			sessions: map[uint32]*hostState{},
 		}
@@ -353,7 +345,7 @@ func New(hosts []int, cfg Config) (*Scheduler, error) {
 		go n.run(s)
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{id: i, add: make(chan *job, cfg.Window)}
+		sh := &shard{add: make(chan *job, cfg.Window)}
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
 		go sh.run(s)
@@ -522,14 +514,11 @@ func (s *Scheduler) place(h *Handle) {
 	root := tr.Root()
 	h.hosts = map[int]*hostState{}
 	for _, v := range tr.Nodes() {
-		hs := &hostState{h: h, host: v}
-		if v != root {
-			hs.reasm = message.NewReassembler()
-		}
+		var links []link.Transport
 		for _, c := range tr.Children(v) {
-			hs.links = append(hs.links, link.New(v, s.nis[c].inbox, s.cfg.LinkLatency))
+			links = append(links, link.New(v, s.nis[c].inbox, s.cfg.LinkLatency))
 		}
-		h.hosts[v] = hs
+		h.hosts[v] = &hostState{HostSession: live.NewHostSession(v, links), h: h}
 	}
 	h.edges = tr.Edges()
 	s.mu.Lock()
@@ -558,10 +547,15 @@ func (s *Scheduler) place(h *Handle) {
 	sh.add <- &job{h: h, root: h.hosts[root]}
 }
 
-// failSession asks the collector to fail an in-flight session. A full
-// channel drops the report: some other failure is already tearing
-// sessions down, and the deadline backstops this one.
+// failSession asks the collector to fail an in-flight session over a
+// forwarding error. An abort is not one: the session was already
+// cancelled and the collector owns the verdict. A full channel drops the
+// report: some other failure is already tearing sessions down, and the
+// deadline backstops this one.
 func (s *Scheduler) failSession(h *Handle, err error) {
+	if errors.Is(err, link.ErrAborted) {
+		return
+	}
 	select {
 	case s.fails <- failure{msgID: h.sess.MsgID, err: err}:
 	default:
@@ -700,14 +694,7 @@ func (s *Scheduler) complete(h *Handle) {
 	s.retire(h, func(st *Stats) { st.Completed++ })
 	hosts := make(map[int]*live.HostRecord, len(h.hosts))
 	for v, hs := range h.hosts {
-		hosts[v] = &live.HostRecord{
-			Host:     v,
-			Arrivals: hs.arrivals,
-			Sends:    hs.sends,
-			Recvs:    hs.recvs,
-			Data:     hs.data,
-			DoneAt:   hs.doneAt,
-		}
+		hosts[v] = &hs.HostRecord
 	}
 	h.res = &Result{
 		MsgID:     h.sess.MsgID,

@@ -1,12 +1,5 @@
 package sched
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/live/link"
-)
-
 // job is one session's root-injection work: the packets still to pump
 // into the root's child links. Owned by exactly one shard.
 type job struct {
@@ -21,7 +14,6 @@ type job struct {
 // structural replacement for live's goroutine-per-injector: 10k
 // sessions cost Config.Shards goroutines, not 10k.
 type shard struct {
-	id  int
 	add chan *job
 }
 
@@ -64,16 +56,9 @@ func (sh *shard) inject(s *Scheduler, j *job) bool {
 	}
 	pkts := h.sess.Packets
 	for q := 0; q < s.cfg.Quantum && j.next < len(pkts); q++ {
-		for _, l := range j.root.links {
-			// Pre-count for the same publication ordering as ni.serve.
-			j.root.sends++
-			if err := l.Send(pkts[j.next], h.abort); err != nil {
-				j.root.sends--
-				if !errors.Is(err, link.ErrAborted) {
-					s.failSession(h, fmt.Errorf("sched: inject %d->%d: %w", j.root.host, l.To(), err))
-				}
-				return false
-			}
+		if err := j.root.Forward(pkts[j.next], h.abort); err != nil {
+			s.failSession(h, err)
+			return false
 		}
 		j.next++
 	}

@@ -112,4 +112,9 @@ func TestGridAccessor(t *testing.T) {
 	if _, _, ok := irr.Grid(); ok {
 		t.Errorf("irregular network reports grid geometry")
 	}
+	// Torus is how the network was built, not how it is wired: a 2-ary cube
+	// has a mesh's links and is still a cube to its router.
+	if !Cube(3, 2).Torus() || !Cube(2, 3).Torus() || Mesh(4, 3).Torus() || Mesh(2, 2).Torus() || irr.Torus() {
+		t.Errorf("Torus() is true exactly on Cube networks")
+	}
 }

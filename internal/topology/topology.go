@@ -7,7 +7,8 @@
 //   - Irregular: randomly cross-wired switch networks, like the 64-host /
 //     16 eight-port-switch testbed of Section 5.2;
 //   - Cube: k-ary n-cubes (one host per switch, wrap-around links), the
-//     regular networks on which dimension-ordered chains are defined.
+//     regular networks on which dimension-ordered chains are defined, and
+//     Mesh, the same grid without the wrap-around links.
 //
 // Every bidirectional link carries two directed channels; contention is
 // tracked per channel by the routing and simulation packages.
@@ -101,8 +102,10 @@ type Network struct {
 
 	// grid geometry when built by Cube or Mesh (arity^dims switches, host
 	// id == switch id); zero for irregular networks. Partition uses it to
-	// cut contiguous slabs instead of hashing.
+	// cut contiguous slabs instead of hashing, routing.DimOrder to pick
+	// its per-dimension step.
 	gridArity, gridDims int
+	gridWrap            bool // built by Cube: every dimension is a ring
 }
 
 // NumHosts returns the processor count.
@@ -118,6 +121,10 @@ func (n *Network) NumSwitches() int { return n.numSwitches }
 func (n *Network) Grid() (arity, dims int, ok bool) {
 	return n.gridArity, n.gridDims, n.gridArity > 0
 }
+
+// Torus reports whether the network was built by Cube — a grid whose
+// dimensions wrap around — rather than by Mesh or an irregular generator.
+func (n *Network) Torus() bool { return n.gridWrap }
 
 // Links returns all links. The slice is owned by the network.
 func (n *Network) Links() []Link { return n.links }
@@ -423,47 +430,52 @@ func (n *Network) switchesLinked(a, b int) bool {
 	return false
 }
 
-func pairKey(a, b int) [2]int {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]int{a, b}
-}
-
 // Cube builds a k-ary n-cube: arity^dims switches, each with one attached
 // host, and wrap-around links in every dimension (for arity 2 a single link
 // per dimension, to avoid parallel links).
-func Cube(arity, dims int) *Network {
+func Cube(arity, dims int) *Network { return grid(arity, dims, true) }
+
+// Mesh builds an arity^dims mesh: like Cube but without wrap-around links,
+// so border switches have fewer neighbors. One host per switch.
+func Mesh(arity, dims int) *Network { return grid(arity, dims, false) }
+
+// grid builds both: host links first (host h on switch h, link ID h), then
+// per dimension, per switch in index order, the link to the +1 neighbor.
+// The last switch of a row has none in a mesh; in a cube its link closes
+// the ring. Link IDs follow that order and every kill:LINK@T token and
+// recorded route depends on it.
+func grid(arity, dims int, wrap bool) *Network {
 	if arity < 2 || dims < 1 {
-		panic(fmt.Sprintf("topology: invalid cube %d-ary %d-cube", arity, dims))
+		panic(fmt.Sprintf("topology: invalid %d-ary %d-dimensional grid", arity, dims))
 	}
 	n := 1
 	for i := 0; i < dims; i++ {
 		n *= arity
 		if n > 1<<20 {
-			panic("topology: cube too large")
+			panic("topology: grid too large")
 		}
 	}
-	perDim := n
-	if arity == 2 {
-		perDim = n / 2
+	// An arity-2 ring is one link: the +1 neighbor already covers the pair.
+	ring := wrap && arity > 2
+	perDim := n / arity * (arity - 1)
+	if ring {
+		perDim = n
 	}
 	b := newBuilder(n, n, 0)
 	b.prealloc(n+dims*perDim, 1+2*dims, 1)
-	b.net.gridArity, b.net.gridDims = arity, dims
+	b.net.gridArity, b.net.gridDims, b.net.gridWrap = arity, dims, wrap
 	for h := 0; h < n; h++ {
 		b.attachHost(h, h)
 	}
 	stride := 1
 	for d := 0; d < dims; d++ {
 		for s := 0; s < n; s++ {
-			digit := (s / stride) % arity
 			next := s + stride
-			if digit == arity-1 {
-				next = s - (arity-1)*stride // wrap-around
-				if arity == 2 {
-					continue // +1 neighbor already covers the pair
+			if (s/stride)%arity == arity-1 {
+				if !ring {
+					continue
 				}
+				next = s - (arity-1)*stride
 			}
 			b.addLink(Switch(s), Switch(next))
 		}
@@ -558,35 +570,4 @@ func LinkIDAfterRemoval(id, removed int) (int, bool) {
 	default:
 		return id, true
 	}
-}
-
-// Mesh builds an arity^dims mesh: like Cube but without wrap-around links,
-// so border switches have fewer neighbors. One host per switch.
-func Mesh(arity, dims int) *Network {
-	if arity < 2 || dims < 1 {
-		panic(fmt.Sprintf("topology: invalid %d-ary %d-mesh", arity, dims))
-	}
-	n := 1
-	for i := 0; i < dims; i++ {
-		n *= arity
-		if n > 1<<20 {
-			panic("topology: mesh too large")
-		}
-	}
-	b := newBuilder(n, n, 0)
-	b.prealloc(n+dims*(n/arity)*(arity-1), 1+2*dims, 1)
-	b.net.gridArity, b.net.gridDims = arity, dims
-	for h := 0; h < n; h++ {
-		b.attachHost(h, h)
-	}
-	stride := 1
-	for d := 0; d < dims; d++ {
-		for s := 0; s < n; s++ {
-			if (s/stride)%arity < arity-1 {
-				b.addLink(Switch(s), Switch(s+stride))
-			}
-		}
-		stride *= arity
-	}
-	return b.net
 }

@@ -45,6 +45,14 @@ func TestIrregularAlwaysConnected(t *testing.T) {
 	}
 }
 
+// pairKey is the unordered switch pair {a, b} as a map key.
+func pairKey(a, b int) [2]int {
+	if a > b {
+		a, b = b, a
+	}
+	return [2]int{a, b}
+}
+
 func TestIrregularNoSelfOrParallelSwitchLinks(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		net := Irregular(DefaultIrregular(), workload.NewRNG(seed))

@@ -39,18 +39,15 @@ var surfaceAllow = map[string]string{
 	"analytic.Costs.Validate":      "public API through repro.Costs",
 
 	// Methods that satisfy an interface and are only ever called through it.
-	"routing.ECube.Name":           "satisfies routing.Router",
-	"routing.ECube.Network":        "satisfies routing.Router",
-	"routing.ECube.Route":          "satisfies routing.Router",
-	"routing.MeshDimOrder.Name":    "satisfies routing.Router",
-	"routing.MeshDimOrder.Network": "satisfies routing.Router",
-	"routing.UpDown.Name":          "satisfies routing.Router",
-	"link.Link.From":               "satisfies link.Transport",
-	"link.Link.To":                 "satisfies link.Transport",
-	"link.UDPTransport.From":       "satisfies link.Transport",
-	"link.UDPTransport.To":         "satisfies link.Transport",
-	"link.UDPTransport.Send":       "satisfies link.Transport",
-	"link.FaultyTransport.Send":    "satisfies link.Transport",
+	"routing.DimOrder.Network":  "satisfies routing.Router",
+	"routing.UpDown.Name":       "satisfies routing.Router",
+	"link.Link.From":            "satisfies link.Transport",
+	"link.Link.To":              "satisfies link.Transport",
+	"link.UDPTransport.From":    "satisfies link.Transport",
+	"link.UDPTransport.To":      "satisfies link.Transport",
+	"link.UDPTransport.Send":    "satisfies link.Transport",
+	"link.FaultyTransport.Send": "satisfies link.Transport",
+	"link.UDPNetwork.Detach":    "satisfies link.Network; every engine detaches through link.AttachAll",
 
 	// Reference implementations tests compare the engines against
 	// (DESIGN §17: a reference implementation tests use is not a duplicate).
