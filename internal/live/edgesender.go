@@ -111,8 +111,10 @@ func (e *EdgeSender) Ack(a EdgeAck) {
 	}
 }
 
-// Cancel retires the incarnation. The supervisor owns the edge set, so
-// a given edge is cancelled at most once; Cancel must not race itself.
+// Cancel retires the incarnation. ReliableShare.Retire, on the
+// supervisor's goroutine, takes the incarnation off its route before it
+// cancels, so a given edge is cancelled at most once; Cancel must not
+// race itself.
 func (e *EdgeSender) Cancel() { close(e.cancel) }
 
 // Sends, Retransmits and Fenced report the edge's counters. Call only

@@ -31,14 +31,45 @@ func (hb HeartbeatParams) NewDetector(faultSeed uint64, hosts []int) (*membershi
 // us converts a wall offset to the detector's float microseconds.
 func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
+// stallClock is the clock silence is measured on: the wall offset from the
+// pump's Start, less every interval the pump itself ran behind the
+// deadline it was waiting for. A pump that was not running — its process
+// starved by a loaded box, or busy in a handler — observed nothing, and in
+// the in-process engine the hosts it would have heard from were starved
+// with it; counting that interval as their silence confirms a whole
+// healthy tree at once. Stopping the clock instead only ever delays a
+// judgment, by as long as the observer was away.
+type stallClock struct {
+	late  time.Duration // overdue time taken off the clock so far
+	floor time.Duration // the deadline last run past: no stamp maps below it
+}
+
+// at maps a wall offset to the clock. Stamps taken before the latest
+// overdue interval was taken off land on the deadline it ran past —
+// later than their due, which is the lenient side.
+func (c *stallClock) at(wall time.Duration) time.Duration {
+	return max(wall-c.late, c.floor)
+}
+
+// catchUp takes whatever wall has run past deadline off the clock, which
+// then reads exactly deadline: what was due by then is judged, nothing
+// after it.
+func (c *stallClock) catchUp(wall, deadline time.Duration) {
+	if over := c.at(wall) - deadline; over > 0 {
+		c.late += over
+		c.floor = deadline
+	}
+}
+
 // Pump is a supervisor's event loop: it feeds the supervisor's event
 // channel to Handle, drives the failure detector on the wall clock, and
 // enforces the watchdog. Porting a detector from virtual to real time
 // changes its failure mode — a stalled observer manufactures silence —
-// and the pump is where the three countermeasures live: the timer is
+// and the pump is where the four countermeasures live: the timer is
 // re-armed at the detector's own next deadline, queued events land before
-// silence is judged, and hosts colocated with the supervisor are
-// witnessed rather than timed.
+// silence is judged, hosts colocated with the supervisor are witnessed
+// rather than timed, and time the pump spent overdue is not silence
+// (stallClock).
 type Pump[E any] struct {
 	Det    *membership.Detector // nil: membership plane unarmed
 	Start  time.Time            // offset zero of every detector timestamp
@@ -53,11 +84,16 @@ type Pump[E any] struct {
 	Tick    <-chan time.Time
 	OnTick  func()
 	Timeout time.Duration // the watchdog
+
+	clock stallClock
 }
 
-// Beat records a heartbeat from host received at offset at.
+// now reads the clock silence is measured on.
+func (p *Pump[E]) now() time.Duration { return p.clock.at(time.Since(p.Start)) }
+
+// Beat records a heartbeat from host received at wall offset at.
 func (p *Pump[E]) Beat(host int, at time.Duration) {
-	p.OnEvents(p.Det.Heartbeat(host, us(at)))
+	p.OnEvents(p.Det.Heartbeat(host, us(p.clock.at(at))))
 }
 
 // Witness marks the local hosts alive right now. Witness skips the
@@ -66,7 +102,7 @@ func (p *Pump[E]) Beat(host int, at time.Duration) {
 func (p *Pump[E]) Witness() {
 	at := time.Since(p.Start)
 	for _, h := range p.Local(at) {
-		p.OnEvents(p.Det.Witness(h, us(at)))
+		p.OnEvents(p.Det.Witness(h, us(p.clock.at(at))))
 	}
 }
 
@@ -79,24 +115,25 @@ func (p *Pump[E]) Run(settled func() bool) (timedOut bool) {
 	defer detTimer.Stop()
 	for !settled() {
 		// (Re)arm the detector timer at its next deadline.
-		wake := time.Hour
+		now := p.now()
+		deadline, dl := now+time.Hour, 0.0
 		if p.Det != nil {
-			if dl, ok := p.Det.NextDeadline(); ok {
-				wake = time.Duration(dl*float64(time.Microsecond)) - time.Since(p.Start)
-				if wake < 0 {
-					wake = 0
-				}
+			var ok bool
+			if dl, ok = p.Det.NextDeadline(); ok {
+				deadline = time.Duration(dl * float64(time.Microsecond))
 			}
 		}
-		rearm(detTimer, wake)
+		rearm(detTimer, max(0, deadline-now))
 
 		select {
 		case e := <-p.Events:
+			p.clock.catchUp(time.Since(p.Start), deadline)
 			p.Handle(e)
 		case <-detTimer.C:
 			if p.Det == nil {
 				continue
 			}
+			p.clock.catchUp(time.Since(p.Start), deadline)
 			// Queued heartbeats must land before silence is judged: a
 			// scheduling burst (GC, single-CPU contention) can expire the
 			// timer with fresh beats still in the channel, and advancing
@@ -110,7 +147,9 @@ func (p *Pump[E]) Run(settled func() bool) (timedOut bool) {
 				}
 			}
 			p.Witness()
-			p.OnEvents(p.Det.Advance(us(time.Since(p.Start))))
+			// At least to dl itself: a clock caught up to the deadline reads
+			// it to the nanosecond, a hair short of the detector's float.
+			p.OnEvents(p.Det.Advance(max(dl, us(p.now()))))
 		case <-p.Tick:
 			p.OnTick()
 		case <-watchdog.C:

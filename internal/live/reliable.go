@@ -3,8 +3,6 @@ package live
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/live/link"
@@ -15,10 +13,12 @@ import (
 
 // This file is the in-process driver of the reliable protocol. The
 // protocol itself is shared with the multi-process daemon: EdgeSender
-// (per-edge retransmission), ReliableNI (the receive loop), Pump (the
-// wall-clock detector loop) and reliable.Brain (tree shape and Fig.-11
-// repair). What lives here is what only this engine has: scheduled crash
-// windows, in-process links and ACK routes, and the result.
+// (per-edge retransmission), ReliableNI (the receive loop), ReliableShare
+// (the data plane built from the two: NIs, edge incarnations, ACK routes,
+// epoch register, teardown), Pump (the wall-clock detector loop) and
+// reliable.Brain (tree shape and Fig.-11 repair). What lives here is what
+// only this engine has: scheduled crash windows, the chaos plane's ACK
+// loss, the verdict and the result.
 //
 // Concurrency layout (strict ownership, like the lossless engine):
 //   - one NI goroutine per host: drains the inbox, dedups, ACKs,
@@ -27,9 +27,9 @@ import (
 //     set and retransmission timers, sends serially in sequence order;
 //   - the supervisor (RunReliable's goroutine): drives the brain and the
 //     membership detector, and decides termination.
-// The only cross-goroutine mutable cells are atomics: the global epoch
-// register, written by the supervisor on view changes and read by
-// senders (stamping) and receivers (fencing), and each NI's ACK route.
+// The only cross-goroutine mutable cells are the share's atomics: the
+// epoch register, raised by the supervisor on view changes and read by
+// senders (stamping) and receivers (fencing), and each host's ACK route.
 // All other coordination is by channel.
 
 // HostCrash schedules a crash-stop of one host's NI goroutine at a
@@ -190,42 +190,24 @@ const (
 	ctlRejoin
 )
 
-// ackRoute is one NI's way back to its parent: the edge incarnation to
-// acknowledge, stored by the supervisor when it installs an edge and
-// loaded by the NI on every frame. The brain retires a child's old parent
-// edge before installing the next, so one slot is enough; frames still
-// arriving from a retired edge go unacknowledged, which nobody awaits.
-type ackRoute struct {
-	parent atomic.Pointer[EdgeSender]
-	rng    *workload.RNG // chaos ACK-drop stream
-}
-
-// rrt is the shared state of one reliable run; it is the reliable.Runtime
-// the repair brain drives.
+// rrt is the driver state of one reliable run. Its data plane is the
+// embedded share, every host local — whose Install and Retire, with
+// Alive, Member and Done below, make rrt the reliable.Runtime the repair
+// brain drives.
 type rrt struct {
+	*ReliableShare
 	cfg   ReliableConfig
 	s     Session
 	m     int // packets
 	root  int
 	start time.Time
-	abort chan struct{}
 	ctl   chan rctl
 	chaos *link.Chaos
-	// epoch is the global fence register: 0 while the membership plane is
-	// unarmed, otherwise the latest installed view's epoch. Senders stamp
-	// it into outgoing frames; receivers discard frames below it. Only the
-	// supervisor stores; the value never decreases.
-	epoch  atomic.Int64
-	wg     sync.WaitGroup
-	detach func() // undoes buildReliableFabric's attach to Live.Network
 
-	crashes map[int]HostCrash // by host; immutable after start
-	nis     map[int]*ReliableNI
-	acks    map[int]*ackRoute
+	crashes map[int]HostCrash     // by host; immutable after start
+	ackRNG  map[int]*workload.RNG // by host: the chaos plane's ACK-drop streams, each its NI's
 
 	// Supervisor-owned (no other goroutine touches these after start):
-	edges    map[[2]int]*EdgeSender // live incarnations, for Retire
-	allEdges []*EdgeSender
 	done     map[int]bool // destinations that reported completion
 	brain    *reliable.Brain
 	det      *membership.Detector
@@ -276,12 +258,9 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 		s:       s,
 		m:       len(s.Packets),
 		root:    s.Tree.Root(),
-		abort:   make(chan struct{}),
 		chaos:   chaos,
 		crashes: crashes,
-		nis:     map[int]*ReliableNI{},
-		acks:    map[int]*ackRoute{},
-		edges:   map[[2]int]*EdgeSender{},
+		ackRNG:  map[int]*workload.RNG{},
 		done:    map[int]bool{},
 	}
 	rt.brain = reliable.NewBrain(s.Tree, cfg.MaxRegrafts, rt)
@@ -290,35 +269,73 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 	// blocking their goroutines.
 	rt.ctl = make(chan rctl, 8*s.Tree.Size()+64)
 
+	scfg := ReliableShareConfig{
+		Tree:          s.Tree,
+		Local:         s.Tree.Nodes(),
+		Network:       cfg.Live.Network,
+		LinkLatency:   cfg.Live.LinkLatency,
+		BufferPackets: cfg.Live.BufferPackets,
+		Chaos:         chaos,
+		Edge: EdgeSenderConfig{
+			Packets:     s.Packets,
+			RTO:         cfg.RTO,
+			RTOMax:      cfg.RTOMax,
+			RetryBudget: cfg.RetryBudget,
+			JitterSeed:  cfg.Faults.Seed ^ 0x9e6c_a61b_60ca_77d5,
+		},
+		NI: ReliableNIConfig{
+			MsgID: s.MsgID,
+			Trace: true,
+			// The ACK goes straight to the parent's incarnation, unless the
+			// chaos plane eats it.
+			Ack: func(host, from, seq, epoch int) {
+				if e := rt.Route(host, from); e != nil && !chaos.AckDrop(rt.ackRNG[host]) {
+					e.Ack(EdgeAck{Seq: seq, Epoch: epoch})
+				}
+			},
+			OnDone: func(host int, at time.Duration) {
+				rt.report(rctl{kind: ctlDone, host: host, at: at})
+			},
+		},
+		// Budget exhaustion and transport death alike: the brain repairs or
+		// abandons the subtree behind the edge.
+		Exhausted: func(a, b int) { rt.report(rctl{kind: ctlExhausted, host: a, to: b}) },
+	}
+	for _, v := range scfg.Local {
+		rt.ackRNG[v] = chaos.AckRNG(v)
+	}
 	// A non-empty crash schedule arms the membership plane.
 	if len(cfg.Crashes) > 0 {
-		det, err := cfg.Heartbeat.NewDetector(cfg.Faults.Seed, s.Tree.Nodes())
+		det, err := cfg.Heartbeat.NewDetector(cfg.Faults.Seed, scfg.Local)
 		if err != nil {
 			return nil, err
 		}
 		rt.det = det
-		rt.epoch.Store(int64(det.Epoch()))
 		rt.views = append(rt.views, det.View())
+		// A down host's sends vanish while still burning retry budget, so a
+		// long crash exhausts its edges and triggers repair even before the
+		// detector confirms.
+		scfg.Suppressed = func(host int) bool { return rt.down(host, time.Since(rt.start)) }
+		scfg.NI.Down = rt.down
+		scfg.NI.OnRejoin = func(host int, at time.Duration) {
+			rt.report(rctl{kind: ctlRejoin, host: host, at: at})
+		}
+		scfg.NI.BeatEvery = cfg.Heartbeat.Every
+		scfg.NI.OnBeat = func(host int, at time.Duration) {
+			if !rt.down(host, at) {
+				rt.report(rctl{kind: ctlBeat, host: host, at: at})
+			}
+		}
 	}
-
-	if err := rt.buildReliableFabric(); err != nil {
-		return nil, err
+	if rt.ReliableShare, err = NewReliableShare(scfg); err != nil {
+		return nil, fmt.Errorf("live: %w", err)
+	}
+	if rt.det != nil {
+		rt.SetEpoch(rt.det.Epoch())
 	}
 	rt.start = time.Now()
-	chaos.Start(rt.start)
-	for _, n := range rt.nis {
-		rt.wg.Add(1)
-		go func(n *ReliableNI) { defer rt.wg.Done(); n.Run(rt.start) }(n)
-	}
-	for _, e := range rt.allEdges {
-		rt.spawn(e)
-	}
+	rt.Start(rt.start)
 	return rt.supervise()
-}
-
-func (rt *rrt) spawn(e *EdgeSender) {
-	rt.wg.Add(1)
-	go func() { defer rt.wg.Done(); e.Run() }()
 }
 
 // report queues one NI or edge report for the supervisor. Beats are lossy
@@ -334,152 +351,8 @@ func (rt *rrt) report(c rctl) {
 	}
 	select {
 	case rt.ctl <- c:
-	case <-rt.abort:
+	case <-rt.Aborted():
 	}
-}
-
-// buildReliableFabric constructs NIs for every tree node and edge
-// senders for every tree edge. The root's NI starts holding all m
-// packets, so edge seeding is uniform: every NI replays its held packets
-// into a newly attached child edge, packet-major like FPFS injection.
-// With Live.Network set, every NI is attached to the network before any
-// edge is dialed (link.AttachAll); chaos decoration wraps the dialed
-// transports the same way it wraps in-process links.
-func (rt *rrt) buildReliableFabric() error {
-	slots := rt.cfg.Live.BufferPackets
-	capacity := 4*rt.m + 16
-	if slots > 0 {
-		capacity = slots
-	}
-	ncfg := ReliableNIConfig{
-		MsgID:   rt.s.MsgID,
-		Packets: rt.m,
-		Abort:   rt.abort,
-		Epoch:   func() int { return int(rt.epoch.Load()) },
-		Trace:   true,
-		Ack: func(host, from, seq, epoch int) {
-			r := rt.acks[host]
-			if e := r.parent.Load(); e != nil && e.From() == from && !rt.chaos.AckDrop(r.rng) {
-				e.Ack(EdgeAck{Seq: seq, Epoch: epoch})
-			}
-		},
-		OnDone: func(host int, at time.Duration) {
-			rt.report(rctl{kind: ctlDone, host: host, at: at})
-		},
-	}
-	if rt.det != nil {
-		ncfg.Down = rt.down
-		ncfg.OnRejoin = func(host int, at time.Duration) {
-			rt.report(rctl{kind: ctlRejoin, host: host, at: at})
-		}
-		ncfg.BeatEvery = rt.cfg.Heartbeat.Every
-		ncfg.OnBeat = func(host int, at time.Duration) {
-			if !rt.down(host, at) {
-				rt.report(rctl{kind: ctlBeat, host: host, at: at})
-			}
-		}
-	}
-	var inboxes map[int]*link.Inbox // what AttachAll attaches; nil, and free, on the in-process fabric
-	if rt.cfg.Live.Network != nil {
-		inboxes = map[int]*link.Inbox{}
-	}
-	for _, v := range rt.s.Tree.Nodes() {
-		ncfg.Host, ncfg.Root = v, v == rt.root
-		ncfg.Inbox = link.NewInbox(v, capacity, slots)
-		rt.nis[v] = NewReliableNI(ncfg)
-		rt.acks[v] = &ackRoute{rng: rt.chaos.AckRNG(v)}
-		if inboxes != nil {
-			inboxes[v] = ncfg.Inbox
-		}
-	}
-	var err error
-	if rt.detach, err = link.AttachAll(rt.cfg.Live.Network, inboxes); err != nil {
-		return fmt.Errorf("live: %w", err)
-	}
-	// Initial children are wired statically (the NI goroutines have not
-	// started), ascending per parent for a deterministic packet-major
-	// seeding order.
-	edges := rt.s.Tree.Edges()
-	sort.Slice(edges, func(i, j int) bool { return edges[i].Child < edges[j].Child })
-	for _, e := range edges {
-		rt.nis[e.Parent].Wire(rt.newEdge(e.Parent, e.Child))
-	}
-	return nil
-}
-
-// newEdge creates one directed edge incarnation: the (chaos-wrapped)
-// transport, an EdgeSender bound to this runtime, and the child's ACK
-// route to it. Sends are suppressed while the owning host is down (still
-// burning retry budget, so a long crash exhausts the edge and triggers
-// repair even before the detector confirms), transmissions are stamped
-// with the runtime epoch, and both budget exhaustion and transport death
-// report ctlExhausted so the brain repairs or abandons the subtree
-// behind the edge.
-func (rt *rrt) newEdge(a, b int) *EdgeSender {
-	var base link.Transport
-	if nw := rt.cfg.Live.Network; nw != nil {
-		t, err := nw.Dial(a, b)
-		if err != nil {
-			// A mid-run dial failure (regraft on a closing network) is an
-			// instantly dead incarnation: the sender goroutine hits the
-			// error on its first send and the edge-exhaustion machinery —
-			// built for exactly this — routes around it.
-			t = deadTransport{from: a, to: b, err: err}
-		}
-		base = t
-	} else {
-		base = link.New(a, rt.nis[b].cfg.Inbox, rt.cfg.Live.LinkLatency)
-	}
-	exhausted := func() { rt.report(rctl{kind: ctlExhausted, host: a, to: b}) }
-	e := NewEdgeSender(rt.chaos.Wrap(base), EdgeSenderConfig{
-		Packets:     rt.s.Packets,
-		RTO:         rt.cfg.RTO,
-		RTOMax:      rt.cfg.RTOMax,
-		RetryBudget: rt.cfg.RetryBudget,
-		JitterSeed:  rt.cfg.Faults.Seed ^ 0x9e6c_a61b_60ca_77d5 ^ uint64(a+1)<<20 ^ uint64(b+1),
-		Abort:       rt.abort,
-		Epoch:       func() int { return int(rt.epoch.Load()) },
-		Suppressed:  func() bool { return rt.down(a, time.Since(rt.start)) },
-		OnExhausted: exhausted,
-		OnDead:      func(error) { exhausted() },
-	})
-	rt.edges[[2]int{a, b}] = e
-	rt.allEdges = append(rt.allEdges, e)
-	rt.acks[b].parent.Store(e)
-	return e
-}
-
-// deadTransport is an edge whose dial failed: every Send reports the
-// dial error, so the retransmission plane retires it like any other
-// dead link.
-type deadTransport struct {
-	from, to int
-	err      error
-}
-
-func (d deadTransport) From() int { return d.from }
-func (d deadTransport) To() int   { return d.to }
-func (d deadTransport) Send([]byte, <-chan struct{}) error {
-	return fmt.Errorf("live: edge %d->%d never dialed: %w", d.from, d.to, d.err)
-}
-
-// Install, Retire, Alive, Member and Done make rrt the brain's
-// reliable.Runtime. Install routes the child's ACKs first (inside
-// newEdge) so it can acknowledge the very first replayed frame, then
-// attaches the edge to the parent NI, which replays its held packets.
-func (rt *rrt) Install(a, b int) {
-	e := rt.newEdge(a, b)
-	rt.spawn(e)
-	rt.nis[a].AddChild(e)
-}
-
-// Retire cancels the live incarnation; its sender exits at its next
-// select.
-func (rt *rrt) Retire(a, b int) {
-	key := [2]int{a, b}
-	rt.edges[key].Cancel()
-	delete(rt.edges, key)
-	rt.nis[a].DelChild(b)
 }
 
 // Alive consults the crash schedule itself: the in-process engine knows
@@ -552,11 +425,7 @@ func (rt *rrt) supervise() (*ReliableResult, error) {
 		return true
 	})
 	wall := time.Since(rt.start)
-	close(rt.abort)
-	rt.wg.Wait()
-	// The NIs and edge senders are gone; detaching stops the receive pumps
-	// and unparks any deliverer still blocked on an inbox gate.
-	rt.detach()
+	rt.Stop()
 
 	if timedOut {
 		e := &WatchdogError{
@@ -565,7 +434,7 @@ func (rt *rrt) supervise() (*ReliableResult, error) {
 			Progress: map[int][]DestProgress{},
 		}
 		for _, v := range rt.s.Tree.Nodes() { // ascending
-			if n := rt.nis[v]; v != rt.root && n.Data == nil {
+			if n := rt.NI(v); v != rt.root && n.Data == nil {
 				e.Missing[0] = append(e.Missing[0], v)
 				e.Progress[0] = append(e.Progress[0], DestProgress{Host: v, Received: n.Held(), Expected: rt.m})
 			}
@@ -586,35 +455,22 @@ func (rt *rrt) supervise() (*ReliableResult, error) {
 	if rt.det != nil {
 		res.Epoch = rt.det.Epoch()
 	}
+	res.Sends, res.Retransmits, res.Duplicates, res.Fenced = rt.Totals()
 	dests := 0
 	for _, v := range rt.s.Tree.Nodes() {
-		n := rt.nis[v]
-		rec := &HostRecord{
-			Host:     v,
-			Arrivals: n.Arrivals,
-			Recvs:    n.Recvs,
-		}
-		res.Duplicates += n.Dups
-		res.Fenced += n.Fenced
+		n := rt.NI(v)
+		res.Hosts[v] = &n.HostRecord
 		res.CrashDrops += n.CrashDrops
 		res.Accepts = append(res.Accepts, n.Accepts...)
-		if v != rt.root {
-			dests++
-			if rec.Data, rec.DoneAt = n.Data, n.DoneAt; rec.Data != nil {
-				if rec.DoneAt > res.Latency {
-					res.Latency = rec.DoneAt
-				}
-			} else {
-				res.Orphaned = append(res.Orphaned, v)
-			}
+		if v == rt.root {
+			continue
 		}
-		res.Hosts[v] = rec
-	}
-	for _, e := range rt.allEdges {
-		res.Sends += e.Sends()
-		res.Retransmits += e.Retransmits()
-		res.Fenced += e.Fenced()
-		res.Hosts[e.From()].Sends += e.Sends()
+		dests++
+		if n.Data == nil {
+			res.Orphaned = append(res.Orphaned, v)
+		} else if n.DoneAt > res.Latency {
+			res.Latency = n.DoneAt
+		}
 	}
 	// Stable: accepts arrive grouped per host in goroutine order, and ties
 	// on At must not reorder a host's own chronology (epoch monotonicity
@@ -639,14 +495,14 @@ func (rt *rrt) handleEvents(evs []membership.Event) {
 	for _, ev := range evs {
 		switch ev.Kind {
 		case membership.Confirmed:
-			rt.epoch.Store(int64(ev.Epoch))
+			rt.SetEpoch(ev.Epoch)
 			if ev.Host == rt.root {
 				rt.rootDown = true
 				return
 			}
 			rt.brain.Confirmed(ev.Host)
 		case membership.Rejoined:
-			rt.epoch.Store(int64(ev.Epoch))
+			rt.SetEpoch(ev.Epoch)
 			rt.brain.Rejoined(ev.Host)
 		}
 	}

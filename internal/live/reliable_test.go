@@ -11,8 +11,11 @@ import (
 	"repro/internal/tree"
 )
 
-// fastReliable returns a config tuned for test wall-clock: tight RTO,
-// fast detector.
+// fastReliable returns a config tuned for test wall-clock: tight RTO, and
+// the harness's detector windows (check.liveReliableConfig) — the fastest
+// that sit above what a goroutine can wait for a CPU under -race on a
+// loaded 2-vCPU box. At 10 ms + 8 ms, three other -race processes were
+// enough to confirm live hosts until MaxRegrafts abandoned them.
 func fastReliable() ReliableConfig {
 	cfg := DefaultReliableConfig()
 	cfg.RTO = 10 * time.Millisecond
@@ -20,8 +23,8 @@ func fastReliable() ReliableConfig {
 	cfg.Live.Timeout = 20 * time.Second
 	cfg.Heartbeat = HeartbeatParams{
 		Every:        3 * time.Millisecond,
-		SuspectAfter: 10 * time.Millisecond,
-		ConfirmAfter: 8 * time.Millisecond,
+		SuspectAfter: 40 * time.Millisecond,
+		ConfirmAfter: 30 * time.Millisecond,
 		JitterFrac:   0.25,
 	}
 	return cfg
@@ -197,14 +200,16 @@ func TestReliableCrashStopAdoption(t *testing.T) {
 }
 
 // Crash-recovery: the host comes back amnesiac, rejoins via heartbeat,
-// and is replayed to full completion.
+// and is replayed to full completion. It stays down three confirmation
+// times, so that the detector — whose clock stops while the box starves
+// the process — has confirmed it well before it returns.
 func TestReliableCrashRecoveryReplays(t *testing.T) {
 	tr := starTree(5)
 	payload := payloadBytes(600)
 	s := reliableSession(t, tr, payload)
 	cfg := fastReliable()
 	cfg.Faults = link.Faults{Seed: 5, MaxJitter: 2 * time.Millisecond}
-	cfg.Crashes = []HostCrash{{Host: 3, At: 2 * time.Millisecond, RecoverAt: 40 * time.Millisecond}}
+	cfg.Crashes = []HostCrash{{Host: 3, At: 2 * time.Millisecond, RecoverAt: 300 * time.Millisecond}}
 	res, err := RunReliable(s, cfg)
 	if err != nil {
 		t.Fatalf("RunReliable: %v", err)

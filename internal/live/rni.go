@@ -12,7 +12,9 @@ import (
 // particular runtime, so the in-process reliable engine and the
 // multi-process daemon run the same NI with different ACK routes and
 // reporters. Every hook is called from the NI goroutine and is handed
-// Host first, so one set of hooks serves every NI of a run.
+// Host first, so one set of hooks serves every NI of a run: a driver fills
+// in MsgID, Trace and the hooks once, and ReliableShare stamps each NI's
+// Host, Root, Inbox, Packets, Abort and Epoch onto that template.
 type ReliableNIConfig struct {
 	Host    int
 	Inbox   *link.Inbox
@@ -65,47 +67,48 @@ type niCtl struct {
 // supervisor goroutine; everything else belongs to Run, and the exported
 // fields (its report) may be read only once Run has returned.
 type ReliableNI struct {
-	Arrivals   []Arrival     // novel acceptances in order (Trace)
-	Accepts    []EpochAccept // their epoch stamps (Trace, armed runs)
-	Recvs      int           // novel acceptances
+	// HostRecord is the host's result, filled in place and handed out by
+	// reference like HostSession's: Recvs counts novel acceptances and
+	// Arrivals lists them in order (Trace); Data and DoneAt are the latest
+	// complete reassembly (nil at the root and until complete) and survive
+	// an amnesiac rejoin — the message reached the host before the crash;
+	// Sends is the total of the host's edge incarnations, folded in by
+	// ReliableShare.Totals.
+	HostRecord
+	Accepts    []EpochAccept // the arrivals' epoch stamps (Trace, armed runs)
 	Dups       int           // duplicate frames suppressed
 	Fenced     int           // stale-epoch frames discarded
 	CrashDrops int           // frames eaten while down
-	// Data and DoneAt are the latest complete reassembly (nil at the root
-	// and until complete). They survive an amnesiac rejoin: the message
-	// reached the host before the crash.
-	Data   []byte
-	DoneAt time.Duration
 
 	cfg       ReliableNIConfig
 	ctl       chan niCtl
 	start     time.Time
 	children  []*EdgeSender
-	got       []bool // per-packet dedup bitmap
-	reasm     *message.Reassembler
+	got       []bool              // per-packet dedup bitmap
+	reasm     message.Reassembler // idle at the root, which owns the original
 	wasDown   bool
 	completed bool
 }
 
-// NewReliableNI builds the NI; the caller starts it with go n.Run(start).
+// NewReliableNI builds the NI; ReliableShare, its one caller, wires its
+// initial children and runs it.
 func NewReliableNI(cfg ReliableNIConfig) *ReliableNI {
 	// A graft touches a parent a handful of times (the regraft fanout);
 	// a full channel only makes the supervisor wait for the NI's next turn.
-	n := &ReliableNI{cfg: cfg, ctl: make(chan niCtl, 16), got: make([]bool, cfg.Packets)}
+	n := &ReliableNI{
+		HostRecord: HostRecord{Host: cfg.Host},
+		cfg:        cfg,
+		ctl:        make(chan niCtl, 16),
+		got:        make([]bool, cfg.Packets),
+	}
 	if cfg.Root {
 		for j := range n.got {
 			n.got[j] = true
 		}
 		n.completed = true
-	} else {
-		n.reasm = message.NewReassembler()
 	}
 	return n
 }
-
-// Wire attaches an initial child edge before Run starts. Callers wire
-// children in ascending receiver order for a deterministic seeding order.
-func (n *ReliableNI) Wire(e *EdgeSender) { n.children = append(n.children, e) }
 
 // AddChild attaches a mid-run child edge; the NI replays every packet it
 // holds into it. DelChild detaches the edge to the given host. Both give
@@ -212,9 +215,9 @@ func (n *ReliableNI) serve(f link.Frame) {
 			// shorter than the suspicion window means the failure detector
 			// will never order that replay on its own.
 			n.wasDown = false
-			if n.reasm != nil {
+			if !n.cfg.Root {
 				n.got = make([]bool, n.cfg.Packets)
-				n.reasm = message.NewReassembler()
+				n.reasm = message.Reassembler{}
 				n.completed = false
 				n.cfg.OnRejoin(n.cfg.Host, now)
 			}
@@ -253,7 +256,7 @@ func (n *ReliableNI) serve(f link.Frame) {
 	for _, ce := range n.children {
 		ce.Enqueue(seq)
 	}
-	if n.reasm != nil && !n.completed {
+	if !n.completed {
 		if done, err := n.reasm.Add(f.Payload); err == nil && done {
 			n.completed = true
 			n.Data, n.DoneAt = n.reasm.Bytes(), time.Since(n.start)

@@ -1,0 +1,294 @@
+package live
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/live/link"
+	"repro/internal/tree"
+)
+
+// ReliableShareConfig describes one process's share of one reliable
+// session.
+type ReliableShareConfig struct {
+	Tree *tree.Tree
+	// Local lists the hosts this process runs: the whole tree when Network
+	// is nil. Every edge whose parent is local is the share's to build.
+	Local []int
+	// Network provisions the edges from a real fabric the caller owns; nil
+	// builds in-process links shaped with LinkLatency.
+	Network     link.Network
+	LinkLatency time.Duration
+	// BufferPackets bounds each NI's packet buffer (0: unbounded).
+	BufferPackets int
+	// Chaos decorates every transport (nil: none); Start rebases its clock.
+	Chaos *link.Chaos
+
+	// Edge is the template of every edge incarnation: Packets, RTO, RTOMax,
+	// RetryBudget, and in JitterSeed the driver's own salt, which the share
+	// mixes with the edge's endpoints. The share fills in the rest.
+	Edge EdgeSenderConfig
+	// NI is the template of every local NI: MsgID, Trace and the hooks. The
+	// share fills in Host, Root, Inbox, Packets, Abort and Epoch.
+	NI ReliableNIConfig
+	// Exhausted reports that an incarnation of edge a->b died — retry
+	// budget spent, transport failed, or a mid-run dial that produced no
+	// transport — once per incarnation, from a goroutine of the share's.
+	// It may block until Aborted closes.
+	Exhausted func(a, b int)
+	// Suppressed, when non-nil, reports whether host is down right now:
+	// sends on its edges vanish (EdgeSenderConfig.Suppressed).
+	Suppressed func(host int) bool
+}
+
+// ReliableShare is one process's share of one reliable session's data
+// plane, and the only code that builds it or tears it down: the local
+// hosts' inboxes and ReliableNIs, an EdgeSender incarnation per tree edge
+// whose parent is local, the route each child's ACKs take back to its
+// incarnation, the epoch register, and the goroutines running all of it.
+// live.RunReliable (every host local) and mcastd.RunReliable (the hosts
+// of one OS process, over UDP) drive it; a driver keeps what decides —
+// the supervisor loop, where liveness evidence comes from, how orders
+// reach another process — never how an edge comes up or goes away.
+//
+// Route, Epoch and Aborted are safe from any goroutine. Install, Retire
+// and SetEpoch belong to one goroutine, the driver's supervisor; NI and
+// Totals read state that is quiescent only once Stop has returned.
+type ReliableShare struct {
+	cfg    ReliableShareConfig
+	nodes  []int // the tree's hosts, ascending; routes is parallel to it
+	nis    map[int]*ReliableNI
+	routes []atomic.Pointer[EdgeSender]
+	// epoch is the fence register: 0 while the membership plane is
+	// unarmed, otherwise the latest view's epoch. Senders stamp it into
+	// outgoing frames, receivers discard frames below it.
+	epoch  atomic.Int64
+	abort  chan struct{}
+	detach func()
+	wg     sync.WaitGroup
+	all    []*EdgeSender // every incarnation ever built, for Totals
+}
+
+// NewReliableShare builds the data plane Start then runs: an inbox and a
+// ReliableNI per local host (the root's holds all m packets from the
+// outset, so seeding its child edges is the FPFS packet-major injection),
+// every inbox attached before any edge is dialed (link.AttachAll), and an
+// incarnation of every tree edge whose parent is local, wired ascending
+// by child for a deterministic seeding order. A failed attach or dial is
+// the returned error, naming the host or edge, with whatever was attached
+// detached again.
+func NewReliableShare(cfg ReliableShareConfig) (*ReliableShare, error) {
+	m := len(cfg.Edge.Packets)
+	s := &ReliableShare{
+		cfg:   cfg,
+		nodes: cfg.Tree.Nodes(),
+		nis:   make(map[int]*ReliableNI, len(cfg.Local)),
+		abort: make(chan struct{}),
+	}
+	s.routes = make([]atomic.Pointer[EdgeSender], len(s.nodes))
+	s.cfg.Edge.Abort, s.cfg.Edge.Epoch = s.abort, s.Epoch
+	ncfg := &s.cfg.NI
+	ncfg.Packets, ncfg.Abort, ncfg.Epoch = m, s.abort, s.cfg.Edge.Epoch
+
+	// Unbounded, the wire gets headroom for the message, its
+	// retransmissions and a graft's replay; a sender that still finds it
+	// full merely waits for the NI's next turn.
+	capacity := 4*m + 16
+	if cfg.BufferPackets > 0 {
+		capacity = cfg.BufferPackets
+	}
+	var inboxes map[int]*link.Inbox // what AttachAll attaches; nil, and free, on the in-process fabric
+	if cfg.Network != nil {
+		inboxes = make(map[int]*link.Inbox, len(cfg.Local))
+	}
+	root := cfg.Tree.Root()
+	for _, v := range cfg.Local {
+		ncfg.Host, ncfg.Root = v, v == root
+		ncfg.Inbox = link.NewInbox(v, capacity, cfg.BufferPackets)
+		s.nis[v] = NewReliableNI(*ncfg)
+		if inboxes != nil {
+			inboxes[v] = ncfg.Inbox
+		}
+	}
+	var err error
+	if s.detach, err = link.AttachAll(cfg.Network, inboxes); err != nil {
+		return nil, err
+	}
+	for i, b := range s.nodes { // ascending by child, so ascending per parent
+		a, ok := cfg.Tree.Parent(b)
+		if !ok || s.nis[a] == nil {
+			continue
+		}
+		e, err := s.newEdge(a, b)
+		if err != nil {
+			s.detach()
+			return nil, err
+		}
+		s.routes[i].Store(e)
+		s.nis[a].children = append(s.nis[a].children, e)
+	}
+	return s, nil
+}
+
+// newEdge builds one incarnation of edge a->b over a fresh, chaos-wrapped
+// transport. Both ways it can die on its own — retry budget spent,
+// transport failed — report Exhausted.
+func (s *ReliableShare) newEdge(a, b int) (*EdgeSender, error) {
+	var base link.Transport
+	if nw := s.cfg.Network; nw != nil {
+		t, err := nw.Dial(a, b)
+		if err != nil {
+			return nil, fmt.Errorf("dial edge %d->%d: %w", a, b, err)
+		}
+		base = t
+	} else {
+		base = link.New(a, s.nis[b].cfg.Inbox, s.cfg.LinkLatency)
+	}
+	ecfg := s.cfg.Edge
+	ecfg.JitterSeed ^= uint64(a+1)<<20 ^ uint64(b+1)
+	died := func() { s.cfg.Exhausted(a, b) }
+	ecfg.OnExhausted, ecfg.OnDead = died, func(error) { died() }
+	if s.cfg.Suppressed != nil {
+		ecfg.Suppressed = func() bool { return s.cfg.Suppressed(a) }
+	}
+	e := NewEdgeSender(s.cfg.Chaos.Wrap(base), ecfg)
+	s.all = append(s.all, e)
+	return e, nil
+}
+
+// Start rebases the chaos plane's clock to start and runs every NI and
+// every wired edge on its own goroutine; hook offsets count from start.
+func (s *ReliableShare) Start(start time.Time) {
+	s.cfg.Chaos.Start(start)
+	for _, n := range s.nis {
+		s.wg.Add(1)
+		go func() { defer s.wg.Done(); n.Run(start) }()
+	}
+	for _, e := range s.all {
+		s.spawn(e)
+	}
+}
+
+func (s *ReliableShare) spawn(e *EdgeSender) {
+	s.wg.Add(1)
+	go func() { defer s.wg.Done(); e.Run() }()
+}
+
+// Go runs f, a driver's own per-session goroutine (the daemon's ctl
+// listeners), under the join of Stop; f must return once Aborted closes.
+func (s *ReliableShare) Go(f func()) {
+	s.wg.Add(1)
+	go func() { defer s.wg.Done(); f() }()
+}
+
+// Aborted is closed by Stop: the teardown signal of everything the share
+// runs and of whatever blocks on its behalf.
+func (s *ReliableShare) Aborted() <-chan struct{} { return s.abort }
+
+// Stop tears the share down: abort, join every goroutine, then detach.
+// Detaching last means no NI or sender is left to trip over a retired
+// transport; it stops the network's receive pumps and unparks any
+// deliverer still blocked on an inbox gate. The inboxes are never read
+// again and are left to the collector, not closed.
+func (s *ReliableShare) Stop() {
+	close(s.abort)
+	s.wg.Wait()
+	s.detach()
+}
+
+// route returns the ACK-route cell of tree host v, nil outside the tree.
+func (s *ReliableShare) route(v int) *atomic.Pointer[EdgeSender] {
+	if i := sort.SearchInts(s.nodes, v); i < len(s.nodes) && s.nodes[i] == v {
+		return &s.routes[i]
+	}
+	return nil
+}
+
+// Route returns the incarnation that child's ACKs for frames from parent
+// go to, nil when this share runs none (frames still arriving from a
+// retired edge go unacknowledged, which nobody awaits). A host hangs off
+// one parent at a time, so the route is one cell per tree host.
+func (s *ReliableShare) Route(child, parent int) *EdgeSender {
+	if r := s.route(child); r != nil {
+		if e := r.Load(); e != nil && e.From() == parent {
+			return e
+		}
+	}
+	return nil
+}
+
+// Install brings up a fresh incarnation of edge a->b, a local: b's ACKs
+// are routed to it first, so the very first replayed frame can be
+// acknowledged, then a's NI takes the edge and replays every packet it
+// holds into it. Installing what is installed does nothing (orders are
+// re-sent); installing over another local parent's incarnation retires
+// that one first (the order to retire it was lost). When the dial fails —
+// a regraft on a closing network — there is no incarnation to run, and
+// Exhausted(a, b) is reported once, as for one that died.
+func (s *ReliableShare) Install(a, b int) {
+	r := s.route(b)
+	if r == nil {
+		return
+	}
+	if old := r.Load(); old != nil {
+		if old.From() == a {
+			return
+		}
+		s.Retire(old.From(), b)
+	}
+	e, err := s.newEdge(a, b)
+	if err != nil {
+		s.Go(func() { s.cfg.Exhausted(a, b) })
+		return
+	}
+	r.Store(e)
+	s.spawn(e)
+	s.nis[a].AddChild(e)
+}
+
+// Retire cancels the installed incarnation of edge a->b (harmless if it
+// already died) and detaches it from a's NI. Retiring what is not
+// installed does nothing.
+func (s *ReliableShare) Retire(a, b int) {
+	if e := s.Route(b, a); e != nil {
+		s.route(b).Store(nil)
+		e.Cancel()
+		s.nis[a].DelChild(b)
+	}
+}
+
+// Epoch returns the fence register.
+func (s *ReliableShare) Epoch() int { return int(s.epoch.Load()) }
+
+// SetEpoch raises the fence register to e; it never lowers it, so a
+// reordered or replayed announcement cannot reopen a fenced epoch.
+func (s *ReliableShare) SetEpoch(e int) {
+	if e > s.Epoch() {
+		s.epoch.Store(int64(e))
+	}
+}
+
+// NI returns local host v's NI, nil when v is not this share's.
+func (s *ReliableShare) NI(v int) *ReliableNI { return s.nis[v] }
+
+// Totals folds every incarnation's send count into its parent's record
+// (HostRecord.Sends) and sums the share's counters over local NIs and
+// incarnations, cancelled ones included: their traffic happened. Fenced
+// counts stale-epoch data frames and ACKs alike.
+func (s *ReliableShare) Totals() (sends, retransmits, duplicates, fenced int) {
+	for _, n := range s.nis {
+		n.Sends = 0
+		duplicates += n.Dups
+		fenced += n.Fenced
+	}
+	for _, e := range s.all {
+		s.nis[e.From()].Sends += e.Sends()
+		sends += e.Sends()
+		retransmits += e.Retransmits()
+		fenced += e.Fenced()
+	}
+	return
+}

@@ -231,3 +231,40 @@ func TestConfigRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestDialFailureNamesTheEdge builds a tree whose last host has no address
+// on the fabric: both engines must refuse to start, with an error naming
+// the edge that could not be dialed, and leave every local host detached
+// (a host left attached cannot be attached again).
+func TestDialFailureNamesTheEdge(t *testing.T) {
+	skipWithoutLoopback(t)
+	known := []int{0, 1, 2}
+	nw, err := link.NewLoopbackUDP(known, link.UDPConfig{Session: 0xD1A1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	pkts, err := message.Packetize(4, 0, testPayload(300), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Tree: tree.Linear([]int{0, 1, 2, 3}), Packets: pkts, MsgID: 4, Local: known, Net: nw,
+		Timeout: 10 * time.Second,
+	}
+	engines := map[string]func() (*Result, error){
+		"Run":         func() (*Result, error) { return Run(cfg) },
+		"RunReliable": func() (*Result, error) { return RunReliable(cfg, ReliableConfig{}) },
+	}
+	for name, run := range engines {
+		if res, err := run(); res != nil || err == nil || !strings.Contains(err.Error(), "mcastd: dial edge 2->3") {
+			t.Fatalf("%s over a fabric without host 3 = %v, %v; want an error naming edge 2->3", name, res, err)
+		}
+		for _, v := range known {
+			if err := nw.Attach(v, link.NewInbox(v, 1, 0)); err != nil {
+				t.Fatalf("%s left host %d attached: %v", name, v, err)
+			}
+			nw.Detach(v)
+		}
+	}
+}

@@ -4,8 +4,9 @@ package mcastd
 // internal/reliable proved the machinery on simulated time, live
 // RunReliable ported it onto goroutines and real timers, and here the
 // same protocol runs across OS processes over real UDP sockets. The
-// data plane is live's: EdgeSender (per-edge retransmission) and
-// ReliableNI (the receive loop) behind the link.Transport seam; the ctl
+// data plane is live's, whole: a live.ReliableShare — this process's
+// ReliableNIs and EdgeSender incarnations, their ACK routes, the epoch
+// register and the teardown — dialed over the socket fabric; the ctl
 // plane carries data ACKs, process heartbeats, and the root's repair
 // orders (GRAFT/KILL/EPOCH).
 //
@@ -21,9 +22,6 @@ package mcastd
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/live"
@@ -133,9 +131,10 @@ const (
 	evLocalExhausted             // a, b: edge — a local edge incarnation died
 )
 
-// drt is one process's share of a reliable run. In the root's process it
+// drt is the driver state of one process's share of a reliable run; the
+// data plane itself is the live.ReliableShare. In the root's process drt
 // is also the reliable.Runtime the repair brain drives: edges whose
-// parent is local are spawned and cancelled directly, the rest become
+// parent is local are the share's to install and retire, the rest become
 // GRAFT/KILL orders to the parent's process.
 type drt struct {
 	cfg      Config
@@ -144,18 +143,11 @@ type drt struct {
 	root     int
 	nodes    []int // the tree's hosts, ascending
 	start    time.Time
-	abort    chan struct{}
-	epoch    atomic.Int64
-	chaos    *link.Chaos
+	share    *live.ReliableShare
 	evs      chan dev
 	stopAckC chan int
-	wg       sync.WaitGroup
-	nis      map[int]*live.ReliableNI
-	reps     map[int]*live.HostRecord
 
 	// Coordinator-owned (single goroutine after start):
-	edges    map[[2]int]*live.EdgeSender // local-parent edge incarnations
-	allEdges []*live.EdgeSender
 	doneAckC map[int]chan struct{} // per local dest still awaiting the root's DONE-ACK
 	stopStat reliable.Status
 
@@ -174,11 +166,11 @@ type drt struct {
 	exhGen  map[[2]int]int
 }
 
-// event delivers one event to the coordinator. Droppable kinds (ACKs,
-// beats: both re-sent by protocol) are lossy on overflow so listeners
-// can never stall; the rest block until the coordinator drains.
+// event delivers one event to the coordinator. Beats (re-sent by
+// protocol) are lossy on overflow so listeners can never stall; the rest
+// block until the coordinator drains.
 func (rt *drt) event(e dev) {
-	if e.kind == ctlAck || e.kind == ctlBeat {
+	if e.kind == ctlBeat {
 		select {
 		case rt.evs <- e:
 		default:
@@ -187,17 +179,9 @@ func (rt *drt) event(e dev) {
 	}
 	select {
 	case rt.evs <- e:
-	case <-rt.abort:
+	case <-rt.share.Aborted():
 	}
 }
-
-func (rt *drt) bumpEpoch(e int) {
-	if e > int(rt.epoch.Load()) {
-		rt.epoch.Store(int64(e))
-	}
-}
-
-func (rt *drt) currentEpoch() int { return int(rt.epoch.Load()) }
 
 // RunReliable executes this process's share of a loss- and crash-
 // tolerant run: the plain engine's deployment shape with the live
@@ -227,97 +211,70 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 		m:        len(cfg.Packets),
 		root:     cfg.Tree.Root(),
 		nodes:    cfg.Tree.Nodes(),
-		abort:    make(chan struct{}),
-		chaos:    chaos,
-		nis:      map[int]*live.ReliableNI{},
-		reps:     map[int]*live.HostRecord{},
-		edges:    map[[2]int]*live.EdgeSender{},
 		doneAckC: map[int]chan struct{}{},
 		stopStat: reliable.Failed,
 		pendExh:  map[[2]int]int{},
 		exhGen:   map[[2]int]int{},
 	}
-	// Sized for the worst burst a listener can produce without the
-	// coordinator running: an ACK per (edge, packet) plus a few reports
-	// per host. ACKs and beats beyond it are dropped, never blocked on.
-	rt.evs = make(chan dev, 16*rt.m+8*len(rt.nodes)+64)
+	// Sized so that the reports a listener can produce without the
+	// coordinator running — a few per host — queue up instead of blocking
+	// it; beats beyond that are dropped, never blocked on.
+	rt.evs = make(chan dev, 8*len(rt.nodes)+64)
 	rt.stopAckC = make(chan int, len(rt.nodes)+4) // one STOP-ACK per host, plus repeats
-
-	capacity := 4*rt.m + 16
-	if cfg.BufferPackets > 0 {
-		capacity = cfg.BufferPackets
-	}
-	inboxes := map[int]*link.Inbox{}
-	ncfg := live.ReliableNIConfig{
-		MsgID:   cfg.MsgID,
-		Packets: rt.m,
-		Abort:   rt.abort,
-		Epoch:   rt.currentEpoch,
-		// The ACK rides ctl to the sending host; its process routes it to
-		// the edge.
-		Ack: func(host, from, seq, epoch int) {
-			rt.cfg.sendCtl(host, from, ctlFrame{kind: ctlAck, a: host, b: seq, c: epoch})
-		},
-		OnDone: func(host int, at time.Duration) {
-			rt.event(dev{ctlFrame: ctlFrame{kind: evLocalDone, a: host}, at: at})
-		},
-	}
 	for _, v := range cfg.Local {
-		inboxes[v] = link.NewInbox(v, capacity, cfg.BufferPackets)
-		ncfg.Host, ncfg.Root, ncfg.Inbox = v, v == rt.root, inboxes[v]
-		rt.nis[v] = live.NewReliableNI(ncfg)
-		rt.reps[v] = &live.HostRecord{Host: v}
 		if v != rt.root {
 			rt.doneAckC[v] = make(chan struct{})
+			continue
 		}
-	}
-	if rt.nis[rt.root] != nil {
-		det, err := rcfg.Heartbeat.NewDetector(rcfg.Faults.Seed, rt.nodes)
-		if err != nil {
+		if rt.det, err = rcfg.Heartbeat.NewDetector(rcfg.Faults.Seed, rt.nodes); err != nil {
 			return nil, err
 		}
-		rt.det = det
 		rt.brain = reliable.NewBrain(cfg.Tree, rcfg.MaxRegrafts, rt)
 		rt.brain.Logf = rt.cfg.logf
 		rt.doneSet = map[int]bool{}
 		rt.pendGraft = map[[2]int]bool{}
 		rt.exhSeen = map[[2]int]int{}
 	}
-	// Every process fences at the detector's initial epoch; only the
-	// root's announcements over ctl advance a non-root process.
-	rt.epoch.Store(1)
 
-	// Attach everything before dialing anything (link.AttachAll), then
-	// dial this process's share of the tree's edges: every edge whose
-	// parent is local, ascending per parent for a deterministic
-	// packet-major seeding order.
-	detachAll, err := link.AttachAll(cfg.Net, inboxes)
+	rt.share, err = live.NewReliableShare(live.ReliableShareConfig{
+		Tree:          cfg.Tree,
+		Local:         cfg.Local,
+		Network:       cfg.Net,
+		BufferPackets: cfg.BufferPackets,
+		Chaos:         chaos,
+		Edge: live.EdgeSenderConfig{
+			Packets:     cfg.Packets,
+			RTO:         rcfg.RTO,
+			RTOMax:      rcfg.RTOMax,
+			RetryBudget: rcfg.RetryBudget,
+			JitterSeed:  rcfg.Faults.Seed ^ 0x7a31_9c4d_11e8_5bf3,
+		},
+		NI: live.ReliableNIConfig{
+			MsgID: cfg.MsgID,
+			// The ACK rides ctl to the sending host, whose listener routes it
+			// to the edge.
+			Ack: func(host, from, seq, epoch int) {
+				rt.cfg.sendCtl(host, from, ctlFrame{kind: ctlAck, a: host, b: seq, c: epoch})
+			},
+			OnDone: func(host int, at time.Duration) {
+				rt.event(dev{ctlFrame: ctlFrame{kind: evLocalDone, a: host}, at: at})
+			},
+		},
+		// Budget exhaustion and transport death alike: the coordinator
+		// repairs around the edge, or reports it to the root.
+		Exhausted: func(a, b int) { rt.event(dev{ctlFrame: ctlFrame{kind: evLocalExhausted, a: a, b: b}}) },
+	})
 	if err != nil {
 		return nil, fmt.Errorf("mcastd: %w", err)
 	}
-	edges := cfg.Tree.Edges()
-	sort.Slice(edges, func(i, j int) bool { return edges[i].Child < edges[j].Child })
-	for _, e := range edges {
-		if rt.nis[e.Parent] == nil {
-			continue
-		}
-		es, err := rt.newEdge(e.Parent, e.Child)
-		if err != nil {
-			detachAll()
-			return nil, fmt.Errorf("mcastd: dial edge %d->%d: %w", e.Parent, e.Child, err)
-		}
-		rt.nis[e.Parent].Wire(es)
-	}
+	// Every process fences at the detector's initial epoch; only the
+	// root's announcements over ctl advance a non-root process.
+	rt.share.SetEpoch(1)
 
 	rt.start = time.Now()
-	chaos.Start(rt.start)
-	for v, n := range rt.nis {
-		rt.wg.Add(2)
-		go func(n *live.ReliableNI) { defer rt.wg.Done(); n.Run(rt.start) }(n)
-		go func(id int) { defer rt.wg.Done(); rt.listen(id) }(v)
-	}
-	for _, e := range rt.allEdges {
-		rt.spawn(e)
+	rt.share.Start(rt.start)
+	for _, v := range cfg.Local {
+		rt.share.Go(func() { rt.listen(v) })
 	}
 
 	var runErr error
@@ -326,84 +283,23 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	} else {
 		runErr = rt.destLoop()
 	}
-	close(rt.abort)
-	detachAll()
-	rt.wg.Wait()
-	for _, in := range inboxes {
-		in.Close()
-	}
+	rt.share.Stop()
 	return rt.assemble(runErr), runErr
 }
 
-// newEdge dials the edge a->b and wires an EdgeSender over the
-// chaos-wrapped transport. Budget exhaustion and transport death both
-// report to the coordinator, which repairs around the edge.
-func (rt *drt) newEdge(a, b int) (*live.EdgeSender, error) {
-	base, err := rt.cfg.Net.Dial(a, b)
-	if err != nil {
-		return nil, err
-	}
-	died := func() { rt.event(dev{ctlFrame: ctlFrame{kind: evLocalExhausted, a: a, b: b}}) }
-	e := live.NewEdgeSender(rt.chaos.Wrap(base), live.EdgeSenderConfig{
-		Packets:     rt.cfg.Packets,
-		RTO:         rt.rcfg.RTO,
-		RTOMax:      rt.rcfg.RTOMax,
-		RetryBudget: rt.rcfg.RetryBudget,
-		JitterSeed:  rt.rcfg.Faults.Seed ^ 0x7a31_9c4d_11e8_5bf3 ^ uint64(a+1)<<20 ^ uint64(b+1),
-		Abort:       rt.abort,
-		Epoch:       rt.currentEpoch,
-		OnExhausted: died,
-		OnDead:      func(error) { died() },
-	})
-	rt.edges[[2]int{a, b}] = e
-	rt.allEdges = append(rt.allEdges, e)
-	return e, nil
-}
-
-func (rt *drt) spawn(e *live.EdgeSender) {
-	rt.wg.Add(1)
-	go func() { defer rt.wg.Done(); e.Run() }()
-}
-
-// spawnEdge creates and starts a mid-run edge incarnation, announcing
-// it to the owning NI. Dial failures (closing network) surface as an
-// immediate exhaustion event instead of an edge.
-func (rt *drt) spawnEdge(a, b int) {
-	e, err := rt.newEdge(a, b)
-	if err != nil {
-		rt.event(dev{ctlFrame: ctlFrame{kind: evLocalExhausted, a: a, b: b}})
-		return
-	}
-	rt.spawn(e)
-	rt.nis[a].AddChild(e)
-}
-
-// dropLocalEdge retires a local edge incarnation (cancelling a sender
-// that already died is harmless) and detaches it from the owning NI.
-func (rt *drt) dropLocalEdge(a, b int) {
-	key := [2]int{a, b}
-	if e, ok := rt.edges[key]; ok {
-		delete(rt.edges, key)
-		e.Cancel()
-		rt.nis[a].DelChild(b)
-	}
-}
-
-// ackEdge routes a data ACK that reached local host e.host to the edge
-// it acknowledges.
-func (rt *drt) ackEdge(e dev) {
-	if es, ok := rt.edges[[2]int{e.host, e.a}]; ok {
-		es.Ack(live.EdgeAck{Seq: e.b, Epoch: e.c})
-	}
-}
-
 // listen turns host id's ctl frames into coordinator events, dropping
-// those this host has no business with. The fabric's ctl pump delivers
-// payload bytes only (the datagram's From is lost), so every message
-// carries the relevant hosts explicitly.
+// those this host has no business with; a data ACK skips the coordinator
+// and goes straight to the edge incarnation it acknowledges. The fabric's
+// ctl pump delivers payload bytes only (the datagram's From is lost), so
+// every message carries the relevant hosts explicitly.
 func (rt *drt) listen(id int) {
-	listenCtl(rt.cfg, id, rt.abort, func(f ctlFrame) {
+	listenCtl(rt.cfg, id, rt.share.Aborted(), func(f ctlFrame) {
 		switch f.kind {
+		case ctlAck:
+			if e := rt.share.Route(f.a, id); e != nil {
+				e.Ack(live.EdgeAck{Seq: f.b, Epoch: f.c})
+			}
+			return
 		case ctlBeat, ctlDone, ctlExhausted, ctlStopAck:
 			if id != rt.root {
 				return // reports to the root only
@@ -445,42 +341,38 @@ func (rt *drt) destLoop() error {
 			switch e.kind {
 			case evLocalDone:
 				rt.cfg.logf("host %d delivered at %v", e.a, e.at)
-				rt.wg.Add(1)
-				go func(h int, acked <-chan struct{}) {
-					defer rt.wg.Done()
-					reportDone(rt.cfg, h, acked, nil, rt.abort) // STOP ends the loop, and abort follows
-				}(e.a, rt.doneAckC[e.a])
+				acked := rt.doneAckC[e.a]
+				rt.share.Go(func() {
+					reportDone(rt.cfg, e.a, acked, nil, rt.share.Aborted()) // STOP ends the loop, and abort follows
+				})
 			case ctlDoneAck:
 				if c, ok := rt.doneAckC[e.host]; ok {
 					close(c)
 					delete(rt.doneAckC, e.host)
 				}
-			case ctlAck:
-				rt.ackEdge(e)
 			case ctlGraft:
-				rt.bumpEpoch(e.c)
-				if _, dup := rt.edges[key]; dup {
-					continue
+				rt.share.SetEpoch(e.c)
+				if rt.share.Route(e.b, e.a) == nil { // not a re-sent order
+					rt.cfg.logf("graft order: new edge %d->%d (epoch %d)", e.a, e.b, e.c)
+					rt.share.Install(e.a, e.b)
 				}
-				rt.cfg.logf("graft order: new edge %d->%d (epoch %d)", e.a, e.b, e.c)
-				rt.spawnEdge(e.a, e.b)
 			case ctlKill:
-				rt.bumpEpoch(e.c)
+				rt.share.SetEpoch(e.c)
 				delete(rt.pendExh, key) // KILL acknowledges EXHAUSTED
-				rt.dropLocalEdge(e.a, e.b)
+				rt.share.Retire(e.a, e.b)
 			case ctlEpoch:
-				rt.bumpEpoch(e.a)
+				rt.share.SetEpoch(e.a)
 			case evLocalExhausted:
-				rt.dropLocalEdge(e.a, e.b)
+				rt.share.Retire(e.a, e.b)
 				rt.exhGen[key]++
 				rt.pendExh[key] = rt.exhGen[key]
 				rt.cfg.logf("edge %d->%d exhausted (gen %d); reporting to root", e.a, e.b, rt.exhGen[key])
 				rt.cfg.sendCtl(e.a, rt.root, ctlFrame{kind: ctlExhausted, a: e.a, b: e.b, c: rt.exhGen[key]})
 			case ctlStop:
-				rt.bumpEpoch(e.a)
+				rt.share.SetEpoch(e.a)
 				rt.stopStat = e.status
 				rt.cfg.ackStop()
-				rt.cfg.logf("STOP received (status %v, epoch %d)", rt.stopStat, rt.currentEpoch())
+				rt.cfg.logf("STOP received (status %v, epoch %d)", rt.stopStat, rt.share.Epoch())
 				return nil
 			}
 		case <-hb.C:
@@ -501,7 +393,7 @@ func (rt *drt) destLoop() error {
 func (rt *drt) progress() string {
 	s := fmt.Sprintf("%d packets", rt.m)
 	for _, v := range rt.nodes {
-		if n := rt.nis[v]; n != nil && v != rt.root {
+		if n := rt.share.NI(v); n != nil && v != rt.root {
 			s += fmt.Sprintf(" host%d:%d", v, n.Held())
 		}
 	}
@@ -551,17 +443,17 @@ func (rt *drt) rootLoop() error {
 	orphaned, dests := rt.orphaned, len(rt.nodes)-1
 	var verdictErr error
 	rt.stopStat, verdictErr = reliable.Verdict(dests, orphaned, rt.crashed,
-		rt.rcfg.Quorum, rt.currentEpoch(), true, false)
+		rt.rcfg.Quorum, rt.share.Epoch(), true, false)
 	if timedOut {
 		rt.stopStat = reliable.Failed
 		verdictErr = fmt.Errorf("mcastd: watchdog after %v: %d/%d delivered, orphaned %v (fabric %+v)",
 			rt.cfg.Timeout, dests-len(orphaned), dests, orphaned, rt.cfg.Net.Stats())
 	}
-	rt.cfg.logf("verdict %v: %d/%d delivered, epoch %d", rt.stopStat, dests-len(orphaned), dests, rt.currentEpoch())
+	rt.cfg.logf("verdict %v: %d/%d delivered, epoch %d", rt.stopStat, dests-len(orphaned), dests, rt.share.Epoch())
 
 	// Acknowledged STOP to every remote host not confirmed dead,
 	// bounded by the drain deadline.
-	stopRemotes(rt.cfg, rt.Member, rt.stopAckC, rt.stopStat, rt.currentEpoch())
+	stopRemotes(rt.cfg, rt.Member, rt.stopAckC, rt.stopStat, rt.share.Epoch())
 	return verdictErr
 }
 
@@ -591,8 +483,6 @@ func (rt *drt) handleRoot(e dev) {
 		if rt.cfg.Tree.Contains(e.a) {
 			rt.pump.Beat(e.a, e.at)
 		}
-	case ctlAck:
-		rt.ackEdge(e)
 	case evLocalExhausted:
 		rt.cfg.logf("edge %d->%d exhausted; repairing", e.a, e.b)
 		rt.brain.Exhausted(e.a, e.b)
@@ -605,7 +495,7 @@ func (rt *drt) handleRoot(e dev) {
 		}
 		// Always acknowledge, even for a replayed gen or an edge no
 		// longer in the shape: the reporter retries until KILLed.
-		rt.cfg.sendCtl(rt.root, e.a, ctlFrame{kind: ctlKill, a: e.a, b: e.b, c: rt.currentEpoch()})
+		rt.cfg.sendCtl(rt.root, e.a, ctlFrame{kind: ctlKill, a: e.a, b: e.b, c: rt.share.Epoch()})
 	}
 }
 
@@ -614,7 +504,7 @@ func (rt *drt) handleRoot(e dev) {
 func (rt *drt) announceEpoch() {
 	for _, v := range rt.nodes {
 		if v != rt.root && !rt.cfg.Net.Local(v) && rt.Alive(v) {
-			rt.cfg.sendCtl(rt.root, v, ctlFrame{kind: ctlEpoch, a: rt.currentEpoch()})
+			rt.cfg.sendCtl(rt.root, v, ctlFrame{kind: ctlEpoch, a: rt.share.Epoch()})
 		}
 	}
 }
@@ -625,9 +515,9 @@ func (rt *drt) announceEpoch() {
 // adoption and then turned out to be alive).
 func (rt *drt) refreshTick() {
 	for key := range rt.pendGraft {
-		rt.cfg.sendCtl(rt.root, key[0], ctlFrame{kind: ctlGraft, a: key[0], b: key[1], c: rt.currentEpoch()})
+		rt.cfg.sendCtl(rt.root, key[0], ctlFrame{kind: ctlGraft, a: key[0], b: key[1], c: rt.share.Epoch()})
 	}
-	if rt.currentEpoch() > 1 {
+	if rt.share.Epoch() > 1 {
 		rt.announceEpoch()
 	}
 	var lost []int
@@ -646,9 +536,9 @@ func (rt *drt) refreshTick() {
 // adoption on confirmation, re-admission on rejoin. Epoch advances are
 // broadcast to remote survivors immediately (and re-sent each refresh).
 func (rt *drt) handleEvents(evs []membership.Event) {
-	before := rt.currentEpoch()
+	before := rt.share.Epoch()
 	for _, ev := range evs {
-		rt.bumpEpoch(ev.Epoch)
+		rt.share.SetEpoch(ev.Epoch)
 		h := ev.Host
 		switch ev.Kind {
 		case membership.Confirmed:
@@ -668,36 +558,36 @@ func (rt *drt) handleEvents(evs []membership.Event) {
 			}
 		}
 	}
-	if rt.currentEpoch() > before {
+	if rt.share.Epoch() > before {
 		rt.announceEpoch()
 	}
 }
 
 // Install, Retire, Alive, Member and Done make the root's drt the
-// brain's reliable.Runtime. A new edge is a local spawn when this
-// process owns its parent; otherwise a GRAFT order, tracked and re-sent
-// each refresh until the edge is superseded.
+// brain's reliable.Runtime. A new edge is the share's to install when
+// this process owns its parent; otherwise a GRAFT order, tracked and
+// re-sent each refresh until the edge is superseded.
 func (rt *drt) Install(a, b int) {
-	if rt.nis[a] != nil {
+	if rt.share.NI(a) != nil {
 		rt.cfg.logf("graft: new local edge %d->%d", a, b)
-		rt.spawnEdge(a, b)
+		rt.share.Install(a, b)
 		return
 	}
 	rt.cfg.logf("graft: ordering remote edge %d->%d", a, b)
 	rt.pendGraft[[2]int{a, b}] = true
-	rt.cfg.sendCtl(rt.root, a, ctlFrame{kind: ctlGraft, a: a, b: b, c: rt.currentEpoch()})
+	rt.cfg.sendCtl(rt.root, a, ctlFrame{kind: ctlGraft, a: a, b: b, c: rt.share.Epoch()})
 }
 
-// Retire cancels a local incarnation directly; a remote one receives a
-// best-effort KILL (benign if lost: a stale edge idles once its receiver
-// is re-parented, suppressed by dedup).
+// Retire has the share cancel a local incarnation; a remote one receives
+// a best-effort KILL (benign if lost: a stale edge idles once its
+// receiver is re-parented, suppressed by dedup).
 func (rt *drt) Retire(a, b int) {
 	delete(rt.pendGraft, [2]int{a, b})
-	if rt.nis[a] != nil {
-		rt.dropLocalEdge(a, b)
+	if rt.share.NI(a) != nil {
+		rt.share.Retire(a, b)
 		return
 	}
-	rt.cfg.sendCtl(rt.root, a, ctlFrame{kind: ctlKill, a: a, b: b, c: rt.currentEpoch()})
+	rt.cfg.sendCtl(rt.root, a, ctlFrame{kind: ctlKill, a: a, b: b, c: rt.share.Epoch()})
 }
 
 // Alive trusts the detector alone: a Suspect host is left out of repairs.
@@ -705,27 +595,21 @@ func (rt *drt) Alive(v int) bool  { return rt.det.Phase(v) == membership.Alive }
 func (rt *drt) Member(v int) bool { return rt.det.Phase(v) != membership.Crashed }
 func (rt *drt) Done(v int) bool   { return rt.doneSet[v] }
 
-// assemble builds the process's Result from quiescent state.
+// assemble builds the process's Result from quiescent state; the NIs'
+// records are the hosts' results.
 func (rt *drt) assemble(runErr error) *Result {
 	res := &Result{
-		Hosts:  rt.reps,
+		Hosts:  map[int]*live.HostRecord{},
 		Wall:   time.Since(rt.start),
 		Status: rt.stopStat,
-		Epoch:  rt.currentEpoch(),
+		Epoch:  rt.share.Epoch(),
 	}
 	if runErr != nil && rt.brain == nil {
 		res.Status = reliable.Failed
 	}
-	for v, n := range rt.nis {
-		rep := rt.reps[v]
-		rep.Recvs, rep.Data, rep.DoneAt = n.Recvs, n.Data, n.DoneAt
-		res.Duplicates += n.Dups
-		res.Fenced += n.Fenced
-	}
-	for _, e := range rt.allEdges {
-		res.Retransmits += e.Retransmits()
-		res.Fenced += e.Fenced()
-		rt.reps[e.From()].Sends += e.Sends()
+	_, res.Retransmits, res.Duplicates, res.Fenced = rt.share.Totals()
+	for _, v := range rt.cfg.Local {
+		res.Hosts[v] = &rt.share.NI(v).HostRecord
 	}
 	if rt.brain != nil {
 		res.Adoptions = rt.brain.Adoptions()

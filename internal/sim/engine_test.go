@@ -97,7 +97,7 @@ func TestMulticastAllocationRegression(t *testing.T) {
 	_, r, _ := testSystem(1)
 	tr := benchTree(2)
 	p := DefaultParams()
-	// Warm the carcass pool so steady-state behavior is measured.
+	// Warm the carcass free list so steady-state behavior is measured.
 	Multicast(r, tr, 8, p, stepsim.FPFS)
 	sends := float64(31 * 8)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -109,9 +109,9 @@ func TestMulticastAllocationRegression(t *testing.T) {
 	}
 }
 
-// TestEnginePoolDeterminism: the model's recycled carcass (modelPool) must
-// not leak state between runs — repeating a simulation on a warm pool
-// reproduces cold-pool results exactly.
+// TestEnginePoolDeterminism: the model's recycled carcass (modelFree) must
+// not leak state between runs — repeating a simulation on a warm carcass
+// reproduces cold-carcass results exactly.
 func TestEnginePoolDeterminism(t *testing.T) {
 	_, r, _ := testSystem(7)
 	tr := benchTree(3)

@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
+	"runtime"
 
 	"repro/internal/routing"
 	"repro/internal/stepsim"
@@ -188,8 +188,8 @@ func (w *worker) emit(a action) {
 
 // model is one packet-level run plus its recyclable carcass: session
 // tables, per-host NI state, channel occupancy, route cache and scheduler
-// lanes are drawn from a sync.Pool, so a steady-state run allocates only
-// what escapes to the caller (the result and its maps). Host state is
+// lanes are drawn from the modelFree list, so a steady-state run allocates
+// only what escapes to the caller (the result and its maps). Host state is
 // invalidated by epoch stamp, so a 100k-host table resets in O(involved
 // hosts), not O(hosts).
 type model struct {
@@ -238,9 +238,14 @@ type model struct {
 	crossed int
 }
 
-var modelPool = sync.Pool{New: func() any {
-	return &model{routes: make(map[[2]int]routing.Route)}
-}}
+// modelFree is the free list of run carcasses — host tables, session
+// tables, event heaps, the route cache — that the next run reuses. It is
+// owned, not a sync.Pool: a pool is emptied by the collector, which turned
+// a ~120-allocation 10k-host run into a ~19,600-allocation one whenever two
+// GC cycles fell between runs. More runs than GOMAXPROCS cannot be on a
+// CPU at once, so that many carcasses is all the list keeps; a run that
+// finds it full leaves its carcass to the collector.
+var modelFree = make(chan *model, runtime.GOMAXPROCS(0))
 
 // run executes sessions under the serial scheduler (cfg nil) or the
 // windowed one.
@@ -257,10 +262,18 @@ func run(router routing.Router, sessions []Session, p Params, disc stepsim.Disci
 	if len(sessions) == 0 {
 		panic("sim: no sessions")
 	}
-	e := modelPool.Get().(*model)
+	var e *model
+	select {
+	case e = <-modelFree:
+	default:
+		e = &model{routes: make(map[[2]int]routing.Route)}
+	}
 	defer func() {
 		e.specs, e.faults, e.res, e.trace, e.cfgRoutes = nil, nil, nil, nil, nil
-		modelPool.Put(e)
+		select {
+		case modelFree <- e:
+		default:
+		}
 	}()
 	e.p, e.disc, e.traced, e.faults = p, disc, traced, faults
 	e.wire, e.ports = p.WireTime(), int32(p.Ports())
