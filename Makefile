@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check surface staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak bench bench-build examples ci figures clean live-race lines
+.PHONY: all build test race vet fmt check surface staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak fuzz bench bench-build examples ci figures clean live-race lines
 
 all: check
 
@@ -134,6 +134,21 @@ psim-soak:
 	$(GO) test -race -count=1 ./internal/psim ./internal/sim
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 13 -workers 1 -only psim-matches-sim
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 13 -workers 4 -only psim-matches-sim
+
+# Fuzz: tier-1 only replays the checked-in seeds of the six fuzz targets —
+# every decoder that reads bytes off a wire (message header, packet,
+# datagram, daemon ctl frame) and the packetize/corrupt/reassemble
+# contracts. This mutates from them for FUZZTIME each, one target at a time
+# (`go test -fuzz` takes one target of one package per run). A crasher is
+# written under the package's testdata/fuzz: fix it and check the file in.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeHeader$$' -fuzztime $(FUZZTIME) ./internal/message
+	$(GO) test -run '^$$' -fuzz '^FuzzReassemblerAdd$$' -fuzztime $(FUZZTIME) ./internal/message
+	$(GO) test -run '^$$' -fuzz '^FuzzCorruptedPacket$$' -fuzztime $(FUZZTIME) ./internal/message
+	$(GO) test -run '^$$' -fuzz '^FuzzPacketizeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/message
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDatagram$$' -fuzztime $(FUZZTIME) ./internal/live/link
+	$(GO) test -run '^$$' -fuzz '^FuzzCtl$$' -fuzztime $(FUZZTIME) ./internal/mcastd
 
 # Bench: the Go micro-benchmarks, raw `go test -bench` output on stdout —
 # the engine event-loop, harness-throughput, reliable-delivery, daemon,

@@ -59,20 +59,25 @@ func (hs *HostSession) Forward(pkt []byte, abort <-chan struct{}) error {
 }
 
 // Serve handles one admitted packet end to end: record the arrival,
-// forward first (the copy engine runs ahead of host delivery), then
-// reassemble locally. done is true exactly once, on the packet that
-// completes the message, after Data and DoneAt (measured from start) are
-// stamped. The sender's buffer-slot reservation covers all of this — the
-// packet's full service residency, like the simulator's — so the caller
-// releases the slot only after Serve returns.
-func (hs *HostSession) Serve(pkt []byte, from, seq int, abort <-chan struct{}, start time.Time) (done bool, err error) {
+// forward first (the copy engine runs ahead of host delivery), then verify
+// and reassemble locally. h is the header the caller decoded from pkt to
+// find the session; it is not decoded again. done is true exactly once, on
+// the packet that completes the message, after Data and DoneAt (measured
+// from start) are stamped. The sender's buffer-slot reservation covers all
+// of this — the packet's full service residency, like the simulator's — so
+// the caller releases the slot only after Serve returns.
+func (hs *HostSession) Serve(h message.Header, pkt []byte, from int, abort <-chan struct{}, start time.Time) (done bool, err error) {
 	hs.Recvs++
-	hs.Arrivals = append(hs.Arrivals, Arrival{Packet: seq, From: from})
+	hs.Arrivals = append(hs.Arrivals, Arrival{Packet: int(h.Seq), From: from})
 	if err = hs.Forward(pkt, abort); err != nil {
 		return false, err
 	}
-	if done, err = hs.reasm.Add(pkt); err != nil {
-		return false, fmt.Errorf("live: host %d: packet %d from %d: %v", hs.Host, seq, from, err)
+	body, err := h.Verify(pkt)
+	if err == nil {
+		done, err = hs.reasm.Put(h, body)
+	}
+	if err != nil {
+		return false, fmt.Errorf("live: host %d: packet %d from %d: %v", hs.Host, h.Seq, from, err)
 	}
 	if done {
 		hs.Data = hs.reasm.Bytes()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -58,6 +59,16 @@ func fakeSession(children ...int) (*HostSession, []*fakeEdge, *[]string) {
 	}
 	hs := NewHostSession(7, links)
 	return &hs, edges, log
+}
+
+// serveFrom does what every plain NI does with an admitted packet: decode
+// the header once, to find the session, and hand both to Serve.
+func serveFrom(hs *HostSession, pkt []byte, from int, abort <-chan struct{}, start time.Time) (bool, error) {
+	h, err := message.DecodeHeader(pkt)
+	if err != nil {
+		return false, err
+	}
+	return hs.Serve(h, pkt, from, abort, start)
 }
 
 func TestHostSession(t *testing.T) {
@@ -118,7 +129,7 @@ func TestHostSession(t *testing.T) {
 		if hs.Sends != 0 || len(*log) != 0 {
 			t.Fatalf("aborted forward left Sends = %d, log %q", hs.Sends, *log)
 		}
-		if done, err := hs.Serve(pkts[0], 0, 0, closed, time.Now()); done || err != link.ErrAborted {
+		if done, err := serveFrom(hs, pkts[0], 0, closed, time.Now()); done || err != link.ErrAborted {
 			t.Fatalf("Serve under a closed abort = %v, %v; want false, link.ErrAborted", done, err)
 		}
 	})
@@ -136,7 +147,7 @@ func TestHostSession(t *testing.T) {
 		}
 		start := time.Now()
 		for j, pkt := range pkts {
-			done, err := hs.Serve(pkt, 2, j, open, start)
+			done, err := serveFrom(hs, pkt, 2, open, start)
 			if err != nil {
 				t.Fatalf("Serve(%d): %v", j, err)
 			}
@@ -158,7 +169,7 @@ func TestHostSession(t *testing.T) {
 		// A replayed packet is a protocol error and restamps nothing.
 		edges[0].onSend = nil
 		doneAt := hs.DoneAt
-		if done, err := hs.Serve(pkts[0], 2, 0, open, start); done || err == nil || !strings.Contains(err.Error(), "host 7") {
+		if done, err := serveFrom(hs, pkts[0], 2, open, start); done || err == nil || !strings.Contains(err.Error(), "host 7") {
 			t.Fatalf("replayed packet: done %v, err %v; want an error naming host 7", done, err)
 		}
 		if hs.DoneAt != doneAt || !bytes.Equal(hs.Data, data) {
@@ -166,10 +177,27 @@ func TestHostSession(t *testing.T) {
 		}
 	})
 
+	t.Run("a damaged packet is forwarded, then rejected here", func(t *testing.T) {
+		for name, damage := range map[string]func([]byte) []byte{
+			"payload bit":  func(p []byte) []byte { p[len(p)-1] ^= 0x10; return p },
+			"epoch bit":    func(p []byte) []byte { p[19] ^= 0x01; return p },
+			"missing byte": func(p []byte) []byte { return p[:len(p)-1] },
+		} {
+			hs, _, log := fakeSession(4)
+			bad := damage(append([]byte(nil), pkts[0]...))
+			if done, err := serveFrom(hs, bad, 2, open, time.Now()); done || err == nil || !strings.Contains(err.Error(), "host 7") {
+				t.Fatalf("%s: done %v, err %v; want an error naming host 7", name, done, err)
+			}
+			if held, _ := hs.reasm.Progress(); held != 0 || hs.Sends != 1 || strings.Join(*log, " ") != "4:0" {
+				t.Fatalf("%s: %d held, %d sends, child saw %q; want the copy forwarded and nothing held", name, held, hs.Sends, *log)
+			}
+		}
+	})
+
 	t.Run("a packet that could not be forwarded is not delivered", func(t *testing.T) {
 		hs, edges, _ := fakeSession(4)
 		edges[0].failAt, edges[0].err = 1, errors.New("wire cut")
-		if done, err := hs.Serve(pkts[0], 2, 0, open, time.Now()); done || err == nil {
+		if done, err := serveFrom(hs, pkts[0], 2, open, time.Now()); done || err == nil {
 			t.Fatalf("Serve over a dead edge: done %v, err %v", done, err)
 		}
 		if held, _ := hs.reasm.Progress(); held != 0 || hs.Recvs != 1 || hs.Sends != 0 {
@@ -254,5 +282,43 @@ func TestRunSurfacesTransportFailure(t *testing.T) {
 		if len(nw.detached) != tr.Size() {
 			t.Fatalf("send %d cut: %d of %d hosts detached", k, len(nw.detached), tr.Size())
 		}
+	}
+}
+
+// TestHostSessionCopiesOnce: between the inbox and HostRecord.Data a
+// destination copies each payload byte once, into the one buffer that then
+// is Data — so serving a message allocates about the message (plus
+// per-packet flags and the Arrivals log), not a copy per packet and a
+// concatenation on top.
+func TestHostSessionCopiesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes inlining and with it escape analysis")
+	}
+	const packets, chunk = 64, 4096
+	pkts, err := message.Packetize(5, 0, payloadBytes(packets*chunk), message.HeaderSize+chunk)
+	if err != nil || len(pkts) != packets {
+		t.Fatalf("Packetize: %d packets, %v", len(pkts), err)
+	}
+	open, start := make(chan struct{}), time.Now()
+	serveAll := func() {
+		hs := NewHostSession(7, nil)
+		for _, pkt := range pkts {
+			if _, err := serveFrom(&hs, pkt, 0, open, start); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(hs.Data) != packets*chunk {
+			t.Fatalf("delivered %d bytes", len(hs.Data))
+		}
+	}
+	if n := testing.AllocsPerRun(20, serveAll); n > 12 {
+		t.Errorf("serving %d packets allocates %v times, want <= 12", packets, n)
+	}
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	serveAll()
+	goruntime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > packets*chunk*5/4 {
+		t.Errorf("serving a %d-byte message allocates %d bytes", packets*chunk, got)
 	}
 }

@@ -473,10 +473,9 @@ type rcvState struct {
 	from     int
 	inc      uint32
 	addr     *net.UDPAddr
-	nextSeq  uint32   // next absolute fragment sequence expected
-	expect   uint16   // next fragment index of the packet being reassembled
-	parts    [][]byte // fragments held so far
-	held     int      // payload bytes in parts
+	nextSeq  uint32 // next absolute fragment sequence expected
+	expect   uint16 // next fragment index of the packet being reassembled
+	pkt      []byte // that packet so far: its fragments arrive in order or not at all
 	q        chan []byte
 	consumed atomic.Uint32
 }
@@ -548,7 +547,7 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 				n.resync.Add(1)
 				rs.consumed.Add(h.Seq - rs.nextSeq)
 				rs.nextSeq = h.Seq
-				rs.parts, rs.held, rs.expect = nil, 0, 0
+				rs.pkt, rs.expect = nil, 0
 				ep.sendCredit(credit, rs)
 			}
 			rs.nextSeq++
@@ -557,31 +556,28 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 				// packet (a headless tail after loss). Unrecoverable:
 				// account it and move on.
 				n.resync.Add(1)
-				rs.parts, rs.held, rs.expect = nil, 0, 0
+				rs.pkt, rs.expect = nil, 0
 				if h.Frag != 0 {
 					rs.consumed.Add(1)
 					ep.sendCredit(credit, rs)
 					continue
 				}
 			}
-			chunk := make([]byte, len(payload))
-			copy(chunk, payload)
-			rs.parts = append(rs.parts, chunk)
-			rs.held += len(chunk)
+			if h.Frag == 0 {
+				// One buffer per packet, each fragment copied once: all but
+				// the last are the size of the first. The header's claim is
+				// checksummed, not trusted, hence the cap.
+				rs.pkt = make([]byte, 0, min(int(h.Frags)*len(payload), maxDatagram))
+			}
+			rs.pkt = append(rs.pkt, payload...)
 			rs.expect++
 			if h.Frag+1 < h.Frags {
 				rs.consumed.Add(1)
 				ep.sendCredit(credit, rs)
 				continue
 			}
-			pkt := chunk
-			if len(rs.parts) > 1 {
-				pkt = make([]byte, 0, rs.held)
-				for _, p := range rs.parts {
-					pkt = append(pkt, p...)
-				}
-			}
-			rs.parts, rs.held, rs.expect = nil, 0, 0
+			pkt := rs.pkt
+			rs.pkt, rs.expect = nil, 0
 			select {
 			case rs.q <- pkt:
 				// The final fragment is credited by the deliverer once the
@@ -756,12 +752,12 @@ func (t *UDPTransport) waitWindow(abort <-chan struct{}) error {
 
 // sendProbe asks the receiver to restate its cumulative credit.
 func (t *UDPTransport) sendProbe() {
-	var scratch [dgHeaderSize]byte
-	dg := appendDatagram(scratch[:0], dgHeader{
+	// t.buf is idle here: Send encodes into it only once the window has room.
+	t.buf = appendDatagram(t.buf[:0], dgHeader{
 		Kind: dgProbe, From: uint16(t.from), To: uint16(t.to),
 		Session: t.ep.n.cfg.Session, Epoch: t.inc, Seq: t.seq, Frags: 1,
 	}, nil)
-	t.ep.conn.WriteToUDP(dg, t.peer)
+	t.ep.conn.WriteToUDP(t.buf, t.peer)
 }
 
 // write puts one datagram on the wire, briefly retrying the transient

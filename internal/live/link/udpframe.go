@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 )
 
 // This file is the datagram wire format of the UDP transport (udp.go):
@@ -11,7 +12,7 @@ import (
 // credits, credit probes, daemon control traffic — carries one fixed
 // 34-byte header followed by an optional payload. The format is
 // deliberately in the style of internal/message's packet header (a tiny
-// versioned binary header with an FNV-1a checksum over everything), but
+// versioned binary header with a CRC-32C checksum over everything), but
 // it frames a *hop*, not a message: the payload of a data datagram is a
 // fragment of one wire-format packet, and the message-level header rides
 // inside it untouched.
@@ -31,7 +32,7 @@ import (
 //	 24    2 fragment index within the wire packet
 //	 26    2 fragment count of the wire packet
 //	 28    2 payload length
-//	 30    4 FNV-1a checksum over header (this field zeroed) + payload
+//	 30    4 CRC-32C over header (this field read as zero) + payload
 //
 // The epoch field decouples transport incarnations the way the message
 // header's epoch decouples membership views: every Dial mints a fresh
@@ -48,14 +49,17 @@ const (
 )
 
 // DatagramVersion is the wire-format revision; receivers drop datagrams
-// of any other version (ErrWrongVersion from the decoder).
-const DatagramVersion = 1
+// of any other version (ErrWrongVersion from the decoder). Version 1
+// carried an FNV-1a checksum in the same field.
+const DatagramVersion = 2
 
 const (
 	dgMagic0 = 'M'
 	dgMagic1 = 'C'
-	// dgHeaderSize is the fixed framing overhead per datagram.
+	// dgHeaderSize is the fixed framing overhead per datagram; its last
+	// four bytes, from dgSumOff, are the checksum.
 	dgHeaderSize = 34
+	dgSumOff     = 30
 	// maxDatagram bounds what the receive pump will read — the UDP
 	// payload ceiling.
 	maxDatagram = 64 * 1024
@@ -82,26 +86,19 @@ type dgHeader struct {
 	Length  uint16
 }
 
-// dgChecksum is FNV-1a over the header bytes with the checksum field
-// zeroed, then the payload — the same construction internal/message uses.
-func dgChecksum(hdr, payload []byte) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i, b := range hdr {
-		if i >= 30 && i < 34 {
-			b = 0
-		}
-		h ^= uint32(b)
-		h *= prime
-	}
-	for _, b := range payload {
-		h ^= uint32(b)
-		h *= prime
-	}
-	return h
+var (
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	// zeroSum stands in for the checksum field while a datagram is summed:
+	// a package-level slice, because what crc32.Update is handed escapes.
+	zeroSum = make([]byte, 4)
+)
+
+// dgChecksum sums one encoded datagram in place, the checksum field read
+// as zero — the same construction internal/message uses.
+func dgChecksum(dg []byte) uint32 {
+	c := crc32.Update(0, castagnoli, dg[:dgSumOff])
+	c = crc32.Update(c, castagnoli, zeroSum)
+	return crc32.Update(c, castagnoli, dg[dgHeaderSize:])
 }
 
 // appendDatagram encodes one datagram (header + payload) into dst,
@@ -125,8 +122,7 @@ func appendDatagram(dst []byte, h dgHeader, payload []byte) []byte {
 	binary.BigEndian.PutUint16(b[26:28], h.Frags)
 	binary.BigEndian.PutUint16(b[28:30], uint16(len(payload)))
 	dst = append(dst, payload...)
-	sum := dgChecksum(dst[base:base+dgHeaderSize], payload)
-	binary.BigEndian.PutUint32(dst[base+30:base+34], sum)
+	binary.BigEndian.PutUint32(dst[base+dgSumOff:], dgChecksum(dst[base:]))
 	return dst
 }
 
@@ -169,9 +165,8 @@ func decodeDatagram(b []byte) (dgHeader, []byte, error) {
 		return h, nil, fmt.Errorf("%w: length field %d, datagram carries %d payload bytes",
 			ErrBadDatagram, h.Length, len(b)-dgHeaderSize)
 	}
-	payload := b[dgHeaderSize:]
-	if sum := dgChecksum(b[:dgHeaderSize], payload); sum != binary.BigEndian.Uint32(b[30:34]) {
+	if dgChecksum(b) != binary.BigEndian.Uint32(b[dgSumOff:]) {
 		return h, nil, fmt.Errorf("%w: checksum mismatch", ErrBadDatagram)
 	}
-	return h, payload, nil
+	return h, b[dgHeaderSize:], nil
 }

@@ -145,7 +145,7 @@ func (n *ni) serve(f link.Frame) error {
 		return fmt.Errorf("live: host %d: frame for unknown session %d from %d", n.host, h.MsgID, f.From)
 	}
 	n.rt.trace(ns, "deliver", f.From, int(h.Seq))
-	done, err := ns.Serve(f.Payload, f.From, int(h.Seq), n.rt.abort, n.rt.start)
+	done, err := ns.Serve(h, f.Payload, f.From, n.rt.abort, n.rt.start)
 	if err != nil {
 		return err
 	}

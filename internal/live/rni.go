@@ -60,8 +60,8 @@ type niCtl struct {
 
 // ReliableNI is one host's loss- and crash-tolerant network interface: a
 // single goroutine selecting over the inbox wire, tree-shape updates from
-// the supervisor, and its heartbeat tick. Per frame it decodes, verifies
-// the checksum, fences stale epochs, ACKs, suppresses duplicates,
+// the supervisor, and its heartbeat tick. Per frame it validates
+// (message.Parse, once), fences stale epochs, ACKs, suppresses duplicates,
 // forwards novel packets to every child edge the moment they arrive
 // (FPFS) and reassembles. AddChild and DelChild may be called from the
 // supervisor goroutine; everything else belongs to Run, and the exported
@@ -80,14 +80,13 @@ type ReliableNI struct {
 	Fenced     int           // stale-epoch frames discarded
 	CrashDrops int           // frames eaten while down
 
-	cfg       ReliableNIConfig
-	ctl       chan niCtl
-	start     time.Time
-	children  []*EdgeSender
-	got       []bool              // per-packet dedup bitmap
-	reasm     message.Reassembler // idle at the root, which owns the original
-	wasDown   bool
-	completed bool
+	cfg      ReliableNIConfig
+	ctl      chan niCtl
+	start    time.Time
+	children []*EdgeSender
+	got      []bool              // per-packet dedup bitmap
+	reasm    message.Reassembler // idle at the root, which owns the original
+	wasDown  bool
 }
 
 // NewReliableNI builds the NI; ReliableShare, its one caller, wires its
@@ -105,7 +104,6 @@ func NewReliableNI(cfg ReliableNIConfig) *ReliableNI {
 		for j := range n.got {
 			n.got[j] = true
 		}
-		n.completed = true
 	}
 	return n
 }
@@ -218,18 +216,15 @@ func (n *ReliableNI) serve(f link.Frame) {
 			if !n.cfg.Root {
 				n.got = make([]bool, n.cfg.Packets)
 				n.reasm = message.Reassembler{}
-				n.completed = false
 				n.cfg.OnRejoin(n.cfg.Host, now)
 			}
 		}
 	}
-	h, err := message.DecodeHeader(f.Payload)
-	if err != nil || h.MsgID != n.cfg.MsgID || int(h.Seq) >= n.cfg.Packets ||
-		len(f.Payload) != message.HeaderSize+int(h.Payload) {
-		return // undecodable or foreign: drop; retransmission recovers
-	}
-	if h.PacketChecksum(f.Payload[message.HeaderSize:]) != h.Checksum {
-		return // corrupted in transit: drop silently
+	// Undecodable, corrupted in transit or foreign: drop silently;
+	// retransmission recovers.
+	h, body, err := message.Parse(f.Payload)
+	if err != nil || h.MsgID != n.cfg.MsgID || int(h.Seq) >= n.cfg.Packets {
+		return
 	}
 	g := n.cfg.Epoch()
 	if int(h.Epoch) < g {
@@ -256,11 +251,10 @@ func (n *ReliableNI) serve(f link.Frame) {
 	for _, ce := range n.children {
 		ce.Enqueue(seq)
 	}
-	if !n.completed {
-		if done, err := n.reasm.Add(f.Payload); err == nil && done {
-			n.completed = true
-			n.Data, n.DoneAt = n.reasm.Bytes(), time.Since(n.start)
-			n.cfg.OnDone(n.cfg.Host, n.DoneAt)
-		}
+	// Novel, so the message was incomplete until now (and this is not the
+	// root, which holds every packet from the start).
+	if done, err := n.reasm.Put(h, body); err == nil && done {
+		n.Data, n.DoneAt = n.reasm.Bytes(), time.Since(n.start)
+		n.cfg.OnDone(n.cfg.Host, n.DoneAt)
 	}
 }

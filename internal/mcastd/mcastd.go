@@ -332,7 +332,7 @@ func serve(h *host, cfg Config, m int, start time.Time,
 		if hd.MsgID != cfg.MsgID {
 			return fmt.Errorf("mcastd: host %d: packet for unknown message %d", h.Host, hd.MsgID)
 		}
-		done, err := h.Serve(f.Payload, f.From, int(hd.Seq), abort, start)
+		done, err := h.Serve(hd, f.Payload, f.From, abort, start)
 		if err != nil {
 			return fmt.Errorf("mcastd: %w", err)
 		}

@@ -30,7 +30,8 @@ func FuzzDecodeHeader(f *testing.F) {
 }
 
 // FuzzReassemblerAdd ensures arbitrary packets never panic the
-// reassembler, and that valid single-packet messages always complete.
+// reassembler, that valid single-packet messages always complete, and that
+// what comes out is as long as what was accepted.
 func FuzzReassemblerAdd(f *testing.F) {
 	pkts, _ := Packetize(1, 0, []byte("seed payload for the fuzzer"), 48)
 	for _, p := range pkts {
@@ -50,17 +51,18 @@ func FuzzReassemblerAdd(f *testing.F) {
 		if done != (total == 1) {
 			t.Fatalf("completion flag inconsistent: done=%v total=%d", done, total)
 		}
-		if done {
-			_ = r.Bytes() // must not panic when complete
+		if done && len(r.Bytes()) != len(pkt)-HeaderSize {
+			t.Fatalf("accepted %d payload bytes, reassembled %d", len(pkt)-HeaderSize, len(r.Bytes()))
 		}
 	})
 }
 
 // FuzzCorruptedPacket is the fault-plane contract of the data plane: a
-// packet mutated anywhere — header bytes and payload bytes alike — is
-// either rejected by the checksum or is semantically identical to the
-// original (the flip landed in reserved padding). A corrupted packet must
-// never be mis-reassembled into the wrong slot, message, or content.
+// packet with one byte mutated anywhere — header, reserved padding and
+// payload alike — is rejected (CRC-32C over the wire bytes detects every
+// error burst of up to 32 bits), and the original still completes the
+// message. A corrupted packet must never be mis-reassembled into the wrong
+// slot, message, or content.
 func FuzzCorruptedPacket(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), 48, 3, byte(0x40))
 	f.Add([]byte{}, 21, 0, byte(1))
@@ -88,24 +90,11 @@ func FuzzCorruptedPacket(f *testing.F) {
 				}
 			}
 		}
-		if _, err := r.Add(mut); err != nil {
-			// Rejected: the original must still complete the message.
-			if _, err := r.Add(orig); err != nil {
-				t.Fatalf("original packet rejected after corrupt attempt: %v", err)
-			}
-		} else {
-			// Accepted: the mutation must have been semantically invisible.
-			hOrig, _ := DecodeHeader(orig)
-			hMut, err := DecodeHeader(mut)
-			if err != nil {
-				t.Fatalf("accepted packet no longer decodes: %v", err)
-			}
-			if hMut != hOrig {
-				t.Fatalf("semantically different corrupt packet accepted: %+v vs %+v", hMut, hOrig)
-			}
-			if !bytes.Equal(mut[HeaderSize:], orig[HeaderSize:]) {
-				t.Fatal("corrupt payload accepted")
-			}
+		if _, err := r.Add(mut); err == nil {
+			t.Fatalf("packet %d accepted with byte %d xor %#02x", idx, off, mask)
+		}
+		if _, err := r.Add(orig); err != nil {
+			t.Fatalf("original packet rejected after corrupt attempt: %v", err)
 		}
 		if !r.Complete() {
 			t.Fatal("message did not complete")

@@ -139,6 +139,168 @@ func TestPacketizeErrors(t *testing.T) {
 	if _, err := Packetize(1, 0, big, 64); err == nil {
 		t.Error("sequence-space overflow accepted")
 	}
+	// The header's length field is 16 bits: one byte more per packet used
+	// to be truncated silently into packets Add rejects.
+	if _, err := Packetize(1, 0, make([]byte, 100000), HeaderSize+0xFFFF+1); err == nil {
+		t.Error("payload size beyond the 16-bit length field accepted")
+	}
+	pkts, err := Packetize(1, 0, make([]byte, 100000), HeaderSize+0xFFFF)
+	if err != nil || len(pkts) != 2 {
+		t.Fatalf("largest packet size: %d packets, %v", len(pkts), err)
+	}
+	r := NewReassembler()
+	for _, p := range pkts {
+		if _, err := r.Add(p); err != nil {
+			t.Fatalf("largest packet size: %v", err)
+		}
+	}
+}
+
+// packet builds one valid wire packet with an arbitrary header, for shapes
+// Packetize never emits.
+func packet(h Header, body []byte) []byte {
+	h.Payload = uint16(len(body))
+	return seal(append(h.Encode(nil), body...))
+}
+
+// TestReassemblerAnyOrder delivers a four-packet message (three full
+// packets and a short last one) in every order — last packet first and full
+// reversal among them — and a one-byte-short variant whose last packet is
+// full.
+func TestReassemblerAnyOrder(t *testing.T) {
+	for _, size := range []int{3*10 + 4, 4 * 10} {
+		data := make([]byte, size)
+		rand.New(rand.NewSource(int64(size))).Read(data)
+		pkts, err := Packetize(1, 0, data, HeaderSize+10)
+		if err != nil || len(pkts) != 4 {
+			t.Fatalf("Packetize: %d packets, %v", len(pkts), err)
+		}
+		var permute func(order []int, rest []int)
+		permute = func(order, rest []int) {
+			if len(rest) == 0 {
+				r := NewReassembler()
+				for i, j := range order {
+					done, err := r.Add(pkts[j])
+					if err != nil || done != (i == 3) {
+						t.Fatalf("order %v, packet %d: done %v, err %v", order, j, done, err)
+					}
+				}
+				if !bytes.Equal(r.Bytes(), data) {
+					t.Fatalf("order %v: reassembled %x, want %x", order, r.Bytes(), data)
+				}
+				return
+			}
+			for i := range rest {
+				next := append(append([]int(nil), rest[:i]...), rest[i+1:]...)
+				permute(append(order, rest[i]), next)
+			}
+		}
+		permute(nil, []int{0, 1, 2, 3})
+	}
+}
+
+// TestReassemblerRejectsMisfits: every packet but the last carries the same
+// payload size and the last no more, whichever arrives first.
+func TestReassemblerRejectsMisfits(t *testing.T) {
+	h := Header{MsgID: 1, Total: 4}
+	at := func(seq uint16, n int) []byte {
+		h.Seq = seq
+		return packet(h, make([]byte, n))
+	}
+	for _, tc := range []struct {
+		name string
+		ok   [][]byte
+		bad  []byte
+	}{
+		{"a second size among the full packets", [][]byte{at(0, 8)}, at(2, 7)},
+		{"a last packet longer than the others", [][]byte{at(1, 8)}, at(3, 9)},
+		{"a full packet shorter than the last, which came first", [][]byte{at(3, 9)}, at(0, 8)},
+		{"an empty packet before the last", nil, at(1, 0)},
+	} {
+		r := NewReassembler()
+		for _, p := range tc.ok {
+			if _, err := r.Add(p); err != nil {
+				t.Fatalf("%s: setup: %v", tc.name, err)
+			}
+		}
+		if _, err := r.Add(tc.bad); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if got, _ := r.Progress(); got != len(tc.ok) {
+			t.Errorf("%s: the rejected packet was counted: %d held", tc.name, got)
+		}
+	}
+}
+
+// TestReassemblerBoundedMemory: what a reassembler holds follows the bytes
+// it has accepted, not the extent a header claims. The hostile case is one
+// well-formed packet of a 65,535 x 65,535-byte message (4 GiB); the honest
+// ones are a message larger than reasmPrealloc arriving in order (never
+// held aside, so each byte is copied once), backwards, and with its first
+// packet last (a retransmission).
+func TestReassemblerBoundedMemory(t *testing.T) {
+	footprint := func(r *Reassembler) int {
+		n := cap(r.buf) + cap(r.have)
+		for _, body := range r.held {
+			n += cap(body)
+		}
+		return n
+	}
+	r := NewReassembler()
+	if _, err := r.Add(packet(Header{MsgID: 1, Seq: 65533, Total: 65535}, make([]byte, 65535))); err != nil {
+		t.Fatal(err)
+	}
+	if got := footprint(r); got > reasmPrealloc+3*65535 {
+		t.Fatalf("one packet of a claimed 4 GiB message holds %d bytes", got)
+	}
+
+	const chunk = 4096
+	data := make([]byte, 3*reasmPrealloc+100)
+	rand.New(rand.NewSource(3)).Read(data)
+	pkts, err := Packetize(1, 0, data, HeaderSize+chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := len(pkts)
+	orders := map[string]func(i int) int{
+		"in order":          func(i int) int { return i },
+		"backwards":         func(i int) int { return m - 1 - i },
+		"first packet last": func(i int) int { return (i + 1) % m },
+	}
+	for name, order := range orders {
+		r := NewReassembler()
+		for i := 0; i < m; i++ {
+			if _, err := r.Add(pkts[order(i)]); err != nil {
+				t.Fatalf("%s: packet %d: %v", name, order(i), err)
+			}
+			if got, limit := footprint(r), reasmPrealloc+m+5*r.size; got > limit {
+				t.Fatalf("%s: after %d bytes accepted the reassembler holds %d, limit %d", name, r.size, got, limit)
+			}
+			if name != "backwards" && len(r.held) != 0 {
+				t.Fatalf("%s: packet %d was held aside", name, order(i))
+			}
+		}
+		if len(r.held) != 0 || !bytes.Equal(r.Bytes(), data) {
+			t.Fatalf("%s: %d packets still held, bytes equal %v", name, len(r.held), bytes.Equal(r.Bytes(), data))
+		}
+	}
+}
+
+// TestPutTrustsItsCaller: validation happens once, in Parse; Put places
+// what it is handed. A second checksum pass behind it would reject this.
+func TestPutTrustsItsCaller(t *testing.T) {
+	pkts, _ := Packetize(1, 0, []byte("validated once"), 64)
+	h, body, err := Parse(pkts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReassembler()
+	if done, err := r.Put(h, bytes.ToUpper(body)); !done || err != nil {
+		t.Fatalf("Put = %v, %v", done, err)
+	}
+	if got := r.Bytes(); string(got) != "VALIDATED ONCE" || &got[0] != &r.buf[0] {
+		t.Fatalf("Bytes() = %q (the buffer itself: %v)", got, &got[0] == &r.buf[0])
+	}
 }
 
 func TestBytesPanicsWhenIncomplete(t *testing.T) {
@@ -237,15 +399,12 @@ func TestWithEpoch(t *testing.T) {
 	if &stamped[0] == &pkt[0] {
 		t.Fatal("re-stamp did not copy")
 	}
-	h, err := DecodeHeader(stamped)
+	h, _, err := Parse(stamped)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("re-stamped packet does not verify: %v", err)
 	}
 	if h.Epoch != 5 {
 		t.Fatalf("epoch = %d, want 5", h.Epoch)
-	}
-	if h.PacketChecksum(stamped[HeaderSize:]) != h.Checksum {
-		t.Fatal("re-stamped packet fails checksum")
 	}
 	// Everything but epoch and checksum is unchanged; the body is identical.
 	h0, _ := DecodeHeader(pkt)
@@ -268,11 +427,10 @@ func TestWithEpoch(t *testing.T) {
 	// header damage.
 	bad := append([]byte(nil), stamped...)
 	bad[18] ^= 0xFF
-	hb, err := DecodeHeader(bad)
-	if err != nil {
+	if _, err := DecodeHeader(bad); err != nil {
 		t.Fatal(err)
 	}
-	if hb.PacketChecksum(bad[HeaderSize:]) == hb.Checksum {
+	if _, _, err := Parse(bad); err == nil {
 		t.Fatal("corrupted epoch passed checksum")
 	}
 	// A reassembler accepts re-stamped packets: only the transmission epoch

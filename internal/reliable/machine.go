@@ -394,17 +394,6 @@ func (mc *machine) ctlDelay(u, v int) float64 {
 	return float64(mc.routeFor(u, v).Hops())*mc.p.RouterDelay + mc.ackWire
 }
 
-// packetValid replays the receiving NI's checks: parseable header, the
-// expected sequence number, and the header+payload checksum.
-func packetValid(raw []byte, seq int) bool {
-	h, err := message.DecodeHeader(raw)
-	if err != nil || int(h.Seq) != seq {
-		return false
-	}
-	body := raw[message.HeaderSize:]
-	return len(body) == int(h.Payload) && h.PacketChecksum(body) == h.Checksum
-}
-
 // receive is the destination NI absorbing one data packet: NACK on
 // corruption, ACK + suppress on duplicate, otherwise reassemble, ACK,
 // forward to the node's current children, and complete the host when the
@@ -421,7 +410,8 @@ func (mc *machine) receive(o op, raw []byte, ep int) {
 		return
 	}
 	n := mc.nodes[o.to]
-	if !packetValid(raw, o.seq) {
+	h, body, err := message.Parse(raw)
+	if err != nil || int(h.Seq) != o.seq {
 		mc.res.Nacks++
 		mc.sendNack(o)
 		return
@@ -431,7 +421,7 @@ func (mc *machine) receive(o op, raw []byte, ep int) {
 		mc.sendAck(o)
 		return
 	}
-	if _, err := n.reasm.Add(raw); err != nil {
+	if _, err := n.reasm.Put(h, body); err != nil {
 		// Unreachable for a valid, novel packet; treat like corruption.
 		mc.res.Nacks++
 		mc.sendNack(o)

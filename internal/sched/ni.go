@@ -130,7 +130,7 @@ func (n *ni) stage(s *Scheduler, f link.Frame, ring *[]*hostState) {
 		s.dropped.Add(1)
 		return
 	}
-	hs.pending = append(hs.pending, staged{payload: f.Payload, from: f.From, seq: int(h.Seq)})
+	hs.pending = append(hs.pending, staged{payload: f.Payload, from: f.From, h: h})
 	if !hs.queued {
 		hs.queued = true
 		*ring = append(*ring, hs)
@@ -143,7 +143,7 @@ func (n *ni) stage(s *Scheduler, f link.Frame, ring *[]*hostState) {
 // scheduler teardown.
 func (n *ni) serve(s *Scheduler, hs *hostState, st staged) bool {
 	defer n.inbox.Release()
-	done, err := hs.Serve(st.payload, st.from, st.seq, hs.h.abort, s.start)
+	done, err := hs.Serve(st.h, st.payload, st.from, hs.h.abort, s.start)
 	if err != nil {
 		s.failSession(hs.h, err)
 		return true

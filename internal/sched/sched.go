@@ -44,6 +44,7 @@ import (
 
 	"repro/internal/live"
 	"repro/internal/live/link"
+	"repro/internal/message"
 	"repro/internal/tree"
 )
 
@@ -249,7 +250,7 @@ type hostState struct {
 type staged struct {
 	payload []byte
 	from    int
-	seq     int
+	h       message.Header // decoded once, at staging
 }
 
 // ack is one destination's completion report to the collector.

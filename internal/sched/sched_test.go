@@ -275,16 +275,21 @@ func TestSessionTimeoutReclaimsFabric(t *testing.T) {
 	// One timeout bound, two tree depths, single-packet payloads (with
 	// one buffer slot per NI every extra packet costs a full hop of
 	// serialization): a chain's last host needs 3 latency hops (~750ms)
-	// and must die at the 500ms deadline; a star needs 1 hop (~250ms)
-	// and must survive. The star runs after the chain's expiry over the
-	// same 1-slot NIs, proving the expired session's buffer credits were
-	// reclaimed (a leaked slot would wedge the star too).
+	// and must die at the 625ms deadline; a star needs 1 hop (~250ms)
+	// and must survive. The deadline falls mid-hop on purpose: the chain's
+	// third copy is then on the wire (sent at ~500ms, landing at ~750ms)
+	// and is dropped on arrival, with 125ms to spare either side. At
+	// exactly two hops the expiry raced that copy's forwarding, and a send
+	// aborted in the act is not a dropped frame (seen under load, PR 23).
+	// The star runs after the chain's expiry over the same 1-slot NIs,
+	// proving the expired session's buffer credits were reclaimed (a
+	// leaked slot would wedge the star too).
 	const hop = 250 * time.Millisecond
 	s, err := New(hostRange(4), Config{
 		Window:         2,
 		BufferPackets:  1,
 		LinkLatency:    hop,
-		SessionTimeout: 2 * hop,
+		SessionTimeout: 2*hop + hop/2,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
