@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check surface staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak fuzz bench bench-build examples ci figures clean live-race lines
+.PHONY: all build test race vet fmt check surface staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak virtual-soak fuzz bench bench-build examples ci figures clean live-race lines
 
 all: check
 
@@ -135,6 +135,21 @@ psim-soak:
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 13 -workers 1 -only psim-matches-sim
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 13 -workers 4 -only psim-matches-sim
 
+# Virtual soak: the shipped reliable runtime on the standard library's fake
+# clock (internal/live/virtual_test.go, testing/synctest): 2,000 seeds x
+# {loss + ACK loss + corruption + reordering + jitter, crash-stop,
+# crash-recovery} of live.RunReliable at DefaultReliableConfig, minutes of
+# timer waits in seconds of wall clock, plain and under the race detector.
+# The file is compiled only under GOEXPERIMENT=synctest, which Go 1.24
+# introduced: toolchains without it skip with a note, as staticcheck does.
+virtual-soak:
+	@if GOEXPERIMENT=synctest $(GO) list testing/synctest >/dev/null 2>&1; then \
+		GOEXPERIMENT=synctest $(GO) test -count=1 -run TestVirtualTimeChaos -v ./internal/live && \
+		GOEXPERIMENT=synctest $(GO) test -race -count=1 -run TestVirtualTimeChaos ./internal/live; \
+	else \
+		echo "no testing/synctest under GOEXPERIMENT=synctest in $$($(GO) version); skipping (needs Go 1.24)"; \
+	fi
+
 # Fuzz: tier-1 only replays the checked-in seeds of the six fuzz targets —
 # every decoder that reads bytes off a wire (message header, packet,
 # datagram, daemon ctl frame) and the packetize/corrupt/reassemble
@@ -186,7 +201,7 @@ bench-build:
 examples:
 	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
-ci: check surface staticcheck live-race bench-build examples mcastcheck chaos-soak net-soak daemon-soak sched-soak psim-soak
+ci: check surface staticcheck live-race bench-build examples mcastcheck chaos-soak net-soak daemon-soak sched-soak psim-soak virtual-soak
 
 figures:
 	$(GO) run ./cmd/figures -out figures

@@ -56,8 +56,12 @@ type Frame struct {
 
 // Wait blocks until the frame's latency stamp has elapsed. Receivers that
 // drain the wire channel directly (Wire) instead of through Recv call it
-// before serving the frame, so latency shaping is preserved.
+// before serving the frame, so latency shaping is preserved. An unshaped
+// frame carries no stamp and returns without reading the clock.
 func (f Frame) Wait() {
+	if f.readyAt.IsZero() {
+		return
+	}
 	if wait := time.Until(f.readyAt); wait > 0 {
 		time.Sleep(wait)
 	}

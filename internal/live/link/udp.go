@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -81,9 +82,6 @@ const (
 	// DefaultUDPWindow is the per-edge in-flight fragment bound.
 	DefaultUDPWindow = 16
 
-	// udpPoll is the pump's read-deadline granularity: how quickly a
-	// Detach is observed by a pump with no inbound traffic.
-	udpPoll = 50 * time.Millisecond
 	// udpProbeEvery is how long a sender stays credit-blocked before it
 	// probes the receiver — self-healing when a credit datagram is lost.
 	udpProbeEvery = 10 * time.Millisecond
@@ -150,7 +148,7 @@ type UDPNetwork struct {
 
 	mu     sync.Mutex
 	eps    map[int]*udpEndpoint
-	peers  map[int]*net.UDPAddr
+	peers  map[int]netip.AddrPort
 	closed bool
 
 	nextInc atomic.Uint32
@@ -168,7 +166,7 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 	return &UDPNetwork{
 		cfg:   cfg,
 		eps:   map[int]*udpEndpoint{},
-		peers: map[int]*net.UDPAddr{},
+		peers: map[int]netip.AddrPort{},
 	}, nil
 }
 
@@ -226,8 +224,17 @@ func (n *UDPNetwork) Listen(host int, addr string) (*net.UDPAddr, error) {
 	}
 	n.eps[host] = ep
 	bound := conn.LocalAddr().(*net.UDPAddr)
-	n.peers[host] = bound
+	n.peers[host] = peerAddr(bound)
 	return bound, nil
+}
+
+// peerAddr is the form a peer is held in: a value, so per-datagram I/O
+// allocates nothing, and unmapped, because a resolved *net.UDPAddr carries
+// IPv4 as 4-in-6 (::ffff:a.b.c.d), which an IPv4 socket refuses to write
+// to (an IPv6 socket maps a plain IPv4 address back by itself).
+func peerAddr(ua *net.UDPAddr) netip.AddrPort {
+	ap := ua.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // AddPeer registers the address of a host served by another process.
@@ -241,7 +248,7 @@ func (n *UDPNetwork) AddPeer(host int, addr string) error {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.peers[host] = ua
+	n.peers[host] = peerAddr(ua)
 	return nil
 }
 
@@ -249,7 +256,10 @@ func (n *UDPNetwork) AddPeer(host int, addr string) error {
 func (n *UDPNetwork) Addr(host int) *net.UDPAddr {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.peers[host]
+	if peer := n.peers[host]; peer.IsValid() {
+		return net.UDPAddrFromAddrPort(peer)
+	}
+	return nil
 }
 
 // Local reports whether host is served by a socket of this network.
@@ -315,7 +325,7 @@ func (n *UDPNetwork) Dial(from, to int) (Transport, error) {
 	if ep == nil {
 		return nil, fmt.Errorf("link: dial %d->%d: host %d is not listening here", from, to, from)
 	}
-	if peer == nil {
+	if !peer.IsValid() {
 		return nil, fmt.Errorf("link: dial %d->%d: no address for peer %d", from, to, to)
 	}
 	return ep.dial(to, peer, n.nextInc.Add(1))
@@ -347,14 +357,14 @@ func (n *UDPNetwork) SendCtl(from, to int, payload []byte) error {
 	if ep == nil {
 		return fmt.Errorf("link: ctl %d->%d: host %d is not listening here", from, to, from)
 	}
-	if peer == nil {
+	if !peer.IsValid() {
 		return fmt.Errorf("link: ctl %d->%d: no address for peer %d", from, to, to)
 	}
 	dg := appendDatagram(make([]byte, 0, dgHeaderSize+len(payload)), dgHeader{
 		Kind: dgCtl, From: uint16(from), To: uint16(to),
 		Session: n.cfg.Session, Frags: 1,
 	}, payload)
-	_, err := ep.conn.WriteToUDP(dg, peer)
+	_, err := ep.conn.WriteToUDPAddrPort(dg, peer)
 	return err
 }
 
@@ -399,7 +409,7 @@ type udpEndpoint struct {
 	mu       sync.Mutex
 	attached bool
 	stop     chan struct{} // closed by detach; aborts pump, deliverers, dialed senders
-	pumpDone chan struct{}
+	pumpDone chan struct{} // non-nil from attach until detach has seen the pump exit
 	delivers sync.WaitGroup
 	edges    map[uint32]*UDPTransport // local outgoing incarnations, by ID
 }
@@ -407,8 +417,13 @@ type udpEndpoint struct {
 func (ep *udpEndpoint) attach(in *Inbox) error {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
-	if ep.attached {
+	if ep.pumpDone != nil {
 		return fmt.Errorf("link: host %d already attached", ep.host)
+	}
+	// The only deadline the socket ever carries is the expired one the
+	// last detach woke its pump with; that pump is gone (pumpDone is nil).
+	if err := ep.conn.SetReadDeadline(time.Time{}); err != nil {
+		return err
 	}
 	ep.attached = true
 	ep.stop = make(chan struct{})
@@ -428,15 +443,18 @@ func (ep *udpEndpoint) detach() {
 	ep.edges = map[uint32]*UDPTransport{}
 	ep.mu.Unlock()
 	close(stop)
-	// Expire the pump's in-flight read immediately instead of letting it
-	// run out its udpPoll deadline — detaching a whole fabric host by
-	// host would otherwise cost up to 50ms per host.
+	// Expire the pump's blocked read: that is what wakes it, and every
+	// read after it fails too, so the pump exits without a socket close
+	// (the endpoint survives for the next attach).
 	ep.conn.SetReadDeadline(time.Now())
 	<-done
 	ep.delivers.Wait()
+	ep.mu.Lock()
+	ep.pumpDone = nil
+	ep.mu.Unlock()
 }
 
-func (ep *udpEndpoint) dial(to int, peer *net.UDPAddr, inc uint32) (*UDPTransport, error) {
+func (ep *udpEndpoint) dial(to int, peer netip.AddrPort, inc uint32) (*UDPTransport, error) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if !ep.attached {
@@ -467,42 +485,51 @@ type rcvKey struct {
 }
 
 // rcvState is the receive side of one inbound edge incarnation.
-// Fragment reassembly fields are pump-owned; consumed is shared with the
-// deliverer (both credit cumulatively, the sender keeps the max).
+// Fragment reassembly fields are pump-owned; consumed and said are shared
+// with the deliverer (both credit cumulatively, the sender keeps the max).
 type rcvState struct {
 	from     int
 	inc      uint32
-	addr     *net.UDPAddr
+	addr     netip.AddrPort
 	nextSeq  uint32 // next absolute fragment sequence expected
 	expect   uint16 // next fragment index of the packet being reassembled
 	pkt      []byte // that packet so far: its fragments arrive in order or not at all
 	q        chan []byte
-	consumed atomic.Uint32
+	consumed atomic.Uint32 // fragments accounted for: the count a credit carries
+	said     atomic.Uint32 // the count the last credit datagram carried
 }
 
 // pump is the endpoint's socket-reader loop for one attach session. It
-// polls with a short read deadline so detach needs no socket close (the
-// endpoint survives for the next run), validates and dispatches every
-// datagram, and never blocks: that is the deadlock-freedom invariant.
+// blocks in its read — no deadline is armed while it runs — validates and
+// dispatches every datagram, and otherwise never blocks: that is the
+// deadlock-freedom invariant.
+//
+// Credit accounting is by absolute fragment sequence: every fragment the
+// sender ever numbered ends up counted in consumed — on arrival
+// (non-final), after delivery (final), or when the wire lost it — or the
+// sender's window would shrink by one forever per lost datagram. Counting
+// is not saying: the deliverer says the count with each admitted packet,
+// and account says it once it has run half a window ahead of the last
+// count said, or at once for a gap — the sender may be blocked on
+// fragments that will never arrive.
 func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 	defer close(done)
 	n := ep.n
 	rcv := map[rcvKey]*rcvState{}
 	buf := make([]byte, maxDatagram)
 	credit := make([]byte, 0, dgHeaderSize)
-	for {
-		select {
-		case <-stop:
-			return
-		default:
+	every := int32(max(1, n.cfg.Window/2))
+	account := func(rs *rcvState, frags uint32, atOnce bool) {
+		// said may trail a count the deliverer is saying right now; the
+		// worst that costs is one redundant (idempotent) credit.
+		if c := rs.consumed.Add(frags); atOnce || int32(c-rs.said.Load()) >= every {
+			ep.sendCredit(credit, rs)
 		}
-		ep.conn.SetReadDeadline(time.Now().Add(udpPoll))
-		nb, raddr, err := ep.conn.ReadFromUDP(buf)
+	}
+	for {
+		nb, raddr, err := ep.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return // socket closed under us: network shutdown
+			return // detach expired the read, or the socket closed under us
 		}
 		h, payload, err := decodeDatagram(buf[:nb])
 		if err != nil {
@@ -523,7 +550,7 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 					inc:  key.inc,
 					addr: raddr,
 					// A queue of Window packets can never overflow: every
-					// queued packet's final fragment is uncredited until
+					// queued packet's final fragment is uncounted until
 					// delivery, so the sender's window caps the backlog.
 					q: make(chan []byte, n.cfg.Window),
 				}
@@ -531,35 +558,28 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 				ep.delivers.Add(1)
 				go ep.deliver(rs, in, stop)
 			}
-			// Credit accounting is by absolute fragment sequence: every
-			// fragment the sender ever numbered must end up accounted —
-			// credited on arrival (non-final), after delivery (final), or
-			// right here when the wire lost it — or the sender's window
-			// would shrink by one forever per lost datagram.
 			if h.Seq < rs.nextSeq {
 				n.resync.Add(1) // duplicate or reordered stale fragment
 				continue
 			}
 			if h.Seq > rs.nextSeq {
-				// Gap: fragments [nextSeq, h.Seq) are lost. Account them,
+				// Gap: fragments [nextSeq, h.Seq) are lost. Count them,
 				// drop the broken partial packet (its fragments were
-				// credited on arrival), and resume at the new sequence.
+				// counted on arrival), and resume at the new sequence.
 				n.resync.Add(1)
-				rs.consumed.Add(h.Seq - rs.nextSeq)
+				account(rs, h.Seq-rs.nextSeq, true)
 				rs.nextSeq = h.Seq
 				rs.pkt, rs.expect = nil, 0
-				ep.sendCredit(credit, rs)
 			}
 			rs.nextSeq++
 			if h.Frag != rs.expect {
 				// In-sequence arrival that does not continue the partial
 				// packet (a headless tail after loss). Unrecoverable:
-				// account it and move on.
+				// count it and move on.
 				n.resync.Add(1)
 				rs.pkt, rs.expect = nil, 0
 				if h.Frag != 0 {
-					rs.consumed.Add(1)
-					ep.sendCredit(credit, rs)
+					account(rs, 1, false)
 					continue
 				}
 			}
@@ -572,21 +592,19 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 			rs.pkt = append(rs.pkt, payload...)
 			rs.expect++
 			if h.Frag+1 < h.Frags {
-				rs.consumed.Add(1)
-				ep.sendCredit(credit, rs)
+				account(rs, 1, false)
 				continue
 			}
 			pkt := rs.pkt
 			rs.pkt, rs.expect = nil, 0
 			select {
 			case rs.q <- pkt:
-				// The final fragment is credited by the deliverer once the
+				// The final fragment is counted by the deliverer once the
 				// packet clears the inbox gate — that deferral is what turns
 				// inbox fullness into sender-side blocking.
 			default:
 				n.overflow.Add(1)
-				rs.consumed.Add(1)
-				ep.sendCredit(credit, rs)
+				account(rs, 1, false)
 			}
 		case dgCredit:
 			ep.mu.Lock()
@@ -618,7 +636,7 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 
 // deliver drains one incarnation's completed-packet queue into the inbox
 // through a plain in-process Link — reusing its gate/latency semantics —
-// and credits the final fragment of each packet once admitted.
+// and counts and says the final fragment of each packet once admitted.
 func (ep *udpEndpoint) deliver(rs *rcvState, in *Inbox, stop chan struct{}) {
 	defer ep.delivers.Done()
 	fwd := New(rs.from, in, 0)
@@ -640,12 +658,14 @@ func (ep *udpEndpoint) deliver(rs *rcvState, in *Inbox, stop chan struct{}) {
 // sendCredit emits one cumulative credit datagram to rs's sender. buf is
 // the caller's scratch encoding buffer (pump and deliverer each own one).
 func (ep *udpEndpoint) sendCredit(buf []byte, rs *rcvState) {
+	count := rs.consumed.Load()
+	rs.said.Store(count)
 	dg := appendDatagram(buf[:0], dgHeader{
 		Kind: dgCredit, From: uint16(ep.host), To: uint16(rs.from),
 		Session: ep.n.cfg.Session, Epoch: rs.inc,
-		Seq: rs.consumed.Load(), Frags: 1,
+		Seq: count, Frags: 1,
 	}, nil)
-	ep.conn.WriteToUDP(dg, rs.addr) // best-effort: probes recover lost credits
+	ep.conn.WriteToUDPAddrPort(dg, rs.addr) // best-effort: probes recover lost credits
 }
 
 // UDPTransport is one dialed edge incarnation: the socket-backed
@@ -658,7 +678,7 @@ type UDPTransport struct {
 	ep     *udpEndpoint
 	from   int
 	to     int
-	peer   *net.UDPAddr
+	peer   netip.AddrPort
 	inc    uint32
 	window uint32
 	chunk  int // max payload bytes per datagram
@@ -757,7 +777,7 @@ func (t *UDPTransport) sendProbe() {
 		Kind: dgProbe, From: uint16(t.from), To: uint16(t.to),
 		Session: t.ep.n.cfg.Session, Epoch: t.inc, Seq: t.seq, Frags: 1,
 	}, nil)
-	t.ep.conn.WriteToUDP(t.buf, t.peer)
+	t.ep.conn.WriteToUDPAddrPort(t.buf, t.peer)
 }
 
 // write puts one datagram on the wire, briefly retrying the transient
@@ -765,7 +785,7 @@ func (t *UDPTransport) sendProbe() {
 // momentary full device queue does not kill a reliable-engine edge.
 func (t *UDPTransport) write(dg []byte, abort <-chan struct{}) error {
 	for attempt := 0; ; attempt++ {
-		_, err := t.ep.conn.WriteToUDP(dg, t.peer)
+		_, err := t.ep.conn.WriteToUDPAddrPort(dg, t.peer)
 		if err == nil {
 			return nil
 		}
