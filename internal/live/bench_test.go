@@ -105,6 +105,23 @@ func benchLiveReliable(b *testing.B, dests, packets int, droprate float64) {
 func BenchmarkLiveReliable16x8Lossless(b *testing.B) { benchLiveReliable(b, 16, 8, 0) }
 func BenchmarkLiveReliable16x8Drop1pct(b *testing.B) { benchLiveReliable(b, 16, 8, 0.01) }
 
+// BenchmarkLiveReliable16x8Clean prices the reliable overlay itself: no
+// chaos decorator and DefaultReliableConfig, so neither jitter sleeps nor
+// retransmissions are in the op (Lossless above is mostly its 50 µs
+// jitter waits).
+func BenchmarkLiveReliable16x8Clean(b *testing.B) {
+	s := benchSession(b, 16, 8)
+	cfg := DefaultReliableConfig()
+	cfg.Live.Timeout = time.Minute
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunReliable(s, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchLiveUDP is the socket rung of the reliable pair: the same
 // 17-host session, but every tree edge is a loopback UDP socket and the
 // chaos decorator (when armed) drops real datagrams. Each iteration

@@ -2,6 +2,7 @@ package live
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/live/link"
@@ -30,8 +31,8 @@ type EdgeSenderConfig struct {
 	Abort <-chan struct{} // runtime teardown
 
 	// Epoch, when non-nil, returns the sender's current epoch: positive
-	// values are stamped into every (re)transmission and ACKs from older
-	// epochs are fenced. Nil leaves the membership plane unarmed.
+	// values are stamped into every (re)transmission and Ack fences ACKs
+	// from older epochs. Nil leaves the membership plane unarmed.
 	Epoch func() int
 	// Suppressed, when non-nil and true, makes sends vanish silently (a
 	// crashed NI emits nothing) while still burning retry budget, so a
@@ -48,27 +49,30 @@ type EdgeSenderConfig struct {
 }
 
 // EdgeSender is one reliable tree-edge incarnation: a dedicated sender
-// goroutine owning the edge's transport, pending set and retransmission
-// timers. Packets are sent serially in enqueue order (sequence order
-// from a single parent), so a zero-fault plane reproduces the lossless
-// engine's per-edge FIFO behavior exactly.
+// goroutine owning the edge's transport and its one retransmission timer.
+// It wakes only to send: an enqueued packet, or what the timer finds due.
+// Packets are sent serially in enqueue order (sequence order from a
+// single parent), so a zero-fault plane reproduces the lossless engine's
+// per-edge FIFO behavior exactly.
 //
-// Enqueue and Ack may be called from any goroutine; Run owns everything
-// else. The counters are goroutine-owned: read them only after the
-// runtime's WaitGroup drains (cancelled edges keep their counts — they
-// happened).
+// Enqueue, Ack and Cancel may be called from any goroutine: an ACK is a
+// mark the sender reads before it sends, Cancel a flag. Run owns the
+// rest; read Sends and Retransmits only after the runtime's WaitGroup
+// drains (cancelled edges keep their counts — they happened).
 type EdgeSender struct {
-	tr     link.Transport
-	cfg    EdgeSenderConfig
-	in     chan int      // novel/replayed sequence numbers from the owning NI
-	acks   chan EdgeAck  // from the receiving NI (lossy: overflow drops)
-	cancel chan struct{} // closed by the supervisor to retire the incarnation
-	jrng   *workload.RNG // backoff jitter stream
+	tr   link.Transport
+	cfg  EdgeSenderConfig
+	in   chan int      // novel/replayed sequence numbers from the owning NI
+	jrng *workload.RNG // backoff jitter stream
 
-	acked       []bool
+	acked     []atomic.Bool // per-packet ACK bitmap, set by Ack
+	cancelled atomic.Bool
+	fenced    atomic.Int64 // stale-epoch ACKs discarded
+
+	attempts    []int       // per packet: transmissions so far (0: unsent)
+	due         []time.Time // per packet: when it is next resent
 	sends       int
 	retransmits int
-	fenced      int // stale-epoch ACKs discarded
 }
 
 // NewEdgeSender builds an incarnation over the given transport. The
@@ -76,13 +80,13 @@ type EdgeSender struct {
 func NewEdgeSender(tr link.Transport, cfg EdgeSenderConfig) *EdgeSender {
 	m := len(cfg.Packets)
 	return &EdgeSender{
-		tr:     tr,
-		cfg:    cfg,
-		in:     make(chan int, 2*m+8),
-		acks:   make(chan EdgeAck, 4*m+16),
-		cancel: make(chan struct{}),
-		acked:  make([]bool, m),
-		jrng:   workload.NewRNG(cfg.JitterSeed),
+		tr:       tr,
+		cfg:      cfg,
+		in:       make(chan int, 2*m+8),
+		jrng:     workload.NewRNG(cfg.JitterSeed),
+		acked:    make([]atomic.Bool, m),
+		attempts: make([]int, m),
+		due:      make([]time.Time, m),
 	}
 }
 
@@ -92,8 +96,8 @@ func (e *EdgeSender) To() int   { return e.tr.To() }
 
 // Enqueue hands a sequence number to the edge sender. Channel capacity
 // covers the worst case (one replay plus one novel pass over the whole
-// message), so this blocks only if that invariant is broken — and then
-// the abort path still unwedges it.
+// message, and Cancel's pokes), so this blocks only if that invariant is
+// broken — and then the abort path still unwedges it.
 func (e *EdgeSender) Enqueue(seq int) {
 	select {
 	case e.in <- seq:
@@ -101,99 +105,96 @@ func (e *EdgeSender) Enqueue(seq int) {
 	}
 }
 
-// Ack delivers an acknowledgment without ever blocking the receiving
-// NI; an overflowing (or retired) edge just loses the ACK, and the
-// retransmission path recovers.
+// Ack marks a packet acknowledged, on the caller's goroutine and without
+// waking the sender: a stale-epoch ACK is fenced (counted, dropped), any
+// other settles its packet, which is then never sent or resent again.
 func (e *EdgeSender) Ack(a EdgeAck) {
-	select {
-	case e.acks <- a:
-	default:
+	if e.cfg.Epoch != nil && a.Epoch < e.cfg.Epoch() {
+		e.fenced.Add(1) // stale control traffic: ignore, retransmit fresh
+		return
+	}
+	if a.Seq >= 0 && a.Seq < len(e.acked) {
+		e.acked[a.Seq].Store(true)
 	}
 }
 
-// Cancel retires the incarnation. ReliableShare.Retire, on the
-// supervisor's goroutine, takes the incarnation off its route before it
-// cancels, so a given edge is cancelled at most once; Cancel must not
-// race itself.
-func (e *EdgeSender) Cancel() { close(e.cancel) }
+// Cancel retires the incarnation: it sends nothing more, and an idle
+// sender is poked awake to return. Calling it again does nothing new.
+func (e *EdgeSender) Cancel() {
+	e.cancelled.Store(true)
+	select {
+	case e.in <- -1:
+	default: // full: the sender has enqueued work to wake it
+	}
+}
 
 // Sends, Retransmits and Fenced report the edge's counters. Call only
 // after the sender goroutine has been joined.
 func (e *EdgeSender) Sends() int       { return e.sends }
 func (e *EdgeSender) Retransmits() int { return e.retransmits }
-func (e *EdgeSender) Fenced() int      { return e.fenced }
+func (e *EdgeSender) Fenced() int      { return int(e.fenced.Load()) }
 
-// flight is one unacknowledged packet's retransmission state.
-type flight struct {
-	attempts int
-	due      time.Time
-}
-
-// Run is the edge sender loop: send new sequences immediately (the
-// transport's admission gate is the only send window), retransmit on
-// timer with capped exponential backoff plus seeded jitter, retire on
-// ACK, die on budget exhaustion or transport death (reporting either),
-// cancel, or abort.
+// Run is the edge sender loop: send a new sequence at once (the
+// transport's admission gate is the only send window) unless it is ACKed
+// or already sent; on the timer, resend every due, un-ACKed packet in
+// sequence order with capped exponential backoff plus seeded jitter; die
+// on budget exhaustion or transport death (reporting either), cancel, or
+// abort.
 func (e *EdgeSender) Run() {
-	inflight := map[int]*flight{}
 	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	defer timer.Stop()
+	var armed time.Time // the timer's due; zero while it is stopped or spent
 	for {
-		wake := time.Hour
-		now := time.Now()
-		for _, fl := range inflight {
-			if r := fl.due.Sub(now); r < wake {
-				wake = r
-			}
-		}
-		if wake < 0 {
-			wake = 0
-		}
-		rearm(timer, wake)
-
 		select {
 		case seq := <-e.in:
-			if e.acked[seq] {
-				continue
+			if e.cancelled.Load() {
+				return
 			}
-			if _, dup := inflight[seq]; dup {
+			if e.acked[seq].Load() || e.attempts[seq] > 0 {
 				continue
 			}
 			if !e.send(seq, false) {
 				return
 			}
-			inflight[seq] = &flight{attempts: 1, due: time.Now().Add(e.rto(1))}
-		case a := <-e.acks:
-			if e.cfg.Epoch != nil && a.Epoch < e.cfg.Epoch() {
-				e.fenced++ // stale control traffic: ignore, retransmit fresh
-				continue
-			}
-			if a.Seq >= 0 && a.Seq < len(e.acked) && !e.acked[a.Seq] {
-				e.acked[a.Seq] = true
-				delete(inflight, a.Seq)
+			now := time.Now()
+			e.attempts[seq], e.due[seq] = 1, now.Add(e.rto(1))
+			if armed.IsZero() || e.due[seq].Before(armed) {
+				armed = e.due[seq]
+				rearm(timer, armed.Sub(now))
 			}
 		case <-timer.C:
+			if e.cancelled.Load() {
+				return
+			}
 			now := time.Now()
-			for seq, fl := range inflight {
-				if fl.due.After(now) {
+			armed = time.Time{}
+			for seq, n := range e.attempts {
+				if n == 0 || e.acked[seq].Load() {
 					continue
 				}
-				if fl.attempts > e.cfg.RetryBudget {
-					// Budget spent: this incarnation dies; the supervisor
-					// repairs or abandons the subtree behind it.
-					if e.cfg.OnExhausted != nil {
-						e.cfg.OnExhausted()
+				if !e.due[seq].After(now) {
+					if n > e.cfg.RetryBudget {
+						// Budget spent: this incarnation dies; the supervisor
+						// repairs or abandons the subtree behind it.
+						if e.cfg.OnExhausted != nil {
+							e.cfg.OnExhausted()
+						}
+						return
 					}
-					return
+					if !e.send(seq, true) {
+						return
+					}
+					e.attempts[seq]++
+					e.due[seq] = now.Add(e.rto(n + 1))
 				}
-				if !e.send(seq, true) {
-					return
+				if armed.IsZero() || e.due[seq].Before(armed) {
+					armed = e.due[seq]
 				}
-				fl.attempts++
-				fl.due = now.Add(e.rto(fl.attempts))
 			}
-		case <-e.cancel:
-			return
+			if !armed.IsZero() {
+				timer.Reset(time.Until(armed))
+			}
 		case <-e.cfg.Abort:
 			return
 		}

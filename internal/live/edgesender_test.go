@@ -1,0 +1,191 @@
+package live
+
+import (
+	"errors"
+	"reflect"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/live/link"
+	"repro/internal/message"
+)
+
+// edgeRig is one EdgeSender under test whose far end is a bare inbox:
+// the test is the receiving NI, reading frames and releasing slots.
+type edgeRig struct {
+	e     *EdgeSender
+	in    *link.Inbox
+	abort chan struct{}
+	done  chan struct{} // closed when Run returns
+}
+
+// startEdge builds an incarnation of edge 0->1 over an inbox with the given
+// buffer slots (0: unbounded) and runs it once the enqueues are in, so they
+// reach it in order.
+func startEdge(t *testing.T, cfg EdgeSenderConfig, slots int, enqueue ...int) *edgeRig {
+	t.Helper()
+	r := &edgeRig{in: link.NewInbox(1, 64, slots), abort: make(chan struct{}), done: make(chan struct{})}
+	cfg.Abort = r.abort
+	r.e = NewEdgeSender(link.New(0, r.in, 0), cfg)
+	for _, seq := range enqueue {
+		r.e.Enqueue(seq)
+	}
+	go func() { defer close(r.done); r.e.Run() }()
+	return r
+}
+
+// recv returns the next frame's header; a bounded inbox's slot stays held.
+func (r *edgeRig) recv(t *testing.T) message.Header {
+	t.Helper()
+	select {
+	case f := <-r.in.Wire():
+		h, _, err := message.Parse(f.Payload)
+		if err != nil {
+			t.Fatalf("edge sent a bad frame: %v", err)
+		}
+		return h
+	case <-time.After(5 * time.Second):
+		t.Fatal("no frame")
+	}
+	return message.Header{}
+}
+
+// join waits for Run to return, failing the test if it does not.
+func (r *edgeRig) join(t *testing.T, why string) {
+	t.Helper()
+	select {
+	case <-r.done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the edge sender did not return %s", why)
+	}
+}
+
+// stop aborts the run and joins the sender.
+func (r *edgeRig) stop(t *testing.T) {
+	t.Helper()
+	close(r.abort)
+	r.join(t, "on abort")
+}
+
+func TestEdgeSender(t *testing.T) {
+	pkts := mustPacketize(t, 3, 0, payloadBytes(4*(64-message.HeaderSize)))
+	if len(pkts) != 4 {
+		t.Fatalf("want 4 packets, got %d", len(pkts))
+	}
+	// No retransmission fires inside a test that waits on this.
+	quiet := EdgeSenderConfig{Packets: pkts, RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3}
+
+	t.Run("an ACK that lands before the first send suppresses it", func(t *testing.T) {
+		r := startEdge(t, quiet, 0)
+		r.e.Ack(EdgeAck{Seq: 0})
+		r.e.Enqueue(0)
+		r.e.Enqueue(1)
+		if h := r.recv(t); h.Seq != 1 {
+			t.Fatalf("first frame carries packet %d, want 1: the ACKed packet 0 went out", h.Seq)
+		}
+		r.stop(t)
+		if r.e.Sends() != 1 || r.e.Fenced() != 0 {
+			t.Fatalf("%d sends, %d fenced; want 1, 0", r.e.Sends(), r.e.Fenced())
+		}
+	})
+
+	t.Run("a stale-epoch ACK is fenced and suppresses nothing", func(t *testing.T) {
+		cfg := quiet
+		cfg.Epoch = func() int { return 2 }
+		r := startEdge(t, cfg, 0)
+		r.e.Ack(EdgeAck{Seq: 0, Epoch: 1})
+		r.e.Enqueue(0)
+		if h := r.recv(t); h.Seq != 0 || h.Epoch != 2 {
+			t.Fatalf("frame carries packet %d at epoch %d, want packet 0 stamped 2", h.Seq, h.Epoch)
+		}
+		r.stop(t)
+		if r.e.Fenced() != 1 || r.e.Sends() != 1 {
+			t.Fatalf("%d fenced, %d sends; want 1, 1", r.e.Fenced(), r.e.Sends())
+		}
+	})
+
+	t.Run("cancel is idempotent and wakes an idle edge before its timer", func(t *testing.T) {
+		r := startEdge(t, quiet, 0, 0)
+		r.recv(t) // packet 0 is out; the timer is armed a minute ahead
+		r.e.Cancel()
+		r.e.Cancel()
+		r.join(t, "on cancel before its timer")
+		r.e.Enqueue(1) // the NI may still feed a retired edge
+		close(r.abort)
+		select {
+		case f := <-r.in.Wire():
+			t.Fatalf("a cancelled edge sent %d bytes", len(f.Payload))
+		default:
+		}
+	})
+
+	t.Run("one timer fire retransmits its due packets in ascending order", func(t *testing.T) {
+		// One buffer slot: the test paces the sends. It holds packet 3's
+		// slot past every RTO, so packet 1's first send returns only after
+		// packets 2, 0 and 3 are all due, and the next fire finds the three.
+		cfg := quiet
+		cfg.RTO, cfg.RTOMax = 100*time.Millisecond, 100*time.Millisecond
+		r := startEdge(t, cfg, 1, 2, 0, 3, 1)
+		var got []int
+		for len(got) < 7 {
+			h := r.recv(t)
+			got = append(got, int(h.Seq))
+			if len(got) == 3 {
+				time.Sleep(2 * cfg.RTO)
+			}
+			r.in.Release()
+		}
+		r.stop(t)
+		if want := []int{2, 0, 3, 1, 0, 2, 3}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("frames carried %v, want %v", got, want)
+		}
+	})
+
+	t.Run("budget exhaustion reports once; suppressed sends burn budget", func(t *testing.T) {
+		for _, suppressed := range []bool{false, true} {
+			var exhausted atomic.Int32
+			cfg := quiet
+			cfg.RTO, cfg.RTOMax, cfg.RetryBudget = time.Millisecond, 2*time.Millisecond, 2
+			cfg.OnExhausted = func() { exhausted.Add(1) }
+			cfg.Suppressed = func() bool { return suppressed }
+			r := startEdge(t, cfg, 0, 0, 1, 2, 3)
+			r.join(t, "after exhausting its budget")
+			close(r.abort)
+			want := 1 + cfg.RetryBudget // the failing packet's every attempt
+			if suppressed {
+				want = 0
+			}
+			if n := exhausted.Load(); n != 1 || r.e.Sends() < want || r.e.Retransmits() > len(pkts)*cfg.RetryBudget {
+				t.Fatalf("suppressed %v: OnExhausted ran %d times after %d sends (%d retransmissions); want once, >= %d sends, <= %d retransmissions",
+					suppressed, n, r.e.Sends(), r.e.Retransmits(), want, len(pkts)*cfg.RetryBudget)
+			}
+		}
+	})
+
+	t.Run("a transport failure is OnDead, once", func(t *testing.T) {
+		var dead atomic.Int32
+		errCut := errors.New("cut")
+		cfg := quiet
+		cfg.Abort = make(chan struct{})
+		cfg.OnDead = func(err error) {
+			if errors.Is(err, errCut) {
+				dead.Add(1)
+			}
+		}
+		e := NewEdgeSender(failingTransport{errCut}, cfg)
+		e.Enqueue(0)
+		e.Enqueue(1)
+		e.Run()
+		if dead.Load() != 1 || e.Sends() != 0 {
+			t.Fatalf("OnDead ran %d times, %d sends; want once, 0", dead.Load(), e.Sends())
+		}
+	})
+}
+
+// failingTransport fails every send with err.
+type failingTransport struct{ err error }
+
+func (failingTransport) From() int                            { return 0 }
+func (failingTransport) To() int                              { return 1 }
+func (f failingTransport) Send([]byte, <-chan struct{}) error { return f.err }

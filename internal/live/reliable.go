@@ -23,14 +23,15 @@ import (
 // Concurrency layout (strict ownership, like the lossless engine):
 //   - one NI goroutine per host: drains the inbox, dedups, ACKs,
 //     forwards novel packets to its child edges, reassembles, heartbeats;
-//   - one sender goroutine per live tree edge: owns the edge's pending
-//     set and retransmission timers, sends serially in sequence order;
+//   - one sender goroutine per live tree edge: owns the edge's per-packet
+//     attempts and its one timer, sends serially in sequence order;
 //   - the supervisor (RunReliable's goroutine): drives the brain and the
 //     membership detector, and decides termination.
-// The only cross-goroutine mutable cells are the share's atomics: the
-// epoch register, raised by the supervisor on view changes and read by
-// senders (stamping) and receivers (fencing), and each host's ACK route.
-// All other coordination is by channel.
+// The only cross-goroutine mutable cells are atomics: the share's epoch
+// register, raised by the supervisor on view changes and read by senders
+// (stamping) and receivers (fencing), each host's ACK route, and per edge
+// the ACK bitmap the receiving NI marks and the sender reads (with its
+// fenced count and cancel flag). All other coordination is by channel.
 
 // HostCrash schedules a crash-stop of one host's NI goroutine at a
 // wall-clock offset from run start: from At on the NI silently eats every

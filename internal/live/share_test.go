@@ -224,7 +224,7 @@ func TestReliableShare(t *testing.T) {
 			t.Fatalf("routes: 7<-2 %v, 7<-0 %v, 4<-2 %v; want an edge, nil, nil", old, s.Route(7, 0), s.Route(4, 2))
 		}
 		s.Retire(2, 7)
-		s.Retire(2, 7) // a second cancel would panic on the closed channel
+		s.Retire(2, 7) // no longer installed: does nothing
 		if s.Route(7, 2) != nil {
 			t.Fatal("a retired incarnation still takes ACKs")
 		}

@@ -162,14 +162,12 @@ func Packetize(msgID uint32, source int, data []byte, packetBytes int) ([][]byte
 	if total > 0xFFFF {
 		return nil, fmt.Errorf("message: %d packets exceed uint16 sequence space", total)
 	}
+	// One buffer, cut into capacity-capped packets: no append spills over.
+	buf := make([]byte, 0, total*HeaderSize+len(data))
 	packets := make([][]byte, 0, total)
 	for i := 0; i < total; i++ {
 		lo := i * payload
-		hi := lo + payload
-		if hi > len(data) {
-			hi = len(data)
-		}
-		chunk := data[lo:hi]
+		chunk := data[lo:min(lo+payload, len(data))]
 		h := Header{
 			MsgID:     msgID,
 			Source:    uint16(source),
@@ -178,8 +176,9 @@ func Packetize(msgID uint32, source int, data []byte, packetBytes int) ([][]byte
 			Multicast: true,
 			Payload:   uint16(len(chunk)),
 		}
-		pkt := h.Encode(make([]byte, 0, HeaderSize+len(chunk)))
-		packets = append(packets, seal(append(pkt, chunk...)))
+		at := len(buf)
+		buf = append(h.Encode(buf), chunk...)
+		packets = append(packets, seal(buf[at:len(buf):len(buf)]))
 	}
 	return packets, nil
 }

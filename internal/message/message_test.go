@@ -81,6 +81,26 @@ func TestPacketizeReassembleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPacketizeCapsEachPacket: the packets share one buffer, so an append
+// to one must reallocate rather than write over its neighbour.
+func TestPacketizeCapsEachPacket(t *testing.T) {
+	pkts, err := Packetize(7, 3, make([]byte, 100), 64)
+	if err != nil || len(pkts) != 3 {
+		t.Fatalf("Packetize: %d packets, %v", len(pkts), err)
+	}
+	next := append([]byte(nil), pkts[1]...)
+	grown := append(pkts[0], 0xAA, 0xBB, 0xCC, 0xDD)
+	if &grown[0] == &pkts[0][0] {
+		t.Fatal("an append to packet 0 grew it in place, into packet 1's bytes")
+	}
+	if !bytes.Equal(pkts[1], next) {
+		t.Fatal("appending to packet 0 overwrote packet 1")
+	}
+	if _, _, err := Parse(pkts[1]); err != nil {
+		t.Fatalf("packet 1 after an append to packet 0: %v", err)
+	}
+}
+
 func TestReassemblerOutOfOrder(t *testing.T) {
 	data := []byte("the quick brown fox jumps over the lazy dog, repeatedly and at length")
 	pkts, _ := Packetize(1, 0, data, 40)

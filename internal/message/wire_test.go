@@ -97,17 +97,27 @@ func TestSeedCorpusValidity(t *testing.T) {
 	}
 }
 
-// TestAllocationPins holds the receive path to the allocations it needs and
-// no more. crc32.Update dispatches through a function value, so any stack
-// temporary handed to it (an encoded header, four zero bytes) escapes — one
-// allocation per packet that nothing else in tier-1 would notice.
+// TestAllocationPins holds Packetize and the receive path to the
+// allocations they need and no more. crc32.Update dispatches through a
+// function value, so any stack temporary handed to it (an encoded header,
+// four zero bytes) escapes — one allocation per packet that nothing else in
+// tier-1 would notice.
 func TestAllocationPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes inlining and with it escape analysis")
 	}
-	pkts, err := Packetize(1, 0, make([]byte, 64*4096), HeaderSize+4096)
+	data := make([]byte, 64*4096)
+	pkts, err := Packetize(1, 0, data, HeaderSize+4096)
 	if err != nil || len(pkts) != 64 {
 		t.Fatalf("Packetize: %d packets, %v", len(pkts), err)
+	}
+	// The packet list and the one buffer every packet is cut from.
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := Packetize(1, 0, data, HeaderSize+4096); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("Packetize of 64 x 4 KiB allocates %v times, want <= 2", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if _, _, err := Parse(pkts[3]); err != nil {

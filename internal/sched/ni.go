@@ -150,7 +150,7 @@ func (n *ni) serve(s *Scheduler, hs *hostState, st staged) bool {
 	}
 	if done {
 		select {
-		case s.acks <- ack{msgID: hs.h.sess.MsgID, host: hs.Host, at: hs.DoneAt}:
+		case s.acks <- ack{h: hs.h, at: hs.DoneAt}:
 		case <-s.abort:
 			return false
 		}

@@ -203,8 +203,10 @@ type Handle struct {
 	abortOnce sync.Once
 	abort     chan struct{}
 
-	// Collector-owned completion bookkeeping.
-	acked    map[int]bool
+	// Collector-owned completion bookkeeping. Each destination ACKs this
+	// handle once — ni.serve, the only sender on Scheduler.acks, reports
+	// the one Serve that completes the message — so a count suffices.
+	acked    int
 	finishAt time.Duration
 
 	done chan struct{}
@@ -253,11 +255,12 @@ type staged struct {
 	h       message.Header // decoded once, at staging
 }
 
-// ack is one destination's completion report to the collector.
+// ack is one destination's completion report to the collector, naming
+// the handle so that a late report of an expired session is never counted
+// for a new one reusing its MsgID.
 type ack struct {
-	msgID uint32
-	host  int
-	at    time.Duration
+	h  *Handle
+	at time.Duration
 }
 
 // failure is an NI- or shard-level error that must fail one session.
@@ -622,22 +625,16 @@ func (s *Scheduler) collect() {
 			// admitted send strictly precedes the first injection, but
 			// sits buffered until read. Drain first.
 			drainAdmitted()
-			h, ok := pending[a.msgID]
-			if !ok {
+			h := a.h
+			if pending[h.sess.MsgID] != h {
 				break // late ack of an expired session
 			}
-			if h.acked == nil {
-				h.acked = make(map[int]bool, h.dests)
-			}
-			if h.acked[a.host] {
-				break
-			}
-			h.acked[a.host] = true
+			h.acked++
 			if a.at > h.finishAt {
 				h.finishAt = a.at
 			}
-			if len(h.acked) == h.dests {
-				delete(pending, a.msgID)
+			if h.acked == h.dests {
+				delete(pending, h.sess.MsgID)
 				s.complete(h)
 				rearm()
 			}
@@ -725,7 +722,7 @@ func (s *Scheduler) expire(h *Handle, cause error) {
 	})
 	h.err = &SessionError{
 		MsgID: h.sess.MsgID,
-		Acked: len(h.acked),
+		Acked: h.acked,
 		Dests: h.dests,
 		Err:   cause,
 	}

@@ -315,6 +315,10 @@ func TestSessionTimeoutReclaimsFabric(t *testing.T) {
 	if !errors.As(werr, &se) || se.MsgID != 1 || se.Dests != 3 {
 		t.Fatalf("wedged session error %v lacks session identity/progress", werr)
 	}
+	// Hosts 1 and 2 completed at one and two hops, host 3 was a hop short.
+	if se.Acked != 2 {
+		t.Fatalf("wedged session error counts %d destinations done, want 2", se.Acked)
+	}
 	// Let the cancelled session's still-sleeping frames land and be
 	// dropped, then prove the slots are free again.
 	time.Sleep(4 * hop)
