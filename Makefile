@@ -20,8 +20,8 @@ race:
 # detector. This target is explicit — and a required CI step — so the
 # -race coverage of internal/live cannot be silently skipped by package
 # caching or a filtered test run. internal/mcastd rides along: the daemon
-# runs the same ReliableNI, EdgeSender, Pump and repair brain as the live
-# engine, so its -race coverage must be equally unskippable.
+# runs the same ReliableNI, EdgeSender, Supervisor and repair brain as the
+# live engine, so its -race coverage must be equally unskippable.
 live-race:
 	$(GO) test -race -count=1 ./internal/live/... ./internal/mcastd ./internal/sched ./internal/check
 

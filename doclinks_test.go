@@ -2,7 +2,12 @@ package repro_test
 
 import (
 	"bufio"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -20,6 +25,7 @@ var docNotLinks = map[string]string{
 }
 
 var (
+	docQual   = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)")
 	docPath   = regexp.MustCompile(`\b(?:internal|cmd)/[a-z0-9_]+`)
 	docMake   = regexp.MustCompile("`make ([^`]*)`")
 	docName   = regexp.MustCompile("`([a-z][a-z0-9]*(?:-[a-z0-9]+)+)`")
@@ -30,10 +36,13 @@ var (
 // TestDocLinks holds DESIGN.md and README.md to the tree they describe:
 // every internal/<pkg> and cmd/<bin> they mention is a directory, every
 // `make <target>` (backticked, or a command line of a code block) is a
-// Makefile target, and every backticked name shaped like an invariant ID
-// is one — or a make target, or an experiment ID. A dangling name fails
-// with its file and line.
+// Makefile target, every backticked name shaped like an invariant ID
+// is one — or a make target, or an experiment ID — and every backticked
+// `pkg.Name` whose pkg is a directory under internal/ names a top-level
+// declaration of that package. A dangling name fails with its file and
+// line.
 func TestDocLinks(t *testing.T) {
+	decls := internalDecls(t)
 	targets := map[string]bool{}
 	mk, err := os.Open("Makefile")
 	if err != nil {
@@ -81,6 +90,11 @@ func TestDocLinks(t *testing.T) {
 					}
 				}
 			}
+			for _, m := range docQual.FindAllStringSubmatch(text, -1) {
+				if names, ok := decls[m[1]]; ok && !names[m[2]] {
+					t.Errorf("%s:%d: `%s.%s`: package %s declares no %s", doc, line, m[1], m[2], m[1], m[2])
+				}
+			}
 			for _, m := range docName.FindAllStringSubmatch(text, -1) {
 				used[m[1]] = true
 				if !known(m[1]) {
@@ -98,4 +112,52 @@ func TestDocLinks(t *testing.T) {
 			t.Errorf("docNotLinks lists %s, which neither document names any more; drop the entry", name)
 		}
 	}
+}
+
+// internalDecls maps the name of every directory under internal/ to the
+// top-level declarations of the package its non-test files make.
+func internalDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	decls := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(p string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.Base(filepath.Dir(p))
+		if decls[pkg] == nil {
+			decls[pkg] = map[string]bool{}
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					decls[pkg][decl.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						decls[pkg][spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							decls[pkg][n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decls
 }

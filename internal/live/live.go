@@ -23,6 +23,9 @@
 // store-and-forward credit cycles and deadlock — single trees cannot
 // (every blocked-send chain ends at a draining leaf) — so the runtime
 // wraps every run in a watchdog that aborts cleanly instead of hanging.
+//
+// RunReliable (reliable.go) adds loss and crash tolerance from parts
+// mcastd.RunReliable shares: ReliableShare's NIs and edges, one Supervisor.
 package live
 
 import (

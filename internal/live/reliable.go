@@ -11,27 +11,18 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the in-process driver of the reliable protocol. The
-// protocol itself is shared with the multi-process daemon: EdgeSender
-// (per-edge retransmission), ReliableNI (the receive loop), ReliableShare
-// (the data plane built from the two: NIs, edge incarnations, ACK routes,
-// epoch register, teardown), Pump (the wall-clock detector loop) and
-// reliable.Brain (tree shape and Fig.-11 repair). What lives here is what
-// only this engine has: scheduled crash windows, the chaos plane's ACK
-// loss, the verdict and the result.
+// This file is the in-process driver of the reliable protocol, whose parts
+// (ReliableShare, Supervisor) the multi-process daemon shares. What lives
+// here is what only this engine has: config validation, the crash
+// schedule, the chaos plane's ACK loss, and the verdict and result read
+// from the quiescent NIs.
 //
-// Concurrency layout (strict ownership, like the lossless engine):
-//   - one NI goroutine per host: drains the inbox, dedups, ACKs,
-//     forwards novel packets to its child edges, reassembles, heartbeats;
-//   - one sender goroutine per live tree edge: owns the edge's per-packet
-//     attempts and its one timer, sends serially in sequence order;
-//   - the supervisor (RunReliable's goroutine): drives the brain and the
-//     membership detector, and decides termination.
-// The only cross-goroutine mutable cells are atomics: the share's epoch
-// register, raised by the supervisor on view changes and read by senders
-// (stamping) and receivers (fencing), each host's ACK route, and per edge
-// the ACK bitmap the receiving NI marks and the sender reads (with its
-// fenced count and cancel flag). All other coordination is by channel.
+// Concurrency layout (strict ownership, like the lossless engine): one NI
+// goroutine per host, one sender goroutine per live tree edge, and the
+// supervisor on RunReliable's goroutine. The only cross-goroutine mutable
+// cells are atomics — the share's epoch register, each host's ACK route,
+// and per edge the ACK bitmap, fenced count and cancel flag; all other
+// coordination is by channel.
 
 // HostCrash schedules a crash-stop of one host's NI goroutine at a
 // wall-clock offset from run start: from At on the NI silently eats every
@@ -170,54 +161,21 @@ type ReliableResult struct {
 	CrashDrops int
 }
 
-// rctl is a message to the supervisor.
-type rctl struct {
-	kind rctlKind
-	host int // beat/done/rejoin: reporting host; exhausted: sending endpoint
-	to   int // exhausted: receiving endpoint
-	at   time.Duration
-}
-
-type rctlKind int
-
-const (
-	ctlBeat rctlKind = iota
-	ctlDone
-	ctlExhausted
-	// ctlRejoin: an NI served its first frame after a crash window and wiped
-	// its state. The supervisor must re-graft it on a fresh edge with a full
-	// replay: its old parent edge holds pre-crash ACKs for packets the crash
-	// erased, and plain retransmission would never resend those.
-	ctlRejoin
-)
-
-// rrt is the driver state of one reliable run. Its data plane is the
-// embedded share, every host local — whose Install and Retire, with
-// Alive, Member and Done below, make rrt the reliable.Runtime the repair
-// brain drives.
+// rrt is the driver state of one reliable run: the share (every host
+// local), its supervisor, the crash schedule and the ACK-drop streams.
 type rrt struct {
 	*ReliableShare
-	cfg   ReliableConfig
-	s     Session
-	m     int // packets
-	root  int
-	start time.Time
-	ctl   chan rctl
-	chaos *link.Chaos
-
+	sup     *Supervisor
+	cfg     ReliableConfig
+	s       Session
+	start   time.Time
+	chaos   *link.Chaos
 	crashes map[int]HostCrash     // by host; immutable after start
 	ackRNG  map[int]*workload.RNG // by host: the chaos plane's ACK-drop streams, each its NI's
-
-	// Supervisor-owned (no other goroutine touches these after start):
-	done     map[int]bool // destinations that reported completion
-	brain    *reliable.Brain
-	det      *membership.Detector
-	views    []membership.View
-	rootDown bool
 }
 
 // down reports whether host h is inside its scheduled crash window at
-// offset t. It is called from NI and sender goroutines.
+// offset t: the supervisor's Down, called from NI and sender goroutines too.
 func (rt *rrt) down(h int, t time.Duration) bool {
 	c, ok := rt.crashes[h]
 	return ok && t >= c.At && (c.CrashStop() || t < c.RecoverAt)
@@ -254,22 +212,7 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 		crashes[c.Host] = c
 	}
 
-	rt := &rrt{
-		cfg:     cfg,
-		s:       s,
-		m:       len(s.Packets),
-		root:    s.Tree.Root(),
-		chaos:   chaos,
-		crashes: crashes,
-		ackRNG:  map[int]*workload.RNG{},
-		done:    map[int]bool{},
-	}
-	rt.brain = reliable.NewBrain(s.Tree, cfg.MaxRegrafts, rt)
-	// Sized so that NI reports (a beat per period, a completion, a rejoin)
-	// and edge exhaustions queue up behind a busy supervisor instead of
-	// blocking their goroutines.
-	rt.ctl = make(chan rctl, 8*s.Tree.Size()+64)
-
+	rt := &rrt{cfg: cfg, s: s, chaos: chaos, crashes: crashes, ackRNG: map[int]*workload.RNG{}}
 	scfg := ReliableShareConfig{
 		Tree:          s.Tree,
 		Local:         s.Tree.Nodes(),
@@ -295,166 +238,87 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 				}
 			},
 			OnDone: func(host int, at time.Duration) {
-				rt.report(rctl{kind: ctlDone, host: host, at: at})
+				rt.sup.Report(Report{Kind: ReportDone, Host: host, At: at})
 			},
 		},
-		// Budget exhaustion and transport death alike: the brain repairs or
-		// abandons the subtree behind the edge.
-		Exhausted: func(a, b int) { rt.report(rctl{kind: ctlExhausted, host: a, to: b}) },
+		Exhausted: func(a, b int) { rt.sup.Report(Report{Kind: ReportExhausted, Host: a, To: b}) },
 	}
 	for _, v := range scfg.Local {
 		rt.ackRNG[v] = chaos.AckRNG(v)
 	}
 	// A non-empty crash schedule arms the membership plane.
+	var det *membership.Detector
 	if len(cfg.Crashes) > 0 {
-		det, err := cfg.Heartbeat.NewDetector(cfg.Faults.Seed, scfg.Local)
-		if err != nil {
+		if det, err = cfg.Heartbeat.NewDetector(cfg.Faults.Seed, scfg.Local); err != nil {
 			return nil, err
 		}
-		rt.det = det
-		rt.views = append(rt.views, det.View())
 		// A down host's sends vanish while still burning retry budget, so a
 		// long crash exhausts its edges and triggers repair even before the
 		// detector confirms.
 		scfg.Suppressed = func(host int) bool { return rt.down(host, time.Since(rt.start)) }
 		scfg.NI.Down = rt.down
 		scfg.NI.OnRejoin = func(host int, at time.Duration) {
-			rt.report(rctl{kind: ctlRejoin, host: host, at: at})
+			rt.sup.Report(Report{Kind: ReportRejoin, Host: host, At: at})
 		}
 		scfg.NI.BeatEvery = cfg.Heartbeat.Every
 		scfg.NI.OnBeat = func(host int, at time.Duration) {
 			if !rt.down(host, at) {
-				rt.report(rctl{kind: ctlBeat, host: host, at: at})
+				rt.sup.Report(Report{Kind: ReportBeat, Host: host, At: at})
 			}
 		}
 	}
 	if rt.ReliableShare, err = NewReliableShare(scfg); err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	if rt.det != nil {
-		rt.SetEpoch(rt.det.Epoch())
-	}
+	rt.sup = NewSupervisor(rt.ReliableShare, SupervisorConfig{
+		Det:         det,
+		MaxRegrafts: cfg.MaxRegrafts,
+		// While the supervisor runs, the root it embodies is alive; every
+		// other NI beats for itself. In-process orders are never lost, so
+		// nothing is refreshed.
+		Witness: []int{s.Tree.Root()},
+		Down:    rt.down,
+		Timeout: cfg.Live.Timeout,
+	})
 	rt.start = time.Now()
 	rt.Start(rt.start)
-	return rt.supervise()
-}
-
-// report queues one NI or edge report for the supervisor. Beats are lossy
-// by design (a missed beat is just silence); everything else waits for
-// room, unless the run is already tearing down.
-func (rt *rrt) report(c rctl) {
-	if c.kind == ctlBeat {
-		select {
-		case rt.ctl <- c:
-		default:
-		}
-		return
-	}
-	select {
-	case rt.ctl <- c:
-	case <-rt.Aborted():
-	}
-}
-
-// Alive consults the crash schedule itself: the in-process engine knows
-// when a host is down without waiting for the detector.
-func (rt *rrt) Alive(v int) bool { return !rt.down(v, time.Since(rt.start)) }
-
-func (rt *rrt) Member(v int) bool {
-	return rt.det == nil || rt.det.Phase(v) != membership.Crashed
-}
-
-func (rt *rrt) Done(v int) bool { return rt.done[v] }
-
-// supervise is the supervisor loop: collect heartbeats, completions and
-// edge exhaustions; advance the failure detector; let the brain adopt,
-// repair or abandon; finish on an empty wait set, root crash, or
-// watchdog expiry.
-func (rt *rrt) supervise() (*ReliableResult, error) {
-	// Destinations awaited for termination: every destination except those
-	// scheduled to crash-stop (they can never complete; recovery-scheduled
-	// hosts are awaited — the protocol must replay them to completion).
-	var awaited []int
-	for _, v := range rt.s.Tree.Nodes() {
-		if c, crashes := rt.crashes[v]; v != rt.root && !(crashes && c.CrashStop()) {
-			awaited = append(awaited, v)
-		}
-	}
-
-	// The supervisor is the root's protocol brain: if it is running, the
-	// root is alive (unless its crash is actually scheduled).
-	local := []int{rt.root}
-	pump := &Pump[rctl]{
-		Det:      rt.det,
-		Start:    rt.start,
-		Events:   rt.ctl,
-		OnEvents: rt.handleEvents,
-		Timeout:  rt.cfg.Live.Timeout,
-		Local: func(at time.Duration) []int {
-			if rt.down(rt.root, at) {
-				return nil
-			}
-			return local
-		},
-	}
-	pump.Handle = func(c rctl) {
-		switch c.kind {
-		case ctlBeat:
-			pump.Witness()
-			if c.host != rt.root { // the witness already counted, at a fresher instant
-				pump.Beat(c.host, c.at)
-			}
-		case ctlDone:
-			rt.done[c.host] = true
-		case ctlExhausted:
-			rt.brain.Exhausted(c.host, c.to)
-		case ctlRejoin:
-			// If the detector already confirmed the crash, its beat-driven
-			// Rejoined event re-admits the host with a fresh subtree; grafting
-			// here too would just double the churn.
-			if rt.det.Phase(c.host) != membership.Crashed {
-				rt.brain.Graft(rt.brain.LiveAncestor(c.host), []int{c.host})
-			}
-		}
-	}
-	timedOut := pump.Run(func() bool {
-		for _, v := range awaited {
-			if !rt.done[v] && !rt.brain.Abandoned(v) {
-				return rt.rootDown
-			}
-		}
-		return true
-	})
+	timedOut := rt.sup.Run(rt.start)
 	wall := time.Since(rt.start)
 	rt.Stop()
-
 	if timedOut {
-		e := &WatchdogError{
-			Timeout:  rt.cfg.Live.Timeout,
-			Missing:  map[int][]int{},
-			Progress: map[int][]DestProgress{},
-		}
-		for _, v := range rt.s.Tree.Nodes() { // ascending
-			if n := rt.NI(v); v != rt.root && n.Data == nil {
-				e.Missing[0] = append(e.Missing[0], v)
-				e.Progress[0] = append(e.Progress[0], DestProgress{Host: v, Received: n.Held(), Expected: rt.m})
-			}
-		}
-		return nil, e
+		return nil, rt.watchdog()
 	}
+	return rt.result(wall)
+}
 
-	// Assemble the result (all goroutines quiescent: reads are race-free,
-	// and a completion that raced the verdict still counts).
+// watchdog names every destination the stalled run left incomplete.
+func (rt *rrt) watchdog() *WatchdogError {
+	e := &WatchdogError{
+		Timeout:  rt.cfg.Live.Timeout,
+		Missing:  map[int][]int{},
+		Progress: map[int][]DestProgress{},
+	}
+	for _, v := range rt.s.Tree.Nodes() { // ascending
+		if n := rt.NI(v); v != rt.s.Tree.Root() && n.Data == nil {
+			e.Missing[0] = append(e.Missing[0], v)
+			e.Progress[0] = append(e.Progress[0], DestProgress{Host: v, Received: n.Held(), Expected: len(rt.s.Packets)})
+		}
+	}
+	return e
+}
+
+// result assembles the verdict from the quiescent share: every goroutine
+// has returned, so reads are race-free, and a completion that raced the
+// verdict still counts.
+func (rt *rrt) result(wall time.Duration) (*ReliableResult, error) {
 	res := &ReliableResult{
 		Hosts:     map[int]*HostRecord{},
 		Wall:      wall,
-		Packets:   rt.m,
+		Packets:   len(rt.s.Packets),
 		Faults:    rt.chaos.Stats(),
-		Views:     rt.views,
-		Adoptions: rt.brain.Adoptions(),
-	}
-	if rt.det != nil {
-		res.Epoch = rt.det.Epoch()
+		Views:     rt.sup.Views(),
+		Adoptions: rt.sup.Adoptions(),
+		Epoch:     rt.Epoch(),
 	}
 	res.Sends, res.Retransmits, res.Duplicates, res.Fenced = rt.Totals()
 	dests := 0
@@ -463,7 +327,7 @@ func (rt *rrt) supervise() (*ReliableResult, error) {
 		res.Hosts[v] = &n.HostRecord
 		res.CrashDrops += n.CrashDrops
 		res.Accepts = append(res.Accepts, n.Accepts...)
-		if v == rt.root {
+		if v == rt.s.Tree.Root() {
 			continue
 		}
 		dests++
@@ -486,28 +350,6 @@ func (rt *rrt) supervise() (*ReliableResult, error) {
 
 	var err error
 	res.Status, err = reliable.Verdict(dests, res.Orphaned, res.Crashed,
-		rt.cfg.Quorum, res.Epoch, rt.det != nil, rt.rootDown)
+		rt.cfg.Quorum, res.Epoch, len(rt.crashes) > 0, rt.sup.RootDown())
 	return res, err
-}
-
-// handleEvents folds a batch of detector events into the runtime: epoch
-// register, view log, adoption on confirmation, re-admission on rejoin.
-func (rt *rrt) handleEvents(evs []membership.Event) {
-	for _, ev := range evs {
-		switch ev.Kind {
-		case membership.Confirmed:
-			rt.SetEpoch(ev.Epoch)
-			if ev.Host == rt.root {
-				rt.rootDown = true
-				return
-			}
-			rt.brain.Confirmed(ev.Host)
-		case membership.Rejoined:
-			rt.SetEpoch(ev.Epoch)
-			rt.brain.Rejoined(ev.Host)
-		}
-	}
-	if len(rt.views) > 0 && rt.det.Epoch() > rt.views[len(rt.views)-1].Epoch {
-		rt.views = append(rt.views, rt.det.View())
-	}
 }

@@ -17,7 +17,8 @@
 // Run drives the unreliable engine — correct on a lossless fabric,
 // wedging on loss. RunReliable (reliable.go) layers retransmission,
 // duplicate suppression, process-level failure detection and Fig.-11
-// orphan adoption on the same fabric.
+// orphan adoption on the same fabric: live's reliable data plane in every
+// process, and live's one supervisor in the root's.
 package mcastd
 
 import (

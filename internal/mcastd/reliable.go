@@ -1,24 +1,14 @@
 package mcastd
 
-// This file is the deployment rung of the reliable protocol ladder:
-// internal/reliable proved the machinery on simulated time, live
-// RunReliable ported it onto goroutines and real timers, and here the
-// same protocol runs across OS processes over real UDP sockets. The
-// data plane is live's, whole: a live.ReliableShare — this process's
-// ReliableNIs and EdgeSender incarnations, their ACK routes, the epoch
-// register and the teardown — dialed over the socket fabric; the ctl
-// plane carries data ACKs, process heartbeats, and the root's repair
-// orders (GRAFT/KILL/EPOCH).
-//
-// The root process drives the same reliable.Brain and live.Pump as the
-// live supervisor: the membership detector runs over every tree host
-// (remote hosts heartbeat over ctl; hosts sharing the root's process
-// are witnessed directly — if this code runs, they are alive), and on
-// a confirmed crash the epoch is fenced and the dead host's incomplete
-// subtree re-grafted onto survivors via the paper's Fig.-11
-// construction. Repair orders to remote processes are idempotent and
-// periodically refreshed, so a lost ctl datagram delays repair by one
-// refresh tick instead of wedging it.
+// This file is the deployment rung of the reliable protocol ladder: the
+// protocol of internal/reliable and live.RunReliable across OS processes
+// over UDP. Every process runs a live.ReliableShare over the socket
+// fabric; the root's also runs live.Supervisor, witnessing its own hosts
+// and hearing the others' beats over ctl, and its orders for remote
+// parents (GRAFT/KILL/EPOCH) leave as ctl frames, refreshed so a lost
+// datagram delays repair by one tick instead of wedging it. What stays
+// here is the daemon's own: the ctl listeners, the follower loop of every
+// other process, the DONE/STOP handshake, the verdict and the result.
 
 import (
 	"fmt"
@@ -117,13 +107,12 @@ func (rcfg ReliableConfig) validate() error {
 	return nil
 }
 
-// dev is one event delivered to the process coordinator: a control
-// frame addressed to local host `host`, or one of the two local
+// dev is one event delivered to a follower process's coordinator: a
+// control frame addressed to local host `host`, or one of the two local
 // happenings below dressed as a frame.
 type dev struct {
 	ctlFrame
-	host int           // the local host the frame was addressed to
-	at   time.Duration // receipt offset (beats, dones)
+	host int // the local host the frame was addressed to
 }
 
 const (
@@ -131,11 +120,8 @@ const (
 	evLocalExhausted             // a, b: edge — a local edge incarnation died
 )
 
-// drt is the driver state of one process's share of a reliable run; the
-// data plane itself is the live.ReliableShare. In the root's process drt
-// is also the reliable.Runtime the repair brain drives: edges whose
-// parent is local are the share's to install and retire, the rest become
-// GRAFT/KILL orders to the parent's process.
+// drt is the driver state of one process's share of a reliable run: the
+// root's process supervises it, every other follows the root in destLoop.
 type drt struct {
 	cfg      Config
 	rcfg     ReliableConfig
@@ -144,39 +130,26 @@ type drt struct {
 	nodes    []int // the tree's hosts, ascending
 	start    time.Time
 	share    *live.ReliableShare
-	evs      chan dev
+	sup      *live.Supervisor // the root's process only
+	evs      chan dev         // the other processes' coordinator events
 	stopAckC chan int
 
 	// Coordinator-owned (single goroutine after start):
 	doneAckC map[int]chan struct{} // per local dest still awaiting the root's DONE-ACK
 	stopStat reliable.Status
+	orphaned []int // root: the verdict's undelivered destinations and
+	crashed  []int // confirmed-crashed hosts, both ascending
 
-	// Root-only membership and repair state:
-	det       *membership.Detector
-	pump      *live.Pump[dev]
-	brain     *reliable.Brain
-	doneSet   map[int]bool
-	pendGraft map[[2]int]bool // GRAFT orders re-sent each refresh
-	exhSeen   map[[2]int]int
-	orphaned  []int // the verdict's undelivered destinations and
-	crashed   []int // confirmed-crashed hosts, both ascending
+	exhSeen map[[2]int]int // the root's listener: latest EXHAUSTED generation per edge
 
 	// Non-root repair state:
 	pendExh map[[2]int]int // unacknowledged EXHAUSTED reports by gen
 	exhGen  map[[2]int]int
 }
 
-// event delivers one event to the coordinator. Beats (re-sent by
-// protocol) are lossy on overflow so listeners can never stall; the rest
-// block until the coordinator drains.
+// event delivers one event to a follower's coordinator, blocking until it
+// drains or the process tears down.
 func (rt *drt) event(e dev) {
-	if e.kind == ctlBeat {
-		select {
-		case rt.evs <- e:
-		default:
-		}
-		return
-	}
 	select {
 	case rt.evs <- e:
 	case <-rt.share.Aborted():
@@ -216,24 +189,31 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 		pendExh:  map[[2]int]int{},
 		exhGen:   map[[2]int]int{},
 	}
-	// Sized so that the reports a listener can produce without the
-	// coordinator running — a few per host — queue up instead of blocking
-	// it; beats beyond that are dropped, never blocked on.
-	rt.evs = make(chan dev, 8*len(rt.nodes)+64)
 	rt.stopAckC = make(chan int, len(rt.nodes)+4) // one STOP-ACK per host, plus repeats
+	var det *membership.Detector
 	for _, v := range cfg.Local {
 		if v != rt.root {
 			rt.doneAckC[v] = make(chan struct{})
-			continue
-		}
-		if rt.det, err = rcfg.Heartbeat.NewDetector(rcfg.Faults.Seed, rt.nodes); err != nil {
+		} else if det, err = rcfg.Heartbeat.NewDetector(rcfg.Faults.Seed, rt.nodes); err != nil {
 			return nil, err
 		}
-		rt.brain = reliable.NewBrain(cfg.Tree, rcfg.MaxRegrafts, rt)
-		rt.brain.Logf = rt.cfg.logf
-		rt.doneSet = map[int]bool{}
-		rt.pendGraft = map[[2]int]bool{}
-		rt.exhSeen = map[[2]int]int{}
+	}
+	// A local completion or dead edge goes to the root's supervisor, or to a
+	// follower's coordinator dressed as a frame.
+	onDone := func(host int, at time.Duration) {
+		rt.cfg.logf("host %d delivered at %v", host, at)
+		if rt.sup != nil {
+			rt.sup.Report(live.Report{Kind: live.ReportDone, Host: host, At: at})
+			return
+		}
+		rt.event(dev{ctlFrame: ctlFrame{kind: evLocalDone, a: host}})
+	}
+	exhausted := func(a, b int) {
+		if rt.sup != nil {
+			rt.sup.Report(live.Report{Kind: live.ReportExhausted, Host: a, To: b})
+			return
+		}
+		rt.event(dev{ctlFrame: ctlFrame{kind: evLocalExhausted, a: a, b: b}})
 	}
 
 	rt.share, err = live.NewReliableShare(live.ReliableShareConfig{
@@ -256,19 +236,32 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 			Ack: func(host, from, seq, epoch int) {
 				rt.cfg.sendCtl(host, from, ctlFrame{kind: ctlAck, a: host, b: seq, c: epoch})
 			},
-			OnDone: func(host int, at time.Duration) {
-				rt.event(dev{ctlFrame: ctlFrame{kind: evLocalDone, a: host}, at: at})
-			},
+			OnDone: onDone,
 		},
-		// Budget exhaustion and transport death alike: the coordinator
-		// repairs around the edge, or reports it to the root.
-		Exhausted: func(a, b int) { rt.event(dev{ctlFrame: ctlFrame{kind: evLocalExhausted, a: a, b: b}}) },
+		// Budget exhaustion and transport death alike: the supervisor
+		// repairs around the edge, or a follower reports it to the root.
+		Exhausted: exhausted,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mcastd: %w", err)
 	}
+	if det != nil {
+		rt.sup = live.NewSupervisor(rt.share, live.SupervisorConfig{
+			Det:         det,
+			MaxRegrafts: rcfg.MaxRegrafts,
+			Witness:     cfg.Local,
+			Refresh:     rcfg.Refresh,
+			Orders:      rt.order,
+			Timeout:     cfg.Timeout,
+			Logf:        rt.cfg.logf,
+		})
+		rt.exhSeen = map[[2]int]int{}
+	} else {
+		// A few events per host queue up behind a busy coordinator.
+		rt.evs = make(chan dev, 8*len(rt.nodes)+64)
+	}
 	// Every process fences at the detector's initial epoch; only the
-	// root's announcements over ctl advance a non-root process.
+	// root's announcements over ctl advance a follower.
 	rt.share.SetEpoch(1)
 
 	rt.start = time.Now()
@@ -278,7 +271,7 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	}
 
 	var runErr error
-	if rt.brain != nil {
+	if rt.sup != nil {
 		runErr = rt.rootLoop()
 	} else {
 		runErr = rt.destLoop()
@@ -287,11 +280,22 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	return rt.assemble(runErr), runErr
 }
 
-// listen turns host id's ctl frames into coordinator events, dropping
-// those this host has no business with; a data ACK skips the coordinator
-// and goes straight to the edge incarnation it acknowledges. The fabric's
-// ctl pump delivers payload bytes only (the datagram's From is lost), so
-// every message carries the relevant hosts explicitly.
+// order puts one of the supervisor's repair orders on the ctl plane.
+func (rt *drt) order(o live.Order) {
+	f := ctlFrame{kind: ctlGraft, a: o.A, b: o.B, c: o.Epoch}
+	switch o.Kind {
+	case live.OrderKill:
+		f.kind = ctlKill
+	case live.OrderEpoch:
+		f = ctlFrame{kind: ctlEpoch, a: o.Epoch}
+	}
+	rt.cfg.sendCtl(rt.root, o.To, f)
+}
+
+// listen hands host id's ctl frames to the root (hearRoot) or a follower's
+// coordinator, dropping those this host has no business with; a data ACK
+// goes straight to its edge incarnation. Every frame names its hosts: the
+// fabric's ctl pump delivers payload bytes only.
 func (rt *drt) listen(id int) {
 	listenCtl(rt.cfg, id, rt.share.Aborted(), func(f ctlFrame) {
 		switch f.kind {
@@ -301,23 +305,53 @@ func (rt *drt) listen(id int) {
 			}
 			return
 		case ctlBeat, ctlDone, ctlExhausted, ctlStopAck:
-			if id != rt.root {
-				return // reports to the root only
+			if id == rt.root {
+				rt.hearRoot(f)
 			}
-			if f.kind == ctlStopAck {
-				select { // STOP is retried: a full queue loses nothing
-				case rt.stopAckC <- f.a:
-				default:
-				}
-				return
-			}
+			return
 		case ctlDoneAck, ctlGraft, ctlKill:
 			if f.a != id {
 				return // addressed to another host
 			}
 		}
-		rt.event(dev{ctlFrame: f, host: id, at: time.Since(rt.start)})
+		if rt.sup == nil {
+			rt.event(dev{ctlFrame: f, host: id})
+		}
 	})
+}
+
+// hearRoot handles one frame addressed to the root: a beat, a DONE
+// (recorded, acknowledged, and a beat too), an EXHAUSTED report (a repair
+// when its generation is new, acknowledged by KILL) or a STOP-ACK.
+func (rt *drt) hearRoot(f ctlFrame) {
+	at := time.Since(rt.start)
+	switch f.kind {
+	case ctlStopAck:
+		select { // STOP is retried: a full queue loses nothing
+		case rt.stopAckC <- f.a:
+		default:
+		}
+	case ctlBeat:
+		if rt.cfg.Tree.Contains(f.a) {
+			rt.sup.Report(live.Report{Kind: live.ReportBeat, Host: f.a, At: at})
+		}
+	case ctlDone:
+		if !rt.cfg.Tree.Contains(f.a) {
+			return // a corrupted or foreign datagram must not skew the verdict
+		}
+		rt.cfg.logf("root heard DONE from host %d", f.a)
+		rt.sup.Report(live.Report{Kind: live.ReportDone, Host: f.a, At: at})
+		rt.cfg.sendCtl(rt.root, f.a, ctlFrame{kind: ctlDoneAck, a: f.a})
+		rt.sup.Report(live.Report{Kind: live.ReportBeat, Host: f.a, At: at})
+	case ctlExhausted:
+		if key := [2]int{f.a, f.b}; f.c > rt.exhSeen[key] {
+			rt.exhSeen[key] = f.c
+			rt.sup.Report(live.Report{Kind: live.ReportExhausted, Host: f.a, To: f.b})
+		}
+		// Always acknowledge, even a replayed generation or an edge no
+		// longer in the shape: the reporter retries until KILLed.
+		rt.cfg.sendCtl(rt.root, f.a, ctlFrame{kind: ctlKill, a: f.a, b: f.b, c: rt.share.Epoch()})
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -340,7 +374,6 @@ func (rt *drt) destLoop() error {
 			key := [2]int{e.a, e.b}
 			switch e.kind {
 			case evLocalDone:
-				rt.cfg.logf("host %d delivered at %v", e.a, e.at)
 				acked := rt.doneAckC[e.a]
 				rt.share.Go(func() {
 					reportDone(rt.cfg, e.a, acked, nil, rt.share.Aborted()) // STOP ends the loop, and abort follows
@@ -401,42 +434,19 @@ func (rt *drt) progress() string {
 }
 
 // ---------------------------------------------------------------------------
-// Root process coordinator: membership, adoption, verdict.
+// Root process: supervision, verdict, STOP.
 
-// rootLoop drives the root's process: collect completions, beats and
-// edge deaths; advance the failure detector (every host this process
-// owns is witnessed: if the coordinator is running, they are alive); let
-// the brain adopt, repair or abandon; then settle the verdict and run
-// the STOP handshake.
+// rootLoop runs the supervisor until the run settles, then settles the
+// verdict and runs the STOP handshake.
 func (rt *drt) rootLoop() error {
-	refresh := time.NewTicker(rt.rcfg.Refresh)
-	defer refresh.Stop()
-	rt.pump = &live.Pump[dev]{
-		Det:      rt.det,
-		Start:    rt.start,
-		Events:   rt.evs,
-		Handle:   rt.handleRoot,
-		Local:    func(time.Duration) []int { return rt.cfg.Local },
-		OnEvents: rt.handleEvents,
-		Tick:     refresh.C,
-		OnTick:   rt.refreshTick,
-		Timeout:  rt.cfg.Timeout,
-	}
-	timedOut := rt.pump.Run(func() bool {
-		for _, v := range rt.nodes {
-			if rt.awaited(v) {
-				return false
-			}
-		}
-		return true
-	})
+	timedOut := rt.sup.Run(rt.start)
 
 	// Settle the verdict before STOP so remote processes report it.
 	for _, v := range rt.nodes { // ascending
-		if v != rt.root && !rt.doneSet[v] {
+		if v != rt.root && !rt.sup.Done(v) {
 			rt.orphaned = append(rt.orphaned, v)
 		}
-		if !rt.Member(v) {
+		if !rt.sup.Member(v) {
 			rt.crashed = append(rt.crashed, v)
 		}
 	}
@@ -453,147 +463,9 @@ func (rt *drt) rootLoop() error {
 
 	// Acknowledged STOP to every remote host not confirmed dead,
 	// bounded by the drain deadline.
-	stopRemotes(rt.cfg, rt.Member, rt.stopAckC, rt.stopStat, rt.share.Epoch())
+	stopRemotes(rt.cfg, rt.sup.Member, rt.stopAckC, rt.stopStat, rt.share.Epoch())
 	return verdictErr
 }
-
-// awaited reports whether destination v still holds the run open: not
-// complete, not abandoned, and not confirmed dead (unless it rejoins).
-func (rt *drt) awaited(v int) bool {
-	return v != rt.root && !rt.doneSet[v] && rt.Member(v) && !rt.brain.Abandoned(v)
-}
-
-// handleRoot folds one coordinator event into the root's state.
-func (rt *drt) handleRoot(e dev) {
-	switch e.kind {
-	case evLocalDone:
-		rt.cfg.logf("host %d delivered at %v", e.a, e.at)
-		rt.doneSet[e.a] = true
-	case ctlDone:
-		if !rt.cfg.Tree.Contains(e.a) {
-			break // a corrupted or foreign datagram must not skew the verdict
-		}
-		if !rt.doneSet[e.a] {
-			rt.cfg.logf("root heard DONE from remote host %d", e.a)
-		}
-		rt.doneSet[e.a] = true
-		rt.cfg.sendCtl(rt.root, e.a, ctlFrame{kind: ctlDoneAck, a: e.a})
-		rt.pump.Beat(e.a, e.at)
-	case ctlBeat:
-		if rt.cfg.Tree.Contains(e.a) {
-			rt.pump.Beat(e.a, e.at)
-		}
-	case evLocalExhausted:
-		rt.cfg.logf("edge %d->%d exhausted; repairing", e.a, e.b)
-		rt.brain.Exhausted(e.a, e.b)
-	case ctlExhausted:
-		key := [2]int{e.a, e.b}
-		if e.c > rt.exhSeen[key] {
-			rt.exhSeen[key] = e.c
-			rt.cfg.logf("remote edge %d->%d exhausted (gen %d); repairing", e.a, e.b, e.c)
-			rt.brain.Exhausted(e.a, e.b)
-		}
-		// Always acknowledge, even for a replayed gen or an edge no
-		// longer in the shape: the reporter retries until KILLed.
-		rt.cfg.sendCtl(rt.root, e.a, ctlFrame{kind: ctlKill, a: e.a, b: e.b, c: rt.share.Epoch()})
-	}
-}
-
-// announceEpoch tells every remote host still believed alive the
-// current epoch.
-func (rt *drt) announceEpoch() {
-	for _, v := range rt.nodes {
-		if v != rt.root && !rt.cfg.Net.Local(v) && rt.Alive(v) {
-			rt.cfg.sendCtl(rt.root, v, ctlFrame{kind: ctlEpoch, a: rt.share.Epoch()})
-		}
-	}
-}
-
-// refreshTick re-issues every idempotent repair order: pending GRAFTs,
-// the current epoch, and a sweep re-grafting stranded hosts (alive,
-// incomplete, no parent edge — e.g. a suspect that was excluded from an
-// adoption and then turned out to be alive).
-func (rt *drt) refreshTick() {
-	for key := range rt.pendGraft {
-		rt.cfg.sendCtl(rt.root, key[0], ctlFrame{kind: ctlGraft, a: key[0], b: key[1], c: rt.share.Epoch()})
-	}
-	if rt.share.Epoch() > 1 {
-		rt.announceEpoch()
-	}
-	var lost []int
-	for _, v := range rt.nodes {
-		if rt.awaited(v) && rt.brain.Parent(v) == -1 && rt.Alive(v) {
-			lost = append(lost, v)
-		}
-	}
-	if len(lost) > 0 {
-		rt.cfg.logf("sweep: re-grafting stranded hosts %v under the root", lost)
-		rt.brain.Graft(rt.root, lost)
-	}
-}
-
-// handleEvents folds detector events into the runtime: epoch register,
-// adoption on confirmation, re-admission on rejoin. Epoch advances are
-// broadcast to remote survivors immediately (and re-sent each refresh).
-func (rt *drt) handleEvents(evs []membership.Event) {
-	before := rt.share.Epoch()
-	for _, ev := range evs {
-		rt.share.SetEpoch(ev.Epoch)
-		h := ev.Host
-		switch ev.Kind {
-		case membership.Confirmed:
-			if h == rt.root {
-				continue // the root is witnessed; it cannot be confirmed here
-			}
-			// Hosts of the same dead process are at least Suspect by now,
-			// so the brain leaves them out of the adoption; their own
-			// confirmations (or the stranded sweep, if they turn out to be
-			// alive) handle them.
-			rt.cfg.logf("host %d confirmed dead (epoch %d)", h, ev.Epoch)
-			rt.brain.Confirmed(h)
-		case membership.Rejoined:
-			rt.cfg.logf("host %d rejoined (epoch %d)", h, ev.Epoch)
-			if !rt.doneSet[h] {
-				rt.brain.Rejoined(h)
-			}
-		}
-	}
-	if rt.share.Epoch() > before {
-		rt.announceEpoch()
-	}
-}
-
-// Install, Retire, Alive, Member and Done make the root's drt the
-// brain's reliable.Runtime. A new edge is the share's to install when
-// this process owns its parent; otherwise a GRAFT order, tracked and
-// re-sent each refresh until the edge is superseded.
-func (rt *drt) Install(a, b int) {
-	if rt.share.NI(a) != nil {
-		rt.cfg.logf("graft: new local edge %d->%d", a, b)
-		rt.share.Install(a, b)
-		return
-	}
-	rt.cfg.logf("graft: ordering remote edge %d->%d", a, b)
-	rt.pendGraft[[2]int{a, b}] = true
-	rt.cfg.sendCtl(rt.root, a, ctlFrame{kind: ctlGraft, a: a, b: b, c: rt.share.Epoch()})
-}
-
-// Retire has the share cancel a local incarnation; a remote one receives
-// a best-effort KILL (benign if lost: a stale edge idles once its
-// receiver is re-parented, suppressed by dedup).
-func (rt *drt) Retire(a, b int) {
-	delete(rt.pendGraft, [2]int{a, b})
-	if rt.share.NI(a) != nil {
-		rt.share.Retire(a, b)
-		return
-	}
-	rt.cfg.sendCtl(rt.root, a, ctlFrame{kind: ctlKill, a: a, b: b, c: rt.share.Epoch()})
-}
-
-// Alive trusts the detector alone: a Suspect host is left out of repairs.
-func (rt *drt) Alive(v int) bool  { return rt.det.Phase(v) == membership.Alive }
-func (rt *drt) Member(v int) bool { return rt.det.Phase(v) != membership.Crashed }
-func (rt *drt) Done(v int) bool   { return rt.doneSet[v] }
 
 // assemble builds the process's Result from quiescent state; the NIs'
 // records are the hosts' results.
@@ -604,17 +476,17 @@ func (rt *drt) assemble(runErr error) *Result {
 		Status: rt.stopStat,
 		Epoch:  rt.share.Epoch(),
 	}
-	if runErr != nil && rt.brain == nil {
+	if runErr != nil && rt.sup == nil {
 		res.Status = reliable.Failed
 	}
 	_, res.Retransmits, res.Duplicates, res.Fenced = rt.share.Totals()
 	for _, v := range rt.cfg.Local {
 		res.Hosts[v] = &rt.share.NI(v).HostRecord
 	}
-	if rt.brain != nil {
-		res.Adoptions = rt.brain.Adoptions()
+	if rt.sup != nil {
+		res.Adoptions = rt.sup.Adoptions()
 		for _, v := range rt.nodes {
-			if v != rt.root && rt.doneSet[v] {
+			if v != rt.root && rt.sup.Done(v) {
 				res.Completed = append(res.Completed, v)
 			}
 		}

@@ -116,9 +116,15 @@ func (b *Brain) Rejoined(h int) { b.Graft(b.root, []int{h}) }
 // Exhausted handles edge a->c running out of retry budget (or its
 // transport dying): the pair is marked dead, the incarnation retired, and
 // the subtree behind it repaired under the sending endpoint, or under
-// a's nearest live ancestor when a is not alive itself.
+// a's nearest live ancestor when a is not alive itself. A pair that is not
+// the current edge into c — a report that lost the race with the repair
+// that retired it, or one naming a host outside the tree — is marked dead
+// and nothing else: c hangs off another parent or none, or is no host.
 func (b *Brain) Exhausted(a, c int) {
 	b.deadPairs[[2]int{a, c}]++
+	if p, ok := b.parent[c]; !ok || p != a {
+		return
+	}
 	b.retire(a, c)
 	var orphans []int
 	for _, v := range b.subtree(c) {

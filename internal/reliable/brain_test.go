@@ -161,6 +161,37 @@ func TestBrainScript(t *testing.T) {
 			script: func(b *Brain, f *fakeRuntime) { f.done[2] = true; b.Exhausted(0, 2) },
 			want:   "",
 		},
+		{
+			// The same with the receiver incomplete: the stale pair must not
+			// retire the healthy edge 1->2 nor abandon host 2.
+			name: "exhausted-stale-pair-leaves-incomplete-receiver-alone",
+			tree: chain(3), regrafts: 4,
+			script: func(b *Brain, f *fakeRuntime) { b.Exhausted(0, 2) },
+			want:   "",
+		},
+		{
+			// An edge sender checks its cancel flag, then reports: a Retire
+			// can land in between. Host 1's confirmation already moved 2 under
+			// the root, so the late report for 1->2 repairs nothing and
+			// charges no second adoption.
+			name: "late-exhaustion-after-confirm-repairs-nothing",
+			tree: chain(4), regrafts: 4,
+			script: func(b *Brain, f *fakeRuntime) {
+				f.crash(1)
+				b.Confirmed(1)
+				f.log = append(f.log, "|")
+				b.Exhausted(1, 2)
+			},
+			want: "-0>1 -1>2 -2>3 +0>2 +2>3 |", adoptions: 1,
+		},
+		{
+			// A report naming a host outside the tree (a corrupted ctl
+			// frame) is the same case.
+			name: "exhausted-foreign-host-repairs-nothing",
+			tree: chain(3), regrafts: 4,
+			script: func(b *Brain, f *fakeRuntime) { b.Exhausted(1, 9) },
+			want:   "",
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newFake()

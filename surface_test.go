@@ -48,6 +48,8 @@ var surfaceAllow = map[string]string{
 	"link.UDPTransport.Send":    "satisfies link.Transport",
 	"link.FaultyTransport.Send": "satisfies link.Transport",
 	"link.UDPNetwork.Detach":    "satisfies link.Network; every engine detaches through link.AttachAll",
+	"live.Supervisor.Install":   "satisfies reliable.Runtime; the repair brain calls it",
+	"live.Supervisor.Retire":    "satisfies reliable.Runtime; the repair brain calls it",
 
 	// Reference implementations tests compare the engines against
 	// (DESIGN §17: a reference implementation tests use is not a duplicate).
