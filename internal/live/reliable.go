@@ -8,14 +8,12 @@ import (
 	"repro/internal/live/link"
 	"repro/internal/membership"
 	"repro/internal/reliable"
-	"repro/internal/workload"
 )
 
 // This file is the in-process driver of the reliable protocol, whose parts
 // (ReliableShare, Supervisor) the multi-process daemon shares. What lives
 // here is what only this engine has: config validation, the crash
-// schedule, the chaos plane's ACK loss, and the verdict and result read
-// from the quiescent NIs.
+// schedule, and the verdict and result read from the quiescent NIs.
 //
 // Concurrency layout (strict ownership, like the lossless engine): one NI
 // goroutine per host, one sender goroutine per live tree edge, and the
@@ -162,7 +160,7 @@ type ReliableResult struct {
 }
 
 // rrt is the driver state of one reliable run: the share (every host
-// local), its supervisor, the crash schedule and the ACK-drop streams.
+// local), its supervisor and the crash schedule.
 type rrt struct {
 	*ReliableShare
 	sup     *Supervisor
@@ -170,8 +168,7 @@ type rrt struct {
 	s       Session
 	start   time.Time
 	chaos   *link.Chaos
-	crashes map[int]HostCrash     // by host; immutable after start
-	ackRNG  map[int]*workload.RNG // by host: the chaos plane's ACK-drop streams, each its NI's
+	crashes map[int]HostCrash // by host; immutable after start
 }
 
 // down reports whether host h is inside its scheduled crash window at
@@ -212,7 +209,7 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 		crashes[c.Host] = c
 	}
 
-	rt := &rrt{cfg: cfg, s: s, chaos: chaos, crashes: crashes, ackRNG: map[int]*workload.RNG{}}
+	rt := &rrt{cfg: cfg, s: s, chaos: chaos, crashes: crashes}
 	scfg := ReliableShareConfig{
 		Tree:          s.Tree,
 		Local:         s.Tree.Nodes(),
@@ -230,21 +227,11 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 		NI: ReliableNIConfig{
 			MsgID: s.MsgID,
 			Trace: true,
-			// The ACK goes straight to the parent's incarnation, unless the
-			// chaos plane eats it.
-			Ack: func(host, from, seq, epoch int) {
-				if e := rt.Route(host, from); e != nil && !chaos.AckDrop(rt.ackRNG[host]) {
-					e.Ack(EdgeAck{Seq: seq, Epoch: epoch})
-				}
-			},
 			OnDone: func(host int, at time.Duration) {
 				rt.sup.Report(Report{Kind: ReportDone, Host: host, At: at})
 			},
 		},
 		Exhausted: func(a, b int) { rt.sup.Report(Report{Kind: ReportExhausted, Host: a, To: b}) },
-	}
-	for _, v := range scfg.Local {
-		rt.ackRNG[v] = chaos.AckRNG(v)
 	}
 	// A non-empty crash schedule arms the membership plane.
 	var det *membership.Detector

@@ -5,16 +5,16 @@ import (
 
 	"repro/internal/live/link"
 	"repro/internal/message"
+	"repro/internal/workload"
 )
 
 // ReliableNIConfig parameterizes one ReliableNI the way EdgeSenderConfig
 // parameterizes a sender: the hooks decouple the receive loop from any
-// particular runtime, so the in-process reliable engine and the
-// multi-process daemon run the same NI with different ACK routes and
-// reporters. Every hook is called from the NI goroutine and is handed
-// Host first, so one set of hooks serves every NI of a run: a driver fills
-// in MsgID, Trace and the hooks once, and ReliableShare stamps each NI's
-// Host, Root, Inbox, Packets, Abort and Epoch onto that template.
+// particular runtime (where an ACK goes is the share's rule, not a hook).
+// Every hook is called from the NI goroutine and is handed Host first, so
+// one set of hooks serves every NI of a run: a driver fills in MsgID,
+// Trace and the hooks once, and ReliableShare stamps each NI's Host, Root,
+// Inbox, Packets, Abort and Epoch onto that template.
 type ReliableNIConfig struct {
 	Host    int
 	Inbox   *link.Inbox
@@ -29,8 +29,6 @@ type ReliableNIConfig struct {
 	// Epoch returns the global fence register: frames stamped below it are
 	// discarded unacknowledged, and ACKs carry it.
 	Epoch func() int
-	// Ack acknowledges frame seq to the sending host from at epoch.
-	Ack func(host, from, seq, epoch int)
 	// OnDone reports a complete reassembly (again after an amnesiac
 	// rejoin), at offset at from Run's start.
 	OnDone func(host int, at time.Duration)
@@ -81,6 +79,8 @@ type ReliableNI struct {
 	CrashDrops int           // frames eaten while down
 
 	cfg      ReliableNIConfig
+	share    *ReliableShare // routes the NI's ACKs
+	acks     *workload.RNG  // the chaos plane's ACK-loss stream, drawn here only
 	ctl      chan niCtl
 	start    time.Time
 	children []*EdgeSender
@@ -89,14 +89,16 @@ type ReliableNI struct {
 	wasDown  bool
 }
 
-// NewReliableNI builds the NI; ReliableShare, its one caller, wires its
-// initial children and runs it.
-func NewReliableNI(cfg ReliableNIConfig) *ReliableNI {
+// newReliableNI builds one of share's NIs; the share wires its initial
+// children and runs it.
+func newReliableNI(share *ReliableShare, cfg ReliableNIConfig) *ReliableNI {
 	// A graft touches a parent a handful of times (the regraft fanout);
 	// a full channel only makes the supervisor wait for the NI's next turn.
 	n := &ReliableNI{
 		HostRecord: HostRecord{Host: cfg.Host},
 		cfg:        cfg,
+		share:      share,
+		acks:       share.cfg.Chaos.AckRNG(cfg.Host),
 		ctl:        make(chan niCtl, 16),
 		got:        make([]bool, cfg.Packets),
 	}
@@ -234,7 +236,7 @@ func (n *ReliableNI) serve(f link.Frame) {
 	seq := int(h.Seq)
 	// ACK every valid in-epoch frame, duplicates included — the lost half
 	// of a duplicate exchange may have been the ACK.
-	n.cfg.Ack(n.cfg.Host, f.From, seq, g)
+	n.share.ack(n, f.From, seq, g)
 	if n.got[seq] {
 		n.Dups++
 		return

@@ -7,24 +7,33 @@ import (
 
 	"repro/internal/live/link"
 	"repro/internal/message"
+	"repro/internal/tree"
 )
 
 // TestReliableNIValidatesOnce: the NI's one look at a frame's integrity is
 // message.Parse, before the epoch fence. A frame damaged on the wire is
 // dropped unacknowledged; a frame that changes after that look — here
-// inside the ACK hook, the first code to run once a frame has passed — is
-// reassembled as it then reads, because no second checksum pass stands
-// behind the first to notice.
+// inside the share's Remote sink, which its ACK reaches first once the
+// frame has passed — is reassembled as it then reads, because no second
+// checksum pass stands behind the first to notice.
 func TestReliableNIValidatesOnce(t *testing.T) {
 	pkts := mustPacketize(t, 3, 0, payloadBytes(200))
 	var cur []byte
 	acks, dones := 0, 0
-	n := NewReliableNI(ReliableNIConfig{
-		Host: 2, Inbox: link.NewInbox(2, 1, 0), MsgID: 3, Packets: len(pkts),
-		Epoch:  func() int { return 0 },
-		Ack:    func(host, from, seq, epoch int) { acks++; cur[len(cur)-1] ^= 0xFF },
-		OnDone: func(int, time.Duration) { dones++ },
+	tr := tree.New(0)
+	tr.AddChild(0, 2)
+	share, err := NewReliableShare(ReliableShareConfig{
+		Tree: tr, Local: []int{2}, Network: newWireNet(),
+		Edge: EdgeSenderConfig{Packets: pkts},
+		NI:   ReliableNIConfig{MsgID: 3, OnDone: func(int, time.Duration) { dones++ }},
+		// Host 0 runs elsewhere, so every ACK of host 2's leaves here.
+		Remote: func(Order) { acks++; cur[len(cur)-1] ^= 0xFF },
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(share.Stop)
+	n := share.NI(2)
 	n.start = time.Now()
 
 	cur = append([]byte(nil), pkts[0]...)

@@ -42,6 +42,10 @@ type ReliableShareConfig struct {
 	// Suppressed, when non-nil, reports whether host is down right now:
 	// sends on its edges vanish (EdgeSenderConfig.Suppressed).
 	Suppressed func(host int) bool
+	// Remote takes whatever the share and its supervisor send to a host the
+	// share does not run: a local child's ACK for a remote parent
+	// (OrderAck), and repair orders. Nil when every host is local.
+	Remote func(Order)
 }
 
 // ReliableShare is one process's share of one reliable session's data
@@ -49,10 +53,11 @@ type ReliableShareConfig struct {
 // hosts' inboxes and ReliableNIs, an EdgeSender incarnation per tree edge
 // whose parent is local, the route each child's ACKs take back to its
 // incarnation, the epoch register, and the goroutines running all of it.
-// live.RunReliable (every host local) and mcastd.RunReliable (the hosts
-// of one OS process, over UDP) drive it; a driver keeps what decides —
-// the supervisor loop, where liveness evidence comes from, how orders
-// reach another process — never how an edge comes up or goes away.
+// It alone decides where a message for another host goes: in place, or
+// out through Remote. live.RunReliable (every host local) and
+// mcastd.RunReliable (the hosts of one OS process, over UDP) drive it; a
+// driver keeps where liveness evidence comes from and how Remote reaches
+// another process, never how an edge comes up or goes away.
 //
 // Route, Epoch and Aborted are safe from any goroutine. Install, Retire
 // and SetEpoch belong to one goroutine, the driver's supervisor; NI and
@@ -108,7 +113,7 @@ func NewReliableShare(cfg ReliableShareConfig) (*ReliableShare, error) {
 	for _, v := range cfg.Local {
 		ncfg.Host, ncfg.Root = v, v == root
 		ncfg.Inbox = link.NewInbox(v, capacity, cfg.BufferPackets)
-		s.nis[v] = NewReliableNI(*ncfg)
+		s.nis[v] = newReliableNI(s, *ncfg)
 		if inboxes != nil {
 			inboxes[v] = ncfg.Inbox
 		}
@@ -218,6 +223,25 @@ func (s *ReliableShare) Route(child, parent int) *EdgeSender {
 		}
 	}
 	return nil
+}
+
+// ack is the one ACK rule, on n's goroutine: n's host acknowledges frame
+// seq from host from at epoch. The chaos plane draws the ACK's loss from
+// n's own stream before either branch; a surviving ACK marks a local
+// parent's incarnation in place, or leaves through Remote for a remote one.
+func (s *ReliableShare) ack(n *ReliableNI, from, seq, epoch int) {
+	e := s.Route(n.cfg.Host, from)
+	if e == nil && s.nis[from] != nil {
+		return // a retired local edge's frame: nobody awaits its ACK
+	}
+	if s.cfg.Chaos.AckDrop(n.acks) {
+		return
+	}
+	if e == nil {
+		s.cfg.Remote(Order{Kind: OrderAck, To: from, A: n.cfg.Host, B: seq, Epoch: epoch})
+		return
+	}
+	e.Ack(EdgeAck{Seq: seq, Epoch: epoch})
 }
 
 // Install brings up a fresh incarnation of edge a->b, a local: b's ACKs

@@ -136,14 +136,10 @@ func testShare(t *testing.T, nw *wireNet, pkts [][]byte) (*ReliableShare, chan [
 	t.Helper()
 	exhausted := make(chan [2]int, 16)
 	cfg := ReliableShareConfig{
-		Tree:  shareTree(),
-		Local: []int{2, 0},
-		Edge:  EdgeSenderConfig{Packets: pkts, RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
-		NI: ReliableNIConfig{
-			MsgID:  3,
-			Ack:    func(host, from, seq, epoch int) {},
-			OnDone: func(int, time.Duration) {},
-		},
+		Tree:      shareTree(),
+		Local:     []int{2, 0},
+		Edge:      EdgeSenderConfig{Packets: pkts, RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
+		NI:        ReliableNIConfig{MsgID: 3, OnDone: func(int, time.Duration) {}},
 		Exhausted: func(a, b int) { exhausted <- [2]int{a, b} },
 	}
 	if nw != nil {

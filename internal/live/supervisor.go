@@ -92,17 +92,18 @@ type Report struct {
 	At       time.Duration // beat, done, rejoin: offset from the run's start
 }
 
-// OrderKind names a repair order.
+// OrderKind names what an Order carries.
 type OrderKind int
 
 const (
 	OrderGraft OrderKind = iota // install edge A->B, replaying what A holds
 	OrderKill                   // retire edge A->B
 	OrderEpoch                  // raise the fence register to Epoch
+	OrderAck                    // child A acknowledges frame B from To at Epoch
 )
 
-// Order is a repair order for the process that runs host To, stamped with
-// the epoch it was issued under.
+// Order is what a share sends to the process that runs host To — a repair
+// order, or a child's ACK — stamped with the epoch it was issued under.
 type Order struct {
 	Kind            OrderKind
 	To, A, B, Epoch int
@@ -122,10 +123,7 @@ type SupervisorConfig struct {
 	// schedule, a down host is not witnessed and a crash-stopped one not
 	// awaited; without it, Alive reads the detector and a host confirmed
 	// crashed is not awaited.
-	Down func(host int, at time.Duration) bool
-	// Orders takes repair orders for the processes running the parents the
-	// share does not (nil when every parent is local).
-	Orders  func(Order)
+	Down    func(host int, at time.Duration) bool
 	Timeout time.Duration                    // the watchdog
 	Logf    func(format string, args ...any) // nil: silent
 }
@@ -354,9 +352,9 @@ func (s *Supervisor) announceEpoch() {
 	}
 }
 
-// order sends one repair order to host to's process.
+// order sends one repair order to host to's process, through Remote.
 func (s *Supervisor) order(kind OrderKind, to, a, b int) {
-	s.cfg.Orders(Order{Kind: kind, To: to, A: a, B: b, Epoch: s.share.Epoch()})
+	s.share.cfg.Remote(Order{Kind: kind, To: to, A: a, B: b, Epoch: s.share.Epoch()})
 }
 
 // forever is an offset past every crash window: Down(v, forever) holds for

@@ -2,38 +2,53 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/live/link"
 	"repro/internal/membership"
+	"repro/internal/message"
 	"repro/internal/tree"
 )
 
 // remoteSupervisor builds the root process's supervisor of the chain
-// 0-1-2-3 over a share that runs the root only, on a fabric that dials and
-// delivers nothing, with a detector whose timeouts are exact (16 ms to
-// suspicion, 12 more to confirmation). Its orders are recorded; orders()
-// returns those since the last call. Nothing runs the supervisor: the
-// tests call its handlers, so no clock is read and nothing sleeps.
-func remoteSupervisor(t *testing.T) (s *Supervisor, nw *wireNet, orders func() []string) {
+// 0-1-2-3 over a share that runs the hosts in local (the root among them),
+// on a fabric that dials and delivers nothing, with a detector whose
+// timeouts are exact (16 ms to suspicion, 12 more to confirmation) and the
+// given chaos plane (nil: none). What the share sends out of the process
+// is recorded; orders() returns what was sent since the last call. Nothing
+// runs the supervisor or the NIs: the tests call their handlers, so no
+// clock is read and nothing sleeps.
+func remoteSupervisor(t *testing.T, local []int, chaos *link.Chaos) (s *Supervisor, nw *wireNet, orders func() []string) {
 	t.Helper()
 	tr := tree.New(0)
 	for v := 1; v < 4; v++ {
 		tr.AddChild(v-1, v)
 	}
 	nw = newWireNet()
+	var log []string
 	share, err := NewReliableShare(ReliableShareConfig{
-		Tree:    tr,
-		Local:   []int{0},
-		Network: nw,
-		Edge:    EdgeSenderConfig{Packets: mustPacketize(t, 3, 0, payloadBytes(200)), RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
-		NI: ReliableNIConfig{
-			MsgID:  3,
-			Ack:    func(host, from, seq, epoch int) {},
-			OnDone: func(int, time.Duration) {},
-		},
+		Tree:      tr,
+		Local:     local,
+		Network:   nw,
+		Chaos:     chaos,
+		Edge:      EdgeSenderConfig{Packets: mustPacketize(t, 3, 0, payloadBytes(200)), RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
+		NI:        ReliableNIConfig{MsgID: 3, OnDone: func(int, time.Duration) {}},
 		Exhausted: func(a, b int) {},
+		Remote: func(o Order) {
+			switch o.Kind {
+			case OrderGraft:
+				log = append(log, fmt.Sprintf("graft %d>%d @%d", o.A, o.B, o.Epoch))
+			case OrderKill:
+				log = append(log, fmt.Sprintf("kill %d>%d @%d", o.A, o.B, o.Epoch))
+			case OrderEpoch:
+				log = append(log, fmt.Sprintf("epoch %d to %d", o.Epoch, o.To))
+			case OrderAck:
+				log = append(log, fmt.Sprintf("ack %d<%d #%d @%d", o.A, o.To, o.B, o.Epoch))
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,23 +59,12 @@ func remoteSupervisor(t *testing.T) (s *Supervisor, nw *wireNet, orders func() [
 	if err != nil {
 		t.Fatal(err)
 	}
-	var log []string
 	s = NewSupervisor(share, SupervisorConfig{
 		Det:         det,
 		MaxRegrafts: 4,
 		Witness:     []int{0},
 		Refresh:     time.Second,
-		Orders: func(o Order) {
-			switch o.Kind {
-			case OrderGraft:
-				log = append(log, fmt.Sprintf("graft %d>%d @%d", o.A, o.B, o.Epoch))
-			case OrderKill:
-				log = append(log, fmt.Sprintf("kill %d>%d @%d", o.A, o.B, o.Epoch))
-			case OrderEpoch:
-				log = append(log, fmt.Sprintf("epoch %d to %d", o.Epoch, o.To))
-			}
-		},
-		Timeout: time.Minute,
+		Timeout:     time.Minute,
 	})
 	return s, nw, func() []string { got := log; log = nil; return got }
 }
@@ -78,7 +82,7 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 	}
 
 	t.Run("a remote graft is re-sent each refresh until a retire supersedes it; a remote retire is one kill", func(t *testing.T) {
-		s, nw, orders := remoteSupervisor(t)
+		s, nw, orders := remoteSupervisor(t, []int{0}, nil)
 		// 1->2 dies. Its pair is dead, so 2 falls back to a root edge, the
 		// share's to dial; 3 follows 2 on an edge out of host 2's process.
 		s.handle(Report{Kind: ReportExhausted, Host: 1, To: 2})
@@ -102,7 +106,7 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 	})
 
 	t.Run("an epoch advance is announced at once, and again each refresh", func(t *testing.T) {
-		s, _, orders := remoteSupervisor(t)
+		s, _, orders := remoteSupervisor(t, []int{0}, nil)
 		s.refresh()
 		expect(t, "refresh at the initial epoch", orders())
 		det := s.cfg.Det
@@ -122,7 +126,7 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 	})
 
 	t.Run("the stranded sweep grafts an alive, incomplete, parentless host under the root", func(t *testing.T) {
-		s, nw, orders := remoteSupervisor(t)
+		s, nw, orders := remoteSupervisor(t, []int{0}, nil)
 		det := s.cfg.Det
 		for _, h := range []int{0, 2, 3} {
 			det.Witness(h, ms(20))
@@ -143,6 +147,63 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 		if p := s.brain.Parent(2); p != 0 || nw.count("dial 0->2") != 1 {
 			t.Fatalf("after the sweep host 2 hangs off %d (%d dials of 0->2), want the root's new edge", p, nw.count("dial 0->2"))
 		}
+	})
+
+	// serve hands host to's NI packet seq from host from, stamped with the
+	// share's epoch so it passes the fence, and returns the edge from->to
+	// the share runs (nil: none).
+	serve := func(t *testing.T, s *Supervisor, from, to, seq int) *EdgeSender {
+		t.Helper()
+		pkt, err := message.WithEpoch(s.share.cfg.Edge.Packets[seq], uint16(s.share.Epoch()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := s.share.NI(to)
+		n.start = time.Now()
+		n.serve(link.Frame{From: from, Payload: pkt})
+		return s.share.Route(to, from)
+	}
+
+	t.Run("an ACK to a local parent marks its incarnation and never leaves the process", func(t *testing.T) {
+		s, _, orders := remoteSupervisor(t, []int{0, 1, 2, 3}, nil)
+		for v := 1; v < 4; v++ {
+			for seq := range s.share.cfg.Edge.Packets {
+				if e := serve(t, s, v-1, v, seq); e == nil || !e.acked[seq].Load() {
+					t.Fatalf("host %d's ACK of packet %d from its local parent did not mark edge %d->%d", v, seq, v-1, v)
+				}
+			}
+		}
+		s.handle(Report{Kind: ReportExhausted, Host: 1, To: 2})
+		s.refresh()
+		expect(t, "an all-local share", orders())
+	})
+
+	t.Run("a lost ACK marks nothing and is counted", func(t *testing.T) {
+		// The highest rate the plane accepts: every ACK is lost.
+		chaos, err := link.NewChaos(link.Faults{Seed: 5, AckDropRate: math.Nextafter(1, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Host 1's parent runs here, host 3's elsewhere.
+		s, _, orders := remoteSupervisor(t, []int{0, 1, 3}, chaos)
+		if e := serve(t, s, 0, 1, 0); e == nil || e.acked[0].Load() {
+			t.Fatalf("a lost ACK marked edge 0->1 (%v)", e)
+		}
+		serve(t, s, 2, 3, 1)
+		if got := chaos.Stats().AcksDropped; got != 2 {
+			t.Fatalf("chaos counted %d lost ACKs, want 2", got)
+		}
+		expect(t, "a lost ACK to a remote parent", orders())
+	})
+
+	t.Run("an ACK to a remote parent leaves through the sink once, as an ACK order", func(t *testing.T) {
+		s, _, orders := remoteSupervisor(t, []int{0, 2}, nil)
+		if e := serve(t, s, 1, 2, 2); e != nil {
+			t.Fatalf("the share runs remote host 1's edge to 2: %v", e)
+		}
+		expect(t, "host 2 acknowledges packet 2 from remote host 1", orders(), "ack 2<1 #2 @1")
+		serve(t, s, 1, 2, 2) // a duplicate is acknowledged again
+		expect(t, "the duplicate", orders(), "ack 2<1 #2 @1")
 	})
 }
 

@@ -113,11 +113,16 @@ func virtualRun(scenario string, seed uint64) (*ReliableResult, time.Duration, e
 		res  *ReliableResult
 		took time.Duration
 	)
+	// Go 1.24's race detector sees no edge out of synctest.Run, so the
+	// result is handed over on a channel as well.
+	handed := make(chan struct{}, 1)
 	synctest.Run(func() {
 		start := time.Now()
 		res, err = RunReliable(Session{Tree: tr, Packets: pkts, MsgID: 1}, cfg)
 		took = time.Since(start)
+		handed <- struct{}{}
 	})
+	<-handed
 
 	var we *WatchdogError
 	if errors.As(err, &we) {

@@ -23,7 +23,7 @@ import (
 // one trailing status byte after its field.
 const (
 	ctlDone      = 1  // [k, host]            dest -> root: message delivered
-	ctlStop      = 2  // [k, epoch][status]   root -> dest: run over (legacy bare [k] accepted)
+	ctlStop      = 2  // [k, epoch][status]   root -> dest: run over
 	ctlDoneAck   = 3  // [k, host]            root -> dest: your DONE is recorded
 	ctlStopAck   = 4  // [k, host]            dest -> root: your STOP landed
 	ctlBeat      = 5  // [k, host]            dest -> root: process liveness
@@ -34,10 +34,12 @@ const (
 	ctlExhausted = 10 // [k, parent, child, gen]       parent's process -> root: edge died
 )
 
-// ctlArity is the field count per kind; 0 marks an unknown kind.
-var ctlArity = [...]int{
-	ctlDone: 1, ctlStop: 1, ctlDoneAck: 1, ctlStopAck: 1, ctlBeat: 1,
-	ctlAck: 3, ctlGraft: 3, ctlKill: 3, ctlEpoch: 1, ctlExhausted: 3,
+// ctlLen is the payload length of every kind byte: 0 marks an unknown
+// kind, and a known kind has (ctlLen-1)/2 fields (STOP's status byte is
+// the odd one out).
+var ctlLen = [256]int{
+	ctlDone: 3, ctlStop: 4, ctlDoneAck: 3, ctlStopAck: 3, ctlBeat: 3,
+	ctlAck: 7, ctlGraft: 7, ctlKill: 7, ctlEpoch: 3, ctlExhausted: 7,
 }
 
 // ctlFieldMax is the largest value a ctl field (and the fabric's own
@@ -64,63 +66,52 @@ type ctlFrame struct {
 	status  reliable.Status
 }
 
-// encode renders the frame, rejecting unknown kinds and out-of-range
-// fields.
-func (f ctlFrame) encode() ([]byte, error) {
-	if int(f.kind) >= len(ctlArity) || ctlArity[f.kind] == 0 {
+// encode appends the frame to dst, rejecting unknown kinds and
+// out-of-range fields.
+func (f ctlFrame) encode(dst []byte) ([]byte, error) {
+	n := ctlLen[f.kind]
+	if n == 0 {
 		return nil, fmt.Errorf("mcastd: unknown ctl kind %d", f.kind)
 	}
-	n := ctlArity[f.kind]
-	buf := make([]byte, 1+2*n, 2+2*n)
-	buf[0] = f.kind
+	dst = append(dst, f.kind)
 	fields := [3]int{f.a, f.b, f.c}
-	for i, v := range fields[:n] {
+	for _, v := range fields[:(n-1)/2] {
 		if v < 0 || v > ctlFieldMax {
 			return nil, &RangeError{What: "ctl field", Value: v}
 		}
-		binary.BigEndian.PutUint16(buf[1+2*i:], uint16(v))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(v))
 	}
 	if f.kind == ctlStop {
-		buf = append(buf, byte(f.status))
+		dst = append(dst, byte(f.status))
 	}
-	return buf, nil
+	return dst, nil
 }
 
-// decodeCtl parses one control payload; unknown kinds and truncated
-// payloads report false, trailing bytes are ignored. STOP tolerates its
-// older shapes: a bare kind byte means epoch 0, a missing status byte
-// means Delivered.
+// decodeCtl parses one control payload; unknown kinds and payloads
+// shorter than their kind's report false, trailing bytes are ignored.
 func decodeCtl(b []byte) (ctlFrame, bool) {
-	if len(b) < 1 || int(b[0]) >= len(ctlArity) || ctlArity[b[0]] == 0 {
+	if len(b) == 0 || ctlLen[b[0]] == 0 || len(b) < ctlLen[b[0]] {
 		return ctlFrame{}, false
 	}
 	f := ctlFrame{kind: b[0]}
-	n := ctlArity[f.kind]
-	if f.kind == ctlStop {
-		if len(b) >= 3 {
-			f.a = int(binary.BigEndian.Uint16(b[1:]))
-		}
-		if len(b) >= 4 {
-			f.status = reliable.Status(b[3])
-		}
-		return f, true
-	}
-	if len(b) < 1+2*n {
-		return ctlFrame{}, false
-	}
 	var fields [3]int
-	for i := range fields[:n] {
+	for i := range fields[:(ctlLen[f.kind]-1)/2] {
 		fields[i] = int(binary.BigEndian.Uint16(b[1+2*i:]))
 	}
 	f.a, f.b, f.c = fields[0], fields[1], fields[2]
+	if f.kind == ctlStop {
+		f.status = reliable.Status(b[3])
+	}
 	return f, true
 }
 
 // sendCtl encodes and sends one control frame, best-effort like the ctl
 // plane itself: a frame that cannot be encoded is dropped with a log
-// line (the exchange's own retry or refresh then re-evaluates it).
+// line (the exchange's own retry or refresh then re-evaluates it). The
+// frame is encoded on the stack; the datagram is the one allocation.
 func (c *Config) sendCtl(from, to int, f ctlFrame) {
-	b, err := f.encode()
+	var buf [8]byte // every payload fits
+	b, err := f.encode(buf[:0])
 	if err != nil {
 		c.logf("ctl %d->%d dropped: %v", from, to, err)
 		return

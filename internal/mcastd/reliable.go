@@ -4,11 +4,12 @@ package mcastd
 // protocol of internal/reliable and live.RunReliable across OS processes
 // over UDP. Every process runs a live.ReliableShare over the socket
 // fabric; the root's also runs live.Supervisor, witnessing its own hosts
-// and hearing the others' beats over ctl, and its orders for remote
-// parents (GRAFT/KILL/EPOCH) leave as ctl frames, refreshed so a lost
-// datagram delays repair by one tick instead of wedging it. What stays
-// here is the daemon's own: the ctl listeners, the follower loop of every
-// other process, the DONE/STOP handshake, the verdict and the result.
+// and hearing the others' beats over ctl. What the share sends to another
+// process — a child's ACK for a remote parent, the supervisor's orders
+// (GRAFT/KILL/EPOCH, refreshed so a lost datagram delays repair by one
+// tick instead of wedging it) — leaves through order as a ctl frame. What
+// stays here is the daemon's own: the ctl listeners, the follower loop of
+// every other process, the DONE/STOP handshake, the verdict and the result.
 
 import (
 	"fmt"
@@ -40,7 +41,8 @@ type ReliableConfig struct {
 	// silence.
 	Heartbeat live.HeartbeatParams
 	// Faults is a seeded chaos plane wrapped around every dialed data
-	// transport (zero = the raw socket). The ctl plane is not wrapped.
+	// transport (zero = the raw socket). AckDropRate loses every ACK, local
+	// or remote, with that probability; other ctl frames are not wrapped.
 	Faults link.Faults
 	// Refresh is the cadence of idempotent ctl re-sends: the root
 	// re-issues pending GRAFTs and the current EPOCH, processes re-send
@@ -229,18 +231,11 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 			RetryBudget: rcfg.RetryBudget,
 			JitterSeed:  rcfg.Faults.Seed ^ 0x7a31_9c4d_11e8_5bf3,
 		},
-		NI: live.ReliableNIConfig{
-			MsgID: cfg.MsgID,
-			// The ACK rides ctl to the sending host, whose listener routes it
-			// to the edge.
-			Ack: func(host, from, seq, epoch int) {
-				rt.cfg.sendCtl(host, from, ctlFrame{kind: ctlAck, a: host, b: seq, c: epoch})
-			},
-			OnDone: onDone,
-		},
+		NI: live.ReliableNIConfig{MsgID: cfg.MsgID, OnDone: onDone},
 		// Budget exhaustion and transport death alike: the supervisor
 		// repairs around the edge, or a follower reports it to the root.
 		Exhausted: exhausted,
+		Remote:    rt.order,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mcastd: %w", err)
@@ -251,7 +246,6 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 			MaxRegrafts: rcfg.MaxRegrafts,
 			Witness:     cfg.Local,
 			Refresh:     rcfg.Refresh,
-			Orders:      rt.order,
 			Timeout:     cfg.Timeout,
 			Logf:        rt.cfg.logf,
 		})
@@ -280,22 +274,25 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	return rt.assemble(runErr), runErr
 }
 
-// order puts one of the supervisor's repair orders on the ctl plane.
+// order is the share's way out of the process, onto the ctl plane: a
+// child's ACK leaves from the child's socket, a repair order from the root's.
 func (rt *drt) order(o live.Order) {
-	f := ctlFrame{kind: ctlGraft, a: o.A, b: o.B, c: o.Epoch}
+	from, f := rt.root, ctlFrame{kind: ctlGraft, a: o.A, b: o.B, c: o.Epoch}
 	switch o.Kind {
+	case live.OrderAck:
+		from, f.kind = o.A, ctlAck
 	case live.OrderKill:
 		f.kind = ctlKill
 	case live.OrderEpoch:
 		f = ctlFrame{kind: ctlEpoch, a: o.Epoch}
 	}
-	rt.cfg.sendCtl(rt.root, o.To, f)
+	rt.cfg.sendCtl(from, o.To, f)
 }
 
 // listen hands host id's ctl frames to the root (hearRoot) or a follower's
-// coordinator, dropping those this host has no business with; a data ACK
-// goes straight to its edge incarnation. Every frame names its hosts: the
-// fabric's ctl pump delivers payload bytes only.
+// coordinator, dropping those this host has no business with; a remote
+// child's ACK goes straight to its edge incarnation. Every frame names its
+// hosts: the fabric's ctl pump delivers payload bytes only.
 func (rt *drt) listen(id int) {
 	listenCtl(rt.cfg, id, rt.share.Aborted(), func(f ctlFrame) {
 		switch f.kind {
@@ -358,9 +355,9 @@ func (rt *drt) hearRoot(f ctlFrame) {
 // Destination-only process coordinator.
 
 // destLoop drives a process that does not own the root: beat for every
-// local host, apply the root's repair orders, route data ACKs, report
-// completions, and exit on the root's STOP (acknowledging it for every
-// local host) or the watchdog.
+// local host, apply the root's repair orders, report completions, and
+// exit on the root's STOP (acknowledging it for every local host) or the
+// watchdog.
 func (rt *drt) destLoop() error {
 	watchdog := time.NewTimer(rt.cfg.Timeout)
 	defer watchdog.Stop()

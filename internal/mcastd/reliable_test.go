@@ -108,9 +108,10 @@ func TestReliableMatchesPlain(t *testing.T) {
 	}
 }
 
-// lossyPairCase runs one two-process reliable run with the given drop
-// rate on both processes' data planes and checks byte-exact delivery.
-func lossyPairCase(t *testing.T, seed uint64, drop float64, session uint64) {
+// lossyPairCase runs one two-process reliable run configured by rcfg in
+// both processes, checks byte-exact delivery and returns the
+// retransmissions of both.
+func lossyPairCase(t *testing.T, rcfg ReliableConfig, session uint64) (retransmits int) {
 	t.Helper()
 	chain := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	tr := tree.KBinomial(chain, 2)
@@ -151,8 +152,6 @@ func lossyPairCase(t *testing.T, seed uint64, drop float64, session uint64) {
 			t.Fatal(err)
 		}
 	}
-	rcfg := DefaultReliableConfig()
-	rcfg.Faults = link.Faults{Seed: seed, DropRate: drop}
 	mk := func(local []int, nw *link.UDPNetwork) Config {
 		return Config{Tree: tr, Packets: pkts, MsgID: 5, Local: local, Net: nw, Timeout: 20 * time.Second}
 	}
@@ -177,20 +176,23 @@ func lossyPairCase(t *testing.T, seed uint64, drop float64, session uint64) {
 	}
 	for _, v := range localA[1:] {
 		if rep := resA.Hosts[v]; rep == nil || !bytes.Equal(rep.Data, data) {
-			t.Fatalf("seed %d drop %.2f: root-process host %d not byte-exact", seed, drop, v)
+			t.Fatalf("faults %+v: root-process host %d not byte-exact", rcfg.Faults, v)
 		}
 	}
 	for _, v := range localB {
 		if rep := resB.Hosts[v]; rep == nil || !bytes.Equal(rep.Data, data) {
-			t.Fatalf("seed %d drop %.2f: peer-process host %d not byte-exact", seed, drop, v)
+			t.Fatalf("faults %+v: peer-process host %d not byte-exact", rcfg.Faults, v)
 		}
 	}
+	return resA.Retransmits + resB.Retransmits
 }
 
 // TestTwoDaemonsLossy is the soak sweep: the multi-process deployment
 // over genuinely lossy data planes across a grid of seeds and drop
 // rates, every case byte-exact. Packet loss here hits real UDP sockets
-// between two fabric instances, with ACKs riding the ctl plane back.
+// between two fabric instances, with ACKs to the other process riding the
+// ctl plane back. The last case loses ACKs only, local and remote alike:
+// the wire drops nothing, so only a lost ACK makes an edge retransmit.
 func TestTwoDaemonsLossy(t *testing.T) {
 	skipWithoutLoopback(t)
 	drops := []float64{0.01, 0.03, 0.05}
@@ -205,10 +207,23 @@ func TestTwoDaemonsLossy(t *testing.T) {
 			sess := uint64(0x10551 + n)
 			n++
 			t.Run(fmt.Sprintf("drop%.0f%%/seed%d", drop*100, seed), func(t *testing.T) {
-				lossyPairCase(t, seed, drop, sess)
+				rcfg := DefaultReliableConfig()
+				rcfg.Faults = link.Faults{Seed: seed, DropRate: drop}
+				lossyPairCase(t, rcfg, sess)
 			})
 		}
 	}
+	t.Run("ackdrop30%/seed7", func(t *testing.T) {
+		// Send jitter keeps every edge busy for several RTOs, so a packet
+		// whose ACK was lost is resent before the run settles; it delays
+		// sends, not ACKs, so by itself it resends nothing.
+		rcfg := DefaultReliableConfig()
+		rcfg.RTO, rcfg.RTOMax = 2*time.Millisecond, 8*time.Millisecond
+		rcfg.Faults = link.Faults{Seed: 7, AckDropRate: 0.3, MaxJitter: time.Millisecond}
+		if r := lossyPairCase(t, rcfg, 0x105A0); r == 0 {
+			t.Fatal("30% ACK loss produced no retransmits")
+		}
+	})
 }
 
 // TestReliableRejects pins the reliable-specific construction errors.
