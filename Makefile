@@ -21,9 +21,10 @@ race:
 # -race coverage of internal/live cannot be silently skipped by package
 # caching or a filtered test run. internal/mcastd rides along: the daemon
 # runs the same ReliableNI, EdgeSender, Supervisor and repair brain as the
-# live engine, so its -race coverage must be equally unskippable.
+# live engine, so its -race coverage must be equally unskippable — and so
+# does internal/reliable, the brain both wall-clock supervisors run.
 live-race:
-	$(GO) test -race -count=1 ./internal/live/... ./internal/mcastd ./internal/sched ./internal/check
+	$(GO) test -race -count=1 ./internal/live/... ./internal/mcastd ./internal/reliable ./internal/sched ./internal/check
 
 # Surface guard: type-checks both modules and fails naming any exported
 # identifier under internal/ that no non-test code references and that is

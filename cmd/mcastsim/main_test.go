@@ -32,9 +32,11 @@ func mcastsim(args ...string) (stdout, stderr string, code int) {
 // trace row with `-trace-json TRACE.json`; mesh-4096 the same way at
 // dbf7708 and conventional-workers at 764ff9d (its psim: line pins the
 // window count across the change that ends Conventional windows at the
-// first forward). They are the reference the rewrite was held to — run
-// -update only when a later change alters the output on purpose, and
-// review the diff.
+// first forward), and kill-repair — the one that reaches mid-flight tree
+// repair: 134 dead-link sends, 3 repairs — at e4760e6, before the
+// virtual-time machine's repairs moved into reliable.Brain. They are the
+// reference the rewrite was held to — run -update only when a later change
+// alters the output on purpose, and review the diff.
 func TestGolden(t *testing.T) {
 	for name, args := range map[string]string{
 		"default":               "",
@@ -49,6 +51,7 @@ func TestGolden(t *testing.T) {
 		"trace-json":            "-trace-json TRACE.json",
 		"reliable-droprate":     "-reliable -droprate 0.02",
 		"faults-kill-corrupt":   "-faults kill:74@40,corrupt:0.01",
+		"kill-repair":           "-faults kill:66@20",
 		"crash-quorum":          "-crash 19@40 -quorum 1 -dests 31",
 		"crash-recover":         "-crash 19@40@400",
 	} {
@@ -284,7 +287,9 @@ func TestExitCodes(t *testing.T) {
 		{"-reliable -retries 0", "retry budget 0 < 1", 2},
 		{"-faults kill:999@4", "kill link 999 out of range", 2},
 		{"-crash 19@40 -dests 31", "quorum missed after crash(es) [19]", 1},
-		{"-droprate 0.3 -retries 1", "reliable:", 1},
+		{"-droprate 0.5 -retries 1", "reliable:", 1},
+		{"-faults kill:49@20", "network partitioned): [49]", 1},
+		{"-faults kill:57@20", "network partitioned): [57]", 1},
 		{"-trace-json /nonexistent-dir/t.json", "-trace-json:", 1},
 	} {
 		if _, stderr, code := mcastsim(strings.Fields(c.args)...); code != c.code || !strings.Contains(stderr, c.stderr) {

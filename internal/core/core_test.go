@@ -281,11 +281,12 @@ func TestWithoutLinkFailover(t *testing.T) {
 }
 
 func TestWithoutLinkPanicsOnPartition(t *testing.T) {
-	// A linear 2x1... use a mesh system? WithoutLink only supports
-	// irregular; craft an irregular config that partitions easily: find a
-	// bridge link by brute force.
-	s := irregularSys(13)
-	var bridge int = -1
+	// The default testbed has no switch bridge at any small seed; capping
+	// each switch at three inter-switch links leaves one at seed 2.
+	cfg := topology.DefaultIrregular()
+	cfg.ExtraDegree = 3
+	s := NewIrregularSystem(cfg, 2)
+	bridge := -1
 	for _, l := range s.Net.Links() {
 		if l.A.Kind != topology.SwitchNode || l.B.Kind != topology.SwitchNode {
 			continue
@@ -296,7 +297,7 @@ func TestWithoutLinkPanicsOnPartition(t *testing.T) {
 		}
 	}
 	if bridge < 0 {
-		t.Skip("no bridge link in this topology")
+		t.Fatal("no bridge link in this topology")
 	}
 	defer func() {
 		if recover() == nil {

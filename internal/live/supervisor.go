@@ -129,9 +129,10 @@ type SupervisorConfig struct {
 }
 
 // Supervisor is the control plane of one reliable run and the brain's
-// reliable.Runtime: it owns the brain, the detector, the done set, the view
-// log and the pending GRAFTs. Report is safe from any goroutine; the rest
-// belongs to Run's goroutine, and to its caller once Run returns.
+// reliable.Runtime: it owns the brain, the detector, the done set, the dead
+// transport pairs, the view log and the pending GRAFTs. Report is safe from
+// any goroutine; the rest belongs to Run's goroutine, and to its caller
+// once Run returns.
 //
 // A stalled observer manufactures silence, so Run re-arms its timer at the
 // detector's own next deadline, lands queued reports before silence is
@@ -147,6 +148,7 @@ type Supervisor struct {
 	clock   stallClock
 
 	done      map[int]bool
+	dead      map[[2]int]bool // exhausted pairs; the brain routes around them
 	views     []membership.View
 	rootDown  bool
 	pendGraft map[[2]int]bool // remote GRAFTs, re-sent every refresh
@@ -162,6 +164,7 @@ func NewSupervisor(share *ReliableShare, cfg SupervisorConfig) *Supervisor {
 		// A few reports per host queue up behind a busy supervisor.
 		reports:   make(chan Report, 8*len(share.nodes)+64),
 		done:      map[int]bool{},
+		dead:      map[[2]int]bool{},
 		pendGraft: map[[2]int]bool{},
 	}
 	if s.cfg.Logf == nil {
@@ -266,6 +269,7 @@ func (s *Supervisor) handle(r Report) {
 		s.done[r.Host] = true
 	case ReportExhausted:
 		s.cfg.Logf("edge %d->%d exhausted; repairing", r.Host, r.To)
+		s.dead[[2]int{r.Host, r.To}] = true
 		s.brain.Exhausted(r.Host, r.To)
 	case ReportRejoin:
 		// If the detector already confirmed the crash, its beat-driven
@@ -290,9 +294,7 @@ func (s *Supervisor) witness() {
 
 // fold is the one handler of detector events. Every event raises the
 // epoch register (only Confirmed and Rejoined can); a new epoch is logged
-// as a view and announced at once. A confirmed root ends the run. A
-// rejoined host that holds the message is left alone: ReliableNI.Data
-// survives an amnesiac rejoin, so a replay would be wasted.
+// as a view and announced at once. A confirmed root ends the run.
 func (s *Supervisor) fold(evs []membership.Event) {
 	before := s.share.Epoch()
 	for _, ev := range evs {
@@ -310,9 +312,7 @@ func (s *Supervisor) fold(evs []membership.Event) {
 			s.brain.Confirmed(h)
 		case membership.Rejoined:
 			s.cfg.Logf("host %d rejoined (epoch %d)", h, ev.Epoch)
-			if !s.done[h] {
-				s.brain.Rejoined(h)
-			}
+			s.brain.Rejoined(h)
 		}
 	}
 	if s.share.Epoch() > before {
@@ -385,9 +385,10 @@ func (s *Supervisor) settled() bool {
 	return true
 }
 
-// Install, Retire, Alive, Member and Done make the supervisor the brain's
-// reliable.Runtime. An edge whose parent the share runs is the share's to
-// install; any other is a GRAFT order, re-sent until a Retire supersedes it.
+// Install, Retire, Alive, Member, Done, Chain and Reachable make the
+// supervisor the brain's reliable.Runtime. An edge whose parent the share
+// runs is the share's to install; any other is a GRAFT order, re-sent
+// until a Retire supersedes it.
 func (s *Supervisor) Install(a, b int) {
 	s.cfg.Logf("graft: edge %d->%d", a, b)
 	if s.share.NI(a) != nil {
@@ -425,6 +426,16 @@ func (s *Supervisor) Member(v int) bool {
 
 // Done reports whether v was reported holding the whole message.
 func (s *Supervisor) Done(v int) bool { return s.done[v] }
+
+// Chain orders a repair ascending: the overlay has no switch geometry.
+func (s *Supervisor) Chain(adopter int, orphans []int) []int {
+	chain := append([]int{adopter}, orphans...)
+	slices.Sort(chain[1:])
+	return chain
+}
+
+// Reachable reports whether pair a->v has not exhausted.
+func (s *Supervisor) Reachable(a, v int) bool { return !s.dead[[2]int{a, v}] }
 
 // Views returns the installed epoch-numbered views, oldest first.
 func (s *Supervisor) Views() []membership.View { return s.views }

@@ -1,26 +1,24 @@
 package reliable
 
 import (
-	"sort"
-
 	"repro/internal/tree"
 )
 
-// This file is the repair brain shared by the two wall-clock engines
-// (live.RunReliable and mcastd.RunReliable): the overlay's tree shape and
-// every decision that reshapes it — crash adoption, rejoin re-admission,
-// dead-edge repair, abandonment. It has no clock, goroutine or socket: it
-// is a pure function of the calls made on it and of what the Runtime
-// answers, so the same event script always yields the same Install/Retire
-// sequence, and it is tested without a wall clock.
-//
-// The virtual-time machine (repair.go, crash.go) deliberately keeps its
-// own repair: it routes around killed links on the switch graph
-// (Ord.Chain, hostReachable, applyKills), a model the socket-level
-// engines have no geometry for. It shares only Verdict.
+// This file is the repair brain of all three reliable engines — the
+// virtual-time machine, live.RunReliable and mcastd.RunReliable: the
+// overlay's tree shape and every decision that reshapes it — crash
+// adoption, rejoin re-admission, dead-edge repair, abandonment. Each repair
+// is the paper's Fig.-11 k-binomial construction re-run over the survivors
+// under a live ancestor. The brain has no clock, goroutine or socket: it is
+// a pure function of the calls made on it and of what the Runtime answers,
+// so the same event script always yields the same Install/Retire sequence,
+// and it is tested without a wall clock. Only the engines' geometry
+// differs, and the Runtime carries it: the machine cuts the chain from its
+// switch ordering and answers reachability from its degraded switch graph,
+// the supervisor sorts ascending and answers from its dead transport pairs.
 
 // Runtime is what the brain needs from the engine hosting it: a way to
-// bring tree edges up and down, and three facts about a host.
+// bring tree edges up and down, and five questions.
 type Runtime interface {
 	// Install brings up a fresh incarnation of edge a->b; the parent
 	// replays every packet it already holds into it.
@@ -34,30 +32,32 @@ type Runtime interface {
 	Member(v int) bool
 	// Done reports whether v holds the complete message.
 	Done(v int) bool
+	// Chain orders a repair's participants for the Fig.-11 construction,
+	// adopter first.
+	Chain(adopter int, orphans []int) []int
+	// Reachable reports whether an edge a->v can carry packets.
+	Reachable(a, v int) bool
 }
 
 // Brain owns the overlay's shape and repair bookkeeping. It is not safe
-// for concurrent use: the supervisor goroutine alone drives it.
+// for concurrent use: one goroutine drives it.
 type Brain struct {
 	rt           Runtime
 	root, k      int
 	regraftLimit int
 	parent       map[int]int
 	children     map[int][]int
-	// deadPairs counts exhausted directed transport pairs; grafts route
-	// around them (root fallback) instead of replaying a dead pair forever.
-	deadPairs map[[2]int]int
-	regrafts  map[int]int
-	abandoned map[int]bool
-	adoptions int
+	regrafts     map[int]int
+	abandoned    map[int]bool
+	adoptions    int
 
 	// Logf, when non-nil, receives one line per abandonment.
 	Logf func(format string, args ...any)
 }
 
 // NewBrain starts from the planned tree; its edges are assumed up (the
-// engines wire them before any goroutine runs). The plan's fanout is
-// reused by every Fig.-11 regraft, and a destination grafted more than
+// engines wire them before any packet moves). The plan's fanout is reused
+// by every Fig.-11 regraft, and a destination grafted more than
 // maxRegrafts times is abandoned.
 func NewBrain(t *tree.Tree, maxRegrafts int, rt Runtime) *Brain {
 	b := &Brain{
@@ -67,7 +67,6 @@ func NewBrain(t *tree.Tree, maxRegrafts int, rt Runtime) *Brain {
 		regraftLimit: maxRegrafts,
 		parent:       map[int]int{},
 		children:     map[int][]int{},
-		deadPairs:    map[[2]int]int{},
 		regrafts:     map[int]int{},
 		abandoned:    map[int]bool{},
 	}
@@ -87,69 +86,56 @@ func (b *Brain) Parent(v int) int { return b.parent[v] }
 // Abandoned reports whether the brain gave up on v.
 func (b *Brain) Abandoned(v int) bool { return b.abandoned[v] }
 
-// Adoptions counts the grafts performed so far.
+// Adoptions counts the grafts that installed an edge so far.
 func (b *Brain) Adoptions() int { return b.adoptions }
 
-// Confirmed handles a confirmed crash of h: its edges are retired and
-// the live members of its subtree re-grafted under its nearest live
-// ancestor. h itself and descendants that are not alive stay detached;
-// their own confirmation or rejoin resolves them.
+// Confirmed handles a confirmed crash of h: its edges are retired and its
+// subtree's orphans re-grafted under its nearest live ancestor. h itself
+// and descendants that are not alive stay detached; their own
+// confirmation or rejoin resolves them.
 func (b *Brain) Confirmed(h int) {
 	adopter := b.LiveAncestor(h)
-	orphans := b.subtree(h)
+	orphans := b.orphans(b.children[h])
 	b.retireInto(h)
 	b.retireOutOf(h)
-	var keep []int
-	for _, v := range orphans[1:] { // orphans[0] is h
-		if b.rt.Alive(v) {
-			keep = append(keep, v)
-		}
-	}
-	b.Graft(adopter, keep)
+	b.Graft(adopter, orphans)
 }
 
-// Rejoined re-admits h under the root with a full replay: a rejoined host
-// is amnesiac, or was falsely confirmed and needs a live parent again
-// either way; duplicate suppression absorbs whatever it still holds.
-func (b *Brain) Rejoined(h int) { b.Graft(b.root, []int{h}) }
+// Rejoined re-admits h under the root with a full replay unless it holds
+// the message: a rejoined host is amnesiac, or was falsely confirmed, and
+// needs a live parent again either way; duplicate suppression absorbs
+// whatever it still holds.
+func (b *Brain) Rejoined(h int) {
+	if !b.rt.Done(h) {
+		b.Graft(b.root, []int{h})
+	}
+}
 
 // Exhausted handles edge a->c running out of retry budget (or its
-// transport dying): the pair is marked dead, the incarnation retired, and
-// the subtree behind it repaired under the sending endpoint, or under
-// a's nearest live ancestor when a is not alive itself. A pair that is not
-// the current edge into c — a report that lost the race with the repair
-// that retired it, or one naming a host outside the tree — is marked dead
-// and nothing else: c hangs off another parent or none, or is no host.
+// transport dying): the incarnation is retired and the orphans behind it
+// re-grafted under the sending endpoint, or under a's nearest live
+// ancestor when a is not alive itself. A pair that is not the current edge
+// into c — a report that lost the race with the repair that retired it, or
+// one naming a host outside the tree — changes nothing: c hangs off
+// another parent or none, or is no host.
 func (b *Brain) Exhausted(a, c int) {
-	b.deadPairs[[2]int{a, c}]++
 	if p, ok := b.parent[c]; !ok || p != a {
 		return
 	}
 	b.retire(a, c)
-	var orphans []int
-	for _, v := range b.subtree(c) {
-		if !b.rt.Alive(v) {
-			continue
-		}
-		if b.rt.Done(v) && len(b.children[v]) == 0 {
-			continue // completed leaf: nothing to repair
-		}
-		orphans = append(orphans, v)
-	}
 	adopter := a
 	if !b.rt.Alive(a) {
 		adopter = b.LiveAncestor(a)
 	}
-	b.Graft(adopter, orphans)
+	b.Graft(adopter, b.orphans([]int{c}))
 }
 
 // Graft re-parents the orphans onto a fresh k-binomial subtree under
 // adopter — the paper's Fig.-11 contention-free construction over the
-// survivors (ascending order stands in for the routed chain order: the
-// overlay has no switch geometry). Edges that would reuse a dead
-// transport pair, or hang off a parent abandoned on the way, fall back
-// to a direct root edge, and a destination re-grafted too often is
-// abandoned.
+// survivors, in the runtime's chain order. An edge the runtime cannot
+// carry, or one out of a parent abandoned on the way, falls back to a
+// direct root edge; a destination the root cannot reach either, or one
+// re-grafted too often, is abandoned.
 func (b *Brain) Graft(adopter int, orphans []int) {
 	var keep []int
 	for _, v := range orphans {
@@ -167,12 +153,11 @@ func (b *Brain) Graft(adopter int, orphans []int) {
 	if len(keep) == 0 {
 		return
 	}
-	sort.Ints(keep)
-	sub := tree.KBinomial(append([]int{adopter}, keep...), b.k)
-	for _, e := range sub.Edges() {
+	installed := false
+	for _, e := range tree.KBinomial(b.rt.Chain(adopter, keep), b.k).Edges() {
 		a, c := e.Parent, e.Child
-		if b.deadPairs[[2]int{a, c}] > 0 || b.abandoned[a] { // a: abandoned earlier in this loop
-			if a == b.root || b.deadPairs[[2]int{b.root, c}] > 0 {
+		if !b.rt.Reachable(a, c) || b.abandoned[a] { // a: abandoned earlier in this loop
+			if a == b.root || !b.rt.Reachable(b.root, c) {
 				b.Abandon(c)
 				continue
 			}
@@ -181,8 +166,11 @@ func (b *Brain) Graft(adopter int, orphans []int) {
 		b.parent[c] = a
 		b.children[a] = append(b.children[a], c)
 		b.rt.Install(a, c)
+		installed = true
 	}
-	b.adoptions++
+	if installed {
+		b.adoptions++
+	}
 }
 
 // Abandon gives up on destination v permanently: both its edge sets are
@@ -199,17 +187,32 @@ func (b *Brain) Abandon(v int) {
 	b.retireOutOf(v)
 }
 
-// LiveAncestor walks up from h to the nearest ancestor still in the
-// membership view; a detached chain ends at the root.
+// LiveAncestor walks up from h to the nearest ancestor that is in the
+// membership view, alive and not abandoned; a detached chain ends at the
+// root.
 func (b *Brain) LiveAncestor(h int) int {
 	v := b.parent[h]
-	for v >= 0 && v != b.root && !b.rt.Member(v) {
+	for v >= 0 && v != b.root && (!b.rt.Member(v) || !b.rt.Alive(v) || b.abandoned[v]) {
 		v = b.parent[v]
 	}
 	if v < 0 {
 		return b.root
 	}
 	return v
+}
+
+// orphans lists the hosts of the subtrees rooted at roots, preorder, that
+// a repair must re-graft: alive and not yet holding the message.
+func (b *Brain) orphans(roots []int) []int {
+	var out []int
+	for _, r := range roots {
+		for _, v := range b.subtree(r) {
+			if b.rt.Alive(v) && !b.rt.Done(v) {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
 }
 
 // subtree collects the nodes currently rooted at h, h first, preorder.

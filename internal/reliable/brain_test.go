@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,14 +12,17 @@ import (
 )
 
 // fakeRuntime records the brain's Install/Retire calls and answers its
-// three questions from plain sets: no goroutine, no timer, no socket.
+// five questions from plain sets the script fills: no goroutine, no timer,
+// no socket. Chains are ascending unless descending is set.
 type fakeRuntime struct {
 	log                 []string
 	down, crashed, done map[int]bool
+	dead                map[[2]int]bool
+	descending          bool
 }
 
 func newFake() *fakeRuntime {
-	return &fakeRuntime{down: map[int]bool{}, crashed: map[int]bool{}, done: map[int]bool{}}
+	return &fakeRuntime{down: map[int]bool{}, crashed: map[int]bool{}, done: map[int]bool{}, dead: map[[2]int]bool{}}
 }
 
 func (f *fakeRuntime) Install(a, b int) { f.log = append(f.log, fmt.Sprintf("+%d>%d", a, b)) }
@@ -28,6 +32,15 @@ func (f *fakeRuntime) Member(v int) bool {
 	return !f.crashed[v]
 }
 func (f *fakeRuntime) Done(v int) bool { return f.done[v] }
+func (f *fakeRuntime) Chain(adopter int, orphans []int) []int {
+	chain := append([]int{adopter}, orphans...)
+	slices.Sort(chain[1:])
+	if f.descending {
+		slices.Reverse(chain[1:])
+	}
+	return chain
+}
+func (f *fakeRuntime) Reachable(a, v int) bool { return !f.dead[[2]int{a, v}] }
 
 // crash marks h confirmed-crashed the way a detector would before the
 // driver calls Confirmed.
@@ -89,14 +102,56 @@ func TestBrainScript(t *testing.T) {
 			want: "-1>2 -2>3 -4>5 +0>3 +3>5", adoptions: 1,
 		},
 		{
-			// A root edge dies: the repair under the root would reuse the
+			// 0-1-2-3-4 with 3 complete, host 2 dies: the completed interior
+			// host is left alone, and only its incomplete child 4 moves under
+			// the nearest live ancestor 1.
+			name: "confirm-leaves-completed-interior-host-and-grafts-its-child",
+			tree: chain(5), regrafts: 4,
+			script: func(b *Brain, f *fakeRuntime) { f.done[3] = true; f.crash(2); b.Confirmed(2) },
+			want:   "-1>2 -2>3 -3>4 +1>4", adoptions: 1,
+		},
+		{
+			// Host 1 is a member but not alive (Suspect): the adoption of 2's
+			// subtree skips it and goes to the root.
+			name: "confirm-skips-a-suspect-ancestor",
+			tree: chain(5), regrafts: 4,
+			script: func(b *Brain, f *fakeRuntime) { f.down[1] = true; f.crash(2); b.Confirmed(2) },
+			want:   "-1>2 -2>3 -3>4 +0>3 +3>4", adoptions: 1,
+		},
+		{
+			// The runtime's chain order, not ascending order, shapes the
+			// Fig.-11 tree: descending, 3 leads and 2 hangs under it.
+			name: "chain-order-shapes-the-graft",
+			tree: func() *tree.Tree { t := chain(2); t.AddChild(1, 2); t.AddChild(1, 3); return t }(), regrafts: 4,
+			script: func(b *Brain, f *fakeRuntime) { f.descending = true; f.crash(1); b.Confirmed(1) },
+			want:   "-0>1 -1>2 -1>3 +0>3 +3>2", adoptions: 1,
+		},
+		{
+			// Host 5 dies and its children 2, 3, 4 go under 1 as the tree
+			// 1>3>4, 1>2. The pair 1->3 cannot carry packets, so 3 falls
+			// back to a root edge; 3->4 and 1->2 install as built.
+			name: "dead-non-root-pair-falls-back-while-live-pairs-install",
+			tree: func() *tree.Tree {
+				t := chain(2)
+				t.AddChild(1, 5)
+				for _, v := range []int{2, 3, 4} {
+					t.AddChild(5, v)
+				}
+				return t
+			}(), regrafts: 4,
+			script: func(b *Brain, f *fakeRuntime) { f.dead[[2]int{1, 3}] = true; f.crash(5); b.Confirmed(5) },
+			want:   "-1>5 -5>2 -5>3 -5>4 +0>3 +3>4 +1>2", adoptions: 1,
+		},
+		{
+			// A root edge dies: the repair under the root cannot use the
 			// dead pair and the fallback is the root itself, so the
-			// destination is abandoned.
+			// destination is abandoned; nothing is installed, so nothing
+			// counts as an adoption.
 			name: "dead-root-pair-abandons",
 			tree: star(4), regrafts: 4,
-			script:    func(b *Brain, f *fakeRuntime) { b.Exhausted(0, 2) },
+			script:    func(b *Brain, f *fakeRuntime) { f.dead[[2]int{0, 2}] = true; b.Exhausted(0, 2) },
 			want:      "-0>2",
-			abandoned: []int{2}, adoptions: 1,
+			abandoned: []int{2},
 		},
 		{
 			// 0-2-3 with 0->2 dead: 2 is abandoned, and 3 — which the
@@ -104,17 +159,17 @@ func TestBrainScript(t *testing.T) {
 			// of an edge out of a host nobody feeds any more.
 			name: "child-of-a-host-abandoned-mid-graft-falls-back-to-root",
 			tree: func() *tree.Tree { t := star(3); t.AddChild(2, 3); return t }(), regrafts: 4,
-			script:    func(b *Brain, f *fakeRuntime) { b.Exhausted(0, 2) },
+			script:    func(b *Brain, f *fakeRuntime) { f.dead[[2]int{0, 2}] = true; b.Exhausted(0, 2) },
 			want:      "-0>2 -2>3 +0>3",
 			abandoned: []int{2}, adoptions: 1,
 		},
 		{
-			// 0-1-2-3: edge 1->2 dies. The repair under 1 would reuse the
+			// 0-1-2-3: edge 1->2 dies. The repair under 1 cannot use the
 			// dead pair 1->2, so 2 falls back to a direct root edge; 3
 			// follows 2 in the rebuilt chain.
 			name: "dead-pair-falls-back-to-root-edge",
 			tree: chain(4), regrafts: 4,
-			script: func(b *Brain, f *fakeRuntime) { b.Exhausted(1, 2) },
+			script: func(b *Brain, f *fakeRuntime) { f.dead[[2]int{1, 2}] = true; b.Exhausted(1, 2) },
 			want:   "-1>2 -2>3 +0>2 +2>3", adoptions: 1,
 		},
 		{
@@ -155,7 +210,7 @@ func TestBrainScript(t *testing.T) {
 		},
 		{
 			// An edge the shape does not hold (a replayed or foreign
-			// report) marks the pair dead but retires nothing.
+			// report) retires nothing.
 			name: "exhausted-unknown-edge-retires-nothing",
 			tree: chain(3), regrafts: 4,
 			script: func(b *Brain, f *fakeRuntime) { f.done[2] = true; b.Exhausted(0, 2) },

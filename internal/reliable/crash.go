@@ -1,18 +1,16 @@
 package reliable
 
 import (
-	"sort"
-
 	"repro/internal/membership"
 	"repro/internal/message"
 )
 
 // This file is the crash-tolerance plane of the machine: host crash and
 // recovery faults, the heartbeat/failure-detector loop, and the view-change
-// reactions (epoch fencing, orphan adoption, rejoin replay). None of it
-// runs unless the fault plan schedules crashes — mc.det stays nil, the
-// epoch stays 0, and the data plane replays its crash-free behavior
-// event-for-event.
+// reactions (epoch fencing, and the brain's orphan adoption and rejoin
+// replay). None of it runs unless the fault plan schedules crashes —
+// mc.det stays nil, the epoch stays 0, and the data plane replays its
+// crash-free behavior event-for-event.
 
 // scheduleBeats drives host v's heartbeat loop: every HeartbeatEvery it
 // emits one control-plane heartbeat toward the root (unless the host is
@@ -63,16 +61,37 @@ func (mc *machine) processEvents(evs []membership.Event) {
 		if mc.finished {
 			continue
 		}
-		switch ev.Kind {
+		switch h := ev.Host; ev.Kind {
 		case membership.Confirmed:
-			mc.onConfirmed(ev)
+			if h == mc.root {
+				continue // the root is the observer; it cannot be confirmed crashed
+			}
+			// The epoch advanced, fencing all in-flight traffic; the brain cuts
+			// h out of the tree and adopts its orphans, and h's NI state goes.
+			mc.brain.Confirmed(h)
+			mc.wipe(mc.nodes[h])
+			mc.adopted()
 		case membership.Rejoined:
-			mc.onRejoined(ev)
+			// A recovered host the group had confirmed crashed is grafted back
+			// with the full message replayed from the root: its buffers are
+			// empty, and packets its old parent saw ACKed would otherwise be
+			// lost forever.
+			mc.brain.Rejoined(h)
+			mc.adopted()
 		}
 	}
 	if n := len(mc.res.Views); n > 0 && mc.det.Epoch() > mc.res.Views[n-1].Epoch {
 		mc.res.Views = append(mc.res.Views, mc.det.View())
 	}
+}
+
+// adopted follows a crash-driven brain decision: its new edges get their
+// replay, and the run may have resolved.
+func (mc *machine) adopted() {
+	if mc.flush() {
+		mc.res.Adoptions++
+	}
+	mc.checkFinished()
 }
 
 // onCrash applies a host-crash fault: the host's entire NI state — send
@@ -81,19 +100,15 @@ func (mc *machine) processEvents(evs []membership.Event) {
 // told: the group must discover the crash through silence.
 func (mc *machine) onCrash(h int) {
 	mc.faults.Stats.Crashes++
+	n := mc.nodes[h]
 	if mc.finished {
 		// Reachable only after a root crash failed the whole operation
 		// (checkFinished defers completion past the last scheduled fault).
 		// A completion timestamped after this instant (receive landed,
 		// host-level copy still in progress) never actually finished on
 		// the crashing host: the record and the payload die with it.
-		if n := mc.nodes[h]; n != nil && h != mc.root {
-			if t, ok := mc.res.HostDone[h]; ok && t > mc.eng.Now() {
-				delete(mc.res.HostDone, h)
-				n.reasm = message.NewReassembler()
-				n.have = make([]bool, mc.m)
-				n.haveCount = 0
-			}
+		if t, ok := mc.res.HostDone[h]; ok && n != nil && h != mc.root && t > mc.eng.Now() {
+			mc.forget(n)
 		}
 		return
 	}
@@ -102,27 +117,32 @@ func (mc *machine) onCrash(h int) {
 		mc.finished = true
 		return
 	}
-	n := mc.nodes[h]
-	if n == nil {
-		return
+	if n != nil {
+		mc.forget(n)
+		mc.wipe(n)
 	}
-	n.inc++ // in-flight copy completions become no-ops
-	n.inFlight = 0
-	n.queue = nil
+}
+
+// forget drops what n received: reassembly progress and completion.
+func (mc *machine) forget(n *node) {
 	n.reasm = message.NewReassembler()
 	n.have = make([]bool, mc.m)
 	n.haveCount = 0
+	delete(mc.res.HostDone, n.id)
+}
+
+// wipe drops n's send engine — queue, in-flight copies (their completions
+// become no-ops), buffer occupancy — and unparks every send attempt
+// waiting on its forwarding buffer; the senders re-attempt immediately
+// and either inject (the wipe makes the buffer bound moot) or skip the op
+// if its edge died.
+func (mc *machine) wipe(n *node) {
+	n.inc++
+	n.inFlight = 0
+	n.queue = nil
 	n.buffered = 0
 	n.inbound = 0
 	n.copiesLeft = nil
-	delete(mc.res.HostDone, h)
-	mc.releaseWaiters(n)
-}
-
-// releaseWaiters unparks every send attempt waiting on n's forwarding
-// buffer; the senders re-attempt immediately and either inject (the crash
-// makes the buffer bound moot) or skip the op if its edge died.
-func (mc *machine) releaseWaiters(n *node) {
 	ws := n.waiters
 	n.waiters = nil
 	for _, w := range ws {
@@ -138,139 +158,15 @@ func (mc *machine) releaseWaiters(n *node) {
 // a Rejoined view change, which re-admits it. If the outage was shorter
 // than suspicion+confirmation the group never saw it, but the host's
 // buffers are empty while its parent believes ACKed packets are delivered;
-// a silent fresh re-graft makes the parent replay everything it holds.
+// a silent fresh re-graft under its nearest live ancestor makes that
+// parent replay everything it holds.
 func (mc *machine) onRecover(h int) {
 	mc.faults.Stats.Recoveries++
-	if mc.finished || h == mc.root {
+	if mc.finished || h == mc.root || mc.nodes[h] == nil || !mc.Member(h) {
 		return
 	}
-	n := mc.nodes[h]
-	if n == nil || mc.det.Phase(h) == membership.Crashed {
-		return
-	}
-	mc.regraftFresh(h)
-}
-
-// onConfirmed reacts to the detector declaring host d crashed: the epoch
-// advances (fencing all in-flight traffic), every edge incarnation
-// touching d is killed and removed, and d's orphaned subtrees are adopted
-// by its nearest live ancestor via a fresh contention-free construction.
-func (mc *machine) onConfirmed(ev membership.Event) {
-	d := ev.Host
-	if d == mc.root {
-		return // the root is the observer; it cannot be confirmed crashed
-	}
-	n := mc.nodes[d]
-	if n == nil {
-		return
-	}
-	anc := n.parent
-	former := append([]int(nil), n.children...)
-	mc.dropHostState(d)
-	now := mc.eng.Now()
-	var orphans []int
-	for _, c := range former {
-		for _, v := range mc.incompleteSubtree(c) {
-			nv := mc.nodes[v]
-			switch {
-			case mc.faults.HostDown(v, now):
-				// Itself crashed; its own confirmation or recovery resolves it.
-			case nv.regrafts >= maxRegrafts:
-				mc.abandon(v)
-			default:
-				orphans = append(orphans, v)
-			}
-		}
-	}
-	if len(orphans) > 0 {
-		mc.graft(mc.adopterFrom(anc), orphans)
-		mc.res.Adoptions++
-	}
-	mc.checkFinished()
-}
-
-// onRejoined re-admits a recovered host the group had confirmed crashed:
-// the epoch advances and the host is grafted back with the full message
-// replayed from the root — its buffers are empty, and packets its old
-// parent saw ACKed would otherwise be lost forever.
-func (mc *machine) onRejoined(ev membership.Event) {
-	h := ev.Host
-	n := mc.nodes[h]
-	if n == nil || h == mc.root || n.abandoned || n.haveCount == mc.m {
-		return
-	}
-	if n.regrafts >= maxRegrafts {
-		mc.abandon(h)
-		return
-	}
-	mc.graft(mc.root, []int{h})
-	mc.res.Adoptions++
-}
-
-// regraftFresh silently re-parents h on a fresh edge under its nearest
-// live ancestor after an unconfirmed outage, forcing a full replay.
-func (mc *machine) regraftFresh(h int) {
-	n := mc.nodes[h]
-	if n.abandoned || n.haveCount == mc.m {
-		return
-	}
-	if n.regrafts >= maxRegrafts {
-		mc.abandon(h)
-		return
-	}
-	mc.graft(mc.adopterFrom(n.parent), []int{h})
-	mc.res.Adoptions++
-}
-
-// adopterFrom walks up from candidate ancestor a to the nearest node that
-// is alive in both the physical (not down) and group (not confirmed,
-// not abandoned) senses, falling back to the root.
-func (mc *machine) adopterFrom(a int) int {
-	now := mc.eng.Now()
-	for a >= 0 && a != mc.root {
-		n := mc.nodes[a]
-		if n == nil {
-			break
-		}
-		if !n.abandoned && !mc.faults.HostDown(a, now) && mc.det.Phase(a) != membership.Crashed {
-			return a
-		}
-		a = n.parent
-	}
-	return mc.root
-}
-
-// dropHostState removes every trace of host d from the protocol's mutable
-// state: all edge incarnations touching it (live or dead — long-dead
-// incarnations would otherwise leak map entries for the rest of the run),
-// its queue, in-flight copies, buffer occupancy, and parked senders.
-func (mc *machine) dropHostState(d int) {
-	var keys [][2]int
-	for k := range mc.edges {
-		if k[0] == d || k[1] == d {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		if es := mc.edges[k]; !es.dead {
-			mc.killEdge(es)
-		}
-		delete(mc.edges, k)
-	}
-	n := mc.nodes[d]
-	n.inc++
-	n.inFlight = 0
-	n.queue = nil
-	n.buffered = 0
-	n.inbound = 0
-	n.copiesLeft = nil
-	mc.releaseWaiters(n)
+	mc.brain.Graft(mc.brain.LiveAncestor(h), []int{h})
+	mc.adopted()
 }
 
 // checkFinished marks the run finished once every destination is resolved,
@@ -309,7 +205,7 @@ func (mc *machine) checkFinished() {
 // otherwise not clairvoyant: a physically-down host is unresolved until
 // the detector confirms it.
 func (mc *machine) resolved(n *node, now float64) bool {
-	if n.abandoned {
+	if mc.brain.Abandoned(n.id) {
 		return true
 	}
 	if n.haveCount == mc.m && !mc.faults.HostDown(n.id, now) {

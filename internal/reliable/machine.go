@@ -49,18 +49,16 @@ type edgeState struct {
 
 // node is the per-host protocol state: the NI send queue (shared by all
 // outgoing edges, serial like the sim engine's), the reassembler, and the
-// node's current position in the (mutable) delivery tree.
+// children the node currently forwards to (the brain's shape, kept by
+// Install and Retire).
 type node struct {
 	id        int
-	parent    int // -1 at the root and while orphaned
 	children  []int
 	queue     []op
 	inFlight  int
 	reasm     *message.Reassembler
 	have      []bool
 	haveCount int
-	abandoned bool
-	regrafts  int
 	// inc is the NI incarnation; a crash bumps it so completion callbacks
 	// of copies that were mid-wire become no-ops instead of touching the
 	// wiped send engine.
@@ -79,7 +77,7 @@ type node struct {
 }
 
 // maxRegrafts bounds how often one node may be re-parented before the
-// protocol abandons it, so repair cannot loop forever under extreme loss.
+// brain abandons it, so repair cannot loop forever under extreme loss.
 const maxRegrafts = 4
 
 type machine struct {
@@ -87,7 +85,6 @@ type machine struct {
 	p       sim.Params
 	wire    float64
 	ackWire float64
-	k       int
 	m       int
 	root    int
 	pkts    [][]byte
@@ -110,6 +107,11 @@ type machine struct {
 	edges  map[[2]int]*edgeState
 	genCtr int
 
+	// brain decides every repair; installed holds the edges its current
+	// decision brought up, for flush to replay into.
+	brain     *Brain
+	installed [][2]int
+
 	// Crash-tolerance state. det is nil (and epoch stays 0, so fencing
 	// never triggers) unless the fault plan schedules host crashes.
 	det         *membership.Detector
@@ -129,7 +131,6 @@ func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, fa
 		p:         cfg.Params,
 		wire:      cfg.Params.WireTime(),
 		ackWire:   float64(cfg.AckBytes) / cfg.Params.LinkBytesUS,
-		k:         plan.K,
 		m:         len(pkts),
 		root:      plan.Tree.Root(),
 		pkts:      pkts,
@@ -153,13 +154,8 @@ func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, fa
 		mc.origToCur[i], mc.curToOrig[i] = i, i
 	}
 	for _, v := range plan.Tree.Nodes() {
-		parent, ok := plan.Tree.Parent(v)
-		if !ok {
-			parent = -1
-		}
 		mc.nodes[v] = &node{
 			id:       v,
-			parent:   parent,
 			children: append([]int(nil), plan.Tree.Children(v)...),
 			reasm:    message.NewReassembler(),
 			have:     make([]bool, mc.m),
@@ -168,6 +164,7 @@ func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, fa
 	for _, e := range plan.Tree.Edges() {
 		mc.newEdge(e.Parent, e.Child)
 	}
+	mc.brain = NewBrain(plan.Tree, maxRegrafts, mc)
 	if len(faults.Crashes()) > 0 {
 		det, err := membership.New(cfg.Heartbeat, plan.Tree.Nodes(), 0)
 		if err != nil {
@@ -514,7 +511,7 @@ func (mc *machine) nackArrive(o op, ep int) {
 		return
 	}
 	if ps.attempt > mc.cfg.RetryBudget {
-		mc.orphan(es)
+		mc.exhausted(es)
 		return
 	}
 	ps.timerGen++
@@ -546,7 +543,7 @@ func (mc *machine) timeout(es *edgeState, o op, timerGen int) {
 		return
 	}
 	if ps.attempt > mc.cfg.RetryBudget {
-		mc.orphan(es)
+		mc.exhausted(es)
 		return
 	}
 	ps.timerGen++

@@ -16,14 +16,19 @@
 // reserved arrival plus the ACK round trip plus slack, and backoff only
 // stretches it after a real loss.
 //
-// When retries across one tree edge exhaust their budget the child (and
-// its incomplete subtree) is orphaned. If the fault plan has killed links
-// by then, the machine rebuilds routing around them (core.System
-// .WithoutLinkChecked), re-parents the orphans onto a fresh k-binomial
-// subtree under the detecting parent (the paper's tree construction,
-// reused verbatim), and replays the packets it already holds; receivers
-// drop the duplicates. Destinations that a kill genuinely partitions away
-// are reported in a typed *DeliveryError instead.
+// When retries across one tree edge exhaust their budget, the repair
+// brain all three reliable engines share (Brain) re-parents the
+// incomplete hosts of the child's subtree onto a fresh k-binomial subtree
+// under the detecting parent — the paper's tree construction, reused
+// verbatim, in the system's chain order — and each new parent replays the
+// packets it already holds; receivers drop the duplicates. The machine first rebuilds
+// routing around every link killed so far (core.System
+// .WithoutLinkChecked) and answers the brain's reachability question from
+// the degraded switch graph: an edge it cannot carry falls back to a root
+// edge, and a destination the root cannot reach either — a genuine
+// partition — is abandoned and reported in a typed *DeliveryError. An
+// exhaustion no kill explains re-grafts the same way until the regraft
+// cap abandons.
 //
 // # Crash tolerance
 //
@@ -35,10 +40,11 @@
 // were sent in; a view change fences everything from older epochs —
 // receivers and senders discard stale traffic, and the retransmission
 // timers re-issue it under the new epoch. When a crash is confirmed the
-// dead host is cut out of the tree, its state (edges, queues, timers,
-// buffer reservations) is dropped, and its orphaned subtree is adopted by
-// the nearest live ancestor through the same Fig.-11 contention-free
-// k-binomial construction used at planning time. A crashed host that
+// brain cuts the dead host out of the tree and has its orphaned subtree
+// adopted by the nearest live ancestor through the same Fig.-11
+// contention-free k-binomial construction used at planning time, and the
+// host's NI state (queues, timers, buffer reservations) is dropped. A
+// crashed host that
 // recovers rejoins with empty buffers in a fresh epoch and has the whole
 // message replayed to it.
 //

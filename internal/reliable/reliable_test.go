@@ -192,7 +192,8 @@ func TestAckLossDuplicates(t *testing.T) {
 }
 
 // TestRetryBudgetExhaustion: without any killed link, budget exhaustion
-// under extreme loss abandons the subtree with a typed error.
+// under extreme loss re-grafts like any other until the regraft cap
+// abandons hosts, with a typed error that is not a partition.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	sys := irregular64(6)
 	cfg := DefaultConfig()

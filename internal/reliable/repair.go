@@ -2,91 +2,84 @@ package reliable
 
 import (
 	"errors"
+	"slices"
 
+	"repro/internal/membership"
 	"repro/internal/routing"
 	"repro/internal/topology"
-	"repro/internal/tree"
 )
 
-// orphan handles a tree edge whose retry budget is spent: the edge dies,
-// and the subtree hanging off it is repaired onto surviving routes — or
-// abandoned when the network genuinely cannot reach it anymore.
-func (mc *machine) orphan(es *edgeState) {
+// This file makes the machine the repair brain's Runtime. The brain
+// decides every repair (brain.go); the machine answers its questions from
+// the simulated network and carries its decisions out on the data plane.
+
+// exhausted hands a tree edge whose retry budget is spent to the brain,
+// which repairs the subtree behind it onto surviving routes — or abandons
+// what the network genuinely cannot reach anymore.
+func (mc *machine) exhausted(es *edgeState) {
 	if es.dead {
-		return
+		return // an incarnation the brain already retired
 	}
-	from, to := es.from, es.to
-	mc.killEdge(es)
-	mc.repair(from, to)
+	mc.applyKills()
+	mc.brain.Exhausted(es.from, es.to)
+	if mc.flush() {
+		mc.res.Repairs++
+	}
+	mc.checkFinished()
 }
 
-// killEdge retires one edge incarnation: late ACKs, timers and queued ops
+// Install brings up a fresh incarnation of edge a->c; flush replays into
+// it once the brain's decision is complete.
+func (mc *machine) Install(a, c int) {
+	mc.nodes[a].children = append(mc.nodes[a].children, c)
+	mc.newEdge(a, c)
+	mc.installed = append(mc.installed, [2]int{a, c})
+}
+
+// Retire kills edge a->c's incarnation: late ACKs, timers and queued ops
 // all check dead/gen and become no-ops; the child leaves the parent's
 // forwarding set.
-func (mc *machine) killEdge(es *edgeState) {
-	es.dead = true
-	p := mc.nodes[es.from]
-	for i, c := range p.children {
-		if c == es.to {
-			p.children = append(p.children[:i], p.children[i+1:]...)
-			break
-		}
-	}
-	mc.nodes[es.to].parent = -1
+func (mc *machine) Retire(a, c int) {
+	mc.edges[[2]int{a, c}].dead = true
+	p := mc.nodes[a]
+	p.children = slices.DeleteFunc(p.children, func(x int) bool { return x == c })
 }
 
-// repair re-parents the incomplete nodes of the subtree rooted at `to`
-// onto a fresh k-binomial subtree under `from`, routed around every link
-// the fault plan has killed so far. Orphans that are unreachable (killed
-// host link, or behind a partitioning kill) or that have been re-grafted
-// too often are abandoned instead. With no kills in effect the budget
-// exhaustion was genuine loss, and the subtree is abandoned outright.
-func (mc *machine) repair(from, to int) {
-	mc.applyKills()
-	orphans := mc.incompleteSubtree(to)
-	if len(orphans) == 0 {
-		return
-	}
-	var reachable []int
-	for _, v := range orphans {
-		switch {
-		case mc.repairUnavailable || len(mc.applied) == 0,
-			mc.nodes[v].regrafts >= maxRegrafts,
-			!mc.hostReachable(from, v):
-			mc.abandon(v)
-		default:
-			reachable = append(reachable, v)
-		}
-	}
-	if len(reachable) == 0 {
-		return
-	}
-	mc.graft(from, reachable)
-	mc.res.Repairs++
+// Alive reports whether v's host is up right now.
+func (mc *machine) Alive(v int) bool { return !mc.faults.HostDown(v, mc.eng.Now()) }
+
+// Member reports whether the group has not confirmed v crashed.
+func (mc *machine) Member(v int) bool {
+	return mc.det == nil || mc.det.Phase(v) != membership.Crashed
 }
 
-// graft re-parents the orphans onto a fresh k-binomial subtree under
-// `from` — the paper's Fig.-11 contention-free construction, re-run over
-// the survivors — then has each new parent replay the packets it already
-// holds (packet-major, like the root's FPFS seeding); packets it still
-// lacks forward on arrival through the normal receive path.
-func (mc *machine) graft(from int, orphans []int) {
-	for _, v := range orphans {
-		mc.detach(v)
-		mc.nodes[v].regrafts++
-	}
-	chain := mc.sys.Ord.Chain(from, orphans)
-	sub := tree.KBinomial(chain, mc.k)
+// Done reports whether v holds every packet.
+func (mc *machine) Done(v int) bool { return mc.nodes[v].haveCount == mc.m }
+
+// Chain cuts a repair's chain from the system's base ordering.
+func (mc *machine) Chain(adopter int, orphans []int) []int {
+	return mc.sys.Ord.Chain(adopter, orphans)
+}
+
+// Reachable reports whether v is reachable from a on the degraded
+// network; without rebuild machinery for this system nothing is.
+func (mc *machine) Reachable(a, v int) bool {
+	return !mc.repairUnavailable && mc.hostReachable(a, v)
+}
+
+// flush has each parent the brain's last decision gave new children replay
+// the packets it already holds into them — packet-major, like the root's
+// FPFS seeding, parents in the order they first gained a child; packets it
+// still lacks forward on arrival through the normal receive path. It
+// reports whether the decision installed any edge.
+func (mc *machine) flush() bool {
 	added := map[int][]int{}
 	var order []int
-	for _, e := range sub.Edges() {
-		if _, ok := added[e.Parent]; !ok {
-			order = append(order, e.Parent)
+	for _, e := range mc.installed {
+		if _, ok := added[e[0]]; !ok {
+			order = append(order, e[0])
 		}
-		added[e.Parent] = append(added[e.Parent], e.Child)
-		mc.nodes[e.Parent].children = append(mc.nodes[e.Parent].children, e.Child)
-		mc.nodes[e.Child].parent = e.Parent
-		mc.newEdge(e.Parent, e.Child)
+		added[e[0]] = append(added[e[0]], e[1])
 	}
 	for _, u := range order {
 		un := mc.nodes[u]
@@ -100,6 +93,9 @@ func (mc *machine) graft(from int, orphans []int) {
 		}
 		mc.pump(u)
 	}
+	grafted := len(mc.installed) > 0
+	mc.installed = mc.installed[:0]
+	return grafted
 }
 
 // applyKills folds every link kill scheduled at or before now into the
@@ -107,7 +103,7 @@ func (mc *machine) graft(from int, orphans []int) {
 // network (dense link renumbering tracked in origToCur/curToOrig); a kill
 // that would partition the switch graph, or that severs a host's only
 // link, stays in the graph as a dead bridge — no surviving route needs
-// it, and reachability classification abandons the far side.
+// it, and Reachable steers repairs around it.
 func (mc *machine) applyKills() {
 	changed := false
 	for _, l := range mc.faults.KilledLinks(mc.eng.Now()) {
@@ -182,55 +178,4 @@ func (mc *machine) hostReachable(u, v int) bool {
 		}
 	}
 	return seen[dst]
-}
-
-// incompleteSubtree collects the not-yet-complete, not-abandoned nodes in
-// the subtree currently rooted at v (v included), preorder.
-func (mc *machine) incompleteSubtree(v int) []int {
-	var out []int
-	var walk func(u int)
-	walk = func(u int) {
-		n := mc.nodes[u]
-		if n.haveCount < mc.m && !n.abandoned {
-			out = append(out, u)
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(v)
-	return out
-}
-
-// detach unlinks v from its current parent, killing the incoming edge if
-// it is still live.
-func (mc *machine) detach(v int) {
-	n := mc.nodes[v]
-	if n.parent < 0 {
-		return
-	}
-	if es := mc.edges[[2]int{n.parent, v}]; es != nil && !es.dead {
-		mc.killEdge(es)
-		return
-	}
-	n.parent = -1
-}
-
-// abandon gives up on v: it is detached, its outgoing edges die (its
-// incomplete children are processed by the same repair pass), and it is
-// excluded from future repair rounds. Packets already in flight to v may
-// still land — finish() reports actual completion, not intent.
-func (mc *machine) abandon(v int) {
-	n := mc.nodes[v]
-	if n.abandoned {
-		return
-	}
-	n.abandoned = true
-	mc.detach(v)
-	for _, c := range append([]int(nil), n.children...) {
-		if es := mc.edges[[2]int{v, c}]; es != nil && !es.dead {
-			mc.killEdge(es)
-		}
-	}
-	mc.checkFinished()
 }

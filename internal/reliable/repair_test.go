@@ -2,6 +2,7 @@ package reliable
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -140,6 +141,70 @@ func TestHostLinkKillPartitions(t *testing.T) {
 		if d != victim {
 			rest = append(rest, d)
 		}
+	}
+	checkPayloads(t, res, rest, payload)
+}
+
+// TestBridgeKillPartitions: a switch-switch bridge dies mid-flight. Its
+// removal is a *topology.PartitionError, so the bridge stays in the
+// degraded graph as a dead link and Reachable steers every repair away
+// from the hosts beyond it: exactly those are orphaned, with Partitioned
+// set, and everyone on the root's side — the binomial tree hangs some of
+// them below the far side, so a repair re-grafts them — completes
+// byte-exactly.
+func TestBridgeKillPartitions(t *testing.T) {
+	// The default testbed has no switch bridge at any small seed; capping
+	// each switch at three inter-switch links leaves one at seed 2.
+	topo := topology.DefaultIrregular()
+	topo.ExtraDegree = 3
+	sys := core.NewIrregularSystem(topo, 2)
+	bridge := -1
+	for _, l := range sys.Net.Links() {
+		if l.A.Kind == topology.SwitchNode && l.B.Kind == topology.SwitchNode && !sys.Net.WithoutLink(l.ID).Connected() {
+			bridge = l.ID
+			break
+		}
+	}
+	if bridge < 0 {
+		t.Fatal("no switch bridge in this topology")
+	}
+	// near: the switches the root's switch reaches without the bridge.
+	cut := sys.Net.WithoutLink(bridge)
+	near := map[int]bool{sys.Net.HostSwitch(0): true}
+	for stack := []int{sys.Net.HostSwitch(0)}; len(stack) > 0; {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, o := range cut.SwitchNeighbors(s) {
+			if !near[o] {
+				near[o] = true
+				stack = append(stack, o)
+			}
+		}
+	}
+	cfg := DefaultConfig()
+	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.BinomialTree}
+	plan := sys.Plan(spec)
+	payload := payloadFor(8, cfg.Params, 81)
+	var far, rest []int
+	for _, d := range spec.Dests {
+		if near[sys.Net.HostSwitch(d)] {
+			rest = append(rest, d)
+		} else {
+			far = append(far, d)
+		}
+	}
+	res, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{
+		Kills: []sim.LinkKill{{Link: bridge, At: cfg.Params.THostSend + 5}},
+	})
+	var de *DeliveryError
+	if !errors.As(err, &de) || !de.Partitioned {
+		t.Fatalf("error %v, want a partitioned *DeliveryError", err)
+	}
+	if res.Faults.DeadSends == 0 || res.Repairs == 0 {
+		t.Errorf("%d dead-link sends, %d repairs: the kill did not reach the repair path", res.Faults.DeadSends, res.Repairs)
+	}
+	if !reflect.DeepEqual(res.Orphaned, far) {
+		t.Errorf("orphaned %v, want the far side %v", res.Orphaned, far)
 	}
 	checkPayloads(t, res, rest, payload)
 }

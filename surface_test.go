@@ -50,6 +50,8 @@ var surfaceAllow = map[string]string{
 	"link.UDPNetwork.Detach":    "satisfies link.Network; every engine detaches through link.AttachAll",
 	"live.Supervisor.Install":   "satisfies reliable.Runtime; the repair brain calls it",
 	"live.Supervisor.Retire":    "satisfies reliable.Runtime; the repair brain calls it",
+	"live.Supervisor.Chain":     "satisfies reliable.Runtime; the repair brain calls it",
+	"live.Supervisor.Reachable": "satisfies reliable.Runtime; the repair brain calls it",
 
 	// Reference implementations tests compare the engines against
 	// (DESIGN §17: a reference implementation tests use is not a duplicate).
