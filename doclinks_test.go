@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -31,6 +32,8 @@ var (
 	docName   = regexp.MustCompile("`([a-z][a-z0-9]*(?:-[a-z0-9]+)+)`")
 	docTarget = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
 	makeRule  = regexp.MustCompile(`^([a-z][a-z0-9-]*):`)
+	docCmd    = regexp.MustCompile("`(mcastd|mcastsim) ([^`]*)`")
+	docFlag   = regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
 )
 
 // TestDocLinks holds DESIGN.md and README.md to the tree they describe:
@@ -39,10 +42,12 @@ var (
 // Makefile target, every backticked name shaped like an invariant ID
 // is one — or a make target, or an experiment ID — and every backticked
 // `pkg.Name` whose pkg is a directory under internal/ names a top-level
-// declaration of that package. A dangling name fails with its file and
-// line.
+// declaration of that package, and every flag of a backticked `mcastd …` or
+// `mcastsim …` command is one its cmd/<bin>/main.go registers. A dangling
+// name fails with its file and line.
 func TestDocLinks(t *testing.T) {
 	decls := internalDecls(t)
+	flags := map[string]map[string]bool{"mcastd": binFlags(t, "mcastd"), "mcastsim": binFlags(t, "mcastsim")}
 	targets := map[string]bool{}
 	mk, err := os.Open("Makefile")
 	if err != nil {
@@ -90,6 +95,13 @@ func TestDocLinks(t *testing.T) {
 					}
 				}
 			}
+			for _, m := range docCmd.FindAllStringSubmatch(text, -1) {
+				for _, w := range strings.Fields(m[2]) {
+					if f := docFlag.FindStringSubmatch(w); f != nil && !flags[m[1]][f[1]] {
+						t.Errorf("%s:%d: `%s %s`: cmd/%s registers no flag -%s", doc, line, m[1], m[2], m[1], f[1])
+					}
+				}
+			}
 			for _, m := range docQual.FindAllStringSubmatch(text, -1) {
 				if names, ok := decls[m[1]]; ok && !names[m[2]] {
 					t.Errorf("%s:%d: `%s.%s`: package %s declares no %s", doc, line, m[1], m[2], m[1], m[2])
@@ -112,6 +124,45 @@ func TestDocLinks(t *testing.T) {
 			t.Errorf("docNotLinks lists %s, which neither document names any more; drop the entry", name)
 		}
 	}
+}
+
+// binFlags returns the flags cmd/<bin>/main.go registers: the name argument
+// of every fs.<Type>(name, …) and fs.<Type>Var(&v, name, …) call.
+func binFlags(t *testing.T, bin string) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("cmd", bin, "main.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "fs" {
+			return true
+		}
+		arg := 0
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			arg = 1
+		}
+		if len(call.Args) > arg {
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				flags[name] = true
+			}
+		}
+		return true
+	})
+	if len(flags) == 0 {
+		t.Fatalf("cmd/%s/main.go: no fs flag registrations found", bin)
+	}
+	return flags
 }
 
 // internalDecls maps the name of every directory under internal/ to the

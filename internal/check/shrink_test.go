@@ -98,8 +98,9 @@ func TestCandidatesValidOrRejected(t *testing.T) {
 			if err := cand.Validate(); err != nil {
 				continue // rejected, fine
 			}
-			if vs := Check(cand); hasViolation(vs, "build-panic") {
-				t.Fatalf("valid candidate panics on build: %s\n  from: %s", cand, inst)
+			// A panic while building is what Check reports as build-panic.
+			if _, err := safeBuild(cand); err != nil {
+				t.Fatalf("valid candidate panics on build: %s\n  from: %s\n  %v", cand, inst, err)
 			}
 		}
 	}

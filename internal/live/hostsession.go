@@ -11,11 +11,11 @@ import (
 
 // HostSession is one host's share of one plain (unacknowledged) session:
 // the paper's FPFS step — forward each packet to every child as it
-// arrives, buffer one packet — written once. live.Run, the session
-// scheduler (internal/sched) and the plain daemon (mcastd.Run) embed it by
-// value in their per-host state and keep only what differs between them:
-// who calls Serve, how completions are collected, when the buffer slot
-// the packet occupies is released.
+// arrives, buffer one packet — written once. PlainShare (the data plane of
+// live.Run and mcastd.Run) and the session scheduler (internal/sched) embed
+// it by value in their per-host state and keep only what differs between
+// them: who calls Serve, how completions are collected, when the buffer
+// slot the packet occupies is released.
 //
 // The embedded HostRecord is the host's result, filled in place; engines
 // hand out &hs.HostRecord rather than copying it. Ownership is strict so

@@ -1,54 +1,113 @@
-package live
+package live_test
 
 import (
 	"errors"
+	"net"
 	goruntime "runtime"
 	"testing"
 	"time"
+
+	"repro/internal/live"
+	"repro/internal/live/link"
+	"repro/internal/mcastd"
+	"repro/internal/message"
+	"repro/internal/tree"
 )
 
-// TestAbortedRunLeaksNoGoroutines pins the watchdog-abort teardown at a
-// session count with real goroutine fan-out: 6 sessions over a shared
-// 8-host chain spawn 8 NI loops plus 6 injectors, all stalled mid-wire
-// by latency-shaped links when an impossibly tight watchdog fires. The
-// abort must retire every one of them — no NI parked forever on a full
-// gate, no injector stuck in Send, no double-close panic on a shared
-// inbox — so the goroutine count has to settle back to its baseline.
-// Run under -race (the live-race target), where a leaked goroutine that
-// still touches NI state would also surface as a report.
+// TestAbortedRunLeaksNoGoroutines pins the plain data plane's one teardown,
+// abort → join → detach (live.PlainShare.Stop), which ends every run
+// whatever its outcome. After each arm the goroutine count has to settle
+// back to its baseline: no NI parked forever on a full gate, no injector
+// stuck in Send, no ctl listener or network pump left behind. The watchdog
+// arm runs 6 sessions over a shared 8-host chain — 8 NI loops plus 6
+// injectors, all stalled mid-wire by latency-shaped links when an
+// impossibly tight watchdog fires. The clean arms are an in-process
+// live.Run, a live.Run over loopback UDP and an all-local mcastd.Run. Run
+// under -race (the live-race target), where a leaked goroutine that still
+// touches NI state would also surface as a report.
 func TestAbortedRunLeaksNoGoroutines(t *testing.T) {
-	before := goruntime.NumGoroutine()
-
-	var sessions []Session
-	for i := 0; i < 6; i++ {
-		pkts := mustPacketize(t, uint32(i+1), 0, payloadBytes(600))
-		sessions = append(sessions, Session{Tree: chainTree(8), Packets: pkts, MsgID: uint32(i + 1)})
-	}
-	_, err := Run(sessions, Config{
-		BufferPackets: 1,
-		LinkLatency:   50 * time.Millisecond,
-		Timeout:       time.Millisecond,
-	})
-	var we *WatchdogError
-	if !errors.As(err, &we) {
-		t.Fatalf("Run returned %v, want *WatchdogError", err)
-	}
-
-	// Frames still sleeping out their latency stamps retire within about
-	// one LinkLatency of the abort; poll until the count settles. The +2
-	// slack absorbs unrelated test-framework goroutines coming and going.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		goruntime.GC()
-		now := goruntime.NumGoroutine()
-		if now <= before+2 {
-			return
+	chain := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	session := func(t *testing.T, id uint32) live.Session {
+		pkts, err := message.Packetize(id, 0, make([]byte, 600), 64)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("aborted run leaked goroutines: %d before, %d after\n%s",
-				before, now, buf[:goruntime.Stack(buf, true)])
+		return live.Session{Tree: tree.Linear(chain), Packets: pkts, MsgID: id}
+	}
+	loopback := func(t *testing.T) *link.UDPNetwork {
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Skipf("loopback UDP unavailable: %v", err)
 		}
-		time.Sleep(10 * time.Millisecond)
+		c.Close()
+		nw, err := link.NewLoopbackUDP(chain, link.UDPConfig{Session: 0x1EA4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"watchdog", func(t *testing.T) {
+			var sessions []live.Session
+			for id := uint32(1); id <= 6; id++ {
+				sessions = append(sessions, session(t, id))
+			}
+			_, err := live.Run(sessions, live.Config{
+				BufferPackets: 1,
+				LinkLatency:   50 * time.Millisecond,
+				Timeout:       time.Millisecond,
+			})
+			var we *live.WatchdogError
+			if !errors.As(err, &we) {
+				t.Fatalf("Run returned %v, want *WatchdogError", err)
+			}
+		}},
+		{"clean", func(t *testing.T) {
+			if _, err := live.Run([]live.Session{session(t, 1)}, live.Config{}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"clean-udp", func(t *testing.T) {
+			nw := loopback(t)
+			defer nw.Close()
+			if _, err := live.Run([]live.Session{session(t, 1)}, live.Config{Network: nw}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"clean-mcastd", func(t *testing.T) {
+			nw := loopback(t)
+			defer nw.Close()
+			s := session(t, 1)
+			cfg := mcastd.Config{Tree: s.Tree, Packets: s.Packets, MsgID: s.MsgID, Local: chain, Net: nw}
+			if _, err := mcastd.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := goruntime.NumGoroutine()
+			tc.run(t)
+			// Frames still sleeping out their latency stamps retire within
+			// about one LinkLatency of the abort; poll until the count
+			// settles. The +2 slack absorbs unrelated test-framework
+			// goroutines coming and going.
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				goruntime.GC()
+				now := goruntime.NumGoroutine()
+				if now <= before+2 {
+					return
+				}
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("run leaked goroutines: %d before, %d after\n%s",
+						before, now, buf[:goruntime.Stack(buf, true)])
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }

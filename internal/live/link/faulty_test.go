@@ -77,14 +77,10 @@ func sendThrough(t *testing.T, f Faults, n int) []byte {
 			t.Fatal(err)
 		}
 	}
-	in.Close()
+	// Every surviving frame is on the wire once Send returns.
 	var got []byte
-	for {
-		fr, ok := in.Recv(abort)
-		if !ok {
-			break
-		}
-		got = append(got, fr.Payload[0])
+	for len(in.Wire()) > 0 {
+		got = append(got, (<-in.Wire()).Payload[0])
 	}
 	return got
 }

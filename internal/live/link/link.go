@@ -153,18 +153,15 @@ func NewInbox(host, capacity, slots int) *Inbox {
 }
 
 // Recv blocks for the next frame, honoring each frame's latency stamp.
-// ok is false when the inbox has been closed and drained, or abort fired.
+// ok is false once abort has fired.
 func (in *Inbox) Recv(abort <-chan struct{}) (f Frame, ok bool) {
 	select {
-	case f, ok = <-in.wire:
+	case f = <-in.wire:
+		f.Wait()
+		return f, true
 	case <-abort:
 		return Frame{}, false
 	}
-	if !ok {
-		return Frame{}, false
-	}
-	f.Wait()
-	return f, true
 }
 
 // Wire exposes the receive channel for NIs that must select over frames
@@ -175,10 +172,6 @@ func (in *Inbox) Wire() <-chan Frame { return in.wire }
 // Release frees one buffer slot after the NI has fully served a packet
 // (all child copies sent, local delivery done).
 func (in *Inbox) Release() { in.gate.Release() }
-
-// Close marks the inbox finished. Only the runtime calls it, after every
-// sender has completed; late sends panic, which is the bug.
-func (in *Inbox) Close() { close(in.wire) }
 
 // Link is a directed edge from one host's NI to another's inbox —
 // one multicast tree edge of one session. It is the reference Transport.

@@ -22,14 +22,14 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	}
 	f, ok := in.Recv(abort)
 	if !ok {
-		t.Fatal("Recv reported closed inbox")
+		t.Fatal("Recv reported an abort")
 	}
 	if f.From != 3 || string(f.Payload) != string(payload) {
 		t.Fatalf("got frame from %d payload %v", f.From, f.Payload)
 	}
-	in.Close()
+	close(abort)
 	if _, ok := in.Recv(abort); ok {
-		t.Fatal("Recv after Close should report !ok")
+		t.Fatal("Recv on an empty wire after the abort should report !ok")
 	}
 }
 

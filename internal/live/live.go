@@ -24,6 +24,7 @@
 // (every blocked-send chain ends at a draining leaf) — so the runtime
 // wraps every run in a watchdog that aborts cleanly instead of hanging.
 //
+// Run's data plane is a PlainShare (ni.go), which mcastd.Run drives too.
 // RunReliable (reliable.go) adds loss and crash tolerance from parts
 // mcastd.RunReliable shares: ReliableShare's NIs and edges, one Supervisor.
 package live
@@ -257,25 +258,8 @@ func (e *DuplicateSessionError) Error() string {
 // Unwrap makes errors.Is(err, ErrDuplicateSession) match through wrapping.
 func (e *DuplicateSessionError) Unwrap() error { return ErrDuplicateSession }
 
-// runtime is the shared state of one Run.
-type runtime struct {
-	cfg      Config
-	sessions []Session
-	start    time.Time
-	abort    chan struct{}
-	acks     chan struct{} // one per completed destination; its record holds the rest
-	fail     chan error    // first NI-level failure (capacity 1)
-	detach   func()        // undoes buildFabric's attach to Config.Network
-}
-
-// since returns the wall-clock offset from run start in microseconds,
-// the simulator's trace unit.
-func (rt *runtime) since() float64 {
-	return float64(time.Since(rt.start)) / float64(time.Microsecond)
-}
-
-// Run executes the sessions concurrently over one set of per-host NI
-// goroutines and blocks until every destination of every session has
+// Run executes the sessions concurrently over one PlainShare of every
+// tree host and blocks until every destination of every session has
 // acknowledged its fully reassembled message, or the watchdog fires.
 func Run(sessions []Session, cfg Config) (*Result, error) {
 	if len(sessions) == 0 {
@@ -300,88 +284,63 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 		totalDests += s.Tree.Size() - 1
 	}
 
-	rt := &runtime{
-		cfg:      cfg,
-		sessions: sessions,
-		abort:    make(chan struct{}),
-		acks:     make(chan struct{}, totalDests),
-		fail:     make(chan error, 1),
-	}
-	nis, err := buildFabric(rt)
+	s, err := NewPlainShare(sessions, nil, cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("live: %w", err)
 	}
+	start := time.Now()
+	s.Start(start)
 
-	rt.start = time.Now()
-	wg := startAll(rt, nis)
-
-	// Count completion ACKs under the watchdog.
+	// Count completions under the watchdog.
 	timer := time.NewTimer(cfg.Timeout)
 	defer timer.Stop()
 	var runErr error
 	timedOut := false
-	for n := 0; n < totalDests; n++ {
+	for n := 0; n < totalDests && runErr == nil && !timedOut; n++ {
 		select {
-		case <-rt.acks:
-			continue
-		case err := <-rt.fail:
-			runErr = err
+		case <-s.Done():
+		case runErr = <-s.Failed():
 		case <-timer.C:
 			timedOut = true
 		}
-		break
 	}
-	wall := time.Since(rt.start)
-
-	if runErr != nil || timedOut {
-		close(rt.abort)
-		wg.Wait()
-		// Network deliverers may still be parked on a full inbox gate;
-		// detaching unblocks and retires them (the NIs are already gone).
-		rt.detach()
-		if runErr == nil {
-			runErr = watchdogError(rt, nis)
+	wall := time.Since(start)
+	s.Stop()
+	if timedOut {
+		return nil, s.watchdogError()
+	}
+	if runErr == nil {
+		select {
+		case runErr = <-s.Failed(): // a failure that raced the final completion
+		default:
 		}
+	}
+	if runErr != nil {
 		return nil, runErr
 	}
-	// Every destination has acknowledged, which implies every injected
-	// copy was admitted; all NIs are idle. Detach first — a network's
-	// receive pumps must stop before the inboxes they feed close — then
-	// closing the inboxes is the clean shutdown signal.
-	rt.detach()
-	for _, ni := range nis {
-		ni.inbox.Close()
-	}
-	wg.Wait()
-	select {
-	case err := <-rt.fail: // a failure that raced the final ack
-		return nil, err
-	default:
-	}
-	return assemble(rt, nis, wall), nil
+	return s.assemble(wall), nil
 }
 
 // watchdogError snapshots the incomplete destinations at timeout, with
-// per-destination packet progress. Callers must only invoke it after the
-// NI WaitGroup has drained: the NI state is then quiescent, so a
-// destination whose ACK raced the timeout counts as complete and the
-// counters in the error are exact.
-func watchdogError(rt *runtime, nis map[int]*ni) *WatchdogError {
+// per-destination packet progress. Callers must only invoke it after Stop:
+// the NI state is then quiescent, so a destination whose completion raced
+// the timeout counts as complete and the counters in the error are exact.
+func (s *PlainShare) watchdogError() *WatchdogError {
 	e := &WatchdogError{
-		Timeout:  rt.cfg.Timeout,
+		Timeout:  s.cfg.Timeout,
 		Missing:  map[int][]int{},
 		Progress: map[int][]DestProgress{},
 	}
-	for si, s := range rt.sessions {
-		for _, v := range s.Tree.Nodes() { // ascending
-			ns := nis[v].sessions[s.MsgID]
-			if v == s.Tree.Root() || ns.reasm.Complete() {
+	for si, sess := range s.sessions {
+		for _, v := range sess.Tree.Nodes() { // ascending
+			ns := s.nis[v].sessions[sess.MsgID]
+			if v == sess.Tree.Root() || ns.reasm.Complete() {
 				continue
 			}
 			held, _ := ns.reasm.Progress()
 			e.Missing[si] = append(e.Missing[si], v)
 			e.Progress[si] = append(e.Progress[si], DestProgress{
-				Host: v, Received: held, Expected: len(s.Packets),
+				Host: v, Received: held, Expected: len(sess.Packets),
 			})
 		}
 	}
@@ -390,16 +349,16 @@ func watchdogError(rt *runtime, nis map[int]*ni) *WatchdogError {
 
 // assemble folds the per-goroutine records into the public result. The
 // host records are handed out by reference, not copied.
-func assemble(rt *runtime, nis map[int]*ni, wall time.Duration) *Result {
+func (s *PlainShare) assemble(wall time.Duration) *Result {
 	res := &Result{
-		Sessions: make([]SessionResult, len(rt.sessions)),
+		Sessions: make([]SessionResult, len(s.sessions)),
 		Wall:     wall,
 	}
-	for si, s := range rt.sessions {
-		sr := SessionResult{MsgID: s.MsgID, Hosts: map[int]*HostRecord{}}
-		sr.StartAt = nis[s.Tree.Root()].sessions[s.MsgID].startAt
-		for _, v := range s.Tree.Nodes() {
-			ns := nis[v].sessions[s.MsgID]
+	for si, sess := range s.sessions {
+		sr := SessionResult{MsgID: sess.MsgID, Hosts: map[int]*HostRecord{}}
+		sr.StartAt = s.nis[sess.Tree.Root()].sessions[sess.MsgID].startAt
+		for _, v := range sess.Tree.Nodes() {
+			ns := s.nis[v].sessions[sess.MsgID]
 			sr.Hosts[v] = &ns.HostRecord
 			sr.FinishAt = max(sr.FinishAt, ns.DoneAt)
 			res.Sends += ns.Sends
@@ -408,79 +367,10 @@ func assemble(rt *runtime, nis map[int]*ni, wall time.Duration) *Result {
 		sr.Latency = sr.FinishAt - sr.StartAt
 		res.Sessions[si] = sr
 	}
-	if rt.cfg.Record {
+	if s.cfg.Record {
 		sort.SliceStable(res.Events, func(i, j int) bool {
 			return res.Events[i].Time < res.Events[j].Time
 		})
 	}
 	return res
-}
-
-// buildFabric constructs the per-host NIs and the per-edge transports of
-// every session's tree: in-process links by default, or edges dialed
-// from Config.Network when one is set (link.AttachAll first). With
-// Config.Record every edge is wrapped in the recording decorator. On a
-// dial or attach error every attached host is detached before returning.
-func buildFabric(rt *runtime) (map[int]*ni, error) {
-	// Expected inbound frames per host, across sessions: the unbounded
-	// inbox capacity that guarantees senders never block on the wire.
-	expect := map[int]int{}
-	for _, s := range rt.sessions {
-		for _, v := range s.Tree.Nodes() {
-			if v != s.Tree.Root() {
-				expect[v] += len(s.Packets)
-			}
-		}
-	}
-	nis := map[int]*ni{}
-	var inboxes map[int]*link.Inbox // what AttachAll attaches; nil, and free, on the in-process fabric
-	if rt.cfg.Network != nil {
-		inboxes = map[int]*link.Inbox{}
-	}
-	for _, s := range rt.sessions {
-		for _, v := range s.Tree.Nodes() {
-			if nis[v] != nil {
-				continue
-			}
-			capacity := expect[v]
-			if rt.cfg.BufferPackets > 0 {
-				capacity = rt.cfg.BufferPackets
-			}
-			nis[v] = &ni{
-				rt:       rt,
-				host:     v,
-				inbox:    link.NewInbox(v, capacity, rt.cfg.BufferPackets),
-				sessions: map[uint32]*niSession{},
-			}
-			if inboxes != nil {
-				inboxes[v] = nis[v].inbox
-			}
-		}
-	}
-	var err error
-	if rt.detach, err = link.AttachAll(rt.cfg.Network, inboxes); err != nil {
-		return nil, fmt.Errorf("live: %w", err)
-	}
-	for si, s := range rt.sessions {
-		for _, v := range s.Tree.Nodes() {
-			ns := &niSession{index: si}
-			var links []link.Transport
-			for _, c := range s.Tree.Children(v) {
-				var tr link.Transport
-				if rt.cfg.Network == nil {
-					tr = link.New(v, nis[c].inbox, rt.cfg.LinkLatency)
-				} else if tr, err = rt.cfg.Network.Dial(v, c); err != nil {
-					rt.detach()
-					return nil, fmt.Errorf("live: dial edge %d->%d: %w", v, c, err)
-				}
-				if rt.cfg.Record {
-					tr = recorded{Transport: tr, rt: rt, ns: ns}
-				}
-				links = append(links, tr)
-			}
-			ns.HostSession = NewHostSession(v, links)
-			nis[v].sessions[s.MsgID] = ns
-		}
-	}
-	return nis, nil
 }

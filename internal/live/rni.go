@@ -136,8 +136,8 @@ func (n *ReliableNI) Held() int {
 
 // Run is the NI loop. It seeds its wired child edges with every packet
 // it already holds, then serves frames, tree-shape updates and heartbeat
-// ticks until the runtime aborts or the inbox closes. Offsets handed to
-// the hooks count from start.
+// ticks until the runtime aborts. Offsets handed to the hooks count from
+// start.
 func (n *ReliableNI) Run(start time.Time) {
 	n.start = start
 	n.replay(n.children)
@@ -149,10 +149,7 @@ func (n *ReliableNI) Run(start time.Time) {
 	}
 	for {
 		select {
-		case f, ok := <-n.cfg.Inbox.Wire():
-			if !ok {
-				return
-			}
+		case f := <-n.cfg.Inbox.Wire():
 			f.Wait()
 			n.serve(f)
 		case c := <-n.ctl:

@@ -63,6 +63,7 @@ type ReliableShareConfig struct {
 // and SetEpoch belong to one goroutine, the driver's supervisor; NI and
 // Totals read state that is quiescent only once Stop has returned.
 type ReliableShare struct {
+	crew
 	cfg    ReliableShareConfig
 	nodes  []int // the tree's hosts, ascending; routes is parallel to it
 	nis    map[int]*ReliableNI
@@ -70,11 +71,40 @@ type ReliableShare struct {
 	// epoch is the fence register: 0 while the membership plane is
 	// unarmed, otherwise the latest view's epoch. Senders stamp it into
 	// outgoing frames, receivers discard frames below it.
-	epoch  atomic.Int64
+	epoch atomic.Int64
+	all   []*EdgeSender // every incarnation ever built, for Totals
+}
+
+// crew is what both shares, PlainShare and ReliableShare, run and how they
+// stop: the goroutines, their abort signal and the undo of the fabric
+// attach. Its methods are the shares' Go, Aborted and Stop.
+type crew struct {
 	abort  chan struct{}
-	detach func()
+	detach func() // set once the share's inboxes are attached
 	wg     sync.WaitGroup
-	all    []*EdgeSender // every incarnation ever built, for Totals
+}
+
+// Go runs f, one of the share's goroutines or one of its driver's (the
+// daemon's ctl listeners), under the join of Stop; f must return once
+// Aborted closes.
+func (c *crew) Go(f func()) {
+	c.wg.Add(1)
+	go func() { defer c.wg.Done(); f() }()
+}
+
+// Aborted is closed by Stop: the teardown signal of everything the share
+// runs and of whatever blocks on its behalf.
+func (c *crew) Aborted() <-chan struct{} { return c.abort }
+
+// Stop tears the share down, whatever the run's outcome: abort, join every
+// goroutine, then detach. Detaching last means no NI or sender is left to
+// trip over a retired transport; it stops the network's receive pumps and
+// unparks any deliverer still blocked on an inbox gate. The inboxes are
+// never read again and are left to the collector, not closed.
+func (c *crew) Stop() {
+	close(c.abort)
+	c.wg.Wait()
+	c.detach()
 }
 
 // NewReliableShare builds the data plane Start then runs: an inbox and a
@@ -88,10 +118,10 @@ type ReliableShare struct {
 func NewReliableShare(cfg ReliableShareConfig) (*ReliableShare, error) {
 	m := len(cfg.Edge.Packets)
 	s := &ReliableShare{
+		crew:  crew{abort: make(chan struct{})},
 		cfg:   cfg,
 		nodes: cfg.Tree.Nodes(),
 		nis:   make(map[int]*ReliableNI, len(cfg.Local)),
-		abort: make(chan struct{}),
 	}
 	s.routes = make([]atomic.Pointer[EdgeSender], len(s.nodes))
 	s.cfg.Edge.Abort, s.cfg.Edge.Epoch = s.abort, s.Epoch
@@ -177,31 +207,11 @@ func (s *ReliableShare) Start(start time.Time) {
 	}
 }
 
+// spawn runs e under the join of Stop in one allocation, the goroutine's
+// closure, where Go would wrap a second around e.Run.
 func (s *ReliableShare) spawn(e *EdgeSender) {
 	s.wg.Add(1)
 	go func() { defer s.wg.Done(); e.Run() }()
-}
-
-// Go runs f, a driver's own per-session goroutine (the daemon's ctl
-// listeners), under the join of Stop; f must return once Aborted closes.
-func (s *ReliableShare) Go(f func()) {
-	s.wg.Add(1)
-	go func() { defer s.wg.Done(); f() }()
-}
-
-// Aborted is closed by Stop: the teardown signal of everything the share
-// runs and of whatever blocks on its behalf.
-func (s *ReliableShare) Aborted() <-chan struct{} { return s.abort }
-
-// Stop tears the share down: abort, join every goroutine, then detach.
-// Detaching last means no NI or sender is left to trip over a retired
-// transport; it stops the network's receive pumps and unparks any
-// deliverer still blocked on an inbox gate. The inboxes are never read
-// again and are left to the collector, not closed.
-func (s *ReliableShare) Stop() {
-	close(s.abort)
-	s.wg.Wait()
-	s.detach()
 }
 
 // route returns the ACK-route cell of tree host v, nil outside the tree.

@@ -9,20 +9,20 @@
 // Every participating process must derive the identical tree, packet
 // set and message ID (the daemon binary derives them deterministically
 // from shared flags). Completion is coordinated over the fabric's
-// control plane with an acknowledged handshake: each destination
-// retries a DONE report (exponential backoff + jitter) until the root
-// acknowledges it, and the root retries STOP per remote host until
-// acknowledged or the drain deadline passes.
+// control plane with an acknowledged handshake: a process without the
+// root retries a DONE report per local destination (exponential backoff
+// + jitter) until the root acknowledges it, and the root retries STOP
+// per remote host until acknowledged or the drain deadline passes.
 //
-// Run drives the unreliable engine — correct on a lossless fabric,
-// wedging on loss. RunReliable (reliable.go) layers retransmission,
-// duplicate suppression, process-level failure detection and Fig.-11
-// orphan adoption on the same fabric: live's reliable data plane in every
-// process, and live's one supervisor in the root's.
+// Run drives live's plain data plane (live.PlainShare) — correct on a
+// lossless fabric, wedging on loss — and owns only that handshake.
+// RunReliable (reliable.go) layers retransmission, duplicate suppression,
+// process-level failure detection and Fig.-11 orphan adoption on the same
+// fabric: live's reliable data plane in every process, and live's one
+// supervisor in the root's.
 package mcastd
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/live"
 	"repro/internal/live/link"
-	"repro/internal/message"
 	"repro/internal/reliable"
 	"repro/internal/tree"
 )
@@ -60,7 +59,7 @@ type Config struct {
 // Result is a process's view of the run.
 type Result struct {
 	// Hosts holds a record per local host, the shape live.Run reports
-	// (DoneAt is measured from process start).
+	// (DoneAt is measured from Run's start).
 	Hosts map[int]*live.HostRecord
 	Wall  time.Duration
 	// Completed is filled only in the root's process: every destination
@@ -99,13 +98,11 @@ func (c *Config) logf(format string, args ...any) {
 // prepare validates what both engines require of a Config and fills the
 // timing defaults. Host ids and the packet count must fit the ctl
 // plane's 16-bit fields (*RangeError): truncated, they would alias onto
-// other hosts and sequence numbers.
+// other hosts and sequence numbers. The packets must be the session's
+// (live.Session.Validate), as live's engines require of theirs.
 func (c *Config) prepare() error {
 	if c.Tree == nil || c.Net == nil {
 		return fmt.Errorf("mcastd: config needs a tree and a network")
-	}
-	if len(c.Packets) == 0 {
-		return fmt.Errorf("mcastd: no packets to multicast")
 	}
 	if len(c.Packets) > ctlFieldMax+1 {
 		return &RangeError{What: "packet count", Value: len(c.Packets)}
@@ -114,6 +111,9 @@ func (c *Config) prepare() error {
 		if v < 0 || v > ctlFieldMax {
 			return &RangeError{What: "tree host id", Value: v}
 		}
+	}
+	if err := (live.Session{Tree: c.Tree, Packets: c.Packets, MsgID: c.MsgID}).Validate(); err != nil {
+		return fmt.Errorf("mcastd: %w", err)
 	}
 	if len(c.Local) == 0 {
 		return fmt.Errorf("mcastd: no local hosts")
@@ -147,16 +147,20 @@ func (c *Config) ackStop() {
 	}
 }
 
-// host is one local NI and its share of the session: the FPFS step every
-// plain engine shares, plus the daemon's half of the DONE handshake.
-type host struct {
-	live.HostSession
-	inbox   *link.Inbox
-	doneAck chan struct{} // root acknowledged this host's DONE
-	ackOnce sync.Once
+// handshake is one process's side of a plain run's DONE/STOP exchange.
+type handshake struct {
+	Config
+	share    *live.PlainShare
+	stopped  chan struct{} // root's STOP observed (or sent)
+	stopOnce sync.Once     // several local listeners may hear STOP
+	// acked holds a channel per local host, closed by the host's listener
+	// once the root acknowledged its DONE.
+	acked     map[int]chan struct{}
+	doneCh    chan int // DONE reports heard by the root, dropped when full: they are retried
+	stopAckCh chan int
 }
 
-func (h *host) markDoneAck() { h.ackOnce.Do(func() { close(h.doneAck) }) }
+func (hs *handshake) markStopped() { hs.stopOnce.Do(func() { close(hs.stopped) }) }
 
 // Run executes this process's share of the run and blocks until the
 // whole multicast completes (root: every destination reported DONE;
@@ -167,137 +171,38 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	root := cfg.Tree.Root()
-	m := len(cfg.Packets)
 	start := time.Now()
-
-	inboxes := map[int]*link.Inbox{}
-	for _, v := range cfg.Local {
-		capacity := m
-		if cfg.BufferPackets > 0 {
-			capacity = cfg.BufferPackets
-		}
-		inboxes[v] = link.NewInbox(v, capacity, cfg.BufferPackets)
-	}
-	// Attach everything before dialing anything (link.AttachAll).
-	detachAll, err := link.AttachAll(cfg.Net, inboxes)
+	share, err := live.NewPlainShare([]live.Session{{Tree: cfg.Tree, Packets: cfg.Packets, MsgID: cfg.MsgID}},
+		cfg.Local, live.Config{BufferPackets: cfg.BufferPackets, Network: cfg.Net})
 	if err != nil {
 		return nil, fmt.Errorf("mcastd: %w", err)
 	}
-	hosts := map[int]*host{}
+	hs := &handshake{
+		Config:    cfg,
+		share:     share,
+		stopped:   make(chan struct{}),
+		acked:     map[int]chan struct{}{},
+		doneCh:    make(chan int, cfg.Tree.Size()),
+		stopAckCh: make(chan int, cfg.Tree.Size()+4),
+	}
 	for _, v := range cfg.Local {
-		var links []link.Transport
-		for _, c := range cfg.Tree.Children(v) {
-			t, err := cfg.Net.Dial(v, c)
-			if err != nil {
-				detachAll()
-				return nil, fmt.Errorf("mcastd: dial edge %d->%d: %w", v, c, err)
-			}
-			links = append(links, t)
-		}
-		hosts[v] = &host{HostSession: live.NewHostSession(v, links), inbox: inboxes[v], doneAck: make(chan struct{})}
+		hs.acked[v] = make(chan struct{})
 	}
-
-	abort := make(chan struct{})   // watchdog / fatal error
-	stopped := make(chan struct{}) // root's STOP observed (or sent)
-	var stopOnce sync.Once         // several local listeners may hear STOP
-	markStopped := func() { stopOnce.Do(func() { close(stopped) }) }
-	// Completions, local (blocking sends, one per local host) and remote
-	// (DONE reports, dropped when full: they are retried).
-	doneCh := make(chan int, cfg.Tree.Size())
-	failCh := make(chan error, len(hosts)+1)
-	// fail reports a forwarding or protocol error to the coordinator. An
-	// abort is not one: the run is already being torn down.
-	fail := func(err error) {
-		if errors.Is(err, link.ErrAborted) {
-			return
-		}
-		select {
-		case failCh <- err:
-		default:
-		}
+	share.Start(start)
+	for _, v := range cfg.Local {
+		share.Go(func() { hs.listen(v) })
 	}
-	stopAckCh := make(chan int, cfg.Tree.Size()+4)
-	var wg sync.WaitGroup
-
-	// Forwarding loops: each non-root local host is a serial NI server —
-	// admit, forward to children (FPFS), reassemble, release.
-	for _, h := range hosts {
-		if h.Host == root {
-			continue
-		}
-		wg.Add(1)
-		go func(h *host) {
-			defer wg.Done()
-			if err := serve(h, cfg, m, start, abort, stopped, doneCh); err != nil {
-				fail(err)
-			}
-		}(h)
-	}
-
-	// Control listeners: destinations watch for STOP (acknowledging each
-	// one, including repeats) and their own DONE-ACK; the root collects
-	// DONE reports (acknowledging each) and STOP-ACKs.
-	for _, h := range hosts {
-		wg.Add(1)
-		go func(h *host) {
-			defer wg.Done()
-			listenCtl(cfg, h.Host, abort, func(f ctlFrame) {
-				switch {
-				case f.kind == ctlDone && h.Host == root:
-					// Non-blocking: DONE is retried, so a full queue
-					// loses nothing and the listener can never stall.
-					select {
-					case doneCh <- f.a:
-					default:
-					}
-					cfg.sendCtl(root, f.a, ctlFrame{kind: ctlDoneAck, a: f.a})
-				case f.kind == ctlStopAck && h.Host == root:
-					select {
-					case stopAckCh <- f.a:
-					default:
-					}
-				case f.kind == ctlStop && h.Host != root:
-					markStopped()
-					cfg.ackStop()
-				case f.kind == ctlDoneAck && h.Host != root && f.a == h.Host:
-					h.markDoneAck()
-				}
-			})
-		}(h)
-	}
-
-	// The injector: if the root is local, feed the tree packet-major.
-	if h, ok := hosts[root]; ok {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, pkt := range cfg.Packets {
-				if err := h.Forward(pkt, abort); err != nil {
-					fail(fmt.Errorf("mcastd: %w", err))
-					return
-				}
-			}
-			cfg.logf("root %d injected %d packets", root, m)
-		}()
-	}
-
-	got, err := coordinate(cfg, hosts, root, stopped, markStopped, doneCh, stopAckCh, failCh)
-
-	close(abort)
-	detachAll()
-	wg.Wait()
-	for _, h := range hosts {
-		h.inbox.Close()
-	}
+	got, err := hs.coordinate()
+	share.Stop()
 
 	res := &Result{Hosts: map[int]*live.HostRecord{}, Wall: time.Since(start), Status: reliable.Failed}
 	if err == nil {
 		res.Status = reliable.Delivered
 	}
-	for v, h := range hosts {
-		res.Hosts[v] = &h.HostRecord
+	for _, v := range cfg.Local {
+		res.Hosts[v] = share.Host(0, v)
 	}
-	if _, ok := hosts[root]; ok {
+	if _, ok := hs.acked[root]; ok {
 		// Actual progress: a watchdog or transport error still reports
 		// the destinations that made it.
 		for _, v := range cfg.Tree.Nodes() {
@@ -313,62 +218,50 @@ func Run(cfg Config) (*Result, error) {
 	return res, err
 }
 
-// serve is the P³FA loop of one local destination NI: every admitted
-// packet is forwarded to the children before local reassembly
-// (HostSession.Serve), and the buffer slot is held for the packet's full
-// service residency. After the message completes it retries DONE at the
-// root with exponential backoff until acknowledged (or the run stops).
-func serve(h *host, cfg Config, m int, start time.Time,
-	abort, stopped <-chan struct{}, doneCh chan<- int) error {
-
-	for h.Recvs < m {
-		f, ok := h.inbox.Recv(abort)
-		if !ok {
-			return nil // aborted
-		}
-		hd, err := message.DecodeHeader(f.Payload)
-		if err != nil {
-			return fmt.Errorf("mcastd: host %d: undecodable packet from %d: %v", h.Host, f.From, err)
-		}
-		if hd.MsgID != cfg.MsgID {
-			return fmt.Errorf("mcastd: host %d: packet for unknown message %d", h.Host, hd.MsgID)
-		}
-		done, err := h.Serve(hd, f.Payload, f.From, abort, start)
-		if err != nil {
-			return fmt.Errorf("mcastd: %w", err)
-		}
-		h.inbox.Release()
-		if done {
-			cfg.logf("host %d delivered %d bytes at %v", h.Host, len(h.Data), h.DoneAt)
+// listen is local host v's ctl listener: a destination watches for STOP
+// (acknowledging each one, including repeats) and its own DONE-ACK; the
+// root collects DONE reports (acknowledging each) and STOP-ACKs.
+func (hs *handshake) listen(v int) {
+	root := hs.Tree.Root()
+	listenCtl(hs.Config, v, hs.share.Aborted(), func(f ctlFrame) {
+		switch {
+		case f.kind == ctlDone && v == root:
 			select {
-			case doneCh <- h.Host:
-			case <-abort:
-				return nil
+			case hs.doneCh <- f.a:
+			default:
+			}
+			hs.sendCtl(root, f.a, ctlFrame{kind: ctlDoneAck, a: f.a})
+		case f.kind == ctlStopAck && v == root:
+			select {
+			case hs.stopAckCh <- f.a:
+			default:
+			}
+		case f.kind == ctlStop && v != root:
+			hs.markStopped()
+			hs.ackStop()
+		case f.kind == ctlDoneAck && v != root && f.a == v:
+			select { // this listener alone closes it
+			case <-hs.acked[v]:
+			default:
+				close(hs.acked[v])
 			}
 		}
-	}
-	reportDone(cfg, h.Host, h.doneAck, stopped, abort)
-	return nil
+	})
 }
 
 // coordinate blocks until this process's exit condition: the root waits
 // for every destination then runs the acknowledged STOP exchange; a
-// destination-only process waits for its local deliveries plus the
-// root's STOP. It returns the set of destinations whose DONE this
-// process heard, even on error.
-func coordinate(cfg Config, hosts map[int]*host, root int,
-	stopped chan struct{}, markStopped func(), doneCh, stopAckCh <-chan int,
-	failCh <-chan error) (map[int]bool, error) {
-
-	deadline := time.NewTimer(cfg.Timeout)
+// destination-only process waits for its local deliveries, retrying each
+// one's DONE at the root, then for the root's STOP. It returns the set of
+// destinations whose completion this process saw, even on error.
+func (hs *handshake) coordinate() (map[int]bool, error) {
+	deadline := time.NewTimer(hs.Timeout)
 	defer deadline.Stop()
-	_, rootLocal := hosts[root]
+	root := hs.Tree.Root()
+	_, rootLocal := hs.acked[root]
 	want := map[int]bool{}
-	for _, v := range cfg.Tree.Nodes() {
-		if v == root {
-			continue
-		}
-		if _, local := hosts[v]; local || rootLocal {
+	for _, v := range hs.Tree.Nodes() {
+		if _, local := hs.acked[v]; v != root && (local || rootLocal) {
 			want[v] = true
 		}
 	}
@@ -381,40 +274,45 @@ func coordinate(cfg Config, hosts map[int]*host, root int,
 			}
 		}
 		sort.Ints(missing)
-		return fmt.Sprintf("%d/%d done, waiting on %v (fabric %+v)", len(got), len(want), missing, cfg.Net.Stats())
+		return fmt.Sprintf("%d/%d done, waiting on %v (fabric %+v)", len(got), len(want), missing, hs.Net.Stats())
 	}
 	for len(got) < len(want) {
 		select {
-		case v := <-doneCh:
+		case v := <-hs.share.Done():
+			got[v] = true
+			rec := hs.share.Host(0, v)
+			hs.logf("host %d delivered %d bytes at %v", v, len(rec.Data), rec.DoneAt)
+			if !rootLocal {
+				hs.share.Go(func() { reportDone(hs.Config, v, hs.acked[v], hs.stopped, hs.share.Aborted()) })
+			}
+		case v := <-hs.doneCh:
 			if want[v] && !got[v] {
 				got[v] = true
-				if hosts[v] == nil {
-					cfg.logf("root heard DONE from remote host %d", v)
-				}
+				hs.logf("root heard DONE from remote host %d", v)
 			}
-		case err := <-failCh:
-			return got, err
+		case err := <-hs.share.Failed():
+			return got, fmt.Errorf("mcastd: %w", err)
 		case <-deadline.C:
-			return got, fmt.Errorf("mcastd: watchdog after %v: %s", cfg.Timeout, progress())
+			return got, fmt.Errorf("mcastd: watchdog after %v: %s", hs.Timeout, progress())
 		}
 	}
 	if rootLocal {
 		// Every destination is accounted for: run the STOP handshake so
 		// remote reporters stand down, bounded by the drain deadline so a
 		// dead peer cannot stall us.
-		stopRemotes(cfg, nil, stopAckCh, reliable.Delivered, 0)
-		markStopped()
+		stopRemotes(hs.Config, nil, hs.stopAckCh, reliable.Delivered, 0)
+		hs.markStopped()
 		return got, nil
 	}
 	// Destination-only process: all local hosts delivered; hold on for
 	// the root's STOP so our DONE reports are known to have landed.
-	cfg.logf("all local hosts delivered; awaiting STOP")
+	hs.logf("all local hosts delivered; awaiting STOP")
 	select {
-	case <-stopped:
+	case <-hs.stopped:
 		return got, nil
-	case err := <-failCh:
-		return got, err
+	case err := <-hs.share.Failed():
+		return got, fmt.Errorf("mcastd: %w", err)
 	case <-deadline.C:
-		return got, fmt.Errorf("mcastd: delivered everywhere locally but no STOP after %v: %s", cfg.Timeout, progress())
+		return got, fmt.Errorf("mcastd: delivered everywhere locally but no STOP after %v: %s", hs.Timeout, progress())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -204,31 +205,62 @@ func TestConfigRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	// rng marks what the 16-bit ctl fields cannot carry: a typed
-	// rejection, since a truncated host id or sequence number would alias
-	// a valid one.
+	// Every row is valid but for the one fault it is named after, and must
+	// be refused naming that fault. rng marks what the 16-bit ctl fields
+	// cannot carry: a typed rejection, since a truncated host id or
+	// sequence number would alias a valid one.
 	for _, tc := range []struct {
-		name string
-		cfg  Config
-		rng  bool
+		name, want string
+		cfg        Config
+		rng        bool
 	}{
-		{"nil-tree", Config{Packets: pkts, Local: []int{0}, Net: nw}, false},
-		{"nil-net", Config{Tree: tr, Packets: pkts, Local: []int{0}}, false},
-		{"no-packets", Config{Tree: tr, Local: []int{0}, Net: nw}, false},
-		{"no-locals", Config{Tree: tr, Packets: pkts, Net: nw}, false},
-		{"foreign-local", Config{Tree: tr, Packets: pkts, Local: []int{9}, Net: nw}, false},
-		{"duplicate-local", Config{Tree: tr, Packets: pkts, Local: []int{0, 0}, Net: nw}, false},
-		{"host-id-past-16-bits", Config{Tree: tree.Binomial([]int{0, 1 << 16}), Packets: pkts, Local: []int{0}, Net: nw}, true},
-		{"too-many-packets", Config{Tree: tr, Packets: make([][]byte, 1<<16+1), Local: []int{0}, Net: nw}, true},
+		{"nil-tree", "needs a tree", Config{Packets: pkts, MsgID: 1, Local: []int{0}, Net: nw}, false},
+		{"nil-net", "needs a tree and a network", Config{Tree: tr, Packets: pkts, MsgID: 1, Local: []int{0}}, false},
+		{"no-packets", "no packets", Config{Tree: tr, MsgID: 1, Local: []int{0}, Net: nw}, false},
+		{"no-locals", "no local hosts", Config{Tree: tr, Packets: pkts, MsgID: 1, Net: nw}, false},
+		{"foreign-local", "not in the tree", Config{Tree: tr, Packets: pkts, MsgID: 1, Local: []int{9}, Net: nw}, false},
+		{"duplicate-local", "listed twice", Config{Tree: tr, Packets: pkts, MsgID: 1, Local: []int{0, 0}, Net: nw}, false},
+		{"host-id-past-16-bits", "tree host id", Config{Tree: tree.Binomial([]int{0, 1 << 16}), Packets: pkts, MsgID: 1, Local: []int{0}, Net: nw}, true},
+		{"too-many-packets", "packet count", Config{Tree: tr, Packets: make([][]byte, 1<<16+1), MsgID: 1, Local: []int{0}, Net: nw}, true},
 	} {
-		_, err := Run(tc.cfg)
-		if err == nil {
-			t.Errorf("%s: Run accepted a bad config", tc.name)
+		res, err := Run(tc.cfg)
+		if res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run = %v, %v; want a rejection naming %q", tc.name, res, err, tc.want)
 		}
 		var re *RangeError
 		if errors.As(err, &re) != tc.rng {
 			t.Errorf("%s: err = %v, *RangeError expected: %v", tc.name, err, tc.rng)
 		}
+	}
+	for _, tc := range sessionMismatches(t, tr, nw) {
+		if res, err := Run(tc.cfg); res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run = %v, %v; want a rejection naming %q", tc.name, res, err, tc.want)
+		}
+	}
+}
+
+// sessionMismatches are configs whose packets are not the session's: stamped
+// with another MsgID, or out of order. Both engines must refuse them before
+// the run starts, naming what is wrong, as live's engines refuse theirs.
+func sessionMismatches(t *testing.T, tr *tree.Tree, nw *link.UDPNetwork) []struct {
+	name, want string
+	cfg        Config
+} {
+	pkts, err := message.Packetize(1, 0, testPayload(300), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed := slices.Clone(pkts)
+	slices.Reverse(reversed)
+	mismatch := Config{Tree: tr, Packets: pkts, MsgID: 2, Local: tr.Nodes(), Net: nw, Timeout: 2 * time.Second}
+	unordered := mismatch
+	unordered.Packets, unordered.MsgID = reversed, 1
+	return []struct {
+		name, want string
+		cfg        Config
+	}{
+		{"msgid-mismatch", "header msgID", mismatch},
+		{"packets-out-of-order", "out of order", unordered},
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -262,6 +263,11 @@ func TestReliableRejects(t *testing.T) {
 		var re *RangeError
 		if _, err := RunReliable(tc.cfg, ReliableConfig{}); !errors.As(err, &re) {
 			t.Errorf("%s: err = %v, want *RangeError", tc.name, err)
+		}
+	}
+	for _, tc := range sessionMismatches(t, tr, nw) {
+		if res, err := RunReliable(tc.cfg, ReliableConfig{}); res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RunReliable = %v, %v; want a rejection naming %q", tc.name, res, err, tc.want)
 		}
 	}
 }

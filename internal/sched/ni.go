@@ -58,10 +58,7 @@ func (n *ni) run(s *Scheduler) {
 		// wire never backs up while sessions are being served.
 		for drained := false; !drained; {
 			select {
-			case f, ok := <-n.inbox.Wire():
-				if !ok {
-					return
-				}
+			case f := <-n.inbox.Wire():
 				f.Wait()
 				n.stage(s, f, &ring)
 			default:

@@ -33,7 +33,8 @@ func TestWirePathIsWrittenOnce(t *testing.T) {
 		filepath.Join("internal", "reliable", "machine.go"): {"Parse": 1, "Put": 1, "DecodeHeader": 0, "Verify": 0, "Add": 0},
 		filepath.Join("internal", "live", "hostsession.go"): {"Verify": 1, "Put": 1, "DecodeHeader": 0, "Parse": 0, "Add": 0},
 		filepath.Join("internal", "sched", "ni.go"):         {"DecodeHeader": 1, "Serve": 1, "Parse": 0, "Verify": 0},
-		filepath.Join("internal", "mcastd", "mcastd.go"):    {"DecodeHeader": 1, "Serve": 1, "Parse": 0, "Verify": 0},
+		// The plain daemon runs live.PlainShare: no receive path of its own.
+		filepath.Join("internal", "mcastd", "mcastd.go"): {"DecodeHeader": 0, "Serve": 0, "Forward": 0, "Parse": 0, "Verify": 0},
 		// The second decode is Config.Record's send tracer.
 		filepath.Join("internal", "live", "ni.go"): {"DecodeHeader": 2, "Serve": 1, "Parse": 0, "Verify": 0},
 	}
