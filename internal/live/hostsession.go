@@ -11,11 +11,10 @@ import (
 
 // HostSession is one host's share of one plain (unacknowledged) session:
 // the paper's FPFS step — forward each packet to every child as it
-// arrives, buffer one packet — written once. PlainShare (the data plane of
-// live.Run and mcastd.Run) and the session scheduler (internal/sched) embed
-// it by value in their per-host state and keep only what differs between
-// them: who calls Serve, how completions are collected, when the buffer
-// slot the packet occupies is released.
+// arrives, buffer one packet — written once. PlainShare, the plain data
+// plane of live.Run, mcastd.Run and the session scheduler (internal/sched),
+// embeds it by value in its per-host state; its NI loop decides when Serve
+// runs and releases the packet's buffer slot after it.
 //
 // The embedded HostRecord is the host's result, filled in place; engines
 // hand out &hs.HostRecord rather than copying it. Ownership is strict so

@@ -11,6 +11,7 @@ import (
 	"repro/internal/live/link"
 	"repro/internal/mcastd"
 	"repro/internal/message"
+	"repro/internal/sched"
 	"repro/internal/tree"
 )
 
@@ -22,9 +23,12 @@ import (
 // arm runs 6 sessions over a shared 8-host chain — 8 NI loops plus 6
 // injectors, all stalled mid-wire by latency-shaped links when an
 // impossibly tight watchdog fires. The clean arms are an in-process
-// live.Run, a live.Run over loopback UDP and an all-local mcastd.Run. Run
-// under -race (the live-race target), where a leaked goroutine that still
-// touches NI state would also surface as a report.
+// live.Run, a live.Run over loopback UDP and an all-local mcastd.Run. The
+// churn arm joins 200 sessions to one scheduler's share and removes them
+// again, the chain's half expiring mid-flight with frames still on the
+// wire, before Close. Run under -race (the live-race target), where a
+// leaked goroutine that still touches NI state would also surface as a
+// report.
 func TestAbortedRunLeaksNoGoroutines(t *testing.T) {
 	chain := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	session := func(t *testing.T, id uint32) live.Session {
@@ -84,6 +88,44 @@ func TestAbortedRunLeaksNoGoroutines(t *testing.T) {
 			cfg := mcastd.Config{Tree: s.Tree, Packets: s.Packets, MsgID: s.MsgID, Local: chain, Net: nw}
 			if _, err := mcastd.Run(cfg); err != nil {
 				t.Fatal(err)
+			}
+		}},
+		{"churn-sched", func(t *testing.T) {
+			// A hop costs 5ms, so the chain's last host needs at least 35ms
+			// and every chain session expires at 20ms; a one-hop session
+			// normally completes.
+			s, err := sched.New(chain, sched.Config{
+				Window:         16,
+				QueueDepth:     200,
+				LinkLatency:    5 * time.Millisecond,
+				SessionTimeout: 20 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var handles []*sched.Handle
+			for id := uint32(1); id <= 200; id++ {
+				sess := session(t, id)
+				if id%2 == 0 {
+					sess.Tree = tree.Linear(chain[:2])
+				}
+				h, err := s.Submit(sess)
+				if err != nil {
+					t.Fatal(err)
+				}
+				handles = append(handles, h)
+			}
+			expired := 0
+			for _, h := range handles {
+				if _, err := h.Wait(); errors.Is(err, sched.ErrSessionTimeout) {
+					expired++
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Close()
+			if expired < 100 || expired == 200 {
+				t.Fatalf("%d of 200 sessions expired, want the 100 chains and not every session", expired)
 			}
 		}},
 	} {

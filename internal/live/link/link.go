@@ -24,8 +24,8 @@ import (
 	"time"
 )
 
-// ErrAborted is returned by blocking operations when the runtime-wide
-// abort channel closes (watchdog expiry or a peer failure).
+// ErrAborted is returned by blocking operations when their abort channel
+// closes: a run's teardown, or one session's.
 var ErrAborted = errors.New("link: aborted")
 
 // Transport is one directed edge of a live multicast tree: something a
@@ -217,8 +217,8 @@ func (l *Link) Send(payload []byte, abort <-chan struct{}) error {
 	case l.to.wire <- f:
 		return nil
 	case <-abort:
-		// The reservation leaks intentionally: after an abort the whole
-		// runtime is torn down, gates included.
+		// The abort may end one session on a fabric that outlives it.
+		l.to.gate.Release()
 		return ErrAborted
 	}
 }

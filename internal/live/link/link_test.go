@@ -326,6 +326,35 @@ func TestSendAbortWhileBlocked(t *testing.T) {
 	}
 }
 
+// An aborted Send returns the slot it reserved: the abort may end one
+// session on a fabric that outlives it, so a leaked slot would shrink the
+// receiver's buffer for good.
+func TestAbortedSendReleasesItsSlot(t *testing.T) {
+	const slots = 4
+	in := NewInbox(5, slots, slots)
+	l := New(1, in, 0)
+	abort := make(chan struct{})
+	close(abort)
+	for i := 0; i < 64; i++ {
+		// Either side of each select may win, the slot or the abort and
+		// then the wire or the abort; serve what reached the wire, as an
+		// NI would.
+		switch err := l.Send([]byte{byte(i)}, abort); err {
+		case nil:
+			<-in.Wire()
+			in.Release()
+		case ErrAborted:
+		default:
+			t.Fatalf("Send %d returned %v", i, err)
+		}
+	}
+	for i := 0; i < slots; i++ {
+		if !in.gate.TryAcquire() {
+			t.Fatalf("aborted sends leaked %d of %d slots", slots-i, slots)
+		}
+	}
+}
+
 // countingNet is a Network that refuses to attach one host and records
 // who is attached.
 type countingNet struct {

@@ -18,13 +18,15 @@
 // timing).
 //
 // Sessions multiplex over shared NIs: one forwarding loop per host
-// serves every session's arrivals in order (the P³FA-style unified
-// engine). With bounded buffers, overlapping sessions can form
-// store-and-forward credit cycles and deadlock — single trees cannot
-// (every blocked-send chain ends at a draining leaf) — so the runtime
-// wraps every run in a watchdog that aborts cleanly instead of hanging.
+// serves every session registered there by deficit round robin (the
+// P³FA-style unified engine). With bounded buffers, overlapping sessions
+// can form store-and-forward credit cycles and deadlock — single trees
+// cannot (every blocked-send chain ends at a draining leaf) — so the
+// runtime wraps every run in a watchdog that aborts cleanly instead of
+// hanging.
 //
-// Run's data plane is a PlainShare (ni.go), which mcastd.Run drives too.
+// Run's data plane is a PlainShare (ni.go), which mcastd.Run and the
+// session scheduler (internal/sched) drive too.
 // RunReliable (reliable.go) adds loss and crash tolerance from parts
 // mcastd.RunReliable shares: ReliableShare's NIs and edges, one Supervisor.
 package live
@@ -272,6 +274,7 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 		cfg.Timeout = DefaultTimeout
 	}
 	seen := map[uint32]bool{}
+	inbound := map[int]int{} // frames each tree host receives, across sessions
 	totalDests := 0
 	for i, s := range sessions {
 		if err := s.validate(i); err != nil {
@@ -282,14 +285,34 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 		}
 		seen[s.MsgID] = true
 		totalDests += s.Tree.Size() - 1
+		for _, v := range s.Tree.Nodes() {
+			inbound[v] += len(s.Packets)
+		}
+		inbound[s.Tree.Root()] -= len(s.Packets)
 	}
-
-	s, err := NewPlainShare(sessions, nil, cfg)
+	// An unbounded wire holds the most frames any one host receives, so
+	// senders never block on it.
+	hosts, wire := make([]int, 0, len(inbound)), 0
+	for v, k := range inbound {
+		hosts = append(hosts, v)
+		wire = max(wire, k)
+	}
+	s, err := NewPlainShare(hosts, wire, DefaultQuantum, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
+	entries := make([]*Entry, len(sessions))
+	for i, sess := range sessions {
+		if entries[i], err = s.Add(sess, s.Aborted()); err != nil {
+			s.Stop()
+			return nil, fmt.Errorf("live: %w", err)
+		}
+	}
 	start := time.Now()
 	s.Start(start)
+	for _, e := range entries {
+		s.Inject(e)
+	}
 
 	// Count completions under the watchdog.
 	timer := time.NewTimer(cfg.Timeout)
@@ -299,7 +322,8 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 	for n := 0; n < totalDests && runErr == nil && !timedOut; n++ {
 		select {
 		case <-s.Done():
-		case runErr = <-s.Failed():
+		case f := <-s.Failed():
+			runErr = f.Err
 		case <-timer.C:
 			timedOut = true
 		}
@@ -307,40 +331,41 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 	wall := time.Since(start)
 	s.Stop()
 	if timedOut {
-		return nil, s.watchdogError()
+		return nil, watchdogError(cfg.Timeout, entries)
 	}
 	if runErr == nil {
 		select {
-		case runErr = <-s.Failed(): // a failure that raced the final completion
+		case f := <-s.Failed(): // a failure that raced the final completion
+			runErr = f.Err
 		default:
 		}
 	}
 	if runErr != nil {
 		return nil, runErr
 	}
-	return s.assemble(wall), nil
+	return assemble(entries, wall, cfg.Record), nil
 }
 
 // watchdogError snapshots the incomplete destinations at timeout, with
 // per-destination packet progress. Callers must only invoke it after Stop:
 // the NI state is then quiescent, so a destination whose completion raced
 // the timeout counts as complete and the counters in the error are exact.
-func (s *PlainShare) watchdogError() *WatchdogError {
+func watchdogError(timeout time.Duration, entries []*Entry) *WatchdogError {
 	e := &WatchdogError{
-		Timeout:  s.cfg.Timeout,
+		Timeout:  timeout,
 		Missing:  map[int][]int{},
 		Progress: map[int][]DestProgress{},
 	}
-	for si, sess := range s.sessions {
-		for _, v := range sess.Tree.Nodes() { // ascending
-			ns := s.nis[v].sessions[sess.MsgID]
-			if v == sess.Tree.Root() || ns.reasm.Complete() {
+	for si, en := range entries {
+		for _, v := range en.Tree.Nodes() { // ascending
+			ns := en.hosts[v]
+			if v == en.Tree.Root() || ns.reasm.Complete() {
 				continue
 			}
 			held, _ := ns.reasm.Progress()
 			e.Missing[si] = append(e.Missing[si], v)
 			e.Progress[si] = append(e.Progress[si], DestProgress{
-				Host: v, Received: held, Expected: len(sess.Packets),
+				Host: v, Received: held, Expected: len(en.Packets),
 			})
 		}
 	}
@@ -349,16 +374,15 @@ func (s *PlainShare) watchdogError() *WatchdogError {
 
 // assemble folds the per-goroutine records into the public result. The
 // host records are handed out by reference, not copied.
-func (s *PlainShare) assemble(wall time.Duration) *Result {
+func assemble(entries []*Entry, wall time.Duration, record bool) *Result {
 	res := &Result{
-		Sessions: make([]SessionResult, len(s.sessions)),
+		Sessions: make([]SessionResult, len(entries)),
 		Wall:     wall,
 	}
-	for si, sess := range s.sessions {
-		sr := SessionResult{MsgID: sess.MsgID, Hosts: map[int]*HostRecord{}}
-		sr.StartAt = s.nis[sess.Tree.Root()].sessions[sess.MsgID].startAt
-		for _, v := range sess.Tree.Nodes() {
-			ns := s.nis[v].sessions[sess.MsgID]
+	for si, e := range entries {
+		sr := SessionResult{MsgID: e.MsgID, StartAt: e.startAt, Hosts: map[int]*HostRecord{}}
+		for _, v := range e.Tree.Nodes() {
+			ns := e.hosts[v]
 			sr.Hosts[v] = &ns.HostRecord
 			sr.FinishAt = max(sr.FinishAt, ns.DoneAt)
 			res.Sends += ns.Sends
@@ -367,7 +391,7 @@ func (s *PlainShare) assemble(wall time.Duration) *Result {
 		sr.Latency = sr.FinishAt - sr.StartAt
 		res.Sessions[si] = sr
 	}
-	if s.cfg.Record {
+	if record {
 		sort.SliceStable(res.Events, func(i, j int) bool {
 			return res.Events[i].Time < res.Events[j].Time
 		})

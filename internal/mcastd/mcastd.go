@@ -172,9 +172,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 	root := cfg.Tree.Root()
 	start := time.Now()
-	share, err := live.NewPlainShare([]live.Session{{Tree: cfg.Tree, Packets: cfg.Packets, MsgID: cfg.MsgID}},
-		cfg.Local, live.Config{BufferPackets: cfg.BufferPackets, Network: cfg.Net})
+	// An unbounded wire holds the session's m frames, so senders never
+	// block on it.
+	share, err := live.NewPlainShare(cfg.Local, len(cfg.Packets), live.DefaultQuantum,
+		live.Config{BufferPackets: cfg.BufferPackets, Network: cfg.Net})
 	if err != nil {
+		return nil, fmt.Errorf("mcastd: %w", err)
+	}
+	e, err := share.Add(live.Session{Tree: cfg.Tree, Packets: cfg.Packets, MsgID: cfg.MsgID}, share.Aborted())
+	if err != nil {
+		share.Stop()
 		return nil, fmt.Errorf("mcastd: %w", err)
 	}
 	hs := &handshake{
@@ -189,6 +196,9 @@ func Run(cfg Config) (*Result, error) {
 		hs.acked[v] = make(chan struct{})
 	}
 	share.Start(start)
+	if _, ok := hs.acked[root]; ok {
+		share.Inject(e)
+	}
 	for _, v := range cfg.Local {
 		share.Go(func() { hs.listen(v) })
 	}
@@ -200,7 +210,7 @@ func Run(cfg Config) (*Result, error) {
 		res.Status = reliable.Delivered
 	}
 	for _, v := range cfg.Local {
-		res.Hosts[v] = share.Host(0, v)
+		res.Hosts[v] = e.Host(v)
 	}
 	if _, ok := hs.acked[root]; ok {
 		// Actual progress: a watchdog or transport error still reports
@@ -278,9 +288,10 @@ func (hs *handshake) coordinate() (map[int]bool, error) {
 	}
 	for len(got) < len(want) {
 		select {
-		case v := <-hs.share.Done():
+		case d := <-hs.share.Done():
+			v := d.Host
 			got[v] = true
-			rec := hs.share.Host(0, v)
+			rec := d.Entry.Host(v)
 			hs.logf("host %d delivered %d bytes at %v", v, len(rec.Data), rec.DoneAt)
 			if !rootLocal {
 				hs.share.Go(func() { reportDone(hs.Config, v, hs.acked[v], hs.stopped, hs.share.Aborted()) })
@@ -290,8 +301,8 @@ func (hs *handshake) coordinate() (map[int]bool, error) {
 				got[v] = true
 				hs.logf("root heard DONE from remote host %d", v)
 			}
-		case err := <-hs.share.Failed():
-			return got, fmt.Errorf("mcastd: %w", err)
+		case f := <-hs.share.Failed():
+			return got, fmt.Errorf("mcastd: %w", f.Err)
 		case <-deadline.C:
 			return got, fmt.Errorf("mcastd: watchdog after %v: %s", hs.Timeout, progress())
 		}
@@ -310,8 +321,8 @@ func (hs *handshake) coordinate() (map[int]bool, error) {
 	select {
 	case <-hs.stopped:
 		return got, nil
-	case err := <-hs.share.Failed():
-		return got, fmt.Errorf("mcastd: %w", err)
+	case f := <-hs.share.Failed():
+		return got, fmt.Errorf("mcastd: %w", f.Err)
 	case <-deadline.C:
 		return got, fmt.Errorf("mcastd: delivered everywhere locally but no STOP after %v: %s", hs.Timeout, progress())
 	}

@@ -11,14 +11,14 @@
 //     so producers see backpressure instead of unbounded goroutine and
 //     buffer growth.
 //   - Sharded dispatch: a small pool of worker shards round-robins
-//     packet injection across its admitted sessions through the
-//     ordinary link.Transport seam — the root-side replacement for
+//     packet injection across its admitted sessions through the share's
+//     root copy step (live.Entry.Send) — the root-side replacement for
 //     goroutine-per-injector.
-//   - Per-NI fair queueing: each host's NI loop drains its inbox into
-//     per-session staging queues and serves them by deficit round
-//     robin, so one elephant session cannot starve mice sharing the
-//     interface (buffer-slot accounting is unchanged: a sender's
-//     reservation is held from wire admission to post-serve release).
+//   - Per-NI fair queueing: the fabric is a live.PlainShare, whose one
+//     NI loop per host serves the sessions registered there by deficit
+//     round robin, so one elephant session cannot starve mice sharing
+//     the interface. Sessions join it at admission and leave it when
+//     they settle.
 //   - Congestion-aware planning: PlanBcast penalizes candidate trees
 //     for edges already carried by in-flight sessions (the
 //     simultaneous-multicast objective of Haeupler/Hershkowitz/Wajc,
@@ -39,12 +39,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/live"
-	"repro/internal/live/link"
-	"repro/internal/message"
 	"repro/internal/tree"
 )
 
@@ -99,7 +96,8 @@ type Config struct {
 	// min(8, GOMAXPROCS).
 	Shards int
 	// Quantum is the deficit-round-robin grant in packets, used both by
-	// the injector shards and the per-NI fair queues. Defaults to 4.
+	// the injector shards and the per-NI fair queues. Defaults to
+	// live.DefaultQuantum.
 	Quantum int
 	// BufferPackets bounds each NI's packet buffer exactly as in
 	// live.Config: senders block while a target NI is full; 0 means
@@ -137,7 +135,7 @@ func (cfg Config) withDefaults() Config {
 		}
 	}
 	if cfg.Quantum <= 0 {
-		cfg.Quantum = 4
+		cfg.Quantum = live.DefaultQuantum
 	}
 	if cfg.SessionTimeout <= 0 {
 		cfg.SessionTimeout = live.DefaultTimeout
@@ -190,22 +188,18 @@ type Handle struct {
 	submitDeadline time.Time
 
 	// Admission-time state, written by the admitter before the handle
-	// reaches any shard or NI.
+	// reaches any shard or the collector.
 	startAt  time.Duration
 	deadline time.Time
-	hosts    map[int]*hostState
+	entry    *live.Entry
 	edges    []tree.Edge
 
-	// abort cancels the session's blocked sends and marks its frames
-	// droppable; closed at most once (deadline expiry, failure, or
-	// scheduler teardown).
-	aborted   atomic.Bool
-	abortOnce sync.Once
-	abort     chan struct{}
+	// abort cancels the session's blocked sends and makes its frames
+	// droppable; the collector closes it when it expires the session.
+	abort chan struct{}
 
-	// Collector-owned completion bookkeeping. Each destination ACKs this
-	// handle once — ni.serve, the only sender on Scheduler.acks, reports
-	// the one Serve that completes the message — so a count suffices.
+	// Collector-owned completion bookkeeping. The share reports each
+	// destination's completion once, so a count suffices.
 	acked    int
 	finishAt time.Duration
 
@@ -223,58 +217,14 @@ func (h *Handle) Wait() (*Result, error) {
 	return h.res, h.err
 }
 
-func (h *Handle) cancel() {
-	h.abortOnce.Do(func() {
-		h.aborted.Store(true)
-		close(h.abort)
-	})
-}
-
-// hostState is one host's protocol state for one session: the FPFS step
-// every plain engine shares (live.HostSession, whose embedded HostRecord
-// is the host's result) plus this scheduler's fair-queue position. The
-// HostSession's ownership rule holds — at the root only the owning shard
-// writes it, everywhere else only the host's NI goroutine — and the
-// collector reads it only after every destination has acknowledged, which
-// happens-after the final write through the ack channel chain.
-type hostState struct {
-	live.HostSession
-	h *Handle
-
-	// Deficit-round-robin state, owned by the host's NI goroutine.
-	pending []staged
-	deficit int
-	queued  bool
-}
-
-// staged is one admitted frame parked in a session's fair queue; its
-// buffer-slot reservation stays held until the frame is served.
-type staged struct {
-	payload []byte
-	from    int
-	h       message.Header // decoded once, at staging
-}
-
-// ack is one destination's completion report to the collector, naming
-// the handle so that a late report of an expired session is never counted
-// for a new one reusing its MsgID.
-type ack struct {
-	h  *Handle
-	at time.Duration
-}
-
-// failure is an NI- or shard-level error that must fail one session.
-type failure struct {
-	msgID uint32
-	err   error
-}
-
 // Scheduler drives many concurrent multicast sessions over one
 // persistent fabric. Methods are safe for concurrent use.
 type Scheduler struct {
 	cfg   Config
 	start time.Time
-	nis   map[int]*ni
+	hosts map[int]bool
+	share *live.PlainShare // runs every goroutine of the scheduler
+	abort <-chan struct{}  // the share's
 
 	shards    []*shard
 	nextShard int // admitter-owned
@@ -282,12 +232,6 @@ type Scheduler struct {
 	queue    chan *Handle
 	admitted chan *Handle
 	window   chan struct{}
-	acks     chan ack
-	fails    chan failure
-	abort    chan struct{}
-	wg       sync.WaitGroup
-
-	dropped atomic.Int64
 
 	mu       sync.Mutex
 	idle     sync.Cond // broadcast whenever ids shrinks; Close drains on it
@@ -304,8 +248,9 @@ type Scheduler struct {
 const unboundedWire = 1024
 
 // New builds a scheduler over the given host set and starts its
-// goroutines: one NI loop per host, Config.Shards injector workers, an
-// admitter and a collector. The caller must Close it.
+// goroutines on one live.PlainShare: the share's NI loop per host,
+// Config.Shards injector workers, an admitter and a collector. The caller
+// must Close it.
 func New(hosts []int, cfg Config) (*Scheduler, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("sched: empty host set")
@@ -317,13 +262,10 @@ func New(hosts []int, cfg Config) (*Scheduler, error) {
 	s := &Scheduler{
 		cfg:      cfg,
 		start:    time.Now(),
-		nis:      map[int]*ni{},
+		hosts:    map[int]bool{},
 		queue:    make(chan *Handle, cfg.QueueDepth),
 		admitted: make(chan *Handle, cfg.Window),
 		window:   make(chan struct{}, cfg.Window),
-		acks:     make(chan ack, cfg.Window),
-		fails:    make(chan failure, cfg.Window),
-		abort:    make(chan struct{}),
 		ids:      map[uint32]bool{},
 		edgeLoad: map[tree.Edge]int{},
 	}
@@ -332,32 +274,25 @@ func New(hosts []int, cfg Config) (*Scheduler, error) {
 		if v < 0 {
 			return nil, fmt.Errorf("sched: negative host ID %d", v)
 		}
-		if _, dup := s.nis[v]; dup {
+		if s.hosts[v] {
 			return nil, fmt.Errorf("sched: duplicate host %d", v)
 		}
-		capacity := cfg.BufferPackets
-		if capacity == 0 {
-			capacity = unboundedWire
-		}
-		s.nis[v] = &ni{
-			inbox:    link.NewInbox(v, capacity, cfg.BufferPackets),
-			sessions: map[uint32]*hostState{},
-		}
+		s.hosts[v] = true
 	}
-	for _, n := range s.nis {
-		s.wg.Add(1)
-		go n.run(s)
+	share, err := live.NewPlainShare(hosts, unboundedWire, cfg.Quantum,
+		live.Config{BufferPackets: cfg.BufferPackets, LinkLatency: cfg.LinkLatency})
+	if err != nil {
+		return nil, fmt.Errorf("sched: %w", err)
 	}
+	s.share, s.abort = share, share.Aborted()
+	share.Start(s.start)
 	for i := 0; i < cfg.Shards; i++ {
 		sh := &shard{add: make(chan *job, cfg.Window)}
 		s.shards = append(s.shards, sh)
-		s.wg.Add(1)
-		go sh.run(s)
+		share.Go(func() { sh.run(s) })
 	}
-	s.wg.Add(1)
-	go s.admit()
-	s.wg.Add(1)
-	go s.collect()
+	share.Go(s.admit)
+	share.Go(s.collect)
 	return s, nil
 }
 
@@ -368,7 +303,7 @@ func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	st := s.stats
 	s.mu.Unlock()
-	st.DroppedFrames = s.dropped.Load()
+	st.DroppedFrames = s.share.Dropped()
 	return st
 }
 
@@ -381,7 +316,7 @@ func (s *Scheduler) Submit(sess live.Session) (*Handle, error) {
 		return nil, fmt.Errorf("sched: session %d: %w", sess.MsgID, err)
 	}
 	for _, v := range sess.Tree.Nodes() {
-		if _, ok := s.nis[v]; !ok {
+		if !s.hosts[v] {
 			return nil, &SessionError{MsgID: sess.MsgID, Err: fmt.Errorf("%w: host %d", ErrUnknownHost, v)}
 		}
 	}
@@ -437,15 +372,13 @@ func (s *Scheduler) Close() {
 	if already {
 		return
 	}
-	close(s.abort)
-	s.wg.Wait()
+	s.share.Stop()
 }
 
 // admit is the admission loop: it pulls queued sessions in FIFO order,
 // waits for a window slot (bounded by each session's submit deadline)
 // and places them onto the fabric.
 func (s *Scheduler) admit() {
-	defer s.wg.Done()
 	for {
 		var h *Handle
 		select {
@@ -510,21 +443,17 @@ func (s *Scheduler) fail(h *Handle, cause error) {
 	close(h.done)
 }
 
-// place admits one session: build its per-host protocol state, bump the
-// edge census, register at every non-root NI (before any packet can
-// arrive), hand it to the collector, then to a shard for injection.
+// place admits one session: join it to the share (which registers it
+// at every non-root NI before any packet can arrive), bump the edge
+// census, hand it to the collector, then to a shard for injection.
 func (s *Scheduler) place(h *Handle) {
-	tr := h.sess.Tree
-	root := tr.Root()
-	h.hosts = map[int]*hostState{}
-	for _, v := range tr.Nodes() {
-		var links []link.Transport
-		for _, c := range tr.Children(v) {
-			links = append(links, link.New(v, s.nis[c].inbox, s.cfg.LinkLatency))
-		}
-		h.hosts[v] = &hostState{HostSession: live.NewHostSession(v, links), h: h}
+	e, err := s.share.Add(h.sess, h.abort)
+	if err != nil {
+		<-s.window
+		s.fail(h, err)
+		return
 	}
-	h.edges = tr.Edges()
+	h.entry, h.edges = e, h.sess.Tree.Edges()
 	s.mu.Lock()
 	s.queued--
 	for _, e := range h.edges {
@@ -535,43 +464,19 @@ func (s *Scheduler) place(h *Handle) {
 		s.stats.MaxInflight = s.stats.Inflight
 	}
 	s.mu.Unlock()
-	// The root's state is shard-owned and never registered: frames
-	// addressed to the root's own session would race the injector, and a
-	// valid tree never produces one.
-	for v, hs := range h.hosts {
-		if v != root {
-			s.nis[v].register(hs)
-		}
-	}
 	h.startAt = s.since()
 	h.deadline = time.Now().Add(s.cfg.SessionTimeout)
-	s.admitted <- h // the collector must know the session before any ack
+	s.admitted <- h // the collector must know the session before any completion
 	sh := s.shards[s.nextShard%len(s.shards)]
 	s.nextShard++
-	sh.add <- &job{h: h, root: h.hosts[root]}
-}
-
-// failSession asks the collector to fail an in-flight session over a
-// forwarding error. An abort is not one: the session was already
-// cancelled and the collector owns the verdict. A full channel drops the
-// report: some other failure is already tearing sessions down, and the
-// deadline backstops this one.
-func (s *Scheduler) failSession(h *Handle, err error) {
-	if errors.Is(err, link.ErrAborted) {
-		return
-	}
-	select {
-	case s.fails <- failure{msgID: h.sess.MsgID, err: err}:
-	default:
-	}
+	sh.add <- &job{h: h}
 }
 
 // collect is the completion loop: it tracks admitted sessions, counts
-// destination ACKs, enforces per-session deadlines and settles every
-// handle exactly once.
+// the share's destination completions, enforces per-session deadlines
+// and settles every handle exactly once.
 func (s *Scheduler) collect() {
-	defer s.wg.Done()
-	pending := map[uint32]*Handle{}
+	pending := map[*live.Entry]*Handle{}
 	const forever = time.Hour
 	timer := time.NewTimer(forever)
 	defer timer.Stop()
@@ -580,7 +485,7 @@ func (s *Scheduler) collect() {
 		for {
 			select {
 			case h := <-s.admitted:
-				pending[h.sess.MsgID] = h
+				pending[h.entry] = h
 			default:
 				return
 			}
@@ -618,34 +523,32 @@ func (s *Scheduler) collect() {
 			}
 			return
 		case h := <-s.admitted:
-			pending[h.sess.MsgID] = h
+			pending[h.entry] = h
 			rearm()
-		case a := <-s.acks:
-			// An ack can beat its session through the select: the
+		case d := <-s.share.Done():
+			// A completion can beat its session through the select: the
 			// admitted send strictly precedes the first injection, but
 			// sits buffered until read. Drain first.
 			drainAdmitted()
-			h := a.h
-			if pending[h.sess.MsgID] != h {
-				break // late ack of an expired session
+			h := pending[d.Entry]
+			if h == nil {
+				break // late completion of an expired session
 			}
 			h.acked++
-			if a.at > h.finishAt {
-				h.finishAt = a.at
-			}
+			h.finishAt = max(h.finishAt, d.Entry.Host(d.Host).DoneAt)
 			if h.acked == h.dests {
-				delete(pending, h.sess.MsgID)
+				delete(pending, d.Entry)
 				s.complete(h)
 				rearm()
 			}
-		case f := <-s.fails:
+		case f := <-s.share.Failed():
 			drainAdmitted()
-			h, ok := pending[f.msgID]
-			if !ok {
+			h := pending[f.Entry]
+			if h == nil {
 				break
 			}
-			delete(pending, f.msgID)
-			s.expire(h, f.err)
+			delete(pending, f.Entry)
+			s.expire(h, f.Err)
 			rearm()
 		case <-timer.C:
 			drainAdmitted()
@@ -661,15 +564,10 @@ func (s *Scheduler) collect() {
 	}
 }
 
-// retire unwinds an admitted session's shared state: NI registrations,
-// edge census, id table, window slot.
+// retire unwinds an admitted session's shared state: share entry, edge
+// census, id table, window slot.
 func (s *Scheduler) retire(h *Handle, bump func(st *Stats)) {
-	root := h.sess.Tree.Root()
-	for v := range h.hosts {
-		if v != root {
-			s.nis[v].unregister(h.sess.MsgID)
-		}
-	}
+	s.share.Remove(h.entry)
 	s.mu.Lock()
 	for _, e := range h.edges {
 		if s.edgeLoad[e]--; s.edgeLoad[e] <= 0 {
@@ -684,15 +582,15 @@ func (s *Scheduler) retire(h *Handle, bump func(st *Stats)) {
 	<-s.window
 }
 
-// complete settles a fully delivered session. Reading the host states
-// is safe: every write to them happens-before the destination ACKs the
+// complete settles a fully delivered session. Reading the host records
+// is safe: every write to them happens-before the completions the
 // collector has already received (the channel chain from each host's
-// final send to its subtree's last ACK).
+// final send to its subtree's last completion).
 func (s *Scheduler) complete(h *Handle) {
 	s.retire(h, func(st *Stats) { st.Completed++ })
-	hosts := make(map[int]*live.HostRecord, len(h.hosts))
-	for v, hs := range h.hosts {
-		hosts[v] = &hs.HostRecord
+	hosts := make(map[int]*live.HostRecord, h.dests+1)
+	for _, v := range h.sess.Tree.Nodes() {
+		hosts[v] = h.entry.Host(v)
 	}
 	h.res = &Result{
 		MsgID:     h.sess.MsgID,
@@ -707,11 +605,11 @@ func (s *Scheduler) complete(h *Handle) {
 }
 
 // expire cancels and settles a failed in-flight session. Cancellation
-// unblocks its stalled sends and marks its staged frames droppable, so
+// unblocks its stalled sends and makes its queued frames droppable, so
 // the NIs reclaim the buffer slots a credit cycle was starving on. The
-// host states are NOT read — shards and NIs may still be touching them.
+// host records are NOT read — shards and NIs may still be touching them.
 func (s *Scheduler) expire(h *Handle, cause error) {
-	h.cancel()
+	close(h.abort)
 	s.retire(h, func(st *Stats) {
 		switch {
 		case errors.Is(cause, ErrSessionTimeout):

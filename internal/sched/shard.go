@@ -4,7 +4,6 @@ package sched
 // into the root's child links. Owned by exactly one shard.
 type job struct {
 	h    *Handle
-	root *hostState
 	next int // next packet index to inject
 }
 
@@ -18,7 +17,6 @@ type shard struct {
 }
 
 func (sh *shard) run(s *Scheduler) {
-	defer s.wg.Done()
 	var jobs []*job
 	for {
 		if len(jobs) == 0 {
@@ -45,22 +43,23 @@ func (sh *shard) run(s *Scheduler) {
 	}
 }
 
-// inject pumps up to one quantum of packets for the job, packet-major
-// (FPFS at the source: packet j to every child before packet j+1) and
-// reports whether the job still has packets left. Cancelled sessions
-// are dropped; a transport failure fails the session.
+// inject sends up to one quantum of packets for the job through the
+// share's root copy step (live.Entry.Send: packet j to every child
+// before packet j+1) and reports whether the job still has packets
+// left. A cancelled session is dropped; a failed Send has already
+// reported itself to the collector.
 func (sh *shard) inject(s *Scheduler, j *job) bool {
-	h := j.h
-	if h.aborted.Load() {
+	select {
+	case <-j.h.abort:
 		return false
+	default:
 	}
-	pkts := h.sess.Packets
-	for q := 0; q < s.cfg.Quantum && j.next < len(pkts); q++ {
-		if err := j.root.Forward(pkts[j.next], h.abort); err != nil {
-			s.failSession(h, err)
+	m := len(j.h.sess.Packets)
+	for q := 0; q < s.cfg.Quantum && j.next < m; q++ {
+		if j.h.entry.Send(j.next) != nil {
 			return false
 		}
 		j.next++
 	}
-	return j.next < len(pkts)
+	return j.next < m
 }
