@@ -59,9 +59,9 @@
 // -sessions N is the sustained-load mode: N concurrent sessions with
 // rotating seeded destination sets run through the session scheduler
 // (internal/sched) on one shared live fabric — bounded admission window
-// (-window), sharded injection, deficit-round-robin fair queueing at
-// every NI, and congestion-aware tree planning against the in-flight
-// edge census. The report gives sustained sessions/sec and p50/p99
+// (-window), deficit-round-robin fair queueing at every NI, each root's
+// NI injecting its sessions, and congestion-aware tree planning against
+// the in-flight edge census. The report gives sustained sessions/sec and p50/p99
 // end-to-end completion latency:
 //
 //	mcastsim -sessions 10000 -dests 12 -packets 4 -window 256

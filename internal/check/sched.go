@@ -10,7 +10,7 @@ import (
 
 // schedSessions is the concurrency degree of the scheduler arm: enough
 // sessions to force admission queueing (the window is smaller), DRR
-// interleaving at shared NIs, and shard round-robin at the root.
+// interleaving at shared NIs, and at the root's NI, their source.
 const schedSessions = 3
 
 // schedPayload derives session i's deterministic payload, sized to the
@@ -62,7 +62,6 @@ func checkSchedMatchesSerial(w *world) error {
 
 	s, err := sched.New(w.plan.Tree.Nodes(), sched.Config{
 		Window:         schedSessions - 1, // smaller than the load: the last session must queue
-		Shards:         2,
 		Quantum:        1,
 		BufferPackets:  cfg.BufferPackets,
 		SessionTimeout: liveTimeout,

@@ -13,15 +13,15 @@ import (
 // the paper's FPFS step — forward each packet to every child as it
 // arrives, buffer one packet — written once. PlainShare, the plain data
 // plane of live.Run, mcastd.Run and the session scheduler (internal/sched),
-// embeds it by value in its per-host state; its NI loop decides when Serve
-// runs and releases the packet's buffer slot after it.
+// embeds it by value in its per-host state; its NI loop decides when
+// Serve (or, at the root, Forward) runs and releases a received packet's
+// buffer slot after it.
 //
 // The embedded HostRecord is the host's result, filled in place; engines
 // hand out &hs.HostRecord rather than copying it. Ownership is strict so
-// every engine stays race-free by construction: a root's HostSession is
-// touched only by the goroutine injecting that session, any other host's
-// only by that host's NI goroutine, and results are read only after the
-// engine has synchronized with both.
+// every engine stays race-free by construction: every record is written
+// by its host's NI goroutine, and read only after the engine has
+// synchronized with it.
 type HostSession struct {
 	HostRecord
 	links []link.Transport    // child transports, in tree send order

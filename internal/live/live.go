@@ -17,13 +17,15 @@
 // exactly (see DESIGN.md §11 for what that does and does not say about
 // timing).
 //
-// Sessions multiplex over shared NIs: one forwarding loop per host
-// serves every session registered there by deficit round robin (the
-// P³FA-style unified engine). With bounded buffers, overlapping sessions
-// can form store-and-forward credit cycles and deadlock — single trees
-// cannot (every blocked-send chain ends at a draining leaf) — so the
-// runtime wraps every run in a watchdog that aborts cleanly instead of
-// hanging.
+// Sessions multiplex over shared NIs: one loop per host serves, by
+// deficit round robin, every session registered there and every session
+// it is the root of (the P³FA-style unified engine; the paper's root NI
+// makes every copy). With bounded buffers, overlapping sessions can form
+// store-and-forward credit cycles and deadlock — a root's NI blocked on
+// its own injection is one link of such a cycle when it also forwards —
+// while single trees cannot (every blocked-send chain ends at a draining
+// leaf), so the runtime wraps every run in a watchdog that aborts cleanly
+// instead of hanging.
 //
 // Run's data plane is a PlainShare (ni.go), which mcastd.Run and the
 // session scheduler (internal/sched) drive too.
@@ -308,11 +310,11 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("live: %w", err)
 		}
 	}
-	start := time.Now()
-	s.Start(start)
 	for _, e := range entries {
 		s.Inject(e)
 	}
+	start := time.Now()
+	s.Start(start)
 
 	// Count completions under the watchdog.
 	timer := time.NewTimer(cfg.Timeout)

@@ -19,13 +19,14 @@ const DefaultQuantum = 4
 // PlainShare is the plain (unacknowledged) data plane over a fixed host
 // set, and the only code that builds, runs or tears one down: an inbox and
 // an NI goroutine per host, serving the sessions that join (Add) and leave
-// (Remove) while the NIs run. live.Run, mcastd.Run (the hosts of one OS
-// process, over UDP) and the session scheduler (internal/sched) drive it;
-// a driver keeps only what ends its sessions. Go, Aborted and Stop are
+// (Remove) while the NIs run, the root's NI as their source (Inject).
+// live.Run, mcastd.Run (the hosts of one OS process, over UDP) and the
+// session scheduler (internal/sched) drive it; a driver keeps only what
+// ends its sessions. Go, Aborted and Stop are
 // crew's, shared with ReliableShare.
 //
-// Done, Failed, Dropped and Aborted are safe from any goroutine; Add is
-// called from one goroutine at a time.
+// Done, Failed, Dropped and Aborted are safe from any goroutine; Add and
+// Inject are called from one goroutine at a time.
 type PlainShare struct {
 	crew
 	cfg     Config
@@ -41,11 +42,10 @@ type PlainShare struct {
 // Entry is one session of a share, from Add to Remove.
 type Entry struct {
 	Session
-	s       *PlainShare
 	index   int
 	abort   <-chan struct{}
 	hosts   map[int]*niSession // the local hosts' states, one slab
-	startAt time.Duration      // Inject's first-send instant
+	startAt time.Duration      // when the root's NI took the session
 }
 
 // Delivery names a local host that has completed an entry's message; the
@@ -64,12 +64,12 @@ type Failure struct {
 
 // niSession is one host's state for one entry: the shared FPFS step, the
 // host's place in its NI's fair queue and live.Run's trace. Like the
-// HostSession it embeds, it is written only by the entry's sender at the
-// root and only by the host's NI goroutine everywhere else.
+// HostSession it embeds, it is written only by the host's NI goroutine
+// (and by Inject before it hands the root's over).
 type niSession struct {
 	HostSession
 	e       *Entry
-	pending []staged // admitted frames, in arrival order; each holds its buffer slot
+	pending []staged // admitted frames in arrival order, each holding a buffer slot; at the root, unsent packets (no slot)
 	deficit int
 	queued  bool             // in the NI's ring
 	events  []sim.TraceEvent // only when Config.Record
@@ -83,17 +83,20 @@ type staged struct {
 }
 
 // ni is one host's network interface: a single goroutine draining one
-// inbox into per-session queues and serving them by deficit round robin,
-// so an elephant session's backlog cannot starve a mouse sharing the
-// interface; with one session it serves in arrival order. The
-// registration map is all it shares with Add and Remove.
+// inbox into per-session queues and serving them, with the sessions it is
+// the source of, by deficit round robin, so an elephant session's backlog
+// cannot starve a mouse sharing the interface; with one session it serves
+// in arrival order. The registration map and the handed-over sources are
+// all it shares with Add, Remove and Inject.
 type ni struct {
 	s     *PlainShare
 	host  int
 	inbox *link.Inbox
+	wake  chan struct{} // one token: sources are waiting
 
 	mu       sync.Mutex
 	sessions map[uint32]*niSession
+	sources  []*niSession // injected, not yet in the ring
 
 	ring []*niSession // backlogged sessions in service order, from head
 	head int
@@ -123,7 +126,7 @@ func NewPlainShare(hosts []int, wire, quantum int, cfg Config) (*PlainShare, err
 	}
 	nis := make([]ni, len(hosts))
 	for i, v := range hosts {
-		nis[i] = ni{s: s, host: v, inbox: link.NewInbox(v, wire, cfg.BufferPackets), sessions: map[uint32]*niSession{}}
+		nis[i] = ni{s: s, host: v, inbox: link.NewInbox(v, wire, cfg.BufferPackets), wake: make(chan struct{}, 1), sessions: map[uint32]*niSession{}}
 		s.nis[v] = &nis[i]
 		if inboxes != nil {
 			inboxes[v] = nis[i].inbox
@@ -136,12 +139,18 @@ func NewPlainShare(hosts []int, wire, quantum int, cfg Config) (*PlainShare, err
 	return s, nil
 }
 
-// Start runs every NI on its own goroutine; DoneAt and trace times count
-// from start.
+// Start runs every NI on its own goroutine, spawned with one closure;
+// DoneAt and trace times count from start. NIs already holding a source
+// start last, since the goroutine spawned last runs first.
 func (s *PlainShare) Start(start time.Time) {
 	s.start = start
-	for _, n := range s.nis {
-		s.Go(n.run)
+	for _, sources := range []bool{false, true} {
+		for _, n := range s.nis {
+			if (len(n.wake) > 0) == sources {
+				s.wg.Add(1)
+				go func() { defer s.wg.Done(); n.run() }()
+			}
+		}
 	}
 }
 
@@ -162,12 +171,13 @@ func (s *PlainShare) Add(sess Session, abort <-chan struct{}) (*Entry, error) {
 			local++
 		}
 	}
-	e := &Entry{Session: sess, s: s, index: s.added, abort: abort, hosts: make(map[int]*niSession, local)}
+	e := &Entry{Session: sess, index: s.added, abort: abort, hosts: make(map[int]*niSession, local)}
 	s.added++
-	// A plain session delivers each packet to a host once, so m staging
-	// slots per host never grow.
+	// A plain session delivers each packet to a host once, and a root
+	// stages its m packets once, so m staging and arrival slots per host
+	// never grow.
 	m := len(sess.Packets)
-	states, queues := make([]niSession, local), make([]staged, local*m)
+	states, queues, arrivals := make([]niSession, local), make([]staged, local*m), make([]Arrival, local*m)
 	i := 0
 	for _, v := range nodes {
 		if s.nis[v] == nil {
@@ -175,7 +185,6 @@ func (s *PlainShare) Add(sess Session, abort <-chan struct{}) (*Entry, error) {
 		}
 		ns := &states[i]
 		ns.e, ns.pending = e, queues[i*m:i*m:(i+1)*m]
-		i++
 		var links []link.Transport
 		for _, c := range sess.Tree.Children(v) {
 			var tr link.Transport
@@ -193,7 +202,9 @@ func (s *PlainShare) Add(sess Session, abort <-chan struct{}) (*Entry, error) {
 			links = append(links, tr)
 		}
 		ns.HostSession = NewHostSession(v, links)
+		ns.Arrivals = arrivals[i*m : i*m : (i+1)*m]
 		e.hosts[v] = ns
+		i++
 	}
 	for v, ns := range e.hosts {
 		if v != sess.Tree.Root() {
@@ -218,32 +229,24 @@ func (s *PlainShare) Remove(e *Entry) {
 	}
 }
 
-// Inject runs e's source pump on a goroutine of its own: the host DMA
-// feeding the root NI, packet-major FPFS one copy at a time. e's root must
-// be a share host.
+// Inject makes e's root NI its source: it stages the m packets in the
+// root's slots and hands the session over, and the NI serves it in its
+// ring beside the frames it forwards, each packet to every child before
+// the next (packet-major FPFS). e's root must be a share host; Inject may
+// precede Start.
 func (s *PlainShare) Inject(e *Entry) {
-	s.Go(func() {
-		// Stamp the session's own start before the first send: per-session
-		// latency must not charge a session for the time earlier sessions'
-		// injectors held the scheduler.
-		e.startAt = time.Since(s.start)
-		for j := range e.Packets {
-			if e.Send(j) != nil {
-				return
-			}
-		}
-	})
-}
-
-// Send is the root's copy step: packet j to every child, in tree order.
-// A failure is also posted to Failed. One goroutine sends for an entry,
-// whose root must be a share host.
-func (e *Entry) Send(j int) error {
-	err := e.hosts[e.Tree.Root()].Forward(e.Packets[j], e.abort)
-	if err != nil {
-		e.s.failed(e, err)
+	ns := e.hosts[e.Tree.Root()]
+	for _, pkt := range e.Packets {
+		ns.pending = append(ns.pending, staged{payload: pkt})
 	}
-	return err
+	n := s.nis[ns.Host]
+	n.mu.Lock()
+	n.sources = append(n.sources, ns)
+	n.mu.Unlock()
+	select {
+	case n.wake <- struct{}{}:
+	default: // a token is already waiting
+	}
 }
 
 // Host returns the record of share host v for this entry.
@@ -316,17 +319,21 @@ func (r recorded) Send(pkt []byte, abort <-chan struct{}) error {
 }
 
 // run is the NI loop until the share aborts: stage every frame the wire
-// holds (the sender has already reserved its buffer slot), then give the
-// session at the ring's head a quantum of service, and send it to the tail
-// while it is still backlogged.
+// holds (the sender has already reserved its buffer slot) and every source
+// handed over, then give the session at the ring's head a quantum of
+// service, and send it to the tail while it is still backlogged.
 func (n *ni) run() {
 	for {
 		if n.head == len(n.ring) {
-			f, ok := n.inbox.Recv(n.s.abort)
-			if !ok {
+			select {
+			case f := <-n.inbox.Wire():
+				f.Wait()
+				n.stage(f)
+			case <-n.wake:
+				n.adopt()
+			case <-n.s.abort:
 				return
 			}
-			n.stage(f)
 		}
 		// Drain everything already delivered, so the wire never backs up
 		// while sessions are being served.
@@ -339,6 +346,10 @@ func (n *ni) run() {
 				drained = true
 			}
 		}
+		if len(n.wake) > 0 { // only this loop receives, so this cannot block
+			<-n.wake
+			n.adopt()
+		}
 		if n.head == len(n.ring) {
 			continue
 		}
@@ -348,22 +359,30 @@ func (n *ni) run() {
 			n.ring, n.head = n.ring[:0], 0
 		}
 		ns.deficit += n.s.quantum
+		source := n.host == ns.e.Tree.Root()
 		for ns.deficit > 0 && len(ns.pending) > 0 && !ns.e.aborted() {
 			st := ns.pending[0]
 			ns.pending = ns.pending[1:]
-			if !n.serve(ns, st) {
+			ns.deficit--
+			if source {
+				if err := ns.Forward(st.payload, ns.e.abort); err != nil {
+					n.s.failed(ns.e, err)
+					ns.pending = nil // the injection ends at its first failure
+				}
+			} else if !n.serve(ns, st) {
 				return
 			}
-			ns.deficit--
 		}
 		switch {
 		case ns.e.aborted():
 			// Release the slots an aborted session's frames still hold:
 			// this is what breaks a credit cycle once a driver aborts a
-			// wedged session.
-			n.s.dropped.Add(int64(len(ns.pending)))
-			for range ns.pending {
-				n.inbox.Release()
+			// wedged session. A source's packets hold none.
+			if !source {
+				n.s.dropped.Add(int64(len(ns.pending)))
+				for range ns.pending {
+					n.inbox.Release()
+				}
 			}
 			ns.pending, ns.deficit, ns.queued = nil, 0, false
 		case len(ns.pending) > 0:
@@ -372,6 +391,20 @@ func (n *ni) run() {
 			ns.deficit, ns.queued = 0, false
 		}
 	}
+}
+
+// adopt puts the sources Inject handed over into the ring, stamping each
+// session's start (SessionResult.StartAt) ahead of its first turn.
+func (n *ni) adopt() {
+	n.mu.Lock()
+	for _, ns := range n.sources {
+		ns.e.startAt = time.Since(n.s.start)
+		ns.queued = true
+		n.push(ns)
+	}
+	clear(n.sources)
+	n.sources = n.sources[:0]
+	n.mu.Unlock()
 }
 
 // push appends ns to the ring, moving the live part to the front of the

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/live/link"
 )
 
 // TestPlainShareDropsWhatItCannotServe drives one NI with a single buffer
@@ -11,21 +13,23 @@ import (
 // session's abort, and every frame of a session already removed, is
 // dropped, counted by Dropped and its slot freed — a slot still held would
 // wedge every later send to the host — and a second session through the
-// same host then completes.
+// same host then completes. Host 0, every session's root, is outside the
+// share: its frames come over a link of its own, as from a remote process.
 func TestPlainShareDropsWhatItCannotServe(t *testing.T) {
-	s, err := NewPlainShare([]int{0, 1}, 0, DefaultQuantum, Config{BufferPackets: 1})
+	s, err := NewPlainShare([]int{1}, 0, DefaultQuantum, Config{BufferPackets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Stop()
 	giveUp := make(chan struct{}) // the aborts of the sessions that must get through
 	defer time.AfterFunc(10*time.Second, func() { close(giveUp) }).Stop()
+	root := link.New(0, s.nis[1].inbox, 0)
 	session := func(id uint32, data []byte) Session {
 		return Session{Tree: chainTree(2), Packets: mustPacketize(t, id, 0, data), MsgID: id}
 	}
 	sendAll := func(e *Entry) {
-		for j := range e.Packets {
-			if err := e.Send(j); err != nil {
+		for j, pkt := range e.Packets {
+			if err := root.Send(pkt, giveUp); err != nil {
 				t.Fatalf("session %d packet %d: %v (a dropped frame kept its slot)", e.MsgID, j, err)
 			}
 		}
@@ -37,7 +41,7 @@ func TestPlainShareDropsWhatItCannotServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := aborted.Send(0); err != nil {
+	if err := root.Send(aborted.Packets[0], abort); err != nil {
 		t.Fatal(err)
 	}
 	close(abort)

@@ -195,10 +195,10 @@ func Run(cfg Config) (*Result, error) {
 	for _, v := range cfg.Local {
 		hs.acked[v] = make(chan struct{})
 	}
-	share.Start(start)
 	if _, ok := hs.acked[root]; ok {
 		share.Inject(e)
 	}
+	share.Start(start)
 	for _, v := range cfg.Local {
 		share.Go(func() { hs.listen(v) })
 	}

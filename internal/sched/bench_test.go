@@ -14,8 +14,8 @@ import (
 // through one scheduler on a 64-host cube and reports sustained
 // throughput plus the p50/p99 end-to-end completion latency (submit to
 // last destination done). This is the massive-session configuration the
-// scheduler exists for: goroutines stay O(hosts+shards) while thousands
-// of sessions share the fabric.
+// scheduler exists for: goroutines stay one per host plus two while
+// thousands of sessions share the fabric.
 func benchSched(b *testing.B, n int) {
 	sys := core.NewCubeSystem(2, 6) // 64 hosts
 	const (

@@ -5,12 +5,16 @@ import (
 	"repro/internal/tree"
 )
 
+// congestionPenalty is the steps PlanBcast charges per in-flight tree
+// already resident on an edge a candidate plan would reuse.
+const congestionPenalty = 1
+
 // PlanBcast plans one broadcast for submission to this scheduler: the
 // contention-free chain comes from sys.Plan exactly as for a lone
 // multicast, but the fanout bound is chosen against the scheduler's
 // live edge census via tree.OptimalCongested — every in-flight tree
 // already resident on an edge a candidate would reuse charges
-// Config.CongestionPenalty steps, the simultaneous-multicast objective.
+// congestionPenalty steps, the simultaneous-multicast objective.
 // On an idle fabric the census is empty and the plan is byte-identical
 // to the paper's Theorem-3 one-tree optimum (sys.Plan's own tree).
 //
@@ -28,7 +32,7 @@ func (s *Scheduler) PlanBcast(sys *core.System, source int, dests []int, packets
 		s.mu.Unlock()
 		return p.Tree, p.K, nil
 	}
-	t, k := tree.OptimalCongested(p.Chain, packets, s.cfg.CongestionPenalty, func(parent, child int) int {
+	t, k := tree.OptimalCongested(p.Chain, packets, congestionPenalty, func(parent, child int) int {
 		return s.edgeLoad[tree.Edge{Parent: parent, Child: child}]
 	})
 	s.mu.Unlock()

@@ -1,24 +1,18 @@
 // Package sched schedules massive numbers of concurrent multicast
 // sessions onto one persistent live fabric. Where live.Run builds a
-// fresh set of NI goroutines per call and dedicates an injector
-// goroutine to every session — fine for a handful of sessions, ruinous
-// for ten thousand — a Scheduler owns a fixed host set and runs
-// O(hosts + shards) goroutines total, independent of session count:
+// fresh set of NI goroutines per call, a Scheduler owns a fixed host set
+// and runs one goroutine per host plus two, independent of session count:
 //
 //   - Admission control: Submit enqueues a session into a bounded
 //     queue; a window semaphore caps the sessions in flight. Overflow
 //     and expiry are typed rejections (ErrQueueFull, ErrSubmitTimeout),
 //     so producers see backpressure instead of unbounded goroutine and
 //     buffer growth.
-//   - Sharded dispatch: a small pool of worker shards round-robins
-//     packet injection across its admitted sessions through the share's
-//     root copy step (live.Entry.Send) — the root-side replacement for
-//     goroutine-per-injector.
 //   - Per-NI fair queueing: the fabric is a live.PlainShare, whose one
-//     NI loop per host serves the sessions registered there by deficit
-//     round robin, so one elephant session cannot starve mice sharing
-//     the interface. Sessions join it at admission and leave it when
-//     they settle.
+//     NI loop per host serves the sessions registered there, and injects
+//     those rooted there, by deficit round robin, so one elephant session
+//     cannot starve mice sharing the interface. Sessions join it at
+//     admission and leave it when they settle.
 //   - Congestion-aware planning: PlanBcast penalizes candidate trees
 //     for edges already carried by in-flight sessions (the
 //     simultaneous-multicast objective of Haeupler/Hershkowitz/Wajc,
@@ -26,7 +20,8 @@
 //     Theorem-3 optimum when the fabric is idle.
 //
 // Overlapping bounded-buffer sessions can form store-and-forward credit
-// cycles exactly as under live.Run; the scheduler's recovery is the
+// cycles exactly as under live.Run — a root's NI blocked on its own
+// injection can be one link of one; the scheduler's recovery is the
 // per-session deadline. Expiring a session cancels its blocked sends
 // and turns its queued frames into droppable traffic, which frees the
 // buffer slots the cycle was starving on, so the surviving sessions
@@ -37,7 +32,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -91,12 +85,8 @@ type Config struct {
 	// QueueDepth bounds the submission queue behind the window; Submit
 	// returns ErrQueueFull beyond it. Defaults to 4*Window.
 	QueueDepth int
-	// Shards is the injector worker count. Each shard drives the root
-	// injection of many sessions round-robin. Defaults to
-	// min(8, GOMAXPROCS).
-	Shards int
-	// Quantum is the deficit-round-robin grant in packets, used both by
-	// the injector shards and the per-NI fair queues. Defaults to
+	// Quantum is the per-NI deficit-round-robin grant in packets, for
+	// forwarded frames and a root's injection alike. Defaults to
 	// live.DefaultQuantum.
 	Quantum int
 	// BufferPackets bounds each NI's packet buffer exactly as in
@@ -115,10 +105,6 @@ type Config struct {
 	// (window slot, buffer credits, edge load) are reclaimed. Defaults
 	// to live.DefaultTimeout.
 	SessionTimeout time.Duration
-	// CongestionPenalty is the steps charged per in-flight tree already
-	// resident on an edge a candidate plan would reuse (PlanBcast).
-	// Defaults to 1.
-	CongestionPenalty int
 }
 
 func (cfg Config) withDefaults() Config {
@@ -128,20 +114,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 4 * cfg.Window
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-		if cfg.Shards > 8 {
-			cfg.Shards = 8
-		}
-	}
 	if cfg.Quantum <= 0 {
 		cfg.Quantum = live.DefaultQuantum
 	}
 	if cfg.SessionTimeout <= 0 {
 		cfg.SessionTimeout = live.DefaultTimeout
-	}
-	if cfg.CongestionPenalty <= 0 {
-		cfg.CongestionPenalty = 1
 	}
 	return cfg
 }
@@ -188,7 +165,7 @@ type Handle struct {
 	submitDeadline time.Time
 
 	// Admission-time state, written by the admitter before the handle
-	// reaches any shard or the collector.
+	// reaches the collector.
 	startAt  time.Duration
 	deadline time.Time
 	entry    *live.Entry
@@ -226,9 +203,6 @@ type Scheduler struct {
 	share *live.PlainShare // runs every goroutine of the scheduler
 	abort <-chan struct{}  // the share's
 
-	shards    []*shard
-	nextShard int // admitter-owned
-
 	queue    chan *Handle
 	admitted chan *Handle
 	window   chan struct{}
@@ -248,9 +222,8 @@ type Scheduler struct {
 const unboundedWire = 1024
 
 // New builds a scheduler over the given host set and starts its
-// goroutines on one live.PlainShare: the share's NI loop per host,
-// Config.Shards injector workers, an admitter and a collector. The caller
-// must Close it.
+// goroutines on one live.PlainShare: the share's NI loop per host, an
+// admitter and a collector. The caller must Close it.
 func New(hosts []int, cfg Config) (*Scheduler, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("sched: empty host set")
@@ -286,11 +259,6 @@ func New(hosts []int, cfg Config) (*Scheduler, error) {
 	}
 	s.share, s.abort = share, share.Aborted()
 	share.Start(s.start)
-	for i := 0; i < cfg.Shards; i++ {
-		sh := &shard{add: make(chan *job, cfg.Window)}
-		s.shards = append(s.shards, sh)
-		share.Go(func() { sh.run(s) })
-	}
 	share.Go(s.admit)
 	share.Go(s.collect)
 	return s, nil
@@ -445,7 +413,7 @@ func (s *Scheduler) fail(h *Handle, cause error) {
 
 // place admits one session: join it to the share (which registers it
 // at every non-root NI before any packet can arrive), bump the edge
-// census, hand it to the collector, then to a shard for injection.
+// census, hand it to the collector, then to its root's NI to inject.
 func (s *Scheduler) place(h *Handle) {
 	e, err := s.share.Add(h.sess, h.abort)
 	if err != nil {
@@ -467,9 +435,7 @@ func (s *Scheduler) place(h *Handle) {
 	h.startAt = s.since()
 	h.deadline = time.Now().Add(s.cfg.SessionTimeout)
 	s.admitted <- h // the collector must know the session before any completion
-	sh := s.shards[s.nextShard%len(s.shards)]
-	s.nextShard++
-	sh.add <- &job{h: h}
+	s.share.Inject(e)
 }
 
 // collect is the completion loop: it tracks admitted sessions, counts
@@ -607,7 +573,7 @@ func (s *Scheduler) complete(h *Handle) {
 // expire cancels and settles a failed in-flight session. Cancellation
 // unblocks its stalled sends and makes its queued frames droppable, so
 // the NIs reclaim the buffer slots a credit cycle was starving on. The
-// host records are NOT read — shards and NIs may still be touching them.
+// host records are NOT read — the NIs may still be touching them.
 func (s *Scheduler) expire(h *Handle, cause error) {
 	close(h.abort)
 	s.retire(h, func(st *Stats) {

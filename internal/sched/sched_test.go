@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -121,7 +122,7 @@ func TestManySessionsWindowed(t *testing.T) {
 	// deliver byte-exact, the in-flight gauge must respect the window,
 	// and the fabric must be fully reclaimed afterwards.
 	const sessions = 64
-	s, err := New(hostRange(12), Config{Window: 8, QueueDepth: sessions, Shards: 4, Quantum: 2})
+	s, err := New(hostRange(12), Config{Window: 8, QueueDepth: sessions, Quantum: 2})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -384,4 +385,98 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 		t.Fatalf("post-Close submit returned %v, want ErrClosed", err)
 	}
 	s.Close() // idempotent
+}
+
+func TestGoroutinesIndependentOfSessions(t *testing.T) {
+	// 32 sessions in flight on 8 hosts over 20 ms links: the scheduler runs
+	// one NI per host, an admitter and a collector — each root's NI is its
+	// sessions' source, so no goroutine is spent on injection.
+	const hosts, sessions = 8, 32
+	base := runtime.NumGoroutine()
+	s, err := New(hostRange(hosts), Config{LinkLatency: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	for i := 0; i < sessions; i++ {
+		root := i % hosts
+		tr := tree.New(root)
+		for d := 1; d < hosts; d++ {
+			tr.AddChild((root+d-1)%hosts, (root+d)%hosts)
+		}
+		id := uint32(i + 1)
+		if _, err := s.Submit(live.Session{Tree: tr, Packets: mustPacketize(t, id, root, payloadBytes(150, i)), MsgID: id}); err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().Inflight < sessions; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d sessions admitted", s.Stats().Inflight, sessions)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	got := runtime.NumGoroutine() - base
+	if st := s.Stats(); st.Inflight != sessions {
+		t.Fatalf("sessions settled before the count (%+v): links too fast for the test", st)
+	}
+	if got != hosts+2 {
+		t.Fatalf("%d goroutines with %d sessions in flight, want %d (one per host, an admitter, a collector)", got, sessions, hosts+2)
+	}
+}
+
+func TestOppositeRootsDegradeToTimeouts(t *testing.T) {
+	// Host 0 roots one session and forwards nothing of the other; host 2
+	// the reverse; host 1 forwards both, over 1-slot NIs. Each root's NI
+	// may block on its own injection while the other session's frames
+	// wait for its slot, the credit cycle DESIGN.md's Deadlock paragraph
+	// admits: each session must either complete byte-exact or time out,
+	// and the NIs must then carry a fresh session.
+	s, err := New(hostRange(3), Config{BufferPackets: 1, SessionTimeout: 300 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	reverse := tree.New(2)
+	reverse.AddChild(2, 1)
+	reverse.AddChild(1, 0)
+	trees := []*tree.Tree{chainTree(0, 3), reverse}
+	payloads := make([][]byte, len(trees))
+	handles := make([]*Handle, len(trees))
+	for i, tr := range trees {
+		id := uint32(i + 1)
+		payloads[i] = payloadBytes(1000, i)
+		h, err := s.Submit(live.Session{Tree: tr, Packets: mustPacketize(t, id, tr.Root(), payloads[i]), MsgID: id})
+		if err != nil {
+			t.Fatalf("Submit %d: %v", id, err)
+		}
+		handles[i] = h
+	}
+	for i, h := range handles {
+		res, err := h.Wait()
+		if err != nil {
+			if !errors.Is(err, ErrSessionTimeout) {
+				t.Fatalf("session %d failed with %v, want completion or ErrSessionTimeout", i+1, err)
+			}
+			continue
+		}
+		for _, v := range trees[i].Nodes() {
+			if v != trees[i].Root() && !bytes.Equal(res.Hosts[v].Data, payloads[i]) {
+				t.Fatalf("session %d delivered wrong bytes at host %d", i+1, v)
+			}
+		}
+	}
+	data := payloadBytes(400, 7)
+	fresh, err := s.Submit(live.Session{Tree: chainTree(0, 3), Packets: mustPacketize(t, 3, 0, data), MsgID: 3})
+	if err != nil {
+		t.Fatalf("Submit fresh: %v", err)
+	}
+	res, err := fresh.Wait()
+	if err != nil {
+		t.Fatalf("fresh session after the cycle failed: %v — buffer slots were not reclaimed", err)
+	}
+	for _, v := range []int{1, 2} {
+		if !bytes.Equal(res.Hosts[v].Data, data) {
+			t.Fatalf("fresh session delivered wrong bytes at host %d", v)
+		}
+	}
 }

@@ -15,8 +15,8 @@ import (
 // over a shared 32-host cube: random groups, random payloads,
 // planner-built trees, window 16. Every session must deliver byte-exact,
 // and no session may be delayed past a generous multiple of its fair
-// share of the fabric — the scheduler's two fairness mechanisms (DRR at
-// the NIs, quantum round-robin at the shards) have to prevent elephant
+// share of the fabric — deficit round robin at every NI, over forwarded
+// frames and each root's injection alike, has to prevent elephant
 // sessions from starving mice. CI runs it under -race in the soak job.
 func TestSchedSoak256(t *testing.T) {
 	if testing.Short() {
@@ -33,7 +33,6 @@ func TestSchedSoak256(t *testing.T) {
 	s, err := New(hostRange(n), Config{
 		Window:     window,
 		QueueDepth: sessions,
-		Shards:     4,
 		Quantum:    2,
 	})
 	if err != nil {

@@ -34,11 +34,11 @@ func TestWirePathIsWrittenOnce(t *testing.T) {
 		filepath.Join("internal", "live", "hostsession.go"): {"Verify": 1, "Put": 1, "DecodeHeader": 0, "Parse": 0, "Add": 0},
 		// The scheduler runs live.PlainShare: no receive or forward path of its own.
 		filepath.Join("internal", "sched", "sched.go"): {"DecodeHeader": 0, "Serve": 0, "Forward": 0, "Parse": 0, "Verify": 0},
-		filepath.Join("internal", "sched", "shard.go"): {"DecodeHeader": 0, "Serve": 0, "Forward": 0, "Parse": 0, "Verify": 0},
 		// The plain daemon runs live.PlainShare: no receive path of its own.
 		filepath.Join("internal", "mcastd", "mcastd.go"): {"DecodeHeader": 0, "Serve": 0, "Forward": 0, "Parse": 0, "Verify": 0},
-		// The second decode is Config.Record's send tracer.
-		filepath.Join("internal", "live", "ni.go"): {"DecodeHeader": 2, "Serve": 1, "Parse": 0, "Verify": 0},
+		// The second decode is Config.Record's send tracer; the one Forward
+		// is the root NI's source step.
+		filepath.Join("internal", "live", "ni.go"): {"DecodeHeader": 2, "Serve": 1, "Forward": 1, "Parse": 0, "Verify": 0},
 	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
