@@ -154,10 +154,11 @@ virtual-soak:
 		echo "no testing/synctest under GOEXPERIMENT=synctest in $$($(GO) version); skipping (needs Go 1.24)"; \
 	fi
 
-# Fuzz: tier-1 only replays the checked-in seeds of the six fuzz targets —
+# Fuzz: tier-1 only replays the checked-in seeds of the seven fuzz targets —
 # every decoder that reads bytes off a wire (message header, packet,
-# datagram, daemon ctl frame) and the packetize/corrupt/reassemble
-# contracts. This mutates from them for FUZZTIME each, one target at a time
+# datagram, daemon ctl frame), the packetize/corrupt/reassemble contracts
+# and the packet simulator's event queue, held to an (at, seq) sort. This
+# mutates from them for FUZZTIME each, one target at a time
 # (`go test -fuzz` takes one target of one package per run). A crasher is
 # written under the package's testdata/fuzz: fix it and check the file in.
 FUZZTIME ?= 10s
@@ -168,6 +169,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPacketizeRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/message
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDatagram$$' -fuzztime $(FUZZTIME) ./internal/live/link
 	$(GO) test -run '^$$' -fuzz '^FuzzCtl$$' -fuzztime $(FUZZTIME) ./internal/mcastd
+	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # Bench: the Go micro-benchmarks, raw `go test -bench` output on stdout —
 # the engine event-loop, harness-throughput, reliable-delivery, daemon,

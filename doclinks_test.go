@@ -28,6 +28,7 @@ var docNotLinks = map[string]string{
 var (
 	docQual   = regexp.MustCompile("`([a-z][a-z0-9]*)\\.([A-Z][A-Za-z0-9_]*)")
 	docPath   = regexp.MustCompile(`\b(?:internal|cmd)/[a-z0-9_]+`)
+	docData   = regexp.MustCompile(`\b(?:internal|cmd)/[a-z0-9_/]*/testdata\b[A-Za-z0-9_/.*?-]*`)
 	docMake   = regexp.MustCompile("`make ([^`]*)`")
 	docName   = regexp.MustCompile("`([a-z][a-z0-9]*(?:-[a-z0-9]+)+)`")
 	docTarget = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
@@ -38,8 +39,9 @@ var (
 
 // TestDocLinks holds DESIGN.md and README.md to the tree they describe:
 // every internal/<pkg> and cmd/<bin> they mention is a directory, every
-// `make <target>` (backticked, or a command line of a code block) is a
-// Makefile target, every backticked name shaped like an invariant ID
+// testdata path they cite under one exists (a cited glob matches a file),
+// every `make <target>` (backticked, or a command line of a code block) is
+// a Makefile target, every backticked name shaped like an invariant ID
 // is one — or a make target, or an experiment ID — and every backticked
 // `pkg.Name` whose pkg is a directory under internal/ names a top-level
 // declaration of that package, and every flag of a backticked `mcastd …` or
@@ -79,6 +81,12 @@ func TestDocLinks(t *testing.T) {
 			for _, p := range docPath.FindAllString(text, -1) {
 				if st, err := os.Stat(p); err != nil || !st.IsDir() {
 					t.Errorf("%s:%d: %s is not a directory of this tree", doc, line, p)
+				}
+			}
+			for _, p := range docData.FindAllString(text, -1) {
+				p = strings.TrimRight(p, ".")
+				if matches, err := filepath.Glob(p); err != nil || len(matches) == 0 {
+					t.Errorf("%s:%d: %s matches nothing in this tree", doc, line, p)
 				}
 			}
 			var makes []string

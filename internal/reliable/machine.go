@@ -335,7 +335,7 @@ func (mc *machine) inject(n *node, es *edgeState, o op) {
 	}
 	delivered := false
 	var raw []byte
-	if !mc.faults.RouteDead(route, start) && !mc.faults.SampleDrop() {
+	if !mc.faults.RouteDead(route.Channels, start) && !mc.faults.SampleDrop() {
 		if mc.faults.HostDown(o.to, arriveT) {
 			mc.faults.NoteCrashDrop()
 		} else {

@@ -315,6 +315,11 @@ type DimOrder struct {
 	net         *topology.Network
 	arity, dims int
 	wrap        bool // a cube, as the network itself records (Torus)
+	// plus[s*dims+d] is the ID of the link from switch s to its +1
+	// neighbor in dimension d — the ring link at the last digit of a cube
+	// of arity > 2 — or -1 where there is none. s is the link's A end, so
+	// channel 2*ID leaves s across it and 2*ID+1 enters s.
+	plus []int32
 }
 
 // NewECube returns the e-cube router of a network built by
@@ -337,6 +342,21 @@ func newDimOrder(net *topology.Network, arity, dims int, wrap bool) *DimOrder {
 	if a, d, ok := net.Grid(); !ok || a != arity || d != dims || net.Torus() != wrap {
 		panic(fmt.Sprintf("routing: %s needs the %d^%d grid, got %s", e.Name(), arity, dims, net.Summary()))
 	}
+	e.plus = make([]int32, net.NumSwitches()*dims)
+	for i := range e.plus {
+		e.plus[i] = -1
+	}
+	for _, l := range net.Links() {
+		if l.A.Kind != topology.SwitchNode {
+			continue
+		}
+		a, b := l.A.Index, l.B.Index
+		d, stride := 0, 1
+		for (a/stride)%arity == (b/stride)%arity {
+			d, stride = d+1, stride*arity
+		}
+		e.plus[a*dims+d] = int32(l.ID)
+	}
 	return e
 }
 
@@ -358,21 +378,26 @@ func (e *DimOrder) Route(src, dst int) Route {
 	route.Channels = append(route.Channels, e.net.HostLink(src).Channel(topology.Host(src)))
 	route.Switches = append(route.Switches, cur)
 	for d, stride := 0, 1; d < e.dims; d, stride = d+1, stride*e.arity {
-		for (cur/stride)%e.arity != (end/stride)%e.arity {
-			digit := (cur / stride) % e.arity
-			next := cur + stride
+		digit, want := (cur/stride)%e.arity, (end/stride)%e.arity
+		up := e.wrap || digit < want
+		for digit != want {
+			next, nextDigit := cur+stride, digit+1
 			switch {
-			case e.wrap && digit == e.arity-1:
-				next = cur - (e.arity-1)*stride
-			case !e.wrap && digit > (end/stride)%e.arity:
-				next = cur - stride
+			case !up:
+				next, nextDigit = cur-stride, digit-1
+			case digit == e.arity-1:
+				next, nextDigit = cur-digit*stride, 0
 			}
-			link, ok := e.net.SwitchLinkBetween(cur, next)
-			if !ok {
-				panic(fmt.Sprintf("routing: missing grid link %d→%d", cur, next))
+			// Leave across cur's own +1 link when stepping up; otherwise
+			// (stepping down a mesh, or around the arity-2 cube, whose
+			// one link per pair is the lower switch's) enter next's +1
+			// link from its far end.
+			if l := e.plus[cur*e.dims+d]; up && l >= 0 {
+				route.Channels = append(route.Channels, 2*int(l))
+			} else {
+				route.Channels = append(route.Channels, 2*int(e.plus[next*e.dims+d])+1)
 			}
-			route.Channels = append(route.Channels, link.Channel(topology.Switch(cur)))
-			cur = next
+			cur, digit = next, nextDigit
 			route.Switches = append(route.Switches, cur)
 		}
 	}

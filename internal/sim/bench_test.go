@@ -67,3 +67,19 @@ func BenchmarkEngineMulticastLossy(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineMulticast10k measures the serial kernel alone at the
+// sim_scale shape: one k=4, 2-packet multicast from host 0 to every other
+// host of a 100x100 mesh. The carcass and the route cache are warmed
+// before the timer starts, so route construction is not priced.
+func BenchmarkEngineMulticast10k(b *testing.B) {
+	router, sess, _ := meshMulticast(100)
+	sessions := []Session{sess}
+	p := DefaultParams()
+	Concurrent(router, sessions, p, stepsim.FPFS)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Concurrent(router, sessions, p, stepsim.FPFS)
+	}
+}

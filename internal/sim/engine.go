@@ -259,21 +259,22 @@ func (e *Engine) Run() float64 {
 // time. It returns T and the packet's full arrival time at the far NI
 // input (T + lastOffset + wire).
 func (e *Engine) ReservePath(route routing.Route, earliest, wire, router float64) (start, arrival float64) {
-	return reservePath(e.chanFree, route, earliest, wire, router)
+	return reservePath(e.chanFree, route.Channels, earliest, wire, router)
 }
 
-// reservePath is ReservePath on an explicit channel-occupancy table; the
-// session model keeps its own.
-func reservePath(chanFree []float64, route routing.Route, earliest, wire, router float64) (start, arrival float64) {
+// reservePath is ReservePath on an explicit channel-occupancy table and a
+// route's channel sequence; the session model keeps its own table and
+// passes the channels stored in its session tables.
+func reservePath(chanFree []float64, chans []int, earliest, wire, router float64) (start, arrival float64) {
 	T := earliest
-	for i, c := range route.Channels {
+	for i, c := range chans {
 		if need := chanFree[c] - float64(i)*router; need > T {
 			T = need
 		}
 	}
-	for i, c := range route.Channels {
+	for i, c := range chans {
 		chanFree[c] = T + float64(i)*router + wire
 	}
-	last := float64(len(route.Channels)-1) * router
+	last := float64(len(chans)-1) * router
 	return T, T + last + wire
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/netiface"
-	"repro/internal/routing"
 	"repro/internal/workload"
 )
 
@@ -251,14 +250,14 @@ func (f *FaultState) LinkDead(link int, t float64) bool {
 	return ok && t >= at
 }
 
-// RouteDead reports whether any channel of the route crosses a link that is
-// dead when the packet enters the network at time t, counting the lost
+// RouteDead reports whether any of a route's channels crosses a link that
+// is dead when the packet enters the network at time t, counting the lost
 // injection when so. Channel c belongs to link c/2 (topology.Link.Channel).
-func (f *FaultState) RouteDead(r routing.Route, t float64) bool {
+func (f *FaultState) RouteDead(chans []int, t float64) bool {
 	if f == nil || len(f.killAt) == 0 {
 		return false
 	}
-	for _, c := range r.Channels {
+	for _, c := range chans {
 		if f.LinkDead(c/2, t) {
 			f.Stats.DeadSends++
 			return true

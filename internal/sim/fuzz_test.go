@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -148,4 +149,76 @@ func TestFuzzOptimalNeverLosesByMuch(t *testing.T) {
 				trial, n, m, kOpt, opt, best)
 		}
 	}
+}
+
+// FuzzEventQueue holds the bucket queue to a reference: every pop must be
+// the pending event least by (at, seq), given seqs pushed in ascending
+// order as the schedulers push them. Each input byte is one operation:
+// below 0x80 a push at a time from a small palette (equal times, both
+// zeros, 1e300 and its neighbor); 0x80-0xbf a pop; 0xc0-0xdf a push at the
+// time last popped, into the bucket being drained or just closed; from
+// 0xe0 a push at the float64 in the next 8 bytes. The ops run twice on one
+// queue, reset between, so bucket reuse is exercised too.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{2, 2, 3, 0x80, 2, 0xc0, 0x80, 0x80})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		palette := [...]float64{0, math.Copysign(0, -1), 1, math.Nextafter(1, 2), 2.5,
+			1e300, math.Nextafter(1e300, math.Inf(1)), math.Inf(1)}
+		var q eventQueue
+		for round := 0; round < 2; round++ {
+			q.reset()
+			var ref []pevent
+			seq, last := uint64(0), 0.0
+			push := func(at float64) {
+				seq++
+				ev := pevent{at: at, ord: seq}
+				q.push(ev)
+				ref = append(ref, ev)
+			}
+			pop := func() {
+				if q.empty() != (len(ref) == 0) {
+					t.Fatalf("queue empty = %v with %d pending", q.empty(), len(ref))
+				}
+				if len(ref) == 0 {
+					return
+				}
+				want := 0
+				for i, ev := range ref {
+					if ev.at < ref[want].at || ev.at == ref[want].at && ev.ord < ref[want].ord {
+						want = i
+					}
+				}
+				if q.min() != ref[want].at {
+					t.Fatalf("min = %v, want %v", q.min(), ref[want].at)
+				}
+				got := q.pop()
+				if got.ord != ref[want].ord || math.Float64bits(got.at) != math.Float64bits(ref[want].at) {
+					t.Fatalf("popped (%v, %d), want (%v, %d)", got.at, got.ord, ref[want].at, ref[want].ord)
+				}
+				ref = append(ref[:want], ref[want+1:]...)
+				last = got.at
+			}
+			for i := 0; i < len(ops); i++ {
+				switch op := ops[i]; {
+				case op < 0x80:
+					push(palette[int(op)%len(palette)])
+				case op < 0xc0:
+					pop()
+				case op < 0xe0:
+					push(last)
+				case i+8 < len(ops):
+					if at := math.Float64frombits(binary.LittleEndian.Uint64(ops[i+1:])); !math.IsNaN(at) {
+						push(at)
+					}
+					i += 8
+				}
+			}
+			for len(ref) > 0 {
+				pop()
+			}
+			if !q.empty() {
+				t.Fatal("queue holds events the reference does not")
+			}
+		}
+	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/routing"
 	"repro/internal/stepsim"
+	"repro/internal/tree"
 )
 
 // This file is the packet-level session model — the only implementation
@@ -45,12 +46,15 @@ type sessTab struct {
 	hostDone  []float64 // slot -> host completion time
 
 	edges []edgeTo // flattened child edges, grouped by slot
+	chans []int    // every edge's route channels, back to back
+
+	flat   *tree.Flat // the tree shape the table was built for
+	routed uint64     // routesGen the chans came from; 0 = refill them
 }
 
-// edgeTo is one tree edge with its precomputed route.
+// edgeTo is one tree edge; its route is chans[lo:hi] of its table.
 type edgeTo struct {
-	child int32
-	route routing.Route
+	child, lo, hi int32
 }
 
 // qop is one pending injection in a host's NI queue.
@@ -79,7 +83,7 @@ const (
 
 // pevent is one scheduled event. ord is its seq — the FIFO tiebreaker
 // among same-time events, assigned in creation order; every event holds its
-// real seq when it enters a heap. arg is the packet index (complete,
+// real seq when it enters a queue. arg is the packet index (complete,
 // deliver) or the edge index (fwd).
 type pevent struct {
 	at   float64
@@ -90,12 +94,143 @@ type pevent struct {
 	arg  int32
 }
 
-// keyLess is the (at, seq) heap order.
-func keyLess(a, b *pevent) bool {
-	if a.at != b.at {
-		return a.at < b.at
+// eventQueue is one worker's pending events, popped in exact (at, seq)
+// order: a FIFO bucket per distinct event time, plus a binary min-heap of
+// those times.
+//
+// FIFO within a time is seq order because a worker receives its pushes in
+// ascending seq. One counter (model.ctr) hands seqs out in creation order,
+// and every event is pushed as it is created: by the serial loop, or by the
+// windowed barrier in resolve order. An event created at the time being
+// drained (zero host overheads, or a one-timestamp window) appends to the
+// open bucket behind everything in it, which is where its later seq
+// belongs.
+//
+// Buckets are keyed by the bits of at+0, which folds -0 into +0: the two
+// compare equal, so they are one time. NaN cannot reach the queue
+// (Params.Validate and build's Session.Start check refuse it).
+type eventQueue struct {
+	times   []qtime          // min-heap of the open buckets' times
+	buckets []bucket         // open and free buckets, storage kept
+	free    []int32          // empty buckets
+	index   map[uint64]int32 // time bits -> open bucket
+	// recent holds the last two buckets pushed to, so that most pushes skip
+	// the index: resolving an injection pushes a completion and then a
+	// delivery, and runs of injections share both times. A closed bucket
+	// leaves it; an empty entry holds NaN, which equals no time.
+	recent [2]qtime
+}
+
+type qtime struct {
+	at float64
+	b  int32
+}
+
+type bucket struct {
+	evs  []pevent
+	head int
+}
+
+// reset empties the queue, keeping every bucket's storage.
+func (q *eventQueue) reset() {
+	if q.index == nil {
+		q.index = make(map[uint64]int32)
 	}
-	return a.ord < b.ord
+	clear(q.index)
+	q.recent = [2]qtime{{at: math.NaN()}, {at: math.NaN()}}
+	q.times, q.free = q.times[:0], q.free[:0]
+	for i := range q.buckets {
+		q.buckets[i].evs, q.buckets[i].head = q.buckets[i].evs[:0], 0
+		q.free = append(q.free, int32(i))
+	}
+}
+
+func (q *eventQueue) empty() bool { return len(q.times) == 0 }
+
+// min is the earliest pending time; the queue must not be empty.
+func (q *eventQueue) min() float64 { return q.times[0].at }
+
+func (q *eventQueue) push(ev pevent) {
+	var b int32
+	switch {
+	case q.recent[0].at == ev.at:
+		b = q.recent[0].b
+	case q.recent[1].at == ev.at:
+		b = q.recent[1].b
+		q.recent[0], q.recent[1] = q.recent[1], q.recent[0]
+	default:
+		key := math.Float64bits(ev.at + 0)
+		var ok bool
+		if b, ok = q.index[key]; !ok {
+			b = q.open(key, ev.at)
+		}
+		q.recent[1], q.recent[0] = q.recent[0], qtime{ev.at, b}
+	}
+	q.buckets[b].evs = append(q.buckets[b].evs, ev)
+}
+
+// open starts a bucket for a time not yet pending.
+func (q *eventQueue) open(key uint64, at float64) int32 {
+	var b int32
+	if n := len(q.free); n > 0 {
+		b = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		b = int32(len(q.buckets))
+		q.buckets = append(q.buckets, bucket{})
+	}
+	q.index[key] = b
+	h := append(q.times, qtime{at, b})
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !(h[i].at < h[parent].at) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	q.times = h
+	return b
+}
+
+// pop removes the earliest event; the queue must not be empty.
+func (q *eventQueue) pop() pevent {
+	b := q.times[0].b
+	bk := &q.buckets[b]
+	ev := bk.evs[bk.head]
+	bk.head++
+	if bk.head < len(bk.evs) {
+		return ev
+	}
+	bk.evs, bk.head = bk.evs[:0], 0
+	delete(q.index, math.Float64bits(ev.at+0))
+	for i := range q.recent {
+		if q.recent[i].b == b {
+			q.recent[i].at = math.NaN()
+		}
+	}
+	q.free = append(q.free, b)
+	h := q.times
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		least := i
+		if l < n && h[l].at < h[least].at {
+			least = l
+		}
+		if r < n && h[r].at < h[least].at {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+	q.times = h
+	return ev
 }
 
 // Action kinds. Actions are the shared-state effects of processing one
@@ -116,20 +251,17 @@ type action struct {
 	kind   uint8
 	sess   int32
 	host   int32
-	peer   int32
 	packet int32
 	edge   int32
 	at     float64
 }
 
-// worker is one scheduler lane: an event heap, an inbox the windowed
-// barrier mails into, and the action stream of the events processed since
-// the last resolution. The serial scheduler uses exactly one.
+// worker is one scheduler lane: an event queue and the action stream of
+// the events processed since the last resolution. The serial scheduler
+// uses exactly one.
 type worker struct {
-	heap      []pevent
-	inbox     []pevent
+	q         eventQueue
 	actions   []action
-	localMin  float64
 	processed int
 
 	// creator key of the event currently being processed; emit copies it
@@ -137,46 +269,8 @@ type worker struct {
 	cAt  float64
 	cOrd uint64
 	idx  uint32
-}
 
-func (w *worker) push(ev pevent) {
-	w.heap = append(w.heap, ev)
-	h := w.heap
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !keyLess(&h[i], &h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (w *worker) pop() pevent {
-	h := w.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	w.heap = h[:n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && keyLess(&h[l], &h[least]) {
-			least = l
-		}
-		if r < n && keyLess(&h[r], &h[least]) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
-	return top
+	_ [64]byte // keeps neighboring workers' hot fields off one cache line
 }
 
 // emit records one action under the current creator key.
@@ -215,12 +309,15 @@ type model struct {
 	involved  []int32
 
 	chanFree []float64
-	// routes caches router.Route(parent, child) for every tree edge seen
-	// since the cache was last keyed to a different router. Routes depend
-	// only on the router and the endpoints, so the cache survives across
-	// runs until the router changes.
-	routes    map[[2]int]routing.Route
+	// routes caches the channels of router.Route(parent, child), keyed by
+	// parent<<32 | child, for every tree edge seen since the cache was last
+	// keyed to a different router. Routes depend only on the router and
+	// the endpoints, so the cache survives across runs until the router
+	// changes.
+	routes    map[uint64][]int
+	routesGen uint64                   // bumped whenever routes is cleared
 	cfgRoutes map[[2]int]routing.Route // caller-supplied, consulted first
+	found     [][]int                  // fillTab: per edge, its cfgRoutes channels
 	ctr       uint64                   // last seq handed out
 
 	res    *ConcurrentResult
@@ -239,7 +336,7 @@ type model struct {
 }
 
 // modelFree is the free list of run carcasses — host tables, session
-// tables, event heaps, the route cache — that the next run reuses. It is
+// tables, event queues, the route cache — that the next run reuses. It is
 // owned, not a sync.Pool: a pool is emptied by the collector, which turned
 // a ~120-allocation 10k-host run into a ~19,600-allocation one whenever two
 // GC cycles fell between runs. More runs than GOMAXPROCS cannot be on a
@@ -266,7 +363,7 @@ func run(router routing.Router, sessions []Session, p Params, disc stepsim.Disci
 	select {
 	case e = <-modelFree:
 	default:
-		e = &model{routes: make(map[[2]int]routing.Route)}
+		e = &model{routes: make(map[uint64][]int)}
 	}
 	defer func() {
 		e.specs, e.faults, e.res, e.trace, e.cfgRoutes = nil, nil, nil, nil, nil
@@ -302,9 +399,10 @@ func (e *model) build(router routing.Router, sessions []Session, routes map[[2]i
 		// every previously computed route.
 		e.router = router
 		clear(e.routes)
+		e.routesGen++
 	}
 
-	e.chanFree = resizeF64(e.chanFree, net.NumChannels())
+	e.chanFree = resize(e.chanFree, net.NumChannels())
 	clear(e.chanFree)
 	if n := e.numHosts; cap(e.inFlight) < n {
 		e.inFlight = make([]int32, n)
@@ -351,71 +449,101 @@ func (e *model) build(router routing.Router, sessions []Session, routes map[[2]i
 }
 
 // fillTab populates one session table, reusing the previous run's
-// storage. The slot index is cleared via the previous node list, so reset
-// cost scales with session size, not host count.
+// storage. The table keeps its shape while the session's tree does (the
+// same tree.Flat), and its routes while they came from a route cache not
+// cleared since; a new shape clears the slot index via the previous node
+// list, so reset cost scales with session size, not host count.
 func (e *model) fillTab(tab *sessTab, sess Session) {
-	for _, v := range tab.nodes {
-		if int(v) < len(tab.slot) {
-			tab.slot[v] = 0
+	f := sess.Tree.Flat()
+	n := len(f.Nodes)
+	if tab.flat != f || len(tab.slot) != e.numHosts {
+		for _, v := range tab.nodes {
+			if int(v) < len(tab.slot) {
+				tab.slot[v] = 0
+			}
 		}
+		tab.slot = resize(tab.slot, e.numHosts)
+		tab.nodes = resize(tab.nodes, n)
+		tab.parent = resize(tab.parent, n)
+		tab.deg = resize(tab.deg, n)
+		tab.childBase = resize(tab.childBase, n)
+		tab.edges = tab.edges[:0]
+		for slot, v := range f.Nodes {
+			tab.nodes[slot] = int32(v)
+			tab.slot[v] = int32(slot + 1)
+			tab.parent[slot] = int32(f.Parent[slot])
+			children := f.Kids[f.KidsAt[slot]:f.KidsAt[slot+1]]
+			tab.deg[slot] = int32(len(children))
+			tab.childBase[slot] = int32(len(tab.edges))
+			for _, c := range children {
+				tab.edges = append(tab.edges, edgeTo{child: int32(c)})
+			}
+		}
+		tab.flat, tab.routed = f, 0
 	}
-	if cap(tab.slot) < e.numHosts {
-		tab.slot = make([]int32, e.numHosts)
-	} else {
-		tab.slot = tab.slot[:e.numHosts]
-	}
-
-	nodes := sess.Tree.Nodes()
-	n := len(nodes)
 	m := sess.Packets
 	tab.m, tab.start = m, sess.Start
-	tab.nodes = resizeI32(tab.nodes, n)
-	tab.recv = resizeI32(tab.recv, n)
-	tab.parent = resizeI32(tab.parent, n)
-	tab.deg = resizeI32(tab.deg, n)
-	tab.childBase = resizeI32(tab.childBase, n)
-	tab.copies = resizeI32(tab.copies, n*m)
-	tab.niDone = resizeF64(tab.niDone, n)
-	tab.hostDone = resizeF64(tab.hostDone, n)
-	tab.edges = tab.edges[:0]
+	tab.recv = resize(tab.recv, n)
+	tab.copies = resize(tab.copies, n*m)
+	tab.niDone = resize(tab.niDone, n)
+	tab.hostDone = resize(tab.hostDone, n)
+	for slot, v := range tab.nodes {
+		tab.recv[slot], tab.niDone[slot], tab.hostDone[slot] = 0, -1, -1
+		e.touch(v)
+	}
+	if e.cfgRoutes == nil && tab.routed == e.routesGen {
+		return
+	}
 
-	for slot, v := range nodes {
-		tab.nodes[slot] = int32(v)
-		tab.slot[v] = int32(slot + 1)
-		tab.recv[slot] = 0
-		tab.niDone[slot] = -1
-		tab.hostDone[slot] = -1
-		if parent, ok := sess.Tree.Parent(v); ok {
-			tab.parent[slot] = int32(parent)
-		} else {
-			tab.parent[slot] = -1
+	// The caller's routes come first, read in one pass over their table:
+	// a probe per edge misses the cache on nearly every edge of a large
+	// tree.
+	e.found = resize(e.found, len(tab.edges))
+	for k, r := range e.cfgRoutes {
+		v := k[0]
+		if v < 0 || v >= e.numHosts || tab.slot[v] == 0 {
+			continue
 		}
-		children := sess.Tree.Children(v)
-		tab.deg[slot] = int32(len(children))
-		tab.childBase[slot] = int32(len(tab.edges))
-		for _, c := range children {
-			tab.edges = append(tab.edges, edgeTo{child: int32(c), route: e.route(v, c)})
+		s := tab.slot[v] - 1
+		for j := tab.childBase[s]; j < tab.childBase[s]+tab.deg[s]; j++ {
+			if int(tab.edges[j].child) == k[1] {
+				if r.Src != v || r.Dst != k[1] {
+					panic(fmt.Sprintf("sim: Routes entry for edge %d->%d holds the route %d->%d", v, k[1], r.Src, r.Dst))
+				}
+				e.found[j] = r.Channels
+			}
 		}
-		e.touch(int32(v))
+	}
+	tab.chans = tab.chans[:0]
+	for slot, v := range tab.nodes {
+		for j := tab.childBase[slot]; j < tab.childBase[slot]+tab.deg[slot]; j++ {
+			ed := &tab.edges[j]
+			ch := e.found[j]
+			if ch == nil {
+				ch = e.route(int(v), int(ed.child))
+			}
+			e.found[j] = nil
+			ed.lo = int32(len(tab.chans))
+			tab.chans = append(tab.chans, ch...)
+			ed.hi = int32(len(tab.chans))
+		}
+	}
+	tab.routed = e.routesGen
+	if e.cfgRoutes != nil {
+		tab.routed = 0
 	}
 }
 
-// route resolves parent->child, preferring the caller-provided table,
-// then the router-keyed cache, then the router itself.
-func (e *model) route(v, c int) routing.Route {
-	key := [2]int{v, c}
-	if r, ok := e.cfgRoutes[key]; ok {
-		if r.Src != v || r.Dst != c {
-			panic(fmt.Sprintf("sim: Routes entry for edge %d->%d holds the route %d->%d", v, c, r.Src, r.Dst))
-		}
-		return r
+// route resolves the channels of parent->child from the router-keyed
+// cache, else from the router itself.
+func (e *model) route(v, c int) []int {
+	key := uint64(v)<<32 | uint64(c)
+	if ch, ok := e.routes[key]; ok {
+		return ch
 	}
-	if r, ok := e.routes[key]; ok {
-		return r
-	}
-	r := e.router.Route(v, c)
-	e.routes[key] = r
-	return r
+	ch := e.router.Route(v, c).Channels
+	e.routes[key] = ch
+	return ch
 }
 
 // touch resets host h's NI state on first use this run.
@@ -432,15 +560,10 @@ func (e *model) touch(h int32) {
 // resetWorkers sizes the scheduler lanes and mails the initial events:
 // one start per session, holding seqs 1..S.
 func (e *model) resetWorkers(n int) {
-	if cap(e.workers) < n {
-		e.workers = make([]worker, n)
-	} else {
-		e.workers = e.workers[:n]
-	}
+	e.workers = resize(e.workers, n)
 	for i := range e.workers {
 		w := &e.workers[i]
-		w.heap = w.heap[:0]
-		w.inbox = w.inbox[:0]
+		w.q.reset()
 		w.actions = w.actions[:0]
 	}
 	e.ctr = uint64(len(e.specs))
@@ -455,16 +578,14 @@ func (e *model) resetWorkers(n int) {
 	}
 }
 
-// mail hands a created event to the scheduler: straight onto the one heap
-// when serial, into the owning worker's inbox (drained at the next window)
-// otherwise.
+// mail hands a created event to the queue of the worker owning its host:
+// the one queue when serial.
 func (e *model) mail(ev pevent) {
-	if len(e.owner) == 0 {
-		e.workers[0].push(ev)
-		return
+	w := &e.workers[0]
+	if len(e.owner) > 0 {
+		w = &e.workers[e.owner[ev.host]]
 	}
-	w := &e.workers[e.owner[ev.host]]
-	w.inbox = append(w.inbox, ev)
+	w.q.push(ev)
 }
 
 // process runs one event against its host's local state, recording the
@@ -533,7 +654,7 @@ func (e *model) processDeliver(w *worker, ev *pevent) {
 	deg := int(tab.deg[slot])
 	if e.traced {
 		w.emit(action{kind: aDeliverRec, sess: ev.sess, host: dst,
-			peer: tab.parent[slot], packet: ev.arg, at: ev.at})
+			packet: ev.arg, at: ev.at})
 	}
 	if deg > 0 {
 		tab.copies[slot*tab.m+int(ev.arg)] = int32(deg)
@@ -653,9 +774,10 @@ func (e *model) resolve(act *action) {
 	case aIntent:
 		tab := e.tabs[act.sess]
 		ed := &tab.edges[act.edge]
+		chans := tab.chans[ed.lo:ed.hi]
 		v := int(act.host)
 		earliest := act.at + e.faults.StallDelay(v, act.at) + e.p.TNISend
-		start, arrive := reservePath(e.chanFree, ed.route, earliest, e.wire, e.p.RouterDelay)
+		start, arrive := reservePath(e.chanFree, chans, earliest, e.wire, e.p.RouterDelay)
 		e.res.ChannelWait += start - earliest
 		e.res.Sends++
 		if e.traced {
@@ -669,7 +791,7 @@ func (e *model) resolve(act *action) {
 		// never delivers. The sender still paid t_ns and the channel holds —
 		// loss is detected only by the absence of the packet, as on real
 		// fabrics.
-		delivers := !(e.faults.RouteDead(ed.route, start) || e.faults.SampleDrop() || e.faults.SampleCorrupt())
+		delivers := !(e.faults.RouteDead(chans, start) || e.faults.SampleDrop() || e.faults.SampleCorrupt())
 		e.ctr++
 		e.mail(pevent{at: start + e.wire, ord: e.ctr, kind: evComplete,
 			sess: act.sess, host: act.host, arg: act.packet})
@@ -682,8 +804,9 @@ func (e *model) resolve(act *action) {
 			}
 		}
 	case aDeliverRec:
+		tab := e.tabs[act.sess]
 		e.trace = append(e.trace, TraceEvent{
-			Kind: "deliver", Time: act.at, Host: int(act.host), Peer: int(act.peer),
+			Kind: "deliver", Time: act.at, Host: int(act.host), Peer: int(tab.parent[tab.slot[act.host]-1]),
 			Session: int(act.sess), Packet: int(act.packet),
 		})
 	case aDone:
@@ -752,16 +875,11 @@ func (e *model) finish() {
 	}
 }
 
-func resizeI32(s []int32, n int) []int32 {
+// resize returns s with length n, reallocated only when it lacks the
+// capacity; kept elements keep their values.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func resizeF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

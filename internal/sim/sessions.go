@@ -99,15 +99,15 @@ func ConcurrentTraced(router routing.Router, sessions []Session, p Params, disc 
 	return run(router, sessions, p, disc, traced, nil, nil)
 }
 
-// runSerial is the reference scheduler: one heap ordered by (time, seq),
+// runSerial is the reference scheduler: one queue ordered by (time, seq),
 // and a window of exactly one event — pop it, process it, resolve its
 // actions at once in creation order.
 func (e *model) runSerial() {
 	e.owner = e.owner[:0]
 	e.resetWorkers(1)
 	w := &e.workers[0]
-	for len(w.heap) > 0 {
-		ev := w.pop()
+	for !w.q.empty() {
+		ev := w.q.pop()
 		e.process(w, &ev)
 		for i := range w.actions {
 			e.resolve(&w.actions[i])

@@ -2,9 +2,12 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/routing"
 	"repro/internal/stepsim"
+	"repro/internal/topology"
 	"repro/internal/tree"
 	"repro/internal/workload"
 )
@@ -265,4 +268,41 @@ func TestMultiPortShrinksKBinomialAdvantage(t *testing.T) {
 	if r1 < 1.3 {
 		t.Errorf("single-port advantage %f suspiciously small", r1)
 	}
+}
+
+// TestTablesFollowTreeAndRouter pins what a pooled session table may keep
+// between runs: its shape only while the tree is unchanged, its routes only
+// while the router is. Each run on the pooled carcass must equal a run of
+// the same inputs on a carcass never used before, after the tree grows and
+// after the router changes under an unchanged tree.
+func TestTablesFollowTreeAndRouter(t *testing.T) {
+	mesh := routing.NewMeshDimOrder(topology.Mesh(4, 2), 4, 2)
+	cube := routing.NewECube(topology.Cube(4, 2), 4, 2)
+	p := DefaultParams()
+	tr := tree.KBinomial([]int{0, 5, 10, 15, 3, 12}, 2)
+	run := func(r routing.Router) *ConcurrentResult {
+		return Concurrent(r, []Session{{Tree: tr, Packets: 3}}, p, stepsim.FPFS)
+	}
+	same := func(r routing.Router, step string) {
+		t.Helper()
+		var pooled []*model
+		for len(modelFree) > 0 {
+			pooled = append(pooled, <-modelFree)
+		}
+		want := run(r)
+		for len(modelFree) > 0 {
+			<-modelFree
+		}
+		for _, m := range pooled {
+			modelFree <- m
+		}
+		if got := run(r); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: pooled carcass %+v, new one %+v", step, got, want)
+		}
+	}
+	same(mesh, "first run")
+	same(mesh, "rerun")
+	tr.AddChild(15, 6)
+	same(mesh, "after AddChild")
+	same(cube, "after a router change")
 }

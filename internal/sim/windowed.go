@@ -34,7 +34,7 @@ import (
 //     (host-level store-and-forward copies at τ + t_r + i·t_s) ends the
 //     window instead: under Conventional a window stops at the first
 //     time a deliver in it could forward. So no window creates an event
-//     inside itself and every event enters a heap under its real seq.
+//     inside itself and every event enters a queue under its real seq.
 //     The one exception is harmless: a window the float grid (or zero
 //     host overheads) degrades to the single timestamp T0 may create
 //     events at T0, but they hold later seqs than every event in it, so
@@ -96,7 +96,7 @@ func (e *model) partition(parts []int, nw int) {
 	} else if len(parts) != e.numHosts {
 		panic(fmt.Sprintf("sim: %d partition entries for %d hosts", len(parts), e.numHosts))
 	}
-	e.owner = resizeI32(e.owner, e.numHosts)
+	e.owner = resize(e.owner, e.numHosts)
 	for h, part := range parts {
 		if part < 0 || part >= nw {
 			panic(fmt.Sprintf("sim: host %d assigned to worker %d of %d", h, part, nw))
@@ -111,11 +111,7 @@ func (e *model) runWindowed(cfg *WindowConfig) {
 	e.partition(cfg.Parts, nw)
 	e.crossed = 0
 	e.resetWorkers(nw)
-	if cap(e.heads) < nw {
-		e.heads = make([]int, nw)
-	} else {
-		e.heads = e.heads[:nw]
-	}
+	e.heads = resize(e.heads, nw)
 
 	// Lookahead: min over everything an intent at τ can cause. The
 	// earliest is the sender-side completion at start+wire with start >=
@@ -131,16 +127,10 @@ func (e *model) runWindowed(cfg *WindowConfig) {
 	windows, totalEvents := 0, 0
 	var perWindow stats.Summary
 	for {
-		// Phase A (parallel): drain inboxes into heaps, report minima.
-		if pool != nil {
-			pool.broadcast(phaseDrain)
-		} else {
-			e.workers[0].drain()
-		}
 		t0 := math.Inf(1)
 		for i := range e.workers {
-			if e.workers[i].localMin < t0 {
-				t0 = e.workers[i].localMin
+			if q := &e.workers[i].q; !q.empty() {
+				t0 = min(t0, q.min())
 			}
 		}
 		if math.IsInf(t0, 1) {
@@ -161,9 +151,9 @@ func (e *model) runWindowed(cfg *WindowConfig) {
 			wEnd = math.Nextafter(t0, math.Inf(1))
 		}
 		e.wEnd = wEnd
-		// Phase B (parallel): each worker runs its partition's window.
+		// Parallel: each worker runs its partition's window.
 		if pool != nil {
-			pool.broadcast(phaseWindow)
+			pool.broadcast()
 		} else {
 			e.runWindow(&e.workers[0])
 		}
@@ -190,25 +180,12 @@ func (e *model) runWindowed(cfg *WindowConfig) {
 	}
 }
 
-// drain is phase A: absorb mailed events, report the partition's minimum.
-func (w *worker) drain() {
-	for _, ev := range w.inbox {
-		w.push(ev)
-	}
-	w.inbox = w.inbox[:0]
-	if len(w.heap) > 0 {
-		w.localMin = w.heap[0].at
-	} else {
-		w.localMin = math.Inf(1)
-	}
-}
-
-// runWindow is phase B: process every event of this partition that fires
-// before wEnd.
+// runWindow processes every event of this partition that fires before
+// wEnd.
 func (e *model) runWindow(w *worker) {
 	n := 0
-	for len(w.heap) > 0 && w.heap[0].at < e.wEnd {
-		ev := w.pop()
+	for !w.q.empty() && w.q.min() < e.wEnd {
+		ev := w.q.pop()
 		e.process(w, &ev)
 		n++
 	}
@@ -216,10 +193,10 @@ func (e *model) runWindow(w *worker) {
 }
 
 // barrier ends a window: it merges the workers' action streams into
-// processing order, resolves each, and so mails the created events to
-// their owners' inboxes for the next window.
+// processing order, resolves each, and so pushes the created events into
+// their owners' queues for the next window.
 //
-// Each worker's stream is already sorted (events were processed in heap
+// Each worker's stream is already sorted (events were processed in queue
 // order; actions within an event in creation order), so a W-way min scan
 // over the stream heads yields the global order.
 func (e *model) barrier() {
@@ -250,47 +227,41 @@ func (e *model) barrier() {
 	}
 }
 
-// Worker-pool phases.
-const (
-	phaseDrain uint8 = iota + 1
-	phaseWindow
-)
-
-// workerPool runs phases A and B on persistent goroutines, one per
-// worker. Command send / completion receive pairs give the barrier's
-// writes (mailed inboxes, wEnd) a happens-before edge into the workers
-// and the workers' writes (heaps, actions) one back into the barrier.
+// workerPool runs the windows of workers 1..W-1 on persistent
+// goroutines, and worker 0's on the caller's, which would otherwise only
+// wait. Command send / completion receive pairs give the barrier's writes
+// (pushed events, wEnd) a happens-before edge into the workers and the
+// workers' writes (queues, actions) one back into the barrier.
 type workerPool struct {
-	cmds []chan uint8
+	e    *model
+	cmds []chan struct{}
 	done chan struct{}
 }
 
 func startPool(e *model) *workerPool {
 	p := &workerPool{
-		cmds: make([]chan uint8, len(e.workers)),
-		done: make(chan struct{}, len(e.workers)),
+		e:    e,
+		cmds: make([]chan struct{}, len(e.workers)-1),
+		done: make(chan struct{}, len(e.workers)-1),
 	}
-	for i := range e.workers {
-		cmd := make(chan uint8, 1)
+	for i := range p.cmds {
+		cmd := make(chan struct{}, 1)
 		p.cmds[i] = cmd
-		go func(w *worker, cmd chan uint8) {
-			for c := range cmd {
-				if c == phaseDrain {
-					w.drain()
-				} else {
-					e.runWindow(w)
-				}
+		go func(w *worker) {
+			for range cmd {
+				e.runWindow(w)
 				p.done <- struct{}{}
 			}
-		}(&e.workers[i], cmd)
+		}(&e.workers[i+1])
 	}
 	return p
 }
 
-func (p *workerPool) broadcast(phase uint8) {
+func (p *workerPool) broadcast() {
 	for _, c := range p.cmds {
-		c <- phase
+		c <- struct{}{}
 	}
+	p.e.runWindow(&p.e.workers[0])
 	for range p.cmds {
 		<-p.done
 	}

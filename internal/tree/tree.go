@@ -26,21 +26,38 @@ type Tree struct {
 	children map[int][]int
 	parent   map[int]int
 	size     int
-	// nodes memoizes the ascending node list behind Nodes; AddChild clears
-	// it. Atomic because a built tree is read from many goroutines (live
-	// NIs, scheduler shards): two first callers may both sort, and either
-	// result is the same list.
+	// nodes and flat memoize the ascending node list behind Nodes and the
+	// view behind Flat; AddChild clears both. Atomic because a built tree
+	// is read from many goroutines (live NIs, scheduler shards): two first
+	// callers may both build, and either result is the same.
 	nodes atomic.Pointer[[]int]
+	flat  atomic.Pointer[Flat]
+}
+
+// Flat is a tree read without map lookups: the nodes in ascending order
+// and, per position i, the node's parent and its children in send order.
+// It is shared by every caller of Flat and must not be modified.
+type Flat struct {
+	Nodes  []int // ascending
+	Parent []int // Parent[i] is the parent of Nodes[i]; -1 at the root
+	// Kids[KidsAt[i]:KidsAt[i+1]] are the children of Nodes[i].
+	Kids   []int
+	KidsAt []int
 }
 
 // New returns a tree containing only the root.
-func New(root int) *Tree {
-	return &Tree{
+func New(root int) *Tree { return sized(root, 1) }
+
+// sized is New with room for n nodes, about half of them parents.
+func sized(root, n int) *Tree {
+	t := &Tree{
 		root:     root,
-		children: map[int][]int{},
-		parent:   map[int]int{root: -1},
+		children: make(map[int][]int, n/2),
+		parent:   make(map[int]int, n),
 		size:     1,
 	}
+	t.parent[root] = -1
+	return t
 }
 
 // Root returns the tree's root node ID.
@@ -82,12 +99,15 @@ func (t *Tree) AddChild(p, c int) {
 	t.parent[c] = p
 	t.size++
 	t.nodes.Store(nil)
+	t.flat.Store(nil)
 }
 
 // Nodes returns all node IDs in the tree in ascending order. The slice is
 // the caller's: it is a copy of a list sorted once per tree shape, not
 // once per call.
-func (t *Tree) Nodes() []int {
+func (t *Tree) Nodes() []int { return slices.Clone(t.sorted()) }
+
+func (t *Tree) sorted() []int {
 	p := t.nodes.Load()
 	if p == nil {
 		sorted := make([]int, 0, t.size)
@@ -98,7 +118,28 @@ func (t *Tree) Nodes() []int {
 		p = &sorted
 		t.nodes.Store(p)
 	}
-	return slices.Clone(*p)
+	return *p
+}
+
+// Flat returns the tree's flat view, built once per tree shape.
+func (t *Tree) Flat() *Flat {
+	if f := t.flat.Load(); f != nil {
+		return f
+	}
+	nodes := t.sorted()
+	f := &Flat{
+		Nodes:  nodes,
+		Parent: make([]int, len(nodes)),
+		Kids:   make([]int, 0, len(nodes)-1),
+		KidsAt: make([]int, len(nodes)+1),
+	}
+	for i, v := range nodes {
+		f.Parent[i] = t.parent[v]
+		f.Kids = append(f.Kids, t.children[v]...)
+		f.KidsAt[i+1] = len(f.Kids)
+	}
+	t.flat.Store(f)
+	return f
 }
 
 // RootDegree returns the number of children of the root — the pipeline
@@ -240,7 +281,7 @@ func KBinomial(chain []int, k int) *Tree {
 	if k < 1 {
 		panic(fmt.Sprintf("tree: invalid fanout bound k=%d", k))
 	}
-	t := New(chain[0])
+	t := sized(chain[0], len(chain))
 	buildSegment(t, chain, k)
 	return t
 }

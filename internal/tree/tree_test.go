@@ -459,3 +459,32 @@ func TestNodesMemoIsInvisible(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestFlatMatchesTree holds the flat view to Nodes, Parent and Children,
+// and pins its memo the way TestNodesMemoIsInvisible pins Nodes': a node
+// added after a Flat call shows up in the next one.
+func TestFlatMatchesTree(t *testing.T) {
+	check := func(tr *Tree) {
+		t.Helper()
+		f := tr.Flat()
+		if !reflect.DeepEqual(f.Nodes, tr.Nodes()) || len(f.KidsAt) != len(f.Nodes)+1 {
+			t.Fatalf("Flat nodes %v (%d offsets), Nodes %v", f.Nodes, len(f.KidsAt), tr.Nodes())
+		}
+		for i, v := range f.Nodes {
+			if p, ok := tr.Parent(v); f.Parent[i] != p || ok != (f.Parent[i] >= 0) {
+				t.Fatalf("Flat parent of %d = %d, Parent = %d, %v", v, f.Parent[i], p, ok)
+			}
+			if kids := f.Kids[f.KidsAt[i]:f.KidsAt[i+1]]; !reflect.DeepEqual(kids, tr.Children(v)) && len(kids)+len(tr.Children(v)) > 0 {
+				t.Fatalf("Flat children of %d = %v, Children = %v", v, kids, tr.Children(v))
+			}
+		}
+	}
+	chain := []int{7, 3, 11, 0, 5, 9, 2, 8, 4, 6}
+	check(KBinomial(chain, 2))
+	tr := New(5)
+	tr.AddChild(5, 9)
+	check(tr)
+	tr.AddChild(9, 2)
+	tr.AddChild(5, 1)
+	check(tr)
+}
