@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check surface staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak virtual-soak fuzz bench bench-build examples ci figures clean live-race lines
+.PHONY: all build test race vet fmt check surface staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak virtual-soak flake-hunt fuzz bench bench-build examples ci figures clean live-race lines
 
 all: check
 
@@ -27,11 +27,12 @@ live-race:
 	$(GO) test -race -count=1 ./internal/live/... ./internal/mcastd ./internal/reliable ./internal/sched ./internal/check
 
 # Surface guard: type-checks both modules and fails naming any exported
-# identifier under internal/ that no non-test code references and that is
-# not on surface_test.go's allowlist. Explicit and uncached so `make ci`
-# cannot skip it.
+# identifier under internal/ that no non-test code references, and any
+# option field (of a *Config or *Params struct, link.Faults, sim.FaultPlan)
+# that no non-test code sets outside its defaults, unless surface_test.go
+# allowlists it. Explicit and uncached so `make ci` cannot skip it.
 surface:
-	$(GO) test -count=1 -run TestExportedSurfaceIsReached .
+	$(GO) test -count=1 -run 'TestExportedSurfaceIsReached|TestEveryOptionHasACaller' .
 
 vet:
 	$(GO) vet ./...
@@ -153,6 +154,17 @@ virtual-soak:
 	else \
 		echo "no testing/synctest under GOEXPERIMENT=synctest in $$($(GO) version); skipping (needs Go 1.24)"; \
 	fi
+
+# Flake hunt: the wall-clock packages' tests 20 times at GOMAXPROCS 1 and 2
+# while a loop of flit-simulator and experiment tests keeps both CPUs busy —
+# the loaded box on which timer-luck tests fail. Not part of tier-1 or of
+# `make ci`: it takes tens of minutes. A failure here is a test waiting on
+# time instead of on a condition; fix it by waiting on the condition.
+flake-hunt:
+	@flag=$$(mktemp); \
+	( while [ -f $$flag ]; do $(GO) test -count=1 ./internal/flitsim ./internal/experiments >/dev/null 2>&1; done ) & \
+	$(GO) test -count=20 -cpu 1,2 -timeout 90m ./internal/live/... ./internal/mcastd ./internal/sched ./internal/check; \
+	status=$$?; rm -f $$flag; wait; exit $$status
 
 # Fuzz: tier-1 only replays the checked-in seeds of the seven fuzz targets —
 # every decoder that reads bytes off a wire (message header, packet,

@@ -549,7 +549,7 @@ func (j *job) runSched() error {
 // and reports the measured wall clock next to the simulator's prediction.
 func (j *job) runLive() error {
 	res, err := live.Run([]live.Session{{Tree: j.plan.Tree, Packets: j.pkts, MsgID: 1}}, live.Config{
-		BufferPackets: j.params.NIBufferPackets, Record: j.traceJSON != "", Timeout: j.liveTimeout, Network: j.network})
+		Record: j.traceJSON != "", Timeout: j.liveTimeout, Network: j.network})
 	if err != nil {
 		return fmt.Errorf("live run: %w", err)
 	}

@@ -87,7 +87,6 @@ func (in Instance) liveReliableConfig() live.ReliableConfig {
 		Every:        3 * time.Millisecond,
 		SuspectAfter: 40 * time.Millisecond,
 		ConfirmAfter: 30 * time.Millisecond,
-		JitterFrac:   0.25,
 	}
 	return cfg
 }

@@ -249,11 +249,10 @@ type BcastLiveResult struct {
 
 // BcastLive broadcasts data from the root rank by actually executing the
 // planned FPFS multicast on the live runtime: one goroutine per
-// participating NI, channel links along the tree edges, and — when
-// p.NIBufferPackets > 0 — blocking admission against that buffer bound.
-// The returned payloads are what each destination's NI reassembled, not
-// an echo of the input. Groups are safe for concurrent BcastLive calls;
-// each call runs on its own fabric.
+// participating NI and channel links along the tree edges. The returned
+// payloads are what each destination's NI reassembled, not an echo of
+// the input. Groups are safe for concurrent BcastLive calls; each call
+// runs on its own fabric.
 func (g *Group) BcastLive(root int, data []byte, p sim.Params) (*BcastLiveResult, error) {
 	return g.bcastLive(root, data, p, false)
 }
@@ -274,7 +273,7 @@ func (g *Group) bcastLive(root int, data []byte, p sim.Params, udp bool) (*Bcast
 		return nil, err
 	}
 	plan := g.sys.Plan(b.spec)
-	cfg, what := live.Config{BufferPackets: p.NIBufferPackets}, "live broadcast"
+	cfg, what := live.Config{}, "live broadcast"
 	if udp {
 		nw, err := link.NewLoopbackUDP(plan.Tree.Nodes(), link.UDPConfig{Session: uint64(b.id)})
 		if err != nil {

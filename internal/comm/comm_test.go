@@ -167,30 +167,26 @@ func TestBcastLiveDeliversExactly(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	for _, buf := range []int{0, 1} {
-		p := sim.DefaultParams()
-		p.NIBufferPackets = buf
-		res, err := g.BcastLive(1, payload, p)
-		if err != nil {
-			t.Fatalf("BcastLive (buffer %d): %v", buf, err)
+	res, err := g.BcastLive(1, payload, sim.DefaultParams())
+	if err != nil {
+		t.Fatalf("BcastLive: %v", err)
+	}
+	for r := range res.Data {
+		if !bytes.Equal(res.Data[r], payload) {
+			t.Errorf("rank %d got %d bytes, want %d", r, len(res.Data[r]), len(payload))
 		}
-		for r := range res.Data {
-			if !bytes.Equal(res.Data[r], payload) {
-				t.Errorf("buffer %d: rank %d got %d bytes, want %d", buf, r, len(res.Data[r]), len(payload))
-			}
-		}
-		if res.WallLatency <= 0 {
-			t.Errorf("buffer %d: non-positive wall latency %v", buf, res.WallLatency)
-		}
-		if res.PredictedLatency <= 0 {
-			t.Errorf("buffer %d: non-positive predicted latency", buf)
-		}
-		if want := (g.Size() - 1) * res.Packets; res.Sends != want {
-			t.Errorf("buffer %d: %d sends, want %d", buf, res.Sends, want)
-		}
-		if res.Live == nil || len(res.Live.Hosts) != g.Size() {
-			t.Errorf("buffer %d: live detail missing", buf)
-		}
+	}
+	if res.WallLatency <= 0 {
+		t.Errorf("non-positive wall latency %v", res.WallLatency)
+	}
+	if res.PredictedLatency <= 0 {
+		t.Error("non-positive predicted latency")
+	}
+	if want := (g.Size() - 1) * res.Packets; res.Sends != want {
+		t.Errorf("%d sends, want %d", res.Sends, want)
+	}
+	if res.Live == nil || len(res.Live.Hosts) != g.Size() {
+		t.Error("live detail missing")
 	}
 }
 
@@ -404,7 +400,6 @@ func TestBcastLiveReliableCrash(t *testing.T) {
 		Every:        3 * time.Millisecond,
 		SuspectAfter: 10 * time.Millisecond,
 		ConfirmAfter: 8 * time.Millisecond,
-		JitterFrac:   0.25,
 	}
 	res, err := g.BcastLiveReliable(0, data, sim.DefaultParams(), cfg)
 	if err != nil {

@@ -134,7 +134,7 @@ type Inbox struct {
 // channel (it must be able to hold every reserved frame, so callers pass
 // the buffer bound when one is set, or the total expected inbound frame
 // count when unbounded). slots > 0 bounds the NI packet buffer; slots = 0
-// means unbounded (no gate), mirroring sim.Params.NIBufferPackets.
+// means unbounded (no gate).
 func NewInbox(host, capacity, slots int) *Inbox {
 	if capacity < 1 {
 		capacity = 1

@@ -1,13 +1,12 @@
 // Package live executes multicasts for real: each participating host's
 // network interface is a goroutine running the paper's FPFS discipline —
 // forward every packet to every child the moment it arrives — over
-// channel-based links, with a bounded per-NI packet buffer enforcing
-// sender-side backpressure (admission reservation, mirroring
-// sim.Params.NIBufferPackets). Packets are the wire format of
-// internal/message; trees are the Fig.-11 k-binomial plans of
-// internal/core; destinations reassemble, verify, and acknowledge, and
-// the runtime reports per-host delivery order, send/receive counts, and
-// wall-clock latency.
+// channel-based links, with an optional bound on each NI's packet buffer
+// enforcing sender-side backpressure (admission reservation). Packets are
+// the wire format of internal/message; trees are the Fig.-11 k-binomial
+// plans of internal/core; destinations reassemble, verify, and
+// acknowledge, and the runtime reports per-host delivery order,
+// send/receive counts, and wall-clock latency.
 //
 // Where the simulators (sim, stepsim, flitsim) price a multicast on a
 // virtual clock, this package is a second execution backend on the real
@@ -50,7 +49,8 @@ import (
 type Config struct {
 	// BufferPackets bounds the packets an NI may hold (in its inbox and in
 	// service) across all sessions; senders block while a target NI is
-	// full. Zero means unbounded, mirroring sim.Params.NIBufferPackets.
+	// full. Zero means unbounded. This is the repo's one NI buffer bound:
+	// the simulators measure buffer residency but bound nothing.
 	BufferPackets int
 	// LinkLatency is the one-way delivery delay shaped onto every link
 	// (0 = unshaped; the differential bridge runs unshaped).

@@ -78,7 +78,6 @@ func DefaultReliableConfig() ReliableConfig {
 			Every:        5 * time.Millisecond,
 			SuspectAfter: 16 * time.Millisecond,
 			ConfirmAfter: 12 * time.Millisecond,
-			JitterFrac:   0.25,
 		},
 	}
 }

@@ -25,7 +25,6 @@ func fastReliable() ReliableConfig {
 		Every:        3 * time.Millisecond,
 		SuspectAfter: 40 * time.Millisecond,
 		ConfirmAfter: 30 * time.Millisecond,
-		JitterFrac:   0.25,
 	}
 	return cfg
 }

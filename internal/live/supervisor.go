@@ -20,8 +20,11 @@ type HeartbeatParams struct {
 	Every        time.Duration // heartbeat period per host
 	SuspectAfter time.Duration // silence before suspicion
 	ConfirmAfter time.Duration // further silence before crash confirmation
-	JitterFrac   float64       // per-member timeout widening
 }
+
+// detectorJitter widens each member's timeouts by a uniform seeded draw in
+// [0, 0.25), so simultaneous failures are not all confirmed at one instant.
+const detectorJitter = 0.25
 
 // NewDetector builds the detector over the given hosts, all alive at
 // offset zero, with per-member timeout jitter drawn from a stream
@@ -31,7 +34,7 @@ func (hb HeartbeatParams) NewDetector(faultSeed uint64, hosts []int) (*membershi
 		HeartbeatEvery: us(hb.Every),
 		SuspectAfter:   us(hb.SuspectAfter),
 		ConfirmAfter:   us(hb.ConfirmAfter),
-		JitterFrac:     hb.JitterFrac,
+		JitterFrac:     detectorJitter,
 		Seed:           faultSeed ^ 0xD1B5_4A32_D192_ED03,
 	}, hosts, 0)
 }

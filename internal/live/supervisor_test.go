@@ -217,7 +217,7 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 // stallClock.
 func stallScript(t *testing.T, catchUp bool) map[int]bool {
 	t.Helper()
-	hb := HeartbeatParams{Every: 3 * time.Millisecond, SuspectAfter: 10 * time.Millisecond, ConfirmAfter: 8 * time.Millisecond, JitterFrac: 0.25}
+	hb := HeartbeatParams{Every: 3 * time.Millisecond, SuspectAfter: 10 * time.Millisecond, ConfirmAfter: 8 * time.Millisecond}
 	hosts := []int{0, 1, 2, 3, 4, 5}
 	det, err := hb.NewDetector(11, hosts)
 	if err != nil {

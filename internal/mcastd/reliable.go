@@ -30,45 +30,42 @@ type ReliableConfig struct {
 	// RetryBudget is the maximum retransmissions per (edge incarnation,
 	// packet) before the edge is declared dead and repaired around.
 	RetryBudget int
-	// MaxRegrafts bounds adoptions per destination before abandonment.
-	MaxRegrafts int
 	// Quorum is the minimum completing destinations for a crash-
 	// shortened run to count as DeliveredPartial (<= 0: all required).
 	Quorum int
-	// Heartbeat parameterizes process-level failure detection: every
-	// non-root process beats once per Every for each of its hosts; the
-	// root confirms a host dead after SuspectAfter+ConfirmAfter of
-	// silence.
-	Heartbeat live.HeartbeatParams
 	// Faults is a seeded chaos plane wrapped around every dialed data
 	// transport (zero = the raw socket). AckDropRate loses every ACK, local
 	// or remote, with that probability; other ctl frames are not wrapped.
 	Faults link.Faults
-	// Refresh is the cadence of idempotent ctl re-sends: the root
-	// re-issues pending GRAFTs and the current EPOCH, processes re-send
-	// unacknowledged EXHAUSTED reports, and the root sweeps for
-	// stranded hosts.
-	Refresh time.Duration
 }
 
 // DefaultReliableConfig returns wall-clock defaults for cross-process
-// timers: RTOs comfortably above socket+scheduler noise, a detector
-// that survives multi-millisecond scheduling gaps between processes.
+// timers: RTOs comfortably above socket+scheduler noise.
 func DefaultReliableConfig() ReliableConfig {
 	return ReliableConfig{
 		RTO:         15 * time.Millisecond,
 		RTOMax:      250 * time.Millisecond,
 		RetryBudget: 10,
-		MaxRegrafts: 4,
-		Heartbeat: live.HeartbeatParams{
-			Every:        25 * time.Millisecond,
-			SuspectAfter: 150 * time.Millisecond,
-			ConfirmAfter: 150 * time.Millisecond,
-			JitterFrac:   0.25,
-		},
-		Refresh: 100 * time.Millisecond,
 	}
 }
+
+// The daemon's fixed repair and membership cadence.
+const (
+	// maxRegrafts bounds adoptions per destination before abandonment.
+	maxRegrafts = 4
+	// Process-level failure detection: every non-root process beats once
+	// per heartbeatEvery for each of its hosts; the root confirms a host
+	// dead after suspectAfter+confirmAfter of silence, long enough to
+	// survive multi-millisecond scheduling gaps between processes.
+	heartbeatEvery = 25 * time.Millisecond
+	suspectAfter   = 150 * time.Millisecond
+	confirmAfter   = 150 * time.Millisecond
+	// refresh is the cadence of idempotent ctl re-sends: the root
+	// re-issues pending GRAFTs and the current EPOCH, processes re-send
+	// unacknowledged EXHAUSTED reports, and the root sweeps for stranded
+	// hosts. A lost datagram delays repair by one refresh.
+	refresh = 100 * time.Millisecond
+)
 
 func (rcfg *ReliableConfig) fill() {
 	def := DefaultReliableConfig()
@@ -81,15 +78,6 @@ func (rcfg *ReliableConfig) fill() {
 	if rcfg.RetryBudget <= 0 {
 		rcfg.RetryBudget = def.RetryBudget
 	}
-	if rcfg.MaxRegrafts <= 0 {
-		rcfg.MaxRegrafts = def.MaxRegrafts
-	}
-	if rcfg.Heartbeat.Every <= 0 {
-		rcfg.Heartbeat = def.Heartbeat
-	}
-	if rcfg.Refresh <= 0 {
-		rcfg.Refresh = def.Refresh
-	}
 }
 
 func (rcfg ReliableConfig) validate() error {
@@ -98,10 +86,6 @@ func (rcfg ReliableConfig) validate() error {
 	}
 	if rcfg.RTOMax < rcfg.RTO {
 		return fmt.Errorf("mcastd: RTO cap %v below base %v", rcfg.RTOMax, rcfg.RTO)
-	}
-	hb := rcfg.Heartbeat
-	if hb.SuspectAfter <= hb.Every || hb.ConfirmAfter <= 0 {
-		return fmt.Errorf("mcastd: invalid heartbeat params %+v", hb)
 	}
 	if len(rcfg.Faults.Kills) > 0 || len(rcfg.Faults.Stalls) > 0 {
 		return fmt.Errorf("mcastd: scheduled link kills/stalls are not supported on the daemon chaos plane")
@@ -196,7 +180,9 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	for _, v := range cfg.Local {
 		if v != rt.root {
 			rt.doneAckC[v] = make(chan struct{})
-		} else if det, err = rcfg.Heartbeat.NewDetector(rcfg.Faults.Seed, rt.nodes); err != nil {
+		} else if det, err = (live.HeartbeatParams{
+			Every: heartbeatEvery, SuspectAfter: suspectAfter, ConfirmAfter: confirmAfter,
+		}).NewDetector(rcfg.Faults.Seed, rt.nodes); err != nil {
 			return nil, err
 		}
 	}
@@ -243,9 +229,9 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	if det != nil {
 		rt.sup = live.NewSupervisor(rt.share, live.SupervisorConfig{
 			Det:         det,
-			MaxRegrafts: rcfg.MaxRegrafts,
+			MaxRegrafts: maxRegrafts,
 			Witness:     cfg.Local,
-			Refresh:     rcfg.Refresh,
+			Refresh:     refresh,
 			Timeout:     cfg.Timeout,
 			Logf:        rt.cfg.logf,
 		})
@@ -361,10 +347,10 @@ func (rt *drt) hearRoot(f ctlFrame) {
 func (rt *drt) destLoop() error {
 	watchdog := time.NewTimer(rt.cfg.Timeout)
 	defer watchdog.Stop()
-	hb := time.NewTicker(rt.rcfg.Heartbeat.Every)
+	hb := time.NewTicker(heartbeatEvery)
 	defer hb.Stop()
-	refresh := time.NewTicker(rt.rcfg.Refresh)
-	defer refresh.Stop()
+	refreshes := time.NewTicker(refresh)
+	defer refreshes.Stop()
 	for {
 		select {
 		case e := <-rt.evs:
@@ -409,7 +395,7 @@ func (rt *drt) destLoop() error {
 			for _, v := range rt.cfg.Local {
 				rt.cfg.sendCtl(v, rt.root, ctlFrame{kind: ctlBeat, a: v})
 			}
-		case <-refresh.C:
+		case <-refreshes.C:
 			for key, gen := range rt.pendExh {
 				rt.cfg.sendCtl(key[0], rt.root, ctlFrame{kind: ctlExhausted, a: key[0], b: key[1], c: gen})
 			}

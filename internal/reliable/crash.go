@@ -12,7 +12,11 @@ import (
 // mc.det stays nil, the epoch stays 0, and the data plane replays its
 // crash-free behavior event-for-event.
 
-// scheduleBeats drives host v's heartbeat loop: every HeartbeatEvery it
+// heartbeatEvery is the membership plane's beat period (us), the
+// detector's own: membership.DefaultConfig().HeartbeatEvery.
+var heartbeatEvery = membership.DefaultConfig().HeartbeatEvery
+
+// scheduleBeats drives host v's heartbeat loop: every heartbeatEvery it
 // emits one control-plane heartbeat toward the root (unless the host is
 // down), which reaches the detector after the contention-free control
 // latency. Heartbeats are not subject to ACK-loss sampling: perturbing the
@@ -20,7 +24,7 @@ import (
 // counterparts beyond the crash itself, and a lossy detector would add
 // false positives the paper's model has no use for.
 func (mc *machine) scheduleBeats(v int) {
-	mc.eng.At(mc.eng.Now()+mc.cfg.Heartbeat.HeartbeatEvery, func() {
+	mc.eng.At(mc.eng.Now()+heartbeatEvery, func() {
 		if mc.finished {
 			return
 		}
@@ -41,7 +45,7 @@ func (mc *machine) scheduleBeats(v int) {
 // suspicion and confirmation deadlines fire even when every remote host
 // has gone silent. The root observes itself trivially.
 func (mc *machine) tickLoop() {
-	mc.eng.At(mc.eng.Now()+mc.cfg.Heartbeat.HeartbeatEvery, func() {
+	mc.eng.At(mc.eng.Now()+heartbeatEvery, func() {
 		if mc.finished {
 			return
 		}
@@ -95,9 +99,9 @@ func (mc *machine) adopted() {
 }
 
 // onCrash applies a host-crash fault: the host's entire NI state — send
-// queue, in-flight copies, forwarding buffer, reassembly progress — is
-// dropped. A root crash fails the whole multicast. The detector is NOT
-// told: the group must discover the crash through silence.
+// queue, in-flight copies, reassembly progress — is dropped. A root crash
+// fails the whole multicast. The detector is NOT told: the group must
+// discover the crash through silence.
 func (mc *machine) onCrash(h int) {
 	mc.faults.Stats.Crashes++
 	n := mc.nodes[h]
@@ -131,26 +135,12 @@ func (mc *machine) forget(n *node) {
 	delete(mc.res.HostDone, n.id)
 }
 
-// wipe drops n's send engine — queue, in-flight copies (their completions
-// become no-ops), buffer occupancy — and unparks every send attempt
-// waiting on its forwarding buffer; the senders re-attempt immediately
-// and either inject (the wipe makes the buffer bound moot) or skip the op
-// if its edge died.
+// wipe drops n's send engine: its queue and its in-flight copies, whose
+// completions become no-ops.
 func (mc *machine) wipe(n *node) {
 	n.inc++
 	n.inFlight = 0
 	n.queue = nil
-	n.buffered = 0
-	n.inbound = 0
-	n.copiesLeft = nil
-	ws := n.waiters
-	n.waiters = nil
-	for _, w := range ws {
-		mc.res.BackpressureWait += mc.eng.Now() - w.since
-		s := mc.nodes[w.o.from]
-		s.queue = append([]op{w.o}, s.queue...)
-		mc.pump(w.o.from)
-	}
 }
 
 // onRecover applies a host-recovery fault. If the group already confirmed

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/netiface"
 	"repro/internal/sim"
 )
 
@@ -276,48 +275,5 @@ func TestNoCrashNoMembership(t *testing.T) {
 	if res.Epoch != 0 || res.Views != nil || res.Accepts != nil || res.Status != Delivered {
 		t.Errorf("membership artifacts on a crash-free run: epoch=%d views=%d accepts=%d status=%v",
 			res.Epoch, len(res.Views), len(res.Accepts), res.Status)
-	}
-}
-
-// TestBoundedBuffersBackpressure: a stall window freezes the first hop's
-// send engine so its 1-slot forwarding buffer fills; the upstream sender
-// must park (backpressure) instead of overrunning the bound, and delivery
-// stays byte-exact once the stall lifts.
-func TestBoundedBuffersBackpressure(t *testing.T) {
-	sys := irregular64(6)
-	cfg := DefaultConfig()
-	cfg.Params.NIBufferPackets = 1
-	spec := core.Spec{Source: 0, Dests: seqDests(1, 15), Packets: 8, Policy: core.LinearTree}
-	plan := sys.Plan(spec)
-	hop := plan.Tree.Children(plan.Tree.Root())[0]
-	payload := payloadFor(8, cfg.Params, 31)
-	fp := sim.FaultPlan{Stalls: []sim.HostStall{
-		{Host: hop, Stall: netiface.Stall{From: 14, Until: 60}},
-	}}
-	res, err := deliverGuarded(t, sys, plan, payload, cfg, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PeakBuffered > 1 {
-		t.Errorf("peak buffer residency %d exceeds the 1-slot bound", res.PeakBuffered)
-	}
-	if res.BackpressureWait == 0 {
-		t.Error("a stalled 1-slot forwarder produced no backpressure")
-	}
-	checkPayloads(t, res, spec.Dests, payload)
-
-	// The same workload with unbounded buffers must be no slower: the bound
-	// can only delay injections, never accelerate them.
-	cfg.Params.NIBufferPackets = 0
-	free, err := Deliver(sys, plan, payload, cfg, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free.Latency > res.Latency {
-		t.Errorf("unbounded run slower (%f) than backpressured run (%f)", free.Latency, res.Latency)
-	}
-	if free.PeakBuffered != 0 || free.BackpressureWait != 0 {
-		t.Errorf("unbounded run tracked buffer state: peak=%d wait=%f",
-			free.PeakBuffered, free.BackpressureWait)
 	}
 }

@@ -13,20 +13,9 @@ import (
 
 // op is one pending data-packet injection across a tree edge. The gen
 // pins it to the edge incarnation that queued it: after a repair replaces
-// the edge, stale ops are skipped at the NI instead of injecting. fwd
-// marks the initial forward copies a packet owes on arrival — the copies
-// whose completion releases the receiving NI's forwarding-buffer slot
-// under a bounded-buffer configuration.
+// the edge, stale ops are skipped at the NI instead of injecting.
 type op struct {
 	from, to, seq, gen int
-	fwd                bool
-}
-
-// waiter is one send attempt parked because the receiving NI's forwarding
-// buffer was full; it resumes (FIFO) when a slot frees.
-type waiter struct {
-	o     op
-	since float64
 }
 
 // pktState tracks one (edge, packet) in flight. timerGen invalidates
@@ -63,17 +52,6 @@ type node struct {
 	// of copies that were mid-wire become no-ops instead of touching the
 	// wiped send engine.
 	inc int
-	// Bounded-buffer bookkeeping (Params.NIBufferPackets > 0): buffered is
-	// the packets resident in the forwarding buffer, inbound the data
-	// packets in flight toward it with a reserved slot (reservation happens
-	// at injection admission, so the bound is never overrun by packets
-	// already on the wire), copiesLeft[seq] the forward copies packet seq
-	// still owes before its slot frees, and waiters the send attempts
-	// parked here because buffer plus reservations were full.
-	buffered   int
-	inbound    int
-	copiesLeft []int
-	waiters    []waiter
 }
 
 // maxRegrafts bounds how often one node may be re-parented before the
@@ -118,8 +96,6 @@ type machine struct {
 	epoch       int
 	finished    bool
 	rootCrashed bool
-	// slots is the per-NI forwarding-buffer bound; 0 = unbounded.
-	slots int
 
 	res *Result
 }
@@ -130,7 +106,7 @@ func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, fa
 		cfg:       cfg,
 		p:         cfg.Params,
 		wire:      cfg.Params.WireTime(),
-		ackWire:   float64(cfg.AckBytes) / cfg.Params.LinkBytesUS,
+		ackWire:   ackBytes / cfg.Params.LinkBytesUS,
 		m:         len(pkts),
 		root:      plan.Tree.Root(),
 		pkts:      pkts,
@@ -143,7 +119,6 @@ func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, fa
 		routes:    map[[2]int]routing.Route{},
 		nodes:     map[int]*node{},
 		edges:     map[[2]int]*edgeState{},
-		slots:     cfg.Params.BufferSlots(),
 		res: &Result{
 			HostDone:  map[int]float64{},
 			Packets:   len(pkts),
@@ -166,10 +141,10 @@ func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, fa
 	}
 	mc.brain = NewBrain(plan.Tree, maxRegrafts, mc)
 	if len(faults.Crashes()) > 0 {
-		det, err := membership.New(cfg.Heartbeat, plan.Tree.Nodes(), 0)
+		det, err := membership.New(membership.DefaultConfig(), plan.Tree.Nodes(), 0)
 		if err != nil {
-			// Deliver validated the config and the plan's members are the
-			// distinct tree nodes; this cannot fail on that path.
+			// The default config is valid and the plan's members are the
+			// distinct tree nodes; this cannot fail.
 			panic(err)
 		}
 		mc.det = det
@@ -230,8 +205,7 @@ func (mc *machine) run() {
 
 // pump starts queued injections while the NI has a free engine, skipping
 // ops whose edge incarnation died or whose packet was ACKed meanwhile. A
-// crashed sender keeps its queue dormant; a full receiver parks the
-// attempt there until a buffer slot frees.
+// crashed sender keeps its queue dormant.
 func (mc *machine) pump(v int) {
 	n := mc.nodes[v]
 	if mc.faults.HostDown(v, mc.eng.Now()) {
@@ -242,56 +216,9 @@ func (mc *machine) pump(v int) {
 		n.queue = n.queue[1:]
 		es := mc.edges[[2]int{o.from, o.to}]
 		if es == nil || es.dead || es.gen != o.gen || es.seqs[o.seq].acked {
-			mc.noteCopyDone(n, o)
-			continue
-		}
-		if to := mc.bounded(o.to); to != nil && to.buffered+to.inbound >= mc.slots {
-			to.waiters = append(to.waiters, waiter{o: o, since: mc.eng.Now()})
 			continue
 		}
 		mc.inject(n, es, o)
-	}
-}
-
-// bounded returns o's target node when the buffer bound applies to it: a
-// live forwarder (leaves consume packets instantly and never buffer).
-func (mc *machine) bounded(to int) *node {
-	if mc.slots == 0 {
-		return nil
-	}
-	n := mc.nodes[to]
-	if n == nil || len(n.children) == 0 || mc.faults.HostDown(to, mc.eng.Now()) {
-		return nil
-	}
-	return n
-}
-
-// noteCopyDone retires one forward obligation of a buffered packet: when
-// the last owed copy leaves the queue (injected or skipped), the packet's
-// forwarding-buffer slot frees and parked senders resume.
-func (mc *machine) noteCopyDone(n *node, o op) {
-	if mc.slots == 0 || !o.fwd || n.copiesLeft == nil {
-		return
-	}
-	n.copiesLeft[o.seq]--
-	if n.copiesLeft[o.seq] > 0 {
-		return
-	}
-	n.buffered--
-	mc.unpark(n)
-}
-
-// unpark resumes parked send attempts (FIFO) while n has admission
-// capacity; each resumes at the front of its sender's queue and re-runs
-// the normal pump admission.
-func (mc *machine) unpark(n *node) {
-	for len(n.waiters) > 0 && n.buffered+n.inbound < mc.slots {
-		w := n.waiters[0]
-		n.waiters = n.waiters[1:]
-		mc.res.BackpressureWait += mc.eng.Now() - w.since
-		s := mc.nodes[w.o.from]
-		s.queue = append([]op{w.o}, s.queue...)
-		mc.pump(w.o.from)
 	}
 }
 
@@ -300,9 +227,8 @@ func (mc *machine) unpark(n *node) {
 // the lossless engine, so fault streams replay identically), delivery
 // scheduling, and the retransmission timer. The timer is deterministic:
 // the NI knows its reservation, so absent loss the ACK beats it by
-// exactly RTOSlack.
+// exactly rtoSlack.
 func (mc *machine) inject(n *node, es *edgeState, o op) {
-	mc.noteCopyDone(n, o) // the copy is handed to the DMA; its buffer slot frees
 	n.inFlight++
 	route := mc.routeFor(o.from, o.to)
 	now := mc.eng.Now()
@@ -325,46 +251,20 @@ func (mc *machine) inject(n *node, es *edgeState, o op) {
 	})
 	ep := mc.epoch
 	arriveT := arrive + mc.p.TNIRecv
-	to := mc.bounded(o.to)
-	toInc := 0
-	if to != nil {
-		// The admission reservation converts to buffer residency (or dies
-		// with a dropped packet) when the copy reaches the far NI.
-		to.inbound++
-		toInc = to.inc
-	}
-	delivered := false
-	var raw []byte
 	if !mc.faults.RouteDead(route.Channels, start) && !mc.faults.SampleDrop() {
 		if mc.faults.HostDown(o.to, arriveT) {
 			mc.faults.NoteCrashDrop()
 		} else {
-			delivered = true
-			raw = mc.pkts[o.seq]
+			raw := mc.pkts[o.seq]
 			if mc.faults.SampleCorrupt() {
 				raw = append([]byte(nil), raw...)
 				raw[mc.faults.CorruptByte(len(raw))] ^= 0x55
 			}
+			mc.eng.At(arriveT, func() { mc.receive(o, raw, ep) })
 		}
 	}
-	if to != nil || delivered {
-		mc.eng.At(arriveT, func() {
-			// Release the reservation and absorb the packet in one event, so
-			// admission never sees the slot momentarily unaccounted.
-			release := to != nil && to.inc == toInc
-			if release {
-				to.inbound--
-			}
-			if delivered {
-				mc.receive(o, raw, ep)
-			}
-			if release {
-				mc.unpark(to)
-			}
-		})
-	}
 	deadline := arriveT + mc.ctlDelay(o.to, o.from) +
-		mc.cfg.RTOSlack + mc.backoff(ps.attempt-1)
+		rtoSlack + mc.backoff(ps.attempt-1)
 	timerGen := ps.timerGen
 	mc.eng.At(deadline, func() { mc.timeout(es, o, timerGen) })
 }
@@ -376,11 +276,11 @@ func (mc *machine) backoff(prior int) float64 {
 	if prior <= 0 {
 		return 0
 	}
-	d := mc.cfg.BackoffBase * math.Pow(2, float64(prior-1))
-	if d > mc.cfg.BackoffMax {
-		d = mc.cfg.BackoffMax
+	d := backoffBase * math.Pow(2, float64(prior-1))
+	if d > backoffMax {
+		d = backoffMax
 	}
-	return d * (1 + mc.faults.Jitter(mc.cfg.JitterFrac))
+	return d * (1 + mc.faults.Jitter(jitterFrac))
 }
 
 // ctlDelay is the contention-free control-plane latency from u to v: the
@@ -431,21 +331,9 @@ func (mc *machine) receive(o op, raw []byte, ep int) {
 	}
 	mc.sendAck(o)
 	if len(n.children) > 0 {
-		owed := 0
 		for _, c := range n.children {
 			if es := mc.edges[[2]int{n.id, c}]; es != nil && !es.dead {
-				n.queue = append(n.queue, op{from: n.id, to: c, seq: o.seq, gen: es.gen, fwd: true})
-				owed++
-			}
-		}
-		if mc.slots > 0 && owed > 0 {
-			if n.copiesLeft == nil {
-				n.copiesLeft = make([]int, mc.m)
-			}
-			n.copiesLeft[o.seq] = owed
-			n.buffered++
-			if n.buffered > mc.res.PeakBuffered {
-				mc.res.PeakBuffered = n.buffered
+				n.queue = append(n.queue, op{from: n.id, to: c, seq: o.seq, gen: es.gen})
 			}
 		}
 		mc.pump(n.id)

@@ -43,7 +43,7 @@
 // brain cuts the dead host out of the tree and has its orphaned subtree
 // adopted by the nearest live ancestor through the same Fig.-11
 // contention-free k-binomial construction used at planning time, and the
-// host's NI state (queues, timers, buffer reservations) is dropped. A
+// host's NI state (queues, in-flight copies) is dropped. A
 // crashed host that
 // recovers rejoins with empty buffers in a fresh epoch and has the whole
 // message replayed to it.
@@ -73,19 +73,6 @@ type Config struct {
 	// RetryBudget is the maximum retransmissions per (tree edge, packet)
 	// before the edge is declared dead and its subtree orphaned.
 	RetryBudget int
-	// RTOSlack is the grace (us) added beyond the deterministic
-	// data+ACK round trip before a retransmission timer fires.
-	RTOSlack float64
-	// BackoffBase is the extra wait (us) before the first retransmission's
-	// timer; it doubles per attempt up to BackoffMax.
-	BackoffBase float64
-	// BackoffMax caps the exponential backoff (us).
-	BackoffMax float64
-	// JitterFrac widens each backoff by a uniform draw in [0, frac) from
-	// the fault plan's seeded RNG, de-synchronizing competing retries.
-	JitterFrac float64
-	// AckBytes is the control-packet size on the wire.
-	AckBytes int
 	// MsgID identifies the message in its packet headers.
 	MsgID uint32
 	// Quorum is the minimum number of destinations that must receive the
@@ -94,27 +81,34 @@ type Config struct {
 	// requires every destination, so any shortfall is a *CrashError. Only
 	// consulted when the fault plan schedules host crashes.
 	Quorum int
-	// Heartbeat parameterizes the membership failure detector. It is armed
-	// (and validated) only when the fault plan schedules host crashes; a
-	// crash-free plan never starts the membership plane, so its runs replay
-	// the pre-crash protocol event-for-event.
-	Heartbeat membership.Config
 }
 
+// The protocol's fixed parameters; times are in microseconds.
+const (
+	// rtoSlack is the grace added beyond the deterministic data+ACK round
+	// trip before a retransmission timer fires: it is why a lossless run's
+	// ACK always beats its timer, so a zero-fault plan never retransmits.
+	rtoSlack = 1.0
+	// backoffBase is the extra wait before the first retransmission's
+	// timer; it doubles per attempt up to backoffMax.
+	backoffBase = 2.0
+	backoffMax  = 64.0
+	// jitterFrac widens each backoff by a uniform draw in [0, frac) from
+	// the fault plan's seeded RNG, de-synchronizing competing retries.
+	jitterFrac = 0.25
+	// ackBytes is the control-packet size on the wire.
+	ackBytes = 8
+)
+
 // DefaultConfig returns the protocol defaults used by the chaos
-// experiment: 8 retransmissions per edge-packet, 1 us timer slack, 2 us
-// base backoff capped at 64 us with 25% jitter, 8-byte control packets.
+// experiment: 8 retransmissions per edge-packet and message ID 1. The
+// membership plane, armed only when the fault plan schedules crashes,
+// runs membership.DefaultConfig.
 func DefaultConfig() Config {
 	return Config{
 		Params:      sim.DefaultParams(),
 		RetryBudget: 8,
-		RTOSlack:    1.0,
-		BackoffBase: 2.0,
-		BackoffMax:  64.0,
-		JitterFrac:  0.25,
-		AckBytes:    8,
 		MsgID:       1,
-		Heartbeat:   membership.DefaultConfig(),
 	}
 }
 
@@ -126,14 +120,6 @@ func (c Config) Validate() error {
 	switch {
 	case c.RetryBudget < 1:
 		return fmt.Errorf("reliable: retry budget %d < 1", c.RetryBudget)
-	case c.RTOSlack <= 0:
-		return fmt.Errorf("reliable: non-positive RTO slack %f", c.RTOSlack)
-	case c.BackoffBase < 0 || c.BackoffMax < c.BackoffBase:
-		return fmt.Errorf("reliable: backoff range [%f, %f]", c.BackoffBase, c.BackoffMax)
-	case c.JitterFrac < 0:
-		return fmt.Errorf("reliable: negative jitter %f", c.JitterFrac)
-	case c.AckBytes < 1:
-		return fmt.Errorf("reliable: ack size %d", c.AckBytes)
 	case c.Quorum < 0:
 		return fmt.Errorf("reliable: negative quorum %d", c.Quorum)
 	}
@@ -226,11 +212,6 @@ type Result struct {
 	// Accepts is the epoch-stamp trace of novel packet acceptances, in
 	// event order, recorded only while the membership plane is armed.
 	Accepts []EpochStamp
-	// BackpressureWait aggregates the time send attempts spent parked at a
-	// full receiving NI (Params.NIBufferPackets > 0). PeakBuffered is the
-	// maximum forwarding-buffer residency any NI reached under that bound.
-	BackpressureWait float64
-	PeakBuffered     int
 }
 
 // ErrDelivery and ErrCrash are the sentinel identities of the two typed
@@ -307,11 +288,6 @@ func (e *CrashError) Error() string {
 func Deliver(sys *core.System, plan *core.Plan, payload []byte, cfg Config, fp sim.FaultPlan) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if len(fp.Crashes) > 0 {
-		if err := cfg.Heartbeat.Validate(); err != nil {
-			return nil, err
-		}
 	}
 	faults, err := fp.Arm()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -387,12 +388,39 @@ func TestCloseDrainsAndRejects(t *testing.T) {
 	s.Close() // idempotent
 }
 
+// ownedGoroutines counts the goroutines, other than the caller's, that run
+// code of repro/internal/live or repro/internal/sched, from one dump of
+// every stack. Unlike a runtime.NumGoroutine difference it does not count
+// the test framework's goroutines, such as the previous test's, which may
+// still be exiting when this one starts.
+func ownedGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	owned := 0
+	// The caller's goroutine is the dump's first.
+	for _, g := range strings.Split(string(buf), "\n\n")[1:] {
+		for _, frame := range strings.Split(g, "\n") {
+			if strings.HasPrefix(frame, "repro/internal/live") || strings.HasPrefix(frame, "repro/internal/sched") {
+				owned++
+				break
+			}
+		}
+	}
+	return owned
+}
+
 func TestGoroutinesIndependentOfSessions(t *testing.T) {
 	// 32 sessions in flight on 8 hosts over 20 ms links: the scheduler runs
 	// one NI per host, an admitter and a collector — each root's NI is its
 	// sessions' source, so no goroutine is spent on injection.
 	const hosts, sessions = 8, 32
-	base := runtime.NumGoroutine()
 	s, err := New(hostRange(hosts), Config{LinkLatency: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -415,7 +443,7 @@ func TestGoroutinesIndependentOfSessions(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	got := runtime.NumGoroutine() - base
+	got := ownedGoroutines()
 	if st := s.Stats(); st.Inflight != sessions {
 		t.Fatalf("sessions settled before the count (%+v): links too fast for the test", st)
 	}

@@ -62,14 +62,6 @@ type Params struct {
 	// t_ns is exactly what makes tree fanout expensive. Values > 1 model
 	// hypothetical multi-engine NIs (see the abl-ports experiment).
 	NIPorts int
-	// NIBufferPackets bounds the packets an intermediate NI may hold for
-	// forwarding. Zero means unbounded (the paper's Section 3.3 analysis
-	// measures how much memory that costs; see netiface). With a positive
-	// bound, a sender whose target NI is full stalls — backpressure —
-	// instead of the target queueing without limit. The protocol layer
-	// (package reliable) enforces the bound; the lossless engines keep
-	// reporting peak residency against it.
-	NIBufferPackets int
 }
 
 // Ports returns the effective concurrent-injection count (min 1).
@@ -78,19 +70,6 @@ func (p Params) Ports() int {
 		return 1
 	}
 	return p.NIPorts
-}
-
-// BufferSlots returns the forwarding-buffer bound per NI; 0 = unbounded.
-// A negative NIBufferPackets is a configuration error — Validate rejects
-// it — and BufferSlots panics rather than silently mapping it to
-// "unbounded", which is the opposite of what a caller that skipped
-// Validate asked for.
-func (p Params) BufferSlots() int {
-	if p.NIBufferPackets < 0 {
-		panic(fmt.Sprintf("sim: negative NIBufferPackets %d (0 means unbounded; Validate rejects negatives)",
-			p.NIBufferPackets))
-	}
-	return p.NIBufferPackets
 }
 
 // DefaultParams mirrors the paper's Section 5.2 defaults: t_s = t_r =
@@ -153,8 +132,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("sim: link bandwidth %f", p.LinkBytesUS)
 	case p.RouterDelay < 0:
 		return fmt.Errorf("sim: router delay %f", p.RouterDelay)
-	case p.NIBufferPackets < 0:
-		return fmt.Errorf("sim: NI buffer bound %d", p.NIBufferPackets)
 	}
 	return nil
 }

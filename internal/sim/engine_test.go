@@ -34,7 +34,6 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		{"nan-ni-recv", set(func(p *Params) { p.TNIRecv = nan }), "TNIRecv"},
 		{"inf-router", set(func(p *Params) { p.RouterDelay = inf }), "RouterDelay"},
 		{"nan-router", set(func(p *Params) { p.RouterDelay = nan }), "RouterDelay"},
-		{"neg-buffer", set(func(p *Params) { p.NIBufferPackets = -1 }), "buffer"},
 		{"neg-link", set(func(p *Params) { p.LinkBytesUS = -160 }), "bandwidth"},
 	}
 	for _, tc := range cases {
@@ -50,31 +49,6 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate() = %q, want mention of %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-// TestBufferSlotsNegativePanics: Validate rejects negative bounds, so a
-// caller that skipped Validate must not silently get "unbounded" — the
-// opposite of the configured backpressure.
-func TestBufferSlotsNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("BufferSlots on NIBufferPackets=-3 did not panic")
-		}
-	}()
-	p := DefaultParams()
-	p.NIBufferPackets = -3
-	p.BufferSlots()
-}
-
-func TestBufferSlotsBounds(t *testing.T) {
-	p := DefaultParams()
-	if got := p.BufferSlots(); got != 0 {
-		t.Fatalf("default BufferSlots() = %d, want 0 (unbounded)", got)
-	}
-	p.NIBufferPackets = 7
-	if got := p.BufferSlots(); got != 7 {
-		t.Fatalf("BufferSlots() = %d, want 7", got)
 	}
 }
 

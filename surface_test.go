@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -88,46 +89,7 @@ var surfaceExemptMethods = map[string]bool{
 // them references. References from _test.go files do not count: a function
 // only its own tests call is a capability nothing uses.
 func TestExportedSurfaceIsReached(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks both modules and the standard library they import from source")
-	}
-	tree := &sourceTree{
-		fset:   token.NewFileSet(),
-		files:  map[string][]string{},
-		pkgs:   map[string]*types.Package{},
-		used:   map[types.Object]bool{},
-		stdlib: importer.ForCompiler(token.NewFileSet(), "source", nil),
-	}
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); p != "." && (name[0] == '.' || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		dir, name := filepath.Split(p)
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		if match, err := build.Default.MatchFile(dir, name); err != nil || !match {
-			return err
-		}
-		importPath := path.Join("repro", filepath.ToSlash(dir))
-		tree.files[importPath] = append(tree.files[importPath], p)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for importPath := range tree.files {
-		if _, err := tree.Import(importPath); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	tree := loadSourceTree(t)
 	unreached := map[string]bool{}
 	note := func(pkg *types.Package, name string, obj types.Object) {
 		if !tree.used[obj] {
@@ -178,15 +140,154 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 	}
 }
 
+// optionAllow lists the option fields that no non-test code outside
+// defaulting sets and that stay anyway, each with its reason. As with
+// surfaceAllow, an entry that is set again, or no longer exists, fails
+// TestEveryOptionHasACaller.
+var optionAllow = map[string]string{
+	"sched.Config.LinkLatency":             "the scheduler tests hold sessions in flight with it",
+	"sched.Config.SubmitTimeout":           "the scheduler tests time queued sessions out with it; bench reads Stats.TimedOutQueue",
+	"topology.IrregularConfig.ExtraDegree": "the repair tests build their bridge topology with it",
+
+	// The flit-level hardware model: one field per constant of the
+	// paper's cost model, as in sim.Params, which PacketParams converts it
+	// to. Its tests set BufferFlits; the rest is the hardware description
+	// a packet-size study would vary.
+	"flitsim.Params.FlitsPerPacket": "flit hardware model",
+	"flitsim.Params.CycleUS":        "flit hardware model",
+	"flitsim.Params.NISendCycles":   "flit hardware model",
+	"flitsim.Params.NIRecvCycles":   "flit hardware model",
+	"flitsim.Params.HostSendCycles": "flit hardware model",
+	"flitsim.Params.HostRecvCycles": "flit hardware model",
+	"flitsim.Params.BufferFlits":    "flit hardware model; its tests sweep buffer depth",
+}
+
+// optionStructs are the option types whose names do not end in Config or
+// Params.
+var optionStructs = map[string]bool{"link.Faults": true, "sim.FaultPlan": true}
+
+// TestEveryOptionHasACaller fails naming each exported field of an option
+// struct under internal/ — an exported struct type whose name ends in
+// Config or Params, or one of optionStructs — that no non-test, non-example
+// code sets outside defaulting code (a function named Default…, or a fill
+// or withDefaults method). A field that only its defaults or its tests set
+// is a constant with extra steps. Setting is a composite-literal key, an
+// assignment or increment, or taking the field's address (flag binding).
+func TestEveryOptionHasACaller(t *testing.T) {
+	tree := loadSourceTree(t)
+	unset := map[string]bool{}
+	for importPath, pkg := range tree.pkgs {
+		if !strings.HasPrefix(importPath, "repro/internal/") {
+			continue
+		}
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			typ := pkg.Name() + "." + name
+			if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Params") || optionStructs[typ]) {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !tree.set[f] {
+					unset[typ+"."+f.Name()] = true
+				}
+			}
+		}
+	}
+
+	var failures []string
+	for name := range unset {
+		if _, ok := optionAllow[name]; !ok {
+			failures = append(failures, name+": an option no non-test caller sets outside its defaults; make it a constant, or add it to optionAllow with a reason")
+		}
+	}
+	for name := range optionAllow {
+		if !unset[name] {
+			failures = append(failures, name+": on optionAllow but set by non-test code, or gone; drop the entry")
+		}
+	}
+	sort.Strings(failures)
+	for _, f := range failures {
+		t.Error(f)
+	}
+}
+
+var (
+	sourceOnce sync.Once
+	sourceLoad *sourceTree
+	sourceErr  error
+)
+
+// loadSourceTree type-checks the non-test files of both modules once per
+// test binary.
+func loadSourceTree(t *testing.T) *sourceTree {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("type-checks both modules and the standard library they import from source")
+	}
+	sourceOnce.Do(func() { sourceLoad, sourceErr = newSourceTree() })
+	if sourceErr != nil {
+		t.Fatal(sourceErr)
+	}
+	return sourceLoad
+}
+
+func newSourceTree() (*sourceTree, error) {
+	tree := &sourceTree{
+		fset:   token.NewFileSet(),
+		files:  map[string][]string{},
+		pkgs:   map[string]*types.Package{},
+		used:   map[types.Object]bool{},
+		set:    map[*types.Var]bool{},
+		stdlib: importer.ForCompiler(token.NewFileSet(), "source", nil),
+	}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != "." && (name[0] == '.' || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		dir, name := filepath.Split(p)
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		if match, err := build.Default.MatchFile(dir, name); err != nil || !match {
+			return err
+		}
+		importPath := path.Join("repro", filepath.ToSlash(dir))
+		tree.files[importPath] = append(tree.files[importPath], p)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for importPath := range tree.files {
+		if _, err := tree.Import(importPath); err != nil {
+			return nil, err
+		}
+	}
+	return tree, nil
+}
+
 // sourceTree is a types.Importer that type-checks "repro/..." packages from
 // the directories of this checkout (bench/ is module repro/bench, so import
 // path and directory coincide for both modules) and everything else from
-// GOROOT source, recording every object they refer to on the way.
+// GOROOT source, recording every object they refer to, and every struct
+// field they set, on the way.
 type sourceTree struct {
 	fset   *token.FileSet
 	files  map[string][]string // import path -> its non-test .go files
 	pkgs   map[string]*types.Package
 	used   map[types.Object]bool // every object some non-test file refers to
+	set    map[*types.Var]bool   // every field some non-example file sets outside defaulting
 	stdlib types.Importer
 }
 
@@ -222,6 +323,56 @@ func (s *sourceTree) Import(importPath string) (*types.Package, error) {
 		}
 		s.used[obj] = true
 	}
+	for i, f := range files {
+		if !strings.HasPrefix(names[i], "examples"+string(filepath.Separator)) {
+			s.noteSets(f, info)
+		}
+	}
 	s.pkgs[importPath] = pkg
 	return pkg, nil
+}
+
+// noteSets records the struct fields f sets outside defaulting code: the
+// keys of composite literals, the targets of assignments and increments,
+// and the operands of &.
+func (s *sourceTree) noteSets(f *ast.File, info *types.Info) {
+	note := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			e = sel.Sel
+		}
+		if id, ok := e.(*ast.Ident); ok {
+			if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+				s.set[v.Origin()] = true
+			}
+		}
+	}
+	for _, decl := range f.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && isDefaulting(fd) {
+			continue
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				note(n.Key)
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					note(lhs)
+				}
+			case *ast.IncDecStmt:
+				note(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					note(n.X)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// isDefaulting reports whether fd is a type's defaulting code: a function
+// named Default…, or a fill or withDefaults method.
+func isDefaulting(fd *ast.FuncDecl) bool {
+	name := fd.Name.Name
+	return strings.HasPrefix(name, "Default") || fd.Recv != nil && (name == "fill" || name == "withDefaults")
 }
