@@ -112,13 +112,13 @@ daemon-soak:
 # deadline expiry with buffer-credit reclamation, teardown draining), the
 # 256-session fixed-seed fairness soak (no session may exceed a generous
 # multiple of its fair in-flight share), the tests of the NI loop the
-# scheduler runs on (live.PlainShare: late frames dropped and their slots
+# scheduler runs on (live.Share: late frames dropped and their slots
 # freed, Add/Remove churn leaking no goroutine), and a 120-case sched-
 # matches-serial differential sweep: three sessions concurrently through
 # one scheduler must be per-host identical to serial live.Run baselines.
 sched-soak:
 	$(GO) test -race -count=1 ./internal/sched
-	$(GO) test -race -count=1 -run 'TestPlainShare|TestAbortedRunLeaksNoGoroutines' ./internal/live
+	$(GO) test -race -count=1 -run 'TestShareDropsWhatItCannotServe|TestAbortedRunLeaksNoGoroutines' ./internal/live
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 11 -workers 4 -only sched-matches-serial
 
 # Psim soak: the windowed scheduler's differential gate under the race

@@ -8,7 +8,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -132,6 +134,101 @@ func TestDocLinks(t *testing.T) {
 			t.Errorf("docNotLinks lists %s, which neither document names any more; drop the entry", name)
 		}
 	}
+}
+
+// TestMakefileRunPatternsNameTests holds every `go test … -run <pattern>
+// <packages>` command of the Makefile to the tests it selects: each
+// |-alternative of the pattern but ^$ must match the name of a func Test…
+// in the _test.go files of those packages. A pattern left naming a renamed
+// or deleted test makes go test pass while it runs nothing.
+func TestMakefileRunPatternsNameTests(t *testing.T) {
+	stale := staleRunPatterns(t, "\t$(GO) test -race -count=1 -run 'TestPlainShare|TestAbortedRunLeaksNoGoroutines' ./internal/live\n")
+	if want := []string{"TestPlainShare"}; !reflect.DeepEqual(stale, want) {
+		t.Fatalf("the self-check's stale line yields %q, want %q", stale, want)
+	}
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alt := range staleRunPatterns(t, string(mk)) {
+		t.Errorf("Makefile: -run alternative %q matches no Test function of its packages", alt)
+	}
+}
+
+// makeRun matches one go test command with a -run pattern, quoted or bare,
+// and what follows it.
+var makeRun = regexp.MustCompile(`\btest\b.*-run (?:'([^']*)'|(\S+))(.*)`)
+
+// staleRunPatterns returns the -run alternatives of makefile's go test
+// commands that match no Test function of the packages the command names.
+func staleRunPatterns(t *testing.T, makefile string) []string {
+	t.Helper()
+	var stale []string
+	tests := map[string][]string{} // by package argument
+	for _, line := range strings.Split(strings.ReplaceAll(makefile, "\\\n", " "), "\n") {
+		for _, cmd := range strings.FieldsFunc(line, func(r rune) bool { return r == ';' || r == '&' }) {
+			m := makeRun.FindStringSubmatch(cmd)
+			if m == nil {
+				continue
+			}
+			var names []string
+			for _, arg := range strings.Fields(m[3]) {
+				if arg == "." || strings.HasPrefix(arg, "./") {
+					if tests[arg] == nil {
+						tests[arg] = testFuncs(t, arg)
+					}
+					names = append(names, tests[arg]...)
+				}
+			}
+			for _, alt := range strings.Split(strings.ReplaceAll(m[1]+m[2], "$$", "$"), "|") {
+				if alt == "^$" {
+					continue
+				}
+				re, err := regexp.Compile(alt)
+				if err != nil || !slices.ContainsFunc(names, re.MatchString) {
+					stale = append(stale, alt)
+				}
+			}
+		}
+	}
+	return stale
+}
+
+// testFuncs lists the func Test… names of the _test.go files of one go
+// test package argument: a directory, or a directory/... tree.
+func testFuncs(t *testing.T, arg string) []string {
+	t.Helper()
+	dir, tree := strings.CutSuffix(arg, "/...")
+	var names []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != dir && (!tree || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 // binFlags returns the flags cmd/<bin>/main.go registers: the name argument

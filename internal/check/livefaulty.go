@@ -74,17 +74,18 @@ func (in Instance) liveReliableConfig() live.ReliableConfig {
 	cfg.RTO = 8 * time.Millisecond
 	cfg.RTOMax = 64 * time.Millisecond
 	cfg.RetryBudget = 20
-	// Scheduling bursts on a loaded box can falsely confirm live hosts; the
-	// resulting rejoin-and-regraft churn is harmless as long as it never
-	// tips a destination into abandonment, so the bound is generous.
+	// Every repair regrafts — an exhausted edge under loss, a crash's
+	// adoption, a rejoin's re-admission — and that churn is harmless as
+	// long as it never tips a destination into abandonment, so the bound is
+	// generous.
 	cfg.MaxRegrafts = 64
 	cfg.Quorum = 1
-	// Detector windows sized for a loaded single-CPU CI box: a scheduling
-	// or GC burst must not read as host silence, or false confirmations
-	// cascade into adoption flapping. Every crash-stop still confirms in
-	// well under 100 ms, so a 250-case sweep stays in seconds.
+	// In process the crash schedule, not silence, says which hosts are up,
+	// so these windows time only a down host's silence: a crash-recovery
+	// window shorter than them heals through its rejoin alone, a longer one
+	// is confirmed first. Every crash-stop still confirms in well under
+	// 100 ms, so a 250-case sweep stays in seconds.
 	cfg.Heartbeat = live.HeartbeatParams{
-		Every:        3 * time.Millisecond,
 		SuspectAfter: 40 * time.Millisecond,
 		ConfirmAfter: 30 * time.Millisecond,
 	}

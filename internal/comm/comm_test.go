@@ -397,7 +397,6 @@ func TestBcastLiveReliableCrash(t *testing.T) {
 	cfg.Faults = link.Faults{Seed: 7, MaxJitter: 2 * time.Millisecond}
 	cfg.Crashes = []live.HostCrash{{Host: 19, At: 4 * time.Millisecond}}
 	cfg.Heartbeat = live.HeartbeatParams{
-		Every:        3 * time.Millisecond,
 		SuspectAfter: 10 * time.Millisecond,
 		ConfirmAfter: 8 * time.Millisecond,
 	}

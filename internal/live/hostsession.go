@@ -11,9 +11,9 @@ import (
 
 // HostSession is one host's share of one plain (unacknowledged) session:
 // the paper's FPFS step — forward each packet to every child as it
-// arrives, buffer one packet — written once. PlainShare, the plain data
-// plane of live.Run, mcastd.Run and the session scheduler (internal/sched),
-// embeds it by value in its per-host state; its NI loop decides when
+// arrives, buffer one packet — written once. Share, the data plane of
+// live.Run, mcastd.Run and the session scheduler (internal/sched), embeds
+// it by value in its per-host state; its NI loop decides when
 // Serve (or, at the root, Forward) runs and releases a received packet's
 // buffer slot after it.
 //

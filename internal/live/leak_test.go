@@ -15,20 +15,22 @@ import (
 	"repro/internal/tree"
 )
 
-// TestAbortedRunLeaksNoGoroutines pins the plain data plane's one teardown,
-// abort → join → detach (live.PlainShare.Stop), which ends every run
-// whatever its outcome. After each arm the goroutine count has to settle
-// back to its baseline: no NI parked forever on a full gate, no injector
-// stuck in Send, no ctl listener or network pump left behind. The watchdog
-// arm runs 6 sessions over a shared 8-host chain — 8 NI loops plus 6
-// injectors, all stalled mid-wire by latency-shaped links when an
+// TestAbortedRunLeaksNoGoroutines pins the data plane's one teardown,
+// abort → join → detach (live.Share.Stop), which ends every run whatever
+// its outcome. After each arm the goroutine count has to settle back to
+// its baseline: no NI parked forever on a full gate, no injector or edge
+// sender stuck in Send, no ctl listener or network pump left behind. The
+// watchdog arm runs 6 sessions over a shared 8-host chain — 8 NI loops
+// plus 6 injectors, all stalled mid-wire by latency-shaped links when an
 // impossibly tight watchdog fires. The clean arms are an in-process
 // live.Run, a live.Run over loopback UDP and an all-local mcastd.Run. The
 // churn arm joins 200 sessions to one scheduler's share and removes them
 // again, the chain's half expiring mid-flight with frames still on the
-// wire, before Close. Run under -race (the live-race target), where a
-// leaked goroutine that still touches NI state would also surface as a
-// report.
+// wire, before Close. The reliable arms are live.RunReliable at 1% loss
+// with one host crashing and recovering mid-message (reliable-crash), and
+// an all-local mcastd.RunReliable over loopback UDP (reliable-mcastd).
+// Run under -race (the live-race target), where a leaked goroutine that
+// still touches NI state would also surface as a report.
 func TestAbortedRunLeaksNoGoroutines(t *testing.T) {
 	chain := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	session := func(t *testing.T, id uint32) live.Session {
@@ -87,6 +89,25 @@ func TestAbortedRunLeaksNoGoroutines(t *testing.T) {
 			s := session(t, 1)
 			cfg := mcastd.Config{Tree: s.Tree, Packets: s.Packets, MsgID: s.MsgID, Local: chain, Net: nw}
 			if _, err := mcastd.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"reliable-crash", func(t *testing.T) {
+			cfg := live.DefaultReliableConfig()
+			cfg.Quorum = 1
+			// Jitter keeps the message in flight across the crash window.
+			cfg.Faults = link.Faults{Seed: 3, DropRate: 0.01, MaxJitter: time.Millisecond}
+			cfg.Crashes = []live.HostCrash{{Host: 3, At: 2 * time.Millisecond, RecoverAt: 30 * time.Millisecond}}
+			if _, err := live.RunReliable(session(t, 1), cfg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"reliable-mcastd", func(t *testing.T) {
+			nw := loopback(t)
+			defer nw.Close()
+			s := session(t, 1)
+			cfg := mcastd.Config{Tree: s.Tree, Packets: s.Packets, MsgID: s.MsgID, Local: chain, Net: nw}
+			if _, err := mcastd.RunReliable(cfg, mcastd.DefaultReliableConfig()); err != nil {
 				t.Fatal(err)
 			}
 		}},

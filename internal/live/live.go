@@ -26,10 +26,11 @@
 // leaf), so the runtime wraps every run in a watchdog that aborts cleanly
 // instead of hanging.
 //
-// Run's data plane is a PlainShare (ni.go), which mcastd.Run and the
-// session scheduler (internal/sched) drive too.
-// RunReliable (reliable.go) adds loss and crash tolerance from parts
-// mcastd.RunReliable shares: ReliableShare's NIs and edges, one Supervisor.
+// Every engine runs on one data plane, a Share (ni.go): Run, mcastd.Run
+// and the session scheduler (internal/sched) join plain sessions to it,
+// RunReliable (reliable.go) and mcastd.RunReliable a reliable one
+// (AddReliable, share.go), served by the same NI loops and repaired by one
+// Supervisor.
 package live
 
 import (
@@ -262,7 +263,7 @@ func (e *DuplicateSessionError) Error() string {
 // Unwrap makes errors.Is(err, ErrDuplicateSession) match through wrapping.
 func (e *DuplicateSessionError) Unwrap() error { return ErrDuplicateSession }
 
-// Run executes the sessions concurrently over one PlainShare of every
+// Run executes the sessions concurrently over one Share of every
 // tree host and blocks until every destination of every session has
 // acknowledged its fully reassembled message, or the watchdog fires.
 func Run(sessions []Session, cfg Config) (*Result, error) {
@@ -299,7 +300,7 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 		hosts = append(hosts, v)
 		wire = max(wire, k)
 	}
-	s, err := NewPlainShare(hosts, wire, DefaultQuantum, cfg)
+	s, err := NewShare(hosts, wire, DefaultQuantum, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}

@@ -16,19 +16,18 @@ import (
 // live.Run and mcastd.Run serve with, and sched.Config.Quantum's default.
 const DefaultQuantum = 4
 
-// PlainShare is the plain (unacknowledged) data plane over a fixed host
-// set, and the only code that builds, runs or tears one down: an inbox and
-// an NI goroutine per host, serving the sessions that join (Add) and leave
-// (Remove) while the NIs run, the root's NI as their source (Inject).
-// live.Run, mcastd.Run (the hosts of one OS process, over UDP) and the
-// session scheduler (internal/sched) drive it; a driver keeps only what
-// ends its sessions. Go, Aborted and Stop are
-// crew's, shared with ReliableShare.
+// Share is the data plane over a fixed host set, and the only code that
+// builds, runs or tears one down: an inbox and an NI goroutine per host,
+// serving the plain (unacknowledged) sessions that join (Add) and leave
+// (Remove) while the NIs run, the root's NI as their source (Inject), and
+// the reliable sessions that join with AddReliable. Both Runs and both
+// RunReliables — live's, and mcastd's over the hosts of one OS process —
+// and the session scheduler (internal/sched) drive it; a driver keeps
+// only what ends its sessions.
 //
-// Done, Failed, Dropped and Aborted are safe from any goroutine; Add and
-// Inject are called from one goroutine at a time.
-type PlainShare struct {
-	crew
+// Done, Failed, Dropped, Go and Aborted are safe from any goroutine; Add,
+// AddReliable and Inject are called from one goroutine at a time.
+type Share struct {
 	cfg     Config
 	quantum int
 	nis     map[int]*ni
@@ -37,6 +36,13 @@ type PlainShare struct {
 	done    chan Delivery
 	fail    chan Failure
 	dropped atomic.Int64
+	// reliable maps each reliable session's MsgID to its NIs by host;
+	// AddReliable replaces the map whole, so the NIs read it without a lock.
+	reliable atomic.Pointer[map[uint32]map[int]*ReliableNI]
+
+	abort  chan struct{}
+	detach func() // set once the inboxes are attached
+	wg     sync.WaitGroup
 }
 
 // Entry is one session of a share, from Add to Remove.
@@ -83,34 +89,37 @@ type staged struct {
 }
 
 // ni is one host's network interface: a single goroutine draining one
-// inbox into per-session queues and serving them, with the sessions it is
-// the source of, by deficit round robin, so an elephant session's backlog
-// cannot starve a mouse sharing the interface; with one session it serves
-// in arrival order. The registration map and the handed-over sources are
-// all it shares with Add, Remove and Inject.
+// inbox. A plain session's frames go to per-session queues, served, with
+// the sessions the NI is the source of, by deficit round robin, so an
+// elephant session's backlog cannot starve a mouse sharing the interface;
+// with one session it serves in arrival order. A reliable session's frame
+// is served the moment it is staged, by the host's ReliableNI. The plain
+// registration map and the hand-off (sources, edits) are all it shares
+// with Add, Remove, Inject and the reliable sessions' supervisors.
 type ni struct {
-	s     *PlainShare
+	s     *Share
 	host  int
 	inbox *link.Inbox
-	wake  chan struct{} // one token: sources are waiting
+	wake  chan struct{} // one token: sources or edits are waiting
 
 	mu       sync.Mutex
-	sessions map[uint32]*niSession
-	sources  []*niSession // injected, not yet in the ring
+	sessions map[uint32]*niSession // made by the first Add
+	sources  []*niSession          // injected, not yet in the ring
+	edits    []func()              // ReliableNI child-edge changes, in call order
 
 	ring []*niSession // backlogged sessions in service order, from head
 	head int
 }
 
-// NewPlainShare builds the NIs Start runs, one per host: in-process inboxes
+// NewShare builds the NIs Start runs, one per host: in-process inboxes
 // by default, or every inbox attached to cfg.Network (link.AttachAll). An
 // unbounded inbox's wire holds wire frames before senders block on it;
 // cfg.BufferPackets, when set, bounds it instead. quantum is the DRR grant
 // in packets. A failed attach is the returned error, naming the host, with
 // whatever was attached detached again.
-func NewPlainShare(hosts []int, wire, quantum int, cfg Config) (*PlainShare, error) {
-	s := &PlainShare{
-		crew:    crew{abort: make(chan struct{})},
+func NewShare(hosts []int, wire, quantum int, cfg Config) (*Share, error) {
+	s := &Share{
+		abort:   make(chan struct{}),
 		cfg:     cfg,
 		quantum: quantum,
 		nis:     make(map[int]*ni, len(hosts)),
@@ -126,7 +135,7 @@ func NewPlainShare(hosts []int, wire, quantum int, cfg Config) (*PlainShare, err
 	}
 	nis := make([]ni, len(hosts))
 	for i, v := range hosts {
-		nis[i] = ni{s: s, host: v, inbox: link.NewInbox(v, wire, cfg.BufferPackets), wake: make(chan struct{}, 1), sessions: map[uint32]*niSession{}}
+		nis[i] = ni{s: s, host: v, inbox: link.NewInbox(v, wire, cfg.BufferPackets), wake: make(chan struct{}, 1)}
 		s.nis[v] = &nis[i]
 		if inboxes != nil {
 			inboxes[v] = nis[i].inbox
@@ -140,9 +149,10 @@ func NewPlainShare(hosts []int, wire, quantum int, cfg Config) (*PlainShare, err
 }
 
 // Start runs every NI on its own goroutine, spawned with one closure;
-// DoneAt and trace times count from start. NIs already holding a source
-// start last, since the goroutine spawned last runs first.
-func (s *PlainShare) Start(start time.Time) {
+// DoneAt, trace times and the reliable hooks' offsets count from start.
+// NIs already holding a source or an edit start last, since the goroutine
+// spawned last runs first.
+func (s *Share) Start(start time.Time) {
 	s.start = start
 	for _, sources := range []bool{false, true} {
 		for _, n := range s.nis {
@@ -154,6 +164,42 @@ func (s *PlainShare) Start(start time.Time) {
 	}
 }
 
+// Go runs f, one of the share's goroutines or one of its driver's (the
+// daemon's ctl listeners), under the join of Stop; f must return once
+// Aborted closes.
+func (s *Share) Go(f func()) {
+	s.wg.Add(1)
+	go func() { defer s.wg.Done(); f() }()
+}
+
+// Aborted is closed by Stop: the teardown signal of everything the share
+// runs and of whatever blocks on its behalf.
+func (s *Share) Aborted() <-chan struct{} { return s.abort }
+
+// Stop tears the share down, whatever the run's outcome: abort, join every
+// goroutine, then detach. Detaching last means no NI or sender is left to
+// trip over a retired transport; it stops the network's receive pumps and
+// unparks any deliverer still blocked on an inbox gate. The inboxes are
+// never read again and are left to the collector, not closed.
+func (s *Share) Stop() {
+	close(s.abort)
+	s.wg.Wait()
+	s.detach()
+}
+
+// dial provisions edge a->b: an in-process link into b's inbox, shaped
+// with LinkLatency, or a Network edge. A failed dial names the edge.
+func (s *Share) dial(a, b int) (link.Transport, error) {
+	if s.cfg.Network == nil {
+		return link.New(a, s.nis[b].inbox, s.cfg.LinkLatency), nil
+	}
+	tr, err := s.cfg.Network.Dial(a, b)
+	if err != nil {
+		return nil, fmt.Errorf("dial edge %d->%d: %w", a, b, err)
+	}
+	return tr, nil
+}
+
 // Add joins sess to the share under abort, the session's own teardown
 // signal: it dials every tree edge whose parent is a share host (an
 // in-process link, or a cfg.Network edge), builds the HostSession of each
@@ -163,7 +209,7 @@ func (s *PlainShare) Start(start time.Time) {
 // session must be valid (Session.Validate), its MsgID unique among the
 // entries present, and, in process, its whole tree share hosts. A failed
 // dial is the returned error, naming the edge.
-func (s *PlainShare) Add(sess Session, abort <-chan struct{}) (*Entry, error) {
+func (s *Share) Add(sess Session, abort <-chan struct{}) (*Entry, error) {
 	nodes := sess.Tree.Nodes()
 	local := 0
 	for _, v := range nodes {
@@ -187,14 +233,9 @@ func (s *PlainShare) Add(sess Session, abort <-chan struct{}) (*Entry, error) {
 		ns.e, ns.pending = e, queues[i*m:i*m:(i+1)*m]
 		var links []link.Transport
 		for _, c := range sess.Tree.Children(v) {
-			var tr link.Transport
-			if s.cfg.Network == nil {
-				tr = link.New(v, s.nis[c].inbox, s.cfg.LinkLatency)
-			} else {
-				var err error
-				if tr, err = s.cfg.Network.Dial(v, c); err != nil {
-					return nil, fmt.Errorf("dial edge %d->%d: %w", v, c, err)
-				}
+			tr, err := s.dial(v, c)
+			if err != nil {
+				return nil, err
 			}
 			if s.cfg.Record {
 				tr = recorded{Transport: tr, s: s, ns: ns}
@@ -210,6 +251,9 @@ func (s *PlainShare) Add(sess Session, abort <-chan struct{}) (*Entry, error) {
 		if v != sess.Tree.Root() {
 			n := s.nis[v]
 			n.mu.Lock()
+			if n.sessions == nil {
+				n.sessions = map[uint32]*niSession{}
+			}
 			n.sessions[sess.MsgID] = ns
 			n.mu.Unlock()
 		}
@@ -220,7 +264,7 @@ func (s *PlainShare) Add(sess Session, abort <-chan struct{}) (*Entry, error) {
 // Remove unregisters e at its NIs: later frames of its session are dropped
 // and counted. Frames already queued are still served, or, once e's abort
 // has closed, dropped.
-func (s *PlainShare) Remove(e *Entry) {
+func (s *Share) Remove(e *Entry) {
 	for v := range e.hosts {
 		n := s.nis[v]
 		n.mu.Lock()
@@ -234,7 +278,7 @@ func (s *PlainShare) Remove(e *Entry) {
 // ring beside the frames it forwards, each packet to every child before
 // the next (packet-major FPFS). e's root must be a share host; Inject may
 // precede Start.
-func (s *PlainShare) Inject(e *Entry) {
+func (s *Share) Inject(e *Entry) {
 	ns := e.hosts[e.Tree.Root()]
 	for _, pkt := range e.Packets {
 		ns.pending = append(ns.pending, staged{payload: pkt})
@@ -243,6 +287,21 @@ func (s *PlainShare) Inject(e *Entry) {
 	n.mu.Lock()
 	n.sources = append(n.sources, ns)
 	n.mu.Unlock()
+	n.poke()
+}
+
+// handOff queues edit for host v's NI goroutine, which runs it after every
+// edit queued before it; it never blocks on the NI, and may precede Start.
+func (s *Share) handOff(v int, edit func()) {
+	n := s.nis[v]
+	n.mu.Lock()
+	n.edits = append(n.edits, edit)
+	n.mu.Unlock()
+	n.poke()
+}
+
+// poke leaves the NI its one wake token.
+func (n *ni) poke() {
 	select {
 	case n.wake <- struct{}{}:
 	default: // a token is already waiting
@@ -263,19 +322,19 @@ func (e *Entry) aborted() bool {
 
 // Done yields each completion of a local host, sent under the share's
 // abort.
-func (s *PlainShare) Done() <-chan Delivery { return s.done }
+func (s *Share) Done() <-chan Delivery { return s.done }
 
 // Failed yields each entry's forwarding or protocol errors, sent under the
 // share's abort; it holds the first one unread.
-func (s *PlainShare) Failed() <-chan Failure { return s.fail }
+func (s *Share) Failed() <-chan Failure { return s.fail }
 
 // Dropped counts the frames the NIs discarded: undecodable ones, and those
-// of a session not registered there or aborted.
-func (s *PlainShare) Dropped() int64 { return s.dropped.Load() }
+// of a session not registered there (plain or reliable) or aborted.
+func (s *Share) Dropped() int64 { return s.dropped.Load() }
 
 // failed reports err, unless it is an abort: that is a teardown, and the
 // driver owns the verdict.
-func (s *PlainShare) failed(e *Entry, err error) {
+func (s *Share) failed(e *Entry, err error) {
 	if errors.Is(err, link.ErrAborted) {
 		return
 	}
@@ -288,7 +347,7 @@ func (s *PlainShare) failed(e *Entry, err error) {
 // trace appends one wall-clock event, stamped in microseconds from start
 // (the simulator's trace unit), to ns's log when Config.Record is set. The
 // caller must be the goroutine that owns ns.
-func (s *PlainShare) trace(ns *niSession, kind string, peer, packet int) {
+func (s *Share) trace(ns *niSession, kind string, peer, packet int) {
 	if s.cfg.Record {
 		ns.events = append(ns.events, sim.TraceEvent{
 			Kind: kind, Time: float64(time.Since(s.start)) / float64(time.Microsecond), Host: ns.Host,
@@ -304,7 +363,7 @@ func (s *PlainShare) trace(ns *niSession, kind string, peer, packet int) {
 // with engines that record nothing — stays free of tracing.
 type recorded struct {
 	link.Transport
-	s  *PlainShare
+	s  *Share
 	ns *niSession // the sending host's state; its owner is the only sender
 }
 
@@ -319,9 +378,10 @@ func (r recorded) Send(pkt []byte, abort <-chan struct{}) error {
 }
 
 // run is the NI loop until the share aborts: stage every frame the wire
-// holds (the sender has already reserved its buffer slot) and every source
-// handed over, then give the session at the ring's head a quantum of
-// service, and send it to the tail while it is still backlogged.
+// holds (the sender has already reserved its buffer slot), take every
+// source and edit handed over, then give the session at the ring's head a
+// quantum of service, and send it to the tail while it is still
+// backlogged.
 func (n *ni) run() {
 	for {
 		if n.head == len(n.ring) {
@@ -394,7 +454,8 @@ func (n *ni) run() {
 }
 
 // adopt puts the sources Inject handed over into the ring, stamping each
-// session's start (SessionResult.StartAt) ahead of its first turn.
+// session's start (SessionResult.StartAt) ahead of its first turn, then
+// runs the edits handed over, in order.
 func (n *ni) adopt() {
 	n.mu.Lock()
 	for _, ns := range n.sources {
@@ -404,7 +465,12 @@ func (n *ni) adopt() {
 	}
 	clear(n.sources)
 	n.sources = n.sources[:0]
+	edits := n.edits
+	n.edits = nil
 	n.mu.Unlock()
+	for _, edit := range edits {
+		edit()
+	}
 }
 
 // push appends ns to the ring, moving the live part to the front of the
@@ -416,9 +482,10 @@ func (n *ni) push(ns *niSession) {
 	n.ring = append(n.ring, ns)
 }
 
-// stage admits one frame into its session's queue. A frame that names no
-// session registered here, or an aborted one, is dropped: counted, and its
-// slot released at once.
+// stage admits one frame into its plain session's queue, or serves a
+// reliable session's frame at once and releases its slot. An undecodable
+// frame, or one that names no session registered here or an aborted one,
+// is dropped: counted, and its slot released at once.
 func (n *ni) stage(f link.Frame) {
 	h, err := message.DecodeHeader(f.Payload)
 	var ns *niSession
@@ -426,6 +493,13 @@ func (n *ni) stage(f link.Frame) {
 		n.mu.Lock()
 		ns = n.sessions[h.MsgID]
 		n.mu.Unlock()
+		if m := n.s.reliable.Load(); ns == nil && m != nil {
+			if rn := (*m)[h.MsgID][n.host]; rn != nil {
+				rn.serve(f)
+				n.inbox.Release()
+				return
+			}
+		}
 	}
 	if ns == nil || ns.e.aborted() {
 		n.s.dropped.Add(1)

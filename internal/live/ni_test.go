@@ -8,15 +8,18 @@ import (
 	"repro/internal/live/link"
 )
 
-// TestPlainShareDropsWhatItCannotServe drives one NI with a single buffer
+// TestShareDropsWhatItCannotServe drives one NI with a single buffer
 // slot through a session's lifecycle: a frame that lands after its
 // session's abort, and every frame of a session already removed, is
 // dropped, counted by Dropped and its slot freed — a slot still held would
 // wedge every later send to the host — and a second session through the
-// same host then completes. Host 0, every session's root, is outside the
-// share: its frames come over a link of its own, as from a remote process.
-func TestPlainShareDropsWhatItCannotServe(t *testing.T) {
-	s, err := NewPlainShare([]int{1}, 0, DefaultQuantum, Config{BufferPackets: 1})
+// same host then completes. A reliable session's frames are served in
+// place, each freeing its slot before the next send needs it, and a frame
+// of no session at all is dropped and counted. Host 0, every session's
+// root, is outside the share: its frames come over a link of its own, as
+// from a remote process.
+func TestShareDropsWhatItCannotServe(t *testing.T) {
+	s, err := NewShare([]int{1}, 0, DefaultQuantum, Config{BufferPackets: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,5 +79,47 @@ func TestPlainShareDropsWhatItCannotServe(t *testing.T) {
 	}
 	if rec := removed.Host(1); rec.Recvs != 0 {
 		t.Fatalf("removed session served %d frames", rec.Recvs)
+	}
+
+	// Host 1's ACKs leave through Remote, one per frame served.
+	acks := make(chan Order, 8)
+	rel, err := s.AddReliable(ReliableShareConfig{
+		Tree:   chainTree(2),
+		Edge:   EdgeSenderConfig{Packets: mustPacketize(t, 4, 0, payloadBytes(100))},
+		NI:     ReliableNIConfig{MsgID: 4, OnDone: func(int, time.Duration) {}},
+		Remote: func(o Order) { acks <- o },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := func(j int) {
+		t.Helper()
+		select {
+		case o := <-acks:
+			if o.Kind != OrderAck || o.A != 1 || o.B != j {
+				t.Fatalf("packet %d: order %+v, want host 1's ACK of it", j, o)
+			}
+		case <-giveUp:
+			t.Fatalf("reliable packet %d was never served", j)
+		}
+	}
+	pkts := rel.cfg.Edge.Packets
+	if err := root.Send(pkts[0], giveUp); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Send(pkts[1], giveUp); err != nil {
+		t.Fatalf("reliable packet 1: %v (a served frame kept its slot)", err)
+	}
+	served(0)
+	served(1)
+	if err := root.Send(mustPacketize(t, 99, 0, payloadBytes(10))[0], giveUp); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.Send(pkts[2], giveUp); err != nil {
+		t.Fatalf("reliable packet 2: %v (a dropped frame kept its slot)", err)
+	}
+	served(2)
+	if got, want := s.Dropped(), int64(2+len(removed.Packets)); got != want {
+		t.Fatalf("after a frame of no session, Dropped() = %d, want %d", got, want)
 	}
 }

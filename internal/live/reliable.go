@@ -11,21 +11,22 @@ import (
 )
 
 // This file is the in-process driver of the reliable protocol, whose parts
-// (ReliableShare, Supervisor) the multi-process daemon shares. What lives
-// here is what only this engine has: config validation, the crash
+// (Share, ReliableShare, Supervisor) the multi-process daemon shares. What
+// lives here is what only this engine has: config validation, the crash
 // schedule, and the verdict and result read from the quiescent NIs.
 //
 // Concurrency layout (strict ownership, like the lossless engine): one NI
-// goroutine per host, one sender goroutine per live tree edge, and the
-// supervisor on RunReliable's goroutine. The only cross-goroutine mutable
-// cells are atomics — the share's epoch register, each host's ACK route,
-// and per edge the ACK bitmap, fenced count and cancel flag; all other
-// coordination is by channel.
+// goroutine per host (the Share's), one sender goroutine per live tree
+// edge, and the supervisor on RunReliable's goroutine. The only
+// cross-goroutine mutable cells are atomics — the share's epoch register,
+// each host's ACK route, and per edge the ACK bitmap, fenced count and
+// cancel flag; all other coordination is by channel, or by the NI loop's
+// hand-off.
 
-// HostCrash schedules a crash-stop of one host's NI goroutine at a
-// wall-clock offset from run start: from At on the NI silently eats every
-// frame addressed to it (releasing buffer slots so senders never wedge),
-// stops heartbeating and acknowledging, and its outgoing sends vanish. If
+// HostCrash schedules a crash-stop of one host's NI at a wall-clock offset
+// from run start: from At on the NI silently eats every frame addressed to
+// it (releasing buffer slots so senders never wedge), stops acknowledging,
+// is no longer witnessed alive, and its outgoing sends vanish. If
 // RecoverAt > At the host rejoins at RecoverAt amnesiac — reassembly and
 // dedup state lost — and is re-adopted with a full replay; RecoverAt == 0
 // means it never comes back.
@@ -46,7 +47,7 @@ type ReliableConfig struct {
 	// Faults is the transport chaos plane (zero = lossless edges).
 	Faults link.Faults
 	// Crashes schedules NI crash-stops; a non-empty schedule arms the
-	// membership plane (heartbeats, epochs, fencing, adoption).
+	// membership plane (failure detector, epochs, fencing, adoption).
 	Crashes []HostCrash
 	// RTO is the base retransmission timeout; it doubles per attempt up to
 	// RTOMax, widened by seeded jitter.
@@ -75,7 +76,6 @@ func DefaultReliableConfig() ReliableConfig {
 		RetryBudget: 8,
 		MaxRegrafts: 4,
 		Heartbeat: HeartbeatParams{
-			Every:        5 * time.Millisecond,
 			SuspectAfter: 16 * time.Millisecond,
 			ConfirmAfter: 12 * time.Millisecond,
 		},
@@ -109,7 +109,7 @@ func (cfg ReliableConfig) validate() error {
 	}
 	if len(cfg.Crashes) > 0 {
 		hb := cfg.Heartbeat
-		if hb.Every <= 0 || hb.SuspectAfter <= hb.Every || hb.ConfirmAfter <= 0 {
+		if hb.SuspectAfter <= 0 || hb.ConfirmAfter <= 0 {
 			return fmt.Errorf("live: invalid heartbeat params %+v", hb)
 		}
 	}
@@ -158,8 +158,8 @@ type ReliableResult struct {
 	CrashDrops int
 }
 
-// rrt is the driver state of one reliable run: the share (every host
-// local), its supervisor and the crash schedule.
+// rrt is the driver state of one reliable run: the reliable session of a
+// share of every tree host, its supervisor and the crash schedule.
 type rrt struct {
 	*ReliableShare
 	sup     *Supervisor
@@ -209,13 +209,10 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 	}
 
 	rt := &rrt{cfg: cfg, s: s, chaos: chaos, crashes: crashes}
+	hosts := s.Tree.Nodes()
 	scfg := ReliableShareConfig{
-		Tree:          s.Tree,
-		Local:         s.Tree.Nodes(),
-		Network:       cfg.Live.Network,
-		LinkLatency:   cfg.Live.LinkLatency,
-		BufferPackets: cfg.Live.BufferPackets,
-		Chaos:         chaos,
+		Tree:  s.Tree,
+		Chaos: chaos,
 		Edge: EdgeSenderConfig{
 			Packets:     s.Packets,
 			RTO:         cfg.RTO,
@@ -235,7 +232,7 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 	// A non-empty crash schedule arms the membership plane.
 	var det *membership.Detector
 	if len(cfg.Crashes) > 0 {
-		if det, err = cfg.Heartbeat.NewDetector(cfg.Faults.Seed, scfg.Local); err != nil {
+		if det, err = cfg.Heartbeat.NewDetector(cfg.Faults.Seed, hosts); err != nil {
 			return nil, err
 		}
 		// A down host's sends vanish while still burning retry budget, so a
@@ -246,27 +243,29 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 		scfg.NI.OnRejoin = func(host int, at time.Duration) {
 			rt.sup.Report(Report{Kind: ReportRejoin, Host: host, At: at})
 		}
-		scfg.NI.BeatEvery = cfg.Heartbeat.Every
-		scfg.NI.OnBeat = func(host int, at time.Duration) {
-			if !rt.down(host, at) {
-				rt.sup.Report(Report{Kind: ReportBeat, Host: host, At: at})
-			}
-		}
 	}
-	if rt.ReliableShare, err = NewReliableShare(scfg); err != nil {
+	// Unbounded, the wire gets headroom for the message, its
+	// retransmissions and a graft's replay; a sender that still finds it
+	// full merely waits for the NI's next turn.
+	share, err := NewShare(hosts, 4*len(s.Packets)+16, DefaultQuantum, cfg.Live)
+	if err != nil {
+		return nil, fmt.Errorf("live: %w", err)
+	}
+	if rt.ReliableShare, err = share.AddReliable(scfg); err != nil {
+		share.Stop()
 		return nil, fmt.Errorf("live: %w", err)
 	}
 	rt.sup = NewSupervisor(rt.ReliableShare, SupervisorConfig{
 		Det:         det,
 		MaxRegrafts: cfg.MaxRegrafts,
-		// While the supervisor runs, the root it embodies is alive; every
-		// other NI beats for itself. In-process orders are never lost, so
-		// nothing is refreshed.
-		Witness: []int{s.Tree.Root()},
+		// Every host is the supervisor's own, so the crash schedule is
+		// their liveness; in-process orders are never lost, so nothing is
+		// refreshed.
 		Down:    rt.down,
 		Timeout: cfg.Live.Timeout,
 	})
 	rt.start = time.Now()
+	chaos.Start(rt.start)
 	rt.Start(rt.start)
 	timedOut := rt.sup.Run(rt.start)
 	wall := time.Since(rt.start)

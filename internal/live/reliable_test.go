@@ -12,17 +12,15 @@ import (
 )
 
 // fastReliable returns a config tuned for test wall-clock: tight RTO, and
-// the harness's detector windows (check.liveReliableConfig) — the fastest
-// that sit above what a goroutine can wait for a CPU under -race on a
-// loaded 2-vCPU box. At 10 ms + 8 ms, three other -race processes were
-// enough to confirm live hosts until MaxRegrafts abandoned them.
+// the harness's detector windows (check.liveReliableConfig). In process
+// the crash schedule says which hosts are up, so the windows time only a
+// down host's silence.
 func fastReliable() ReliableConfig {
 	cfg := DefaultReliableConfig()
 	cfg.RTO = 10 * time.Millisecond
 	cfg.RTOMax = 80 * time.Millisecond
 	cfg.Live.Timeout = 20 * time.Second
 	cfg.Heartbeat = HeartbeatParams{
-		Every:        3 * time.Millisecond,
 		SuspectAfter: 40 * time.Millisecond,
 		ConfirmAfter: 30 * time.Millisecond,
 	}

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/live/link"
@@ -9,15 +10,14 @@ import (
 )
 
 // ReliableNIConfig parameterizes one ReliableNI the way EdgeSenderConfig
-// parameterizes a sender: the hooks decouple the receive loop from any
+// parameterizes a sender: the hooks decouple the receive path from any
 // particular runtime (where an ACK goes is the share's rule, not a hook).
-// Every hook is called from the NI goroutine and is handed Host first, so
-// one set of hooks serves every NI of a run: a driver fills in MsgID,
-// Trace and the hooks once, and ReliableShare stamps each NI's Host, Root,
-// Inbox, Packets, Abort and Epoch onto that template.
+// Every hook is called from the host's NI goroutine and is handed Host
+// first, so one set of hooks serves every NI of a run: a driver fills in
+// MsgID, Trace and the hooks once, and ReliableShare stamps each NI's
+// Host, Root, Packets and Epoch onto that template.
 type ReliableNIConfig struct {
 	Host    int
-	Inbox   *link.Inbox
 	MsgID   uint32
 	Packets int // the message's packet count
 	// Root marks the multicast source: it starts holding every packet (so
@@ -25,12 +25,11 @@ type ReliableNIConfig struct {
 	// reassembles nothing.
 	Root bool
 
-	Abort <-chan struct{} // runtime teardown
 	// Epoch returns the global fence register: frames stamped below it are
 	// discarded unacknowledged, and ACKs carry it.
 	Epoch func() int
 	// OnDone reports a complete reassembly (again after an amnesiac
-	// rejoin), at offset at from Run's start.
+	// rejoin), at offset at from the share's start.
 	OnDone func(host int, at time.Duration)
 
 	// Down, when non-nil, reports whether the NI is inside a scheduled
@@ -40,30 +39,21 @@ type ReliableNIConfig struct {
 	// frame served after such a window, once the NI has wiped its state.
 	Down     func(host int, at time.Duration) bool
 	OnRejoin func(host int, at time.Duration)
-	// OnBeat, when non-nil, is called every BeatEvery with the tick's
-	// offset: the NI's heartbeat. The daemon beats per process instead.
-	BeatEvery time.Duration
-	OnBeat    func(host int, at time.Duration)
 	// Trace records the Arrivals and (while the epoch is positive) the
 	// Accepts evidence the in-process engine reports per host.
 	Trace bool
 }
 
-// niCtl is a supervisor message to a ReliableNI: one child edge attached
-// (edge set) or detached (by receiving host).
-type niCtl struct {
-	edge  *EdgeSender
-	child int
-}
-
-// ReliableNI is one host's loss- and crash-tolerant network interface: a
-// single goroutine selecting over the inbox wire, tree-shape updates from
-// the supervisor, and its heartbeat tick. Per frame it validates
-// (message.Parse, once), fences stale epochs, ACKs, suppresses duplicates,
-// forwards novel packets to every child edge the moment they arrive
-// (FPFS) and reassembles. AddChild and DelChild may be called from the
-// supervisor goroutine; everything else belongs to Run, and the exported
-// fields (its report) may be read only once Run has returned.
+// ReliableNI is one host's state in one reliable session, its loss- and
+// crash-tolerant network interface. It has no goroutine of its own: the
+// host's NI loop (Share) hands it each of the session's frames, and runs
+// the supervisor's tree-shape updates (AddChild, DelChild) in call order.
+// Per frame it validates (once), fences stale epochs, ACKs, suppresses
+// duplicates, forwards novel packets to every child edge the moment they
+// arrive (FPFS) and reassembles. AddChild and DelChild may be called from
+// the supervisor goroutine; everything else belongs to the NI loop, and
+// the exported fields (its report) may be read only once the share has
+// stopped.
 type ReliableNI struct {
 	// HostRecord is the host's result, filled in place and handed out by
 	// reference like HostSession's: Recvs counts novel acceptances and
@@ -81,8 +71,6 @@ type ReliableNI struct {
 	cfg      ReliableNIConfig
 	share    *ReliableShare // routes the NI's ACKs
 	acks     *workload.RNG  // the chaos plane's ACK-loss stream, drawn here only
-	ctl      chan niCtl
-	start    time.Time
 	children []*EdgeSender
 	got      []bool              // per-packet dedup bitmap
 	reasm    message.Reassembler // idle at the root, which owns the original
@@ -90,16 +78,13 @@ type ReliableNI struct {
 }
 
 // newReliableNI builds one of share's NIs; the share wires its initial
-// children and runs it.
+// children.
 func newReliableNI(share *ReliableShare, cfg ReliableNIConfig) *ReliableNI {
-	// A graft touches a parent a handful of times (the regraft fanout);
-	// a full channel only makes the supervisor wait for the NI's next turn.
 	n := &ReliableNI{
 		HostRecord: HostRecord{Host: cfg.Host},
 		cfg:        cfg,
 		share:      share,
 		acks:       share.cfg.Chaos.AckRNG(cfg.Host),
-		ctl:        make(chan niCtl, 16),
 		got:        make([]bool, cfg.Packets),
 	}
 	if cfg.Root {
@@ -111,16 +96,19 @@ func newReliableNI(share *ReliableShare, cfg ReliableNIConfig) *ReliableNI {
 }
 
 // AddChild attaches a mid-run child edge; the NI replays every packet it
-// holds into it. DelChild detaches the edge to the given host. Both give
-// up when the runtime aborts.
-func (n *ReliableNI) AddChild(e *EdgeSender) { n.send(niCtl{edge: e}) }
-func (n *ReliableNI) DelChild(to int)        { n.send(niCtl{child: to}) }
+// holds into it. DelChild detaches the edge to the given host. Neither
+// blocks: both are handed to the host's NI loop.
+func (n *ReliableNI) AddChild(e *EdgeSender) {
+	n.share.handOff(n.cfg.Host, func() {
+		n.children = append(n.children, e)
+		n.replay([]*EdgeSender{e})
+	})
+}
 
-func (n *ReliableNI) send(c niCtl) {
-	select {
-	case n.ctl <- c:
-	case <-n.cfg.Abort:
-	}
+func (n *ReliableNI) DelChild(to int) {
+	n.share.handOff(n.cfg.Host, func() {
+		n.children = slices.DeleteFunc(n.children, func(e *EdgeSender) bool { return e.To() == to })
+	})
 }
 
 // Held counts the packets the NI holds, for watchdog diagnostics.
@@ -132,34 +120,6 @@ func (n *ReliableNI) Held() int {
 		}
 	}
 	return held
-}
-
-// Run is the NI loop. It seeds its wired child edges with every packet
-// it already holds, then serves frames, tree-shape updates and heartbeat
-// ticks until the runtime aborts. Offsets handed to the hooks count from
-// start.
-func (n *ReliableNI) Run(start time.Time) {
-	n.start = start
-	n.replay(n.children)
-	var hbTick <-chan time.Time
-	if n.cfg.OnBeat != nil {
-		t := time.NewTicker(n.cfg.BeatEvery)
-		defer t.Stop()
-		hbTick = t.C
-	}
-	for {
-		select {
-		case f := <-n.cfg.Inbox.Wire():
-			f.Wait()
-			n.serve(f)
-		case c := <-n.ctl:
-			n.apply(c)
-		case <-hbTick:
-			n.cfg.OnBeat(n.cfg.Host, time.Since(n.start))
-		case <-n.cfg.Abort:
-			return
-		}
-	}
 }
 
 // replay enqueues every packet this NI holds into the given edges,
@@ -176,26 +136,11 @@ func (n *ReliableNI) replay(edges []*EdgeSender) {
 	}
 }
 
-// apply folds one tree-shape update into the NI's edge set.
-func (n *ReliableNI) apply(c niCtl) {
-	if c.edge != nil {
-		n.children = append(n.children, c.edge)
-		n.replay([]*EdgeSender{c.edge})
-		return
-	}
-	for i, e := range n.children {
-		if e.To() == c.child {
-			n.children = append(n.children[:i], n.children[i+1:]...)
-			break
-		}
-	}
-}
-
-// serve handles one admitted frame: crash blackhole, amnesiac rejoin,
-// integrity and epoch checks, ACK, dedup, FPFS forward, reassembly.
+// serve handles one frame of the session: crash blackhole, amnesiac
+// rejoin, integrity and epoch checks, ACK, dedup, FPFS forward,
+// reassembly. The NI loop releases the frame's slot after it.
 func (n *ReliableNI) serve(f link.Frame) {
-	defer n.cfg.Inbox.Release()
-	now := time.Since(n.start)
+	now := time.Since(n.share.start)
 	if n.cfg.Down != nil {
 		if n.cfg.Down(n.cfg.Host, now) {
 			n.wasDown = true
@@ -219,10 +164,10 @@ func (n *ReliableNI) serve(f link.Frame) {
 			}
 		}
 	}
-	// Undecodable, corrupted in transit or foreign: drop silently;
-	// retransmission recovers.
+	// Corrupted in transit or out of range: drop silently; retransmission
+	// recovers.
 	h, body, err := message.Parse(f.Payload)
-	if err != nil || h.MsgID != n.cfg.MsgID || int(h.Seq) >= n.cfg.Packets {
+	if err != nil || int(h.Seq) >= n.cfg.Packets {
 		return
 	}
 	g := n.cfg.Epoch()
@@ -253,7 +198,7 @@ func (n *ReliableNI) serve(f link.Frame) {
 	// Novel, so the message was incomplete until now (and this is not the
 	// root, which holds every packet from the start).
 	if done, err := n.reasm.Put(h, body); err == nil && done {
-		n.Data, n.DoneAt = n.reasm.Bytes(), time.Since(n.start)
+		n.Data, n.DoneAt = n.reasm.Bytes(), time.Since(n.share.start)
 		n.cfg.OnDone(n.cfg.Host, n.DoneAt)
 	}
 }

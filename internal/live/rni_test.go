@@ -22,8 +22,13 @@ func TestReliableNIValidatesOnce(t *testing.T) {
 	acks, dones := 0, 0
 	tr := tree.New(0)
 	tr.AddChild(0, 2)
-	share, err := NewReliableShare(ReliableShareConfig{
-		Tree: tr, Local: []int{2}, Network: newWireNet(),
+	plane, err := NewShare([]int{2}, 0, DefaultQuantum, Config{Network: newWireNet()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(plane.Stop)
+	share, err := plane.AddReliable(ReliableShareConfig{
+		Tree: tr,
 		Edge: EdgeSenderConfig{Packets: pkts},
 		NI:   ReliableNIConfig{MsgID: 3, OnDone: func(int, time.Duration) { dones++ }},
 		// Host 0 runs elsewhere, so every ACK of host 2's leaves here.
@@ -32,9 +37,7 @@ func TestReliableNIValidatesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(share.Stop)
 	n := share.NI(2)
-	n.start = time.Now()
 
 	cur = append([]byte(nil), pkts[0]...)
 	cur[message.HeaderSize] ^= 0x04

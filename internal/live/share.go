@@ -1,30 +1,19 @@
 package live
 
 import (
-	"fmt"
+	"maps"
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/live/link"
 	"repro/internal/tree"
 )
 
-// ReliableShareConfig describes one process's share of one reliable
-// session.
+// ReliableShareConfig describes one reliable session of a Share.
 type ReliableShareConfig struct {
 	Tree *tree.Tree
-	// Local lists the hosts this process runs: the whole tree when Network
-	// is nil. Every edge whose parent is local is the share's to build.
-	Local []int
-	// Network provisions the edges from a real fabric the caller owns; nil
-	// builds in-process links shaped with LinkLatency.
-	Network     link.Network
-	LinkLatency time.Duration
-	// BufferPackets bounds each NI's packet buffer (0: unbounded).
-	BufferPackets int
-	// Chaos decorates every transport (nil: none); Start rebases its clock.
+	// Chaos decorates every transport (nil: none); the driver rebases its
+	// clock (Chaos.Start) before it starts the share.
 	Chaos *link.Chaos
 
 	// Edge is the template of every edge incarnation: Packets, RTO, RTOMax,
@@ -32,7 +21,7 @@ type ReliableShareConfig struct {
 	// mixes with the edge's endpoints. The share fills in the rest.
 	Edge EdgeSenderConfig
 	// NI is the template of every local NI: MsgID, Trace and the hooks. The
-	// share fills in Host, Root, Inbox, Packets, Abort and Epoch.
+	// share fills in Host, Root, Packets and Epoch.
 	NI ReliableNIConfig
 	// Exhausted reports that an incarnation of edge a->b died — retry
 	// budget spent, transport failed, or a mid-run dial that produced no
@@ -48,22 +37,23 @@ type ReliableShareConfig struct {
 	Remote func(Order)
 }
 
-// ReliableShare is one process's share of one reliable session's data
-// plane, and the only code that builds it or tears it down: the local
-// hosts' inboxes and ReliableNIs, an EdgeSender incarnation per tree edge
-// whose parent is local, the route each child's ACKs take back to its
-// incarnation, the epoch register, and the goroutines running all of it.
-// It alone decides where a message for another host goes: in place, or
-// out through Remote. live.RunReliable (every host local) and
-// mcastd.RunReliable (the hosts of one OS process, over UDP) drive it; a
-// driver keeps where liveness evidence comes from and how Remote reaches
-// another process, never how an edge comes up or goes away.
+// ReliableShare is one reliable session of a Share, and the only code
+// that builds it: a ReliableNI per tree host the Share runs (its local
+// hosts), served by that host's NI loop, an EdgeSender incarnation per
+// tree edge whose parent is local, the route each child's ACKs take back
+// to its incarnation, and the epoch register. It alone decides where a
+// message for another host goes: in place, or out through Remote.
+// live.RunReliable (every host local) and mcastd.RunReliable (the hosts
+// of one OS process, over UDP) drive it; a driver keeps where liveness
+// evidence comes from and how Remote reaches another process, never how
+// an edge comes up or goes away. Start, Stop, Go and Aborted are the
+// Share's.
 //
 // Route, Epoch and Aborted are safe from any goroutine. Install, Retire
 // and SetEpoch belong to one goroutine, the driver's supervisor; NI and
 // Totals read state that is quiescent only once Stop has returned.
 type ReliableShare struct {
-	crew
+	*Share
 	cfg    ReliableShareConfig
 	nodes  []int // the tree's hosts, ascending; routes is parallel to it
 	nis    map[int]*ReliableNI
@@ -75,112 +65,68 @@ type ReliableShare struct {
 	all   []*EdgeSender // every incarnation ever built, for Totals
 }
 
-// crew is what both shares, PlainShare and ReliableShare, run and how they
-// stop: the goroutines, their abort signal and the undo of the fabric
-// attach. Its methods are the shares' Go, Aborted and Stop.
-type crew struct {
-	abort  chan struct{}
-	detach func() // set once the share's inboxes are attached
-	wg     sync.WaitGroup
-}
-
-// Go runs f, one of the share's goroutines or one of its driver's (the
-// daemon's ctl listeners), under the join of Stop; f must return once
-// Aborted closes.
-func (c *crew) Go(f func()) {
-	c.wg.Add(1)
-	go func() { defer c.wg.Done(); f() }()
-}
-
-// Aborted is closed by Stop: the teardown signal of everything the share
-// runs and of whatever blocks on its behalf.
-func (c *crew) Aborted() <-chan struct{} { return c.abort }
-
-// Stop tears the share down, whatever the run's outcome: abort, join every
-// goroutine, then detach. Detaching last means no NI or sender is left to
-// trip over a retired transport; it stops the network's receive pumps and
-// unparks any deliverer still blocked on an inbox gate. The inboxes are
-// never read again and are left to the collector, not closed.
-func (c *crew) Stop() {
-	close(c.abort)
-	c.wg.Wait()
-	c.detach()
-}
-
-// NewReliableShare builds the data plane Start then runs: an inbox and a
-// ReliableNI per local host (the root's holds all m packets from the
+// AddReliable joins a reliable session to the share: a ReliableNI per
+// tree host the share runs (the root's holds all m packets from the
 // outset, so seeding its child edges is the FPFS packet-major injection),
-// every inbox attached before any edge is dialed (link.AttachAll), and an
-// incarnation of every tree edge whose parent is local, wired ascending
-// by child for a deterministic seeding order. A failed attach or dial is
-// the returned error, naming the host or edge, with whatever was attached
-// detached again.
-func NewReliableShare(cfg ReliableShareConfig) (*ReliableShare, error) {
+// and an incarnation of every tree edge whose parent is local, dialed
+// ascending by child for a deterministic seeding order. Only once every
+// edge is up does it register the session at the share's NIs, start the
+// senders and queue the root's seeding, which runs after Start. A failed
+// dial is the returned error, naming the edge; the caller's Stop then
+// detaches every host. The MsgID must be unique among the share's
+// sessions.
+func (s *Share) AddReliable(cfg ReliableShareConfig) (*ReliableShare, error) {
 	m := len(cfg.Edge.Packets)
-	s := &ReliableShare{
-		crew:  crew{abort: make(chan struct{})},
+	rs := &ReliableShare{
+		Share: s,
 		cfg:   cfg,
 		nodes: cfg.Tree.Nodes(),
-		nis:   make(map[int]*ReliableNI, len(cfg.Local)),
+		nis:   make(map[int]*ReliableNI, len(s.nis)),
 	}
-	s.routes = make([]atomic.Pointer[EdgeSender], len(s.nodes))
-	s.cfg.Edge.Abort, s.cfg.Edge.Epoch = s.abort, s.Epoch
-	ncfg := &s.cfg.NI
-	ncfg.Packets, ncfg.Abort, ncfg.Epoch = m, s.abort, s.cfg.Edge.Epoch
-
-	// Unbounded, the wire gets headroom for the message, its
-	// retransmissions and a graft's replay; a sender that still finds it
-	// full merely waits for the NI's next turn.
-	capacity := 4*m + 16
-	if cfg.BufferPackets > 0 {
-		capacity = cfg.BufferPackets
-	}
-	var inboxes map[int]*link.Inbox // what AttachAll attaches; nil, and free, on the in-process fabric
-	if cfg.Network != nil {
-		inboxes = make(map[int]*link.Inbox, len(cfg.Local))
-	}
+	rs.routes = make([]atomic.Pointer[EdgeSender], len(rs.nodes))
+	rs.cfg.Edge.Abort, rs.cfg.Edge.Epoch = s.abort, rs.Epoch
+	ncfg := &rs.cfg.NI
+	ncfg.Packets, ncfg.Epoch = m, rs.cfg.Edge.Epoch
 	root := cfg.Tree.Root()
-	for _, v := range cfg.Local {
-		ncfg.Host, ncfg.Root = v, v == root
-		ncfg.Inbox = link.NewInbox(v, capacity, cfg.BufferPackets)
-		s.nis[v] = newReliableNI(s, *ncfg)
-		if inboxes != nil {
-			inboxes[v] = ncfg.Inbox
+	for _, v := range rs.nodes {
+		if s.nis[v] != nil {
+			ncfg.Host, ncfg.Root = v, v == root
+			rs.nis[v] = newReliableNI(rs, *ncfg)
 		}
 	}
-	var err error
-	if s.detach, err = link.AttachAll(cfg.Network, inboxes); err != nil {
-		return nil, err
-	}
-	for i, b := range s.nodes { // ascending by child, so ascending per parent
+	for i, b := range rs.nodes { // ascending by child, so ascending per parent
 		a, ok := cfg.Tree.Parent(b)
-		if !ok || s.nis[a] == nil {
+		if !ok || rs.nis[a] == nil {
 			continue
 		}
-		e, err := s.newEdge(a, b)
+		e, err := rs.newEdge(a, b)
 		if err != nil {
-			s.detach()
 			return nil, err
 		}
-		s.routes[i].Store(e)
-		s.nis[a].children = append(s.nis[a].children, e)
+		rs.routes[i].Store(e)
+		rs.nis[a].children = append(rs.nis[a].children, e)
 	}
-	return s, nil
+	reg := map[uint32]map[int]*ReliableNI{cfg.NI.MsgID: rs.nis}
+	if old := s.reliable.Load(); old != nil {
+		maps.Copy(reg, *old)
+	}
+	s.reliable.Store(&reg)
+	for _, e := range rs.all {
+		rs.spawn(e)
+	}
+	if n := rs.nis[root]; n != nil {
+		s.handOff(root, func() { n.replay(n.children) })
+	}
+	return rs, nil
 }
 
 // newEdge builds one incarnation of edge a->b over a fresh, chaos-wrapped
 // transport. Both ways it can die on its own — retry budget spent,
 // transport failed — report Exhausted.
 func (s *ReliableShare) newEdge(a, b int) (*EdgeSender, error) {
-	var base link.Transport
-	if nw := s.cfg.Network; nw != nil {
-		t, err := nw.Dial(a, b)
-		if err != nil {
-			return nil, fmt.Errorf("dial edge %d->%d: %w", a, b, err)
-		}
-		base = t
-	} else {
-		base = link.New(a, s.nis[b].cfg.Inbox, s.cfg.LinkLatency)
+	base, err := s.dial(a, b)
+	if err != nil {
+		return nil, err
 	}
 	ecfg := s.cfg.Edge
 	ecfg.JitterSeed ^= uint64(a+1)<<20 ^ uint64(b+1)
@@ -192,19 +138,6 @@ func (s *ReliableShare) newEdge(a, b int) (*EdgeSender, error) {
 	e := NewEdgeSender(s.cfg.Chaos.Wrap(base), ecfg)
 	s.all = append(s.all, e)
 	return e, nil
-}
-
-// Start rebases the chaos plane's clock to start and runs every NI and
-// every wired edge on its own goroutine; hook offsets count from start.
-func (s *ReliableShare) Start(start time.Time) {
-	s.cfg.Chaos.Start(start)
-	for _, n := range s.nis {
-		s.wg.Add(1)
-		go func() { defer s.wg.Done(); n.Run(start) }()
-	}
-	for _, e := range s.all {
-		s.spawn(e)
-	}
 }
 
 // spawn runs e under the join of Stop in one allocation, the goroutine's
@@ -235,8 +168,8 @@ func (s *ReliableShare) Route(child, parent int) *EdgeSender {
 	return nil
 }
 
-// ack is the one ACK rule, on n's goroutine: n's host acknowledges frame
-// seq from host from at epoch. The chaos plane draws the ACK's loss from
+// ack is the one ACK rule, on the NI goroutine of n's host: the host
+// acknowledges frame seq from host from at epoch. The chaos plane draws the ACK's loss from
 // n's own stream before either branch; a surviving ACK marks a local
 // parent's incarnation in place, or leaves through Remote for a remote one.
 func (s *ReliableShare) ack(n *ReliableNI, from, seq, epoch int) {
@@ -257,7 +190,7 @@ func (s *ReliableShare) ack(n *ReliableNI, from, seq, epoch int) {
 // Install brings up a fresh incarnation of edge a->b, a local: b's ACKs
 // are routed to it first, so the very first replayed frame can be
 // acknowledged, then a's NI takes the edge and replays every packet it
-// holds into it. Installing what is installed does nothing (orders are
+// holds into it, on its own goroutine. Installing what is installed does nothing (orders are
 // re-sent); installing over another local parent's incarnation retires
 // that one first (the order to retire it was lost). When the dial fails —
 // a regraft on a closing network — there is no incarnation to run, and

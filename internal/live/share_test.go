@@ -135,21 +135,24 @@ func shareTree() *tree.Tree {
 func testShare(t *testing.T, nw *wireNet, pkts [][]byte) (*ReliableShare, chan [2]int) {
 	t.Helper()
 	exhausted := make(chan [2]int, 16)
-	cfg := ReliableShareConfig{
-		Tree:      shareTree(),
-		Local:     []int{2, 0},
-		Edge:      EdgeSenderConfig{Packets: pkts, RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
-		NI:        ReliableNIConfig{MsgID: 3, OnDone: func(int, time.Duration) {}},
-		Exhausted: func(a, b int) { exhausted <- [2]int{a, b} },
-	}
+	tr, hosts, cfg := shareTree(), []int{2, 0}, Config{}
 	if nw != nil {
 		cfg.Network = nw
 	} else {
-		cfg.Local = cfg.Tree.Nodes()
+		hosts = tr.Nodes()
 	}
-	s, err := NewReliableShare(cfg)
+	plane, err := NewShare(hosts, 4*len(pkts)+16, DefaultQuantum, cfg)
 	if err != nil {
-		t.Fatalf("NewReliableShare: %v", err)
+		t.Fatalf("NewShare: %v", err)
+	}
+	s, err := plane.AddReliable(ReliableShareConfig{
+		Tree:      tr,
+		Edge:      EdgeSenderConfig{Packets: pkts, RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
+		NI:        ReliableNIConfig{MsgID: 3, OnDone: func(int, time.Duration) {}},
+		Exhausted: func(a, b int) { exhausted <- [2]int{a, b} },
+	})
+	if err != nil {
+		t.Fatalf("AddReliable: %v", err)
 	}
 	return s, exhausted
 }
@@ -204,7 +207,7 @@ func TestReliableShare(t *testing.T) {
 	t.Run("install replays what the parent holds and takes over the ACK route; retire is idempotent; totals keep the cancelled", func(t *testing.T) {
 		nw := newWireNet()
 		s, _ := testShare(t, nw, pkts)
-		inbox2 := s.NI(2).cfg.Inbox
+		inbox2 := s.Share.nis[2].inbox
 		s.Start(time.Now())
 		nw.await(t, 3*m)
 		// Host 2 receives packets 0 and 2 and forwards each to 3 and 7.

@@ -17,7 +17,6 @@ import (
 // HeartbeatParams sets the failure detector's wall-clock timing; the
 // detector itself is the pure state machine of internal/membership.
 type HeartbeatParams struct {
-	Every        time.Duration // heartbeat period per host
 	SuspectAfter time.Duration // silence before suspicion
 	ConfirmAfter time.Duration // further silence before crash confirmation
 }
@@ -31,11 +30,10 @@ const detectorJitter = 0.25
 // decorrelated from the fault plane that shares faultSeed.
 func (hb HeartbeatParams) NewDetector(faultSeed uint64, hosts []int) (*membership.Detector, error) {
 	return membership.New(membership.Config{
-		HeartbeatEvery: us(hb.Every),
-		SuspectAfter:   us(hb.SuspectAfter),
-		ConfirmAfter:   us(hb.ConfirmAfter),
-		JitterFrac:     detectorJitter,
-		Seed:           faultSeed ^ 0xD1B5_4A32_D192_ED03,
+		SuspectAfter: us(hb.SuspectAfter),
+		ConfirmAfter: us(hb.ConfirmAfter),
+		JitterFrac:   detectorJitter,
+		Seed:         faultSeed ^ 0xD1B5_4A32_D192_ED03,
 	}, hosts, 0)
 }
 
@@ -46,10 +44,10 @@ func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond)
 // supervisor's start, less every interval the supervisor itself ran behind
 // the deadline it was waiting for. A supervisor that was not running — its
 // process starved by a loaded box, or busy in a handler — observed nothing,
-// and in the in-process engine the hosts it would have heard from were
-// starved with it; counting that interval as their silence confirms a whole
-// healthy tree at once. Stopping the clock instead only ever delays a
-// judgment, by as long as the observer was away.
+// and the other processes' beats it would have heard queued up unread;
+// counting that interval as their silence confirms every remote host at
+// once. Stopping the clock instead only ever delays a judgment, by as long
+// as the observer was away.
 type stallClock struct {
 	late  time.Duration // overdue time taken off the clock so far
 	floor time.Duration // the deadline last run past: no stamp maps below it
@@ -76,7 +74,7 @@ func (c *stallClock) catchUp(wall, deadline time.Duration) {
 type ReportKind int
 
 const (
-	// ReportBeat: Host was alive at At.
+	// ReportBeat: Host, run by another process, was alive at At.
 	ReportBeat ReportKind = iota
 	// ReportDone: Host holds the whole message.
 	ReportDone
@@ -117,15 +115,12 @@ type Order struct {
 type SupervisorConfig struct {
 	Det         *membership.Detector // nil: unarmed, nobody beats
 	MaxRegrafts int                  // adoptions per destination before abandonment
-	// Witness lists the hosts the supervisor's own execution proves alive:
-	// credited before every judgment instead of timed.
-	Witness []int
 	// Refresh paces re-sent orders and the stranded sweep; 0: never.
 	Refresh time.Duration
 	// Down, when non-nil, is the crash schedule. With it, Alive reads the
-	// schedule, a down host is not witnessed and a crash-stopped one not
-	// awaited; without it, Alive reads the detector and a host confirmed
-	// crashed is not awaited.
+	// schedule, a down share host is not witnessed and a crash-stopped one
+	// not awaited; without it, Alive reads the detector and a host
+	// confirmed crashed is not awaited.
 	Down    func(host int, at time.Duration) bool
 	Timeout time.Duration                    // the watchdog
 	Logf    func(format string, args ...any) // nil: silent
@@ -137,10 +132,13 @@ type SupervisorConfig struct {
 // any goroutine; the rest belongs to Run's goroutine, and to its caller
 // once Run returns.
 //
-// A stalled observer manufactures silence, so Run re-arms its timer at the
+// The share's own hosts are witnessed — credited alive before every
+// judgment, unless the crash schedule says they are down — and only the
+// other processes' hosts are timed, on the beats they send. A stalled
+// observer manufactures silence, so Run re-arms its timer at the
 // detector's own next deadline, lands queued reports before silence is
-// judged, credits witnessed hosts rather than timing them, and does not
-// count time it spent overdue as silence (stallClock).
+// judged, and does not count time it spent overdue as silence
+// (stallClock).
 type Supervisor struct {
 	cfg     SupervisorConfig
 	share   *ReliableShare
@@ -265,7 +263,7 @@ func (s *Supervisor) handle(r Report) {
 	switch r.Kind {
 	case ReportBeat:
 		s.witness()
-		if !slices.Contains(s.cfg.Witness, r.Host) { // credited already, at a fresher instant
+		if s.share.NI(r.Host) == nil { // a share host is credited already, at a fresher instant
 			s.fold(s.cfg.Det.Heartbeat(r.Host, us(s.clock.at(r.At))))
 		}
 	case ReportDone:
@@ -275,21 +273,22 @@ func (s *Supervisor) handle(r Report) {
 		s.dead[[2]int{r.Host, r.To}] = true
 		s.brain.Exhausted(r.Host, r.To)
 	case ReportRejoin:
-		// If the detector already confirmed the crash, its beat-driven
-		// Rejoined event re-admits the host with a fresh subtree; grafting
-		// here too would just double the churn.
+		// If the detector already confirmed the crash, its Rejoined event
+		// (on a beat, or a witness) re-admits the host with a fresh
+		// subtree; grafting here too would just double the churn.
 		if s.Member(r.Host) {
 			s.brain.Graft(s.brain.LiveAncestor(r.Host), []int{r.Host})
 		}
 	}
 }
 
-// witness credits every witnessed host that is not down as alive now,
-// without the silence judgment a heartbeat applies first.
+// witness credits every share host that is not down as alive now,
+// without the silence judgment a heartbeat applies first: the
+// supervisor's process runs it, so its liveness is the schedule's.
 func (s *Supervisor) witness() {
 	at := time.Since(s.start)
-	for _, h := range s.cfg.Witness {
-		if s.cfg.Down == nil || !s.cfg.Down(h, at) {
+	for _, h := range s.share.nodes {
+		if s.share.NI(h) != nil && (s.cfg.Down == nil || !s.cfg.Down(h, at)) {
 			s.fold(s.cfg.Det.Witness(h, us(s.clock.at(at))))
 		}
 	}

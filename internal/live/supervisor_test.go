@@ -29,10 +29,13 @@ func remoteSupervisor(t *testing.T, local []int, chaos *link.Chaos) (s *Supervis
 	}
 	nw = newWireNet()
 	var log []string
-	share, err := NewReliableShare(ReliableShareConfig{
+	plane, err := NewShare(local, 0, DefaultQuantum, Config{Network: nw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(plane.Stop)
+	share, err := plane.AddReliable(ReliableShareConfig{
 		Tree:      tr,
-		Local:     local,
-		Network:   nw,
 		Chaos:     chaos,
 		Edge:      EdgeSenderConfig{Packets: mustPacketize(t, 3, 0, payloadBytes(200)), RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
 		NI:        ReliableNIConfig{MsgID: 3, OnDone: func(int, time.Duration) {}},
@@ -53,8 +56,7 @@ func remoteSupervisor(t *testing.T, local []int, chaos *link.Chaos) (s *Supervis
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(share.Stop)
-	hb := HeartbeatParams{Every: 5 * time.Millisecond, SuspectAfter: 16 * time.Millisecond, ConfirmAfter: 12 * time.Millisecond}
+	hb := HeartbeatParams{SuspectAfter: 16 * time.Millisecond, ConfirmAfter: 12 * time.Millisecond}
 	det, err := hb.NewDetector(1, tr.Nodes())
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +64,6 @@ func remoteSupervisor(t *testing.T, local []int, chaos *link.Chaos) (s *Supervis
 	s = NewSupervisor(share, SupervisorConfig{
 		Det:         det,
 		MaxRegrafts: 4,
-		Witness:     []int{0},
 		Refresh:     time.Second,
 		Timeout:     time.Minute,
 	})
@@ -158,9 +159,7 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := s.share.NI(to)
-		n.start = time.Now()
-		n.serve(link.Frame{From: from, Payload: pkt})
+		s.share.NI(to).serve(link.Frame{From: from, Payload: pkt})
 		return s.share.Route(to, from)
 	}
 
@@ -207,6 +206,24 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 	})
 }
 
+// TestInProcessLivenessIsTheSchedule: the supervisor witnesses every host
+// of its share that the crash schedule says is up, so a second in which
+// no host was heard from confirms only the host that is down — not, as
+// when only the root was witnessed and the rest had to beat, every host
+// the starved process could not beat for.
+func TestInProcessLivenessIsTheSchedule(t *testing.T) {
+	s, _, _ := remoteSupervisor(t, []int{0, 1, 2, 3}, nil)
+	s.cfg.Down = func(host int, _ time.Duration) bool { return host == 2 }
+	s.start = time.Now().Add(-time.Second)
+	s.witness()
+	s.fold(s.cfg.Det.Advance(us(time.Second)))
+	for v := 0; v < 4; v++ {
+		if crashed := s.cfg.Det.Phase(v) == membership.Crashed; crashed != (v == 2) {
+			t.Fatalf("host %d confirmed crashed: %v; want exactly the down host 2", v, crashed)
+		}
+	}
+}
+
 // stallScript replays, on no clock but its own, what a loaded box did to
 // TestReliableCrashStopAdoption: six hosts beat every 3 ms, host 2 dies
 // at 4 ms, and from 54 ms to 915 ms the whole process — supervisor and
@@ -217,7 +234,8 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 // stallClock.
 func stallScript(t *testing.T, catchUp bool) map[int]bool {
 	t.Helper()
-	hb := HeartbeatParams{Every: 3 * time.Millisecond, SuspectAfter: 10 * time.Millisecond, ConfirmAfter: 8 * time.Millisecond}
+	const every = 3 * time.Millisecond
+	hb := HeartbeatParams{SuspectAfter: 10 * time.Millisecond, ConfirmAfter: 8 * time.Millisecond}
 	hosts := []int{0, 1, 2, 3, 4, 5}
 	det, err := hb.NewDetector(11, hosts)
 	if err != nil {
@@ -244,7 +262,7 @@ func stallScript(t *testing.T, catchUp bool) map[int]bool {
 			note(det.Advance(max(dl, us(clock.at(w)))))
 		}
 	}
-	for w := time.Duration(0); w < 1000*time.Millisecond; w += hb.Every {
+	for w := time.Duration(0); w < 1000*time.Millisecond; w += every {
 		if w > 54*time.Millisecond && w < 915*time.Millisecond {
 			continue // starved: nobody beats, nobody listens
 		}

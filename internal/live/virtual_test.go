@@ -24,10 +24,10 @@ import (
 // goroutines and their own time.NewTimer/Now calls — on the standard
 // library's fake clock: inside a synctest bubble time advances only when
 // every goroutine is blocked, so a 25 ms RTO costs no wall time and no
-// amount of box load can read as host silence. That is why this sweep, and
+// amount of box load can stretch a timer. That is why this sweep, and
 // only this one, runs DefaultReliableConfig as shipped instead of
-// fastReliable's load-padded detector windows, and why a watchdog expiry
-// here is a protocol stall and never a slow box.
+// fastReliable's timing, and why a watchdog expiry here is a protocol
+// stall and never a slow box.
 //
 // Load-independent is not bit-exact replay: goroutines runnable at the
 // same virtual instant still run in the scheduler's order.

@@ -14,7 +14,7 @@
 // + jitter) until the root acknowledges it, and the root retries STOP
 // per remote host until acknowledged or the drain deadline passes.
 //
-// Run drives live's plain data plane (live.PlainShare) — correct on a
+// Run drives live's plain data plane (live.Share) — correct on a
 // lossless fabric, wedging on loss — and owns only that handshake.
 // RunReliable (reliable.go) layers retransmission, duplicate suppression,
 // process-level failure detection and Fig.-11 orphan adoption on the same
@@ -150,7 +150,7 @@ func (c *Config) ackStop() {
 // handshake is one process's side of a plain run's DONE/STOP exchange.
 type handshake struct {
 	Config
-	share    *live.PlainShare
+	share    *live.Share
 	stopped  chan struct{} // root's STOP observed (or sent)
 	stopOnce sync.Once     // several local listeners may hear STOP
 	// acked holds a channel per local host, closed by the host's listener
@@ -174,7 +174,7 @@ func Run(cfg Config) (*Result, error) {
 	start := time.Now()
 	// An unbounded wire holds the session's m frames, so senders never
 	// block on it.
-	share, err := live.NewPlainShare(cfg.Local, len(cfg.Packets), live.DefaultQuantum,
+	share, err := live.NewShare(cfg.Local, len(cfg.Packets), live.DefaultQuantum,
 		live.Config{BufferPackets: cfg.BufferPackets, Network: cfg.Net})
 	if err != nil {
 		return nil, fmt.Errorf("mcastd: %w", err)

@@ -2,14 +2,15 @@ package mcastd
 
 // This file is the deployment rung of the reliable protocol ladder: the
 // protocol of internal/reliable and live.RunReliable across OS processes
-// over UDP. Every process runs a live.ReliableShare over the socket
-// fabric; the root's also runs live.Supervisor, witnessing its own hosts
-// and hearing the others' beats over ctl. What the share sends to another
-// process — a child's ACK for a remote parent, the supervisor's orders
-// (GRAFT/KILL/EPOCH, refreshed so a lost datagram delays repair by one
-// tick instead of wedging it) — leaves through order as a ctl frame. What
-// stays here is the daemon's own: the ctl listeners, the follower loop of
-// every other process, the DONE/STOP handshake, the verdict and the result.
+// over UDP. Every process joins a live.ReliableShare to a live.Share over
+// the socket fabric; the root's also runs live.Supervisor, witnessing its
+// own hosts and hearing the others' beats over ctl. What the share sends
+// to another process — a child's ACK for a remote parent, the supervisor's
+// orders (GRAFT/KILL/EPOCH, refreshed so a lost datagram delays repair by
+// one tick instead of wedging it) — leaves through order as a ctl frame.
+// What stays here is the daemon's own: the ctl listeners, the follower
+// loop of every other process, the DONE/STOP handshake, the verdict and
+// the result.
 
 import (
 	"fmt"
@@ -181,7 +182,7 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 		if v != rt.root {
 			rt.doneAckC[v] = make(chan struct{})
 		} else if det, err = (live.HeartbeatParams{
-			Every: heartbeatEvery, SuspectAfter: suspectAfter, ConfirmAfter: confirmAfter,
+			SuspectAfter: suspectAfter, ConfirmAfter: confirmAfter,
 		}).NewDetector(rcfg.Faults.Seed, rt.nodes); err != nil {
 			return nil, err
 		}
@@ -204,12 +205,16 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 		rt.event(dev{ctlFrame: ctlFrame{kind: evLocalExhausted, a: a, b: b}})
 	}
 
-	rt.share, err = live.NewReliableShare(live.ReliableShareConfig{
-		Tree:          cfg.Tree,
-		Local:         cfg.Local,
-		Network:       cfg.Net,
-		BufferPackets: cfg.BufferPackets,
-		Chaos:         chaos,
+	// Unbounded, the wire gets headroom for the message, its
+	// retransmissions and a graft's replay.
+	share, err := live.NewShare(cfg.Local, 4*rt.m+16, live.DefaultQuantum,
+		live.Config{BufferPackets: cfg.BufferPackets, Network: cfg.Net})
+	if err != nil {
+		return nil, fmt.Errorf("mcastd: %w", err)
+	}
+	rt.share, err = share.AddReliable(live.ReliableShareConfig{
+		Tree:  cfg.Tree,
+		Chaos: chaos,
 		Edge: live.EdgeSenderConfig{
 			Packets:     cfg.Packets,
 			RTO:         rcfg.RTO,
@@ -224,13 +229,13 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 		Remote:    rt.order,
 	})
 	if err != nil {
+		share.Stop()
 		return nil, fmt.Errorf("mcastd: %w", err)
 	}
 	if det != nil {
 		rt.sup = live.NewSupervisor(rt.share, live.SupervisorConfig{
 			Det:         det,
 			MaxRegrafts: maxRegrafts,
-			Witness:     cfg.Local,
 			Refresh:     refresh,
 			Timeout:     cfg.Timeout,
 			Logf:        rt.cfg.logf,
@@ -245,7 +250,8 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	rt.share.SetEpoch(1)
 
 	rt.start = time.Now()
-	rt.share.Start(rt.start)
+	chaos.Start(rt.start)
+	share.Start(rt.start)
 	for _, v := range cfg.Local {
 		rt.share.Go(func() { rt.listen(v) })
 	}

@@ -29,10 +29,6 @@ import (
 
 // Config tunes the failure detector. All times are microseconds.
 type Config struct {
-	// HeartbeatEvery is the expected heartbeat period. The detector only
-	// uses it for validation sanity (timeouts must exceed it); senders own
-	// the actual cadence.
-	HeartbeatEvery float64
 	// SuspectAfter is the silence after the last heartbeat before a member
 	// becomes Suspect.
 	SuspectAfter float64
@@ -47,26 +43,22 @@ type Config struct {
 }
 
 // DefaultConfig returns detector defaults sized for the simulator's
-// microsecond scale: 5 us heartbeats, suspicion after 16 us of silence,
-// confirmation 12 us later, 25% timeout jitter.
+// microsecond scale: suspicion after 16 us of silence, confirmation 12 us
+// later, 25% timeout jitter.
 func DefaultConfig() Config {
 	return Config{
-		HeartbeatEvery: 5.0,
-		SuspectAfter:   16.0,
-		ConfirmAfter:   12.0,
-		JitterFrac:     0.25,
-		Seed:           1,
+		SuspectAfter: 16.0,
+		ConfirmAfter: 12.0,
+		JitterFrac:   0.25,
+		Seed:         1,
 	}
 }
 
 // Validate reports the first invalid field.
 func (c Config) Validate() error {
 	switch {
-	case c.HeartbeatEvery <= 0:
-		return fmt.Errorf("membership: heartbeat period %f", c.HeartbeatEvery)
-	case c.SuspectAfter <= c.HeartbeatEvery:
-		return fmt.Errorf("membership: suspicion timeout %f must exceed the heartbeat period %f",
-			c.SuspectAfter, c.HeartbeatEvery)
+	case c.SuspectAfter <= 0:
+		return fmt.Errorf("membership: suspicion timeout %f", c.SuspectAfter)
 	case c.ConfirmAfter <= 0:
 		return fmt.Errorf("membership: confirmation timeout %f", c.ConfirmAfter)
 	case c.JitterFrac < 0:

@@ -17,9 +17,8 @@ func det(t *testing.T, members []int) *Detector {
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{},
-		{HeartbeatEvery: 5, SuspectAfter: 4, ConfirmAfter: 10},
-		{HeartbeatEvery: 5, SuspectAfter: 16, ConfirmAfter: 0},
-		{HeartbeatEvery: 5, SuspectAfter: 16, ConfirmAfter: 12, JitterFrac: -1},
+		{SuspectAfter: 16, ConfirmAfter: 0},
+		{SuspectAfter: 16, ConfirmAfter: 12, JitterFrac: -1},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {
@@ -67,7 +66,7 @@ func TestSilenceSuspectsThenConfirms(t *testing.T) {
 	}
 	// Hosts 0 and 2 heartbeat; host 1 is silent from t=0.
 	for beat := 1; beat <= 10; beat++ {
-		at := float64(beat) * cfg.HeartbeatEvery
+		at := float64(beat) * 5 // every 5 us, well inside SuspectAfter
 		d.Heartbeat(0, at)
 		evs := d.Heartbeat(2, at)
 		for _, e := range evs {

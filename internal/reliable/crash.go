@@ -12,9 +12,9 @@ import (
 // mc.det stays nil, the epoch stays 0, and the data plane replays its
 // crash-free behavior event-for-event.
 
-// heartbeatEvery is the membership plane's beat period (us), the
-// detector's own: membership.DefaultConfig().HeartbeatEvery.
-var heartbeatEvery = membership.DefaultConfig().HeartbeatEvery
+// heartbeatEvery is the membership plane's beat period (us): each host's
+// beat, and the root's detector tick.
+const heartbeatEvery = 5.0
 
 // scheduleBeats drives host v's heartbeat loop: every heartbeatEvery it
 // emits one control-plane heartbeat toward the root (unless the host is

@@ -8,7 +8,7 @@
 //     and expiry are typed rejections (ErrQueueFull, ErrSubmitTimeout),
 //     so producers see backpressure instead of unbounded goroutine and
 //     buffer growth.
-//   - Per-NI fair queueing: the fabric is a live.PlainShare, whose one
+//   - Per-NI fair queueing: the fabric is a live.Share, whose one
 //     NI loop per host serves the sessions registered there, and injects
 //     those rooted there, by deficit round robin, so one elephant session
 //     cannot starve mice sharing the interface. Sessions join it at
@@ -200,8 +200,8 @@ type Scheduler struct {
 	cfg   Config
 	start time.Time
 	hosts map[int]bool
-	share *live.PlainShare // runs every goroutine of the scheduler
-	abort <-chan struct{}  // the share's
+	share *live.Share     // runs every goroutine of the scheduler
+	abort <-chan struct{} // the share's
 
 	queue    chan *Handle
 	admitted chan *Handle
@@ -222,7 +222,7 @@ type Scheduler struct {
 const unboundedWire = 1024
 
 // New builds a scheduler over the given host set and starts its
-// goroutines on one live.PlainShare: the share's NI loop per host, an
+// goroutines on one live.Share: the share's NI loop per host, an
 // admitter and a collector. The caller must Close it.
 func New(hosts []int, cfg Config) (*Scheduler, error) {
 	if len(hosts) == 0 {
@@ -252,7 +252,7 @@ func New(hosts []int, cfg Config) (*Scheduler, error) {
 		}
 		s.hosts[v] = true
 	}
-	share, err := live.NewPlainShare(hosts, unboundedWire, cfg.Quantum,
+	share, err := live.NewShare(hosts, unboundedWire, cfg.Quantum,
 		live.Config{BufferPackets: cfg.BufferPackets, LinkLatency: cfg.LinkLatency})
 	if err != nil {
 		return nil, fmt.Errorf("sched: %w", err)

@@ -32,9 +32,9 @@ func TestWirePathIsWrittenOnce(t *testing.T) {
 		filepath.Join("internal", "live", "rni.go"):         {"Parse": 1, "Put": 1, "DecodeHeader": 0, "Verify": 0, "Add": 0},
 		filepath.Join("internal", "reliable", "machine.go"): {"Parse": 1, "Put": 1, "DecodeHeader": 0, "Verify": 0, "Add": 0},
 		filepath.Join("internal", "live", "hostsession.go"): {"Verify": 1, "Put": 1, "DecodeHeader": 0, "Parse": 0, "Add": 0},
-		// The scheduler runs live.PlainShare: no receive or forward path of its own.
+		// The scheduler runs live.Share: no receive or forward path of its own.
 		filepath.Join("internal", "sched", "sched.go"): {"DecodeHeader": 0, "Serve": 0, "Forward": 0, "Parse": 0, "Verify": 0},
-		// The plain daemon runs live.PlainShare: no receive path of its own.
+		// The plain daemon runs live.Share: no receive path of its own.
 		filepath.Join("internal", "mcastd", "mcastd.go"): {"DecodeHeader": 0, "Serve": 0, "Forward": 0, "Parse": 0, "Verify": 0},
 		// The second decode is Config.Record's send tracer; the one Forward
 		// is the root NI's source step.
