@@ -54,6 +54,19 @@ func TestReliableAllMode(t *testing.T) {
 	}
 }
 
+// TestNegativeBuffer: a negative -buffer is refused, plain or reliable,
+// not run as if unbounded.
+func TestNegativeBuffer(t *testing.T) {
+	skipWithoutLoopback(t)
+	for _, extra := range [][]string{nil, {"-reliable"}} {
+		var out, errw bytes.Buffer
+		args := append([]string{"-all", "-dests", "3", "-buffer", "-5"}, extra...)
+		if code := run(args, &out, &errw); code == 0 || !strings.Contains(errw.String(), "negative buffer bound -5") {
+			t.Errorf("%q: exit %d, want a failure naming the bound\nstderr:\n%s", args, code, errw.String())
+		}
+	}
+}
+
 // TestUsageErrors pins exit code 2 on bad invocations.
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {

@@ -17,10 +17,10 @@ type EdgeAck struct {
 	Seq, Epoch int
 }
 
-// EdgeSenderConfig parameterizes one EdgeSender incarnation. The hooks
-// decouple the retransmission protocol from any particular runtime: the
-// in-process reliable engine and the multi-process daemon both drive
-// the same loop with different epoch registers and failure reporters.
+// EdgeSenderConfig parameterizes one EdgeSender incarnation. An edge a
+// ReliableShare builds belongs to its session, which stamps its epoch,
+// holds its crash schedule and hears of its death; a bare edge (nil
+// session) sends at epoch 0, is never down, and dies unheard.
 type EdgeSenderConfig struct {
 	Packets     [][]byte      // the session's wire packets, indexed by sequence
 	RTO         time.Duration // base retransmission timeout
@@ -29,23 +29,6 @@ type EdgeSenderConfig struct {
 	JitterSeed  uint64        // private backoff-jitter stream seed
 
 	Abort <-chan struct{} // runtime teardown
-
-	// Epoch, when non-nil, returns the sender's current epoch: positive
-	// values are stamped into every (re)transmission and Ack fences ACKs
-	// from older epochs. Nil leaves the membership plane unarmed.
-	Epoch func() int
-	// Suppressed, when non-nil and true, makes sends vanish silently (a
-	// crashed NI emits nothing) while still burning retry budget, so a
-	// long crash exhausts the edge and triggers repair even before a
-	// failure detector confirms.
-	Suppressed func() bool
-	// OnExhausted is called (once, from the sender goroutine) when a
-	// packet spends its retry budget; the edge dies immediately after.
-	OnExhausted func()
-	// OnDead is called (once, from the sender goroutine) when the
-	// transport fails with a genuine error — not an abort — killing the
-	// incarnation. Repair machinery should treat it like exhaustion.
-	OnDead func(error)
 }
 
 // EdgeSender is one reliable tree-edge incarnation: a dedicated sender
@@ -62,8 +45,9 @@ type EdgeSenderConfig struct {
 type EdgeSender struct {
 	tr   link.Transport
 	cfg  EdgeSenderConfig
-	in   chan int      // novel/replayed sequence numbers from the owning NI
-	jrng *workload.RNG // backoff jitter stream
+	s    *ReliableShare // the session; nil for a bare edge
+	in   chan int       // novel/replayed sequence numbers from the owning NI
+	jrng *workload.RNG  // backoff jitter stream
 
 	acked     []atomic.Bool // per-packet ACK bitmap, set by Ack
 	cancelled atomic.Bool
@@ -109,7 +93,7 @@ func (e *EdgeSender) Enqueue(seq int) {
 // waking the sender: a stale-epoch ACK is fenced (counted, dropped), any
 // other settles its packet, which is then never sent or resent again.
 func (e *EdgeSender) Ack(a EdgeAck) {
-	if e.cfg.Epoch != nil && a.Epoch < e.cfg.Epoch() {
+	if a.Epoch < e.epoch() {
 		e.fenced.Add(1) // stale control traffic: ignore, retransmit fresh
 		return
 	}
@@ -133,6 +117,22 @@ func (e *EdgeSender) Cancel() {
 func (e *EdgeSender) Sends() int       { return e.sends }
 func (e *EdgeSender) Retransmits() int { return e.retransmits }
 func (e *EdgeSender) Fenced() int      { return int(e.fenced.Load()) }
+
+// epoch is the session's fence register, 0 for a bare edge.
+func (e *EdgeSender) epoch() int {
+	if e.s == nil {
+		return 0
+	}
+	return e.s.Epoch()
+}
+
+// die reports the incarnation's death to its session, once, from the
+// sender goroutine.
+func (e *EdgeSender) die() {
+	if e.s != nil {
+		e.s.Report(Report{Kind: ReportExhausted, Host: e.From(), To: e.To()})
+	}
+}
 
 // Run is the edge sender loop: send a new sequence at once (the
 // transport's admission gate is the only send window) unless it is ACKed
@@ -177,9 +177,7 @@ func (e *EdgeSender) Run() {
 					if n > e.cfg.RetryBudget {
 						// Budget spent: this incarnation dies; the supervisor
 						// repairs or abandons the subtree behind it.
-						if e.cfg.OnExhausted != nil {
-							e.cfg.OnExhausted()
-						}
+						e.die()
 						return
 					}
 					if !e.send(seq, true) {
@@ -213,26 +211,26 @@ func rearm(t *time.Timer, d time.Duration) {
 	t.Reset(d)
 }
 
-// send injects one (re)transmission, stamped with the current epoch when
-// the membership plane is armed. A suppressed send vanishes silently but
-// still burns retry budget. Returns false when the incarnation must die:
-// on abort, or on a genuine transport error (reported via OnDead so the
+// send injects one (re)transmission, stamped with the session's epoch
+// once the membership plane is armed. While the session's crash schedule
+// has the parent down the send vanishes silently but still burns retry
+// budget, so a long crash exhausts the edge and triggers repair even
+// before a failure detector confirms. Returns false when the incarnation
+// must die: on abort, or on a genuine transport error (reported, so the
 // repair machinery routes around the dead link).
 func (e *EdgeSender) send(seq int, retrans bool) bool {
-	if e.cfg.Suppressed != nil && e.cfg.Suppressed() {
+	if e.s != nil && e.s.down(e.From(), time.Since(e.s.start)) {
 		return true
 	}
 	pkt := e.cfg.Packets[seq]
-	if e.cfg.Epoch != nil {
-		if g := e.cfg.Epoch(); g > 0 {
-			if stamped, err := message.WithEpoch(pkt, uint16(g)); err == nil {
-				pkt = stamped
-			}
+	if g := e.epoch(); g > 0 {
+		if stamped, err := message.WithEpoch(pkt, uint16(g)); err == nil {
+			pkt = stamped
 		}
 	}
 	if err := e.tr.Send(pkt, e.cfg.Abort); err != nil {
-		if !errors.Is(err, link.ErrAborted) && e.cfg.OnDead != nil {
-			e.cfg.OnDead(err)
+		if !errors.Is(err, link.ErrAborted) {
+			e.die()
 		}
 		return false
 	}

@@ -3,7 +3,6 @@ package live
 import (
 	"errors"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,14 +19,42 @@ type edgeRig struct {
 	done  chan struct{} // closed when Run returns
 }
 
-// startEdge builds an incarnation of edge 0->1 over an inbox with the given
-// buffer slots (0: unbounded) and runs it once the enqueues are in, so they
-// reach it in order.
-func startEdge(t *testing.T, cfg EdgeSenderConfig, slots int, enqueue ...int) *edgeRig {
+// bareSession is a session of no share: an edge attached to it stamps its
+// epoch, reads its crash schedule down (nil: none) and reports its death on
+// its queue, which the test reads.
+func bareSession(down func(host int, at time.Duration) bool) *ReliableShare {
+	return &ReliableShare{
+		Share:   &Share{abort: make(chan struct{}), start: time.Now()},
+		cfg:     ReliableShareConfig{Down: down},
+		reports: make(chan Report, 8),
+	}
+}
+
+// reports drains what the session's queue holds.
+func reports(s *ReliableShare) []Report {
+	var got []Report
+	for {
+		select {
+		case r := <-s.Reports():
+			got = append(got, r)
+		default:
+			return got
+		}
+	}
+}
+
+// startEdge builds an incarnation of edge 0->1 of session sess (nil: a bare
+// edge) over an inbox with the given buffer slots (0: unbounded) and runs
+// it once the enqueues are in, so they reach it in order.
+func startEdge(t *testing.T, cfg EdgeSenderConfig, sess *ReliableShare, slots int, enqueue ...int) *edgeRig {
 	t.Helper()
 	r := &edgeRig{in: link.NewInbox(1, 64, slots), abort: make(chan struct{}), done: make(chan struct{})}
+	if sess != nil {
+		r.abort = sess.abort
+	}
 	cfg.Abort = r.abort
 	r.e = NewEdgeSender(link.New(0, r.in, 0), cfg)
+	r.e.s = sess
 	for _, seq := range enqueue {
 		r.e.Enqueue(seq)
 	}
@@ -77,7 +104,7 @@ func TestEdgeSender(t *testing.T) {
 	quiet := EdgeSenderConfig{Packets: pkts, RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3}
 
 	t.Run("an ACK that lands before the first send suppresses it", func(t *testing.T) {
-		r := startEdge(t, quiet, 0)
+		r := startEdge(t, quiet, nil, 0)
 		r.e.Ack(EdgeAck{Seq: 0})
 		r.e.Enqueue(0)
 		r.e.Enqueue(1)
@@ -91,9 +118,9 @@ func TestEdgeSender(t *testing.T) {
 	})
 
 	t.Run("a stale-epoch ACK is fenced and suppresses nothing", func(t *testing.T) {
-		cfg := quiet
-		cfg.Epoch = func() int { return 2 }
-		r := startEdge(t, cfg, 0)
+		sess := bareSession(nil)
+		sess.SetEpoch(2)
+		r := startEdge(t, quiet, sess, 0)
 		r.e.Ack(EdgeAck{Seq: 0, Epoch: 1})
 		r.e.Enqueue(0)
 		if h := r.recv(t); h.Seq != 0 || h.Epoch != 2 {
@@ -106,7 +133,7 @@ func TestEdgeSender(t *testing.T) {
 	})
 
 	t.Run("cancel is idempotent and wakes an idle edge before its timer", func(t *testing.T) {
-		r := startEdge(t, quiet, 0, 0)
+		r := startEdge(t, quiet, nil, 0, 0)
 		r.recv(t) // packet 0 is out; the timer is armed a minute ahead
 		r.e.Cancel()
 		r.e.Cancel()
@@ -126,7 +153,7 @@ func TestEdgeSender(t *testing.T) {
 		// packets 2, 0 and 3 are all due, and the next fire finds the three.
 		cfg := quiet
 		cfg.RTO, cfg.RTOMax = 100*time.Millisecond, 100*time.Millisecond
-		r := startEdge(t, cfg, 1, 2, 0, 3, 1)
+		r := startEdge(t, cfg, nil, 1, 2, 0, 3, 1)
 		var got []int
 		for len(got) < 7 {
 			h := r.recv(t)
@@ -142,43 +169,38 @@ func TestEdgeSender(t *testing.T) {
 		}
 	})
 
+	dead := []Report{{Kind: ReportExhausted, Host: 0, To: 1}}
+
 	t.Run("budget exhaustion reports once; suppressed sends burn budget", func(t *testing.T) {
-		for _, suppressed := range []bool{false, true} {
-			var exhausted atomic.Int32
+		for _, down := range []bool{false, true} {
+			sess := bareSession(func(host int, _ time.Duration) bool { return down && host == 0 })
 			cfg := quiet
 			cfg.RTO, cfg.RTOMax, cfg.RetryBudget = time.Millisecond, 2*time.Millisecond, 2
-			cfg.OnExhausted = func() { exhausted.Add(1) }
-			cfg.Suppressed = func() bool { return suppressed }
-			r := startEdge(t, cfg, 0, 0, 1, 2, 3)
+			r := startEdge(t, cfg, sess, 0, 0, 1, 2, 3)
 			r.join(t, "after exhausting its budget")
 			close(r.abort)
 			want := 1 + cfg.RetryBudget // the failing packet's every attempt
-			if suppressed {
+			if down {
 				want = 0
 			}
-			if n := exhausted.Load(); n != 1 || r.e.Sends() < want || r.e.Retransmits() > len(pkts)*cfg.RetryBudget {
-				t.Fatalf("suppressed %v: OnExhausted ran %d times after %d sends (%d retransmissions); want once, >= %d sends, <= %d retransmissions",
-					suppressed, n, r.e.Sends(), r.e.Retransmits(), want, len(pkts)*cfg.RetryBudget)
+			if got := reports(sess); !reflect.DeepEqual(got, dead) || r.e.Sends() < want || r.e.Retransmits() > len(pkts)*cfg.RetryBudget {
+				t.Fatalf("down %v: reports %+v after %d sends (%d retransmissions); want %+v, >= %d sends, <= %d retransmissions",
+					down, got, r.e.Sends(), r.e.Retransmits(), dead, want, len(pkts)*cfg.RetryBudget)
 			}
 		}
 	})
 
-	t.Run("a transport failure is OnDead, once", func(t *testing.T) {
-		var dead atomic.Int32
-		errCut := errors.New("cut")
+	t.Run("a transport failure is one dead-edge report", func(t *testing.T) {
+		sess := bareSession(nil)
 		cfg := quiet
-		cfg.Abort = make(chan struct{})
-		cfg.OnDead = func(err error) {
-			if errors.Is(err, errCut) {
-				dead.Add(1)
-			}
-		}
-		e := NewEdgeSender(failingTransport{errCut}, cfg)
+		cfg.Abort = sess.abort
+		e := NewEdgeSender(failingTransport{errors.New("cut")}, cfg)
+		e.s = sess
 		e.Enqueue(0)
 		e.Enqueue(1)
 		e.Run()
-		if dead.Load() != 1 || e.Sends() != 0 {
-			t.Fatalf("OnDead ran %d times, %d sends; want once, 0", dead.Load(), e.Sends())
+		if got := reports(sess); !reflect.DeepEqual(got, dead) || e.Sends() != 0 {
+			t.Fatalf("reports %+v, %d sends; want %+v, 0", got, e.Sends(), dead)
 		}
 	})
 }

@@ -270,9 +270,6 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 	if len(sessions) == 0 {
 		return nil, fmt.Errorf("live: no sessions")
 	}
-	if cfg.BufferPackets < 0 {
-		return nil, fmt.Errorf("live: negative buffer bound %d", cfg.BufferPackets)
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}

@@ -115,9 +115,12 @@ type ni struct {
 // by default, or every inbox attached to cfg.Network (link.AttachAll). An
 // unbounded inbox's wire holds wire frames before senders block on it;
 // cfg.BufferPackets, when set, bounds it instead. quantum is the DRR grant
-// in packets. A failed attach is the returned error, naming the host, with
-// whatever was attached detached again.
+// in packets. A negative bound is refused; a failed attach is the returned
+// error, naming the host, with whatever was attached detached again.
 func NewShare(hosts []int, wire, quantum int, cfg Config) (*Share, error) {
+	if cfg.BufferPackets < 0 {
+		return nil, fmt.Errorf("negative buffer bound %d", cfg.BufferPackets)
+	}
 	s := &Share{
 		abort:   make(chan struct{}),
 		cfg:     cfg,

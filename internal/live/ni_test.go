@@ -85,8 +85,8 @@ func TestShareDropsWhatItCannotServe(t *testing.T) {
 	acks := make(chan Order, 8)
 	rel, err := s.AddReliable(ReliableShareConfig{
 		Tree:   chainTree(2),
+		MsgID:  4,
 		Edge:   EdgeSenderConfig{Packets: mustPacketize(t, 4, 0, payloadBytes(100))},
-		NI:     ReliableNIConfig{MsgID: 4, OnDone: func(int, time.Duration) {}},
 		Remote: func(o Order) { acks <- o },
 	})
 	if err != nil {

@@ -165,13 +165,13 @@ type rrt struct {
 	sup     *Supervisor
 	cfg     ReliableConfig
 	s       Session
-	start   time.Time
 	chaos   *link.Chaos
 	crashes map[int]HostCrash // by host; immutable after start
 }
 
 // down reports whether host h is inside its scheduled crash window at
-// offset t: the supervisor's Down, called from NI and sender goroutines too.
+// offset t: the session's Down, called from NI, sender and supervisor
+// goroutines.
 func (rt *rrt) down(h int, t time.Duration) bool {
 	c, ok := rt.crashes[h]
 	return ok && t >= c.At && (c.CrashStop() || t < c.RecoverAt)
@@ -190,9 +190,6 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Live.BufferPackets < 0 {
-		return nil, fmt.Errorf("live: negative buffer bound %d", cfg.Live.BufferPackets)
-	}
 	if cfg.Live.Timeout <= 0 {
 		cfg.Live.Timeout = DefaultTimeout
 	}
@@ -210,38 +207,11 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 
 	rt := &rrt{cfg: cfg, s: s, chaos: chaos, crashes: crashes}
 	hosts := s.Tree.Nodes()
-	scfg := ReliableShareConfig{
-		Tree:  s.Tree,
-		Chaos: chaos,
-		Edge: EdgeSenderConfig{
-			Packets:     s.Packets,
-			RTO:         cfg.RTO,
-			RTOMax:      cfg.RTOMax,
-			RetryBudget: cfg.RetryBudget,
-			JitterSeed:  cfg.Faults.Seed ^ 0x9e6c_a61b_60ca_77d5,
-		},
-		NI: ReliableNIConfig{
-			MsgID: s.MsgID,
-			Trace: true,
-			OnDone: func(host int, at time.Duration) {
-				rt.sup.Report(Report{Kind: ReportDone, Host: host, At: at})
-			},
-		},
-		Exhausted: func(a, b int) { rt.sup.Report(Report{Kind: ReportExhausted, Host: a, To: b}) },
-	}
 	// A non-empty crash schedule arms the membership plane.
 	var det *membership.Detector
 	if len(cfg.Crashes) > 0 {
 		if det, err = cfg.Heartbeat.NewDetector(cfg.Faults.Seed, hosts); err != nil {
 			return nil, err
-		}
-		// A down host's sends vanish while still burning retry budget, so a
-		// long crash exhausts its edges and triggers repair even before the
-		// detector confirms.
-		scfg.Suppressed = func(host int) bool { return rt.down(host, time.Since(rt.start)) }
-		scfg.NI.Down = rt.down
-		scfg.NI.OnRejoin = func(host int, at time.Duration) {
-			rt.sup.Report(Report{Kind: ReportRejoin, Host: host, At: at})
 		}
 	}
 	// Unbounded, the wire gets headroom for the message, its
@@ -251,24 +221,37 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	if rt.ReliableShare, err = share.AddReliable(scfg); err != nil {
+	rt.ReliableShare, err = share.AddReliable(ReliableShareConfig{
+		Tree:  s.Tree,
+		MsgID: s.MsgID,
+		Chaos: chaos,
+		Edge: EdgeSenderConfig{
+			Packets:     s.Packets,
+			RTO:         cfg.RTO,
+			RTOMax:      cfg.RTOMax,
+			RetryBudget: cfg.RetryBudget,
+			JitterSeed:  cfg.Faults.Seed ^ 0x9e6c_a61b_60ca_77d5,
+		},
+		Trace: true,
+		// Every host is the supervisor's own, so the schedule, empty or
+		// not, is their liveness.
+		Down: rt.down,
+	})
+	if err != nil {
 		share.Stop()
 		return nil, fmt.Errorf("live: %w", err)
 	}
+	// In-process orders are never lost, so nothing is refreshed.
 	rt.sup = NewSupervisor(rt.ReliableShare, SupervisorConfig{
 		Det:         det,
 		MaxRegrafts: cfg.MaxRegrafts,
-		// Every host is the supervisor's own, so the crash schedule is
-		// their liveness; in-process orders are never lost, so nothing is
-		// refreshed.
-		Down:    rt.down,
-		Timeout: cfg.Live.Timeout,
+		Timeout:     cfg.Live.Timeout,
 	})
-	rt.start = time.Now()
-	chaos.Start(rt.start)
-	rt.Start(rt.start)
-	timedOut := rt.sup.Run(rt.start)
-	wall := time.Since(rt.start)
+	start := time.Now()
+	chaos.Start(start)
+	rt.Start(start)
+	timedOut := rt.sup.Run(start)
+	wall := time.Since(start)
 	rt.Stop()
 	if timedOut {
 		return nil, rt.watchdog()

@@ -9,51 +9,20 @@ import (
 	"repro/internal/workload"
 )
 
-// ReliableNIConfig parameterizes one ReliableNI the way EdgeSenderConfig
-// parameterizes a sender: the hooks decouple the receive path from any
-// particular runtime (where an ACK goes is the share's rule, not a hook).
-// Every hook is called from the host's NI goroutine and is handed Host
-// first, so one set of hooks serves every NI of a run: a driver fills in
-// MsgID, Trace and the hooks once, and ReliableShare stamps each NI's
-// Host, Root, Packets and Epoch onto that template.
-type ReliableNIConfig struct {
-	Host    int
-	MsgID   uint32
-	Packets int // the message's packet count
-	// Root marks the multicast source: it starts holding every packet (so
-	// seeding its child edges IS the FPFS packet-major injection) and
-	// reassembles nothing.
-	Root bool
-
-	// Epoch returns the global fence register: frames stamped below it are
-	// discarded unacknowledged, and ACKs carry it.
-	Epoch func() int
-	// OnDone reports a complete reassembly (again after an amnesiac
-	// rejoin), at offset at from the share's start.
-	OnDone func(host int, at time.Duration)
-
-	// Down, when non-nil, reports whether the NI is inside a scheduled
-	// crash window at offset at: a down NI keeps draining its inbox
-	// (releasing buffer slots so blocked senders never wedge) but
-	// blackholes every frame — silent death. OnRejoin fires on the first
-	// frame served after such a window, once the NI has wiped its state.
-	Down     func(host int, at time.Duration) bool
-	OnRejoin func(host int, at time.Duration)
-	// Trace records the Arrivals and (while the epoch is positive) the
-	// Accepts evidence the in-process engine reports per host.
-	Trace bool
-}
-
 // ReliableNI is one host's state in one reliable session, its loss- and
-// crash-tolerant network interface. It has no goroutine of its own: the
-// host's NI loop (Share) hands it each of the session's frames, and runs
-// the supervisor's tree-shape updates (AddChild, DelChild) in call order.
-// Per frame it validates (once), fences stale epochs, ACKs, suppresses
-// duplicates, forwards novel packets to every child edge the moment they
-// arrive (FPFS) and reassembles. AddChild and DelChild may be called from
-// the supervisor goroutine; everything else belongs to the NI loop, and
-// the exported fields (its report) may be read only once the share has
-// stopped.
+// crash-tolerant network interface; what it needs of the session — epoch,
+// crash schedule, trace switch, evidence queue — it reads there. The
+// root's starts holding every packet (so seeding its child edges IS the
+// FPFS packet-major injection) and reassembles nothing. It has no
+// goroutine of its own: the host's NI loop (Share) hands it each of the
+// session's frames, and runs the supervisor's tree-shape updates
+// (AddChild, DelChild) in call order. Per frame it validates (once),
+// fences stale epochs, ACKs, suppresses duplicates, forwards novel packets
+// to every child edge the moment they arrive (FPFS), reassembles, and
+// reports a completion or an amnesiac rejoin to the session. AddChild and
+// DelChild may be called from the supervisor goroutine; everything else
+// belongs to the NI loop, and the exported fields (its report) may be read
+// only once the share has stopped.
 type ReliableNI struct {
 	// HostRecord is the host's result, filled in place and handed out by
 	// reference like HostSession's: Recvs counts novel acceptances and
@@ -68,26 +37,24 @@ type ReliableNI struct {
 	Fenced     int           // stale-epoch frames discarded
 	CrashDrops int           // frames eaten while down
 
-	cfg      ReliableNIConfig
-	share    *ReliableShare // routes the NI's ACKs
-	acks     *workload.RNG  // the chaos plane's ACK-loss stream, drawn here only
+	share    *ReliableShare
+	acks     *workload.RNG // the chaos plane's ACK-loss stream, drawn here only
 	children []*EdgeSender
 	got      []bool              // per-packet dedup bitmap
 	reasm    message.Reassembler // idle at the root, which owns the original
 	wasDown  bool
 }
 
-// newReliableNI builds one of share's NIs; the share wires its initial
+// newReliableNI builds host's NI of share; the share wires its initial
 // children.
-func newReliableNI(share *ReliableShare, cfg ReliableNIConfig) *ReliableNI {
+func newReliableNI(share *ReliableShare, host int) *ReliableNI {
 	n := &ReliableNI{
-		HostRecord: HostRecord{Host: cfg.Host},
-		cfg:        cfg,
+		HostRecord: HostRecord{Host: host},
 		share:      share,
-		acks:       share.cfg.Chaos.AckRNG(cfg.Host),
-		got:        make([]bool, cfg.Packets),
+		acks:       share.cfg.Chaos.AckRNG(host),
+		got:        make([]bool, len(share.cfg.Edge.Packets)),
 	}
-	if cfg.Root {
+	if host == share.cfg.Tree.Root() {
 		for j := range n.got {
 			n.got[j] = true
 		}
@@ -99,14 +66,14 @@ func newReliableNI(share *ReliableShare, cfg ReliableNIConfig) *ReliableNI {
 // holds into it. DelChild detaches the edge to the given host. Neither
 // blocks: both are handed to the host's NI loop.
 func (n *ReliableNI) AddChild(e *EdgeSender) {
-	n.share.handOff(n.cfg.Host, func() {
+	n.share.handOff(n.Host, func() {
 		n.children = append(n.children, e)
 		n.replay([]*EdgeSender{e})
 	})
 }
 
 func (n *ReliableNI) DelChild(to int) {
-	n.share.handOff(n.cfg.Host, func() {
+	n.share.handOff(n.Host, func() {
 		n.children = slices.DeleteFunc(n.children, func(e *EdgeSender) bool { return e.To() == to })
 	})
 }
@@ -140,37 +107,37 @@ func (n *ReliableNI) replay(edges []*EdgeSender) {
 // rejoin, integrity and epoch checks, ACK, dedup, FPFS forward,
 // reassembly. The NI loop releases the frame's slot after it.
 func (n *ReliableNI) serve(f link.Frame) {
-	now := time.Since(n.share.start)
-	if n.cfg.Down != nil {
-		if n.cfg.Down(n.cfg.Host, now) {
-			n.wasDown = true
-			n.CrashDrops++
-			return
-		}
-		if n.wasDown {
-			// Amnesiac rejoin: the crash dropped all NI state — dedup
-			// bitmap and reassembly restart from nothing (the root keeps
-			// its packets: they live in host memory, not NI buffers). The
-			// supervisor must hear of it: packets ACKed before the crash
-			// are erased here but retired at the parent edge, so only a
-			// fresh-edge full replay can recover them — and a crash
-			// shorter than the suspicion window means the failure detector
-			// will never order that replay on its own.
-			n.wasDown = false
-			if !n.cfg.Root {
-				n.got = make([]bool, n.cfg.Packets)
-				n.reasm = message.Reassembler{}
-				n.cfg.OnRejoin(n.cfg.Host, now)
-			}
+	s := n.share
+	now := time.Since(s.start)
+	if s.down(n.Host, now) {
+		// Inside a scheduled crash window: keep draining (the loop releases
+		// the slot, so blocked senders never wedge) but eat every frame.
+		n.wasDown = true
+		n.CrashDrops++
+		return
+	}
+	if n.wasDown {
+		// Amnesiac rejoin: the crash dropped all NI state — dedup bitmap and
+		// reassembly restart from nothing (the root keeps its packets: they
+		// live in host memory, not NI buffers). The supervisor must hear of
+		// it: packets ACKed before the crash are erased here but retired at
+		// the parent edge, so only a fresh-edge full replay can recover
+		// them — and a crash shorter than the suspicion window means the
+		// failure detector will never order that replay on its own.
+		n.wasDown = false
+		if n.Host != s.cfg.Tree.Root() {
+			n.got = make([]bool, len(n.got))
+			n.reasm = message.Reassembler{}
+			s.Report(Report{Kind: ReportRejoin, Host: n.Host, At: now})
 		}
 	}
 	// Corrupted in transit or out of range: drop silently; retransmission
 	// recovers.
 	h, body, err := message.Parse(f.Payload)
-	if err != nil || int(h.Seq) >= n.cfg.Packets {
+	if err != nil || int(h.Seq) >= len(n.got) {
 		return
 	}
-	g := n.cfg.Epoch()
+	g := s.Epoch()
 	if int(h.Epoch) < g {
 		n.Fenced++ // stale epoch: discard wholesale, no ACK
 		return
@@ -178,17 +145,17 @@ func (n *ReliableNI) serve(f link.Frame) {
 	seq := int(h.Seq)
 	// ACK every valid in-epoch frame, duplicates included — the lost half
 	// of a duplicate exchange may have been the ACK.
-	n.share.ack(n, f.From, seq, g)
+	s.ack(n, f.From, seq, g)
 	if n.got[seq] {
 		n.Dups++
 		return
 	}
 	n.got[seq] = true
 	n.Recvs++
-	if n.cfg.Trace {
+	if s.cfg.Trace {
 		n.Arrivals = append(n.Arrivals, Arrival{Packet: seq, From: f.From})
 		if g > 0 {
-			n.Accepts = append(n.Accepts, EpochAccept{Host: n.cfg.Host, Packet: seq, Epoch: int(h.Epoch), At: now})
+			n.Accepts = append(n.Accepts, EpochAccept{Host: n.Host, Packet: seq, Epoch: int(h.Epoch), At: now})
 		}
 	}
 	// FPFS: forward the novel packet to every child the moment it arrives.
@@ -198,7 +165,7 @@ func (n *ReliableNI) serve(f link.Frame) {
 	// Novel, so the message was incomplete until now (and this is not the
 	// root, which holds every packet from the start).
 	if done, err := n.reasm.Put(h, body); err == nil && done {
-		n.Data, n.DoneAt = n.reasm.Bytes(), time.Since(n.share.start)
-		n.cfg.OnDone(n.cfg.Host, n.DoneAt)
+		n.Data, n.DoneAt = n.reasm.Bytes(), time.Since(s.start)
+		s.Report(Report{Kind: ReportDone, Host: n.Host, At: n.DoneAt})
 	}
 }

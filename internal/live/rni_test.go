@@ -3,7 +3,6 @@ package live
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/live/link"
 	"repro/internal/message"
@@ -19,7 +18,7 @@ import (
 func TestReliableNIValidatesOnce(t *testing.T) {
 	pkts := mustPacketize(t, 3, 0, payloadBytes(200))
 	var cur []byte
-	acks, dones := 0, 0
+	acks := 0
 	tr := tree.New(0)
 	tr.AddChild(0, 2)
 	plane, err := NewShare([]int{2}, 0, DefaultQuantum, Config{Network: newWireNet()})
@@ -28,9 +27,9 @@ func TestReliableNIValidatesOnce(t *testing.T) {
 	}
 	t.Cleanup(plane.Stop)
 	share, err := plane.AddReliable(ReliableShareConfig{
-		Tree: tr,
-		Edge: EdgeSenderConfig{Packets: pkts},
-		NI:   ReliableNIConfig{MsgID: 3, OnDone: func(int, time.Duration) { dones++ }},
+		Tree:  tr,
+		MsgID: 3,
+		Edge:  EdgeSenderConfig{Packets: pkts},
 		// Host 0 runs elsewhere, so every ACK of host 2's leaves here.
 		Remote: func(Order) { acks++; cur[len(cur)-1] ^= 0xFF },
 	})
@@ -52,8 +51,8 @@ func TestReliableNIValidatesOnce(t *testing.T) {
 		n.serve(link.Frame{From: 0, Payload: cur})
 		want = append(want, cur[message.HeaderSize:]...)
 	}
-	if acks != len(pkts) || n.Recvs != len(pkts) || dones != 1 {
-		t.Fatalf("%d packets: %d acks, %d accepted, %d completions", len(pkts), acks, n.Recvs, dones)
+	if r := reports(share); acks != len(pkts) || n.Recvs != len(pkts) || len(r) != 1 || r[0].Kind != ReportDone {
+		t.Fatalf("%d packets: %d acks, %d accepted, reports %+v; want one completion", len(pkts), acks, n.Recvs, r)
 	}
 	if !bytes.Equal(n.Data, want) {
 		t.Fatal("the message is not the frames as they read when they were reassembled")

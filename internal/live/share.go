@@ -4,6 +4,7 @@ import (
 	"maps"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/live/link"
 	"repro/internal/tree"
@@ -11,26 +12,25 @@ import (
 
 // ReliableShareConfig describes one reliable session of a Share.
 type ReliableShareConfig struct {
-	Tree *tree.Tree
+	Tree  *tree.Tree
+	MsgID uint32
 	// Chaos decorates every transport (nil: none); the driver rebases its
 	// clock (Chaos.Start) before it starts the share.
 	Chaos *link.Chaos
 
 	// Edge is the template of every edge incarnation: Packets, RTO, RTOMax,
 	// RetryBudget, and in JitterSeed the driver's own salt, which the share
-	// mixes with the edge's endpoints. The share fills in the rest.
+	// mixes with the edge's endpoints. The share fills in Abort.
 	Edge EdgeSenderConfig
-	// NI is the template of every local NI: MsgID, Trace and the hooks. The
-	// share fills in Host, Root, Packets and Epoch.
-	NI ReliableNIConfig
-	// Exhausted reports that an incarnation of edge a->b died — retry
-	// budget spent, transport failed, or a mid-run dial that produced no
-	// transport — once per incarnation, from a goroutine of the share's.
-	// It may block until Aborted closes.
-	Exhausted func(a, b int)
-	// Suppressed, when non-nil, reports whether host is down right now:
-	// sends on its edges vanish (EdgeSenderConfig.Suppressed).
-	Suppressed func(host int) bool
+	// Trace records the Arrivals and (while the epoch is positive) the
+	// Accepts evidence the in-process engine reports per host.
+	Trace bool
+	// Down, when non-nil, is the crash schedule: whether host is inside a
+	// scheduled crash window at offset at from the share's start. A down
+	// NI blackholes every frame, a down parent's sends vanish, and the
+	// supervisor reads it as the hosts' liveness. It is called from NI,
+	// sender and supervisor goroutines alike.
+	Down func(host int, at time.Duration) bool
 	// Remote takes whatever the share and its supervisor send to a host the
 	// share does not run: a local child's ACK for a remote parent
 	// (OrderAck), and repair orders. Nil when every host is local.
@@ -44,14 +44,15 @@ type ReliableShareConfig struct {
 // to its incarnation, and the epoch register. It alone decides where a
 // message for another host goes: in place, or out through Remote.
 // live.RunReliable (every host local) and mcastd.RunReliable (the hosts
-// of one OS process, over UDP) drive it; a driver keeps where liveness
-// evidence comes from and how Remote reaches another process, never how
-// an edge comes up or goes away. Start, Stop, Go and Aborted are the
-// Share's.
+// of one OS process, over UDP) drive it; a driver keeps how Remote reaches
+// another process, never how an edge comes up or goes away. Every piece of
+// the session's evidence — a completion, an amnesiac rejoin, a dead edge —
+// leaves on one queue (Reports), which the driver's one loop reads. Start,
+// Stop, Go and Aborted are the Share's.
 //
-// Route, Epoch and Aborted are safe from any goroutine. Install, Retire
-// and SetEpoch belong to one goroutine, the driver's supervisor; NI and
-// Totals read state that is quiescent only once Stop has returned.
+// Route, Epoch, Report and Aborted are safe from any goroutine. Install,
+// Retire and SetEpoch belong to one goroutine, the driver's supervisor; NI
+// and Totals read state that is quiescent only once Stop has returned.
 type ReliableShare struct {
 	*Share
 	cfg    ReliableShareConfig
@@ -61,8 +62,9 @@ type ReliableShare struct {
 	// epoch is the fence register: 0 while the membership plane is
 	// unarmed, otherwise the latest view's epoch. Senders stamp it into
 	// outgoing frames, receivers discard frames below it.
-	epoch atomic.Int64
-	all   []*EdgeSender // every incarnation ever built, for Totals
+	epoch   atomic.Int64
+	reports chan Report
+	all     []*EdgeSender // every incarnation ever built, for Totals
 }
 
 // AddReliable joins a reliable session to the share: a ReliableNI per
@@ -76,22 +78,20 @@ type ReliableShare struct {
 // detaches every host. The MsgID must be unique among the share's
 // sessions.
 func (s *Share) AddReliable(cfg ReliableShareConfig) (*ReliableShare, error) {
-	m := len(cfg.Edge.Packets)
+	nodes := cfg.Tree.Nodes()
 	rs := &ReliableShare{
-		Share: s,
-		cfg:   cfg,
-		nodes: cfg.Tree.Nodes(),
-		nis:   make(map[int]*ReliableNI, len(s.nis)),
+		Share:  s,
+		cfg:    cfg,
+		nodes:  nodes,
+		nis:    make(map[int]*ReliableNI, len(s.nis)),
+		routes: make([]atomic.Pointer[EdgeSender], len(nodes)),
+		// A few reports per host queue up behind a busy reader.
+		reports: make(chan Report, 8*len(nodes)+64),
 	}
-	rs.routes = make([]atomic.Pointer[EdgeSender], len(rs.nodes))
-	rs.cfg.Edge.Abort, rs.cfg.Edge.Epoch = s.abort, rs.Epoch
-	ncfg := &rs.cfg.NI
-	ncfg.Packets, ncfg.Epoch = m, rs.cfg.Edge.Epoch
-	root := cfg.Tree.Root()
-	for _, v := range rs.nodes {
+	rs.cfg.Edge.Abort = s.abort
+	for _, v := range nodes {
 		if s.nis[v] != nil {
-			ncfg.Host, ncfg.Root = v, v == root
-			rs.nis[v] = newReliableNI(rs, *ncfg)
+			rs.nis[v] = newReliableNI(rs, v)
 		}
 	}
 	for i, b := range rs.nodes { // ascending by child, so ascending per parent
@@ -106,7 +106,7 @@ func (s *Share) AddReliable(cfg ReliableShareConfig) (*ReliableShare, error) {
 		rs.routes[i].Store(e)
 		rs.nis[a].children = append(rs.nis[a].children, e)
 	}
-	reg := map[uint32]map[int]*ReliableNI{cfg.NI.MsgID: rs.nis}
+	reg := map[uint32]map[int]*ReliableNI{cfg.MsgID: rs.nis}
 	if old := s.reliable.Load(); old != nil {
 		maps.Copy(reg, *old)
 	}
@@ -114,6 +114,7 @@ func (s *Share) AddReliable(cfg ReliableShareConfig) (*ReliableShare, error) {
 	for _, e := range rs.all {
 		rs.spawn(e)
 	}
+	root := cfg.Tree.Root()
 	if n := rs.nis[root]; n != nil {
 		s.handOff(root, func() { n.replay(n.children) })
 	}
@@ -121,8 +122,8 @@ func (s *Share) AddReliable(cfg ReliableShareConfig) (*ReliableShare, error) {
 }
 
 // newEdge builds one incarnation of edge a->b over a fresh, chaos-wrapped
-// transport. Both ways it can die on its own — retry budget spent,
-// transport failed — report Exhausted.
+// transport, belonging to the session: both ways it can die on its own —
+// retry budget spent, transport failed — are a ReportExhausted.
 func (s *ReliableShare) newEdge(a, b int) (*EdgeSender, error) {
 	base, err := s.dial(a, b)
 	if err != nil {
@@ -130,14 +131,35 @@ func (s *ReliableShare) newEdge(a, b int) (*EdgeSender, error) {
 	}
 	ecfg := s.cfg.Edge
 	ecfg.JitterSeed ^= uint64(a+1)<<20 ^ uint64(b+1)
-	died := func() { s.cfg.Exhausted(a, b) }
-	ecfg.OnExhausted, ecfg.OnDead = died, func(error) { died() }
-	if s.cfg.Suppressed != nil {
-		ecfg.Suppressed = func() bool { return s.cfg.Suppressed(a) }
-	}
 	e := NewEdgeSender(s.cfg.Chaos.Wrap(base), ecfg)
+	e.s = s
 	s.all = append(s.all, e)
 	return e, nil
+}
+
+// Report queues one piece of the session's evidence for the driver's loop.
+// A beat is dropped when the queue is full (a missed beat is silence);
+// anything else waits for room, unless the share is tearing down.
+func (s *ReliableShare) Report(r Report) {
+	if r.Kind == ReportBeat {
+		select {
+		case s.reports <- r:
+		default:
+		}
+		return
+	}
+	select {
+	case s.reports <- r:
+	case <-s.abort:
+	}
+}
+
+// Reports is the session's evidence queue, in report order.
+func (s *ReliableShare) Reports() <-chan Report { return s.reports }
+
+// down reports whether the crash schedule has host down at offset at.
+func (s *ReliableShare) down(host int, at time.Duration) bool {
+	return s.cfg.Down != nil && s.cfg.Down(host, at)
 }
 
 // spawn runs e under the join of Stop in one allocation, the goroutine's
@@ -173,7 +195,7 @@ func (s *ReliableShare) Route(child, parent int) *EdgeSender {
 // n's own stream before either branch; a surviving ACK marks a local
 // parent's incarnation in place, or leaves through Remote for a remote one.
 func (s *ReliableShare) ack(n *ReliableNI, from, seq, epoch int) {
-	e := s.Route(n.cfg.Host, from)
+	e := s.Route(n.Host, from)
 	if e == nil && s.nis[from] != nil {
 		return // a retired local edge's frame: nobody awaits its ACK
 	}
@@ -181,7 +203,7 @@ func (s *ReliableShare) ack(n *ReliableNI, from, seq, epoch int) {
 		return
 	}
 	if e == nil {
-		s.cfg.Remote(Order{Kind: OrderAck, To: from, A: n.cfg.Host, B: seq, Epoch: epoch})
+		s.cfg.Remote(Order{Kind: OrderAck, To: from, A: n.Host, B: seq, Epoch: epoch})
 		return
 	}
 	e.Ack(EdgeAck{Seq: seq, Epoch: epoch})
@@ -194,7 +216,8 @@ func (s *ReliableShare) ack(n *ReliableNI, from, seq, epoch int) {
 // re-sent); installing over another local parent's incarnation retires
 // that one first (the order to retire it was lost). When the dial fails —
 // a regraft on a closing network — there is no incarnation to run, and
-// Exhausted(a, b) is reported once, as for one that died.
+// its exhaustion is reported once, as for one that died, from a goroutine
+// of the share's: the caller may be the queue's own reader.
 func (s *ReliableShare) Install(a, b int) {
 	r := s.route(b)
 	if r == nil {
@@ -208,7 +231,7 @@ func (s *ReliableShare) Install(a, b int) {
 	}
 	e, err := s.newEdge(a, b)
 	if err != nil {
-		s.Go(func() { s.cfg.Exhausted(a, b) })
+		s.Go(func() { s.Report(Report{Kind: ReportExhausted, Host: a, To: b}) })
 		return
 	}
 	r.Store(e)

@@ -131,10 +131,9 @@ func shareTree() *tree.Tree {
 
 // testShare builds a share of shareTree's hosts 0 and 2 over nw (every
 // host when nw is nil) with a long RTO, so that nothing is retransmitted
-// unless a test says so. exhausted receives every Exhausted report.
-func testShare(t *testing.T, nw *wireNet, pkts [][]byte) (*ReliableShare, chan [2]int) {
+// unless a test says so.
+func testShare(t *testing.T, nw *wireNet, pkts [][]byte) *ReliableShare {
 	t.Helper()
-	exhausted := make(chan [2]int, 16)
 	tr, hosts, cfg := shareTree(), []int{2, 0}, Config{}
 	if nw != nil {
 		cfg.Network = nw
@@ -146,15 +145,14 @@ func testShare(t *testing.T, nw *wireNet, pkts [][]byte) (*ReliableShare, chan [
 		t.Fatalf("NewShare: %v", err)
 	}
 	s, err := plane.AddReliable(ReliableShareConfig{
-		Tree:      tr,
-		Edge:      EdgeSenderConfig{Packets: pkts, RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
-		NI:        ReliableNIConfig{MsgID: 3, OnDone: func(int, time.Duration) {}},
-		Exhausted: func(a, b int) { exhausted <- [2]int{a, b} },
+		Tree:  tr,
+		MsgID: 3,
+		Edge:  EdgeSenderConfig{Packets: pkts, RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
 	})
 	if err != nil {
 		t.Fatalf("AddReliable: %v", err)
 	}
-	return s, exhausted
+	return s
 }
 
 func TestReliableShare(t *testing.T) {
@@ -170,7 +168,7 @@ func TestReliableShare(t *testing.T) {
 
 	t.Run("attach, then dial ascending by child; the root's edges carry the message in order", func(t *testing.T) {
 		nw := newWireNet()
-		s, _ := testShare(t, nw, pkts)
+		s := testShare(t, nw, pkts)
 		want := []string{"attach", "attach", "dial 0->2", "dial 2->3", "dial 0->5", "dial 2->7", "dial 0->9"}
 		nw.mu.Lock()
 		got := append([]string(nil), nw.calls...)
@@ -206,7 +204,7 @@ func TestReliableShare(t *testing.T) {
 
 	t.Run("install replays what the parent holds and takes over the ACK route; retire is idempotent; totals keep the cancelled", func(t *testing.T) {
 		nw := newWireNet()
-		s, _ := testShare(t, nw, pkts)
+		s := testShare(t, nw, pkts)
 		inbox2 := s.Share.nis[2].inbox
 		s.Start(time.Now())
 		nw.await(t, 3*m)
@@ -262,7 +260,7 @@ func TestReliableShare(t *testing.T) {
 	})
 
 	t.Run("the epoch register never lowers", func(t *testing.T) {
-		s, _ := testShare(t, nil, pkts)
+		s := testShare(t, nil, pkts)
 		s.SetEpoch(4)
 		s.SetEpoch(2)
 		if s.Epoch() != 4 {
@@ -274,14 +272,14 @@ func TestReliableShare(t *testing.T) {
 	t.Run("a mid-run dial failure is one exhaustion report and no incarnation", func(t *testing.T) {
 		nw := newWireNet()
 		nw.failDial = 6 // the five initial edges dial; the regraft does not
-		s, exhausted := testShare(t, nw, pkts)
+		s := testShare(t, nw, pkts)
 		s.Start(time.Now())
 		s.Retire(2, 7)
 		s.Install(2, 7)
 		select {
-		case got := <-exhausted:
-			if got != [2]int{2, 7} {
-				t.Fatalf("exhaustion reported for edge %v, want 2->7", got)
+		case got := <-s.Reports():
+			if want := (Report{Kind: ReportExhausted, Host: 2, To: 7}); got != want {
+				t.Fatalf("reported %+v, want %+v", got, want)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("the failed dial was never reported")
@@ -290,10 +288,8 @@ func TestReliableShare(t *testing.T) {
 			t.Fatalf("a failed dial left an incarnation behind (route %v, %d incarnations)", s.Route(7, 2), len(s.all))
 		}
 		s.Stop()
-		select {
-		case got := <-exhausted:
-			t.Fatalf("second exhaustion report %v for one failed dial", got)
-		default:
+		if got := reports(s); len(got) != 0 {
+			t.Fatalf("reports %+v after the one for a failed dial", got)
 		}
 	})
 
@@ -309,7 +305,7 @@ func TestReliableShare(t *testing.T) {
 					}
 				}
 			}
-			s, _ := testShare(t, nw, pkts)
+			s := testShare(t, nw, pkts)
 			s.Start(time.Now())
 			if nw != nil {
 				nw.await(t, 3) // the root's three senders are parked in Send

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the reliable protocol's one supervisor: the loop that turns
-// NI and edge reports and the failure detector's judgments into repair
+// its session's reports and the failure detector's judgments into repair
 // decisions (reliable.Brain), for live.RunReliable and for the root process
 // of mcastd.RunReliable alike (DESIGN.md §12).
 
@@ -70,11 +70,12 @@ func (c *stallClock) catchUp(wall, deadline time.Duration) {
 	}
 }
 
-// ReportKind names what a Report tells the supervisor.
+// ReportKind names what a Report tells the session's driver.
 type ReportKind int
 
 const (
-	// ReportBeat: Host, run by another process, was alive at At.
+	// ReportBeat: Host, run by another process, was alive at At (the
+	// daemon's root hears it over ctl).
 	ReportBeat ReportKind = iota
 	// ReportDone: Host holds the whole message.
 	ReportDone
@@ -86,7 +87,8 @@ const (
 	ReportRejoin
 )
 
-// Report is one piece of evidence for the supervisor.
+// Report is one piece of a reliable session's evidence, queued on the
+// session (ReliableShare.Report) for its driver's loop.
 type Report struct {
 	Kind     ReportKind
 	Host, To int           // To: the receiving end of an exhausted edge
@@ -117,36 +119,33 @@ type SupervisorConfig struct {
 	MaxRegrafts int                  // adoptions per destination before abandonment
 	// Refresh paces re-sent orders and the stranded sweep; 0: never.
 	Refresh time.Duration
-	// Down, when non-nil, is the crash schedule. With it, Alive reads the
-	// schedule, a down share host is not witnessed and a crash-stopped one
-	// not awaited; without it, Alive reads the detector and a host
-	// confirmed crashed is not awaited.
-	Down    func(host int, at time.Duration) bool
 	Timeout time.Duration                    // the watchdog
 	Logf    func(format string, args ...any) // nil: silent
 }
 
 // Supervisor is the control plane of one reliable run and the brain's
 // reliable.Runtime: it owns the brain, the detector, the done set, the dead
-// transport pairs, the view log and the pending GRAFTs. Report is safe from
-// any goroutine; the rest belongs to Run's goroutine, and to its caller
-// once Run returns.
+// transport pairs, the view log and the pending GRAFTs, all of which belong
+// to Run's goroutine, and to its caller once Run returns. Run reads the
+// session's report queue.
 //
-// The share's own hosts are witnessed — credited alive before every
-// judgment, unless the crash schedule says they are down — and only the
-// other processes' hosts are timed, on the beats they send. A stalled
+// The session's crash schedule (ReliableShareConfig.Down), when it has
+// one, is liveness: Alive reads it, a down share host is not witnessed and
+// a crash-stopped one not awaited. Without one, Alive reads the detector
+// and a host confirmed crashed is not awaited. The share's own hosts are
+// witnessed — credited alive before every judgment — and only the other
+// processes' hosts are timed, on the beats they send. A stalled
 // observer manufactures silence, so Run re-arms its timer at the
 // detector's own next deadline, lands queued reports before silence is
 // judged, and does not count time it spent overdue as silence
 // (stallClock).
 type Supervisor struct {
-	cfg     SupervisorConfig
-	share   *ReliableShare
-	root    int
-	brain   *reliable.Brain
-	reports chan Report
-	start   time.Time
-	clock   stallClock
+	cfg   SupervisorConfig
+	share *ReliableShare
+	root  int
+	brain *reliable.Brain
+	start time.Time
+	clock stallClock
 
 	done      map[int]bool
 	dead      map[[2]int]bool // exhausted pairs; the brain routes around them
@@ -159,11 +158,9 @@ type Supervisor struct {
 // detector it logs the initial view and fences the share at its epoch.
 func NewSupervisor(share *ReliableShare, cfg SupervisorConfig) *Supervisor {
 	s := &Supervisor{
-		cfg:   cfg,
-		share: share,
-		root:  share.cfg.Tree.Root(),
-		// A few reports per host queue up behind a busy supervisor.
-		reports:   make(chan Report, 8*len(share.nodes)+64),
+		cfg:       cfg,
+		share:     share,
+		root:      share.cfg.Tree.Root(),
 		done:      map[int]bool{},
 		dead:      map[[2]int]bool{},
 		pendGraft: map[[2]int]bool{},
@@ -178,23 +175,6 @@ func NewSupervisor(share *ReliableShare, cfg SupervisorConfig) *Supervisor {
 		share.SetEpoch(cfg.Det.Epoch())
 	}
 	return s
-}
-
-// Report hands the supervisor one piece of evidence. A beat is dropped when
-// the queue is full (a missed beat is silence); anything else waits for
-// room, unless the share is tearing down.
-func (s *Supervisor) Report(r Report) {
-	if r.Kind == ReportBeat {
-		select {
-		case s.reports <- r:
-		default:
-		}
-		return
-	}
-	select {
-	case s.reports <- r:
-	case <-s.share.Aborted():
-	}
 }
 
 // Run supervises the share started at start until every awaited
@@ -225,7 +205,7 @@ func (s *Supervisor) Run(start time.Time) (timedOut bool) {
 		rearm(detTimer, max(0, deadline-now))
 
 		select {
-		case r := <-s.reports:
+		case r := <-s.share.reports:
 			s.clock.catchUp(time.Since(start), deadline)
 			s.handle(r)
 		case <-detTimer.C:
@@ -239,7 +219,7 @@ func (s *Supervisor) Run(start time.Time) (timedOut bool) {
 			// confirm hosts that are provably alive.
 			for drained := false; !drained; {
 				select {
-				case r := <-s.reports:
+				case r := <-s.share.reports:
 					s.handle(r)
 				default:
 					drained = true
@@ -267,6 +247,9 @@ func (s *Supervisor) handle(r Report) {
 			s.fold(s.cfg.Det.Heartbeat(r.Host, us(s.clock.at(r.At))))
 		}
 	case ReportDone:
+		if s.share.NI(r.Host) != nil {
+			s.cfg.Logf("host %d delivered at %v", r.Host, r.At)
+		}
 		s.done[r.Host] = true
 	case ReportExhausted:
 		s.cfg.Logf("edge %d->%d exhausted; repairing", r.Host, r.To)
@@ -288,7 +271,7 @@ func (s *Supervisor) handle(r Report) {
 func (s *Supervisor) witness() {
 	at := time.Since(s.start)
 	for _, h := range s.share.nodes {
-		if s.share.NI(h) != nil && (s.cfg.Down == nil || !s.cfg.Down(h, at)) {
+		if s.share.NI(h) != nil && !s.share.down(h, at) {
 			s.fold(s.cfg.Det.Witness(h, us(s.clock.at(at))))
 		}
 	}
@@ -370,8 +353,8 @@ func (s *Supervisor) awaited(v int) bool {
 	if v == s.root || s.done[v] || s.brain.Abandoned(v) {
 		return false
 	}
-	if s.cfg.Down != nil {
-		return !s.cfg.Down(v, forever)
+	if s.share.cfg.Down != nil {
+		return !s.share.cfg.Down(v, forever)
 	}
 	return s.Member(v)
 }
@@ -415,8 +398,8 @@ func (s *Supervisor) Retire(a, b int) {
 // Alive reads the crash schedule when there is one, and otherwise the
 // detector alone: a Suspect host is left out of repairs.
 func (s *Supervisor) Alive(v int) bool {
-	if s.cfg.Down != nil {
-		return !s.cfg.Down(v, time.Since(s.start))
+	if s.share.cfg.Down != nil {
+		return !s.share.cfg.Down(v, time.Since(s.start))
 	}
 	return s.cfg.Det.Phase(v) == membership.Alive
 }

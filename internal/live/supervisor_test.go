@@ -35,11 +35,10 @@ func remoteSupervisor(t *testing.T, local []int, chaos *link.Chaos) (s *Supervis
 	}
 	t.Cleanup(plane.Stop)
 	share, err := plane.AddReliable(ReliableShareConfig{
-		Tree:      tr,
-		Chaos:     chaos,
-		Edge:      EdgeSenderConfig{Packets: mustPacketize(t, 3, 0, payloadBytes(200)), RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
-		NI:        ReliableNIConfig{MsgID: 3, OnDone: func(int, time.Duration) {}},
-		Exhausted: func(a, b int) {},
+		Tree:  tr,
+		MsgID: 3,
+		Chaos: chaos,
+		Edge:  EdgeSenderConfig{Packets: mustPacketize(t, 3, 0, payloadBytes(200)), RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
 		Remote: func(o Order) {
 			switch o.Kind {
 			case OrderGraft:
@@ -213,7 +212,7 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 // the starved process could not beat for.
 func TestInProcessLivenessIsTheSchedule(t *testing.T) {
 	s, _, _ := remoteSupervisor(t, []int{0, 1, 2, 3}, nil)
-	s.cfg.Down = func(host int, _ time.Duration) bool { return host == 2 }
+	s.share.cfg.Down = func(host int, _ time.Duration) bool { return host == 2 }
 	s.start = time.Now().Add(-time.Second)
 	s.witness()
 	s.fold(s.cfg.Det.Advance(us(time.Second)))

@@ -232,17 +232,18 @@ func TestConfigRejects(t *testing.T) {
 			t.Errorf("%s: err = %v, *RangeError expected: %v", tc.name, err, tc.rng)
 		}
 	}
-	for _, tc := range sessionMismatches(t, tr, nw) {
+	for _, tc := range bothRefuse(t, tr, nw) {
 		if res, err := Run(tc.cfg); res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Run = %v, %v; want a rejection naming %q", tc.name, res, err, tc.want)
 		}
 	}
 }
 
-// sessionMismatches are configs whose packets are not the session's: stamped
-// with another MsgID, or out of order. Both engines must refuse them before
-// the run starts, naming what is wrong, as live's engines refuse theirs.
-func sessionMismatches(t *testing.T, tr *tree.Tree, nw *link.UDPNetwork) []struct {
+// bothRefuse are configs both engines must refuse before the run starts,
+// naming what is wrong, as live's engines refuse theirs: packets that are
+// not the session's (stamped with another MsgID, or out of order), and a
+// negative buffer bound.
+func bothRefuse(t *testing.T, tr *tree.Tree, nw *link.UDPNetwork) []struct {
 	name, want string
 	cfg        Config
 } {
@@ -255,12 +256,15 @@ func sessionMismatches(t *testing.T, tr *tree.Tree, nw *link.UDPNetwork) []struc
 	mismatch := Config{Tree: tr, Packets: pkts, MsgID: 2, Local: tr.Nodes(), Net: nw, Timeout: 2 * time.Second}
 	unordered := mismatch
 	unordered.Packets, unordered.MsgID = reversed, 1
+	negative := mismatch
+	negative.MsgID, negative.BufferPackets = 1, -5
 	return []struct {
 		name, want string
 		cfg        Config
 	}{
 		{"msgid-mismatch", "header msgID", mismatch},
 		{"packets-out-of-order", "out of order", unordered},
+		{"negative-buffer", "negative buffer bound -5", negative},
 	}
 }
 

@@ -94,18 +94,11 @@ func (rcfg ReliableConfig) validate() error {
 	return nil
 }
 
-// dev is one event delivered to a follower process's coordinator: a
-// control frame addressed to local host `host`, or one of the two local
-// happenings below dressed as a frame.
+// dev is one control frame delivered to a follower process's coordinator.
 type dev struct {
 	ctlFrame
 	host int // the local host the frame was addressed to
 }
-
-const (
-	evLocalDone      = 32 + iota // a: host — a local NI completed the message
-	evLocalExhausted             // a, b: edge — a local edge incarnation died
-)
 
 // drt is the driver state of one process's share of a reliable run: the
 // root's process supervises it, every other follows the root in destLoop.
@@ -118,7 +111,7 @@ type drt struct {
 	start    time.Time
 	share    *live.ReliableShare
 	sup      *live.Supervisor // the root's process only
-	evs      chan dev         // the other processes' coordinator events
+	evs      chan dev         // the other processes' coordinator ctl frames
 	stopAckC chan int
 
 	// Coordinator-owned (single goroutine after start):
@@ -187,24 +180,6 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 			return nil, err
 		}
 	}
-	// A local completion or dead edge goes to the root's supervisor, or to a
-	// follower's coordinator dressed as a frame.
-	onDone := func(host int, at time.Duration) {
-		rt.cfg.logf("host %d delivered at %v", host, at)
-		if rt.sup != nil {
-			rt.sup.Report(live.Report{Kind: live.ReportDone, Host: host, At: at})
-			return
-		}
-		rt.event(dev{ctlFrame: ctlFrame{kind: evLocalDone, a: host}})
-	}
-	exhausted := func(a, b int) {
-		if rt.sup != nil {
-			rt.sup.Report(live.Report{Kind: live.ReportExhausted, Host: a, To: b})
-			return
-		}
-		rt.event(dev{ctlFrame: ctlFrame{kind: evLocalExhausted, a: a, b: b}})
-	}
-
 	// Unbounded, the wire gets headroom for the message, its
 	// retransmissions and a graft's replay.
 	share, err := live.NewShare(cfg.Local, 4*rt.m+16, live.DefaultQuantum,
@@ -212,8 +187,11 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mcastd: %w", err)
 	}
+	// A local completion or dead edge is a report on the session, which the
+	// root's supervisor or a follower's destLoop reads.
 	rt.share, err = share.AddReliable(live.ReliableShareConfig{
 		Tree:  cfg.Tree,
+		MsgID: cfg.MsgID,
 		Chaos: chaos,
 		Edge: live.EdgeSenderConfig{
 			Packets:     cfg.Packets,
@@ -222,11 +200,7 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 			RetryBudget: rcfg.RetryBudget,
 			JitterSeed:  rcfg.Faults.Seed ^ 0x7a31_9c4d_11e8_5bf3,
 		},
-		NI: live.ReliableNIConfig{MsgID: cfg.MsgID, OnDone: onDone},
-		// Budget exhaustion and transport death alike: the supervisor
-		// repairs around the edge, or a follower reports it to the root.
-		Exhausted: exhausted,
-		Remote:    rt.order,
+		Remote: rt.order,
 	})
 	if err != nil {
 		share.Stop()
@@ -311,7 +285,10 @@ func (rt *drt) listen(id int) {
 
 // hearRoot handles one frame addressed to the root: a beat, a DONE
 // (recorded, acknowledged, and a beat too), an EXHAUSTED report (a repair
-// when its generation is new, acknowledged by KILL) or a STOP-ACK.
+// when its generation is new, acknowledged by KILL) or a STOP-ACK. What
+// the supervisor must hear it reports through the session. A frame naming
+// hosts outside the tree is corrupted or foreign and is dropped before it
+// can skew the verdict or a repair.
 func (rt *drt) hearRoot(f ctlFrame) {
 	at := time.Since(rt.start)
 	switch f.kind {
@@ -322,20 +299,23 @@ func (rt *drt) hearRoot(f ctlFrame) {
 		}
 	case ctlBeat:
 		if rt.cfg.Tree.Contains(f.a) {
-			rt.sup.Report(live.Report{Kind: live.ReportBeat, Host: f.a, At: at})
+			rt.share.Report(live.Report{Kind: live.ReportBeat, Host: f.a, At: at})
 		}
 	case ctlDone:
 		if !rt.cfg.Tree.Contains(f.a) {
-			return // a corrupted or foreign datagram must not skew the verdict
+			return
 		}
 		rt.cfg.logf("root heard DONE from host %d", f.a)
-		rt.sup.Report(live.Report{Kind: live.ReportDone, Host: f.a, At: at})
+		rt.share.Report(live.Report{Kind: live.ReportDone, Host: f.a, At: at})
 		rt.cfg.sendCtl(rt.root, f.a, ctlFrame{kind: ctlDoneAck, a: f.a})
-		rt.sup.Report(live.Report{Kind: live.ReportBeat, Host: f.a, At: at})
+		rt.share.Report(live.Report{Kind: live.ReportBeat, Host: f.a, At: at})
 	case ctlExhausted:
+		if !rt.cfg.Tree.Contains(f.a) || !rt.cfg.Tree.Contains(f.b) {
+			return
+		}
 		if key := [2]int{f.a, f.b}; f.c > rt.exhSeen[key] {
 			rt.exhSeen[key] = f.c
-			rt.sup.Report(live.Report{Kind: live.ReportExhausted, Host: f.a, To: f.b})
+			rt.share.Report(live.Report{Kind: live.ReportExhausted, Host: f.a, To: f.b})
 		}
 		// Always acknowledge, even a replayed generation or an edge no
 		// longer in the shape: the reporter retries until KILLed.
@@ -347,9 +327,10 @@ func (rt *drt) hearRoot(f ctlFrame) {
 // Destination-only process coordinator.
 
 // destLoop drives a process that does not own the root: beat for every
-// local host, apply the root's repair orders, report completions, and
-// exit on the root's STOP (acknowledging it for every local host) or the
-// watchdog.
+// local host, apply the root's repair orders, read the session's reports —
+// a completion is a DONE to the root, a dead edge is retired and an
+// EXHAUSTED to the root — and exit on the root's STOP (acknowledging it
+// for every local host) or the watchdog.
 func (rt *drt) destLoop() error {
 	watchdog := time.NewTimer(rt.cfg.Timeout)
 	defer watchdog.Stop()
@@ -359,14 +340,24 @@ func (rt *drt) destLoop() error {
 	defer refreshes.Stop()
 	for {
 		select {
+		case r := <-rt.share.Reports():
+			switch key := [2]int{r.Host, r.To}; r.Kind {
+			case live.ReportDone:
+				rt.cfg.logf("host %d delivered at %v", r.Host, r.At)
+				acked := rt.doneAckC[r.Host]
+				rt.share.Go(func() {
+					reportDone(rt.cfg, r.Host, acked, nil, rt.share.Aborted()) // STOP ends the loop, and abort follows
+				})
+			case live.ReportExhausted:
+				rt.share.Retire(r.Host, r.To)
+				rt.exhGen[key]++
+				rt.pendExh[key] = rt.exhGen[key]
+				rt.cfg.logf("edge %d->%d exhausted (gen %d); reporting to root", r.Host, r.To, rt.exhGen[key])
+				rt.cfg.sendCtl(r.Host, rt.root, ctlFrame{kind: ctlExhausted, a: r.Host, b: r.To, c: rt.exhGen[key]})
+			}
 		case e := <-rt.evs:
 			key := [2]int{e.a, e.b}
 			switch e.kind {
-			case evLocalDone:
-				acked := rt.doneAckC[e.a]
-				rt.share.Go(func() {
-					reportDone(rt.cfg, e.a, acked, nil, rt.share.Aborted()) // STOP ends the loop, and abort follows
-				})
 			case ctlDoneAck:
 				if c, ok := rt.doneAckC[e.host]; ok {
 					close(c)
@@ -384,12 +375,6 @@ func (rt *drt) destLoop() error {
 				rt.share.Retire(e.a, e.b)
 			case ctlEpoch:
 				rt.share.SetEpoch(e.a)
-			case evLocalExhausted:
-				rt.share.Retire(e.a, e.b)
-				rt.exhGen[key]++
-				rt.pendExh[key] = rt.exhGen[key]
-				rt.cfg.logf("edge %d->%d exhausted (gen %d); reporting to root", e.a, e.b, rt.exhGen[key])
-				rt.cfg.sendCtl(e.a, rt.root, ctlFrame{kind: ctlExhausted, a: e.a, b: e.b, c: rt.exhGen[key]})
 			case ctlStop:
 				rt.share.SetEpoch(e.a)
 				rt.stopStat = e.status

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/live"
 	"repro/internal/live/link"
 	"repro/internal/message"
 	"repro/internal/reliable"
@@ -109,30 +111,21 @@ func TestReliableMatchesPlain(t *testing.T) {
 	}
 }
 
-// lossyPairCase runs one two-process reliable run configured by rcfg in
-// both processes, checks byte-exact delivery and returns the
-// retransmissions of both.
-func lossyPairCase(t *testing.T, rcfg ReliableConfig, session uint64) (retransmits int) {
+// daemonPair builds the fabrics of two processes that run hosts localA and
+// localB, each knowing the other's addresses.
+func daemonPair(t *testing.T, session uint64, localA, localB []int) (nwA, nwB *link.UDPNetwork) {
 	t.Helper()
-	chain := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	tr := tree.KBinomial(chain, 2)
-	data := testPayload(1200)
-	pkts, err := message.Packetize(5, 0, data, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	localA, localB := []int{0, 1, 2, 3}, []int{4, 5, 6, 7}
 	ucfg := link.UDPConfig{Session: session}
 	nwA, err := link.NewUDPNetwork(ucfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nwA.Close()
-	nwB, err := link.NewUDPNetwork(ucfg)
+	t.Cleanup(func() { nwA.Close() })
+	nwB, err = link.NewUDPNetwork(ucfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nwB.Close()
+	t.Cleanup(func() { nwB.Close() })
 	for _, v := range localA {
 		if _, err := nwA.Listen(v, "127.0.0.1:0"); err != nil {
 			t.Fatal(err)
@@ -153,19 +146,44 @@ func lossyPairCase(t *testing.T, rcfg ReliableConfig, session uint64) (retransmi
 			t.Fatal(err)
 		}
 	}
-	mk := func(local []int, nw *link.UDPNetwork) Config {
-		return Config{Tree: tr, Packets: pkts, MsgID: 5, Local: local, Net: nw, Timeout: 20 * time.Second}
-	}
+	return nwA, nwB
+}
+
+// reliablePair runs the two processes of cfgA (the root's) and cfgB
+// concurrently, each with its own tuning, and fails the test unless both
+// return without error.
+func reliablePair(t *testing.T, cfgA, cfgB Config, rcfgA, rcfgB ReliableConfig) (resA, resB *Result) {
+	t.Helper()
 	var wg sync.WaitGroup
-	var resA, resB *Result
 	var errA, errB error
 	wg.Add(2)
-	go func() { defer wg.Done(); resA, errA = RunReliable(mk(localA, nwA), rcfg) }()
-	go func() { defer wg.Done(); resB, errB = RunReliable(mk(localB, nwB), rcfg) }()
+	go func() { defer wg.Done(); resA, errA = RunReliable(cfgA, rcfgA) }()
+	go func() { defer wg.Done(); resB, errB = RunReliable(cfgB, rcfgB) }()
 	wg.Wait()
 	if errA != nil || errB != nil {
 		t.Fatalf("root process: %v, peer process: %v", errA, errB)
 	}
+	return resA, resB
+}
+
+// lossyPairCase runs one two-process reliable run configured by rcfg in
+// both processes, checks byte-exact delivery and returns the
+// retransmissions of both.
+func lossyPairCase(t *testing.T, rcfg ReliableConfig, session uint64) (retransmits int) {
+	t.Helper()
+	chain := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	tr := tree.KBinomial(chain, 2)
+	data := testPayload(1200)
+	pkts, err := message.Packetize(5, 0, data, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localA, localB := []int{0, 1, 2, 3}, []int{4, 5, 6, 7}
+	nwA, nwB := daemonPair(t, session, localA, localB)
+	mk := func(local []int, nw *link.UDPNetwork) Config {
+		return Config{Tree: tr, Packets: pkts, MsgID: 5, Local: local, Net: nw, Timeout: 20 * time.Second}
+	}
+	resA, resB := reliablePair(t, mk(localA, nwA), mk(localB, nwB), rcfg, rcfg)
 	if resA.Status != reliable.Delivered || len(resA.Orphaned) != 0 {
 		t.Fatalf("root verdict %v orphaned %v, want full delivery", resA.Status, resA.Orphaned)
 	}
@@ -186,6 +204,41 @@ func lossyPairCase(t *testing.T, rcfg ReliableConfig, session uint64) (retransmi
 		}
 	}
 	return resA.Retransmits + resB.Retransmits
+}
+
+// TestReliableFollowerExhaustion makes a follower process's own edge die:
+// of the chain 0-1-2 the root's process runs host 0 and the follower's
+// hosts 1 and 2, so the follower runs edge 1->2, and only its chaos plane
+// loses data frames. With a retry budget of 1 the edge dies at the first
+// packet lost twice; the follower retires it and reports EXHAUSTED, and
+// the root, which then routes around the dead pair, adopts host 2 on an
+// edge of its own.
+func TestReliableFollowerExhaustion(t *testing.T) {
+	skipWithoutLoopback(t)
+	tr := tree.Linear([]int{0, 1, 2})
+	data := testPayload(2000)
+	pkts, err := message.Packetize(6, 0, data, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localA, localB := []int{0}, []int{1, 2}
+	nwA, nwB := daemonPair(t, 0x1E4A, localA, localB)
+	mk := func(local []int, nw *link.UDPNetwork) Config {
+		return Config{Tree: tr, Packets: pkts, MsgID: 6, Local: local, Net: nw, Timeout: 20 * time.Second}
+	}
+	lossy := DefaultReliableConfig()
+	lossy.RetryBudget = 1
+	lossy.Faults = link.Faults{Seed: 23, DropRate: 0.9}
+	resA, resB := reliablePair(t, mk(localA, nwA), mk(localB, nwB), DefaultReliableConfig(), lossy)
+	if resA.Status != reliable.Delivered || resB.Status != reliable.Delivered || resA.Adoptions < 1 {
+		t.Fatalf("root verdict %v with %d adoptions, follower learned %v; want Delivered after at least one adoption",
+			resA.Status, resA.Adoptions, resB.Status)
+	}
+	for _, v := range localB {
+		if rep := resB.Hosts[v]; rep == nil || !bytes.Equal(rep.Data, data) {
+			t.Fatalf("follower host %d not byte-exact", v)
+		}
+	}
 }
 
 // TestTwoDaemonsLossy is the soak sweep: the multi-process deployment
@@ -265,9 +318,69 @@ func TestReliableRejects(t *testing.T) {
 			t.Errorf("%s: err = %v, want *RangeError", tc.name, err)
 		}
 	}
-	for _, tc := range sessionMismatches(t, tr, nw) {
+	for _, tc := range bothRefuse(t, tr, nw) {
 		if res, err := RunReliable(tc.cfg, ReliableConfig{}); res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: RunReliable = %v, %v; want a rejection naming %q", tc.name, res, err, tc.want)
 		}
+	}
+}
+
+// TestReliableRootDropsForeignExhausted: an EXHAUSTED datagram naming a host
+// outside the tree, as parent or as child, is dropped by the root before
+// it reaches the generation table, the supervisor or a KILL; a well-formed
+// one is reported and acknowledged. Host 1's KILLs land on its ctl queue,
+// which nothing here reads, so the first one is the answer to the first
+// EXHAUSTED the root accepted.
+func TestReliableRootDropsForeignExhausted(t *testing.T) {
+	skipWithoutLoopback(t)
+	tr := tree.Linear([]int{0, 1, 2})
+	pkts, err := message.Packetize(1, 0, []byte("x"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := link.NewLoopbackUDP(tr.Nodes(), link.UDPConfig{Session: 0xE7A})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	plane, err := live.NewShare([]int{0, 1}, 8, live.DefaultQuantum, live.Config{Network: nw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plane.Stop()
+	share, err := plane.AddReliable(live.ReliableShareConfig{
+		Tree: tr, MsgID: 1,
+		Edge: live.EdgeSenderConfig{Packets: pkts, RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := &drt{cfg: Config{Tree: tr, Net: nw}, root: 0, share: share, exhSeen: map[[2]int]int{}}
+	rt.hearRoot(ctlFrame{kind: ctlExhausted, a: 1, b: 9, c: 1})
+	rt.hearRoot(ctlFrame{kind: ctlExhausted, a: 9, b: 1, c: 1})
+	rt.hearRoot(ctlFrame{kind: ctlExhausted, a: 1, b: 2, c: 1})
+	if want := map[[2]int]int{{1, 2}: 1}; !reflect.DeepEqual(rt.exhSeen, want) {
+		t.Fatalf("generations %v, want %v", rt.exhSeen, want)
+	}
+	select {
+	case r := <-share.Reports():
+		if want := (live.Report{Kind: live.ReportExhausted, Host: 1, To: 2}); r != want {
+			t.Fatalf("the supervisor heard %+v first, want %+v", r, want)
+		}
+	default:
+		t.Fatal("the well-formed EXHAUSTED was not reported")
+	}
+	select {
+	case r := <-share.Reports():
+		t.Fatalf("a second report %+v", r)
+	default:
+	}
+	select {
+	case b := <-nw.Ctl(1):
+		if f, ok := decodeCtl(b); !ok || f != (ctlFrame{kind: ctlKill, a: 1, b: 2, c: share.Epoch()}) {
+			t.Fatalf("host 1's first KILL is %+v, want the answer to EXHAUSTED 1->2", f)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the well-formed EXHAUSTED was not acknowledged")
 	}
 }

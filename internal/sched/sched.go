@@ -228,9 +228,6 @@ func New(hosts []int, cfg Config) (*Scheduler, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("sched: empty host set")
 	}
-	if cfg.BufferPackets < 0 {
-		return nil, fmt.Errorf("sched: negative buffer bound %d", cfg.BufferPackets)
-	}
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
 		cfg:      cfg,

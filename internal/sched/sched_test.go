@@ -174,6 +174,9 @@ func TestManySessionsWindowed(t *testing.T) {
 }
 
 func TestTypedRejections(t *testing.T) {
+	if _, err := New(hostRange(3), Config{BufferPackets: -1}); err == nil || !strings.Contains(err.Error(), "sched: negative buffer bound -1") {
+		t.Fatalf("New with a negative buffer bound returned %v", err)
+	}
 	// Window 1 and a 100ms-per-hop link keep the first session in
 	// flight long enough to observe every typed rejection
 	// deterministically.
