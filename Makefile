@@ -98,12 +98,12 @@ net-soak:
 # drop), the SIGKILL crash test (a child daemon process killed
 # mid-transfer; the surviving root must confirm the crash, adopt the
 # orphaned subtrees per Fig. 11, and settle a typed delivered-partial
-# verdict), the zero-fault structural-identity pin, and a 120-case
-# net-faulty-delivery sweep — all under the race detector, since the
-# daemon coordinator, NI loops, edge senders and ctl listeners are real
-# concurrent code. Skips cleanly where loopback sockets are unavailable.
+# verdict), the zero-fault structural-identity pin, the one-ctl-listener-
+# per-process count, and a 120-case net-faulty-delivery sweep — all under
+# the race detector, since the daemon coordinator, NI loops, edge senders
+# and ctl listener are real concurrent code. Skips cleanly where loopback sockets are unavailable.
 daemon-soak:
-	$(GO) test -race -run 'TestReliable|TestTwoDaemonsLossy|TestDaemonCrash' -count=1 ./internal/mcastd
+	$(GO) test -race -run 'TestReliable|TestTwoDaemonsLossy|TestDaemonCrash|TestOneCtlListenerPerProcess' -count=1 ./internal/mcastd
 	$(GO) test -race -run TestDaemonFaultySweep -count=1 ./internal/check
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 9 -workers 4 -only net-faulty-delivery
 
@@ -116,8 +116,11 @@ daemon-soak:
 # freed, Add/Remove churn leaking no goroutine), and a 120-case sched-
 # matches-serial differential sweep: three sessions concurrently through
 # one scheduler must be per-host identical to serial live.Run baselines.
+# One 1k-session benchmark pass runs the collector at Window 1024, the
+# only deep-window path the unit tests leave unexercised.
 sched-soak:
 	$(GO) test -race -count=1 ./internal/sched
+	$(GO) test -race -run '^$$' -bench BenchmarkSched1kSessions -benchtime 1x ./internal/sched
 	$(GO) test -race -count=1 -run 'TestShareDropsWhatItCannotServe|TestAbortedRunLeaksNoGoroutines' ./internal/live
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 11 -workers 4 -only sched-matches-serial
 

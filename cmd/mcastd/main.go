@@ -33,7 +33,8 @@
 // The root's process exits once every destination has reported DONE;
 // destination processes exit when the root floods STOP (an acknowledged
 // exchange retried until -drain expires). Exit status is 1 on a
-// watchdog timeout or delivery failure, 2 on a usage error.
+// watchdog timeout or delivery failure, 2 on a usage error — a bad flag,
+// or a configuration the engine refuses before the run.
 package main
 
 import (
@@ -250,7 +251,10 @@ func run(args []string, out, errw io.Writer) int {
 	}
 	if err != nil {
 		fmt.Fprintf(errw, "mcastd: %v\n", err)
-		if res != nil && len(res.Completed) > 0 {
+		if res == nil {
+			return 2 // refused before the run: a negative bound or quorum, ...
+		}
+		if len(res.Completed) > 0 {
 			fmt.Fprintf(out, "partial progress: %d/%d destinations confirmed\n", len(res.Completed), len(spec.Dests))
 		}
 		return 1

@@ -67,6 +67,16 @@ func TestNegativeBuffer(t *testing.T) {
 	}
 }
 
+// TestNegativeQuorum: -reliable -quorum below 0 is a usage error, as in
+// mcastsim, not run as if every destination were required.
+func TestNegativeQuorum(t *testing.T) {
+	skipWithoutLoopback(t)
+	var out, errw bytes.Buffer
+	if code := run([]string{"-all", "-dests", "3", "-reliable", "-quorum", "-2"}, &out, &errw); code != 2 || !strings.Contains(errw.String(), "negative quorum -2") {
+		t.Fatalf("exit %d, want 2 naming the quorum\nstderr:\n%s", code, errw.String())
+	}
+}
+
 // TestUsageErrors pins exit code 2 on bad invocations.
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {

@@ -318,6 +318,9 @@ func newJob(o *options, fs *flag.FlagSet, out io.Writer) (*job, error) {
 		return nil, usagef("dests must be in 1..%d", j.sys.Net.NumHosts()-1)
 	}
 	if j.mode == schedule {
+		if o.window < 1 {
+			return nil, usagef("-window must be >= 1")
+		}
 		return j, nil
 	}
 

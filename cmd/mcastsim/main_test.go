@@ -280,11 +280,14 @@ func TestExitCodes(t *testing.T) {
 		{"-model foo", `unknown model "foo"`, 2},
 		{"-dests 64", "dests must be in 1..63", 2},
 		{"-sessions 5 -dests 0", "dests must be in 1..63", 2},
+		{"-sessions 20 -dests 6 -packets 2 -window -5", "-window must be >= 1", 2},
+		{"-sessions 20 -dests 6 -packets 2 -window 0", "-window must be >= 1", 2},
 		{"-mesh 3", `-mesh "3" is not ARITYxDIMS`, 2},
 		{"-mesh 1x2", "arity must be >= 2", 2},
 		{"-tree k -k 0", "fixed-k policy with k=0", 2},
 		{"-droprate 1.5", "drop rate 1.500000 outside [0, 1)", 2},
 		{"-reliable -retries 0", "retry budget 0 < 1", 2},
+		{"-live -reliable -quorum -1", "negative quorum -1", 2},
 		{"-faults kill:999@4", "kill link 999 out of range", 2},
 		{"-crash 19@40 -dests 31", "quorum missed after crash(es) [19]", 1},
 		{"-droprate 0.5 -retries 1", "reliable:", 1},

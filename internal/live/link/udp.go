@@ -85,8 +85,9 @@ const (
 	// udpProbeEvery is how long a sender stays credit-blocked before it
 	// probes the receiver — self-healing when a credit datagram is lost.
 	udpProbeEvery = 10 * time.Millisecond
-	// udpCtlBacklog sizes each endpoint's control-datagram channel.
-	udpCtlBacklog = 64
+	// udpCtlBacklog sizes the network's one control queue: 64 datagrams
+	// for each of 16 local hosts.
+	udpCtlBacklog = 1024
 )
 
 // withDefaults normalizes the zero values.
@@ -122,7 +123,7 @@ type UDPStats struct {
 	// incarnation's delivery queue was full (cannot happen while senders
 	// respect the credit window).
 	Overflow uint64
-	// CtlDropped counts control datagrams dropped on a full ctl channel.
+	// CtlDropped counts control datagrams dropped on a full ctl queue.
 	CtlDropped uint64
 }
 
@@ -152,6 +153,7 @@ type UDPNetwork struct {
 	closed bool
 
 	nextInc atomic.Uint32
+	ctl     chan Ctl
 
 	bad, foreign, resync, overflow, ctlDropped atomic.Uint64
 }
@@ -167,6 +169,7 @@ func NewUDPNetwork(cfg UDPConfig) (*UDPNetwork, error) {
 		cfg:   cfg,
 		eps:   map[int]*udpEndpoint{},
 		peers: map[int]netip.AddrPort{},
+		ctl:   make(chan Ctl, udpCtlBacklog),
 	}, nil
 }
 
@@ -220,7 +223,6 @@ func (n *UDPNetwork) Listen(host int, addr string) (*net.UDPAddr, error) {
 		host:  host,
 		conn:  conn,
 		edges: map[uint32]*UDPTransport{},
-		ctl:   make(chan []byte, udpCtlBacklog),
 	}
 	n.eps[host] = ep
 	bound := conn.LocalAddr().(*net.UDPAddr)
@@ -331,16 +333,16 @@ func (n *UDPNetwork) Dial(from, to int) (Transport, error) {
 	return ep.dial(to, peer, n.nextInc.Add(1))
 }
 
-// Ctl returns host's control-datagram channel (daemon coordination
-// traffic sent with SendCtl). Nil when the host is not local.
-func (n *UDPNetwork) Ctl(host int) <-chan []byte {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if ep := n.eps[host]; ep != nil {
-		return ep.ctl
-	}
-	return nil
+// Ctl is one control datagram sent with SendCtl (daemon coordination
+// traffic): the local host it was addressed to and its payload.
+type Ctl struct {
+	To      int
+	Payload []byte
 }
+
+// Ctl returns the network's one control queue, fed by every local host's
+// pump.
+func (n *UDPNetwork) Ctl() <-chan Ctl { return n.ctl }
 
 // SendCtl sends one out-of-band control payload from a local host to any
 // registered peer. Control datagrams bypass flow control (they are small
@@ -404,7 +406,6 @@ type udpEndpoint struct {
 	n    *UDPNetwork
 	host int
 	conn *net.UDPConn
-	ctl  chan []byte
 
 	mu       sync.Mutex
 	attached bool
@@ -623,10 +624,8 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 			}
 			ep.sendCredit(credit, rs)
 		case dgCtl:
-			msg := make([]byte, len(payload))
-			copy(msg, payload)
 			select {
-			case ep.ctl <- msg:
+			case n.ctl <- Ctl{To: ep.host, Payload: append([]byte(nil), payload...)}:
 			default:
 				n.ctlDropped.Add(1)
 			}

@@ -426,23 +426,24 @@ func TestUDPCtlPlane(t *testing.T) {
 		}
 		defer nw.Detach(h)
 	}
-	msg := []byte("DONE host=3")
-	if err := nw.SendCtl(3, 2, msg); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-nw.Ctl(2):
-		if !bytes.Equal(got, msg) {
-			t.Fatalf("ctl payload %q, want %q", got, msg)
+	// Both local hosts feed the one queue, each datagram tagged with
+	// the host it was addressed to.
+	for _, to := range []int{2, 3} {
+		msg := []byte(fmt.Sprintf("DONE host=%d", 5-to))
+		if err := nw.SendCtl(5-to, to, msg); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ctl datagram never arrived")
+		select {
+		case got := <-nw.Ctl():
+			if got.To != to || !bytes.Equal(got.Payload, msg) {
+				t.Fatalf("ctl %d %q, want %d %q", got.To, got.Payload, to, msg)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("ctl datagram never arrived")
+		}
 	}
 	if err := nw.SendCtl(2, 3, make([]byte, nw.cfg.MTU)); err == nil {
 		t.Fatal("oversized ctl payload accepted")
-	}
-	if nw.Ctl(99) != nil {
-		t.Fatal("ctl channel for a non-local host")
 	}
 }
 

@@ -273,9 +273,9 @@ func TestUDPPeerByResolvedAddress(t *testing.T) {
 		t.Fatalf("ctl to a peer added by address: %v", err)
 	}
 	select {
-	case got := <-b.Ctl(1):
-		if string(got) != "ctl" {
-			t.Fatalf("ctl payload %q", got)
+	case got := <-b.Ctl():
+		if got.To != 1 || string(got.Payload) != "ctl" {
+			t.Fatalf("ctl to %d, payload %q", got.To, got.Payload)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ctl datagram never arrived")

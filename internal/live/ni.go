@@ -168,7 +168,7 @@ func (s *Share) Start(start time.Time) {
 }
 
 // Go runs f, one of the share's goroutines or one of its driver's (the
-// daemon's ctl listeners), under the join of Stop; f must return once
+// daemon's ctl listener), under the join of Stop; f must return once
 // Aborted closes.
 func (s *Share) Go(f func()) {
 	s.wg.Add(1)

@@ -59,7 +59,7 @@ type ReliableConfig struct {
 	// MaxRegrafts bounds adoptions per destination before abandonment.
 	MaxRegrafts int
 	// Quorum is the minimum completing destinations for a crash-shortened
-	// run to count as DeliveredPartial (<= 0: all destinations required).
+	// run to count as DeliveredPartial (0: all destinations required).
 	Quorum int
 	// Heartbeat parameterizes the failure detector; consulted only when
 	// Crashes is non-empty.
@@ -93,6 +93,9 @@ func (cfg ReliableConfig) validate() error {
 	if cfg.RetryBudget < 1 || cfg.MaxRegrafts < 1 {
 		return fmt.Errorf("live: retry budget %d / regraft bound %d must be >= 1",
 			cfg.RetryBudget, cfg.MaxRegrafts)
+	}
+	if cfg.Quorum < 0 {
+		return fmt.Errorf("live: negative quorum %d", cfg.Quorum)
 	}
 	seen := map[int]bool{}
 	for _, c := range cfg.Crashes {

@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,6 +252,29 @@ func TestReliableQuorumVerdicts(t *testing.T) {
 	}
 	if res.Status != reliable.DeliveredPartial {
 		t.Fatalf("status %v, want DeliveredPartial", res.Status)
+	}
+}
+
+// TestReliableConfigRejects: a config RunReliable cannot honour is refused
+// before the run, naming what is wrong — a negative quorum too, as the
+// simulated and the daemon engines refuse theirs, not run as "every
+// destination".
+func TestReliableConfigRejects(t *testing.T) {
+	s := reliableSession(t, chainTree(3), payloadBytes(100))
+	for _, tc := range []struct {
+		name, want string
+		edit       func(*ReliableConfig)
+	}{
+		{"rto-cap-below-base", "invalid RTO", func(c *ReliableConfig) { c.RTOMax = c.RTO / 2 }},
+		{"no-retries", "retry budget 0", func(c *ReliableConfig) { c.RetryBudget = 0 }},
+		{"twice-crashed", "crashed more than once", func(c *ReliableConfig) { c.Crashes = []HostCrash{{Host: 1}, {Host: 1}} }},
+		{"negative-quorum", "negative quorum -1", func(c *ReliableConfig) { c.Quorum = -1 }},
+	} {
+		cfg := fastReliable()
+		tc.edit(&cfg)
+		if res, err := RunReliable(s, cfg); res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RunReliable = %v, %v; want a refusal naming %q", tc.name, res, err, tc.want)
+		}
 	}
 }
 

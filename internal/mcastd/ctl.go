@@ -14,9 +14,10 @@ import (
 // (lossy, unordered, bounded queue), so every exchange that matters is
 // either acknowledged and retried with backoff (DONE/DONE-ACK,
 // STOP/STOP-ACK, EXHAUSTED/KILL) or idempotent and periodically
-// refreshed (GRAFT, EPOCH, BEAT). The fabric's pump delivers only the
-// payload bytes — the datagram's From header is lost — so every message
-// that needs a sender carries it explicitly.
+// refreshed (GRAFT, EPOCH, BEAT). The fabric's one ctl queue delivers
+// the payload with the local host it was addressed to — the datagram's
+// From header is lost — so every message that needs a sender carries it
+// explicitly.
 //
 // Wire shape: payload[0] is the kind; the kind's fields (ctlFrame's a, b,
 // c in that order) follow as big-endian uint16s at 1+2i. ctlStop appends
@@ -119,17 +120,16 @@ func (c *Config) sendCtl(from, to int, f ctlFrame) {
 	c.Net.SendCtl(from, to, b)
 }
 
-// listenCtl hands host id's decodable ctl datagrams to handle until the
-// process tears down.
-func listenCtl(cfg Config, id int, abort <-chan struct{}, handle func(ctlFrame)) {
-	ctl := cfg.Net.Ctl(id)
+// listenCtl hands every decodable ctl datagram of the process, with the
+// local host it was addressed to, to handle until the process tears down.
+func listenCtl(cfg Config, abort <-chan struct{}, handle func(to int, f ctlFrame)) {
 	for {
 		select {
 		case <-abort:
 			return
-		case b := <-ctl:
-			if f, ok := decodeCtl(b); ok {
-				handle(f)
+		case c := <-cfg.Net.Ctl():
+			if f, ok := decodeCtl(c.Payload); ok {
+				handle(c.To, f)
 			}
 		}
 	}

@@ -3,10 +3,15 @@ package mcastd
 import (
 	"errors"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/live/link"
+	"repro/internal/message"
 	"repro/internal/reliable"
+	"repro/internal/tree"
 )
 
 // FuzzCtl hammers the ctl decoder with arbitrary bytes: it must never
@@ -126,5 +131,94 @@ func TestSendCtlAllocations(t *testing.T) {
 		if n := testing.AllocsPerRun(50, func() { cfg.sendCtl(0, 1, f) }); n > 1 {
 			t.Fatalf("sendCtl of kind %d: %.1f allocations per frame, want <= 1", f.kind, n)
 		}
+	}
+}
+
+// TestOneCtlListenerPerProcess: a daemon process reads its fabric's one
+// ctl queue in one place, however many hosts it runs. Each arm runs one
+// process with three local hosts of the tree 0-1-2-3 against a scripted
+// peer on a second fabric holding the fourth, waits for the ctl frame that
+// shows the process coordinating, and counts the goroutines whose stacks
+// are in listenCtl: one in a plain or a reliable root's process, none in
+// a reliable follower's, whose destLoop reads the queue itself. The peer
+// then ends the run with the frames the protocol expects.
+func TestOneCtlListenerPerProcess(t *testing.T) {
+	skipWithoutLoopback(t)
+	tr := tree.Binomial([]int{0, 1, 2, 3})
+	pkts, err := message.Packetize(1, 0, testPayload(100), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listeners := func() int {
+		buf := make([]byte, 1<<16)
+		for {
+			if n := runtime.Stack(buf, true); n < len(buf) {
+				return strings.Count(string(buf[:n]), "mcastd.listenCtl(")
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+	}
+	for i, arm := range []struct {
+		name     string
+		local    []int
+		peer     int
+		reliable bool
+		want     int
+	}{
+		{"plain-root", []int{0, 1, 2}, 3, false, 1},
+		{"reliable-root", []int{0, 1, 2}, 3, true, 1},
+		{"reliable-follower", []int{1, 2, 3}, 0, true, 0},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			nw, nwPeer := daemonPair(t, 0x1C7+uint64(i), arm.local, []int{arm.peer})
+			if err := nwPeer.Attach(arm.peer, link.NewInbox(arm.peer, 4*len(pkts)+16, 0)); err != nil {
+				t.Fatal(err)
+			}
+			peer := Config{Net: nwPeer}
+			// await returns once the process has sent the peer a frame of kind.
+			await := func(kind byte) {
+				t.Helper()
+				deadline := time.After(10 * time.Second)
+				for {
+					select {
+					case c := <-nwPeer.Ctl():
+						if f, ok := decodeCtl(c.Payload); ok && f.kind == kind {
+							return
+						}
+					case <-deadline:
+						t.Fatalf("no ctl frame of kind %d reached the peer", kind)
+					}
+				}
+			}
+			cfg := Config{Tree: tr, Packets: pkts, MsgID: 1, Local: arm.local, Net: nw, Timeout: 20 * time.Second}
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				if arm.reliable {
+					_, err = RunReliable(cfg, ReliableConfig{})
+				} else {
+					_, err = Run(cfg)
+				}
+				done <- err
+			}()
+			if arm.peer == tr.Root() {
+				await(ctlBeat) // sent by a follower's destLoop
+			} else {
+				peer.sendCtl(arm.peer, tr.Root(), ctlFrame{kind: ctlDone, a: arm.peer})
+				await(ctlDoneAck) // sent by a root's listener
+			}
+			if got := listeners(); got != arm.want {
+				t.Errorf("%d goroutines in listenCtl mid-run, want %d", got, arm.want)
+			}
+			if arm.peer == tr.Root() {
+				peer.sendCtl(arm.peer, arm.local[0], ctlFrame{kind: ctlStop, a: 1, status: reliable.Delivered})
+			} else {
+				await(ctlStop)
+				peer.sendCtl(arm.peer, tr.Root(), ctlFrame{kind: ctlStopAck, a: arm.peer})
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -152,9 +152,9 @@ type handshake struct {
 	Config
 	share    *live.Share
 	stopped  chan struct{} // root's STOP observed (or sent)
-	stopOnce sync.Once     // several local listeners may hear STOP
-	// acked holds a channel per local host, closed by the host's listener
-	// once the root acknowledged its DONE.
+	stopOnce sync.Once     // STOP is retried, so it may be heard again
+	// acked holds a channel per local host, closed by the listener once
+	// the root acknowledged the host's DONE.
 	acked     map[int]chan struct{}
 	doneCh    chan int // DONE reports heard by the root, dropped when full: they are retried
 	stopAckCh chan int
@@ -199,9 +199,7 @@ func Run(cfg Config) (*Result, error) {
 		share.Inject(e)
 	}
 	share.Start(start)
-	for _, v := range cfg.Local {
-		share.Go(func() { hs.listen(v) })
-	}
+	share.Go(hs.listen)
 	got, err := hs.coordinate()
 	share.Stop()
 
@@ -228,32 +226,32 @@ func Run(cfg Config) (*Result, error) {
 	return res, err
 }
 
-// listen is local host v's ctl listener: a destination watches for STOP
+// listen is the process's ctl listener: a destination watches for STOP
 // (acknowledging each one, including repeats) and its own DONE-ACK; the
 // root collects DONE reports (acknowledging each) and STOP-ACKs.
-func (hs *handshake) listen(v int) {
+func (hs *handshake) listen() {
 	root := hs.Tree.Root()
-	listenCtl(hs.Config, v, hs.share.Aborted(), func(f ctlFrame) {
+	listenCtl(hs.Config, hs.share.Aborted(), func(to int, f ctlFrame) {
 		switch {
-		case f.kind == ctlDone && v == root:
+		case f.kind == ctlDone && to == root:
 			select {
 			case hs.doneCh <- f.a:
 			default:
 			}
 			hs.sendCtl(root, f.a, ctlFrame{kind: ctlDoneAck, a: f.a})
-		case f.kind == ctlStopAck && v == root:
+		case f.kind == ctlStopAck && to == root:
 			select {
 			case hs.stopAckCh <- f.a:
 			default:
 			}
-		case f.kind == ctlStop && v != root:
+		case f.kind == ctlStop && to != root:
 			hs.markStopped()
 			hs.ackStop()
-		case f.kind == ctlDoneAck && v != root && f.a == v:
+		case f.kind == ctlDoneAck && to != root && f.a == to:
 			select { // this listener alone closes it
-			case <-hs.acked[v]:
+			case <-hs.acked[to]:
 			default:
-				close(hs.acked[v])
+				close(hs.acked[to])
 			}
 		}
 	})

@@ -8,9 +8,9 @@ package mcastd
 // to another process — a child's ACK for a remote parent, the supervisor's
 // orders (GRAFT/KILL/EPOCH, refreshed so a lost datagram delays repair by
 // one tick instead of wedging it) — leaves through order as a ctl frame.
-// What stays here is the daemon's own: the ctl listeners, the follower
-// loop of every other process, the DONE/STOP handshake, the verdict and
-// the result.
+// What stays here is the daemon's own: the root's ctl listener, the
+// follower loop of every other process (which reads ctl itself), the
+// DONE/STOP handshake, the verdict and the result.
 
 import (
 	"fmt"
@@ -32,7 +32,7 @@ type ReliableConfig struct {
 	// packet) before the edge is declared dead and repaired around.
 	RetryBudget int
 	// Quorum is the minimum completing destinations for a crash-
-	// shortened run to count as DeliveredPartial (<= 0: all required).
+	// shortened run to count as DeliveredPartial (0: all required).
 	Quorum int
 	// Faults is a seeded chaos plane wrapped around every dialed data
 	// transport (zero = the raw socket). AckDropRate loses every ACK, local
@@ -88,16 +88,13 @@ func (rcfg ReliableConfig) validate() error {
 	if rcfg.RTOMax < rcfg.RTO {
 		return fmt.Errorf("mcastd: RTO cap %v below base %v", rcfg.RTOMax, rcfg.RTO)
 	}
+	if rcfg.Quorum < 0 {
+		return fmt.Errorf("mcastd: negative quorum %d", rcfg.Quorum)
+	}
 	if len(rcfg.Faults.Kills) > 0 || len(rcfg.Faults.Stalls) > 0 {
 		return fmt.Errorf("mcastd: scheduled link kills/stalls are not supported on the daemon chaos plane")
 	}
 	return nil
-}
-
-// dev is one control frame delivered to a follower process's coordinator.
-type dev struct {
-	ctlFrame
-	host int // the local host the frame was addressed to
 }
 
 // drt is the driver state of one process's share of a reliable run: the
@@ -111,7 +108,6 @@ type drt struct {
 	start    time.Time
 	share    *live.ReliableShare
 	sup      *live.Supervisor // the root's process only
-	evs      chan dev         // the other processes' coordinator ctl frames
 	stopAckC chan int
 
 	// Coordinator-owned (single goroutine after start):
@@ -125,15 +121,6 @@ type drt struct {
 	// Non-root repair state:
 	pendExh map[[2]int]int // unacknowledged EXHAUSTED reports by gen
 	exhGen  map[[2]int]int
-}
-
-// event delivers one event to a follower's coordinator, blocking until it
-// drains or the process tears down.
-func (rt *drt) event(e dev) {
-	select {
-	case rt.evs <- e:
-	case <-rt.share.Aborted():
-	}
 }
 
 // RunReliable executes this process's share of a loss- and crash-
@@ -215,9 +202,6 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 			Logf:        rt.cfg.logf,
 		})
 		rt.exhSeen = map[[2]int]int{}
-	} else {
-		// A few events per host queue up behind a busy coordinator.
-		rt.evs = make(chan dev, 8*len(rt.nodes)+64)
 	}
 	// Every process fences at the detector's initial epoch; only the
 	// root's announcements over ctl advance a follower.
@@ -226,12 +210,10 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	rt.start = time.Now()
 	chaos.Start(rt.start)
 	share.Start(rt.start)
-	for _, v := range cfg.Local {
-		rt.share.Go(func() { rt.listen(v) })
-	}
 
 	var runErr error
 	if rt.sup != nil {
+		rt.share.Go(rt.listen)
 		runErr = rt.rootLoop()
 	} else {
 		runErr = rt.destLoop()
@@ -255,32 +237,25 @@ func (rt *drt) order(o live.Order) {
 	rt.cfg.sendCtl(from, o.To, f)
 }
 
-// listen hands host id's ctl frames to the root (hearRoot) or a follower's
-// coordinator, dropping those this host has no business with; a remote
-// child's ACK goes straight to its edge incarnation. Every frame names its
-// hosts: the fabric's ctl pump delivers payload bytes only.
-func (rt *drt) listen(id int) {
-	listenCtl(rt.cfg, id, rt.share.Aborted(), func(f ctlFrame) {
-		switch f.kind {
-		case ctlAck:
-			if e := rt.share.Route(f.a, id); e != nil {
-				e.Ack(live.EdgeAck{Seq: f.b, Epoch: f.c})
-			}
-			return
-		case ctlBeat, ctlDone, ctlExhausted, ctlStopAck:
-			if id == rt.root {
-				rt.hearRoot(f)
-			}
-			return
-		case ctlDoneAck, ctlGraft, ctlKill:
-			if f.a != id {
-				return // addressed to another host
-			}
-		}
-		if rt.sup == nil {
-			rt.event(dev{ctlFrame: f, host: id})
+// listen is the root process's ctl listener: a remote child's ACK goes to
+// its edge, a frame for the root to hearRoot; the rest is not the root's.
+func (rt *drt) listen() {
+	listenCtl(rt.cfg, rt.share.Aborted(), func(to int, f ctlFrame) {
+		switch {
+		case f.kind == ctlAck:
+			rt.ack(to, f)
+		case to == rt.root:
+			rt.hearRoot(f)
 		}
 	})
+}
+
+// ack applies a remote child's ACK, addressed to the parent host, to the
+// edge incarnation that carries it.
+func (rt *drt) ack(parent int, f ctlFrame) {
+	if e := rt.share.Route(f.a, parent); e != nil {
+		e.Ack(live.EdgeAck{Seq: f.b, Epoch: f.c})
+	}
 }
 
 // hearRoot handles one frame addressed to the root: a beat, a DONE
@@ -326,11 +301,12 @@ func (rt *drt) hearRoot(f ctlFrame) {
 // ---------------------------------------------------------------------------
 // Destination-only process coordinator.
 
-// destLoop drives a process that does not own the root: beat for every
-// local host, apply the root's repair orders, read the session's reports —
-// a completion is a DONE to the root, a dead edge is retired and an
-// EXHAUSTED to the root — and exit on the root's STOP (acknowledging it
-// for every local host) or the watchdog.
+// destLoop drives a process that does not own the root, and is its ctl
+// listener: beat for every local host, apply remote children's ACKs and
+// the root's repair orders, read the session's reports — a completion is
+// a DONE to the root, a dead edge is retired and an EXHAUSTED to the root
+// — and exit on the root's STOP (acknowledging it for every local host)
+// or the watchdog.
 func (rt *drt) destLoop() error {
 	watchdog := time.NewTimer(rt.cfg.Timeout)
 	defer watchdog.Stop()
@@ -355,29 +331,35 @@ func (rt *drt) destLoop() error {
 				rt.cfg.logf("edge %d->%d exhausted (gen %d); reporting to root", r.Host, r.To, rt.exhGen[key])
 				rt.cfg.sendCtl(r.Host, rt.root, ctlFrame{kind: ctlExhausted, a: r.Host, b: r.To, c: rt.exhGen[key]})
 			}
-		case e := <-rt.evs:
-			key := [2]int{e.a, e.b}
-			switch e.kind {
+		case c := <-rt.cfg.Net.Ctl():
+			f, ok := decodeCtl(c.Payload)
+			if !ok || f.a != c.To && (f.kind == ctlDoneAck || f.kind == ctlGraft || f.kind == ctlKill) {
+				break // undecodable, or addressed to another host
+			}
+			key := [2]int{f.a, f.b}
+			switch f.kind {
+			case ctlAck:
+				rt.ack(c.To, f)
 			case ctlDoneAck:
-				if c, ok := rt.doneAckC[e.host]; ok {
-					close(c)
-					delete(rt.doneAckC, e.host)
+				if ch, ok := rt.doneAckC[f.a]; ok {
+					close(ch)
+					delete(rt.doneAckC, f.a)
 				}
 			case ctlGraft:
-				rt.share.SetEpoch(e.c)
-				if rt.share.Route(e.b, e.a) == nil { // not a re-sent order
-					rt.cfg.logf("graft order: new edge %d->%d (epoch %d)", e.a, e.b, e.c)
-					rt.share.Install(e.a, e.b)
+				rt.share.SetEpoch(f.c)
+				if rt.share.Route(f.b, f.a) == nil { // not a re-sent order
+					rt.cfg.logf("graft order: new edge %d->%d (epoch %d)", f.a, f.b, f.c)
+					rt.share.Install(f.a, f.b)
 				}
 			case ctlKill:
-				rt.share.SetEpoch(e.c)
+				rt.share.SetEpoch(f.c)
 				delete(rt.pendExh, key) // KILL acknowledges EXHAUSTED
-				rt.share.Retire(e.a, e.b)
+				rt.share.Retire(f.a, f.b)
 			case ctlEpoch:
-				rt.share.SetEpoch(e.a)
+				rt.share.SetEpoch(f.a)
 			case ctlStop:
-				rt.share.SetEpoch(e.a)
-				rt.stopStat = e.status
+				rt.share.SetEpoch(f.a)
+				rt.stopStat = f.status
 				rt.cfg.ackStop()
 				rt.cfg.logf("STOP received (status %v, epoch %d)", rt.stopStat, rt.share.Epoch())
 				return nil

@@ -290,18 +290,20 @@ func TestReliableRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	cfg := Config{Tree: tr, Packets: pkts, MsgID: 1, Local: []int{0}, Net: nw}
+	// A config that slipped through would run to the watchdog.
+	cfg := Config{Tree: tr, Packets: pkts, MsgID: 1, Local: []int{0}, Net: nw, Timeout: 200 * time.Millisecond}
 	for _, tc := range []struct {
-		name string
-		rcfg ReliableConfig
+		name, want string
+		rcfg       ReliableConfig
 	}{
-		{"rto-cap-below-base", ReliableConfig{RTO: 50 * time.Millisecond, RTOMax: 10 * time.Millisecond}},
-		{"bad-droprate", ReliableConfig{Faults: link.Faults{DropRate: 1.5}}},
-		{"scheduled-kills", ReliableConfig{Faults: link.Faults{Kills: []link.LinkKill{{From: 0, To: 1, At: time.Millisecond}}}}},
-		{"scheduled-stalls", ReliableConfig{Faults: link.Faults{Stalls: []link.StallWindow{{Host: 0, Until: time.Millisecond}}}}},
+		{"rto-cap-below-base", "RTO cap", ReliableConfig{RTO: 50 * time.Millisecond, RTOMax: 10 * time.Millisecond}},
+		{"negative-quorum", "negative quorum -2", ReliableConfig{Quorum: -2}},
+		{"bad-droprate", "drop rate", ReliableConfig{Faults: link.Faults{DropRate: 1.5}}},
+		{"scheduled-kills", "kills/stalls", ReliableConfig{Faults: link.Faults{Kills: []link.LinkKill{{From: 0, To: 1, At: time.Millisecond}}}}},
+		{"scheduled-stalls", "kills/stalls", ReliableConfig{Faults: link.Faults{Stalls: []link.StallWindow{{Host: 0, Until: time.Millisecond}}}}},
 	} {
-		if _, err := RunReliable(cfg, tc.rcfg); err == nil {
-			t.Errorf("%s: RunReliable accepted a bad config", tc.name)
+		if res, err := RunReliable(cfg, tc.rcfg); res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: RunReliable = %v, %v; want a rejection naming %q", tc.name, res, err, tc.want)
 		}
 	}
 	// Host ids and packet counts the 16-bit ctl fields cannot carry are
@@ -328,9 +330,9 @@ func TestReliableRejects(t *testing.T) {
 // TestReliableRootDropsForeignExhausted: an EXHAUSTED datagram naming a host
 // outside the tree, as parent or as child, is dropped by the root before
 // it reaches the generation table, the supervisor or a KILL; a well-formed
-// one is reported and acknowledged. Host 1's KILLs land on its ctl queue,
-// which nothing here reads, so the first one is the answer to the first
-// EXHAUSTED the root accepted.
+// one is reported and acknowledged. Host 1's KILLs land on the fabric's
+// ctl queue, which nothing here reads, so the first one is the answer to
+// the first EXHAUSTED the root accepted.
 func TestReliableRootDropsForeignExhausted(t *testing.T) {
 	skipWithoutLoopback(t)
 	tr := tree.Linear([]int{0, 1, 2})
@@ -376,8 +378,8 @@ func TestReliableRootDropsForeignExhausted(t *testing.T) {
 	default:
 	}
 	select {
-	case b := <-nw.Ctl(1):
-		if f, ok := decodeCtl(b); !ok || f != (ctlFrame{kind: ctlKill, a: 1, b: 2, c: share.Epoch()}) {
+	case c := <-nw.Ctl():
+		if f, ok := decodeCtl(c.Payload); !ok || c.To != 1 || f != (ctlFrame{kind: ctlKill, a: 1, b: 2, c: share.Epoch()}) {
 			t.Fatalf("host 1's first KILL is %+v, want the answer to EXHAUSTED 1->2", f)
 		}
 	case <-time.After(5 * time.Second):

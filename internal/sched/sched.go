@@ -77,7 +77,8 @@ func (e *SessionError) Error() string {
 
 func (e *SessionError) Unwrap() error { return e.Err }
 
-// Config tunes a Scheduler. The zero value selects sane defaults.
+// Config tunes a Scheduler. The zero value selects sane defaults; a
+// negative value is refused.
 type Config struct {
 	// Window caps the sessions in flight (admitted, not yet completed).
 	// Defaults to 64.
@@ -107,20 +108,23 @@ type Config struct {
 	SessionTimeout time.Duration
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.Window <= 0 {
+func (cfg Config) withDefaults() (Config, error) {
+	if min(cfg.Window, cfg.QueueDepth, cfg.Quantum) < 0 || min(cfg.SubmitTimeout, cfg.SessionTimeout) < 0 {
+		return cfg, fmt.Errorf("sched: negative setting in %+v", cfg)
+	}
+	if cfg.Window == 0 {
 		cfg.Window = 64
 	}
-	if cfg.QueueDepth <= 0 {
+	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 4 * cfg.Window
 	}
-	if cfg.Quantum <= 0 {
+	if cfg.Quantum == 0 {
 		cfg.Quantum = live.DefaultQuantum
 	}
-	if cfg.SessionTimeout <= 0 {
+	if cfg.SessionTimeout == 0 {
 		cfg.SessionTimeout = live.DefaultTimeout
 	}
-	return cfg
+	return cfg, nil
 }
 
 // Stats is a point-in-time census of a Scheduler.
@@ -228,7 +232,10 @@ func New(hosts []int, cfg Config) (*Scheduler, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("sched: empty host set")
 	}
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	s := &Scheduler{
 		cfg:      cfg,
 		start:    time.Now(),
@@ -437,41 +444,42 @@ func (s *Scheduler) place(h *Handle) {
 
 // collect is the completion loop: it tracks admitted sessions, counts
 // the share's destination completions, enforces per-session deadlines
-// and settles every handle exactly once.
+// and settles every handle exactly once. The timer holds the earliest
+// deadline (next); every session waits the same SessionTimeout, so only
+// an admission to an idle timer moves it, and the pending deadlines are
+// scanned only when it fires — no event costs O(Window).
 func (s *Scheduler) collect() {
 	pending := map[*live.Entry]*Handle{}
 	const forever = time.Hour
 	timer := time.NewTimer(forever)
 	defer timer.Stop()
+	next := time.Now().Add(forever)
 
-	drainAdmitted := func() {
-		for {
-			select {
-			case h := <-s.admitted:
-				pending[h.entry] = h
-			default:
-				return
-			}
-		}
-	}
-	rearm := func() {
+	arm := func(at time.Time) {
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
 			default:
 			}
 		}
-		d := forever
-		now := time.Now()
-		for _, h := range pending {
-			if w := h.deadline.Sub(now); w < d {
-				d = w
+		next = at
+		timer.Reset(time.Until(at))
+	}
+	track := func(h *Handle) {
+		pending[h.entry] = h
+		if h.deadline.Before(next) {
+			arm(h.deadline)
+		}
+	}
+	drainAdmitted := func() {
+		for {
+			select {
+			case h := <-s.admitted:
+				track(h)
+			default:
+				return
 			}
 		}
-		if d < 0 {
-			d = 0
-		}
-		timer.Reset(d)
 	}
 
 	for {
@@ -486,8 +494,7 @@ func (s *Scheduler) collect() {
 			}
 			return
 		case h := <-s.admitted:
-			pending[h.entry] = h
-			rearm()
+			track(h)
 		case d := <-s.share.Done():
 			// A completion can beat its session through the select: the
 			// admitted send strictly precedes the first injection, but
@@ -502,7 +509,6 @@ func (s *Scheduler) collect() {
 			if h.acked == h.dests {
 				delete(pending, d.Entry)
 				s.complete(h)
-				rearm()
 			}
 		case f := <-s.share.Failed():
 			drainAdmitted()
@@ -512,17 +518,20 @@ func (s *Scheduler) collect() {
 			}
 			delete(pending, f.Entry)
 			s.expire(h, f.Err)
-			rearm()
 		case <-timer.C:
 			drainAdmitted()
 			now := time.Now()
+			earliest := now.Add(forever)
 			for id, h := range pending {
-				if !h.deadline.After(now) {
+				switch {
+				case !h.deadline.After(now):
 					delete(pending, id)
 					s.expire(h, ErrSessionTimeout)
+				case h.deadline.Before(earliest):
+					earliest = h.deadline
 				}
 			}
-			rearm()
+			arm(earliest)
 		}
 	}
 }

@@ -177,6 +177,11 @@ func TestTypedRejections(t *testing.T) {
 	if _, err := New(hostRange(3), Config{BufferPackets: -1}); err == nil || !strings.Contains(err.Error(), "sched: negative buffer bound -1") {
 		t.Fatalf("New with a negative buffer bound returned %v", err)
 	}
+	for _, cfg := range []Config{{Window: -5}, {QueueDepth: -1}, {Quantum: -1}, {SubmitTimeout: -1}, {SessionTimeout: -1}} {
+		if _, err := New(hostRange(3), cfg); err == nil || !strings.Contains(err.Error(), "sched: negative") {
+			t.Fatalf("New(%+v) returned %v, want a refusal, not a default", cfg, err)
+		}
+	}
 	// Window 1 and a 100ms-per-hop link keep the first session in
 	// flight long enough to observe every typed rejection
 	// deterministically.
