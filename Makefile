@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check surface staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak virtual-soak flake-hunt fuzz bench bench-build examples ci figures clean live-race lines
+.PHONY: all build test race vet fmt check surface staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak virtual-soak flake-hunt fuzz bench bench-build examples ci figures figures-check clean live-race lines
 
 all: check
 
@@ -225,7 +225,22 @@ examples:
 ci: check surface staticcheck live-race bench-build examples mcastcheck chaos-soak net-soak daemon-soak sched-soak psim-soak virtual-soak
 
 figures:
-	$(GO) run ./cmd/figures -out figures
+	$(GO) run ./cmd/figures -csv -out figures
+
+# Figures check: regenerates every figure file (tables and CSVs) into a
+# temp directory, once at GOMAXPROCS=1 and once at the default, and fails
+# on any difference from the committed figures/, whose numbers README.md
+# and EXPERIMENTS.md quote. The sweep trials run on GOMAXPROCS goroutines,
+# so the two runs also hold the tables independent of the worker count.
+# About 25 s per run on 2 vCPUs.
+figures-check:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/figures" ./cmd/figures || exit 1; \
+	for procs in 1 default; do \
+		echo "cmd/figures -csv at GOMAXPROCS=$$procs"; \
+		if [ $$procs = default ]; then unset GOMAXPROCS; else export GOMAXPROCS=$$procs; fi; \
+		"$$dir/figures" -csv -out "$$dir/$$procs" > /dev/null && diff -r figures "$$dir/$$procs" || exit 1; \
+	done
 
 # Lines: non-test Go lines (wc -l) per package directory, bench/ excluded
 # — the figure behind every "lines removed" claim in CHANGES.md.

@@ -4,12 +4,11 @@
 //
 // Usage:
 //
-//	figures [-out dir] [-quick] [-only fig14a] [-workers n]
+//	figures [-out dir] [-quick] [-only fig14a] [-csv]
 //
 // Without -quick it runs the paper's full methodology (30 destination sets
-// on each of 10 random topologies per data point), which takes a few
-// minutes for the simulation-backed figures. -workers shards the sweep
-// trials over goroutines; the emitted tables are identical either way.
+// on each of 10 random topologies per data point). The sweep trials run on
+// GOMAXPROCS goroutines; the emitted tables are identical for every value.
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"repro/internal/experiments"
 )
@@ -28,7 +26,6 @@ func main() {
 	only := flag.String("only", "", "run a single experiment by id (e.g. fig12a)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	csv := flag.Bool("csv", false, "also write <id>.<n>.csv files with the raw table data")
-	workers := flag.Int("workers", runtime.NumCPU(), "parallel sweep workers (1 = serial)")
 	flag.Parse()
 
 	if *list {
@@ -42,7 +39,6 @@ func main() {
 	if *quick {
 		cfg = experiments.Quick()
 	}
-	cfg.Workers = *workers
 
 	run := experiments.All()
 	if *only != "" {

@@ -51,6 +51,7 @@ import (
 	"repro/internal/live/link"
 	"repro/internal/mcastd"
 	"repro/internal/message"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -90,6 +91,22 @@ func run(args []string, out, errw io.Writer) int {
 		verbose = fs.Bool("v", false, "log protocol milestones")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	for _, f := range []struct {
+		name string
+		neg  bool
+	}{
+		{"bytes", *bytesN < 0}, {"k", *k < 0}, {"timeout", *timeout < 0}, {"droprate", *dropF < 0},
+		{"rto", *rtoF < 0}, {"retries", *retryF < 0}, {"drain", *drainF < 0},
+	} {
+		if f.neg {
+			fmt.Fprintf(errw, "mcastd: -%s must not be negative\n", f.name)
+			return 2
+		}
+	}
+	if err := topology.CheckGrid(*arity, *dims); err != nil {
+		fmt.Fprintf(errw, "mcastd: %v\n", err)
 		return 2
 	}
 
@@ -132,81 +149,70 @@ func run(args []string, out, errw io.Writer) int {
 	spec.Packets = len(pkts)
 	plan := sys.Plan(spec)
 
-	ucfg := link.UDPConfig{Session: *session, MTU: *mtu, Window: *window}
-	var nw *link.UDPNetwork
-	var local []int
+	nw, err := link.NewUDPNetwork(link.UDPConfig{Session: *session, MTU: *mtu, Window: *window})
+	if err != nil {
+		fmt.Fprintf(errw, "mcastd: %v\n", err)
+		return 2
+	}
+	defer nw.Close()
+	local, binds, peers := plan.Tree.Nodes(), map[int]string{}, map[int]string{}
 	if *all {
 		if *hostsF != "" || *bindF != "" || *peersF != "" {
 			fmt.Fprintln(errw, "mcastd: -all conflicts with -hosts/-bind/-peers")
 			return 2
 		}
-		local = plan.Tree.Nodes()
-		nw, err = link.NewLoopbackUDP(local, ucfg)
-		if err != nil {
-			fmt.Fprintf(errw, "mcastd: loopback fabric: %v\n", err)
-			return 1
-		}
 	} else {
-		local, err = parseHosts(*hostsF)
-		if err != nil {
+		if local, err = parseHosts(*hostsF); err != nil {
 			fmt.Fprintf(errw, "mcastd: -hosts: %v\n", err)
 			return 2
 		}
-		binds, err := parseAddrs(*bindF)
-		if err != nil {
+		if binds, err = parseAddrs(*bindF); err != nil {
 			fmt.Fprintf(errw, "mcastd: -bind: %v\n", err)
 			return 2
 		}
-		peers, err := parseAddrs(*peersF)
-		if err != nil {
+		if peers, err = parseAddrs(*peersF); err != nil {
 			fmt.Fprintf(errw, "mcastd: -peers: %v\n", err)
 			return 2
 		}
-		nw, err = link.NewUDPNetwork(ucfg)
+	}
+	for _, v := range local {
+		addr, ok := binds[v]
+		if !ok {
+			addr = "127.0.0.1:0"
+		}
+		bound, err := nw.Listen(v, addr)
 		if err != nil {
-			fmt.Fprintf(errw, "mcastd: %v\n", err)
+			fmt.Fprintf(errw, "mcastd: bind host %d: %v\n", v, err)
 			return 1
 		}
-		for _, v := range local {
-			addr, ok := binds[v]
-			if !ok {
-				addr = "127.0.0.1:0"
-			}
-			bound, err := nw.Listen(v, addr)
-			if err != nil {
-				fmt.Fprintf(errw, "mcastd: bind host %d: %v\n", v, err)
-				nw.Close()
-				return 1
-			}
+		if !*all {
 			fmt.Fprintf(out, "host %d listening on %s\n", v, bound)
 		}
-		for v, addr := range peers {
-			if err := nw.AddPeer(v, addr); err != nil {
-				fmt.Fprintf(errw, "mcastd: peer host %d: %v\n", v, err)
-				nw.Close()
-				return 1
-			}
-		}
-		localSet := map[int]bool{}
-		for _, v := range local {
-			localSet[v] = true
-		}
-		var missing []int
-		for _, v := range plan.Tree.Nodes() {
-			if !localSet[v] {
-				if _, ok := peers[v]; !ok {
-					missing = append(missing, v)
-				}
-			}
-		}
-		if len(missing) > 0 {
-			sort.Ints(missing)
-			fmt.Fprintf(errw, "mcastd: tree hosts %v are neither local nor in -peers\n", missing)
-			nw.Close()
-			return 2
+	}
+	for v, addr := range peers {
+		if err := nw.AddPeer(v, addr); err != nil {
+			fmt.Fprintf(errw, "mcastd: peer host %d: %v\n", v, err)
+			return 1
 		}
 	}
-	defer nw.Close()
+	covered := map[int]bool{}
+	for _, v := range local {
+		covered[v] = true
+	}
+	for v := range peers {
+		covered[v] = true
+	}
+	var missing []int
+	for _, v := range plan.Tree.Nodes() {
+		if !covered[v] {
+			missing = append(missing, v)
+		}
+	}
+	if len(missing) > 0 {
+		sort.Ints(missing)
+		fmt.Fprintf(errw, "mcastd: tree hosts %v are neither local nor in -peers\n", missing)
+		return 2
+	}
 
 	fmt.Fprintf(out, "plan: %d hosts, source h%d, %d destinations, k=%d, %d packets of %d bytes (%d-byte message)\n",
 		numHosts, spec.Source, len(spec.Dests), plan.K, len(pkts), *packet, len(payload))
@@ -250,7 +256,7 @@ func run(args []string, out, errw io.Writer) int {
 		res, err = mcastd.Run(mcfg)
 	}
 	if err != nil {
-		fmt.Fprintf(errw, "mcastd: %v\n", err)
+		fmt.Fprintln(errw, err) // the engine's errors name it
 		if res == nil {
 			return 2 // refused before the run: a negative bound or quorum, ...
 		}

@@ -72,12 +72,13 @@ func TestNegativeBuffer(t *testing.T) {
 func TestNegativeQuorum(t *testing.T) {
 	skipWithoutLoopback(t)
 	var out, errw bytes.Buffer
-	if code := run([]string{"-all", "-dests", "3", "-reliable", "-quorum", "-2"}, &out, &errw); code != 2 || !strings.Contains(errw.String(), "negative quorum -2") {
+	if code := run([]string{"-all", "-dests", "3", "-reliable", "-quorum", "-2"}, &out, &errw); code != 2 || errw.String() != "mcastd: negative quorum -2\n" {
 		t.Fatalf("exit %d, want 2 naming the quorum\nstderr:\n%s", code, errw.String())
 	}
 }
 
-// TestUsageErrors pins exit code 2 on bad invocations.
+// TestUsageErrors pins exit code 2 on bad invocations, and one stderr
+// line naming the command once for every refusal after flag parsing.
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -90,10 +91,27 @@ func TestUsageErrors(t *testing.T) {
 		{"no-hosts", []string{"-dims", "3"}},
 		{"bad-bind", []string{"-hosts", "0", "-bind", "nonsense"}},
 		{"bad-peers", []string{"-hosts", "0", "-peers", "1:missing-equals"}},
+		{"negative-bytes", []string{"-all", "-dests", "3", "-bytes", "-5"}},
+		{"arity-0", []string{"-all", "-arity", "0"}},
+		{"arity-1", []string{"-all", "-arity", "1"}},
+		{"dims-0", []string{"-all", "-dims", "0"}},
+		{"dims-40", []string{"-all", "-dims", "40"}},
+		{"mesh-too-large", []string{"-all", "-topo", "mesh", "-arity", "2000", "-dims", "2"}},
+		{"small-mtu", []string{"-all", "-dests", "3", "-mtu", "10"}},
+		{"negative-window", []string{"-all", "-dests", "3", "-window", "-1"}},
+		{"negative-rto", []string{"-all", "-dests", "3", "-reliable", "-rto", "-5ms"}},
+		{"negative-retries", []string{"-all", "-dests", "3", "-reliable", "-retries", "-3"}},
+		{"negative-timeout", []string{"-all", "-dests", "3", "-timeout", "-1s"}},
+		{"negative-drain", []string{"-all", "-dests", "3", "-drain", "-1s"}},
+		{"negative-k", []string{"-all", "-dests", "3", "-k", "-2"}},
+		{"negative-droprate", []string{"-all", "-dests", "3", "-reliable", "-droprate", "-0.1"}},
 	} {
 		var out, errw bytes.Buffer
 		if code := run(tc.args, &out, &errw); code != 2 {
 			t.Errorf("%s: exit %d, want 2\nstderr:\n%s", tc.name, code, errw.String())
+		}
+		if msg := errw.String(); tc.name != "bad-flag" && (strings.Count(msg, "\n") != 1 || strings.Count(msg, "mcastd: ") != 1) {
+			t.Errorf("%s: stderr %q, want one line naming mcastd once", tc.name, msg)
 		}
 	}
 }

@@ -113,6 +113,7 @@ import (
 	"repro/internal/psim"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -296,6 +297,12 @@ func newJob(o *options, fs *flag.FlagSet, out io.Writer) (*job, error) {
 	if err := checkFlags(fs, j.mode, o.tree); err != nil {
 		return nil, err
 	}
+	if o.workers < 0 {
+		return nil, usagef("-workers must not be negative")
+	}
+	if o.liveTimeout < 0 {
+		return nil, usagef("-live-timeout must not be negative")
+	}
 	policy, ok := policies[o.tree]
 	if !ok {
 		return nil, usagef("unknown tree policy %q", o.tree)
@@ -309,8 +316,8 @@ func newJob(o *options, fs *flag.FlagSet, out io.Writer) (*job, error) {
 		if err := fields("-mesh", o.mesh, "ARITYxDIMS", &arity, &dims); err != nil {
 			return nil, usageError{err}
 		}
-		if arity < 2 || dims < 1 {
-			return nil, usagef("-mesh %q: arity must be >= 2 and dims >= 1", o.mesh)
+		if err := topology.CheckGrid(arity, dims); err != nil {
+			return nil, usagef("-mesh %q: %v", o.mesh, err)
 		}
 		j.sys = repro.NewMeshSystem(arity, dims)
 	}
@@ -320,6 +327,9 @@ func newJob(o *options, fs *flag.FlagSet, out io.Writer) (*job, error) {
 	if j.mode == schedule {
 		if o.window < 1 {
 			return nil, usagef("-window must be >= 1")
+		}
+		if o.packets < 1 {
+			return nil, usagef("-packets must be >= 1")
 		}
 		return j, nil
 	}

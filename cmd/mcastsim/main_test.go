@@ -284,6 +284,11 @@ func TestExitCodes(t *testing.T) {
 		{"-sessions 20 -dests 6 -packets 2 -window 0", "-window must be >= 1", 2},
 		{"-mesh 3", `-mesh "3" is not ARITYxDIMS`, 2},
 		{"-mesh 1x2", "arity must be >= 2", 2},
+		{"-mesh 2x40", "grid has more than 1048576 hosts", 2},
+		{"-mesh 1100000x1", "grid has more than 1048576 hosts", 2},
+		{"-workers -1", "-workers must not be negative", 2},
+		{"-live -live-timeout -1s", "-live-timeout must not be negative", 2},
+		{"-sessions 3 -dests 3 -packets -1", "-packets must be >= 1", 2},
 		{"-tree k -k 0", "fixed-k policy with k=0", 2},
 		{"-droprate 1.5", "drop rate 1.500000 outside [0, 1)", 2},
 		{"-reliable -retries 0", "retry budget 0 < 1", 2},

@@ -10,7 +10,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/stepsim"
-	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -71,24 +70,19 @@ func runAblOrdering(cfg Config) *Result {
 	tb := stats.NewTable("Mean multicast latency (us) / same-step conflicts by base ordering; 31 dests, k=2 trees",
 		"m", "identity", "conf", "cco", "conf", "poc", "conf")
 	for _, m := range []int{2, 8} {
-		row := []float64{}
-		for _, kind := range kinds {
-			var lat, conf stats.Summary
-			for t := range sys {
+		sums := sweep(cfg, func(t int, rng *workload.RNG) []float64 {
+			spec := draw(sys[t], rng, 31, m, core.FixedKTree)
+			spec.K = 2
+			var row []float64
+			for _, kind := range kinds {
 				v := variants[t][kind]
-				for i := 0; i < cfg.Sweep.Trials; i++ {
-					rng := cfg.Sweep.TrialRNG(t, i)
-					set := workload.DestSet(rng, v.Net.NumHosts(), 31)
-					spec := core.Spec{Source: set[0], Dests: set[1:], Packets: m,
-						Policy: core.FixedKTree, K: 2}
-					plan := v.Plan(spec)
-					lat.Add(v.Simulate(plan, cfg.Params, stepsim.FPFS).Latency)
-					conf.Add(float64(v.Conflicts(plan, stepsim.FPFS)))
-				}
+				plan := v.Plan(spec)
+				row = append(row, v.Simulate(plan, cfg.Params, stepsim.FPFS).Latency,
+					float64(v.Conflicts(plan, stepsim.FPFS)))
 			}
-			row = append(row, lat.Mean(), conf.Mean())
-		}
-		tb.AddFloats(fmt.Sprintf("%d", m), 2, row...)
+			return row
+		})
+		tb.AddFloats(fmt.Sprintf("%d", m), 2, means(sums)...)
 	}
 	return &Result{
 		ID: "abl-ordering", Title: "ordering ablation", Tables: []*stats.Table{tb},
@@ -104,32 +98,27 @@ func runAblK(cfg Config) *Result {
 		header = append(header, fmt.Sprintf("m=%d", m))
 	}
 	tb := stats.NewTable("Mean multicast latency (us) vs fixed fanout bound; 47 dests", header...)
-	type cell struct{ k, m int }
-	means := map[cell]float64{}
+	rows := make([][]float64, 6) // rows[k-1][j]: mean latency at bound k, ms[j] packets
 	for k := 1; k <= 6; k++ {
-		row := []float64{}
-		for _, m := range ms {
-			var lat stats.Summary
-			for t, s := range sys {
-				for i := 0; i < cfg.Sweep.Trials; i++ {
-					rng := cfg.Sweep.TrialRNG(t, i)
-					set := workload.DestSet(rng, s.Net.NumHosts(), 47)
-					spec := core.Spec{Source: set[0], Dests: set[1:], Packets: m,
-						Policy: core.FixedKTree, K: k}
-					lat.Add(s.Latency(spec, cfg.Params))
-				}
+		rows[k-1] = means(sweep(cfg, func(t int, rng *workload.RNG) []float64 {
+			s := sys[t]
+			spec := draw(s, rng, 47, 0, core.FixedKTree)
+			spec.K = k
+			var lat []float64
+			for _, m := range ms {
+				spec.Packets = m
+				lat = append(lat, s.Latency(spec, cfg.Params))
 			}
-			means[cell{k, m}] = lat.Mean()
-			row = append(row, lat.Mean())
-		}
-		tb.AddFloats(fmt.Sprintf("%d", k), 1, row...)
+			return lat
+		}))
+		tb.AddFloats(fmt.Sprintf("%d", k), 1, rows[k-1]...)
 	}
 	notes := []string{}
-	for _, m := range ms {
-		bestK, bestV := 0, 0.0
-		for k := 1; k <= 6; k++ {
-			if v := means[cell{k, m}]; bestK == 0 || v < bestV {
-				bestK, bestV = k, v
+	for j, m := range ms {
+		bestK := 1
+		for k := 2; k <= 6; k++ {
+			if rows[k-1][j] < rows[bestK-1][j] {
+				bestK = k
 			}
 		}
 		model, _ := ktree.OptimalK(48, m)
@@ -143,21 +132,11 @@ func runAblNI(cfg Config) *Result {
 	tb := stats.NewTable("Binomial/k-binomial speedup vs NI send overhead t_ns; 47 dests, m=16",
 		"t_ns (us)", "binomial (us)", "k-binomial (us)", "speedup")
 	for _, tns := range []float64{1.0, 3.0, 6.0, 12.0} {
-		params := cfg.Params
-		params.TNISend = tns
-		var bin, kbin stats.Summary
-		for t, s := range sys {
-			for i := 0; i < cfg.Sweep.Trials; i++ {
-				rng := cfg.Sweep.TrialRNG(t, i)
-				set := workload.DestSet(rng, s.Net.NumHosts(), 47)
-				spec := core.Spec{Source: set[0], Dests: set[1:], Packets: 16}
-				spec.Policy = core.BinomialTree
-				bin.Add(s.Latency(spec, params))
-				spec.Policy = core.OptimalTree
-				kbin.Add(s.Latency(spec, params))
-			}
-		}
-		tb.AddFloats(fmt.Sprintf("%.1f", tns), 2, bin.Mean(), kbin.Mean(), bin.Mean()/kbin.Mean())
+		c := cfg
+		c.Params.TNISend = tns
+		bin := sweepLatency(c, sys, 47, 16, core.BinomialTree, stepsim.FPFS)
+		kbin := sweepLatency(c, sys, 47, 16, core.OptimalTree, stepsim.FPFS)
+		tb.AddFloats(fmt.Sprintf("%.1f", tns), 2, bin, kbin, bin/kbin)
 	}
 	return &Result{
 		ID: "abl-ni", Title: "NI overhead sensitivity", Tables: []*stats.Table{tb},
@@ -173,24 +152,15 @@ func runAblPlan(cfg Config) *Result {
 	tb := stats.NewTable("Theorem 3 model-k vs measured-k planning; 15 dests (transition band)",
 		"m", "model k", "model latency", "measured k", "measured latency", "gain %")
 	for _, m := range []int{8, 10, 12, 14, 16, 24} {
-		var modelLat, measLat stats.Summary
-		var modelK, measK stats.Summary
-		for t, s := range sys {
-			for i := 0; i < cfg.Sweep.Trials; i++ {
-				rng := cfg.Sweep.TrialRNG(t, i)
-				set := workload.DestSet(rng, s.Net.NumHosts(), 15)
-				spec := core.Spec{Source: set[0], Dests: set[1:], Packets: m, Policy: core.OptimalTree}
-				plan := s.Plan(spec)
-				modelK.Add(float64(plan.K))
-				modelLat.Add(s.Simulate(plan, cfg.Params, stepsim.FPFS).Latency)
-				best, lat := s.PlanMeasured(spec, cfg.Params)
-				measK.Add(float64(best.K))
-				measLat.Add(lat)
-			}
-		}
-		gain := (modelLat.Mean() - measLat.Mean()) / modelLat.Mean() * 100
-		tb.AddFloats(fmt.Sprintf("%d", m), 2,
-			modelK.Mean(), modelLat.Mean(), measK.Mean(), measLat.Mean(), gain)
+		row := means(sweep(cfg, func(t int, rng *workload.RNG) []float64 {
+			s := sys[t]
+			spec := draw(s, rng, 15, m, core.OptimalTree)
+			plan := s.Plan(spec)
+			best, lat := s.PlanMeasured(spec, cfg.Params)
+			return []float64{float64(plan.K), s.Simulate(plan, cfg.Params, stepsim.FPFS).Latency, float64(best.K), lat}
+		}))
+		gain := (row[1] - row[3]) / row[1] * 100
+		tb.AddFloats(fmt.Sprintf("%d", m), 2, append(row, gain)...)
 	}
 	return &Result{
 		ID: "abl-plan", Title: "model vs measured k", Tables: []*stats.Table{tb},
@@ -271,24 +241,18 @@ func runAblCluster(cfg Config) *Result {
 	for _, dc := range []int{7, 15, 31} {
 		row := []float64{}
 		for _, clustered := range []bool{false, true} {
-			var lat, wait stats.Summary
-			for t, s := range sys {
-				sw := s.Net
-				for i := 0; i < cfg.Sweep.Trials; i++ {
-					rng := cfg.Sweep.TrialRNG(t, i)
-					var set []int
-					if clustered {
-						set = workload.ClusteredDestSetBy(rng, sw.NumHosts(), dc, sw.HostSwitch)
-					} else {
-						set = workload.DestSet(rng, sw.NumHosts(), dc)
-					}
-					spec := core.Spec{Source: set[0], Dests: set[1:], Packets: 8, Policy: core.OptimalTree}
-					res := s.Simulate(s.Plan(spec), cfg.Params, stepsim.FPFS)
-					lat.Add(res.Latency)
-					wait.Add(res.ChannelWait)
+			row = append(row, means(sweep(cfg, func(t int, rng *workload.RNG) []float64 {
+				s := sys[t]
+				var set []int
+				if clustered {
+					set = workload.ClusteredDestSetBy(rng, s.Net.NumHosts(), dc, s.Net.HostSwitch)
+				} else {
+					set = workload.DestSet(rng, s.Net.NumHosts(), dc)
 				}
-			}
-			row = append(row, lat.Mean(), wait.Mean())
+				spec := core.Spec{Source: set[0], Dests: set[1:], Packets: 8, Policy: core.OptimalTree}
+				res := s.Simulate(s.Plan(spec), cfg.Params, stepsim.FPFS)
+				return []float64{res.Latency, res.ChannelWait}
+			}))...)
 		}
 		tb.AddFloats(fmt.Sprintf("%d", dc), 2, row...)
 	}
@@ -316,21 +280,11 @@ func runAblPorts(cfg Config) *Result {
 	tb := stats.NewTable("Binomial vs optimal k-binomial latency (us) as NI injection ports grow; 31 dests, m=16",
 		"ports", "binomial", "k-binomial", "speedup")
 	for _, ports := range []int{1, 2, 4, 8} {
-		params := cfg.Params
-		params.NIPorts = ports
-		var bin, kbin stats.Summary
-		for t, s := range sys {
-			for i := 0; i < cfg.Sweep.Trials; i++ {
-				rng := cfg.Sweep.TrialRNG(t, i)
-				set := workload.DestSet(rng, s.Net.NumHosts(), 31)
-				spec := core.Spec{Source: set[0], Dests: set[1:], Packets: 16}
-				spec.Policy = core.BinomialTree
-				bin.Add(s.Latency(spec, params))
-				spec.Policy = core.OptimalTree
-				kbin.Add(s.Latency(spec, params))
-			}
-		}
-		tb.AddFloats(fmt.Sprintf("%d", ports), 2, bin.Mean(), kbin.Mean(), bin.Mean()/kbin.Mean())
+		c := cfg
+		c.Params.NIPorts = ports
+		bin := sweepLatency(c, sys, 31, 16, core.BinomialTree, stepsim.FPFS)
+		kbin := sweepLatency(c, sys, 31, 16, core.OptimalTree, stepsim.FPFS)
+		tb.AddFloats(fmt.Sprintf("%d", ports), 2, bin, kbin, bin/kbin)
 	}
 	return &Result{
 		ID: "abl-ports", Title: "NI injection ports", Tables: []*stats.Table{tb},
@@ -355,31 +309,27 @@ func init() {
 // same-step conflicts; its effect on latency shows how much of the
 // remaining contention is routing-induced rather than NI-induced.
 func runAblPath(cfg Config) *Result {
+	sys := systems(cfg)
+	multi := make([]*core.System, len(sys))
+	for t, s := range sys {
+		multi[t] = s.WithOrdering(s.Ord)
+		multi[t].Router = routing.NewUpDownMultipath(s.Net, 0xA17)
+	}
 	tb := stats.NewTable("Deterministic vs multipath up*/down*; 31 dests, k=2 trees",
 		"m", "det latency", "det conf", "multi latency", "multi conf")
 	for _, m := range []int{2, 8} {
-		var dLat, dConf, mLat, mConf stats.Summary
-		for t := 0; t < cfg.Sweep.Topologies; t++ {
-			seed := cfg.Sweep.TopologySeed(t)
-			det := core.NewIrregularSystem(topology.DefaultIrregular(), seed)
-			netCopy := det.Net
-			multiRouter := routing.NewUpDownMultipath(netCopy, 0xA17)
-			multi := det.WithOrdering(det.Ord)
-			multi.Router = multiRouter
-			for i := 0; i < cfg.Sweep.Trials; i++ {
-				rng := cfg.Sweep.TrialRNG(t, i)
-				set := workload.DestSet(rng, netCopy.NumHosts(), 31)
-				spec := core.Spec{Source: set[0], Dests: set[1:], Packets: m,
-					Policy: core.FixedKTree, K: 2}
-				dPlan := det.Plan(spec)
-				dLat.Add(det.Simulate(dPlan, cfg.Params, stepsim.FPFS).Latency)
-				dConf.Add(float64(det.Conflicts(dPlan, stepsim.FPFS)))
-				mPlan := multi.Plan(spec)
-				mLat.Add(multi.Simulate(mPlan, cfg.Params, stepsim.FPFS).Latency)
-				mConf.Add(float64(multi.Conflicts(mPlan, stepsim.FPFS)))
+		sums := sweep(cfg, func(t int, rng *workload.RNG) []float64 {
+			spec := draw(sys[t], rng, 31, m, core.FixedKTree)
+			spec.K = 2
+			var row []float64
+			for _, s := range []*core.System{sys[t], multi[t]} {
+				plan := s.Plan(spec)
+				row = append(row, s.Simulate(plan, cfg.Params, stepsim.FPFS).Latency,
+					float64(s.Conflicts(plan, stepsim.FPFS)))
 			}
-		}
-		tb.AddFloats(fmt.Sprintf("%d", m), 2, dLat.Mean(), dConf.Mean(), mLat.Mean(), mConf.Mean())
+			return row
+		})
+		tb.AddFloats(fmt.Sprintf("%d", m), 2, means(sums)...)
 	}
 	return &Result{
 		ID: "abl-path", Title: "route selection", Tables: []*stats.Table{tb},

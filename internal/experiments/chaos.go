@@ -63,31 +63,25 @@ func chaosPayload(rng *workload.RNG, m int, p sim.Params) []byte {
 func chaosSweepCell(cfg Config, sys []*core.System, drop float64, policy core.TreePolicy) chaosRow {
 	rcfg := reliable.DefaultConfig()
 	rcfg.Params = cfg.Params
-	row := chaosRow{Model: analytic.ExpectedSendsFactor(drop)}
-	for t, s := range sys {
-		for i := 0; i < cfg.Sweep.Trials; i++ {
-			rng := cfg.Sweep.TrialRNG(t, i)
-			set := workload.DestSet(rng, s.Net.NumHosts(), s.Net.NumHosts()-1)
-			spec := core.Spec{Source: set[0], Dests: set[1:], Packets: chaosPackets, Policy: policy}
-			plan := s.Plan(spec)
-			payload := chaosPayload(rng, chaosPackets, cfg.Params)
-			res, err := reliable.Deliver(s, plan, payload, rcfg, sim.FaultPlan{
-				Seed:     rng.Uint64(),
-				DropRate: drop,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("experiments: chaos delivery failed at p=%g: %v", drop, err))
-			}
-			lossless := sim.Multicast(s.Router, plan.Tree, res.Packets, cfg.Params, stepsim.FPFS)
-			edges := plan.Tree.Size() - 1
-			row.Latency.Add(res.Latency)
-			row.DeltaP0.Add(res.Latency - lossless.Latency)
-			row.SendsFactor.Add(float64(res.Sends) / float64(edges*res.Packets))
-			row.Retransmits.Add(float64(res.Retransmits))
-			row.Duplicates.Add(float64(res.Duplicates))
+	sums := sweep(cfg, func(t int, rng *workload.RNG) []float64 {
+		s := sys[t]
+		plan := s.Plan(draw(s, rng, s.Net.NumHosts()-1, chaosPackets, policy))
+		payload := chaosPayload(rng, chaosPackets, cfg.Params)
+		res, err := reliable.Deliver(s, plan, payload, rcfg, sim.FaultPlan{
+			Seed:     rng.Uint64(),
+			DropRate: drop,
+		})
+		if err != nil {
+			panic(fmt.Sprintf("experiments: chaos delivery failed at p=%g: %v", drop, err))
 		}
-	}
-	return row
+		lossless := sim.Multicast(s.Router, plan.Tree, res.Packets, cfg.Params, stepsim.FPFS)
+		edges := plan.Tree.Size() - 1
+		return []float64{res.Latency, res.Latency - lossless.Latency,
+			float64(res.Sends) / float64(edges*res.Packets),
+			float64(res.Retransmits), float64(res.Duplicates)}
+	})
+	return chaosRow{Latency: sums[0], DeltaP0: sums[1], SendsFactor: sums[2],
+		Retransmits: sums[3], Duplicates: sums[4], Model: analytic.ExpectedSendsFactor(drop)}
 }
 
 // chaosKillLink finds a switch-switch link carrying at least one

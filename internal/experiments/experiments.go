@@ -9,12 +9,14 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/stepsim"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -26,19 +28,6 @@ type Config struct {
 	Sweep workload.Sweep
 	// Params are the technology constants (defaults per Section 5.2).
 	Params sim.Params
-	// Workers shards the per-trial simulations of the sweep helpers over
-	// that many goroutines (0 or 1 = serial). Every trial is an
-	// independent deterministic simulation and results fold in trial
-	// order, so tables are identical for every worker count.
-	Workers int
-}
-
-// workers returns the effective worker count (min 1).
-func (c Config) workers() int {
-	if c.Workers < 1 {
-		return 1
-	}
-	return c.Workers
 }
 
 // Default returns the paper-faithful configuration.
@@ -116,24 +105,57 @@ func systems(cfg Config) []*core.System {
 	return out
 }
 
-// sweepLatency averages the simulated FPFS latency of the given policy
-// over the full methodology: cfg.Sweep.Trials destination sets on each
-// sweep topology, for destCount destinations and m packets. Trials run on
-// cfg.Workers goroutines and fold in (topology, trial) order, so the
-// summary is bit-identical to a serial sweep.
-func sweepLatency(cfg Config, sys []*core.System, destCount, m int, policy core.TreePolicy) stats.Summary {
-	lat := make([]float64, len(sys)*cfg.Sweep.Trials)
-	par.For(len(lat), cfg.workers(), func(j int) {
-		t, i := j/cfg.Sweep.Trials, j%cfg.Sweep.Trials
-		s := sys[t]
-		rng := cfg.Sweep.TrialRNG(t, i)
-		set := workload.DestSet(rng, s.Net.NumHosts(), destCount)
-		spec := core.Spec{Source: set[0], Dests: set[1:], Packets: m, Policy: policy}
-		lat[j] = s.Latency(spec, cfg.Params)
+// trials runs fn once per (topology, trial) of the sweep methodology,
+// with that trial's RNG, on GOMAXPROCS goroutines, and returns the results
+// in (topology, trial) order. fn runs concurrently with itself, so it may
+// only read what the trials share; callers fold the results in order, so
+// tables are identical for every worker count.
+func trials[T any](cfg Config, fn func(t int, rng *workload.RNG) T) []T {
+	n := cfg.Sweep.Trials
+	out := make([]T, cfg.Sweep.Topologies*n)
+	par.For(len(out), runtime.GOMAXPROCS(0), func(j int) {
+		out[j] = fn(j/n, cfg.Sweep.TrialRNG(j/n, j%n))
 	})
-	var sum stats.Summary
-	for _, l := range lat {
-		sum.Add(l)
+	return out
+}
+
+// sweep runs fn over every trial and folds the i-th value of each trial's
+// row into the i-th Summary.
+func sweep(cfg Config, fn func(t int, rng *workload.RNG) []float64) []stats.Summary {
+	var sums []stats.Summary
+	for _, row := range trials(cfg, fn) {
+		if sums == nil {
+			sums = make([]stats.Summary, len(row))
+		}
+		for i, v := range row {
+			sums[i].Add(v)
+		}
 	}
-	return sum
+	return sums
+}
+
+// means returns the mean of each summary.
+func means(sums []stats.Summary) []float64 {
+	out := make([]float64, len(sums))
+	for i := range sums {
+		out[i] = sums[i].Mean()
+	}
+	return out
+}
+
+// draw draws a source and dests destinations from rng on s and returns the
+// m-packet multicast spec for them.
+func draw(s *core.System, rng *workload.RNG, dests, m int, policy core.TreePolicy) core.Spec {
+	set := workload.DestSet(rng, s.Net.NumHosts(), dests)
+	return core.Spec{Source: set[0], Dests: set[1:], Packets: m, Policy: policy}
+}
+
+// sweepLatency returns the mean simulated latency of the given policy under
+// NI discipline d over the full methodology, for dests destinations and m
+// packets.
+func sweepLatency(cfg Config, sys []*core.System, dests, m int, policy core.TreePolicy, d stepsim.Discipline) float64 {
+	return sweep(cfg, func(t int, rng *workload.RNG) []float64 {
+		s := sys[t]
+		return []float64{s.Simulate(s.Plan(draw(s, rng, dests, m, policy)), cfg.Params, d).Latency}
+	})[0].Mean()
 }

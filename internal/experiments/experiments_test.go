@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/ktree"
+	"repro/internal/workload"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -272,5 +274,49 @@ func TestQuickConfigSmaller(t *testing.T) {
 	q, d := Quick(), Default()
 	if q.Sweep.Trials >= d.Sweep.Trials || q.Sweep.Topologies >= d.Sweep.Topologies {
 		t.Error("Quick config not smaller than Default")
+	}
+}
+
+// TestTrialsOrderAndRNG checks the one trial loop: a result per
+// (topology, trial) in that order, trial (t, i) drawing from
+// TrialRNG(t, i), on several workers.
+func TestTrialsOrderAndRNG(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	cfg := tiny()
+	type rec struct {
+		topo int
+		x    uint64
+	}
+	got := trials(cfg, func(topo int, rng *workload.RNG) rec { return rec{topo, rng.Uint64()} })
+	if len(got) != cfg.Sweep.Topologies*cfg.Sweep.Trials {
+		t.Fatalf("%d results, want %d", len(got), cfg.Sweep.Topologies*cfg.Sweep.Trials)
+	}
+	for j, d := range got {
+		topo, i := j/cfg.Sweep.Trials, j%cfg.Sweep.Trials
+		if want := (rec{topo, cfg.Sweep.TrialRNG(topo, i).Uint64()}); d != want {
+			t.Errorf("result %d = %+v, want %+v (topology %d, trial %d)", j, d, want, topo, i)
+		}
+	}
+}
+
+// TestWorkersDoNotChangeTables runs every sweep experiment at GOMAXPROCS
+// 1 and 3: trials fold in (topology, trial) order, so the tables must be
+// identical.
+func TestWorkersDoNotChangeTables(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, id := range []string{
+		"abl-cluster", "abl-k", "abl-ni", "abl-ordering", "abl-path", "abl-plan", "abl-ports", "buffer",
+		"chaos", "fig13a", "fig13b", "fig14a", "fig14b", "fig4", "multi", "pktsize",
+	} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %s not registered", id)
+		}
+		runtime.GOMAXPROCS(1)
+		serial := e.Run(tiny()).String()
+		runtime.GOMAXPROCS(3)
+		if got := e.Run(tiny()).String(); got != serial {
+			t.Errorf("%s: tables at GOMAXPROCS 3 differ from GOMAXPROCS 1:\n%s\nvs\n%s", id, got, serial)
+		}
 	}
 }

@@ -30,20 +30,6 @@ func chainN(n int) []int {
 	return c
 }
 
-// sweepLatencyDisc is sweepLatency with an explicit NI discipline.
-func sweepLatencyDisc(cfg Config, sys []*core.System, destCount, m int, policy core.TreePolicy, d stepsim.Discipline) stats.Summary {
-	var sum stats.Summary
-	for t, s := range sys {
-		for i := 0; i < cfg.Sweep.Trials; i++ {
-			rng := cfg.Sweep.TrialRNG(t, i)
-			set := workload.DestSet(rng, s.Net.NumHosts(), destCount)
-			spec := core.Spec{Source: set[0], Dests: set[1:], Packets: m, Policy: policy}
-			sum.Add(s.Simulate(s.Plan(spec), cfg.Params, d).Latency)
-		}
-	}
-	return sum
-}
-
 func init() {
 	register(Experiment{
 		ID:    "fig4",
@@ -84,10 +70,9 @@ func runFig4(cfg Config) *Result {
 	measured := stats.NewTable("Measured single-packet latency (us), irregular 64-host network",
 		"dests", "conventional NI", "smart FPFS", "ratio")
 	for _, dc := range []int{3, 7, 15, 31, 63} {
-		convSum := sweepLatencyDisc(cfg, sys, dc, 1, core.BinomialTree, stepsim.Conventional)
-		smartSum := sweepLatencyDisc(cfg, sys, dc, 1, core.BinomialTree, stepsim.FPFS)
-		measured.AddFloats(fmt.Sprintf("%d", dc), 1, convSum.Mean(), smartSum.Mean(),
-			convSum.Mean()/smartSum.Mean())
+		conv := sweepLatency(cfg, sys, dc, 1, core.BinomialTree, stepsim.Conventional)
+		smart := sweepLatency(cfg, sys, dc, 1, core.BinomialTree, stepsim.FPFS)
+		measured.AddFloats(fmt.Sprintf("%d", dc), 1, conv, smart, conv/smart)
 	}
 	return &Result{
 		ID:     "fig4",
@@ -152,31 +137,24 @@ func runBuffer(cfg Config) *Result {
 	meas := stats.NewTable("Measured peak packets buffered at busiest intermediate NI (event sim)",
 		"m", "FCFS", "FPFS")
 	for _, m := range []int{2, 4, 8, 16} {
-		var fc, fp stats.Summary
-		for t, s := range sys {
-			for i := 0; i < cfg.Sweep.Trials; i++ {
-				rng := cfg.Sweep.TrialRNG(t, i)
-				set := workload.DestSet(rng, s.Net.NumHosts(), 31)
-				spec := core.Spec{Source: set[0], Dests: set[1:], Packets: m, Policy: core.FixedKTree, K: 3}
-				plan := s.Plan(spec)
-				src := plan.Tree.Root()
-				for _, disc := range []stepsim.Discipline{stepsim.FCFS, stepsim.FPFS} {
-					res := s.Simulate(plan, cfg.Params, disc)
-					peak := 0
-					for v, b := range res.MaxBuffered {
-						if v != src && b > peak {
-							peak = b
-						}
-					}
-					if disc == stepsim.FCFS {
-						fc.Add(float64(peak))
-					} else {
-						fp.Add(float64(peak))
+		peaks := sweep(cfg, func(t int, rng *workload.RNG) []float64 {
+			s := sys[t]
+			spec := draw(s, rng, 31, m, core.FixedKTree)
+			spec.K = 3
+			plan := s.Plan(spec)
+			var row []float64
+			for _, disc := range []stepsim.Discipline{stepsim.FCFS, stepsim.FPFS} {
+				peak := 0
+				for v, b := range s.Simulate(plan, cfg.Params, disc).MaxBuffered {
+					if v != plan.Tree.Root() && b > peak {
+						peak = b
 					}
 				}
+				row = append(row, float64(peak))
 			}
-		}
-		meas.AddFloats(fmt.Sprintf("%d", m), 2, fc.Mean(), fp.Mean())
+			return row
+		})
+		meas.AddFloats(fmt.Sprintf("%d", m), 2, means(peaks)...)
 	}
 	return &Result{
 		ID:     "buffer",

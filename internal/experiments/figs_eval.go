@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ktree"
 	"repro/internal/stats"
+	"repro/internal/stepsim"
 )
 
 func init() {
@@ -102,8 +103,7 @@ func runFig13a(cfg Config) *Result {
 	for _, m := range figMValues {
 		vals := make([]float64, 0, len(fig12DestCounts))
 		for _, d := range fig12DestCounts {
-			sum := sweepLatency(cfg, sys, d, m, core.OptimalTree)
-			vals = append(vals, sum.Mean())
+			vals = append(vals, sweepLatency(cfg, sys, d, m, core.OptimalTree, stepsim.FPFS))
 		}
 		tb.AddFloats(fmt.Sprintf("%d", m), 1, vals...)
 	}
@@ -123,8 +123,7 @@ func runFig13b(cfg Config) *Result {
 	for _, n := range figNValues {
 		vals := make([]float64, 0, len(fig12PacketSets))
 		for _, m := range fig12PacketSets {
-			sum := sweepLatency(cfg, sys, n-1, m, core.OptimalTree)
-			vals = append(vals, sum.Mean())
+			vals = append(vals, sweepLatency(cfg, sys, n-1, m, core.OptimalTree, stepsim.FPFS))
 		}
 		tb.AddFloats(fmt.Sprintf("%d", n), 1, vals...)
 	}
@@ -143,8 +142,8 @@ func runFig14a(cfg Config) *Result {
 	for _, m := range figMValues {
 		row := []float64{}
 		for _, d := range dests {
-			bin := sweepLatency(cfg, sys, d, m, core.BinomialTree).Mean()
-			kbin := sweepLatency(cfg, sys, d, m, core.OptimalTree).Mean()
+			bin := sweepLatency(cfg, sys, d, m, core.BinomialTree, stepsim.FPFS)
+			kbin := sweepLatency(cfg, sys, d, m, core.OptimalTree, stepsim.FPFS)
 			r := bin / kbin
 			if r > peak {
 				peak = r
@@ -170,8 +169,8 @@ func runFig14b(cfg Config) *Result {
 	for _, n := range figNValues {
 		row := []float64{}
 		for _, m := range ms {
-			bin := sweepLatency(cfg, sys, n-1, m, core.BinomialTree).Mean()
-			kbin := sweepLatency(cfg, sys, n-1, m, core.OptimalTree).Mean()
+			bin := sweepLatency(cfg, sys, n-1, m, core.BinomialTree, stepsim.FPFS)
+			kbin := sweepLatency(cfg, sys, n-1, m, core.OptimalTree, stepsim.FPFS)
 			row = append(row, bin, kbin, bin/kbin)
 		}
 		tb.AddFloats(fmt.Sprintf("%d", n), 2, row...)

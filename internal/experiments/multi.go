@@ -29,45 +29,46 @@ func runMulti(cfg Config) *Result {
 	tb := stats.NewTable("Per-session latency (us) vs concurrent 15-dest m=4 multicasts",
 		"sessions", "binomial", "k-binomial", "k-bin p95", "speedup", "mean channel wait (us)")
 	for _, sc := range counts {
-		var bin, wait stats.Summary
-		var kbin stats.Sample
-		for t, s := range sys {
-			for i := 0; i < cfg.Sweep.Trials; i++ {
-				rng := cfg.Sweep.TrialRNG(t, i)
-				// Draw sc independent multicasts with distinct sources.
-				specs := make([]core.Spec, sc)
-				usedSources := map[int]bool{}
-				for j := range specs {
-					var set []int
-					for {
-						set = workload.DestSet(rng, s.Net.NumHosts(), 15)
-						if !usedSources[set[0]] {
-							break
-						}
+		// Per trial: binomial and k-binomial mean session latency, and the
+		// k-binomial run's channel wait per session.
+		rows := trials(cfg, func(t int, rng *workload.RNG) [3]float64 {
+			s := sys[t]
+			// Draw sc independent multicasts with distinct sources.
+			specs := make([]core.Spec, sc)
+			usedSources := map[int]bool{}
+			for j := range specs {
+				for {
+					specs[j] = draw(s, rng, 15, 4, core.OptimalTree)
+					if !usedSources[specs[j].Source] {
+						break
 					}
-					usedSources[set[0]] = true
-					specs[j] = core.Spec{Source: set[0], Dests: set[1:], Packets: 4}
 				}
-				for _, policy := range []core.TreePolicy{core.BinomialTree, core.OptimalTree} {
-					sessions := make([]sim.Session, sc)
-					for j, spec := range specs {
-						spec.Policy = policy
-						sessions[j] = sim.Session{Tree: s.Plan(spec).Tree, Packets: spec.Packets}
-					}
-					res := sim.Concurrent(s.Router, sessions, cfg.Params, stepsim.FPFS)
-					mean := 0.0
-					for _, sr := range res.Sessions {
-						mean += sr.Latency
-					}
-					mean /= float64(sc)
-					if policy == core.BinomialTree {
-						bin.Add(mean)
-					} else {
-						kbin.Add(mean)
-						wait.Add(res.ChannelWait / float64(sc))
-					}
+				usedSources[specs[j].Source] = true
+			}
+			var row [3]float64
+			for p, policy := range []core.TreePolicy{core.BinomialTree, core.OptimalTree} {
+				sessions := make([]sim.Session, sc)
+				for j, spec := range specs {
+					spec.Policy = policy
+					sessions[j] = sim.Session{Tree: s.Plan(spec).Tree, Packets: spec.Packets}
+				}
+				res := sim.Concurrent(s.Router, sessions, cfg.Params, stepsim.FPFS)
+				for _, sr := range res.Sessions {
+					row[p] += sr.Latency
+				}
+				row[p] /= float64(sc)
+				if policy == core.OptimalTree {
+					row[2] = res.ChannelWait / float64(sc)
 				}
 			}
+			return row
+		})
+		var bin, wait stats.Summary
+		var kbin stats.Sample
+		for _, r := range rows {
+			bin.Add(r[0])
+			kbin.Add(r[1])
+			wait.Add(r[2])
 		}
 		tb.AddFloats(fmt.Sprintf("%d", sc), 2,
 			bin.Mean(), kbin.Mean(), kbin.P95(), bin.Mean()/kbin.Mean(), wait.Mean())

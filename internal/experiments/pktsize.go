@@ -7,7 +7,7 @@ import (
 	"repro/internal/ktree"
 	"repro/internal/message"
 	"repro/internal/stats"
-	"repro/internal/workload"
+	"repro/internal/stepsim"
 )
 
 func init() {
@@ -35,20 +35,12 @@ func runPktSize(cfg Config) *Result {
 	for _, pktBytes := range []int{32, 64, 128, 256, 512} {
 		payload := pktBytes - message.HeaderSize
 		m := (msgBytes + payload - 1) / payload
-		params := cfg.Params
-		params.PacketBytes = pktBytes // wire time scales with the packet
-		var lat stats.Summary
-		for t, s := range sys {
-			for i := 0; i < cfg.Sweep.Trials; i++ {
-				rng := cfg.Sweep.TrialRNG(t, i)
-				set := workload.DestSet(rng, s.Net.NumHosts(), 31)
-				spec := core.Spec{Source: set[0], Dests: set[1:], Packets: m, Policy: core.OptimalTree}
-				lat.Add(s.Latency(spec, params))
-			}
-		}
+		c := cfg
+		c.Params.PacketBytes = pktBytes // wire time scales with the packet
+		lat := sweepLatency(c, sys, 31, m, core.OptimalTree, stepsim.FPFS)
 		k, _ := ktree.OptimalK(32, m)
 		tb.AddRow(fmt.Sprintf("%d", pktBytes), fmt.Sprintf("%d", payload),
-			fmt.Sprintf("%d", m), fmt.Sprintf("%d", k), fmt.Sprintf("%.1f", lat.Mean()))
+			fmt.Sprintf("%d", m), fmt.Sprintf("%d", k), fmt.Sprintf("%.1f", lat))
 	}
 	return &Result{
 		ID: "pktsize", Title: "packet size trade-off", Tables: []*stats.Table{tb},

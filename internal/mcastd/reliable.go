@@ -83,7 +83,7 @@ func (rcfg *ReliableConfig) fill() {
 
 func (rcfg ReliableConfig) validate() error {
 	if err := rcfg.Faults.Validate(); err != nil {
-		return err
+		return fmt.Errorf("mcastd: %w", err)
 	}
 	if rcfg.RTOMax < rcfg.RTO {
 		return fmt.Errorf("mcastd: RTO cap %v below base %v", rcfg.RTOMax, rcfg.RTO)
@@ -164,7 +164,7 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 		} else if det, err = (live.HeartbeatParams{
 			SuspectAfter: suspectAfter, ConfirmAfter: confirmAfter,
 		}).NewDetector(rcfg.Faults.Seed, rt.nodes); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("mcastd: %w", err)
 		}
 	}
 	// Unbounded, the wire gets headroom for the message, its

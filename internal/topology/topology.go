@@ -439,21 +439,35 @@ func Cube(arity, dims int) *Network { return grid(arity, dims, true) }
 // so border switches have fewer neighbors. One host per switch.
 func Mesh(arity, dims int) *Network { return grid(arity, dims, false) }
 
+// maxGridHosts bounds the host count of a Cube or Mesh.
+const maxGridHosts = 1 << 20
+
+// CheckGrid reports why Cube and Mesh would refuse arity and dims: they
+// need arity >= 2, dims >= 1 and at most 2^20 hosts.
+func CheckGrid(arity, dims int) error {
+	if arity < 2 || dims < 1 {
+		return fmt.Errorf("topology: invalid %d-ary %d-dimensional grid: arity must be >= 2 and dims >= 1", arity, dims)
+	}
+	for i, n := 0, 1; i < dims; i++ {
+		if n *= arity; n > maxGridHosts {
+			return fmt.Errorf("topology: %d-ary %d-dimensional grid has more than %d hosts", arity, dims, maxGridHosts)
+		}
+	}
+	return nil
+}
+
 // grid builds both: host links first (host h on switch h, link ID h), then
 // per dimension, per switch in index order, the link to the +1 neighbor.
 // The last switch of a row has none in a mesh; in a cube its link closes
 // the ring. Link IDs follow that order and every kill:LINK@T token and
 // recorded route depends on it.
 func grid(arity, dims int, wrap bool) *Network {
-	if arity < 2 || dims < 1 {
-		panic(fmt.Sprintf("topology: invalid %d-ary %d-dimensional grid", arity, dims))
+	if err := CheckGrid(arity, dims); err != nil {
+		panic(err)
 	}
 	n := 1
 	for i := 0; i < dims; i++ {
 		n *= arity
-		if n > 1<<20 {
-			panic("topology: grid too large")
-		}
 	}
 	// An arity-2 ring is one link: the +1 neighbor already covers the pair.
 	ring := wrap && arity > 2
