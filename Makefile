@@ -22,13 +22,15 @@ race:
 # caching or a filtered test run. internal/mcastd rides along: the daemon
 # runs the same ReliableNI, EdgeSender, Supervisor and repair brain as the
 # live engine, so its -race coverage must be equally unskippable — and so
-# does internal/reliable, the brain both wall-clock supervisors run.
+# does internal/reliable, the brain both wall-clock supervisors run, and
+# internal/fault (with internal/sim, its other consumer), whose armed
+# State every live goroutine shares.
 live-race:
-	$(GO) test -race -count=1 ./internal/live/... ./internal/mcastd ./internal/reliable ./internal/sched ./internal/check
+	$(GO) test -race -count=1 ./internal/fault ./internal/sim ./internal/live/... ./internal/mcastd ./internal/reliable ./internal/sched ./internal/check
 
 # Surface guard: type-checks both modules and fails naming any exported
 # identifier under internal/ that no non-test code references, and any
-# option field (of a *Config or *Params struct, link.Faults, sim.FaultPlan)
+# option field (of a *Config or *Params struct, or fault.Plan)
 # that no non-test code sets outside its defaults, unless surface_test.go
 # allowlists it. Explicit and uncached so `make ci` cannot skip it.
 surface:
@@ -74,12 +76,13 @@ soak:
 # Chaos soak: a fixed-seed sweep of the fault-decorated reliable live
 # engine — seeded loss/corruption/reordering, NI crash-stops and amnesiac
 # rejoins — under the race detector, restricted to the four chaos-plane
-# invariants so the live engine (not the simulators) is what the wall
-# clock buys. -workers 1: the chaos cases are wall-clock timed; oversubs-
+# invariants and loss-pattern-agreement (the machine and the live engine
+# drop the same transmissions) so the live engine is what the wall clock
+# buys. -workers 1: the chaos cases are wall-clock timed; oversubs-
 # cribing cores makes real goroutine schedules, not throughput.
 chaos-soak:
 	$(GO) run -race ./cmd/mcastcheck -n 250 -seed 3 -workers 1 \
-		-only live-faulty-terminates,live-survivor-bytes,live-epoch-monotone,live-faulty-lossless-identity
+		-only live-faulty-terminates,live-survivor-bytes,live-epoch-monotone,live-faulty-lossless-identity,loss-pattern-agreement
 
 # Net soak: the socket rung of the differential ladder. Runs the
 # loopback-UDP soak (120 fixed-seed broadcasts over real sockets), a

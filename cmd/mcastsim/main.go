@@ -77,8 +77,8 @@
 // and delivery rides real retransmission timers, live heartbeats, and
 // epoch-fenced reconfiguration. Because the live plane works on the wall
 // clock, fault times are MILLISECONDS there (the simulator flags use
-// microseconds), and the -faults directives differ slightly: kill is
-// per directed host pair, and jitter/reorder appear:
+// microseconds), kill names a directed host pair, and jitter/reorder,
+// which the simulated engines refuse, apply:
 //
 //	mcastsim -live -droprate 0.05 -crash 19@4 -quorum 1
 //	mcastsim -live -faults "kill:7-12@5,jitter:0.5,reorder:0.1,seed:3"
@@ -106,6 +106,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/fault"
 	"repro/internal/flitsim"
 	"repro/internal/live"
 	"repro/internal/live/link"
@@ -593,15 +594,12 @@ func (j *job) runLive() error {
 // and chaos counters. Fault and crash times are milliseconds here.
 func (j *job) runLiveReliable() error {
 	cfg := live.DefaultReliableConfig()
-	cfg.Faults = link.Faults{Seed: 1, DropRate: j.droprate}
-	if err := liveFaults(j.faultSpec, &cfg.Faults); err != nil {
+	var err error
+	if cfg.Faults, err = faultPlan(j.faultSpec, true, j.droprate, j.crashes); err != nil {
 		return usagef("-faults: %v", err)
 	}
 	cfg.RetryBudget, cfg.Quorum = j.retries, j.quorum
 	cfg.Live.Timeout, cfg.Live.Network = j.liveTimeout, j.network
-	for _, c := range j.crashes {
-		cfg.Crashes = append(cfg.Crashes, live.HostCrash{Host: c.Host, At: ms(c.At), RecoverAt: ms(c.RecoverAt)})
-	}
 	res, err := live.RunReliable(live.Session{Tree: j.plan.Tree, Packets: j.pkts, MsgID: 1}, cfg)
 	if res == nil {
 		// Validation failure (bad rates, bad crash plan): no run happened.
@@ -612,7 +610,7 @@ func (j *job) runLiveReliable() error {
 	j.printSpec("reliable live FPFS over " + j.fabricName)
 	j.printf("faults: drop=%g corrupt=%g reorder=%g ackdrop=%g jitter=%v kills=%d stalls=%d crashes=%d seed=%d\n",
 		f.DropRate, f.CorruptRate, f.ReorderRate, f.AckDropRate, f.MaxJitter,
-		len(f.Kills), len(f.Stalls), len(cfg.Crashes), f.Seed)
+		len(f.Kills), len(f.Stalls), len(f.Crashes), f.Seed)
 	j.printf("result: wall latency %v, %d sends (%d retransmits), %d duplicates suppressed, %d stale fenced\n",
 		res.Latency.Round(time.Microsecond), res.Sends, res.Retransmits, res.Duplicates, res.Fenced)
 	j.printf("        injected: %d dropped, %d corrupted, %d reordered, %d acks lost, %d dead-link sends\n",
@@ -623,9 +621,9 @@ func (j *job) runLiveReliable() error {
 		// the decorator) mangled traffic the protocol had to absorb.
 		j.printf("        fabric: %+v\n", j.fabric.Stats())
 	}
-	if len(cfg.Crashes) > 0 {
+	if len(f.Crashes) > 0 {
 		j.printf("        crashes: %d crash-dropped frames, %d adoptions, final epoch %d\n",
-			res.CrashDrops, res.Adoptions, res.Epoch)
+			res.Faults.CrashDrops, res.Adoptions, res.Epoch)
 		j.printViews(res.Views)
 	} else if res.Adoptions > 0 {
 		j.printf("        %d mid-flight re-graft(s) repaired starved subtrees\n", res.Adoptions)
@@ -639,8 +637,8 @@ func (j *job) runLiveReliable() error {
 // runSimReliable executes the plan under the simulated reliable-delivery
 // protocol and prints the protocol and fault counters.
 func (j *job) runSimReliable() error {
-	fp := repro.FaultPlan{Seed: 1, DropRate: j.droprate, Crashes: j.crashes}
-	if err := simFaults(j.faultSpec, &fp, len(j.sys.Net.Links())); err != nil {
+	fp, err := faultPlan(j.faultSpec, false, j.droprate, j.crashes)
+	if err != nil {
 		return usagef("-faults: %v", err)
 	}
 	cfg := repro.DefaultReliableConfig()
@@ -657,7 +655,7 @@ func (j *job) runSimReliable() error {
 	j.printf("result: latency %.1f us, %d sends (%d retransmits), %d acks, %d nacks, %d duplicates suppressed\n",
 		res.Latency, res.Sends, res.Retransmits, res.Acks, res.Nacks, res.Duplicates)
 	j.printf("        injected: %d dropped, %d corrupted, %d acks lost, %d dead-link sends, %.1f us stall wait\n",
-		res.Faults.Dropped, res.Faults.Corrupted, res.Faults.AcksLost, res.Faults.DeadSends, res.Faults.StallWait)
+		res.Faults.Dropped, res.Faults.Corrupted, res.Faults.AcksDropped, res.Faults.DeadSends, res.Faults.StallWait)
 	if res.Repairs > 0 {
 		j.printf("        %d mid-flight tree repair(s) re-parented starved subtrees\n", res.Repairs)
 	}
@@ -794,75 +792,70 @@ func (c *crashFlags) Set(arg string) error {
 	return err
 }
 
-// form is how one -faults directive kind is parsed on a plane: the shape
-// of its value, where fields stores it, and (kill, stall) the append that
-// keeps it.
+// form is how one -faults directive kind is parsed: the shape of its
+// value, where fields stores it, and (kill, stall) the append that keeps
+// it.
 type form struct {
 	shape string
 	dst   []any
 	add   func()
 }
 
-// scanFaults is the one -faults scanner: it splits the list into
-// kind:value directives and parses each value by the form the plane's
-// applier (simFaults, liveFaults) declares for its kind.
-func scanFaults(spec, plane string, forms map[string]form) error {
+// faultPlan builds a run's fault plan from -droprate, -faults and -crash.
+// The simulated plane counts microseconds and kills a link (LINK@T); the
+// live plane counts milliseconds and kills a directed host pair
+// (FROM-TO@T). Every other directive reads the same on both planes, and
+// what a run's engine cannot carry out, or names a link or host the run
+// does not have, that engine refuses.
+func faultPlan(spec string, live bool, droprate float64, crashes []repro.HostCrash) (repro.FaultPlan, error) {
+	fp := repro.FaultPlan{Seed: 1, DropRate: droprate}
+	unit := 1.0
+	var k repro.LinkKill
+	var s repro.HostStall
+	kill := form{shape: "LINK@T", dst: []any{&k.Link, &k.At}}
+	if live {
+		unit = 1000
+		kill = form{shape: "FROM-TO@T", dst: []any{&k.From, &k.To, &k.At}}
+		k.Link = fault.Pair
+	}
+	kill.add = func() {
+		k.At *= unit
+		fp.Kills = append(fp.Kills, k)
+	}
+	forms := map[string]form{
+		"kill": kill,
+		"stall": {"HOST@FROM-UNTIL", []any{&s.Host, &s.From, &s.Until}, func() {
+			s.From, s.Until = s.From*unit, s.Until*unit
+			fp.Stalls = append(fp.Stalls, s)
+		}},
+		"corrupt": {"P", []any{&fp.CorruptRate}, nil},
+		"reorder": {"P", []any{&fp.ReorderRate}, nil},
+		"ackdrop": {"P", []any{&fp.AckDropRate}, nil},
+		"jitter":  {"D", []any{&fp.MaxJitter}, nil},
+		"seed":    {"N", []any{&fp.Seed}, nil},
+	}
+	for _, c := range crashes {
+		c.At, c.RecoverAt = c.At*unit, c.RecoverAt*unit
+		fp.Crashes = append(fp.Crashes, c)
+	}
 	if spec == "" {
-		return nil
+		return fp, nil
 	}
 	for _, dir := range strings.Split(spec, ",") {
 		kind, val, ok := strings.Cut(strings.TrimSpace(dir), ":")
 		f, known := forms[kind]
 		switch {
 		case !ok:
-			return fmt.Errorf("directive %q is not kind:value", dir)
+			return fp, fmt.Errorf("directive %q is not kind:value", dir)
 		case !known:
-			return fmt.Errorf("unknown %sfault directive %q", plane, kind)
+			return fp, fmt.Errorf("unknown fault directive %q", kind)
 		}
 		if err := fields(kind, val, f.shape, f.dst...); err != nil {
-			return err
+			return fp, err
 		}
 		if f.add != nil {
 			f.add()
 		}
 	}
-	return nil
-}
-
-// simFaults applies -faults to the simulated plane: times are
-// microseconds and kill names one of the network's links (0..links-1).
-func simFaults(spec string, fp *repro.FaultPlan, links int) error {
-	var k repro.LinkKill
-	var s repro.HostStall
-	err := scanFaults(spec, "", map[string]form{
-		"kill":    {"LINK@T", []any{&k.Link, &k.At}, func() { fp.Kills = append(fp.Kills, k) }},
-		"stall":   {"HOST@FROM-UNTIL", []any{&s.Host, &s.Stall.From, &s.Stall.Until}, func() { fp.Stalls = append(fp.Stalls, s) }},
-		"corrupt": {"P", []any{&fp.CorruptRate}, nil},
-		"ackdrop": {"P", []any{&fp.AckDropRate}, nil},
-		"seed":    {"N", []any{&fp.Seed}, nil},
-	})
-	for _, k := range fp.Kills {
-		if err == nil && (k.Link < 0 || k.Link >= links) {
-			err = fmt.Errorf("kill link %d out of range (network has links 0..%d)", k.Link, links-1)
-		}
-	}
-	return err
-}
-
-// liveFaults applies -faults to the live chaos plane: times are
-// milliseconds (the simulator's microsecond scale is below timer
-// resolution on the wall clock), kill names a directed host pair, and
-// reorder and jitter exist.
-func liveFaults(spec string, lf *link.Faults) error {
-	var k link.LinkKill
-	var s link.StallWindow
-	return scanFaults(spec, "live ", map[string]form{
-		"kill":    {"FROM-TO@T", []any{&k.From, &k.To, &k.At}, func() { lf.Kills = append(lf.Kills, k) }},
-		"stall":   {"HOST@FROM-UNTIL", []any{&s.Host, &s.From, &s.Until}, func() { lf.Stalls = append(lf.Stalls, s) }},
-		"corrupt": {"P", []any{&lf.CorruptRate}, nil},
-		"reorder": {"P", []any{&lf.ReorderRate}, nil},
-		"ackdrop": {"P", []any{&lf.AckDropRate}, nil},
-		"jitter":  {"D", []any{&lf.MaxJitter}, nil},
-		"seed":    {"N", []any{&lf.Seed}, nil},
-	})
+	return fp, nil
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/analytic"
+	"repro/internal/fault"
 	"repro/internal/flitsim"
 	"repro/internal/ktree"
 	"repro/internal/ordering"
@@ -49,6 +50,7 @@ var Invariants = []Invariant{
 	{"flit-agree", "the flit-level simulator completes structurally and stays within band of the packet-level model", checkFlitAgree},
 	{"reliable-lossless-replay", "a zero-fault reliable run replays the lossless engine byte-exactly", checkReliableLosslessReplay},
 	{"reliable-loss-agreement", "lossy reliable runs deliver byte-exactly and their send counts match the 1/(1-p) expectation", checkReliableLossAgreement},
+	{"loss-pattern-agreement", "under one seed and a loss-only plan, each edge incarnation's first j transmissions are dropped identically by the virtual-time machine and the in-process live runtime, j the smaller send count", checkLossPatternAgreement},
 	{"crash-no-posthumous-delivery", "a crash-stopped host is never recorded as completing after its crash instant", checkCrashNoPosthumousDelivery},
 	{"crash-epoch-monotone", "accepted packets carry nondecreasing epochs and installed views advance the epoch strictly", checkCrashEpochMonotone},
 	{"crash-survivor-bytes", "every surviving destination is delivered byte-exactly despite crashes, recoveries, and loss", checkCrashSurvivorBytes},
@@ -60,7 +62,7 @@ var Invariants = []Invariant{
 	{"net-matches-live", "the same instance executed over loopback UDP sockets is structurally identical to the in-process live run: delivery order, parent edges, send/receive counts, byte-exact payloads", checkNetMatchesLive},
 	{"net-faulty-delivery", "the instance split across two cooperating daemon processes over a lossy UDP fabric still delivers byte-exactly with a clean Delivered verdict — retransmission, ACKs and DONE/STOP handshakes all crossing real sockets", checkNetFaultyDelivery},
 	{"sched-matches-serial", "three sessions run concurrently through the session scheduler — shared NIs, a window smaller than the load, DRR fair queueing — deliver byte-exactly with per-host send/receive counts and arrival order identical to each session run alone through the live runtime", checkSchedMatchesSerial},
-	{"psim-matches-sim", "the sharded parallel event engine is byte-identical to the serial simulator at every worker count: same results bitwise, same trace order, same fault-RNG draw sequence — lossless and under a fault plan with a kill timed exactly on the first window boundary", checkPsimMatchesSim},
+	{"psim-matches-sim", "the sharded parallel event engine is byte-identical to the serial simulator at every worker count: same results bitwise, same trace order, same loss-stream draws — lossless and under a fault plan with a kill timed exactly on the first window boundary", checkPsimMatchesSim},
 }
 
 // InvariantByID returns the catalogue entry with the given ID.
@@ -413,7 +415,7 @@ func reliableConfig() reliable.Config {
 func checkReliableLosslessReplay(w *world) error {
 	cfg := reliableConfig()
 	payload := w.inst.payload()
-	res, err := reliable.Deliver(w.sys, w.plan, payload, cfg, sim.FaultPlan{})
+	res, err := reliable.Deliver(w.sys, w.plan, payload, cfg, fault.Plan{})
 	if err != nil {
 		return fmt.Errorf("zero-fault delivery failed: %v", err)
 	}
@@ -454,7 +456,7 @@ func checkReliableLossAgreement(w *world) error {
 	}
 	cfg := reliableConfig()
 	payload := w.inst.payload()
-	fp := sim.FaultPlan{Seed: w.inst.FaultSeed, DropRate: p}
+	fp := fault.Plan{Seed: w.inst.FaultSeed, DropRate: p}
 	res, err := reliable.Deliver(w.sys, w.plan, payload, cfg, fp)
 	if err != nil {
 		return fmt.Errorf("lossy delivery (p=%f) failed: %v", p, err)
@@ -485,22 +487,26 @@ func checkReliableLossAgreement(w *world) error {
 
 // --------------------------------------------------------------- crashes --
 
-// crashFaultPlan maps the instance's step-indexed crash schedule onto the
-// simulator clock: protocol step s lands at t_s + s*(t_ns + wire), the NI
-// injection cadence under the harness constants, so integer steps in a
-// shrunk instance stay aligned with protocol activity. The plan composes
-// the crashes with the instance's packet-loss stream.
-func (in Instance) crashFaultPlan(p sim.Params) sim.FaultPlan {
-	fp := sim.FaultPlan{Seed: in.FaultSeed, DropRate: in.DropRate}
-	tstep := p.TNISend + p.WireTime()
+// crashes maps the instance's step-indexed crash schedule onto a clock
+// whose protocol step s lands at origin + s*step.
+func (in Instance) crashes(origin, step float64) []fault.Crash {
+	var out []fault.Crash
 	for _, cr := range in.Crashes {
-		hc := sim.HostCrash{Host: cr.Host, At: p.THostSend + float64(cr.AtStep)*tstep}
+		c := fault.Crash{Host: cr.Host, At: origin + float64(cr.AtStep)*step}
 		if cr.RecoverStep > 0 {
-			hc.RecoverAt = p.THostSend + float64(cr.RecoverStep)*tstep
+			c.RecoverAt = origin + float64(cr.RecoverStep)*step
 		}
-		fp.Crashes = append(fp.Crashes, hc)
+		out = append(out, c)
 	}
-	return fp
+	return out
+}
+
+// crashFaultPlan composes the crashes, on the simulator clock, with the
+// instance's packet loss: protocol step s lands at t_s + s*(t_ns + wire),
+// the NI injection cadence under the harness constants, so integer steps
+// in a shrunk instance stay aligned with protocol activity.
+func (in Instance) crashFaultPlan(p sim.Params) fault.Plan {
+	return fault.Plan{Seed: in.FaultSeed, DropRate: in.DropRate, Crashes: in.crashes(p.THostSend, p.TNISend+p.WireTime())}
 }
 
 // crashRun executes the crash-tolerance arm of the instance. The result is

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/live"
-	"repro/internal/live/link"
 	"repro/internal/message"
 	"repro/internal/reliable"
 	"repro/internal/workload"
@@ -21,17 +21,17 @@ import (
 // retransmission alone; crash-stops ride the failure detector.
 const liveStep = 2 * time.Millisecond
 
-// liveFaults derives the chaos plane of the faulty live arm from the
-// instance's fault plan. The drop rate is the instance's own; corruption,
+// liveFaults derives the fault plan of the faulty live arm, crash schedule
+// included, from the instance's. The drop rate is the instance's own; corruption,
 // reordering and ACK loss are decorrelated draws from the fault seed, so
 // a shrunk instance replays its exact chaos. Every arm carries at least a
 // little send jitter: it keeps the FaultyTransport decorator on the hot
 // path even when the plane is otherwise lossless (the identity invariant
 // then proves the decorator itself is transparent), and on crash arms it
 // paces delivery so scheduled crashes interleave with live traffic.
-func (in Instance) liveFaults() link.Faults {
+func (in Instance) liveFaults() fault.Plan {
 	rng := workload.NewRNG(in.FaultSeed ^ 0xc4a0_5f17_ba11_ad01)
-	f := link.Faults{
+	f := fault.Plan{
 		Seed:      in.FaultSeed ^ 0x5eed_fa07,
 		MaxJitter: 150 * time.Microsecond,
 	}
@@ -44,20 +44,8 @@ func (in Instance) liveFaults() link.Faults {
 	if len(in.Crashes) > 0 {
 		f.MaxJitter = 500*time.Microsecond + time.Duration(rng.Intn(1000))*time.Microsecond
 	}
+	f.Crashes = in.crashes(0, float64(liveStep/time.Microsecond))
 	return f
-}
-
-// liveCrashes maps the step-indexed crash schedule onto the live clock.
-func (in Instance) liveCrashes() []live.HostCrash {
-	var out []live.HostCrash
-	for _, cr := range in.Crashes {
-		hc := live.HostCrash{Host: cr.Host, At: time.Duration(cr.AtStep) * liveStep}
-		if cr.RecoverStep > 0 {
-			hc.RecoverAt = time.Duration(cr.RecoverStep) * liveStep
-		}
-		out = append(out, hc)
-	}
-	return out
 }
 
 // liveReliableConfig is the harness configuration of the faulty live arm:
@@ -70,7 +58,6 @@ func (in Instance) liveReliableConfig() live.ReliableConfig {
 	cfg := live.DefaultReliableConfig()
 	cfg.Live = in.liveConfig()
 	cfg.Faults = in.liveFaults()
-	cfg.Crashes = in.liveCrashes()
 	cfg.RTO = 8 * time.Millisecond
 	cfg.RTOMax = 64 * time.Millisecond
 	cfg.RetryBudget = 20
@@ -156,6 +143,79 @@ func checkLiveFaultyTerminates(w *world) error {
 	}
 	if res.Wall <= 0 {
 		return fmt.Errorf("run reports non-positive wall clock %v", res.Wall)
+	}
+	return nil
+}
+
+// checkLossPatternAgreement holds the two worlds to one loss model: under
+// a loss-only plan, every edge incarnation draws its n-th transmission
+// from the same stream in the virtual-time machine and on the in-process
+// live fabric, so both drop the same ones among the first j, j the
+// smaller of the two send counts (capped at the 64 a pattern records).
+// Every send must have drawn, and every tree edge's first incarnation
+// must appear in both.
+func checkLossPatternAgreement(w *world) error {
+	p := w.inst.DropRate
+	if p == 0 {
+		return nil
+	}
+	fp := fault.Plan{Seed: w.inst.FaultSeed, DropRate: p}
+	rcfg := reliableConfig()
+	vm, err := reliable.Deliver(w.sys, w.plan, w.inst.payload(), rcfg, fp)
+	if err != nil {
+		return fmt.Errorf("machine run failed: %v", err)
+	}
+	pkts, err := message.Packetize(rcfg.MsgID, w.plan.Spec.Source, w.inst.payload(), rcfg.Params.PacketBytes)
+	if err != nil {
+		return fmt.Errorf("packetize: %v", err)
+	}
+	cfg := w.inst.liveReliableConfig()
+	cfg.Faults = fp
+	lv, err := live.RunReliable(live.Session{Tree: w.plan.Tree, Packets: pkts, MsgID: rcfg.MsgID}, cfg)
+	if lv == nil {
+		return fmt.Errorf("live run produced no result: %v", err)
+	}
+	// Every transmission draws: a send that bypassed its stream would
+	// leave the count short.
+	for _, r := range []struct {
+		world  string
+		sends  int
+		losses []fault.Pattern
+	}{{"machine", vm.Sends, vm.Losses}, {"live fabric", lv.Sends, lv.Losses}} {
+		drawn := 0
+		for _, l := range r.losses {
+			drawn += l.Sent
+		}
+		if drawn != r.sends {
+			return fmt.Errorf("the %s drew %d loss decisions for %d sends", r.world, drawn, r.sends)
+		}
+	}
+	onWire := map[[3]int]fault.Pattern{}
+	for _, l := range lv.Losses {
+		onWire[[3]int{l.From, l.To, l.Gen}] = l
+	}
+	first := map[[2]int]bool{}
+	for _, m := range vm.Losses {
+		l, ok := onWire[[3]int{m.From, m.To, m.Gen}]
+		if !ok {
+			continue
+		}
+		if m.Gen == 0 {
+			first[[2]int{m.From, m.To}] = true
+		}
+		mask := ^uint64(0)
+		if j := min(m.Sent, l.Sent); j < 64 {
+			mask = 1<<j - 1
+		}
+		if (m.Lost^l.Lost)&mask != 0 {
+			return fmt.Errorf("edge %d->%d incarnation %d: the machine lost %b of its %d sends, the live fabric %b of its %d",
+				m.From, m.To, m.Gen, m.Lost, m.Sent, l.Lost, l.Sent)
+		}
+	}
+	for _, e := range w.plan.Tree.Edges() {
+		if !first[[2]int{e.Parent, e.Child}] {
+			return fmt.Errorf("edge %d->%d: first incarnation missing from the machine's or the live fabric's loss patterns", e.Parent, e.Child)
+		}
 	}
 	return nil
 }
@@ -285,8 +345,8 @@ func checkLiveFaultyLosslessIdentity(w *world) error {
 		return fmt.Errorf("zero-fault run suppressed %d duplicates with only %d retransmits: frames were duplicated in transit",
 			res.Duplicates, res.Retransmits)
 	}
-	if total := res.Faults.Total(); total != 0 {
-		return fmt.Errorf("zero-fault chaos plane injected %d fault(s): %+v", total, res.Faults)
+	if res.Faults != (fault.Stats{}) {
+		return fmt.Errorf("zero-fault chaos plane injected faults: %+v", res.Faults)
 	}
 	if res.Sends-res.Retransmits != plain.Sends {
 		return fmt.Errorf("reliable engine injected %d novel copies (%d sends - %d retransmits), plain engine %d",

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/live"
 	"repro/internal/live/link"
 	"repro/internal/message"
@@ -89,8 +90,7 @@ func netChaosCase(w *world, c int) error {
 	defer nw.Close()
 	cfg := w.inst.liveReliableConfig()
 	cfg.Live.Network = nw
-	cfg.Crashes = nil
-	cfg.Faults = link.Faults{
+	cfg.Faults = fault.Plan{
 		Seed:      w.inst.FaultSeed ^ 0x0001_f00d,
 		DropRate:  0.01,
 		MaxJitter: 50 * time.Microsecond,

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/live/link"
 	"repro/internal/mcastd"
 	"repro/internal/message"
@@ -22,13 +23,13 @@ import (
 	"repro/internal/workload"
 )
 
-// daemonFaults derives the chaos plane of the deployment arm: the drop
+// daemonFaults derives the fault plan of the deployment arm: the drop
 // rate is a seeded draw in [1%, 5%], plus a little send jitter to keep
 // the decorator's timing path hot. Only data transports are wrapped —
 // the ctl plane rides the raw socket, exactly as deployed.
-func (in Instance) daemonFaults() link.Faults {
+func (in Instance) daemonFaults() fault.Plan {
 	rng := workload.NewRNG(in.FaultSeed ^ 0xdaef_a017_5EED_0CA3)
-	return link.Faults{
+	return fault.Plan{
 		Seed:      in.FaultSeed ^ 0xdae0_fab5,
 		DropRate:  0.01 + 0.04*rng.Float64(),
 		MaxJitter: 50 * time.Microsecond,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 
+	"repro/internal/fault"
 	"repro/internal/psim"
 	"repro/internal/sim"
 	"repro/internal/tree"
@@ -44,7 +45,7 @@ func (w *world) psimSessions() []sim.Session {
 // pool size and must be byte-identical to the serial loop — the same
 // ConcurrentResult (bitwise floats included: completion times, latencies,
 // channel wait), the same trace in the same order, and under faults the
-// same RNG draw sequence and therefore the same drops, stalls and dead
+// same loss-stream draws and therefore the same drops, stalls and dead
 // sends.
 // Conservative windows and partitioning may only change who computes
 // what, never what is computed.
@@ -81,10 +82,10 @@ func checkPsimMatchesSim(w *world) error {
 	// link kill timed exactly on the first window boundary (first event at
 	// t_s, lookahead t_ns + wire), the worst case for fencepost bugs in
 	// window handover.
-	fp := sim.FaultPlan{Seed: w.inst.FaultSeed, DropRate: w.inst.DropRate}
+	fp := fault.Plan{Seed: w.inst.FaultSeed, DropRate: w.inst.DropRate}
 	dp := sim.DefaultParams()
 	if n := len(w.sys.Net.Links()); n > 0 {
-		fp.Kills = []sim.LinkKill{{
+		fp.Kills = []fault.Kill{{
 			Link: int(w.inst.FaultSeed % uint64(n)),
 			At:   dp.THostSend + dp.TNISend + dp.WireTime(),
 		}}

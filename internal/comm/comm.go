@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/collectives"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/live"
 	"repro/internal/live/link"
 	"repro/internal/membership"
@@ -328,13 +329,13 @@ type BcastLiveReliableResult struct {
 }
 
 // BcastLiveReliable broadcasts data from the root rank on the reliable
-// live engine under cfg's fault plane: cfg.Faults seeds transport chaos,
-// cfg.Crashes schedules NI crash-stops (addressed by host — use Host to
-// map a rank), and the retransmission/membership knobs come from cfg as
-// given. p contributes only the packetization size; the runtime knobs
-// live in cfg.Live. Like BcastReliable, the error is the protocol's typed
-// failure and the result is still returned alongside it when the run
-// produced one.
+// live engine under cfg's fault plane: cfg.Faults seeds transport chaos
+// and schedules NI crashes (addressed by host — use Host to map a rank),
+// and the retransmission/membership knobs come from cfg as given. p
+// contributes only the packetization size; the runtime knobs live in
+// cfg.Live. Like BcastReliable, the error is the protocol's typed failure
+// and the result is still returned alongside it when the run produced
+// one.
 func (g *Group) BcastLiveReliable(root int, data []byte, p sim.Params, cfg live.ReliableConfig) (*BcastLiveReliableResult, error) {
 	b, err := g.prepare(root, data, p, false)
 	if err != nil {
@@ -392,7 +393,7 @@ type BcastReliableResult struct {
 // failure (*reliable.DeliveryError or *reliable.CrashError) when delivery
 // fell short of the config's quorum; on a quorum-satisfying partial
 // delivery the error is nil and Status/Undelivered carry the shortfall.
-func (g *Group) BcastReliable(root int, data []byte, cfg reliable.Config, fp sim.FaultPlan) (*BcastReliableResult, error) {
+func (g *Group) BcastReliable(root int, data []byte, cfg reliable.Config, fp fault.Plan) (*BcastReliableResult, error) {
 	b, err := g.prepare(root, data, cfg.Params, false)
 	if err != nil {
 		return nil, err

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/live"
-	"repro/internal/live/link"
 	"repro/internal/reliable"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -276,7 +276,7 @@ func TestBcastReliableCrash(t *testing.T) {
 	}
 	cfg := reliable.DefaultConfig()
 	cfg.Quorum = 1
-	fp := sim.FaultPlan{Crashes: []sim.HostCrash{{Host: 19, At: 18}}}
+	fp := fault.Plan{Crashes: []fault.Crash{{Host: 19, At: 18}}}
 	res, err := g.BcastReliable(0, data, cfg, fp)
 	if err != nil {
 		t.Fatalf("quorum 1 must tolerate one crash: %v", err)
@@ -316,7 +316,7 @@ func TestBcastReliableLossless(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	res, err := g.BcastReliable(0, data, reliable.DefaultConfig(), sim.FaultPlan{})
+	res, err := g.BcastReliable(0, data, reliable.DefaultConfig(), fault.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestBcastLiveReliableLossy(t *testing.T) {
 	cfg := live.DefaultReliableConfig()
 	cfg.RTO = 5 * time.Millisecond
 	cfg.RTOMax = 40 * time.Millisecond
-	cfg.Faults = link.Faults{
+	cfg.Faults = fault.Plan{
 		Seed:        42,
 		DropRate:    0.10,
 		AckDropRate: 0.05,
@@ -394,8 +394,8 @@ func TestBcastLiveReliableCrash(t *testing.T) {
 	cfg.Quorum = 1
 	// Jitter keeps the protocol in flight long enough for the scheduled
 	// crash to land mid-message (unshaped links finish in microseconds).
-	cfg.Faults = link.Faults{Seed: 7, MaxJitter: 2 * time.Millisecond}
-	cfg.Crashes = []live.HostCrash{{Host: 19, At: 4 * time.Millisecond}}
+	cfg.Faults = fault.Plan{Seed: 7, MaxJitter: 2 * time.Millisecond}
+	cfg.Faults.Crashes = []fault.Crash{{Host: 19, At: 4000}}
 	cfg.Heartbeat = live.HeartbeatParams{
 		SuspectAfter: 10 * time.Millisecond,
 		ConfirmAfter: 8 * time.Millisecond,

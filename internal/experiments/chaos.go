@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/message"
 	"repro/internal/reliable"
 	"repro/internal/sim"
@@ -67,7 +68,7 @@ func chaosSweepCell(cfg Config, sys []*core.System, drop float64, policy core.Tr
 		s := sys[t]
 		plan := s.Plan(draw(s, rng, s.Net.NumHosts()-1, chaosPackets, policy))
 		payload := chaosPayload(rng, chaosPackets, cfg.Params)
-		res, err := reliable.Deliver(s, plan, payload, rcfg, sim.FaultPlan{
+		res, err := reliable.Deliver(s, plan, payload, rcfg, fault.Plan{
 			Seed:     rng.Uint64(),
 			DropRate: drop,
 		})
@@ -140,15 +141,15 @@ func runChaos(cfg Config) *Result {
 	payload := chaosPayload(workload.NewRNG(cfg.Sweep.BaseSeed), chaosPackets, cfg.Params)
 	kill := stats.NewTable("mid-flight link kill, topology 0, optimal tree",
 		"scenario", "latency us", "sends", "retx", "repairs", "dead sends", "orphaned")
-	lossless, err := reliable.Deliver(s, plan, payload, rcfg, sim.FaultPlan{})
+	lossless, err := reliable.Deliver(s, plan, payload, rcfg, fault.Plan{})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: chaos lossless delivery failed: %v", err))
 	}
 	addKillRow(kill, "no faults", lossless)
 	if link, ok := chaosKillLink(s, plan); ok {
 		at := cfg.Params.THostSend + (lossless.Latency-cfg.Params.THostSend)/3
-		repaired, err := reliable.Deliver(s, plan, payload, rcfg, sim.FaultPlan{
-			Kills: []sim.LinkKill{{Link: link, At: at}},
+		repaired, err := reliable.Deliver(s, plan, payload, rcfg, fault.Plan{
+			Kills: []fault.Kill{{Link: link, At: at}},
 		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: chaos repair delivery failed: %v", err))
@@ -159,8 +160,8 @@ func runChaos(cfg Config) *Result {
 				repaired.Faults.DeadSends, repaired.Repairs, len(repaired.Delivered)))
 	}
 	victim := spec.Dests[len(spec.Dests)-1]
-	partitioned, err := reliable.Deliver(s, plan, payload, rcfg, sim.FaultPlan{
-		Kills: []sim.LinkKill{{Link: s.Net.HostLink(victim).ID, At: cfg.Params.THostSend}},
+	partitioned, err := reliable.Deliver(s, plan, payload, rcfg, fault.Plan{
+		Kills: []fault.Kill{{Link: s.Net.HostLink(victim).ID, At: cfg.Params.THostSend}},
 	})
 	if err == nil {
 		panic("experiments: severing a host link must partition it away")

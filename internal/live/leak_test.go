@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/live"
 	"repro/internal/live/link"
 	"repro/internal/mcastd"
@@ -97,7 +98,7 @@ func TestAbortedRunLeaksNoGoroutines(t *testing.T) {
 			cfg.Quorum = 1
 			// Jitter keeps the message in flight across the crash window.
 			cfg.Faults = link.Faults{Seed: 3, DropRate: 0.01, MaxJitter: time.Millisecond}
-			cfg.Crashes = []live.HostCrash{{Host: 3, At: 2 * time.Millisecond, RecoverAt: 30 * time.Millisecond}}
+			cfg.Faults.Crashes = []fault.Crash{{Host: 3, At: 2000, RecoverAt: 30_000}}
 			if _, err := live.RunReliable(session(t, 1), cfg); err != nil {
 				t.Fatal(err)
 			}

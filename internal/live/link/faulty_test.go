@@ -4,41 +4,18 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
-func TestFaultsValidate(t *testing.T) {
-	bad := []Faults{
-		{DropRate: 1},
-		{CorruptRate: -0.1},
-		{ReorderRate: 2},
-		{AckDropRate: 1.5},
-		{MaxJitter: -time.Millisecond},
-		{Stalls: []StallWindow{{Host: -1, Until: time.Millisecond}}},
-		{Stalls: []StallWindow{{Host: 0, From: 5, Until: 5}}},
-		{Kills: []LinkKill{{From: 1, To: 1}}},
-		{Kills: []LinkKill{{From: 0, To: 1, At: -time.Second}}},
+// armed adapts a plan to the wall clock, failing the test on a bad plan.
+func armed(t *testing.T, f Faults) *Chaos {
+	t.Helper()
+	st, err := f.Arm()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, f := range bad {
-		if err := f.Validate(); err == nil {
-			t.Errorf("case %d: %+v accepted", i, f)
-		}
-		if _, err := NewChaos(f); err == nil {
-			t.Errorf("case %d: NewChaos accepted %+v", i, f)
-		}
-	}
-	ok := Faults{Seed: 1, DropRate: 0.5, CorruptRate: 0.1, ReorderRate: 0.1,
-		AckDropRate: 0.2, MaxJitter: time.Millisecond,
-		Stalls: []StallWindow{{Host: 2, From: 0, Until: time.Millisecond}},
-		Kills:  []LinkKill{{From: 0, To: 1, At: time.Millisecond}}}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid plan rejected: %v", err)
-	}
-	if ok.Zero() {
-		t.Fatal("non-trivial plan reported Zero")
-	}
-	if !(Faults{Seed: 42}).Zero() {
-		t.Fatal("seed-only plan should be Zero")
-	}
+	return NewChaos(st)
 }
 
 func TestWrapZeroPlaneIsIdentity(t *testing.T) {
@@ -48,14 +25,10 @@ func TestWrapZeroPlaneIsIdentity(t *testing.T) {
 	if nilChaos.Wrap(l) != Transport(l) {
 		t.Fatal("nil chaos must return the transport unchanged")
 	}
-	c, err := NewChaos(Faults{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
+	if armed(t, Faults{Seed: 7, AckDropRate: 0.5}).Wrap(l) != Transport(l) {
+		t.Fatal("a plane that leaves transmissions alone must return the transport unchanged")
 	}
-	if c.Wrap(l) != Transport(l) {
-		t.Fatal("zero plane must return the transport unchanged")
-	}
-	c, _ = NewChaos(Faults{DropRate: 0.5})
+	c := armed(t, Faults{DropRate: 0.5})
 	if c.Wrap(l) == Transport(l) {
 		t.Fatal("armed plane must decorate the transport")
 	}
@@ -65,10 +38,7 @@ func TestWrapZeroPlaneIsIdentity(t *testing.T) {
 // returns the sequence of payload bytes that survived to the inbox.
 func sendThrough(t *testing.T, f Faults, n int) []byte {
 	t.Helper()
-	c, err := NewChaos(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := armed(t, f)
 	in := NewInbox(1, n+4, 0)
 	tr := c.Wrap(New(0, in, 0))
 	abort := make(chan struct{})
@@ -101,7 +71,8 @@ func TestFaultyDropIsDeterministic(t *testing.T) {
 }
 
 func TestFaultyCorruptFlipsOneByte(t *testing.T) {
-	c, _ := NewChaos(Faults{Seed: 3, CorruptRate: 0.999999})
+	st, _ := Faults{Seed: 3, CorruptRate: 0.999999}.Arm()
+	c := NewChaos(st)
 	in := NewInbox(1, 2, 0)
 	tr := c.Wrap(New(0, in, 0))
 	abort := make(chan struct{})
@@ -125,8 +96,8 @@ func TestFaultyCorruptFlipsOneByte(t *testing.T) {
 	if !bytes.Equal(orig, []byte{10, 20, 30, 40}) {
 		t.Fatal("corruption mutated the caller's buffer")
 	}
-	if c.Stats().Corrupted != 1 {
-		t.Fatalf("stats = %+v, want 1 corrupted", c.Stats())
+	if st.Stats().Corrupted != 1 {
+		t.Fatalf("stats = %+v, want 1 corrupted", st.Stats())
 	}
 }
 
@@ -140,12 +111,13 @@ func TestFaultyReorderSwapsAdjacentFrames(t *testing.T) {
 }
 
 func TestFaultyKillEatsFrames(t *testing.T) {
-	f := Faults{Seed: 1, Kills: []LinkKill{{From: 0, To: 1, At: 0}}}
+	f := Faults{Seed: 1, Kills: []fault.Kill{{Link: fault.Pair, From: 0, To: 1, At: 0}}}
 	got := sendThrough(t, f, 5)
 	if len(got) != 0 {
 		t.Fatalf("killed edge delivered %v", got)
 	}
-	c, _ := NewChaos(f)
+	st, _ := f.Arm()
+	c := NewChaos(st)
 	in := NewInbox(1, 8, 0)
 	tr := c.Wrap(New(0, in, 0))
 	abort := make(chan struct{})
@@ -154,8 +126,8 @@ func TestFaultyKillEatsFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Stats().DeadSends != 5 {
-		t.Fatalf("stats = %+v, want 5 dead sends", c.Stats())
+	if st.Stats().DeadSends != 5 {
+		t.Fatalf("stats = %+v, want 5 dead sends", st.Stats())
 	}
 	// Other directed pairs are unaffected.
 	in2 := NewInbox(2, 8, 0)
@@ -169,7 +141,8 @@ func TestFaultyKillEatsFrames(t *testing.T) {
 }
 
 func TestFaultyStallDelaysSend(t *testing.T) {
-	c, _ := NewChaos(Faults{Seed: 1, Stalls: []StallWindow{{Host: 0, From: 0, Until: 30 * time.Millisecond}}})
+	st, _ := Faults{Seed: 1, Stalls: []fault.Stall{{Host: 0, From: 0, Until: 30_000}}}.Arm()
+	c := NewChaos(st)
 	c.Start(time.Now())
 	in := NewInbox(1, 2, 0)
 	tr := c.Wrap(New(0, in, 0))
@@ -181,7 +154,7 @@ func TestFaultyStallDelaysSend(t *testing.T) {
 	if el := time.Since(t0); el < 10*time.Millisecond {
 		t.Fatalf("stalled send completed in %v", el)
 	}
-	if c.Stats().StallWait == 0 {
+	if st.Stats().StallWait == 0 {
 		t.Fatal("stall wait not accounted")
 	}
 	if _, ok := in.Recv(abort); !ok {
@@ -190,12 +163,12 @@ func TestFaultyStallDelaysSend(t *testing.T) {
 }
 
 func TestAckDropSampling(t *testing.T) {
-	c, _ := NewChaos(Faults{Seed: 11, AckDropRate: 0.5})
+	c := armed(t, Faults{Seed: 11, AckDropRate: 0.5})
 	count := func() int {
-		rng := c.AckRNG(3)
+		acks := c.Acks(3)
 		n := 0
 		for i := 0; i < 100; i++ {
-			if c.AckDrop(rng) {
+			if acks.AckLost() {
 				n++
 			}
 		}
@@ -209,13 +182,13 @@ func TestAckDropSampling(t *testing.T) {
 		t.Fatalf("same stream produced different drop counts: %d vs %d", a, b)
 	}
 	var nilChaos *Chaos
-	if nilChaos.AckDrop(nilChaos.AckRNG(3)) {
+	if acks := nilChaos.Acks(3); acks.AckLost() {
 		t.Fatal("nil chaos dropped an ack")
 	}
 }
 
 func TestFaultyAbortUnblocksJitterSleep(t *testing.T) {
-	c, _ := NewChaos(Faults{Seed: 1, Stalls: []StallWindow{{Host: 0, From: 0, Until: time.Minute}}})
+	c := armed(t, Faults{Seed: 1, Stalls: []fault.Stall{{Host: 0, From: 0, Until: 60e6}}})
 	c.Start(time.Now())
 	in := NewInbox(1, 2, 0)
 	tr := c.Wrap(New(0, in, 0))

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/live/link"
 	"repro/internal/membership"
 	"repro/internal/reliable"
@@ -23,32 +24,21 @@ import (
 // cancel flag; all other coordination is by channel, or by the NI loop's
 // hand-off.
 
-// HostCrash schedules a crash-stop of one host's NI at a wall-clock offset
-// from run start: from At on the NI silently eats every frame addressed to
-// it (releasing buffer slots so senders never wedge), stops acknowledging,
-// is no longer witnessed alive, and its outgoing sends vanish. If
-// RecoverAt > At the host rejoins at RecoverAt amnesiac — reassembly and
-// dedup state lost — and is re-adopted with a full replay; RecoverAt == 0
-// means it never comes back.
-type HostCrash struct {
-	Host      int
-	At        time.Duration
-	RecoverAt time.Duration
-}
-
-// CrashStop reports whether the crash is permanent.
-func (c HostCrash) CrashStop() bool { return c.RecoverAt == 0 }
-
 // ReliableConfig tunes one RunReliable execution.
 type ReliableConfig struct {
 	// Live carries the base runtime knobs: BufferPackets, LinkLatency and
 	// the watchdog Timeout (the liveness backstop of the whole protocol).
 	Live Config
-	// Faults is the transport chaos plane (zero = lossless edges).
-	Faults link.Faults
-	// Crashes schedules NI crash-stops; a non-empty schedule arms the
-	// membership plane (failure detector, epochs, fencing, adoption).
-	Crashes []HostCrash
+	// Faults is the fault plane (zero = lossless edges), its times
+	// microseconds from run start. Its Crashes crash NIs: from At on the NI
+	// silently eats every frame addressed to it (releasing buffer slots so
+	// senders never wedge), stops acknowledging, is no longer witnessed
+	// alive, and its outgoing sends vanish; a host that recovers rejoins
+	// amnesiac — reassembly and dedup state lost — and is re-adopted with a
+	// full replay. A non-empty crash schedule arms the membership plane
+	// (failure detector, epochs, fencing, adoption). Kills name directed
+	// host pairs (fault.Pair).
+	Faults fault.Plan
 	// RTO is the base retransmission timeout; it doubles per attempt up to
 	// RTOMax, widened by seeded jitter.
 	RTO, RTOMax time.Duration
@@ -62,7 +52,7 @@ type ReliableConfig struct {
 	// run to count as DeliveredPartial (0: all destinations required).
 	Quorum int
 	// Heartbeat parameterizes the failure detector; consulted only when
-	// Crashes is non-empty.
+	// Faults.Crashes is non-empty.
 	Heartbeat HeartbeatParams
 }
 
@@ -82,9 +72,11 @@ func DefaultReliableConfig() ReliableConfig {
 	}
 }
 
-// validate rejects a malformed configuration.
-func (cfg ReliableConfig) validate() error {
-	if err := cfg.Faults.Validate(); err != nil {
+// validate rejects a malformed configuration, and a fault plan naming
+// links or hosts the session does not have.
+func (cfg ReliableConfig) validate(s Session) error {
+	if err := cfg.Faults.Admit("live", fault.Drop|fault.Corrupt|fault.AckDrop|fault.Reorder|
+		fault.Jitter|fault.Stalls|fault.PairKills|fault.Crashes, 0, s.Tree.Contains); err != nil {
 		return err
 	}
 	if cfg.RTO <= 0 || cfg.RTOMax < cfg.RTO {
@@ -97,20 +89,7 @@ func (cfg ReliableConfig) validate() error {
 	if cfg.Quorum < 0 {
 		return fmt.Errorf("live: negative quorum %d", cfg.Quorum)
 	}
-	seen := map[int]bool{}
-	for _, c := range cfg.Crashes {
-		if c.Host < 0 || c.At < 0 {
-			return fmt.Errorf("live: invalid crash %+v", c)
-		}
-		if c.RecoverAt != 0 && c.RecoverAt <= c.At {
-			return fmt.Errorf("live: host %d recovery %v not after crash %v", c.Host, c.RecoverAt, c.At)
-		}
-		if seen[c.Host] {
-			return fmt.Errorf("live: host %d crashed more than once", c.Host)
-		}
-		seen[c.Host] = true
-	}
-	if len(cfg.Crashes) > 0 {
+	if len(cfg.Faults.Crashes) > 0 {
 		hb := cfg.Heartbeat
 		if hb.SuspectAfter <= 0 || hb.ConfirmAfter <= 0 {
 			return fmt.Errorf("live: invalid heartbeat params %+v", hb)
@@ -155,29 +134,29 @@ type ReliableResult struct {
 	Crashed, Orphaned []int
 	// Accepts is the epoch-stamp trace of novel acceptances (armed runs).
 	Accepts []EpochAccept
-	// Faults snapshots the chaos plane's counters; CrashDrops counts
-	// frames eaten by a down NI.
-	Faults     link.ChaosStats
-	CrashDrops int
+	// Faults snapshots the fault plane's counters, frames eaten by a down
+	// NI included; Losses is what each edge incarnation's loss stream
+	// decided, in creation order (runs that draw no loss decision have
+	// none).
+	Faults fault.Stats
+	Losses []fault.Pattern
 }
 
 // rrt is the driver state of one reliable run: the reliable session of a
-// share of every tree host, its supervisor and the crash schedule.
+// share of every tree host, its supervisor and the armed fault plane.
 type rrt struct {
 	*ReliableShare
-	sup     *Supervisor
-	cfg     ReliableConfig
-	s       Session
-	chaos   *link.Chaos
-	crashes map[int]HostCrash // by host; immutable after start
+	sup    *Supervisor
+	cfg    ReliableConfig
+	s      Session
+	faults *fault.State
 }
 
 // down reports whether host h is inside its scheduled crash window at
 // offset t: the session's Down, called from NI, sender and supervisor
 // goroutines.
 func (rt *rrt) down(h int, t time.Duration) bool {
-	c, ok := rt.crashes[h]
-	return ok && t >= c.At && (c.CrashStop() || t < c.RecoverAt)
+	return rt.faults.HostDown(h, float64(t)/float64(time.Microsecond))
 }
 
 // RunReliable executes one session under the reliable protocol and the
@@ -190,29 +169,23 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 	if err := s.validate(0); err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(); err != nil {
+	faults, err := cfg.Faults.Arm()
+	if err != nil {
+		return nil, err
+	}
+	if err := cfg.validate(s); err != nil {
 		return nil, err
 	}
 	if cfg.Live.Timeout <= 0 {
 		cfg.Live.Timeout = DefaultTimeout
 	}
-	chaos, err := link.NewChaos(cfg.Faults)
-	if err != nil {
-		return nil, err
-	}
-	crashes := map[int]HostCrash{}
-	for _, c := range cfg.Crashes {
-		if !s.Tree.Contains(c.Host) {
-			return nil, fmt.Errorf("live: crash of host %d outside the tree", c.Host)
-		}
-		crashes[c.Host] = c
-	}
+	chaos := link.NewChaos(faults)
 
-	rt := &rrt{cfg: cfg, s: s, chaos: chaos, crashes: crashes}
+	rt := &rrt{cfg: cfg, s: s, faults: faults}
 	hosts := s.Tree.Nodes()
 	// A non-empty crash schedule arms the membership plane.
 	var det *membership.Detector
-	if len(cfg.Crashes) > 0 {
+	if len(cfg.Faults.Crashes) > 0 {
 		if det, err = cfg.Heartbeat.NewDetector(cfg.Faults.Seed, hosts); err != nil {
 			return nil, err
 		}
@@ -286,7 +259,7 @@ func (rt *rrt) result(wall time.Duration) (*ReliableResult, error) {
 		Hosts:     map[int]*HostRecord{},
 		Wall:      wall,
 		Packets:   len(rt.s.Packets),
-		Faults:    rt.chaos.Stats(),
+		Faults:    rt.faults.Stats(),
 		Views:     rt.sup.Views(),
 		Adoptions: rt.sup.Adoptions(),
 		Epoch:     rt.Epoch(),
@@ -296,7 +269,7 @@ func (rt *rrt) result(wall time.Duration) (*ReliableResult, error) {
 	for _, v := range rt.s.Tree.Nodes() {
 		n := rt.NI(v)
 		res.Hosts[v] = &n.HostRecord
-		res.CrashDrops += n.CrashDrops
+		res.Faults.CrashDrops += n.CrashDrops
 		res.Accepts = append(res.Accepts, n.Accepts...)
 		if v == rt.s.Tree.Root() {
 			continue
@@ -312,15 +285,15 @@ func (rt *rrt) result(wall time.Duration) (*ReliableResult, error) {
 	// on At must not reorder a host's own chronology (epoch monotonicity
 	// per host is an invariant the harness checks).
 	sort.SliceStable(res.Accepts, func(i, j int) bool { return res.Accepts[i].At < res.Accepts[j].At })
-	for h := range rt.crashes {
-		if rt.down(h, wall) {
-			res.Crashed = append(res.Crashed, h)
+	for _, e := range rt.all {
+		if ft, ok := e.tr.(*link.FaultyTransport); ok && ft.Pattern().Sent > 0 {
+			res.Losses = append(res.Losses, ft.Pattern())
 		}
 	}
-	sort.Ints(res.Crashed)
+	res.Crashed = rt.faults.DownHosts(float64(wall) / float64(time.Microsecond))
 
 	var err error
 	res.Status, err = reliable.Verdict(dests, res.Orphaned, res.Crashed,
-		rt.cfg.Quorum, res.Epoch, len(rt.crashes) > 0, rt.sup.RootDown())
+		rt.cfg.Quorum, res.Epoch, len(rt.faults.Crashes()) > 0, rt.sup.RootDown())
 	return res, err
 }

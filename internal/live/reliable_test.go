@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/live/link"
+	"repro/internal/fault"
 	"repro/internal/reliable"
 	"repro/internal/tree"
 )
@@ -115,7 +115,7 @@ func TestReliableSurvivesLossyTransport(t *testing.T) {
 	s := reliableSession(t, tr, payload)
 	cfg := fastReliable()
 	cfg.RetryBudget = 20
-	cfg.Faults = link.Faults{Seed: 7, DropRate: 0.25, CorruptRate: 0.1, ReorderRate: 0.1, AckDropRate: 0.15}
+	cfg.Faults = fault.Plan{Seed: 7, DropRate: 0.25, CorruptRate: 0.1, ReorderRate: 0.1, AckDropRate: 0.15}
 	res, err := RunReliable(s, cfg)
 	if err != nil {
 		t.Fatalf("RunReliable: %v", err)
@@ -127,7 +127,7 @@ func TestReliableSurvivesLossyTransport(t *testing.T) {
 	if res.Retransmits == 0 {
 		t.Fatal("a 25% drop rate should force retransmissions")
 	}
-	if res.Faults.Total() == 0 {
+	if res.Faults == (fault.Stats{}) {
 		t.Fatalf("chaos plane injected nothing: %+v", res.Faults)
 	}
 }
@@ -142,7 +142,7 @@ func TestReliableRepairsKilledLink(t *testing.T) {
 	cfg.RTO = 5 * time.Millisecond
 	cfg.RTOMax = 20 * time.Millisecond
 	cfg.RetryBudget = 3
-	cfg.Faults = link.Faults{Seed: 3, Kills: []link.LinkKill{{From: 1, To: 2, At: 0}}}
+	cfg.Faults = fault.Plan{Seed: 3, Kills: []fault.Kill{{Link: fault.Pair, From: 1, To: 2, At: 0}}}
 	res, err := RunReliable(s, cfg)
 	if err != nil {
 		t.Fatalf("RunReliable: %v", err)
@@ -164,8 +164,7 @@ func TestReliableCrashStopAdoption(t *testing.T) {
 	payload := payloadBytes(800)
 	s := reliableSession(t, tr, payload)
 	cfg := fastReliable()
-	cfg.Faults = link.Faults{Seed: 11, MaxJitter: 2 * time.Millisecond}
-	cfg.Crashes = []HostCrash{{Host: 2, At: 4 * time.Millisecond}}
+	cfg.Faults = fault.Plan{Seed: 11, MaxJitter: 2 * time.Millisecond, Crashes: []fault.Crash{{Host: 2, At: 4000}}}
 	cfg.Quorum = 1
 	res, err := RunReliable(s, cfg)
 	if err != nil {
@@ -206,8 +205,7 @@ func TestReliableCrashRecoveryReplays(t *testing.T) {
 	payload := payloadBytes(600)
 	s := reliableSession(t, tr, payload)
 	cfg := fastReliable()
-	cfg.Faults = link.Faults{Seed: 5, MaxJitter: 2 * time.Millisecond}
-	cfg.Crashes = []HostCrash{{Host: 3, At: 2 * time.Millisecond, RecoverAt: 300 * time.Millisecond}}
+	cfg.Faults = fault.Plan{Seed: 5, MaxJitter: 2 * time.Millisecond, Crashes: []fault.Crash{{Host: 3, At: 2000, RecoverAt: 300_000}}}
 	res, err := RunReliable(s, cfg)
 	if err != nil {
 		t.Fatalf("RunReliable: %v", err)
@@ -228,7 +226,7 @@ func TestReliableQuorumVerdicts(t *testing.T) {
 	payload := payloadBytes(100)
 	s := reliableSession(t, tr, payload)
 	cfg := fastReliable()
-	cfg.Crashes = []HostCrash{{Host: 1, At: 0}, {Host: 2, At: 0}}
+	cfg.Faults.Crashes = []fault.Crash{{Host: 1, At: 0}, {Host: 2, At: 0}}
 	cfg.Quorum = 2
 	res, err := RunReliable(s, cfg)
 	if err == nil {
@@ -267,7 +265,12 @@ func TestReliableConfigRejects(t *testing.T) {
 	}{
 		{"rto-cap-below-base", "invalid RTO", func(c *ReliableConfig) { c.RTOMax = c.RTO / 2 }},
 		{"no-retries", "retry budget 0", func(c *ReliableConfig) { c.RetryBudget = 0 }},
-		{"twice-crashed", "crashed more than once", func(c *ReliableConfig) { c.Crashes = []HostCrash{{Host: 1}, {Host: 1}} }},
+		{"twice-crashed", "crashed more than once", func(c *ReliableConfig) { c.Faults.Crashes = []fault.Crash{{Host: 1}, {Host: 1}} }},
+		{"crash-outside-tree", "crash of host 99999 outside the tree", func(c *ReliableConfig) { c.Faults.Crashes = []fault.Crash{{Host: 99999}} }},
+		{"link-kill", "fault plan field Kills (link) is not supported", func(c *ReliableConfig) { c.Faults.Kills = []fault.Kill{{Link: 3}} }},
+		{"pair-kill-outside-tree", "kill of host pair 1->7 outside the tree", func(c *ReliableConfig) {
+			c.Faults.Kills = []fault.Kill{{Link: fault.Pair, From: 1, To: 7}}
+		}},
 		{"negative-quorum", "negative quorum -1", func(c *ReliableConfig) { c.Quorum = -1 }},
 	} {
 		cfg := fastReliable()
@@ -284,8 +287,7 @@ func TestReliableRootCrash(t *testing.T) {
 	payload := payloadBytes(5000) // enough packets to still be in flight
 	s := reliableSession(t, tr, payload)
 	cfg := fastReliable()
-	cfg.Faults = link.Faults{Seed: 2, MaxJitter: 3 * time.Millisecond}
-	cfg.Crashes = []HostCrash{{Host: 0, At: 2 * time.Millisecond}}
+	cfg.Faults = fault.Plan{Seed: 2, MaxJitter: 3 * time.Millisecond, Crashes: []fault.Crash{{Host: 0, At: 2000}}}
 	_, err := RunReliable(s, cfg)
 	var ce *reliable.CrashError
 	if !errors.As(err, &ce) || !ce.RootCrashed {
@@ -311,12 +313,12 @@ func TestReliableConfigValidation(t *testing.T) {
 		{RTO: 1, RTOMax: 1}, // zero budgets
 		func() ReliableConfig { // bad crash window
 			c := DefaultReliableConfig()
-			c.Crashes = []HostCrash{{Host: 1, At: 5, RecoverAt: 3}}
+			c.Faults.Crashes = []fault.Crash{{Host: 1, At: 5, RecoverAt: 3}}
 			return c
 		}(),
 		func() ReliableConfig { // crash outside the tree
 			c := DefaultReliableConfig()
-			c.Crashes = []HostCrash{{Host: 99, At: 5}}
+			c.Faults.Crashes = []fault.Crash{{Host: 99, At: 5}}
 			return c
 		}(),
 		func() ReliableConfig { // invalid fault plane

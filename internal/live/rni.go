@@ -4,9 +4,9 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/live/link"
 	"repro/internal/message"
-	"repro/internal/workload"
 )
 
 // ReliableNI is one host's state in one reliable session, its loss- and
@@ -38,7 +38,7 @@ type ReliableNI struct {
 	CrashDrops int           // frames eaten while down
 
 	share    *ReliableShare
-	acks     *workload.RNG // the chaos plane's ACK-loss stream, drawn here only
+	acks     fault.Stream // the host's ACK-loss stream, drawn here only
 	children []*EdgeSender
 	got      []bool              // per-packet dedup bitmap
 	reasm    message.Reassembler // idle at the root, which owns the original
@@ -51,7 +51,7 @@ func newReliableNI(share *ReliableShare, host int) *ReliableNI {
 	n := &ReliableNI{
 		HostRecord: HostRecord{Host: host},
 		share:      share,
-		acks:       share.cfg.Chaos.AckRNG(host),
+		acks:       share.cfg.Chaos.Acks(host),
 		got:        make([]bool, len(share.cfg.Edge.Packets)),
 	}
 	if host == share.cfg.Tree.Root() {

@@ -199,7 +199,7 @@ func (s *ReliableShare) ack(n *ReliableNI, from, seq, epoch int) {
 	if e == nil && s.nis[from] != nil {
 		return // a retired local edge's frame: nobody awaits its ACK
 	}
-	if s.cfg.Chaos.AckDrop(n.acks) {
+	if n.acks.AckLost() {
 		return
 	}
 	if e == nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/live/link"
 	"repro/internal/membership"
 	"repro/internal/message"
@@ -178,17 +179,18 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 
 	t.Run("a lost ACK marks nothing and is counted", func(t *testing.T) {
 		// The highest rate the plane accepts: every ACK is lost.
-		chaos, err := link.NewChaos(link.Faults{Seed: 5, AckDropRate: math.Nextafter(1, 0)})
+		faults, err := fault.Plan{Seed: 5, AckDropRate: math.Nextafter(1, 0)}.Arm()
 		if err != nil {
 			t.Fatal(err)
 		}
+		chaos := link.NewChaos(faults)
 		// Host 1's parent runs here, host 3's elsewhere.
 		s, _, orders := remoteSupervisor(t, []int{0, 1, 3}, chaos)
 		if e := serve(t, s, 0, 1, 0); e == nil || e.acked[0].Load() {
 			t.Fatalf("a lost ACK marked edge 0->1 (%v)", e)
 		}
 		serve(t, s, 2, 3, 1)
-		if got := chaos.Stats().AcksDropped; got != 2 {
+		if got := faults.Stats().AcksDropped; got != 2 {
 			t.Fatalf("chaos counted %d lost ACKs, want 2", got)
 		}
 		expect(t, "a lost ACK to a remote parent", orders())

@@ -12,7 +12,7 @@ import (
 	"testing/synctest"
 	"time"
 
-	"repro/internal/live/link"
+	"repro/internal/fault"
 	"repro/internal/message"
 	"repro/internal/reliable"
 	"repro/internal/tree"
@@ -93,7 +93,7 @@ func virtualRun(scenario string, seed uint64) (*ReliableResult, time.Duration, e
 
 	cfg := DefaultReliableConfig()
 	cfg.Live.BufferPackets = rng.Intn(4)
-	cfg.Faults = link.Faults{Seed: seed, MaxJitter: time.Duration(1+rng.Intn(2000)) * time.Microsecond}
+	cfg.Faults = fault.Plan{Seed: seed, MaxJitter: time.Duration(1+rng.Intn(2000)) * time.Microsecond}
 	victim := 1 + rng.Intn(n-1)
 	switch scenario {
 	case "chaos":
@@ -102,11 +102,11 @@ func virtualRun(scenario string, seed uint64) (*ReliableResult, time.Duration, e
 		cfg.Faults.CorruptRate = 0.04 * rng.Float64()
 		cfg.Faults.ReorderRate = 0.15 * rng.Float64()
 	case "crash-stop":
-		cfg.Crashes = []HostCrash{{Host: victim, At: time.Duration(rng.Intn(20_000)) * time.Microsecond}}
+		cfg.Faults.Crashes = []fault.Crash{{Host: victim, At: float64(rng.Intn(20_000))}}
 		cfg.Quorum = 1
 	case "crash-recovery":
-		at := time.Duration(rng.Intn(20_000)) * time.Microsecond
-		cfg.Crashes = []HostCrash{{Host: victim, At: at, RecoverAt: at + time.Duration(1+rng.Intn(150))*time.Millisecond}}
+		at := float64(rng.Intn(20_000))
+		cfg.Faults.Crashes = []fault.Crash{{Host: victim, At: at, RecoverAt: at + float64(1+rng.Intn(150))*1000}}
 	}
 
 	var (

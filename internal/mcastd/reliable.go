@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/live"
 	"repro/internal/live/link"
 	"repro/internal/membership"
@@ -34,10 +35,12 @@ type ReliableConfig struct {
 	// Quorum is the minimum completing destinations for a crash-
 	// shortened run to count as DeliveredPartial (0: all required).
 	Quorum int
-	// Faults is a seeded chaos plane wrapped around every dialed data
+	// Faults is a seeded fault plane wrapped around every dialed data
 	// transport (zero = the raw socket). AckDropRate loses every ACK, local
 	// or remote, with that probability; other ctl frames are not wrapped.
-	Faults link.Faults
+	// Stalls, kills and crashes are refused: a daemon's crash is its
+	// process dying.
+	Faults fault.Plan
 }
 
 // DefaultReliableConfig returns wall-clock defaults for cross-process
@@ -91,10 +94,7 @@ func (rcfg ReliableConfig) validate() error {
 	if rcfg.Quorum < 0 {
 		return fmt.Errorf("mcastd: negative quorum %d", rcfg.Quorum)
 	}
-	if len(rcfg.Faults.Kills) > 0 || len(rcfg.Faults.Stalls) > 0 {
-		return fmt.Errorf("mcastd: scheduled link kills/stalls are not supported on the daemon chaos plane")
-	}
-	return nil
+	return rcfg.Faults.Admit("mcastd", fault.Drop|fault.Corrupt|fault.AckDrop|fault.Reorder|fault.Jitter, 0, nil)
 }
 
 // drt is the driver state of one process's share of a reliable run: the
@@ -140,10 +140,11 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	if err := rcfg.validate(); err != nil {
 		return nil, err
 	}
-	chaos, err := link.NewChaos(rcfg.Faults)
+	faults, err := rcfg.Faults.Arm()
 	if err != nil {
 		return nil, err
 	}
+	chaos := link.NewChaos(faults)
 
 	rt := &drt{
 		cfg:      cfg,

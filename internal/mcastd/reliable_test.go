@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/live"
 	"repro/internal/live/link"
 	"repro/internal/message"
@@ -35,7 +36,7 @@ func TestReliableAllLocal(t *testing.T) {
 	}
 	defer nw.Close()
 	rcfg := DefaultReliableConfig()
-	rcfg.Faults = link.Faults{Seed: 41, DropRate: 0.05}
+	rcfg.Faults = fault.Plan{Seed: 41, DropRate: 0.05}
 	res, err := RunReliable(Config{
 		Tree: tr, Packets: pkts, MsgID: 3, Local: tr.Nodes(), Net: nw,
 		Timeout: 15 * time.Second,
@@ -228,7 +229,7 @@ func TestReliableFollowerExhaustion(t *testing.T) {
 	}
 	lossy := DefaultReliableConfig()
 	lossy.RetryBudget = 1
-	lossy.Faults = link.Faults{Seed: 23, DropRate: 0.9}
+	lossy.Faults = fault.Plan{Seed: 23, DropRate: 0.9}
 	resA, resB := reliablePair(t, mk(localA, nwA), mk(localB, nwB), DefaultReliableConfig(), lossy)
 	if resA.Status != reliable.Delivered || resB.Status != reliable.Delivered || resA.Adoptions < 1 {
 		t.Fatalf("root verdict %v with %d adoptions, follower learned %v; want Delivered after at least one adoption",
@@ -262,7 +263,7 @@ func TestTwoDaemonsLossy(t *testing.T) {
 			n++
 			t.Run(fmt.Sprintf("drop%.0f%%/seed%d", drop*100, seed), func(t *testing.T) {
 				rcfg := DefaultReliableConfig()
-				rcfg.Faults = link.Faults{Seed: seed, DropRate: drop}
+				rcfg.Faults = fault.Plan{Seed: seed, DropRate: drop}
 				lossyPairCase(t, rcfg, sess)
 			})
 		}
@@ -273,7 +274,7 @@ func TestTwoDaemonsLossy(t *testing.T) {
 		// sends, not ACKs, so by itself it resends nothing.
 		rcfg := DefaultReliableConfig()
 		rcfg.RTO, rcfg.RTOMax = 2*time.Millisecond, 8*time.Millisecond
-		rcfg.Faults = link.Faults{Seed: 7, AckDropRate: 0.3, MaxJitter: time.Millisecond}
+		rcfg.Faults = fault.Plan{Seed: 7, AckDropRate: 0.3, MaxJitter: time.Millisecond}
 		if r := lossyPairCase(t, rcfg, 0x105A0); r == 0 {
 			t.Fatal("30% ACK loss produced no retransmits")
 		}
@@ -298,12 +299,21 @@ func TestReliableRejects(t *testing.T) {
 	}{
 		{"rto-cap-below-base", "RTO cap", ReliableConfig{RTO: 50 * time.Millisecond, RTOMax: 10 * time.Millisecond}},
 		{"negative-quorum", "negative quorum -2", ReliableConfig{Quorum: -2}},
-		{"bad-droprate", "drop rate", ReliableConfig{Faults: link.Faults{DropRate: 1.5}}},
-		{"scheduled-kills", "kills/stalls", ReliableConfig{Faults: link.Faults{Kills: []link.LinkKill{{From: 0, To: 1, At: time.Millisecond}}}}},
-		{"scheduled-stalls", "kills/stalls", ReliableConfig{Faults: link.Faults{Stalls: []link.StallWindow{{Host: 0, Until: time.Millisecond}}}}},
+		{"bad-droprate", "drop rate", ReliableConfig{Faults: fault.Plan{DropRate: 1.5}}},
+		{"scheduled-kills", "mcastd: fault plan field Kills (host pair) is not supported",
+			ReliableConfig{Faults: fault.Plan{Kills: []fault.Kill{{Link: fault.Pair, From: 0, To: 1, At: 1000}}}}},
+		{"scheduled-stalls", "mcastd: fault plan field Stalls is not supported",
+			ReliableConfig{Faults: fault.Plan{Stalls: []fault.Stall{{Host: 0, Until: 1000}}}}},
+		{"scheduled-crashes", "mcastd: fault plan field Crashes is not supported",
+			ReliableConfig{Faults: fault.Plan{Crashes: []fault.Crash{{Host: 1, At: 1000}}}}},
 	} {
-		if res, err := RunReliable(cfg, tc.rcfg); res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+		res, err := RunReliable(cfg, tc.rcfg)
+		if res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: RunReliable = %v, %v; want a rejection naming %q", tc.name, res, err, tc.want)
+		}
+		var re *fault.RefusedError
+		if strings.HasPrefix(tc.name, "scheduled-") && !errors.As(err, &re) {
+			t.Errorf("%s: err %T, want *fault.RefusedError", tc.name, err)
 		}
 	}
 	// Host ids and packet counts the 16-bit ctl fields cannot carry are

@@ -1,7 +1,7 @@
 package netiface_test
 
 // Composition coverage for the NI stall model: send-engine stall windows
-// (this package) must compose with the reliable protocol's timers and host
+// (internal/fault) must compose with the reliable protocol's timers and host
 // crashes (internal/reliable) without deadlock. The scenarios freeze the
 // send engines of a chain's forwarders while packets queue behind them —
 // the shape that would wedge a protocol whose progress depended on the
@@ -13,10 +13,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/message"
-	"repro/internal/netiface"
 	"repro/internal/reliable"
-	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -53,15 +52,12 @@ func TestStallChainNoDeadlock(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	var fp sim.FaultPlan
+	var fp fault.Plan
 	walk := plan.Tree.Children(plan.Tree.Root())
 	for len(walk) > 0 {
 		h := walk[0]
 		if len(plan.Tree.Children(h)) > 0 { // interior forwarder
-			fp.Stalls = append(fp.Stalls, sim.HostStall{
-				Host:  h,
-				Stall: netiface.Stall{From: 14, Until: 70},
-			})
+			fp.Stalls = append(fp.Stalls, fault.Stall{Host: h, From: 14, Until: 70})
 		}
 		walk = plan.Tree.Children(h)
 	}
@@ -95,11 +91,11 @@ func TestStallCrashNoDeadlock(t *testing.T) {
 		payload[i] = byte(i * 13)
 	}
 	victim := plan.Tree.Children(plan.Tree.Root())[0]
-	fp := sim.FaultPlan{
-		Stalls: []sim.HostStall{
-			{Host: victim, Stall: netiface.Stall{From: 14, Until: 200}},
+	fp := fault.Plan{
+		Stalls: []fault.Stall{
+			{Host: victim, From: 14, Until: 200},
 		},
-		Crashes: []sim.HostCrash{{Host: victim, At: 30}},
+		Crashes: []fault.Crash{{Host: victim, At: 30}},
 	}
 	res, err := guarded(t, "stall-crash", func() (*reliable.Result, error) {
 		return reliable.Deliver(sys, plan, payload, cfg, fp)

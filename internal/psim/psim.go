@@ -7,12 +7,14 @@
 // window ever creates an event inside itself — and every shared-state
 // effect is resolved at the window barrier in the order the serial loop
 // would have resolved it, so a psim run is byte-identical to
-// sim.Concurrent at ANY worker count: same event order, same fault-RNG
-// draw order, same traces, same stats. The construction lives in
-// internal/sim/windowed.go; this package keeps the names callers use.
+// sim.Concurrent at ANY worker count: same event order, same draws from
+// every host pair's loss stream, same traces, same stats. The
+// construction lives in internal/sim/windowed.go; this package keeps the
+// names callers use.
 package psim
 
 import (
+	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stepsim"
@@ -40,10 +42,10 @@ func ConcurrentTraced(router routing.Router, sessions []sim.Session, p sim.Param
 
 // ConcurrentFaulty is the parallel counterpart of sim.ConcurrentFaulty.
 // Fault decisions are sampled at the barriers in serial event order, so
-// the fault-RNG draw sequence — and therefore every loss, stall and
+// each host pair's loss stream — and therefore every loss, stall and
 // dead-link outcome — matches the serial loop's exactly.
-func ConcurrentFaulty(router routing.Router, sessions []sim.Session, p sim.Params, disc stepsim.Discipline, plan sim.FaultPlan, cfg Config) (*sim.ConcurrentResult, error) {
-	fs, err := plan.Arm()
+func ConcurrentFaulty(router routing.Router, sessions []sim.Session, p sim.Params, disc stepsim.Discipline, plan fault.Plan, cfg Config) (*sim.ConcurrentResult, error) {
+	fs, err := sim.Arm(plan, router)
 	if err != nil {
 		return nil, err
 	}

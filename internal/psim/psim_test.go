@@ -1,13 +1,14 @@
 package psim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/netiface"
+	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stepsim"
@@ -100,20 +101,58 @@ func TestMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestMatchesSerialFaulty pins the fault plane: the RNG draw order, the
+// TestFaultyRefusesWhatItCannotHonour: both schedulers refuse, by type,
+// the plan fields a run without acknowledgments, crashes or a wall clock
+// cannot carry out — a crash or an ACK-loss rate is not silently ignored
+// and reported as a clean makespan — and a kill of a link the network
+// does not have.
+func TestFaultyRefusesWhatItCannotHonour(t *testing.T) {
+	router := meshRouter(4, 2)
+	sessions := overlappingSessions(16)
+	links := len(router.Network().Links())
+	for _, c := range []struct {
+		name string
+		plan fault.Plan
+	}{
+		{"Crashes", fault.Plan{Crashes: []fault.Crash{{Host: 2, At: 1}}}},
+		{"AckDropRate", fault.Plan{AckDropRate: 0.5}},
+		{"ReorderRate", fault.Plan{ReorderRate: 0.5}},
+		{"MaxJitter", fault.Plan{MaxJitter: 1000}},
+		{"Kills (host pair)", fault.Plan{Kills: []fault.Kill{{Link: fault.Pair, From: 1, To: 2}}}},
+		{"Kills (link)", fault.Plan{Kills: []fault.Kill{{Link: links, At: 1}}}},
+	} {
+		_, serr := sim.ConcurrentFaulty(router, sessions, testParams(), stepsim.FPFS, c.plan)
+		_, perr := ConcurrentFaulty(router, sessions, testParams(), stepsim.FPFS, c.plan, Config{Workers: 2})
+		for _, err := range []error{serr, perr} {
+			var re *fault.RefusedError
+			switch {
+			case err == nil:
+				t.Errorf("%s: plan %+v accepted", c.name, c.plan)
+			case c.name == "Kills (link)":
+				if !strings.Contains(err.Error(), "out of range") {
+					t.Errorf("%s: %v, want the link named out of range", c.name, err)
+				}
+			case !errors.As(err, &re) || re.Field != c.name:
+				t.Errorf("%s: %v, want a *fault.RefusedError naming it", c.name, err)
+			}
+		}
+	}
+}
+
+// TestMatchesSerialFaulty pins the fault plane: each loss stream's draw order, the
 // stall accumulation order, and dead-link accounting must all replay the
 // serial sequence, or drops land on different packets.
 func TestMatchesSerialFaulty(t *testing.T) {
 	p := testParams()
-	plan := sim.FaultPlan{
+	plan := fault.Plan{
 		Seed:        42,
 		DropRate:    0.08,
 		CorruptRate: 0.03,
-		Stalls: []sim.HostStall{
-			{Host: 2, Stall: netiface.Stall{From: 10, Until: 40}},
-			{Host: 7, Stall: netiface.Stall{From: 0, Until: 25}},
+		Stalls: []fault.Stall{
+			{Host: 2, From: 10, Until: 40},
+			{Host: 7, From: 0, Until: 25},
 		},
-		Kills: []sim.LinkKill{{Link: 3, At: 30}, {Link: 9, At: 55}},
+		Kills: []fault.Kill{{Link: 3, At: 30}, {Link: 9, At: 55}},
 	}
 	for _, disc := range []stepsim.Discipline{stepsim.FPFS, stepsim.FCFS, stepsim.Conventional} {
 		router := meshRouter(4, 2)
@@ -156,7 +195,7 @@ func TestWindowEdges(t *testing.T) {
 		p     sim.Params
 		disc  stepsim.Discipline
 		cfg   Config
-		plan  *sim.FaultPlan
+		plan  *fault.Plan
 		start float64 // added to every session's Start
 	}{
 		{name: "zero-lookahead-window-override", p: base, disc: stepsim.FPFS, start: 1e300},
@@ -166,11 +205,11 @@ func TestWindowEdges(t *testing.T) {
 		{name: "same-timestamp-forwards", p: zeroOverhead, disc: stepsim.Conventional,
 			cfg: Config{}},
 		{name: "kill-before-boundary", p: base, disc: stepsim.FPFS,
-			plan: &sim.FaultPlan{Seed: 1, Kills: []sim.LinkKill{{Link: 2, At: boundary - eps}}}},
+			plan: &fault.Plan{Seed: 1, Kills: []fault.Kill{{Link: 2, At: boundary - eps}}}},
 		{name: "kill-on-boundary", p: base, disc: stepsim.FPFS,
-			plan: &sim.FaultPlan{Seed: 1, Kills: []sim.LinkKill{{Link: 2, At: boundary}}}},
+			plan: &fault.Plan{Seed: 1, Kills: []fault.Kill{{Link: 2, At: boundary}}}},
 		{name: "kill-after-boundary", p: base, disc: stepsim.FPFS,
-			plan: &sim.FaultPlan{Seed: 1, Kills: []sim.LinkKill{{Link: 2, At: boundary + eps}}}},
+			plan: &fault.Plan{Seed: 1, Kills: []fault.Kill{{Link: 2, At: boundary + eps}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -103,7 +103,7 @@ func (mc *machine) adopted() {
 // fails the whole multicast. The detector is NOT told: the group must
 // discover the crash through silence.
 func (mc *machine) onCrash(h int) {
-	mc.faults.Stats.Crashes++
+	mc.faults.NoteCrash()
 	n := mc.nodes[h]
 	if mc.finished {
 		// Reachable only after a root crash failed the whole operation
@@ -151,7 +151,7 @@ func (mc *machine) wipe(n *node) {
 // a silent fresh re-graft under its nearest live ancestor makes that
 // parent replay everything it holds.
 func (mc *machine) onRecover(h int) {
-	mc.faults.Stats.Recoveries++
+	mc.faults.NoteRecovery()
 	if mc.finished || h == mc.root || mc.nodes[h] == nil || !mc.Member(h) {
 		return
 	}

@@ -7,12 +7,12 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/fault"
 )
 
 // deliverGuarded runs Deliver under a watchdog: a crash scenario must
 // terminate, never hang the event loop.
-func deliverGuarded(t *testing.T, sys *core.System, plan *core.Plan, payload []byte, cfg Config, fp sim.FaultPlan) (*Result, error) {
+func deliverGuarded(t *testing.T, sys *core.System, plan *core.Plan, payload []byte, cfg Config, fp fault.Plan) (*Result, error) {
 	t.Helper()
 	type out struct {
 		res *Result
@@ -47,7 +47,7 @@ func TestCrashStopFirstChild(t *testing.T) {
 		t.Fatalf("host %d has no subtree; scenario needs orphans to adopt", victim)
 	}
 	payload := payloadFor(8, cfg.Params, 42)
-	fp := sim.FaultPlan{Crashes: []sim.HostCrash{{Host: victim, At: 20}}}
+	fp := fault.Plan{Crashes: []fault.Crash{{Host: victim, At: 20}}}
 	res, err := deliverGuarded(t, sys, plan, payload, cfg, fp)
 	if err != nil {
 		t.Fatalf("quorum 1 must tolerate one crash: %v", err)
@@ -96,7 +96,7 @@ func TestCrashRecoveryRejoin(t *testing.T) {
 	payload := payloadFor(6, cfg.Params, 7)
 	// Confirmation lands around 48-60 us (16+12 us timeouts, <= 25% jitter);
 	// recovering at 90 exercises the full rejoin path.
-	fp := sim.FaultPlan{Crashes: []sim.HostCrash{{Host: victim, At: 20, RecoverAt: 90}}}
+	fp := fault.Plan{Crashes: []fault.Crash{{Host: victim, At: 20, RecoverAt: 90}}}
 	res, err := deliverGuarded(t, sys, plan, payload, cfg, fp)
 	if err != nil {
 		t.Fatalf("recovered host should not fail the run: %v", err)
@@ -127,7 +127,7 @@ func TestCrashShortOutage(t *testing.T) {
 	plan := sys.Plan(spec)
 	victim := plan.Tree.Children(plan.Tree.Root())[0]
 	payload := payloadFor(6, cfg.Params, 7)
-	fp := sim.FaultPlan{Crashes: []sim.HostCrash{{Host: victim, At: 20, RecoverAt: 26}}}
+	fp := fault.Plan{Crashes: []fault.Crash{{Host: victim, At: 20, RecoverAt: 26}}}
 	res, err := deliverGuarded(t, sys, plan, payload, cfg, fp)
 	if err != nil {
 		t.Fatalf("short outage should not fail the run: %v", err)
@@ -154,7 +154,7 @@ func TestRootCrashFails(t *testing.T) {
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 31), Packets: 6, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(6, cfg.Params, 7)
-	fp := sim.FaultPlan{Crashes: []sim.HostCrash{{Host: 0, At: 20}}}
+	fp := fault.Plan{Crashes: []fault.Crash{{Host: 0, At: 20}}}
 	res, err := deliverGuarded(t, sys, plan, payload, cfg, fp)
 	var ce *CrashError
 	if !errors.As(err, &ce) || !ce.RootCrashed {
@@ -173,7 +173,7 @@ func TestQuorumSemantics(t *testing.T) {
 	plan := sys.Plan(spec)
 	cfg := DefaultConfig()
 	payload := payloadFor(4, cfg.Params, 5)
-	fp := sim.FaultPlan{Crashes: []sim.HostCrash{
+	fp := fault.Plan{Crashes: []fault.Crash{
 		{Host: spec.Dests[0], At: 15},
 		{Host: spec.Dests[1], At: 15},
 	}}
@@ -211,10 +211,10 @@ func TestCrashDeterminism(t *testing.T) {
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 23)
-	fp := sim.FaultPlan{
+	fp := fault.Plan{
 		Seed:     77,
 		DropRate: 0.05,
-		Crashes: []sim.HostCrash{
+		Crashes: []fault.Crash{
 			{Host: plan.Tree.Children(plan.Tree.Root())[0], At: 18},
 			{Host: spec.Dests[len(spec.Dests)-1], At: 30, RecoverAt: 95},
 		},
@@ -238,10 +238,10 @@ func TestEpochStampsMonotone(t *testing.T) {
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 23)
-	fp := sim.FaultPlan{
+	fp := fault.Plan{
 		Seed:     9,
 		DropRate: 0.03,
-		Crashes:  []sim.HostCrash{{Host: plan.Tree.Children(plan.Tree.Root())[0], At: 18, RecoverAt: 100}},
+		Crashes:  []fault.Crash{{Host: plan.Tree.Children(plan.Tree.Root())[0], At: 18, RecoverAt: 100}},
 	}
 	res, _ := deliverGuarded(t, sys, plan, payload, cfg, fp)
 	if len(res.Accepts) == 0 {
@@ -268,7 +268,7 @@ func TestNoCrashNoMembership(t *testing.T) {
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 31), Packets: 4, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(4, cfg.Params, 13)
-	res, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{Seed: 2, DropRate: 0.05})
+	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: 2, DropRate: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

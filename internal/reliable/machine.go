@@ -5,10 +5,12 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/membership"
 	"repro/internal/message"
 	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // op is one pending data-packet injection across a tree edge. The gen
@@ -27,13 +29,15 @@ type pktState struct {
 	timerGen int
 }
 
-// edgeState is one incarnation of a parent→child tree edge. gen is unique
-// across all incarnations; dead edges ignore every late event.
+// edgeState is one incarnation of a parent→child tree edge, numbered per
+// host pair from 0 like a live fabric's redials, and drawing its losses
+// from that incarnation's stream; dead edges ignore every late event.
 type edgeState struct {
 	from, to int
 	gen      int
 	dead     bool
 	seqs     []pktState
+	loss     fault.Stream
 }
 
 // node is the per-host protocol state: the NI send queue (shared by all
@@ -48,6 +52,7 @@ type node struct {
 	reasm     *message.Reassembler
 	have      []bool
 	haveCount int
+	acks      fault.Stream // the host's ACK/NACK loss stream
 	// inc is the NI incarnation; a crash bumps it so completion callbacks
 	// of copies that were mid-wire become no-ops instead of touching the
 	// wiped send engine.
@@ -67,7 +72,10 @@ type machine struct {
 	root    int
 	pkts    [][]byte
 	eng     *sim.Engine
-	faults  *sim.FaultState
+	faults  *fault.State
+	// jrng draws retransmission-backoff jitter: protocol timing, not a
+	// fault, so it is a stream of its own, seeded from the plan's seed.
+	jrng *workload.RNG
 
 	// sys is the current system view — degraded and re-routed as link
 	// kills are discovered. The maps translate between the degraded
@@ -83,7 +91,8 @@ type machine struct {
 	routes map[[2]int]routing.Route
 	nodes  map[int]*node
 	edges  map[[2]int]*edgeState
-	genCtr int
+	gens   map[[2]int]int // incarnations built per host pair
+	all    []*edgeState   // every incarnation, in creation order
 
 	// brain decides every repair; installed holds the edges its current
 	// decision brought up, for flush to replay into.
@@ -100,7 +109,7 @@ type machine struct {
 	res *Result
 }
 
-func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, faults *sim.FaultState) *machine {
+func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, faults *fault.State, seed uint64) *machine {
 	links := len(sys.Net.Links())
 	mc := &machine{
 		cfg:       cfg,
@@ -112,6 +121,7 @@ func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, fa
 		pkts:      pkts,
 		eng:       sim.NewEngine(sys.Net.NumChannels()),
 		faults:    faults,
+		jrng:      workload.NewRNG(seed ^ 0x9e6c_a61b_60ca_77d5),
 		sys:       sys,
 		origToCur: make([]int, links),
 		curToOrig: make([]int, links),
@@ -119,6 +129,7 @@ func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, fa
 		routes:    map[[2]int]routing.Route{},
 		nodes:     map[int]*node{},
 		edges:     map[[2]int]*edgeState{},
+		gens:      map[[2]int]int{},
 		res: &Result{
 			HostDone:  map[int]float64{},
 			Packets:   len(pkts),
@@ -134,6 +145,7 @@ func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, fa
 			children: append([]int(nil), plan.Tree.Children(v)...),
 			reasm:    message.NewReassembler(),
 			have:     make([]bool, mc.m),
+			acks:     faults.Acks(v),
 		}
 	}
 	for _, e := range plan.Tree.Edges() {
@@ -155,9 +167,12 @@ func newMachine(sys *core.System, plan *core.Plan, pkts [][]byte, cfg Config, fa
 }
 
 func (mc *machine) newEdge(u, v int) *edgeState {
-	mc.genCtr++
-	es := &edgeState{from: u, to: v, gen: mc.genCtr, seqs: make([]pktState, mc.m)}
-	mc.edges[[2]int{u, v}] = es
+	key := [2]int{u, v}
+	gen := mc.gens[key]
+	mc.gens[key]++
+	es := &edgeState{from: u, to: v, gen: gen, seqs: make([]pktState, mc.m), loss: mc.faults.Edge(u, v, gen)}
+	mc.edges[key] = es
+	mc.all = append(mc.all, es)
 	return es
 }
 
@@ -223,9 +238,9 @@ func (mc *machine) pump(v int) {
 }
 
 // inject performs one data-packet transmission: NI overhead, wormhole
-// channel reservation, fault sampling (in the same short-circuit order as
-// the lossless engine, so fault streams replay identically), delivery
-// scheduling, and the retransmission timer. The timer is deterministic:
+// channel reservation, the draw from the incarnation's loss stream (after
+// the dead-link check, as in the lossless engine), delivery scheduling,
+// and the retransmission timer. The timer is deterministic:
 // the NI knows its reservation, so absent loss the ACK beats it by
 // exactly rtoSlack.
 func (mc *machine) inject(n *node, es *edgeState, o op) {
@@ -251,14 +266,17 @@ func (mc *machine) inject(n *node, es *edgeState, o op) {
 	})
 	ep := mc.epoch
 	arriveT := arrive + mc.p.TNIRecv
-	if !mc.faults.RouteDead(route.Channels, start) && !mc.faults.SampleDrop() {
-		if mc.faults.HostDown(o.to, arriveT) {
+	if !mc.faults.RouteDead(route.Channels, start) {
+		raw := mc.pkts[o.seq]
+		drop, bad := es.loss.Transmit(len(raw))
+		switch {
+		case drop:
+		case mc.faults.HostDown(o.to, arriveT):
 			mc.faults.NoteCrashDrop()
-		} else {
-			raw := mc.pkts[o.seq]
-			if mc.faults.SampleCorrupt() {
+		default:
+			if bad >= 0 {
 				raw = append([]byte(nil), raw...)
-				raw[mc.faults.CorruptByte(len(raw))] ^= 0x55
+				raw[bad] ^= 0x55
 			}
 			mc.eng.At(arriveT, func() { mc.receive(o, raw, ep) })
 		}
@@ -280,7 +298,7 @@ func (mc *machine) backoff(prior int) float64 {
 	if d > backoffMax {
 		d = backoffMax
 	}
-	return d * (1 + mc.faults.Jitter(jitterFrac))
+	return d * (1 + mc.jrng.Float64()*jitterFrac)
 }
 
 // ctlDelay is the contention-free control-plane latency from u to v: the
@@ -345,7 +363,7 @@ func (mc *machine) receive(o op, raw []byte, ep int) {
 }
 
 func (mc *machine) sendAck(o op) {
-	if mc.faults.SampleAckDrop() {
+	if mc.nodes[o.to].acks.AckLost() {
 		return
 	}
 	ep := mc.epoch
@@ -353,7 +371,7 @@ func (mc *machine) sendAck(o op) {
 }
 
 func (mc *machine) sendNack(o op) {
-	if mc.faults.SampleAckDrop() {
+	if mc.nodes[o.to].acks.AckLost() {
 		return
 	}
 	ep := mc.epoch

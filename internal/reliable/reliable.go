@@ -61,6 +61,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/membership"
 	"repro/internal/message"
 	"repro/internal/sim"
@@ -187,8 +188,11 @@ type Result struct {
 	// Partitioned reports whether a link kill cut hosts off entirely.
 	Orphaned    []int
 	Partitioned bool
-	// Faults are the injected-fault counters of the run.
-	Faults sim.FaultStats
+	// Faults are the injected-fault counters of the run; Losses what each
+	// edge incarnation's loss stream decided, in creation order (runs
+	// that draw no loss decision have none).
+	Faults fault.Stats
+	Losses []fault.Pattern
 	// Delivered holds each completing destination's reassembled message.
 	Delivered map[int][]byte
 	// Status is the delivery verdict (always Delivered/Failed on crash-free
@@ -283,9 +287,11 @@ func (e *CrashError) Error() string {
 // always returns a Result; the error is a *DeliveryError when a crash-free
 // plan left any destination without the complete message, and a
 // *CrashError when a crash-afflicted run missed its quorum (the fault-plan
-// or config validation errors are ordinary). The run is fully
-// deterministic for a fixed (system, plan, payload, config, fault plan).
-func Deliver(sys *core.System, plan *core.Plan, payload []byte, cfg Config, fp sim.FaultPlan) (*Result, error) {
+// or config validation errors are ordinary; a plan that reorders or
+// jitters, which virtual time cannot, is a *fault.RefusedError). The run
+// is fully deterministic for a fixed (system, plan, payload, config,
+// fault plan).
+func Deliver(sys *core.System, plan *core.Plan, payload []byte, cfg Config, fp fault.Plan) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -293,11 +299,16 @@ func Deliver(sys *core.System, plan *core.Plan, payload []byte, cfg Config, fp s
 	if err != nil {
 		return nil, err
 	}
+	err = fp.Admit("reliable", fault.Drop|fault.Corrupt|fault.AckDrop|fault.Stalls|fault.LinkKills|fault.Crashes,
+		len(sys.Net.Links()), plan.Tree.Contains)
+	if err != nil {
+		return nil, err
+	}
 	pkts, err := message.Packetize(cfg.MsgID, plan.Tree.Root(), payload, cfg.Params.PacketBytes)
 	if err != nil {
 		return nil, err
 	}
-	mc := newMachine(sys, plan, pkts, cfg, faults)
+	mc := newMachine(sys, plan, pkts, cfg, faults, fp.Seed)
 	mc.run()
 	return mc.finish()
 }
@@ -306,7 +317,12 @@ func Deliver(sys *core.System, plan *core.Plan, payload []byte, cfg Config, fp s
 // drains.
 func (mc *machine) finish() (*Result, error) {
 	res := mc.res
-	res.Faults = mc.faults.Stats
+	res.Faults = mc.faults.Stats()
+	for _, es := range mc.all {
+		if p := es.loss.Pattern(); p.Sent > 0 {
+			res.Losses = append(res.Losses, p)
+		}
+	}
 	res.Epoch = mc.epoch
 	res.Crashed = mc.faults.DownHosts(mc.eng.Now())
 	root := mc.root

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/message"
 	"repro/internal/sim"
 	"repro/internal/stepsim"
@@ -52,7 +54,7 @@ func TestLosslessMatchesSim(t *testing.T) {
 				spec := core.Spec{Source: 0, Dests: seqDests(1, nd), Packets: 4, Policy: policy}
 				plan := sc.sys.Plan(spec)
 				payload := payloadFor(4, cfg.Params, 42)
-				res, err := Deliver(sc.sys, plan, payload, cfg, sim.FaultPlan{})
+				res, err := Deliver(sc.sys, plan, payload, cfg, fault.Plan{})
 				if err != nil {
 					t.Fatalf("%s/%v/%d dests: %v", sc.name, policy, nd, err)
 				}
@@ -109,7 +111,7 @@ func TestDropRecovery(t *testing.T) {
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 99)
 	for _, p := range []float64{0.01, 0.05, 0.2} {
-		res, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{Seed: 5, DropRate: p})
+		res, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: 5, DropRate: p})
 		if err != nil {
 			t.Fatalf("p=%f: %v", p, err)
 		}
@@ -134,7 +136,7 @@ func TestExpectedSendsModel(t *testing.T) {
 		sends := 0
 		runs := 6
 		for seed := uint64(1); seed <= uint64(runs); seed++ {
-			res, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{Seed: seed, DropRate: p})
+			res, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: seed, DropRate: p})
 			if err != nil {
 				t.Fatalf("p=%f seed=%d: %v", p, seed, err)
 			}
@@ -157,7 +159,7 @@ func TestCorruptionNacked(t *testing.T) {
 	spec := core.Spec{Source: 2, Dests: seqDests(3, 31), Packets: 8, Policy: core.BinomialTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 11)
-	res, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{Seed: 9, CorruptRate: 0.05})
+	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: 9, CorruptRate: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +180,11 @@ func TestAckLossDuplicates(t *testing.T) {
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 31), Packets: 6, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(6, cfg.Params, 13)
-	res, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{Seed: 21, AckDropRate: 0.2})
+	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: 21, AckDropRate: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Faults.AcksLost == 0 {
+	if res.Faults.AcksDropped == 0 {
 		t.Fatal("fault plan lost no ACKs")
 	}
 	if res.Duplicates == 0 {
@@ -201,7 +203,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 7), Packets: 2, Policy: core.LinearTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(2, cfg.Params, 17)
-	res, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{Seed: 3, DropRate: 0.9})
+	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: 3, DropRate: 0.9})
 	if err == nil {
 		t.Skip("seed delivered despite 90% loss; pick another seed")
 	}
@@ -230,7 +232,7 @@ func TestDeterminism(t *testing.T) {
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 23)
-	fp := sim.FaultPlan{Seed: 77, DropRate: 0.05, CorruptRate: 0.01, AckDropRate: 0.05}
+	fp := fault.Plan{Seed: 77, DropRate: 0.05, CorruptRate: 0.01, AckDropRate: 0.05}
 	a, errA := Deliver(sys, plan, payload, cfg, fp)
 	b, errB := Deliver(sys, plan, payload, cfg, fp)
 	if (errA == nil) != (errB == nil) {
@@ -253,7 +255,7 @@ func TestParallelDeliver(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		seed := uint64(i + 1)
 		go func() {
-			_, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{Seed: seed, DropRate: 0.02})
+			_, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: seed, DropRate: 0.02})
 			done <- err
 		}()
 	}
@@ -271,11 +273,41 @@ func TestConfigValidation(t *testing.T) {
 	plan := sys.Plan(spec)
 	bad := DefaultConfig()
 	bad.RetryBudget = 0
-	if _, err := Deliver(sys, plan, []byte{1}, bad, sim.FaultPlan{}); err == nil {
+	if _, err := Deliver(sys, plan, []byte{1}, bad, fault.Plan{}); err == nil {
 		t.Error("zero retry budget accepted")
 	}
 	cfg := DefaultConfig()
-	if _, err := Deliver(sys, plan, []byte{1}, cfg, sim.FaultPlan{DropRate: 1.5}); err == nil {
+	if _, err := Deliver(sys, plan, []byte{1}, cfg, fault.Plan{DropRate: 1.5}); err == nil {
 		t.Error("invalid fault plan accepted")
+	}
+}
+
+// TestDeliverRefusesWhatTheRunLacks: a plan naming a link the network does
+// not have, or a host outside the tree, is refused before the run — not
+// reported delivered with nothing dead, or with a phantom crash — and so is
+// a field virtual time cannot carry out, by type.
+func TestDeliverRefusesWhatTheRunLacks(t *testing.T) {
+	sys := irregular64(1) // 95 links
+	cfg := DefaultConfig()
+	plan := sys.Plan(core.Spec{Source: 0, Dests: seqDests(1, 15), Packets: 4, Policy: core.OptimalTree})
+	payload := payloadFor(4, cfg.Params, 3)
+	for _, c := range []struct {
+		name, want string
+		fp         fault.Plan
+		refused    bool
+	}{
+		{"kill-link-95", "kill link 95 out of range (network has links 0..94)", fault.Plan{Kills: []fault.Kill{{Link: 95, At: 10}}}, false},
+		{"kill-link-99999", "kill link 99999 out of range", fault.Plan{Kills: []fault.Kill{{Link: 99999, At: 10}}}, false},
+		{"crash-host-99999", "crash of host 99999 outside the tree", fault.Plan{Crashes: []fault.Crash{{Host: 99999, At: 10}}}, false},
+		{"crash-host-40", "crash of host 40 outside the tree", fault.Plan{Crashes: []fault.Crash{{Host: 40, At: 10}}}, false},
+		{"pair-kill", "Kills (host pair)", fault.Plan{Kills: []fault.Kill{{Link: fault.Pair, From: 0, To: 1}}}, true},
+		{"reorder", "ReorderRate", fault.Plan{ReorderRate: 0.1}, true},
+		{"jitter", "MaxJitter", fault.Plan{MaxJitter: 1000}, true},
+	} {
+		res, err := Deliver(sys, plan, payload, cfg, c.fp)
+		var re *fault.RefusedError
+		if res != nil || err == nil || !strings.Contains(err.Error(), c.want) || errors.As(err, &re) != c.refused {
+			t.Errorf("%s: Deliver = %v, %v; want a refusal naming %q (typed: %v)", c.name, res, err, c.want, c.refused)
+		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/fault"
 	"repro/internal/topology"
 )
 
@@ -47,13 +47,13 @@ func TestLinkKillRepair(t *testing.T) {
 
 	// Kill mid-flight: after the source's t_s but well before the
 	// lossless completion, so transmissions are genuinely severed.
-	lossless, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{})
+	lossless, err := Deliver(sys, plan, payload, cfg, fault.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	killAt := cfg.Params.THostSend + (lossless.Latency-cfg.Params.THostSend)/3
-	res, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{
-		Kills: []sim.LinkKill{{Link: link, At: killAt}},
+	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{
+		Kills: []fault.Kill{{Link: link, At: killAt}},
 	})
 	if err != nil {
 		t.Fatalf("delivery failed despite repairable kill: %v", err)
@@ -85,10 +85,10 @@ func TestLinkKillRepairDeterministic(t *testing.T) {
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 51)
 	link := killableDataLink(t, sys, plan)
-	fp := sim.FaultPlan{
+	fp := fault.Plan{
 		DropRate: 0.01,
 		Seed:     5,
-		Kills:    []sim.LinkKill{{Link: link, At: 30}},
+		Kills:    []fault.Kill{{Link: link, At: 30}},
 	}
 	a, errA := Deliver(sys, plan, payload, cfg, fp)
 	b, errB := Deliver(sys, plan, payload, cfg, fp)
@@ -123,8 +123,8 @@ func TestHostLinkKillPartitions(t *testing.T) {
 		t.Fatal("tree has no leaf destination")
 	}
 	link := sys.Net.HostLink(victim).ID
-	res, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{
-		Kills: []sim.LinkKill{{Link: link, At: cfg.Params.THostSend}},
+	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{
+		Kills: []fault.Kill{{Link: link, At: cfg.Params.THostSend}},
 	})
 	var de *DeliveryError
 	if !errors.As(err, &de) {
@@ -193,8 +193,8 @@ func TestBridgeKillPartitions(t *testing.T) {
 			far = append(far, d)
 		}
 	}
-	res, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{
-		Kills: []sim.LinkKill{{Link: bridge, At: cfg.Params.THostSend + 5}},
+	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{
+		Kills: []fault.Kill{{Link: bridge, At: cfg.Params.THostSend + 5}},
 	})
 	var de *DeliveryError
 	if !errors.As(err, &de) || !de.Partitioned {
@@ -249,8 +249,8 @@ func TestDoubleKillRepair(t *testing.T) {
 	if second < 0 {
 		t.Skip("no second independently killable link on the data path")
 	}
-	res, err := Deliver(sys, plan, payload, cfg, sim.FaultPlan{
-		Kills: []sim.LinkKill{{Link: first, At: 25}, {Link: second, At: 60}},
+	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{
+		Kills: []fault.Kill{{Link: first, At: 25}, {Link: second, At: 60}},
 	})
 	if err != nil {
 		t.Fatalf("delivery failed: %v", err)

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/fault"
 )
 
 // A destination crash-stops shortly before the root crashes: the root
@@ -19,7 +19,7 @@ func TestRootCrashWithUnconfirmedDestCrash(t *testing.T) {
 	plan := sys.Plan(spec)
 	victim := plan.Tree.Children(plan.Tree.Root())[0]
 	payload := payloadFor(6, cfg.Params, 7)
-	fp := sim.FaultPlan{Crashes: []sim.HostCrash{
+	fp := fault.Plan{Crashes: []fault.Crash{
 		{Host: victim, At: 20},
 		{Host: plan.Tree.Root(), At: 25},
 	}}

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/stepsim"
 )
 
@@ -62,7 +63,7 @@ func BenchmarkEngineMulticastLossy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ConcurrentFaulty(r, sessions, p, stepsim.FPFS, FaultPlan{Seed: uint64(i + 1), DropRate: 0.02}); err != nil {
+		if _, err := ConcurrentFaulty(r, sessions, p, stepsim.FPFS, fault.Plan{Seed: uint64(i + 1), DropRate: 0.02}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/stepsim"
 	"repro/internal/tree"
 )
@@ -106,7 +107,7 @@ func TestEnginePoolDeterminism(t *testing.T) {
 		}
 	}
 	// And under a lossy fault plane (drops recycle ops on the early path).
-	plan := FaultPlan{Seed: 3, DropRate: 0.2}
+	plan := fault.Plan{Seed: 3, DropRate: 0.2}
 	sessions := []Session{{Tree: tr, Packets: 5}}
 	f1, err := ConcurrentFaulty(r, sessions, p, stepsim.FPFS, plan)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/psim"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -59,13 +60,13 @@ func goldenLosslessParams(ports int) sim.Params {
 // first session's last root child exactly on the first window boundary
 // (first event at t_s, lookahead t_ns + wire) — the fencepost a window
 // handover bug would move.
-func goldenFaultPlan(seed uint64, router routing.Router, sessions []sim.Session, p sim.Params) sim.FaultPlan {
+func goldenFaultPlan(seed uint64, router routing.Router, sessions []sim.Session, p sim.Params) fault.Plan {
 	tr := sessions[0].Tree
 	kids := tr.Children(tr.Root())
-	return sim.FaultPlan{
+	return fault.Plan{
 		Seed:     seed,
 		DropRate: 0.05,
-		Kills: []sim.LinkKill{{
+		Kills: []fault.Kill{{
 			Link: router.Network().HostLink(kids[len(kids)-1]).ID,
 			At:   p.THostSend + p.TNISend + p.WireTime(),
 		}},
@@ -79,7 +80,7 @@ func renderGolden(res *sim.ConcurrentResult, trace []sim.TraceEvent) string {
 	bits := math.Float64bits
 	fmt.Fprintf(&b, "sends %d\nchannelwait %016x\nmakespan %016x\n", res.Sends, bits(res.ChannelWait), bits(res.Makespan))
 	f := res.Faults
-	fmt.Fprintf(&b, "faults %d %d %d %d %d %d %d %016x\n", f.Dropped, f.Corrupted, f.AcksLost,
+	fmt.Fprintf(&b, "faults %d %d %d %d %d %d %d %016x\n", f.Dropped, f.Corrupted, f.AcksDropped,
 		f.DeadSends, f.CrashDrops, f.Crashes, f.Recoveries, bits(f.StallWait))
 	floats := func(label string, m map[int]float64) {
 		keys := make([]int, 0, len(m))
@@ -137,7 +138,12 @@ func renderGolden(res *sim.ConcurrentResult, trace []sim.TraceEvent) string {
 //	go test ./internal/sim -run TestGoldenFixtures -update
 //
 // which writes what sim.ConcurrentTraced / sim.ConcurrentFaulty return.
-// Regenerating them from a later engine defeats their purpose.
+// Regenerating them from a later engine defeats their purpose. They were
+// regenerated once, when the fault plane (internal/fault) replaced the
+// run-wide loss stream with one stream per host pair: only the "== faulty"
+// sections moved — the same seed drops different copies — while every
+// "== lossless" section stayed byte-identical, and psim still matched sim
+// at 1 and 3 workers.
 func TestGoldenFixtures(t *testing.T) {
 	discs := []struct {
 		name string

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 
+	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/stepsim"
 	"repro/internal/tree"
@@ -292,7 +293,7 @@ type model struct {
 	router routing.Router
 	wire   float64
 	ports  int32
-	faults *FaultState
+	faults *fault.State
 	specs  []Session
 
 	numHosts int
@@ -319,6 +320,9 @@ type model struct {
 	cfgRoutes map[[2]int]routing.Route // caller-supplied, consulted first
 	found     [][]int                  // fillTab: per edge, its cfgRoutes channels
 	ctr       uint64                   // last seq handed out
+	// streams holds each host pair's loss stream (generation 0: a
+	// simulated edge is never redialed), drawn in resolve order.
+	streams map[uint64]*fault.Stream
 
 	res    *ConcurrentResult
 	traced bool
@@ -346,7 +350,7 @@ var modelFree = make(chan *model, runtime.GOMAXPROCS(0))
 
 // run executes sessions under the serial scheduler (cfg nil) or the
 // windowed one.
-func run(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, traced bool, faults *FaultState, cfg *WindowConfig) (*ConcurrentResult, []TraceEvent) {
+func run(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, traced bool, faults *fault.State, cfg *WindowConfig) (*ConcurrentResult, []TraceEvent) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
@@ -367,6 +371,7 @@ func run(router routing.Router, sessions []Session, p Params, disc stepsim.Disci
 	}
 	defer func() {
 		e.specs, e.faults, e.res, e.trace, e.cfgRoutes = nil, nil, nil, nil, nil
+		clear(e.streams)
 		select {
 		case modelFree <- e:
 		default:
@@ -766,9 +771,9 @@ func (e *model) pump(w *worker, v int32, now float64) {
 
 // resolve performs one action against shared state. Everything whose
 // order across hosts matters lives here: the float additions that make up
-// ChannelWait, the short-circuit fault sampling (one RNG draw sequence),
-// and seq assignment — complete before deliver, so that at router delay
-// zero a packet has left its sender before it arrives.
+// ChannelWait, the draws from each host pair's loss stream, and seq
+// assignment — complete before deliver, so that at router delay zero a
+// packet has left its sender before it arrives.
 func (e *model) resolve(act *action) {
 	switch act.kind {
 	case aIntent:
@@ -791,7 +796,7 @@ func (e *model) resolve(act *action) {
 		// never delivers. The sender still paid t_ns and the channel holds —
 		// loss is detected only by the absence of the packet, as on real
 		// fabrics.
-		delivers := !(e.faults.RouteDead(chans, start) || e.faults.SampleDrop() || e.faults.SampleCorrupt())
+		delivers := !(e.faults.RouteDead(chans, start) || e.lost(v, int(ed.child)))
 		e.ctr++
 		e.mail(pevent{at: start + e.wire, ord: e.ctr, kind: evComplete,
 			sess: act.sess, host: act.host, arg: act.packet})
@@ -827,6 +832,26 @@ func (e *model) resolve(act *action) {
 	}
 }
 
+// lost draws one transmission v->c from the pair's loss stream: dropped,
+// or corrupted and so discarded by the receiver's checksum.
+func (e *model) lost(v, c int) bool {
+	if e.faults == nil {
+		return false
+	}
+	if e.streams == nil {
+		e.streams = make(map[uint64]*fault.Stream)
+	}
+	key := uint64(v)<<32 | uint64(c)
+	st := e.streams[key]
+	if st == nil {
+		st = new(fault.Stream)
+		*st = e.faults.Edge(v, c, 0)
+		e.streams[key] = st
+	}
+	drop, corrupt := st.Transmit(e.p.PacketBytes)
+	return drop || corrupt >= 0
+}
+
 // finish assembles the ConcurrentResult from the session tables.
 func (e *model) finish() {
 	for si, tab := range e.tabs[:len(e.specs)] {
@@ -859,9 +884,7 @@ func (e *model) finish() {
 		}
 		e.res.Makespan = math.Max(e.res.Makespan, last)
 	}
-	if e.faults != nil {
-		e.res.Faults = e.faults.Stats
-	}
+	e.res.Faults = e.faults.Stats()
 	for _, v := range e.involved {
 		forwarder := false
 		for _, tab := range e.tabs[:len(e.specs)] {

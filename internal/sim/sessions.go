@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 
+	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/stepsim"
 	"repro/internal/tree"
@@ -40,7 +41,7 @@ type ConcurrentResult struct {
 	Makespan float64
 	// Faults counts the faults injected during the run (zero value when
 	// the run was lossless).
-	Faults FaultStats
+	Faults fault.Stats
 	// Incomplete is, per session, the nodes starved by lost packets and
 	// how many packets each is missing. Always nil for lossless runs; this
 	// engine does not retransmit (package reliable does).
@@ -84,13 +85,24 @@ func Concurrent(router routing.Router, sessions []Session, p Params, disc stepsi
 // unfolds, and the fault counters land in the result. This engine has no
 // retransmission — lost packets starve their subtree, reported via
 // Incomplete — which is precisely the gap package reliable closes.
-func ConcurrentFaulty(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, plan FaultPlan) (*ConcurrentResult, error) {
-	fs, err := plan.Arm()
+func ConcurrentFaulty(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, plan fault.Plan) (*ConcurrentResult, error) {
+	fs, err := Arm(plan, router)
 	if err != nil {
 		return nil, err
 	}
 	res, _ := run(router, sessions, p, disc, false, fs, nil)
 	return res, nil
+}
+
+// Arm arms a plan for the packet simulators, refusing what a run without
+// acknowledgments, host crashes or a wall clock cannot carry out (ACK
+// loss, crashes, reordering, jitter, host-pair kills) and any kill of a
+// link the router's network does not have.
+func Arm(plan fault.Plan, router routing.Router) (*fault.State, error) {
+	if err := plan.Admit("sim", fault.Drop|fault.Corrupt|fault.Stalls|fault.LinkKills, len(router.Network().Links()), nil); err != nil {
+		return nil, err
+	}
+	return plan.Arm()
 }
 
 // ConcurrentTraced is Concurrent with optional event recording. With

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/stepsim"
@@ -73,7 +74,7 @@ type WindowStats struct {
 
 // ConcurrentWindowed is ConcurrentTraced under the windowed scheduler, with
 // an optional armed fault state. Package psim is its public face.
-func ConcurrentWindowed(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, traced bool, faults *FaultState, cfg WindowConfig) (*ConcurrentResult, []TraceEvent) {
+func ConcurrentWindowed(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, traced bool, faults *fault.State, cfg WindowConfig) (*ConcurrentResult, []TraceEvent) {
 	return run(router, sessions, p, disc, traced, faults, &cfg)
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/stepsim"
 	"repro/internal/topology"
@@ -61,17 +62,17 @@ func TestWindowedMatchesSerialRandomized(t *testing.T) {
 
 		// A third of the cases run under loss, half of those with a link
 		// dying on the first session's first window boundary.
-		var plan *FaultPlan
+		var plan *fault.Plan
 		if rng.Intn(3) == 0 {
-			plan = &FaultPlan{Seed: rng.Uint64(), DropRate: 0.1, CorruptRate: 0.03}
+			plan = &fault.Plan{Seed: rng.Uint64(), DropRate: 0.1, CorruptRate: 0.03}
 			if rng.Intn(2) == 0 {
-				plan.Kills = []LinkKill{{
+				plan.Kills = []fault.Kill{{
 					Link: rng.Intn(len(net.Links())),
 					At:   sessions[0].Start + p.THostSend + p.TNISend + p.WireTime(),
 				}}
 			}
 		}
-		arm := func() *FaultState {
+		arm := func() *fault.State {
 			if plan == nil {
 				return nil
 			}

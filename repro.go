@@ -34,9 +34,9 @@ import (
 	"repro/internal/collectives"
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/ktree"
 	"repro/internal/membership"
-	"repro/internal/netiface"
 	"repro/internal/reliable"
 	"repro/internal/sim"
 	"repro/internal/stepsim"
@@ -118,21 +118,20 @@ func DefaultIrregularConfig() IrregularConfig { return topology.DefaultIrregular
 // DefaultParams are the paper's Section 5.2 technology constants.
 func DefaultParams() Params { return sim.DefaultParams() }
 
-// Fault injection and reliable delivery (see internal/sim and
+// Fault injection and reliable delivery (see internal/fault and
 // internal/reliable).
 type (
 	// FaultPlan describes the dynamic faults of one run: seeded packet
-	// drop/corruption/ACK-loss probabilities, NI stall windows, and
-	// scheduled link kills. The zero value is lossless.
-	FaultPlan = sim.FaultPlan
+	// drop/corruption/ACK-loss probabilities, NI stall windows, scheduled
+	// link kills and host crashes, times in microseconds. The zero value
+	// is lossless.
+	FaultPlan = fault.Plan
 	// LinkKill schedules the death of one link at an absolute time.
-	LinkKill = sim.LinkKill
-	// HostStall freezes one host's NI send engine during a window.
-	HostStall = sim.HostStall
-	// Stall is one half-open [From, Until) send-freeze window.
-	Stall = netiface.Stall
+	LinkKill = fault.Kill
+	// HostStall freezes one host's NI send engine during [From, Until).
+	HostStall = fault.Stall
 	// FaultStats counts the faults a run actually injected.
-	FaultStats = sim.FaultStats
+	FaultStats = fault.Stats
 	// ReliableConfig tunes the ACK/NACK retransmission protocol.
 	ReliableConfig = reliable.Config
 	// ReliableResult reports one reliable multicast delivery.
@@ -142,7 +141,7 @@ type (
 	DeliveryError = reliable.DeliveryError
 	// HostCrash schedules a crash-stop (RecoverAt 0) or crash-recovery
 	// host fault at an absolute time.
-	HostCrash = sim.HostCrash
+	HostCrash = fault.Crash
 	// CrashError is the typed failure when host crashes leave delivery
 	// below the configured quorum (or take down the root).
 	CrashError = reliable.CrashError

@@ -164,7 +164,7 @@ var optionAllow = map[string]string{
 
 // optionStructs are the option types whose names do not end in Config or
 // Params.
-var optionStructs = map[string]bool{"link.Faults": true, "sim.FaultPlan": true}
+var optionStructs = map[string]bool{"fault.Plan": true}
 
 // TestEveryOptionHasACaller fails naming each exported field of an option
 // struct under internal/ — an exported struct type whose name ends in
