@@ -77,12 +77,15 @@ soak:
 # engine — seeded loss/corruption/reordering, NI crash-stops and amnesiac
 # rejoins — under the race detector, restricted to the four chaos-plane
 # invariants and loss-pattern-agreement (the machine and the live engine
-# drop the same transmissions) so the live engine is what the wall clock
-# buys. -workers 1: the chaos cases are wall-clock timed; oversubs-
-# cribing cores makes real goroutine schedules, not throughput.
+# drop the same transmissions). mcastcheck runs the engine in virtual time
+# (live.RunVirtual), so a failure replays bit-exact from its token; the
+# same 250 cases then run on the wall-clock engine's real goroutines and
+# timers (TestLiveFaultyWallClock250Cases), whose interleavings virtual
+# time does not explore.
 chaos-soak:
 	$(GO) run -race ./cmd/mcastcheck -n 250 -seed 3 -workers 1 \
 		-only live-faulty-terminates,live-survivor-bytes,live-epoch-monotone,live-faulty-lossless-identity,loss-pattern-agreement
+	$(GO) test -race -count=1 -run TestLiveFaultyWallClock250Cases ./internal/check
 
 # Net soak: the socket rung of the differential ladder. Runs the
 # loopback-UDP soak (120 fixed-seed broadcasts over real sockets), a
@@ -146,20 +149,16 @@ psim-soak:
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 13 -workers 1 -only psim-matches-sim
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 13 -workers 4 -only psim-matches-sim
 
-# Virtual soak: the shipped reliable runtime on the standard library's fake
-# clock (internal/live/virtual_test.go, testing/synctest): 2,000 seeds x
+# Virtual soak: the shipped reliable runtime in virtual time
+# (live.RunVirtual, internal/live/virtual_test.go): 2,000 seeds x
 # {loss + ACK loss + corruption + reordering + jitter, crash-stop,
-# crash-recovery} of live.RunReliable at DefaultReliableConfig, minutes of
-# timer waits in seconds of wall clock, plain and under the race detector.
-# The file is compiled only under GOEXPERIMENT=synctest, which Go 1.24
-# introduced: toolchains without it skip with a note, as staticcheck does.
+# crash-recovery} at DefaultReliableConfig, minutes of timer waits in
+# seconds of wall clock, plain and under the race detector. Each of the
+# -count=20 runs of the test sweeps the next 100 seeds; tier-1's one run
+# sweeps the first 100.
 virtual-soak:
-	@if GOEXPERIMENT=synctest $(GO) list testing/synctest >/dev/null 2>&1; then \
-		GOEXPERIMENT=synctest $(GO) test -count=1 -run TestVirtualTimeChaos -v ./internal/live && \
-		GOEXPERIMENT=synctest $(GO) test -race -count=1 -run TestVirtualTimeChaos ./internal/live; \
-	else \
-		echo "no testing/synctest under GOEXPERIMENT=synctest in $$($(GO) version); skipping (needs Go 1.24)"; \
-	fi
+	$(GO) test -count=20 -run TestVirtualTimeChaos -v ./internal/live
+	$(GO) test -race -count=20 -run TestVirtualTimeChaos ./internal/live
 
 # Flake hunt: the wall-clock packages' tests 20 times at GOMAXPROCS 1 and 2
 # while a loop of flit-simulator and experiment tests keeps both CPUs busy —

@@ -245,8 +245,8 @@ type world struct {
 	plan *core.Plan
 	n, m int
 
-	// liveRel memoizes the chaos-plane live arm: one real goroutine run
-	// (tens of milliseconds of wall clock on crash instances) shared by
+	// liveRel memoizes the chaos-plane live arm: one run of the shipped
+	// runtime in virtual time (milliseconds of wall clock), shared by
 	// every live-faulty invariant of the instance.
 	liveRelOnce sync.Once
 	liveRelRes  *live.ReliableResult

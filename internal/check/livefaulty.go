@@ -14,7 +14,7 @@ import (
 )
 
 // liveStep maps the instance's abstract crash steps onto the live
-// runtime's wall clock. With the pacing jitter below, a whole message
+// runtime's clock. With the pacing jitter below, a whole message
 // takes a few to tens of milliseconds to flood the tree, so steps in the
 // generator's 1..24 window (2..48 ms) land mid-protocol exactly as they
 // do on the simulator clock. Short crash-recovery windows heal through
@@ -49,11 +49,11 @@ func (in Instance) liveFaults() fault.Plan {
 }
 
 // liveReliableConfig is the harness configuration of the faulty live arm:
-// RTOs fast enough that a 250-case sweep stays in seconds, a retry budget
-// deep enough that a spurious orphan at the harness loss rates (p <= 0.15
-// plus <= 0.04 corruption) is a ~(0.2)^21 event, and quorum 1 so a crash
-// instance reports partial delivery instead of a quorum error — the
-// survivor-bytes invariant judges the survivors directly.
+// RTOs fast enough that a 250-case sweep on the wall clock stays in
+// seconds, a retry budget deep enough that a spurious orphan at the harness
+// loss rates (p <= 0.15 plus <= 0.04 corruption) is a ~(0.2)^21 event, and
+// quorum 1 so a crash instance reports partial delivery instead of a quorum
+// error — the survivor-bytes invariant judges the survivors directly.
 func (in Instance) liveReliableConfig() live.ReliableConfig {
 	cfg := live.DefaultReliableConfig()
 	cfg.Live = in.liveConfig()
@@ -80,8 +80,8 @@ func (in Instance) liveReliableConfig() live.ReliableConfig {
 }
 
 // liveFaultyRun executes (once per world) the instance's plan on the
-// reliable live engine under the derived chaos plane. All four
-// live-faulty invariants read this one run.
+// reliable live engine, in virtual time, under the derived chaos plane:
+// bit-exact by seed. All four live-faulty invariants read this one run.
 func (w *world) liveFaultyRun() (*live.ReliableResult, error) {
 	w.liveRelOnce.Do(func() {
 		payload := w.inst.livePayload()
@@ -90,7 +90,7 @@ func (w *world) liveFaultyRun() (*live.ReliableResult, error) {
 			w.liveRelErr = fmt.Errorf("packetize: %v", err)
 			return
 		}
-		w.liveRelRes, w.liveRelErr = live.RunReliable(
+		w.liveRelRes, w.liveRelErr = live.RunVirtual(
 			live.Session{Tree: w.plan.Tree, Packets: pkts, MsgID: 1},
 			w.inst.liveReliableConfig())
 	})
@@ -111,7 +111,7 @@ func (in Instance) crashStopped() map[int]bool {
 
 // checkLiveFaultyTerminates is the liveness arm: every harness fault plan
 // — loss, corruption, reordering, ACK loss, crash-stops, recoveries —
-// must drive the real goroutine engine to a clean verdict, never into the
+// must drive the shipped engine to a clean verdict, never into the
 // watchdog. At the harness retry budget a typed delivery failure is
 // admissible only in the one legitimate case: every destination
 // crash-stopped, so quorum 1 is unreachable.
@@ -149,8 +149,8 @@ func checkLiveFaultyTerminates(w *world) error {
 
 // checkLossPatternAgreement holds the two worlds to one loss model: under
 // a loss-only plan, every edge incarnation draws its n-th transmission
-// from the same stream in the virtual-time machine and on the in-process
-// live fabric, so both drop the same ones among the first j, j the
+// from the same stream in the virtual-time machine and in the shipped
+// runtime's virtual time, so both drop the same ones among the first j, j the
 // smaller of the two send counts (capped at the 64 a pattern records).
 // Every send must have drawn, and every tree edge's first incarnation
 // must appear in both.
@@ -171,7 +171,7 @@ func checkLossPatternAgreement(w *world) error {
 	}
 	cfg := w.inst.liveReliableConfig()
 	cfg.Faults = fp
-	lv, err := live.RunReliable(live.Session{Tree: w.plan.Tree, Packets: pkts, MsgID: rcfg.MsgID}, cfg)
+	lv, err := live.RunVirtual(live.Session{Tree: w.plan.Tree, Packets: pkts, MsgID: rcfg.MsgID}, cfg)
 	if lv == nil {
 		return fmt.Errorf("live run produced no result: %v", err)
 	}
@@ -181,7 +181,7 @@ func checkLossPatternAgreement(w *world) error {
 		world  string
 		sends  int
 		losses []fault.Pattern
-	}{{"machine", vm.Sends, vm.Losses}, {"live fabric", lv.Sends, lv.Losses}} {
+	}{{"machine", vm.Sends, vm.Losses}, {"live runtime", lv.Sends, lv.Losses}} {
 		drawn := 0
 		for _, l := range r.losses {
 			drawn += l.Sent
@@ -208,13 +208,13 @@ func checkLossPatternAgreement(w *world) error {
 			mask = 1<<j - 1
 		}
 		if (m.Lost^l.Lost)&mask != 0 {
-			return fmt.Errorf("edge %d->%d incarnation %d: the machine lost %b of its %d sends, the live fabric %b of its %d",
+			return fmt.Errorf("edge %d->%d incarnation %d: the machine lost %b of its %d sends, the live runtime %b of its %d",
 				m.From, m.To, m.Gen, m.Lost, m.Sent, l.Lost, l.Sent)
 		}
 	}
 	for _, e := range w.plan.Tree.Edges() {
 		if !first[[2]int{e.Parent, e.Child}] {
-			return fmt.Errorf("edge %d->%d: first incarnation missing from the machine's or the live fabric's loss patterns", e.Parent, e.Child)
+			return fmt.Errorf("edge %d->%d: first incarnation missing from the machine's or the live runtime's loss patterns", e.Parent, e.Child)
 		}
 	}
 	return nil

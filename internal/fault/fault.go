@@ -248,11 +248,10 @@ func (s *State) Stats() Stats {
 }
 
 // Quiet reports whether the plan leaves every transmission alone: no
-// loss, corruption, reordering, jitter, stall or kill.
+// loss, corruption, reordering, jitter, stall or kill (or no plan).
 func (s *State) Quiet() bool {
-	p := s.p
-	return p.DropRate == 0 && p.CorruptRate == 0 && p.ReorderRate == 0 && p.MaxJitter == 0 &&
-		len(p.Stalls) == 0 && len(p.Kills) == 0
+	return s == nil || s.p.DropRate == 0 && s.p.CorruptRate == 0 && s.p.ReorderRate == 0 &&
+		s.p.MaxJitter == 0 && len(s.p.Stalls) == 0 && len(s.p.Kills) == 0
 }
 
 // StallDelay returns how long host h's send engine, attempted at t, must

@@ -17,10 +17,9 @@ type EdgeAck struct {
 	Seq, Epoch int
 }
 
-// EdgeSenderConfig parameterizes one EdgeSender incarnation. An edge a
-// ReliableShare builds belongs to its session, which stamps its epoch,
-// holds its crash schedule and hears of its death; a bare edge (nil
-// session) sends at epoch 0, is never down, and dies unheard.
+// EdgeSenderConfig parameterizes one EdgeSender incarnation. Every edge
+// belongs to a session, a ReliableShare's or a bare edge's own, which
+// stamps its epoch, keeps its clock and crash schedule, and hears it die.
 type EdgeSenderConfig struct {
 	Packets     [][]byte      // the session's wire packets, indexed by sequence
 	RTO         time.Duration // base retransmission timeout
@@ -31,21 +30,21 @@ type EdgeSenderConfig struct {
 	Abort <-chan struct{} // runtime teardown
 }
 
-// EdgeSender is one reliable tree-edge incarnation: a dedicated sender
-// goroutine owning the edge's transport and its one retransmission timer.
-// It wakes only to send: an enqueued packet, or what the timer finds due.
-// Packets are sent serially in enqueue order (sequence order from a
-// single parent), so a zero-fault plane reproduces the lossless engine's
-// per-edge FIFO behavior exactly.
+// EdgeSender is one reliable tree-edge incarnation: the edge's transport
+// and one retransmission timer, stepped by its goroutine (Run) or by
+// RunVirtual's events. It wakes only to send: an enqueued packet, or what
+// the timer finds due. Packets go serially in enqueue order (sequence
+// order from a single parent), so a zero-fault plane reproduces the
+// lossless engine's per-edge FIFO behavior exactly.
 //
 // Enqueue, Ack and Cancel may be called from any goroutine: an ACK is a
-// mark the sender reads before it sends, Cancel a flag. Run owns the
+// mark the sender reads before it sends, Cancel a flag. The steps own the
 // rest; read Sends and Retransmits only after the runtime's WaitGroup
 // drains (cancelled edges keep their counts — they happened).
 type EdgeSender struct {
 	tr   link.Transport
 	cfg  EdgeSenderConfig
-	s    *ReliableShare // the session; nil for a bare edge
+	s    *ReliableShare // the session
 	in   chan int       // novel/replayed sequence numbers from the owning NI
 	jrng *workload.RNG  // backoff jitter stream
 
@@ -53,24 +52,34 @@ type EdgeSender struct {
 	cancelled atomic.Bool
 	fenced    atomic.Int64 // stale-epoch ACKs discarded
 
-	attempts    []int       // per packet: transmissions so far (0: unsent)
-	due         []time.Time // per packet: when it is next resent
+	attempts    []int           // per packet: transmissions so far (0: unsent)
+	due         []time.Duration // per packet: when it is next resent, on the session's clock
+	next        time.Duration   // the earliest due the timer must wake for (forever: none)
+	armed       time.Duration   // the due the timer is set for (0: stopped or spent)
 	sends       int
 	retransmits int
 }
 
-// NewEdgeSender builds an incarnation over the given transport. The
-// caller starts the loop with go es.Run().
+// NewEdgeSender builds a bare incarnation over the given transport, of a
+// session of its own: on the wall clock, at epoch 0, never down, its death
+// heard by nobody. The caller starts the loop with go es.Run().
 func NewEdgeSender(tr link.Transport, cfg EdgeSenderConfig) *EdgeSender {
+	return (&ReliableShare{Share: &Share{start: time.Now()}, reports: make(chan Report, 1)}).edgeSender(tr, cfg)
+}
+
+// edgeSender builds an incarnation of session s over the given transport.
+func (s *ReliableShare) edgeSender(tr link.Transport, cfg EdgeSenderConfig) *EdgeSender {
 	m := len(cfg.Packets)
 	return &EdgeSender{
 		tr:       tr,
 		cfg:      cfg,
+		s:        s,
+		next:     forever,
 		in:       make(chan int, 2*m+8),
 		jrng:     workload.NewRNG(cfg.JitterSeed),
 		acked:    make([]atomic.Bool, m),
 		attempts: make([]int, m),
-		due:      make([]time.Time, m),
+		due:      make([]time.Duration, m),
 	}
 }
 
@@ -78,11 +87,15 @@ func NewEdgeSender(tr link.Transport, cfg EdgeSenderConfig) *EdgeSender {
 func (e *EdgeSender) From() int { return e.tr.From() }
 func (e *EdgeSender) To() int   { return e.tr.To() }
 
-// Enqueue hands a sequence number to the edge sender. Channel capacity
-// covers the worst case (one replay plus one novel pass over the whole
-// message, and Cancel's pokes), so this blocks only if that invariant is
-// broken — and then the abort path still unwedges it.
+// Enqueue hands a sequence number to the edge sender (in virtual time, as
+// its turn). Channel capacity covers the worst case (a replay and a novel
+// pass over the whole message, and Cancel's pokes), so this blocks only if
+// that invariant is broken — and then the abort path still unwedges it.
 func (e *EdgeSender) Enqueue(seq int) {
+	if e.s.virt != nil {
+		e.s.virt.edge(e, seq)
+		return
+	}
 	select {
 	case e.in <- seq:
 	case <-e.cfg.Abort:
@@ -93,7 +106,7 @@ func (e *EdgeSender) Enqueue(seq int) {
 // waking the sender: a stale-epoch ACK is fenced (counted, dropped), any
 // other settles its packet, which is then never sent or resent again.
 func (e *EdgeSender) Ack(a EdgeAck) {
-	if a.Epoch < e.epoch() {
+	if a.Epoch < e.s.Epoch() {
 		e.fenced.Add(1) // stale control traffic: ignore, retransmit fresh
 		return
 	}
@@ -112,91 +125,80 @@ func (e *EdgeSender) Cancel() {
 	}
 }
 
-// Sends, Retransmits and Fenced report the edge's counters. Call only
-// after the sender goroutine has been joined.
+// Sends, Retransmits and Fenced report the edge's counters, once it is joined.
 func (e *EdgeSender) Sends() int       { return e.sends }
 func (e *EdgeSender) Retransmits() int { return e.retransmits }
 func (e *EdgeSender) Fenced() int      { return int(e.fenced.Load()) }
 
-// epoch is the session's fence register, 0 for a bare edge.
-func (e *EdgeSender) epoch() int {
-	if e.s == nil {
-		return 0
-	}
-	return e.s.Epoch()
-}
-
-// die reports the incarnation's death to its session, once, from the
-// sender goroutine.
-func (e *EdgeSender) die() {
-	if e.s != nil {
-		e.s.Report(Report{Kind: ReportExhausted, Host: e.From(), To: e.To()})
-	}
-}
-
-// Run is the edge sender loop: send a new sequence at once (the
-// transport's admission gate is the only send window) unless it is ACKed
-// or already sent; on the timer, resend every due, un-ACKed packet in
-// sequence order with capped exponential backoff plus seeded jitter; die
-// on budget exhaustion or transport death (reporting either), cancel, or
-// abort.
+// Run is the edge sender's goroutine: wait for a packet, the timer or the
+// abort, then step, and re-arm the timer when the step's next wake moved.
 func (e *EdgeSender) Run() {
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	defer timer.Stop()
-	var armed time.Time // the timer's due; zero while it is stopped or spent
 	for {
+		seq := -1
 		select {
-		case seq := <-e.in:
-			if e.cancelled.Load() {
-				return
-			}
-			if e.acked[seq].Load() || e.attempts[seq] > 0 {
-				continue
-			}
-			if !e.send(seq, false) {
-				return
-			}
-			now := time.Now()
-			e.attempts[seq], e.due[seq] = 1, now.Add(e.rto(1))
-			if armed.IsZero() || e.due[seq].Before(armed) {
-				armed = e.due[seq]
-				rearm(timer, armed.Sub(now))
-			}
+		case seq = <-e.in:
 		case <-timer.C:
-			if e.cancelled.Load() {
-				return
-			}
-			now := time.Now()
-			armed = time.Time{}
-			for seq, n := range e.attempts {
-				if n == 0 || e.acked[seq].Load() {
-					continue
-				}
-				if !e.due[seq].After(now) {
-					if n > e.cfg.RetryBudget {
-						// Budget spent: this incarnation dies; the supervisor
-						// repairs or abandons the subtree behind it.
-						e.die()
-						return
-					}
-					if !e.send(seq, true) {
-						return
-					}
-					e.attempts[seq]++
-					e.due[seq] = now.Add(e.rto(n + 1))
-				}
-				if armed.IsZero() || e.due[seq].Before(armed) {
-					armed = e.due[seq]
-				}
-			}
-			if !armed.IsZero() {
-				timer.Reset(time.Until(armed))
-			}
+			e.armed = 0
 		case <-e.cfg.Abort:
 			return
 		}
+		wake, alive := e.step(seq)
+		if !alive {
+			return
+		}
+		if wake != forever && wake != e.armed {
+			e.armed = wake
+			rearm(timer, wake-e.s.Now())
+		}
 	}
+}
+
+// step is one turn of the sender. A packet handed over (seq >= 0) is sent
+// at once (the transport's admission gate is the only send window) unless
+// ACKed or already sent; a timer wake (seq < 0) resends every due, un-ACKed
+// packet in sequence order, with capped exponential backoff plus seeded
+// jitter. It returns when the timer must next fire (forever: never), and
+// false once the incarnation is over: cancelled, dead (reported), aborted.
+func (e *EdgeSender) step(seq int) (wake time.Duration, alive bool) {
+	if e.cancelled.Load() {
+		return 0, false
+	}
+	if seq >= 0 {
+		if e.acked[seq].Load() || e.attempts[seq] > 0 {
+			return e.next, true
+		}
+		if !e.send(seq, false) {
+			return 0, false
+		}
+		e.attempts[seq], e.due[seq] = 1, e.s.Now()+e.rto(1)
+		e.next = min(e.next, e.due[seq])
+		return e.next, true
+	}
+	now := e.s.Now()
+	e.next = forever
+	for seq, n := range e.attempts {
+		if n == 0 || e.acked[seq].Load() {
+			continue
+		}
+		if e.due[seq] <= now {
+			if n > e.cfg.RetryBudget {
+				// Budget spent: this incarnation dies; the supervisor
+				// repairs or abandons the subtree behind it.
+				e.s.Report(Report{Kind: ReportExhausted, Host: e.From(), To: e.To()})
+				return 0, false
+			}
+			if !e.send(seq, true) {
+				return 0, false
+			}
+			e.attempts[seq]++
+			e.due[seq] = now + e.rto(n+1)
+		}
+		e.next = min(e.next, e.due[seq])
+	}
+	return e.next, true
 }
 
 // rearm points a timer that may already have fired at a new delay,
@@ -219,18 +221,18 @@ func rearm(t *time.Timer, d time.Duration) {
 // must die: on abort, or on a genuine transport error (reported, so the
 // repair machinery routes around the dead link).
 func (e *EdgeSender) send(seq int, retrans bool) bool {
-	if e.s != nil && e.s.down(e.From(), time.Since(e.s.start)) {
+	if e.s.down(e.From(), e.s.Now()) {
 		return true
 	}
 	pkt := e.cfg.Packets[seq]
-	if g := e.epoch(); g > 0 {
+	if g := e.s.Epoch(); g > 0 {
 		if stamped, err := message.WithEpoch(pkt, uint16(g)); err == nil {
 			pkt = stamped
 		}
 	}
 	if err := e.tr.Send(pkt, e.cfg.Abort); err != nil {
 		if !errors.Is(err, link.ErrAborted) {
-			e.die()
+			e.s.Report(Report{Kind: ReportExhausted, Host: e.From(), To: e.To()})
 		}
 		return false
 	}
@@ -250,8 +252,6 @@ func (e *EdgeSender) rto(attempt int) time.Duration {
 	for i := 1; i < attempt && d < e.cfg.RTOMax; i++ {
 		d *= 2
 	}
-	if d > e.cfg.RTOMax {
-		d = e.cfg.RTOMax
-	}
+	d = min(d, e.cfg.RTOMax)
 	return d + time.Duration(e.jrng.Float64()*0.25*float64(d))
 }

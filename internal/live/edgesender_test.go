@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/live/link"
 	"repro/internal/message"
 )
@@ -20,12 +21,21 @@ type edgeRig struct {
 }
 
 // bareSession is a session of no share: an edge attached to it stamps its
-// epoch, reads its crash schedule down (nil: none) and reports its death on
-// its queue, which the test reads.
-func bareSession(down func(host int, at time.Duration) bool) *ReliableShare {
+// epoch, reads its clock and crash schedule (the hosts down, crashed from
+// the start for good) and reports its death on its queue, which the test
+// reads.
+func bareSession(down ...int) *ReliableShare {
+	var plan fault.Plan
+	for _, h := range down {
+		plan.Crashes = append(plan.Crashes, fault.Crash{Host: h})
+	}
+	faults, err := plan.Arm()
+	if err != nil {
+		panic(err)
+	}
 	return &ReliableShare{
 		Share:   &Share{abort: make(chan struct{}), start: time.Now()},
-		cfg:     ReliableShareConfig{Down: down},
+		cfg:     ReliableShareConfig{Faults: faults},
 		reports: make(chan Report, 8),
 	}
 }
@@ -44,8 +54,8 @@ func reports(s *ReliableShare) []Report {
 }
 
 // startEdge builds an incarnation of edge 0->1 of session sess (nil: a bare
-// edge) over an inbox with the given buffer slots (0: unbounded) and runs
-// it once the enqueues are in, so they reach it in order.
+// edge, of its own session) over an inbox with the given buffer slots (0:
+// unbounded) and runs it once the enqueues are in, so they reach it in order.
 func startEdge(t *testing.T, cfg EdgeSenderConfig, sess *ReliableShare, slots int, enqueue ...int) *edgeRig {
 	t.Helper()
 	r := &edgeRig{in: link.NewInbox(1, 64, slots), abort: make(chan struct{}), done: make(chan struct{})}
@@ -54,7 +64,9 @@ func startEdge(t *testing.T, cfg EdgeSenderConfig, sess *ReliableShare, slots in
 	}
 	cfg.Abort = r.abort
 	r.e = NewEdgeSender(link.New(0, r.in, 0), cfg)
-	r.e.s = sess
+	if sess != nil {
+		r.e.s = sess
+	}
 	for _, seq := range enqueue {
 		r.e.Enqueue(seq)
 	}
@@ -118,7 +130,7 @@ func TestEdgeSender(t *testing.T) {
 	})
 
 	t.Run("a stale-epoch ACK is fenced and suppresses nothing", func(t *testing.T) {
-		sess := bareSession(nil)
+		sess := bareSession()
 		sess.SetEpoch(2)
 		r := startEdge(t, quiet, sess, 0)
 		r.e.Ack(EdgeAck{Seq: 0, Epoch: 1})
@@ -173,7 +185,11 @@ func TestEdgeSender(t *testing.T) {
 
 	t.Run("budget exhaustion reports once; suppressed sends burn budget", func(t *testing.T) {
 		for _, down := range []bool{false, true} {
-			sess := bareSession(func(host int, _ time.Duration) bool { return down && host == 0 })
+			var crashed []int
+			if down {
+				crashed = append(crashed, 0)
+			}
+			sess := bareSession(crashed...)
 			cfg := quiet
 			cfg.RTO, cfg.RTOMax, cfg.RetryBudget = time.Millisecond, 2*time.Millisecond, 2
 			r := startEdge(t, cfg, sess, 0, 0, 1, 2, 3)
@@ -191,7 +207,7 @@ func TestEdgeSender(t *testing.T) {
 	})
 
 	t.Run("a transport failure is one dead-edge report", func(t *testing.T) {
-		sess := bareSession(nil)
+		sess := bareSession()
 		cfg := quiet
 		cfg.Abort = sess.abort
 		e := NewEdgeSender(failingTransport{errors.New("cut")}, cfg)

@@ -3,7 +3,6 @@ package live
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/live/link"
 	"repro/internal/message"
@@ -61,11 +60,11 @@ func (hs *HostSession) Forward(pkt []byte, abort <-chan struct{}) error {
 // forward first (the copy engine runs ahead of host delivery), then verify
 // and reassemble locally. h is the header the caller decoded from pkt to
 // find the session; it is not decoded again. done is true exactly once, on
-// the packet that completes the message, after Data and DoneAt (measured
-// from start) are stamped. The sender's buffer-slot reservation covers all
+// the packet that completes the message, after Data and DoneAt (read on
+// clock) are stamped. The sender's buffer-slot reservation covers all
 // of this — the packet's full service residency, like the simulator's — so
 // the caller releases the slot only after Serve returns.
-func (hs *HostSession) Serve(h message.Header, pkt []byte, from int, abort <-chan struct{}, start time.Time) (done bool, err error) {
+func (hs *HostSession) Serve(h message.Header, pkt []byte, from int, abort <-chan struct{}, clock link.Clock) (done bool, err error) {
 	hs.Recvs++
 	hs.Arrivals = append(hs.Arrivals, Arrival{Packet: int(h.Seq), From: from})
 	if err = hs.Forward(pkt, abort); err != nil {
@@ -80,7 +79,7 @@ func (hs *HostSession) Serve(h message.Header, pkt []byte, from int, abort <-cha
 	}
 	if done {
 		hs.Data = hs.reasm.Bytes()
-		hs.DoneAt = time.Since(start)
+		hs.DoneAt = clock.Now()
 	}
 	return done, nil
 }

@@ -63,12 +63,12 @@ func fakeSession(children ...int) (*HostSession, []*fakeEdge, *[]string) {
 
 // serveFrom does what every plain NI does with an admitted packet: decode
 // the header once, to find the session, and hand both to Serve.
-func serveFrom(hs *HostSession, pkt []byte, from int, abort <-chan struct{}, start time.Time) (bool, error) {
+func serveFrom(hs *HostSession, pkt []byte, from int, abort <-chan struct{}, clock link.Clock) (bool, error) {
 	h, err := message.DecodeHeader(pkt)
 	if err != nil {
 		return false, err
 	}
-	return hs.Serve(h, pkt, from, abort, start)
+	return hs.Serve(h, pkt, from, abort, clock)
 }
 
 func TestHostSession(t *testing.T) {
@@ -129,7 +129,7 @@ func TestHostSession(t *testing.T) {
 		if hs.Sends != 0 || len(*log) != 0 {
 			t.Fatalf("aborted forward left Sends = %d, log %q", hs.Sends, *log)
 		}
-		if done, err := serveFrom(hs, pkts[0], 0, closed, time.Now()); done || err != link.ErrAborted {
+		if done, err := serveFrom(hs, pkts[0], 0, closed, &Share{start: time.Now()}); done || err != link.ErrAborted {
 			t.Fatalf("Serve under a closed abort = %v, %v; want false, link.ErrAborted", done, err)
 		}
 	})
@@ -145,9 +145,9 @@ func TestHostSession(t *testing.T) {
 					hs.Recvs, held, len(hs.Arrivals), hs.Data != nil)
 			}
 		}
-		start := time.Now()
+		clock := &Share{start: time.Now()}
 		for j, pkt := range pkts {
-			done, err := serveFrom(hs, pkt, 2, open, start)
+			done, err := serveFrom(hs, pkt, 2, open, clock)
 			if err != nil {
 				t.Fatalf("Serve(%d): %v", j, err)
 			}
@@ -169,7 +169,7 @@ func TestHostSession(t *testing.T) {
 		// A replayed packet is a protocol error and restamps nothing.
 		edges[0].onSend = nil
 		doneAt := hs.DoneAt
-		if done, err := serveFrom(hs, pkts[0], 2, open, start); done || err == nil || !strings.Contains(err.Error(), "host 7") {
+		if done, err := serveFrom(hs, pkts[0], 2, open, clock); done || err == nil || !strings.Contains(err.Error(), "host 7") {
 			t.Fatalf("replayed packet: done %v, err %v; want an error naming host 7", done, err)
 		}
 		if hs.DoneAt != doneAt || !bytes.Equal(hs.Data, data) {
@@ -185,7 +185,7 @@ func TestHostSession(t *testing.T) {
 		} {
 			hs, _, log := fakeSession(4)
 			bad := damage(append([]byte(nil), pkts[0]...))
-			if done, err := serveFrom(hs, bad, 2, open, time.Now()); done || err == nil || !strings.Contains(err.Error(), "host 7") {
+			if done, err := serveFrom(hs, bad, 2, open, &Share{start: time.Now()}); done || err == nil || !strings.Contains(err.Error(), "host 7") {
 				t.Fatalf("%s: done %v, err %v; want an error naming host 7", name, done, err)
 			}
 			if held, _ := hs.reasm.Progress(); held != 0 || hs.Sends != 1 || strings.Join(*log, " ") != "4:0" {
@@ -197,7 +197,7 @@ func TestHostSession(t *testing.T) {
 	t.Run("a packet that could not be forwarded is not delivered", func(t *testing.T) {
 		hs, edges, _ := fakeSession(4)
 		edges[0].failAt, edges[0].err = 1, errors.New("wire cut")
-		if done, err := serveFrom(hs, pkts[0], 2, open, time.Now()); done || err == nil {
+		if done, err := serveFrom(hs, pkts[0], 2, open, &Share{start: time.Now()}); done || err == nil {
 			t.Fatalf("Serve over a dead edge: done %v, err %v", done, err)
 		}
 		if held, _ := hs.reasm.Progress(); held != 0 || hs.Recvs != 1 || hs.Sends != 0 {
@@ -299,11 +299,11 @@ func TestHostSessionCopiesOnce(t *testing.T) {
 	if err != nil || len(pkts) != packets {
 		t.Fatalf("Packetize: %d packets, %v", len(pkts), err)
 	}
-	open, start := make(chan struct{}), time.Now()
+	open, clock := make(chan struct{}), &Share{start: time.Now()}
 	serveAll := func() {
 		hs := NewHostSession(7, nil)
 		for _, pkt := range pkts {
-			if _, err := serveFrom(&hs, pkt, 0, open, start); err != nil {
+			if _, err := serveFrom(&hs, pkt, 0, open, clock); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -8,48 +8,35 @@ import (
 )
 
 // Faults is the plan of the live chaos plane: the one fault plane's plan
-// (package fault), whose times are microseconds from the plane's start.
+// (package fault), whose times are microseconds on the run's Clock.
 // A live fabric kills directed host pairs (fault.Pair), not links.
 type Faults = fault.Plan
 
-// Chaos is the wall-clock adapter of one run's armed fault plane, shared
-// by every transport of a fabric: stall windows become sleeps, and each
-// transport draws loss, corruption, jitter and reordering from its edge
-// incarnation's stream (fault.State.Edge), generations numbered per
-// directed pair in dial order. Each edge sender owns its transport, so the
+// Clock is one run's clock, the time since its start: on the wall, or in a
+// virtual driver's time. A run has one, which all its parts read.
+type Clock interface{ Now() time.Duration }
+
+// US converts d to microseconds, the fault plane's and detector's unit.
+func US(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+
+// Chaos is one run's armed fault plane, shared by every transport of a
+// fabric: each transport draws loss, corruption, jitter and reordering
+// from its edge incarnation's stream (fault.State.Edge), generations
+// numbered per directed pair in dial order, and reads stall and kill
+// times on the run's clock. Each edge sender owns its transport, so the
 // streams need no locking; the state's counters are atomic. A nil *Chaos
-// is the lossless plane: Wrap returns transports unchanged and its ACK
-// streams never lose anything.
+// is the lossless plane: Wrap returns transports unchanged.
 type Chaos struct {
 	st    *fault.State
-	start time.Time
+	clock Clock
 
 	mu  sync.Mutex
 	gen map[[2]int]int // per-pair dial count: the next incarnation's generation
 }
 
-// NewChaos adapts an armed plane to the wall clock, which starts at
-// time-of-call; Start rebases it (the runtime calls Start at t0 so stall
-// and kill offsets align with its own timeline).
-func NewChaos(st *fault.State) *Chaos {
-	return &Chaos{st: st, start: time.Now(), gen: map[[2]int]int{}}
-}
-
-// Start rebases the plane's wall clock. Call before any traffic flows;
-// the field is read without synchronization afterwards.
-func (c *Chaos) Start(t time.Time) {
-	if c != nil {
-		c.start = t
-	}
-}
-
-// Acks returns host's ACK-loss stream, for the receiving NI goroutine
-// that owns it.
-func (c *Chaos) Acks(host int) fault.Stream {
-	if c == nil {
-		return fault.Stream{}
-	}
-	return c.st.Acks(host)
+// NewChaos adapts an armed plane (nil: lossless) to the run's clock.
+func NewChaos(st *fault.State, clock Clock) *Chaos {
+	return &Chaos{st: st, clock: clock, gen: map[[2]int]int{}}
 }
 
 // Wrap decorates a transport with this fault plane. A nil plane, or one
@@ -88,53 +75,59 @@ func (ft *FaultyTransport) From() int { return ft.inner.From() }
 // To returns the receiving host.
 func (ft *FaultyTransport) To() int { return ft.inner.To() }
 
-// Send pushes one frame through the fault plane. Injected faults are
-// silent: a dropped, eaten or held frame still returns nil, because a
-// real NI cannot tell either. Only an abort surfaces as an error.
+// Send pushes one frame through the fault plane: it sleeps the verdict's
+// wait, then sends what leaves. Injected faults are silent: a dropped,
+// eaten or held frame still returns nil, because a real NI cannot tell
+// either. Only an abort surfaces as an error.
 func (ft *FaultyTransport) Send(payload []byte, abort <-chan struct{}) error {
-	st := ft.c.st
-	now := float64(time.Since(ft.c.start)) / float64(time.Microsecond)
+	wait, first, second := ft.Verdict(payload, ft.c.clock.Now())
+	if err := sleepAbort(wait, abort); err != nil || first == nil {
+		return err
+	}
+	if err := ft.inner.Send(first, abort); err != nil || second == nil {
+		return err
+	}
+	return ft.inner.Send(second, abort)
+}
+
+// Verdict decides what becomes of a frame offered at at, in the plane's
+// one order: a stall window holds the sender first; a killed pair then
+// eats the frame and any held back; else the edge's stream drops it or
+// damages a byte, and draws its jitter and whether it is held back. The
+// sender waits wait, stall and jitter, before first leaves, then second:
+// nothing, the frame, or the frame and the one held back before it.
+func (ft *FaultyTransport) Verdict(payload []byte, at time.Duration) (wait time.Duration, first, second []byte) {
+	st, now := ft.c.st, US(at)
 	if d := st.StallDelay(ft.From(), now); d > 0 {
-		if err := sleepAbort(time.Duration(d*float64(time.Microsecond)), abort); err != nil {
-			return err
-		}
-		now += d
+		wait, now = time.Duration(d*float64(time.Microsecond)), now+d
 	}
 	frames := 1
 	if ft.held != nil {
 		frames++
 	}
 	if st.PairDead(ft.From(), ft.To(), now, frames) {
-		// The edge is dead: this frame and any held one are eaten.
 		ft.held = nil
-		return nil
+		return wait, nil, nil
 	}
 	drop, bad := ft.loss.Transmit(len(payload))
 	if drop {
-		return nil
+		return wait, nil, nil
 	}
 	if bad >= 0 {
 		payload = append([]byte(nil), payload...)
 		payload[bad] ^= 0xA5
 	}
-	if err := sleepAbort(ft.loss.Delay(), abort); err != nil {
-		return err
-	}
+	wait += ft.loss.Delay()
 	if ft.held != nil {
-		// A frame is being held back: deliver the new one first, then
-		// flush the held one — the two swap places on the wire.
-		if err := ft.inner.Send(payload, abort); err != nil {
-			return err
-		}
-		h := ft.held
-		ft.held = nil
-		return ft.inner.Send(h, abort)
+		// The held frame leaves after the new one: the two swap places.
+		first, second, ft.held = payload, ft.held, nil
+		return wait, first, second
 	}
 	if ft.loss.Hold() {
 		ft.held = payload
-		return nil
+		return wait, nil, nil
 	}
-	return ft.inner.Send(payload, abort)
+	return wait, payload, nil
 }
 
 // Pattern returns what the transport's loss stream has decided so far.

@@ -8,6 +8,11 @@ import (
 	"repro/internal/fault"
 )
 
+// wall is a wall clock, started at its time.
+type wall time.Time
+
+func (w wall) Now() time.Duration { return time.Since(time.Time(w)) }
+
 // armed adapts a plan to the wall clock, failing the test on a bad plan.
 func armed(t *testing.T, f Faults) *Chaos {
 	t.Helper()
@@ -15,7 +20,7 @@ func armed(t *testing.T, f Faults) *Chaos {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewChaos(st)
+	return NewChaos(st, wall(time.Now()))
 }
 
 func TestWrapZeroPlaneIsIdentity(t *testing.T) {
@@ -72,7 +77,7 @@ func TestFaultyDropIsDeterministic(t *testing.T) {
 
 func TestFaultyCorruptFlipsOneByte(t *testing.T) {
 	st, _ := Faults{Seed: 3, CorruptRate: 0.999999}.Arm()
-	c := NewChaos(st)
+	c := NewChaos(st, wall(time.Now()))
 	in := NewInbox(1, 2, 0)
 	tr := c.Wrap(New(0, in, 0))
 	abort := make(chan struct{})
@@ -117,7 +122,7 @@ func TestFaultyKillEatsFrames(t *testing.T) {
 		t.Fatalf("killed edge delivered %v", got)
 	}
 	st, _ := f.Arm()
-	c := NewChaos(st)
+	c := NewChaos(st, wall(time.Now()))
 	in := NewInbox(1, 8, 0)
 	tr := c.Wrap(New(0, in, 0))
 	abort := make(chan struct{})
@@ -142,8 +147,7 @@ func TestFaultyKillEatsFrames(t *testing.T) {
 
 func TestFaultyStallDelaysSend(t *testing.T) {
 	st, _ := Faults{Seed: 1, Stalls: []fault.Stall{{Host: 0, From: 0, Until: 30_000}}}.Arm()
-	c := NewChaos(st)
-	c.Start(time.Now())
+	c := NewChaos(st, wall(time.Now()))
 	in := NewInbox(1, 2, 0)
 	tr := c.Wrap(New(0, in, 0))
 	abort := make(chan struct{})
@@ -165,7 +169,7 @@ func TestFaultyStallDelaysSend(t *testing.T) {
 func TestAckDropSampling(t *testing.T) {
 	c := armed(t, Faults{Seed: 11, AckDropRate: 0.5})
 	count := func() int {
-		acks := c.Acks(3)
+		acks := c.st.Acks(3)
 		n := 0
 		for i := 0; i < 100; i++ {
 			if acks.AckLost() {
@@ -181,15 +185,14 @@ func TestAckDropSampling(t *testing.T) {
 	if b := count(); a != b {
 		t.Fatalf("same stream produced different drop counts: %d vs %d", a, b)
 	}
-	var nilChaos *Chaos
-	if acks := nilChaos.Acks(3); acks.AckLost() {
-		t.Fatal("nil chaos dropped an ack")
+	var lossless *fault.State
+	if acks := lossless.Acks(3); acks.AckLost() {
+		t.Fatal("the lossless plane dropped an ack")
 	}
 }
 
 func TestFaultyAbortUnblocksJitterSleep(t *testing.T) {
 	c := armed(t, Faults{Seed: 1, Stalls: []fault.Stall{{Host: 0, From: 0, Until: 60e6}}})
-	c.Start(time.Now())
 	in := NewInbox(1, 2, 0)
 	tr := c.Wrap(New(0, in, 0))
 	abort := make(chan struct{})

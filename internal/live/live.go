@@ -311,8 +311,7 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 	for _, e := range entries {
 		s.Inject(e)
 	}
-	start := time.Now()
-	s.Start(start)
+	s.Start()
 
 	// Count completions under the watchdog.
 	timer := time.NewTimer(cfg.Timeout)
@@ -328,7 +327,7 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 			timedOut = true
 		}
 	}
-	wall := time.Since(start)
+	wall := s.Now()
 	s.Stop()
 	if timedOut {
 		return nil, watchdogError(cfg.Timeout, entries)

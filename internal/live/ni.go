@@ -25,14 +25,15 @@ const DefaultQuantum = 4
 // and the session scheduler (internal/sched) drive it; a driver keeps
 // only what ends its sessions.
 //
-// Done, Failed, Dropped, Go and Aborted are safe from any goroutine; Add,
-// AddReliable and Inject are called from one goroutine at a time.
+// Done, Failed, Dropped, Now, Go and Aborted are safe from any goroutine;
+// Add, AddReliable and Inject are called from one goroutine at a time.
 type Share struct {
 	cfg     Config
 	quantum int
 	nis     map[int]*ni
-	start   time.Time
-	added   int // Adds so far: the next entry's trace session index
+	start   time.Time // the wall clock's zero: Start's time
+	virt    *virtual  // RunVirtual's engine, whose time is the clock; nil on the wall
+	added   int       // Adds so far: the next entry's trace session index
 	done    chan Delivery
 	fail    chan Failure
 	dropped atomic.Int64
@@ -61,8 +62,7 @@ type Delivery struct {
 	Host  int
 }
 
-// Failure is a forwarding or protocol error of one entry; an abort is not
-// one.
+// Failure is a forwarding or protocol error of one entry (an abort is none).
 type Failure struct {
 	Entry *Entry
 	Err   error
@@ -123,6 +123,7 @@ func NewShare(hosts []int, wire, quantum int, cfg Config) (*Share, error) {
 	}
 	s := &Share{
 		abort:   make(chan struct{}),
+		start:   time.Now(), // until Start
 		cfg:     cfg,
 		quantum: quantum,
 		nis:     make(map[int]*ni, len(hosts)),
@@ -151,12 +152,11 @@ func NewShare(hosts []int, wire, quantum int, cfg Config) (*Share, error) {
 	return s, nil
 }
 
-// Start runs every NI on its own goroutine, spawned with one closure;
-// DoneAt, trace times and the reliable hooks' offsets count from start.
-// NIs already holding a source or an edit start last, since the goroutine
-// spawned last runs first.
-func (s *Share) Start(start time.Time) {
-	s.start = start
+// Start starts the share's clock, which DoneAt, trace times and every
+// reliable timer read, and each NI's goroutine, spawned with one closure;
+// NIs holding a source or an edit start last: the last spawned runs first.
+func (s *Share) Start() {
+	s.start = time.Now()
 	for _, sources := range []bool{false, true} {
 		for _, n := range s.nis {
 			if (len(n.wake) > 0) == sources {
@@ -166,6 +166,9 @@ func (s *Share) Start(start time.Time) {
 		}
 	}
 }
+
+// Now reads the run's one clock: the wall's since Start, or RunVirtual's.
+func (s *Share) Now() time.Duration { return s.virt.now(s.start) }
 
 // Go runs f, one of the share's goroutines or one of its driver's (the
 // daemon's ctl listener), under the join of Stop; f must return once
@@ -303,12 +306,13 @@ func (s *Share) handOff(v int, edit func()) {
 	n.poke()
 }
 
-// poke leaves the NI its one wake token.
+// poke leaves the NI its one wake token, and in virtual time its turn.
 func (n *ni) poke() {
 	select {
 	case n.wake <- struct{}{}:
 	default: // a token is already waiting
 	}
+	n.s.virt.turn(n)
 }
 
 // Host returns the record of share host v for this entry.
@@ -347,15 +351,13 @@ func (s *Share) failed(e *Entry, err error) {
 	}
 }
 
-// trace appends one wall-clock event, stamped in microseconds from start
+// trace appends one event, stamped on the share's clock in microseconds
 // (the simulator's trace unit), to ns's log when Config.Record is set. The
 // caller must be the goroutine that owns ns.
 func (s *Share) trace(ns *niSession, kind string, peer, packet int) {
 	if s.cfg.Record {
-		ns.events = append(ns.events, sim.TraceEvent{
-			Kind: kind, Time: float64(time.Since(s.start)) / float64(time.Microsecond), Host: ns.Host,
-			Peer: peer, Session: ns.e.index, Packet: packet,
-		})
+		ns.events = append(ns.events, sim.TraceEvent{Kind: kind, Time: link.US(s.Now()), Host: ns.Host,
+			Peer: peer, Session: ns.e.index, Packet: packet})
 	}
 }
 
@@ -380,17 +382,13 @@ func (r recorded) Send(pkt []byte, abort <-chan struct{}) error {
 	return err
 }
 
-// run is the NI loop until the share aborts: stage every frame the wire
-// holds (the sender has already reserved its buffer slot), take every
-// source and edit handed over, then give the session at the ring's head a
-// quantum of service, and send it to the tail while it is still
-// backlogged.
+// run is the NI loop until the share aborts: step, and while the ring is
+// idle, wait for a frame (staging it) or a hand-off.
 func (n *ni) run() {
-	for {
+	for n.step() {
 		if n.head == len(n.ring) {
 			select {
 			case f := <-n.inbox.Wire():
-				f.Wait()
 				n.stage(f)
 			case <-n.wake:
 				n.adopt()
@@ -398,62 +396,62 @@ func (n *ni) run() {
 				return
 			}
 		}
-		// Drain everything already delivered, so the wire never backs up
-		// while sessions are being served.
-		for drained := false; !drained; {
-			select {
-			case f := <-n.inbox.Wire():
-				f.Wait()
-				n.stage(f)
-			default:
-				drained = true
+	}
+}
+
+// step is one turn of the NI: stage every frame the wire holds (so it never
+// backs up), take every source and edit handed over, then give the session
+// at the ring's head a quantum of service, sending it to the tail while it
+// is still backlogged. It reports false only once the share aborts.
+func (n *ni) step() bool {
+	for len(n.inbox.Wire()) > 0 { // only this NI receives, so neither blocks
+		n.stage(<-n.inbox.Wire())
+	}
+	if len(n.wake) > 0 {
+		<-n.wake
+		n.adopt()
+	}
+	if n.head == len(n.ring) {
+		return true
+	}
+	ns := n.ring[n.head]
+	n.ring[n.head] = nil
+	if n.head++; n.head == len(n.ring) {
+		n.ring, n.head = n.ring[:0], 0
+	}
+	ns.deficit += n.s.quantum
+	source := n.host == ns.e.Tree.Root()
+	for ns.deficit > 0 && len(ns.pending) > 0 && !ns.e.aborted() {
+		st := ns.pending[0]
+		ns.pending = ns.pending[1:]
+		ns.deficit--
+		if source {
+			if err := ns.Forward(st.payload, ns.e.abort); err != nil {
+				n.s.failed(ns.e, err)
+				ns.pending = nil // the injection ends at its first failure
 			}
-		}
-		if len(n.wake) > 0 { // only this loop receives, so this cannot block
-			<-n.wake
-			n.adopt()
-		}
-		if n.head == len(n.ring) {
-			continue
-		}
-		ns := n.ring[n.head]
-		n.ring[n.head] = nil
-		if n.head++; n.head == len(n.ring) {
-			n.ring, n.head = n.ring[:0], 0
-		}
-		ns.deficit += n.s.quantum
-		source := n.host == ns.e.Tree.Root()
-		for ns.deficit > 0 && len(ns.pending) > 0 && !ns.e.aborted() {
-			st := ns.pending[0]
-			ns.pending = ns.pending[1:]
-			ns.deficit--
-			if source {
-				if err := ns.Forward(st.payload, ns.e.abort); err != nil {
-					n.s.failed(ns.e, err)
-					ns.pending = nil // the injection ends at its first failure
-				}
-			} else if !n.serve(ns, st) {
-				return
-			}
-		}
-		switch {
-		case ns.e.aborted():
-			// Release the slots an aborted session's frames still hold:
-			// this is what breaks a credit cycle once a driver aborts a
-			// wedged session. A source's packets hold none.
-			if !source {
-				n.s.dropped.Add(int64(len(ns.pending)))
-				for range ns.pending {
-					n.inbox.Release()
-				}
-			}
-			ns.pending, ns.deficit, ns.queued = nil, 0, false
-		case len(ns.pending) > 0:
-			n.push(ns)
-		default:
-			ns.deficit, ns.queued = 0, false
+		} else if !n.serve(ns, st) {
+			return false
 		}
 	}
+	switch {
+	case ns.e.aborted():
+		// Release the slots an aborted session's frames still hold:
+		// this is what breaks a credit cycle once a driver aborts a
+		// wedged session. A source's packets hold none.
+		if !source {
+			n.s.dropped.Add(int64(len(ns.pending)))
+			for range ns.pending {
+				n.inbox.Release()
+			}
+		}
+		ns.pending, ns.deficit, ns.queued = nil, 0, false
+	case len(ns.pending) > 0:
+		n.push(ns)
+	default:
+		ns.deficit, ns.queued = 0, false
+	}
+	return true
 }
 
 // adopt puts the sources Inject handed over into the ring, stamping each
@@ -462,7 +460,7 @@ func (n *ni) run() {
 func (n *ni) adopt() {
 	n.mu.Lock()
 	for _, ns := range n.sources {
-		ns.e.startAt = time.Since(n.s.start)
+		ns.e.startAt = n.s.Now()
 		ns.queued = true
 		n.push(ns)
 	}
@@ -485,11 +483,12 @@ func (n *ni) push(ns *niSession) {
 	n.ring = append(n.ring, ns)
 }
 
-// stage admits one frame into its plain session's queue, or serves a
-// reliable session's frame at once and releases its slot. An undecodable
-// frame, or one that names no session registered here or an aborted one,
-// is dropped: counted, and its slot released at once.
+// stage waits out one frame's latency, then admits it into its plain
+// session's queue, or serves a reliable session's frame at once and frees
+// its slot. A frame that is undecodable, or names no session registered
+// here or an aborted one, is dropped: counted, its slot freed at once.
 func (n *ni) stage(f link.Frame) {
+	f.Wait()
 	h, err := message.DecodeHeader(f.Payload)
 	var ns *niSession
 	if err == nil {
@@ -521,7 +520,7 @@ func (n *ni) stage(f link.Frame) {
 // a failure. It reports false only once the share aborts.
 func (n *ni) serve(ns *niSession, st staged) bool {
 	n.s.trace(ns, "deliver", st.from, int(st.h.Seq))
-	done, err := ns.Serve(st.h, st.payload, st.from, ns.e.abort, n.s.start)
+	done, err := ns.Serve(st.h, st.payload, st.from, ns.e.abort, n.s)
 	n.inbox.Release()
 	if err != nil {
 		n.s.failed(ns.e, err)

@@ -48,7 +48,7 @@ func TestShareDropsWhatItCannotServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	close(abort)
-	s.Start(time.Now())
+	s.Start()
 
 	removed, err := s.Add(session(2, payloadBytes(300)), giveUp)
 	if err != nil {

@@ -13,8 +13,8 @@ import (
 
 // This file is the in-process driver of the reliable protocol, whose parts
 // (Share, ReliableShare, Supervisor) the multi-process daemon shares. What
-// lives here is what only this engine has: config validation, the crash
-// schedule, and the verdict and result read from the quiescent NIs.
+// lives here is what only this engine has: config validation, the run's
+// assembly (RunVirtual's too), and the verdict read from the quiescent NIs.
 //
 // Concurrency layout (strict ownership, like the lossless engine): one NI
 // goroutine per host (the Share's), one sender goroutine per live tree
@@ -152,13 +152,6 @@ type rrt struct {
 	faults *fault.State
 }
 
-// down reports whether host h is inside its scheduled crash window at
-// offset t: the session's Down, called from NI, sender and supervisor
-// goroutines.
-func (rt *rrt) down(h int, t time.Duration) bool {
-	return rt.faults.HostDown(h, float64(t)/float64(time.Microsecond))
-}
-
 // RunReliable executes one session under the reliable protocol and the
 // configured fault plane, blocking until every awaited destination has
 // the full payload, the quorum verdict is settled, or the watchdog fires.
@@ -166,6 +159,20 @@ func (rt *rrt) down(h int, t time.Duration) bool {
 // (*reliable.CrashError, *reliable.DeliveryError) on shortfalls; a
 // *WatchdogError (nil result) means the protocol itself stalled.
 func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
+	rt, err := newRun(s, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	rt.Start()
+	timedOut := rt.sup.Run()
+	wall := rt.Now()
+	rt.Stop()
+	return rt.result(timedOut, wall)
+}
+
+// newRun validates and arms one run of s: the reliable session of a share
+// of every tree host, which virt drives when non-nil, and its supervisor.
+func newRun(s Session, cfg ReliableConfig, virt *virtual) (*rrt, error) {
 	if err := s.validate(0); err != nil {
 		return nil, err
 	}
@@ -179,8 +186,6 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 	if cfg.Live.Timeout <= 0 {
 		cfg.Live.Timeout = DefaultTimeout
 	}
-	chaos := link.NewChaos(faults)
-
 	rt := &rrt{cfg: cfg, s: s, faults: faults}
 	hosts := s.Tree.Nodes()
 	// A non-empty crash schedule arms the membership plane.
@@ -197,10 +202,13 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
+	virt.attach(share)
+	// Every host is the supervisor's own, so the crash schedule, empty or
+	// not, is their liveness.
 	rt.ReliableShare, err = share.AddReliable(ReliableShareConfig{
-		Tree:  s.Tree,
-		MsgID: s.MsgID,
-		Chaos: chaos,
+		Tree:   s.Tree,
+		MsgID:  s.MsgID,
+		Faults: faults,
 		Edge: EdgeSenderConfig{
 			Packets:     s.Packets,
 			RTO:         cfg.RTO,
@@ -209,9 +217,6 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 			JitterSeed:  cfg.Faults.Seed ^ 0x9e6c_a61b_60ca_77d5,
 		},
 		Trace: true,
-		// Every host is the supervisor's own, so the schedule, empty or
-		// not, is their liveness.
-		Down: rt.down,
 	})
 	if err != nil {
 		share.Stop()
@@ -223,16 +228,7 @@ func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 		MaxRegrafts: cfg.MaxRegrafts,
 		Timeout:     cfg.Live.Timeout,
 	})
-	start := time.Now()
-	chaos.Start(start)
-	rt.Start(start)
-	timedOut := rt.sup.Run(start)
-	wall := time.Since(start)
-	rt.Stop()
-	if timedOut {
-		return nil, rt.watchdog()
-	}
-	return rt.result(wall)
+	return rt, nil
 }
 
 // watchdog names every destination the stalled run left incomplete.
@@ -251,10 +247,13 @@ func (rt *rrt) watchdog() *WatchdogError {
 	return e
 }
 
-// result assembles the verdict from the quiescent share: every goroutine
-// has returned, so reads are race-free, and a completion that raced the
-// verdict still counts.
-func (rt *rrt) result(wall time.Duration) (*ReliableResult, error) {
+// result assembles the verdict from the quiescent share, or names what a
+// run that timed out left incomplete: every goroutine has returned, so
+// reads are race-free, and a completion that raced the verdict counts.
+func (rt *rrt) result(timedOut bool, wall time.Duration) (*ReliableResult, error) {
+	if timedOut {
+		return nil, rt.watchdog()
+	}
 	res := &ReliableResult{
 		Hosts:     map[int]*HostRecord{},
 		Wall:      wall,
@@ -269,7 +268,6 @@ func (rt *rrt) result(wall time.Duration) (*ReliableResult, error) {
 	for _, v := range rt.s.Tree.Nodes() {
 		n := rt.NI(v)
 		res.Hosts[v] = &n.HostRecord
-		res.Faults.CrashDrops += n.CrashDrops
 		res.Accepts = append(res.Accepts, n.Accepts...)
 		if v == rt.s.Tree.Root() {
 			continue
@@ -286,11 +284,11 @@ func (rt *rrt) result(wall time.Duration) (*ReliableResult, error) {
 	// per host is an invariant the harness checks).
 	sort.SliceStable(res.Accepts, func(i, j int) bool { return res.Accepts[i].At < res.Accepts[j].At })
 	for _, e := range rt.all {
-		if ft, ok := e.tr.(*link.FaultyTransport); ok && ft.Pattern().Sent > 0 {
+		if ft, ok := e.tr.(interface{ Pattern() fault.Pattern }); ok && ft.Pattern().Sent > 0 {
 			res.Losses = append(res.Losses, ft.Pattern())
 		}
 	}
-	res.Crashed = rt.faults.DownHosts(float64(wall) / float64(time.Microsecond))
+	res.Crashed = rt.faults.DownHosts(link.US(wall))
 
 	var err error
 	res.Status, err = reliable.Verdict(dests, res.Orphaned, res.Crashed,

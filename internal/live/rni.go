@@ -2,7 +2,6 @@ package live
 
 import (
 	"slices"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/live/link"
@@ -11,7 +10,7 @@ import (
 
 // ReliableNI is one host's state in one reliable session, its loss- and
 // crash-tolerant network interface; what it needs of the session — epoch,
-// crash schedule, trace switch, evidence queue — it reads there. The
+// clock, fault plane, trace switch, evidence queue — it reads there. The
 // root's starts holding every packet (so seeding its child edges IS the
 // FPFS packet-major injection) and reassembles nothing. It has no
 // goroutine of its own: the host's NI loop (Share) hands it each of the
@@ -32,10 +31,9 @@ type ReliableNI struct {
 	// Sends is the total of the host's edge incarnations, folded in by
 	// ReliableShare.Totals.
 	HostRecord
-	Accepts    []EpochAccept // the arrivals' epoch stamps (Trace, armed runs)
-	Dups       int           // duplicate frames suppressed
-	Fenced     int           // stale-epoch frames discarded
-	CrashDrops int           // frames eaten while down
+	Accepts []EpochAccept // the arrivals' epoch stamps (Trace, armed runs)
+	Dups    int           // duplicate frames suppressed
+	Fenced  int           // stale-epoch frames discarded
 
 	share    *ReliableShare
 	acks     fault.Stream // the host's ACK-loss stream, drawn here only
@@ -51,7 +49,7 @@ func newReliableNI(share *ReliableShare, host int) *ReliableNI {
 	n := &ReliableNI{
 		HostRecord: HostRecord{Host: host},
 		share:      share,
-		acks:       share.cfg.Chaos.Acks(host),
+		acks:       share.cfg.Faults.Acks(host),
 		got:        make([]bool, len(share.cfg.Edge.Packets)),
 	}
 	if host == share.cfg.Tree.Root() {
@@ -108,12 +106,12 @@ func (n *ReliableNI) replay(edges []*EdgeSender) {
 // reassembly. The NI loop releases the frame's slot after it.
 func (n *ReliableNI) serve(f link.Frame) {
 	s := n.share
-	now := time.Since(s.start)
+	now := s.Now()
 	if s.down(n.Host, now) {
 		// Inside a scheduled crash window: keep draining (the loop releases
 		// the slot, so blocked senders never wedge) but eat every frame.
 		n.wasDown = true
-		n.CrashDrops++
+		s.cfg.Faults.NoteCrashDrop()
 		return
 	}
 	if n.wasDown {
@@ -165,7 +163,7 @@ func (n *ReliableNI) serve(f link.Frame) {
 	// Novel, so the message was incomplete until now (and this is not the
 	// root, which holds every packet from the start).
 	if done, err := n.reasm.Put(h, body); err == nil && done {
-		n.Data, n.DoneAt = n.reasm.Bytes(), time.Since(s.start)
+		n.Data, n.DoneAt = n.reasm.Bytes(), s.Now()
 		s.Report(Report{Kind: ReportDone, Host: n.Host, At: n.DoneAt})
 	}
 }

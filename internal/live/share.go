@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/live/link"
 	"repro/internal/tree"
 )
@@ -14,9 +15,11 @@ import (
 type ReliableShareConfig struct {
 	Tree  *tree.Tree
 	MsgID uint32
-	// Chaos decorates every transport (nil: none); the driver rebases its
-	// clock (Chaos.Start) before it starts the share.
-	Chaos *link.Chaos
+	// Faults is the armed fault plane (nil: none), read on the share's
+	// clock. It decorates every transport and draws every ACK's loss; a host
+	// its crash schedule has down blackholes every frame and sends nothing,
+	// and with every host local the supervisor reads it as liveness.
+	Faults *fault.State
 
 	// Edge is the template of every edge incarnation: Packets, RTO, RTOMax,
 	// RetryBudget, and in JitterSeed the driver's own salt, which the share
@@ -25,12 +28,6 @@ type ReliableShareConfig struct {
 	// Trace records the Arrivals and (while the epoch is positive) the
 	// Accepts evidence the in-process engine reports per host.
 	Trace bool
-	// Down, when non-nil, is the crash schedule: whether host is inside a
-	// scheduled crash window at offset at from the share's start. A down
-	// NI blackholes every frame, a down parent's sends vanish, and the
-	// supervisor reads it as the hosts' liveness. It is called from NI,
-	// sender and supervisor goroutines alike.
-	Down func(host int, at time.Duration) bool
 	// Remote takes whatever the share and its supervisor send to a host the
 	// share does not run: a local child's ACK for a remote parent
 	// (OrderAck), and repair orders. Nil when every host is local.
@@ -43,12 +40,12 @@ type ReliableShareConfig struct {
 // tree edge whose parent is local, the route each child's ACKs take back
 // to its incarnation, and the epoch register. It alone decides where a
 // message for another host goes: in place, or out through Remote.
-// live.RunReliable (every host local) and mcastd.RunReliable (the hosts
-// of one OS process, over UDP) drive it; a driver keeps how Remote reaches
-// another process, never how an edge comes up or goes away. Every piece of
-// the session's evidence — a completion, an amnesiac rejoin, a dead edge —
-// leaves on one queue (Reports), which the driver's one loop reads. Start,
-// Stop, Go and Aborted are the Share's.
+// live.RunReliable and RunVirtual (every host local) and mcastd.RunReliable
+// (the hosts of one OS process, over UDP) drive it; a driver keeps how
+// Remote reaches another process, never how an edge comes up or goes away.
+// Every piece of the session's evidence — a completion, an amnesiac
+// rejoin, a dead edge — leaves on one queue (Reports), which the driver's
+// one loop reads. Start, Stop, Go and Aborted are the Share's.
 //
 // Route, Epoch, Report and Aborted are safe from any goroutine. Install,
 // Retire and SetEpoch belong to one goroutine, the driver's supervisor; NI
@@ -56,6 +53,7 @@ type ReliableShareConfig struct {
 type ReliableShare struct {
 	*Share
 	cfg    ReliableShareConfig
+	chaos  *link.Chaos
 	nodes  []int // the tree's hosts, ascending; routes is parallel to it
 	nis    map[int]*ReliableNI
 	routes []atomic.Pointer[EdgeSender]
@@ -88,7 +86,7 @@ func (s *Share) AddReliable(cfg ReliableShareConfig) (*ReliableShare, error) {
 		// A few reports per host queue up behind a busy reader.
 		reports: make(chan Report, 8*len(nodes)+64),
 	}
-	rs.cfg.Edge.Abort = s.abort
+	rs.cfg.Edge.Abort, rs.chaos = s.abort, link.NewChaos(cfg.Faults, s)
 	for _, v := range nodes {
 		if s.nis[v] != nil {
 			rs.nis[v] = newReliableNI(rs, v)
@@ -131,8 +129,7 @@ func (s *ReliableShare) newEdge(a, b int) (*EdgeSender, error) {
 	}
 	ecfg := s.cfg.Edge
 	ecfg.JitterSeed ^= uint64(a+1)<<20 ^ uint64(b+1)
-	e := NewEdgeSender(s.cfg.Chaos.Wrap(base), ecfg)
-	e.s = s
+	e := s.edgeSender(s.virt.transport(base, s.chaos.Wrap(base)), ecfg)
 	s.all = append(s.all, e)
 	return e, nil
 }
@@ -150,6 +147,7 @@ func (s *ReliableShare) Report(r Report) {
 	}
 	select {
 	case s.reports <- r:
+		s.virt.heard()
 	case <-s.abort:
 	}
 }
@@ -159,14 +157,16 @@ func (s *ReliableShare) Reports() <-chan Report { return s.reports }
 
 // down reports whether the crash schedule has host down at offset at.
 func (s *ReliableShare) down(host int, at time.Duration) bool {
-	return s.cfg.Down != nil && s.cfg.Down(host, at)
+	return s.cfg.Faults.HostDown(host, link.US(at))
 }
 
-// spawn runs e under the join of Stop in one allocation, the goroutine's
-// closure, where Go would wrap a second around e.Run.
+// spawn runs e on the wall under the join of Stop in one allocation, the
+// goroutine's closure, where Go would wrap a second around e.Run.
 func (s *ReliableShare) spawn(e *EdgeSender) {
-	s.wg.Add(1)
-	go func() { defer s.wg.Done(); e.Run() }()
+	if s.virt == nil {
+		s.wg.Add(1)
+		go func() { defer s.wg.Done(); e.Run() }()
+	}
 }
 
 // route returns the ACK-route cell of tree host v, nil outside the tree.
@@ -190,10 +190,9 @@ func (s *ReliableShare) Route(child, parent int) *EdgeSender {
 	return nil
 }
 
-// ack is the one ACK rule, on the NI goroutine of n's host: the host
-// acknowledges frame seq from host from at epoch. The chaos plane draws the ACK's loss from
-// n's own stream before either branch; a surviving ACK marks a local
-// parent's incarnation in place, or leaves through Remote for a remote one.
+// ack is the one ACK rule, on n's NI: n acknowledges frame seq from host
+// from at epoch. Its loss is drawn first, from n's own stream; a surviving
+// ACK marks a local parent's incarnation in place, or leaves through Remote.
 func (s *ReliableShare) ack(n *ReliableNI, from, seq, epoch int) {
 	e := s.Route(n.Host, from)
 	if e == nil && s.nis[from] != nil {

@@ -188,7 +188,7 @@ func TestReliableShare(t *testing.T) {
 				t.Fatalf("host %d seeds its children in order %v, want %v", parent, kids, wantKids)
 			}
 		}
-		s.Start(time.Now())
+		s.Start()
 		nw.await(t, 3*m) // the root holds everything; host 2 holds nothing yet
 		s.Stop()
 		for i, w := range nw.wires {
@@ -206,7 +206,7 @@ func TestReliableShare(t *testing.T) {
 		nw := newWireNet()
 		s := testShare(t, nw, pkts)
 		inbox2 := s.Share.nis[2].inbox
-		s.Start(time.Now())
+		s.Start()
 		nw.await(t, 3*m)
 		// Host 2 receives packets 0 and 2 and forwards each to 3 and 7.
 		feed := link.New(0, inbox2, 0)
@@ -273,7 +273,7 @@ func TestReliableShare(t *testing.T) {
 		nw := newWireNet()
 		nw.failDial = 6 // the five initial edges dial; the regraft does not
 		s := testShare(t, nw, pkts)
-		s.Start(time.Now())
+		s.Start()
 		s.Retire(2, 7)
 		s.Install(2, 7)
 		select {
@@ -306,7 +306,7 @@ func TestReliableShare(t *testing.T) {
 				}
 			}
 			s := testShare(t, nw, pkts)
-			s.Start(time.Now())
+			s.Start()
 			if nw != nil {
 				nw.await(t, 3) // the root's three senders are parked in Send
 			}

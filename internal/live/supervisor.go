@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/live/link"
 	"repro/internal/membership"
 	"repro/internal/reliable"
 )
@@ -30,30 +31,27 @@ const detectorJitter = 0.25
 // decorrelated from the fault plane that shares faultSeed.
 func (hb HeartbeatParams) NewDetector(faultSeed uint64, hosts []int) (*membership.Detector, error) {
 	return membership.New(membership.Config{
-		SuspectAfter: us(hb.SuspectAfter),
-		ConfirmAfter: us(hb.ConfirmAfter),
+		SuspectAfter: link.US(hb.SuspectAfter),
+		ConfirmAfter: link.US(hb.ConfirmAfter),
 		JitterFrac:   detectorJitter,
 		Seed:         faultSeed ^ 0xD1B5_4A32_D192_ED03,
 	}, hosts, 0)
 }
 
-// us converts a wall offset to the detector's float microseconds.
-func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-// stallClock is the clock silence is measured on: the wall offset from the
-// supervisor's start, less every interval the supervisor itself ran behind
-// the deadline it was waiting for. A supervisor that was not running — its
-// process starved by a loaded box, or busy in a handler — observed nothing,
-// and the other processes' beats it would have heard queued up unread;
-// counting that interval as their silence confirms every remote host at
-// once. Stopping the clock instead only ever delays a judgment, by as long
-// as the observer was away.
+// stallClock is the clock silence is measured on: the share's clock, less
+// every interval the supervisor itself ran behind the deadline it was
+// waiting for. A supervisor that was not running — its process starved by
+// a loaded box, or busy in a handler — observed nothing, and the other
+// processes' beats it would have heard queued up unread; counting that
+// interval as their silence confirms every remote host at once. Stopping
+// the clock instead only ever delays a judgment, by as long as the
+// observer was away.
 type stallClock struct {
 	late  time.Duration // overdue time taken off the clock so far
 	floor time.Duration // the deadline last run past: no stamp maps below it
 }
 
-// at maps a wall offset to the clock. Stamps taken before the latest
+// at maps a share-clock reading to the clock. Stamps taken before the latest
 // overdue interval was taken off land on the deadline it ran past —
 // later than their due, which is the lenient side.
 func (c *stallClock) at(wall time.Duration) time.Duration {
@@ -129,10 +127,10 @@ type SupervisorConfig struct {
 // to Run's goroutine, and to its caller once Run returns. Run reads the
 // session's report queue.
 //
-// The session's crash schedule (ReliableShareConfig.Down), when it has
-// one, is liveness: Alive reads it, a down share host is not witnessed and
-// a crash-stopped one not awaited. Without one, Alive reads the detector
-// and a host confirmed crashed is not awaited. The share's own hosts are
+// When the share runs every host, the crash schedule of its fault plane is
+// liveness: Alive reads it, a down host is not witnessed and a crash-
+// stopped one not awaited. Otherwise Alive reads the detector and a host
+// confirmed crashed is not awaited. The share's own hosts are
 // witnessed — credited alive before every judgment — and only the other
 // processes' hosts are timed, on the beats they send. A stalled
 // observer manufactures silence, so Run re-arms its timer at the
@@ -144,7 +142,6 @@ type Supervisor struct {
 	share *ReliableShare
 	root  int
 	brain *reliable.Brain
-	start time.Time
 	clock stallClock
 
 	done      map[int]bool
@@ -177,11 +174,11 @@ func NewSupervisor(share *ReliableShare, cfg SupervisorConfig) *Supervisor {
 	return s
 }
 
-// Run supervises the share started at start until every awaited
-// destination is done or abandoned, the root is confirmed down, or the
-// watchdog fires, which it reports.
-func (s *Supervisor) Run(start time.Time) (timedOut bool) {
-	s.start = start
+// Run supervises the share's run until every awaited destination is done
+// or abandoned, the root is confirmed down, or the watchdog fires, which it
+// reports: it waits for a report, the detector's next deadline or the
+// refresh tick, then steps.
+func (s *Supervisor) Run() (timedOut bool) {
 	watchdog := time.NewTimer(s.cfg.Timeout)
 	defer watchdog.Stop()
 	detTimer := time.NewTimer(time.Hour)
@@ -193,42 +190,14 @@ func (s *Supervisor) Run(start time.Time) (timedOut bool) {
 		tick = t.C
 	}
 	for !s.settled() {
-		// (Re)arm the detector timer at its next deadline.
-		now := s.clock.at(time.Since(start))
-		deadline, dl := now+time.Hour, 0.0
-		if s.cfg.Det != nil {
-			var ok bool
-			if dl, ok = s.cfg.Det.NextDeadline(); ok {
-				deadline = time.Duration(dl * float64(time.Microsecond))
-			}
-		}
-		rearm(detTimer, max(0, deadline-now))
-
+		deadline, dl := s.deadline()
+		rearm(detTimer, max(0, deadline-s.clock.at(s.share.Now())))
 		select {
 		case r := <-s.share.reports:
-			s.clock.catchUp(time.Since(start), deadline)
+			s.clock.catchUp(s.share.Now(), deadline)
 			s.handle(r)
 		case <-detTimer.C:
-			if s.cfg.Det == nil {
-				continue
-			}
-			s.clock.catchUp(time.Since(start), deadline)
-			// Queued beats must land before silence is judged: a scheduling
-			// burst (GC, single-CPU contention) can expire the timer with
-			// fresh beats still in the channel, and advancing first would
-			// confirm hosts that are provably alive.
-			for drained := false; !drained; {
-				select {
-				case r := <-s.share.reports:
-					s.handle(r)
-				default:
-					drained = true
-				}
-			}
-			s.witness()
-			// At least to dl itself: a clock caught up to the deadline reads
-			// it to the nanosecond, a hair short of the detector's float.
-			s.fold(s.cfg.Det.Advance(max(dl, us(s.clock.at(time.Since(start))))))
+			s.judge(deadline, dl)
 		case <-tick:
 			s.refresh()
 		case <-watchdog.C:
@@ -238,13 +207,42 @@ func (s *Supervisor) Run(start time.Time) (timedOut bool) {
 	return false
 }
 
+// deadline returns the detector's next deadline on the stall clock, and in
+// the detector's microseconds; with none, an hour ahead.
+func (s *Supervisor) deadline() (time.Duration, float64) {
+	if s.cfg.Det != nil {
+		if dl, ok := s.cfg.Det.NextDeadline(); ok {
+			return time.Duration(dl * float64(time.Microsecond)), dl
+		}
+	}
+	return s.clock.at(s.share.Now()) + time.Hour, 0
+}
+
+// judge is the step at the detector's deadline: time overdue comes off the
+// clock, queued reports land (a scheduling burst can expire the timer with
+// fresh beats still queued), the share's hosts are witnessed, and then the
+// detector judges silence.
+func (s *Supervisor) judge(deadline time.Duration, dl float64) {
+	if s.cfg.Det == nil {
+		return
+	}
+	s.clock.catchUp(s.share.Now(), deadline)
+	for len(s.share.reports) > 0 { // the supervisor is the queue's one reader
+		s.handle(<-s.share.reports)
+	}
+	s.witness()
+	// At least to dl itself: a clock caught up to the deadline reads it to
+	// the nanosecond, a hair short of the detector's float.
+	s.fold(s.cfg.Det.Advance(max(dl, link.US(s.clock.at(s.share.Now())))))
+}
+
 // handle folds one report into the supervisor's state.
 func (s *Supervisor) handle(r Report) {
 	switch r.Kind {
 	case ReportBeat:
 		s.witness()
 		if s.share.NI(r.Host) == nil { // a share host is credited already, at a fresher instant
-			s.fold(s.cfg.Det.Heartbeat(r.Host, us(s.clock.at(r.At))))
+			s.fold(s.cfg.Det.Heartbeat(r.Host, link.US(s.clock.at(r.At))))
 		}
 	case ReportDone:
 		if s.share.NI(r.Host) != nil {
@@ -269,10 +267,10 @@ func (s *Supervisor) handle(r Report) {
 // without the silence judgment a heartbeat applies first: the
 // supervisor's process runs it, so its liveness is the schedule's.
 func (s *Supervisor) witness() {
-	at := time.Since(s.start)
+	at := s.share.Now()
 	for _, h := range s.share.nodes {
 		if s.share.NI(h) != nil && !s.share.down(h, at) {
-			s.fold(s.cfg.Det.Witness(h, us(s.clock.at(at))))
+			s.fold(s.cfg.Det.Witness(h, link.US(s.clock.at(at))))
 		}
 	}
 }
@@ -342,19 +340,19 @@ func (s *Supervisor) order(kind OrderKind, to, a, b int) {
 	s.share.cfg.Remote(Order{Kind: kind, To: to, A: a, B: b, Epoch: s.share.Epoch()})
 }
 
-// forever is an offset past every crash window: Down(v, forever) holds for
-// a crash-stop only.
+// forever is an offset past every crash window (down(v, forever) holds for
+// a crash-stop only), and the wake of a timer with nothing due.
 const forever = time.Duration(math.MaxInt64)
 
 // awaited reports whether destination v still holds the run open: not
-// done, not abandoned, and not crash-stopped (with a schedule) or
-// confirmed crashed (without one; a rejoin makes it awaited again).
+// done, not abandoned, and not crash-stopped (every host local) or
+// confirmed crashed (else; a rejoin makes it awaited again).
 func (s *Supervisor) awaited(v int) bool {
 	if v == s.root || s.done[v] || s.brain.Abandoned(v) {
 		return false
 	}
-	if s.share.cfg.Down != nil {
-		return !s.share.cfg.Down(v, forever)
+	if s.share.cfg.Remote == nil {
+		return !s.share.down(v, forever)
 	}
 	return s.Member(v)
 }
@@ -395,11 +393,11 @@ func (s *Supervisor) Retire(a, b int) {
 	s.order(OrderKill, a, a, b)
 }
 
-// Alive reads the crash schedule when there is one, and otherwise the
-// detector alone: a Suspect host is left out of repairs.
+// Alive reads the crash schedule when the share runs every host, and
+// otherwise the detector alone: a Suspect host is left out of repairs.
 func (s *Supervisor) Alive(v int) bool {
-	if s.share.cfg.Down != nil {
-		return !s.share.cfg.Down(v, time.Since(s.start))
+	if s.share.cfg.Remote == nil {
+		return !s.share.down(v, s.share.Now())
 	}
 	return s.cfg.Det.Phase(v) == membership.Alive
 }

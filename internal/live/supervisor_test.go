@@ -18,11 +18,11 @@ import (
 // 0-1-2-3 over a share that runs the hosts in local (the root among them),
 // on a fabric that dials and delivers nothing, with a detector whose
 // timeouts are exact (16 ms to suspicion, 12 more to confirmation) and the
-// given chaos plane (nil: none). What the share sends out of the process
+// given armed fault plane (nil: none). What the share sends out of the process
 // is recorded; orders() returns what was sent since the last call. Nothing
 // runs the supervisor or the NIs: the tests call their handlers, so no
 // clock is read and nothing sleeps.
-func remoteSupervisor(t *testing.T, local []int, chaos *link.Chaos) (s *Supervisor, nw *wireNet, orders func() []string) {
+func remoteSupervisor(t *testing.T, local []int, faults *fault.State) (s *Supervisor, nw *wireNet, orders func() []string) {
 	t.Helper()
 	tr := tree.New(0)
 	for v := 1; v < 4; v++ {
@@ -36,10 +36,10 @@ func remoteSupervisor(t *testing.T, local []int, chaos *link.Chaos) (s *Supervis
 	}
 	t.Cleanup(plane.Stop)
 	share, err := plane.AddReliable(ReliableShareConfig{
-		Tree:  tr,
-		MsgID: 3,
-		Chaos: chaos,
-		Edge:  EdgeSenderConfig{Packets: mustPacketize(t, 3, 0, payloadBytes(200)), RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
+		Tree:   tr,
+		MsgID:  3,
+		Faults: faults,
+		Edge:   EdgeSenderConfig{Packets: mustPacketize(t, 3, 0, payloadBytes(200)), RTO: time.Minute, RTOMax: time.Minute, RetryBudget: 3},
 		Remote: func(o Order) {
 			switch o.Kind {
 			case OrderGraft:
@@ -183,9 +183,8 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chaos := link.NewChaos(faults)
 		// Host 1's parent runs here, host 3's elsewhere.
-		s, _, orders := remoteSupervisor(t, []int{0, 1, 3}, chaos)
+		s, _, orders := remoteSupervisor(t, []int{0, 1, 3}, faults)
 		if e := serve(t, s, 0, 1, 0); e == nil || e.acked[0].Load() {
 			t.Fatalf("a lost ACK marked edge 0->1 (%v)", e)
 		}
@@ -213,11 +212,14 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 // when only the root was witnessed and the rest had to beat, every host
 // the starved process could not beat for.
 func TestInProcessLivenessIsTheSchedule(t *testing.T) {
-	s, _, _ := remoteSupervisor(t, []int{0, 1, 2, 3}, nil)
-	s.share.cfg.Down = func(host int, _ time.Duration) bool { return host == 2 }
-	s.start = time.Now().Add(-time.Second)
+	faults, err := fault.Plan{Crashes: []fault.Crash{{Host: 2}}}.Arm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, _ := remoteSupervisor(t, []int{0, 1, 2, 3}, faults)
+	s.share.start = time.Now().Add(-time.Second)
 	s.witness()
-	s.fold(s.cfg.Det.Advance(us(time.Second)))
+	s.fold(s.cfg.Det.Advance(link.US(time.Second)))
 	for v := 0; v < 4; v++ {
 		if crashed := s.cfg.Det.Phase(v) == membership.Crashed; crashed != (v == 2) {
 			t.Fatalf("host %d confirmed crashed: %v; want exactly the down host 2", v, crashed)
@@ -260,7 +262,7 @@ func stallScript(t *testing.T, catchUp bool) map[int]bool {
 			clock.catchUp(w, deadline)
 		}
 		if clock.at(w) >= deadline {
-			note(det.Advance(max(dl, us(clock.at(w)))))
+			note(det.Advance(max(dl, link.US(clock.at(w)))))
 		}
 	}
 	for w := time.Duration(0); w < 1000*time.Millisecond; w += every {
@@ -272,7 +274,7 @@ func stallScript(t *testing.T, catchUp bool) map[int]bool {
 			if h == 2 && w >= 4*time.Millisecond {
 				continue
 			}
-			note(det.Heartbeat(h, us(clock.at(w))))
+			note(det.Heartbeat(h, link.US(clock.at(w))))
 		}
 	}
 	return confirmed

@@ -1,15 +1,11 @@
-//go:build goexperiment.synctest
-
-//go:debug asynctimerchan=0
-
 package live
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
-	"testing/synctest"
 	"time"
 
 	"repro/internal/fault"
@@ -19,36 +15,31 @@ import (
 	"repro/internal/workload"
 )
 
-// TestVirtualTimeChaos runs the shipped reliable runtime — RunReliable,
-// its NIs, edge senders, pump, detector and supervisor, on their own
-// goroutines and their own time.NewTimer/Now calls — on the standard
-// library's fake clock: inside a synctest bubble time advances only when
-// every goroutine is blocked, so a 25 ms RTO costs no wall time and no
-// amount of box load can stretch a timer. That is why this sweep, and
-// only this one, runs DefaultReliableConfig as shipped instead of
-// fastReliable's timing, and why a watchdog expiry here is a protocol
-// stall and never a slow box.
-//
-// Load-independent is not bit-exact replay: goroutines runnable at the
-// same virtual instant still run in the scheduler's order.
-//
-// Compiled only with GOEXPERIMENT=synctest (Go 1.24+): `make virtual-soak`.
+// virtualBlock numbers the runs of TestVirtualTimeChaos in one test
+// process: run i sweeps seeds 100i+1 through 100i+100, so a plain run
+// sweeps seeds 1-100 and `go test -count=20` (make virtual-soak) 1-2,000.
+var virtualBlock atomic.Int64
+
+// TestVirtualTimeChaos runs the shipped reliable runtime — its share, NIs,
+// edge senders, detector, supervisor and brain — at DefaultReliableConfig
+// timings in virtual time (RunVirtual), over three scenarios per seed:
+// loss with ACK loss, corruption, reordering and jitter; a crash-stop; and
+// a crash-recovery. A 25 ms RTO costs no wall time and no box load can
+// stretch a timer, so a watchdog expiry here is a protocol stall, and any
+// failure replays bit-exact from its seed.
 func TestVirtualTimeChaos(t *testing.T) {
-	seeds := 2000
-	if testing.Short() {
-		seeds = 100
-	}
+	first := 100*int(virtualBlock.Add(1)-1) + 1
 	var (
 		virtual                          time.Duration
 		retransmits, adoptions, partials int
 	)
-	for seed := 1; seed <= seeds; seed++ {
+	for seed := first; seed < first+100; seed++ {
 		for _, scenario := range []string{"chaos", "crash-stop", "crash-recovery"} {
-			res, d, err := virtualRun(scenario, uint64(seed))
+			res, err := virtualRun(scenario, uint64(seed))
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", scenario, seed, err)
 			}
-			virtual += d
+			virtual += res.Wall
 			retransmits += res.Retransmits
 			adoptions += res.Adoptions
 			if res.Status == reliable.DeliveredPartial {
@@ -56,17 +47,16 @@ func TestVirtualTimeChaos(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d runs, %v of virtual time: %d retransmits, %d adoptions, %d partial verdicts",
-		3*seeds, virtual, retransmits, adoptions, partials)
+	t.Logf("seeds %d-%d: 300 runs, %v of virtual time: %d retransmits, %d adoptions, %d partial verdicts",
+		first, first+99, virtual, retransmits, adoptions, partials)
 	if retransmits == 0 || adoptions == 0 || partials == 0 {
 		t.Fatal("the sweep never retransmitted, adopted or settled a partial verdict: its fault plans do not bite")
 	}
 }
 
 // virtualRun draws one tree, payload and fault plan from the seed, runs it
-// in a bubble and judges the verdict. It returns the result and the virtual
-// time the run took.
-func virtualRun(scenario string, seed uint64) (*ReliableResult, time.Duration, error) {
+// in virtual time and judges the verdict.
+func virtualRun(scenario string, seed uint64) (*ReliableResult, error) {
 	rng := workload.NewRNG(seed*0x9e37_79b9 + uint64(len(scenario)))
 	n := 4 + rng.Intn(9)
 	hosts := make([]int, n)
@@ -88,7 +78,7 @@ func virtualRun(scenario string, seed uint64) (*ReliableResult, time.Duration, e
 	}
 	pkts, err := message.Packetize(1, tr.Root(), payload, 64)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 
 	cfg := DefaultReliableConfig()
@@ -109,34 +99,20 @@ func virtualRun(scenario string, seed uint64) (*ReliableResult, time.Duration, e
 		cfg.Faults.Crashes = []fault.Crash{{Host: victim, At: at, RecoverAt: at + float64(1+rng.Intn(150))*1000}}
 	}
 
-	var (
-		res  *ReliableResult
-		took time.Duration
-	)
-	// Go 1.24's race detector sees no edge out of synctest.Run, so the
-	// result is handed over on a channel as well.
-	handed := make(chan struct{}, 1)
-	synctest.Run(func() {
-		start := time.Now()
-		res, err = RunReliable(Session{Tree: tr, Packets: pkts, MsgID: 1}, cfg)
-		took = time.Since(start)
-		handed <- struct{}{}
-	})
-	<-handed
-
+	res, err := RunVirtual(Session{Tree: tr, Packets: pkts, MsgID: 1}, cfg)
 	var we *WatchdogError
 	if errors.As(err, &we) {
-		return res, took, fmt.Errorf("stalled into the watchdog after %v of virtual time: %v", took, err)
+		return res, fmt.Errorf("stalled into the watchdog: %v", err)
 	}
 	if err != nil || res == nil {
-		return res, took, fmt.Errorf("untyped or unexpected verdict (result %v): %v", res != nil, err)
+		return res, fmt.Errorf("untyped or unexpected verdict (result %v): %v", res != nil, err)
 	}
 	want := reliable.Delivered
 	if _, done := findHost(res, victim); scenario == "crash-stop" && !done {
 		want = reliable.DeliveredPartial
 	}
 	if res.Status != want {
-		return res, took, fmt.Errorf("status %v, want %v (crashed %v, orphaned %v, epoch %d)",
+		return res, fmt.Errorf("status %v, want %v (crashed %v, orphaned %v, epoch %d)",
 			res.Status, want, res.Crashed, res.Orphaned, res.Epoch)
 	}
 	for _, v := range tr.Nodes() {
@@ -144,9 +120,37 @@ func virtualRun(scenario string, seed uint64) (*ReliableResult, time.Duration, e
 			continue
 		}
 		if rec := res.Hosts[v]; rec == nil || !bytes.Equal(rec.Data, payload) {
-			return res, took, fmt.Errorf("survivor %d does not hold the byte-exact payload (epoch %d, retransmits %d)",
+			return res, fmt.Errorf("survivor %d does not hold the byte-exact payload (epoch %d, retransmits %d)",
 				v, res.Epoch, res.Retransmits)
 		}
 	}
-	return res, took, nil
+	return res, nil
+}
+
+// TestRunVirtualTime: in virtual time a run's timings are exact. Down a
+// lossless 4-chain at 1 ms of link latency, every packet leaves the root
+// at 0 and crosses one edge per millisecond, so host i completes at i ms
+// to the nanosecond and the run settles at 3 ms with no retransmission.
+// A socket fabric, which RunVirtual cannot step, is refused.
+func TestRunVirtualTime(t *testing.T) {
+	sess := Session{Tree: chainTree(4), Packets: mustPacketize(t, 1, 0, payloadBytes(200)), MsgID: 1}
+	cfg := DefaultReliableConfig()
+	cfg.Live.LinkLatency = time.Millisecond
+	res, err := RunVirtual(sess, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v < 4; v++ {
+		if got := res.Hosts[v].DoneAt; got != time.Duration(v)*time.Millisecond {
+			t.Fatalf("host %d done at %v, want %v", v, got, time.Duration(v)*time.Millisecond)
+		}
+	}
+	if res.Wall != 3*time.Millisecond || res.Retransmits != 0 || res.Sends != 3*len(sess.Packets) {
+		t.Fatalf("settled at %v after %d sends, %d retransmits; want 3ms, %d, 0",
+			res.Wall, res.Sends, res.Retransmits, 3*len(sess.Packets))
+	}
+	cfg.Live.Network = newWireNet()
+	if _, err := RunVirtual(sess, cfg); err == nil {
+		t.Fatal("RunVirtual accepted a socket fabric")
+	}
 }

@@ -59,7 +59,7 @@ type Config struct {
 // Result is a process's view of the run.
 type Result struct {
 	// Hosts holds a record per local host, the shape live.Run reports
-	// (DoneAt is measured from Run's start).
+	// (DoneAt is measured from the share's start).
 	Hosts map[int]*live.HostRecord
 	Wall  time.Duration
 	// Completed is filled only in the root's process: every destination
@@ -171,7 +171,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	root := cfg.Tree.Root()
-	start := time.Now()
 	// An unbounded wire holds the session's m frames, so senders never
 	// block on it.
 	share, err := live.NewShare(cfg.Local, len(cfg.Packets), live.DefaultQuantum,
@@ -198,12 +197,12 @@ func Run(cfg Config) (*Result, error) {
 	if _, ok := hs.acked[root]; ok {
 		share.Inject(e)
 	}
-	share.Start(start)
+	share.Start()
 	share.Go(hs.listen)
 	got, err := hs.coordinate()
 	share.Stop()
 
-	res := &Result{Hosts: map[int]*live.HostRecord{}, Wall: time.Since(start), Status: reliable.Failed}
+	res := &Result{Hosts: map[int]*live.HostRecord{}, Wall: share.Now(), Status: reliable.Failed}
 	if err == nil {
 		res.Status = reliable.Delivered
 	}

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/live"
-	"repro/internal/live/link"
 	"repro/internal/membership"
 	"repro/internal/reliable"
 )
@@ -105,7 +104,6 @@ type drt struct {
 	m        int
 	root     int
 	nodes    []int // the tree's hosts, ascending
-	start    time.Time
 	share    *live.ReliableShare
 	sup      *live.Supervisor // the root's process only
 	stopAckC chan int
@@ -144,8 +142,6 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	chaos := link.NewChaos(faults)
-
 	rt := &drt{
 		cfg:      cfg,
 		rcfg:     rcfg,
@@ -178,9 +174,9 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	// A local completion or dead edge is a report on the session, which the
 	// root's supervisor or a follower's destLoop reads.
 	rt.share, err = share.AddReliable(live.ReliableShareConfig{
-		Tree:  cfg.Tree,
-		MsgID: cfg.MsgID,
-		Chaos: chaos,
+		Tree:   cfg.Tree,
+		MsgID:  cfg.MsgID,
+		Faults: faults,
 		Edge: live.EdgeSenderConfig{
 			Packets:     cfg.Packets,
 			RTO:         rcfg.RTO,
@@ -207,10 +203,7 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 	// Every process fences at the detector's initial epoch; only the
 	// root's announcements over ctl advance a follower.
 	rt.share.SetEpoch(1)
-
-	rt.start = time.Now()
-	chaos.Start(rt.start)
-	share.Start(rt.start)
+	share.Start()
 
 	var runErr error
 	if rt.sup != nil {
@@ -266,7 +259,7 @@ func (rt *drt) ack(parent int, f ctlFrame) {
 // hosts outside the tree is corrupted or foreign and is dropped before it
 // can skew the verdict or a repair.
 func (rt *drt) hearRoot(f ctlFrame) {
-	at := time.Since(rt.start)
+	at := rt.share.Now()
 	switch f.kind {
 	case ctlStopAck:
 		select { // STOP is retried: a full queue loses nothing
@@ -396,7 +389,7 @@ func (rt *drt) progress() string {
 // rootLoop runs the supervisor until the run settles, then settles the
 // verdict and runs the STOP handshake.
 func (rt *drt) rootLoop() error {
-	timedOut := rt.sup.Run(rt.start)
+	timedOut := rt.sup.Run()
 
 	// Settle the verdict before STOP so remote processes report it.
 	for _, v := range rt.nodes { // ascending
@@ -429,7 +422,7 @@ func (rt *drt) rootLoop() error {
 func (rt *drt) assemble(runErr error) *Result {
 	res := &Result{
 		Hosts:  map[int]*live.HostRecord{},
-		Wall:   time.Since(rt.start),
+		Wall:   rt.share.Now(),
 		Status: rt.stopStat,
 		Epoch:  rt.share.Epoch(),
 	}

@@ -202,7 +202,6 @@ func (h *Handle) Wait() (*Result, error) {
 // persistent fabric. Methods are safe for concurrent use.
 type Scheduler struct {
 	cfg   Config
-	start time.Time
 	hosts map[int]bool
 	share *live.Share     // runs every goroutine of the scheduler
 	abort <-chan struct{} // the share's
@@ -238,7 +237,6 @@ func New(hosts []int, cfg Config) (*Scheduler, error) {
 	}
 	s := &Scheduler{
 		cfg:      cfg,
-		start:    time.Now(),
 		hosts:    map[int]bool{},
 		queue:    make(chan *Handle, cfg.QueueDepth),
 		admitted: make(chan *Handle, cfg.Window),
@@ -262,13 +260,13 @@ func New(hosts []int, cfg Config) (*Scheduler, error) {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
 	s.share, s.abort = share, share.Aborted()
-	share.Start(s.start)
+	share.Start()
 	share.Go(s.admit)
 	share.Go(s.collect)
 	return s, nil
 }
 
-func (s *Scheduler) since() time.Duration { return time.Since(s.start) }
+func (s *Scheduler) since() time.Duration { return s.share.Now() }
 
 // Stats returns a snapshot of the scheduler's counters.
 func (s *Scheduler) Stats() Stats {
