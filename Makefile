@@ -155,10 +155,16 @@ psim-soak:
 # crash-recovery} at DefaultReliableConfig, minutes of timer waits in
 # seconds of wall clock, plain and under the race detector. Each of the
 # -count=20 runs of the test sweeps the next 100 seeds; tier-1's one run
-# sweeps the first 100.
+# sweeps the first 100. Its switched arm runs the same runtime over the
+# 64-host irregular network (repro.DeliverReliable,
+# internal/reliable/soak_test.go): 500 seeds, each a broadcast under loss,
+# corruption, one mid-flight link kill and one crash, 25 fresh seeds per
+# -count pass, plain and under the race detector.
 virtual-soak:
 	$(GO) test -count=20 -run TestVirtualTimeChaos -v ./internal/live
 	$(GO) test -race -count=20 -run TestVirtualTimeChaos ./internal/live
+	$(GO) test -count=20 -run TestSwitchedChaos -v ./internal/reliable
+	$(GO) test -race -count=20 -run TestSwitchedChaos ./internal/reliable
 
 # Flake hunt: the wall-clock packages' tests 20 times at GOMAXPROCS 1 and 2
 # while a loop of flit-simulator and experiment tests keeps both CPUs busy —

@@ -158,9 +158,9 @@ func benchReliable(b *testing.B, fp repro.FaultPlan) {
 	b.ReportMetric(float64(retr)/float64(sends), "retransmit-frac")
 }
 
-// BenchmarkReliableLossless measures the ACK/NACK machinery's overhead on a
-// fault-free network: same data plane as the lossless engine plus timer and
-// control bookkeeping, zero retransmissions.
+// BenchmarkReliableLossless measures the reliable runtime's overhead on a
+// fault-free switched network: the lossless engine's costs plus the
+// runtime's timers, ACKs and supervision, zero retransmissions.
 func BenchmarkReliableLossless(b *testing.B) {
 	benchReliable(b, repro.FaultPlan{})
 }

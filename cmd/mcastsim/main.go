@@ -26,8 +26,8 @@
 // status: 0 on success, 1 when the run failed (delivery fell short,
 // watchdog, quorum missed), 2 on a usage error — as mcastcheck and mcastd.
 //
-// With -reliable (or any fault flag) the run uses the ACK/NACK
-// retransmission protocol of internal/reliable: packets carry real
+// With -reliable (or any fault flag) the run uses the reliable runtime
+// over the switched network (repro.DeliverReliable): packets carry real
 // headers and payloads, losses are retransmitted, and killed links are
 // routed around mid-flight. -faults is a comma-separated list of
 // directives: kill:LINK@T, stall:HOST@FROM-UNTIL, corrupt:P, ackdrop:P,
@@ -215,7 +215,7 @@ func newFlags(o *options, errw io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.model, "model", "packet", "network model: packet (fast reservation) or flit (cycle-accurate wormhole)")
 	fs.StringVar(&o.mesh, "mesh", "", "use an ARITYxDIMS mesh instead of the irregular testbed (e.g. 317x2 = 100489 hosts)")
 	fs.IntVar(&o.workers, "workers", 0, "simulate under the windowed parallel scheduler with N workers (0 = serial loop)")
-	fs.BoolVar(&o.reliable, "reliable", false, "use the ACK/NACK reliable-delivery protocol (implied by any fault flag)")
+	fs.BoolVar(&o.reliable, "reliable", false, "use the ACK-based reliable-delivery protocol (implied by any fault flag)")
 	fs.Float64Var(&o.droprate, "droprate", 0, "per-transmission packet loss probability [0,1)")
 	fs.StringVar(&o.faultSpec, "faults", "", "fault directives: kill:LINK@T,stall:HOST@FROM-UNTIL,corrupt:P,ackdrop:P,seed:N")
 	fs.IntVar(&o.retries, "retries", 8, "retransmissions per (tree edge, packet) before orphaning")
@@ -652,17 +652,16 @@ func (j *job) runSimReliable() error {
 	j.printSpec("reliable FPFS")
 	j.printf("faults: drop=%g corrupt=%g ackdrop=%g kills=%d stalls=%d crashes=%d seed=%d\n",
 		fp.DropRate, fp.CorruptRate, fp.AckDropRate, len(fp.Kills), len(fp.Stalls), len(fp.Crashes), fp.Seed)
-	j.printf("result: latency %.1f us, %d sends (%d retransmits), %d acks, %d nacks, %d duplicates suppressed\n",
-		res.Latency, res.Sends, res.Retransmits, res.Acks, res.Nacks, res.Duplicates)
+	j.printf("result: latency %.1f us, %d sends (%d retransmits), %d duplicates suppressed\n",
+		res.Latency, res.Sends, res.Retransmits, res.Duplicates)
 	j.printf("        injected: %d dropped, %d corrupted, %d acks lost, %d dead-link sends, %.1f us stall wait\n",
 		res.Faults.Dropped, res.Faults.Corrupted, res.Faults.AcksDropped, res.Faults.DeadSends, res.Faults.StallWait)
-	if res.Repairs > 0 {
-		j.printf("        %d mid-flight tree repair(s) re-parented starved subtrees\n", res.Repairs)
-	}
 	if len(fp.Crashes) > 0 {
 		j.printf("        crashes: %d applied, %d recoveries, %d crash-dropped packets, %d stale packets fenced, %d adoptions\n",
 			res.Faults.Crashes, res.Faults.Recoveries, res.Faults.CrashDrops, res.Fenced, res.Adoptions)
 		j.printViews(res.Views)
+	} else if res.Adoptions > 0 {
+		j.printf("        %d mid-flight tree repair(s) re-parented starved subtrees\n", res.Adoptions)
 	}
 	if j.verbose {
 		j.printCompletions("us", func(d int) string {

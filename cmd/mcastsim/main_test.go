@@ -41,7 +41,16 @@ func mcastsim(args ...string) (stdout, stderr string, code int) {
 // drawing every loss from one run-wide stream and drew each edge
 // incarnation's from its own (internal/fault): only their result and
 // injected lines moved (3 vs 1 drops; 2 vs 1 corruptions), and every
-// other golden, kill-repair included, stayed byte-identical.
+// other golden, kill-repair included, stayed byte-identical. The five
+// reliable goldens (reliable-droprate, faults-kill-corrupt, kill-repair,
+// crash-quorum, crash-recover) were re-recorded once more when the
+// machine was deleted and -reliable came to run the shipped runtime over
+// the switched network: the acks/nacks counts left the result line (ACKs
+// are marks, and a corrupt copy is resent by its timer, not NACKed); every
+// verdict, and the sends of the two lossy runs, held; a loss costs one
+// retransmission timeout (one lossless multicast) instead of the
+// machine's reservation-derived timer, and crash detection runs on the
+// supervisor's detector. Every other golden stayed byte-identical.
 func TestGolden(t *testing.T) {
 	for name, args := range map[string]string{
 		"default":               "",

@@ -135,7 +135,7 @@ func midFlightRepair() {
 	fmt.Printf("  repaired: latency %.1fus, %d sends (%d retransmits), %d dead-link sends,\n",
 		res.Latency, res.Sends, res.Retransmits, res.Faults.DeadSends)
 	fmt.Printf("            %d tree repair(s), %d duplicates suppressed, %d/%d destinations byte-exact\n",
-		res.Repairs, res.Duplicates, exact, len(spec.Dests))
+		res.Adoptions, res.Duplicates, exact, len(spec.Dests))
 
 	fmt.Println("\nretransmission timeouts expose the severed subtree; the protocol rebuilds")
 	fmt.Println("up*/down* routing around the dead link, re-parents the orphans onto a fresh")

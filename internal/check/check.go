@@ -4,7 +4,7 @@
 // single splitmix64 seed, runs every applicable backend (the closed-form
 // model in analytic, the step scheduler in stepsim, the continuous-time
 // event simulator in sim, the flit-level simulator in flitsim, and the
-// reliable delivery machine) on each instance, and asserts cross-engine
+// reliable runtime) on each instance, and asserts cross-engine
 // invariants: the engines must agree wherever the paper's theorems say
 // they must, and order themselves wherever the theorems give bounds.
 //

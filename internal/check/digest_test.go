@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/live"
 	"repro/internal/reliable"
 )
 
@@ -18,7 +19,7 @@ const digestCases = 1000
 // reliableDigests runs the crash arm (crashRun) and the lossy arm (the
 // reliable-loss-agreement plan) of every covered instance that has one and
 // returns one line per run: the case, the arm and a digest of everything
-// reliable.Deliver returned.
+// live.Deliver returned.
 func reliableDigests() []string {
 	var out []string
 	for c := 0; c < digestCases; c++ {
@@ -32,7 +33,7 @@ func reliableDigests() []string {
 			digest("crash", res, err)
 		}
 		if p := w.inst.DropRate; p > 0 {
-			res, err := reliable.Deliver(w.sys, w.plan, w.inst.payload(), reliableConfig(),
+			res, err := live.Deliver(w.sys, w.plan, w.inst.payload(), reliableConfig(),
 				fault.Plan{Seed: w.inst.FaultSeed, DropRate: p})
 			digest("lossy", res, err)
 		}
@@ -40,22 +41,22 @@ func reliableDigests() []string {
 	return out
 }
 
-// TestReliableDigest holds the virtual-time machine's crash and lossy runs
-// to testdata/reliable-digest.txt: a line that differs names the instance
-// (mcastcheck -seed 1 -case C) whose Result changed. The pin was recorded
-// before the machine's repairs moved into reliable.Brain, and re-recorded
-// once, when Result lost its two always-zero bounded-buffer fields
-// (BackpressureWait, PeakBuffered): every line's hash changed with the
-// rendering, and the 807 full renderings matched the previous build's,
-// with those two fields cut out, byte for byte. It was re-recorded a second
-// time when one fault plane (internal/fault) gave every edge incarnation
-// its own loss stream in place of the run-wide one: every hash changed
-// with the rendering (FaultStats became fault.Stats, AcksLost AcksDropped,
-// plus Reordered and Result.Losses). Against the previous build's full
-// renderings, with that mapped, 317 runs matched byte for byte (180 crash,
-// 137 lossy, every run without loss among them), and each of the 490 that
-// moved draws from a loss stream (DropRate > 0). Never rewrite it for a
-// change that moves a run.
+// TestReliableDigest holds the reliable runtime's switched-network runs
+// (live.Deliver, the facade's DeliverReliable) to
+// testdata/reliable-digest.txt: a line that differs names the instance
+// (mcastcheck -seed 1 -case C) whose Result changed. It pins the shipped
+// runtime. It was recorded on the virtual-time machine this runtime
+// replaced, and re-recorded when the machine was deleted — the same 807
+// runs. Side by side before the deletion, all 499 lossy runs kept their
+// Status, orphans, sends and retransmits, and the 213 without a
+// retransmission their latency; the rest finish later, a loss costing one
+// lossless multicast (the runtime's RTO) instead of the machine's timer
+// derived from the channel reservation. Of the 308 crash runs, 256 kept
+// Status and orphan set; in the other 52, 57 crash-stopped hosts that
+// completed before their crash count as delivered, where the machine
+// forgot any completion on a crash. Every destination the machine
+// delivered is delivered byte-exact. Never rewrite it for a change that
+// moves a run.
 func TestReliableDigest(t *testing.T) {
 	f, err := os.Open("testdata/reliable-digest.txt")
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/flitsim"
 	"repro/internal/ktree"
+	"repro/internal/live"
 	"repro/internal/ordering"
 	"repro/internal/reliable"
 	"repro/internal/sim"
@@ -50,7 +51,7 @@ var Invariants = []Invariant{
 	{"flit-agree", "the flit-level simulator completes structurally and stays within band of the packet-level model", checkFlitAgree},
 	{"reliable-lossless-replay", "a zero-fault reliable run replays the lossless engine byte-exactly", checkReliableLosslessReplay},
 	{"reliable-loss-agreement", "lossy reliable runs deliver byte-exactly and their send counts match the 1/(1-p) expectation", checkReliableLossAgreement},
-	{"loss-pattern-agreement", "under one seed and a loss-only plan, each edge incarnation's first j transmissions are dropped identically by the virtual-time machine and the in-process live runtime, j the smaller send count", checkLossPatternAgreement},
+	{"loss-pattern-agreement", "under one seed and a loss-only plan, each edge incarnation's first j transmissions are dropped identically over the switched network and the in-process wire, j the smaller send count", checkLossPatternAgreement},
 	{"crash-no-posthumous-delivery", "a crash-stopped host is never recorded as completing after its crash instant", checkCrashNoPosthumousDelivery},
 	{"crash-epoch-monotone", "accepted packets carry nondecreasing epochs and installed views advance the epoch strictly", checkCrashEpochMonotone},
 	{"crash-survivor-bytes", "every surviving destination is delivered byte-exactly despite crashes, recoveries, and loss", checkCrashSurvivorBytes},
@@ -415,12 +416,16 @@ func reliableConfig() reliable.Config {
 func checkReliableLosslessReplay(w *world) error {
 	cfg := reliableConfig()
 	payload := w.inst.payload()
-	res, err := reliable.Deliver(w.sys, w.plan, payload, cfg, fault.Plan{})
+	res, err := live.Deliver(w.sys, w.plan, payload, cfg, fault.Plan{})
 	if err != nil {
 		return fmt.Errorf("zero-fault delivery failed: %v", err)
 	}
+	// The run's clock ticks in nanoseconds, and the simulator's constants
+	// are whole nanoseconds, so the lossless engine's times rounded to the
+	// nanosecond must match exactly: a real schedule difference is at
+	// least a router delay.
 	want := sim.Multicast(w.sys.Router, w.plan.Tree, res.Packets, cfg.Params, stepsim.FPFS)
-	if res.Latency != want.Latency {
+	if res.Latency != nanos(want.Latency) {
 		return fmt.Errorf("zero-fault latency %f != lossless engine %f", res.Latency, want.Latency)
 	}
 	if res.Sends != want.Sends || res.Retransmits != 0 || res.Duplicates != 0 {
@@ -436,7 +441,7 @@ func checkReliableLosslessReplay(w *world) error {
 	}
 	sort.Ints(hosts)
 	for _, h := range hosts {
-		if res.HostDone[h] != want.HostDone[h] {
+		if res.HostDone[h] != nanos(want.HostDone[h]) {
 			return fmt.Errorf("zero-fault host %d done at %f, lossless engine says %f", h, res.HostDone[h], want.HostDone[h])
 		}
 	}
@@ -449,6 +454,9 @@ func checkReliableLosslessReplay(w *world) error {
 	return nil
 }
 
+// nanos rounds a time in microseconds to the nanosecond.
+func nanos(us float64) float64 { return math.Round(us*1e3) / 1e3 }
+
 func checkReliableLossAgreement(w *world) error {
 	p := w.inst.DropRate
 	if p == 0 {
@@ -457,7 +465,7 @@ func checkReliableLossAgreement(w *world) error {
 	cfg := reliableConfig()
 	payload := w.inst.payload()
 	fp := fault.Plan{Seed: w.inst.FaultSeed, DropRate: p}
-	res, err := reliable.Deliver(w.sys, w.plan, payload, cfg, fp)
+	res, err := live.Deliver(w.sys, w.plan, payload, cfg, fp)
 	if err != nil {
 		return fmt.Errorf("lossy delivery (p=%f) failed: %v", p, err)
 	}
@@ -515,7 +523,7 @@ func (in Instance) crashFaultPlan(p sim.Params) fault.Plan {
 // protocol refusing to run at all — is a harness-level failure.
 func (w *world) crashRun() (*reliable.Result, error) {
 	cfg := reliableConfig()
-	return reliable.Deliver(w.sys, w.plan, w.inst.payload(), cfg, w.inst.crashFaultPlan(cfg.Params))
+	return live.Deliver(w.sys, w.plan, w.inst.payload(), cfg, w.inst.crashFaultPlan(cfg.Params))
 }
 
 func checkCrashNoPosthumousDelivery(w *world) error {

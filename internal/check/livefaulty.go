@@ -147,13 +147,13 @@ func checkLiveFaultyTerminates(w *world) error {
 	return nil
 }
 
-// checkLossPatternAgreement holds the two worlds to one loss model: under
-// a loss-only plan, every edge incarnation draws its n-th transmission
-// from the same stream in the virtual-time machine and in the shipped
-// runtime's virtual time, so both drop the same ones among the first j, j the
-// smaller of the two send counts (capped at the 64 a pattern records).
-// Every send must have drawn, and every tree edge's first incarnation
-// must appear in both.
+// checkLossPatternAgreement holds the two transports of the one runtime
+// to one loss model: under a loss-only plan, every edge incarnation draws
+// its n-th transmission from the same stream over the switched network
+// (live.Deliver) and over the in-process wire (RunVirtual), so both drop
+// the same ones among the first j, j the smaller of the two send counts
+// (capped at the 64 a pattern records). Every send must have drawn, and
+// every tree edge's first incarnation must appear in both.
 func checkLossPatternAgreement(w *world) error {
 	p := w.inst.DropRate
 	if p == 0 {
@@ -161,9 +161,9 @@ func checkLossPatternAgreement(w *world) error {
 	}
 	fp := fault.Plan{Seed: w.inst.FaultSeed, DropRate: p}
 	rcfg := reliableConfig()
-	vm, err := reliable.Deliver(w.sys, w.plan, w.inst.payload(), rcfg, fp)
+	sw, err := live.Deliver(w.sys, w.plan, w.inst.payload(), rcfg, fp)
 	if err != nil {
-		return fmt.Errorf("machine run failed: %v", err)
+		return fmt.Errorf("switched run failed: %v", err)
 	}
 	pkts, err := message.Packetize(rcfg.MsgID, w.plan.Spec.Source, w.inst.payload(), rcfg.Params.PacketBytes)
 	if err != nil {
@@ -173,7 +173,7 @@ func checkLossPatternAgreement(w *world) error {
 	cfg.Faults = fp
 	lv, err := live.RunVirtual(live.Session{Tree: w.plan.Tree, Packets: pkts, MsgID: rcfg.MsgID}, cfg)
 	if lv == nil {
-		return fmt.Errorf("live run produced no result: %v", err)
+		return fmt.Errorf("in-process run produced no result: %v", err)
 	}
 	// Every transmission draws: a send that bypassed its stream would
 	// leave the count short.
@@ -181,7 +181,7 @@ func checkLossPatternAgreement(w *world) error {
 		world  string
 		sends  int
 		losses []fault.Pattern
-	}{{"machine", vm.Sends, vm.Losses}, {"live runtime", lv.Sends, lv.Losses}} {
+	}{{"switched run", sw.Sends, sw.Losses}, {"in-process run", lv.Sends, lv.Losses}} {
 		drawn := 0
 		for _, l := range r.losses {
 			drawn += l.Sent
@@ -195,7 +195,7 @@ func checkLossPatternAgreement(w *world) error {
 		onWire[[3]int{l.From, l.To, l.Gen}] = l
 	}
 	first := map[[2]int]bool{}
-	for _, m := range vm.Losses {
+	for _, m := range sw.Losses {
 		l, ok := onWire[[3]int{m.From, m.To, m.Gen}]
 		if !ok {
 			continue
@@ -208,13 +208,13 @@ func checkLossPatternAgreement(w *world) error {
 			mask = 1<<j - 1
 		}
 		if (m.Lost^l.Lost)&mask != 0 {
-			return fmt.Errorf("edge %d->%d incarnation %d: the machine lost %b of its %d sends, the live runtime %b of its %d",
+			return fmt.Errorf("edge %d->%d incarnation %d: the switched run lost %b of its %d sends, the in-process run %b of its %d",
 				m.From, m.To, m.Gen, m.Lost, m.Sent, l.Lost, l.Sent)
 		}
 	}
 	for _, e := range w.plan.Tree.Edges() {
 		if !first[[2]int{e.Parent, e.Child}] {
-			return fmt.Errorf("edge %d->%d: first incarnation missing from the machine's or the live runtime's loss patterns", e.Parent, e.Child)
+			return fmt.Errorf("edge %d->%d: first incarnation missing from the switched or the in-process run's loss patterns", e.Parent, e.Child)
 		}
 	}
 	return nil

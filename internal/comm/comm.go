@@ -384,7 +384,7 @@ type BcastReliableResult struct {
 	Epoch int
 	Views []membership.View
 	// Protocol is the underlying per-run detail (retransmissions, fault
-	// counters, adoptions, backpressure).
+	// counters, adoptions).
 	Protocol *reliable.Result
 }
 
@@ -400,7 +400,7 @@ func (g *Group) BcastReliable(root int, data []byte, cfg reliable.Config, fp fau
 	}
 	cfg.MsgID = b.id
 	plan := g.sys.Plan(b.spec)
-	res, runErr := reliable.Deliver(g.sys, plan, data, cfg, fp)
+	res, runErr := live.Deliver(g.sys, plan, data, cfg, fp)
 	if res == nil {
 		return nil, runErr
 	}

@@ -87,13 +87,14 @@ func (s *ReliableShare) edgeSender(tr link.Transport, cfg EdgeSenderConfig) *Edg
 func (e *EdgeSender) From() int { return e.tr.From() }
 func (e *EdgeSender) To() int   { return e.tr.To() }
 
-// Enqueue hands a sequence number to the edge sender (in virtual time, as
-// its turn). Channel capacity covers the worst case (a replay and a novel
-// pass over the whole message, and Cancel's pokes), so this blocks only if
-// that invariant is broken — and then the abort path still unwedges it.
+// Enqueue hands a sequence number to the edge sender (in virtual time, the
+// sender takes its turn at once, as a forwarding NI does). Channel
+// capacity covers the worst case (a replay and a novel pass over the
+// whole message, and Cancel's pokes), so this blocks only if that
+// invariant is broken — and then the abort path still unwedges it.
 func (e *EdgeSender) Enqueue(seq int) {
 	if e.s.virt != nil {
-		e.s.virt.edge(e, seq)
+		e.s.virt.step(e, seq)
 		return
 	}
 	select {

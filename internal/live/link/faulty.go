@@ -109,13 +109,8 @@ func (ft *FaultyTransport) Verdict(payload []byte, at time.Duration) (wait time.
 		ft.held = nil
 		return wait, nil, nil
 	}
-	drop, bad := ft.loss.Transmit(len(payload))
-	if drop {
+	if payload = ft.Transmit(payload); payload == nil {
 		return wait, nil, nil
-	}
-	if bad >= 0 {
-		payload = append([]byte(nil), payload...)
-		payload[bad] ^= 0xA5
 	}
 	wait += ft.loss.Delay()
 	if ft.held != nil {
@@ -128,6 +123,21 @@ func (ft *FaultyTransport) Verdict(payload []byte, at time.Duration) (wait time.
 		return wait, nil, nil
 	}
 	return wait, payload, nil
+}
+
+// Transmit draws one transmission of payload from the edge's stream: nil
+// when it is dropped, else the frame, a copy with one damaged byte when it
+// is corrupted.
+func (ft *FaultyTransport) Transmit(payload []byte) []byte {
+	drop, bad := ft.loss.Transmit(len(payload))
+	if drop {
+		return nil
+	}
+	if bad >= 0 {
+		payload = append([]byte(nil), payload...)
+		payload[bad] ^= 0xA5
+	}
+	return payload
 }
 
 // Pattern returns what the transport's loss stream has decided so far.

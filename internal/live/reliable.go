@@ -74,9 +74,16 @@ func DefaultReliableConfig() ReliableConfig {
 
 // validate rejects a malformed configuration, and a fault plan naming
 // links or hosts the session does not have.
-func (cfg ReliableConfig) validate(s Session) error {
-	if err := cfg.Faults.Admit("live", fault.Drop|fault.Corrupt|fault.AckDrop|fault.Reorder|
-		fault.Jitter|fault.Stalls|fault.PairKills|fault.Crashes, 0, s.Tree.Contains); err != nil {
+func (cfg ReliableConfig) validate(s Session, virt *virtual) error {
+	engine, honours, links := "live", fault.Drop|fault.Corrupt|fault.AckDrop|fault.Reorder|
+		fault.Jitter|fault.Stalls|fault.PairKills|fault.Crashes, 0
+	if virt != nil && virt.sys != nil {
+		// A switched network kills links, not host pairs, and its frames
+		// neither jitter nor overtake each other.
+		engine, honours, links = "reliable", fault.Drop|fault.Corrupt|fault.AckDrop|fault.Stalls|
+			fault.LinkKills|fault.Crashes, len(virt.sys.Net.Links())
+	}
+	if err := cfg.Faults.Admit(engine, honours, links, s.Tree.Contains); err != nil {
 		return err
 	}
 	if cfg.RTO <= 0 || cfg.RTOMax < cfg.RTO {
@@ -180,7 +187,7 @@ func newRun(s Session, cfg ReliableConfig, virt *virtual) (*rrt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(s); err != nil {
+	if err := cfg.validate(s, virt); err != nil {
 		return nil, err
 	}
 	if cfg.Live.Timeout <= 0 {
@@ -202,7 +209,7 @@ func newRun(s Session, cfg ReliableConfig, virt *virtual) (*rrt, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}
-	virt.attach(share)
+	virt.attach(share, faults)
 	// Every host is the supervisor's own, so the crash schedule, empty or
 	// not, is their liveness.
 	rt.ReliableShare, err = share.AddReliable(ReliableShareConfig{
@@ -228,6 +235,9 @@ func newRun(s Session, cfg ReliableConfig, virt *virtual) (*rrt, error) {
 		MaxRegrafts: cfg.MaxRegrafts,
 		Timeout:     cfg.Live.Timeout,
 	})
+	if virt.switched() {
+		rt.sup.geo = virt.sw.geo
+	}
 	return rt, nil
 }
 

@@ -2,6 +2,7 @@ package live
 
 import (
 	"maps"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -103,6 +104,16 @@ func (s *Share) AddReliable(cfg ReliableShareConfig) (*ReliableShare, error) {
 		}
 		rs.routes[i].Store(e)
 		rs.nis[a].children = append(rs.nis[a].children, e)
+	}
+	if s.virt.switched() {
+		// Over a switch geometry the order an NI forwards in is costed: it
+		// is the tree's, the simulator's FPFS order.
+		for _, n := range rs.nis {
+			kids := cfg.Tree.Children(n.Host)
+			slices.SortFunc(n.children, func(x, y *EdgeSender) int {
+				return slices.Index(kids, x.To()) - slices.Index(kids, y.To())
+			})
+		}
 	}
 	reg := map[uint32]map[int]*ReliableNI{cfg.MsgID: rs.nis}
 	if old := s.reliable.Load(); old != nil {

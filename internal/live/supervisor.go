@@ -143,6 +143,7 @@ type Supervisor struct {
 	root  int
 	brain *reliable.Brain
 	clock stallClock
+	geo   *reliable.Geometry // the run's switch geometry; nil: none
 
 	done      map[int]bool
 	dead      map[[2]int]bool // exhausted pairs; the brain routes around them
@@ -252,6 +253,9 @@ func (s *Supervisor) handle(r Report) {
 	case ReportExhausted:
 		s.cfg.Logf("edge %d->%d exhausted; repairing", r.Host, r.To)
 		s.dead[[2]int{r.Host, r.To}] = true
+		if s.geo != nil {
+			s.geo.Fold(link.US(s.share.Now()))
+		}
 		s.brain.Exhausted(r.Host, r.To)
 	case ReportRejoin:
 		// If the detector already confirmed the crash, its Rejoined event
@@ -410,15 +414,25 @@ func (s *Supervisor) Member(v int) bool {
 // Done reports whether v was reported holding the whole message.
 func (s *Supervisor) Done(v int) bool { return s.done[v] }
 
-// Chain orders a repair ascending: the overlay has no switch geometry.
+// Chain cuts a repair's chain from the run's switch geometry, or without
+// one orders it ascending.
 func (s *Supervisor) Chain(adopter int, orphans []int) []int {
+	if s.geo != nil {
+		return s.geo.Chain(adopter, orphans)
+	}
 	chain := append([]int{adopter}, orphans...)
 	slices.Sort(chain[1:])
 	return chain
 }
 
-// Reachable reports whether pair a->v has not exhausted.
-func (s *Supervisor) Reachable(a, v int) bool { return !s.dead[[2]int{a, v}] }
+// Reachable asks the run's switch geometry, or without one reports whether
+// pair a->v has not exhausted.
+func (s *Supervisor) Reachable(a, v int) bool {
+	if s.geo != nil {
+		return s.geo.Reachable(a, v)
+	}
+	return !s.dead[[2]int{a, v}]
+}
 
 // Views returns the installed epoch-numbered views, oldest first.
 func (s *Supervisor) Views() []membership.View { return s.views }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/live/link"
 	"repro/internal/sim"
@@ -21,10 +22,17 @@ import (
 // too. The fabric is in-process (Config.Network unset); a sender never
 // blocks, and a frame holds its NI buffer slot for no virtual time.
 func RunVirtual(s Session, cfg ReliableConfig) (*ReliableResult, error) {
+	return runVirtual(s, cfg, &virtual{})
+}
+
+// runVirtual is RunVirtual on v, over a switch geometry when v has a
+// system (Deliver): every frame then crosses the switched transport, and
+// the supervisor repairs on the geometry.
+func runVirtual(s Session, cfg ReliableConfig, v *virtual) (*ReliableResult, error) {
 	if cfg.Live.Network != nil {
 		return nil, fmt.Errorf("live: RunVirtual runs on the in-process fabric only")
 	}
-	v := &virtual{eng: sim.NewEngine(0), latency: cfg.Live.LinkLatency}
+	v.latency = cfg.Live.LinkLatency
 	cfg.Live.LinkLatency = 0 // delivery events carry it instead
 	rt, err := newRun(s, cfg, v)
 	if err != nil {
@@ -32,6 +40,12 @@ func RunVirtual(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 	}
 	v.rt = rt
 	v.at(rt.cfg.Live.Timeout, func() { v.over, v.timedOut = true, true })
+	for _, c := range rt.faults.Crashes() { // counted as the run lives through them
+		v.at(dur(c.At), rt.faults.NoteCrash)
+		if c.RecoverAt > 0 {
+			v.at(dur(c.RecoverAt), rt.faults.NoteRecovery)
+		}
+	}
 	v.supervise()
 	v.eng.Run()
 	rt.Stop()
@@ -42,6 +56,9 @@ func RunVirtual(s Session, cfg ReliableConfig) (*ReliableResult, error) {
 // their turns on.
 type virtual struct {
 	eng      *sim.Engine
+	sys      *core.System  // the switch geometry's system; nil in process
+	p        sim.Params    // its costs
+	sw       *switched     // its transport's state, built with the run
 	t        time.Duration // the running turn's time: the share's clock
 	latency  time.Duration // Config.LinkLatency, added to every delivery
 	share    *Share
@@ -52,13 +69,26 @@ type virtual struct {
 	end      time.Duration // when the run settled
 }
 
-// attach makes v the share's driver, and its time the share's clock; on
-// the wall (nil v) the share keeps its own.
-func (v *virtual) attach(s *Share) {
-	if v != nil {
-		v.share, s.virt = s, v
+// attach makes v the share's driver, and its time the share's clock, on
+// an engine with a channel table for the switch geometry, whose transport
+// starts once the root's host has handed it the message (t_s); on the
+// wall (nil v) the share keeps its own clock.
+func (v *virtual) attach(s *Share, faults *fault.State) {
+	if v == nil {
+		return
 	}
+	v.share, s.virt = s, v
+	if v.sys == nil {
+		v.eng = sim.NewEngine(0)
+		return
+	}
+	v.sw = newSwitched(v, faults)
+	v.eng = sim.NewEngine(v.sw.geo.Channels())
+	v.t = dur(v.p.THostSend)
 }
+
+// switched reports whether v runs over a switch geometry.
+func (v *virtual) switched() bool { return v != nil && v.sw != nil }
 
 // now is the share's clock: v's time, or on the wall (nil v) the time since
 // start.
@@ -69,11 +99,17 @@ func (v *virtual) now(start time.Time) time.Duration {
 	return v.t
 }
 
-// at schedules f at t, unless the run is over by then.
-func (v *virtual) at(t time.Duration, f func()) {
-	v.eng.At(link.US(t), func() {
+// at schedules f at t, unless the run is over by then; a t that rounds
+// the engine's time down is now.
+func (v *virtual) at(t time.Duration, f func()) { v.atUS(max(link.US(t), v.eng.Now()), f) }
+
+// atUS schedules f at t microseconds, the engine's own time, in which the
+// switched transport computes; the share's clock reads it rounded to the
+// nanosecond.
+func (v *virtual) atUS(t float64, f func()) {
+	v.eng.At(t, func() {
 		if !v.over {
-			v.t = t
+			v.t = dur(t)
 			f()
 		}
 	})
@@ -86,12 +122,10 @@ func (v *virtual) turn(n *ni) {
 	}
 }
 
-// edge gives e a turn now, for packet seq (seq < 0: its timer).
-func (v *virtual) edge(e *EdgeSender, seq int) { v.at(v.t, func() { v.step(e, seq) }) }
-
-// step runs e's turn and, as Run does, re-arms its timer when the next wake
-// moved; a superseded timer event does nothing. A sender whose step ends
-// it is retired, so its later turns end at once.
+// step runs e's turn for packet seq (seq < 0: its timer) and, as Run
+// does, re-arms its timer when the next wake moved; a superseded timer
+// event does nothing. A sender whose step ends it is retired, so its later
+// turns end at once.
 func (v *virtual) step(e *EdgeSender, seq int) {
 	wake, alive := e.step(seq)
 	if !alive {
@@ -147,25 +181,44 @@ func (v *virtual) transport(base, wrapped link.Transport) link.Transport {
 		return wrapped
 	}
 	ft, _ := wrapped.(*link.FaultyTransport)
-	return &vlink{v: v, base: base, ft: ft, to: v.share.nis[base.To()]}
+	e := vedge{base: base, ft: ft, to: v.share.nis[base.To()]}
+	if v.sw != nil {
+		return &slink{vedge: e, sw: v.sw, from: v.sw.nic(base.From())}
+	}
+	return &vlink{vedge: e, v: v}
 }
 
-// vlink is an edge's transport in virtual time. It takes the fault plane's
-// verdict (link.FaultyTransport.Verdict) where the wall transport sleeps
-// on it, and schedules what leaves: each frame onto the receiver's wire
-// with the receiving NI's turn, so it is served at once. The sender never
-// blocks; its frames leave in order, each once the one before has left and
-// its own stall and jitter are over.
-type vlink struct {
-	v    *virtual
-	base link.Transport        // the in-process link into the receiver's inbox
-	ft   *link.FaultyTransport // nil: a plane that leaves frames alone
+// vedge is what an edge's transports in virtual time share: the in-process
+// link into the receiver's inbox, the fault plane's decorator (nil: a
+// plane that leaves frames alone) and the receiving NI.
+type vedge struct {
+	base link.Transport
+	ft   *link.FaultyTransport
 	to   *ni
+}
+
+func (e *vedge) From() int { return e.base.From() }
+func (e *vedge) To() int   { return e.base.To() }
+
+// Pattern returns what the edge's loss stream has decided so far.
+func (e *vedge) Pattern() (p fault.Pattern) {
+	if e.ft != nil {
+		p = e.ft.Pattern()
+	}
+	return p
+}
+
+// vlink is an edge's transport in virtual time over the in-process wire.
+// It takes the fault plane's verdict (link.FaultyTransport.Verdict) where
+// the wall transport sleeps on it, and schedules what leaves: each frame
+// onto the receiver's wire with the receiving NI's turn, so it is served
+// at once. The sender never blocks; its frames leave in order, each once
+// the one before has left and its own stall and jitter are over.
+type vlink struct {
+	vedge
+	v    *virtual
 	free time.Duration // when the frame before left
 }
-
-func (l *vlink) From() int { return l.base.From() }
-func (l *vlink) To() int   { return l.base.To() }
 
 func (l *vlink) Send(payload []byte, _ <-chan struct{}) error {
 	at, first, second := max(l.v.t, l.free), payload, []byte(nil)
@@ -183,12 +236,4 @@ func (l *vlink) Send(payload []byte, _ <-chan struct{}) error {
 		}
 	}
 	return nil
-}
-
-// Pattern returns what the edge's loss stream has decided so far.
-func (l *vlink) Pattern() (p fault.Pattern) {
-	if l.ft != nil {
-		p = l.ft.Pattern()
-	}
-	return p
 }

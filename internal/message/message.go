@@ -11,7 +11,7 @@
 //
 // A received packet is validated in one place, Parse: the header decodes,
 // the length matches, the CRC-32C over the wire bytes agrees. The reliable
-// NI, the virtual-time machine and Reassembler.Add call it once and hand
+// NI and Reassembler.Add call it once and hand
 // the header on to Reassembler.Put, which copies the body once into the
 // message's one buffer; the plain NI, which forwards before it verifies,
 // calls Parse's halves (DecodeHeader, Header.Verify) either side of that.

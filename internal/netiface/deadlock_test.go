@@ -1,8 +1,8 @@
 package netiface_test
 
 // Composition coverage for the NI stall model: send-engine stall windows
-// (internal/fault) must compose with the reliable protocol's timers and host
-// crashes (internal/reliable) without deadlock. The scenarios freeze the
+// (internal/fault) must compose with the reliable runtime's timers and host
+// crashes (live.Deliver, over the switched network) without deadlock. The scenarios freeze the
 // send engines of a chain's forwarders while packets queue behind them —
 // the shape that would wedge a protocol whose progress depended on the
 // stalled engine — and run under a watchdog.
@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/live"
 	"repro/internal/message"
 	"repro/internal/reliable"
 	"repro/internal/topology"
@@ -65,7 +66,7 @@ func TestStallChainNoDeadlock(t *testing.T) {
 		t.Fatal("linear chain has no interior forwarders")
 	}
 	res, err := guarded(t, "stall-chain", func() (*reliable.Result, error) {
-		return reliable.Deliver(sys, plan, payload, cfg, fp)
+		return live.Deliver(sys, plan, payload, cfg, fp)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +99,7 @@ func TestStallCrashNoDeadlock(t *testing.T) {
 		Crashes: []fault.Crash{{Host: victim, At: 30}},
 	}
 	res, err := guarded(t, "stall-crash", func() (*reliable.Result, error) {
-		return reliable.Deliver(sys, plan, payload, cfg, fp)
+		return live.Deliver(sys, plan, payload, cfg, fp)
 	})
 	if err != nil {
 		t.Fatalf("quorum 1 must tolerate the crash: %v", err)

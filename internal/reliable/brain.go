@@ -4,18 +4,19 @@ import (
 	"repro/internal/tree"
 )
 
-// This file is the repair brain of all three reliable engines — the
-// virtual-time machine, live.RunReliable and mcastd.RunReliable: the
+// This file is the repair brain of the reliable runtime, whichever driver
+// runs it (live.RunReliable, live.Deliver, mcastd.RunReliable): the
 // overlay's tree shape and every decision that reshapes it — crash
 // adoption, rejoin re-admission, dead-edge repair, abandonment. Each repair
 // is the paper's Fig.-11 k-binomial construction re-run over the survivors
 // under a live ancestor. The brain has no clock, goroutine or socket: it is
 // a pure function of the calls made on it and of what the Runtime answers,
 // so the same event script always yields the same Install/Retire sequence,
-// and it is tested without a wall clock. Only the engines' geometry
-// differs, and the Runtime carries it: the machine cuts the chain from its
-// switch ordering and answers reachability from its degraded switch graph,
-// the supervisor sorts ascending and answers from its dead transport pairs.
+// and it is tested without a wall clock. Only a run's geometry differs,
+// and the Runtime (the supervisor) carries it: over a switched network
+// the chain is cut from the system's ordering and reachability read off
+// the degraded switch graph (Geometry); without one the chain is
+// ascending and an exhausted transport pair is unreachable.
 
 // Runtime is what the brain needs from the engine hosting it: a way to
 // bring tree edges up and down, and five questions.

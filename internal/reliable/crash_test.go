@@ -1,8 +1,10 @@
-package reliable
+package reliable_test
 
 import (
 	"errors"
 	"reflect"
+	"repro"
+	"repro/internal/reliable"
 	"testing"
 	"time"
 
@@ -12,15 +14,15 @@ import (
 
 // deliverGuarded runs Deliver under a watchdog: a crash scenario must
 // terminate, never hang the event loop.
-func deliverGuarded(t *testing.T, sys *core.System, plan *core.Plan, payload []byte, cfg Config, fp fault.Plan) (*Result, error) {
+func deliverGuarded(t *testing.T, sys *core.System, plan *core.Plan, payload []byte, cfg reliable.Config, fp fault.Plan) (*reliable.Result, error) {
 	t.Helper()
 	type out struct {
-		res *Result
+		res *reliable.Result
 		err error
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := Deliver(sys, plan, payload, cfg, fp)
+		res, err := repro.DeliverReliable(sys, plan, payload, cfg, fp)
 		done <- out{res, err}
 	}()
 	select {
@@ -38,7 +40,7 @@ func deliverGuarded(t *testing.T, sys *core.System, plan *core.Plan, payload []b
 // hang or silent loss — and every survivor's payload must be byte-exact.
 func TestCrashStopFirstChild(t *testing.T) {
 	sys := irregular64(3)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	cfg.Quorum = 1
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
@@ -52,7 +54,7 @@ func TestCrashStopFirstChild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("quorum 1 must tolerate one crash: %v", err)
 	}
-	if res.Status != DeliveredPartial {
+	if res.Status != reliable.DeliveredPartial {
 		t.Errorf("status %v, want delivered-partial (crash-stop host cannot complete)", res.Status)
 	}
 	if !reflect.DeepEqual(res.Orphaned, []int{victim}) {
@@ -89,7 +91,7 @@ func TestCrashStopFirstChild(t *testing.T) {
 // the run ends fully Delivered.
 func TestCrashRecoveryRejoin(t *testing.T) {
 	sys := irregular64(3)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 31), Packets: 6, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	victim := plan.Tree.Children(plan.Tree.Root())[0]
@@ -101,7 +103,7 @@ func TestCrashRecoveryRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovered host should not fail the run: %v", err)
 	}
-	if res.Status != Delivered {
+	if res.Status != reliable.Delivered {
 		t.Errorf("status %v, want delivered after rejoin replay", res.Status)
 	}
 	if res.Faults.Crashes != 1 || res.Faults.Recoveries != 1 {
@@ -122,7 +124,7 @@ func TestCrashRecoveryRejoin(t *testing.T) {
 // are replenished by a silent fresh re-graft, so delivery is still exact.
 func TestCrashShortOutage(t *testing.T) {
 	sys := irregular64(3)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 31), Packets: 6, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	victim := plan.Tree.Children(plan.Tree.Root())[0]
@@ -132,7 +134,7 @@ func TestCrashShortOutage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("short outage should not fail the run: %v", err)
 	}
-	if res.Status != Delivered {
+	if res.Status != reliable.Delivered {
 		t.Errorf("status %v, want delivered", res.Status)
 	}
 	if res.Epoch != 1 || len(res.Views) != 1 {
@@ -149,18 +151,18 @@ func TestCrashShortOutage(t *testing.T) {
 // typed *CrashError regardless of quorum.
 func TestRootCrashFails(t *testing.T) {
 	sys := irregular64(3)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	cfg.Quorum = 1
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 31), Packets: 6, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(6, cfg.Params, 7)
 	fp := fault.Plan{Crashes: []fault.Crash{{Host: 0, At: 20}}}
 	res, err := deliverGuarded(t, sys, plan, payload, cfg, fp)
-	var ce *CrashError
+	var ce *reliable.CrashError
 	if !errors.As(err, &ce) || !ce.RootCrashed {
-		t.Fatalf("error %v, want *CrashError with RootCrashed", err)
+		t.Fatalf("error %v, want *reliable.CrashError with RootCrashed", err)
 	}
-	if res.Status != Failed {
+	if res.Status != reliable.Failed {
 		t.Errorf("status %v, want failed", res.Status)
 	}
 }
@@ -171,7 +173,7 @@ func TestQuorumSemantics(t *testing.T) {
 	sys := irregular64(3)
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 7), Packets: 4, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	payload := payloadFor(4, cfg.Params, 5)
 	fp := fault.Plan{Crashes: []fault.Crash{
 		{Host: spec.Dests[0], At: 15},
@@ -183,21 +185,21 @@ func TestQuorumSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("quorum 5 of 7 with 2 crashes should hold: %v", err)
 	}
-	if res.Status != DeliveredPartial || len(res.Orphaned) != 2 {
+	if res.Status != reliable.DeliveredPartial || len(res.Orphaned) != 2 {
 		t.Errorf("status %v orphaned %v, want delivered-partial with both crash-stops undelivered",
 			res.Status, res.Orphaned)
 	}
 
 	cfg.Quorum = 0 // require all destinations
 	res, err = deliverGuarded(t, sys, plan, payload, cfg, fp)
-	var ce *CrashError
+	var ce *reliable.CrashError
 	if !errors.As(err, &ce) {
-		t.Fatalf("error %v, want *CrashError when quorum requires all", err)
+		t.Fatalf("error %v, want *reliable.CrashError when quorum requires all", err)
 	}
 	if ce.Delivered != 5 || ce.Quorum != 7 || len(ce.Undelivered) != 2 {
 		t.Errorf("crash error %+v, want 5 delivered of quorum 7 with 2 undelivered", ce)
 	}
-	if res.Status != Failed {
+	if res.Status != reliable.Failed {
 		t.Errorf("status %v, want failed", res.Status)
 	}
 }
@@ -206,7 +208,7 @@ func TestQuorumSemantics(t *testing.T) {
 // field for field, including the new epoch/view/adoption state.
 func TestCrashDeterminism(t *testing.T) {
 	sys := irregular64(8)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	cfg.Quorum = 1
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
@@ -233,7 +235,7 @@ func TestCrashDeterminism(t *testing.T) {
 // backwards — stale-epoch traffic is fenced, not delivered.
 func TestEpochStampsMonotone(t *testing.T) {
 	sys := irregular64(8)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	cfg.Quorum = 1
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
@@ -264,15 +266,15 @@ func TestEpochStampsMonotone(t *testing.T) {
 // its crash-free schedule untouched.
 func TestNoCrashNoMembership(t *testing.T) {
 	sys := irregular64(5)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 31), Packets: 4, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(4, cfg.Params, 13)
-	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: 2, DropRate: 0.05})
+	res, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{Seed: 2, DropRate: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Epoch != 0 || res.Views != nil || res.Accepts != nil || res.Status != Delivered {
+	if res.Epoch != 0 || res.Views != nil || res.Accepts != nil || res.Status != reliable.Delivered {
 		t.Errorf("membership artifacts on a crash-free run: epoch=%d views=%d accepts=%d status=%v",
 			res.Epoch, len(res.Views), len(res.Accepts), res.Status)
 	}

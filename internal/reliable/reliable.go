@@ -1,69 +1,20 @@
-// Package reliable delivers packetized multicast messages byte-exactly
-// over faulty networks: per-packet ACK/NACK with timeout-driven
-// retransmission, exponential backoff with seeded jitter, duplicate
-// suppression at the reassemblers, and mid-flight tree repair when a
-// scheduled link kill severs a subtree.
-//
-// The data plane reproduces the sim package's contention model
-// event-for-event: packet injections pay t_ns on a serial NI, reserve the
-// route's wormhole channels, and deliver after t_nr, exactly as
-// sim.Concurrent does under FPFS. Control traffic (ACK/NACK) instead rides
-// a contention-free plane — small control packets neither occupy the NI
-// send engine nor reserve channels — so under a zero-fault plan the
-// reliable protocol reproduces the lossless engine's latencies exactly,
-// with zero retransmissions. Retransmission timers are deterministic: the
-// sending NI knows its channel reservation, so the timeout is the
-// reserved arrival plus the ACK round trip plus slack, and backoff only
-// stretches it after a real loss.
-//
-// When retries across one tree edge exhaust their budget, the repair
-// brain all three reliable engines share (Brain) re-parents the
-// incomplete hosts of the child's subtree onto a fresh k-binomial subtree
-// under the detecting parent — the paper's tree construction, reused
-// verbatim, in the system's chain order — and each new parent replays the
-// packets it already holds; receivers drop the duplicates. The machine first rebuilds
-// routing around every link killed so far (core.System
-// .WithoutLinkChecked) and answers the brain's reachability question from
-// the degraded switch graph: an edge it cannot carry falls back to a root
-// edge, and a destination the root cannot reach either — a genuine
-// partition — is abandoned and reported in a typed *DeliveryError. An
-// exhaustion no kill explains re-grafts the same way until the regraft
-// cap abandons.
-//
-// # Crash tolerance
-//
-// When the fault plan schedules host crashes, a membership plane comes up
-// alongside the data plane: every participant heartbeats the root on the
-// control plane, and a deterministic failure detector
-// (internal/membership) turns silence into suspicion, confirmation, and
-// epoch-numbered group views. Data packets and ACKs carry the epoch they
-// were sent in; a view change fences everything from older epochs —
-// receivers and senders discard stale traffic, and the retransmission
-// timers re-issue it under the new epoch. When a crash is confirmed the
-// brain cuts the dead host out of the tree and has its orphaned subtree
-// adopted by the nearest live ancestor through the same Fig.-11
-// contention-free k-binomial construction used at planning time, and the
-// host's NI state (queues, in-flight copies) is dropped. A
-// crashed host that
-// recovers rejoins with empty buffers in a fresh epoch and has the whole
-// message replayed to it.
-//
-// Crash runs finish with an explicit verdict: Delivered (everyone got the
-// message, possibly via adoption), DeliveredPartial (crashes cut some
-// destinations but at least Quorum completed), or a typed *CrashError.
-// With no crash faults in the plan none of this machinery is armed and
-// the protocol replays its pre-crash behavior event-for-event.
+// Package reliable holds what every driver of the reliable multicast
+// runtime (internal/live) shares: the repair brain (Brain), which
+// re-grafts orphaned subtrees with the paper's k-binomial construction;
+// the verdict (Verdict: Delivered, DeliveredPartial when crashes cut
+// destinations but the quorum held, or a typed *DeliveryError or
+// *CrashError); the switch geometry a run over a simulated network
+// repairs on (Geometry); and the config and result of that run
+// (live.Deliver, the facade's DeliverReliable), which under a zero-fault
+// plan reproduces the lossless engine's FPFS schedule exactly.
 package reliable
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/membership"
-	"repro/internal/message"
 	"repro/internal/sim"
 )
 
@@ -84,27 +35,8 @@ type Config struct {
 	Quorum int
 }
 
-// The protocol's fixed parameters; times are in microseconds.
-const (
-	// rtoSlack is the grace added beyond the deterministic data+ACK round
-	// trip before a retransmission timer fires: it is why a lossless run's
-	// ACK always beats its timer, so a zero-fault plan never retransmits.
-	rtoSlack = 1.0
-	// backoffBase is the extra wait before the first retransmission's
-	// timer; it doubles per attempt up to backoffMax.
-	backoffBase = 2.0
-	backoffMax  = 64.0
-	// jitterFrac widens each backoff by a uniform draw in [0, frac) from
-	// the fault plan's seeded RNG, de-synchronizing competing retries.
-	jitterFrac = 0.25
-	// ackBytes is the control-packet size on the wire.
-	ackBytes = 8
-)
-
 // DefaultConfig returns the protocol defaults used by the chaos
-// experiment: 8 retransmissions per edge-packet and message ID 1. The
-// membership plane, armed only when the fault plan schedules crashes,
-// runs membership.DefaultConfig.
+// experiment: 8 retransmissions per edge-packet and message ID 1.
 func DefaultConfig() Config {
 	return Config{
 		Params:      sim.DefaultParams(),
@@ -163,58 +95,42 @@ type EpochStamp struct {
 	Epoch int
 }
 
-// Result reports one reliable multicast delivery.
+// Result reports one reliable multicast over a switched network
+// (live.Deliver); times are microseconds.
 type Result struct {
-	// Latency is from initiation to the last completing destination host
-	// (abandoned destinations excluded).
-	Latency float64
-	// HostDone is the completion time per destination that finished.
-	HostDone map[int]float64
-	// Packets is the message's packet count.
-	Packets int
+	// Latency is from initiation to the last completing destination;
+	// HostDone is each completing destination's time, and Delivered its
+	// reassembled message.
+	Latency   float64
+	HostDone  map[int]float64
+	Delivered map[int][]byte
+	Packets   int
 	// Sends counts data-packet injections; Retransmits of those were
-	// repeat attempts. ChannelWait aggregates contention stalls.
-	Sends       int
-	Retransmits int
-	ChannelWait float64
-	// Acks and Nacks count control packets received by senders;
-	// Duplicates counts redundant data packets suppressed by receivers.
-	Acks       int
-	Nacks      int
-	Duplicates int
-	// Repairs counts subtree re-grafts performed mid-flight.
-	Repairs int
+	// repeat attempts. Duplicates were suppressed by receivers, Fenced
+	// discarded (data and ACKs) for a stale epoch.
+	Sends, Retransmits, Duplicates, Fenced int
 	// Orphaned lists destinations (ascending) the protocol gave up on;
 	// Partitioned reports whether a link kill cut hosts off entirely.
 	Orphaned    []int
 	Partitioned bool
 	// Faults are the injected-fault counters of the run; Losses what each
-	// edge incarnation's loss stream decided, in creation order (runs
-	// that draw no loss decision have none).
+	// edge incarnation's loss stream decided, in creation order.
 	Faults fault.Stats
 	Losses []fault.Pattern
-	// Delivered holds each completing destination's reassembled message.
-	Delivered map[int][]byte
-	// Status is the delivery verdict (always Delivered/Failed on crash-free
-	// plans; DeliveredPartial only when crashes cut destinations but the
-	// quorum held).
+	// Status is the delivery verdict.
 	Status Status
-	// Epoch is the final membership epoch (0 when no crashes were planned
-	// and the membership plane never armed; the initial armed view is 1).
+	// Epoch is the final membership epoch (0 when no crash was planned,
+	// the membership plane never armed; the initial armed view is 1), and
+	// Views the views installed while it was armed.
 	Epoch int
-	// Views lists the epoch-numbered group views installed during the run,
-	// starting with the initial view, when the membership plane was armed.
 	Views []membership.View
 	// Crashed lists the hosts down when the run ended, ascending.
 	Crashed []int
-	// Fenced counts data/control packets discarded for carrying a stale
-	// epoch after a view change.
-	Fenced int
-	// Adoptions counts crash-driven re-grafts: orphaned subtrees adopted by
-	// a live ancestor after a confirmation, and recovered hosts re-admitted.
+	// Adoptions counts re-grafts: after an exhausted edge or a crash
+	// confirmation, and of rejoining hosts.
 	Adoptions int
 	// Accepts is the epoch-stamp trace of novel packet acceptances, in
-	// event order, recorded only while the membership plane is armed.
+	// time order, while the membership plane is armed.
 	Accepts []EpochStamp
 }
 
@@ -282,79 +198,9 @@ func (e *CrashError) Error() string {
 		e.Crashed, e.Delivered, e.Quorum, e.Epoch, e.Undelivered)
 }
 
-// Deliver multicasts payload from the plan's tree root to every other tree
-// node under the fault plan, retransmitting and repairing as needed. It
-// always returns a Result; the error is a *DeliveryError when a crash-free
-// plan left any destination without the complete message, and a
-// *CrashError when a crash-afflicted run missed its quorum (the fault-plan
-// or config validation errors are ordinary; a plan that reorders or
-// jitters, which virtual time cannot, is a *fault.RefusedError). The run
-// is fully deterministic for a fixed (system, plan, payload, config,
-// fault plan).
-func Deliver(sys *core.System, plan *core.Plan, payload []byte, cfg Config, fp fault.Plan) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	faults, err := fp.Arm()
-	if err != nil {
-		return nil, err
-	}
-	err = fp.Admit("reliable", fault.Drop|fault.Corrupt|fault.AckDrop|fault.Stalls|fault.LinkKills|fault.Crashes,
-		len(sys.Net.Links()), plan.Tree.Contains)
-	if err != nil {
-		return nil, err
-	}
-	pkts, err := message.Packetize(cfg.MsgID, plan.Tree.Root(), payload, cfg.Params.PacketBytes)
-	if err != nil {
-		return nil, err
-	}
-	mc := newMachine(sys, plan, pkts, cfg, faults, fp.Seed)
-	mc.run()
-	return mc.finish()
-}
-
-// finish assembles the Result and the typed error after the event loop
-// drains.
-func (mc *machine) finish() (*Result, error) {
-	res := mc.res
-	res.Faults = mc.faults.Stats()
-	for _, es := range mc.all {
-		if p := es.loss.Pattern(); p.Sent > 0 {
-			res.Losses = append(res.Losses, p)
-		}
-	}
-	res.Epoch = mc.epoch
-	res.Crashed = mc.faults.DownHosts(mc.eng.Now())
-	root := mc.root
-	for v, n := range mc.nodes {
-		if v == root {
-			continue
-		}
-		if n.haveCount == mc.m {
-			res.Delivered[v] = n.reasm.Bytes()
-		} else {
-			res.Orphaned = append(res.Orphaned, v)
-		}
-	}
-	sort.Ints(res.Orphaned)
-	for _, t := range res.HostDone {
-		if t > res.Latency {
-			res.Latency = t
-		}
-	}
-	var err error
-	res.Status, err = Verdict(len(mc.nodes)-1, res.Orphaned, res.Crashed,
-		mc.cfg.Quorum, res.Epoch, mc.det != nil, mc.rootCrashed)
-	var de *DeliveryError
-	if errors.As(err, &de) {
-		de.Partitioned = res.Partitioned
-	}
-	return res, err
-}
-
-// Verdict settles a reliable multicast's outcome from what its engine
-// observed; the virtual-time machine, live.RunReliable and
-// mcastd.RunReliable all end here. dests counts the destinations,
+// Verdict settles a reliable multicast's outcome from what its driver
+// observed; live.RunReliable, live.Deliver and mcastd.RunReliable all end
+// here. dests counts the destinations,
 // orphaned lists those left without the full payload and crashed the
 // hosts down at the end; quorum <= 0 (or above dests) requires every
 // destination; armed says whether the membership plane ever ran.

@@ -1,10 +1,12 @@
-package reliable
+package reliable_test
 
 import (
 	"bytes"
 	"errors"
 	"math"
 	"reflect"
+	"repro"
+	"repro/internal/reliable"
 	"strings"
 	"testing"
 
@@ -35,11 +37,15 @@ func irregular64(seed uint64) *core.System {
 }
 
 // TestLosslessMatchesSim is the zero-fault acceptance gate: under an empty
-// fault plan the reliable protocol must reproduce the lossless engine's
-// schedule exactly — same latency to the microsecond, same per-host
-// completion times, same injection count, zero retransmissions.
+// fault plan the reliable runtime, run over the switched network, must
+// reproduce the lossless engine's schedule exactly — same latency, same
+// per-host completion times, same injection count, zero retransmissions.
+// The run's clock ticks in nanoseconds and the simulator's constants are
+// whole nanoseconds, so the engine's times are compared rounded to the
+// nanosecond, with no other tolerance: a real schedule difference is at
+// least a router delay.
 func TestLosslessMatchesSim(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	systems := []struct {
 		name string
 		sys  *core.System
@@ -48,32 +54,35 @@ func TestLosslessMatchesSim(t *testing.T) {
 		{"irregular-seed7", irregular64(7)},
 		{"cube-2x4", core.NewCubeSystem(2, 4)},
 	}
+	nanos := func(us float64) float64 { return math.Round(us*1e3) / 1e3 }
 	for _, sc := range systems {
 		for _, policy := range []core.TreePolicy{core.OptimalTree, core.BinomialTree, core.LinearTree} {
 			for _, nd := range []int{7, 15} {
 				spec := core.Spec{Source: 0, Dests: seqDests(1, nd), Packets: 4, Policy: policy}
 				plan := sc.sys.Plan(spec)
 				payload := payloadFor(4, cfg.Params, 42)
-				res, err := Deliver(sc.sys, plan, payload, cfg, fault.Plan{})
+				res, err := repro.DeliverReliable(sc.sys, plan, payload, cfg, fault.Plan{})
 				if err != nil {
 					t.Fatalf("%s/%v/%d dests: %v", sc.name, policy, nd, err)
 				}
 				want := sim.Multicast(sc.sys.Router, plan.Tree, res.Packets, cfg.Params, stepsim.FPFS)
-				if res.Latency != want.Latency {
+				if res.Latency != nanos(want.Latency) {
 					t.Errorf("%s/%v/%d dests: latency %f, lossless engine %f",
 						sc.name, policy, nd, res.Latency, want.Latency)
 				}
-				if !reflect.DeepEqual(res.HostDone, want.HostDone) {
-					t.Errorf("%s/%v/%d dests: HostDone diverged from lossless engine",
-						sc.name, policy, nd)
+				for h, done := range want.HostDone {
+					if res.HostDone[h] != nanos(done) {
+						t.Errorf("%s/%v/%d dests: host %d done at %f, lossless engine %f",
+							sc.name, policy, nd, h, res.HostDone[h], done)
+					}
 				}
-				if res.Sends != want.Sends || res.Retransmits != 0 {
-					t.Errorf("%s/%v/%d dests: sends=%d retransmits=%d, lossless engine sends=%d",
-						sc.name, policy, nd, res.Sends, res.Retransmits, want.Sends)
+				if len(res.HostDone) != len(want.HostDone) {
+					t.Errorf("%s/%v/%d dests: %d completions, lossless engine %d",
+						sc.name, policy, nd, len(res.HostDone), len(want.HostDone))
 				}
-				if res.ChannelWait != want.ChannelWait {
-					t.Errorf("%s/%v/%d dests: channel wait %f, lossless %f",
-						sc.name, policy, nd, res.ChannelWait, want.ChannelWait)
+				if res.Sends != want.Sends || res.Retransmits != 0 || res.Duplicates != 0 {
+					t.Errorf("%s/%v/%d dests: sends=%d retransmits=%d duplicates=%d, lossless engine sends=%d",
+						sc.name, policy, nd, res.Sends, res.Retransmits, res.Duplicates, want.Sends)
 				}
 				checkPayloads(t, res, spec.Dests, payload)
 			}
@@ -89,12 +98,12 @@ func seqDests(lo, n int) []int {
 	return out
 }
 
-func checkPayloads(t *testing.T, res *Result, dests []int, payload []byte) {
+func checkPayloads(t *testing.T, res *reliable.Result, dests []int, payload []byte) {
 	t.Helper()
 	for _, d := range dests {
 		got, ok := res.Delivered[d]
 		if !ok {
-			t.Fatalf("destination %d missing from Delivered", d)
+			t.Fatalf("destination %d missing from reliable.Delivered", d)
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("destination %d payload differs from original", d)
@@ -106,12 +115,12 @@ func checkPayloads(t *testing.T, res *Result, dests []int, payload []byte) {
 // message byte-exactly, with retransmissions doing the work.
 func TestDropRecovery(t *testing.T) {
 	sys := irregular64(3)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 99)
 	for _, p := range []float64{0.01, 0.05, 0.2} {
-		res, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: 5, DropRate: p})
+		res, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{Seed: 5, DropRate: p})
 		if err != nil {
 			t.Fatalf("p=%f: %v", p, err)
 		}
@@ -127,7 +136,7 @@ func TestDropRecovery(t *testing.T) {
 // per (edge, packet) over several seeds must match within 5%.
 func TestExpectedSendsModel(t *testing.T) {
 	sys := irregular64(2)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 16, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(16, cfg.Params, 7)
@@ -136,7 +145,7 @@ func TestExpectedSendsModel(t *testing.T) {
 		sends := 0
 		runs := 6
 		for seed := uint64(1); seed <= uint64(runs); seed++ {
-			res, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: seed, DropRate: p})
+			res, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{Seed: seed, DropRate: p})
 			if err != nil {
 				t.Fatalf("p=%f seed=%d: %v", p, seed, err)
 			}
@@ -150,37 +159,45 @@ func TestExpectedSendsModel(t *testing.T) {
 	}
 }
 
-// TestCorruptionNacked: corrupted packets are rejected by the receiving
-// NI's checksum, NACKed, retransmitted, and the message still arrives
-// intact.
+// TestCorruptionNacked: a corrupted copy fails the receiving NI's
+// checksum and is dropped unacknowledged, and the sender's retransmission
+// timer resends it (no NACK: the timer is the one recovery path); the
+// message still arrives intact.
 func TestCorruptionNacked(t *testing.T) {
 	sys := irregular64(4)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 2, Dests: seqDests(3, 31), Packets: 8, Policy: core.BinomialTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 11)
-	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: 9, CorruptRate: 0.05})
+	res, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{Seed: 9, CorruptRate: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Faults.Corrupted == 0 {
 		t.Fatal("fault plan injected no corruption")
 	}
-	if res.Nacks == 0 {
-		t.Error("corruption produced no NACKs")
+	if res.Retransmits < res.Faults.Corrupted {
+		t.Errorf("%d corrupted copies but %d retransmissions: a damaged copy was accepted or never resent",
+			res.Faults.Corrupted, res.Retransmits)
+	}
+	if want := (len(spec.Dests))*res.Packets + res.Retransmits; res.Sends != want {
+		t.Errorf("sends=%d, want first attempts + retransmits = %d", res.Sends, want)
 	}
 	checkPayloads(t, res, spec.Dests, payload)
 }
 
 // TestAckLossDuplicates: lost ACKs force redundant retransmissions that
-// receivers must suppress; delivery stays byte-exact.
+// receivers must suppress; delivery stays byte-exact. A run ends once every
+// destination holds the message, and its timeout is one lossless multicast,
+// so only a lost ACK whose timer fires before then is resent: the plan also
+// drops data, which keeps the run open past its first timeouts.
 func TestAckLossDuplicates(t *testing.T) {
 	sys := irregular64(5)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 31), Packets: 6, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(6, cfg.Params, 13)
-	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: 21, AckDropRate: 0.2})
+	res, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{Seed: 21, DropRate: 0.05, AckDropRate: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,18 +215,18 @@ func TestAckLossDuplicates(t *testing.T) {
 // abandons hosts, with a typed error that is not a partition.
 func TestRetryBudgetExhaustion(t *testing.T) {
 	sys := irregular64(6)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	cfg.RetryBudget = 1
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 7), Packets: 2, Policy: core.LinearTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(2, cfg.Params, 17)
-	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: 3, DropRate: 0.9})
+	res, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{Seed: 3, DropRate: 0.9})
 	if err == nil {
 		t.Skip("seed delivered despite 90% loss; pick another seed")
 	}
-	var de *DeliveryError
+	var de *reliable.DeliveryError
 	if !errors.As(err, &de) {
-		t.Fatalf("error %v is not a *DeliveryError", err)
+		t.Fatalf("error %v is not a *reliable.DeliveryError", err)
 	}
 	if de.Partitioned {
 		t.Error("pure loss misreported as partition")
@@ -228,13 +245,13 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 // field — the protocol has no hidden entropy.
 func TestDeterminism(t *testing.T) {
 	sys := irregular64(8)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 23)
 	fp := fault.Plan{Seed: 77, DropRate: 0.05, CorruptRate: 0.01, AckDropRate: 0.05}
-	a, errA := Deliver(sys, plan, payload, cfg, fp)
-	b, errB := Deliver(sys, plan, payload, cfg, fp)
+	a, errA := repro.DeliverReliable(sys, plan, payload, cfg, fp)
+	b, errB := repro.DeliverReliable(sys, plan, payload, cfg, fp)
 	if (errA == nil) != (errB == nil) {
 		t.Fatalf("error mismatch: %v vs %v", errA, errB)
 	}
@@ -244,10 +261,10 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestParallelDeliver exercises concurrent independent deliveries for the
-// race detector: machines share no mutable state.
+// race detector: runs share no mutable state.
 func TestParallelDeliver(t *testing.T) {
 	sys := irregular64(9)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 31), Packets: 4, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(4, cfg.Params, 29)
@@ -255,7 +272,7 @@ func TestParallelDeliver(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		seed := uint64(i + 1)
 		go func() {
-			_, err := Deliver(sys, plan, payload, cfg, fault.Plan{Seed: seed, DropRate: 0.02})
+			_, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{Seed: seed, DropRate: 0.02})
 			done <- err
 		}()
 	}
@@ -271,13 +288,13 @@ func TestConfigValidation(t *testing.T) {
 	sys := irregular64(1)
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 3), Packets: 1, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
-	bad := DefaultConfig()
+	bad := reliable.DefaultConfig()
 	bad.RetryBudget = 0
-	if _, err := Deliver(sys, plan, []byte{1}, bad, fault.Plan{}); err == nil {
+	if _, err := repro.DeliverReliable(sys, plan, []byte{1}, bad, fault.Plan{}); err == nil {
 		t.Error("zero retry budget accepted")
 	}
-	cfg := DefaultConfig()
-	if _, err := Deliver(sys, plan, []byte{1}, cfg, fault.Plan{DropRate: 1.5}); err == nil {
+	cfg := reliable.DefaultConfig()
+	if _, err := repro.DeliverReliable(sys, plan, []byte{1}, cfg, fault.Plan{DropRate: 1.5}); err == nil {
 		t.Error("invalid fault plan accepted")
 	}
 }
@@ -288,7 +305,7 @@ func TestConfigValidation(t *testing.T) {
 // a field virtual time cannot carry out, by type.
 func TestDeliverRefusesWhatTheRunLacks(t *testing.T) {
 	sys := irregular64(1) // 95 links
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	plan := sys.Plan(core.Spec{Source: 0, Dests: seqDests(1, 15), Packets: 4, Policy: core.OptimalTree})
 	payload := payloadFor(4, cfg.Params, 3)
 	for _, c := range []struct {
@@ -304,7 +321,7 @@ func TestDeliverRefusesWhatTheRunLacks(t *testing.T) {
 		{"reorder", "ReorderRate", fault.Plan{ReorderRate: 0.1}, true},
 		{"jitter", "MaxJitter", fault.Plan{MaxJitter: 1000}, true},
 	} {
-		res, err := Deliver(sys, plan, payload, cfg, c.fp)
+		res, err := repro.DeliverReliable(sys, plan, payload, cfg, c.fp)
 		var re *fault.RefusedError
 		if res != nil || err == nil || !strings.Contains(err.Error(), c.want) || errors.As(err, &re) != c.refused {
 			t.Errorf("%s: Deliver = %v, %v; want a refusal naming %q (typed: %v)", c.name, res, err, c.want, c.refused)

@@ -1,8 +1,10 @@
-package reliable
+package reliable_test
 
 import (
 	"errors"
 	"reflect"
+	"repro"
+	"repro/internal/reliable"
 	"testing"
 
 	"repro/internal/core"
@@ -39,7 +41,7 @@ func killableDataLink(t *testing.T, sys *core.System, plan *core.Plan) int {
 // every destination.
 func TestLinkKillRepair(t *testing.T) {
 	sys := irregular64(1)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 51)
@@ -47,12 +49,12 @@ func TestLinkKillRepair(t *testing.T) {
 
 	// Kill mid-flight: after the source's t_s but well before the
 	// lossless completion, so transmissions are genuinely severed.
-	lossless, err := Deliver(sys, plan, payload, cfg, fault.Plan{})
+	lossless, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	killAt := cfg.Params.THostSend + (lossless.Latency-cfg.Params.THostSend)/3
-	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{
+	res, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{
 		Kills: []fault.Kill{{Link: link, At: killAt}},
 	})
 	if err != nil {
@@ -61,7 +63,7 @@ func TestLinkKillRepair(t *testing.T) {
 	if res.Faults.DeadSends == 0 {
 		t.Fatal("kill never intercepted a transmission — pick a busier link or an earlier kill")
 	}
-	if res.Repairs == 0 {
+	if res.Adoptions == 0 {
 		t.Error("no repair performed despite dead sends")
 	}
 	if res.Retransmits == 0 {
@@ -80,7 +82,7 @@ func TestLinkKillRepair(t *testing.T) {
 // identically.
 func TestLinkKillRepairDeterministic(t *testing.T) {
 	sys := irregular64(1)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 51)
@@ -90,14 +92,14 @@ func TestLinkKillRepairDeterministic(t *testing.T) {
 		Seed:     5,
 		Kills:    []fault.Kill{{Link: link, At: 30}},
 	}
-	a, errA := Deliver(sys, plan, payload, cfg, fp)
-	b, errB := Deliver(sys, plan, payload, cfg, fp)
+	a, errA := repro.DeliverReliable(sys, plan, payload, cfg, fp)
+	b, errB := repro.DeliverReliable(sys, plan, payload, cfg, fp)
 	if (errA == nil) != (errB == nil) {
 		t.Fatalf("error mismatch: %v vs %v", errA, errB)
 	}
-	if a.Latency != b.Latency || a.Sends != b.Sends || a.Repairs != b.Repairs {
+	if a.Latency != b.Latency || a.Sends != b.Sends || a.Adoptions != b.Adoptions {
 		t.Errorf("repair runs diverged: latency %f/%f sends %d/%d repairs %d/%d",
-			a.Latency, b.Latency, a.Sends, b.Sends, a.Repairs, b.Repairs)
+			a.Latency, b.Latency, a.Sends, b.Sends, a.Adoptions, b.Adoptions)
 	}
 }
 
@@ -106,7 +108,7 @@ func TestLinkKillRepairDeterministic(t *testing.T) {
 // completes byte-exactly.
 func TestHostLinkKillPartitions(t *testing.T) {
 	sys := irregular64(1)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 4, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(4, cfg.Params, 61)
@@ -123,12 +125,12 @@ func TestHostLinkKillPartitions(t *testing.T) {
 		t.Fatal("tree has no leaf destination")
 	}
 	link := sys.Net.HostLink(victim).ID
-	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{
+	res, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{
 		Kills: []fault.Kill{{Link: link, At: cfg.Params.THostSend}},
 	})
-	var de *DeliveryError
+	var de *reliable.DeliveryError
 	if !errors.As(err, &de) {
-		t.Fatalf("expected *DeliveryError, got %v", err)
+		t.Fatalf("expected *reliable.DeliveryError, got %v", err)
 	}
 	if !de.Partitioned {
 		t.Error("host-link kill not reported as partition")
@@ -181,7 +183,7 @@ func TestBridgeKillPartitions(t *testing.T) {
 			}
 		}
 	}
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.BinomialTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 81)
@@ -193,15 +195,15 @@ func TestBridgeKillPartitions(t *testing.T) {
 			far = append(far, d)
 		}
 	}
-	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{
+	res, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{
 		Kills: []fault.Kill{{Link: bridge, At: cfg.Params.THostSend + 5}},
 	})
-	var de *DeliveryError
+	var de *reliable.DeliveryError
 	if !errors.As(err, &de) || !de.Partitioned {
-		t.Fatalf("error %v, want a partitioned *DeliveryError", err)
+		t.Fatalf("error %v, want a partitioned *reliable.DeliveryError", err)
 	}
-	if res.Faults.DeadSends == 0 || res.Repairs == 0 {
-		t.Errorf("%d dead-link sends, %d repairs: the kill did not reach the repair path", res.Faults.DeadSends, res.Repairs)
+	if res.Faults.DeadSends == 0 || res.Adoptions == 0 {
+		t.Errorf("%d dead-link sends, %d repairs: the kill did not reach the repair path", res.Faults.DeadSends, res.Adoptions)
 	}
 	if !reflect.DeepEqual(res.Orphaned, far) {
 		t.Errorf("orphaned %v, want the far side %v", res.Orphaned, far)
@@ -213,7 +215,7 @@ func TestBridgeKillPartitions(t *testing.T) {
 // repair rounds.
 func TestDoubleKillRepair(t *testing.T) {
 	sys := irregular64(1)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 63), Packets: 8, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(8, cfg.Params, 71)
@@ -249,13 +251,13 @@ func TestDoubleKillRepair(t *testing.T) {
 	if second < 0 {
 		t.Skip("no second independently killable link on the data path")
 	}
-	res, err := Deliver(sys, plan, payload, cfg, fault.Plan{
+	res, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{
 		Kills: []fault.Kill{{Link: first, At: 25}, {Link: second, At: 60}},
 	})
 	if err != nil {
 		t.Fatalf("delivery failed: %v", err)
 	}
-	if res.Repairs == 0 {
+	if res.Adoptions == 0 {
 		t.Error("no repairs despite two kills")
 	}
 	checkPayloads(t, res, spec.Dests, payload)

@@ -1,6 +1,8 @@
-package reliable
+package reliable_test
 
 import (
+	"repro"
+	"repro/internal/reliable"
 	"testing"
 	"time"
 
@@ -13,7 +15,7 @@ import (
 // should still be resolved somehow without hanging.
 func TestRootCrashWithUnconfirmedDestCrash(t *testing.T) {
 	sys := irregular64(3)
-	cfg := DefaultConfig()
+	cfg := reliable.DefaultConfig()
 	cfg.Quorum = 1
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 31), Packets: 6, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
@@ -24,12 +26,12 @@ func TestRootCrashWithUnconfirmedDestCrash(t *testing.T) {
 		{Host: plan.Tree.Root(), At: 25},
 	}}
 	type out struct {
-		res *Result
+		res *reliable.Result
 		err error
 	}
 	done := make(chan out, 1)
 	go func() {
-		res, err := Deliver(sys, plan, payload, cfg, fp)
+		res, err := repro.DeliverReliable(sys, plan, payload, cfg, fp)
 		done <- out{res, err}
 	}()
 	select {

@@ -34,9 +34,9 @@
 // with a worker pool over conservative lookahead windows and resolves the
 // merged effects at each window barrier, in the serial loop's order — so
 // the two are bit-identical at any worker count. Engine, the closure-
-// scheduling event loop below, is what packages reliable and collectives
-// build their own protocols on; the session model shares its path
-// reservation and nothing else.
+// scheduling event loop below, is what package collectives and the
+// reliable runtime's virtual-time driver (live.RunVirtual) run on; the
+// session model shares its path reservation and nothing else.
 package sim
 
 import (

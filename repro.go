@@ -36,6 +36,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ktree"
+	"repro/internal/live"
 	"repro/internal/membership"
 	"repro/internal/reliable"
 	"repro/internal/sim"
@@ -118,8 +119,8 @@ func DefaultIrregularConfig() IrregularConfig { return topology.DefaultIrregular
 // DefaultParams are the paper's Section 5.2 technology constants.
 func DefaultParams() Params { return sim.DefaultParams() }
 
-// Fault injection and reliable delivery (see internal/fault and
-// internal/reliable).
+// Fault injection and reliable delivery (see internal/fault,
+// internal/reliable and internal/live).
 type (
 	// FaultPlan describes the dynamic faults of one run: seeded packet
 	// drop/corruption/ACK-loss probabilities, NI stall windows, scheduled
@@ -132,7 +133,7 @@ type (
 	HostStall = fault.Stall
 	// FaultStats counts the faults a run actually injected.
 	FaultStats = fault.Stats
-	// ReliableConfig tunes the ACK/NACK retransmission protocol.
+	// ReliableConfig tunes the ACK/retransmission protocol.
 	ReliableConfig = reliable.Config
 	// ReliableResult reports one reliable multicast delivery.
 	ReliableResult = reliable.Result
@@ -169,12 +170,12 @@ const (
 func DefaultReliableConfig() ReliableConfig { return reliable.DefaultConfig() }
 
 // DeliverReliable multicasts payload over the plan's tree under a fault
-// plan, with per-packet ACK/NACK retransmission, duplicate suppression,
-// and mid-flight tree repair around killed links. Under a zero fault plan
-// it reproduces Simulate's FPFS latencies exactly. The error, when
-// non-nil, is a *DeliveryError listing the destinations given up on.
+// plan on the reliable runtime in virtual time over the switched network
+// (ACKs, retransmission, crash adoption, repair around killed links).
+// Under a zero fault plan it reproduces Simulate's FPFS latencies exactly.
+// The error is a *DeliveryError or a *CrashError on a shortfall.
 func DeliverReliable(sys *System, plan *Plan, payload []byte, cfg ReliableConfig, fp FaultPlan) (*ReliableResult, error) {
-	return reliable.Deliver(sys, plan, payload, cfg, fp)
+	return live.Deliver(sys, plan, payload, cfg, fp)
 }
 
 // CollectiveResult reports one collective operation (see package
