@@ -180,7 +180,8 @@ flake-hunt:
 # Fuzz: tier-1 only replays the checked-in seeds of the seven fuzz targets —
 # every decoder that reads bytes off a wire (message header, packet,
 # datagram, daemon ctl frame), the packetize/corrupt/reassemble contracts
-# and the packet simulator's event queue, held to an (at, seq) sort. This
+# and internal/sim's event queue — the one kernel under the session model
+# and sim.Engine — held to an (at, seq) sort. This
 # mutates from them for FUZZTIME each, one target at a time
 # (`go test -fuzz` takes one target of one package per run). A crasher is
 # written under the package's testdata/fuzz: fix it and check the file in.
@@ -196,7 +197,8 @@ fuzz:
 
 # Bench: the Go micro-benchmarks, raw `go test -bench` output on stdout —
 # the engine event-loop, harness-throughput, reliable-delivery, daemon,
-# scheduler and psim suites with -benchmem. Nothing is recorded: the
+# scheduler and psim suites with -benchmem. BenchmarkReliable* and
+# BenchmarkCollectives smoke-run both consumers of sim.Engine. Nothing is recorded: the
 # recorded trajectory is bench/ + BENCHMARK.json (`bash bench/run.sh`, see
 # bench/README.md). -benchtime is fixed in iterations so two runs compare
 # like for like. The harness-throughput pair runs at a smaller fixed count:
@@ -205,7 +207,7 @@ fuzz:
 # deployment pair (reliable mcastd, lossless vs 1% drop over loopback UDP)
 # runs at 100x: each op is a full 17-host socket-fabric run.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkReliable|BenchmarkEventSimMulticast|BenchmarkLive|BenchmarkNewMeshSystem4096|BenchmarkPlanOptimal100k' \
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkReliable|BenchmarkCollectives|BenchmarkEventSimMulticast|BenchmarkLive|BenchmarkNewMeshSystem4096|BenchmarkPlanOptimal100k' \
 		-benchmem -benchtime 200x ./internal/sim ./internal/live .
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckCases' \
 		-benchmem -benchtime 25x -timeout 20m ./internal/check

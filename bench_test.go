@@ -130,10 +130,9 @@ func BenchmarkEventSimMulticast(b *testing.B) {
 
 // --- reliable-delivery benchmarks ---
 
-// benchReliable measures one reliable multicast (31 destinations, ~16
-// packets of payload) under the given fault plan and reports the
-// retransmission overhead as custom metrics.
-func benchReliable(b *testing.B, fp repro.FaultPlan) {
+// reliableShape is the reliable benchmarks' delivery: 31 destinations of
+// the irregular testbed, ~16 packets of payload.
+func reliableShape() (*repro.System, *repro.Plan, []byte) {
 	sys := repro.NewIrregularSystem(repro.DefaultIrregularConfig(), 1)
 	rng := workload.NewRNG(1)
 	set := workload.DestSet(rng, 64, 32)
@@ -141,7 +140,14 @@ func benchReliable(b *testing.B, fp repro.FaultPlan) {
 	for i := range payload {
 		payload[i] = byte(rng.Uint64())
 	}
-	plan := sys.Plan(repro.Spec{Source: set[0], Dests: set[1:], Packets: 1, Policy: repro.OptimalTree})
+	return sys, sys.Plan(repro.Spec{Source: set[0], Dests: set[1:], Packets: 1, Policy: repro.OptimalTree}), payload
+}
+
+// benchReliable measures one reliable multicast of reliableShape under the
+// given fault plan and reports the retransmission overhead as custom
+// metrics.
+func benchReliable(b *testing.B, fp repro.FaultPlan) {
+	sys, plan, payload := reliableShape()
 	cfg := repro.DefaultReliableConfig()
 	var sends, retr int
 	b.ResetTimer()
@@ -163,6 +169,29 @@ func benchReliable(b *testing.B, fp repro.FaultPlan) {
 // runtime's timers, ACKs and supervision, zero retransmissions.
 func BenchmarkReliableLossless(b *testing.B) {
 	benchReliable(b, repro.FaultPlan{})
+}
+
+// TestReliableAllocationRegression pins the allocations of one lossless
+// repro.DeliverReliable of BenchmarkReliableLossless's shape: the shipped
+// reliable runtime (share, NIs, edge senders, supervisor) on sim.Engine in
+// virtual time. The budget is the measured count plus 2%, so drift in the
+// runtime or the event kernel fails here before it shows in a benchmark.
+func TestReliableAllocationRegression(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory inflates AllocsPerRun")
+	}
+	sys, plan, payload := reliableShape()
+	cfg := repro.DefaultReliableConfig()
+	deliver := func() {
+		if _, err := repro.DeliverReliable(sys, plan, payload, cfg, repro.FaultPlan{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliver()
+	const measured = 3929
+	if allocs := testing.AllocsPerRun(10, deliver); allocs > measured*1.02 {
+		t.Fatalf("DeliverReliable allocates %.0f per run, budget %d + 2%%", allocs, measured)
+	}
 }
 
 // BenchmarkReliableLossyP01 measures the same delivery at 1% packet loss:

@@ -29,14 +29,14 @@
 // path reservation, fault draws, seq numbers, trace records, result
 // assembly. Concurrent, ConcurrentTraced, ConcurrentFaulty and Multicast
 // drive it with the serial loop (sessions.go): pop one event from one
-// heap, process it, resolve its effects at once. ConcurrentWindowed
+// queue, process it, resolve its effects at once. ConcurrentWindowed
 // (windowed.go; package psim is its exported door) drives the same model
 // with a worker pool over conservative lookahead windows and resolves the
 // merged effects at each window barrier, in the serial loop's order — so
 // the two are bit-identical at any worker count. Engine, the closure-
 // scheduling event loop below, is what package collectives and the
-// reliable runtime's virtual-time driver (live.RunVirtual) run on; the
-// session model shares its path reservation and nothing else.
+// reliable runtime's virtual-time driver (live.RunVirtual) run on; it
+// shares the session model's event queue and path reservation.
 package sim
 
 import (
@@ -136,96 +136,37 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// event is one scheduled callback.
-type event struct {
-	at  float64
-	seq int64 // FIFO tiebreaker for determinism
-	fn  func()
-}
-
-// eventHeap is a hand-rolled binary min-heap ordered by (at, seq). It
-// replaces container/heap on the hot path: heap.Push/Pop box every event
-// into an interface, one allocation per scheduled event; sifting a plain
-// []event allocates nothing beyond the backing array.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h).less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = event{} // drop the closure reference
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && old[:n].less(l, least) {
-			least = l
-		}
-		if r < n && old[:n].less(r, least) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		old[i], old[least] = old[least], old[i]
-		i = least
-	}
-	return top
-}
-
-// Engine is the event loop plus channel state.
+// Engine is the closure-scheduling event loop plus channel state. Its
+// events wait on the session model's queue, so equal times run in At order.
 type Engine struct {
 	now      float64
-	seq      int64
-	events   eventHeap
+	events   eventQueue[func()]
 	chanFree []float64 // directed channel -> earliest free time
 }
 
 // NewEngine creates an engine for a network with the given channel count.
 func NewEngine(numChannels int) *Engine {
-	return &Engine{chanFree: make([]float64, numChannels)}
+	e := &Engine{chanFree: make([]float64, numChannels)}
+	e.events.reset()
+	return e
 }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() float64 { return e.now }
 
-// At schedules fn at absolute time t (>= now).
+// At schedules fn at absolute time t (>= now, so never NaN).
 func (e *Engine) At(t float64, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling into the past: %f < %f", t, e.now))
+	if !(t >= e.now) {
+		panic(fmt.Sprintf("sim: scheduling at %v, before now %v", t, e.now))
 	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.events.push(t, fn)
 }
 
 // Run processes events until none remain, returning the final time.
 func (e *Engine) Run() float64 {
-	for len(e.events) > 0 {
-		ev := e.events.pop()
-		e.now = ev.at
-		ev.fn()
+	for !e.events.empty() {
+		e.now = e.events.min()
+		e.events.pop()()
 	}
 	return e.now
 }

@@ -124,3 +124,70 @@ func TestEnginePoolDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineTieOrder pins the order live.RunVirtual's bit-exact replay
+// rests on: equal times run in At order, an event scheduled at Now() from
+// a callback runs behind everything already due at that time (whether its
+// bucket is still being drained or was just closed), -0 and +0 are one
+// time, and At refuses a time before now, NaN included.
+func TestEngineTieOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name     string
+		schedule func(e *Engine, note func(string) func())
+		want     string // labels in run order; "panic": an At must panic
+	}{
+		{"equal-times-in-at-order", func(e *Engine, note func(string) func()) {
+			for i, at := range []float64{2, 1, 2, 3, 1, 2, 1} {
+				e.At(at, note(string(rune('a'+i))))
+			}
+		}, "begacfd"},
+		{"now-into-bucket-being-drained", func(e *Engine, note func(string) func()) {
+			e.At(1, func() {
+				note("a")()
+				e.At(e.Now(), func() { note("x")(); e.At(e.Now(), note("y")) })
+			})
+			e.At(1, note("b"))
+			e.At(2, note("d"))
+			e.At(1, note("c"))
+		}, "abcxyd"},
+		{"now-into-bucket-just-closed", func(e *Engine, note func(string) func()) {
+			e.At(1, note("a"))
+			e.At(2, note("c"))
+			e.At(1, func() { note("b")(); e.At(e.Now(), note("x")); e.At(e.Now(), note("y")) })
+		}, "abxyc"},
+		{"negative-zero-is-zero", func(e *Engine, note func(string) func()) {
+			e.At(negZero, note("a"))
+			e.At(0, note("b"))
+			e.At(negZero, func() { note("c")(); e.At(0, note("e")); e.At(negZero, note("f")) })
+			e.At(0, note("d"))
+		}, "abcdef"},
+		{"nan-panics", func(e *Engine, note func(string) func()) {
+			e.At(math.NaN(), note("a"))
+		}, "panic"},
+		{"past-panics", func(e *Engine, note func(string) func()) {
+			e.At(5, func() {})
+			e.Run()
+			e.At(math.Nextafter(5, 0), note("a"))
+		}, "panic"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(0)
+			var got strings.Builder
+			note := func(label string) func() { return func() { got.WriteString(label) } }
+			if tc.want == "panic" {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("At did not panic")
+					}
+				}()
+			}
+			tc.schedule(e, note)
+			e.Run()
+			if got.String() != tc.want {
+				t.Fatalf("ran %q, want %q", got.String(), tc.want)
+			}
+		})
+	}
+}

@@ -164,7 +164,7 @@ func FuzzEventQueue(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		palette := [...]float64{0, math.Copysign(0, -1), 1, math.Nextafter(1, 2), 2.5,
 			1e300, math.Nextafter(1e300, math.Inf(1)), math.Inf(1)}
-		var q eventQueue
+		var q eventQueue[pevent]
 		for round := 0; round < 2; round++ {
 			q.reset()
 			var ref []pevent
@@ -172,7 +172,7 @@ func FuzzEventQueue(f *testing.F) {
 			push := func(at float64) {
 				seq++
 				ev := pevent{at: at, ord: seq}
-				q.push(ev)
+				q.push(at, ev)
 				ref = append(ref, ev)
 			}
 			pop := func() {

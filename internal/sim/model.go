@@ -95,24 +95,25 @@ type pevent struct {
 	arg  int32
 }
 
-// eventQueue is one worker's pending events, popped in exact (at, seq)
-// order: a FIFO bucket per distinct event time, plus a binary min-heap of
-// those times.
+// eventQueue is the package's one event kernel: pending events of payload
+// E (the session model's pevents, Engine's closures), popped in exact
+// (at, seq) order from a FIFO bucket per distinct event time under a binary
+// min-heap of those times.
 //
-// FIFO within a time is seq order because a worker receives its pushes in
-// ascending seq. One counter (model.ctr) hands seqs out in creation order,
-// and every event is pushed as it is created: by the serial loop, or by the
-// windowed barrier in resolve order. An event created at the time being
-// drained (zero host overheads, or a one-timestamp window) appends to the
-// open bucket behind everything in it, which is where its later seq
-// belongs.
+// FIFO within a time is seq order because every event is pushed as it is
+// created, in seq order: the model's seqs come from one counter (model.ctr),
+// pushed by the serial loop or by the windowed barrier in resolve order, and
+// Engine's seq is its At order. An event created at the time being drained
+// (zero host overheads, a one-timestamp window, At(Now(), f)) appends to
+// the open bucket behind everything in it, or opens a new one if its last
+// event was just popped; either way, where its later seq belongs.
 //
 // Buckets are keyed by the bits of at+0, which folds -0 into +0: the two
-// compare equal, so they are one time. NaN cannot reach the queue
-// (Params.Validate and build's Session.Start check refuse it).
-type eventQueue struct {
+// compare equal, so they are one time. NaN cannot reach the queue:
+// Params.Validate, build's Session.Start check and Engine.At refuse it.
+type eventQueue[E any] struct {
 	times   []qtime          // min-heap of the open buckets' times
-	buckets []bucket         // open and free buckets, storage kept
+	buckets []bucket[E]      // open and free buckets, storage kept
 	free    []int32          // empty buckets
 	index   map[uint64]int32 // time bits -> open bucket
 	// recent holds the last two buckets pushed to, so that most pushes skip
@@ -127,13 +128,14 @@ type qtime struct {
 	b  int32
 }
 
-type bucket struct {
-	evs  []pevent
+type bucket[E any] struct {
+	evs  []E
 	head int
 }
 
-// reset empties the queue, keeping every bucket's storage.
-func (q *eventQueue) reset() {
+// reset empties the queue, keeping every bucket's storage. A queue must be
+// reset before its first push.
+func (q *eventQueue[E]) reset() {
 	if q.index == nil {
 		q.index = make(map[uint64]int32)
 	}
@@ -146,39 +148,40 @@ func (q *eventQueue) reset() {
 	}
 }
 
-func (q *eventQueue) empty() bool { return len(q.times) == 0 }
+func (q *eventQueue[E]) empty() bool { return len(q.times) == 0 }
 
 // min is the earliest pending time; the queue must not be empty.
-func (q *eventQueue) min() float64 { return q.times[0].at }
+func (q *eventQueue[E]) min() float64 { return q.times[0].at }
 
-func (q *eventQueue) push(ev pevent) {
+// push queues ev at time at, behind every event already pending at at.
+func (q *eventQueue[E]) push(at float64, ev E) {
 	var b int32
 	switch {
-	case q.recent[0].at == ev.at:
+	case q.recent[0].at == at:
 		b = q.recent[0].b
-	case q.recent[1].at == ev.at:
+	case q.recent[1].at == at:
 		b = q.recent[1].b
 		q.recent[0], q.recent[1] = q.recent[1], q.recent[0]
 	default:
-		key := math.Float64bits(ev.at + 0)
+		key := math.Float64bits(at + 0)
 		var ok bool
 		if b, ok = q.index[key]; !ok {
-			b = q.open(key, ev.at)
+			b = q.open(key, at)
 		}
-		q.recent[1], q.recent[0] = q.recent[0], qtime{ev.at, b}
+		q.recent[1], q.recent[0] = q.recent[0], qtime{at, b}
 	}
 	q.buckets[b].evs = append(q.buckets[b].evs, ev)
 }
 
 // open starts a bucket for a time not yet pending.
-func (q *eventQueue) open(key uint64, at float64) int32 {
+func (q *eventQueue[E]) open(key uint64, at float64) int32 {
 	var b int32
 	if n := len(q.free); n > 0 {
 		b = q.free[n-1]
 		q.free = q.free[:n-1]
 	} else {
 		b = int32(len(q.buckets))
-		q.buckets = append(q.buckets, bucket{})
+		q.buckets = append(q.buckets, bucket[E]{})
 	}
 	q.index[key] = b
 	h := append(q.times, qtime{at, b})
@@ -194,9 +197,10 @@ func (q *eventQueue) open(key uint64, at float64) int32 {
 	return b
 }
 
-// pop removes the earliest event; the queue must not be empty.
-func (q *eventQueue) pop() pevent {
-	b := q.times[0].b
+// pop removes the earliest event, due at min(); the queue must not be
+// empty.
+func (q *eventQueue[E]) pop() E {
+	at, b := q.times[0].at, q.times[0].b
 	bk := &q.buckets[b]
 	ev := bk.evs[bk.head]
 	bk.head++
@@ -204,7 +208,7 @@ func (q *eventQueue) pop() pevent {
 		return ev
 	}
 	bk.evs, bk.head = bk.evs[:0], 0
-	delete(q.index, math.Float64bits(ev.at+0))
+	delete(q.index, math.Float64bits(at+0))
 	for i := range q.recent {
 		if q.recent[i].b == b {
 			q.recent[i].at = math.NaN()
@@ -261,7 +265,7 @@ type action struct {
 // the events processed since the last resolution. The serial scheduler
 // uses exactly one.
 type worker struct {
-	q         eventQueue
+	q         eventQueue[pevent]
 	actions   []action
 	processed int
 
@@ -590,7 +594,7 @@ func (e *model) mail(ev pevent) {
 	if len(e.owner) > 0 {
 		w = &e.workers[e.owner[ev.host]]
 	}
-	w.q.push(ev)
+	w.q.push(ev.at, ev)
 }
 
 // process runs one event against its host's local state, recording the
