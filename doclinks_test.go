@@ -136,6 +136,22 @@ func TestDocLinks(t *testing.T) {
 	}
 }
 
+// designBudget is DESIGN.md's size in bytes when its size gate was set. A
+// change that adds to DESIGN.md cuts as much elsewhere; one that shrinks
+// it may lower the budget to the new size.
+const designBudget = 90916
+
+// TestDesignWithinBudget fails once DESIGN.md grows past designBudget.
+func TestDesignWithinBudget(t *testing.T) {
+	fi, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() > designBudget {
+		t.Errorf("DESIGN.md is %d B, over its %d B budget: cut as much elsewhere as this change adds", fi.Size(), designBudget)
+	}
+}
+
 // TestMakefileRunPatternsNameTests holds every `go test … -run <pattern>
 // <packages>` command of the Makefile to the tests it selects: each
 // |-alternative of the pattern but ^$ must match the name of a func Test…

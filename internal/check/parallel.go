@@ -1,81 +1,58 @@
 package check
 
 import (
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
+
+	"repro/internal/par"
 )
 
-// RunParallel is Run with the cases fanned out over up to workers
-// goroutines (workers < 1 selects runtime.NumCPU()). Because generation,
-// checking and shrinking are all pure functions of (seed, case), sharding
-// the case space changes nothing observable: the returned Report — the
-// failures found, their shrunk reproducers, their replay tokens, and
-// their order — is byte-identical to Run's for every worker count.
+// RunParallel is Run with the cases fanned out by par.For over up to
+// workers goroutines (workers < 1 selects runtime.NumCPU(); workers == 1
+// is Run itself). Because generation, checking and shrinking are all pure
+// functions of (seed, case), sharding the case space changes nothing
+// observable: the returned Report — the failures found, their shrunk
+// reproducers, their replay tokens, and their order — is byte-identical
+// to Run's for every worker count.
 //
 // The merge is by case index, not completion order. The one subtlety is
 // maxFail: the serial runner stops at the case where the maxFail-th
 // failure (in case order) occurs and truncates Cases to that index + 1.
-// The parallel runner reproduces this exactly: workers keep a shrinking
-// bound on the last case that could still matter (the maxFail-th smallest
-// failing case seen so far), results beyond the final bound are discarded,
+// The parallel runner reproduces this exactly: it keeps a shrinking bound
+// on the last case that could still matter (the maxFail-th smallest
+// failing case seen so far), cases at or beyond the bound are skipped,
 // and the merged failure list is cut to the first maxFail in case order.
 // Cases below the bound are never skipped, so the final list equals the
 // serial one.
 func RunParallel(seed uint64, n, maxFail, workers int) *Report {
-	if workers < 1 {
-		workers = runtime.NumCPU()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+	if workers == 1 {
 		return Run(seed, n, maxFail)
 	}
-
 	var (
-		next     atomic.Int64 // next case index to hand out
-		bound    atomic.Int64 // cases >= bound cannot affect the report
 		mu       sync.Mutex
+		bound    = n // cases >= bound cannot affect the report
 		failures []Failure
 	)
-	bound.Store(int64(n))
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1) - 1)
-				// bound only ever shrinks and next only grows, so the
-				// first out-of-bound case ends this worker for good.
-				if int64(c) >= bound.Load() {
-					return
-				}
-				f := runCase(seed, c)
-				if f == nil {
-					continue
-				}
-				mu.Lock()
-				failures = append(failures, *f)
-				if maxFail > 0 && len(failures) >= maxFail {
-					// The maxFail-th smallest failing case so far is an
-					// upper bound on where the serial run would stop.
-					cut := int64(nthSmallestCase(failures, maxFail) + 1)
-					for {
-						cur := bound.Load()
-						if cut >= cur || bound.CompareAndSwap(cur, cut) {
-							break
-						}
-					}
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(n, workers, func(c int) {
+		mu.Lock()
+		skip := c >= bound
+		mu.Unlock()
+		if skip {
+			return
+		}
+		f := runCase(seed, c)
+		if f == nil {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		failures = append(failures, *f)
+		if maxFail > 0 && len(failures) >= maxFail {
+			// The maxFail-th smallest failing case so far is an upper
+			// bound on where the serial run would stop.
+			bound = min(bound, nthSmallestCase(failures, maxFail)+1)
+		}
+	})
 
 	sort.Slice(failures, func(i, j int) bool { return failures[i].Case < failures[j].Case })
 	r := &Report{Seed: seed, Cases: n, Failures: failures}

@@ -22,14 +22,6 @@ func costs(cfg Config) analytic.Costs {
 	}
 }
 
-func chainN(n int) []int {
-	c := make([]int, n)
-	for i := range c {
-		c[i] = i
-	}
-	return c
-}
-
 func init() {
 	register(Experiment{
 		ID:    "fig4",
@@ -86,8 +78,8 @@ func runFig4(cfg Config) *Result {
 
 func runFig5(cfg Config) *Result {
 	c := costs(cfg)
-	bin := tree.Binomial(chainN(4))
-	lin := tree.Linear(chainN(4))
+	bin := tree.Binomial(seqHosts(0, 4))
+	lin := tree.Linear(seqHosts(0, 4))
 	tb := stats.NewTable("3-packet multicast to 3 destinations under FPFS",
 		"tree", "steps", "model latency (us)")
 	tb.AddRow("binomial", fmt.Sprintf("%d", stepsim.Steps(bin, 3, stepsim.FPFS)),
@@ -103,7 +95,7 @@ func runFig5(cfg Config) *Result {
 }
 
 func runFig8(cfg Config) *Result {
-	bin := tree.Binomial(chainN(8))
+	bin := tree.Binomial(seqHosts(0, 8))
 	sched := stepsim.Run(bin, 3, stepsim.FPFS)
 	tb := stats.NewTable("3-packet multicast to 7 destinations, binomial tree, FPFS",
 		"packet", "completed at step")

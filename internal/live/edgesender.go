@@ -244,15 +244,22 @@ func (e *EdgeSender) send(seq int, retrans bool) bool {
 	return true
 }
 
-// rto returns the retransmission timeout for the given attempt count:
-// base RTO doubling per attempt, capped, widened by a jitter draw from
-// the edge's private stream (decorrelated from any chaos plane's loss
-// stream, like sim's jrng).
+// rto returns the retransmission timeout for the given attempt count,
+// jittered from the edge's private stream (decorrelated from any chaos
+// plane's loss stream, like sim's jrng).
 func (e *EdgeSender) rto(attempt int) time.Duration {
-	d := e.cfg.RTO
-	for i := 1; i < attempt && d < e.cfg.RTOMax; i++ {
+	return Backoff(e.cfg.RTO, e.cfg.RTOMax, attempt, e.jrng)
+}
+
+// Backoff is the one retry pacer of the runtime and the daemon's ctl
+// plane: the delay before retry number attempt (1-based) is base doubled
+// per earlier attempt, capped at max, widened by up to 25% jitter drawn
+// from rng.
+func Backoff(base, max time.Duration, attempt int, rng *workload.RNG) time.Duration {
+	d := base
+	for i := 1; i < attempt && d < max; i++ {
 		d *= 2
 	}
-	d = min(d, e.cfg.RTOMax)
-	return d + time.Duration(e.jrng.Float64()*0.25*float64(d))
+	d = min(d, max)
+	return d + time.Duration(rng.Float64()*0.25*float64(d))
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/live/link"
 	"repro/internal/message"
+	"repro/internal/workload"
 )
 
 // edgeRig is one EdgeSender under test whose far end is a bare inbox:
@@ -227,3 +228,36 @@ type failingTransport struct{ err error }
 func (failingTransport) From() int                            { return 0 }
 func (failingTransport) To() int                              { return 1 }
 func (f failingTransport) Send([]byte, <-chan struct{}) error { return f.err }
+
+// TestBackoffPacesEveryRetry pins the one retry pacer at its three uses:
+// an edge at DefaultReliableConfig (edge 0->1 of a live run with fault
+// seed 0), the daemon's DONE report (destination 0) and its STOP exchange
+// (root 0). The delays were recorded once from the implementations Backoff
+// replaced, EdgeSender.rto and the daemon's own backoff pacer, so an edit
+// that moves any of them fails here.
+func TestBackoffPacesEveryRetry(t *testing.T) {
+	ms := time.Millisecond
+	for _, c := range []struct {
+		name      string
+		base, max time.Duration
+		seed      uint64
+		want      []time.Duration
+	}{
+		{"edge", 25 * ms, 200 * ms, 0x9e6c_a61b_60ca_77d5 ^ 1<<20 ^ 2, []time.Duration{
+			30151373, 59878854, 118629858, 214153416, 205745732,
+			210209110, 228575804, 215704459, 248944829, 202609424}},
+		{"done", 25 * ms, 400 * ms, 0xd00e ^ 1<<16, []time.Duration{
+			25840331, 51726876, 110202127, 233397013, 468651790,
+			496575317, 467137952, 426199664, 469745313, 409350314}},
+		{"stop", 20 * ms, 250 * ms, 0x57a9 ^ 1<<16, []time.Duration{
+			21945303, 45744288, 98158279, 167142894, 290283729,
+			278779251, 290612137, 254463014, 302848264, 252426923}},
+	} {
+		rng := workload.NewRNG(c.seed)
+		for i, want := range c.want {
+			if got := Backoff(c.base, c.max, i+1, rng); got != want {
+				t.Errorf("%s: attempt %d: Backoff = %d, want %d", c.name, i+1, got, want)
+			}
+		}
+	}
+}

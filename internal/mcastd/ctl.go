@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/live"
 	"repro/internal/reliable"
 	"repro/internal/workload"
 )
@@ -147,38 +148,14 @@ const (
 	defaultDrain  = time.Second
 )
 
-// backoff is a capped exponential retry pacer with seeded jitter,
-// shared by every acknowledged ctl exchange.
-type backoff struct {
-	cur, max time.Duration
-	rng      *workload.RNG
-}
-
-func newBackoff(base, max time.Duration, seed uint64) *backoff {
-	return &backoff{cur: base, max: max, rng: workload.NewRNG(seed)}
-}
-
-// next returns the current delay widened by up to 25% jitter, then
-// doubles the base for the following retry.
-func (b *backoff) next() time.Duration {
-	d := b.cur + time.Duration(b.rng.Float64()*0.25*float64(b.cur))
-	if b.cur < b.max {
-		b.cur *= 2
-		if b.cur > b.max {
-			b.cur = b.max
-		}
-	}
-	return d
-}
-
 // reportDone retries destination h's DONE at the root with capped
 // exponential backoff + jitter until the root's DONE-ACK lands (acked),
 // the run stops (STOP implies the ACK), or the process tears down.
 func reportDone(cfg Config, h int, acked, stopped, abort <-chan struct{}) {
-	bo := newBackoff(doneRetryBase, doneRetryMax, 0xd00e^uint64(h+1)<<16)
-	for {
+	rng := workload.NewRNG(0xd00e ^ uint64(h+1)<<16)
+	for attempt := 1; ; attempt++ {
 		cfg.sendCtl(h, cfg.Tree.Root(), ctlFrame{kind: ctlDone, a: h})
-		timer := time.NewTimer(bo.next())
+		timer := time.NewTimer(live.Backoff(doneRetryBase, doneRetryMax, attempt, rng))
 		select {
 		case <-abort:
 		case <-stopped:
@@ -211,7 +188,8 @@ func stopRemotes(cfg Config, member func(v int) bool, stopAckCh <-chan int, stat
 	cfg.logf("stopping %d remote hosts (drain %v)", len(pending), cfg.Drain)
 	drain := time.NewTimer(cfg.Drain)
 	defer drain.Stop()
-	bo := newBackoff(stopRetryBase, stopRetryMax, 0x57a9^uint64(root+1)<<16)
+	rng := workload.NewRNG(0x57a9 ^ uint64(root+1)<<16)
+	attempt := 0
 	resend := time.NewTimer(0)
 	defer resend.Stop()
 	for len(pending) > 0 {
@@ -220,7 +198,8 @@ func stopRemotes(cfg Config, member func(v int) bool, stopAckCh <-chan int, stat
 			for v := range pending {
 				cfg.sendCtl(root, v, ctlFrame{kind: ctlStop, a: epoch, status: status})
 			}
-			resend.Reset(bo.next())
+			attempt++
+			resend.Reset(live.Backoff(stopRetryBase, stopRetryMax, attempt, rng))
 		case v := <-stopAckCh:
 			delete(pending, v)
 		case <-drain.C:

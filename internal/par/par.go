@@ -1,11 +1,9 @@
 // Package par is the tiny work-sharding primitive behind the experiment
-// sweeps (internal/experiments) and cmd/sweep. It exists so every fan-out
-// follows the same contract: work is identified by index, workers pull
-// indices from a shared counter, and callers fold results back in index
-// order — never completion order — so parallel output is byte-identical
-// to serial output. (The check harness's RunParallel keeps that contract
-// with a loop of its own: its workers also share a shrinking bound on the
-// last case that can still matter, which For has no place for.)
+// sweeps (internal/experiments), cmd/sweep and the check harness's
+// RunParallel. It exists so every fan-out follows the same contract: work
+// is identified by index, workers pull indices from a shared counter, and
+// callers fold results back in index order — never completion order — so
+// parallel output is byte-identical to serial output.
 package par
 
 import (

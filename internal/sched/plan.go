@@ -5,16 +5,12 @@ import (
 	"repro/internal/tree"
 )
 
-// congestionPenalty is the steps PlanBcast charges per in-flight tree
-// already resident on an edge a candidate plan would reuse.
-const congestionPenalty = 1
-
 // PlanBcast plans one broadcast for submission to this scheduler: the
 // contention-free chain comes from sys.Plan exactly as for a lone
 // multicast, but the fanout bound is chosen against the scheduler's
 // live edge census via tree.OptimalCongested — every in-flight tree
-// already resident on an edge a candidate would reuse charges
-// congestionPenalty steps, the simultaneous-multicast objective.
+// already resident on an edge a candidate would reuse charges one step,
+// the simultaneous-multicast objective.
 // On an idle fabric the census is empty and the plan is byte-identical
 // to the paper's Theorem-3 one-tree optimum (sys.Plan's own tree).
 //
@@ -32,7 +28,7 @@ func (s *Scheduler) PlanBcast(sys *core.System, source int, dests []int, packets
 		s.mu.Unlock()
 		return p.Tree, p.K, nil
 	}
-	t, k := tree.OptimalCongested(p.Chain, packets, congestionPenalty, func(parent, child int) int {
+	t, k := tree.OptimalCongested(p.Chain, packets, func(parent, child int) int {
 		return s.edgeLoad[tree.Edge{Parent: parent, Child: child}]
 	})
 	s.mu.Unlock()

@@ -315,26 +315,21 @@ func buildSegment(t *Tree, chain []int, k int) {
 // over the chain under the simultaneous-multicast objective: among the
 // candidate fanout bounds it minimizes
 //
-//	Steps(n, m, k) + penalty * sum over candidate edges of load(edge)
+//	Steps(n, m, k) + sum over candidate edges of load(edge)
 //
 // where load reports, per directed (parent, child) pair, how many
 // in-flight trees currently carry that edge (a scheduler's live edge
-// census). Every tree already resident on an edge charges penalty
-// steps — reusing a hot link delays both the resident sessions and the
-// new one, so the planner is steered toward trees that spread across
-// idle links and away from piling deeper onto already-shared ones. With
-// zero load everywhere (an idle fabric) the objective, the tie-break,
-// and therefore the constructed tree reduce exactly to KBinomial at
-// ktree.OptimalK's k.
+// census). Every tree already resident on an edge charges one step —
+// reusing a hot link delays both the resident sessions and the new one,
+// so the planner is steered toward trees that spread across idle links
+// and away from piling deeper onto already-shared ones. With zero load
+// everywhere (an idle fabric) the objective, the tie-break, and therefore
+// the constructed tree reduce exactly to KBinomial at ktree.OptimalK's k.
 //
-// It returns the tree and the selected k. penalty must be positive and
-// load non-nil; for a single-node chain it returns the trivial tree and
-// k = 1.
-func OptimalCongested(chain []int, m, penalty int, load func(parent, child int) int) (*Tree, int) {
+// It returns the tree and the selected k. load must be non-nil; for a
+// single-node chain it returns the trivial tree and k = 1.
+func OptimalCongested(chain []int, m int, load func(parent, child int) int) (*Tree, int) {
 	checkChain(chain)
-	if penalty < 1 {
-		panic(fmt.Sprintf("tree: congestion penalty must be >= 1, got %d", penalty))
-	}
 	if load == nil {
 		panic("tree: nil load function")
 	}
@@ -352,7 +347,7 @@ func OptimalCongested(chain []int, m, penalty int, load func(parent, child int) 
 				overlap += l
 			}
 		}
-		return penalty * overlap
+		return overlap
 	})
 	return candidates[k], k
 }

@@ -190,7 +190,7 @@ func TestOptimalSelectsK(t *testing.T) {
 		{64, 8, 2},
 	} {
 		chain := chainN(c.n)
-		tr, k := OptimalCongested(chain, c.m, 1, idle)
+		tr, k := OptimalCongested(chain, c.m, idle)
 		if k != c.wantK {
 			t.Errorf("OptimalCongested(n=%d,m=%d) idle k=%d, want %d", c.n, c.m, k, c.wantK)
 		}
@@ -198,7 +198,7 @@ func TestOptimalSelectsK(t *testing.T) {
 			t.Errorf("OptimalCongested(n=%d,m=%d): %v", c.n, c.m, err)
 		}
 	}
-	if tr, k := OptimalCongested([]int{9}, 5, 1, idle); k != 1 || tr.Size() != 1 {
+	if tr, k := OptimalCongested([]int{9}, 5, idle); k != 1 || tr.Size() != 1 {
 		t.Error("OptimalCongested on singleton chain malformed")
 	}
 }
@@ -366,7 +366,7 @@ func TestOptimalCongestedIdleReducesToOptimal(t *testing.T) {
 				k0, _ = ktree.OptimalK(n, m)
 			}
 			t0 := KBinomial(chainN(n), k0)
-			t1, k1 := OptimalCongested(chainN(n), m, 1, idle)
+			t1, k1 := OptimalCongested(chainN(n), m, idle)
 			if k1 != k0 {
 				t.Fatalf("n=%d m=%d: idle congested k=%d, ktree.OptimalK k=%d", n, m, k1, k0)
 			}
@@ -384,21 +384,20 @@ func TestOptimalCongestedIdleReducesToOptimal(t *testing.T) {
 }
 
 func TestOptimalCongestedMinimizesObjective(t *testing.T) {
-	// Load every edge of the idle-optimal tree; with a heavy penalty the
-	// planner must pick the k minimizing Steps + penalty*overlap, which an
-	// exhaustive scan over candidate fanouts verifies (tie-break: larger
-	// k, matching ktree.OptimalK).
+	// Load every edge of the idle-optimal tree 50 times over; the planner
+	// must pick the k minimizing Steps + overlap, which an exhaustive scan
+	// over candidate fanouts verifies (tie-break: larger k, matching
+	// ktree.OptimalK).
 	for _, n := range []int{5, 8, 13, 24, 40} {
 		for _, m := range []int{1, 2, 4, 8} {
 			k0, _ := ktree.OptimalK(n, m)
 			hot := KBinomial(chainN(n), k0)
 			loaded := map[Edge]int{}
 			for _, e := range hot.Edges() {
-				loaded[e] = 1
+				loaded[e] = 50
 			}
 			load := func(p, c int) int { return loaded[Edge{p, c}] }
-			const penalty = 50
-			got, gotK := OptimalCongested(chainN(n), m, penalty, load)
+			got, gotK := OptimalCongested(chainN(n), m, load)
 			kMax := ktree.CeilLog2(n)
 			overlap := func(tr *Tree) int {
 				o := 0
@@ -407,16 +406,16 @@ func TestOptimalCongestedMinimizesObjective(t *testing.T) {
 				}
 				return o
 			}
-			bestK, best := kMax, ktree.Steps(n, m, kMax)+penalty*overlap(KBinomial(chainN(n), kMax))
+			bestK, best := kMax, ktree.Steps(n, m, kMax)+overlap(KBinomial(chainN(n), kMax))
 			for k := kMax - 1; k >= 1; k-- {
-				if c := ktree.Steps(n, m, k) + penalty*overlap(KBinomial(chainN(n), k)); c < best {
+				if c := ktree.Steps(n, m, k) + overlap(KBinomial(chainN(n), k)); c < best {
 					bestK, best = k, c
 				}
 			}
 			if gotK != bestK {
 				t.Fatalf("n=%d m=%d: congested k=%d, exhaustive argmin k=%d", n, m, gotK, bestK)
 			}
-			if got := ktree.Steps(n, m, gotK) + penalty*overlap(got); got != best {
+			if got := ktree.Steps(n, m, gotK) + overlap(got); got != best {
 				t.Fatalf("n=%d m=%d: returned tree costs %d, argmin costs %d", n, m, got, best)
 			}
 			if err := got.Validate(chainN(n)); err != nil {

@@ -151,8 +151,6 @@ type (
 	// GroupView is one epoch-numbered membership view installed by the
 	// heartbeat failure detector during a crash-tolerant delivery.
 	GroupView = membership.View
-	// MembershipConfig tunes the heartbeat failure detector.
-	MembershipConfig = membership.Config
 )
 
 // Reliable-delivery verdicts (see reliable.Status).
