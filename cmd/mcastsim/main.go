@@ -653,7 +653,7 @@ func (j *job) runSimReliable() error {
 	j.printf("faults: drop=%g corrupt=%g ackdrop=%g kills=%d stalls=%d crashes=%d seed=%d\n",
 		fp.DropRate, fp.CorruptRate, fp.AckDropRate, len(fp.Kills), len(fp.Stalls), len(fp.Crashes), fp.Seed)
 	j.printf("result: latency %.1f us, %d sends (%d retransmits), %d duplicates suppressed\n",
-		res.Latency, res.Sends, res.Retransmits, res.Duplicates)
+		link.US(res.Latency), res.Sends, res.Retransmits, res.Duplicates)
 	j.printf("        injected: %d dropped, %d corrupted, %d acks lost, %d dead-link sends, %.1f us stall wait\n",
 		res.Faults.Dropped, res.Faults.Corrupted, res.Faults.AcksDropped, res.Faults.DeadSends, res.Faults.StallWait)
 	if len(fp.Crashes) > 0 {
@@ -665,8 +665,8 @@ func (j *job) runSimReliable() error {
 	}
 	if j.verbose {
 		j.printCompletions("us", func(d int) string {
-			if t, ok := res.HostDone[d]; ok {
-				return fmt.Sprintf("%8.1f", t)
+			if rec := res.Hosts[d]; rec != nil && rec.Data != nil {
+				return fmt.Sprintf("%8.1f", link.US(rec.DoneAt))
 			}
 			return ""
 		})

@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/internal/live/link"
 	"repro/internal/workload"
 )
 
@@ -75,12 +76,12 @@ func main() {
 func report(res *repro.ReliableResult, payload []byte, dests []int) {
 	exact := 0
 	for _, d := range dests {
-		if bytes.Equal(res.Delivered[d], payload) {
+		if bytes.Equal(res.Hosts[d].Data, payload) {
 			exact++
 		}
 	}
 	fmt.Printf("  status %s: %d/%d destinations byte-exact, latency %.1fus\n",
-		res.Status, exact, len(dests), res.Latency)
+		res.Status, exact, len(dests), link.US(res.Latency))
 	fmt.Printf("  %d sends (%d retransmits), %d crash-dropped, %d fenced, %d adoption(s)\n",
 		res.Sends, res.Retransmits, res.Faults.CrashDrops, res.Fenced, res.Adoptions)
 	for i, v := range res.Views {

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/internal/live/link"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -92,7 +93,7 @@ func midFlightRepair() {
 		panic(err)
 	}
 	fmt.Printf("  lossless: latency %.1fus, %d sends, 0 retransmits\n",
-		lossless.Latency, lossless.Sends)
+		link.US(lossless.Latency), lossless.Sends)
 
 	// Find a killable link on the tree's own data path: switch-switch and
 	// removable without partitioning the fabric.
@@ -115,10 +116,10 @@ func midFlightRepair() {
 	if kill < 0 {
 		panic("no killable data-path link")
 	}
-	at := cfg.Params.THostSend + (lossless.Latency-cfg.Params.THostSend)/3
-	link := sys.Net.Link(kill)
+	at := cfg.Params.THostSend + (link.US(lossless.Latency)-cfg.Params.THostSend)/3
+	dead := sys.Net.Link(kill)
 	fmt.Printf("  killing link %d (%v-%v) at t=%.1fus, a third into the lossless schedule\n",
-		kill, link.A, link.B, at)
+		kill, dead.A, dead.B, at)
 
 	res, err := repro.DeliverReliable(sys, plan, payload, cfg, repro.FaultPlan{
 		Kills: []repro.LinkKill{{Link: kill, At: at}},
@@ -128,12 +129,12 @@ func midFlightRepair() {
 	}
 	exact := 0
 	for _, d := range spec.Dests {
-		if bytes.Equal(res.Delivered[d], payload) {
+		if bytes.Equal(res.Hosts[d].Data, payload) {
 			exact++
 		}
 	}
 	fmt.Printf("  repaired: latency %.1fus, %d sends (%d retransmits), %d dead-link sends,\n",
-		res.Latency, res.Sends, res.Retransmits, res.Faults.DeadSends)
+		link.US(res.Latency), res.Sends, res.Retransmits, res.Faults.DeadSends)
 	fmt.Printf("            %d tree repair(s), %d duplicates suppressed, %d/%d destinations byte-exact\n",
 		res.Adoptions, res.Duplicates, exact, len(spec.Dests))
 

@@ -245,12 +245,24 @@ type world struct {
 	plan *core.Plan
 	n, m int
 
-	// liveRel memoizes the chaos-plane live arm: one run of the shipped
-	// runtime in virtual time (milliseconds of wall clock), shared by
-	// every live-faulty invariant of the instance.
-	liveRelOnce sync.Once
-	liveRelRes  *live.ReliableResult
-	liveRelErr  error
+	// The reliable arms, each one run of the shipped runtime in virtual
+	// time shared by every invariant that reads it: the chaos-plane live
+	// arm (liveFaultyRun), the switched crash arm (crashRun) and the
+	// switched loss-only arm (lossyRun).
+	liveRel, crash, lossy memo
+}
+
+// memo holds one reliable arm of a world, run at most once.
+type memo struct {
+	once sync.Once
+	res  *live.ReliableResult
+	err  error
+}
+
+// get returns the arm's result, running it on first use.
+func (m *memo) get(run func() (*live.ReliableResult, error)) (*live.ReliableResult, error) {
+	m.once.Do(func() { m.res, m.err = run() })
+	return m.res, m.err
 }
 
 // build constructs the system and plan for an instance. It panics (as the

@@ -5,58 +5,78 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/live"
-	"repro/internal/reliable"
 )
 
 // digestCases is how many seed-1 harness instances the digest pin covers.
 const digestCases = 1000
 
-// reliableDigests runs the crash arm (crashRun) and the lossy arm (the
-// reliable-loss-agreement plan) of every covered instance that has one and
-// returns one line per run: the case, the arm and a digest of everything
-// live.Deliver returned.
-func reliableDigests() []string {
-	var out []string
+// digestRun is one pinned run: its digest line and the rendering hashed.
+type digestRun struct{ line, rendering string }
+
+// reliableDigests runs the crash arm (crashRun) and the lossy arm
+// (lossyRun) of every covered instance that has one and returns one line
+// per run: the case, the arm and a digest of everything live.Deliver
+// returned, rendered by render.
+func reliableDigests() []digestRun {
+	var out []digestRun
 	for c := 0; c < digestCases; c++ {
 		w := build(Generate(1, c))
-		digest := func(arm string, res *reliable.Result, err error) {
-			sum := sha256.Sum256([]byte(fmt.Sprintf("%+v|%v", *res, err)))
-			out = append(out, fmt.Sprintf("%d %s %x", c, arm, sum[:8]))
+		digest := func(arm string, res *live.ReliableResult, err error) {
+			r := render(res, err)
+			sum := sha256.Sum256([]byte(r))
+			out = append(out, digestRun{fmt.Sprintf("%d %s %x", c, arm, sum[:8]), r})
 		}
 		if len(w.inst.Crashes) > 0 {
 			res, err := w.crashRun()
 			digest("crash", res, err)
 		}
-		if p := w.inst.DropRate; p > 0 {
-			res, err := live.Deliver(w.sys, w.plan, w.inst.payload(), reliableConfig(),
-				fault.Plan{Seed: w.inst.FaultSeed, DropRate: p})
+		if w.inst.DropRate > 0 {
+			res, err := w.lossyRun()
 			digest("lossy", res, err)
 		}
 	}
 	return out
 }
 
+// render writes a run by value: the result without its host map, the
+// error, then each host's record in ascending host order, its payload as
+// a length and hash.
+func render(res *live.ReliableResult, err error) string {
+	var b strings.Builder
+	top := *res
+	top.Hosts = nil
+	fmt.Fprintf(&b, "%+v\nerr: %v", top, err)
+	hosts := make([]int, 0, len(res.Hosts))
+	for h := range res.Hosts {
+		hosts = append(hosts, h)
+	}
+	sort.Ints(hosts)
+	for _, h := range hosts {
+		rec := *res.Hosts[h]
+		data := rec.Data
+		rec.Data = nil
+		fmt.Fprintf(&b, "\nhost %+v data %d B %x", rec, len(data), sha256.Sum256(data))
+	}
+	return b.String()
+}
+
 // TestReliableDigest holds the reliable runtime's switched-network runs
 // (live.Deliver, the facade's DeliverReliable) to
 // testdata/reliable-digest.txt: a line that differs names the instance
-// (mcastcheck -seed 1 -case C) whose Result changed. It pins the shipped
-// runtime. It was recorded on the virtual-time machine this runtime
-// replaced, and re-recorded when the machine was deleted — the same 807
-// runs. Side by side before the deletion, all 499 lossy runs kept their
-// Status, orphans, sends and retransmits, and the 213 without a
-// retransmission their latency; the rest finish later, a loss costing one
-// lossless multicast (the runtime's RTO) instead of the machine's timer
-// derived from the channel reservation. Of the 308 crash runs, 256 kept
-// Status and orphan set; in the other 52, 57 crash-stopped hosts that
-// completed before their crash count as delivered, where the machine
-// forgot any completion on a crash. Every destination the machine
-// delivered is delivered byte-exact. Never rewrite it for a change that
-// moves a run.
+// (mcastcheck -seed 1 -case C) whose result changed, and the first such
+// run is printed as render writes it. It pins the shipped runtime. It was
+// recorded on the virtual-time machine this runtime replaced, re-recorded
+// when the machine was deleted — the same 807 runs, whose differences are
+// told in CHANGES.md — and re-recorded once more when live.Deliver began
+// to return the runtime's own result: a crosswalk of all 807 runs found
+// every verdict, error, counter, view, loss pattern, accept and delivered
+// host's completion time and payload equal. Never rewrite it for a change
+// that moves a run.
 func TestReliableDigest(t *testing.T) {
 	f, err := os.Open("testdata/reliable-digest.txt")
 	if err != nil {
@@ -72,12 +92,18 @@ func TestReliableDigest(t *testing.T) {
 		t.Fatalf("%d runs, the pin has %d", len(got), len(want))
 	}
 	var diff []string
+	first := -1
 	for i := range got {
-		if got[i] != want[i] {
-			diff = append(diff, fmt.Sprintf("got %s, want %s", got[i], want[i]))
+		if got[i].line != want[i] {
+			diff = append(diff, fmt.Sprintf("got %s, want %s", got[i].line, want[i]))
+			if first < 0 {
+				first = i
+			}
 		}
 	}
-	if len(diff) > 0 {
-		t.Fatalf("%d of %d runs changed:\n%s", len(diff), len(got), strings.Join(diff, "\n"))
+	if first >= 0 {
+		c, _, _ := strings.Cut(got[first].line, " ")
+		t.Fatalf("%d of %d runs changed:\n%s\nfirst changed run (mcastcheck -seed 1 -case %s), as hashed now:\n%s",
+			len(diff), len(got), strings.Join(diff, "\n"), c, got[first].rendering)
 	}
 }

@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"repro/internal/analytic"
 	"repro/internal/fault"
 	"repro/internal/flitsim"
 	"repro/internal/ktree"
 	"repro/internal/live"
+	"repro/internal/live/link"
 	"repro/internal/ordering"
 	"repro/internal/reliable"
 	"repro/internal/sim"
@@ -426,7 +428,7 @@ func checkReliableLosslessReplay(w *world) error {
 	// least a router delay.
 	want := sim.Multicast(w.sys.Router, w.plan.Tree, res.Packets, cfg.Params, stepsim.FPFS)
 	if res.Latency != nanos(want.Latency) {
-		return fmt.Errorf("zero-fault latency %f != lossless engine %f", res.Latency, want.Latency)
+		return fmt.Errorf("zero-fault latency %v != lossless engine %f us", res.Latency, want.Latency)
 	}
 	if res.Sends != want.Sends || res.Retransmits != 0 || res.Duplicates != 0 {
 		return fmt.Errorf("zero-fault sends=%d retransmits=%d duplicates=%d, lossless engine sends=%d",
@@ -441,38 +443,45 @@ func checkReliableLosslessReplay(w *world) error {
 	}
 	sort.Ints(hosts)
 	for _, h := range hosts {
-		if res.HostDone[h] != nanos(want.HostDone[h]) {
-			return fmt.Errorf("zero-fault host %d done at %f, lossless engine says %f", h, res.HostDone[h], want.HostDone[h])
+		if got := res.Hosts[h].DoneAt; got != nanos(want.HostDone[h]) {
+			return fmt.Errorf("zero-fault host %d done at %v, lossless engine says %f us", h, got, want.HostDone[h])
 		}
 	}
 	for _, d := range w.inst.Dests {
-		if !bytes.Equal(res.Delivered[d], payload) {
+		if got := res.Hosts[d].Data; !bytes.Equal(got, payload) {
 			return fmt.Errorf("zero-fault destination %d received %d bytes, want the %d-byte payload",
-				d, len(res.Delivered[d]), len(payload))
+				d, len(got), len(payload))
 		}
 	}
 	return nil
 }
 
-// nanos rounds a time in microseconds to the nanosecond.
-func nanos(us float64) float64 { return math.Round(us*1e3) / 1e3 }
+// nanos rounds a time in microseconds to the run clock's nanosecond.
+func nanos(us float64) time.Duration { return time.Duration(math.Round(us * 1e3)) }
+
+// lossyRun executes (once per world) the loss-only switched arm; the loss
+// invariants and the digest pin read it.
+func (w *world) lossyRun() (*live.ReliableResult, error) {
+	return w.lossy.get(func() (*live.ReliableResult, error) {
+		fp := fault.Plan{Seed: w.inst.FaultSeed, DropRate: w.inst.DropRate}
+		return live.Deliver(w.sys, w.plan, w.inst.payload(), reliableConfig(), fp)
+	})
+}
 
 func checkReliableLossAgreement(w *world) error {
 	p := w.inst.DropRate
 	if p == 0 {
 		return nil
 	}
-	cfg := reliableConfig()
 	payload := w.inst.payload()
-	fp := fault.Plan{Seed: w.inst.FaultSeed, DropRate: p}
-	res, err := live.Deliver(w.sys, w.plan, payload, cfg, fp)
+	res, err := w.lossyRun()
 	if err != nil {
 		return fmt.Errorf("lossy delivery (p=%f) failed: %v", p, err)
 	}
 	for _, d := range w.inst.Dests {
-		if !bytes.Equal(res.Delivered[d], payload) {
+		if got := res.Hosts[d].Data; !bytes.Equal(got, payload) {
 			return fmt.Errorf("lossy destination %d received %d bytes, want the %d-byte payload",
-				d, len(res.Delivered[d]), len(payload))
+				d, len(got), len(payload))
 		}
 	}
 	attempts := (w.n - 1) * res.Packets
@@ -517,13 +526,16 @@ func (in Instance) crashFaultPlan(p sim.Params) fault.Plan {
 	return fault.Plan{Seed: in.FaultSeed, DropRate: in.DropRate, Crashes: in.crashes(p.THostSend, p.TNISend+p.WireTime())}
 }
 
-// crashRun executes the crash-tolerance arm of the instance. The result is
-// inspected even when the typed error is non-nil (a lone destination that
-// crash-stops legitimately misses quorum 1); only a nil result — the
-// protocol refusing to run at all — is a harness-level failure.
-func (w *world) crashRun() (*reliable.Result, error) {
-	cfg := reliableConfig()
-	return live.Deliver(w.sys, w.plan, w.inst.payload(), cfg, w.inst.crashFaultPlan(cfg.Params))
+// crashRun executes (once per world) the crash-tolerance arm of the
+// instance. The result is inspected even when the typed error is non-nil
+// (a lone destination that crash-stops legitimately misses quorum 1); only
+// a nil result — the protocol refusing to run at all — is a harness-level
+// failure.
+func (w *world) crashRun() (*live.ReliableResult, error) {
+	return w.crash.get(func() (*live.ReliableResult, error) {
+		cfg := reliableConfig()
+		return live.Deliver(w.sys, w.plan, w.inst.payload(), cfg, w.inst.crashFaultPlan(cfg.Params))
+	})
 }
 
 func checkCrashNoPosthumousDelivery(w *world) error {
@@ -539,18 +551,16 @@ func checkCrashNoPosthumousDelivery(w *world) error {
 		if hc.RecoverAt > 0 {
 			continue // a recovered host may finish after its crash
 		}
-		if t, ok := res.HostDone[hc.Host]; ok && t > hc.At {
-			return fmt.Errorf("host %d crash-stops at %f but is recorded done at %f", hc.Host, hc.At, t)
-		}
-		if _, delivered := res.Delivered[hc.Host]; delivered {
-			if _, done := res.HostDone[hc.Host]; !done {
-				return fmt.Errorf("host %d crash-stops at %f yet holds a payload with no completion record", hc.Host, hc.At)
-			}
+		if rec := res.Hosts[hc.Host]; rec != nil && rec.Data != nil && (rec.DoneAt <= 0 || link.US(rec.DoneAt) > hc.At) {
+			return fmt.Errorf("host %d crash-stops at %f but holds a payload done at %v", hc.Host, hc.At, rec.DoneAt)
 		}
 	}
 	return nil
 }
 
+// checkCrashEpochMonotone holds the switched crash arm to epochsMonotone
+// and, on its one clock, to more: accepts in global time order under
+// nondecreasing epochs.
 func checkCrashEpochMonotone(w *world) error {
 	if len(w.inst.Crashes) == 0 {
 		return nil
@@ -559,31 +569,17 @@ func checkCrashEpochMonotone(w *world) error {
 	if res == nil {
 		return fmt.Errorf("crash run produced no result: %v", err)
 	}
-	for i, a := range res.Accepts {
-		if a.Epoch < 1 || a.Epoch > res.Epoch {
-			return fmt.Errorf("accept %d at t=%f carries epoch %d outside [1,%d]", i, a.At, a.Epoch, res.Epoch)
-		}
-		if i > 0 {
-			prev := res.Accepts[i-1]
-			if a.Epoch < prev.Epoch {
-				return fmt.Errorf("accept %d at t=%f regressed to epoch %d after epoch %d", i, a.At, a.Epoch, prev.Epoch)
-			}
-			if a.At < prev.At {
-				return fmt.Errorf("accept %d at t=%f precedes accept %d at t=%f", i, a.At, i-1, prev.At)
-			}
-		}
+	if err := epochsMonotone(res); err != nil {
+		return err
 	}
-	for i, v := range res.Views {
-		if i == 0 && v.Epoch != 1 {
-			return fmt.Errorf("first installed view has epoch %d, want 1", v.Epoch)
+	for i := 1; i < len(res.Accepts); i++ {
+		a, prev := res.Accepts[i], res.Accepts[i-1]
+		if a.Epoch < prev.Epoch {
+			return fmt.Errorf("accept %d at t=%v regressed to epoch %d after epoch %d", i, a.At, a.Epoch, prev.Epoch)
 		}
-		if i > 0 && v.Epoch <= res.Views[i-1].Epoch {
-			return fmt.Errorf("view %d has epoch %d after epoch %d: views must advance strictly",
-				i, v.Epoch, res.Views[i-1].Epoch)
+		if a.At < prev.At {
+			return fmt.Errorf("accept %d at t=%v precedes accept %d at t=%v", i, a.At, i-1, prev.At)
 		}
-	}
-	if len(res.Views) > 0 && res.Views[len(res.Views)-1].Epoch != res.Epoch {
-		return fmt.Errorf("final view epoch %d != result epoch %d", res.Views[len(res.Views)-1].Epoch, res.Epoch)
 	}
 	return nil
 }
@@ -596,24 +592,5 @@ func checkCrashSurvivorBytes(w *world) error {
 	if res == nil {
 		return fmt.Errorf("crash run produced no result: %v", err)
 	}
-	crashStopped := map[int]bool{}
-	for _, cr := range w.inst.Crashes {
-		if cr.RecoverStep == 0 {
-			crashStopped[cr.Host] = true
-		}
-	}
-	payload := w.inst.payload()
-	for _, d := range w.inst.Dests {
-		if crashStopped[d] {
-			continue
-		}
-		got, ok := res.Delivered[d]
-		if !ok {
-			return fmt.Errorf("survivor %d undelivered (status %v, epoch %d, err %v)", d, res.Status, res.Epoch, err)
-		}
-		if !bytes.Equal(got, payload) {
-			return fmt.Errorf("survivor %d received %d bytes, want the %d-byte payload", d, len(got), len(payload))
-		}
-	}
-	return nil
+	return w.survivorBytes(res, err, w.inst.payload())
 }

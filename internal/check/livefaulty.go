@@ -83,18 +83,13 @@ func (in Instance) liveReliableConfig() live.ReliableConfig {
 // reliable live engine, in virtual time, under the derived chaos plane:
 // bit-exact by seed. All four live-faulty invariants read this one run.
 func (w *world) liveFaultyRun() (*live.ReliableResult, error) {
-	w.liveRelOnce.Do(func() {
-		payload := w.inst.livePayload()
-		pkts, err := message.Packetize(1, w.plan.Spec.Source, payload, livePacketBytes)
+	return w.liveRel.get(func() (*live.ReliableResult, error) {
+		pkts, err := message.Packetize(1, w.plan.Spec.Source, w.inst.livePayload(), livePacketBytes)
 		if err != nil {
-			w.liveRelErr = fmt.Errorf("packetize: %v", err)
-			return
+			return nil, fmt.Errorf("packetize: %v", err)
 		}
-		w.liveRelRes, w.liveRelErr = live.RunVirtual(
-			live.Session{Tree: w.plan.Tree, Packets: pkts, MsgID: 1},
-			w.inst.liveReliableConfig())
+		return live.RunVirtual(live.Session{Tree: w.plan.Tree, Packets: pkts, MsgID: 1}, w.inst.liveReliableConfig())
 	})
-	return w.liveRelRes, w.liveRelErr
 }
 
 // crashStopped returns the set of destinations scheduled to crash and
@@ -159,18 +154,17 @@ func checkLossPatternAgreement(w *world) error {
 	if p == 0 {
 		return nil
 	}
-	fp := fault.Plan{Seed: w.inst.FaultSeed, DropRate: p}
-	rcfg := reliableConfig()
-	sw, err := live.Deliver(w.sys, w.plan, w.inst.payload(), rcfg, fp)
+	sw, err := w.lossyRun()
 	if err != nil {
 		return fmt.Errorf("switched run failed: %v", err)
 	}
+	rcfg := reliableConfig()
 	pkts, err := message.Packetize(rcfg.MsgID, w.plan.Spec.Source, w.inst.payload(), rcfg.Params.PacketBytes)
 	if err != nil {
 		return fmt.Errorf("packetize: %v", err)
 	}
 	cfg := w.inst.liveReliableConfig()
-	cfg.Faults = fp
+	cfg.Faults = fault.Plan{Seed: w.inst.FaultSeed, DropRate: p}
 	lv, err := live.RunVirtual(live.Session{Tree: w.plan.Tree, Packets: pkts, MsgID: rcfg.MsgID}, cfg)
 	if lv == nil {
 		return fmt.Errorf("in-process run produced no result: %v", err)
@@ -229,7 +223,12 @@ func checkLiveSurvivorBytes(w *world) error {
 	if res == nil {
 		return fmt.Errorf("faulty live run produced no result: %v", err)
 	}
-	payload := w.inst.livePayload()
+	return w.survivorBytes(res, err, w.inst.livePayload())
+}
+
+// survivorBytes checks that every destination not scheduled to crash-stop
+// holds the byte-exact payload and a completion time.
+func (w *world) survivorBytes(res *live.ReliableResult, err error, payload []byte) error {
 	stopped := w.inst.crashStopped()
 	for _, d := range w.inst.Dests {
 		if stopped[d] {
@@ -270,6 +269,14 @@ func checkLiveEpochMonotone(w *world) error {
 		}
 		return nil
 	}
+	return epochsMonotone(res)
+}
+
+// epochsMonotone checks an armed run's epoch trace: it ends at an epoch
+// >= 1, accepts packets under per-host nondecreasing epochs within
+// [1, final], and installs strictly advancing views from the initial
+// epoch-1 view to the final epoch.
+func epochsMonotone(res *live.ReliableResult) error {
 	if res.Epoch < 1 {
 		return fmt.Errorf("armed run ended at epoch %d < 1", res.Epoch)
 	}

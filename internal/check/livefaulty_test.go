@@ -52,12 +52,12 @@ func sweepChaos(t *testing.T, run func(live.Session, live.ReliableConfig) (*live
 			t.Fatalf("case %d: build: %v", c, err)
 		}
 		if run != nil {
-			w.liveRelOnce.Do(func() {
+			w.liveRel.get(func() (*live.ReliableResult, error) {
 				pkts, err := message.Packetize(1, w.plan.Spec.Source, inst.livePayload(), livePacketBytes)
 				if err != nil {
 					t.Fatal(err)
 				}
-				w.liveRelRes, w.liveRelErr = run(live.Session{Tree: w.plan.Tree, Packets: pkts, MsgID: 1}, inst.liveReliableConfig())
+				return run(live.Session{Tree: w.plan.Tree, Packets: pkts, MsgID: 1}, inst.liveReliableConfig())
 			})
 		}
 		for _, id := range chaosInvariantIDs {

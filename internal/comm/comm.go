@@ -302,11 +302,13 @@ func (g *Group) bcastLive(root int, data []byte, p sim.Params, udp bool) (*Bcast
 	return out, nil
 }
 
-// BcastLiveReliableResult is the outcome of a fault-tolerant broadcast
-// executed on the live runtime: real goroutine NIs behind a (possibly
-// chaos-decorated) transport, real timers driving retransmission and the
-// failure detector, and per-rank reassembled bytes.
-type BcastLiveReliableResult struct {
+// BcastReliableResult is the outcome of a fault-tolerant broadcast, on the
+// switched network (BcastReliable) or the live runtime
+// (BcastLiveReliable). Unlike Bcast, it is defined under host crashes:
+// instead of hanging or failing opaquely, it reports per-rank delivery,
+// the membership views installed while the group reconfigured, and an
+// explicit partial-delivery verdict.
+type BcastReliableResult struct {
 	// Data holds, per rank, the delivered message — nil for ranks the
 	// operation could not reach (the root's slot aliases the input).
 	Data [][]byte
@@ -314,8 +316,9 @@ type BcastLiveReliableResult struct {
 	// the message, ascending (empty when Status == Delivered).
 	Status      reliable.Status
 	Undelivered []int
-	// WallLatency is injection start to the last destination's completion.
-	WallLatency time.Duration
+	// Latency is run start to the last destination's completion, on the
+	// run's clock: virtual for BcastReliable, wall for BcastLiveReliable.
+	Latency time.Duration
 	// Packets is the message length in wire packets; K the tree fanout.
 	Packets int
 	K       int
@@ -324,7 +327,7 @@ type BcastLiveReliableResult struct {
 	Epoch int
 	Views []membership.View
 	// Protocol is the underlying run detail (retransmissions, epochs,
-	// chaos counters, adoptions, per-host records).
+	// fault counters, adoptions, per-host records).
 	Protocol *live.ReliableResult
 }
 
@@ -336,7 +339,7 @@ type BcastLiveReliableResult struct {
 // cfg.Live. Like BcastReliable, the error is the protocol's typed failure
 // and the result is still returned alongside it when the run produced
 // one.
-func (g *Group) BcastLiveReliable(root int, data []byte, p sim.Params, cfg live.ReliableConfig) (*BcastLiveReliableResult, error) {
+func (g *Group) BcastLiveReliable(root int, data []byte, p sim.Params, cfg live.ReliableConfig) (*BcastReliableResult, error) {
 	b, err := g.prepare(root, data, p, false)
 	if err != nil {
 		return nil, err
@@ -346,46 +349,7 @@ func (g *Group) BcastLiveReliable(root int, data []byte, p sim.Params, cfg live.
 	if res == nil {
 		return nil, fmt.Errorf("comm: live reliable broadcast: %w", runErr)
 	}
-	out := &BcastLiveReliableResult{
-		Status:      res.Status,
-		WallLatency: res.Latency,
-		Packets:     res.Packets,
-		K:           plan.K,
-		Epoch:       res.Epoch,
-		Views:       res.Views,
-		Protocol:    res,
-	}
-	if out.Data, out.Undelivered, err = g.collect(b, data, false, fetchLive(res.Hosts)); err != nil {
-		return nil, err
-	}
-	return out, runErr
-}
-
-// BcastReliableResult is the outcome of a fault-tolerant broadcast. Unlike
-// Bcast, it is defined under host crashes: instead of hanging or failing
-// opaquely, it reports per-rank delivery, the membership views installed
-// while the group reconfigured, and an explicit partial-delivery verdict.
-type BcastReliableResult struct {
-	// Data holds, per rank, the delivered message — nil for ranks the
-	// operation could not reach (the root's slot aliases the input).
-	Data [][]byte
-	// Status is the delivery verdict; Undelivered lists the ranks without
-	// the message, ascending (empty when Status == Delivered).
-	Status      reliable.Status
-	Undelivered []int
-	// Latency is the protocol completion time in microseconds.
-	Latency float64
-	// Packets is the message length in wire packets; K the tree fanout.
-	Packets int
-	K       int
-	// Epoch and Views expose the membership plane: the final epoch and
-	// every group view installed during the operation (nil when the fault
-	// plan schedules no crashes).
-	Epoch int
-	Views []membership.View
-	// Protocol is the underlying per-run detail (retransmissions, fault
-	// counters, adoptions).
-	Protocol *reliable.Result
+	return g.reliableResult(b, data, plan.K, res, runErr)
 }
 
 // BcastReliable broadcasts data from the root rank over the reliable
@@ -404,20 +368,23 @@ func (g *Group) BcastReliable(root int, data []byte, cfg reliable.Config, fp fau
 	if res == nil {
 		return nil, runErr
 	}
+	return g.reliableResult(b, data, plan.K, res, runErr)
+}
+
+// reliableResult is both reliable broadcasts' back half: the run's verdict
+// and per-rank bytes, returned alongside its typed failure.
+func (g *Group) reliableResult(b *bcast, data []byte, k int, res *live.ReliableResult, runErr error) (*BcastReliableResult, error) {
 	out := &BcastReliableResult{
 		Status:   res.Status,
 		Latency:  res.Latency,
 		Packets:  res.Packets,
-		K:        plan.K,
+		K:        k,
 		Epoch:    res.Epoch,
 		Views:    res.Views,
 		Protocol: res,
 	}
-	out.Data, out.Undelivered, err = g.collect(b, data, false, func(host int) ([]byte, bool) {
-		got, ok := res.Delivered[host]
-		return got, ok
-	})
-	if err != nil {
+	var err error
+	if out.Data, out.Undelivered, err = g.collect(b, data, false, fetchLive(res.Hosts)); err != nil {
 		return nil, err
 	}
 	return out, runErr

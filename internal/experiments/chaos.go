@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/live"
+	"repro/internal/live/link"
 	"repro/internal/message"
 	"repro/internal/reliable"
 	"repro/internal/sim"
@@ -80,7 +81,8 @@ func chaosSweepCell(cfg Config, sys []*core.System, drop float64, policy core.Tr
 		// Compared at the run clock's resolution, the nanosecond.
 		lossless := math.Round(sim.Multicast(s.Router, plan.Tree, res.Packets, cfg.Params, stepsim.FPFS).Latency*1e3) / 1e3
 		edges := plan.Tree.Size() - 1
-		return []float64{res.Latency, res.Latency - lossless,
+		latency := link.US(res.Latency)
+		return []float64{latency, latency - lossless,
 			float64(res.Sends) / float64(edges*res.Packets),
 			float64(res.Retransmits), float64(res.Duplicates)}
 	})
@@ -149,18 +151,18 @@ func runChaos(cfg Config) *Result {
 		panic(fmt.Sprintf("experiments: chaos lossless delivery failed: %v", err))
 	}
 	addKillRow(kill, "no faults", lossless)
-	if link, ok := chaosKillLink(s, plan); ok {
-		at := cfg.Params.THostSend + (lossless.Latency-cfg.Params.THostSend)/3
+	if killed, ok := chaosKillLink(s, plan); ok {
+		at := cfg.Params.THostSend + (link.US(lossless.Latency)-cfg.Params.THostSend)/3
 		repaired, err := live.Deliver(s, plan, payload, rcfg, fault.Plan{
-			Kills: []fault.Kill{{Link: link, At: at}},
+			Kills: []fault.Kill{{Link: killed, At: at}},
 		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: chaos repair delivery failed: %v", err))
 		}
-		addKillRow(kill, fmt.Sprintf("link %d killed at %.1f us (repaired)", link, at), repaired)
+		addKillRow(kill, fmt.Sprintf("link %d killed at %.1f us (repaired)", killed, at), repaired)
 		res.Notes = append(res.Notes,
 			fmt.Sprintf("link kill severed %d transmissions; %d repair(s) re-parented the subtree and all %d destinations completed byte-exactly",
-				repaired.Faults.DeadSends, repaired.Adoptions, len(repaired.Delivered)))
+				repaired.Faults.DeadSends, repaired.Adoptions, len(repaired.Hosts)-1-len(repaired.Orphaned)))
 	}
 	victim := spec.Dests[len(spec.Dests)-1]
 	partitioned, err := live.Deliver(s, plan, payload, rcfg, fault.Plan{
@@ -177,9 +179,9 @@ func runChaos(cfg Config) *Result {
 	return res
 }
 
-func addKillRow(t *stats.Table, scenario string, r *reliable.Result) {
+func addKillRow(t *stats.Table, scenario string, r *live.ReliableResult) {
 	t.AddRow(scenario,
-		fmt.Sprintf("%.3f", r.Latency),
+		fmt.Sprintf("%.3f", link.US(r.Latency)),
 		fmt.Sprintf("%d", r.Sends),
 		fmt.Sprintf("%d", r.Retransmits),
 		fmt.Sprintf("%d", r.Adoptions),

@@ -112,14 +112,15 @@ type EpochAccept struct {
 	At                  time.Duration
 }
 
-// ReliableResult reports one RunReliable execution. Like the simulator's
-// reliable.Result it is returned alongside *CrashError/*DeliveryError, so
-// callers can inspect partial outcomes.
+// ReliableResult reports one reliable run: RunReliable's, RunVirtual's or
+// Deliver's. It is returned alongside a *reliable.CrashError or
+// *reliable.DeliveryError, so callers can inspect partial outcomes.
 type ReliableResult struct {
-	// Status is the delivery verdict, with the simulator's semantics.
+	// Status is the delivery verdict (reliable.Verdict).
 	Status reliable.Status
 	// Hosts holds a record per tree node (Data nil for the root and for
-	// destinations that never completed).
+	// destinations that never completed; Deliver's DoneAt includes the
+	// host's receive copy, t_r).
 	Hosts map[int]*HostRecord
 	// Latency is run start to the last completing destination; Wall is run
 	// start to teardown.
@@ -162,7 +163,7 @@ type rrt struct {
 // RunReliable executes one session under the reliable protocol and the
 // configured fault plane, blocking until every awaited destination has
 // the full payload, the quorum verdict is settled, or the watchdog fires.
-// Like reliable.Deliver it returns the result alongside a typed error
+// Like Deliver it returns the result alongside a typed error
 // (*reliable.CrashError, *reliable.DeliveryError) on shortfalls; a
 // *WatchdogError (nil result) means the protocol itself stalled.
 func RunReliable(s Session, cfg ReliableConfig) (*ReliableResult, error) {

@@ -21,16 +21,16 @@ import (
 // (RunVirtual) over sys's switch geometry: every frame pays the
 // simulator's costs (switched), kills are folded into the routes at an
 // exhaustion (reliable.Geometry), and a repair's chain is cut from the
-// system's ordering. Times are microseconds. The retransmission timeout is
-// one lossless FPFS multicast of the plan plus one t_ns, doubling twice at
-// most: a lossless frame is queued after t_s and delivered by that latency
-// less t_r, so a lossless run never retransmits. The failure detector runs
-// membership.DefaultConfig's timeouts. A refused config, payload or plan
-// (a field a switched network cannot carry out is a *fault.RefusedError)
-// or a watchdog stall returns no Result; a shortfall returns one with a
-// *reliable.DeliveryError or *reliable.CrashError. A run is a function of
-// its inputs.
-func Deliver(sys *core.System, plan *core.Plan, payload []byte, cfg reliable.Config, fp fault.Plan) (*reliable.Result, error) {
+// system's ordering. The fault plan's times are microseconds. The
+// retransmission timeout is one lossless FPFS multicast of the plan plus
+// one t_ns, doubling twice at most: a lossless frame is queued after t_s
+// and delivered by that latency less t_r, so a lossless run never
+// retransmits. The failure detector runs membership.DefaultConfig's
+// timeouts. A refused config, payload or plan (a field a switched network
+// cannot carry out is a *fault.RefusedError) or a watchdog stall returns
+// no result; a shortfall returns one with a *reliable.DeliveryError or
+// *reliable.CrashError. A run is a function of its inputs.
+func Deliver(sys *core.System, plan *core.Plan, payload []byte, cfg reliable.Config, fp fault.Plan) (*ReliableResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -50,40 +50,40 @@ func Deliver(sys *core.System, plan *core.Plan, payload []byte, cfg reliable.Con
 	if r == nil {
 		return nil, err
 	}
-	return view(r, err, plan.Tree.Root(), cfg, v.sw)
+	return r, settle(r, err, plan.Tree.Root(), cfg, v.sw)
 }
 
-// view reads a switched run's result in the simulator's terms: a
-// destination completes t_r after its NI (the host's receive copy), and a
-// crash-stop that lands during that copy cuts it; the verdict is settled
+// settle reads a switched run's result in the simulator's terms, in place:
+// a destination completes t_r after its NI (the host's receive copy), and
+// a crash-stop that lands during that copy cuts it; the verdict is settled
 // again on what completed.
-func view(r *ReliableResult, err error, root int, cfg reliable.Config, sw *switched) (*reliable.Result, error) {
-	res := &reliable.Result{Packets: r.Packets, Sends: r.Sends, Retransmits: r.Retransmits,
-		Duplicates: r.Duplicates, Fenced: r.Fenced, Adoptions: r.Adoptions, Epoch: r.Epoch,
-		Views: r.Views, Crashed: r.Crashed, Faults: r.Faults, Losses: r.Losses,
-		Partitioned: sw.geo.Partitioned(), HostDone: map[int]float64{}, Delivered: map[int][]byte{}}
+func settle(r *ReliableResult, err error, root int, cfg reliable.Config, sw *switched) error {
+	r.Latency, r.Orphaned = 0, nil
 	for v, h := range r.Hosts {
-		done := link.US(h.DoneAt + dur(cfg.Params.THostRecv))
-		cut := sw.faults.HostDown(v, done) && sw.faults.HostDown(v, math.Inf(1)) // a crash-stop
-		if v != root && (h.Data == nil || cut) {
-			res.Orphaned = append(res.Orphaned, v)
-		} else if v != root {
-			res.HostDone[v], res.Delivered[v] = done, h.Data
-			res.Latency = max(res.Latency, done)
+		if v == root {
+			continue
+		}
+		if h.Data != nil {
+			h.DoneAt += dur(cfg.Params.THostRecv)
+			if at := link.US(h.DoneAt); sw.faults.HostDown(v, at) && sw.faults.HostDown(v, math.Inf(1)) { // a crash-stop
+				h.Data, h.DoneAt = nil, 0
+			}
+		}
+		if h.Data == nil {
+			r.Orphaned = append(r.Orphaned, v)
+		} else {
+			r.Latency = max(r.Latency, h.DoneAt)
 		}
 	}
-	sort.Ints(res.Orphaned)
-	for _, a := range r.Accepts {
-		res.Accepts = append(res.Accepts, reliable.EpochStamp{At: link.US(a.At), Epoch: a.Epoch})
-	}
+	sort.Ints(r.Orphaned)
 	var ce *reliable.CrashError
 	rootDown := errors.As(err, &ce) && ce.RootCrashed
-	res.Status, err = reliable.Verdict(len(r.Hosts)-1, res.Orphaned, res.Crashed, cfg.Quorum, res.Epoch,
+	r.Status, err = reliable.Verdict(len(r.Hosts)-1, r.Orphaned, r.Crashed, cfg.Quorum, r.Epoch,
 		len(sw.faults.Crashes()) > 0, rootDown)
 	if de := (*reliable.DeliveryError)(nil); errors.As(err, &de) {
-		de.Partitioned = res.Partitioned
+		de.Partitioned = sw.geo.Partitioned()
 	}
-	return res, err
+	return err
 }
 
 // dur converts microseconds to the run clock's nanoseconds, rounded.

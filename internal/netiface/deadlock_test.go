@@ -20,10 +20,10 @@ import (
 	"repro/internal/topology"
 )
 
-func guarded(t *testing.T, name string, run func() (*reliable.Result, error)) (*reliable.Result, error) {
+func guarded(t *testing.T, name string, run func() (*live.ReliableResult, error)) (*live.ReliableResult, error) {
 	t.Helper()
 	type out struct {
-		res *reliable.Result
+		res *live.ReliableResult
 		err error
 	}
 	done := make(chan out, 1)
@@ -65,14 +65,14 @@ func TestStallChainNoDeadlock(t *testing.T) {
 	if len(fp.Stalls) == 0 {
 		t.Fatal("linear chain has no interior forwarders")
 	}
-	res, err := guarded(t, "stall-chain", func() (*reliable.Result, error) {
+	res, err := guarded(t, "stall-chain", func() (*live.ReliableResult, error) {
 		return live.Deliver(sys, plan, payload, cfg, fp)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range spec.Dests {
-		if got, ok := res.Delivered[d]; !ok || !bytes.Equal(got, payload) {
+		if !bytes.Equal(res.Hosts[d].Data, payload) {
 			t.Errorf("destination %d payload missing or inexact", d)
 		}
 	}
@@ -98,7 +98,7 @@ func TestStallCrashNoDeadlock(t *testing.T) {
 		},
 		Crashes: []fault.Crash{{Host: victim, At: 30}},
 	}
-	res, err := guarded(t, "stall-crash", func() (*reliable.Result, error) {
+	res, err := guarded(t, "stall-crash", func() (*live.ReliableResult, error) {
 		return live.Deliver(sys, plan, payload, cfg, fp)
 	})
 	if err != nil {
@@ -114,7 +114,7 @@ func TestStallCrashNoDeadlock(t *testing.T) {
 		if d == victim {
 			continue
 		}
-		if got, ok := res.Delivered[d]; !ok || !bytes.Equal(got, payload) {
+		if !bytes.Equal(res.Hosts[d].Data, payload) {
 			t.Errorf("survivor %d payload missing or inexact", d)
 		}
 	}

@@ -1,6 +1,7 @@
 package reliable_test
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"repro"
@@ -10,14 +11,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/live/link"
 )
 
 // deliverGuarded runs Deliver under a watchdog: a crash scenario must
 // terminate, never hang the event loop.
-func deliverGuarded(t *testing.T, sys *core.System, plan *core.Plan, payload []byte, cfg reliable.Config, fp fault.Plan) (*reliable.Result, error) {
+func deliverGuarded(t *testing.T, sys *core.System, plan *core.Plan, payload []byte, cfg reliable.Config, fp fault.Plan) (*repro.ReliableResult, error) {
 	t.Helper()
 	type out struct {
-		res *reliable.Result
+		res *repro.ReliableResult
 		err error
 	}
 	done := make(chan out, 1)
@@ -81,8 +83,64 @@ func TestCrashStopFirstChild(t *testing.T) {
 		}
 	}
 	checkPayloads(t, res, survivors, payload)
-	if _, ok := res.HostDone[victim]; ok {
+	if rec := res.Hosts[victim]; rec.Data != nil || rec.DoneAt != 0 {
 		t.Error("crashed host has a completion time")
+	}
+}
+
+// TestReceiveCopyCut: a destination completes t_r after its NI, the
+// host's receive copy. A crash-stop that lands during that copy cuts the
+// delivery: no payload, no completion time, undelivered in the verdict.
+// The same crash just after the copy leaves the destination delivered.
+func TestReceiveCopyCut(t *testing.T) {
+	sys := irregular64(3)
+	cfg := reliable.DefaultConfig()
+	cfg.Quorum = 1
+	spec := core.Spec{Source: 0, Dests: seqDests(1, 15), Packets: 4, Policy: core.OptimalTree}
+	plan := sys.Plan(spec)
+	payload := payloadFor(4, cfg.Params, 3)
+	// The leaf that completes first: a host scheduled to crash-stop holds
+	// no run open, so the others keep it running past the crash.
+	lossless, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := -1
+	for _, v := range spec.Dests {
+		if len(plan.Tree.Children(v)) == 0 && (leaf < 0 || lossless.Hosts[v].DoneAt < lossless.Hosts[leaf].DoneAt) {
+			leaf = v
+		}
+	}
+	done := link.US(lossless.Hosts[leaf].DoneAt)
+	crashAt := func(at float64) *repro.ReliableResult {
+		res, _ := deliverGuarded(t, sys, plan, payload, cfg, fault.Plan{Crashes: []fault.Crash{{Host: leaf, At: at}}})
+		if res == nil {
+			t.Fatalf("crash of leaf %d at %f us: no result", leaf, at)
+		}
+		return res
+	}
+
+	after := crashAt(done + 0.001)
+	if rec := after.Hosts[leaf]; !bytes.Equal(rec.Data, payload) || link.US(rec.DoneAt) != done {
+		t.Errorf("crash just after the receive copy: leaf %d holds %d bytes, done at %v; want the payload at %f us",
+			leaf, len(rec.Data), rec.DoneAt, done)
+	}
+	if after.Status != reliable.Delivered || len(after.Orphaned) != 0 {
+		t.Errorf("crash just after the receive copy: status %v, orphaned %v; want delivered", after.Status, after.Orphaned)
+	}
+
+	during := crashAt(done - cfg.Params.THostRecv/2)
+	rec := during.Hosts[leaf]
+	if rec.Recvs != during.Packets {
+		t.Fatalf("leaf %d's NI accepted %d of %d packets before its crash: the crash must land after the NI completes",
+			leaf, rec.Recvs, during.Packets)
+	}
+	if rec.Data != nil || rec.DoneAt != 0 {
+		t.Errorf("crash during the receive copy: leaf %d holds %d bytes, done at %v; want neither", leaf, len(rec.Data), rec.DoneAt)
+	}
+	if during.Status != reliable.DeliveredPartial || !reflect.DeepEqual(during.Orphaned, []int{leaf}) {
+		t.Errorf("crash during the receive copy: status %v, orphaned %v; want delivered-partial without %d",
+			during.Status, during.Orphaned, leaf)
 	}
 }
 
@@ -252,7 +310,7 @@ func TestEpochStampsMonotone(t *testing.T) {
 	prev := 0
 	for i, s := range res.Accepts {
 		if s.Epoch < prev {
-			t.Fatalf("accept %d at t=%f regressed to epoch %d after %d", i, s.At, s.Epoch, prev)
+			t.Fatalf("accept %d at t=%v regressed to epoch %d after %d", i, s.At, s.Epoch, prev)
 		}
 		prev = s.Epoch
 	}

@@ -4,17 +4,16 @@
 // the verdict (Verdict: Delivered, DeliveredPartial when crashes cut
 // destinations but the quorum held, or a typed *DeliveryError or
 // *CrashError); the switch geometry a run over a simulated network
-// repairs on (Geometry); and the config and result of that run
-// (live.Deliver, the facade's DeliverReliable), which under a zero-fault
-// plan reproduces the lossless engine's FPFS schedule exactly.
+// repairs on (Geometry); and the config of that run (live.Deliver, the
+// facade's DeliverReliable), which returns the runtime's own
+// live.ReliableResult and under a zero-fault plan reproduces the lossless
+// engine's FPFS schedule to the nanosecond.
 package reliable
 
 import (
 	"errors"
 	"fmt"
 
-	"repro/internal/fault"
-	"repro/internal/membership"
 	"repro/internal/sim"
 )
 
@@ -88,52 +87,6 @@ func (s Status) String() string {
 	}
 }
 
-// EpochStamp records the epoch a packet was accepted under, for auditing
-// epoch monotonicity of the data plane.
-type EpochStamp struct {
-	At    float64
-	Epoch int
-}
-
-// Result reports one reliable multicast over a switched network
-// (live.Deliver); times are microseconds.
-type Result struct {
-	// Latency is from initiation to the last completing destination;
-	// HostDone is each completing destination's time, and Delivered its
-	// reassembled message.
-	Latency   float64
-	HostDone  map[int]float64
-	Delivered map[int][]byte
-	Packets   int
-	// Sends counts data-packet injections; Retransmits of those were
-	// repeat attempts. Duplicates were suppressed by receivers, Fenced
-	// discarded (data and ACKs) for a stale epoch.
-	Sends, Retransmits, Duplicates, Fenced int
-	// Orphaned lists destinations (ascending) the protocol gave up on;
-	// Partitioned reports whether a link kill cut hosts off entirely.
-	Orphaned    []int
-	Partitioned bool
-	// Faults are the injected-fault counters of the run; Losses what each
-	// edge incarnation's loss stream decided, in creation order.
-	Faults fault.Stats
-	Losses []fault.Pattern
-	// Status is the delivery verdict.
-	Status Status
-	// Epoch is the final membership epoch (0 when no crash was planned,
-	// the membership plane never armed; the initial armed view is 1), and
-	// Views the views installed while it was armed.
-	Epoch int
-	Views []membership.View
-	// Crashed lists the hosts down when the run ended, ascending.
-	Crashed []int
-	// Adoptions counts re-grafts: after an exhausted edge or a crash
-	// confirmation, and of rejoining hosts.
-	Adoptions int
-	// Accepts is the epoch-stamp trace of novel packet acceptances, in
-	// time order, while the membership plane is armed.
-	Accepts []EpochStamp
-}
-
 // ErrDelivery and ErrCrash are the sentinel identities of the two typed
 // failures below: errors.Is(err, reliable.ErrDelivery) matches any
 // *DeliveryError through arbitrary %w wrapping (and likewise ErrCrash for
@@ -146,7 +99,7 @@ var (
 
 // DeliveryError is the typed failure of a reliable multicast: the
 // destinations that never completed, and whether a network partition (as
-// opposed to an exhausted retry budget) caused it. The Result returned
+// opposed to an exhausted retry budget) caused it. The result returned
 // alongside still describes everything that did complete.
 type DeliveryError struct {
 	Orphaned    []int
@@ -167,7 +120,7 @@ func (e *DeliveryError) Error() string {
 }
 
 // CrashError is the typed failure of a crash-afflicted multicast: the run
-// missed its quorum (or the root itself crashed). The Result returned
+// missed its quorum (or the root itself crashed). The result returned
 // alongside still describes everything that did complete.
 type CrashError struct {
 	// Crashed lists the hosts down when the run ended; Undelivered the

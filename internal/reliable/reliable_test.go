@@ -9,6 +9,7 @@ import (
 	"repro/internal/reliable"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
@@ -54,7 +55,7 @@ func TestLosslessMatchesSim(t *testing.T) {
 		{"irregular-seed7", irregular64(7)},
 		{"cube-2x4", core.NewCubeSystem(2, 4)},
 	}
-	nanos := func(us float64) float64 { return math.Round(us*1e3) / 1e3 }
+	nanos := func(us float64) time.Duration { return time.Duration(math.Round(us * 1e3)) }
 	for _, sc := range systems {
 		for _, policy := range []core.TreePolicy{core.OptimalTree, core.BinomialTree, core.LinearTree} {
 			for _, nd := range []int{7, 15} {
@@ -67,18 +68,18 @@ func TestLosslessMatchesSim(t *testing.T) {
 				}
 				want := sim.Multicast(sc.sys.Router, plan.Tree, res.Packets, cfg.Params, stepsim.FPFS)
 				if res.Latency != nanos(want.Latency) {
-					t.Errorf("%s/%v/%d dests: latency %f, lossless engine %f",
+					t.Errorf("%s/%v/%d dests: latency %v, lossless engine %f us",
 						sc.name, policy, nd, res.Latency, want.Latency)
 				}
 				for h, done := range want.HostDone {
-					if res.HostDone[h] != nanos(done) {
-						t.Errorf("%s/%v/%d dests: host %d done at %f, lossless engine %f",
-							sc.name, policy, nd, h, res.HostDone[h], done)
+					if got := res.Hosts[h].DoneAt; got != nanos(done) {
+						t.Errorf("%s/%v/%d dests: host %d done at %v, lossless engine %f us",
+							sc.name, policy, nd, h, got, done)
 					}
 				}
-				if len(res.HostDone) != len(want.HostDone) {
+				if n := len(res.Hosts) - 1 - len(res.Orphaned); n != len(want.HostDone) {
 					t.Errorf("%s/%v/%d dests: %d completions, lossless engine %d",
-						sc.name, policy, nd, len(res.HostDone), len(want.HostDone))
+						sc.name, policy, nd, n, len(want.HostDone))
 				}
 				if res.Sends != want.Sends || res.Retransmits != 0 || res.Duplicates != 0 {
 					t.Errorf("%s/%v/%d dests: sends=%d retransmits=%d duplicates=%d, lossless engine sends=%d",
@@ -98,12 +99,12 @@ func seqDests(lo, n int) []int {
 	return out
 }
 
-func checkPayloads(t *testing.T, res *reliable.Result, dests []int, payload []byte) {
+func checkPayloads(t *testing.T, res *repro.ReliableResult, dests []int, payload []byte) {
 	t.Helper()
 	for _, d := range dests {
-		got, ok := res.Delivered[d]
-		if !ok {
-			t.Fatalf("destination %d missing from reliable.Delivered", d)
+		got := res.Hosts[d].Data
+		if got == nil {
+			t.Fatalf("destination %d undelivered", d)
 		}
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("destination %d payload differs from original", d)
@@ -235,7 +236,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 		t.Errorf("orphan lists inconsistent: err=%v result=%v", de.Orphaned, res.Orphaned)
 	}
 	for _, d := range res.Orphaned {
-		if _, ok := res.Delivered[d]; ok {
+		if res.Hosts[d].Data != nil {
 			t.Errorf("host %d both orphaned and delivered", d)
 		}
 	}

@@ -26,7 +26,7 @@ func TestRootCrashWithUnconfirmedDestCrash(t *testing.T) {
 		{Host: plan.Tree.Root(), At: 25},
 	}}
 	type out struct {
-		res *reliable.Result
+		res *repro.ReliableResult
 		err error
 	}
 	done := make(chan out, 1)

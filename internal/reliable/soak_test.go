@@ -42,7 +42,7 @@ func TestSwitchedChaos(t *testing.T) {
 
 // switchedRun draws one broadcast and fault plan from the seed, runs it
 // and judges the outcome.
-func switchedRun(t *testing.T, sys *core.System, seed uint64) *reliable.Result {
+func switchedRun(t *testing.T, sys *core.System, seed uint64) *repro.ReliableResult {
 	t.Helper()
 	rng := workload.NewRNG(seed * 0x9e37_79b9)
 	cfg := reliable.DefaultConfig()
@@ -81,7 +81,7 @@ func switchedRun(t *testing.T, sys *core.System, seed uint64) *reliable.Result {
 		if d == victim && crash.RecoverAt == 0 {
 			continue
 		}
-		if !bytes.Equal(res.Delivered[d], payload) {
+		if !bytes.Equal(res.Hosts[d].Data, payload) {
 			t.Fatalf("seed %d: destination %d does not hold the message (status %v, orphaned %v, err %v)",
 				seed, d, res.Status, res.Orphaned, err)
 		}

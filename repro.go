@@ -135,8 +135,8 @@ type (
 	FaultStats = fault.Stats
 	// ReliableConfig tunes the ACK/retransmission protocol.
 	ReliableConfig = reliable.Config
-	// ReliableResult reports one reliable multicast delivery.
-	ReliableResult = reliable.Result
+	// ReliableResult reports one reliable multicast delivery, on the run clock.
+	ReliableResult = live.ReliableResult
 	// DeliveryError is the typed failure when destinations stay
 	// undelivered (partition or exhausted retries).
 	DeliveryError = reliable.DeliveryError
@@ -170,8 +170,8 @@ func DefaultReliableConfig() ReliableConfig { return reliable.DefaultConfig() }
 // DeliverReliable multicasts payload over the plan's tree under a fault
 // plan on the reliable runtime in virtual time over the switched network
 // (ACKs, retransmission, crash adoption, repair around killed links).
-// Under a zero fault plan it reproduces Simulate's FPFS latencies exactly.
-// The error is a *DeliveryError or a *CrashError on a shortfall.
+// Under a zero fault plan it reproduces Simulate's FPFS latencies to the
+// nanosecond. The error is a *DeliveryError or a *CrashError on a shortfall.
 func DeliverReliable(sys *System, plan *Plan, payload []byte, cfg ReliableConfig, fp FaultPlan) (*ReliableResult, error) {
 	return live.Deliver(sys, plan, payload, cfg, fp)
 }
