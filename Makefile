@@ -76,12 +76,12 @@ soak:
 # Chaos soak: a fixed-seed sweep of the fault-decorated reliable live
 # engine — seeded loss/corruption/reordering, NI crash-stops and amnesiac
 # rejoins — under the race detector, restricted to the four chaos-plane
-# invariants and loss-pattern-agreement (the machine and the live engine
-# drop the same transmissions). mcastcheck runs the engine in virtual time
-# (live.RunVirtual), so a failure replays bit-exact from its token; the
-# same 250 cases then run on the wall-clock engine's real goroutines and
-# timers (TestLiveFaultyWallClock250Cases), whose interleavings virtual
-# time does not explore.
+# invariants and loss-pattern-agreement (the switched and the in-process
+# transports drop the same transmissions). mcastcheck runs the engine in
+# virtual time (live.RunVirtual), so a failure replays bit-exact from its
+# token; the same 250 cases then run on the wall-clock engine's real
+# goroutines and timers (TestLiveFaultyWallClock250Cases), whose
+# interleavings virtual time does not explore.
 chaos-soak:
 	$(GO) run -race ./cmd/mcastcheck -n 250 -seed 3 -workers 1 \
 		-only live-faulty-terminates,live-survivor-bytes,live-epoch-monotone,live-faulty-lossless-identity,loss-pattern-agreement

@@ -75,8 +75,11 @@ func render(res *live.ReliableResult, err error) string {
 // told in CHANGES.md — and re-recorded once more when live.Deliver began
 // to return the runtime's own result: a crosswalk of all 807 runs found
 // every verdict, error, counter, view, loss pattern, accept and delivered
-// host's completion time and payload equal. Never rewrite it for a change
-// that moves a run.
+// host's completion time and payload equal. It was re-recorded again when
+// a switched run began to charge the receive copy itself and a future
+// crash-stop stopped counting as down; that crosswalk sorted every changed
+// run under one of the two, as CHANGES.md tells. Never rewrite it for a
+// change that moves a run.
 func TestReliableDigest(t *testing.T) {
 	f, err := os.Open("testdata/reliable-digest.txt")
 	if err != nil {

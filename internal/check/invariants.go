@@ -54,7 +54,7 @@ var Invariants = []Invariant{
 	{"reliable-lossless-replay", "a zero-fault reliable run replays the lossless engine byte-exactly", checkReliableLosslessReplay},
 	{"reliable-loss-agreement", "lossy reliable runs deliver byte-exactly and their send counts match the 1/(1-p) expectation", checkReliableLossAgreement},
 	{"loss-pattern-agreement", "under one seed and a loss-only plan, each edge incarnation's first j transmissions are dropped identically over the switched network and the in-process wire, j the smaller send count", checkLossPatternAgreement},
-	{"crash-no-posthumous-delivery", "a crash-stopped host is never recorded as completing after its crash instant", checkCrashNoPosthumousDelivery},
+	{"crash-no-posthumous-delivery", "a crash-stopped host is never recorded as completing after its crash instant, nor any host after the run ends", checkCrashNoPosthumousDelivery},
 	{"crash-epoch-monotone", "accepted packets carry nondecreasing epochs and installed views advance the epoch strictly", checkCrashEpochMonotone},
 	{"crash-survivor-bytes", "every surviving destination is delivered byte-exactly despite crashes, recoveries, and loss", checkCrashSurvivorBytes},
 	{"live-matches-sim", "the goroutine live runtime reproduces the FPFS step schedule's structure exactly: per-host delivery order, parent edges, and send/receive counts", checkLiveMatchesSim},
@@ -545,6 +545,9 @@ func checkCrashNoPosthumousDelivery(w *world) error {
 	res, err := w.crashRun()
 	if res == nil {
 		return fmt.Errorf("crash run produced no result: %v", err)
+	}
+	if res.Wall < res.Latency {
+		return fmt.Errorf("the run ends at %v, before its last completion at %v", res.Wall, res.Latency)
 	}
 	fp := w.inst.crashFaultPlan(reliableConfig().Params)
 	for _, hc := range fp.Crashes {

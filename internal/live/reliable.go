@@ -123,7 +123,7 @@ type ReliableResult struct {
 	// host's receive copy, t_r).
 	Hosts map[int]*HostRecord
 	// Latency is run start to the last completing destination; Wall is run
-	// start to teardown.
+	// start to teardown, or to Deliver's last receive copy if later.
 	Latency, Wall time.Duration
 	Packets       int
 	// Sends counts data-frame injections; Retransmits of those were repeat
@@ -137,8 +137,8 @@ type ReliableResult struct {
 	// installed epoch-numbered views.
 	Epoch int
 	Views []membership.View
-	// Crashed lists hosts down at teardown; Orphaned destinations left
-	// without the full payload, ascending.
+	// Crashed lists hosts down at Wall; Orphaned destinations left without
+	// the full payload, ascending.
 	Crashed, Orphaned []int
 	// Accepts is the epoch-stamp trace of novel acceptances (armed runs).
 	Accepts []EpochAccept
@@ -304,5 +304,8 @@ func (rt *rrt) result(timedOut bool, wall time.Duration) (*ReliableResult, error
 	var err error
 	res.Status, err = reliable.Verdict(dests, res.Orphaned, res.Crashed,
 		rt.cfg.Quorum, res.Epoch, len(rt.faults.Crashes()) > 0, rt.sup.RootDown())
+	if de, ok := err.(*reliable.DeliveryError); ok && rt.sup.geo != nil {
+		de.Partitioned = rt.sup.geo.Partitioned()
+	}
 	return res, err
 }

@@ -163,7 +163,8 @@ func (n *ReliableNI) serve(f link.Frame) {
 	// Novel, so the message was incomplete until now (and this is not the
 	// root, which holds every packet from the start).
 	if done, err := n.reasm.Put(h, body); err == nil && done {
-		n.Data, n.DoneAt = n.reasm.Bytes(), s.Now()
-		s.Report(Report{Kind: ReportDone, Host: n.Host, At: n.DoneAt})
+		at := s.Now()
+		s.virt.receive(n, n.reasm.Bytes(), at)
+		s.Report(Report{Kind: ReportDone, Host: n.Host, At: at})
 	}
 }

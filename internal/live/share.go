@@ -2,7 +2,6 @@ package live
 
 import (
 	"maps"
-	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -70,12 +69,12 @@ type ReliableShare struct {
 // tree host the share runs (the root's holds all m packets from the
 // outset, so seeding its child edges is the FPFS packet-major injection),
 // and an incarnation of every tree edge whose parent is local, dialed
-// ascending by child for a deterministic seeding order. Only once every
-// edge is up does it register the session at the share's NIs, start the
-// senders and queue the root's seeding, which runs after Start. A failed
-// dial is the returned error, naming the edge; the caller's Stop then
-// detaches every host. The MsgID must be unique among the share's
-// sessions.
+// ascending by child (Losses keeps that order); an NI forwards in the
+// tree's child order. Only once every edge is up does it register the
+// session at the share's NIs, start the senders and queue the root's
+// seeding, which runs after Start. A failed dial is the returned error,
+// naming the edge; the caller's Stop then detaches every host. The MsgID
+// must be unique among the share's sessions.
 func (s *Share) AddReliable(cfg ReliableShareConfig) (*ReliableShare, error) {
 	nodes := cfg.Tree.Nodes()
 	rs := &ReliableShare{
@@ -93,7 +92,7 @@ func (s *Share) AddReliable(cfg ReliableShareConfig) (*ReliableShare, error) {
 			rs.nis[v] = newReliableNI(rs, v)
 		}
 	}
-	for i, b := range rs.nodes { // ascending by child, so ascending per parent
+	for i, b := range rs.nodes {
 		a, ok := cfg.Tree.Parent(b)
 		if !ok || rs.nis[a] == nil {
 			continue
@@ -103,16 +102,10 @@ func (s *Share) AddReliable(cfg ReliableShareConfig) (*ReliableShare, error) {
 			return nil, err
 		}
 		rs.routes[i].Store(e)
-		rs.nis[a].children = append(rs.nis[a].children, e)
 	}
-	if s.virt.switched() {
-		// Over a switch geometry the order an NI forwards in is costed: it
-		// is the tree's, the simulator's FPFS order.
-		for _, n := range rs.nis {
-			kids := cfg.Tree.Children(n.Host)
-			slices.SortFunc(n.children, func(x, y *EdgeSender) int {
-				return slices.Index(kids, x.To()) - slices.Index(kids, y.To())
-			})
+	for _, n := range rs.nis { // FPFS: each NI forwards in the tree's child order
+		for _, b := range cfg.Tree.Children(n.Host) {
+			n.children = append(n.children, rs.route(b).Load())
 		}
 	}
 	reg := map[uint32]map[int]*ReliableNI{cfg.MsgID: rs.nis}

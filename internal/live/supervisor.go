@@ -129,8 +129,8 @@ type SupervisorConfig struct {
 //
 // When the share runs every host, the crash schedule of its fault plane is
 // liveness: Alive reads it, a down host is not witnessed and a crash-
-// stopped one not awaited. Otherwise Alive reads the detector and a host
-// confirmed crashed is not awaited. The share's own hosts are
+// stopped one, once down, not awaited. Otherwise Alive reads the detector
+// and a host confirmed crashed is not awaited. The share's own hosts are
 // witnessed — credited alive before every judgment — and only the other
 // processes' hosts are timed, on the beats they send. A stalled
 // observer manufactures silence, so Run re-arms its timer at the
@@ -349,14 +349,14 @@ func (s *Supervisor) order(kind OrderKind, to, a, b int) {
 const forever = time.Duration(math.MaxInt64)
 
 // awaited reports whether destination v still holds the run open: not
-// done, not abandoned, and not crash-stopped (every host local) or
-// confirmed crashed (else; a rejoin makes it awaited again).
+// done, not abandoned, and not crash-stopped and down by now (every host
+// local) or confirmed crashed (else; a rejoin makes it awaited again).
 func (s *Supervisor) awaited(v int) bool {
 	if v == s.root || s.done[v] || s.brain.Abandoned(v) {
 		return false
 	}
 	if s.share.cfg.Remote == nil {
-		return !s.share.down(v, forever)
+		return !s.share.down(v, forever) || !s.share.down(v, s.share.Now())
 	}
 	return s.Member(v)
 }

@@ -1,14 +1,11 @@
 package live
 
 import (
-	"errors"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/live/link"
 	"repro/internal/membership"
 	"repro/internal/message"
 	"repro/internal/reliable"
@@ -26,10 +23,13 @@ import (
 // one t_ns, doubling twice at most: a lossless frame is queued after t_s
 // and delivered by that latency less t_r, so a lossless run never
 // retransmits. The failure detector runs membership.DefaultConfig's
-// timeouts. A refused config, payload or plan (a field a switched network
-// cannot carry out is a *fault.RefusedError) or a watchdog stall returns
-// no result; a shortfall returns one with a *reliable.DeliveryError or
-// *reliable.CrashError. A run is a function of its inputs.
+// timeouts. A destination is done once its host has copied the message
+// off the NI, t_r after the NI completes, unless a crash-stop lands first;
+// Wall and Crashed are read at the later of the run's settling and its
+// last copy. A refused config, payload or plan (a field a switched
+// network cannot carry out is a *fault.RefusedError) or a watchdog stall
+// returns no result; a shortfall returns one with a *reliable.DeliveryError
+// or *reliable.CrashError. A run is a function of its inputs.
 func Deliver(sys *core.System, plan *core.Plan, payload []byte, cfg reliable.Config, fp fault.Plan) (*ReliableResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -45,45 +45,7 @@ func Deliver(sys *core.System, plan *core.Plan, payload []byte, cfg reliable.Con
 	rcfg.RTOMax = 4 * rcfg.RTO
 	det := membership.DefaultConfig()
 	rcfg.Heartbeat = HeartbeatParams{SuspectAfter: dur(det.SuspectAfter), ConfirmAfter: dur(det.ConfirmAfter)}
-	v := &virtual{sys: sys, p: p}
-	r, err := runVirtual(Session{Tree: plan.Tree, Packets: pkts, MsgID: cfg.MsgID}, rcfg, v)
-	if r == nil {
-		return nil, err
-	}
-	return r, settle(r, err, plan.Tree.Root(), cfg, v.sw)
-}
-
-// settle reads a switched run's result in the simulator's terms, in place:
-// a destination completes t_r after its NI (the host's receive copy), and
-// a crash-stop that lands during that copy cuts it; the verdict is settled
-// again on what completed.
-func settle(r *ReliableResult, err error, root int, cfg reliable.Config, sw *switched) error {
-	r.Latency, r.Orphaned = 0, nil
-	for v, h := range r.Hosts {
-		if v == root {
-			continue
-		}
-		if h.Data != nil {
-			h.DoneAt += dur(cfg.Params.THostRecv)
-			if at := link.US(h.DoneAt); sw.faults.HostDown(v, at) && sw.faults.HostDown(v, math.Inf(1)) { // a crash-stop
-				h.Data, h.DoneAt = nil, 0
-			}
-		}
-		if h.Data == nil {
-			r.Orphaned = append(r.Orphaned, v)
-		} else {
-			r.Latency = max(r.Latency, h.DoneAt)
-		}
-	}
-	sort.Ints(r.Orphaned)
-	var ce *reliable.CrashError
-	rootDown := errors.As(err, &ce) && ce.RootCrashed
-	r.Status, err = reliable.Verdict(len(r.Hosts)-1, r.Orphaned, r.Crashed, cfg.Quorum, r.Epoch,
-		len(sw.faults.Crashes()) > 0, rootDown)
-	if de := (*reliable.DeliveryError)(nil); errors.As(err, &de) {
-		de.Partitioned = sw.geo.Partitioned()
-	}
-	return err
+	return runVirtual(Session{Tree: plan.Tree, Packets: pkts, MsgID: cfg.MsgID}, rcfg, &virtual{sys: sys, p: p})
 }
 
 // dur converts microseconds to the run clock's nanoseconds, rounded.

@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -41,7 +42,10 @@ func runVirtual(s Session, cfg ReliableConfig, v *virtual) (*ReliableResult, err
 	v.rt = rt
 	v.at(rt.cfg.Live.Timeout, func() { v.over, v.timedOut = true, true })
 	for _, c := range rt.faults.Crashes() { // counted as the run lives through them
-		v.at(dur(c.At), rt.faults.NoteCrash)
+		v.at(time.Duration(math.Ceil(c.At*float64(time.Microsecond))), func() { // the host reads down
+			rt.faults.NoteCrash()
+			v.supervise() // a crash-stop may leave nothing awaited
+		})
 		if c.RecoverAt > 0 {
 			v.at(dur(c.RecoverAt), rt.faults.NoteRecovery)
 		}
@@ -49,7 +53,7 @@ func runVirtual(s Session, cfg ReliableConfig, v *virtual) (*ReliableResult, err
 	v.supervise()
 	v.eng.Run()
 	rt.Stop()
-	return rt.result(v.timedOut, v.end)
+	return rt.result(v.timedOut, max(v.end, v.copied))
 }
 
 // virtual is RunVirtual's scheduler: the engine the parts of one run take
@@ -67,6 +71,7 @@ type virtual struct {
 	over     bool          // settled or timed out: later events do nothing
 	timedOut bool
 	end      time.Duration // when the run settled
+	copied   time.Duration // when the last receive copy ended
 }
 
 // attach makes v the share's driver, and its time the share's clock, on
@@ -89,6 +94,20 @@ func (v *virtual) attach(s *Share, faults *fault.State) {
 
 // switched reports whether v runs over a switch geometry.
 func (v *virtual) switched() bool { return v != nil && v.sw != nil }
+
+// receive stamps n's completion at its NI, now: over a switch geometry once
+// the host has copied data off the NI (t_r), unless a crash-stop lands
+// first (the schedule is known, so nothing waits for it); else at once.
+func (v *virtual) receive(n *ReliableNI, data []byte, now time.Duration) {
+	if v.switched() {
+		now += dur(v.p.THostRecv)
+		if f := v.sw.faults; f.HostDown(n.Host, math.Inf(1)) && f.HostDown(n.Host, link.US(now)) {
+			return
+		}
+		v.copied = max(v.copied, now)
+	}
+	n.Data, n.DoneAt = data, now
+}
 
 // now is the share's clock: v's time, or on the wall (nil v) the time since
 // start.

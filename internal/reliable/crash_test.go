@@ -91,7 +91,9 @@ func TestCrashStopFirstChild(t *testing.T) {
 // TestReceiveCopyCut: a destination completes t_r after its NI, the
 // host's receive copy. A crash-stop that lands during that copy cuts the
 // delivery: no payload, no completion time, undelivered in the verdict.
-// The same crash just after the copy leaves the destination delivered.
+// The same crash just after the copy leaves the destination delivered, and
+// so does one long after the run: a crash-stop due in the future is not
+// down now. Either way the run ends after its last copy.
 func TestReceiveCopyCut(t *testing.T) {
 	sys := irregular64(3)
 	cfg := reliable.DefaultConfig()
@@ -99,48 +101,67 @@ func TestReceiveCopyCut(t *testing.T) {
 	spec := core.Spec{Source: 0, Dests: seqDests(1, 15), Packets: 4, Policy: core.OptimalTree}
 	plan := sys.Plan(spec)
 	payload := payloadFor(4, cfg.Params, 3)
-	// The leaf that completes first: a host scheduled to crash-stop holds
-	// no run open, so the others keep it running past the crash.
+	// The leaves that complete first and last. Once its NI has completed,
+	// the first holds no run open, so the others keep it running past the
+	// crash.
 	lossless, err := repro.DeliverReliable(sys, plan, payload, cfg, fault.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf := -1
+	first, last := -1, -1
 	for _, v := range spec.Dests {
-		if len(plan.Tree.Children(v)) == 0 && (leaf < 0 || lossless.Hosts[v].DoneAt < lossless.Hosts[leaf].DoneAt) {
-			leaf = v
+		if len(plan.Tree.Children(v)) > 0 {
+			continue
+		}
+		if first < 0 || lossless.Hosts[v].DoneAt < lossless.Hosts[first].DoneAt {
+			first = v
+		}
+		if last < 0 || lossless.Hosts[v].DoneAt > lossless.Hosts[last].DoneAt {
+			last = v
 		}
 	}
-	done := link.US(lossless.Hosts[leaf].DoneAt)
-	crashAt := func(at float64) *repro.ReliableResult {
+	done := func(leaf int) float64 { return link.US(lossless.Hosts[leaf].DoneAt) }
+	crashAt := func(leaf int, at float64) *repro.ReliableResult {
 		res, _ := deliverGuarded(t, sys, plan, payload, cfg, fault.Plan{Crashes: []fault.Crash{{Host: leaf, At: at}}})
 		if res == nil {
 			t.Fatalf("crash of leaf %d at %f us: no result", leaf, at)
 		}
+		if res.Wall < res.Latency {
+			t.Errorf("crash of leaf %d at %f us: the run ends at %v, before its last copy at %v", leaf, at, res.Wall, res.Latency)
+		}
 		return res
 	}
 
-	after := crashAt(done + 0.001)
-	if rec := after.Hosts[leaf]; !bytes.Equal(rec.Data, payload) || link.US(rec.DoneAt) != done {
-		t.Errorf("crash just after the receive copy: leaf %d holds %d bytes, done at %v; want the payload at %f us",
-			leaf, len(rec.Data), rec.DoneAt, done)
-	}
-	if after.Status != reliable.Delivered || len(after.Orphaned) != 0 {
-		t.Errorf("crash just after the receive copy: status %v, orphaned %v; want delivered", after.Status, after.Orphaned)
+	for _, c := range []struct {
+		name string
+		leaf int
+		at   float64
+	}{
+		{"just after the receive copy", first, done(first) + 0.001},
+		{"at 1e6 us, long after the run", last, 1e6},
+	} {
+		res := crashAt(c.leaf, c.at)
+		if rec := res.Hosts[c.leaf]; !bytes.Equal(rec.Data, payload) || link.US(rec.DoneAt) != done(c.leaf) {
+			t.Errorf("crash %s: leaf %d holds %d bytes, done at %v; want the payload at %f us",
+				c.name, c.leaf, len(rec.Data), rec.DoneAt, done(c.leaf))
+		}
+		if res.Status != reliable.Delivered || len(res.Orphaned) != 0 {
+			t.Errorf("crash %s: status %v, orphaned %v; want delivered", c.name, res.Status, res.Orphaned)
+		}
 	}
 
-	during := crashAt(done - cfg.Params.THostRecv/2)
-	rec := during.Hosts[leaf]
+	during := crashAt(first, done(first)-cfg.Params.THostRecv/2)
+	rec := during.Hosts[first]
 	if rec.Recvs != during.Packets {
 		t.Fatalf("leaf %d's NI accepted %d of %d packets before its crash: the crash must land after the NI completes",
-			leaf, rec.Recvs, during.Packets)
+			first, rec.Recvs, during.Packets)
 	}
 	if rec.Data != nil || rec.DoneAt != 0 {
-		t.Errorf("crash during the receive copy: leaf %d holds %d bytes, done at %v; want neither", leaf, len(rec.Data), rec.DoneAt)
+		t.Errorf("crash during the receive copy: leaf %d holds %d bytes, done at %v; want neither", first, len(rec.Data), rec.DoneAt)
 	}
-	if during.Status != reliable.DeliveredPartial || !reflect.DeepEqual(during.Orphaned, []int{leaf}) {
+	if during.Status != reliable.DeliveredPartial || !reflect.DeepEqual(during.Orphaned, []int{first}) {
 		t.Errorf("crash during the receive copy: status %v, orphaned %v; want delivered-partial without %d",
-			during.Status, during.Orphaned, leaf)
+			during.Status, during.Orphaned, first)
 	}
 }
 

@@ -77,6 +77,9 @@ func switchedRun(t *testing.T, sys *core.System, seed uint64) *repro.ReliableRes
 	if res == nil {
 		t.Fatalf("seed %d: no result: %v", seed, err)
 	}
+	if res.Wall < res.Latency {
+		t.Fatalf("seed %d: the run ends at %v, before its last completion at %v", seed, res.Wall, res.Latency)
+	}
 	for _, d := range spec.Dests {
 		if d == victim && crash.RecoverAt == 0 {
 			continue
