@@ -220,8 +220,10 @@ bench:
 
 # Bench build: bench/ is its own module (the root build and tests do not
 # see it) and compiles against exported surface only — live.RunReliable,
-# live.ReliableConfig, mcastd.RunReliable, mcastd.Config, the result
-# fields. Vetting and testing it here means a refactor cannot break the
+# live.ReliableConfig, mcastd.RunReliable, mcastd.Config, sched.Scheduler
+# and the result fields: the daemon's result through live.ReliableResult,
+# sched.Result's FinishAt through its embedded live.SessionResult.
+# Vetting and testing it here means a refactor cannot break the
 # benchmark unnoticed; its tests include a smoke run of every workload.
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/live"
 	"repro/internal/live/link"
 	"repro/internal/mcastd"
 	"repro/internal/message"
@@ -231,7 +232,7 @@ func run(args []string, out, errw io.Writer) int {
 	if *verbose {
 		mcfg.Log = errw
 	}
-	var res *mcastd.Result
+	var res *live.ReliableResult
 	if *relF {
 		rcfg := mcastd.DefaultReliableConfig()
 		if *rtoF > 0 {
@@ -260,8 +261,8 @@ func run(args []string, out, errw io.Writer) int {
 		if res == nil {
 			return 2 // refused before the run: a negative bound or quorum, ...
 		}
-		if len(res.Completed) > 0 {
-			fmt.Fprintf(out, "partial progress: %d/%d destinations confirmed\n", len(res.Completed), len(spec.Dests))
+		if n := confirmed(res, plan.Tree.Root(), len(spec.Dests)); n > 0 {
+			fmt.Fprintf(out, "partial progress: %d/%d destinations confirmed\n", n, len(spec.Dests))
 		}
 		return 1
 	}
@@ -273,8 +274,8 @@ func run(args []string, out, errw io.Writer) int {
 			fmt.Fprintf(out, "crashed hosts: %v; undelivered: %v\n", res.Crashed, res.Orphaned)
 		}
 	}
-	if len(res.Completed) > 0 {
-		fmt.Fprintf(out, "root confirmed %d/%d destinations\n", len(res.Completed), len(spec.Dests))
+	if n := confirmed(res, plan.Tree.Root(), len(spec.Dests)); n > 0 {
+		fmt.Fprintf(out, "root confirmed %d/%d destinations\n", n, len(spec.Dests))
 	}
 	ids := make([]int, 0, len(res.Hosts))
 	for v := range res.Hosts {
@@ -291,6 +292,16 @@ func run(args []string, out, errw io.Writer) int {
 			v, len(rep.Data), rep.DoneAt.Round(time.Microsecond), rep.Recvs, rep.Sends)
 	}
 	return 0
+}
+
+// confirmed is how many of the dests destinations the root's process saw
+// complete: those it does not list as Orphaned. A process without the
+// root saw none.
+func confirmed(res *live.ReliableResult, root, dests int) int {
+	if _, ok := res.Hosts[root]; !ok {
+		return 0
+	}
+	return dests - len(res.Orphaned)
 }
 
 // parseHosts parses "0,1,2".

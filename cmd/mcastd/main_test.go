@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -51,6 +52,25 @@ func TestReliableAllMode(t *testing.T) {
 	}
 	if !strings.Contains(s, "root confirmed 7/7 destinations") {
 		t.Fatalf("missing confirmation line:\n%s", s)
+	}
+}
+
+// TestPartialProgress runs a root whose peer hosts are a black hole: the
+// watchdog fires, exit 1, and the report counts the one destination the
+// root saw complete, its local child h3 (the plan's source h2 feeds h3
+// and h0; h1 hangs off h0).
+func TestPartialProgress(t *testing.T) {
+	skipWithoutLoopback(t)
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	peers := fmt.Sprintf("0=%s,1=%s", sink.LocalAddr(), sink.LocalAddr())
+	var out, errw bytes.Buffer
+	code := run([]string{"-dims", "2", "-bytes", "300", "-hosts", "2,3", "-peers", peers, "-timeout", "400ms"}, &out, &errw)
+	if code != 1 || !strings.Contains(out.String(), "partial progress: 1/3 destinations confirmed\n") {
+		t.Fatalf("exit %d, want 1 with one of three destinations confirmed\nstdout:\n%s\nstderr:\n%s", code, out.String(), errw.String())
 	}
 }
 

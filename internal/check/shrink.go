@@ -254,10 +254,3 @@ func clampK(inst Instance) Instance {
 	}
 	return inst
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -443,9 +443,10 @@ type BcastScheduledResult struct {
 	// Data holds, per rank, the delivered message, reassembled and
 	// checksum-verified on real shared-fabric NIs (root keeps its own).
 	Data [][]byte
-	// QueueWait is the time the session spent in the scheduler's
-	// admission queue; WallLatency the in-flight span (first injection to
-	// last destination done).
+	// QueueWait is the time from submission to the root NI's take of the
+	// session; WallLatency the in-flight span, from that take (its first
+	// injection) to the last destination done: sched.Result's QueueWait and
+	// Latency.
 	QueueWait, WallLatency time.Duration
 	// Packets is the wire packet count, K the planned fanout bound —
 	// possibly different from the idle optimum when the congestion-aware

@@ -149,20 +149,19 @@ type HostRecord struct {
 	DoneAt time.Duration
 }
 
-// SessionResult reports one session of a run.
+// SessionResult reports one session of a share (Entry.Result): live.Run's
+// per-session record, and the one the scheduler's sched.Result embeds.
 type SessionResult struct {
 	MsgID uint32
-	// StartAt is the session's first packet injection and FinishAt its
-	// last destination's completion ACK, both measured from run start.
-	// Under concurrency they bound this session alone, where Result.Wall
-	// spans every session of the run.
+	// StartAt is when the root's NI took the session, just ahead of its
+	// first injection, and FinishAt the last destination's completion
+	// ACK, both measured from the share's start. Under concurrency they
+	// bound this session alone, where Result.Wall spans every session.
 	StartAt, FinishAt time.Duration
-	// Latency is the session's own duration, FinishAt - StartAt. Before
-	// per-session timestamps existed this was measured from run start, so
-	// under concurrency it silently included the wait for earlier
-	// sessions' injectors to be scheduled.
+	// Latency is the session's own duration, FinishAt - StartAt.
 	Latency time.Duration
-	// Hosts holds a record per tree node.
+	// Hosts holds a record per tree node the share hosts (every node, for
+	// live.Run and the scheduler).
 	Hosts map[int]*HostRecord
 }
 
@@ -379,16 +378,11 @@ func assemble(entries []*Entry, wall time.Duration, record bool) *Result {
 		Wall:     wall,
 	}
 	for si, e := range entries {
-		sr := SessionResult{MsgID: e.MsgID, StartAt: e.startAt, Hosts: map[int]*HostRecord{}}
+		res.Sessions[si] = e.Result()
 		for _, v := range e.Tree.Nodes() {
-			ns := e.hosts[v]
-			sr.Hosts[v] = &ns.HostRecord
-			sr.FinishAt = max(sr.FinishAt, ns.DoneAt)
-			res.Sends += ns.Sends
-			res.Events = append(res.Events, ns.events...)
+			res.Sends += e.hosts[v].Sends
+			res.Events = append(res.Events, e.hosts[v].events...)
 		}
-		sr.Latency = sr.FinishAt - sr.StartAt
-		res.Sessions[si] = sr
 	}
 	if record {
 		sort.SliceStable(res.Events, func(i, j int) bool {

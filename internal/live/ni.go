@@ -318,6 +318,20 @@ func (n *ni) poke() {
 // Host returns the record of share host v for this entry.
 func (e *Entry) Host(v int) *HostRecord { return &e.hosts[v].HostRecord }
 
+// Result is the entry's session record over the share's hosts of its
+// tree: StartAt is the root NI's take of the session (zero if the root is
+// not a share host), FinishAt the last local DoneAt. Read it once every
+// local destination's Delivery is received or the NIs are joined.
+func (e *Entry) Result() SessionResult {
+	sr := SessionResult{MsgID: e.MsgID, StartAt: e.startAt, Hosts: make(map[int]*HostRecord, len(e.hosts))}
+	for v, ns := range e.hosts {
+		sr.Hosts[v] = &ns.HostRecord
+		sr.FinishAt = max(sr.FinishAt, ns.DoneAt)
+	}
+	sr.Latency = sr.FinishAt - sr.StartAt
+	return sr
+}
+
 func (e *Entry) aborted() bool {
 	select {
 	case <-e.abort:

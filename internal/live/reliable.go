@@ -112,18 +112,22 @@ type EpochAccept struct {
 	At                  time.Duration
 }
 
-// ReliableResult reports one reliable run: RunReliable's, RunVirtual's or
-// Deliver's. It is returned alongside a *reliable.CrashError or
-// *reliable.DeliveryError, so callers can inspect partial outcomes.
+// ReliableResult reports one reliable run: RunReliable's, RunVirtual's,
+// Deliver's, or one daemon process's share of a deployed run
+// (mcastd.Run and mcastd.RunReliable). It is returned alongside a
+// *reliable.CrashError or *reliable.DeliveryError, so callers can inspect
+// partial outcomes.
 type ReliableResult struct {
-	// Status is the delivery verdict (reliable.Verdict).
+	// Status is the delivery verdict (reliable.Verdict); a daemon that does
+	// not run the root learns it from the root's STOP.
 	Status reliable.Status
-	// Hosts holds a record per tree node (Data nil for the root and for
-	// destinations that never completed; Deliver's DoneAt includes the
-	// host's receive copy, t_r).
+	// Hosts holds a record per tree node, a daemon's per local host (Data
+	// nil for the root and for destinations that never completed;
+	// Deliver's DoneAt includes the host's receive copy, t_r).
 	Hosts map[int]*HostRecord
-	// Latency is run start to the last completing destination; Wall is run
-	// start to teardown, or to Deliver's last receive copy if later.
+	// Latency is run start to the last completing destination in Hosts, so
+	// a daemon's covers only its own; Wall is run start to teardown, or to
+	// Deliver's last receive copy if later.
 	Latency, Wall time.Duration
 	Packets       int
 	// Sends counts data-frame injections; Retransmits of those were repeat
@@ -138,7 +142,9 @@ type ReliableResult struct {
 	Epoch int
 	Views []membership.View
 	// Crashed lists hosts down at Wall; Orphaned destinations left without
-	// the full payload, ascending.
+	// the full payload, ascending. A daemon fills both only in the root's
+	// process: what its supervisor confirmed dead, and every destination,
+	// local or remote, whose completion it never heard.
 	Crashed, Orphaned []int
 	// Accepts is the epoch-stamp trace of novel acceptances (armed runs).
 	Accepts []EpochAccept

@@ -56,39 +56,6 @@ type Config struct {
 	Log io.Writer
 }
 
-// Result is a process's view of the run.
-type Result struct {
-	// Hosts holds a record per local host, the shape live.Run reports
-	// (DoneAt is measured from the share's start).
-	Hosts map[int]*live.HostRecord
-	Wall  time.Duration
-	// Completed is filled only in the root's process: every destination
-	// (local and remote) whose DONE the root heard, sorted. It reflects
-	// actual progress, so a watchdog or transport error still reports
-	// the destinations that made it.
-	Completed []int
-
-	// Status is the typed verdict: Delivered on full success,
-	// DeliveredPartial when a reliable run lost processes but reached
-	// quorum, Failed otherwise.
-	Status reliable.Status
-	// Epoch is the final membership epoch (reliable runs; 0 unarmed).
-	Epoch int
-	// Orphaned lists destinations never delivered (root process only).
-	Orphaned []int
-	// Crashed lists hosts whose process the root confirmed dead
-	// (reliable runs, root process only).
-	Crashed []int
-	// Retransmits, Duplicates and Fenced count the reliable data
-	// plane's recovery work across local hosts (0 for Run).
-	Retransmits int
-	Duplicates  int
-	Fenced      int
-	// Adoptions counts Fig.-11 re-grafts ordered by the root (reliable
-	// runs, root process only).
-	Adoptions int
-}
-
 func (c *Config) logf(format string, args ...any) {
 	if c.Log != nil {
 		fmt.Fprintf(c.Log, "mcastd: "+format+"\n", args...)
@@ -166,7 +133,7 @@ func (hs *handshake) markStopped() { hs.stopOnce.Do(func() { close(hs.stopped) }
 // whole multicast completes (root: every destination reported DONE;
 // non-root: every local destination delivered and the root's STOP
 // arrived) or the watchdog fires.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*live.ReliableResult, error) {
 	if err := cfg.prepare(); err != nil {
 		return nil, err
 	}
@@ -202,22 +169,22 @@ func Run(cfg Config) (*Result, error) {
 	got, err := hs.coordinate()
 	share.Stop()
 
-	res := &Result{Hosts: map[int]*live.HostRecord{}, Wall: share.Now(), Status: reliable.Failed}
+	sr := e.Result()
+	res := &live.ReliableResult{
+		Status: reliable.Failed, Hosts: sr.Hosts, Latency: sr.FinishAt,
+		Wall: share.Now(), Packets: len(cfg.Packets),
+	}
 	if err == nil {
 		res.Status = reliable.Delivered
 	}
-	for _, v := range cfg.Local {
-		res.Hosts[v] = e.Host(v)
+	for _, rec := range sr.Hosts {
+		res.Sends += rec.Sends
 	}
 	if _, ok := hs.acked[root]; ok {
-		// Actual progress: a watchdog or transport error still reports
-		// the destinations that made it.
+		// Actual progress: a watchdog or transport error still names the
+		// destinations that did not make it.
 		for _, v := range cfg.Tree.Nodes() {
-			switch {
-			case v == root:
-			case got[v]:
-				res.Completed = append(res.Completed, v)
-			default:
+			if v != root && !got[v] {
 				res.Orphaned = append(res.Orphaned, v)
 			}
 		}

@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/live"
 	"repro/internal/live/link"
 	"repro/internal/message"
+	"repro/internal/reliable"
 	"repro/internal/tree"
 )
 
@@ -55,8 +57,8 @@ func TestAllLocal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(res.Completed) != len(chain)-1 {
-		t.Fatalf("Completed = %v, want all %d destinations", res.Completed, len(chain)-1)
+	if len(res.Orphaned) != 0 {
+		t.Fatalf("Orphaned = %v, want every destination confirmed", res.Orphaned)
 	}
 	for _, v := range chain[1:] {
 		rep := res.Hosts[v]
@@ -130,7 +132,7 @@ func TestTwoDaemons(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	var resA, resB *Result
+	var resA, resB *live.ReliableResult
 	var errA, errB error
 	wg.Add(2)
 	go func() {
@@ -145,8 +147,8 @@ func TestTwoDaemons(t *testing.T) {
 	if errA != nil || errB != nil {
 		t.Fatalf("daemon A: %v, daemon B: %v", errA, errB)
 	}
-	if len(resA.Completed) != 5 {
-		t.Fatalf("root daemon Completed = %v, want all 5 destinations", resA.Completed)
+	if len(resA.Orphaned) != 0 {
+		t.Fatalf("root daemon Orphaned = %v, want every destination confirmed", resA.Orphaned)
 	}
 	for _, v := range []int{1, 2} {
 		if rep := resA.Hosts[v]; rep == nil || !bytes.Equal(rep.Data, data) {
@@ -189,9 +191,17 @@ func TestWatchdog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err = Run(Config{Tree: tr, Packets: pkts, MsgID: 1, Local: []int{0}, Net: nw, Timeout: 400 * time.Millisecond})
+	res, err := Run(Config{Tree: tr, Packets: pkts, MsgID: 1, Local: []int{0}, Net: nw, Timeout: 400 * time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "watchdog") {
 		t.Fatalf("want watchdog error, got %v", err)
+	}
+	// The partial result is the root's view: nothing delivered, and only
+	// its own host's record.
+	if res.Status != reliable.Failed || !slices.Equal(res.Orphaned, []int{1, 2, 3}) {
+		t.Fatalf("status %v, orphaned %v; want failed with every destination orphaned", res.Status, res.Orphaned)
+	}
+	if len(res.Hosts) != 1 || res.Hosts[0] == nil {
+		t.Fatalf("hosts %v, want the root's record alone", res.Hosts)
 	}
 }
 
@@ -288,9 +298,9 @@ func TestDialFailureNamesTheEdge(t *testing.T) {
 		Tree: tree.Linear([]int{0, 1, 2, 3}), Packets: pkts, MsgID: 4, Local: known, Net: nw,
 		Timeout: 10 * time.Second,
 	}
-	engines := map[string]func() (*Result, error){
-		"Run":         func() (*Result, error) { return Run(cfg) },
-		"RunReliable": func() (*Result, error) { return RunReliable(cfg, ReliableConfig{}) },
+	engines := map[string]func() (*live.ReliableResult, error){
+		"Run":         func() (*live.ReliableResult, error) { return Run(cfg) },
+		"RunReliable": func() (*live.ReliableResult, error) { return RunReliable(cfg, ReliableConfig{}) },
 	}
 	for name, run := range engines {
 		if res, err := run(); res != nil || err == nil || !strings.Contains(err.Error(), "mcastd: dial edge 2->3") {

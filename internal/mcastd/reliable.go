@@ -110,9 +110,9 @@ type drt struct {
 
 	// Coordinator-owned (single goroutine after start):
 	doneAckC map[int]chan struct{} // per local dest still awaiting the root's DONE-ACK
-	stopStat reliable.Status
-	orphaned []int // root: the verdict's undelivered destinations and
-	crashed  []int // confirmed-crashed hosts, both ascending
+	// res is the result: the verdict (the root's, with its Orphaned and
+	// Crashed, or a follower's from STOP); assemble fills the rest.
+	res live.ReliableResult
 
 	exhSeen map[[2]int]int // the root's listener: latest EXHAUSTED generation per edge
 
@@ -130,7 +130,7 @@ type drt struct {
 // (Delivered, nil), (DeliveredPartial, nil), or Failed alongside a
 // *reliable.CrashError. Destination-only processes learn the verdict
 // from the root's STOP.
-func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
+func RunReliable(cfg Config, rcfg ReliableConfig) (*live.ReliableResult, error) {
 	if err := cfg.prepare(); err != nil {
 		return nil, err
 	}
@@ -149,7 +149,7 @@ func RunReliable(cfg Config, rcfg ReliableConfig) (*Result, error) {
 		root:     cfg.Tree.Root(),
 		nodes:    cfg.Tree.Nodes(),
 		doneAckC: map[int]chan struct{}{},
-		stopStat: reliable.Failed,
+		res:      live.ReliableResult{Status: reliable.Failed},
 		pendExh:  map[[2]int]int{},
 		exhGen:   map[[2]int]int{},
 	}
@@ -353,9 +353,9 @@ func (rt *drt) destLoop() error {
 				rt.share.SetEpoch(f.a)
 			case ctlStop:
 				rt.share.SetEpoch(f.a)
-				rt.stopStat = f.status
+				rt.res.Status = f.status
 				rt.cfg.ackStop()
-				rt.cfg.logf("STOP received (status %v, epoch %d)", rt.stopStat, rt.share.Epoch())
+				rt.cfg.logf("STOP received (status %v, epoch %d)", rt.res.Status, rt.share.Epoch())
 				return nil
 			}
 		case <-hb.C:
@@ -392,55 +392,49 @@ func (rt *drt) rootLoop() error {
 	timedOut := rt.sup.Run()
 
 	// Settle the verdict before STOP so remote processes report it.
+	res := &rt.res
 	for _, v := range rt.nodes { // ascending
 		if v != rt.root && !rt.sup.Done(v) {
-			rt.orphaned = append(rt.orphaned, v)
+			res.Orphaned = append(res.Orphaned, v)
 		}
 		if !rt.sup.Member(v) {
-			rt.crashed = append(rt.crashed, v)
+			res.Crashed = append(res.Crashed, v)
 		}
 	}
-	orphaned, dests := rt.orphaned, len(rt.nodes)-1
+	orphaned, dests := res.Orphaned, len(rt.nodes)-1
 	var verdictErr error
-	rt.stopStat, verdictErr = reliable.Verdict(dests, orphaned, rt.crashed,
+	res.Status, verdictErr = reliable.Verdict(dests, orphaned, res.Crashed,
 		rt.rcfg.Quorum, rt.share.Epoch(), true, false)
 	if timedOut {
-		rt.stopStat = reliable.Failed
+		res.Status = reliable.Failed
 		verdictErr = fmt.Errorf("mcastd: watchdog after %v: %d/%d delivered, orphaned %v (fabric %+v)",
 			rt.cfg.Timeout, dests-len(orphaned), dests, orphaned, rt.cfg.Net.Stats())
 	}
-	rt.cfg.logf("verdict %v: %d/%d delivered, epoch %d", rt.stopStat, dests-len(orphaned), dests, rt.share.Epoch())
+	rt.cfg.logf("verdict %v: %d/%d delivered, epoch %d", res.Status, dests-len(orphaned), dests, rt.share.Epoch())
 
 	// Acknowledged STOP to every remote host not confirmed dead,
 	// bounded by the drain deadline.
-	stopRemotes(rt.cfg, rt.sup.Member, rt.stopAckC, rt.stopStat, rt.share.Epoch())
+	stopRemotes(rt.cfg, rt.sup.Member, rt.stopAckC, res.Status, rt.share.Epoch())
 	return verdictErr
 }
 
-// assemble builds the process's Result from quiescent state; the NIs'
-// records are the hosts' results.
-func (rt *drt) assemble(runErr error) *Result {
-	res := &Result{
-		Hosts:  map[int]*live.HostRecord{},
-		Wall:   rt.share.Now(),
-		Status: rt.stopStat,
-		Epoch:  rt.share.Epoch(),
-	}
+// assemble completes the process's result from quiescent state; the NIs'
+// records are the local hosts' results.
+func (rt *drt) assemble(runErr error) *live.ReliableResult {
+	res := &rt.res
+	res.Hosts, res.Wall = map[int]*live.HostRecord{}, rt.share.Now()
+	res.Packets, res.Epoch = rt.m, rt.share.Epoch()
 	if runErr != nil && rt.sup == nil {
 		res.Status = reliable.Failed
 	}
-	_, res.Retransmits, res.Duplicates, res.Fenced = rt.share.Totals()
+	res.Sends, res.Retransmits, res.Duplicates, res.Fenced = rt.share.Totals()
 	for _, v := range rt.cfg.Local {
-		res.Hosts[v] = &rt.share.NI(v).HostRecord
+		n := rt.share.NI(v)
+		res.Hosts[v] = &n.HostRecord
+		res.Latency = max(res.Latency, n.DoneAt)
 	}
 	if rt.sup != nil {
-		res.Adoptions = rt.sup.Adoptions()
-		for _, v := range rt.nodes {
-			if v != rt.root && rt.sup.Done(v) {
-				res.Completed = append(res.Completed, v)
-			}
-		}
-		res.Orphaned, res.Crashed = rt.orphaned, rt.crashed
+		res.Views, res.Adoptions = rt.sup.Views(), rt.sup.Adoptions()
 	}
 	return res
 }

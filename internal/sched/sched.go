@@ -146,18 +146,15 @@ type Stats struct {
 	DroppedFrames int64
 }
 
-// Result reports one completed session. Host records are the same shape
-// live.Run produces, so differential checks compare them directly.
+// Result reports one completed session: the share's own record, as
+// live.Run reports it (so differential checks compare them directly),
+// and the queue it waited in. Every time is an offset from scheduler
+// start.
 type Result struct {
-	MsgID uint32
-	// SubmitAt, StartAt and FinishAt are offsets from scheduler start:
-	// queue entry, first admission to the fabric, and the last
-	// destination's completion ACK.
-	SubmitAt, StartAt, FinishAt time.Duration
-	// QueueWait = StartAt - SubmitAt; Latency = FinishAt - StartAt.
-	QueueWait, Latency time.Duration
-	// Hosts holds a record per tree node.
-	Hosts map[int]*live.HostRecord
+	live.SessionResult
+	// SubmitAt is queue entry; QueueWait = StartAt - SubmitAt runs to the
+	// root NI's take, so it includes the hand-off to that NI.
+	SubmitAt, QueueWait time.Duration
 }
 
 // Handle tracks one submitted session.
@@ -170,7 +167,6 @@ type Handle struct {
 
 	// Admission-time state, written by the admitter before the handle
 	// reaches the collector.
-	startAt  time.Duration
 	deadline time.Time
 	entry    *live.Entry
 	edges    []tree.Edge
@@ -181,8 +177,7 @@ type Handle struct {
 
 	// Collector-owned completion bookkeeping. The share reports each
 	// destination's completion once, so a count suffices.
-	acked    int
-	finishAt time.Duration
+	acked int
 
 	done chan struct{}
 	res  *Result
@@ -266,8 +261,6 @@ func New(hosts []int, cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-func (s *Scheduler) since() time.Duration { return s.share.Now() }
-
 // Stats returns a snapshot of the scheduler's counters.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
@@ -318,7 +311,7 @@ func (s *Scheduler) Submit(sess live.Session) (*Handle, error) {
 	s.queued++
 	s.stats.Submitted++
 	s.mu.Unlock()
-	h.submitAt = s.since()
+	h.submitAt = s.share.Now()
 	if s.cfg.SubmitTimeout > 0 {
 		h.submitDeadline = time.Now().Add(s.cfg.SubmitTimeout)
 	}
@@ -434,7 +427,6 @@ func (s *Scheduler) place(h *Handle) {
 		s.stats.MaxInflight = s.stats.Inflight
 	}
 	s.mu.Unlock()
-	h.startAt = s.since()
 	h.deadline = time.Now().Add(s.cfg.SessionTimeout)
 	s.admitted <- h // the collector must know the session before any completion
 	s.share.Inject(e)
@@ -503,7 +495,6 @@ func (s *Scheduler) collect() {
 				break // late completion of an expired session
 			}
 			h.acked++
-			h.finishAt = max(h.finishAt, d.Entry.Host(d.Host).DoneAt)
 			if h.acked == h.dests {
 				delete(pending, d.Entry)
 				s.complete(h)
@@ -552,25 +543,14 @@ func (s *Scheduler) retire(h *Handle, bump func(st *Stats)) {
 	<-s.window
 }
 
-// complete settles a fully delivered session. Reading the host records
-// is safe: every write to them happens-before the completions the
-// collector has already received (the channel chain from each host's
-// final send to its subtree's last completion).
+// complete settles a fully delivered session. Reading the entry's record
+// is safe: every write to it happens-before the completions the
+// collector has already received (the channel chain from the root NI's
+// take and each host's final send to its subtree's last completion).
 func (s *Scheduler) complete(h *Handle) {
 	s.retire(h, func(st *Stats) { st.Completed++ })
-	hosts := make(map[int]*live.HostRecord, h.dests+1)
-	for _, v := range h.sess.Tree.Nodes() {
-		hosts[v] = h.entry.Host(v)
-	}
-	h.res = &Result{
-		MsgID:     h.sess.MsgID,
-		SubmitAt:  h.submitAt,
-		StartAt:   h.startAt,
-		FinishAt:  h.finishAt,
-		QueueWait: h.startAt - h.submitAt,
-		Latency:   h.finishAt - h.startAt,
-		Hosts:     hosts,
-	}
+	sr := h.entry.Result()
+	h.res = &Result{SessionResult: sr, SubmitAt: h.submitAt, QueueWait: sr.StartAt - h.submitAt}
 	close(h.done)
 }
 
