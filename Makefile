@@ -119,7 +119,9 @@ daemon-soak:
 # 256-session fixed-seed fairness soak (no session may exceed a generous
 # multiple of its fair in-flight share), the tests of the NI loop the
 # scheduler runs on (live.Share: late frames dropped and their slots
-# freed, Add/Remove churn leaking no goroutine), and a 120-case sched-
+# freed, Add/Remove churn leaking no goroutine) and of the report queue
+# that is its completion path (the reliable session's reports, a plain
+# session's transport failure), and a 120-case sched-
 # matches-serial differential sweep: three sessions concurrently through
 # one scheduler must be per-host identical to serial live.Run baselines.
 # One 1k-session benchmark pass runs the collector at Window 1024, the
@@ -127,7 +129,7 @@ daemon-soak:
 sched-soak:
 	$(GO) test -race -count=1 ./internal/sched
 	$(GO) test -race -run '^$$' -bench BenchmarkSched1kSessions -benchtime 1x ./internal/sched
-	$(GO) test -race -count=1 -run 'TestShareDropsWhatItCannotServe|TestAbortedRunLeaksNoGoroutines' ./internal/live
+	$(GO) test -race -count=1 -run 'TestShareDropsWhatItCannotServe|TestAbortedRunLeaksNoGoroutines|TestReliableShare|TestRunSurfacesTransportFailure' ./internal/live
 	$(GO) run -race ./cmd/mcastcheck -n 120 -seed 11 -workers 4 -only sched-matches-serial
 
 # Psim soak: the windowed scheduler's differential gate under the race

@@ -188,7 +188,7 @@ func TestReliableAllocationRegression(t *testing.T) {
 		}
 	}
 	deliver()
-	const measured = 3908
+	const measured = 3899
 	if allocs := testing.AllocsPerRun(10, deliver); allocs > measured*1.02 {
 		t.Fatalf("DeliverReliable allocates %.0f per run, budget %d + 2%%", allocs, measured)
 	}

@@ -64,7 +64,7 @@ type EdgeSender struct {
 // session of its own: on the wall clock, at epoch 0, never down, its death
 // heard by nobody. The caller starts the loop with go es.Run().
 func NewEdgeSender(tr link.Transport, cfg EdgeSenderConfig) *EdgeSender {
-	return (&ReliableShare{Share: &Share{start: time.Now()}, reports: make(chan Report, 1)}).edgeSender(tr, cfg)
+	return (&ReliableShare{Share: &Share{start: time.Now(), reports: make(chan Report, 1)}}).edgeSender(tr, cfg)
 }
 
 // edgeSender builds an incarnation of session s over the given transport.

@@ -35,9 +35,8 @@ func bareSession(down ...int) *ReliableShare {
 		panic(err)
 	}
 	return &ReliableShare{
-		Share:   &Share{abort: make(chan struct{}), start: time.Now()},
-		cfg:     ReliableShareConfig{Faults: faults},
-		reports: make(chan Report, 8),
+		Share: &Share{abort: make(chan struct{}), start: time.Now(), reports: make(chan Report, 8)},
+		cfg:   ReliableShareConfig{Faults: faults},
 	}
 }
 

@@ -22,13 +22,13 @@ func TestTypedErrorsWrapAndUnwrap(t *testing.T) {
 		{
 			name: "watchdog",
 			err: &WatchdogError{
-				Timeout: 42, Missing: map[int][]int{0: {3}},
+				Timeout:  42,
 				Progress: map[int][]DestProgress{0: {{Host: 3, Received: 1, Expected: 2}}},
 			},
 			sentinel: ErrWatchdog,
 			as: func(err error) bool {
 				var we *WatchdogError
-				return errors.As(err, &we) && len(we.Missing[0]) == 1 &&
+				return errors.As(err, &we) && len(we.Progress[0]) == 1 &&
 					we.Progress[0][0].Host == 3
 			},
 		},

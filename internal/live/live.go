@@ -197,21 +197,13 @@ type DestProgress struct {
 // sessions it may be the documented store-and-forward credit cycle.
 type WatchdogError struct {
 	Timeout time.Duration
-	// Missing is, per session index, the destination hosts that had not
-	// acknowledged, ascending.
-	Missing map[int][]int
-	// Progress mirrors Missing with per-destination packet counts,
-	// snapshotted after teardown (so the counts are race-free and final).
+	// Progress is, per session index, the destinations that had not
+	// acknowledged, ascending, with their packet counts, snapshotted after
+	// teardown (so the counts are race-free and final).
 	Progress map[int][]DestProgress
 }
 
 func (e *WatchdogError) Error() string {
-	total := 0
-	for _, hs := range e.Missing {
-		total += len(hs)
-	}
-	msg := fmt.Sprintf("live: watchdog after %v: %d destination(s) incomplete %v",
-		e.Timeout, total, e.Missing)
 	var sis []int
 	for si := range e.Progress {
 		sis = append(sis, si)
@@ -223,6 +215,7 @@ func (e *WatchdogError) Error() string {
 			stuck = append(stuck, fmt.Sprintf("s%d h%d %d/%d", si, p.Host, p.Received, p.Expected))
 		}
 	}
+	msg := fmt.Sprintf("live: watchdog after %v: %d destination(s) incomplete", e.Timeout, len(stuck))
 	if len(stuck) > 0 {
 		msg += " (progress: " + strings.Join(stuck, ", ") + ")"
 	}
@@ -312,16 +305,16 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 	}
 	s.Start()
 
-	// Count completions under the watchdog.
+	// Count completions under the watchdog; a failure's report carries its
+	// error, a completion's none.
 	timer := time.NewTimer(cfg.Timeout)
 	defer timer.Stop()
 	var runErr error
 	timedOut := false
 	for n := 0; n < totalDests && runErr == nil && !timedOut; n++ {
 		select {
-		case <-s.Done():
-		case f := <-s.Failed():
-			runErr = f.Err
+		case r := <-s.Reports():
+			runErr = r.Err
 		case <-timer.C:
 			timedOut = true
 		}
@@ -331,12 +324,8 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 	if timedOut {
 		return nil, watchdogError(cfg.Timeout, entries)
 	}
-	if runErr == nil {
-		select {
-		case f := <-s.Failed(): // a failure that raced the final completion
-			runErr = f.Err
-		default:
-		}
+	for runErr == nil && len(s.reports) > 0 { // a failure that raced the final completion
+		runErr = (<-s.reports).Err
 	}
 	if runErr != nil {
 		return nil, runErr
@@ -349,11 +338,7 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 // the NI state is then quiescent, so a destination whose completion raced
 // the timeout counts as complete and the counters in the error are exact.
 func watchdogError(timeout time.Duration, entries []*Entry) *WatchdogError {
-	e := &WatchdogError{
-		Timeout:  timeout,
-		Missing:  map[int][]int{},
-		Progress: map[int][]DestProgress{},
-	}
+	e := &WatchdogError{Timeout: timeout, Progress: map[int][]DestProgress{}}
 	for si, en := range entries {
 		for _, v := range en.Tree.Nodes() { // ascending
 			ns := en.hosts[v]
@@ -361,7 +346,6 @@ func watchdogError(timeout time.Duration, entries []*Entry) *WatchdogError {
 				continue
 			}
 			held, _ := ns.reasm.Progress()
-			e.Missing[si] = append(e.Missing[si], v)
 			e.Progress[si] = append(e.Progress[si], DestProgress{
 				Host: v, Received: held, Expected: len(en.Packets),
 			})

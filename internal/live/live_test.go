@@ -182,7 +182,7 @@ func TestWatchdogReportsMissing(t *testing.T) {
 	if !ok {
 		t.Fatalf("Run returned %v, want *WatchdogError", err)
 	}
-	if len(we.Missing[0]) == 0 {
+	if len(we.Progress[0]) == 0 {
 		t.Fatal("watchdog error names no missing destinations")
 	}
 }

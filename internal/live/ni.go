@@ -23,10 +23,13 @@ const DefaultQuantum = 4
 // the reliable sessions that join with AddReliable. Both Runs and both
 // RunReliables — live's, and mcastd's over the hosts of one OS process —
 // and the session scheduler (internal/sched) drive it; a driver keeps
-// only what ends its sessions.
+// only what ends its sessions. Every session's evidence, plain or
+// reliable, leaves on the share's one queue (Reports), which the driver's
+// one loop reads.
 //
-// Done, Failed, Dropped, Now, Go and Aborted are safe from any goroutine;
-// Add, AddReliable and Inject are called from one goroutine at a time.
+// Report, Reports, Dropped, Now, Go and Aborted are safe from any
+// goroutine; Add, AddReliable and Inject are called from one goroutine at
+// a time.
 type Share struct {
 	cfg     Config
 	quantum int
@@ -34,8 +37,7 @@ type Share struct {
 	start   time.Time // the wall clock's zero: Start's time
 	virt    *virtual  // RunVirtual's engine, whose time is the clock; nil on the wall
 	added   int       // Adds so far: the next entry's trace session index
-	done    chan Delivery
-	fail    chan Failure
+	reports chan Report
 	dropped atomic.Int64
 	// reliable maps each reliable session's MsgID to its NIs by host;
 	// AddReliable replaces the map whole, so the NIs read it without a lock.
@@ -53,19 +55,6 @@ type Entry struct {
 	abort   <-chan struct{}
 	hosts   map[int]*niSession // the local hosts' states, one slab
 	startAt time.Duration      // when the root's NI took the session
-}
-
-// Delivery names a local host that has completed an entry's message; the
-// host's record (Entry.Host) then has its final Data and DoneAt.
-type Delivery struct {
-	Entry *Entry
-	Host  int
-}
-
-// Failure is a forwarding or protocol error of one entry (an abort is none).
-type Failure struct {
-	Entry *Entry
-	Err   error
 }
 
 // niSession is one host's state for one entry: the shared FPFS step, the
@@ -127,8 +116,8 @@ func NewShare(hosts []int, wire, quantum int, cfg Config) (*Share, error) {
 		cfg:     cfg,
 		quantum: quantum,
 		nis:     make(map[int]*ni, len(hosts)),
-		done:    make(chan Delivery, len(hosts)),
-		fail:    make(chan Failure, 1),
+		// A few reports per host queue up behind a busy reader.
+		reports: make(chan Report, 8*len(hosts)+64),
 	}
 	if cfg.BufferPackets > 0 {
 		wire = cfg.BufferPackets
@@ -321,7 +310,7 @@ func (e *Entry) Host(v int) *HostRecord { return &e.hosts[v].HostRecord }
 // Result is the entry's session record over the share's hosts of its
 // tree: StartAt is the root NI's take of the session (zero if the root is
 // not a share host), FinishAt the last local DoneAt. Read it once every
-// local destination's Delivery is received or the NIs are joined.
+// local destination's ReportDone is received or the NIs are joined.
 func (e *Entry) Result() SessionResult {
 	sr := SessionResult{MsgID: e.MsgID, StartAt: e.startAt, Hosts: make(map[int]*HostRecord, len(e.hosts))}
 	for v, ns := range e.hosts {
@@ -341,13 +330,26 @@ func (e *Entry) aborted() bool {
 	}
 }
 
-// Done yields each completion of a local host, sent under the share's
-// abort.
-func (s *Share) Done() <-chan Delivery { return s.done }
+// Report queues one piece of a session's evidence for the driver's loop.
+// A beat is dropped when the queue is full (a missed beat is silence);
+// anything else waits for room, unless the share is tearing down.
+func (s *Share) Report(r Report) {
+	if r.Kind == ReportBeat {
+		select {
+		case s.reports <- r:
+		default:
+		}
+		return
+	}
+	select {
+	case s.reports <- r:
+		s.virt.heard()
+	case <-s.abort:
+	}
+}
 
-// Failed yields each entry's forwarding or protocol errors, sent under the
-// share's abort; it holds the first one unread.
-func (s *Share) Failed() <-chan Failure { return s.fail }
+// Reports is the share's evidence queue, in report order.
+func (s *Share) Reports() <-chan Report { return s.reports }
 
 // Dropped counts the frames the NIs discarded: undecodable ones, and those
 // of a session not registered there (plain or reliable) or aborted.
@@ -355,13 +357,9 @@ func (s *Share) Dropped() int64 { return s.dropped.Load() }
 
 // failed reports err, unless it is an abort: that is a teardown, and the
 // driver owns the verdict.
-func (s *Share) failed(e *Entry, err error) {
-	if errors.Is(err, link.ErrAborted) {
-		return
-	}
-	select {
-	case s.fail <- Failure{Entry: e, Err: err}:
-	case <-s.abort:
+func (s *Share) failed(ns *niSession, err error) {
+	if !errors.Is(err, link.ErrAborted) {
+		s.Report(Report{Kind: ReportFailed, Entry: ns.e, Host: ns.Host, Err: err})
 	}
 }
 
@@ -399,7 +397,8 @@ func (r recorded) Send(pkt []byte, abort <-chan struct{}) error {
 // run is the NI loop until the share aborts: step, and while the ring is
 // idle, wait for a frame (staging it) or a hand-off.
 func (n *ni) run() {
-	for n.step() {
+	for {
+		n.step()
 		if n.head == len(n.ring) {
 			select {
 			case f := <-n.inbox.Wire():
@@ -416,8 +415,8 @@ func (n *ni) run() {
 // step is one turn of the NI: stage every frame the wire holds (so it never
 // backs up), take every source and edit handed over, then give the session
 // at the ring's head a quantum of service, sending it to the tail while it
-// is still backlogged. It reports false only once the share aborts.
-func (n *ni) step() bool {
+// is still backlogged.
+func (n *ni) step() {
 	for len(n.inbox.Wire()) > 0 { // only this NI receives, so neither blocks
 		n.stage(<-n.inbox.Wire())
 	}
@@ -426,7 +425,7 @@ func (n *ni) step() bool {
 		n.adopt()
 	}
 	if n.head == len(n.ring) {
-		return true
+		return
 	}
 	ns := n.ring[n.head]
 	n.ring[n.head] = nil
@@ -441,11 +440,11 @@ func (n *ni) step() bool {
 		ns.deficit--
 		if source {
 			if err := ns.Forward(st.payload, ns.e.abort); err != nil {
-				n.s.failed(ns.e, err)
+				n.s.failed(ns, err)
 				ns.pending = nil // the injection ends at its first failure
 			}
-		} else if !n.serve(ns, st) {
-			return false
+		} else {
+			n.serve(ns, st)
 		}
 	}
 	switch {
@@ -465,7 +464,6 @@ func (n *ni) step() bool {
 	default:
 		ns.deficit, ns.queued = 0, false
 	}
-	return true
 }
 
 // adopt puts the sources Inject handed over into the ring, stamping each
@@ -531,22 +529,15 @@ func (n *ni) stage(f link.Frame) {
 
 // serve runs one staged frame through the shared FPFS step under its
 // session's abort, releases the frame's slot, and reports a completion or
-// a failure. It reports false only once the share aborts.
-func (n *ni) serve(ns *niSession, st staged) bool {
+// a failure.
+func (n *ni) serve(ns *niSession, st staged) {
 	n.s.trace(ns, "deliver", st.from, int(st.h.Seq))
 	done, err := ns.Serve(st.h, st.payload, st.from, ns.e.abort, n.s)
 	n.inbox.Release()
 	if err != nil {
-		n.s.failed(ns.e, err)
-		return true
-	}
-	if done {
+		n.s.failed(ns, err)
+	} else if done {
 		n.s.trace(ns, "done", -1, -1)
-		select {
-		case n.s.done <- Delivery{Entry: ns.e, Host: n.host}:
-		case <-n.s.abort:
-			return false
-		}
+		n.s.Report(Report{Kind: ReportDone, Entry: ns.e, Host: n.host, At: ns.DoneAt})
 	}
-	return true
 }

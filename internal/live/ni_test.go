@@ -64,12 +64,10 @@ func TestShareDropsWhatItCannotServe(t *testing.T) {
 	}
 	sendAll(next)
 	select {
-	case d := <-s.Done():
-		if d.Entry != next || d.Host != 1 || !bytes.Equal(next.Host(1).Data, data) {
-			t.Fatalf("delivery %d@%d, %d bytes; want session 3 at host 1, %d bytes", d.Entry.MsgID, d.Host, len(d.Entry.Host(d.Host).Data), len(data))
+	case r := <-s.Reports():
+		if r.Kind != ReportDone || r.Entry != next || r.Host != 1 || !bytes.Equal(next.Host(1).Data, data) {
+			t.Fatalf("report %+v, %d bytes; want session 3 done at host 1, %d bytes", r, len(next.Host(1).Data), len(data))
 		}
-	case f := <-s.Failed():
-		t.Fatalf("session %d failed: %v", f.Entry.MsgID, f.Err)
 	case <-giveUp:
 		t.Fatal("the session after the dropped ones never completed")
 	}

@@ -2,7 +2,6 @@ package live
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/fault"
@@ -151,7 +150,7 @@ type ReliableResult struct {
 	// Faults snapshots the fault plane's counters, frames eaten by a down
 	// NI included; Losses is what each edge incarnation's loss stream
 	// decided, in creation order (runs that draw no loss decision have
-	// none).
+	// none). A daemon's are its own process's: its edges, its ACKs.
 	Faults fault.Stats
 	Losses []fault.Pattern
 }
@@ -250,65 +249,34 @@ func newRun(s Session, cfg ReliableConfig, virt *virtual) (*rrt, error) {
 
 // watchdog names every destination the stalled run left incomplete.
 func (rt *rrt) watchdog() *WatchdogError {
-	e := &WatchdogError{
-		Timeout:  rt.cfg.Live.Timeout,
-		Missing:  map[int][]int{},
-		Progress: map[int][]DestProgress{},
-	}
-	for _, v := range rt.s.Tree.Nodes() { // ascending
+	e := &WatchdogError{Timeout: rt.cfg.Live.Timeout, Progress: map[int][]DestProgress{}}
+	for _, v := range rt.nodes { // ascending
 		if n := rt.NI(v); v != rt.s.Tree.Root() && n.Data == nil {
-			e.Missing[0] = append(e.Missing[0], v)
 			e.Progress[0] = append(e.Progress[0], DestProgress{Host: v, Received: n.Held(), Expected: len(rt.s.Packets)})
 		}
 	}
 	return e
 }
 
-// result assembles the verdict from the quiescent share, or names what a
-// run that timed out left incomplete: every goroutine has returned, so
-// reads are race-free, and a completion that raced the verdict counts.
+// result adds the verdict to the session's record from the quiescent
+// share, or names what a run that timed out left incomplete: every
+// goroutine has returned, so reads are race-free, and a completion that
+// raced the verdict counts.
 func (rt *rrt) result(timedOut bool, wall time.Duration) (*ReliableResult, error) {
 	if timedOut {
 		return nil, rt.watchdog()
 	}
-	res := &ReliableResult{
-		Hosts:     map[int]*HostRecord{},
-		Wall:      wall,
-		Packets:   len(rt.s.Packets),
-		Faults:    rt.faults.Stats(),
-		Views:     rt.sup.Views(),
-		Adoptions: rt.sup.Adoptions(),
-		Epoch:     rt.Epoch(),
-	}
-	res.Sends, res.Retransmits, res.Duplicates, res.Fenced = rt.Totals()
-	dests := 0
-	for _, v := range rt.s.Tree.Nodes() {
-		n := rt.NI(v)
-		res.Hosts[v] = &n.HostRecord
-		res.Accepts = append(res.Accepts, n.Accepts...)
-		if v == rt.s.Tree.Root() {
-			continue
-		}
-		dests++
-		if n.Data == nil {
+	res := rt.Result(wall)
+	res.Views, res.Adoptions = rt.sup.Views(), rt.sup.Adoptions()
+	for _, v := range rt.nodes { // ascending
+		if v != rt.s.Tree.Root() && rt.NI(v).Data == nil {
 			res.Orphaned = append(res.Orphaned, v)
-		} else if n.DoneAt > res.Latency {
-			res.Latency = n.DoneAt
-		}
-	}
-	// Stable: accepts arrive grouped per host in goroutine order, and ties
-	// on At must not reorder a host's own chronology (epoch monotonicity
-	// per host is an invariant the harness checks).
-	sort.SliceStable(res.Accepts, func(i, j int) bool { return res.Accepts[i].At < res.Accepts[j].At })
-	for _, e := range rt.all {
-		if ft, ok := e.tr.(interface{ Pattern() fault.Pattern }); ok && ft.Pattern().Sent > 0 {
-			res.Losses = append(res.Losses, ft.Pattern())
 		}
 	}
 	res.Crashed = rt.faults.DownHosts(link.US(wall))
 
 	var err error
-	res.Status, err = reliable.Verdict(dests, res.Orphaned, res.Crashed,
+	res.Status, err = reliable.Verdict(len(rt.nodes)-1, res.Orphaned, res.Crashed,
 		rt.cfg.Quorum, res.Epoch, len(rt.faults.Crashes()) > 0, rt.sup.RootDown())
 	if de, ok := err.(*reliable.DeliveryError); ok && rt.sup.geo != nil {
 		de.Partitioned = rt.sup.geo.Partitioned()

@@ -10,7 +10,8 @@ import (
 
 // ReliableNI is one host's state in one reliable session, its loss- and
 // crash-tolerant network interface; what it needs of the session — epoch,
-// clock, fault plane, trace switch, evidence queue — it reads there. The
+// clock, fault plane, trace switch, the share's evidence queue — it reads
+// there. The
 // root's starts holding every packet (so seeding its child edges IS the
 // FPFS packet-major injection) and reassembles nothing. It has no
 // goroutine of its own: the host's NI loop (Share) hands it each of the
@@ -18,7 +19,7 @@ import (
 // (AddChild, DelChild) in call order. Per frame it validates (once),
 // fences stale epochs, ACKs, suppresses duplicates, forwards novel packets
 // to every child edge the moment they arrive (FPFS), reassembles, and
-// reports a completion or an amnesiac rejoin to the session. AddChild and
+// reports a completion or an amnesiac rejoin on the share. AddChild and
 // DelChild may be called from the supervisor goroutine; everything else
 // belongs to the NI loop, and the exported fields (its report) may be read
 // only once the share has stopped.
@@ -29,7 +30,7 @@ type ReliableNI struct {
 	// complete reassembly (nil at the root and until complete) and survive
 	// an amnesiac rejoin — the message reached the host before the crash;
 	// Sends is the total of the host's edge incarnations, folded in by
-	// ReliableShare.Totals.
+	// ReliableShare.Result.
 	HostRecord
 	Accepts []EpochAccept // the arrivals' epoch stamps (Trace, armed runs)
 	Dups    int           // duplicate frames suppressed

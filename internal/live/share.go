@@ -44,12 +44,13 @@ type ReliableShareConfig struct {
 // (the hosts of one OS process, over UDP) drive it; a driver keeps how
 // Remote reaches another process, never how an edge comes up or goes away.
 // Every piece of the session's evidence — a completion, an amnesiac
-// rejoin, a dead edge — leaves on one queue (Reports), which the driver's
-// one loop reads. Start, Stop, Go and Aborted are the Share's.
+// rejoin, a dead edge — leaves on the Share's one queue (Reports), which
+// the driver's one loop reads. Start, Stop, Go, Aborted, Report and
+// Reports are the Share's.
 //
 // Route, Epoch, Report and Aborted are safe from any goroutine. Install,
 // Retire and SetEpoch belong to one goroutine, the driver's supervisor; NI
-// and Totals read state that is quiescent only once Stop has returned.
+// and Result read state that is quiescent only once Stop has returned.
 type ReliableShare struct {
 	*Share
 	cfg    ReliableShareConfig
@@ -60,9 +61,8 @@ type ReliableShare struct {
 	// epoch is the fence register: 0 while the membership plane is
 	// unarmed, otherwise the latest view's epoch. Senders stamp it into
 	// outgoing frames, receivers discard frames below it.
-	epoch   atomic.Int64
-	reports chan Report
-	all     []*EdgeSender // every incarnation ever built, for Totals
+	epoch atomic.Int64
+	all   []*EdgeSender // every incarnation ever built, for Result
 }
 
 // AddReliable joins a reliable session to the share: a ReliableNI per
@@ -83,8 +83,6 @@ func (s *Share) AddReliable(cfg ReliableShareConfig) (*ReliableShare, error) {
 		nodes:  nodes,
 		nis:    make(map[int]*ReliableNI, len(s.nis)),
 		routes: make([]atomic.Pointer[EdgeSender], len(nodes)),
-		// A few reports per host queue up behind a busy reader.
-		reports: make(chan Report, 8*len(nodes)+64),
 	}
 	rs.cfg.Edge.Abort, rs.chaos = s.abort, link.NewChaos(cfg.Faults, s)
 	for _, v := range nodes {
@@ -137,27 +135,6 @@ func (s *ReliableShare) newEdge(a, b int) (*EdgeSender, error) {
 	s.all = append(s.all, e)
 	return e, nil
 }
-
-// Report queues one piece of the session's evidence for the driver's loop.
-// A beat is dropped when the queue is full (a missed beat is silence);
-// anything else waits for room, unless the share is tearing down.
-func (s *ReliableShare) Report(r Report) {
-	if r.Kind == ReportBeat {
-		select {
-		case s.reports <- r:
-		default:
-		}
-		return
-	}
-	select {
-	case s.reports <- r:
-		s.virt.heard()
-	case <-s.abort:
-	}
-}
-
-// Reports is the session's evidence queue, in report order.
-func (s *ReliableShare) Reports() <-chan Report { return s.reports }
 
 // down reports whether the crash schedule has host down at offset at.
 func (s *ReliableShare) down(host int, at time.Duration) bool {
@@ -267,21 +244,43 @@ func (s *ReliableShare) SetEpoch(e int) {
 // NI returns local host v's NI, nil when v is not this share's.
 func (s *ReliableShare) NI(v int) *ReliableNI { return s.nis[v] }
 
-// Totals folds every incarnation's send count into its parent's record
-// (HostRecord.Sends) and sums the share's counters over local NIs and
-// incarnations, cancelled ones included: their traffic happened. Fenced
-// counts stale-epoch data frames and ACKs alike.
-func (s *ReliableShare) Totals() (sends, retransmits, duplicates, fenced int) {
-	for _, n := range s.nis {
-		n.Sends = 0
-		duplicates += n.Dups
-		fenced += n.Fenced
+// Result is the session's record over the share's hosts, read from the
+// quiescent share at wall: each local NI's record, its Sends folded from
+// its incarnations (cancelled ones included: their traffic happened), the
+// last local DoneAt as Latency, the counters summed over NIs and
+// incarnations (Fenced counts stale-epoch data frames and ACKs alike), the
+// epoch-stamp trace, each incarnation's loss decisions and the fault
+// plane's counters. The driver adds the verdict and the supervisor's part.
+func (s *ReliableShare) Result(wall time.Duration) *ReliableResult {
+	res := &ReliableResult{
+		Hosts:   make(map[int]*HostRecord, len(s.nis)),
+		Wall:    wall,
+		Packets: len(s.cfg.Edge.Packets),
+		Epoch:   s.Epoch(),
+		Faults:  s.cfg.Faults.Stats(),
 	}
+	for _, v := range s.nodes {
+		if n := s.nis[v]; n != nil {
+			n.Sends = 0
+			res.Hosts[v] = &n.HostRecord
+			res.Latency = max(res.Latency, n.DoneAt)
+			res.Duplicates += n.Dups
+			res.Fenced += n.Fenced
+			res.Accepts = append(res.Accepts, n.Accepts...)
+		}
+	}
+	// Stable: accepts arrive grouped per host in goroutine order, and ties
+	// on At must not reorder a host's own chronology (epoch monotonicity
+	// per host is an invariant the harness checks).
+	sort.SliceStable(res.Accepts, func(i, j int) bool { return res.Accepts[i].At < res.Accepts[j].At })
 	for _, e := range s.all {
 		s.nis[e.From()].Sends += e.Sends()
-		sends += e.Sends()
-		retransmits += e.Retransmits()
-		fenced += e.Fenced()
+		res.Sends += e.Sends()
+		res.Retransmits += e.Retransmits()
+		res.Fenced += e.Fenced()
+		if ft, ok := e.tr.(interface{ Pattern() fault.Pattern }); ok && ft.Pattern().Sent > 0 {
+			res.Losses = append(res.Losses, ft.Pattern())
+		}
 	}
-	return
+	return res
 }

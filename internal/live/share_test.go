@@ -251,9 +251,9 @@ func TestReliableShare(t *testing.T) {
 			t.Fatalf("the 0->7 incarnation was replayed %v, want the whole message", got)
 		}
 		// 0->{2,5,9} and 0->7 carry m each; 2->3 two, 2->7 two per incarnation.
-		sends, retransmits, dups, fenced := s.Totals()
-		if sends != 4*m+6 || retransmits != 0 || dups != 0 || fenced != 0 {
-			t.Fatalf("totals %d sends, %d retransmits, %d duplicates, %d fenced; want %d, 0, 0, 0", sends, retransmits, dups, fenced, 4*m+6)
+		res := s.Result(0)
+		if res.Sends != 4*m+6 || res.Retransmits != 0 || res.Duplicates != 0 || res.Fenced != 0 {
+			t.Fatalf("totals %d sends, %d retransmits, %d duplicates, %d fenced; want %d, 0, 0, 0", res.Sends, res.Retransmits, res.Duplicates, res.Fenced, 4*m+6)
 		}
 		if s.NI(0).Sends != 4*m || s.NI(2).Sends != 6 || s.NI(2).Recvs != 2 || s.NI(2).Host != 2 {
 			t.Fatalf("records: host 0 %+v, host 2 %+v; want %d and 6 sends (the cancelled incarnation's two included), 2 recvs", s.NI(0).HostRecord, s.NI(2).HostRecord, 4*m)

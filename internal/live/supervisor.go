@@ -75,7 +75,7 @@ const (
 	// ReportBeat: Host, run by another process, was alive at At (the
 	// daemon's root hears it over ctl).
 	ReportBeat ReportKind = iota
-	// ReportDone: Host holds the whole message.
+	// ReportDone: Host holds the whole message, since At.
 	ReportDone
 	// ReportExhausted: an incarnation of edge Host->To died.
 	ReportExhausted
@@ -83,14 +83,21 @@ const (
 	// parent edge holds ACKs for packets the crash erased, so it needs a
 	// fresh edge and a full replay.
 	ReportRejoin
+	// ReportFailed: Err stopped Entry at Host (a forwarding or protocol
+	// error; an abort is none).
+	ReportFailed
 )
 
-// Report is one piece of a reliable session's evidence, queued on the
-// session (ReliableShare.Report) for its driver's loop.
+// Report is one piece of a session's evidence, queued on its share
+// (Share.Report) for the driver's loop.
 type Report struct {
 	Kind     ReportKind
 	Host, To int           // To: the receiving end of an exhausted edge
 	At       time.Duration // beat, done, rejoin: offset from the run's start
+	// Entry is the plain session a local completion or failure belongs to;
+	// nil for a reliable session's report and for a DONE heard over ctl.
+	Entry *Entry
+	Err   error // failed: the cause
 }
 
 // OrderKind names what an Order carries.
@@ -125,7 +132,7 @@ type SupervisorConfig struct {
 // reliable.Runtime: it owns the brain, the detector, the done set, the dead
 // transport pairs, the view log and the pending GRAFTs, all of which belong
 // to Run's goroutine, and to its caller once Run returns. Run reads the
-// session's report queue.
+// share's report queue.
 //
 // When the share runs every host, the crash schedule of its fault plane is
 // liveness: Alive reads it, a down host is not witnessed and a crash-

@@ -15,7 +15,9 @@
 // per remote host until acknowledged or the drain deadline passes.
 //
 // Run drives live's plain data plane (live.Share) — correct on a
-// lossless fabric, wedging on loss — and owns only that handshake.
+// lossless fabric, wedging on loss — and owns only that handshake: the
+// root reports each DONE it hears on the share's one report queue, beside
+// the local completions and failures.
 // RunReliable (reliable.go) layers retransmission, duplicate suppression,
 // process-level failure detection and Fig.-11 orphan adoption on the same
 // fabric: live's reliable data plane in every process, and live's one
@@ -123,7 +125,6 @@ type handshake struct {
 	// acked holds a channel per local host, closed by the listener once
 	// the root acknowledged the host's DONE.
 	acked     map[int]chan struct{}
-	doneCh    chan int // DONE reports heard by the root, dropped when full: they are retried
 	stopAckCh chan int
 }
 
@@ -155,7 +156,6 @@ func Run(cfg Config) (*live.ReliableResult, error) {
 		share:     share,
 		stopped:   make(chan struct{}),
 		acked:     map[int]chan struct{}{},
-		doneCh:    make(chan int, cfg.Tree.Size()),
 		stopAckCh: make(chan int, cfg.Tree.Size()+4),
 	}
 	for _, v := range cfg.Local {
@@ -194,16 +194,14 @@ func Run(cfg Config) (*live.ReliableResult, error) {
 
 // listen is the process's ctl listener: a destination watches for STOP
 // (acknowledging each one, including repeats) and its own DONE-ACK; the
-// root collects DONE reports (acknowledging each) and STOP-ACKs.
+// root reports each DONE on the share (acknowledging it) and collects
+// STOP-ACKs.
 func (hs *handshake) listen() {
 	root := hs.Tree.Root()
 	listenCtl(hs.Config, hs.share.Aborted(), func(to int, f ctlFrame) {
 		switch {
 		case f.kind == ctlDone && to == root:
-			select {
-			case hs.doneCh <- f.a:
-			default:
-			}
+			hs.share.Report(live.Report{Kind: live.ReportDone, Host: f.a, At: hs.share.Now()})
 			hs.sendCtl(root, f.a, ctlFrame{kind: ctlDoneAck, a: f.a})
 		case f.kind == ctlStopAck && to == root:
 			select {
@@ -252,21 +250,22 @@ func (hs *handshake) coordinate() (map[int]bool, error) {
 	}
 	for len(got) < len(want) {
 		select {
-		case d := <-hs.share.Done():
-			v := d.Host
-			got[v] = true
-			rec := d.Entry.Host(v)
-			hs.logf("host %d delivered %d bytes at %v", v, len(rec.Data), rec.DoneAt)
-			if !rootLocal {
-				hs.share.Go(func() { reportDone(hs.Config, v, hs.acked[v], hs.stopped, hs.share.Aborted()) })
-			}
-		case v := <-hs.doneCh:
-			if want[v] && !got[v] {
+		case r := <-hs.share.Reports():
+			v := r.Host
+			switch {
+			case r.Err != nil:
+				return got, fmt.Errorf("mcastd: %w", r.Err)
+			case !want[v] || got[v]: // a DONE re-sent, or foreign
+			case r.Entry == nil:
 				got[v] = true
 				hs.logf("root heard DONE from remote host %d", v)
+			default:
+				got[v] = true
+				hs.logf("host %d delivered %d bytes at %v", v, len(r.Entry.Host(v).Data), r.At)
+				if !rootLocal {
+					hs.share.Go(func() { reportDone(hs.Config, v, hs.acked[v], hs.stopped, hs.share.Aborted()) })
+				}
 			}
-		case f := <-hs.share.Failed():
-			return got, fmt.Errorf("mcastd: %w", f.Err)
 		case <-deadline.C:
 			return got, fmt.Errorf("mcastd: watchdog after %v: %s", hs.Timeout, progress())
 		}
@@ -285,8 +284,8 @@ func (hs *handshake) coordinate() (map[int]bool, error) {
 	select {
 	case <-hs.stopped:
 		return got, nil
-	case f := <-hs.share.Failed():
-		return got, fmt.Errorf("mcastd: %w", f.Err)
+	case r := <-hs.share.Reports(): // every local host is done: only a failure is left
+		return got, fmt.Errorf("mcastd: %w", r.Err)
 	case <-deadline.C:
 		return got, fmt.Errorf("mcastd: delivered everywhere locally but no STOP after %v: %s", hs.Timeout, progress())
 	}

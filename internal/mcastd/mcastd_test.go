@@ -205,6 +205,37 @@ func TestWatchdog(t *testing.T) {
 	}
 }
 
+// TestCorruptPacketFailsRun damages one packet's body after
+// packetization: its header still validates, so Run accepts the session,
+// and every destination's checksum fails. The failure ends the run at
+// once, well before its watchdog, with every destination orphaned.
+func TestCorruptPacketFailsRun(t *testing.T) {
+	skipWithoutLoopback(t)
+	tr := tree.Binomial([]int{0, 1, 2, 3, 4, 5, 6, 7})
+	pkts, err := message.Packetize(1, 0, testPayload(1000), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts[1][len(pkts[1])-1] ^= 0xFF
+	nw, err := link.NewLoopbackUDP(tr.Nodes(), link.UDPConfig{Session: 0xBAD})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	const timeout = 10 * time.Second
+	start := time.Now()
+	res, err := Run(Config{Tree: tr, Packets: pkts, MsgID: 1, Local: tr.Nodes(), Net: nw, Timeout: timeout})
+	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("Run returned %v, want the checksum failure", err)
+	}
+	if took := time.Since(start); took > timeout/2 {
+		t.Fatalf("the failure took %v to end the run, watchdog %v", took, timeout)
+	}
+	if res.Status != reliable.Failed || !slices.Equal(res.Orphaned, []int{1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("status %v, orphaned %v; want failed with every destination orphaned", res.Status, res.Orphaned)
+	}
+}
+
 // TestConfigRejects pins the construction errors.
 func TestConfigRejects(t *testing.T) {
 	skipWithoutLoopback(t)

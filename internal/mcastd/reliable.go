@@ -110,8 +110,8 @@ type drt struct {
 
 	// Coordinator-owned (single goroutine after start):
 	doneAckC map[int]chan struct{} // per local dest still awaiting the root's DONE-ACK
-	// res is the result: the verdict (the root's, with its Orphaned and
-	// Crashed, or a follower's from STOP); assemble fills the rest.
+	// res holds the verdict (the root's, with its Orphaned and Crashed, or
+	// a follower's from STOP), which assemble adds to the share's record.
 	res live.ReliableResult
 
 	exhSeen map[[2]int]int // the root's listener: latest EXHAUSTED generation per edge
@@ -255,7 +255,7 @@ func (rt *drt) ack(parent int, f ctlFrame) {
 // hearRoot handles one frame addressed to the root: a beat, a DONE
 // (recorded, acknowledged, and a beat too), an EXHAUSTED report (a repair
 // when its generation is new, acknowledged by KILL) or a STOP-ACK. What
-// the supervisor must hear it reports through the session. A frame naming
+// the supervisor must hear it reports on the share. A frame naming
 // hosts outside the tree is corrupted or foreign and is dropped before it
 // can skew the verdict or a repair.
 func (rt *drt) hearRoot(f ctlFrame) {
@@ -418,20 +418,14 @@ func (rt *drt) rootLoop() error {
 	return verdictErr
 }
 
-// assemble completes the process's result from quiescent state; the NIs'
-// records are the local hosts' results.
+// assemble completes the process's result: the session's record over
+// the local hosts, read from the quiescent share, with the verdict and the
+// root's supervision.
 func (rt *drt) assemble(runErr error) *live.ReliableResult {
-	res := &rt.res
-	res.Hosts, res.Wall = map[int]*live.HostRecord{}, rt.share.Now()
-	res.Packets, res.Epoch = rt.m, rt.share.Epoch()
+	res := rt.share.Result(rt.share.Now())
+	res.Status, res.Orphaned, res.Crashed = rt.res.Status, rt.res.Orphaned, rt.res.Crashed
 	if runErr != nil && rt.sup == nil {
 		res.Status = reliable.Failed
-	}
-	res.Sends, res.Retransmits, res.Duplicates, res.Fenced = rt.share.Totals()
-	for _, v := range rt.cfg.Local {
-		n := rt.share.NI(v)
-		res.Hosts[v] = &n.HostRecord
-		res.Latency = max(res.Latency, n.DoneAt)
 	}
 	if rt.sup != nil {
 		res.Views, res.Adoptions = rt.sup.Views(), rt.sup.Adoptions()

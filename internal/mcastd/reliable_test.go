@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"strings"
 	"sync"
@@ -171,9 +172,10 @@ func reliablePair(t *testing.T, cfgA, cfgB Config, rcfgA, rcfgB ReliableConfig) 
 }
 
 // lossyPairCase runs one two-process reliable run configured by rcfg in
-// both processes, checks byte-exact delivery and returns the
-// retransmissions of both.
-func lossyPairCase(t *testing.T, rcfg ReliableConfig, session uint64) (retransmits int) {
+// both processes, checks byte-exact delivery and, under a drop plane, that
+// every data send of a process drew one loss decision of its record's
+// Losses, and returns both processes' results.
+func lossyPairCase(t *testing.T, rcfg ReliableConfig, session uint64) (resA, resB *live.ReliableResult) {
 	t.Helper()
 	chain := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	tr := tree.KBinomial(chain, 2)
@@ -187,7 +189,7 @@ func lossyPairCase(t *testing.T, rcfg ReliableConfig, session uint64) (retransmi
 	mk := func(local []int, nw *link.UDPNetwork) Config {
 		return Config{Tree: tr, Packets: pkts, MsgID: 5, Local: local, Net: nw, Timeout: 20 * time.Second}
 	}
-	resA, resB := reliablePair(t, mk(localA, nwA), mk(localB, nwB), rcfg, rcfg)
+	resA, resB = reliablePair(t, mk(localA, nwA), mk(localB, nwB), rcfg, rcfg)
 	if resA.Status != reliable.Delivered || len(resA.Orphaned) != 0 {
 		t.Fatalf("root verdict %v orphaned %v, want full delivery", resA.Status, resA.Orphaned)
 	}
@@ -204,7 +206,18 @@ func lossyPairCase(t *testing.T, rcfg ReliableConfig, session uint64) (retransmi
 			t.Fatalf("faults %+v: peer-process host %d not byte-exact", rcfg.Faults, v)
 		}
 	}
-	return resA.Retransmits + resB.Retransmits
+	for _, res := range []*live.ReliableResult{resA, resB} {
+		drawn, lost := 0, 0
+		for _, p := range res.Losses {
+			drawn += p.Sent
+			lost += bits.OnesCount64(p.Lost) // Lost holds 64 sends; these edges send fewer
+		}
+		if rcfg.Faults.DropRate > 0 && (drawn != res.Sends || lost != res.Faults.Dropped) {
+			t.Fatalf("faults %+v: %d sends, %d dropped, but the loss patterns %+v drew %d and lost %d",
+				rcfg.Faults, res.Sends, res.Faults.Dropped, res.Losses, drawn, lost)
+		}
+	}
+	return resA, resB
 }
 
 // TestReliableFollowerExhaustion makes a follower process's own edge die:
@@ -275,8 +288,13 @@ func TestTwoDaemonsLossy(t *testing.T) {
 		rcfg := DefaultReliableConfig()
 		rcfg.RTO, rcfg.RTOMax = 2*time.Millisecond, 8*time.Millisecond
 		rcfg.Faults = fault.Plan{Seed: 7, AckDropRate: 0.3, MaxJitter: time.Millisecond}
-		if r := lossyPairCase(t, rcfg, 0x105A0); r == 0 {
+		resA, resB := lossyPairCase(t, rcfg, 0x105A0)
+		if resA.Retransmits+resB.Retransmits == 0 {
 			t.Fatal("30% ACK loss produced no retransmits")
+		}
+		if resA.Faults.AcksDropped == 0 || resB.Faults.AcksDropped == 0 {
+			t.Fatalf("30%% ACK loss dropped %d and %d ACKs; each process's record counts its own",
+				resA.Faults.AcksDropped, resB.Faults.AcksDropped)
 		}
 	})
 }

@@ -432,12 +432,13 @@ func (s *Scheduler) place(h *Handle) {
 	s.share.Inject(e)
 }
 
-// collect is the completion loop: it tracks admitted sessions, counts
-// the share's destination completions, enforces per-session deadlines
-// and settles every handle exactly once. The timer holds the earliest
-// deadline (next); every session waits the same SessionTimeout, so only
-// an admission to an idle timer moves it, and the pending deadlines are
-// scanned only when it fires — no event costs O(Window).
+// collect is the completion loop: it tracks admitted sessions, reads the
+// share's reports — counting destination completions, expiring a session
+// on its failure — enforces per-session deadlines and settles every
+// handle exactly once. The timer holds the earliest deadline (next);
+// every session waits the same SessionTimeout, so only an admission to an
+// idle timer moves it, and the pending deadlines are scanned only when it
+// fires — no event costs O(Window).
 func (s *Scheduler) collect() {
 	pending := map[*live.Entry]*Handle{}
 	const forever = time.Hour
@@ -485,28 +486,22 @@ func (s *Scheduler) collect() {
 			return
 		case h := <-s.admitted:
 			track(h)
-		case d := <-s.share.Done():
-			// A completion can beat its session through the select: the
+		case r := <-s.share.Reports():
+			// A report can beat its session through the select: the
 			// admitted send strictly precedes the first injection, but
 			// sits buffered until read. Drain first.
 			drainAdmitted()
-			h := pending[d.Entry]
+			h := pending[r.Entry]
 			if h == nil {
-				break // late completion of an expired session
+				break // late report of an expired session
 			}
-			h.acked++
-			if h.acked == h.dests {
-				delete(pending, d.Entry)
+			if r.Kind == live.ReportFailed {
+				delete(pending, r.Entry)
+				s.expire(h, r.Err)
+			} else if h.acked++; h.acked == h.dests {
+				delete(pending, r.Entry)
 				s.complete(h)
 			}
-		case f := <-s.share.Failed():
-			drainAdmitted()
-			h := pending[f.Entry]
-			if h == nil {
-				break
-			}
-			delete(pending, f.Entry)
-			s.expire(h, f.Err)
 		case <-timer.C:
 			drainAdmitted()
 			now := time.Now()

@@ -363,6 +363,45 @@ func TestSessionTimeoutReclaimsFabric(t *testing.T) {
 	}
 }
 
+// TestCorruptSessionFailsTyped damages one packet's body after
+// packetization: its header still validates, so Submit admits the session,
+// and the destinations' checksums fail. The failure reaches the collector
+// on the share's report queue; Wait returns it typed, not as a timeout,
+// and the scheduler goes on serving.
+func TestCorruptSessionFailsTyped(t *testing.T) {
+	s, err := New(hostRange(3), Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	bad := mustPacketize(t, 1, 0, payloadBytes(300, 1))
+	bad[1][len(bad[1])-1] ^= 0xFF
+	h, err := s.Submit(live.Session{Tree: chainTree(0, 3), Packets: bad, MsgID: 1})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	var se *SessionError
+	if _, err := h.Wait(); !errors.As(err, &se) || se.MsgID != 1 || errors.Is(err, ErrSessionTimeout) ||
+		!strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("corrupt session returned %v, want a *SessionError wrapping the checksum failure", err)
+	}
+	if st := s.Stats(); st.Failed != 1 || st.TimedOutInflight != 0 {
+		t.Fatalf("stats after the failure: %+v", st)
+	}
+	data := payloadBytes(300, 2)
+	good, err := s.Submit(live.Session{Tree: chainTree(0, 3), Packets: mustPacketize(t, 2, 0, data), MsgID: 2})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	res, err := good.Wait()
+	if err != nil || !bytes.Equal(res.Hosts[2].Data, data) {
+		t.Fatalf("the session after a failed one: %v", err)
+	}
+	if st := s.Stats(); st.Failed != 1 || st.Completed != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
 func TestCloseDrainsAndRejects(t *testing.T) {
 	s, err := New(hostRange(4), Config{Window: 2})
 	if err != nil {
