@@ -236,7 +236,7 @@ bench-build:
 examples:
 	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
-ci: check surface staticcheck live-race bench-build examples mcastcheck chaos-soak net-soak daemon-soak sched-soak psim-soak virtual-soak
+ci: check surface staticcheck live-race bench-build examples figures-check mcastcheck chaos-soak net-soak daemon-soak sched-soak psim-soak virtual-soak
 
 figures:
 	$(GO) run ./cmd/figures -csv -out figures

@@ -172,8 +172,8 @@ func (in Instance) Validate() error {
 	if in.K < 0 || in.K > 16 {
 		return fmt.Errorf("check: fanout bound %d", in.K)
 	}
-	if in.Disc != stepsim.FPFS && in.Disc != stepsim.FCFS && in.Disc != stepsim.Conventional {
-		return fmt.Errorf("check: unknown discipline %d", int(in.Disc))
+	if err := in.Disc.Validate(); err != nil {
+		return fmt.Errorf("check: %w", err)
 	}
 	if in.DropRate < 0 || in.DropRate >= 1 {
 		return fmt.Errorf("check: drop rate %f", in.DropRate)

@@ -152,10 +152,8 @@ func MulticastDisc(router routing.Router, tr *tree.Tree, m int, p Params, disc s
 	if m < 1 {
 		panic(fmt.Sprintf("flitsim: invalid packet count m=%d", m))
 	}
-	switch disc {
-	case stepsim.FPFS, stepsim.FCFS, stepsim.Conventional:
-	default:
-		panic(fmt.Sprintf("flitsim: unknown discipline %v", disc))
+	if err := disc.Validate(); err != nil {
+		panic("flitsim: " + err.Error())
 	}
 	s := &state{
 		router:  router,
@@ -193,7 +191,8 @@ type state struct {
 	gotPkts map[int]int         // host -> packets fully received
 	active  int                 // worms injected but not fully delivered
 	res     *Result
-	pending []timed // scheduled callbacks (NI receive overheads etc.)
+	pending []timed        // scheduled callbacks (NI receive overheads etc.)
+	copies  []stepsim.Copy // enqueueCopies' scratch
 }
 
 type timed struct {
@@ -220,42 +219,19 @@ func (s *state) enqueueWorm(v, c, pktIdx int) {
 	s.active++
 }
 
-// enqueueCopies queues forwarding copies of logical packet pktIdx at node
-// v per the discipline. Callers invoke it once per packet as the packet
-// becomes available at v (in index order).
+// enqueueCopies queues the forwarding copies that the discipline releases
+// at node v once logical packet pktIdx is available there. Callers invoke
+// it once per packet as the packet becomes available at v (in index
+// order).
 func (s *state) enqueueCopies(v, pktIdx int) {
 	children := s.tr.Children(v)
 	if len(children) == 0 {
 		return
 	}
-	switch s.disc {
-	case stepsim.FPFS:
-		for _, c := range children {
-			s.enqueueWorm(v, c, pktIdx)
-		}
-	case stepsim.FCFS:
-		// Stream each packet to the first child as it becomes available;
-		// once the whole message is present, serve the remaining children
-		// message-at-a-time.
-		s.enqueueWorm(v, children[0], pktIdx)
-		if pktIdx == s.m-1 {
-			for _, c := range children[1:] {
-				for j := 0; j < s.m; j++ {
-					s.enqueueWorm(v, c, j)
-				}
-			}
-		}
-	case stepsim.Conventional:
+	if s.disc == stepsim.Conventional && v != s.tr.Root() {
 		// Host store-and-forward: nothing leaves an intermediate node
 		// until the whole message is up at the host; the host then pays
-		// t_s per child. The source (which has the message at its NI
-		// already) behaves packet-major like FPFS.
-		if v == s.tr.Root() {
-			for _, c := range children {
-				s.enqueueWorm(v, c, pktIdx)
-			}
-			return
-		}
+		// t_s per child.
 		if pktIdx == s.m-1 {
 			base := s.p.HostRecvCycles
 			for i := range children {
@@ -267,6 +243,11 @@ func (s *state) enqueueCopies(v, pktIdx int) {
 				})
 			}
 		}
+		return
+	}
+	s.copies = s.disc.Release(s.copies[:0], s.m, len(children), pktIdx, pktIdx == s.m-1)
+	for _, c := range s.copies {
+		s.enqueueWorm(v, children[c.Child], int(c.Packet))
 	}
 }
 

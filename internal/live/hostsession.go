@@ -75,7 +75,7 @@ func (hs *HostSession) Serve(h message.Header, pkt []byte, from int, abort <-cha
 		done, err = hs.reasm.Put(h, body)
 	}
 	if err != nil {
-		return false, fmt.Errorf("live: host %d: packet %d from %d: %v", hs.Host, h.Seq, from, err)
+		return false, fmt.Errorf("live: host %d: packet %d from %d: %w", hs.Host, h.Seq, from, err)
 	}
 	if done {
 		hs.Data = hs.reasm.Bytes()

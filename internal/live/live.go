@@ -103,7 +103,7 @@ func (s Session) Validate() error {
 	for j, pkt := range s.Packets {
 		h, err := message.DecodeHeader(pkt)
 		if err != nil {
-			return fmt.Errorf("packet %d: %v", j, err)
+			return fmt.Errorf("packet %d: %w", j, err)
 		}
 		if h.MsgID != s.MsgID {
 			return fmt.Errorf("packet %d: header msgID %d != session msgID %d",

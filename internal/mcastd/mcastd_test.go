@@ -225,8 +225,8 @@ func TestCorruptPacketFailsRun(t *testing.T) {
 	const timeout = 10 * time.Second
 	start := time.Now()
 	res, err := Run(Config{Tree: tr, Packets: pkts, MsgID: 1, Local: tr.Nodes(), Net: nw, Timeout: timeout})
-	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("Run returned %v, want the checksum failure", err)
+	if !errors.Is(err, message.ErrCorrupt) {
+		t.Fatalf("Run returned %v, want message.ErrCorrupt", err)
 	}
 	if took := time.Since(start); took > timeout/2 {
 		t.Fatalf("the failure took %v to end the run, watchdog %v", took, timeout)

@@ -2,11 +2,16 @@ package message
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
-// FuzzDecodeHeader ensures the header decoder never panics and that every
-// successfully decoded header re-encodes to its canonical form's prefix.
+// typed reports whether a reject wraps one of the package's sentinels.
+func typed(err error) bool { return errors.Is(err, ErrCorrupt) || errors.Is(err, ErrMisfit) }
+
+// FuzzDecodeHeader ensures the header decoder never panics, that every
+// reject is typed, and that every successfully decoded header re-encodes
+// to its canonical form's prefix.
 func FuzzDecodeHeader(f *testing.F) {
 	good := Header{MsgID: 9, Source: 3, Seq: 1, Total: 4, Multicast: true, Payload: 10, Checksum: 99}
 	f.Add(good.Encode(nil))
@@ -16,6 +21,9 @@ func FuzzDecodeHeader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := DecodeHeader(data)
 		if err != nil {
+			if !typed(err) {
+				t.Fatalf("untyped reject: %v", err)
+			}
 			return
 		}
 		// Round-trip: canonical encoding must decode to the same header.
@@ -30,8 +38,9 @@ func FuzzDecodeHeader(f *testing.F) {
 }
 
 // FuzzReassemblerAdd ensures arbitrary packets never panic the
-// reassembler, that valid single-packet messages always complete, and that
-// what comes out is as long as what was accepted.
+// reassembler, that every reject is typed, that valid single-packet
+// messages always complete, and that what comes out is as long as what was
+// accepted.
 func FuzzReassemblerAdd(f *testing.F) {
 	pkts, _ := Packetize(1, 0, []byte("seed payload for the fuzzer"), 48)
 	for _, p := range pkts {
@@ -42,6 +51,9 @@ func FuzzReassemblerAdd(f *testing.F) {
 		r := NewReassembler()
 		done, err := r.Add(pkt)
 		if err != nil {
+			if !typed(err) {
+				t.Fatalf("untyped reject: %v", err)
+			}
 			return
 		}
 		got, total := r.Progress()
@@ -59,10 +71,10 @@ func FuzzReassemblerAdd(f *testing.F) {
 
 // FuzzCorruptedPacket is the fault-plane contract of the data plane: a
 // packet with one byte mutated anywhere — header, reserved padding and
-// payload alike — is rejected (CRC-32C over the wire bytes detects every
-// error burst of up to 32 bits), and the original still completes the
-// message. A corrupted packet must never be mis-reassembled into the wrong
-// slot, message, or content.
+// payload alike — is rejected as ErrCorrupt (CRC-32C over the wire bytes
+// detects every error burst of up to 32 bits), and the original still
+// completes the message. A corrupted packet must never be mis-reassembled
+// into the wrong slot, message, or content.
 func FuzzCorruptedPacket(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), 48, 3, byte(0x40))
 	f.Add([]byte{}, 21, 0, byte(1))
@@ -90,8 +102,8 @@ func FuzzCorruptedPacket(f *testing.F) {
 				}
 			}
 		}
-		if _, err := r.Add(mut); err == nil {
-			t.Fatalf("packet %d accepted with byte %d xor %#02x", idx, off, mask)
+		if _, err := r.Add(mut); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("packet %d with byte %d xor %#02x: %v, want ErrCorrupt", idx, off, mask, err)
 		}
 		if _, err := r.Add(orig); err != nil {
 			t.Fatalf("original packet rejected after corrupt attempt: %v", err)

@@ -19,6 +19,7 @@ package message
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 )
@@ -50,6 +51,17 @@ type Header struct {
 	// epoch is rejected like any other corruption.
 	Epoch uint16
 }
+
+// Reject sentinels, distinguishable with errors.Is: every received packet
+// that DecodeHeader, Verify, Parse or a Reassembler refuses wraps ErrCorrupt
+// (damaged bytes: a short or inconsistent header, a length that
+// disagrees, a checksum mismatch) or ErrMisfit (an intact packet that does
+// not fit the message being rebuilt: another message's, a duplicate, a
+// size off the layout).
+var (
+	ErrCorrupt = errors.New("message: corrupt packet")
+	ErrMisfit  = errors.New("message: packet does not fit the message")
+)
 
 var (
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -94,7 +106,7 @@ func (h Header) Encode(dst []byte) []byte {
 // packet is intact is Verify's question.
 func DecodeHeader(b []byte) (Header, error) {
 	if len(b) < HeaderSize {
-		return Header{}, fmt.Errorf("message: short header: %d bytes", len(b))
+		return Header{}, fmt.Errorf("%w: short header: %d bytes", ErrCorrupt, len(b))
 	}
 	h := Header{
 		MsgID:     binary.BigEndian.Uint32(b[0:]),
@@ -107,10 +119,10 @@ func DecodeHeader(b []byte) (Header, error) {
 		Epoch:     binary.BigEndian.Uint16(b[18:]),
 	}
 	if h.Total == 0 {
-		return Header{}, fmt.Errorf("message: zero-packet message")
+		return Header{}, fmt.Errorf("%w: zero-packet message", ErrCorrupt)
 	}
 	if h.Seq >= h.Total {
-		return Header{}, fmt.Errorf("message: seq %d >= total %d", h.Seq, h.Total)
+		return Header{}, fmt.Errorf("%w: seq %d >= total %d", ErrCorrupt, h.Seq, h.Total)
 	}
 	return h, nil
 }
@@ -133,10 +145,10 @@ func Parse(pkt []byte) (Header, []byte, error) {
 func (h Header) Verify(pkt []byte) ([]byte, error) {
 	body := pkt[HeaderSize:]
 	if len(body) != int(h.Payload) {
-		return nil, fmt.Errorf("message: payload length %d, header says %d", len(body), h.Payload)
+		return nil, fmt.Errorf("%w: payload length %d, header says %d", ErrCorrupt, len(body), h.Payload)
 	}
 	if checksum(pkt) != h.Checksum {
-		return nil, fmt.Errorf("message: checksum mismatch on packet %d", h.Seq)
+		return nil, fmt.Errorf("%w: checksum mismatch on packet %d", ErrCorrupt, h.Seq)
 	}
 	return body, nil
 }
@@ -253,12 +265,12 @@ func (r *Reassembler) Put(h Header, body []byte) (bool, error) {
 		r.buf = []byte{} // non-nil: an empty message, once complete, is still a message
 	}
 	if h.MsgID != r.msgID || h.Source != r.source || int(h.Total) != r.total {
-		return false, fmt.Errorf("message: packet from message %d/%d mixed into %d/%d",
-			h.MsgID, h.Source, r.msgID, r.source)
+		return false, fmt.Errorf("%w: packet from message %d/%d mixed into %d/%d",
+			ErrMisfit, h.MsgID, h.Source, r.msgID, r.source)
 	}
 	seq, n := int(h.Seq), len(body)
 	if r.have[seq] {
-		return false, fmt.Errorf("message: duplicate packet %d", seq)
+		return false, fmt.Errorf("%w: duplicate packet %d", ErrMisfit, seq)
 	}
 	last := seq == r.total-1
 	fits := r.chunk == 0 || n <= r.chunk // the last packet: no longer than the others
@@ -266,8 +278,8 @@ func (r *Reassembler) Put(h Header, body []byte) (bool, error) {
 		fits = n > 0 && n >= r.tail && (r.chunk == 0 || n == r.chunk)
 	}
 	if !fits {
-		return false, fmt.Errorf("message: packet %d carries %d payload bytes; the others carry %d, the last %d",
-			seq, n, r.chunk, r.tail)
+		return false, fmt.Errorf("%w: packet %d carries %d payload bytes; the others carry %d, the last %d",
+			ErrMisfit, seq, n, r.chunk, r.tail)
 	}
 	if last {
 		r.tail = n

@@ -3,12 +3,13 @@
 // by a multicast packet stream, under either forwarding discipline (FCFS
 // or FPFS).
 //
-// The event simulator (package sim) embeds equivalent logic per node; this
-// package exposes the NI alone so the Section 3.3 buffer-requirement
-// analysis can be studied and tested directly against the closed forms in
-// package analytic, for any inter-arrival pattern — including the
-// zero-delay best case the paper assumes and the bursty or delayed
-// arrivals it argues make FCFS strictly worse.
+// Its send queue is the order of stepsim's Discipline.Release, the one
+// service rule every engine's NI follows; this package exposes the NI
+// alone so the Section 3.3 buffer-requirement analysis can be studied and
+// tested directly against the closed forms in package analytic, for any
+// inter-arrival pattern — including the zero-delay best case the paper
+// assumes and the bursty or delayed arrivals it argues make FCFS strictly
+// worse.
 package netiface
 
 import (
@@ -58,8 +59,8 @@ func (t *Trace) MaxResidency() float64 {
 // Forward simulates one intermediate-node NI forwarding an m-packet
 // multicast message to c children. arrivals[j] is the time packet j is
 // fully received (must be non-decreasing); tsq is the time to inject one
-// packet copy. The send queue is served in discipline order; an injection
-// cannot start before the packet has arrived.
+// packet copy. The send queue is served in the order the discipline
+// releases copies; an injection cannot start before the packet has arrived.
 func Forward(d stepsim.Discipline, c int, arrivals []float64, tsq float64) *Trace {
 	if c < 1 {
 		panic(fmt.Sprintf("netiface: child count %d < 1", c))
@@ -77,26 +78,15 @@ func Forward(d stepsim.Discipline, c int, arrivals []float64, tsq float64) *Trac
 		}
 	}
 
-	type op struct{ packet int }
-	var queue []op
-	switch d {
-	case stepsim.FPFS:
-		for j := 0; j < m; j++ {
-			for i := 0; i < c; i++ {
-				queue = append(queue, op{j})
-			}
-		}
-	case stepsim.FCFS, stepsim.Conventional:
-		// Conventional host forwarding hands the NI the message per child
-		// as well; at the queue level it behaves like FCFS with the whole
-		// message present.
-		for i := 0; i < c; i++ {
-			for j := 0; j < m; j++ {
-				queue = append(queue, op{j})
-			}
-		}
-	default:
-		panic(fmt.Sprintf("netiface: unknown discipline %v", d))
+	// Conventional host forwarding hands the NI the whole message per
+	// child, so its queue is FCFS's with the whole message present.
+	rule := d
+	if d == stepsim.Conventional {
+		rule = stepsim.FCFS
+	}
+	var queue []stepsim.Copy
+	for j := 0; j < m; j++ {
+		queue = rule.Release(queue, m, c, j, j == m-1)
 	}
 
 	tr := &Trace{
@@ -112,14 +102,15 @@ func Forward(d stepsim.Discipline, c int, arrivals []float64, tsq float64) *Trac
 	copies := make([]int, m)
 	now := 0.0
 	for _, o := range queue {
-		start := math.Max(now, arrivals[o.packet])
+		j := o.Packet
+		start := math.Max(now, arrivals[j])
 		now = start + tsq
-		copies[o.packet]++
-		if copies[o.packet] == 1 {
-			tr.FirstServed[o.packet] = start
+		copies[j]++
+		if copies[j] == 1 {
+			tr.FirstServed[j] = start
 		}
-		if copies[o.packet] == c {
-			tr.Freed[o.packet] = now
+		if copies[j] == c {
+			tr.Freed[j] = now
 		}
 	}
 	tr.Makespan = now

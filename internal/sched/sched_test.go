@@ -382,8 +382,8 @@ func TestCorruptSessionFailsTyped(t *testing.T) {
 	}
 	var se *SessionError
 	if _, err := h.Wait(); !errors.As(err, &se) || se.MsgID != 1 || errors.Is(err, ErrSessionTimeout) ||
-		!strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("corrupt session returned %v, want a *SessionError wrapping the checksum failure", err)
+		!errors.Is(err, message.ErrCorrupt) {
+		t.Fatalf("corrupt session returned %v, want a *SessionError wrapping message.ErrCorrupt", err)
 	}
 	if st := s.Stats(); st.Failed != 1 || st.TimedOutInflight != 0 {
 		t.Fatalf("stats after the failure: %+v", st)

@@ -268,6 +268,7 @@ type worker struct {
 	q         eventQueue[pevent]
 	actions   []action
 	processed int
+	copies    []stepsim.Copy // enqueue's scratch
 
 	// creator key of the event currently being processed; emit copies it
 	// into each action.
@@ -361,8 +362,8 @@ func run(router routing.Router, sessions []Session, p Params, disc stepsim.Disci
 	// Refused here, on the caller's goroutine: the first code to switch on
 	// the discipline runs on a pool goroutine under the windowed scheduler,
 	// where a panic is beyond any recover.
-	if disc != stepsim.FPFS && disc != stepsim.FCFS && disc != stepsim.Conventional {
-		panic(fmt.Sprintf("sim: unknown discipline %v", disc))
+	if err := disc.Validate(); err != nil {
+		panic("sim: " + err.Error())
 	}
 	if len(sessions) == 0 {
 		panic("sim: no sessions")
@@ -632,8 +633,8 @@ func (e *model) processStart(w *worker, ev *pevent) {
 	base := slot * m
 	for j := 0; j < m; j++ {
 		tab.copies[base+j] = int32(deg)
+		e.enqueue(w, tab, ev.sess, v, slot, j, j == m-1)
 	}
-	e.enqueueAll(tab, ev.sess, v, slot)
 	e.pump(w, v, ev.at)
 }
 
@@ -678,20 +679,17 @@ func (e *model) processDeliver(w *worker, ev *pevent) {
 	if deg == 0 {
 		return
 	}
-	switch e.disc {
-	case stepsim.FPFS, stepsim.FCFS:
-		e.enqueueOne(tab, ev.sess, dst, slot, ev.arg)
+	if e.disc != stepsim.Conventional {
+		e.enqueue(w, tab, ev.sess, dst, slot, int(ev.arg), int(tab.recv[slot]) == tab.m)
 		e.pump(w, dst, ev.at)
-	case stepsim.Conventional:
-		if int(tab.recv[slot]) == tab.m {
-			// runWindowed ends Conventional windows at the first of these
-			// times, computed in this evaluation order.
-			base := ev.at + e.p.THostRecv
-			cb := tab.childBase[slot]
-			for i := 0; i < deg; i++ {
-				w.emit(action{kind: aFwd, sess: ev.sess, host: dst,
-					edge: cb + int32(i), at: base + float64(i+1)*e.p.THostSend})
-			}
+	} else if int(tab.recv[slot]) == tab.m {
+		// runWindowed ends Conventional windows at the first of these
+		// times, computed in this evaluation order.
+		base := ev.at + e.p.THostRecv
+		cb := tab.childBase[slot]
+		for i := 0; i < deg; i++ {
+			w.emit(action{kind: aFwd, sess: ev.sess, host: dst,
+				edge: cb + int32(i), at: base + float64(i+1)*e.p.THostSend})
 		}
 	}
 }
@@ -707,52 +705,14 @@ func (e *model) processFwd(w *worker, ev *pevent) {
 	e.pump(w, ev.host, ev.at)
 }
 
-// enqueueAll queues every packet of a session at its source, per the
-// discipline (the source always holds the complete message).
-func (e *model) enqueueAll(tab *sessTab, si, v int32, slot int) {
-	q := &e.queues[v]
-	m := tab.m
-	base := tab.childBase[slot]
-	deg := int(tab.deg[slot])
-	switch e.disc {
-	case stepsim.FPFS, stepsim.Conventional:
-		for j := 0; j < m; j++ {
-			for ei := 0; ei < deg; ei++ {
-				q.ops = append(q.ops, qop{sess: si, edge: base + int32(ei), packet: int32(j)})
-			}
-		}
-	case stepsim.FCFS:
-		for j := 0; j < m; j++ {
-			q.ops = append(q.ops, qop{sess: si, edge: base, packet: int32(j)})
-		}
-		for ei := 1; ei < deg; ei++ {
-			for j := 0; j < m; j++ {
-				q.ops = append(q.ops, qop{sess: si, edge: base + int32(ei), packet: int32(j)})
-			}
-		}
-	}
-}
-
-// enqueueOne queues one just-received packet at a forwarder (smart
-// disciplines only; Conventional forwards via fwd events instead).
-func (e *model) enqueueOne(tab *sessTab, si, v int32, slot int, pkt int32) {
+// enqueue queues the copies the discipline releases at v once packet pkt
+// is available there, through the worker's scratch slice.
+func (e *model) enqueue(w *worker, tab *sessTab, si, v int32, slot, pkt int, complete bool) {
 	q := &e.queues[v]
 	base := tab.childBase[slot]
-	deg := int(tab.deg[slot])
-	switch e.disc {
-	case stepsim.FPFS:
-		for ei := 0; ei < deg; ei++ {
-			q.ops = append(q.ops, qop{sess: si, edge: base + int32(ei), packet: pkt})
-		}
-	case stepsim.FCFS:
-		q.ops = append(q.ops, qop{sess: si, edge: base, packet: pkt})
-		if int(tab.recv[slot]) == tab.m {
-			for ei := 1; ei < deg; ei++ {
-				for j := 0; j < tab.m; j++ {
-					q.ops = append(q.ops, qop{sess: si, edge: base + int32(ei), packet: int32(j)})
-				}
-			}
-		}
+	w.copies = e.disc.Release(w.copies[:0], tab.m, int(tab.deg[slot]), pkt, complete)
+	for _, c := range w.copies {
+		q.ops = append(q.ops, qop{sess: si, edge: base + c.Child, packet: c.Packet})
 	}
 }
 

@@ -56,6 +56,45 @@ func (d Discipline) String() string {
 	}
 }
 
+// Validate returns an error unless d is one of the three disciplines.
+func (d Discipline) Validate() error {
+	if d < FPFS || d > Conventional {
+		return fmt.Errorf("unknown discipline %v", d)
+	}
+	return nil
+}
+
+// Copy is one packet copy an NI injects toward one of its children.
+type Copy struct{ Packet, Child int32 }
+
+// Release is the one NI service rule: it appends to q the copies that an
+// NI with c children may inject once packet pkt of an m-packet message is
+// available, and complete says the NI then holds the whole message. The
+// source calls it for packets 0..m-1 in order, a forwarder as each packet
+// arrives. FPFS and Conventional release pkt to every child: packet-major.
+// FCFS releases pkt to child 0 and, once complete, the whole message to
+// each later child in turn: child-major. A Conventional forwarder is the
+// exception the engines model themselves: its host stores the message and
+// forwards it whole.
+func (d Discipline) Release(q []Copy, m, c, pkt int, complete bool) []Copy {
+	if err := d.Validate(); err != nil {
+		panic("stepsim: " + err.Error())
+	}
+	now := c // children that take pkt as it becomes available
+	if d == FCFS {
+		now = min(c, 1)
+	}
+	for ci := 0; ci < now; ci++ {
+		q = append(q, Copy{int32(pkt), int32(ci)})
+	}
+	for ci := now; complete && ci < c; ci++ {
+		for j := 0; j < m; j++ {
+			q = append(q, Copy{int32(j), int32(ci)})
+		}
+	}
+	return q
+}
+
 // Schedule is the result of simulating an m-packet multicast over a tree.
 type Schedule struct {
 	Discipline Discipline
@@ -115,6 +154,9 @@ func Run(tr *tree.Tree, m int, d Discipline) *Schedule {
 	if m < 1 {
 		panic(fmt.Sprintf("stepsim: invalid packet count m=%d", m))
 	}
+	if err := d.Validate(); err != nil {
+		panic("stepsim: " + err.Error())
+	}
 	s := &Schedule{
 		Discipline: d,
 		Packets:    m,
@@ -126,14 +168,19 @@ func Run(tr *tree.Tree, m int, d Discipline) *Schedule {
 
 	// Process nodes top-down in preorder: a node's schedule depends only on
 	// its own arrivals, which its parent has already fixed.
+	var q []Copy // the NI's service order, rebuilt per node
 	var visit func(v int)
 	visit = func(v int) {
 		arr := s.Arrival[v]
 		children := tr.Children(v)
 		if len(children) > 0 {
+			q = q[:0]
+			for j := 0; j < m; j++ {
+				q = d.Release(q, m, len(children), j, j == m-1)
+			}
 			niFree := 1 // earliest step this NI can inject next
-			for _, send := range order(d, m, len(children)) {
-				j, ci := send.packet, send.child
+			for _, cp := range q {
+				j := int(cp.Packet)
 				ready := arr[j] + 1 // forwardable the step after arrival
 				if v == root {
 					ready = 1 // all packets present before step 1
@@ -149,7 +196,7 @@ func Run(tr *tree.Tree, m int, d Discipline) *Schedule {
 						step = wait
 					}
 				}
-				c := children[ci]
+				c := children[cp.Child]
 				ca, ok := s.Arrival[c]
 				if !ok {
 					ca = make([]int, m)
@@ -172,33 +219,6 @@ func Run(tr *tree.Tree, m int, d Discipline) *Schedule {
 		}
 	}
 	return s
-}
-
-// sendOrder is the (packet, child) sequence an NI serves.
-type sendOrder struct{ packet, child int }
-
-// order returns the per-NI service order for m packets and c children.
-//
-// FPFS and Conventional: packet-major (packet 0 to all children, then
-// packet 1, ...). FCFS: child-major (all packets to child 0, then child 1,
-// ...). For Conventional the order within the burst is immaterial because
-// the whole message is already buffered.
-func order(d Discipline, m, c int) []sendOrder {
-	out := make([]sendOrder, 0, m*c)
-	if d == FCFS {
-		for ci := 0; ci < c; ci++ {
-			for j := 0; j < m; j++ {
-				out = append(out, sendOrder{j, ci})
-			}
-		}
-		return out
-	}
-	for j := 0; j < m; j++ {
-		for ci := 0; ci < c; ci++ {
-			out = append(out, sendOrder{j, ci})
-		}
-	}
-	return out
 }
 
 // Steps is a convenience wrapper returning only the total step count.

@@ -3,6 +3,7 @@ package stepsim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -286,6 +287,47 @@ func TestRunPanics(t *testing.T) {
 		}()
 		s.PacketDone(5)
 	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("expected panic for an unknown discipline")
+			}
+		}()
+		Steps(tree.KBinomial(chainN(10), 2), 4, Discipline(9))
+	}()
+}
+
+// TestReleaseOrder holds the service rule to the explicit enumerations:
+// called for packets 0..m-1 in order, FPFS and Conventional release
+// packet-major, FCFS child-major, and appending allocates nothing.
+func TestReleaseOrder(t *testing.T) {
+	for m := 1; m <= 5; m++ {
+		for c := 0; c <= 5; c++ {
+			var packetMajor, childMajor []Copy
+			for j := 0; j < m; j++ {
+				for ci := 0; ci < c; ci++ {
+					packetMajor = append(packetMajor, Copy{int32(j), int32(ci)})
+				}
+			}
+			for ci := 0; ci < c; ci++ {
+				for j := 0; j < m; j++ {
+					childMajor = append(childMajor, Copy{int32(j), int32(ci)})
+				}
+			}
+			for d, want := range map[Discipline][]Copy{FPFS: packetMajor, FCFS: childMajor, Conventional: packetMajor} {
+				got := make([]Copy, 0, m*c)
+				allocs := testing.AllocsPerRun(1, func() {
+					got = got[:0]
+					for j := 0; j < m; j++ {
+						got = d.Release(got, m, c, j, j == m-1)
+					}
+				})
+				if !slices.Equal(got, want) || allocs != 0 {
+					t.Errorf("%v m=%d c=%d: released %v (%v allocs), want %v", d, m, c, got, allocs, want)
+				}
+			}
+		}
+	}
 }
 
 func TestQuickScheduleInvariants(t *testing.T) {
