@@ -161,12 +161,19 @@ psim-soak:
 # 64-host irregular network (repro.DeliverReliable,
 # internal/reliable/soak_test.go): 500 seeds, each a broadcast under loss,
 # corruption, one mid-flight link kill and one crash, 25 fresh seeds per
-# -count pass, plain and under the race detector.
+# -count pass, plain and under the race detector. Its plain-session arm
+# (TestVirtualMatchesSimSoak, internal/check/live_test.go) holds two
+# contending plain sessions in virtual time over the switched network
+# (live.RunSwitched) to sim to the nanosecond: virtual-matches-sim on
+# 1,000 cases of a fresh seed per -count pass, plain and under the race
+# detector.
 virtual-soak:
 	$(GO) test -count=20 -run TestVirtualTimeChaos -v ./internal/live
 	$(GO) test -race -count=20 -run TestVirtualTimeChaos ./internal/live
 	$(GO) test -count=20 -run TestSwitchedChaos -v ./internal/reliable
 	$(GO) test -race -count=20 -run TestSwitchedChaos ./internal/reliable
+	$(GO) test -count=20 -run TestVirtualMatchesSimSoak -v ./internal/check
+	$(GO) test -race -count=20 -run TestVirtualMatchesSimSoak ./internal/check
 
 # Flake hunt: the wall-clock packages' tests 20 times at GOMAXPROCS 1 and 2
 # while a loop of flit-simulator and experiment tests keeps both CPUs busy —

@@ -1,12 +1,16 @@
 package check
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 
 	"repro/internal/fault"
+	"repro/internal/live"
+	"repro/internal/message"
 	"repro/internal/psim"
 	"repro/internal/sim"
+	"repro/internal/stepsim"
 	"repro/internal/tree"
 )
 
@@ -37,6 +41,54 @@ func (w *world) psimSessions() []sim.Session {
 	return sessions
 }
 
+// niPorts is the instance's NI port count: odd fault seeds run a 2-port
+// NI, so the multi-injection pump is covered.
+func (in Instance) niPorts() int { return 1 + int(in.FaultSeed%2) }
+
+// checkVirtualMatchesSim holds plain sessions on the live data plane, run
+// in virtual time over the switched network (live.RunSwitched), to the
+// simulator: psimSessions' two sessions, which contend for NIs and
+// channels, at the harness protocol's constants and the instance's NI
+// port count, must equal sim.Concurrent FPFS to the nanosecond — every
+// session's finish, every destination's completion (DoneAt, t_r included,
+// against HostDone) and the total sends — and deliver byte-exactly.
+func checkVirtualMatchesSim(w *world) error {
+	p := reliableConfig().Params
+	p.NIPorts = w.inst.niPorts()
+	want := w.psimSessions()
+	ref := sim.Concurrent(w.sys.Router, want, p, stepsim.FPFS)
+	data := w.inst.livePayload()
+	sessions, start, payloads := make([]live.Session, len(want)), make([]float64, len(want)), make([][]byte, len(want))
+	for i, ws := range want {
+		payloads[i] = data[len(data)-ws.Packets*(p.PacketBytes-message.HeaderSize):]
+		pkts, err := message.Packetize(uint32(i+1), ws.Tree.Root(), payloads[i], p.PacketBytes)
+		if err != nil || len(pkts) != ws.Packets {
+			return fmt.Errorf("session %d: %d packets (%v), want %d", i, len(pkts), err, ws.Packets)
+		}
+		sessions[i], start[i] = live.Session{Tree: ws.Tree, Packets: pkts, MsgID: uint32(i + 1)}, ws.Start
+	}
+	got, err := live.RunSwitched(w.sys, sessions, start, p)
+	if err != nil {
+		return fmt.Errorf("virtual run failed: %v", err)
+	}
+	if got.Sends != ref.Sends {
+		return fmt.Errorf("virtual run sent %d copies, sim %d", got.Sends, ref.Sends)
+	}
+	for i, sr := range got.Sessions {
+		if at := nanos(start[i] + ref.Sessions[i].Latency); sr.FinishAt != at {
+			return fmt.Errorf("session %d finished at %v, sim at %v", i, sr.FinishAt, at)
+		}
+		for _, h := range want[i].Tree.Nodes() { // ascending, so a report names one host
+			hd, dest := ref.Sessions[i].HostDone[h]
+			if rec := sr.Hosts[h]; dest && (rec.DoneAt != nanos(hd) || !bytes.Equal(rec.Data, payloads[i])) {
+				return fmt.Errorf("session %d host %d done at %v holding %d B, sim at %v (%d B)",
+					i, h, rec.DoneAt, len(rec.Data), nanos(hd), len(payloads[i]))
+			}
+		}
+	}
+	return nil
+}
+
 // checkPsimMatchesSim is the windowed scheduler's differential gate. Both
 // sides run one session model (internal/sim/model.go), so this compares
 // schedulers — the serial loop is the reference — not two models; the
@@ -52,13 +104,12 @@ func (w *world) psimSessions() []sim.Session {
 func checkPsimMatchesSim(w *world) error {
 	sessions := w.psimSessions()
 
-	// Lossless traced arm, calibration constants; odd fault seeds run a
-	// 2-port NI so the multi-injection pump is covered. It runs twice: as
-	// is, and with every start raised by 1e18, where the clock absorbs
-	// every delay, windows degrade to one timestamp and only seq is left
-	// to order events.
+	// Lossless traced arm, calibration constants, the instance's NI ports.
+	// It runs twice: as is, and with every start raised by 1e18, where the
+	// clock absorbs every delay, windows degrade to one timestamp and only
+	// seq is left to order events.
 	p := calibrationParams()
-	p.NIPorts = 1 + int(w.inst.FaultSeed%2)
+	p.NIPorts = w.inst.niPorts()
 	for _, offset := range []float64{0, 1e18} {
 		shifted := append([]sim.Session(nil), sessions...)
 		for i := range shifted {

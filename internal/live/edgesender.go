@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/live/link"
-	"repro/internal/message"
 	"repro/internal/workload"
 )
 
@@ -214,7 +213,7 @@ func rearm(t *time.Timer, d time.Duration) {
 	t.Reset(d)
 }
 
-// send injects one (re)transmission, stamped with the session's epoch
+// send injects one (re)transmission, as the share stamped it for the epoch
 // once the membership plane is armed. While the session's crash schedule
 // has the parent down the send vanishes silently but still burns retry
 // budget, so a long crash exhausts the edge and triggers repair even
@@ -225,13 +224,11 @@ func (e *EdgeSender) send(seq int, retrans bool) bool {
 	if e.s.down(e.From(), e.s.Now()) {
 		return true
 	}
-	pkt := e.cfg.Packets[seq]
-	if g := e.s.Epoch(); g > 0 {
-		if stamped, err := message.WithEpoch(pkt, uint16(g)); err == nil {
-			pkt = stamped
-		}
+	pkts := e.cfg.Packets
+	if st := e.s.stamped.Load(); st != nil {
+		pkts = *st
 	}
-	if err := e.tr.Send(pkt, e.cfg.Abort); err != nil {
+	if err := e.tr.Send(pkts[seq], e.cfg.Abort); err != nil {
 		if !errors.Is(err, link.ErrAborted) {
 			e.s.Report(Report{Kind: ReportExhausted, Host: e.From(), To: e.To()})
 		}

@@ -131,6 +131,7 @@ func TestEdgeSender(t *testing.T) {
 
 	t.Run("a stale-epoch ACK is fenced and suppresses nothing", func(t *testing.T) {
 		sess := bareSession()
+		sess.cfg.Edge.Packets = pkts // the session stamps its packets
 		sess.SetEpoch(2)
 		r := startEdge(t, quiet, sess, 0)
 		r.e.Ack(EdgeAck{Seq: 0, Epoch: 1})

@@ -259,49 +259,17 @@ func (e *DuplicateSessionError) Unwrap() error { return ErrDuplicateSession }
 // tree host and blocks until every destination of every session has
 // acknowledged its fully reassembled message, or the watchdog fires.
 func Run(sessions []Session, cfg Config) (*Result, error) {
-	if len(sessions) == 0 {
-		return nil, fmt.Errorf("live: no sessions")
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
-	seen := map[uint32]bool{}
-	inbound := map[int]int{} // frames each tree host receives, across sessions
-	totalDests := 0
-	for i, s := range sessions {
-		if err := s.validate(i); err != nil {
-			return nil, err
-		}
-		if seen[s.MsgID] {
-			return nil, &DuplicateSessionError{MsgID: s.MsgID, Index: i, Root: s.Tree.Root()}
-		}
-		seen[s.MsgID] = true
-		totalDests += s.Tree.Size() - 1
-		for _, v := range s.Tree.Nodes() {
-			inbound[v] += len(s.Packets)
-		}
-		inbound[s.Tree.Root()] -= len(s.Packets)
-	}
-	// An unbounded wire holds the most frames any one host receives, so
-	// senders never block on it.
-	hosts, wire := make([]int, 0, len(inbound)), 0
-	for v, k := range inbound {
-		hosts = append(hosts, v)
-		wire = max(wire, k)
-	}
-	s, err := NewShare(hosts, wire, DefaultQuantum, cfg)
+	s, entries, err := joinShare(sessions, DefaultQuantum, cfg, nil)
 	if err != nil {
-		return nil, fmt.Errorf("live: %w", err)
+		return nil, err
 	}
-	entries := make([]*Entry, len(sessions))
-	for i, sess := range sessions {
-		if entries[i], err = s.Add(sess, s.Aborted()); err != nil {
-			s.Stop()
-			return nil, fmt.Errorf("live: %w", err)
-		}
-	}
+	totalDests := 0
 	for _, e := range entries {
 		s.Inject(e)
+		totalDests += e.Tree.Size() - 1
 	}
 	s.Start()
 
@@ -331,6 +299,48 @@ func Run(sessions []Session, cfg Config) (*Result, error) {
 		return nil, runErr
 	}
 	return assemble(entries, wall, cfg.Record), nil
+}
+
+// joinShare validates a run's sessions (unique by MsgID) and joins them to
+// one share of every tree host, driven by v (nil: the wall), whose wire
+// holds the most frames a host receives: an unbounded one never blocks.
+func joinShare(sessions []Session, quantum int, cfg Config, v *virtual) (*Share, []*Entry, error) {
+	if len(sessions) == 0 {
+		return nil, nil, fmt.Errorf("live: no sessions")
+	}
+	seen := map[uint32]bool{}
+	inbound := map[int]int{} // frames each tree host receives, across sessions
+	for i, s := range sessions {
+		if err := s.validate(i); err != nil {
+			return nil, nil, err
+		}
+		if seen[s.MsgID] {
+			return nil, nil, &DuplicateSessionError{MsgID: s.MsgID, Index: i, Root: s.Tree.Root()}
+		}
+		seen[s.MsgID] = true
+		for _, v := range s.Tree.Nodes() {
+			inbound[v] += len(s.Packets)
+		}
+		inbound[s.Tree.Root()] -= len(s.Packets)
+	}
+	hosts, wire := make([]int, 0, len(inbound)), 0
+	for v, k := range inbound {
+		hosts = append(hosts, v)
+		wire = max(wire, k)
+	}
+	s, err := NewShare(hosts, wire, quantum, cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("live: %w", err)
+	}
+	v.attach(s, nil)
+	entries := make([]*Entry, len(sessions))
+	for i, sess := range sessions {
+		if entries[i], err = s.Add(sess, s.Aborted()); err != nil {
+			s.Stop()
+			return nil, nil, fmt.Errorf("live: %w", err)
+		}
+	}
+	return s, entries, nil
 }
 
 // watchdogError snapshots the incomplete destinations at timeout, with

@@ -232,6 +232,7 @@ func (s *Share) Add(sess Session, abort <-chan struct{}) (*Entry, error) {
 			if err != nil {
 				return nil, err
 			}
+			tr = s.virt.transport(tr, tr)
 			if s.cfg.Record {
 				tr = recorded{Transport: tr, s: s, ns: ns}
 			}
@@ -415,7 +416,7 @@ func (n *ni) run() {
 // step is one turn of the NI: stage every frame the wire holds (so it never
 // backs up), take every source and edit handed over, then give the session
 // at the ring's head a quantum of service, sending it to the tail while it
-// is still backlogged.
+// is still backlogged; a ring left backlogged gets another turn at once.
 func (n *ni) step() {
 	for len(n.inbox.Wire()) > 0 { // only this NI receives, so neither blocks
 		n.stage(<-n.inbox.Wire())
@@ -464,6 +465,9 @@ func (n *ni) step() {
 	default:
 		ns.deficit, ns.queued = 0, false
 	}
+	if n.head < len(n.ring) {
+		n.s.virt.turn(n) // on the wall, run loops back to step
+	}
 }
 
 // adopt puts the sources Inject handed over into the ring, stamping each
@@ -509,7 +513,7 @@ func (n *ni) stage(f link.Frame) {
 		n.mu.Unlock()
 		if m := n.s.reliable.Load(); ns == nil && m != nil {
 			if rn := (*m)[h.MsgID][n.host]; rn != nil {
-				rn.serve(f)
+				rn.serve(f, h)
 				n.inbox.Release()
 				return
 			}
@@ -537,6 +541,7 @@ func (n *ni) serve(ns *niSession, st staged) {
 	if err != nil {
 		n.s.failed(ns, err)
 	} else if done {
+		n.s.virt.receive(&ns.HostRecord, ns.Data, ns.DoneAt)
 		n.s.trace(ns, "done", -1, -1)
 		n.s.Report(Report{Kind: ReportDone, Entry: ns.e, Host: n.host, At: ns.DoneAt})
 	}

@@ -241,7 +241,7 @@ func newRun(s Session, cfg ReliableConfig, virt *virtual) (*rrt, error) {
 		MaxRegrafts: cfg.MaxRegrafts,
 		Timeout:     cfg.Live.Timeout,
 	})
-	if virt.switched() {
+	if virt != nil && virt.sw != nil {
 		rt.sup.geo = virt.sw.geo
 	}
 	return rt, nil

@@ -102,10 +102,10 @@ func (n *ReliableNI) replay(edges []*EdgeSender) {
 	}
 }
 
-// serve handles one frame of the session: crash blackhole, amnesiac
-// rejoin, integrity and epoch checks, ACK, dedup, FPFS forward,
-// reassembly. The NI loop releases the frame's slot after it.
-func (n *ReliableNI) serve(f link.Frame) {
+// serve handles one frame of the session, h its header as the NI loop
+// decoded it: crash blackhole, amnesiac rejoin, integrity and epoch checks,
+// ACK, dedup, FPFS forward, reassembly. The loop then releases its slot.
+func (n *ReliableNI) serve(f link.Frame, h message.Header) {
 	s := n.share
 	now := s.Now()
 	if s.down(n.Host, now) {
@@ -132,7 +132,7 @@ func (n *ReliableNI) serve(f link.Frame) {
 	}
 	// Corrupted in transit or out of range: drop silently; retransmission
 	// recovers.
-	h, body, err := message.Parse(f.Payload)
+	body, err := h.Verify(f.Payload)
 	if err != nil || int(h.Seq) >= len(n.got) {
 		return
 	}
@@ -165,7 +165,7 @@ func (n *ReliableNI) serve(f link.Frame) {
 	// root, which holds every packet from the start).
 	if done, err := n.reasm.Put(h, body); err == nil && done {
 		at := s.Now()
-		s.virt.receive(n, n.reasm.Bytes(), at)
+		s.virt.receive(&n.HostRecord, n.reasm.Bytes(), at)
 		s.Report(Report{Kind: ReportDone, Host: n.Host, At: at})
 	}
 }

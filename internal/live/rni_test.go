@@ -10,7 +10,7 @@ import (
 )
 
 // TestReliableNIValidatesOnce: the NI's one look at a frame's integrity is
-// message.Parse, before the epoch fence. A frame damaged on the wire is
+// Header.Verify on the header the NI loop decoded, before the epoch fence. A frame damaged on the wire is
 // dropped unacknowledged; a frame that changes after that look — here
 // inside the share's Remote sink, which its ACK reaches first once the
 // frame has passed — is reassembled as it then reads, because no second
@@ -40,7 +40,7 @@ func TestReliableNIValidatesOnce(t *testing.T) {
 
 	cur = append([]byte(nil), pkts[0]...)
 	cur[message.HeaderSize] ^= 0x04
-	n.serve(link.Frame{From: 0, Payload: cur})
+	deliverFrame(n, 0, cur)
 	if acks != 0 || n.Recvs != 0 {
 		t.Fatalf("a damaged frame was acknowledged %d times and accepted %d times", acks, n.Recvs)
 	}
@@ -48,7 +48,7 @@ func TestReliableNIValidatesOnce(t *testing.T) {
 	var want []byte
 	for _, p := range pkts {
 		cur = append([]byte(nil), p...)
-		n.serve(link.Frame{From: 0, Payload: cur})
+		deliverFrame(n, 0, cur)
 		want = append(want, cur[message.HeaderSize:]...)
 	}
 	if r := reports(share); acks != len(pkts) || n.Recvs != len(pkts) || len(r) != 1 || r[0].Kind != ReportDone {
@@ -57,4 +57,11 @@ func TestReliableNIValidatesOnce(t *testing.T) {
 	if !bytes.Equal(n.Data, want) {
 		t.Fatal("the message is not the frames as they read when they were reassembled")
 	}
+}
+
+// deliverFrame hands n a frame from host from as the NI loop does, with
+// its header decoded.
+func deliverFrame(n *ReliableNI, from int, pkt []byte) {
+	h, _ := message.DecodeHeader(pkt)
+	n.serve(link.Frame{From: from, Payload: pkt}, h)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/live/link"
+	"repro/internal/message"
 	"repro/internal/tree"
 )
 
@@ -59,10 +60,11 @@ type ReliableShare struct {
 	nis    map[int]*ReliableNI
 	routes []atomic.Pointer[EdgeSender]
 	// epoch is the fence register: 0 while the membership plane is
-	// unarmed, otherwise the latest view's epoch. Senders stamp it into
-	// outgoing frames, receivers discard frames below it.
-	epoch atomic.Int64
-	all   []*EdgeSender // every incarnation ever built, for Result
+	// unarmed, otherwise the latest view's epoch. Senders send the packets
+	// stamped with it (nil at 0); receivers discard frames below it.
+	epoch   atomic.Int64
+	stamped atomic.Pointer[[][]byte]
+	all     []*EdgeSender // every incarnation ever built, for Result
 }
 
 // AddReliable joins a reliable session to the share: a ReliableNI per
@@ -233,10 +235,16 @@ func (s *ReliableShare) Retire(a, b int) {
 // Epoch returns the fence register.
 func (s *ReliableShare) Epoch() int { return int(s.epoch.Load()) }
 
-// SetEpoch raises the fence register to e; it never lowers it, so a
-// reordered or replayed announcement cannot reopen a fenced epoch.
+// SetEpoch raises the fence register to e, stamping the packets once; it
+// never lowers it, so a reordered or replayed announcement cannot reopen
+// a fenced epoch.
 func (s *ReliableShare) SetEpoch(e int) {
 	if e > s.Epoch() {
+		pkts := make([][]byte, len(s.cfg.Edge.Packets))
+		for i, p := range s.cfg.Edge.Packets {
+			pkts[i], _ = message.WithEpoch(p, uint16(e)) // the session's packets are valid
+		}
+		s.stamped.Store(&pkts)
 		s.epoch.Store(int64(e))
 	}
 }

@@ -159,7 +159,7 @@ func TestSupervisorRemoteOrders(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.share.NI(to).serve(link.Frame{From: from, Payload: pkt})
+		deliverFrame(s.share.NI(to), from, pkt)
 		return s.share.Route(to, from)
 	}
 

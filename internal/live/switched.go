@@ -1,7 +1,9 @@
 package live
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -46,6 +48,43 @@ func Deliver(sys *core.System, plan *core.Plan, payload []byte, cfg reliable.Con
 	det := membership.DefaultConfig()
 	rcfg.Heartbeat = HeartbeatParams{SuspectAfter: dur(det.SuspectAfter), ConfirmAfter: dur(det.ConfirmAfter)}
 	return runVirtual(Session{Tree: plan.Tree, Packets: pkts, MsgID: cfg.MsgID}, rcfg, &virtual{sys: sys, p: p})
+}
+
+// RunSwitched runs plain sessions as Run does, in virtual time over sys's
+// switch geometry at p's costs: root i hands its NI the message at
+// start[i] + t_s (µs), a host is done once it copied the message off the
+// NI (t_r), and a turn forwards a whole backlog (quantum: the largest m),
+// so the run equals sim.Concurrent FPFS to the ns (virtual-matches-sim).
+func RunSwitched(sys *core.System, sessions []Session, start []float64, p sim.Params) (*Result, error) {
+	quantum := 0
+	for _, s := range sessions {
+		quantum = max(quantum, len(s.Packets))
+	}
+	return runSwitched(sys, sessions, start, p, quantum)
+}
+
+// runSwitched is RunSwitched at the given DRR quantum.
+func runSwitched(sys *core.System, sessions []Session, start []float64, p sim.Params, quantum int) (*Result, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if len(start) != len(sessions) || slices.ContainsFunc(start, func(t float64) bool { return !(t >= 0 && t <= math.MaxFloat64) }) {
+		return nil, fmt.Errorf("live: start times %v for %d sessions", start, len(sessions))
+	}
+	v := &virtual{sys: sys, p: p}
+	s, entries, err := joinShare(sessions, quantum, Config{}, v)
+	if err != nil {
+		return nil, err
+	}
+	for i, e := range entries {
+		v.atUS(start[i]+p.THostSend, func() { s.Inject(e) })
+	}
+	v.eng.Run()
+	s.Stop()
+	if v.err != nil {
+		return nil, v.err
+	}
+	return assemble(entries, v.copied, false), nil
 }
 
 // dur converts microseconds to the run clock's nanoseconds, rounded.
@@ -127,7 +166,7 @@ func (sw *switched) inject(n *nic, f sframe) {
 		}
 	}
 	v.atUS(arrive+p.TNIRecv, func() {
-		_ = f.l.base.Send(out, nil) // the NI's turn frees the slot it takes
+		_ = f.l.Transport.Send(out, nil) // the NI's turn frees the slot it takes
 		f.l.to.step()
 	})
 }

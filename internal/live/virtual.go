@@ -1,6 +1,7 @@
 package live
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"time"
@@ -72,6 +73,7 @@ type virtual struct {
 	timedOut bool
 	end      time.Duration // when the run settled
 	copied   time.Duration // when the last receive copy ended
+	err      error         // a plain session's first failure
 }
 
 // attach makes v the share's driver, and its time the share's clock, on
@@ -92,21 +94,18 @@ func (v *virtual) attach(s *Share, faults *fault.State) {
 	v.t = dur(v.p.THostSend)
 }
 
-// switched reports whether v runs over a switch geometry.
-func (v *virtual) switched() bool { return v != nil && v.sw != nil }
-
-// receive stamps n's completion at its NI, now: over a switch geometry once
+// receive stamps r's completion at its NI, now: over a switch geometry once
 // the host has copied data off the NI (t_r), unless a crash-stop lands
 // first (the schedule is known, so nothing waits for it); else at once.
-func (v *virtual) receive(n *ReliableNI, data []byte, now time.Duration) {
-	if v.switched() {
+func (v *virtual) receive(r *HostRecord, data []byte, now time.Duration) {
+	if v != nil && v.sw != nil {
 		now += dur(v.p.THostRecv)
-		if f := v.sw.faults; f.HostDown(n.Host, math.Inf(1)) && f.HostDown(n.Host, link.US(now)) {
+		if f := v.sw.faults; f.HostDown(r.Host, math.Inf(1)) && f.HostDown(r.Host, link.US(now)) {
 			return
 		}
 		v.copied = max(v.copied, now)
 	}
-	n.Data, n.DoneAt = data, now
+	r.Data, r.DoneAt = data, now
 }
 
 // now is the share's clock: v's time, or on the wall (nil v) the time since
@@ -161,10 +160,15 @@ func (v *virtual) step(e *EdgeSender, seq int) {
 }
 
 // heard gives the supervisor a turn now to read the report just queued
-// (a judgment may have landed it first); on the wall its goroutine reads.
+// (a judgment may have landed it first), or with none (plain sessions)
+// reads it, keeping the first failure; on the wall its reader's loop does.
 func (v *virtual) heard() {
 	if v != nil {
 		v.at(v.t, func() {
+			if v.rt == nil {
+				v.err = cmp.Or(v.err, (<-v.share.reports).Err)
+				return
+			}
 			if len(v.rt.reports) > 0 {
 				v.rt.sup.handle(<-v.rt.reports)
 			}
@@ -200,7 +204,7 @@ func (v *virtual) transport(base, wrapped link.Transport) link.Transport {
 		return wrapped
 	}
 	ft, _ := wrapped.(*link.FaultyTransport)
-	e := vedge{base: base, ft: ft, to: v.share.nis[base.To()]}
+	e := vedge{Transport: base, ft: ft, to: v.share.nis[base.To()]}
 	if v.sw != nil {
 		return &slink{vedge: e, sw: v.sw, from: v.sw.nic(base.From())}
 	}
@@ -211,13 +215,10 @@ func (v *virtual) transport(base, wrapped link.Transport) link.Transport {
 // link into the receiver's inbox, the fault plane's decorator (nil: a
 // plane that leaves frames alone) and the receiving NI.
 type vedge struct {
-	base link.Transport
-	ft   *link.FaultyTransport
-	to   *ni
+	link.Transport
+	ft *link.FaultyTransport
+	to *ni
 }
-
-func (e *vedge) From() int { return e.base.From() }
-func (e *vedge) To() int   { return e.base.To() }
 
 // Pattern returns what the edge's loss stream has decided so far.
 func (e *vedge) Pattern() (p fault.Pattern) {
@@ -249,7 +250,7 @@ func (l *vlink) Send(payload []byte, _ <-chan struct{}) error {
 	for _, f := range [...][]byte{first, second} {
 		if f != nil {
 			l.v.at(l.free+l.v.latency, func() {
-				_ = l.base.Send(f, nil) // the NI's turn frees the slot it takes
+				_ = l.Transport.Send(f, nil) // the NI's turn frees the slot it takes
 				l.to.step()
 			})
 		}

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/live"
+	"repro/internal/live/link"
 	"repro/internal/tree"
 )
 
@@ -222,7 +223,10 @@ const unboundedWire = 1024
 // New builds a scheduler over the given host set and starts its
 // goroutines on one live.Share: the share's NI loop per host, an
 // admitter and a collector. The caller must Close it.
-func New(hosts []int, cfg Config) (*Scheduler, error) {
+func New(hosts []int, cfg Config) (*Scheduler, error) { return newOn(hosts, cfg, nil) }
+
+// newOn is New with every edge dialed from net (nil: in-process links).
+func newOn(hosts []int, cfg Config, net link.Network) (*Scheduler, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("sched: empty host set")
 	}
@@ -250,7 +254,7 @@ func New(hosts []int, cfg Config) (*Scheduler, error) {
 		s.hosts[v] = true
 	}
 	share, err := live.NewShare(hosts, unboundedWire, cfg.Quantum,
-		live.Config{BufferPackets: cfg.BufferPackets, LinkLatency: cfg.LinkLatency})
+		live.Config{BufferPackets: cfg.BufferPackets, LinkLatency: cfg.LinkLatency, Network: net})
 	if err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/live"
+	"repro/internal/live/link"
 	"repro/internal/message"
 	"repro/internal/tree"
 )
@@ -281,26 +282,46 @@ func TestSubmitTimeout(t *testing.T) {
 	}
 }
 
+// heldNet is an in-process link.Network whose edge 2->3 takes every frame
+// and delivers none until the test releases it: host 3 is wedged by
+// construction, while every other edge is a plain link.
+type heldNet struct {
+	inboxes map[int]*link.Inbox
+	held    chan []byte
+}
+
+func (n *heldNet) Attach(host int, in *link.Inbox) error { n.inboxes[host] = in; return nil }
+func (n *heldNet) Detach(int)                            {}
+func (n *heldNet) Dial(from, to int) (link.Transport, error) {
+	l := link.New(from, n.inboxes[to], 0)
+	if from == 2 && to == 3 {
+		return heldEdge{l, n.held}, nil
+	}
+	return l, nil
+}
+
+type heldEdge struct {
+	link.Transport
+	held chan []byte
+}
+
+func (e heldEdge) Send(pkt []byte, _ <-chan struct{}) error { e.held <- pkt; return nil }
+
 func TestSessionTimeoutReclaimsFabric(t *testing.T) {
-	// One timeout bound, two tree depths, single-packet payloads (with
-	// one buffer slot per NI every extra packet costs a full hop of
-	// serialization): a chain's last host needs 3 latency hops (~750ms)
-	// and must die at the 625ms deadline; a star needs 1 hop (~250ms)
-	// and must survive. The deadline falls mid-hop on purpose: the chain's
-	// third copy is then on the wire (sent at ~500ms, landing at ~750ms)
-	// and is dropped on arrival, with 125ms to spare either side. At
-	// exactly two hops the expiry raced that copy's forwarding, and a send
-	// aborted in the act is not a dropped frame (seen under load, PR 23).
-	// The star runs after the chain's expiry over the same 1-slot NIs,
-	// proving the expired session's buffer credits were reclaimed (a
-	// leaked slot would wedge the star too).
-	const hop = 250 * time.Millisecond
-	s, err := New(hostRange(4), Config{
+	// A chain 0->1->2->3 whose edge 2->3 holds its frame: hosts 1 and 2
+	// complete at once, and host 3 cannot until the test delivers the held
+	// frame, after the deadline. The deadline is a second past work that
+	// takes microseconds, and no hop is timed, so nothing depends on where
+	// it lands. The held frame then arrives for an expired session and is
+	// dropped, and a star over the same 1-slot NIs proves the expired
+	// session's buffer credits were reclaimed (a leaked slot would wedge
+	// the star too).
+	net := &heldNet{inboxes: map[int]*link.Inbox{}, held: make(chan []byte, 1)}
+	s, err := newOn(hostRange(4), Config{
 		Window:         2,
 		BufferPackets:  1,
-		LinkLatency:    hop,
-		SessionTimeout: 2*hop + hop/2,
-	})
+		SessionTimeout: time.Second,
+	}, net)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -325,13 +346,20 @@ func TestSessionTimeoutReclaimsFabric(t *testing.T) {
 	if !errors.As(werr, &se) || se.MsgID != 1 || se.Dests != 3 {
 		t.Fatalf("wedged session error %v lacks session identity/progress", werr)
 	}
-	// Hosts 1 and 2 completed at one and two hops, host 3 was a hop short.
+	// Hosts 1 and 2 completed, host 3 never heard of the message.
 	if se.Acked != 2 {
 		t.Fatalf("wedged session error counts %d destinations done, want 2", se.Acked)
 	}
-	// Let the cancelled session's still-sleeping frames land and be
-	// dropped, then prove the slots are free again.
-	time.Sleep(4 * hop)
+	// Deliver the held frame late, wait for its drop, then prove the slots
+	// are free again.
+	if err := link.New(2, net.inboxes[3], 0).Send(<-net.held, nil); err != nil {
+		t.Fatalf("late frame: %v", err)
+	}
+	for deadline := time.Now().Add(time.Minute); s.Stats().DroppedFrames == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("expired session's late frame was never dropped")
+		}
+	}
 	data2 := payloadBytes(40, 2)
 	fresh, err := s.Submit(live.Session{Tree: star(), Packets: mustPacketize(t, 2, 0, data2), MsgID: 2})
 	if err != nil {

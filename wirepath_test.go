@@ -15,9 +15,9 @@ import (
 // TestWirePathIsWrittenOnce reads the non-test source of the module (bench/
 // is its own) and holds the receive path to its shape: checksums come from
 // hash/crc32 and are computed in two files; a received packet is validated
-// by one call per path, message.Parse, or — where the plain FPFS step
-// forwards in between — by its halves, DecodeHeader at the NI's session
-// lookup and Header.Verify in HostSession.Serve; and the reassembler behind
+// by the halves of message.Parse, once per path: DecodeHeader at the NI's
+// session lookup, then Header.Verify in HostSession.Serve (after the plain
+// FPFS step forwards) or in ReliableNI.serve; and the reassembler behind
 // those is fed through Put, which validates nothing. Where a step has no
 // seam a behavioural test could count passes at (ReliableNI.serve, the
 // receive path of every reliable driver), this is the pin; the others
@@ -30,7 +30,7 @@ func TestWirePathIsWrittenOnce(t *testing.T) {
 	// Calls per file, by selector name: every name listed is counted, so 0
 	// means "must not appear".
 	calls := map[string]map[string]int{
-		filepath.Join("internal", "live", "rni.go"): {"Parse": 1, "Put": 1, "DecodeHeader": 0, "Verify": 0, "Add": 0},
+		filepath.Join("internal", "live", "rni.go"): {"Verify": 1, "Put": 1, "DecodeHeader": 0, "Parse": 0, "Add": 0},
 		// The switched transport carries frames; it never reads one.
 		filepath.Join("internal", "live", "switched.go"):    {"Parse": 0, "Put": 0, "DecodeHeader": 0, "Verify": 0},
 		filepath.Join("internal", "live", "hostsession.go"): {"Verify": 1, "Put": 1, "DecodeHeader": 0, "Parse": 0, "Add": 0},
