@@ -136,8 +136,8 @@ sched-soak:
 # detector. The scheduler lives in internal/sim (windowed.go) next to the
 # session model it shares with the serial loop; internal/psim is its
 # exported door and keeps its unit tests (byte-identity vs the serial loop
-# across disciplines, topologies and worker counts, fault-plan replay,
-# window-barrier edge cases). So both packages run here — internal/sim's
+# across disciplines, topologies and worker counts, window-barrier edge
+# cases). So both packages run here — internal/sim's
 # golden-fixture test holds sim.* and psim.* at 1 and 3 workers to the
 # recorded reference, and its seeded randomized differential
 # (TestWindowedMatchesSerialRandomized: 1,000 workloads incl. host

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"repro/internal/fault"
 	"repro/internal/live"
 	"repro/internal/message"
 	"repro/internal/psim"
@@ -96,64 +95,39 @@ func checkVirtualMatchesSim(w *world) error {
 // and flit invariants. The instance's workload runs through psim at every
 // pool size and must be byte-identical to the serial loop — the same
 // ConcurrentResult (bitwise floats included: completion times, latencies,
-// channel wait), the same trace in the same order, and under faults the
-// same loss-stream draws and therefore the same drops, stalls and dead
-// sends.
-// Conservative windows and partitioning may only change who computes
-// what, never what is computed.
+// channel wait) and the same trace in the same order. Conservative
+// windows and partitioning may only change who computes what, never what
+// is computed.
 func checkPsimMatchesSim(w *world) error {
 	sessions := w.psimSessions()
 
-	// Lossless traced arm, calibration constants, the instance's NI ports.
-	// It runs twice: as is, and with every start raised by 1e18, where the
-	// clock absorbs every delay, windows degrade to one timestamp and only
-	// seq is left to order events.
-	p := calibrationParams()
-	p.NIPorts = w.inst.niPorts()
-	for _, offset := range []float64{0, 1e18} {
+	// Three arms at the instance's NI ports: the calibration constants, as
+	// is and with every start raised by 1e18, where the clock absorbs every
+	// delay, windows degrade to one timestamp and only seq is left to order
+	// events; and the default constants, whose nonzero router delay and
+	// t_nr stagger what calibration puts on one timestamp.
+	cal, def := calibrationParams(), sim.DefaultParams()
+	cal.NIPorts, def.NIPorts = w.inst.niPorts(), w.inst.niPorts()
+	for _, arm := range []struct {
+		name   string
+		p      sim.Params
+		offset float64
+	}{{"calibration", cal, 0}, {"calibration", cal, 1e18}, {"default", def, 0}} {
 		shifted := append([]sim.Session(nil), sessions...)
 		for i := range shifted {
-			shifted[i].Start += offset
+			shifted[i].Start += arm.offset
 		}
-		wantRes, wantTrace := sim.ConcurrentTraced(w.sys.Router, shifted, p, w.inst.Disc, true)
+		wantRes, wantTrace := sim.ConcurrentTraced(w.sys.Router, shifted, arm.p, w.inst.Disc, true)
 		for _, workers := range psimWorkerCounts {
-			gotRes, gotTrace := psim.ConcurrentTraced(w.sys.Router, shifted, p, w.inst.Disc, true,
+			gotRes, gotTrace := psim.ConcurrentTraced(w.sys.Router, shifted, arm.p, w.inst.Disc, true,
 				psim.Config{Workers: workers})
 			if !reflect.DeepEqual(gotRes, wantRes) {
-				return fmt.Errorf("workers=%d start+%g: lossless result diverged from serial\n  psim: %+v\n  sim:  %+v",
-					workers, offset, gotRes, wantRes)
+				return fmt.Errorf("workers=%d %s start+%g: result diverged from serial\n  psim: %+v\n  sim:  %+v",
+					workers, arm.name, arm.offset, gotRes, wantRes)
 			}
 			if err := diffTrace(gotTrace, wantTrace); err != nil {
-				return fmt.Errorf("workers=%d start+%g: lossless %v", workers, offset, err)
+				return fmt.Errorf("workers=%d %s start+%g: %v", workers, arm.name, arm.offset, err)
 			}
-		}
-	}
-
-	// Faulty arm, default constants: the instance's loss stream plus a
-	// link kill timed exactly on the first window boundary (first event at
-	// t_s, lookahead t_ns + wire), the worst case for fencepost bugs in
-	// window handover.
-	fp := fault.Plan{Seed: w.inst.FaultSeed, DropRate: w.inst.DropRate}
-	dp := sim.DefaultParams()
-	if n := len(w.sys.Net.Links()); n > 0 {
-		fp.Kills = []fault.Kill{{
-			Link: int(w.inst.FaultSeed % uint64(n)),
-			At:   dp.THostSend + dp.TNISend + dp.WireTime(),
-		}}
-	}
-	wantFaulty, err := sim.ConcurrentFaulty(w.sys.Router, sessions, dp, w.inst.Disc, fp)
-	if err != nil {
-		return fmt.Errorf("serial faulty arm failed: %v", err)
-	}
-	for _, workers := range psimWorkerCounts {
-		gotFaulty, err := psim.ConcurrentFaulty(w.sys.Router, sessions, dp, w.inst.Disc, fp,
-			psim.Config{Workers: workers})
-		if err != nil {
-			return fmt.Errorf("workers=%d: faulty arm failed: %v", workers, err)
-		}
-		if !reflect.DeepEqual(gotFaulty, wantFaulty) {
-			return fmt.Errorf("workers=%d: faulty result diverged from serial (fault RNG replay broken?)\n  psim: %+v\n  sim:  %+v",
-				workers, gotFaulty, wantFaulty)
 		}
 	}
 	return nil

@@ -1,7 +1,8 @@
-// Package fault is the one fault plane of every engine. A Plan says what
-// goes wrong in a run; Arm turns it into the State the run consults. Plan
-// times are microseconds on the run's clock: virtual time in the
-// simulators, the offset from the run's start on a live fabric, whose
+// Package fault is the reliable runtime's fault plane, for both of its
+// transports: the switched network and package live/link. A Plan says
+// what goes wrong in a run; Arm turns it into the State the run consults.
+// Plan times are microseconds on the run's clock: virtual time under
+// live.RunVirtual, the offset from the run's start on a live fabric, whose
 // adapter (package live/link) converts at send time.
 //
 // Loss is a property of each edge incarnation: Edge hands out one
@@ -43,7 +44,7 @@ type Stall struct {
 }
 
 // Kill schedules the death of one link at At: from then on every copy
-// injected across it is lost. A simulated network kills its link Link; a
+// injected across it is lost. A switched network kills its link Link; a
 // live fabric has no switches, so its kills set Link to Pair and name the
 // directed host pair From->To.
 type Kill struct {

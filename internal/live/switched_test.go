@@ -146,7 +146,7 @@ func TestSwitchedQuantumIsFairnessNotFIFO(t *testing.T) {
 }
 
 // TestRunSwitchedRejects holds RunSwitched to Run's session checks and
-// its own start times.
+// its own start times, which must leave the run inside its clock's range.
 func TestRunSwitchedRejects(t *testing.T) {
 	sys := switchedSystems()[1]
 	s := Session{Tree: starTree(3), Packets: mustPacketize(t, 1, 0, payloadBytes(100)), MsgID: 1}
@@ -159,6 +159,7 @@ func TestRunSwitchedRejects(t *testing.T) {
 		{[]Session{s}, nil},
 		{[]Session{s}, []float64{-1}},
 		{[]Session{s}, []float64{math.NaN()}},
+		{[]Session{s}, []float64{1e18}}, // past the clock's 2^63 ns
 	} {
 		if _, err := RunSwitched(sys, tc.sessions, tc.start, sim.DefaultParams()); err == nil {
 			t.Errorf("%d sessions at %v: no error", len(tc.sessions), tc.start)

@@ -42,18 +42,24 @@ func runVirtual(s Session, cfg ReliableConfig, v *virtual) (*ReliableResult, err
 	}
 	v.rt = rt
 	v.at(rt.cfg.Live.Timeout, func() { v.over, v.timedOut = true, true })
+	watchdog := link.US(rt.cfg.Live.Timeout)
 	for _, c := range rt.faults.Crashes() { // counted as the run lives through them
-		v.at(time.Duration(math.Ceil(c.At*float64(time.Microsecond))), func() { // the host reads down
-			rt.faults.NoteCrash()
-			v.supervise() // a crash-stop may leave nothing awaited
-		})
-		if c.RecoverAt > 0 {
+		if c.At <= watchdog { // a later one never runs, and could wrap the clock
+			v.at(time.Duration(math.Ceil(c.At*float64(time.Microsecond))), func() { // the host reads down
+				rt.faults.NoteCrash()
+				v.supervise() // a crash-stop may leave nothing awaited
+			})
+		}
+		if c.RecoverAt > 0 && c.RecoverAt <= watchdog {
 			v.at(dur(c.RecoverAt), rt.faults.NoteRecovery)
 		}
 	}
 	v.supervise()
 	v.eng.Run()
 	rt.Stop()
+	if v.err != nil {
+		return nil, v.err
+	}
 	return rt.result(v.timedOut, max(v.end, v.copied))
 }
 
@@ -73,7 +79,7 @@ type virtual struct {
 	timedOut bool
 	end      time.Duration // when the run settled
 	copied   time.Duration // when the last receive copy ended
-	err      error         // a plain session's first failure
+	err      error         // a plain session's first failure, or the clock's
 }
 
 // attach makes v the share's driver, and its time the share's clock, on
@@ -123,8 +129,12 @@ func (v *virtual) at(t time.Duration, f func()) { v.atUS(max(link.US(t), v.eng.N
 
 // atUS schedules f at t microseconds, the engine's own time, in which the
 // switched transport computes; the share's clock reads it rounded to the
-// nanosecond.
+// ns, and a t whose receive copy would end past 2^63 ns fails the run.
 func (v *virtual) atUS(t float64, f func()) {
+	if !(t+v.p.THostRecv < math.MaxInt64/float64(time.Microsecond)) {
+		v.err, v.over = cmp.Or(v.err, fmt.Errorf("live: virtual time %g µs is past the clock's range", t)), true
+		return
+	}
 	v.eng.At(t, func() {
 		if !v.over {
 			v.t = dur(t)

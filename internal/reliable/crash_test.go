@@ -93,7 +93,8 @@ func TestCrashStopFirstChild(t *testing.T) {
 // delivery: no payload, no completion time, undelivered in the verdict.
 // The same crash just after the copy leaves the destination delivered, and
 // so does one long after the run: a crash-stop due in the future is not
-// down now. Either way the run ends after its last copy.
+// down now. One past the watchdog is never scheduled, even where its time
+// would wrap the clock. Either way the run ends after its last copy.
 func TestReceiveCopyCut(t *testing.T) {
 	sys := irregular64(3)
 	cfg := reliable.DefaultConfig()
@@ -139,8 +140,12 @@ func TestReceiveCopyCut(t *testing.T) {
 	}{
 		{"just after the receive copy", first, done(first) + 0.001},
 		{"at 1e6 us, long after the run", last, 1e6},
+		{"at 1e300 us, past the watchdog and the clock's range", last, 1e300},
 	} {
 		res := crashAt(c.leaf, c.at)
+		if res.Faults.Crashes != 0 { // each lands once every NI has completed
+			t.Errorf("crash %s: the run counts %d crashes, want none", c.name, res.Faults.Crashes)
+		}
 		if rec := res.Hosts[c.leaf]; !bytes.Equal(rec.Data, payload) || link.US(rec.DoneAt) != done(c.leaf) {
 			t.Errorf("crash %s: leaf %d holds %d bytes, done at %v; want the payload at %f us",
 				c.name, c.leaf, len(rec.Data), rec.DoneAt, done(c.leaf))

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/stepsim"
 )
 
@@ -51,22 +50,6 @@ func BenchmarkEngineMulticastFPFS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Multicast(r, tr, 8, p, stepsim.FPFS)
-	}
-}
-
-// BenchmarkEngineMulticastLossy is the same multicast under a 2% drop
-// fault plane: the fault-sampling path plus the early op-recycling branch.
-func BenchmarkEngineMulticastLossy(b *testing.B) {
-	_, r, _ := testSystem(1)
-	tr := benchTree(2)
-	p := DefaultParams()
-	sessions := []Session{{Tree: tr, Packets: 8}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ConcurrentFaulty(r, sessions, p, stepsim.FPFS, fault.Plan{Seed: uint64(i + 1), DropRate: 0.02}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -26,10 +26,11 @@
 // The package has one packet-level session model and two schedulers for
 // it. The model (model.go) is the dense per-session tables, the three NI
 // disciplines' queueing, and the resolution of every shared-state effect:
-// path reservation, fault draws, seq numbers, trace records, result
-// assembly. Concurrent, ConcurrentTraced, ConcurrentFaulty and Multicast
-// drive it with the serial loop (sessions.go): pop one event from one
-// queue, process it, resolve its effects at once. ConcurrentWindowed
+// path reservation, seq numbers, trace records, result assembly. Like the
+// paper's model it is lossless; faults run on the reliable runtime
+// (live.Deliver). Concurrent, ConcurrentTraced and Multicast drive it with
+// the serial loop (sessions.go): pop one event from one queue, process
+// it, resolve its effects at once. ConcurrentWindowed
 // (windowed.go; package psim is its exported door) drives the same model
 // with a worker pool over conservative lookahead windows and resolves the
 // merged effects at each window barrier, in the serial loop's order — so

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/stepsim"
 	"repro/internal/tree"
 )
@@ -104,23 +103,6 @@ func TestEnginePoolDeterminism(t *testing.T) {
 			if again.HostDone[h] != ht {
 				t.Fatalf("run %d: host %d done at %f, first run %f", i, h, again.HostDone[h], ht)
 			}
-		}
-	}
-	// And under a lossy fault plane (drops recycle ops on the early path).
-	plan := fault.Plan{Seed: 3, DropRate: 0.2}
-	sessions := []Session{{Tree: tr, Packets: 5}}
-	f1, err := ConcurrentFaulty(r, sessions, p, stepsim.FPFS, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		f2, err := ConcurrentFaulty(r, sessions, p, stepsim.FPFS, plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f2.Sends != f1.Sends || f2.Faults.Dropped != f1.Faults.Dropped || f2.Makespan != f1.Makespan {
-			t.Fatalf("lossy replay %d diverged: sends=%d dropped=%d makespan=%f, first %d/%d/%f",
-				i, f2.Sends, f2.Faults.Dropped, f2.Makespan, f1.Sends, f1.Faults.Dropped, f1.Makespan)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/psim"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -54,23 +53,6 @@ func goldenSystem(seed uint64) (routing.Router, []sim.Session) {
 // tiebreak — the thing a reordering bug breaks — decides most of the trace.
 func goldenLosslessParams(ports int) sim.Params {
 	return sim.Params{THostSend: 8, THostRecv: 4, TNISend: 3, PacketBytes: 64, LinkBytesUS: 32, NIPorts: ports}
-}
-
-// goldenFaultPlan drops 5% of transmissions and kills the host link of the
-// first session's last root child exactly on the first window boundary
-// (first event at t_s, lookahead t_ns + wire) — the fencepost a window
-// handover bug would move.
-func goldenFaultPlan(seed uint64, router routing.Router, sessions []sim.Session, p sim.Params) fault.Plan {
-	tr := sessions[0].Tree
-	kids := tr.Children(tr.Root())
-	return fault.Plan{
-		Seed:     seed,
-		DropRate: 0.05,
-		Kills: []fault.Kill{{
-			Link: router.Network().HostLink(kids[len(kids)-1]).ID,
-			At:   p.THostSend + p.TNISend + p.WireTime(),
-		}},
-	}
 }
 
 // renderGolden prints a result and trace canonically: floats as
@@ -137,13 +119,8 @@ func renderGolden(res *sim.ConcurrentResult, trace []sim.TraceEvent) string {
 //
 //	go test ./internal/sim -run TestGoldenFixtures -update
 //
-// which writes what sim.ConcurrentTraced / sim.ConcurrentFaulty return.
-// Regenerating them from a later engine defeats their purpose. They were
-// regenerated once, when the fault plane (internal/fault) replaced the
-// run-wide loss stream with one stream per host pair: only the "== faulty"
-// sections moved — the same seed drops different copies — while every
-// "== lossless" section stayed byte-identical, and psim still matched sim
-// at 1 and 3 workers.
+// which writes what sim.ConcurrentTraced returns. Regenerating them from a
+// later engine defeats their purpose.
 func TestGoldenFixtures(t *testing.T) {
 	discs := []struct {
 		name string
@@ -156,28 +133,17 @@ func TestGoldenFixtures(t *testing.T) {
 				name := fmt.Sprintf("s%d-%s-p%d", seed, disc.name, ports)
 				t.Run(name, func(t *testing.T) {
 					lp := goldenLosslessParams(ports)
-					fp := sim.DefaultParams()
-					fp.NIPorts = ports
-					plan := goldenFaultPlan(seed, router, sessions, fp)
 					run := func(workers int) string {
 						var (
-							res    *sim.ConcurrentResult
-							trace  []sim.TraceEvent
-							faulty *sim.ConcurrentResult
-							err    error
+							res   *sim.ConcurrentResult
+							trace []sim.TraceEvent
 						)
 						if workers == 0 {
 							res, trace = sim.ConcurrentTraced(router, sessions, lp, disc.d, true)
-							faulty, err = sim.ConcurrentFaulty(router, sessions, fp, disc.d, plan)
 						} else {
-							cfg := psim.Config{Workers: workers}
-							res, trace = psim.ConcurrentTraced(router, sessions, lp, disc.d, true, cfg)
-							faulty, err = psim.ConcurrentFaulty(router, sessions, fp, disc.d, plan, cfg)
+							res, trace = psim.ConcurrentTraced(router, sessions, lp, disc.d, true, psim.Config{Workers: workers})
 						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						return "== lossless\n" + renderGolden(res, trace) + "== faulty\n" + renderGolden(faulty, nil)
+						return "== lossless\n" + renderGolden(res, trace)
 					}
 					path := filepath.Join("testdata", "golden", name+".golden")
 					if *updateGolden {

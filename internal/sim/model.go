@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 
-	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/stepsim"
 	"repro/internal/tree"
@@ -19,8 +18,8 @@ import (
 //     state (receive counts, NI queue, buffer occupancy) and record, in
 //     creation order, the shared-state effects the event wants as actions;
 //   - resolve performs one action against shared state — channel
-//     reservation, fault draws, seq numbers, trace records, counters — and
-//     mails the events it creates.
+//     reservation, seq numbers, trace records, counters — and mails the
+//     events it creates.
 //
 // A scheduler decides when events are processed and when their actions are
 // resolved. The serial one (runSerial, sessions.go) resolves after every
@@ -298,7 +297,6 @@ type model struct {
 	router routing.Router
 	wire   float64
 	ports  int32
-	faults *fault.State
 	specs  []Session
 
 	numHosts int
@@ -325,9 +323,6 @@ type model struct {
 	cfgRoutes map[[2]int]routing.Route // caller-supplied, consulted first
 	found     [][]int                  // fillTab: per edge, its cfgRoutes channels
 	ctr       uint64                   // last seq handed out
-	// streams holds each host pair's loss stream (generation 0: a
-	// simulated edge is never redialed), drawn in resolve order.
-	streams map[uint64]*fault.Stream
 
 	res    *ConcurrentResult
 	traced bool
@@ -355,7 +350,7 @@ var modelFree = make(chan *model, runtime.GOMAXPROCS(0))
 
 // run executes sessions under the serial scheduler (cfg nil) or the
 // windowed one.
-func run(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, traced bool, faults *fault.State, cfg *WindowConfig) (*ConcurrentResult, []TraceEvent) {
+func run(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, traced bool, cfg *WindowConfig) (*ConcurrentResult, []TraceEvent) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
@@ -375,14 +370,13 @@ func run(router routing.Router, sessions []Session, p Params, disc stepsim.Disci
 		e = &model{routes: make(map[uint64][]int)}
 	}
 	defer func() {
-		e.specs, e.faults, e.res, e.trace, e.cfgRoutes = nil, nil, nil, nil, nil
-		clear(e.streams)
+		e.specs, e.res, e.trace, e.cfgRoutes = nil, nil, nil, nil
 		select {
 		case modelFree <- e:
 		default:
 		}
 	}()
-	e.p, e.disc, e.traced, e.faults = p, disc, traced, faults
+	e.p, e.disc, e.traced = p, disc, traced
 	e.wire, e.ports = p.WireTime(), int32(p.Ports())
 	if cfg == nil {
 		e.build(router, sessions, nil)
@@ -717,8 +711,8 @@ func (e *model) enqueue(w *worker, tab *sessTab, si, v int32, slot, pkt int, com
 }
 
 // pump starts queued injections while the NI has free ports. Starting one
-// is an intent action: the channel reservation, fault sampling and event
-// creation are shared-state effects, left to resolve.
+// is an intent action: the channel reservation and event creation are
+// shared-state effects, left to resolve.
 func (e *model) pump(w *worker, v int32, now float64) {
 	q := &e.queues[v]
 	for e.inFlight[v] < e.ports && q.head < len(q.ops) {
@@ -735,9 +729,8 @@ func (e *model) pump(w *worker, v int32, now float64) {
 
 // resolve performs one action against shared state. Everything whose
 // order across hosts matters lives here: the float additions that make up
-// ChannelWait, the draws from each host pair's loss stream, and seq
-// assignment — complete before deliver, so that at router delay zero a
-// packet has left its sender before it arrives.
+// ChannelWait, and seq assignment — complete before deliver, so that at
+// router delay zero a packet has left its sender before it arrives.
 func (e *model) resolve(act *action) {
 	switch act.kind {
 	case aIntent:
@@ -745,7 +738,7 @@ func (e *model) resolve(act *action) {
 		ed := &tab.edges[act.edge]
 		chans := tab.chans[ed.lo:ed.hi]
 		v := int(act.host)
-		earliest := act.at + e.faults.StallDelay(v, act.at) + e.p.TNISend
+		earliest := act.at + e.p.TNISend
 		start, arrive := reservePath(e.chanFree, chans, earliest, e.wire, e.p.RouterDelay)
 		e.res.ChannelWait += start - earliest
 		e.res.Sends++
@@ -755,22 +748,14 @@ func (e *model) resolve(act *action) {
 				Session: int(act.sess), Packet: int(act.packet), Wait: start - earliest,
 			})
 		}
-		// Fault plane: a transmission across a killed link, a sampled drop,
-		// or a sampled corruption (discarded by the receiving NI's checksum)
-		// never delivers. The sender still paid t_ns and the channel holds —
-		// loss is detected only by the absence of the packet, as on real
-		// fabrics.
-		delivers := !(e.faults.RouteDead(chans, start) || e.lost(v, int(ed.child)))
 		e.ctr++
 		e.mail(pevent{at: start + e.wire, ord: e.ctr, kind: evComplete,
 			sess: act.sess, host: act.host, arg: act.packet})
-		if delivers {
-			e.ctr++
-			e.mail(pevent{at: arrive + e.p.TNIRecv, ord: e.ctr, kind: evDeliver,
-				sess: act.sess, host: ed.child, arg: act.packet})
-			if len(e.owner) > 0 && e.owner[act.host] != e.owner[ed.child] {
-				e.crossed++
-			}
+		e.ctr++
+		e.mail(pevent{at: arrive + e.p.TNIRecv, ord: e.ctr, kind: evDeliver,
+			sess: act.sess, host: ed.child, arg: act.packet})
+		if len(e.owner) > 0 && e.owner[act.host] != e.owner[ed.child] {
+			e.crossed++
 		}
 	case aDeliverRec:
 		tab := e.tabs[act.sess]
@@ -796,26 +781,6 @@ func (e *model) resolve(act *action) {
 	}
 }
 
-// lost draws one transmission v->c from the pair's loss stream: dropped,
-// or corrupted and so discarded by the receiver's checksum.
-func (e *model) lost(v, c int) bool {
-	if e.faults == nil {
-		return false
-	}
-	if e.streams == nil {
-		e.streams = make(map[uint64]*fault.Stream)
-	}
-	key := uint64(v)<<32 | uint64(c)
-	st := e.streams[key]
-	if st == nil {
-		st = new(fault.Stream)
-		*st = e.faults.Edge(v, c, 0)
-		e.streams[key] = st
-	}
-	drop, corrupt := st.Transmit(e.p.PacketBytes)
-	return drop || corrupt >= 0
-}
-
 // finish assembles the ConcurrentResult from the session tables.
 func (e *model) finish() {
 	for si, tab := range e.tabs[:len(e.specs)] {
@@ -830,17 +795,8 @@ func (e *model) finish() {
 				last = math.Max(last, tab.hostDone[slot])
 			}
 			if got := int(tab.recv[slot]); got != tab.m {
-				if e.faults == nil {
-					panic(fmt.Sprintf("sim: session %d node %d received %d of %d packets",
-						si, v, got, tab.m))
-				}
-				if e.res.Incomplete == nil {
-					e.res.Incomplete = make([]map[int]int, len(e.specs))
-				}
-				if e.res.Incomplete[si] == nil {
-					e.res.Incomplete[si] = map[int]int{}
-				}
-				e.res.Incomplete[si][int(v)] = tab.m - got
+				panic(fmt.Sprintf("sim: session %d node %d received %d of %d packets",
+					si, v, got, tab.m))
 			}
 		}
 		if last > 0 {
@@ -848,7 +804,6 @@ func (e *model) finish() {
 		}
 		e.res.Makespan = math.Max(e.res.Makespan, last)
 	}
-	e.res.Faults = e.faults.Stats()
 	for _, v := range e.involved {
 		forwarder := false
 		for _, tab := range e.tabs[:len(e.specs)] {

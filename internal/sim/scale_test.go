@@ -35,7 +35,7 @@ func kernels(router routing.Router, sess Session, routes map[[2]int]routing.Rout
 	sessions := []Session{sess}
 	windowed := func(w int) func() {
 		return func() {
-			ConcurrentWindowed(router, sessions, p, stepsim.FPFS, false, nil, WindowConfig{Workers: w, Routes: routes})
+			ConcurrentWindowed(router, sessions, p, stepsim.FPFS, false, WindowConfig{Workers: w, Routes: routes})
 		}
 	}
 	return map[string]func(){

@@ -39,12 +39,11 @@ type ConcurrentResult struct {
 	Sends       int
 	// Makespan is when the last session's last destination completed.
 	Makespan float64
-	// Faults counts the faults injected during the run (zero value when
-	// the run was lossless).
-	Faults fault.Stats
-	// Incomplete is, per session, the nodes starved by lost packets and
-	// how many packets each is missing. Always nil for lossless runs; this
-	// engine does not retransmit (package reliable does).
+	// Faults and Incomplete are always zero: the packet simulator prices
+	// the paper's lossless model, and faults run on the reliable runtime
+	// (live.Deliver). They stay only because the benchmark module compares
+	// them.
+	Faults     fault.Stats
 	Incomplete []map[int]int
 }
 
@@ -76,39 +75,14 @@ type TraceEvent struct {
 // one NI per host. Trees may overlap arbitrarily; a host can be source in
 // one session and destination or intermediate in others.
 func Concurrent(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline) *ConcurrentResult {
-	res, _ := run(router, sessions, p, disc, false, nil, nil)
+	res, _ := run(router, sessions, p, disc, false, nil)
 	return res
-}
-
-// ConcurrentFaulty is Concurrent under a fault plan: dropped, corrupted,
-// stalled and dead-link transmissions are injected per plan as the run
-// unfolds, and the fault counters land in the result. This engine has no
-// retransmission — lost packets starve their subtree, reported via
-// Incomplete — which is precisely the gap package reliable closes.
-func ConcurrentFaulty(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, plan fault.Plan) (*ConcurrentResult, error) {
-	fs, err := Arm(plan, router)
-	if err != nil {
-		return nil, err
-	}
-	res, _ := run(router, sessions, p, disc, false, fs, nil)
-	return res, nil
-}
-
-// Arm arms a plan for the packet simulators, refusing what a run without
-// acknowledgments, host crashes or a wall clock cannot carry out (ACK
-// loss, crashes, reordering, jitter, host-pair kills) and any kill of a
-// link the router's network does not have.
-func Arm(plan fault.Plan, router routing.Router) (*fault.State, error) {
-	if err := plan.Admit("sim", fault.Drop|fault.Corrupt|fault.Stalls|fault.LinkKills, len(router.Network().Links()), nil); err != nil {
-		return nil, err
-	}
-	return plan.Arm()
 }
 
 // ConcurrentTraced is Concurrent with optional event recording. With
 // traced=false it returns a nil event slice at zero cost.
 func ConcurrentTraced(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, traced bool) (*ConcurrentResult, []TraceEvent) {
-	return run(router, sessions, p, disc, traced, nil, nil)
+	return run(router, sessions, p, disc, traced, nil)
 }
 
 // runSerial is the reference scheduler: one queue ordered by (time, seq),

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/stepsim"
@@ -72,10 +71,10 @@ type WindowStats struct {
 	PerWindow stats.Summary // events per window
 }
 
-// ConcurrentWindowed is ConcurrentTraced under the windowed scheduler, with
-// an optional armed fault state. Package psim is its public face.
-func ConcurrentWindowed(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, traced bool, faults *fault.State, cfg WindowConfig) (*ConcurrentResult, []TraceEvent) {
-	return run(router, sessions, p, disc, traced, faults, &cfg)
+// ConcurrentWindowed is ConcurrentTraced under the windowed scheduler.
+// Package psim is its public face.
+func ConcurrentWindowed(router routing.Router, sessions []Session, p Params, disc stepsim.Discipline, traced bool, cfg WindowConfig) (*ConcurrentResult, []TraceEvent) {
+	return run(router, sessions, p, disc, traced, &cfg)
 }
 
 // actionLess orders actions by (creator event order, creation index) —
@@ -116,7 +115,7 @@ func (e *model) runWindowed(cfg *WindowConfig) {
 
 	// Lookahead: min over everything an intent at τ can cause. The
 	// earliest is the sender-side completion at start+wire with start >=
-	// τ + t_ns (plus any stall), so δ = t_ns + wire. Params.Validate
+	// τ + t_ns, so δ = t_ns + wire. Params.Validate
 	// guarantees t_ns > 0 and wire > 0, hence δ > 0.
 	window := e.p.TNISend + e.wire
 

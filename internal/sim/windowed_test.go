@@ -5,7 +5,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/fault"
 	"repro/internal/routing"
 	"repro/internal/stepsim"
 	"repro/internal/topology"
@@ -60,36 +59,13 @@ func TestWindowedMatchesSerialRandomized(t *testing.T) {
 			}
 		}
 
-		// A third of the cases run under loss, half of those with a link
-		// dying on the first session's first window boundary.
-		var plan *fault.Plan
-		if rng.Intn(3) == 0 {
-			plan = &fault.Plan{Seed: rng.Uint64(), DropRate: 0.1, CorruptRate: 0.03}
-			if rng.Intn(2) == 0 {
-				plan.Kills = []fault.Kill{{
-					Link: rng.Intn(len(net.Links())),
-					At:   sessions[0].Start + p.THostSend + p.TNISend + p.WireTime(),
-				}}
-			}
-		}
-		arm := func() *fault.State {
-			if plan == nil {
-				return nil
-			}
-			fs, err := plan.Arm()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fs
-		}
-
-		wantRes, wantTrace := run(router, sessions, p, disc, true, arm(), nil)
+		wantRes, wantTrace := run(router, sessions, p, disc, true, nil)
 		for workers := 1; workers <= 4; workers++ {
-			gotRes, gotTrace := run(router, sessions, p, disc, true, arm(), &WindowConfig{Workers: workers})
+			gotRes, gotTrace := run(router, sessions, p, disc, true, &WindowConfig{Workers: workers})
 			sameRes, sameTrace := reflect.DeepEqual(gotRes, wantRes), reflect.DeepEqual(gotTrace, wantTrace)
 			if !sameRes || !sameTrace {
-				t.Fatalf("case %d (%v, t_s=%v t_r=%v, starts %v, plan %+v) workers=%d: diverged from the serial loop (result equal: %v, trace equal: %v)\n got %+v\nwant %+v",
-					c, disc, p.THostSend, p.THostRecv, sessionStarts(sessions), plan, workers, sameRes, sameTrace, gotRes, wantRes)
+				t.Fatalf("case %d (%v, t_s=%v t_r=%v, starts %v) workers=%d: diverged from the serial loop (result equal: %v, trace equal: %v)\n got %+v\nwant %+v",
+					c, disc, p.THostSend, p.THostRecv, sessionStarts(sessions), workers, sameRes, sameTrace, gotRes, wantRes)
 			}
 		}
 	}
