@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt check surface staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak virtual-soak flake-hunt fuzz bench bench-build examples ci figures figures-check clean live-race lines
+.PHONY: all build test race vet fmt check surface staticcheck mcastcheck soak chaos-soak net-soak daemon-soak sched-soak psim-soak virtual-soak flake-hunt theorem-exhaustive fuzz bench bench-build examples ci figures figures-check clean live-race lines
 
 all: check
 
@@ -115,11 +115,13 @@ daemon-soak:
 
 # Scheduler soak: the massive-session plane under the race detector.
 # Runs every internal/sched unit test (admission, typed rejections,
-# deadline expiry with buffer-credit reclamation, teardown draining), the
+# deadline expiry with buffer-credit reclamation, teardown draining, and
+# the Add/Remove churn of 200 sessions, half of them expiring at a dead
+# edge, leaking no goroutine: TestChurnLeaksNoGoroutines), the
 # 256-session fixed-seed fairness soak (no session may exceed a generous
 # multiple of its fair in-flight share), the tests of the NI loop the
 # scheduler runs on (live.Share: late frames dropped and their slots
-# freed, Add/Remove churn leaking no goroutine) and of the report queue
+# freed, every engine's teardown leaking no goroutine) and of the report queue
 # that is its completion path (the reliable session's reports, a plain
 # session's transport failure), and a 120-case sched-
 # matches-serial differential sweep: three sessions concurrently through
@@ -185,6 +187,14 @@ flake-hunt:
 	( while [ -f $$flag ]; do $(GO) test -count=1 ./internal/flitsim ./internal/experiments >/dev/null 2>&1; done ) & \
 	$(GO) test -count=20 -cpu 1,2 -timeout 90m ./internal/live/... ./internal/mcastd ./internal/sched ./internal/check; \
 	status=$$?; rm -f $$flag; wait; exit $$status
+
+# Theorem exhaustive: TestTheorem3AgainstEveryTree (internal/stepsim) over
+# every ordered tree up to n = 13 — 208,012 trees at n = 13 — where tier-1
+# stops at n = 10. Each tree is built, checked and dropped in turn, so
+# memory stays flat. About 17 s on 2 vCPUs; not part of tier-1 or of
+# `make ci`.
+theorem-exhaustive:
+	$(GO) test -count=1 -timeout 30m -run '^TestTheorem3AgainstEveryTree$$' ./internal/stepsim -args -theorem-n 13
 
 # Fuzz: tier-1 only replays the checked-in seeds of the seven fuzz targets —
 # every decoder that reads bytes off a wire (message header, packet,

@@ -139,7 +139,7 @@ func TestDocLinks(t *testing.T) {
 // designBudget is DESIGN.md's size in bytes when its size gate was set. A
 // change that adds to DESIGN.md cuts as much elsewhere; one that shrinks
 // it may lower the budget to the new size.
-const designBudget = 65612
+const designBudget = 65427
 
 // TestDesignWithinBudget fails once DESIGN.md grows past designBudget.
 func TestDesignWithinBudget(t *testing.T) {

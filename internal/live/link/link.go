@@ -131,23 +131,16 @@ type Inbox struct {
 }
 
 // NewInbox builds the receive side of host's NI. capacity sizes the wire
-// channel (it must be able to hold every reserved frame, so callers pass
-// the buffer bound when one is set, or the total expected inbound frame
-// count when unbounded). slots > 0 bounds the NI packet buffer; slots = 0
-// means unbounded (no gate).
+// channel (callers pass the buffer bound when one is set, or the total
+// expected inbound frame count when unbounded), at least one frame. slots
+// > 0 bounds the NI packet buffer; slots = 0 means unbounded (no gate).
+// The wire holds at least slots frames: it must never block a sender that
+// already holds a reservation, or the gate's accounting and the channel's
+// would fight.
 func NewInbox(host, capacity, slots int) *Inbox {
-	if capacity < 1 {
-		capacity = 1
-	}
-	in := &Inbox{host: host, wire: make(chan Frame, capacity)}
+	in := &Inbox{host: host, wire: make(chan Frame, max(capacity, slots, 1))}
 	if slots > 0 {
 		in.gate = NewGate(slots)
-		if capacity < slots {
-			// The wire must never block a sender that already holds a
-			// reservation, or the gate's accounting and the channel's
-			// would fight; size it to the bound.
-			in.wire = make(chan Frame, slots)
-		}
 	}
 	return in
 }

@@ -34,6 +34,7 @@
 package live
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sort"
@@ -53,20 +54,17 @@ type Config struct {
 	// full. Zero means unbounded. This is the repo's one NI buffer bound:
 	// the simulators measure buffer residency but bound nothing.
 	BufferPackets int
-	// LinkLatency is the one-way delivery delay shaped onto every link
-	// (0 = unshaped; the differential bridge runs unshaped).
-	LinkLatency time.Duration
 	// Record enables trace-event capture (wall-clock microseconds since
 	// run start, rendered by internal/trace like simulator traces).
 	Record bool
 	// Timeout arms the watchdog; on expiry the run aborts and reports the
-	// destinations still missing. Zero selects DefaultTimeout.
+	// destinations still missing. Zero selects DefaultTimeout; a negative
+	// one is refused.
 	Timeout time.Duration
 	// Network, when non-nil, provisions every tree edge from a real
 	// fabric (e.g. a loopback link.UDPNetwork) instead of in-process
 	// channels: each tree node's inbox is Attached before the run and
-	// every edge is Dialed. LinkLatency shaping does not apply — real
-	// links carry real latency. The runtime Detaches every host at
+	// every edge is Dialed. The runtime Detaches every host at
 	// teardown but never closes the network; the caller owns it. Plain
 	// Run assumes lossless ordered delivery, which loopback UDP provides
 	// in practice; on a wire that can drop, use RunReliable.
@@ -259,9 +257,7 @@ func (e *DuplicateSessionError) Unwrap() error { return ErrDuplicateSession }
 // tree host and blocks until every destination of every session has
 // acknowledged its fully reassembled message, or the watchdog fires.
 func Run(sessions []Session, cfg Config) (*Result, error) {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
-	}
+	cfg.Timeout = cmp.Or(cfg.Timeout, DefaultTimeout)
 	s, entries, err := joinShare(sessions, DefaultQuantum, cfg, nil)
 	if err != nil {
 		return nil, err

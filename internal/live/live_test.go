@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -54,7 +55,6 @@ func TestSingleSessionByteExact(t *testing.T) {
 		{"chain-unbounded", chainTree(5), Config{}},
 		{"chain-1slot", chainTree(5), Config{BufferPackets: 1}},
 		{"star-2slot", starTree(6), Config{BufferPackets: 2}},
-		{"chain-latency", chainTree(4), Config{LinkLatency: time.Millisecond}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := payloadBytes(300)
@@ -169,21 +169,25 @@ func TestDuplicateSessionTypedError(t *testing.T) {
 }
 
 func TestWatchdogReportsMissing(t *testing.T) {
-	// Two overlapping 1-slot-buffer sessions in opposite directions over a
-	// shared 2-host pair cannot deadlock (each NI serves its only inbound
-	// frame freely), so provoke the watchdog instead with an impossible
-	// timeout on a healthy run... a 1ns bound fires before any ACK.
+	// The chain's first edge never takes a frame (its send parks until the
+	// run aborts), so however short the timeout and however loaded the
+	// box, the watchdog fires with every destination at 0 of m packets.
 	data := payloadBytes(900)
 	pkts := mustPacketize(t, 5, 0, data)
-	tr := chainTree(8)
-	_, err := Run([]Session{{Tree: tr, Packets: pkts, MsgID: 5}},
-		Config{LinkLatency: 50 * time.Millisecond, Timeout: time.Nanosecond})
+	nw := newWireNet()
+	nw.block = true
+	_, err := Run([]Session{{Tree: chainTree(8), Packets: pkts, MsgID: 5}},
+		Config{Network: nw, Timeout: time.Millisecond})
 	we, ok := err.(*WatchdogError)
 	if !ok {
 		t.Fatalf("Run returned %v, want *WatchdogError", err)
 	}
-	if len(we.Progress[0]) == 0 {
-		t.Fatal("watchdog error names no missing destinations")
+	var want []DestProgress
+	for v := 1; v < 8; v++ {
+		want = append(want, DestProgress{Host: v, Received: 0, Expected: len(pkts)})
+	}
+	if !reflect.DeepEqual(we.Progress, map[int][]DestProgress{0: want}) {
+		t.Fatalf("watchdog progress %v, want %v", we.Progress, want)
 	}
 }
 
@@ -205,6 +209,7 @@ func TestValidateRejectsBadSessions(t *testing.T) {
 			{Tree: chainTree(3), Packets: good, MsgID: 3},
 		}, Config{}},
 		{"negative-buffer", []Session{{Tree: tr, Packets: good, MsgID: 3}}, Config{BufferPackets: -1}},
+		{"negative-timeout", []Session{{Tree: tr, Packets: good, MsgID: 3}}, Config{Timeout: -time.Second}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -104,11 +104,15 @@ type ni struct {
 // by default, or every inbox attached to cfg.Network (link.AttachAll). An
 // unbounded inbox's wire holds wire frames before senders block on it;
 // cfg.BufferPackets, when set, bounds it instead. quantum is the DRR grant
-// in packets. A negative bound is refused; a failed attach is the returned
-// error, naming the host, with whatever was attached detached again.
+// in packets. A negative bound or timeout is refused; a failed attach is
+// the returned error, naming the host, with whatever was attached detached
+// again.
 func NewShare(hosts []int, wire, quantum int, cfg Config) (*Share, error) {
 	if cfg.BufferPackets < 0 {
 		return nil, fmt.Errorf("negative buffer bound %d", cfg.BufferPackets)
+	}
+	if cfg.Timeout < 0 {
+		return nil, fmt.Errorf("negative timeout %v", cfg.Timeout)
 	}
 	s := &Share{
 		abort:   make(chan struct{}),
@@ -182,11 +186,11 @@ func (s *Share) Stop() {
 	s.detach()
 }
 
-// dial provisions edge a->b: an in-process link into b's inbox, shaped
-// with LinkLatency, or a Network edge. A failed dial names the edge.
+// dial provisions edge a->b: an in-process link into b's inbox, or a
+// Network edge. A failed dial names the edge.
 func (s *Share) dial(a, b int) (link.Transport, error) {
 	if s.cfg.Network == nil {
-		return link.New(a, s.nis[b].inbox, s.cfg.LinkLatency), nil
+		return link.New(a, s.nis[b].inbox, 0), nil
 	}
 	tr, err := s.cfg.Network.Dial(a, b)
 	if err != nil {
@@ -499,12 +503,11 @@ func (n *ni) push(ns *niSession) {
 	n.ring = append(n.ring, ns)
 }
 
-// stage waits out one frame's latency, then admits it into its plain
-// session's queue, or serves a reliable session's frame at once and frees
-// its slot. A frame that is undecodable, or names no session registered
-// here or an aborted one, is dropped: counted, its slot freed at once.
+// stage admits one frame into its plain session's queue, or serves a
+// reliable session's frame at once and frees its slot. A frame that is
+// undecodable, or names no session registered here or an aborted one, is
+// dropped: counted, its slot freed at once.
 func (n *ni) stage(f link.Frame) {
-	f.Wait()
 	h, err := message.DecodeHeader(f.Payload)
 	var ns *niSession
 	if err == nil {

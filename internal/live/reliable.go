@@ -1,6 +1,7 @@
 package live
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -25,8 +26,8 @@ import (
 
 // ReliableConfig tunes one RunReliable execution.
 type ReliableConfig struct {
-	// Live carries the base runtime knobs: BufferPackets, LinkLatency and
-	// the watchdog Timeout (the liveness backstop of the whole protocol).
+	// Live carries the base runtime knobs: BufferPackets and the watchdog
+	// Timeout (the liveness backstop of the whole protocol).
 	Live Config
 	// Faults is the fault plane (zero = lossless edges), its times
 	// microseconds from run start. Its Crashes crash NIs: from At on the NI
@@ -196,9 +197,7 @@ func newRun(s Session, cfg ReliableConfig, virt *virtual) (*rrt, error) {
 	if err := cfg.validate(s, virt); err != nil {
 		return nil, err
 	}
-	if cfg.Live.Timeout <= 0 {
-		cfg.Live.Timeout = DefaultTimeout
-	}
+	cfg.Live.Timeout = cmp.Or(cfg.Live.Timeout, DefaultTimeout) // a negative one NewShare refuses
 	rt := &rrt{cfg: cfg, s: s, faults: faults}
 	hosts := s.Tree.Nodes()
 	// A non-empty crash schedule arms the membership plane.

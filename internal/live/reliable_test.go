@@ -272,6 +272,7 @@ func TestReliableConfigRejects(t *testing.T) {
 			c.Faults.Kills = []fault.Kill{{Link: fault.Pair, From: 1, To: 7}}
 		}},
 		{"negative-quorum", "negative quorum -1", func(c *ReliableConfig) { c.Quorum = -1 }},
+		{"negative-timeout", "negative timeout -1s", func(c *ReliableConfig) { c.Live.Timeout = -time.Second }},
 	} {
 		cfg := fastReliable()
 		tc.edit(&cfg)

@@ -34,8 +34,6 @@ func runVirtual(s Session, cfg ReliableConfig, v *virtual) (*ReliableResult, err
 	if cfg.Live.Network != nil {
 		return nil, fmt.Errorf("live: RunVirtual runs on the in-process fabric only")
 	}
-	v.latency = cfg.Live.LinkLatency
-	cfg.Live.LinkLatency = 0 // delivery events carry it instead
 	rt, err := newRun(s, cfg, v)
 	if err != nil {
 		return nil, err
@@ -71,7 +69,6 @@ type virtual struct {
 	p        sim.Params    // its costs
 	sw       *switched     // its transport's state, built with the run
 	t        time.Duration // the running turn's time: the share's clock
-	latency  time.Duration // Config.LinkLatency, added to every delivery
 	share    *Share
 	rt       *rrt
 	judging  time.Duration // the detector deadline a judgment is scheduled at
@@ -259,7 +256,7 @@ func (l *vlink) Send(payload []byte, _ <-chan struct{}) error {
 	l.free = at + wait
 	for _, f := range [...][]byte{first, second} {
 		if f != nil {
-			l.v.at(l.free+l.v.latency, func() {
+			l.v.at(l.free, func() {
 				_ = l.Transport.Send(f, nil) // the NI's turn frees the slot it takes
 				l.to.step()
 			})

@@ -128,14 +128,17 @@ func virtualRun(scenario string, seed uint64) (*ReliableResult, error) {
 }
 
 // TestRunVirtualTime: in virtual time a run's timings are exact. Down a
-// lossless 4-chain at 1 ms of link latency, every packet leaves the root
-// at 0 and crosses one edge per millisecond, so host i completes at i ms
+// lossless 4-chain whose host h is stalled over [0, (h+1) ms), every
+// packet leaves the root at 1 ms and each host forwards once its stall
+// is over, a millisecond after it received, so host i completes at i ms
 // to the nanosecond and the run settles at 3 ms with no retransmission.
 // A socket fabric, which RunVirtual cannot step, is refused.
 func TestRunVirtualTime(t *testing.T) {
 	sess := Session{Tree: chainTree(4), Packets: mustPacketize(t, 1, 0, payloadBytes(200)), MsgID: 1}
 	cfg := DefaultReliableConfig()
-	cfg.Live.LinkLatency = time.Millisecond
+	for h := 0; h < 4; h++ {
+		cfg.Faults.Stalls = append(cfg.Faults.Stalls, fault.Stall{Host: h, Until: float64(h+1) * 1000})
+	}
 	res, err := RunVirtual(sess, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -89,8 +89,9 @@ func (f ctlFrame) encode(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeCtl parses one control payload; unknown kinds and payloads
-// shorter than their kind's report false, trailing bytes are ignored.
+// decodeCtl parses one control payload; unknown kinds, payloads shorter
+// than their kind's and a STOP with an undefined status report false,
+// trailing bytes are ignored.
 func decodeCtl(b []byte) (ctlFrame, bool) {
 	if len(b) == 0 || ctlLen[b[0]] == 0 || len(b) < ctlLen[b[0]] {
 		return ctlFrame{}, false
@@ -102,7 +103,9 @@ func decodeCtl(b []byte) (ctlFrame, bool) {
 	}
 	f.a, f.b, f.c = fields[0], fields[1], fields[2]
 	if f.kind == ctlStop {
-		f.status = reliable.Status(b[3])
+		if f.status = reliable.Status(b[3]); f.status > reliable.Failed {
+			return ctlFrame{}, false
+		}
 	}
 	return f, true
 }

@@ -44,6 +44,9 @@ func FuzzCtl(f *testing.F) {
 		if len(b) < ctlLen[fr.kind] {
 			t.Fatalf("accepted %d-byte payload of kind %d", len(b), fr.kind)
 		}
+		if fr.status < reliable.Delivered || fr.status > reliable.Failed {
+			t.Fatalf("accepted undefined STOP status %d", fr.status)
+		}
 		re, err := fr.encode(nil)
 		if err != nil {
 			t.Fatalf("decoded frame %+v does not encode: %v", fr, err)
@@ -93,10 +96,11 @@ func TestCtlCodec(t *testing.T) {
 	if _, ok := decodeCtl([]byte{ctlAck, 0, 1, 0, 2, 0}); ok {
 		t.Fatal("truncated ACK accepted")
 	}
-	// STOP has one shape: an epoch and a status byte.
-	for _, short := range [][]byte{{ctlStop}, {ctlStop, 0}, {ctlStop, 0, 7}} {
-		if fr, ok := decodeCtl(short); ok {
-			t.Fatalf("short STOP %x accepted as %+v", short, fr)
+	// STOP has one shape: an epoch and a status byte naming a verdict
+	// reliable.Status defines.
+	for _, bad := range [][]byte{{ctlStop}, {ctlStop, 0}, {ctlStop, 0, 7}, {ctlStop, 0, 1, byte(reliable.Failed) + 1}, {ctlStop, 0, 1, 9}} {
+		if fr, ok := decodeCtl(bad); ok {
+			t.Fatalf("malformed STOP %x accepted as %+v", bad, fr)
 		}
 	}
 }

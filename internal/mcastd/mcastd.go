@@ -25,6 +25,7 @@
 package mcastd
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"sort"
@@ -48,11 +49,11 @@ type Config struct {
 	// BufferPackets bounds each local NI's buffer slots; 0 means a
 	// buffer deep enough that wire senders never block on this host.
 	BufferPackets int
-	// Timeout is the whole-run watchdog (default 30s).
+	// Timeout is the whole-run watchdog (0: 30s).
 	Timeout time.Duration
 	// Drain bounds the root's graceful shutdown: how long it retries
-	// STOP at unacknowledged remote hosts before giving up (default 1s),
-	// so a dead peer cannot stall the root's exit.
+	// STOP at unacknowledged remote hosts before giving up (0: 1s), so a
+	// dead peer cannot stall the root's exit. Neither may be negative.
 	Drain time.Duration
 	// Log, when non-nil, receives one line per protocol milestone.
 	Log io.Writer
@@ -65,9 +66,9 @@ func (c *Config) logf(format string, args ...any) {
 }
 
 // prepare validates what both engines require of a Config and fills the
-// timing defaults. Host ids and the packet count must fit the ctl
-// plane's 16-bit fields (*RangeError): truncated, they would alias onto
-// other hosts and sequence numbers. The packets must be the session's
+// timing defaults, refusing a negative timing. Host ids and the packet
+// count must fit the ctl plane's 16-bit fields (*RangeError): truncated,
+// they would alias onto other hosts and sequence numbers. The packets must be the session's
 // (live.Session.Validate), as live's engines require of theirs.
 func (c *Config) prepare() error {
 	if c.Tree == nil || c.Net == nil {
@@ -97,12 +98,13 @@ func (c *Config) prepare() error {
 		}
 		seen[v] = true
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 30 * time.Second
+	if c.Timeout < 0 {
+		return fmt.Errorf("mcastd: negative timeout %v", c.Timeout)
 	}
-	if c.Drain <= 0 {
-		c.Drain = defaultDrain
+	if c.Drain < 0 {
+		return fmt.Errorf("mcastd: negative drain %v", c.Drain)
 	}
+	c.Timeout, c.Drain = cmp.Or(c.Timeout, 30*time.Second), cmp.Or(c.Drain, defaultDrain)
 	return nil
 }
 

@@ -283,7 +283,7 @@ func TestConfigRejects(t *testing.T) {
 // bothRefuse are configs both engines must refuse before the run starts,
 // naming what is wrong, as live's engines refuse theirs: packets that are
 // not the session's (stamped with another MsgID, or out of order), and a
-// negative buffer bound.
+// negative buffer bound, timeout or drain (zero selects a default).
 func bothRefuse(t *testing.T, tr *tree.Tree, nw *link.UDPNetwork) []struct {
 	name, want string
 	cfg        Config
@@ -299,6 +299,9 @@ func bothRefuse(t *testing.T, tr *tree.Tree, nw *link.UDPNetwork) []struct {
 	unordered.Packets, unordered.MsgID = reversed, 1
 	negative := mismatch
 	negative.MsgID, negative.BufferPackets = 1, -5
+	negTimeout, negDrain := mismatch, mismatch
+	negTimeout.MsgID, negTimeout.Timeout = 1, -time.Second
+	negDrain.MsgID, negDrain.Drain = 1, -time.Second
 	return []struct {
 		name, want string
 		cfg        Config
@@ -306,6 +309,8 @@ func bothRefuse(t *testing.T, tr *tree.Tree, nw *link.UDPNetwork) []struct {
 		{"msgid-mismatch", "header msgID", mismatch},
 		{"packets-out-of-order", "out of order", unordered},
 		{"negative-buffer", "negative buffer bound -5", negative},
+		{"negative-timeout", "negative timeout -1s", negTimeout},
+		{"negative-drain", "negative drain -1s", negDrain},
 	}
 }
 

@@ -13,6 +13,7 @@ package mcastd
 // DONE/STOP handshake, the verdict and the result.
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -23,7 +24,7 @@ import (
 )
 
 // ReliableConfig tunes one RunReliable execution. Zero values take the
-// defaults from DefaultReliableConfig.
+// defaults from DefaultReliableConfig; negative ones are refused.
 type ReliableConfig struct {
 	// RTO is the base per-edge retransmission timeout, doubling per
 	// attempt up to RTOMax, widened by seeded jitter.
@@ -72,20 +73,19 @@ const (
 
 func (rcfg *ReliableConfig) fill() {
 	def := DefaultReliableConfig()
-	if rcfg.RTO <= 0 {
-		rcfg.RTO = def.RTO
-	}
-	if rcfg.RTOMax <= 0 {
-		rcfg.RTOMax = def.RTOMax
-	}
-	if rcfg.RetryBudget <= 0 {
-		rcfg.RetryBudget = def.RetryBudget
-	}
+	rcfg.RTO, rcfg.RTOMax = cmp.Or(rcfg.RTO, def.RTO), cmp.Or(rcfg.RTOMax, def.RTOMax)
+	rcfg.RetryBudget = cmp.Or(rcfg.RetryBudget, def.RetryBudget)
 }
 
 func (rcfg ReliableConfig) validate() error {
 	if err := rcfg.Faults.Validate(); err != nil {
 		return fmt.Errorf("mcastd: %w", err)
+	}
+	if min(rcfg.RTO, rcfg.RTOMax) < 0 {
+		return fmt.Errorf("mcastd: negative RTO %v / cap %v", rcfg.RTO, rcfg.RTOMax)
+	}
+	if rcfg.RetryBudget < 0 {
+		return fmt.Errorf("mcastd: negative retry budget %d", rcfg.RetryBudget)
 	}
 	if rcfg.RTOMax < rcfg.RTO {
 		return fmt.Errorf("mcastd: RTO cap %v below base %v", rcfg.RTOMax, rcfg.RTO)

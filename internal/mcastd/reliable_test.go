@@ -317,6 +317,9 @@ func TestReliableRejects(t *testing.T) {
 	}{
 		{"rto-cap-below-base", "RTO cap", ReliableConfig{RTO: 50 * time.Millisecond, RTOMax: 10 * time.Millisecond}},
 		{"negative-quorum", "negative quorum -2", ReliableConfig{Quorum: -2}},
+		{"negative-rto", "negative RTO -1ms", ReliableConfig{RTO: -time.Millisecond}},
+		{"negative-rto-cap", "cap -1ms", ReliableConfig{RTOMax: -time.Millisecond}},
+		{"negative-retry-budget", "negative retry budget -1", ReliableConfig{RetryBudget: -1}},
 		{"bad-droprate", "drop rate", ReliableConfig{Faults: fault.Plan{DropRate: 1.5}}},
 		{"scheduled-kills", "mcastd: fault plan field Kills (host pair) is not supported",
 			ReliableConfig{Faults: fault.Plan{Kills: []fault.Kill{{Link: fault.Pair, From: 0, To: 1, At: 1000}}}}},
@@ -353,6 +356,7 @@ func TestReliableRejects(t *testing.T) {
 			t.Errorf("%s: RunReliable = %v, %v; want a rejection naming %q", tc.name, res, err, tc.want)
 		}
 	}
+
 }
 
 // TestReliableRootDropsForeignExhausted: an EXHAUSTED datagram naming a host

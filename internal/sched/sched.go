@@ -5,9 +5,8 @@
 //
 //   - Admission control: Submit enqueues a session into a bounded
 //     queue; a window semaphore caps the sessions in flight. Overflow
-//     and expiry are typed rejections (ErrQueueFull, ErrSubmitTimeout),
-//     so producers see backpressure instead of unbounded goroutine and
-//     buffer growth.
+//     is a typed rejection (ErrQueueFull), so producers see backpressure
+//     instead of unbounded goroutine and buffer growth.
 //   - Per-NI fair queueing: the fabric is a live.Share, whose one
 //     NI loop per host serves the sessions registered there, and injects
 //     those rooted there, by deficit round robin, so one elephant session
@@ -49,9 +48,6 @@ var (
 	// ErrQueueFull rejects a submission when the bounded queue is full —
 	// the producer is outrunning the fabric and must back off.
 	ErrQueueFull = errors.New("sched: submission queue full")
-	// ErrSubmitTimeout fails a queued session that could not be admitted
-	// within Config.SubmitTimeout.
-	ErrSubmitTimeout = errors.New("sched: queued past submit timeout")
 	// ErrSessionTimeout fails an admitted session that did not complete
 	// within Config.SessionTimeout (e.g. one wedged in a credit cycle).
 	ErrSessionTimeout = errors.New("sched: session timed out in flight")
@@ -95,13 +91,6 @@ type Config struct {
 	// live.Config: senders block while a target NI is full; 0 means
 	// unbounded.
 	BufferPackets int
-	// LinkLatency shapes a one-way delivery delay onto every link, as in
-	// live.Config (0 = unshaped). Mostly for tests that need sessions to
-	// stay in flight deterministically long.
-	LinkLatency time.Duration
-	// SubmitTimeout bounds how long a submission may wait in the queue
-	// for a window slot; 0 waits indefinitely.
-	SubmitTimeout time.Duration
 	// SessionTimeout bounds an admitted session's time in flight; on
 	// expiry it is cancelled with ErrSessionTimeout and its resources
 	// (window slot, buffer credits, edge load) are reclaimed. Defaults
@@ -110,7 +99,7 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults() (Config, error) {
-	if min(cfg.Window, cfg.QueueDepth, cfg.Quantum) < 0 || min(cfg.SubmitTimeout, cfg.SessionTimeout) < 0 {
+	if min(cfg.Window, cfg.QueueDepth, cfg.Quantum) < 0 || cfg.SessionTimeout < 0 {
 		return cfg, fmt.Errorf("sched: negative setting in %+v", cfg)
 	}
 	if cfg.Window == 0 {
@@ -135,9 +124,10 @@ type Stats struct {
 	Submitted, Completed int
 	// RejectedFull and RejectedDuplicate count Submit-time rejections.
 	RejectedFull, RejectedDuplicate int
-	// TimedOutQueue counts sessions failed awaiting admission;
-	// TimedOutInflight those cancelled by the session deadline; Failed
-	// those aborted by a transport or protocol error.
+	// TimedOutQueue is always zero: a queued session waits for its window
+	// slot however long that takes. TimedOutInflight counts sessions
+	// cancelled by the session deadline; Failed those aborted by a
+	// transport or protocol error.
 	TimedOutQueue, TimedOutInflight, Failed int
 	// Inflight is the current admitted-session gauge and MaxInflight its
 	// high-water mark.
@@ -163,8 +153,7 @@ type Handle struct {
 	sess  live.Session
 	dests int
 
-	submitAt       time.Duration
-	submitDeadline time.Time
+	submitAt time.Duration
 
 	// Admission-time state, written by the admitter before the handle
 	// reaches the collector.
@@ -254,7 +243,7 @@ func newOn(hosts []int, cfg Config, net link.Network) (*Scheduler, error) {
 		s.hosts[v] = true
 	}
 	share, err := live.NewShare(hosts, unboundedWire, cfg.Quantum,
-		live.Config{BufferPackets: cfg.BufferPackets, LinkLatency: cfg.LinkLatency, Network: net})
+		live.Config{BufferPackets: cfg.BufferPackets, Network: net})
 	if err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
@@ -316,9 +305,6 @@ func (s *Scheduler) Submit(sess live.Session) (*Handle, error) {
 	s.stats.Submitted++
 	s.mu.Unlock()
 	h.submitAt = s.share.Now()
-	if s.cfg.SubmitTimeout > 0 {
-		h.submitDeadline = time.Now().Add(s.cfg.SubmitTimeout)
-	}
 	// Never blocks: channel occupancy <= s.queued <= cap.
 	s.queue <- h
 	return h, nil
@@ -343,8 +329,7 @@ func (s *Scheduler) Close() {
 }
 
 // admit is the admission loop: it pulls queued sessions in FIFO order,
-// waits for a window slot (bounded by each session's submit deadline)
-// and places them onto the fabric.
+// waits for a window slot and places them onto the fabric.
 func (s *Scheduler) admit() {
 	for {
 		var h *Handle
@@ -354,28 +339,12 @@ func (s *Scheduler) admit() {
 			s.drainQueue()
 			return
 		}
-		if h.submitDeadline.IsZero() {
-			select {
-			case s.window <- struct{}{}:
-			case <-s.abort:
-				s.fail(h, ErrClosed)
-				s.drainQueue()
-				return
-			}
-		} else {
-			timer := time.NewTimer(time.Until(h.submitDeadline))
-			select {
-			case s.window <- struct{}{}:
-				timer.Stop()
-			case <-timer.C:
-				s.fail(h, ErrSubmitTimeout)
-				continue
-			case <-s.abort:
-				timer.Stop()
-				s.fail(h, ErrClosed)
-				s.drainQueue()
-				return
-			}
+		select {
+		case s.window <- struct{}{}:
+		case <-s.abort:
+			s.fail(h, ErrClosed)
+			s.drainQueue()
+			return
 		}
 		s.place(h)
 	}
@@ -398,12 +367,7 @@ func (s *Scheduler) fail(h *Handle, cause error) {
 	s.mu.Lock()
 	s.queued--
 	delete(s.ids, h.sess.MsgID)
-	switch {
-	case errors.Is(cause, ErrSubmitTimeout):
-		s.stats.TimedOutQueue++
-	default:
-		s.stats.Failed++
-	}
+	s.stats.Failed++
 	s.idle.Broadcast()
 	s.mu.Unlock()
 	h.err = &SessionError{MsgID: h.sess.MsgID, Err: cause}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,23 +179,21 @@ func TestTypedRejections(t *testing.T) {
 	if _, err := New(hostRange(3), Config{BufferPackets: -1}); err == nil || !strings.Contains(err.Error(), "sched: negative buffer bound -1") {
 		t.Fatalf("New with a negative buffer bound returned %v", err)
 	}
-	for _, cfg := range []Config{{Window: -5}, {QueueDepth: -1}, {Quantum: -1}, {SubmitTimeout: -1}, {SessionTimeout: -1}} {
+	for _, cfg := range []Config{{Window: -5}, {QueueDepth: -1}, {Quantum: -1}, {SessionTimeout: -1}} {
 		if _, err := New(hostRange(3), cfg); err == nil || !strings.Contains(err.Error(), "sched: negative") {
 			t.Fatalf("New(%+v) returned %v, want a refusal, not a default", cfg, err)
 		}
 	}
-	// Window 1 and a 100ms-per-hop link keep the first session in
-	// flight long enough to observe every typed rejection
-	// deterministically.
-	s, err := New(hostRange(3), Config{
-		Window:      1,
-		QueueDepth:  1,
-		LinkLatency: 100 * time.Millisecond,
-	})
+	// Window 1 and a closed gate on every edge keep the first session in
+	// flight until the test opens the gate, so every typed rejection is
+	// observed with the window full and the queue as the test left it.
+	net, open := gatedEverywhere()
+	s, err := newOn(hostRange(3), Config{Window: 1, QueueDepth: 1}, net)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
+	defer open() // Close drains, so the gate must be open by then
 	submit := func(id uint32) (*Handle, error) {
 		data := payloadBytes(120, int(id))
 		return s.Submit(live.Session{Tree: chainTree(0, 3), Packets: mustPacketize(t, id, 0, data), MsgID: id})
@@ -205,12 +204,7 @@ func TestTypedRejections(t *testing.T) {
 	}
 	// Wait for session 1 to leave the queue for the window, so the
 	// queue-depth assertions below are deterministic.
-	for deadline := time.Now().Add(5 * time.Second); s.Stats().Inflight == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("session 1 never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitInflight(t, s, 1)
 	// Duplicate of an in-flight session: typed, shared with live.
 	if _, err := submit(1); !errors.Is(err, live.ErrDuplicateSession) {
 		t.Fatalf("duplicate submit returned %v, want ErrDuplicateSession", err)
@@ -233,6 +227,12 @@ func TestTypedRejections(t *testing.T) {
 	if !errors.Is(err, ErrUnknownHost) {
 		t.Fatalf("out-of-fabric submit returned %v, want ErrUnknownHost", err)
 	}
+	if st := s.Stats(); st.Inflight != 1 || st.Completed != 0 {
+		t.Fatalf("stats with the gate closed: %+v", st)
+	}
+	// Opened, the gate lets the in-flight session complete and the
+	// queued one follow it through the window.
+	open()
 	if _, err := inflight.Wait(); err != nil {
 		t.Fatalf("in-flight session failed: %v", err)
 	}
@@ -245,41 +245,55 @@ func TestTypedRejections(t *testing.T) {
 	}
 }
 
-func TestSubmitTimeout(t *testing.T) {
-	// Window 1, slow links: the second submission cannot be admitted
-	// before its 10ms submit deadline and must fail typed; the first
-	// still completes.
-	s, err := New(hostRange(2), Config{
-		Window:        1,
-		QueueDepth:    4,
-		LinkLatency:   150 * time.Millisecond,
-		SubmitTimeout: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
+// awaitInflight polls until n sessions are in flight.
+func awaitInflight(t *testing.T, s *Scheduler, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Minute); s.Stats().Inflight < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d sessions admitted", s.Stats().Inflight, n)
+		}
 	}
-	defer s.Close()
-	submit := func(id uint32) (*Handle, error) {
-		data := payloadBytes(150, int(id))
-		return s.Submit(live.Session{Tree: chainTree(0, 2), Packets: mustPacketize(t, id, 0, data), MsgID: id})
+}
+
+// gatedNet is an in-process link.Network whose edges hold their senders
+// at the gate that gate returns for them (nil: a plain link). A sender
+// waits until its gate closes or its session aborts; no hop is timed, so
+// a session stays in flight exactly as long as the test holds it.
+type gatedNet struct {
+	inboxes map[int]*link.Inbox
+	gate    func(from, to int) <-chan struct{}
+}
+
+func (n *gatedNet) Attach(host int, in *link.Inbox) error { n.inboxes[host] = in; return nil }
+func (n *gatedNet) Detach(int)                            {}
+func (n *gatedNet) Dial(from, to int) (link.Transport, error) {
+	l := link.New(from, n.inboxes[to], 0)
+	if g := n.gate(from, to); g != nil {
+		return gatedEdge{l, g}, nil
 	}
-	first, err := submit(1)
-	if err != nil {
-		t.Fatalf("Submit 1: %v", err)
+	return l, nil
+}
+
+type gatedEdge struct {
+	link.Transport
+	gate <-chan struct{}
+}
+
+func (e gatedEdge) Send(pkt []byte, abort <-chan struct{}) error {
+	select {
+	case <-e.gate:
+		return e.Transport.Send(pkt, abort)
+	case <-abort:
+		return link.ErrAborted
 	}
-	second, err := submit(2)
-	if err != nil {
-		t.Fatalf("Submit 2: %v", err)
-	}
-	if _, err := second.Wait(); !errors.Is(err, ErrSubmitTimeout) {
-		t.Fatalf("queued session returned %v, want ErrSubmitTimeout", err)
-	}
-	if _, err := first.Wait(); err != nil {
-		t.Fatalf("first session failed: %v", err)
-	}
-	if st := s.Stats(); st.TimedOutQueue != 1 || st.Completed != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
+}
+
+// gatedEverywhere is a gatedNet with one closed gate on every edge, and
+// the function that opens it; calls after the first do nothing.
+func gatedEverywhere() (*gatedNet, func()) {
+	gate := make(chan struct{})
+	net := &gatedNet{inboxes: map[int]*link.Inbox{}, gate: func(int, int) <-chan struct{} { return gate }}
+	return net, sync.OnceFunc(func() { close(gate) })
 }
 
 // heldNet is an in-process link.Network whose edge 2->3 takes every frame
@@ -492,15 +506,18 @@ func ownedGoroutines() int {
 }
 
 func TestGoroutinesIndependentOfSessions(t *testing.T) {
-	// 32 sessions in flight on 8 hosts over 20 ms links: the scheduler runs
-	// one NI per host, an admitter and a collector — each root's NI is its
-	// sessions' source, so no goroutine is spent on injection.
+	// 32 sessions held in flight on 8 hosts by closed gates: the
+	// scheduler runs one NI per host, an admitter and a collector — each
+	// root's NI is its sessions' source, so no goroutine is spent on
+	// injection.
 	const hosts, sessions = 8, 32
-	s, err := New(hostRange(hosts), Config{LinkLatency: 20 * time.Millisecond})
+	net, open := gatedEverywhere()
+	s, err := newOn(hostRange(hosts), Config{}, net)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer s.Close()
+	defer open()
 	for i := 0; i < sessions; i++ {
 		root := i % hosts
 		tr := tree.New(root)
@@ -512,18 +529,55 @@ func TestGoroutinesIndependentOfSessions(t *testing.T) {
 			t.Fatalf("Submit %d: %v", i, err)
 		}
 	}
-	for deadline := time.Now().Add(5 * time.Second); s.Stats().Inflight < sessions; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d sessions admitted", s.Stats().Inflight, sessions)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	got := ownedGoroutines()
-	if st := s.Stats(); st.Inflight != sessions {
-		t.Fatalf("sessions settled before the count (%+v): links too fast for the test", st)
-	}
-	if got != hosts+2 {
+	awaitInflight(t, s, sessions)
+	if got := ownedGoroutines(); got != hosts+2 {
 		t.Fatalf("%d goroutines with %d sessions in flight, want %d (one per host, an admitter, a collector)", got, sessions, hosts+2)
+	}
+}
+
+// TestChurnLeaksNoGoroutines joins 200 sessions to one scheduler's share
+// and removes them again. The 100 chains 0->1->...->7 wait at a dead edge
+// 2->3, so their 20 ms deadline expires every one of them with frames
+// still queued at host 2; the 100 one-hop sessions 0->1 normally
+// complete. After Close no goroutine of the scheduler or its share is
+// left: none parked on the dead edge, a gate or the report queue.
+func TestChurnLeaksNoGoroutines(t *testing.T) {
+	net := &gatedNet{inboxes: map[int]*link.Inbox{}, gate: func(from, to int) <-chan struct{} {
+		if from == 2 && to == 3 {
+			return make(chan struct{}) // never opens
+		}
+		return nil
+	}}
+	s, err := newOn(hostRange(8), Config{Window: 16, QueueDepth: 200, SessionTimeout: 20 * time.Millisecond}, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var handles []*Handle
+	for id := uint32(1); id <= 200; id++ {
+		tr := chainTree(0, 8)
+		if id%2 == 0 {
+			tr = chainTree(0, 2)
+		}
+		h, err := s.Submit(live.Session{Tree: tr, Packets: mustPacketize(t, id, 0, make([]byte, 600)), MsgID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	expired := 0
+	for _, h := range handles {
+		if _, err := h.Wait(); errors.Is(err, ErrSessionTimeout) {
+			expired++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	if expired < 100 || expired == 200 {
+		t.Fatalf("%d of 200 sessions expired, want the 100 chains and not every session", expired)
+	}
+	if n := ownedGoroutines(); n != 0 {
+		t.Fatalf("%d goroutines of the scheduler left after Close", n)
 	}
 }
 

@@ -145,8 +145,6 @@ func TestExportedSurfaceIsReached(t *testing.T) {
 // surfaceAllow, an entry that is set again, or no longer exists, fails
 // TestEveryOptionHasACaller.
 var optionAllow = map[string]string{
-	"sched.Config.LinkLatency":             "the scheduler tests hold sessions in flight with it",
-	"sched.Config.SubmitTimeout":           "the scheduler tests time queued sessions out with it; bench reads Stats.TimedOutQueue",
 	"topology.IrregularConfig.ExtraDegree": "the repair tests build their bridge topology with it",
 
 	// The flit-level hardware model: one field per constant of the
